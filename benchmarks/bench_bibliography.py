@@ -85,6 +85,7 @@ LEGACY = BASE.with_(join_ordering=False, histogram_statistics=False)
 SHARDED = StrategyOptions.all_strategies().with_(
     collection_phase_quantifiers=False,
     streaming_execution=False,
+    sharded_execution=True,
     shard_min_rows=0,
     shard_count=4,
     shard_backend="serial",

@@ -102,17 +102,22 @@ class StrategyOptions:
         Only pipeline breakers (division, union dedup state) buffer tuples,
         so ``peak_tuples`` reports the true live-tuple high-water mark.
     sharded_execution:
-        Horizontally shard the combination phase: hash-partition every
-        conjunct structure mentioning the chosen shard variable on that
-        variable's reference column, semijoin-reduce the remaining
-        structures per shard (the Bernstein & Chiu reducer as a cross-shard
-        reducer, shipping projections instead of relations), and evaluate
-        the shards in parallel through ``concurrent.futures``.  Shard
-        outputs are provably disjoint (every output row carries exactly one
-        shard-variable reference), so the merge is a concatenation.  The
-        path only engages when the largest conjunct structure reaches
-        ``shard_min_rows`` — small queries keep the classic single-shard
-        pipelines.
+        **Opt-in, off by default.**  Horizontally shard the combination
+        phase: hash-partition every conjunct structure mentioning the chosen
+        shard variable on that variable's reference column, semijoin-reduce
+        the remaining structures per shard (the Bernstein & Chiu reducer as
+        a cross-shard reducer, shipping projections instead of relations),
+        and evaluate the shards in parallel through ``concurrent.futures``.
+        Shard outputs are provably disjoint (every output row carries
+        exactly one shard-variable reference), so the merge is a
+        concatenation.  When on, the path engages once the largest conjunct
+        structure reaches ``shard_min_rows``.  It is off by default because
+        it loses on the clock: thread and serial shards share one GIL, every
+        query pays executor start-up, and ``stable_hash`` partitioning plus
+        reference encoding cost more than the whole unsharded combination
+        phase over dense reference ids (measured: ``coauthor_pairs`` 122 ms
+        sharded vs 92 ms unsharded before the id kernel, ~10 ms after; the
+        3.1x speedup of ``bench_sharded_join`` is *modeled* from counters).
     shard_count:
         How many shards ``sharded_execution`` partitions into (also the
         default worker count).
@@ -161,7 +166,7 @@ class StrategyOptions:
     join_ordering: bool = True
     semijoin_reduction: bool = True
     streaming_execution: bool = True
-    sharded_execution: bool = True
+    sharded_execution: bool = False
     shard_count: int = 4
     shard_min_rows: int = 64
     shard_backend: str = "auto"

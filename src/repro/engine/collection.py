@@ -47,7 +47,6 @@ from repro.errors import EvaluationError, PascalRError
 from repro.relational.index import HashIndex, SortedIndex, ValueList
 from repro.relational.record import Record
 from repro.relational.reference import Ref
-from repro.relational.relation import Relation
 from repro.relational.statistics import COLLECTION
 from repro.transform.pipeline import QueryPlan
 from repro.transform.quantifier_pushdown import DerivedPredicate
@@ -92,34 +91,68 @@ class ConjunctStructure:
     variables: tuple[str, ...]
     rows: set[tuple[Ref, ...]]
     description: str
+    ids: list[tuple[int, ...]] | None = field(default=None, repr=False, compare=False)
+    """``rows`` over dense reference ids, sorted — what the combination phase
+    computes on.  Filled lazily by :meth:`CollectionResult.id_rows` and
+    assigned in one step once complete, so concurrent executions sharing a
+    memoized collection result see either nothing or the whole list."""
 
     @property
     def cardinality(self) -> int:
         return len(self.rows)
 
-    def to_relation(self, name: str, relation_name_of) -> Relation:
-        """Materialise the structure as a reference relation.
 
-        ``relation_name_of`` maps a variable name to the name of its range
-        relation (the reference target).  Both the materialised and the
-        streaming combination phase start from these relations: they are the
-        Figure 2 structures, whose cost is charged to the collection phase.
-        """
-        from repro.relational.refrelation import ReferenceType, ref_field_name
-        from repro.types.schema import Field, RelationSchema
+@dataclass(frozen=True)
+class ReferenceIds:
+    """A bijective renaming of one collection result's references to ints.
 
-        schema = RelationSchema(
-            name,
-            [
-                Field(ref_field_name(var), ReferenceType(relation_name_of(var)))
-                for var in self.variables
-            ],
-            key=None,
+    Ids are dense per referenced relation and assigned in ``range_refs``
+    order (scan order), so they — and everything the combination phase
+    derives from them, row order included — are independent of
+    ``PYTHONHASHSEED``, which the name-based :class:`Ref` hash is not.
+    """
+
+    ids: dict[str, dict[tuple, int]]
+    """Per relation name: key value → id."""
+    refs: dict[str, list[Ref]]
+    """Per relation name: id → reference (the inverse, for the final decode)."""
+    ranges: dict[str, list[tuple[int]]]
+    """Per variable: its range as 1-tuples of ids, in ``range_refs`` order."""
+
+    @classmethod
+    def of(cls, range_refs: dict[str, list[Ref]]) -> "ReferenceIds":
+        ids: dict[str, dict[tuple, int]] = {}
+        inverse: dict[str, list[Ref]] = {}
+        ranges: dict[str, list[tuple[int]]] = {}
+        for var, refs in range_refs.items():
+            if not refs:
+                ranges[var] = []
+                continue
+            name = refs[0].relation.name
+            table = ids.setdefault(name, {})
+            known = inverse.setdefault(name, [])
+            rows = ranges[var] = []
+            for ref in refs:
+                key = ref.key
+                number = table.get(key)
+                if number is None:
+                    number = table[key] = len(known)
+                    known.append(ref)
+                rows.append((number,))
+        return cls(ids, inverse, ranges)
+
+    def encode(self, rows: Iterable[tuple[Ref, ...]]) -> list[tuple[int, ...]]:
+        """Reference tuples as sorted id tuples (every reference is in range)."""
+        rows = list(rows)
+        if not rows:
+            return []
+        tables = [self.ids[ref.relation.name] for ref in rows[0]]
+        if len(tables) == 2:  # indirect joins: the structures with many rows
+            first, second = tables
+            return sorted((first[a.key], second[b.key]) for a, b in rows)
+        return sorted(
+            tuple(table[ref.key] for table, ref in zip(tables, row)) for row in rows
         )
-        relation = Relation(schema.name, schema)
-        raw = Record.raw
-        relation.bulk_insert_raw(raw(schema, tuple(row)) for row in self.rows)
-        return relation
 
 
 @dataclass
@@ -135,6 +168,26 @@ class CollectionResult:
     access_paths: dict[str, str] = field(default_factory=dict)
     """Per variable: a human-readable description of the chosen access path
     (scan, zone-map pruned scan, or permanent-index probe)."""
+    _reference_ids: ReferenceIds | None = field(default=None, repr=False, compare=False)
+
+    def reference_ids(self) -> ReferenceIds:
+        """The intern tables of this result's references, built on first use.
+
+        A memoized collection result keeps them (and the structures' ``ids``)
+        across executions; racing first uses build equal tables — the
+        construction is deterministic — and each publishes a complete one.
+        """
+        tables = self._reference_ids
+        if tables is None:
+            tables = self._reference_ids = ReferenceIds.of(self.range_refs)
+        return tables
+
+    def id_rows(self, structure: ConjunctStructure) -> list[tuple[int, ...]]:
+        """``structure.rows`` over reference ids (encoded once, then cached)."""
+        rows = structure.ids
+        if rows is None:
+            rows = structure.ids = self.reference_ids().encode(structure.rows)
+        return rows
 
 
 # --------------------------------------------------------------------- derived predicates

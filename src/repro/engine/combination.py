@@ -45,6 +45,17 @@ phase:
   (division group tables, union/projection dedup state) buffer tuples, so
   ``peak_tuples`` reports the true live-tuple high-water mark.
 
+Both executions compute on **dense reference ids**, not on
+:class:`~repro.relational.reference.Ref` objects: the collection result
+interns its references once (:class:`~repro.engine.collection.ReferenceIds`,
+cached with a memoized result), every conjunct structure is a
+:class:`~repro.engine.stream.Rows` of int tuples, the reducer filters those
+rows against key sets, the join chains are the ``stream_*`` kernels of
+:mod:`repro.relational.algebra` over them, and only the last stage maps ids
+back to references for ``CombinationResult.tuples`` and the construction
+phase.  Ids are a bijective renaming, so every operator keeps its plain
+set semantics.
+
 All default to on; ``StrategyOptions.none()`` (or the individual flags)
 restores the literal Section 3.3 behaviour.  The chosen join order, the
 per-structure reduction sizes and a streamed/materialized annotation per
@@ -55,24 +66,26 @@ operator are recorded on :class:`CombinationResult` so
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.calculus.analysis import QuantifierSpec
 from repro.calculus.ast import ALL, SOME
 from repro.config import StrategyOptions
 from repro.engine.collection import CollectionResult, ConjunctStructure
-from repro.engine.stream import LiveTupleTracker, RowStream
+from repro.engine.stream import LiveTupleTracker, Rows, RowStream
 from repro.errors import EvaluationError
 from repro.relational.algebra import (
     divide,
+    match_getter,
     natural_join,
     project,
-    semijoin,
     stream_divide,
     stream_natural_join,
     stream_project,
     stream_semijoin,
     stream_union,
     union,
+    value_rows,
 )
 from repro.relational.histogram import ColumnSketch, estimate_join
 from repro.relational.record import Record
@@ -82,7 +95,7 @@ from repro.relational.statistics import COMBINATION, estimate_join_cardinality
 from repro.transform.pipeline import QueryPlan
 from repro.types.schema import Field, RelationSchema
 
-__all__ = ["CombinationResult", "CombinationPhase", "OperatorNote"]
+__all__ = ["CombinationResult", "CombinationPhase", "OperatorNote", "pick_next"]
 
 
 @dataclass
@@ -129,7 +142,7 @@ class CombinationResult:
     conjunction_sizes: list[int] = field(default_factory=list)
     """Per evaluated conjunction: the size of its n-tuple relation
     (materialised mode) or the number of rows its pipeline emitted into the
-    union stage, filled in as the pipeline drains (streaming mode)."""
+    union stage, filled in when that pipeline closes (streaming mode)."""
 
     union_size: int = 0
     after_quantifiers_size: int = 0
@@ -158,10 +171,10 @@ class CombinationResult:
     what the active cost model predicted when it chose the step (``None``
     when no cost model ran — ``join_ordering`` off); the actual is the
     step's true output cardinality, filled immediately in materialised mode
-    and as the pipeline drains in streaming mode.  ``explain(analyze=True)``
-    renders these as est-vs-actual rows with their q-error, and prepared
-    queries compare pinned estimates against fresh actuals to detect plan
-    drift."""
+    and when the step's operator closes in streaming mode.
+    ``explain(analyze=True)`` renders these as est-vs-actual rows with their
+    q-error, and prepared queries compare pinned estimates against fresh
+    actuals to detect plan drift."""
 
     operator_notes: list[OperatorNote] = field(default_factory=list)
     """Every operator applied, annotated streamed/materialized with reason."""
@@ -170,6 +183,96 @@ class CombinationResult:
     """A :class:`repro.engine.shard.ShardExecutionReport` when the phase ran
     horizontally sharded (per-shard paths, reducer sizes, bytes shipped);
     ``None`` otherwise."""
+
+
+# ============================================================== the join-order policy
+#
+# Value-agnostic and free of phase state, so the sharded kernel
+# (``repro.engine.shard.evaluate_shard``) orders its fragment's joins with
+# the very same policy over its own (pickled) operands.
+
+
+def _join_summary(operand, shared: list[str], cache: dict[tuple, object], sketch: bool):
+    """The distinct count, or the join-key sketch, of ``operand``'s ``shared`` columns.
+
+    Cached by operand identity: every cached operand must stay alive (and
+    unchanged) for as long as the cache is consulted.
+    """
+    key = (id(operand), tuple(shared), sketch)
+    summary = cache.get(key)
+    if summary is None:
+        values = map(match_getter(operand.schema, shared), value_rows(operand))
+        summary = cache[key] = ColumnSketch(values) if sketch else len(set(values))
+    return summary
+
+
+def pick_next(
+    left,
+    left_size: float,
+    covered: set[str],
+    pending: list,
+    cache: dict[tuple, object],
+    ordering: bool,
+    sketches: bool,
+) -> tuple[int, float | None]:
+    """Position of the next operand to join, plus that join's estimated size.
+
+    ``pending`` holds materialised operands (relations or ``Rows``);
+    ``covered`` the component names joined so far.  Without ``ordering``
+    this is the literal Section 3.3 reading — the first connected operand,
+    else the first one (a Cartesian product) — and no estimate.  With it,
+    the greedy policy: the connected operand with the smallest estimated
+    join result, Cartesian products only as a last resort, smallest first.
+
+    ``left`` is the materialised left side when there is one: its shared
+    columns are then summarised exactly — into join-key sketches under
+    ``sketches`` (hot keys matched exactly, remainders joined over aligned
+    hash buckets, which is what lets skewed key distributions surface in
+    the ordering decision), into distinct counts for the classic uniform
+    formula otherwise.  A streaming chain past its first join has no
+    materialised left side (``left`` is ``None``; its rows have not flowed
+    yet): the estimate then carries the running size ``left_size`` forward
+    through the uniform formula over the build side's distinct count.
+    """
+    if not ordering:
+        for position, operand in enumerate(pending):
+            if not covered.isdisjoint(operand.schema.field_names):
+                return position, None
+        return 0, None
+    carried = max(int(left_size), 1) if left_size > 0 else 0
+    best_connected: int | None = None
+    best_connected_cost = 0.0
+    best_disconnected: int | None = None
+    best_disconnected_size = 0
+    for position, operand in enumerate(pending):
+        shared = [f for f in operand.schema.field_names if f in covered]
+        if not shared:
+            size = len(operand)
+            if best_disconnected is None or size < best_disconnected_size:
+                best_disconnected, best_disconnected_size = position, size
+            continue
+        if left is None:
+            cost = estimate_join_cardinality(
+                carried, len(operand), carried, _join_summary(operand, shared, cache, False)
+            )
+        elif sketches:
+            cost = estimate_join(
+                _join_summary(left, shared, cache, True),
+                _join_summary(operand, shared, cache, True),
+            )
+        else:
+            cost = estimate_join_cardinality(
+                len(left),
+                len(operand),
+                _join_summary(left, shared, cache, False),
+                _join_summary(operand, shared, cache, False),
+            )
+        if best_connected is None or cost < best_connected_cost:
+            best_connected, best_connected_cost = position, cost
+    if best_connected is not None:
+        return best_connected, best_connected_cost
+    assert best_disconnected is not None
+    return best_disconnected, left_size * best_disconnected_size
 
 
 class CombinationPhase:
@@ -197,6 +300,8 @@ class CombinationPhase:
         #: back to fresh optimization for that conjunction.
         self.pinned_orders = pinned_orders or {}
         self._peak = 0
+        #: One id-valued reference component per variable (built on demand).
+        self._fields: dict[str, Field] = {}
 
     # -- public API ------------------------------------------------------------------
 
@@ -219,11 +324,146 @@ class CombinationPhase:
             self._peak = size
         return relation
 
+    # ============================================================ operands over reference ids
+
+    def _schema(self, name: str, variables) -> RelationSchema:
+        """The schema of an id relation with one reference column per variable."""
+        fields = self._fields
+        for var in variables:
+            if var not in fields:
+                fields[var] = Field(ref_field_name(var), ReferenceType(self._relation_of(var)))
+        return RelationSchema(name, [fields[var] for var in variables], key=None)
+
+    def _structure_rows(
+        self, index: int, structures: list[ConjunctStructure], result: CombinationResult
+    ) -> list[Rows]:
+        """One conjunction's structures as id operands, semijoin-reduced.
+
+        The id rows come from the collection result's cache (encoded on the
+        first execution that sees the structure); the reducer replaces an
+        operand's row list, never edits it, so the cache stays intact.
+        """
+        id_rows = self.collection.id_rows
+        entries = [
+            Rows(
+                self._schema(f"structure_{index}", structure.variables),
+                id_rows(structure),
+                structure.description,
+            )
+            for structure in structures
+        ]
+        if self.options.semijoin_reduction and len(entries) > 1:
+            result.reductions.append(self._reduce_structures(entries))
+        else:
+            result.reductions.append([])
+        return entries
+
+    def _range_rows(self, var: str) -> Rows:
+        return Rows(
+            self._schema(f"range_{var}", (var,)),
+            self.collection.reference_ids().ranges[var],
+        )
+
+    def _reduce_structures(self, entries: list[Rows]) -> list[tuple[str, int, int]]:
+        """Semijoin-filter each structure against its connected neighbours.
+
+        Repeats passes until no structure shrinks (bounded by the number of
+        structures, which suffices for acyclic join graphs — a full reducer
+        in the sense of Bernstein & Chiu; cyclic graphs still only shrink,
+        never change the join result).  Plain set-semantics semijoins over
+        id rows: a structure's rows are filtered against the key set of the
+        neighbour's shared columns, one comparison per row probed.
+        """
+        originals = [len(entry) for entry in entries]
+        links: dict[tuple[int, int], tuple] = {}
+        for i, left in enumerate(entries):
+            for j, right in enumerate(entries):
+                shared = [f for f in right.schema.field_names if f in left.schema]
+                if i != j and shared:
+                    links[i, j] = (
+                        match_getter(left.schema, shared),
+                        match_getter(right.schema, shared),
+                    )
+        # Key sets by link, valid while the neighbour still holds the very
+        # row list they were built from (the entry pins it, so ``is`` is safe).
+        key_sets: dict[tuple[int, int], tuple[list, set]] = {}
+        stats = self.statistics
+        changed = True
+        passes = 0
+        while changed and passes <= len(entries):
+            changed = False
+            passes += 1
+            for (i, j), (left_key, right_key) in links.items():
+                left, right = entries[i], entries[j]
+                before = len(left.rows)
+                if not before:
+                    continue
+                cached = key_sets.get((i, j))
+                if cached is None or cached[0] is not right.rows:
+                    cached = key_sets[i, j] = (right.rows, set(map(right_key, right.rows)))
+                keys = cached[1]
+                stats.record_comparison(before)
+                kept = [row for row in left.rows if left_key(row) in keys]
+                if len(kept) != before:
+                    left.rows = kept
+                    stats.record_reduction(before - len(kept))
+                    changed = True
+        return [
+            (entry.name, original, len(entry)) for entry, original in zip(entries, originals)
+        ]
+
+    def _relation_of(self, var: str) -> str:
+        return self.prepared.range_of(var).relation
+
+    def _decoder(self, schema: RelationSchema):
+        """Maps an id row over ``schema`` back to its reference tuple."""
+        refs = self.collection.reference_ids().refs
+        tables = [refs.get(f.type.target, ()) for f in schema.fields]
+        return lambda row: tuple(table[i] for table, i in zip(tables, row))
+
+    # -- join-order choices shared by both executions -----------------------------------------
+
+    def _start(self, index: int, pending: list[Rows]):
+        """``(pinned sequence or None, start position, estimated start size)``."""
+        pinned = self._pinned_sequence(index, pending)
+        if pinned is not None:
+            description, estimate = pinned[0]
+            return pinned, self._position(pending, description), estimate
+        start = 0
+        if self.options.join_ordering:
+            start = min(range(len(pending)), key=lambda i: len(pending[i]))
+        return None, start, float(len(pending[start]))
+
+    def _pinned_sequence(self, index: int, pending: list[Rows]):
+        """The pinned ``(description, estimate)`` join sequence for conjunction
+        ``index``, when one exists and covers exactly the pending structures."""
+        pinned = self.pinned_orders.get(index)
+        if pinned is None or len(pinned) < len(pending):
+            return None
+        head = pinned[: len(pending)]
+        if sorted(d for d, _ in head) != sorted(entry.name for entry in pending):
+            return None
+        return head
+
+    @staticmethod
+    def _position(pending: list[Rows], description: str) -> int:
+        return next(i for i, entry in enumerate(pending) if entry.name == description)
+
+    def _next(self, pinned, step: int, left, left_size, covered, pending, cache):
+        """The next structure of a chain: the pinned one, else the policy's pick."""
+        if pinned is not None:
+            description, estimate = pinned[step]
+            return self._position(pending, description), estimate
+        return pick_next(
+            left, left_size, covered, pending, cache,
+            self.options.join_ordering, self.options.histogram_statistics,
+        )
+
     # ================================================================= materialised mode
 
     def _run_materialized(self) -> CombinationResult:
         variables = list(self.prepared.variables)
-        result = CombinationResult(tuples=self._empty_tuple_relation(variables))
+        result = CombinationResult(tuples=self._empty_tuple_relation())
         self._peak = 0
 
         combined: Relation | None = None
@@ -246,8 +486,6 @@ class CombinationPhase:
                 )
         if combined is None:
             # Every conjunction was dropped: the matrix is unsatisfiable.
-            result.union_size = 0
-            result.after_quantifiers_size = 0
             result.peak_tuples = self._peak
             return result
 
@@ -266,12 +504,17 @@ class CombinationPhase:
                 OperatorNote(None, label, "materialized", "streaming_execution off")
             )
 
-        result.tuples = self._project_to_free_variables(current)
+        free_columns = self._free_columns()
+        if list(current.schema.field_names) != free_columns:
+            current = project(current, free_columns, name="free_tuples")
+        # The only place this execution touches a reference: decode the ids.
+        schema = result.tuples.schema
+        decode = self._decoder(schema)
+        raw = Record.raw
+        result.tuples.bulk_insert_raw(raw(schema, decode(record.values)) for record in current)
         result.after_quantifiers_size = len(result.tuples)
         result.peak_tuples = self._peak
         return result
-
-    # -- conjunction combination ---------------------------------------------------------
 
     def _combine_conjunction(
         self,
@@ -280,38 +523,57 @@ class CombinationPhase:
         variables: list[str],
         result: CombinationResult,
     ) -> Relation:
-        """Build the n-tuple reference relation for one conjunction."""
-        entries: list[tuple[str, Relation]] = [
-            (structure.description, self._structure_relation(index, structure))
-            for structure in structures
-        ]
-
-        if self.options.semijoin_reduction and len(entries) > 1:
-            result.reductions.append(self._reduce_structures(entries))
-        else:
-            result.reductions.append([])
-
+        """Build the n-tuple (id) relation for one conjunction."""
+        pending = self._structure_rows(index, structures, result)
+        stats = self.statistics
         order: list[tuple[str, int]] = []
         estimates: list[list] = []
-        current = self._join_structures(index, entries, order, estimates)
-
-        if current is None:
+        if pending:
+            pinned, start, start_est = self._start(index, pending)
+            entry = pending.pop(start)
+            current = RowStream(entry.schema, entry.rows).materialize(f"conj{index}")
+            order.append((entry.name, len(current)))
+            estimates.append([entry.name, start_est, len(current)])
+            covered = set(current.schema.field_names)
+            # Summaries are keyed by operand identity.  Every cached operand
+            # is alive when its entry is read (it is ``current`` or sits in
+            # ``pending``), and both join operands' entries are evicted below
+            # *before* the operands can be freed, so a recycled id() can
+            # never hit a stale entry.
+            cache: dict[tuple, object] = {}
+            step = 1
+            while pending:
+                pick, est = self._next(
+                    pinned, step, current, float(len(current)), covered, pending, cache
+                )
+                step += 1
+                entry = pending.pop(pick)
+                order.append((entry.name, len(entry)))
+                for stale_id in (id(current), id(entry)):
+                    for key in [k for k in cache if k[0] == stale_id]:
+                        del cache[key]
+                current = self._note(
+                    natural_join(current, entry, name=f"conj{index}", tracker=stats)
+                )
+                estimates.append([entry.name, est, len(current)])
+                covered.update(entry.schema.field_names)
+        else:
             # No structures: the conjunction is TRUE — every combination of
             # variable bindings qualifies; start from the first variable's range.
-            current = self._range_relation(variables[0])
+            entry = self._range_rows(variables[0])
+            current = RowStream(entry.schema, entry.rows).materialize()
             order.append((f"range of {variables[0]}", len(current)))
             estimates.append([f"range of {variables[0]}", float(len(current)), len(current)])
 
         # Extend with the full ranges of the variables the conjunction does not
         # mention (Section 3.3 builds n-tuples over *all* n variables).
         for var in variables:
-            if ref_field_name(var) not in current.schema.field_names:
-                extension = self._range_relation(var)
+            if ref_field_name(var) not in current.schema:
+                extension = self._range_rows(var)
                 order.append((f"range of {var}", len(extension)))
                 expected = float(len(current)) * len(extension)
                 current = self._note(
-                    natural_join(current, extension, name=f"conj{index}_x_{var}",
-                                 tracker=self.statistics)
+                    natural_join(current, extension, name=f"conj{index}_x_{var}", tracker=stats)
                 )
                 estimates.append([f"range of {var}", expected, len(current)])
         result.join_orders.append(order)
@@ -325,243 +587,12 @@ class CombinationPhase:
             current,
             [ref_field_name(var) for var in variables],
             name=f"conjunction_{index}",
-            tracker=self.statistics,
+            tracker=stats,
         )
-
-    def _join_structures(
-        self,
-        index: int,
-        entries: list[tuple[str, Relation]],
-        order: list[tuple[str, int]],
-        estimates: list[list],
-    ) -> Relation | None:
-        """Join the conjunct structures, in pinned, cost-estimated or legacy order."""
-        pending = list(entries)
-        if not pending:
-            return None
-
-        pinned = self._pinned_sequence(index, pending)
-        if pinned is not None:
-            description, start_est = pinned[0]
-            start = next(i for i, (d, _) in enumerate(pending) if d == description)
-        elif self.options.join_ordering:
-            start = min(range(len(pending)), key=lambda i: len(pending[i][1]))
-            start_est = float(len(pending[start][1]))
-        else:
-            start = 0
-            start_est = float(len(pending[start][1]))
-        description, current = pending.pop(start)
-        order.append((description, len(current)))
-        estimates.append([description, start_est, len(current)])
-        covered = set(current.schema.field_names)
-
-        # Distinct counts and join-column sketches keyed by (relation
-        # identity, column tuple).  Every cached relation is alive when its
-        # entry is read (it is ``current`` or sits in ``pending``), and both
-        # join operands' entries are evicted below *before* the operands can
-        # be freed, so a recycled id() can never hit a stale entry.
-        cache: dict[tuple, object] = {}
-        step = 1
-        while pending:
-            if pinned is not None:
-                pin_description, est = pinned[step]
-                step += 1
-                pick = next(i for i, (d, _) in enumerate(pending) if d == pin_description)
-            else:
-                pick, est = self._pick_next(current, covered, pending, cache)
-            description, relation = pending.pop(pick)
-            order.append((description, len(relation)))
-            for stale_id in (id(current), id(relation)):
-                for key in [k for k in cache if k[0] == stale_id]:
-                    del cache[key]
-            current = self._note(
-                natural_join(current, relation, name=f"conj{index}", tracker=self.statistics)
-            )
-            estimates.append([description, est, len(current)])
-            covered.update(relation.schema.field_names)
-        return current
-
-    def _pinned_sequence(self, index: int, pending: list[tuple[str, Relation]]):
-        """The pinned ``(description, estimate)`` join sequence for conjunction
-        ``index``, when one exists and covers exactly the pending structures."""
-        pinned = self.pinned_orders.get(index)
-        if pinned is None or len(pinned) < len(pending):
-            return None
-        head = pinned[: len(pending)]
-        if sorted(d for d, _ in head) != sorted(d for d, _ in pending):
-            return None
-        return head
-
-    def _pick_next(
-        self,
-        current: Relation,
-        covered: set[str],
-        pending: list[tuple[str, Relation]],
-        cache: dict[tuple, object],
-    ) -> tuple[int, float | None]:
-        """Position of the next structure to join into ``current``, plus the
-        estimated cardinality of that join (``None`` without a cost model)."""
-        if not self.options.join_ordering:
-            # Legacy: the first connected structure, else the first one
-            # (Cartesian product) — the literal Section 3.3 reading.
-            for position, (_, relation) in enumerate(pending):
-                if covered & set(relation.schema.field_names):
-                    return position, None
-            return 0, None
-
-        best_connected: int | None = None
-        best_connected_cost = 0.0
-        best_disconnected: int | None = None
-        best_disconnected_size = 0
-        for position, (_, relation) in enumerate(pending):
-            shared = [f for f in relation.schema.field_names if f in covered]
-            if shared:
-                cost = self._estimate_pair(current, relation, shared, cache)
-                if best_connected is None or cost < best_connected_cost:
-                    best_connected, best_connected_cost = position, cost
-            else:
-                size = len(relation)
-                if best_disconnected is None or size < best_disconnected_size:
-                    best_disconnected, best_disconnected_size = position, size
-        if best_connected is not None:
-            return best_connected, best_connected_cost
-        assert best_disconnected is not None
-        return best_disconnected, float(len(current)) * best_disconnected_size
-
-    def _estimate_pair(
-        self,
-        left: Relation,
-        right: Relation,
-        shared: list[str],
-        cache: dict[tuple, object],
-    ) -> float:
-        """Estimated cardinality of ``left ⋈ right`` over ``shared`` columns.
-
-        With ``histogram_statistics`` the shared-column distributions of both
-        (materialised) sides are summarised into join-key sketches — hot keys
-        matched exactly, remainders joined over aligned hash buckets — which
-        is what lets skewed key distributions surface in the ordering
-        decision.  Without it, the classic uniform-distribution formula.
-        """
-        if self.options.histogram_statistics:
-            return estimate_join(
-                self._cached_sketch(left, shared, cache),
-                self._cached_sketch(right, shared, cache),
-            )
-        return estimate_join_cardinality(
-            len(left),
-            len(right),
-            self._cached_distinct(left, shared, cache),
-            self._cached_distinct(right, shared, cache),
-        )
-
-    @staticmethod
-    def _cached_distinct(
-        relation: Relation,
-        field_names: list[str],
-        cache: dict[tuple, object],
-    ) -> int:
-        key = (id(relation), tuple(field_names), "distinct")
-        count = cache.get(key)
-        if count is None:
-            positions = relation.schema.positions_of(field_names)
-            count = len({tuple(record.values[p] for p in positions) for record in relation})
-            cache[key] = count
-        return count
-
-    @staticmethod
-    def _cached_sketch(
-        relation: Relation,
-        field_names: list[str],
-        cache: dict[tuple, object],
-    ) -> ColumnSketch:
-        key = (id(relation), tuple(field_names), "sketch")
-        sketch = cache.get(key)
-        if sketch is None:
-            positions = relation.schema.positions_of(field_names)
-            sketch = ColumnSketch(
-                tuple(record.values[p] for p in positions) for record in relation
-            )
-            cache[key] = sketch
-        return sketch
-
-    def _reduce_structures(
-        self, entries: list[tuple[str, Relation]]
-    ) -> list[tuple[str, int, int]]:
-        """Semijoin-filter each structure against its connected neighbours.
-
-        Repeats passes until no structure shrinks (bounded by the number of
-        structures, which suffices for acyclic join graphs — a full reducer
-        in the sense of Bernstein & Chiu; cyclic graphs still only shrink,
-        never change the join result).
-        """
-        originals = [len(relation) for _, relation in entries]
-        shared_cache: dict[tuple[int, int], list[str]] = {}
-        for i, (_, left) in enumerate(entries):
-            left_names = set(left.schema.field_names)
-            for j, (_, right) in enumerate(entries):
-                if i == j:
-                    continue
-                shared_cache[(i, j)] = [
-                    f for f in right.schema.field_names if f in left_names
-                ]
-
-        changed = True
-        passes = 0
-        while changed and passes <= len(entries):
-            changed = False
-            passes += 1
-            for i in range(len(entries)):
-                description, left = entries[i]
-                if len(left) == 0:
-                    continue
-                for j in range(len(entries)):
-                    if i == j:
-                        continue
-                    shared = shared_cache[(i, j)]
-                    if not shared:
-                        continue
-                    before = len(left)
-                    left = semijoin(
-                        left,
-                        entries[j][1],
-                        on=[(f, f) for f in shared],
-                        name=left.name,
-                        tracker=self.statistics,
-                    )
-                    removed = before - len(left)
-                    if removed:
-                        self.statistics.record_reduction(removed)
-                        changed = True
-                entries[i] = (description, left)
-
-        return [
-            (description, original, len(relation))
-            for (description, relation), original in zip(entries, originals)
-        ]
-
-    def _structure_relation(self, index: int, structure: ConjunctStructure) -> Relation:
-        return structure.to_relation(f"structure_{index}", self._relation_of)
-
-    def _range_relation(self, var: str) -> Relation:
-        schema = RelationSchema(
-            f"range_{var}",
-            [Field(ref_field_name(var), ReferenceType(self._relation_of(var)))],
-            key=None,
-        )
-        relation = Relation(schema.name, schema)
-        raw = Record.raw
-        relation.bulk_insert_raw(raw(schema, (ref,)) for ref in self.collection.range_refs[var])
-        return relation
-
-    def _relation_of(self, var: str) -> str:
-        return self.prepared.range_of(var).relation
-
-    # -- quantifier elimination -----------------------------------------------------------
 
     def _eliminate_quantifier(self, current: Relation, spec: QuantifierSpec) -> Relation:
         column = ref_field_name(spec.var)
-        if column not in current.schema.field_names:
+        if column not in current.schema:
             raise EvaluationError(
                 f"combination tuples lack a column for quantified variable {spec.var!r}"
             )
@@ -569,14 +600,38 @@ class CombinationPhase:
             remaining = [f for f in current.schema.field_names if f != column]
             return project(current, remaining, name=f"exists_{spec.var}", tracker=self.statistics)
         if spec.kind == ALL:
-            divisor = self._range_relation(spec.var)
             return divide(
-                current, divisor, by=[(column, column)], name=f"forall_{spec.var}",
-                tracker=self.statistics,
+                current, self._range_rows(spec.var), by=[(column, column)],
+                name=f"forall_{spec.var}", tracker=self.statistics,
             )
         raise EvaluationError(f"unknown quantifier kind {spec.kind!r}")
 
     # ==================================================================== streaming mode
+
+    def _operator(self, sink=None):
+        """The ``emitted`` hook of one pipeline operator.
+
+        Counts the operator now; its row throughput (and ``sink``, the
+        caller's interest in that count) is flushed by the operator itself
+        when its generator closes.
+        """
+        stats = self.statistics
+        stats.record_operator_pipelined()
+        if sink is None:
+            return stats.record_rows_streamed
+
+        def flush(count: int) -> None:
+            stats.record_rows_streamed(count)
+            sink(count)
+
+        return flush
+
+    def _scan(self, operand: Rows) -> RowStream:
+        """A pipeline source over a materialised id operand."""
+        return stream_project(
+            RowStream(operand.schema, operand.rows), operand.schema.field_names,
+            name=operand.name, emitted=self._operator(),
+        )
 
     def _run_streaming(self) -> CombinationResult:
         """Build the combination pipeline; execution happens when it is drained.
@@ -590,7 +645,7 @@ class CombinationPhase:
         ``peak_tuples`` are finalised as the stream drains.
         """
         variables = list(self.prepared.variables)
-        result = CombinationResult(tuples=self._empty_tuple_relation(variables))
+        result = CombinationResult(tuples=self._empty_tuple_relation())
         result.streamed = True
         live = LiveTupleTracker()
         notes = result.operator_notes
@@ -605,11 +660,8 @@ class CombinationPhase:
             split -= 1
         head, trailing = prefix[:split], prefix[split:]
         drop_columns = {ref_field_name(spec.var) for spec in trailing}
-        kept_vars = [v for v in variables if ref_field_name(v) not in drop_columns]
-        kept_schema = RelationSchema(
-            "matrix_tuples",
-            [Field(ref_field_name(v), ReferenceType(self._relation_of(v))) for v in kept_vars],
-            key=None,
+        kept_schema = self._schema(
+            "matrix_tuples", [v for v in variables if ref_field_name(v) not in drop_columns]
         )
 
         members: list[RowStream] = []
@@ -619,10 +671,9 @@ class CombinationPhase:
             position = len(result.conjunction_indexes)
             result.conjunction_indexes.append(index)
             result.conjunction_sizes.append(0)
-            stream = self._conjunction_stream(
-                index, structures, variables, drop_columns, kept_schema, result, live
-            )
-            members.append(self._counted_member(stream, result, position))
+            members.append(self._conjunction_stream(
+                index, structures, variables, drop_columns, kept_schema, result, position
+            ))
 
         if not members:
             # Every conjunction was dropped: the matrix is unsatisfiable.
@@ -632,27 +683,33 @@ class CombinationPhase:
             result.stream = RowStream.empty(result.tuples.schema, label="free_tuples")
             return result
 
-        dedup = len(members) > 1 or bool(trailing)
+        duplicates = len(members) > 1 or bool(trailing)
+        # An outer quantifier's operator (dedup projection, division group
+        # table) absorbs duplicates itself: deduplicating in the union too
+        # would hold every matrix tuple live twice.
+        dedup = duplicates and not head
         if dedup:
             reason = (
                 "breaker state: dedup set over the kept columns"
                 if len(members) > 1
                 else "breaker state: dedup set (innermost SOME columns dropped in-pipeline)"
             )
+        elif duplicates:
+            reason = "pass-through: the outer quantifier's breaker state absorbs duplicates"
         else:
             reason = "single conjunction with distinct rows — pass-through"
         notes.append(OperatorNote(
             None, f"union of {len(members)} conjunction pipeline(s)", "streamed", reason
         ))
-        pipeline = self._pipelined(stream_union(
+        pipeline = stream_union(
             members,
             schema=kept_schema,
             name="matrix_union",
             tracker=self.statistics,
             live=live,
             dedup=dedup,
-        ))
-        pipeline = self._counted_union(pipeline, result)
+            emitted=self._operator(partial(setattr, result, "union_size")),
+        )
 
         if trailing:
             dropped = ", ".join(spec.var for spec in reversed(trailing))
@@ -668,6 +725,11 @@ class CombinationPhase:
         # group-wise division breaker.
         columns = list(kept_schema.field_names)
         specs = list(reversed(head))
+        for spec in specs:
+            if ref_field_name(spec.var) not in columns:
+                raise EvaluationError(
+                    f"combination tuples lack a column for quantified variable {spec.var!r}"
+                )
         j = 0
         while j < len(specs):
             if specs[j].kind == SOME:
@@ -676,34 +738,24 @@ class CombinationPhase:
                     run.append(specs[j])
                     j += 1
                 run_columns = {ref_field_name(s.var) for s in run}
-                for spec in run:
-                    if ref_field_name(spec.var) not in columns:
-                        raise EvaluationError(
-                            f"combination tuples lack a column for quantified variable {spec.var!r}"
-                        )
                 columns = [c for c in columns if c not in run_columns]
-                run_vars = ", ".join(s.var for s in run)
-                pipeline = self._pipelined(stream_project(
+                pipeline = stream_project(
                     pipeline, columns, name=f"exists_{'_'.join(s.var for s in run)}",
-                    dedup=True, live=live,
-                ))
+                    dedup=True, live=live, emitted=self._operator(),
+                )
                 notes.append(OperatorNote(
-                    None, f"SOME elimination of {run_vars}", "streamed",
+                    None, f"SOME elimination of {', '.join(s.var for s in run)}", "streamed",
                     "dedup projection: the first witness is emitted, later ones are dropped",
                 ))
             elif specs[j].kind == ALL:
                 spec = specs[j]
                 j += 1
                 column = ref_field_name(spec.var)
-                if column not in columns:
-                    raise EvaluationError(
-                        f"combination tuples lack a column for quantified variable {spec.var!r}"
-                    )
-                divisor = self._range_relation(spec.var)
-                pipeline = self._pipelined(stream_divide(
-                    pipeline, divisor, by=[(column, column)],
+                pipeline = stream_divide(
+                    pipeline, self._range_rows(spec.var), by=[(column, column)],
                     name=f"forall_{spec.var}", tracker=self.statistics, live=live,
-                ))
+                    emitted=self._operator(),
+                )
                 columns = [c for c in columns if c != column]
                 notes.append(OperatorNote(
                     None, f"ALL division by {spec.var}", "materialized",
@@ -714,14 +766,17 @@ class CombinationPhase:
 
         free_columns = self._free_columns()
         if columns != free_columns:
-            pipeline = self._pipelined(stream_project(pipeline, free_columns, name="free_tuples"))
+            pipeline = stream_project(
+                pipeline, free_columns, name="free_tuples", emitted=self._operator()
+            )
             notes.append(OperatorNote(
                 None, "projection to free variables", "streamed", "pure column reorder"
             ))
 
         notes.append(OperatorNote(
             None, "construction feed", "streamed",
-            "the construction phase dereferences row-by-row from the pipeline",
+            "decodes ids to references; the construction phase dereferences "
+            "row-by-row from the pipeline",
         ))
         result.stream = self._finalized(pipeline, result, live)
         return result
@@ -734,68 +789,47 @@ class CombinationPhase:
         drop_columns: set[str],
         kept_schema: RelationSchema,
         result: CombinationResult,
-        live: LiveTupleTracker,
+        position: int,
     ) -> RowStream:
         """The pipeline producing one conjunction's (kept-column) tuples."""
         stats = self.statistics
         notes = result.operator_notes
-        entries: list[tuple[str, Relation]] = [
-            (structure.description, self._structure_relation(index, structure))
-            for structure in structures
-        ]
-        if self.options.semijoin_reduction and len(entries) > 1:
-            result.reductions.append(self._reduce_structures(entries))
-        else:
-            result.reductions.append([])
+        pending = self._structure_rows(index, structures, result)
 
         order: list[tuple[str, int]] = []
         estimates: list[list] = []
-        stream: RowStream | None = None
-        covered: set[str] = set()
         empty = False
 
-        pending = list(entries)
+        def step_hook(slot: list):
+            estimates.append(slot)
+            return self._operator(partial(slot.__setitem__, 2))
+
         if pending:
-            pinned = self._pinned_sequence(index, pending)
-            if pinned is not None:
-                first_description, start_est = pinned[0]
-                start = next(i for i, (d, _) in enumerate(pending) if d == first_description)
-            elif self.options.join_ordering:
-                start = min(range(len(pending)), key=lambda i: len(pending[i][1]))
-                start_est = float(len(pending[start][1]))
-            else:
-                start = 0
-                start_est = float(len(pending[start][1]))
-            description, current = pending.pop(start)
-            order.append((description, len(current)))
-            estimates.append([description, start_est, len(current)])
-            covered = set(current.schema.field_names)
-            est_size = float(len(current))
+            pinned, start, start_est = self._start(index, pending)
+            entry = pending.pop(start)
+            order.append((entry.name, len(entry)))
+            estimates.append([entry.name, start_est, len(entry)])
+            covered = set(entry.schema.field_names)
+            est_size = float(len(entry))
             # The start structure is the only materialised left side the
-            # streaming chain ever has; its sketch feeds the first ordering
-            # decision, later steps carry the estimate forward instead.
-            base_relation: Relation | None = current
-            stream = self._pipelined(RowStream.from_relation(current))
-            notes.append(OperatorNote(index, f"scan {description}", "streamed", "pipeline source"))
+            # streaming chain ever has; under ``histogram_statistics`` its
+            # sketch feeds the first ordering decision, later steps carry
+            # the estimate forward instead.
+            base = entry if self.options.histogram_statistics else None
+            stream = self._scan(entry)
+            notes.append(OperatorNote(index, f"scan {entry.name}", "streamed", "pipeline source"))
             cache: dict[tuple, object] = {}
             step = 1
             while pending:
-                if pinned is not None:
-                    pin_description, est = pinned[step]
-                    step += 1
-                    pick = next(i for i, (d, _) in enumerate(pending) if d == pin_description)
-                else:
-                    pick, est = self._pick_next_stream(
-                        est_size, covered, pending, cache, base_relation
-                    )
-                description, relation = pending.pop(pick)
-                order.append((description, len(relation)))
-                names = relation.schema.field_names
+                pick, est = self._next(pinned, step, base, est_size, covered, pending, cache)
+                step += 1
+                entry = pending.pop(pick)
+                description = entry.name
+                order.append((description, len(entry)))
+                names = entry.schema.field_names
                 shared = [f for f in names if f in covered]
                 new_columns = [f for f in names if f not in covered]
-                later: set[str] = set()
-                for _, other in pending:
-                    later.update(other.schema.field_names)
+                later = {f for other in pending for f in other.schema.field_names}
                 short_circuit = (
                     bool(new_columns)
                     and all(c in drop_columns for c in new_columns)
@@ -809,11 +843,10 @@ class CombinationPhase:
                         None if est is None else min(est_size, est),
                         0,
                     ]
-                    estimates.append(slot)
-                    stream = self._counted_step(self._pipelined(stream_semijoin(
-                        stream, relation, on=[(f, f) for f in shared],
-                        name=f"conj{index}", tracker=stats,
-                    )), slot)
+                    stream = stream_semijoin(
+                        stream, entry, on=[(f, f) for f in shared],
+                        name=f"conj{index}", tracker=stats, emitted=step_hook(slot),
+                    )
                     notes.append(OperatorNote(
                         index, f"semijoin {description}", "streamed",
                         "short-circuit: SOME-bound columns unused downstream — "
@@ -821,45 +854,45 @@ class CombinationPhase:
                     ))
                 elif short_circuit:
                     # Disconnected and fully SOME-bound: a non-emptiness gate.
-                    if len(relation) == 0:
+                    if len(entry) == 0:
                         empty = True
                     notes.append(OperatorNote(
                         index, f"existence gate {description}", "streamed",
                         "disconnected SOME-bound structure reduces to a non-emptiness test",
                     ))
                 else:
-                    slot = [description, est, 0]
-                    estimates.append(slot)
-                    stream = self._counted_step(self._pipelined(stream_natural_join(
-                        stream, relation, name=f"conj{index}", tracker=stats,
-                    )), slot)
+                    stream = stream_natural_join(
+                        stream, entry, name=f"conj{index}", tracker=stats,
+                        emitted=step_hook([description, est, 0]),
+                    )
                     if est is not None:
                         est_size = est
                     elif shared:
+                        carried = max(int(est_size), 1)
                         est_size = estimate_join_cardinality(
-                            max(int(est_size), 1) if est_size > 0 else 0,
-                            len(relation),
-                            max(int(est_size), 1),
-                            self._cached_distinct(relation, shared, cache),
+                            carried if est_size > 0 else 0,
+                            len(entry),
+                            carried,
+                            len(set(map(match_getter(entry.schema, shared), entry.rows))),
                         )
                     else:
-                        est_size = est_size * len(relation)
-                    base_relation = None
+                        est_size = est_size * len(entry)
+                    base = None
                     covered.update(names)
                     notes.append(OperatorNote(
                         index, f"join {description}", "streamed",
                         "pipelined hash join (build side: collection structure)",
                     ))
-        if stream is None:
+        else:
             # No structures: the conjunction is TRUE — start from the first
             # variable's range (a free variable, hence never dropped).
             var = variables[0]
-            relation = self._range_relation(var)
-            order.append((f"range of {var}", len(relation)))
-            estimates.append([f"range of {var}", float(len(relation)), len(relation)])
-            est_size = float(len(relation))
-            covered = set(relation.schema.field_names)
-            stream = self._pipelined(RowStream.from_relation(relation))
+            entry = self._range_rows(var)
+            order.append((f"range of {var}", len(entry)))
+            estimates.append([f"range of {var}", float(len(entry)), len(entry)])
+            est_size = float(len(entry))
+            covered = set(entry.schema.field_names)
+            stream = self._scan(entry)
             notes.append(OperatorNote(
                 index, f"scan range of {var}", "streamed",
                 "TRUE conjunction: enumerate the first range",
@@ -873,10 +906,10 @@ class CombinationPhase:
             column = ref_field_name(var)
             if column in covered:
                 continue
-            refs = self.collection.range_refs[var]
-            order.append((f"range of {var}", len(refs)))
+            extension = self._range_rows(var)
+            order.append((f"range of {var}", len(extension)))
             if column in drop_columns:
-                if not refs:
+                if not extension:
                     empty = True
                     notes.append(OperatorNote(
                         index, f"range gate {var}", "streamed",
@@ -889,13 +922,11 @@ class CombinationPhase:
                         "extend-then-project is the identity",
                     ))
                 continue
-            extension = self._range_relation(var)
-            slot = [f"range of {var}", est_size * len(refs), 0]
-            estimates.append(slot)
-            est_size = est_size * len(refs)
-            stream = self._counted_step(self._pipelined(stream_natural_join(
+            est_size = est_size * len(extension)
+            stream = stream_natural_join(
                 stream, extension, name=f"conj{index}_x_{var}", tracker=stats,
-            )), slot)
+                emitted=step_hook([f"range of {var}", est_size, 0]),
+            )
             covered.add(column)
             notes.append(OperatorNote(
                 index, f"range extension {var}", "streamed", "streaming Cartesian extension"
@@ -906,130 +937,34 @@ class CombinationPhase:
         if empty:
             return RowStream.empty(kept_schema, label=f"conjunction_{index}")
 
-        out_columns = list(kept_schema.field_names)
-        if list(stream.schema.field_names) != out_columns:
-            stream = self._pipelined(
-                stream_project(stream, out_columns, name=f"conjunction_{index}")
-            )
+        # The conjunction's last operator: its output count is the
+        # conjunction's size, whatever the chain above looked like.
+        if stream.schema.field_names != kept_schema.field_names:
             notes.append(OperatorNote(
                 index, "projection to kept columns", "streamed",
                 "drops innermost SOME columns / reorders; dedup happens in the union stage",
             ))
-        return stream
-
-    def _pick_next_stream(
-        self,
-        est_size: float,
-        covered: set[str],
-        pending: list[tuple[str, Relation]],
-        cache: dict[tuple, object],
-        base_relation: Relation | None,
-    ) -> tuple[int, float | None]:
-        """Position of the next structure to join into the running stream,
-        plus the estimated cardinality of that join.
-
-        The streaming chain cannot count its own rows (they have not flowed
-        yet), so the cost estimate carries the running size forward from the
-        structure statistics instead of measuring the materialised
-        intermediate the way :meth:`_pick_next` does.  For the *first* join
-        the left side is still the materialised start structure
-        (``base_relation``), so the full histogram estimator applies; later
-        steps only have the carried scalar and fall back to the uniform
-        formula over the build side's distinct count.  Any order is correct;
-        this one keeps the greedy smallest-estimated-join policy.
-        """
-        if not self.options.join_ordering:
-            for position, (_, relation) in enumerate(pending):
-                if covered & set(relation.schema.field_names):
-                    return position, None
-            return 0, None
-        est = max(int(est_size), 1) if est_size > 0 else 0
-        best_connected: int | None = None
-        best_connected_cost = 0.0
-        best_disconnected: int | None = None
-        best_disconnected_size = 0
-        for position, (_, relation) in enumerate(pending):
-            shared = [f for f in relation.schema.field_names if f in covered]
-            if shared:
-                if base_relation is not None and self.options.histogram_statistics:
-                    cost = self._estimate_pair(base_relation, relation, shared, cache)
-                else:
-                    cost = estimate_join_cardinality(
-                        est, len(relation), est,
-                        self._cached_distinct(relation, shared, cache),
-                    )
-                if best_connected is None or cost < best_connected_cost:
-                    best_connected, best_connected_cost = position, cost
-            else:
-                size = len(relation)
-                if best_disconnected is None or size < best_disconnected_size:
-                    best_disconnected, best_disconnected_size = position, size
-        if best_connected is not None:
-            return best_connected, best_connected_cost
-        assert best_disconnected is not None
-        return best_disconnected, est_size * best_disconnected_size
-
-    # -- pipeline bookkeeping -------------------------------------------------------------
-
-    def _pipelined(self, stream: RowStream) -> RowStream:
-        """Count the operator and its row throughput into the shared statistics."""
-        self.statistics.record_operator_pipelined()
-        return RowStream(stream.schema, iter(stream), tracker=self.statistics, label=stream.label)
-
-    @staticmethod
-    def _counted_step(stream: RowStream, slot: list) -> RowStream:
-        """Fill one join step's actual output cardinality as the pipeline drains."""
-
-        def rows():
-            count = 0
-            try:
-                for row in stream:
-                    count += 1
-                    yield row
-            finally:
-                slot[2] = count
-
-        return RowStream(stream.schema, rows(), label=stream.label)
-
-    @staticmethod
-    def _counted_member(stream: RowStream, result: CombinationResult, position: int) -> RowStream:
-        """Record how many rows one conjunction's pipeline emitted."""
-
-        def rows():
-            count = 0
-            try:
-                for row in stream:
-                    count += 1
-                    yield row
-            finally:
-                result.conjunction_sizes[position] = count
-
-        return RowStream(stream.schema, rows(), label=stream.label)
-
-    @staticmethod
-    def _counted_union(stream: RowStream, result: CombinationResult) -> RowStream:
-        """Count the distinct matrix tuples leaving the union stage."""
-
-        def rows():
-            for row in stream:
-                result.union_size += 1
-                yield row
-
-        return RowStream(stream.schema, rows(), label=stream.label)
+        return stream_project(
+            stream, kept_schema.field_names, name=f"conjunction_{index}",
+            emitted=self._operator(partial(result.conjunction_sizes.__setitem__, position)),
+        )
 
     def _finalized(
         self, stream: RowStream, result: CombinationResult, live: LiveTupleTracker
     ) -> RowStream:
-        """The outermost stage: record every row into ``result.tuples`` and
-        finalise the size/peak accounting when the pipeline closes."""
+        """The outermost stage: decode ids to references, record every row
+        into ``result.tuples`` and finalise the size/peak accounting when the
+        pipeline closes."""
         tuples = result.tuples
         schema = tuples.schema
+        decode = self._decoder(schema)
 
         def rows():
             raw = Record.raw
             insert = tuples.insert_raw
             try:
                 for row in stream:
+                    row = decode(row)
                     insert(raw(schema, row))
                     yield row
             finally:
@@ -1049,19 +984,6 @@ class CombinationPhase:
     def _free_columns(self) -> list[str]:
         return [ref_field_name(binding.var) for binding in self.prepared.bindings]
 
-    def _empty_tuple_relation(self, variables: list[str]) -> Relation:
-        schema = RelationSchema(
-            "free_tuples",
-            [
-                Field(ref_field_name(binding.var), ReferenceType(self._relation_of(binding.var)))
-                for binding in self.prepared.bindings
-            ],
-            key=None,
-        )
+    def _empty_tuple_relation(self) -> Relation:
+        schema = self._schema("free_tuples", [binding.var for binding in self.prepared.bindings])
         return Relation(schema.name, schema)
-
-    def _project_to_free_variables(self, current: Relation) -> Relation:
-        free_columns = self._free_columns()
-        if list(current.schema.field_names) == free_columns:
-            return current
-        return project(current, free_columns, name="free_tuples")

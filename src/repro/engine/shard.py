@@ -28,16 +28,26 @@ The shard kernel
 ----------------
 
 Per-shard evaluation runs through :func:`evaluate_shard`, a module-level
-*pure-tuple* kernel: structures arrive as plain tuples with references
-encoded ``(relation_name, key)``, so the same payload serves the thread
-backend and a :class:`~concurrent.futures.ProcessPoolExecutor` (live
+function over *pure tuples*: structures arrive as plain tuples with
+references encoded ``(relation_name, key)``, so the same payload serves the
+thread backend and a :class:`~concurrent.futures.ProcessPoolExecutor` (live
 :class:`~repro.relational.relation.Relation` objects hold locks and
-observers and do not cross process boundaries).  The kernel implements the
-literal Section 3.3 combination semantics — join the structures, extend
-with the ranges of unmentioned variables, union the conjunctions, eliminate
-quantifiers right to left — and returns deterministic work counters next to
-its rows, which is what the sharded-join benchmark's modeled speedup is
-computed from (counters, not wall-clock, as everywhere else).
+observers and do not cross process boundaries).  It has no join, estimate or
+quantifier code of its own: the ``stream_*`` kernels of
+:mod:`repro.relational.algebra` and the join-order policy of
+:mod:`repro.engine.combination` never look inside a value, so the fragment
+runs through the same operators the default path runs over dense reference
+ids.  The sequence is the literal Section 3.3 one — join the structures,
+extend with the ranges of unmentioned variables, union the conjunctions,
+eliminate quantifiers right to left — and deterministic work counters come
+back next to the rows, which is what the sharded-join benchmark's *modeled*
+speedup is computed from.
+
+Sharding is **opt-in** (``StrategyOptions.sharded_execution`` defaults to
+off): thread and serial shards share one GIL, every query pays executor
+start-up, and ``stable_hash`` partitioning plus reference encoding cost more
+than the whole unsharded combination phase — measured, it loses on the clock
+at every scale tried (see DESIGN.md, "Sharded execution").
 
 Statistics are tracked per shard in private
 :class:`~repro.relational.statistics.AccessStatistics` objects and merged
@@ -47,12 +57,15 @@ workers never race the live counters.
 
 from __future__ import annotations
 
+import logging
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
-from repro.engine.combination import CombinationResult, OperatorNote
-from repro.relational.histogram import ColumnSketch, estimate_join
+from repro.engine.combination import CombinationResult, OperatorNote, pick_next
+from repro.engine.stream import Rows, RowStream
+from repro.relational.algebra import stream_divide, stream_natural_join, stream_project
 from repro.relational.partition import (
     PartitionSpec,
     approx_bytes,
@@ -61,8 +74,12 @@ from repro.relational.partition import (
 )
 from repro.relational.record import Record
 from repro.relational.reference import Ref
-from repro.relational.statistics import AccessStatistics, estimate_join_cardinality
+from repro.relational.refrelation import ReferenceType
+from repro.relational.statistics import AccessStatistics
 from repro.types.scalar import sort_key
+from repro.types.schema import Field, RelationSchema
+
+logger = logging.getLogger(__name__)
 
 __all__ = [
     "ShardNote",
@@ -162,146 +179,72 @@ class ShardExecutionReport:
 # ===================================================================== the kernel
 
 
-def _kernel_join(cols_a, rows_a, cols_b, rows_b, counters):
-    """Hash natural join of two column-labelled row sets (pure tuples)."""
-    shared = [c for c in cols_b if c in cols_a]
-    a_pos = [cols_a.index(c) for c in shared]
-    b_pos = [cols_b.index(c) for c in shared]
-    b_rest = [i for i, c in enumerate(cols_b) if c not in shared]
-    buckets: dict[tuple, list[tuple]] = {}
-    for row in rows_b:
-        key = tuple(row[i] for i in b_pos)
-        buckets.setdefault(key, []).append(tuple(row[i] for i in b_rest))
-    out: set[tuple] = set()
-    probes = 0
-    matches = 0
-    get = buckets.get
-    for row in rows_a:
-        probes += 1
-        partners = get(tuple(row[i] for i in a_pos))
-        if partners:
-            matches += len(partners)
-            for rest in partners:
-                out.add(row + rest)
-    counters["comparisons"] += probes + matches
-    counters["work"] += probes + matches
-    if len(out) > counters["peak"]:
-        counters["peak"] = len(out)
-    return cols_a + [c for c in cols_b if c not in shared], out
+#: Kernel operands are untyped: one reference-valued component per variable.
+_REFERENCE = ReferenceType()
 
 
-def _pick_structure(covered, pending, ordered):
-    """Index of the next structure: connected-smallest (or legacy first-connected)."""
-    connected = [
-        i for i, entry in enumerate(pending) if covered & set(entry["vars"])
-    ]
-    pool = connected if connected else list(range(len(pending)))
-    if not ordered:
-        return pool[0]
-    return min(pool, key=lambda i: len(pending[i]["rows"]))
+def _schema(variables, name: str = "matrix") -> RelationSchema:
+    return RelationSchema(name, [Field(var, _REFERENCE) for var in variables], key=None)
 
 
-def _kernel_estimate(cols_a, rows_a, cols_b, rows_b, use_sketches):
-    """Estimated join cardinality of two column-labelled row sets.
-
-    ``use_sketches`` applies the histogram estimator (hot keys exact,
-    remainders over aligned hash buckets) to the shared-column projections;
-    otherwise the classic uniform formula over their exact distinct counts.
-    Pure tuples in, float out — runs identically in process workers.
-    """
-    shared = [c for c in cols_b if c in cols_a]
-    if not shared:
-        return float(len(rows_a)) * len(rows_b)
-    a_pos = [cols_a.index(c) for c in shared]
-    b_pos = [cols_b.index(c) for c in shared]
-    if use_sketches:
-        return estimate_join(
-            ColumnSketch(tuple(row[i] for i in a_pos) for row in rows_a),
-            ColumnSketch(tuple(row[i] for i in b_pos) for row in rows_b),
-        )
-    distinct_a = len({tuple(row[i] for i in a_pos) for row in rows_a})
-    distinct_b = len({tuple(row[i] for i in b_pos) for row in rows_b})
-    return estimate_join_cardinality(len(rows_a), len(rows_b), distinct_a, distinct_b)
+def _operand(variables, rows, name: str) -> Rows:
+    return Rows(_schema(variables, name), rows, name)
 
 
-def _combine_kernel_conjunction(conj, variables, ranges, ordered, counters, use_sketches):
+def _joined(current: Rows, operand: Rows, tracker: AccessStatistics) -> Rows:
+    stream = stream_natural_join(
+        RowStream(current.schema, current.rows), operand, tracker=tracker
+    )
+    return Rows(stream.schema, set(stream), current.name)
+
+
+def _combine_kernel_conjunction(conj, variables, ranges, ordered, tracker, use_sketches):
     """One conjunction's n-tuple rows over *all* variables (canonical order).
 
-    Returns ``(order, estimates, rows)`` where ``estimates`` mirrors the
-    combination phase's ``join_estimates`` entries: one mutable
+    Returns ``(order, estimates, rows, peak)`` where ``estimates`` mirrors
+    the combination phase's ``join_estimates`` entries: one mutable
     ``[description, estimated rows, actual rows]`` triple per join step
     (``None`` estimates when ``join_ordering`` is off — no cost model ran).
     """
-    pending = list(conj["structures"])
+    pending = [_operand(e["vars"], e["rows"], e["desc"]) for e in conj["structures"]]
     order: list[tuple[str, int]] = []
     estimates: list[list] = []
-    cols: list[str] = []
-    rows: set[tuple] = set()
+    peak = 0
     if pending:
-        start = (
-            min(range(len(pending)), key=lambda i: len(pending[i]["rows"]))
-            if ordered
-            else 0
-        )
+        start = min(range(len(pending)), key=lambda i: len(pending[i])) if ordered else 0
         entry = pending.pop(start)
-        cols = list(entry["vars"])
-        rows = set(entry["rows"])
-        order.append((entry["desc"], len(rows)))
-        estimates.append(
-            [entry["desc"], float(len(rows)) if ordered else None, len(rows)]
-        )
+        current = Rows(entry.schema, set(entry.rows), entry.name)
+        order.append((entry.name, len(current)))
+        estimates.append([entry.name, float(len(current)) if ordered else None, len(current)])
         while pending:
-            if ordered:
-                # The greedy cost-ordered loop of the combination phase,
-                # over pure tuples: join the connected structure with the
-                # smallest estimated result next.
-                connected = [
-                    i for i, e in enumerate(pending) if set(cols) & set(e["vars"])
-                ]
-                pool = connected if connected else list(range(len(pending)))
-                pick, est = min(
-                    (
-                        (
-                            i,
-                            _kernel_estimate(
-                                cols, rows, list(pending[i]["vars"]),
-                                pending[i]["rows"], use_sketches,
-                            ),
-                        )
-                        for i in pool
-                    ),
-                    key=lambda item: item[1],
-                )
-            else:
-                pick = _pick_structure(set(cols), pending, ordered)
-                est = None
-            entry = pending.pop(pick)
-            order.append((entry["desc"], len(entry["rows"])))
-            cols, rows = _kernel_join(
-                cols, rows, list(entry["vars"]), entry["rows"], counters
+            # A fresh summary cache per pick: ``current`` is a new operand
+            # after every join, and summaries are keyed by operand identity.
+            pick, est = pick_next(
+                current, float(len(current)), set(current.schema.field_names),
+                pending, {}, ordered, use_sketches,
             )
-            estimates.append([entry["desc"], est, len(rows)])
+            entry = pending.pop(pick)
+            order.append((entry.name, len(entry)))
+            current = _joined(current, entry, tracker)
+            peak = max(peak, len(current))
+            estimates.append([entry.name, est, len(current)])
     else:
         # TRUE conjunction: enumerate the first variable's range.
         first = variables[0]
-        cols = [first]
-        rows = {(ref,) for ref in ranges[first]}
-        order.append((f"range of {first}", len(rows)))
-        estimates.append([f"range of {first}", float(len(rows)), len(rows)])
+        current = _operand([first], {(ref,) for ref in ranges[first]}, f"range of {first}")
+        order.append((current.name, len(current)))
+        estimates.append([current.name, float(len(current)), len(current)])
     for var in variables:
-        if var in cols:
+        if var in current.schema:
             continue
-        extension = ranges[var]
-        order.append((f"range of {var}", len(extension)))
-        expected = float(len(rows)) * len(extension)
-        cols, rows = _kernel_join(
-            cols, rows, [var], [(ref,) for ref in extension], counters
-        )
-        estimates.append([f"range of {var}", expected, len(rows)])
-    positions = [cols.index(var) for var in variables]
-    canonical = {tuple(row[p] for p in positions) for row in rows}
-    counters["work"] += len(canonical)
-    return order, estimates, canonical
+        extension = _operand([var], [(ref,) for ref in ranges[var]], f"range of {var}")
+        order.append((extension.name, len(extension)))
+        expected = float(len(current)) * len(extension)
+        current = _joined(current, extension, tracker)
+        peak = max(peak, len(current))
+        estimates.append([extension.name, expected, len(current)])
+    canonical = set(stream_project(RowStream(current.schema, current.rows), variables))
+    return order, estimates, canonical, peak
 
 
 def evaluate_shard(payload: dict) -> dict:
@@ -317,21 +260,23 @@ def evaluate_shard(payload: dict) -> dict:
     ranges = payload["ranges"]
     ordered = payload["join_ordering"]
     use_sketches = payload.get("histogram_statistics", False)
-    counters = {"comparisons": 0, "work": 0, "peak": 0}
+    tracker = AccessStatistics()  # private: join probes/matches, division checks
+    work = 0  # rows produced by the non-comparing steps (projections)
+    peak = 0
     matrix: set[tuple] = set()
     conjunction_sizes: list[int] = []
     join_orders: list[list[tuple[str, int]]] = []
     join_estimates: list[list[list]] = []
     for conj in payload["conjunctions"]:
-        order, estimates, canonical = _combine_kernel_conjunction(
-            conj, variables, ranges, ordered, counters, use_sketches
+        order, estimates, canonical, conj_peak = _combine_kernel_conjunction(
+            conj, variables, ranges, ordered, tracker, use_sketches
         )
         join_orders.append(order)
         join_estimates.append(estimates)
         conjunction_sizes.append(len(canonical))
+        work += len(canonical)
         matrix |= canonical
-        if len(matrix) > counters["peak"]:
-            counters["peak"] = len(matrix)
+        peak = max(peak, conj_peak, len(matrix))
     union_size = len(matrix)
 
     # Quantifier elimination, right to left (Section 3.3 step 3).  The shard
@@ -339,40 +284,26 @@ def evaluate_shard(payload: dict) -> dict:
     # per-shard eliminations exact (see the module docstring).
     columns = list(variables)
     for kind, var in reversed(payload["prefix"]):
-        position = columns.index(var)
+        stream = RowStream(_schema(columns), matrix)
+        columns.remove(var)
         if kind == "SOME":
-            matrix = {row[:position] + row[position + 1 :] for row in matrix}
-            counters["work"] += len(matrix)
+            matrix = set(stream_project(stream, columns))
+            work += len(matrix)
         else:  # ALL: divide by the (broadcast, full) range of the variable
-            required = set(ranges[var])
-            groups: dict[tuple, set] = {}
-            for row in matrix:
-                groups.setdefault(row[:position] + row[position + 1 :], set()).add(
-                    row[position]
-                )
-            counters["comparisons"] += len(matrix) + len(groups) * len(required)
-            counters["work"] += len(matrix) + len(groups) * len(required)
-            if len(matrix) > counters["peak"]:
-                counters["peak"] = len(matrix)
-            if required:
-                matrix = {group for group, got in groups.items() if required <= got}
-            else:
-                matrix = set(groups)
-        columns.pop(position)
-        if len(matrix) > counters["peak"]:
-            counters["peak"] = len(matrix)
+            divisor = _operand([var], [(ref,) for ref in ranges[var]], f"range of {var}")
+            matrix = set(stream_divide(stream, divisor, by=[(var, var)], tracker=tracker))
+        peak = max(peak, len(matrix))
 
-    positions = [columns.index(var) for var in payload["free"]]
-    out = {tuple(row[p] for p in positions) for row in matrix}
+    out = set(stream_project(RowStream(_schema(columns), matrix), payload["free"]))
     return {
         "rows": sorted(out),
         "conjunction_sizes": conjunction_sizes,
         "join_orders": join_orders,
         "join_estimates": join_estimates,
         "union_size": union_size,
-        "comparisons": counters["comparisons"],
-        "work": counters["work"],
-        "peak": counters["peak"],
+        "comparisons": tracker.comparisons,
+        "work": tracker.comparisons + work,
+        "peak": peak,
     }
 
 
@@ -468,7 +399,7 @@ class ShardedCombination:
         backend = resolve_backend(options)
         workers = options.shard_workers or shard_count
 
-        result = CombinationResult(tuples=self.phase._empty_tuple_relation(variables))
+        result = CombinationResult(tuples=self.phase._empty_tuple_relation())
         report = ShardExecutionReport(
             variable=shard_var,
             spec=f"hash({shard_var}_ref) % {shard_count}",
@@ -841,40 +772,43 @@ class ShardedCombination:
     def _dispatch(self, backend: str, workers: int, payloads: dict[int, dict]) -> dict:
         """Run the kernel per shard and merge per-shard statistics race-safely."""
         outcomes: dict[int, dict] = {}
-        if not payloads:
-            return outcomes
-        if backend == "serial" or len(payloads) == 1:
-            for shard, payload in payloads.items():
-                outcome = evaluate_shard(payload)
-                self._merge_shard_statistics(outcome)
-                outcomes[shard] = outcome
-            return outcomes
-        if backend == "process":
-            with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
-                futures = {
-                    shard: pool.submit(evaluate_shard, payload)
-                    for shard, payload in payloads.items()
-                }
-                for shard, future in futures.items():
-                    outcome = future.result()
-                    self._merge_shard_statistics(outcome)
-                    outcomes[shard] = outcome
-            return outcomes
 
-        # Thread backend: each worker folds its private counters into the
-        # shared tracker *from its own thread*, so the statistics lock is
-        # genuinely exercised by concurrent merges.
         def job(payload: dict) -> dict:
             outcome = evaluate_shard(payload)
             self._merge_shard_statistics(outcome)
             return outcome
 
-        with ThreadPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
-            futures = {
-                shard: pool.submit(job, payload) for shard, payload in payloads.items()
-            }
-            for shard, future in futures.items():
-                outcomes[shard] = future.result()
+        if backend == "thread" and len(payloads) > 1:
+            # Each worker folds its private counters into the shared tracker
+            # *from its own thread*, so the statistics lock is genuinely
+            # exercised by concurrent merges.
+            with ThreadPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
+                futures = {shard: pool.submit(job, payload) for shard, payload in payloads.items()}
+                for shard, future in futures.items():
+                    outcomes[shard] = future.result()
+            return outcomes
+        if backend == "process" and len(payloads) > 1:
+            try:
+                with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
+                    futures = {
+                        shard: pool.submit(evaluate_shard, payload)
+                        for shard, payload in payloads.items()
+                    }
+                    for shard, future in futures.items():
+                        outcomes[shard] = future.result()
+                        self._merge_shard_statistics(outcomes[shard])
+            except BrokenProcessPool:
+                # A worker died (killed, out of memory, crashed interpreter):
+                # the pool fails every pending future.  Shards are pure
+                # functions of their payloads, so finish them here.
+                logger.warning(
+                    "shard worker process died; evaluating %d of %d shards serially",
+                    len(payloads) - len(outcomes), len(payloads),
+                )
+        # Serial backend, a single shard, or the shards a broken pool left.
+        for shard, payload in payloads.items():
+            if shard not in outcomes:
+                outcomes[shard] = job(payload)
         return outcomes
 
     def _merge_shard_statistics(self, outcome: dict) -> None:

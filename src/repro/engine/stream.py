@@ -18,6 +18,10 @@ as the escape hatch back into a :class:`~repro.relational.relation.Relation`.
 Keeping rows as bare tuples lets the streaming kernels reuse the
 once-per-call position-resolution pattern (``_values_getter``) of the
 materialised kernels without building record objects between operators.
+:class:`Rows` is its materialised counterpart — a schema plus a *sequence* of
+value tuples — which the kernels accept as a build side next to relations,
+so the combination phase can hand them dense reference ids (or a shard's
+pickled ``(relation, key)`` pairs) without wrapping them in records.
 
 :class:`LiveTupleTracker` is the accounting companion: breaker state
 (division group tables, union dedup sets) acquires live tuples as it grows
@@ -34,10 +38,9 @@ from typing import Callable, Iterable, Iterator
 from repro.errors import StreamError
 from repro.relational.record import Record
 from repro.relational.relation import Relation
-from repro.relational.statistics import AccessStatistics
 from repro.types.schema import RelationSchema
 
-__all__ = ["RowStream", "LiveTupleTracker"]
+__all__ = ["RowStream", "Rows", "LiveTupleTracker"]
 
 
 class LiveTupleTracker:
@@ -67,6 +70,29 @@ class LiveTupleTracker:
         return f"LiveTupleTracker(current={self.current}, peak={self.peak})"
 
 
+class Rows:
+    """A schema plus a sequence of raw value tuples: a materialised operand.
+
+    The streaming kernels take one wherever they take a build-side
+    :class:`~repro.relational.relation.Relation`; ``rows`` must conform to
+    ``schema`` and hold no duplicates (it stands in for a relation whose key
+    covers all components).
+    """
+
+    __slots__ = ("schema", "rows", "name")
+
+    def __init__(self, schema: RelationSchema, rows, name: str = "") -> None:
+        self.schema = schema
+        self.rows = rows
+        self.name = name or schema.name
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
+        return f"Rows({self.name!r}, {len(self.schema)} columns, {len(self.rows)} rows)"
+
+
 class RowStream:
     """A schema plus a single-use stream of raw value tuples.
 
@@ -79,41 +105,23 @@ class RowStream:
         The underlying iterable.  It is consumed exactly once; iterating a
         second time raises :class:`~repro.errors.StreamError` rather than
         silently yielding nothing.
-    tracker:
-        Optional :class:`AccessStatistics`; when given, every yielded row is
-        counted into ``rows_streamed`` (flushed in one batch when the
-        stream is exhausted or closed).
     label:
         Diagnostic name used by :meth:`materialize` and ``repr``.
     """
 
-    __slots__ = ("schema", "tracker", "label", "_rows")
+    __slots__ = ("schema", "label", "_rows")
 
-    def __init__(
-        self,
-        schema: RelationSchema,
-        rows: Iterable[tuple],
-        tracker: AccessStatistics | None = None,
-        label: str = "",
-    ) -> None:
+    def __init__(self, schema: RelationSchema, rows: Iterable[tuple], label: str = "") -> None:
         self.schema = schema
-        self.tracker = tracker
         self.label = label or schema.name
         self._rows: Iterable[tuple] | None = rows
 
     # -- construction ----------------------------------------------------------
 
     @classmethod
-    def from_relation(
-        cls, relation: Relation, tracker: AccessStatistics | None = None
-    ) -> "RowStream":
+    def from_relation(cls, relation: Relation) -> "RowStream":
         """Stream an existing relation's value tuples (untracked iteration)."""
-        return cls(
-            relation.schema,
-            (record.values for record in relation),
-            tracker=tracker,
-            label=relation.name,
-        )
+        return cls(relation.schema, (record.values for record in relation), label=relation.name)
 
     @classmethod
     def empty(cls, schema: RelationSchema, label: str = "") -> "RowStream":
@@ -129,16 +137,10 @@ class RowStream:
                 f"row stream {self.label!r} was already consumed; streams are single-use"
             )
         self._rows = None
-        if self.tracker is None:
-            yield from rows
-            return
-        count = 0
-        try:
-            for row in rows:
-                count += 1
-                yield row
-        finally:
-            self.tracker.record_rows_streamed(count)
+        # The kernels' generators are handed out as they are: a stream adds
+        # no frame of its own between two operators (they count their own
+        # output, see the ``emitted`` hook in ``relational/algebra.py``).
+        return iter(rows)
 
     @property
     def consumed(self) -> bool:

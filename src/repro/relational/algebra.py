@@ -15,7 +15,9 @@ Every hot kernel comes in two forms:
   new ``RowStream``, buffering tuples only where the operator is a genuine
   pipeline breaker (division's group table, union's dedup state); build
   sides (hash tables, key sets) are taken from already-materialised
-  relations, and
+  operands — relations, or :class:`~repro.engine.stream.Rows` of bare value
+  tuples, which is how the combination phase runs these very operators over
+  dense reference ids — and
 * the classic **``Relation``-returning signature**, now a thin materialising
   wrapper over the streaming variant, so existing callers keep working
   unchanged while the engine migrates incrementally.
@@ -35,7 +37,7 @@ from repro.relational.record import Record
 from repro.relational.relation import Relation
 from repro.relational.statistics import AccessStatistics
 from repro.types.scalar import compare_values
-from repro.types.schema import Field, RelationSchema
+from repro.types.schema import RelationSchema
 
 __all__ = [
     "select",
@@ -89,6 +91,20 @@ def _values_getter(schema: RelationSchema, field_names: Sequence[str]) -> Callab
     return itemgetter(*positions)
 
 
+def match_getter(schema: RelationSchema, field_names: Sequence[str]) -> Callable[[tuple], object]:
+    """Like :func:`_values_getter`, for values that are only hashed and compared.
+
+    Join and semijoin keys never reach an output row, so a single component
+    is returned bare (one C-level ``itemgetter`` call) instead of wrapped in
+    a 1-tuple; both operands of a match resolve the same number of
+    components, so their keys stay comparable.
+    """
+    positions = schema.positions_of(tuple(field_names))
+    if not positions:
+        return lambda values: ()
+    return itemgetter(*positions)
+
+
 def _key_getter(schema: RelationSchema) -> Callable[[tuple], tuple] | None:
     """Once-per-call key extraction, or ``None`` when the key is the full row."""
     if schema.key == schema.field_names:
@@ -96,13 +112,34 @@ def _key_getter(schema: RelationSchema) -> Callable[[tuple], tuple] | None:
     return _values_getter(schema, schema.key)
 
 
+def value_rows(operand) -> Iterable[tuple]:
+    """A materialised operand's rows as raw value tuples.
+
+    Build sides are either relations (records, whose storage tuple is
+    ``values``) or :class:`~repro.engine.stream.Rows` (bare tuples already).
+    """
+    if isinstance(operand, Relation):
+        return (record.values for record in operand)
+    return operand.rows
+
+
 # ======================================================================== streaming kernels
 #
 # The pipeline side of every streaming kernel is a RowStream of raw value
-# tuples; build sides are materialised relations (in the engine those are the
-# collection-phase structures, which exist regardless).  The kernels import
-# RowStream lazily: ``repro.relational`` must stay importable without pulling
-# the whole ``repro.engine`` package in at module-import time.
+# tuples; build sides are materialised operands — relations, or Rows of bare
+# tuples (in the engine: collection-phase structures over dense reference
+# ids, which exist regardless).  The kernels never look inside a value, so
+# the same code joins integers, references or a shard's pickled pairs.
+#
+# Accounting is fused into each operator's one generator: comparisons go to
+# ``tracker`` and, when the caller passes an ``emitted`` hook, the operator
+# calls it once with its output row count as the generator closes — a
+# pipeline needs no counting wrapper (and no extra frame per row) around its
+# operators.  The kernels import RowStream lazily: ``repro.relational`` must
+# stay importable without pulling the whole ``repro.engine`` package in at
+# module-import time.
+
+Emitted = Callable[[int], None]
 
 
 def _row_stream(schema: RelationSchema, rows: Iterable[tuple], label: str):
@@ -130,6 +167,7 @@ def stream_project(
     name: str | None = None,
     dedup: bool = False,
     live=None,
+    emitted: Emitted | None = None,
 ):
     """Streaming projection on ``field_names``.
 
@@ -145,34 +183,35 @@ def stream_project(
     getter = None if identity else _values_getter(source.schema, field_names)
 
     def rows() -> Iterator[tuple]:
-        if not dedup:
-            if identity:
-                yield from source
-            else:
-                for values in source:
-                    yield getter(values)
+        if identity and not dedup and emitted is None:
+            yield from source
             return
         seen: set[tuple] = set()
         add = seen.add
+        count = 0
         try:
             for values in source:
                 out = values if identity else getter(values)
-                if out in seen:
-                    continue
-                add(out)
-                if live is not None:
-                    live.acquire()
+                if dedup:
+                    if out in seen:
+                        continue
+                    add(out)
+                    if live is not None:
+                        live.acquire()
+                count += 1
                 yield out
         finally:
             if live is not None:
                 live.release(len(seen))
+            if emitted is not None:
+                emitted(count)
 
     return _row_stream(schema, rows(), schema.name)
 
 
 def stream_join(
     source,
-    right: Relation,
+    right,
     on: Sequence[tuple[str, str]],
     name: str | None = None,
     tracker: AccessStatistics | None = None,
@@ -181,11 +220,10 @@ def stream_join(
     schema = source.schema.concat(
         right.schema, name or f"{source.label}_join_{right.name}"
     )
-    left_key = _values_getter(source.schema, [pair[0] for pair in on])
-    right_key = _values_getter(right.schema, [pair[1] for pair in on])
-    buckets: dict[tuple, list[tuple]] = {}
-    for right_record in right:
-        values = right_record.values
+    left_key = match_getter(source.schema, [pair[0] for pair in on])
+    right_key = match_getter(right.schema, [pair[1] for pair in on])
+    buckets: dict[object, list[tuple]] = {}
+    for values in value_rows(right):
         buckets.setdefault(right_key(values), []).append(values)
 
     def rows() -> Iterator[tuple]:
@@ -209,9 +247,10 @@ def stream_join(
 
 def stream_natural_join(
     source,
-    right: Relation,
+    right,
     name: str | None = None,
     tracker: AccessStatistics | None = None,
+    emitted: Emitted | None = None,
 ):
     """Streaming natural join on the common components (hash build on ``right``).
 
@@ -222,19 +261,17 @@ def stream_natural_join(
     pipeline closes.
     """
     left_schema = source.schema
-    right_names = set(right.schema.field_names)
-    common = [f for f in left_schema.field_names if f in right_names]
-    right_only = [f for f in right.schema.field_names if f not in common]
-    fields = list(left_schema.fields) + [
-        Field(f, right.schema.field_type(f)) for f in right_only
-    ]
-    schema = RelationSchema(name or f"{source.label}_nj_{right.name}", fields, key=None)
-    right_key = _values_getter(right.schema, common)
-    left_key = _values_getter(left_schema, common)
-    right_rest = _values_getter(right.schema, right_only)
-    buckets: dict[tuple, list[tuple]] = {}
-    for right_record in right:
-        values = right_record.values
+    right_schema = right.schema
+    common = [f for f in left_schema.field_names if f in right_schema]
+    right_only = tuple(f for f in right_schema.fields if f.name not in left_schema)
+    schema = RelationSchema(
+        name or f"{source.label}_nj_{right.name}", left_schema.fields + right_only, key=None
+    )
+    right_key = match_getter(right_schema, common)
+    left_key = match_getter(left_schema, common)
+    right_rest = _values_getter(right_schema, [f.name for f in right_only])
+    buckets: dict[object, list[tuple]] = {}
+    for values in value_rows(right):
         buckets.setdefault(right_key(values), []).append(right_rest(values))
 
     def rows() -> Iterator[tuple]:
@@ -252,16 +289,19 @@ def stream_natural_join(
         finally:
             if tracker is not None:
                 tracker.record_comparison(probes + matches)
+            if emitted is not None:
+                emitted(matches)
 
     return _row_stream(schema, rows(), schema.name)
 
 
 def stream_semijoin(
     source,
-    right: Relation,
+    right,
     on: Sequence[tuple[str, str]],
     name: str | None = None,
     tracker: AccessStatistics | None = None,
+    emitted: Emitted | None = None,
 ):
     """Streaming semi-join: rows of the stream with at least one partner.
 
@@ -270,27 +310,30 @@ def stream_semijoin(
     existential-quantifier elimination inside a join chain.
     """
     schema = source.schema
-    left_getter = _values_getter(schema, [pair[0] for pair in on])
-    right_getter = _values_getter(right.schema, [pair[1] for pair in on])
-    right_keys = {right_getter(record.values) for record in right}
+    left_getter = match_getter(schema, [pair[0] for pair in on])
+    right_keys = set(map(match_getter(right.schema, [pair[1] for pair in on]), value_rows(right)))
 
     def rows() -> Iterator[tuple]:
         probes = 0
+        kept = 0
         try:
             for values in source:
                 probes += 1
                 if left_getter(values) in right_keys:
+                    kept += 1
                     yield values
         finally:
             if tracker is not None:
                 tracker.record_comparison(probes)
+            if emitted is not None:
+                emitted(kept)
 
     return _row_stream(schema, rows(), name or f"{source.label}_semijoin_{right.name}")
 
 
 def stream_theta_semijoin(
     source,
-    right: Relation,
+    right,
     on: Sequence[tuple[str, str, str]],
     name: str | None = None,
     tracker: AccessStatistics | None = None,
@@ -304,7 +347,7 @@ def stream_theta_semijoin(
     left_getter = _values_getter(schema, [lf for lf, _, _ in on])
     right_getter = _values_getter(right.schema, [rf for _, _, rf in on])
     operators = [op for _, op, _ in on]
-    right_tuples = [right_getter(record.values) for record in right]
+    right_tuples = [right_getter(values) for values in value_rows(right)]
 
     def rows() -> Iterator[tuple]:
         probes = 0
@@ -333,6 +376,7 @@ def stream_union(
     tracker: AccessStatistics | None = None,
     live=None,
     dedup: bool = True,
+    emitted: Emitted | None = None,
 ):
     """Streaming union of several row streams over the same components.
 
@@ -354,6 +398,7 @@ def stream_union(
         seen: set[tuple] = set()
         add = seen.add
         checked = 0
+        count = 0
         try:
             for position, source in enumerate(sources):
                 for values in source:
@@ -366,23 +411,27 @@ def stream_union(
                         add(key)
                         if live is not None:
                             live.acquire()
+                    count += 1
                     yield values
         finally:
             if live is not None:
                 live.release(len(seen))
             if tracker is not None and checked:
                 tracker.record_comparison(checked)
+            if emitted is not None:
+                emitted(count)
 
     return _row_stream(out_schema, rows(), name or "union")
 
 
 def stream_divide(
     source,
-    divisor: Relation,
+    divisor,
     by: Sequence[tuple[str, str]],
     name: str | None = None,
     tracker: AccessStatistics | None = None,
     live=None,
+    emitted: Emitted | None = None,
 ):
     """Streaming relational division — the universal-quantifier breaker.
 
@@ -408,30 +457,19 @@ def stream_divide(
     if not remaining:
         raise AlgebraError("division would eliminate every dividend component")
     schema = source.schema.project(remaining, name or f"{source.label}_div_{divisor.name}")
-    divisor_getter = _values_getter(divisor.schema, divisor_fields)
-    required = {divisor_getter(record.values) for record in divisor}
+    required = set(map(match_getter(divisor.schema, divisor_fields), value_rows(divisor)))
+    if not required:
+        return stream_project(
+            source, remaining, name=schema.name, dedup=True, live=live, emitted=emitted
+        )
     group_getter = _values_getter(source.schema, remaining)
-    match_getter = _values_getter(source.schema, dividend_match_fields)
+    match_of = match_getter(source.schema, dividend_match_fields)
 
     def rows() -> Iterator[tuple]:
-        if not required:
-            seen: set[tuple] = set()
-            try:
-                for values in source:
-                    group = group_getter(values)
-                    if group in seen:
-                        continue
-                    seen.add(group)
-                    if live is not None:
-                        live.acquire()
-                    yield group
-            finally:
-                if live is not None:
-                    live.release(len(seen))
-            return
         groups: dict[tuple, set] = {}
         consumed = 0
         buffered = 0
+        count = 0
         try:
             for values in source:
                 consumed += 1
@@ -439,7 +477,7 @@ def stream_divide(
                 matches = groups.get(group)
                 if matches is None:
                     matches = groups[group] = set()
-                value = match_getter(values)
+                value = match_of(values)
                 if value not in matches:
                     matches.add(value)
                     buffered += 1
@@ -449,10 +487,13 @@ def stream_divide(
                 tracker.record_comparison(consumed + len(groups) * len(required))
             for group, matches in groups.items():
                 if required <= matches:
+                    count += 1
                     yield group
         finally:
             if live is not None:
                 live.release(buffered)
+            if emitted is not None:
+                emitted(count)
 
     return _row_stream(schema, rows(), schema.name)
 

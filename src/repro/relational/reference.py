@@ -32,11 +32,12 @@ __all__ = ["Ref"]
 class Ref:
     """A reference ``@rel[keyval]`` to an element of a relation."""
 
-    __slots__ = ("_relation", "_key")
+    __slots__ = ("_relation", "_key", "_hash")
 
     def __init__(self, relation: "Relation", key: tuple):
         self._relation = relation
         self._key = key if isinstance(key, tuple) else (key,)
+        self._hash: int | None = None
 
     # -- accessors -------------------------------------------------------------
 
@@ -74,18 +75,24 @@ class Ref:
     # -- value semantics ---------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Ref):
             return NotImplemented
-        return self._relation.name == other._relation.name and self._key == other._key
+        return self._key == other._key and self._relation.name == other._relation.name
 
     def __hash__(self) -> int:
         # By relation *name*, matching ``ReferenceType``'s name-based checking:
         # refs built against different objects over the same relation (a
         # rebuilt benchmark relation, a pinned snapshot view) compare and hash
-        # as the same value.  An identity-based hash would also make set
-        # iteration order — and with it result row order — depend on object
-        # addresses, differing run to run.
-        return hash((self._relation.name, self._key))
+        # as the same value.  Computed once, on first use: a reference is
+        # hashed on every set/dict operation of the collection phase (tuples
+        # do not cache the hashes of their components), while the references
+        # that index maintenance creates per write are never hashed at all.
+        value = self._hash
+        if value is None:
+            value = self._hash = hash((self._relation.name, self._key))
+        return value
 
     def __repr__(self) -> str:
         return f"@{self._relation.name}{list(self._key)!r}"

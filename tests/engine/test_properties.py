@@ -91,6 +91,42 @@ def test_every_strategy_configuration_matches_naive_evaluation(seed, config):
     assert engine.run(resolved, options=CONFIGS[config]).relation == expected
 
 
+#: Strategy 1 plus the combination optimizers: the configuration under which
+#: the combination phase sees multi-structure conjunctions (S3/S4 would
+#: dissolve them during collection).
+KERNEL = StrategyOptions.only(
+    parallel_collection=True,
+    join_ordering=True,
+    semijoin_reduction=True,
+    histogram_statistics=True,
+    streaming_execution=True,
+)
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(min_value=0, max_value=50_000))
+def test_id_kernel_matches_the_materialized_procedure_and_naive_evaluation(seed):
+    """The streaming pipeline over reference ids, the literal Section 3.3
+    procedure and direct interpretation agree — on the free-variable
+    reference tuples (the combination phase's own output, decoded back from
+    ids) as well as on the constructed result."""
+    pair = workload(seed)
+    if pair is None:
+        return
+    database, resolved = pair
+    expected = evaluate_selection_naive(resolved, database)
+    engine = QueryEngine(database)
+    streamed = engine.run(resolved, options=KERNEL)
+    materialized = engine.run(resolved, options=KERNEL.with_(streaming_execution=False))
+    assert streamed.relation == expected
+    assert materialized.relation == expected
+    if streamed.combination is not None and not streamed.used_strategy3_fallback:
+        assert streamed.combination.streamed and not materialized.combination.streamed
+        assert {r.values for r in streamed.combination.tuples} == {
+            r.values for r in materialized.combination.tuples
+        }
+
+
 @PROPERTY_SETTINGS
 @given(seed=st.integers(min_value=0, max_value=50_000))
 def test_standard_form_preserves_semantics(seed):

@@ -8,8 +8,13 @@ discipline (per-shard merges through the shared lock), EXPLAIN output and
 the service layer.
 """
 
+import logging
+import multiprocessing
+import os
+
 import pytest
 
+import repro.engine.shard as shard_module
 from repro import QueryEngine, StrategyOptions, connect, execute_naive
 from repro.engine.shard import (
     BACKEND_ENV,
@@ -41,6 +46,16 @@ def _rows(result):
 
 def _ref(relation, key):
     return (relation, (key,))
+
+
+_evaluate_shard = evaluate_shard
+
+
+def _die_in_worker(payload):
+    """``evaluate_shard`` whose pool workers die the way an OOM kill looks."""
+    if multiprocessing.parent_process() is not None:
+        os._exit(1)
+    return _evaluate_shard(payload)
 
 
 class TestEvaluateShard:
@@ -136,10 +151,22 @@ class TestEvaluateShard:
 
 
 class TestGate:
+    def test_sharding_is_opt_in(self, scale4):
+        # The measured verdict: sharding loses on the clock, so default
+        # options never reach it — however large the structures are.
+        assert not StrategyOptions().sharded_execution
+        result = QueryEngine(scale4, DYADIC.with_(shard_min_rows=0)).run(
+            PUBLISHING_TEACHERS_TEXT
+        )
+        assert result.combination.shard_report is None
+        assert scale4.statistics.shards_scanned == 0
+
     def test_small_databases_stay_on_the_classic_path(self):
-        # Default options: shard_min_rows=64 but Figure 1 structures are tiny.
+        # Opted in, but shard_min_rows=64 and Figure 1 structures are tiny.
         db = figure1_database(paged=False)
-        result = QueryEngine(db).run(all_named_queries()["publishing_teachers"])
+        result = QueryEngine(db, StrategyOptions(sharded_execution=True)).run(
+            all_named_queries()["publishing_teachers"]
+        )
         assert result.combination.shard_report is None
         assert db.statistics.shards_scanned == 0
 
@@ -160,7 +187,7 @@ class TestGate:
             assert result.combination.shard_report is None
 
     def test_min_rows_gate_respects_structure_sizes(self, scale4):
-        gated = DYADIC.with_(shard_min_rows=10**6)
+        gated = DYADIC.with_(sharded_execution=True, shard_min_rows=10**6)
         result = QueryEngine(scale4, gated).run(PUBLISHING_TEACHERS_TEXT)
         assert result.combination.shard_report is None
 
@@ -182,6 +209,31 @@ class TestBackends:
         assert sorted(r.values for r in result.relation) == sorted(
             r.values for r in expected
         )
+
+    def test_auto_backend_is_reached_only_through_the_forced_gate(self, scale4):
+        # Whatever REPRO_SHARD_BACKEND says (the CI parallel-execution job
+        # sets ``process``), ``auto`` only matters once sharding is opted in.
+        options = SHARDED.with_(shard_backend="auto")
+        result = QueryEngine(scale4, options).run(PUBLISHING_TEACHERS_TEXT)
+        assert result.combination.shard_report.backend == resolve_backend(options)
+        assert _rows(result) == _rows(
+            QueryEngine(scale4, DYADIC).run(PUBLISHING_TEACHERS_TEXT)
+        )
+
+    def test_a_dying_worker_process_falls_back_to_serial_and_logs(
+        self, scale4, monkeypatch, caplog
+    ):
+        monkeypatch.setattr(shard_module, "evaluate_shard", _die_in_worker)
+        options = SHARDED.with_(shard_backend="process")
+        with caplog.at_level(logging.WARNING, logger="repro.engine.shard"):
+            result = QueryEngine(scale4, options).run(PUBLISHING_TEACHERS_TEXT)
+        expected = execute_naive(scale4, PUBLISHING_TEACHERS_TEXT)
+        assert _rows(result) == sorted(r.values for r in expected)
+        report = result.combination.shard_report
+        assert report.scanned > 1  # a single shard would never start a pool
+        assert result.statistics["shards_scanned"] == report.scanned  # each merged once
+        warnings = [r for r in caplog.records if r.name == "repro.engine.shard"]
+        assert len(warnings) == 1 and "serially" in warnings[0].getMessage()
 
     def test_auto_resolves_to_thread_by_default(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV, raising=False)
