@@ -28,16 +28,7 @@ with write-ahead logging and crash recovery:
 ...     ...                                             # doctest: +SKIP
 """
 
-from repro.api import (
-    AsyncConnection,
-    AsyncCursor,
-    AsyncSession,
-    Connection,
-    Cursor,
-    Session,
-    aconnect,
-    connect,
-)
+from repro.api import Connection, Cursor, Session, connect
 from repro.config import (
     DURABILITY_CHECKPOINT,
     DURABILITY_COMMIT,
@@ -107,3 +98,13 @@ __all__ = [
     "parse_formula",
     "parse_selection",
 ]
+
+
+def __getattr__(name: str):
+    # PEP 562: ``AsyncConnection``/``AsyncCursor``/``AsyncSession``/``aconnect``
+    # resolve on first use, so ``import repro`` does not load ``asyncio``.
+    from repro import api
+
+    if name in api.ASYNC_EXPORTS:
+        return getattr(api, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,7 +14,6 @@ direct ``QueryService`` construction) keep working through deprecation
 shims routed through a per-database default connection.
 """
 
-from repro.api.aio import AsyncConnection, AsyncCursor, AsyncSession, aconnect
 from repro.api.connection import Connection, connect, default_connection
 from repro.api.cursor import Column, Cursor
 from repro.api.session import Session
@@ -31,3 +30,16 @@ __all__ = [
     "connect",
     "default_connection",
 ]
+
+#: Exported lazily (PEP 562): the asyncio front door — and with it
+#: ``asyncio``, ``ssl`` and ``socket`` — loads on first use, not for
+#: programs that never await.
+ASYNC_EXPORTS = frozenset({"AsyncConnection", "AsyncCursor", "AsyncSession", "aconnect"})
+
+
+def __getattr__(name: str):
+    if name in ASYNC_EXPORTS:
+        from repro.api import aio
+
+        return getattr(aio, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -33,7 +33,7 @@ probe reads).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import log2
 from typing import Any, Iterator
 
@@ -96,10 +96,16 @@ class AccessPath:
     restriction: Formula | None = None
     probe: _ProbeTerm | None = None
     residual: Formula | None = None  # restriction minus the probed conjunct
-    index_name: str | None = None
+    #: The index a PROBE path reads, as the selector found it in the catalog
+    #: (on a pinned snapshot: the view over the pin's own contents).
+    index: HashIndex | SortedIndex | None = field(default=None, repr=False, compare=False)
     estimated_cost: float = 0.0
     scan_cost: float = 0.0
     note: str = ""
+
+    @property
+    def index_name(self) -> str | None:
+        return self.index.name if self.index is not None else None
 
     def describe(self) -> str:
         suffix = f" [{self.note}]" if self.note else ""
@@ -233,13 +239,9 @@ def select_access_path(
     if not options.use_index_paths or restriction is None:
         return path
 
-    table_stats = None
-    if options.histogram_statistics:
-        # Snapshots (and any other duck-typed catalog) may not maintain
-        # per-component statistics; the estimates below degrade gracefully.
-        getter = getattr(database, "table_statistics", None)
-        if callable(getter):
-            table_stats = getter(relation.name)
+    table_stats = (
+        database.table_statistics(relation.name) if options.histogram_statistics else None
+    )
 
     conjuncts = restriction_conjuncts(restriction)
     best: tuple[float, int, _ProbeTerm, HashIndex | SortedIndex] | None = None
@@ -270,7 +272,7 @@ def select_access_path(
             restriction=restriction,
             probe=term,
             residual=_residual_of(conjuncts, position),
-            index_name=index.name,
+            index=index,
             estimated_cost=cost,
             scan_cost=scan_cost,
         )
@@ -363,34 +365,31 @@ def iter_access(
 ) -> Iterator[tuple[Ref, Record]]:
     """Enumerate ``(reference, record)`` for the in-range elements of ``var``.
 
-    The probe path dereferences index references through the relation's
-    tracked ``fetch`` (one element read — and on the paged backend one
-    buffered page read — per qualifying element) and applies only the
-    residual restriction; the pruned path walks non-refuted pages and
-    re-checks the full restriction; the scan path reproduces the classic
-    scan-and-filter exactly.
+    The probe path reads the index the selector put on ``path`` and
+    dereferences its references through the relation's tracked ``fetch``
+    (one element read — and on the paged backend one buffered page read —
+    per qualifying element), applying only the residual restriction; the
+    pruned path walks non-refuted pages and re-checks the full restriction;
+    the scan path reproduces the classic scan-and-filter exactly.
     """
     from repro.engine.naive import evaluate_formula  # local import, cycle-free
 
     relation = database.relation(path.relation_name)
-    if path.kind == PROBE and path.probe is not None:
+    if path.index is not None:
         bound, value = path.probe.bound_value()
         if bound:
-            index = database.index_for(path.relation_name, path.probe.field)
-            if index is not None:
-                residual = path.residual
-                for ref in index.probe_operator(path.probe.op, value):
-                    record = relation.fetch(ref.key)
-                    if record is None:  # pragma: no cover - defensive
-                        continue
-                    if residual is not None and not evaluate_formula(
-                        residual, {var: record}, database
-                    ):
-                        continue
-                    yield ref, record
-                return
-        # Unbound parameter or a concurrently dropped index: fall back to
-        # the sound scan path below.
+            residual = path.residual
+            for ref in path.index.probe_operator(path.probe.op, value):
+                record = relation.fetch(ref.key)
+                if record is None:  # pragma: no cover - defensive
+                    continue
+                if residual is not None and not evaluate_formula(
+                    residual, {var: record}, database
+                ):
+                    continue
+                yield ref, record
+            return
+        # An unbound parameter: fall back to the sound scan path below.
     restriction = path.restriction
     if path.kind == PRUNED_SCAN and path.probe is not None:
         bound, value = path.probe.bound_value()

@@ -773,19 +773,16 @@ class CollectionPhase:
 
         A permanent index covers the whole relation, so it can only replace
         the collection-phase index build when the build variable's range is
-        not restricted and the probe operator suits the index organisation.
+        not restricted.  Either organisation answers every operator (a hash
+        index answers range probes linearly).  On a pinned snapshot this is
+        the view its pins share per contents version, so a cold collection
+        pays for at most one build per version, not one per execution.
         """
         if not self.options.use_permanent_indexes:
             return None
         if self._var_range[spec.build_var].restriction is not None:
             return None
-        relation_name = self._var_relation[spec.build_var]
-        permanent = self.database.index_for(relation_name, spec.build_field)
-        if permanent is None:
-            return None
-        if spec.probe_operator() not in ("=", "<>") and isinstance(permanent, HashIndex):
-            return permanent  # hash index still answers range probes, linearly
-        return permanent
+        return self.database.index_for(self._var_relation[spec.build_var], spec.build_field)
 
     def _make_index(self, spec: _IndirectJoinSpec) -> HashIndex | SortedIndex:
         relation = self.database.relation(self._var_relation[spec.build_var])

@@ -24,6 +24,7 @@ interpretation used as ground truth.
 
 from __future__ import annotations
 
+import itertools
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -38,7 +39,7 @@ from repro.engine.collection import CollectionPhase, CollectionResult, ExtendedR
 from repro.engine.combination import CombinationPhase, CombinationResult
 from repro.engine.construction import ConstructionPhase
 from repro.engine.naive import evaluate_selection_naive
-from repro.engine.result import project_environment, result_relation_for
+from repro.engine.result import result_relation_for
 from repro.lang.parser import parse_selection
 from repro.relational.record import Record
 from repro.relational.relation import Relation
@@ -47,6 +48,20 @@ from repro.transform.separation import can_separate
 from repro.transform.normalform import to_standard_form
 
 __all__ = ["QueryResult", "QueryEngine", "execute_naive"]
+
+
+def _projected_rows(
+    columns: list[tuple[int, int]], ranges: list[list[tuple]]
+) -> Iterator[tuple]:
+    """Result value tuples over the cross product of the free variables' ranges.
+
+    ``ranges`` holds one list of element value tuples per free variable;
+    ``columns`` names, per result component, the variable and the value
+    position it projects.  Rows come in nested-loop order (the first
+    variable outermost), duplicates included.
+    """
+    for combination in itertools.product(*ranges):
+        yield tuple(combination[variable][position] for variable, position in columns)
 
 
 @dataclass
@@ -437,27 +452,29 @@ class QueryEngine:
         result = result_relation_for(selection, self.database)
         if not prepared.constant:
             return result  # FALSE matrix: nothing is enumerated, no paths
-        paths = {
-            binding.var: select_access_path(
-                self.database, binding.var, binding.range, options
-            )
+        database = self.database
+        paths = [
+            select_access_path(database, binding.var, binding.range, options)
             for binding in prepared.bindings
-        }
-        access_paths.update({var: path.describe() for var, path in paths.items()})
-
-        def recurse(index: int, environment: dict[str, Record]) -> None:
-            if index == len(prepared.bindings):
-                record = project_environment(selection, environment, result.schema)
-                if result.find(result.schema.key_of(record.values)) is None:
-                    result.insert(record)
-                return
-            binding = prepared.bindings[index]
-            for _, record in iter_access(self.database, paths[binding.var], binding.var):
-                environment[binding.var] = record
-                recurse(index + 1, environment)
-            environment.pop(binding.var, None)
-
-        recurse(0, {})
+        ]
+        access_paths.update({path.var: path.describe() for path in paths})
+        # Everything per row is resolved here, once: which free variable and
+        # which value position each projected component reads.
+        variables = [path.var for path in paths]
+        columns = []
+        for column in selection.columns:
+            variable = variables.index(column.var)
+            source = database.relation(paths[variable].relation_name).schema
+            columns.append((variable, source.field_position(column.field)))
+        ranges = [
+            [record.values for _, record in iter_access(database, path, path.var)]
+            for path in paths
+        ]
+        # The result's key is all components, so distinct rows are distinct
+        # elements: dedupe on the value tuple, then insert in bulk.
+        rows = dict.fromkeys(_projected_rows(columns, ranges))
+        schema = result.schema
+        result.bulk_insert_raw(Record.raw(schema, row) for row in rows)
         return result
 
     # -- separate evaluation of existential conjunctions -----------------------------------------

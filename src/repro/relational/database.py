@@ -40,6 +40,8 @@ class Database:
         self.paged = paged
         self.statistics = AccessStatistics()
         self._relations: dict[str, Relation] = {}
+        # The index catalog is replaced, never mutated, by index DDL: a
+        # pinned snapshot keeps the dict it found (see mvcc.py).
         self._indexes: dict[tuple[str, str], HashIndex | SortedIndex] = {}
         # Per-relation statistics (histograms, hot keys, distinct sketches),
         # created lazily on first use and maintained incrementally from then
@@ -55,7 +57,7 @@ class Database:
         self._journal_free = threading.Condition(self._journal_lock)
         # Snapshot-read coordination: every registered relation's dict writes
         # and every snapshot pin synchronize on this registry (see mvcc.py).
-        self._snapshots = SnapshotRegistry(self)
+        self._snapshots = SnapshotRegistry(self.statistics)
         # Disk residency (all None/inert for an in-memory database).
         self.durability: str | None = None
         self._directory: str | None = None
@@ -68,6 +70,17 @@ class Database:
         #: Fault-injection hook threaded through every disk write
         #: (checkpoints, WAL flushes); tests arm it, production leaves it None.
         self.crash_point = None
+
+    def __del__(self) -> None:
+        # What the catalog hooked onto its relations goes with the catalog.
+        # A relation and a permanent index (or statistics maintainer) over
+        # it reference each other — observer list one way, every ``Ref`` the
+        # other — so without the unhooking a dropped database's indexed
+        # relations would sit in memory until a full cycle collection.
+        for (relation_name, _), index in self._indexes.items():
+            self._relations[relation_name].detach_index(index)
+        for relation_name, maintainer in self._table_statistics.items():
+            self._relations[relation_name].detach_statistics(maintainer)
 
     # -- disk residency ----------------------------------------------------------------
 
@@ -337,7 +350,10 @@ class Database:
         # (the journal replays *after* detaching), so the journal itself
         # reports completion on that path — which publishes the restored
         # state and frees the transaction slot held through the replay.
-        journal.on_rollback_finished = lambda: self._rollback_finished(journal)
+        # (A bound method called with the journal, not a lambda closing over
+        # it: journal -> lambda -> journal would be a cycle keeping every
+        # transaction's before-images until a full collection.)
+        journal.on_rollback_finished = self._rollback_finished
         self._snapshots.transaction_started(journal)
         for relation in self._relations.values():
             relation.begin_journal(journal)
@@ -446,7 +462,7 @@ class Database:
         that holds it) promptly — every live pin forces one dict copy per
         subsequently mutated relation.
         """
-        return self._snapshots.pin()
+        return self._snapshots.pin(self)
 
     # -- relation management ---------------------------------------------------------
 
@@ -522,11 +538,16 @@ class Database:
         if name not in self._relations:
             raise CatalogError(f"no relation {name!r} in database {self.name!r}")
         # Pop under the registry lock for the same reason create inserts
-        # under it: concurrent snapshot pins iterate this dict.
+        # under it: concurrent snapshot pins iterate this dict — and take the
+        # index catalog with it, so no pin sees an index without its relation.
         with self._snapshots.lock:
             relation = self._relations.pop(name)
-        for index_key in [k for k in self._indexes if k[0] == name]:
-            relation.detach_index(self._indexes.pop(index_key))
+            dropped = [index for key, index in self._indexes.items() if key[0] == name]
+            self._indexes = {
+                key: index for key, index in self._indexes.items() if key[0] != name
+            }
+        for index in dropped:
+            relation.detach_index(index)
         stats = self._table_statistics.pop(name, None)
         if stats is not None:
             relation.detach_statistics(stats)
@@ -575,7 +596,7 @@ class Database:
         previous = self._indexes.get((relation_name, field_name))
         if previous is not None:
             relation.detach_index(previous)
-        self._indexes[(relation_name, field_name)] = index
+        self._indexes = {**self._indexes, (relation_name, field_name): index}
         relation.attach_index(index)
         self.bump_schema_version()
         self._ddl_changed()
@@ -586,8 +607,11 @@ class Database:
         return self._indexes.get((relation_name, field_name))
 
     def drop_index(self, relation_name: str, field_name: str) -> None:
-        index = self._indexes.pop((relation_name, field_name), None)
+        index = self._indexes.get((relation_name, field_name))
         if index is not None:
+            self._indexes = {
+                key: kept for key, kept in self._indexes.items() if kept is not index
+            }
             if relation_name in self._relations:
                 self._relations[relation_name].detach_index(index)
             self.bump_schema_version()

@@ -38,6 +38,19 @@ from repro.types.scalar import compare_values, sort_key as _sort_key
 __all__ = ["HashIndex", "SortedIndex", "ValueList", "build_index"]
 
 
+def _charged_to(index, tracker: AccessStatistics | None):
+    """``index`` with its probes accounted to ``tracker``: an O(1) shallow copy.
+
+    The copy shares the entry containers, so this is only for finished
+    indexes nobody maintains any more — the views pinned snapshots share,
+    each charging its own execution's tracker.
+    """
+    view = object.__new__(type(index))
+    view.__dict__.update(index.__dict__)
+    view.tracker = tracker
+    return view
+
+
 class HashIndex:
     """A hash index associating component values with references.
 
@@ -65,6 +78,10 @@ class HashIndex:
         self.name = name or f"ind_{relation.name}_{field_name}"
         self._entries: dict[Any, list[Ref]] = {}
         self._size = 0
+        # On a catalogued index: (relation version, finished index over the
+        # dict pinned at that version) — the one build the snapshots pinned
+        # at that version share (DatabaseSnapshot.index_for).
+        self.snapshot_view: tuple[int, "HashIndex"] | None = None
 
     # -- maintenance ------------------------------------------------------------
 
@@ -104,6 +121,8 @@ class HashIndex:
         self._size = 0
 
     # -- probing -----------------------------------------------------------------
+
+    charged_to = _charged_to
 
     def probe(self, value: Any) -> list[Ref]:
         """References of elements whose indexed component equals ``value``."""
@@ -196,7 +215,11 @@ class SortedIndex:
         self.tracker = tracker if tracker is not None else relation.tracker
         self.name = name or f"sorted_{relation.name}_{field_name}"
         self._pairs: list[tuple[Any, Ref]] = []
+        # The sort key of every pair, position by position: a probe bisects
+        # this list instead of re-deriving the keys from the pairs.
+        self._keys: list[Any] = []
         self._sorted = True
+        self.snapshot_view: tuple[int, "SortedIndex"] | None = None  # as HashIndex's
         # Distinct-value count, maintained incrementally with the entries so
         # the access-path selector never has to recount (value -> multiplicity).
         self._value_counts: dict[Any, int] = {}
@@ -212,11 +235,15 @@ class SortedIndex:
 
     def add_ref(self, value: Any, ref: Ref) -> None:
         """Add a pre-built ``(value, reference)`` entry."""
+        key = _sort_key(value)
         if self._pairs and self._sorted:
-            bisect.insort(self._pairs, (value, ref), key=lambda pair: _sort_key(pair[0]))
+            position = bisect.bisect_right(self._keys, key)
+            self._keys.insert(position, key)
+            self._pairs.insert(position, (value, ref))
         else:
             # Bulk loading (including the first element): append unsorted and
             # pay one sort on the first probe, keeping builds O(n log n).
+            self._keys.append(key)
             self._pairs.append((value, ref))
             self._sorted = False
         self._value_counts[value] = self._value_counts.get(value, 0) + 1
@@ -227,23 +254,17 @@ class SortedIndex:
         target = (value, self.relation.ref_of(record))
         if self._sorted:
             key = _sort_key(value)
-            position = bisect.bisect_left(
-                self._pairs, key, key=lambda pair: _sort_key(pair[0])
+            candidates = range(
+                bisect.bisect_left(self._keys, key), bisect.bisect_right(self._keys, key)
             )
-            while position < len(self._pairs) and _sort_key(
-                self._pairs[position][0]
-            ) == key:
-                if self._pairs[position] == target:
-                    del self._pairs[position]
-                    self._forget_value(value)
-                    return
-                position += 1
         else:
-            for position, pair in enumerate(self._pairs):
-                if pair == target:
-                    del self._pairs[position]
-                    self._forget_value(value)
-                    return
+            candidates = range(len(self._pairs))
+        for position in candidates:
+            if self._pairs[position] == target:
+                del self._pairs[position]
+                del self._keys[position]
+                self._forget_value(value)
+                return
 
     def _forget_value(self, value: Any) -> None:
         remaining = self._value_counts.get(value, 0) - 1
@@ -255,6 +276,7 @@ class SortedIndex:
     def clear(self) -> None:
         """Drop every entry (the indexed relation was cleared or reassigned)."""
         self._pairs.clear()
+        self._keys.clear()
         self._sorted = True
         self._value_counts.clear()
 
@@ -267,16 +289,18 @@ class SortedIndex:
 
     def _ensure_sorted(self) -> None:
         if not self._sorted:
-            self._pairs.sort(key=lambda pair: _sort_key(pair[0]))
+            keys, pairs = self._keys, self._pairs
+            order = sorted(range(len(keys)), key=keys.__getitem__)  # stable
+            self._keys = [keys[i] for i in order]
+            self._pairs = [pairs[i] for i in order]
             self._sorted = True
 
-    def _values(self) -> list[Any]:
-        return [value for value, _ in self._pairs]
+    charged_to = _charged_to
 
     def probe_operator(self, op: str, value: Any) -> list[Ref]:
         """References of elements whose indexed component satisfies ``component op value``."""
         self._ensure_sorted()
-        keys = [_sort_key(v) for v, _ in self._pairs]
+        keys = self._keys
         target = _sort_key(value)
         if op == "<":
             selected = self._pairs[: bisect.bisect_left(keys, target)]

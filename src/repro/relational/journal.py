@@ -71,11 +71,11 @@ class UndoJournal:
         #: that the outcome (the rollback replay) is still pending, so the
         #: snapshot registry must keep serving the committed overlay.
         self.aborted = False
-        #: Callback invoked when :meth:`rollback` has finished replaying
-        #: (``Database.begin_transaction`` points it at the database's
-        #: ``_rollback_finished``, which publishes the restored state to
-        #: the snapshot registry and frees the transaction slot held
-        #: through the replay).
+        #: Callback invoked with this journal when :meth:`rollback` has
+        #: finished replaying (``Database.begin_transaction`` points it at
+        #: the database's ``_rollback_finished``, which publishes the
+        #: restored state to the snapshot registry and frees the
+        #: transaction slot held through the replay).
         self.on_rollback_finished = None
         self._wal: "WriteAheadLog | None" = None
         #: Transaction id on the durable database, ``None`` in memory.
@@ -220,7 +220,7 @@ class UndoJournal:
             # replay is as restored as it will ever be): snapshot pins may
             # serve the live dicts again.
             if self.on_rollback_finished is not None:
-                self.on_rollback_finished()
+                self.on_rollback_finished(self)
         if failures:
             names = ", ".join(sorted(name for name, _ in failures))
             raise TransactionError(

@@ -32,6 +32,25 @@ a writer's transaction observes exactly the pre-transaction contents and
 version of every relation.  (Non-transactional mutations are applied
 atomically per element — a pin between two such mutations sees a prefix,
 which is the same guarantee serialized execution gave.)
+
+**Index view rule.**  The live permanent indexes are maintained in place by
+writers, so a pin never reads them.  Relations are keyed, though: the pinned
+element dict *is* the primary-key map, and an index over it is a pure
+function of that dict.  A pin therefore keeps the index catalog it found
+(index DDL replaces the catalog dict, never mutates it) and answers
+``index_for`` with an ordinary :class:`~repro.relational.index.HashIndex` /
+:class:`~repro.relational.index.SortedIndex` built over its own pinned dict,
+cached in one slot on the catalogued index under the relation's captured
+contents version — the token the collection memo already trusts: two pins
+agreeing on it hold equal contents.  The first request at a version pays the
+one scan (charged to that execution's private tracker); later pins at that
+version get an O(1) shallow copy that shares the entries and charges their
+own tracker.  The slot is published by one assignment of a finished object,
+so the read path takes no lock: racing builders waste work, never corrupt,
+and a pin older than the slot builds privately and leaves it alone.  Writers
+pay nothing for any of this — forking every live index copy-on-write would
+multiply the dict copy each first write after a pin already costs, whether or
+not a reader ever probes.
 """
 
 from __future__ import annotations
@@ -57,8 +76,11 @@ class SnapshotRegistry:
     runs entirely outside.
     """
 
-    def __init__(self, database) -> None:
-        self._database = database
+    def __init__(self, statistics: AccessStatistics) -> None:
+        # Only the database's tracker (the committed data version), never
+        # the database: a back-pointer would be a cycle, and a dropped
+        # database should be reclaimed by reference counting alone.
+        self._statistics = statistics
         self.lock = threading.Lock()
         #: Bumped on every pin; relations compare their ``_cow_epoch``
         #: against it to decide whether their current dict may be pinned.
@@ -86,7 +108,7 @@ class SnapshotRegistry:
         with self.lock:
             self.tx_journal = journal
             self.overlay.clear()
-            self.committed_data_version = self._database.statistics.mutation_epoch
+            self.committed_data_version = self._statistics.mutation_epoch
             self.tx_active = True
 
     def transaction_finished(self, journal) -> None:
@@ -104,25 +126,25 @@ class SnapshotRegistry:
             self.tx_journal = None
             self.tx_active = False
             self.overlay.clear()
-            self.committed_data_version = self._database.statistics.mutation_epoch
+            self.committed_data_version = self._statistics.mutation_epoch
 
     # -- pinning -----------------------------------------------------------------------
 
-    def pin(self) -> "DatabaseSnapshot":
-        """Capture a consistent committed snapshot of every base relation."""
-        database = self._database
+    def pin(self, database) -> "DatabaseSnapshot":
+        """Capture a consistent committed snapshot of ``database``'s base relations."""
         with self.lock:
             self.epoch += 1
             self.active += 1
             if self.tx_active:
                 data_version = self.committed_data_version
             else:
-                data_version = database.statistics.mutation_epoch
+                data_version = self._statistics.mutation_epoch
             snapshot = DatabaseSnapshot(
                 registry=self,
                 name=database.name,
                 schema_version=database.schema_version,
                 data_version=data_version,
+                indexes=database._indexes,
             )
             for name, relation in database._relations.items():
                 stashed = self.overlay.get(name)
@@ -214,16 +236,20 @@ class DatabaseSnapshot:
     query engine consumes (catalog lookups, statistics, emptiness, index
     lookups), so a :class:`~repro.engine.evaluator.QueryEngine` constructed
     over a snapshot executes any plan unmodified.  Live in-place structures
-    — permanent indexes, heap pages, zone maps — are deliberately invisible
-    (``index_for`` answers ``None``): they are mutated in place by writers,
-    so only the pinned element dicts are trustworthy.  Statistics are a
+    — heap pages, zone maps, the permanent indexes' own entries — are never
+    read: they are mutated in place by writers, so only the pinned element
+    dicts are trustworthy.  Permanent indexes are served as views derived
+    from those dicts (the module's index view rule).  Statistics are a
     private :class:`AccessStatistics`, merged into the database's shared
     tracker when the snapshot is released.
     """
 
     def __init__(self, registry: SnapshotRegistry, name: str,
-                 schema_version: int, data_version: int) -> None:
+                 schema_version: int, data_version: int, indexes: dict) -> None:
         self._registry = registry
+        #: The index catalog as pinned; index DDL replaces the database's
+        #: dict, so this one never changes.
+        self._indexes = indexes
         self.name = name
         self.paged = False
         self.schema_version = schema_version
@@ -274,13 +300,36 @@ class DatabaseSnapshot:
         return False
 
     def index_for(self, relation_name: str, field_name: str):
-        # Permanent indexes are maintained in place by writers and may be
-        # mid-update; snapshot executions always take scan paths over the
-        # pinned dicts instead.
-        return None
+        """The permanent index on ``relation_name.field_name`` as of this pin.
+
+        An index of the catalogued organisation over the pinned dict —
+        shared with every pin at the same contents version, built here on
+        the first request at that version (the module's index view rule).
+        """
+        catalogued = self._indexes.get((relation_name, field_name))
+        if catalogued is None:
+            return None
+        version = self.relation_versions[relation_name]
+        slot = catalogued.snapshot_view
+        if slot is not None and slot[0] == version:
+            return slot[1].charged_to(self.statistics)
+        view = type(catalogued)(
+            self._relations[relation_name],
+            field_name,
+            tracker=self.statistics,
+            name=catalogued.name,
+        ).build()
+        if slot is None or slot[0] < version:
+            catalogued.snapshot_view = (version, view)
+        return view
 
     def indexes(self) -> Iterator[tuple[str, str]]:
-        return iter(())
+        return iter(self._indexes)
+
+    def table_statistics(self, name: str) -> None:
+        """Pins keep no per-component statistics (the live ones are maintained
+        in place by writers); selectors price with the indexes' own counts."""
+        return None
 
     def reset_statistics(self) -> None:
         self.statistics.reset()

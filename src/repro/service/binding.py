@@ -57,21 +57,24 @@ def referenced_relations(selection: Selection) -> frozenset[str]:
     """Every relation a selection ranges over (free bindings and quantifiers,
     including ranges appearing inside extended-range restrictions)."""
     names: set[str] = set()
-
-    def visit_range(range_expr: RangeExpr) -> None:
-        names.add(range_expr.relation)
-        if range_expr.restriction is not None:
-            visit_formula(range_expr.restriction)
-
-    def visit_formula(formula: Formula) -> None:
-        for node in formula.walk():
-            if isinstance(node, Quantified):
-                visit_range(node.range)
-
     for binding in selection.bindings:
-        visit_range(binding.range)
-    visit_formula(selection.formula)
+        _visit_range(binding.range, names)
+    _visit_formula(selection.formula, names)
     return frozenset(names)
+
+
+# Mutually recursive module-level functions, not closures: closures calling
+# each other form a reference cycle that outlives the call.
+def _visit_range(range_expr: RangeExpr, names: set[str]) -> None:
+    names.add(range_expr.relation)
+    if range_expr.restriction is not None:
+        _visit_formula(range_expr.restriction, names)
+
+
+def _visit_formula(formula: Formula, names: set[str]) -> None:
+    for node in formula.walk():
+        if isinstance(node, Quantified):
+            _visit_range(node.range, names)
 
 
 # ------------------------------------------------------------------ parameter discovery

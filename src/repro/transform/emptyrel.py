@@ -86,27 +86,38 @@ def adapt_formula(
     when the adaptation runs after Strategy 3.
     """
     removed: list[tuple[str, str, str]] = []
-
-    def adapt(node: Formula) -> Formula:
-        if isinstance(node, (BoolConst, Comparison)):
-            return node
-        if isinstance(node, Not):
-            return Not(adapt(node.child))
-        if isinstance(node, And):
-            return And(*(adapt(o) for o in node.operands))
-        if isinstance(node, Or):
-            return Or(*(adapt(o) for o in node.operands))
-        if isinstance(node, Quantified):
-            if _restricted_range_is_empty(
-                node.range, node.var, relation_is_empty, restriction_is_unsatisfied
-            ):
-                removed.append((node.kind, node.var, node.range.relation))
-                return TRUE if node.kind == ALL else FALSE
-            return Quantified(node.kind, node.var, node.range, adapt(node.body))
-        raise TransformError(f"cannot adapt unknown node {node!r}")
-
-    adapted = simplify(adapt(formula))
+    adapted = simplify(
+        _adapt(formula, relation_is_empty, restriction_is_unsatisfied, removed)
+    )
     return EmptyRangeAdaptation(adapted, tuple(removed))
+
+
+def _adapt(
+    node: Formula,
+    relation_is_empty: Callable[[str], bool],
+    restriction_is_unsatisfied: Callable[[RangeExpr, str], bool] | None,
+    removed: list[tuple[str, str, str]],
+) -> Formula:
+    # A module-level recursion, not a closure calling itself: a
+    # self-referential closure is a reference cycle that would keep the
+    # oracles — and through them the database — alive until a full collection.
+    if isinstance(node, (BoolConst, Comparison)):
+        return node
+    oracles = (relation_is_empty, restriction_is_unsatisfied, removed)
+    if isinstance(node, Not):
+        return Not(_adapt(node.child, *oracles))
+    if isinstance(node, And):
+        return And(*(_adapt(operand, *oracles) for operand in node.operands))
+    if isinstance(node, Or):
+        return Or(*(_adapt(operand, *oracles) for operand in node.operands))
+    if isinstance(node, Quantified):
+        if _restricted_range_is_empty(
+            node.range, node.var, relation_is_empty, restriction_is_unsatisfied
+        ):
+            removed.append((node.kind, node.var, node.range.relation))
+            return TRUE if node.kind == ALL else FALSE
+        return Quantified(node.kind, node.var, node.range, _adapt(node.body, *oracles))
+    raise TransformError(f"cannot adapt unknown node {node!r}")
 
 
 def adapt_selection(

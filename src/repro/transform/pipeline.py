@@ -130,18 +130,19 @@ class QueryPlan:
     def derived_predicates(self) -> list[DerivedPredicate]:
         """Every derived predicate, in the order the pushdowns were planned."""
         found: list[DerivedPredicate] = []
-
-        def visit(predicate: DerivedPredicate) -> None:
-            for inner in predicate.inner_derived:
-                visit(inner)
-            if predicate not in found:
-                found.append(predicate)
-
         for conjunction in self.conjunctions:
             for literal in conjunction:
                 if isinstance(literal, DerivedPredicate):
-                    visit(literal)
+                    _collect_derived(literal, found)
         return found
+
+
+def _collect_derived(predicate: DerivedPredicate, found: list[DerivedPredicate]) -> None:
+    """Inner pushdowns first, each predicate once (module-level: no closure cycle)."""
+    for inner in predicate.inner_derived:
+        _collect_derived(inner, found)
+    if predicate not in found:
+        found.append(predicate)
 
 
 #: Backwards-compatible alias — the plan type was called ``PreparedQuery``

@@ -60,6 +60,8 @@ class RelationSchema:
     name: str
     fields: tuple[Field, ...]
     key: tuple[str, ...] = ()
+    field_names: tuple[str, ...] = field(default=(), compare=False, repr=False)
+    """Component identifiers in declaration order."""
     _field_map: dict = field(default_factory=dict, compare=False, repr=False)
     _position_map: dict = field(default_factory=dict, compare=False, repr=False)
     _key_positions: tuple = field(default=(), compare=False, repr=False)
@@ -97,6 +99,7 @@ class RelationSchema:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "fields", normalized)
         object.__setattr__(self, "key", key_tuple)
+        object.__setattr__(self, "field_names", tuple(names))
         object.__setattr__(self, "_field_map", {f.name: f for f in normalized})
         object.__setattr__(
             self, "_position_map", {f.name: i for i, f in enumerate(normalized)}
@@ -106,11 +109,6 @@ class RelationSchema:
         )
 
     # -- lookups -------------------------------------------------------------
-
-    @property
-    def field_names(self) -> tuple[str, ...]:
-        """Component identifiers in declaration order."""
-        return tuple(f.name for f in self.fields)
 
     def __contains__(self, field_name: str) -> bool:
         return field_name in self._field_map
@@ -214,7 +212,9 @@ class RelationSchema:
 
     def key_of(self, values: Mapping[str, Any] | Sequence[Any]) -> tuple[Any, ...]:
         """Extract the key tuple from a mapping or storage-ordered sequence."""
-        if isinstance(values, Mapping):
+        # Every hot path passes a record's value tuple; test for it before
+        # the ABC instance check a mapping needs.
+        if not isinstance(values, tuple) and isinstance(values, Mapping):
             return tuple(values[k] for k in self.key)
         return tuple(values[p] for p in self._key_positions)
 

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import os
 import re
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
 from repro.api.connection import Connection, connect
@@ -157,6 +156,9 @@ def _read_source(path_or_text) -> str:
 
 def _parse_records(text: str) -> tuple[list[dict], int, int]:
     """Parse the fragment into record dicts; returns ``(records, skipped, entities)``."""
+    # Imported here: only an ingest needs the XML parser resident.
+    import xml.etree.ElementTree as ET
+
     decoded, entities = decode_entities(text)
     decoded = _XML_DECL_RE.sub("", decoded).strip()
     if not decoded.startswith("<dblp"):

@@ -19,10 +19,11 @@ while an async session commits, with the same torn-read check.
 from __future__ import annotations
 
 import asyncio
+import sys
 import threading
 
 import repro
-from repro import connect
+from repro import QueryEngine, connect, execute_naive
 from repro.relational.database import Database
 from repro.types.scalar import INTEGER
 
@@ -203,3 +204,113 @@ def test_async_readers_under_gather_never_see_torn_state():
                 assert seen == sorted(seen)
 
     asyncio.run(workload())
+
+
+# ------------------------------------------------- indexed reads beside the writer
+
+_POINT = "[<g.k, g.gen> OF EACH g IN gens: (g.k = {k})]"
+_RANGE = "[<g.k, g.gen> OF EACH g IN gens: (g.gen <= {gen})]"
+_POINT_PREPARED = _POINT.format(k="$k")
+_RANGE_PREPARED = _RANGE.format(gen="$gen")
+
+
+def test_indexed_readers_beside_a_writer_on_the_same_indexed_relation():
+    """Point and range probes over index views while a session commits to the
+    very relation the indexes cover.
+
+    Readers outnumber the cores and the switch interval is shortened, so view
+    builds, slot publications and copy-on-write interleave at bytecode
+    granularity.  Direct pins check the engine (index probes over the pin's
+    views) against the naive interpreter *over the same pin*; front-door
+    cursors check the writer's invariant: every committed state holds each
+    key exactly once, all at one generation, never a rolled-back one.
+    """
+    database = _make_database()
+    database.create_index("gens", "k", operator="=")
+    database.create_index("gens", "gen", operator="<=")
+    connection = connect(database)
+    gens = database.relation("gens")
+    errors: list[BaseException] = []
+    writer_done = threading.Event()
+    readers = 6
+    start = threading.Barrier(readers + 2)
+
+    def writer() -> None:
+        try:
+            start.wait()
+            session = connection.session()
+            for generation in range(1, _WRITER_GENERATIONS + 1):
+                session.begin()
+                if generation % 2:
+                    gens.assign([{"k": k, "gen": generation} for k in range(_ROWS)])
+                else:  # the per-element path: every index entry moves
+                    for k in range(_ROWS):
+                        gens.delete_key(k)
+                        gens.insert({"k": k, "gen": generation})
+                if generation % 4 == 0:
+                    session.rollback()
+                else:
+                    session.commit()
+        except BaseException as exc:  # noqa: BLE001 - surfaced to the caller
+            errors.append(exc)
+        finally:
+            writer_done.set()
+
+    def reader(slot: int) -> None:
+        try:
+            start.wait()
+            cursor = connection.cursor()
+            round_number = 0
+            while not writer_done.is_set() or round_number < 4:
+                round_number += 1
+                k = (slot + round_number) % _ROWS
+                if round_number % 2:
+                    with database.pin_snapshot() as snapshot:
+                        generation = next(iter(snapshot.relation("gens")))["gen"]
+                        for text in (
+                            _POINT.format(k=k),
+                            _RANGE.format(gen=generation),
+                            _RANGE.format(gen=max(generation - 1, 0)),
+                        ):
+                            got = QueryEngine(snapshot).run(text)
+                            assert got.statistics["index_probes"] >= 1, text
+                            assert "probe" in got.access_paths["g"], text
+                            want = execute_naive(snapshot, text)
+                            assert sorted(r.values for r in got.relation) == sorted(
+                                r.values for r in want
+                            ), f"reader {slot}: {text}"
+                else:
+                    point = cursor.execute(_POINT_PREPARED, {"k": k}).fetchall()
+                    assert [record["k"] for record in point] == [k], point
+                    everything = cursor.execute(
+                        _RANGE_PREPARED, {"gen": _WRITER_GENERATIONS}
+                    ).fetchall()
+                    generations = {record["gen"] for record in everything}
+                    assert sorted(record["k"] for record in everything) == list(
+                        range(_ROWS)
+                    ) and len(generations) == 1, f"reader {slot} saw a torn state"
+                    (generation,) = generations
+                    assert generation % 4 != 0 or generation == 0, (
+                        f"reader {slot} saw rolled-back generation {generation}"
+                    )
+        except BaseException as exc:  # noqa: BLE001
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [
+            threading.Thread(target=reader, args=(slot,), name=f"reader-{slot}")
+            for slot in range(readers)
+        ] + [threading.Thread(target=writer, name="writer")]
+        for thread in threads:
+            thread.start()
+        start.wait()
+        for thread in threads:
+            thread.join(timeout=600)
+            assert not thread.is_alive(), f"{thread.name} did not finish"
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors, errors
+    connection.close()
+    assert database._snapshots.active == 0

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import ServiceOptions, SnapshotError, connect
+from repro import ServiceOptions, SnapshotError, connect, execute_naive
 from repro.relational.database import Database
 from repro.types.scalar import INTEGER
 from repro.workloads.queries import (
@@ -498,3 +498,141 @@ class TestSharedStatisticsDiscipline:
         shared.reset()
         assert len(locked_sections) == 2
         assert shared.as_dict()["relations"] == {}
+
+
+_POINT = "[<e.enr, e.ename, e.estatus> OF EACH e IN employees: (e.enr = $enr)]"
+_RANGE = "[<p.ptitle, p.pyear> OF EACH p IN papers: (p.pyear <= $year)]"
+
+
+class TestIndexProbesThroughTheFrontDoor:
+    """A default ``connect()`` cursor — a pinned snapshot — probes permanent indexes."""
+
+    @staticmethod
+    def _counters(cursor, relation: str) -> tuple[int, int, int]:
+        counters = cursor.statistics["relations"].get(relation, {})
+        return (
+            counters.get("scans", 0),
+            counters.get("elements_read", 0),
+            counters.get("index_probes", 0),
+        )
+
+    @pytest.mark.parametrize("paged", [False, True], ids=["memory", "paged"])
+    def test_prepared_point_query_is_one_probe_and_one_element(self, paged):
+        database = build_university_database(scale=2, paged=paged)
+        database.create_index("employees", "enr", operator="=")
+        size = len(database.relation("employees"))
+        built = database.statistics.as_dict()["relations"]["employees"]["scans"]
+        connection = connect(database)
+        cursor = connection.cursor()
+        # The first execution at this contents version builds the view: the
+        # one scan is charged to it, on its private tracker.
+        assert len(cursor.execute(_POINT, {"enr": 3}).fetchall()) == 1
+        assert self._counters(cursor, "employees") == (1, size + 1, 1)
+        # Every later execution is charged the probe and the fetched element.
+        for enr in (3, 5, 1):
+            rows = cursor.execute(_POINT, {"enr": enr}).fetchall()
+            assert [record["enr"] for record in rows] == [enr]
+            assert self._counters(cursor, "employees") == (0, 1, 1)
+            assert cursor.statistics["index_probes"] == 1
+            assert cursor.result.access_paths["e"].startswith("probe ind_employees_enr")
+        assert "e: probe ind_employees_enr" in connection.service.engine.explain(_POINT)
+        # Private counters still merge into the database's tracker at release.
+        shared = database.statistics.as_dict()
+        assert shared["index_probes"] == 4
+        assert shared["relations"]["employees"]["scans"] == built + 1
+        connection.close()
+
+    def test_range_read_probes_the_sorted_view(self, figure1):
+        figure1.create_index("papers", "pyear", operator="<=")
+        connection = connect(figure1)
+        cursor = connection.cursor()
+        cursor.execute(_RANGE, {"year": 1975}).fetchall()  # builds the view
+        rows = cursor.execute(_RANGE, {"year": 1976}).fetchall()
+        expected = [r for r in figure1.relation("papers") if r["pyear"] <= 1976]
+        assert sorted(r.values for r in rows) == sorted(
+            (r["ptitle"], r["pyear"]) for r in expected
+        )
+        assert self._counters(cursor, "papers") == (0, len(expected), 1)
+        connection.close()
+
+    def test_a_commit_to_the_indexed_relation_costs_the_next_reader_one_build(self, figure1):
+        figure1.create_index("employees", "enr", operator="=")
+        employees = figure1.relation("employees")
+        connection = connect(figure1)
+        cursor = connection.cursor()
+        cursor.execute(_POINT, {"enr": 1}).fetchall()
+        with connection.session():
+            employees.insert({"enr": 99, "ename": "Newcomer", "estatus": "student"})
+        rows = cursor.execute(_POINT, {"enr": 99}).fetchall()
+        assert [record["enr"] for record in rows] == [99]
+        assert self._counters(cursor, "employees")[0] == 1      # the rebuild's scan
+        cursor.execute(_POINT, {"enr": 99}).fetchall()
+        assert self._counters(cursor, "employees") == (0, 1, 1)  # shared again
+        connection.close()
+
+    def test_session_cursors_keep_probing_the_live_index(self, figure1):
+        figure1.create_index("employees", "enr", operator="=")
+        connection = connect(figure1)
+        with connection.session() as session:
+            figure1.relation("employees").insert(
+                {"enr": 77, "ename": "Pending", "estatus": "student"}
+            )
+            cursor = session.cursor()
+            assert len(cursor.execute(_POINT, {"enr": 77}).fetchall()) == 1
+            assert cursor.statistics["index_probes"] == 1
+            # ... which a concurrent snapshot cursor, on the committed image, cannot see.
+            assert connection.cursor().execute(_POINT, {"enr": 77}).fetchall() == []
+            session.rollback()
+        connection.close()
+
+
+class TestConstantMatrixRows:
+    """The positional row path of constant-matrix queries (every Strategy 3
+    point and range query) returns exactly what the per-row path did: rows in
+    nested-loop order, the first of equal rows kept."""
+
+    @staticmethod
+    def _first_occurrences(rows) -> list[tuple]:
+        return list(dict.fromkeys(rows))
+
+    def test_duplicate_projected_rows_collapse_in_first_occurrence_order(self, figure1):
+        query = "[<e.estatus> OF EACH e IN employees: (e.enr >= 2)]"
+        connection = connect(figure1)
+        cursor = connection.cursor().execute(query)
+        rows = [record.values for record in cursor.fetchall()]
+        assert cursor.result.prepared.constant is True
+        expected = self._first_occurrences(
+            (e["estatus"],) for e in figure1.relation("employees") if e["enr"] >= 2
+        )
+        assert len(expected) < len(figure1.relation("employees")) - 1  # duplicates existed
+        assert rows == expected
+        assert sorted(rows) == sorted(r.values for r in execute_naive(figure1, query))
+        connection.close()
+
+    def test_two_free_variables_enumerate_the_product_in_nested_loop_order(self, figure1):
+        query = (
+            "[<e.estatus, c.clevel, e.enr> OF EACH e IN employees, EACH c IN courses: "
+            "(e.enr >= 6) AND (c.cnr >= 1)]"
+        )
+        connection = connect(figure1)
+        cursor = connection.cursor().execute(query)
+        rows = [record.values for record in cursor.fetchall()]
+        assert cursor.result.prepared.constant is True
+        expected = self._first_occurrences(
+            (e["estatus"], c["clevel"], e["enr"])
+            for e in figure1.relation("employees") if e["enr"] >= 6
+            for c in figure1.relation("courses") if c["cnr"] >= 1
+        )
+        assert rows == expected
+        assert sorted(rows) == sorted(r.values for r in execute_naive(figure1, query))
+        assert [column.name for column in cursor.description] == ["estatus", "clevel", "enr"]
+        connection.close()
+
+    def test_a_false_matrix_and_an_empty_range_give_no_rows(self, figure1):
+        connection = connect(figure1)
+        cursor = connection.cursor()
+        assert cursor.execute("[<e.enr> OF EACH e IN employees: (e.enr >= 1000)]").fetchall() == []
+        assert cursor.execute(
+            "[<e.enr> OF EACH e IN employees: (e.enr = 1) AND (e.enr = 2)]"
+        ).fetchall() == []
+        connection.close()

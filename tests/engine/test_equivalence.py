@@ -208,6 +208,34 @@ class TestIndexAccessPathEquivalence:
                 ), (workload_name, values)
 
 
+    @pytest.mark.parametrize("query_name", sorted(QUERIES))
+    def test_snapshot_cursor_matches_naive_with_permanent_indexes(
+        self, indexed_backend, query_name
+    ):
+        """Indexes present × the default front door: a pinned snapshot's index
+        views must give the rows the naive interpreter gives."""
+        expected = execute_naive(indexed_backend, QUERIES[query_name])
+        with connect(indexed_backend) as connection:
+            cursor = connection.cursor()
+            for _ in range(2):  # the second run reuses the views (and the memo)
+                rows = cursor.execute(QUERIES[query_name]).fetchall()
+                assert sorted(r.values for r in rows) == sorted(
+                    r.values for r in expected
+                ), query_name
+
+    @pytest.mark.parametrize("workload_name", sorted(parameterized_queries()))
+    def test_snapshot_cursor_prepared_matches_naive(self, indexed_backend, workload_name):
+        text, bindings = parameterized_queries()[workload_name]
+        with connect(indexed_backend) as connection:
+            cursor = connection.cursor()
+            for values in bindings:
+                expected = execute_naive(indexed_backend, inline_parameters(text, values))
+                rows = cursor.execute(text, values).fetchall()
+                assert sorted(r.values for r in rows) == sorted(
+                    r.values for r in expected
+                ), (workload_name, values)
+
+
 class TestStreamingEquivalence:
     """``streaming_execution`` on/off × the full existing matrix.
 
@@ -461,6 +489,21 @@ class TestBibliographyEquivalence:
             query_name
         ], (query_name, _biblio_id(flags))
         _assert_page_counters_sane(bibliography_backend, backend)
+
+    @pytest.mark.parametrize("query_name", sorted(BIBLIO_QUERIES))
+    def test_snapshot_cursor_matches_reference(
+        self, bibliography_backend, bibliography_reference, query_name
+    ):
+        """Standard indexes present × the default front door (pinned snapshot,
+        index views).  Against this matrix's reference configuration, as every
+        cell here: the naive interpreter cannot afford the citation chains."""
+        with connect(bibliography_backend) as connection:
+            cursor = connection.cursor()
+            for _ in range(2):  # the second run reuses the views (and the memo)
+                rows = cursor.execute(BIBLIO_QUERIES[query_name]).fetchall()
+                assert sorted(r.values for r in rows) == bibliography_reference[
+                    query_name
+                ], query_name
 
     def test_backends_agree_elementwise(self):
         memory = build_bibliography_database(scale=2, paged=False)

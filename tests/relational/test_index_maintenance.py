@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.relational.database import Database
 from repro.relational.index import HashIndex, SortedIndex, build_index
-from repro.types.scalar import INTEGER, Subrange
+from repro.types.scalar import INTEGER, Subrange, sort_key
 
 _SMALL = Subrange(0, 9, "small")
 
@@ -85,6 +85,9 @@ def _assert_index_exact(database: Database, relation) -> None:
                 got = sorted(ref.key for ref in maintained.probe_operator(op, probe_value))
                 want = sorted(ref.key for ref in fresh.probe_operator(op, probe_value))
                 assert got == want, (field_name, op, probe_value)
+        if isinstance(maintained, SortedIndex):
+            # The probe bisects this list; it must stay the pairs' sort keys.
+            assert maintained._keys == [sort_key(v) for v, _ in maintained._pairs]
 
 
 def _entries(index):

@@ -1,0 +1,84 @@
+"""Resident memory: what ``import repro`` loads, and what a dropped database leaves.
+
+Both checks run in a fresh interpreter — ``sys.modules`` and the garbage
+collector's state in the test process are whatever earlier tests made them.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _run(script: str, cwd) -> str:
+    environment = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        capture_output=True, text=True, timeout=120, env=environment, cwd=cwd,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    return done.stdout
+
+
+def test_import_repro_leaves_asyncio_ssl_and_the_xml_parser_unloaded(tmp_path):
+    out = _run(
+        """
+        import sys
+        import repro
+        heavy = ("asyncio", "ssl", "xml.etree.ElementTree")
+        print([name for name in heavy if name in sys.modules])
+        # The lazy exports still resolve, by attribute and by from-import ...
+        from repro import AsyncConnection, AsyncCursor, AsyncSession
+        from repro.api import aconnect
+        print(repro.aconnect is aconnect, "asyncio" in sys.modules)
+        print(all(hasattr(repro, name) for name in repro.__all__))
+        # ... and an ingest still finds its parser.
+        database = repro.bibliography_database()
+        report = repro.load_dblp_xml(
+            "<dblp><article key='a/1'><author>A. Author</author>"
+            "<title>T</title><year>1982</year><journal>J</journal></article></dblp>",
+            database,
+        )
+        print(report.records)
+        """,
+        tmp_path,
+    )
+    assert out.splitlines() == ["[]", "True True", "True", "1"]
+
+
+def test_a_dropped_database_is_reclaimed_without_the_cycle_collector(tmp_path):
+    out = _run(
+        """
+        import gc
+        import weakref
+        import repro
+
+        gc.collect()
+        gc.disable()
+        database = repro.build_university_database(scale=2)
+        database.create_index("employees", "enr", operator="=")
+        database.table_statistics("papers")
+        connection = repro.connect(database)
+        cursor = connection.cursor()
+        point = "[<e.enr, e.ename> OF EACH e IN employees: (e.enr = $enr)]"
+        for enr in (3, 4):
+            assert len(cursor.execute(point, {"enr": enr}).fetchall()) == 1
+        assert cursor.statistics["index_probes"] == 1
+        with connection.session() as session:
+            database.relation("papers").clear()
+            session.rollback()
+        alive = [weakref.ref(database), weakref.ref(database.relation("employees")),
+                 weakref.ref(database.index_for("employees", "enr"))]
+        cursor.close()
+        connection.close()
+        del database, connection, cursor, session
+        print([ref() is None for ref in alive])
+        """,
+        tmp_path,
+    )
+    assert out.strip() == "[True, True, True]"

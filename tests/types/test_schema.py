@@ -135,6 +135,13 @@ class TestValues:
     def test_key_of_mapping_and_sequence(self, employees_schema):
         assert employees_schema.key_of({"enr": 3, "ename": "x", "estatus": "student"}) == (3,)
         assert employees_schema.key_of((3, "x", STATUS.student)) == (3,)
+        assert employees_schema.key_of([3, "x", STATUS.student]) == (3,)
+
+    def test_field_names_are_stored_not_rebuilt(self, employees_schema):
+        assert employees_schema.field_names is employees_schema.field_names
+        assert employees_schema == RelationSchema(
+            "employees", employees_schema.fields, key=employees_schema.key
+        )
 
     def test_describe_mentions_key_and_fields(self, employees_schema):
         text = employees_schema.describe()

@@ -175,16 +175,19 @@ class TestQueryLibrary:
         # quantifier depth.  The chain is covered (against the legacy
         # engine configuration) by tests/engine/test_equivalence.py.
         database = build_bibliography_database(scale=1)
+        # The same contents with the standard indexes: a cursor's pinned
+        # snapshot then serves them as views over its own dicts.
+        indexed = build_bibliography_database(scale=1)
+        create_standard_indexes(indexed)
         cheap = {"coauthor_pairs", "well_cited_venues", "self_citers", "cocitation"}
-        with connect(database) as connection:
+        with connect(database) as connection, connect(indexed) as indexed_connection:
             for name, query in bibliography_named_queries().items():
                 if name not in cheap:
                     continue
-                expected = execute_naive(database, query)
-                rows = connection.execute(query).fetchall()
-                assert sorted(r.values for r in rows) == sorted(
-                    r.values for r in expected
-                ), name
+                expected = sorted(r.values for r in execute_naive(database, query))
+                for front_door in (connection, indexed_connection):
+                    rows = front_door.execute(query).fetchall()
+                    assert sorted(r.values for r in rows) == expected, name
 
     def test_coauthor_pairs_match_hand_computation(self, scale2):
         from repro.workloads.bibliography.queries import COAUTHOR_PAIRS_TEXT
