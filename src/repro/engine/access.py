@@ -223,7 +223,12 @@ def select_access_path(
     permanent index whose estimated probe cost is lowest; take it when that
     cost undercuts the full scan.  Otherwise, on the paged backend, fall
     back to a zone-map pruned scan keyed on the first probe-able conjunct.
-    Otherwise scan.  The rule reads catalog state (indexes, cardinalities)
+    Otherwise scan.  Candidates are priced through
+    ``database.index_candidate`` — on a pinned snapshot that never builds a
+    view and keeps one that is not worth building yet off the table — at
+    their probe cost, and only the winner is resolved with ``index_for``;
+    when that has to build the view, the path's estimate includes the reads
+    and says so.  The rule reads catalog state (indexes, cardinalities)
     and — under ``histogram_statistics`` — the per-component statistics for
     conjuncts whose comparison value is a *constant in the query text*;
     ``$param`` probes never price on a value, so the same plan text always
@@ -250,21 +255,17 @@ def select_access_path(
         term = probe_term(var, conjunct)
         if term is None:
             continue
-        index = database.index_for(relation.name, term.field)
-        if index is None:
-            if prunable is None:
-                prunable = (position, term)
-            continue
-        cost = _probe_cost(index, term, table_stats)
+        index, build_reads = database.index_candidate(relation.name, term.field)
+        cost = None if index is None else _probe_cost(index, term, table_stats)
         if cost is None:
             if prunable is None:
                 prunable = (position, term)
             continue
         if best is None or cost < best[0]:
-            best = (cost, position, term, index)
+            best = (cost, position, term, build_reads)
 
     if best is not None and best[0] < scan_cost:
-        cost, position, term, index = best
+        cost, position, term, build_reads = best
         return AccessPath(
             var,
             relation.name,
@@ -272,9 +273,10 @@ def select_access_path(
             restriction=restriction,
             probe=term,
             residual=_residual_of(conjuncts, position),
-            index=index,
-            estimated_cost=cost,
+            index=database.index_for(relation.name, term.field),
+            estimated_cost=cost + build_reads,
             scan_cost=scan_cost,
+            note=f"builds the view: {build_reads} reads" if build_reads else "",
         )
     if prunable is not None and hasattr(relation, "heap_file"):
         position, term = prunable

@@ -77,9 +77,15 @@ class Database:
         # it reference each other — observer list one way, every ``Ref`` the
         # other — so without the unhooking a dropped database's indexed
         # relations would sit in memory until a full cycle collection.
-        for (relation_name, _), index in self._indexes.items():
+        # Consequence: a ``Relation`` or index object someone still holds
+        # after dropping its database stops being maintained from it — the
+        # relation is a plain relation from then on.  Reads instance state
+        # only, so it is safe at interpreter shutdown; an instance whose
+        # ``__init__`` failed before the catalog existed has nothing hooked.
+        state = self.__dict__
+        for (relation_name, _), index in state.get("_indexes", {}).items():
             self._relations[relation_name].detach_index(index)
-        for relation_name, maintainer in self._table_statistics.items():
+        for relation_name, maintainer in state.get("_table_statistics", {}).items():
             self._relations[relation_name].detach_statistics(maintainer)
 
     # -- disk residency ----------------------------------------------------------------
@@ -605,6 +611,15 @@ class Database:
     def index_for(self, relation_name: str, field_name: str) -> HashIndex | SortedIndex | None:
         """The permanent index on ``relation_name.field_name``, if one exists."""
         return self._indexes.get((relation_name, field_name))
+
+    def index_candidate(self, relation_name: str, field_name: str):
+        """``(index, reads to make it probe-able)`` for the access-path selector.
+
+        A live index is always ready: zero reads.  A pinned snapshot's view
+        may have to be built first, or not be on offer yet — see
+        :meth:`DatabaseSnapshot.index_candidate`.
+        """
+        return self._indexes.get((relation_name, field_name)), 0
 
     def drop_index(self, relation_name: str, field_name: str) -> None:
         index = self._indexes.get((relation_name, field_name))

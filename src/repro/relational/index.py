@@ -38,19 +38,6 @@ from repro.types.scalar import compare_values, sort_key as _sort_key
 __all__ = ["HashIndex", "SortedIndex", "ValueList", "build_index"]
 
 
-def _charged_to(index, tracker: AccessStatistics | None):
-    """``index`` with its probes accounted to ``tracker``: an O(1) shallow copy.
-
-    The copy shares the entry containers, so this is only for finished
-    indexes nobody maintains any more — the views pinned snapshots share,
-    each charging its own execution's tracker.
-    """
-    view = object.__new__(type(index))
-    view.__dict__.update(index.__dict__)
-    view.tracker = tracker
-    return view
-
-
 class HashIndex:
     """A hash index associating component values with references.
 
@@ -80,8 +67,9 @@ class HashIndex:
         self._size = 0
         # On a catalogued index: (relation version, finished index over the
         # dict pinned at that version) — the one build the snapshots pinned
-        # at that version share (DatabaseSnapshot.index_for).
-        self.snapshot_view: tuple[int, "HashIndex"] | None = None
+        # at that version share — or (version, None): a read has met that
+        # version and scanned (DatabaseSnapshot.index_for / index_candidate).
+        self.snapshot_view: tuple[int, "HashIndex | None"] | None = None
 
     # -- maintenance ------------------------------------------------------------
 
@@ -97,9 +85,19 @@ class HashIndex:
         self._size += 1
 
     def build(self) -> "HashIndex":
-        """Populate the index by scanning the indexed relation once."""
-        for record in self.relation.scan():
-            self.add(record)
+        """Populate the index by scanning the indexed relation once.
+
+        One bulk pass with the positions resolved up front, a third of the
+        per-record :meth:`add` path's cost: pinned snapshots build their
+        views with this on the read path.
+        """
+        relation = self.relation
+        rows = [record.values for record in relation.scan()]
+        position = relation.schema.field_position(self.field_name)
+        bucket = self._entries.setdefault
+        for row, key in zip(rows, relation.schema.keys_of(rows)):
+            bucket(row[position], []).append(Ref(relation, key))
+        self._size += len(rows)
         return self
 
     def remove(self, record: Record) -> None:
@@ -121,8 +119,6 @@ class HashIndex:
         self._size = 0
 
     # -- probing -----------------------------------------------------------------
-
-    charged_to = _charged_to
 
     def probe(self, value: Any) -> list[Ref]:
         """References of elements whose indexed component equals ``value``."""
@@ -219,7 +215,7 @@ class SortedIndex:
         # this list instead of re-deriving the keys from the pairs.
         self._keys: list[Any] = []
         self._sorted = True
-        self.snapshot_view: tuple[int, "SortedIndex"] | None = None  # as HashIndex's
+        self.snapshot_view: tuple[int, "SortedIndex | None"] | None = None  # as HashIndex's
         # Distinct-value count, maintained incrementally with the entries so
         # the access-path selector never has to recount (value -> multiplicity).
         self._value_counts: dict[Any, int] = {}
@@ -281,9 +277,19 @@ class SortedIndex:
         self._value_counts.clear()
 
     def build(self) -> "SortedIndex":
-        """Populate by scanning the indexed relation once, then sort."""
-        for record in self.relation.scan():
-            self.add(record)
+        """Populate by scanning the indexed relation once, then sort (in bulk,
+        as :meth:`HashIndex.build`)."""
+        relation = self.relation
+        rows = [record.values for record in relation.scan()]
+        position = relation.schema.field_position(self.field_name)
+        counts = self._value_counts
+        for row, key in zip(rows, relation.schema.keys_of(rows)):
+            value = row[position]
+            self._keys.append(_sort_key(value))
+            self._pairs.append((value, Ref(relation, key)))
+            counts[value] = counts.get(value, 0) + 1
+        if rows:
+            self._sorted = False
         self._ensure_sorted()
         return self
 
@@ -294,8 +300,6 @@ class SortedIndex:
             self._keys = [keys[i] for i in order]
             self._pairs = [pairs[i] for i in order]
             self._sorted = True
-
-    charged_to = _charged_to
 
     def probe_operator(self, op: str, value: Any) -> list[Ref]:
         """References of elements whose indexed component satisfies ``component op value``."""

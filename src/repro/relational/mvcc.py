@@ -34,27 +34,43 @@ atomically per element — a pin between two such mutations sees a prefix,
 which is the same guarantee serialized execution gave.)
 
 **Index view rule.**  The live permanent indexes are maintained in place by
-writers, so a pin never reads them.  Relations are keyed, though: the pinned
+writers, so a pin never probes them.  Relations are keyed, though: the pinned
 element dict *is* the primary-key map, and an index over it is a pure
 function of that dict.  A pin therefore keeps the index catalog it found
 (index DDL replaces the catalog dict, never mutates it) and answers
 ``index_for`` with an ordinary :class:`~repro.relational.index.HashIndex` /
-:class:`~repro.relational.index.SortedIndex` built over its own pinned dict,
-cached in one slot on the catalogued index under the relation's captured
-contents version — the token the collection memo already trusts: two pins
-agreeing on it hold equal contents.  The first request at a version pays the
-one scan (charged to that execution's private tracker); later pins at that
-version get an O(1) shallow copy that shares the entries and charges their
-own tracker.  The slot is published by one assignment of a finished object,
-so the read path takes no lock: racing builders waste work, never corrupt,
-and a pin older than the slot builds privately and leaves it alone.  Writers
-pay nothing for any of this — forking every live index copy-on-write would
-multiply the dict copy each first write after a pin already costs, whether or
-not a reader ever probes.
+:class:`~repro.relational.index.SortedIndex` built over its own pinned dict.
+A finished view is published in one slot on the catalogued index under the
+relation's captured contents version — the token the collection memo already
+trusts: two pins agreeing on it hold equal contents — and every pin keeps
+the views it used, so it resolves each at most once.  Later pins at that
+version take a shallow copy that shares the entries and charges their own
+tracker.  The slot is written by one assignment of a finished object, so the
+read path takes no lock: racing builders waste work, never corrupt, and a pin
+older than the slot builds privately and leaves it alone.  Releasing a pin
+drops the slots the committed contents have moved past.  Writers pay nothing
+for any of this — forking every live index copy-on-write would multiply the
+dict copy each first write after a pin already costs, whether or not a
+reader ever probes.
+
+**Who pays the build.**  Building a view reads every element once and
+costs about what the filtered scan it replaces costs, so it only pays when
+the contents outlive the read that builds it.  ``index_for`` is an explicit
+request and always builds.  The access-path selector asks
+``index_candidate`` instead: a view that exists at the pin's version is on
+offer at its probe price; one that does not is priced build + probe, which
+never undercuts the scan, so the first execution to meet a new version scans
+— exactly what it cost before views existed — and leaves ``(version, None)``
+in the slot.  An execution that finds that note knows the version has
+already outlived one read and builds (rent once, then buy: never worse than
+twice the best choice in hindsight, whatever the write rate).  A relation
+written between every two reads is therefore scanned, one read many times is
+probed.
 """
 
 from __future__ import annotations
 
+import copy
 import threading
 from typing import Iterator
 
@@ -168,6 +184,19 @@ class SnapshotRegistry:
                 return
             snapshot._released = True
             self.active -= 1
+            # A published view of contents the committed state has moved
+            # past serves no later pin; it only keeps that dict and a
+            # reference per element alive on the catalogued index.
+            for (name, _), catalogued in snapshot._indexes.items():
+                slot = catalogued.snapshot_view
+                if slot is None or slot[1] is None:
+                    continue
+                stashed = self.overlay.get(name)
+                committed = (
+                    catalogued.relation._version if stashed is None else stashed[1]
+                )
+                if slot[0] != committed:
+                    catalogued.snapshot_view = None
 
 
 class SnapshotRelation(Relation):
@@ -260,6 +289,9 @@ class DatabaseSnapshot:
         #: validity token for memoized collection structures: two snapshots
         #: agreeing on a relation's version hold identical contents for it.
         self.relation_versions: dict[str, int] = {}
+        #: (relation, component) -> the view this pin resolved, or ``None``
+        #: once the selector has passed it over unbuilt (see index_candidate).
+        self._views: dict[tuple[str, str], object] = {}
         self._released = False
 
     def _attach(self, relation: SnapshotRelation) -> None:
@@ -302,26 +334,68 @@ class DatabaseSnapshot:
     def index_for(self, relation_name: str, field_name: str):
         """The permanent index on ``relation_name.field_name`` as of this pin.
 
-        An index of the catalogued organisation over the pinned dict —
-        shared with every pin at the same contents version, built here on
-        the first request at that version (the module's index view rule).
+        An index of the catalogued organisation over the pinned dict, charging
+        this pin's tracker — taken from the slot when a pin at the same
+        contents version published one, built here (one scan) otherwise, and
+        kept for the life of the pin (the module's index view rule).
         """
-        catalogued = self._indexes.get((relation_name, field_name))
+        key = (relation_name, field_name)
+        view = self._views.get(key)
+        if view is not None:
+            return view
+        catalogued = self._indexes.get(key)
         if catalogued is None:
             return None
         version = self.relation_versions[relation_name]
         slot = catalogued.snapshot_view
-        if slot is not None and slot[0] == version:
-            return slot[1].charged_to(self.statistics)
-        view = type(catalogued)(
-            self._relations[relation_name],
-            field_name,
-            tracker=self.statistics,
-            name=catalogued.name,
-        ).build()
-        if slot is None or slot[0] < version:
-            catalogued.snapshot_view = (version, view)
+        if slot is not None and slot[0] == version and slot[1] is not None:
+            view = copy.copy(slot[1])
+            view.tracker = self.statistics
+        else:
+            view = type(catalogued)(
+                self._relations[relation_name],
+                field_name,
+                tracker=self.statistics,
+                name=catalogued.name,
+            ).build()
+            if slot is None or slot[0] <= version:
+                catalogued.snapshot_view = (version, view)
+        self._views[key] = view
         return view
+
+    def index_candidate(self, relation_name: str, field_name: str):
+        """``(index to price a probe with, reads to make it probe-able)``.
+
+        What the access-path selector asks before it commits to a probe; it
+        never builds (the module's "who pays the build").  A view this pin
+        holds, or one published at its contents version, costs no reads.
+        An unbuilt one is on offer — at one read per element, priced with
+        the catalogued index's counts (the live ones: near enough for an
+        estimate, never probed) — once its version has been passed over
+        before, by this pin or by an earlier one that left its note in the
+        slot.  Otherwise this call is the first sight: it leaves both notes
+        and answers ``(None, 0)``, as for a component with no index.
+        """
+        key = (relation_name, field_name)
+        catalogued = self._indexes.get(key)
+        if catalogued is None:
+            return None, 0
+        view = self._views.get(key)
+        if view is not None:
+            return view, 0
+        version = self.relation_versions[relation_name]
+        slot = catalogued.snapshot_view
+        noted = key in self._views
+        if slot is not None and slot[0] == version:
+            if slot[1] is not None:
+                return slot[1], 0
+            noted = True
+        if noted:
+            return catalogued, len(self._relations[relation_name])
+        self._views[key] = None
+        if slot is None or slot[0] < version:
+            catalogued.snapshot_view = (version, None)
+        return None, 0
 
     def indexes(self) -> Iterator[tuple[str, str]]:
         return iter(self._indexes)

@@ -21,6 +21,7 @@ relations derived from it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import SchemaError
@@ -217,6 +218,14 @@ class RelationSchema:
         if not isinstance(values, tuple) and isinstance(values, Mapping):
             return tuple(values[k] for k in self.key)
         return tuple(values[p] for p in self._key_positions)
+
+    def keys_of(self, rows: Sequence[tuple]) -> list[tuple]:
+        """Key tuples of many storage-ordered value tuples (:meth:`key_of` in bulk)."""
+        positions = self._key_positions
+        if len(positions) == 1:
+            (position,) = positions
+            return [(row[position],) for row in rows]
+        return list(map(itemgetter(*positions), rows))
 
     def describe(self) -> str:
         """A PASCAL/R-flavoured, human readable rendering of the schema."""

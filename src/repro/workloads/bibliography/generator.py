@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro.relational.database import Database
@@ -358,6 +357,10 @@ def build_bibliography_database(
         jobs[("citations", chunk)] = (_generate_citations, lo, hi, profile, citation_cum)
 
     if workers > 1:
+        # Imported on use: serial generation, the default, must not load the
+        # executor machinery (and logging with it) into every process.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = {
                 key: pool.submit(args[0], _chunk_rng(seed, key[0], key[1]), *args[1:])

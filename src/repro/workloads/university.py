@@ -12,7 +12,6 @@ courses, timetable entries linking employees and courses).
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro.relational.database import Database
@@ -359,6 +358,10 @@ def _populate_parallel(
     for chunk, (lo, hi) in enumerate(employee_chunks):
         quota = timetable_quotas[chunk][1] - timetable_quotas[chunk][0]
         jobs[("timetable", chunk)] = (_generate_timetable, lo, hi, quota, profile)
+
+    # Imported on use: serial generation, the default, must not load the
+    # executor machinery (and logging with it) into every process.
+    from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = {

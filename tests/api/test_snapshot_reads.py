@@ -524,10 +524,16 @@ class TestIndexProbesThroughTheFrontDoor:
         built = database.statistics.as_dict()["relations"]["employees"]["scans"]
         connection = connect(database)
         cursor = connection.cursor()
-        # The first execution at this contents version builds the view: the
-        # one scan is charged to it, on its private tracker.
+        # The first execution at this contents version scans, as if there were
+        # no index: nothing yet says the contents outlive one read.
+        assert len(cursor.execute(_POINT, {"enr": 3}).fetchall()) == 1
+        assert self._counters(cursor, "employees") == (1, size, 0)
+        assert cursor.result.access_paths["e"] == "scan employees"
+        # The second builds the view: the one scan is charged to it, on its
+        # private tracker, and its access path says so.
         assert len(cursor.execute(_POINT, {"enr": 3}).fetchall()) == 1
         assert self._counters(cursor, "employees") == (1, size + 1, 1)
+        assert f"builds the view: {size} reads" in cursor.result.access_paths["e"]
         # Every later execution is charged the probe and the fetched element.
         for enr in (3, 5, 1):
             rows = cursor.execute(_POINT, {"enr": enr}).fetchall()
@@ -535,17 +541,19 @@ class TestIndexProbesThroughTheFrontDoor:
             assert self._counters(cursor, "employees") == (0, 1, 1)
             assert cursor.statistics["index_probes"] == 1
             assert cursor.result.access_paths["e"].startswith("probe ind_employees_enr")
+            assert "builds" not in cursor.result.access_paths["e"]
         assert "e: probe ind_employees_enr" in connection.service.engine.explain(_POINT)
         # Private counters still merge into the database's tracker at release.
         shared = database.statistics.as_dict()
         assert shared["index_probes"] == 4
-        assert shared["relations"]["employees"]["scans"] == built + 1
+        assert shared["relations"]["employees"]["scans"] == built + 2
         connection.close()
 
     def test_range_read_probes_the_sorted_view(self, figure1):
         figure1.create_index("papers", "pyear", operator="<=")
         connection = connect(figure1)
         cursor = connection.cursor()
+        cursor.execute(_RANGE, {"year": 1975}).fetchall()  # scans
         cursor.execute(_RANGE, {"year": 1975}).fetchall()  # builds the view
         rows = cursor.execute(_RANGE, {"year": 1976}).fetchall()
         expected = [r for r in figure1.relation("papers") if r["pyear"] <= 1976]
@@ -555,19 +563,41 @@ class TestIndexProbesThroughTheFrontDoor:
         assert self._counters(cursor, "papers") == (0, len(expected), 1)
         connection.close()
 
-    def test_a_commit_to_the_indexed_relation_costs_the_next_reader_one_build(self, figure1):
+    def test_a_reader_right_after_a_commit_scans_and_the_one_after_it_builds(self, figure1):
         figure1.create_index("employees", "enr", operator="=")
         employees = figure1.relation("employees")
         connection = connect(figure1)
         cursor = connection.cursor()
-        cursor.execute(_POINT, {"enr": 1}).fetchall()
-        with connection.session():
-            employees.insert({"enr": 99, "ename": "Newcomer", "estatus": "student"})
-        rows = cursor.execute(_POINT, {"enr": 99}).fetchall()
-        assert [record["enr"] for record in rows] == [99]
-        assert self._counters(cursor, "employees")[0] == 1      # the rebuild's scan
+        for _ in range(3):
+            cursor.execute(_POINT, {"enr": 1}).fetchall()
+        assert self._counters(cursor, "employees") == (0, 1, 1)
+        for enr in (98, 99):  # written between every two reads: never built
+            with connection.session():
+                employees.insert({"enr": enr, "ename": "Newcomer", "estatus": "student"})
+            rows = cursor.execute(_POINT, {"enr": enr}).fetchall()
+            assert [record["enr"] for record in rows] == [enr]
+            assert self._counters(cursor, "employees") == (1, len(employees), 0)
+        assert figure1.index_for("employees", "enr").snapshot_view[1] is None
+        cursor.execute(_POINT, {"enr": 99}).fetchall()
+        assert self._counters(cursor, "employees") == (1, len(employees) + 1, 1)  # builds
         cursor.execute(_POINT, {"enr": 99}).fetchall()
         assert self._counters(cursor, "employees") == (0, 1, 1)  # shared again
+        connection.close()
+
+    def test_only_the_winning_candidate_is_built(self, figure1):
+        figure1.create_index("employees", "enr", operator="=")
+        figure1.create_index("employees", "estatus", operator="=")
+        query = (
+            "[<e.ename> OF EACH e IN employees: "
+            "(e.enr = $enr) AND (e.estatus = professor)]"
+        )
+        connection = connect(figure1)
+        cursor = connection.cursor()
+        for _ in range(3):
+            cursor.execute(query, {"enr": 1}).fetchall()
+        assert cursor.result.access_paths["e"].startswith("probe ind_employees_enr")
+        assert figure1.index_for("employees", "enr").snapshot_view[1] is not None
+        assert figure1.index_for("employees", "estatus").snapshot_view[1] is None
         connection.close()
 
     def test_session_cursors_keep_probing_the_live_index(self, figure1):

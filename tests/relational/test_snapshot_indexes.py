@@ -6,8 +6,8 @@ contents version, through one slot on the catalogued index.  The property
 test drives random interleavings of mutations, transaction boundaries and
 pins and checks, after every step and for every live pin, that every probe of
 every view equals a brute-force filter of *that pin's own dict*; the unit
-tests pin down who builds, who shares, and that index DDL cannot disturb a
-held pin.
+tests pin down who builds, who shares, what the access-path selector is
+offered and when, and that index DDL cannot disturb a held pin.
 """
 
 from __future__ import annotations
@@ -259,6 +259,85 @@ def test_an_older_pin_builds_privately_and_leaves_the_slot_alone() -> None:
         assert catalogued.snapshot_view[0] == newest.relation_versions["r"]
     older.release()
     newer.release()
+
+
+def test_a_pin_resolves_each_view_once_however_old_it_is() -> None:
+    database = _make_database()
+    relation = database.relation("r")
+    relation.insert(_row(0, 4))
+    older = database.pin_snapshot()
+    relation.insert(_row(1, 4))
+    with database.pin_snapshot() as newer:
+        assert _rows(newer, "=", 4) == [(0,), (1,)]
+    view = older.index_for("r", "v")  # older than the slot: a private build
+    assert older.index_for("r", "v") is view
+    counters = older.statistics.as_dict()["relations"]["r"]
+    assert (counters["scans"], counters["elements_read"]) == (1, 1)
+    older.release()
+
+
+def test_the_selector_is_offered_a_view_only_once_its_version_outlived_a_read() -> None:
+    database = _make_database()
+    relation = database.relation("r")
+    for key in range(5):
+        relation.insert(_row(key, key))
+    catalogued = database.index_for("r", "v")
+    assert database.index_candidate("r", "v") == (catalogued, 0)  # live: always ready
+    assert database.index_candidate("r", "nope") == (None, 0)
+
+    first = database.pin_snapshot()
+    assert first.index_candidate("r", "nope") == (None, 0)
+    assert first.index_candidate("r", "v") == (None, 0)  # first sight: a note, no build
+    assert catalogued.snapshot_view == (first.relation_versions["r"], None)
+    assert first.statistics.as_dict()["relations"] == {}
+    # Second sight, by the same pin or by another at that version: on offer,
+    # unbuilt, priced with the catalogued counts plus one read per element.
+    second = database.pin_snapshot()
+    assert first.index_candidate("r", "v") == (catalogued, 5)
+    assert second.index_candidate("r", "v") == (catalogued, 5)
+    assert catalogued.snapshot_view[1] is None  # asking never builds
+    built = second.index_for("r", "v")
+    assert second.index_candidate("r", "v") == (built, 0)
+    shared, reads = first.index_candidate("r", "v")
+    assert reads == 0 and shared._entries is built._entries
+    first.release()
+    second.release()
+
+    relation.insert(_row(7, 7))  # a new version starts over
+    with database.pin_snapshot() as later:
+        assert later.index_candidate("r", "v") == (None, 0)
+        assert later.index_candidate("r", "v") == (catalogued, 6)  # its own note
+    # A pin older than the slot leaves it alone and still gets its second sight.
+    older = database.pin_snapshot()
+    relation.insert(_row(8, 8))
+    with database.pin_snapshot() as newest:
+        newest.index_for("r", "v")
+    slot = catalogued.snapshot_view
+    assert older.index_candidate("r", "v") == (None, 0)
+    assert older.index_candidate("r", "v") == (catalogued, 6)
+    assert catalogued.snapshot_view is slot
+    older.release()
+
+
+def test_release_drops_a_published_view_the_committed_contents_moved_past() -> None:
+    database = _make_database()
+    relation = database.relation("r")
+    relation.insert(_row(0, 1))
+    catalogued = database.index_for("r", "v")
+    connection = connect(database)
+    session = connection.session()
+    with database.pin_snapshot() as pin:
+        pin.index_for("r", "v")
+    assert catalogued.snapshot_view[1] is not None  # current: kept for the next pin
+    session.begin()
+    relation.insert(_row(1, 1))
+    with database.pin_snapshot() as inside:  # the committed image has not moved
+        assert _rows(inside, "=", 1) == [(0,)]
+    assert catalogued.snapshot_view[1] is not None
+    session.commit()
+    database.pin_snapshot().release()  # any release after the commit, probing or not
+    assert catalogued.snapshot_view is None
+    connection.close()
 
 
 def test_a_pin_keeps_the_index_catalog_it_found() -> None:

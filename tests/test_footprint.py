@@ -25,13 +25,16 @@ def _run(script: str, cwd) -> str:
     return done.stdout
 
 
-def test_import_repro_leaves_asyncio_ssl_and_the_xml_parser_unloaded(tmp_path):
+def test_import_repro_leaves_asyncio_ssl_executors_and_the_xml_parser_unloaded(tmp_path):
     out = _run(
         """
         import sys
         import repro
-        heavy = ("asyncio", "ssl", "xml.etree.ElementTree")
+        heavy = ("asyncio", "ssl", "xml.etree.ElementTree", "concurrent.futures", "logging")
         print([name for name in heavy if name in sys.modules])
+        # Serial data generation, the default, needs no executor either.
+        repro.build_university_database(scale=1)
+        print("concurrent.futures" in sys.modules)
         # The lazy exports still resolve, by attribute and by from-import ...
         from repro import AsyncConnection, AsyncCursor, AsyncSession
         from repro.api import aconnect
@@ -48,7 +51,7 @@ def test_import_repro_leaves_asyncio_ssl_and_the_xml_parser_unloaded(tmp_path):
         """,
         tmp_path,
     )
-    assert out.splitlines() == ["[]", "True True", "True", "1"]
+    assert out.splitlines() == ["[]", "False", "True True", "True", "1"]
 
 
 def test_a_dropped_database_is_reclaimed_without_the_cycle_collector(tmp_path):

@@ -137,6 +137,17 @@ class TestValues:
         assert employees_schema.key_of((3, "x", STATUS.student)) == (3,)
         assert employees_schema.key_of([3, "x", STATUS.student]) == (3,)
 
+    def test_keys_of_is_key_of_in_bulk(self, employees_schema):
+        rows = [(3, "x", STATUS.student), (9, "y", STATUS.professor)]
+        assert employees_schema.keys_of(rows) == [(3,), (9,)]
+        composite = RelationSchema(
+            "timetable", [("tenr", INTEGER), ("tcnr", INTEGER), ("tday", INTEGER)],
+            key=["tcnr", "tenr"],
+        )
+        rows = [(1, 2, 3), (4, 5, 6)]
+        assert composite.keys_of(rows) == [composite.key_of(row) for row in rows]
+        assert composite.keys_of([]) == []
+
     def test_field_names_are_stored_not_rebuilt(self, employees_schema):
         assert employees_schema.field_names is employees_schema.field_names
         assert employees_schema == RelationSchema(

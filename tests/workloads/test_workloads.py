@@ -98,9 +98,8 @@ class TestParallelGeneration:
     def test_scheduling_cannot_influence_the_data(self, monkeypatch):
         """A fully serialized pool must produce the same database as a real
         4-thread pool — the strongest scheduling perturbation available."""
+        import concurrent.futures
         from concurrent.futures import ThreadPoolExecutor
-
-        from repro.workloads import university
 
         parallel = build_university_database(scale=8, paged=False, workers=4)
 
@@ -108,7 +107,8 @@ class TestParallelGeneration:
             def __init__(self, max_workers=None):
                 super().__init__(max_workers=1)
 
-        monkeypatch.setattr(university, "ThreadPoolExecutor", _SerializedPool)
+        # The generator imports the executor where it uses it.
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _SerializedPool)
         serialized = build_university_database(scale=8, paged=False, workers=4)
         assert _snapshot(parallel) == _snapshot(serialized)
 
