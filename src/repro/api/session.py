@@ -11,11 +11,13 @@ relational layer's :class:`~repro.relational.journal.UndoJournal`:
 ...     raise RuntimeError("changed my mind")      # -> automatic rollback
 
 While a transaction is active, every tracked mutation of every base relation
-(``insert`` / ``delete`` / ``assign`` / ``clear``) is journaled; rollback
-replays the captured before-images through the ordinary relation operators,
-so permanent indexes, heap pages, zone maps and the ``data_version`` epoch
-all follow the restored contents (see the journal module for the coherence
-rule).  Catalog changes (DDL) are deliberately *not* transactional.
+(``insert`` / ``delete`` / ``assign`` / ``clear``) is journaled — per key,
+what the key held before — and rollback sets each touched key back through
+the ordinary relation operators, so permanent indexes, heap pages, zone maps
+and the ``data_version`` epoch all follow the restored contents (see the
+journal module for the coherence rule and the exact contract).  A
+transaction costs what it changes, not what its relations hold.  Catalog
+changes (DDL) are deliberately *not* transactional.
 
 A session can also carry per-session :class:`~repro.config.StrategyOptions`
 / :class:`~repro.config.ServiceOptions` overrides: its cursors run under a
@@ -143,15 +145,26 @@ class Session:
     def rollback(self) -> None:
         """Undo every journaled mutation and end the transaction.
 
-        Replays the journal's before-images (most recently touched relation
-        first) through the ordinary ``assign`` operator — the observer list
-        maintains the permanent indexes back, paged relations repack their
-        heap files (zone maps follow), and the data-version epoch advances
-        so no cached collection structure can survive from the rolled-back
-        state.  The catalog (``schema_version``) is untouched: plans valid
-        before ``begin`` are exactly as valid afterwards.  On a durable
-        database an ``ABORT`` record is logged first so recovery never
-        replays the abandoned operations.
+        Sets every key the transaction touched back to what it held before
+        (most recently touched relation first) through the ordinary
+        ``delete_key`` / ``insert`` operators — one ``assign`` for a
+        relation the transaction assigned or cleared — so the observer list
+        maintains the permanent indexes and statistics back, paged relations
+        keep their heap files and zone maps in step, and the data-version
+        epoch advances so no cached collection structure can survive from
+        the rolled-back state.  The cost is proportional to what the
+        transaction changed.
+
+        Rollback is **value-exact**: every relation holds exactly the
+        elements it held at ``begin``, and the database is in the state that
+        committing the transaction and then applying its inverse key by key
+        would have produced.  Elements the transaction deleted or overwrote
+        are re-inserted, so they move to the end of the iteration order
+        (dict and heap alike); untouched elements keep their relative
+        order; nothing is repacked.  The catalog (``schema_version``) is
+        untouched: plans valid before ``begin`` are exactly as valid
+        afterwards.  On a durable database an ``ABORT`` record is logged
+        first so recovery never replays the abandoned operations.
 
         Any cursor on the connection still draining a live-path result set
         is finalized first (its stream closed, further fetches raising
@@ -165,7 +178,7 @@ class Session:
             "result set invalidated: the session's transaction was rolled back"
         )
         self.database.abort_transaction(journal)
-        # Detach first: the restoring assigns must not journal themselves.
+        # Detach first: the restoring operators must not journal themselves.
         # The database's transaction slot stays held until the replay below
         # completes (the journal's completion callback frees it), so a
         # concurrent begin() can never attach a fresh journal to relations

@@ -60,9 +60,9 @@ class ConstructionPhase:
                 environment: dict[str, Record] = {}
                 for var, column in columns.items():
                     environment[var] = row[column].deref()
-                record = project_environment(self.selection, environment, result.schema)
-                if result.find(result.schema.key_of(record.values)) is None:
-                    result.insert(record)
+                # The result is a set keyed on all components: inserting an
+                # element it already holds is a no-op.
+                result.insert(project_environment(self.selection, environment, result.schema))
             return result
 
     def _drain_stream(self, stream, result: Relation) -> None:
@@ -106,8 +106,6 @@ class ConstructionPhase:
             for binding in self.selection.bindings
         ]
         schema = result.schema
-        key_of = schema.key_of
-        find = result.find
         insert = result.insert
         selection = self.selection
         statistics = self.statistics
@@ -119,9 +117,10 @@ class ConstructionPhase:
                     return
                 environment = {var: row[position].deref() for var, position in positions}
                 record = project_environment(selection, environment, schema)
-                fresh = find(key_of(record.values)) is None
-                if fresh:
-                    insert(record)
+                # The result is a set keyed on all components: ``insert``
+                # hands back the stored element, which is this one only
+                # when it was new.
+                fresh = insert(record) is record
             if fresh:
                 yield record
 

@@ -521,9 +521,8 @@ class QueryEngine:
             if total is None:
                 total = partial.relation
             else:
-                for record in partial.relation:
-                    if total.find(total.schema.key_of(record.values)) is None:
-                        total.insert(record)
+                # Set union: inserting an element ``total`` holds is a no-op.
+                total.insert_all(partial.relation)
         assert total is not None and last is not None
         return QueryResult(
             relation=total,

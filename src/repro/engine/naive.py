@@ -121,9 +121,9 @@ def evaluate_selection_naive(selection: Selection, database) -> Relation:
     def recurse(binding_index: int, environment: dict[str, Record]) -> None:
         if binding_index == len(selection.bindings):
             if evaluate_formula(selection.formula, environment, database):
-                record = project_environment(selection, environment, result.schema)
-                if result.find(result.schema.key_of(record.values)) is None:
-                    result.insert(record)
+                # The result is a set keyed on all components: inserting an
+                # element it already holds is a no-op.
+                result.insert(project_environment(selection, environment, result.schema))
             return
         binding = selection.bindings[binding_index]
         for record in range_elements(database, binding.range, binding.var):

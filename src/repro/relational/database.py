@@ -326,7 +326,8 @@ class Database:
         ``ServiceOptions.busy_timeout`` here).  The returned journal is
         attached to every base relation, so the four tracked operators
         (``insert``/``delete``/``assign``/``clear``, plus the raw-insert fast
-        path) capture before-images until :meth:`end_transaction`.
+        path) record what each key they change held until
+        :meth:`end_transaction`.
 
         On a disk-resident database the journal is also bound to the
         write-ahead log under a fresh transaction id (unless durability is
@@ -351,14 +352,15 @@ class Database:
                 self._next_txid += 1
             self._active_journal = journal
         # From here until the transaction's outcome is fully applied,
-        # snapshot pins serve the committed overlay instead of live dicts.
+        # snapshot pins serve the committed image of every relation the
+        # transaction has touched instead of its live dict.
         # Rollback applies its outcome asynchronously to end_transaction
         # (the journal replays *after* detaching), so the journal itself
         # reports completion on that path — which publishes the restored
         # state and frees the transaction slot held through the replay.
         # (A bound method called with the journal, not a lambda closing over
         # it: journal -> lambda -> journal would be a cycle keeping every
-        # transaction's before-images until a full collection.)
+        # transaction's before-values until a full collection.)
         journal.on_rollback_finished = self._rollback_finished
         self._snapshots.transaction_started(journal)
         for relation in self._relations.values():
@@ -375,7 +377,7 @@ class Database:
         detach, so a newly admitted transaction can never find relations
         still carrying the old journal.  An *aborted* journal keeps the
         slot held: its outcome is only applied once ``journal.rollback()``
-        has replayed the before-images, and admitting a new transaction
+        has replayed the before-values, and admitting a new transaction
         mid-replay would attach a fresh journal to relations whose
         contents are still being restored.  The slot is freed by the
         journal's completion callback (:meth:`_rollback_finished`) instead.
@@ -389,18 +391,11 @@ class Database:
         for relation in self._relations.values():
             if relation._journal is journal:
                 relation.end_journal()
-        # Relations dropped during the transaction are no longer in the
-        # catalog but may still carry the journal (their before-image will
-        # be replayed into the orphaned object on rollback — harmless, and
-        # the drop itself is DDL, hence not undone).
-        for relation in journal.relations():
-            if relation._journal is journal:
-                relation.end_journal()
         # Commit: the transaction's effects are final now, so snapshot pins
         # may serve the live dicts again — published *before* the slot
         # frees, so a successor transaction's overlay can never be set up
         # first and then clobbered.  Abort: the rolled-back state is only
-        # restored once journal.rollback() has replayed the before-images —
+        # restored once journal.rollback() has replayed the before-values —
         # the journal reports completion itself then.
         if not journal.aborted:
             self._snapshots.transaction_finished(journal)
@@ -464,9 +459,11 @@ class Database:
         copy-on-write rule makes writers swap in fresh dicts before mutating
         anything a pinned snapshot holds, so readers iterate it without any
         lock.  While a transaction is active the snapshot serves the
-        *committed* pre-transaction image.  Release it (or drain the cursor
-        that holds it) promptly — every live pin forces one dict copy per
-        subsequently mutated relation.
+        *committed* pre-transaction image — for each relation the
+        transaction has touched, the first such pin pays one dict copy to
+        rebuild it.  Release it (or drain the cursor that holds it) promptly
+        — every live pin forces one dict copy per subsequently mutated
+        relation.
         """
         return self._snapshots.pin(self)
 
@@ -504,7 +501,8 @@ class Database:
             relation.bind_registry(self._snapshots)
         # DDL is not transactional (the relation survives a rollback), but
         # *data* mutations of a relation declared mid-transaction are
-        # journaled like any other — its before-image is what it holds now.
+        # journaled like any other — rollback leaves it holding what it
+        # holds now.
         if self._active_journal is not None:
             relation.begin_journal(self._active_journal)
         self.bump_schema_version()
@@ -548,10 +546,19 @@ class Database:
         # index catalog with it, so no pin sees an index without its relation.
         with self._snapshots.lock:
             relation = self._relations.pop(name)
+            # A committed image kept for mid-transaction pins is filed under
+            # the name; a successor relation of that name must not find it.
+            self._snapshots.overlay.pop(name, None)
             dropped = [index for key, index in self._indexes.items() if key[0] == name]
             self._indexes = {
                 key: index for key, index in self._indexes.items() if key[0] != name
             }
+        # A dropped relation leaves the active transaction: what it journaled
+        # so far is still set back on rollback (into the orphaned object —
+        # harmless, the drop itself is DDL and not undone), but what is done
+        # to the orphan from here on is not the database's business, and
+        # must not reach a log that could not replay it.
+        relation.end_journal()
         for index in dropped:
             relation.detach_index(index)
         stats = self._table_statistics.pop(name, None)

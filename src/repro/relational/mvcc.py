@@ -7,9 +7,10 @@ MVCC scheme at relation-dict granularity:
 
 **Pin rule.**  A reader pins a snapshot: under the registry lock it captures,
 for every base relation, a reference to the relation's current element dict
-(or, while a transaction is active, the stashed *pre-transaction* dict — see
-the overlay below), together with the committed ``data_version`` and
-``schema_version``.  Pinning copies nothing; it is O(relations).
+(or, for a relation the active transaction has touched, its *committed*
+image — see the overlay below), together with the committed ``data_version``
+and ``schema_version``.  Outside a transaction pinning copies nothing; it is
+O(relations).
 
 **Copy-on-write rule.**  Writers never mutate a dict a live snapshot may
 hold.  Every element-dict write on a registered relation runs under the
@@ -20,12 +21,24 @@ swaps the copy in before writing.  Pinned dicts are thereafter immutable by
 construction; readers iterate them without any locking at all.
 
 **Committed overlay.**  Snapshot reads must not see uncommitted transaction
-state.  The first journaled write to a relation inside a transaction always
-copies its dict and stashes the *original* (the committed image) in the
-registry's overlay; pins taken while the transaction is active capture the
-overlay dict and report the ``data_version`` recorded when the transaction
-began.  Commit or rollback completion clears the overlay and re-reads the
-committed version, so the next pin sees the new (or restored) state.
+state.  A transaction writes its relations' live dicts in place (subject
+only to the copy-on-write rule) and its undo journal remembers, per touched
+key, what the key held before (:mod:`repro.relational.journal`).  Those
+before-values are absolute, so the committed contents of a touched relation
+can be rebuilt at any moment — ``dict(live)`` with every before-value set
+back — and the reader that pins mid-transaction is the one who pays for it:
+:meth:`SnapshotRegistry.pin` asks the journal for the image the first time a
+pin meets a touched relation and keeps it in the registry's overlay, so the
+cost is one dict copy per touched relation per transaction *that a reader
+actually pinned into*, and nothing for a transaction no reader saw.  (A
+relation the transaction assigned or cleared needs no copy at all: the
+journal holds its committed dict by reference.)  Such pins report the
+``data_version`` recorded when the transaction began and the relation's
+committed contents version.  Writes record their before-value in the same
+locked section as the dict write, so a pin never reads a map that is
+growing, and never sees a write without its before-value.  Commit or
+rollback completion clears the overlay and re-reads the committed version,
+so the next pin sees the new (or restored) state.
 
 Consistency granularity is the transaction: a pin taken at any point during
 a writer's transaction observes exactly the pre-transaction contents and
@@ -111,8 +124,8 @@ class SnapshotRegistry:
         #: not clear the successor's overlay state.
         self.tx_journal = None
         #: relation name -> (committed element dict, committed per-relation
-        #: version), filled at the relation's first journaled write inside
-        #: the transaction.
+        #: version) of relations the transaction has touched — filled by the
+        #: first pin that meets each one mid-transaction, empty otherwise.
         self.overlay: dict[str, tuple[dict, int]] = {}
         #: The data version pins report while a transaction is active.
         self.committed_data_version = 0
@@ -120,7 +133,7 @@ class SnapshotRegistry:
     # -- transaction boundaries (called by Database / UndoJournal) ---------------------
 
     def transaction_started(self, journal) -> None:
-        """``journal``'s transaction opened: pins now serve the committed overlay."""
+        """``journal``'s transaction opened: pins now serve committed images."""
         with self.lock:
             self.tx_journal = journal
             self.overlay.clear()
@@ -162,17 +175,24 @@ class SnapshotRegistry:
                 data_version=data_version,
                 indexes=database._indexes,
             )
+            journal = self.tx_journal
             for name, relation in database._relations.items():
                 stashed = self.overlay.get(name)
+                if stashed is None and journal is not None:
+                    # First pin to meet this relation inside the transaction:
+                    # it pays for the committed image, later pins share it.
+                    stashed = journal.committed(relation)
+                    if stashed is not None:
+                        self.overlay[name] = stashed
                 if stashed is None:
                     captured = relation._elements
                     version = relation._version
                 else:
                     captured, version = stashed
-                    # The live dict is a private post-first-touch copy no
-                    # snapshot holds; the writer need not copy it again for
-                    # this pin.
-                    relation._cow_epoch = self.epoch
+                    if captured is not relation._elements:
+                        # The pin holds an image, not the live dict; the
+                        # writer need not copy the live dict for this pin.
+                        relation._cow_epoch = self.epoch
                 snapshot._attach(SnapshotRelation(relation, captured, snapshot.statistics))
                 snapshot.relation_versions[name] = version
         return snapshot
@@ -187,13 +207,16 @@ class SnapshotRegistry:
             # A published view of contents the committed state has moved
             # past serves no later pin; it only keeps that dict and a
             # reference per element alive on the catalogued index.
-            for (name, _), catalogued in snapshot._indexes.items():
+            journal = self.tx_journal
+            for catalogued in snapshot._indexes.values():
                 slot = catalogued.snapshot_view
                 if slot is None or slot[1] is None:
                     continue
-                stashed = self.overlay.get(name)
+                relation = catalogued.relation
                 committed = (
-                    catalogued.relation._version if stashed is None else stashed[1]
+                    relation._version
+                    if journal is None
+                    else journal.committed_version(relation)
                 )
                 if slot[0] != committed:
                     catalogued.snapshot_view = None

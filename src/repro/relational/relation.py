@@ -25,7 +25,13 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Iterator, Mapping
 
-from repro.errors import DuplicateKeyError, MissingElementError, SchemaError
+from repro.errors import (
+    DuplicateKeyError,
+    MissingElementError,
+    SchemaError,
+    TransactionError,
+    ValidationError,
+)
 from repro.relational.record import Record
 from repro.relational.reference import Ref
 from repro.relational.statistics import AccessStatistics
@@ -74,11 +80,11 @@ class Relation:
         # ``index_maintenance_ops`` counter.
         self._statistics_observers: list = []
         # The undo journal of the active session transaction, if any
-        # (attached by Database.begin_transaction).  Mutation operators call
-        # its before_mutation hook before applying themselves, so rollback
-        # can restore the pre-transaction contents.  Intermediate result
-        # relations are never journaled: the slot stays None outside a
-        # transaction, one is-None test per mutation.
+        # (attached by Database.begin_transaction).  Mutation operators log
+        # themselves through its before_mutation hook and tell it what the
+        # key they change held, so rollback can set every key back.
+        # Intermediate result relations are never journaled: the slot stays
+        # None outside a transaction, one is-None test per mutation.
         self._journal = None
         # Snapshot coordination (attached by Database when the relation is
         # registered in a catalog).  Writers consult the registry before any
@@ -199,22 +205,12 @@ class Relation:
     def _prepare_write_locked(self, registry) -> None:
         """Make ``self._elements`` safe to mutate; caller holds ``registry.lock``.
 
-        Two triggers, checked in order:
-
-        * **committed overlay** — the first write inside an active
-          transaction swaps in a private copy and stashes the committed
-          dict, so pins taken mid-transaction serve the pre-transaction
-          image;
-        * **copy-on-write** — a live snapshot may hold the current dict
-          (it was captured since the last rebind), so the write goes to a
-          fresh copy instead.
+        One trigger, **copy-on-write**: a live snapshot may hold the current
+        dict (it was captured since the last rebind), so the write goes to a
+        fresh copy instead.  A transaction's writes need nothing more — what
+        pins taken mid-transaction read is rebuilt from the journal's
+        before-values when such a pin arrives (see mvcc.py).
         """
-        if registry.tx_active and self.name not in registry.overlay:
-            committed = self._elements
-            self._elements = dict(committed)
-            self._cow_epoch = registry.epoch
-            registry.overlay[self.name] = (committed, self._version)
-            return
         if registry.active and self._cow_epoch < registry.epoch:
             self._elements = dict(self._elements)
             self._cow_epoch = registry.epoch
@@ -223,10 +219,9 @@ class Relation:
         """Replace the element dict wholesale (``assign`` / ``clear``).
 
         A rebind never copies — the old dict is simply left to whichever
-        snapshots captured it — but inside a transaction the committed dict
-        still has to reach the overlay on first touch.  The contents-version
-        bump rides in the same locked section as the swap, so a pin never
-        sees the new dict under the old version.
+        snapshots (and, inside a transaction, whichever journal) captured
+        it.  The contents-version bump rides in the same locked section as
+        the swap, so a pin never sees the new dict under the old version.
         """
         registry = self._registry
         if registry is None:
@@ -234,8 +229,6 @@ class Relation:
             self._version += 1
             return
         with registry.lock:
-            if registry.tx_active and self.name not in registry.overlay:
-                registry.overlay[self.name] = (self._elements, self._version)
             self._elements = new
             self._version += 1
             self._cow_epoch = registry.epoch
@@ -243,12 +236,18 @@ class Relation:
     # -- transactional journaling ---------------------------------------------------
 
     def begin_journal(self, journal) -> None:
-        """Attach the undo journal of an opening transaction."""
-        if self._journal is not None and self._journal is not journal:
-            from repro.errors import TransactionError
+        """Attach the undo journal of an opening transaction.
 
+        Only a catalogued relation is journaled: the journal records its
+        before-values under the registry lock the relation's writes take.
+        """
+        if self._journal is not None and self._journal is not journal:
             raise TransactionError(
                 f"relation {self.name!r} is already journaled by another transaction"
+            )
+        if self._registry is None:
+            raise TransactionError(
+                f"relation {self.name!r} belongs to no database and cannot be journaled"
             )
         self._journal = journal
 
@@ -296,14 +295,17 @@ class Relation:
             raise DuplicateKeyError(
                 f"relation {self.name!r} already holds a different element with key {key}"
             )
-        if self._journal is not None:
-            self._journal.before_mutation(self, "insert", record=record)
+        journal = self._journal
+        if journal is not None:
+            journal.before_mutation(self, "insert", record=record)
         registry = self._registry
         if registry is None:
             self._elements[key] = record
             self._version += 1
         else:
             with registry.lock:
+                if journal is not None:
+                    journal.remember(self, key, None)
                 self._prepare_write_locked(registry)
                 self._elements[key] = record
                 self._version += 1
@@ -329,8 +331,9 @@ class Relation:
         """
         values = record.values
         key = values if self._key_is_all else self.schema.key_of(values)
-        if self._journal is not None:
-            self._journal.before_mutation(self, "insert", record=record)
+        journal = self._journal
+        if journal is not None:
+            journal.before_mutation(self, "insert", record=record)
         if self._observed:
             existing = self._elements.get(key)
             if existing is not None and existing != record:
@@ -343,6 +346,8 @@ class Relation:
             self._version += 1
         else:
             with registry.lock:
+                if journal is not None:
+                    journal.remember(self, key, self._elements.get(key))
                 self._prepare_write_locked(registry)
                 self._elements[key] = record
                 self._version += 1
@@ -391,8 +396,17 @@ class Relation:
         """Remove the element identified by ``key``; return ``True`` if present."""
         if not isinstance(key, tuple):
             key = (key,)
-        if self._journal is not None and key in self._elements:
-            self._journal.before_mutation(self, "delete", key=key)
+        if key not in self._elements:
+            key = self._respelled(key)
+            if key is None:
+                return False
+        return self._remove(key)
+
+    def _remove(self, key: tuple) -> bool:
+        """Remove the element stored under ``key`` (its stored spelling)."""
+        journal = self._journal
+        if journal is not None:
+            journal.before_mutation(self, "delete", key=key)
         registry = self._registry
         if registry is None:
             removed_record = self._elements.pop(key, None)
@@ -400,6 +414,8 @@ class Relation:
                 self._version += 1
         else:
             with registry.lock:
+                if journal is not None:
+                    journal.remember(self, key, self._elements.get(key))
                 self._prepare_write_locked(registry)
                 removed_record = self._elements.pop(key, None)
                 if removed_record is not None:
@@ -430,11 +446,34 @@ class Relation:
 
     # -- selected variables and references -----------------------------------------
 
+    def _respelled(self, key: tuple) -> tuple | None:
+        """The stored spelling of a key that just missed, or ``None``.
+
+        Miss path only.  Elements are stored under the canonical (coerced)
+        form of their key, but a caller may spell a component any way its
+        type accepts — a packed char array without its blank padding, an
+        enumeration value by its label.  Every lookup tries the key as
+        given first, which is what the engine passes and costs nothing
+        extra; only a miss retries under the canonical form, so ``find``,
+        ``delete_key`` and friends agree with ``delete`` (which coerces the
+        whole element) on what a key denotes.
+        """
+        try:
+            canonical = self.schema.canonical_key(key)
+        except ValidationError:
+            return None
+        return canonical if canonical in self._elements else None
+
     def find(self, key: tuple | Any) -> Record | None:
         """The element with key ``key`` or ``None``."""
         if not isinstance(key, tuple):
             key = (key,)
-        return self._elements.get(key)
+        record = self._elements.get(key)
+        if record is None:
+            key = self._respelled(key)
+            if key is not None:
+                record = self._elements.get(key)
+        return record
 
     def fetch(self, key: tuple | Any) -> Record | None:
         """Fetch one element by key with access accounting.
@@ -462,9 +501,12 @@ class Relation:
         if not isinstance(key, tuple):
             key = (key,)
         if key not in self._elements:
-            raise MissingElementError(
-                f"cannot form @{self.name}[{key}]: no such element"
-            )
+            stored = self._respelled(key)
+            if stored is None:
+                raise MissingElementError(
+                    f"cannot form @{self.name}[{key}]: no such element"
+                )
+            key = stored
         return Ref(self, key)
 
     def ref_of(self, record: Record) -> Ref:
@@ -533,9 +575,8 @@ class Relation:
             key = self.schema.key_of(element.values)
             stored = self._elements.get(key)
             return stored == element
-        if isinstance(element, tuple):
-            return element in self._elements
-        return (element,) in self._elements
+        key = element if isinstance(element, tuple) else (element,)
+        return key in self._elements or self._respelled(key) is not None
 
     def contains_key(self, key: tuple | Any) -> bool:
         """Whether an element with key ``key`` exists."""

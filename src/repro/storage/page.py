@@ -35,6 +35,7 @@ class Page:
         self.page_number = page_number
         self.capacity = capacity
         self._slots: list[Optional[Record]] = []
+        self._live = 0
         # Zone map: per-component (min, max) sort keys over the live records,
         # computed lazily and invalidated wholesale on any page mutation.
         self._zones: dict[str, tuple | None] | None = None
@@ -48,6 +49,7 @@ class Page:
         if self.is_full():
             raise StorageError(f"page {self.page_number} is full")
         self._slots.append(record)
+        self._live += 1
         self._zones = None
         return len(self._slots) - 1
 
@@ -61,12 +63,21 @@ class Page:
                 f"page {self.page_number}"
             ) from None
 
+    def overwrite(self, slot: int, record: Record) -> None:
+        """Replace the live record in ``slot`` (an update in place)."""
+        if self.read(slot) is None:
+            raise StorageError(f"cannot overwrite dead slot {slot} of page {self.page_number}")
+        self._slots[slot] = record
+        self._zones = None
+
     def tombstone(self, slot: int) -> None:
-        """Mark ``slot`` as deleted."""
+        """Mark ``slot`` as deleted (a no-op on a slot that already is)."""
         if slot < 0 or slot >= len(self._slots):
             raise StorageError(f"cannot tombstone unallocated slot {slot}")
-        self._slots[slot] = None
-        self._zones = None
+        if self._slots[slot] is not None:
+            self._slots[slot] = None
+            self._live -= 1
+            self._zones = None
 
     # -- zone map -------------------------------------------------------------
 
@@ -124,7 +135,7 @@ class Page:
 
     def live_count(self) -> int:
         """Number of live records."""
-        return sum(1 for record in self._slots if record is not None)
+        return self._live
 
     def allocated(self) -> int:
         """Number of allocated slots (live + tombstoned)."""

@@ -8,7 +8,7 @@ corrupted frame):
 
 1. **Analysis** — classify every transaction seen in the log as committed
    (a ``COMMIT`` record survived), aborted (an ``ABORT`` record survived —
-   the undo journal already restored the before-images in-memory, so the
+   the undo journal already set the touched keys back in memory, so the
    log's operation records must *not* be reapplied), or a **loser** (a
    ``BEGIN`` with no outcome record: the process died mid-transaction, or
    the commit's flush never reached the disk).

@@ -71,18 +71,19 @@ class StoredRelation(Relation):
 
     def insert_raw(self, record: Record) -> Record:
         # Keep the heap file coherent for raw inserts too: a key overwrite
-        # tombstones the old slot, a fresh key appends.  (Hot algebra paths
+        # rewrites the element's slot in place (its position in the dict
+        # does not move either), a fresh key appends.  (Hot algebra paths
         # never hit this — intermediate result relations are in-memory.)
         record = super().insert_raw(record)
         key = record.values if self._key_is_all else self.schema.key_of(record.values)
         rid = self._rids.get(key)
-        if rid is not None:
+        if rid is None:
+            rid = self._rids[key] = self._heap.append(record)
+        else:
             stored = self._heap.read(rid)
             if stored is record or stored == record:
                 return record
-            self._heap.delete(rid)
-            self._pool.mark_dirty(self.name, rid.page_number, self._mutation_lsn())
-        rid = self._rids[key] = self._heap.append(record)
+            self._heap.overwrite(rid, record)
         self._pool.mark_dirty(self.name, rid.page_number, self._mutation_lsn())
         return record
 
@@ -90,14 +91,11 @@ class StoredRelation(Relation):
         for record in records:
             self.insert_raw(record)
 
-    def delete_key(self, key: tuple | Any) -> bool:
-        # Relation.delete normalizes elements to keys and routes through
-        # delete_key, so overriding this single method keeps the heap file
-        # (and the incremental index maintenance in the superclass) in step
-        # for both delete entry points.
-        if not isinstance(key, tuple):
-            key = (key,)
-        removed = super().delete_key(key)
+    def _remove(self, key: tuple) -> bool:
+        # Every delete entry point (delete, delete_key, a rollback's
+        # restores) ends in _remove with the stored spelling of the key, so
+        # overriding this single method keeps the heap file in step.
+        removed = super()._remove(key)
         if removed:
             rid = self._rids.pop(key, None)
             if rid is not None:
@@ -148,7 +146,7 @@ class StoredRelation(Relation):
         """
         if self.tracker is not None:
             self.tracker.record_scan(self.name)
-        for page_number in range(self._heap.page_count):
+        for page_number in self._heap.page_numbers():
             page = self._pool.pin(self._heap, page_number)
             try:
                 for record in page.records():
@@ -170,7 +168,7 @@ class StoredRelation(Relation):
         """
         if self.tracker is not None:
             self.tracker.record_scan(self.name)
-        for page_number in range(self._heap.page_count):
+        for page_number in self._heap.page_numbers():
             if not self._heap.page(page_number).may_contain(field_name, op, value):
                 if self.tracker is not None:
                     self.tracker.record_pages_skipped()
@@ -190,7 +188,10 @@ class StoredRelation(Relation):
             key = (key,)
         rid = self._rids.get(key)
         if rid is None:
-            return None
+            key = self._respelled(key)
+            if key is None:
+                return None
+            rid = self._rids[key]
         page = self._pool.get_page(self._heap, rid.page_number)
         if self.tracker is not None:
             self.tracker.record_element_read(self.name)
@@ -233,7 +234,7 @@ class StoredRelation(Relation):
             self._rids[key] = self._heap.append(record)
         self._pool.invalidate(self.name)
         self._pool.discard_dirty(self.name)
-        for page_number in range(self._heap.page_count):
+        for page_number in self._heap.page_numbers():
             self._pool.mark_dirty(self.name, page_number, 0)
 
     # -- storage inspection -------------------------------------------------------------

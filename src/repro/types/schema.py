@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
-from repro.errors import SchemaError
+from repro.errors import SchemaError, ValidationError
 from repro.types.scalar import ScalarType
 
 __all__ = ["Field", "RelationSchema"]
@@ -218,6 +218,26 @@ class RelationSchema:
         if not isinstance(values, tuple) and isinstance(values, Mapping):
             return tuple(values[k] for k in self.key)
         return tuple(values[p] for p in self._key_positions)
+
+    def canonical_key(self, key: Sequence[Any]) -> tuple[Any, ...]:
+        """``key`` with every component coerced through its declared type.
+
+        The stored spelling of a key: elements are filed under coerced
+        values (blank-padded char arrays, enumeration values rather than
+        labels), so this is the form a lookup must use.  A key of the wrong
+        arity or with an ill-typed component raises
+        :class:`~repro.errors.ValidationError`.
+        """
+        if len(key) != len(self._key_positions):
+            raise ValidationError(
+                f"key {tuple(key)!r} does not have the {len(self.key)} "
+                f"component(s) <{', '.join(self.key)}> of schema {self.name!r}"
+            )
+        fields = self.fields
+        return tuple(
+            fields[position].type.coerce(value)
+            for position, value in zip(self._key_positions, key)
+        )
 
     def keys_of(self, rows: Sequence[tuple]) -> list[tuple]:
         """Key tuples of many storage-ordered value tuples (:meth:`key_of` in bulk)."""

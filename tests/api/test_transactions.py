@@ -1,35 +1,53 @@
 """Sessions and the undo journal: begin/commit/rollback semantics and exactness.
 
-The headline invariant (ISSUE 5 acceptance): after *any* journaled mutation
-sequence, ``rollback()`` leaves relations, permanent indexes and cached-plan
-validity identical to the pre-``begin`` snapshot — on both storage backends.
-The hypothesis property drives random insert/delete/assign/clear
-interleavings (extending the machinery of
-``tests/relational/test_index_maintenance.py``) and checks the restored
-database against a fresh rebuild, element order, index contents and zone
-maps included.
+The headline invariant: after *any* journaled mutation sequence,
+``rollback()`` restores every relation's **value** and leaves the database
+in exactly the state that committing the transaction and then applying its
+inverse key by key would have — on both storage backends.  The hypothesis
+property drives random insert/delete/raw-overwrite/assign/clear
+interleavings over several relations (one of them created, one dropped
+mid-transaction) and checks, after the rollback:
+
+(a) every relation's ``to_set()`` and cardinality equal pre-``begin``, and
+    the elements the transaction never touched keep their relative order;
+(b) every permanent index's probe answers, every statistics maintainer's
+    counts and every heap page's zone map equal a rebuild from the relation
+    as it stands;
+(c) the heap's live records equal ``elements()``, in the same order;
+(d) the whole database — element order included — equals a twin that
+    *committed* the same operations and then set each touched key back
+    through ``delete_key``/``insert`` (``assign`` for a relation the
+    transaction assigned or cleared): the model the contract names.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import StrategyOptions, TransactionError, connect, execute_naive
 from repro.relational.database import Database
+from repro.relational.histogram import TableStatistics
 from repro.relational.index import HashIndex, build_index
-from repro.types.scalar import INTEGER, Subrange
+from repro.relational.record import Record
+from repro.types.scalar import INTEGER, Subrange, sort_key
 from repro.workloads.queries import EXAMPLE_21_TEXT, PROFESSORS_TEXT
 
 _SMALL = Subrange(0, 9, "small")
+_FIELDS = [("k", INTEGER), ("v", _SMALL)]
 
-#: One random mutation: (op, key, value) — keys collide often so deletes hit
-#: and inserts no-op on duplicates (same distribution as the index
-#: maintenance property suite).
+#: One random mutation: (op, relation, key, value) — keys collide often so
+#: deletes hit, inserts no-op on duplicates and raw inserts overwrite.  ``r``
+#: and ``s`` exist at ``begin``; ``create`` declares ``t`` and ``drop`` drops
+#: ``s`` mid-transaction (DDL is not transactional; their *data* is).
 _OPS = st.lists(
     st.tuples(
-        st.sampled_from(("insert", "delete", "assign", "clear")),
+        st.sampled_from(
+            ("insert", "insert", "delete", "delete", "raw", "assign", "clear",
+             "create", "drop")
+        ),
+        st.sampled_from(("r", "r", "s", "t")),
         st.integers(min_value=0, max_value=7),
         st.integers(min_value=0, max_value=9),
     ),
@@ -42,7 +60,7 @@ def _make_database(paged: bool) -> Database:
     database = Database("transactional", paged=paged)
     database.create_relation(
         "r",
-        [("k", INTEGER), ("v", _SMALL)],
+        _FIELDS,
         key=["k"],
         page_capacity=4,
         elements=[{"k": k, "v": (k * 3) % 10} for k in range(6)],
@@ -52,83 +70,250 @@ def _make_database(paged: bool) -> Database:
     return database
 
 
-def _apply(relation, op: str, key: int, value: int, state: dict[int, int]) -> None:
-    if op == "insert":
-        if state.get(key, value) != value:
-            return  # would be a key violation; not what this suite is about
-        relation.insert({"k": key, "v": value})
-        state[key] = value
-    elif op == "delete":
-        relation.delete_key(key)
-        state.pop(key, None)
-    elif op == "assign":
-        state.pop(key, None)
-        state[key] = value
-        relation.assign([{"k": k, "v": v} for k, v in sorted(state.items())])
-    else:  # clear
-        relation.clear()
-        state.clear()
+def _make_databases(paged: bool) -> tuple[Database, dict]:
+    """``r`` (indexed, with statistics) and ``s``; ``relations`` keeps every
+    relation object the run meets, dropped ones included."""
+    database = _make_database(paged)
+    database.table_statistics("r")
+    database.create_relation(
+        "s", _FIELDS, key=["k"], page_capacity=4,
+        elements=[{"k": k, "v": k} for k in (1, 3, 5)],
+    )
+    database.create_index("s", "v")
+    return database, {name: database.relation(name) for name in ("r", "s")}
+
+
+def _contents(relation) -> dict[int, int]:
+    """Key -> value of ``relation``, in iteration order."""
+    return {record["k"]: record["v"] for record in relation.elements()}
+
+
+def _set_back(elements: dict, before: dict) -> None:
+    """The inverse per key, on a plain dict: what the contract says happens.
+
+    A key that holds its before-value is left where it is; any other is
+    removed and, if it held something, re-inserted (at the end).
+    """
+    for key, held in before.items():
+        if elements.get(key) != held:
+            elements.pop(key, None)
+            if held is not None:
+                elements[key] = held
+
+
+class _Run:
+    """Applies one operation list to a database, and models what the
+    transaction has touched the way the contract describes it."""
+
+    def __init__(self, database: Database, relations: dict) -> None:
+        self.database = database
+        self.relations = relations
+        #: relation -> key -> value held at first touch (``None``: absent).
+        self.before: dict[str, dict[int, int | None]] = {}
+        #: relation -> its contents with every touched key set back, taken
+        #: when the first assign/clear arrived.
+        self.image: dict[str, dict[int, int]] = {}
+
+    def _touch(self, name: str, key: int) -> None:
+        before = self.before.setdefault(name, {})
+        if name not in self.image and key not in before:
+            before[key] = _contents(self.relations[name]).get(key)
+
+    def _touch_all(self, name: str) -> None:
+        before = self.before.setdefault(name, {})
+        if name not in self.image:
+            image = _contents(self.relations[name])
+            _set_back(image, before)
+            self.image[name] = image
+
+    def apply(self, op: str, name: str, key: int, value: int) -> None:
+        database = self.database
+        if op == "create":
+            if "t" not in self.relations:
+                self.relations["t"] = database.create_relation(
+                    "t", _FIELDS, key=["k"], page_capacity=4,
+                    elements=[{"k": 0, "v": 0}, {"k": 1, "v": 1}],
+                )
+                database.create_index("t", "v")
+            return
+        if op == "drop":
+            if database.has_relation("s"):
+                database.drop_relation("s")
+            return
+        relation = self.relations.get(name)
+        if relation is None or not database.has_relation(name):
+            return  # ``t`` before its creation, ``s`` once it is an orphan
+        held = _contents(relation).get(key)
+        if op == "insert":
+            if held is None:
+                self._touch(name, key)
+                relation.insert({"k": key, "v": value})
+            # else: a no-op (same value) or a key violation; neither is
+            # what this suite is about.
+        elif op == "delete":
+            if held is not None:
+                self._touch(name, key)
+            relation.delete_key(key)
+        elif op == "raw":
+            self._touch(name, key)
+            relation.insert_raw(Record(relation.schema, {"k": key, "v": value}))
+        elif op == "assign":
+            self._touch_all(name)
+            state = _contents(relation)
+            state.pop(key, None)
+            state[key] = value
+            relation.assign([{"k": k, "v": v} for k, v in sorted(state.items())])
+        else:  # clear
+            self._touch_all(name)
+            relation.clear()
+
+    def apply_inverse(self) -> None:
+        """Set every touched key back through the ordinary operators."""
+        for name in reversed(list(self.before)):
+            relation = self.relations[name]
+            if name in self.image:
+                relation.assign(
+                    [{"k": k, "v": v} for k, v in self.image[name].items()]
+                )
+                continue
+            for key, held in self.before[name].items():
+                if _contents(relation).get(key) != held:
+                    relation.delete_key(key)
+                    if held is not None:
+                        relation.insert({"k": key, "v": held})
+
+
+def _assert_coherent(relation, indexes, statistics) -> None:
+    """(b) and (c): everything derived from ``relation`` matches a rebuild."""
+    for maintained in indexes:
+        operator = "=" if isinstance(maintained, HashIndex) else "<="
+        rebuilt = build_index(relation, maintained.field_name, operator)
+        assert len(maintained) == len(rebuilt), maintained.name
+        for probe_value in range(-1, 11):
+            for probe_operator in ("=",) if operator == "=" else ("=", "<=", ">"):
+                got = sorted(
+                    ref.key for ref in maintained.probe_operator(probe_operator, probe_value)
+                )
+                want = sorted(
+                    ref.key for ref in rebuilt.probe_operator(probe_operator, probe_value)
+                )
+                assert got == want, (maintained.name, probe_operator, probe_value)
+    if statistics is not None:
+        rebuilt = TableStatistics(relation)
+        for name, column in statistics.columns.items():
+            assert column.counts == rebuilt.columns[name].counts, name
+            assert column.total == rebuilt.columns[name].total == len(relation), name
+    heap = getattr(relation, "heap_file", None)
+    if heap is not None:
+        assert [record.values for record in heap.records()] == [
+            record.values for record in relation.elements()
+        ]
+        assert heap.live_count() == len(relation)
+        for page in heap.pages():
+            for field_name in ("k", "v"):
+                keys = [sort_key(record[field_name]) for record in page.records()]
+                expected = (min(keys), max(keys)) if keys else None
+                assert page.zone(field_name) == expected, (page, field_name)
+
+
+def _warm_zone_maps(relations: dict) -> None:
+    """Compute every page's zone map, so a stale cache would show later."""
+    for relation in relations.values():
+        heap = getattr(relation, "heap_file", None)
+        if heap is not None:
+            for page in heap.pages():
+                for field_name in ("k", "v"):
+                    page.zone(field_name)
 
 
 def _assert_identical_to_fresh_rebuild(database: Database, paged: bool) -> None:
     """Relation contents, index answers and zone maps match a fresh build."""
     relation = database.relation("r")
-    elements = [record.values for record in relation.elements()]
-    fresh_db = Database("fresh", paged=paged)
-    fresh_relation = fresh_db.create_relation(
-        "r",
-        [("k", INTEGER), ("v", _SMALL)],
-        key=["k"],
-        page_capacity=4,
-        elements=relation.elements(),
+    fresh_relation = Database("fresh", paged=paged).create_relation(
+        "r", _FIELDS, key=["k"], page_capacity=4, elements=relation.elements(),
     )
-    assert [record.values for record in fresh_relation.elements()] == elements
-
-    for relation_name, field_name in database.indexes():
-        maintained = database.index_for(relation_name, field_name)
-        operator = "=" if isinstance(maintained, HashIndex) else "<="
-        rebuilt = build_index(relation, field_name, operator)
-        assert len(maintained) == len(rebuilt), field_name
-        for probe_value in range(-1, 11):
-            got = sorted(ref.key for ref in maintained.probe_operator("=", probe_value))
-            want = sorted(ref.key for ref in rebuilt.probe_operator("=", probe_value))
-            assert got == want, (field_name, probe_value)
-
+    assert [record.values for record in fresh_relation.elements()] == [
+        record.values for record in relation.elements()
+    ]
+    _assert_coherent(relation, relation.maintained_indexes(), None)
     if paged:
         assert relation.page_count == fresh_relation.page_count
-        for page_number in range(relation.page_count):
-            page = relation.heap_file.page(page_number)
-            fresh_page = fresh_relation.heap_file.page(page_number)
+        for page, fresh_page in zip(relation.heap_file.pages(), fresh_relation.heap_file.pages()):
             for field_name in ("k", "v"):
                 assert page.zone(field_name) == fresh_page.zone(field_name), (
-                    page_number,
+                    page.page_number,
                     field_name,
                 )
 
 
 @pytest.mark.parametrize("paged", (False, True), ids=("memory", "paged"))
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(ops=_OPS)
-def test_rollback_restores_state_byte_identically(paged: bool, ops) -> None:
-    """Random journaled interleavings, then rollback == never happened."""
-    database = _make_database(paged)
-    relation = database.relation("r")
-    before_elements = [record.values for record in relation.elements()]
-    before_schema_version = database.schema_version
-    state = {record["k"]: record["v"] for record in relation.elements()}
+# One key inserted, deleted and re-inserted with another value.
+@example(ops=[("insert", "r", 7, 1), ("delete", "r", 7, 0), ("insert", "r", 7, 2)])
+# A stored element deleted and re-inserted with its old value / another one.
+@example(ops=[("delete", "r", 2, 0), ("insert", "r", 2, 6), ("delete", "r", 3, 0),
+              ("insert", "r", 3, 1)])
+# insert_raw overwriting a stored element, then the same key again.
+@example(ops=[("raw", "r", 1, 9), ("raw", "r", 1, 4), ("raw", "s", 3, 3)])
+# assign / clear before and after row-level writes.
+@example(ops=[("assign", "r", 6, 1), ("insert", "r", 7, 2), ("delete", "r", 0, 0)])
+@example(ops=[("insert", "r", 7, 2), ("delete", "r", 0, 0), ("raw", "r", 1, 9),
+              ("clear", "r", 0, 0), ("insert", "r", 3, 3)])
+@example(ops=[("delete", "s", 1, 0), ("assign", "s", 1, 5), ("clear", "s", 0, 0),
+              ("assign", "s", 2, 2)])
+# A relation created, and one dropped, mid-transaction.
+@example(ops=[("create", "t", 0, 0), ("insert", "t", 5, 5), ("delete", "t", 0, 0),
+              ("delete", "s", 3, 0), ("drop", "s", 0, 0)])
+def test_rollback_restores_every_value_and_equals_commit_then_inverse(paged: bool, ops) -> None:
+    """Random journaled interleavings, then rollback: (a)-(d) of the module docstring."""
+    database, relations = _make_databases(paged)
+    twin_database, twin_relations = _make_databases(paged)
+    before = {name: _contents(relation) for name, relation in relations.items()}
+    before_data_version = database.data_version
 
     connection = connect(database)
     session = connection.session()
-    with session:
-        for op, key, value in ops:
-            _apply(relation, op, key, value, state)
-        assert {r["k"]: r["v"] for r in relation.elements()} == state
+    run = _Run(database, relations)
+    twin = _Run(twin_database, twin_relations)
+    with session, connect(twin_database).session():
+        for op in ops:
+            run.apply(*op)
+            twin.apply(*op)
+        _warm_zone_maps(relations)
+        ddl_version = database.schema_version
         session.rollback()
+        # ... while the twin commits (leaving its ``with`` block) ...
+    twin.apply_inverse()  # ... and then undoes itself key by key.
 
-    assert [record.values for record in relation.elements()] == before_elements
-    assert database.schema_version == before_schema_version
+    assert database.schema_version == ddl_version  # rollback is no catalog change
+    assert database.data_version >= before_data_version
     assert not database.in_transaction
-    _assert_identical_to_fresh_rebuild(database, paged)
+    assert run.before == twin.before and run.image == twin.image
+    before.setdefault("t", {0: 0, 1: 1})
+    for name, relation in relations.items():
+        # (a) the value, and the order of what the transaction left alone.
+        assert _contents(relation) == before[name], name
+        assert len(relation) == len(before[name])
+        assert relation.to_set() == frozenset(
+            Record(relation.schema, {"k": k, "v": v}) for k, v in before[name].items()
+        )
+        if name not in run.image:
+            touched = run.before.get(name, {})
+            assert [k for k in _contents(relation) if k not in touched] == [
+                k for k in before[name] if k not in touched
+            ], name
+        # (b), (c): indexes, statistics, heap and zone maps follow.
+        catalogued = database.has_relation(name)  # ``s`` may be an orphan now
+        indexes = relation.maintained_indexes()
+        assert len(indexes) == ((2 if name == "r" else 1) if catalogued else 0)
+        statistics = database.table_statistics(name, create=False) if catalogued else None
+        _assert_coherent(relation, indexes, statistics)
+        # (d) element for element the twin that committed and undid itself.
+        assert list(_contents(relation).items()) == list(
+            _contents(twin_relations[name]).items()
+        ), name
+        assert relation._journal is None
     connection.close()
 
 
@@ -521,8 +706,7 @@ class _StallingIndex:
         self.entered.set()
         assert self.release.wait(timeout=10.0)
 
-    def remove(self, record):
-        pass
+    remove = add
 
     def clear(self):
         pass
@@ -554,7 +738,7 @@ class TestRollbackHoldsTheTransactionSlot:
         session = connection.session()
         session.begin()
         relation.insert({"k": 2})
-        relation.attach_index(stall)  # only the replay's re-inserts stall
+        relation.attach_index(stall)  # only the replay's restores stall
 
         rolled = threading.Event()
 

@@ -187,3 +187,118 @@ def test_bibliography_partition_auto_pick_stays_won():
     assert row["spec_uniform"].startswith("hash("), row
     assert row["spec_histogram"].startswith("range("), row
     assert row["load_fraction"] <= BIBLIO_RANGE_LOAD_FRACTION, row
+
+
+# ------------------------------------ PR 17: a transaction costs what it changes
+
+
+def _indexed_ledger(paged: bool):
+    from repro.relational.database import Database
+    from repro.types.scalar import INTEGER, Subrange
+
+    database = Database("ledger", paged=paged)
+    relation = database.create_relation(
+        "ledger",
+        [("k", INTEGER), ("bucket", Subrange(0, 99, "bucket")), ("n", INTEGER)],
+        key=["k"],
+    )
+    for k in range(5_000):
+        relation.insert({"k": k, "bucket": k % 100, "n": k * 7})
+    database.create_index("ledger", "bucket")
+    database.create_index("ledger", "n", operator="<=")
+    database.create_index("ledger", "k")
+    return database, relation
+
+
+@pytest.mark.parametrize("paged", (False, True), ids=("memory", "paged"))
+def test_a_rolled_back_five_row_transaction_costs_five_rows(paged, monkeypatch):
+    """Counts, not clocks: on a 5 000-row relation with three indexes, five
+    inserts and their rollback maintain each index ten times — and nothing
+    ever walks, copies or reassigns the relation."""
+    from repro.relational.relation import Relation
+    from repro.storage.storedrelation import StoredRelation
+
+    database, relation = _indexed_ledger(paged)
+    indexes = len(relation.maintained_indexes())
+    assert indexes == 3
+    elements = relation._elements
+
+    def forbidden(self, *args, **kwargs):
+        raise AssertionError("a five-row transaction touched the whole relation")
+
+    monkeypatch.setattr(Relation, "elements", forbidden)
+    monkeypatch.setattr(Relation, "assign", forbidden)
+    monkeypatch.setattr(StoredRelation, "assign", forbidden)
+
+    session = connect(database).session()
+    before = database.statistics.index_maintenance_ops
+    session.begin()
+    for k in range(5_000, 5_005):
+        relation.insert({"k": k, "bucket": k % 100, "n": k})
+    session.rollback()
+    assert database.statistics.index_maintenance_ops - before == 2 * 5 * indexes
+    assert len(relation) == 5_000 and relation.find(5_000) is None
+    assert relation._elements is elements and not database._snapshots.overlay
+
+    # Five deletes and their rollback: the same count again.
+    before = database.statistics.index_maintenance_ops
+    session.begin()
+    for k in range(100, 105):
+        assert relation.delete_key(k)
+    session.rollback()
+    assert database.statistics.index_maintenance_ops - before == 2 * 5 * indexes
+    assert len(relation) == 5_000 and relation.find(102).n == 714
+    assert relation._elements is elements
+
+
+def test_window_churn_keeps_the_heap_within_twice_the_live_records():
+    """``durable_writes``' shape — insert a paper with its links, retire the
+    oldest of a window of 250, every 50th transaction rolled back — for 2 000
+    transactions: each heap holds at most 2 x live slots plus one page."""
+    from repro.workloads.bibliography.generator import build_bibliography_database
+    from repro.workloads.bibliography.schema import create_standard_indexes
+
+    database = build_bibliography_database(scale=2)
+    create_standard_indexes(database)
+    papers, authorship, citations = (
+        database.relation(name) for name in ("papers", "authorship", "citations")
+    )
+    anrs = [record.anr for record in database.relation("authors")]
+    cited = [record.pnr for record in papers]
+    vnr = next(iter(database.relation("venues"))).vnr
+    session = connect(database).session()
+    live: list[int] = []
+    for number in range(2_000):
+        pnr = 1_000_000 + number
+        links = [anrs[(number + offset) % len(anrs)] for offset in (0, 1)]
+        targets = [cited[(number + offset) % len(cited)] for offset in (0, 1)]
+        session.begin()
+        papers.insert({"pnr": pnr, "ptitle": f"Bench {pnr}", "pyear": 2000,
+                       "pvnr": vnr, "pkey": f"bench/{pnr}"})
+        for anr in links:
+            authorship.insert({"wanr": anr, "wpnr": pnr})
+        for dst in targets:
+            citations.insert({"csrc": pnr, "cdst": dst})
+        if len(live) >= 250:
+            retired = live[0]
+            assert citations.delete_key((retired, cited[(retired - 1_000_000) % len(cited)]))
+            assert citations.delete_key((retired, cited[(retired - 999_999) % len(cited)]))
+            assert authorship.delete_key((anrs[(retired - 1_000_000) % len(anrs)], retired))
+            assert authorship.delete_key((anrs[(retired - 999_999) % len(anrs)], retired))
+            assert papers.delete_key(retired)
+        if number % 50 == 49:
+            session.rollback()
+        else:
+            session.commit()
+            live.append(pnr)
+            if len(live) > 250:
+                live.pop(0)
+    for relation in (papers, authorship, citations):
+        heap = relation.heap_file
+        assert heap.live_count() == len(relation)
+        assert heap.allocated_slots() <= 2 * len(relation) + heap.page_capacity, (
+            relation.name, heap.allocated_slots(), len(relation), heap.page_count
+        )
+        assert [record.values for record in heap.records()] == [
+            record.values for record in relation.elements()
+        ]

@@ -204,3 +204,72 @@ class TestRelationSemantics:
     def test_show_with_limit(self, employees):
         text = employees.show(limit=1)
         assert "more" in text
+
+
+class TestKeysAreCanonicalisedAtTheRelationBoundary:
+    """A key denotes the same element however the caller spells it: a packed
+    char array without its blank padding, an enumeration value by its label.
+    ``delete_key``/``find``/... used to miss where ``delete`` (which coerces
+    the whole element) hit."""
+
+    @pytest.fixture(params=("memory", "paged"))
+    def labelled(self, request):
+        schema = RelationSchema(
+            "labelled",
+            [("code", CharArray(6)), ("level", STATUS), ("n", INTEGER)],
+            key=["code", "level"],
+        )
+        rows = [
+            {"code": "abc", "level": "student", "n": 1},
+            {"code": "abcdef", "level": "professor", "n": 2},
+            {"code": "", "level": "assistant", "n": 3},
+        ]
+        if request.param == "paged":
+            from repro.storage.storedrelation import StoredRelation
+
+            return StoredRelation("labelled", schema, rows, page_capacity=2)
+        return Relation("labelled", schema, rows)
+
+    def test_every_lookup_finds_the_unpadded_spelling(self, labelled):
+        stored = ("abc   ", STATUS.student)
+        for spelling in (("abc", "student"), ("abc", STATUS.student), ("abc   ", "student"), stored):
+            assert labelled.find(spelling).n == 1
+            assert labelled.fetch(spelling).n == 1
+            assert labelled[spelling].n == 1
+            assert labelled.contains_key(spelling)
+            assert spelling in labelled
+            reference = labelled.ref(spelling)
+            assert reference.key == stored and reference.deref().n == 1
+        assert labelled.find(("", "assistant")).n == 3
+
+    def test_misses_stay_misses(self, labelled):
+        for spelling in (("abd", "student"), ("abc", "professor"), ("abc",), ("abc", "ceo"),
+                         ("abcdefg", "student"), (7, "student"), "abc"):
+            assert labelled.find(spelling) is None
+            assert labelled.fetch(spelling) is None
+            assert not labelled.contains_key(spelling)
+            assert spelling not in labelled
+            assert not labelled.delete_key(spelling)
+            with pytest.raises(MissingElementError):
+                labelled.ref(spelling)
+        assert len(labelled) == 3
+
+    def test_delete_key_deletes_what_delete_deletes(self, labelled):
+        assert labelled.delete_key(("abc", "student"))
+        assert not labelled.delete_key(("abc", "student"))
+        assert labelled.delete({"code": "abcdef", "level": "professor", "n": 2})
+        assert labelled.delete(("", "assistant"))  # a bare key tuple
+        assert labelled.is_empty()
+        heap = getattr(labelled, "heap_file", None)
+        if heap is not None:
+            assert heap.live_count() == 0
+
+    def test_single_component_key_may_be_passed_bare(self):
+        relation = Relation(
+            "codes", RelationSchema("codes", [("code", CharArray(6)), ("n", INTEGER)], key=["code"]),
+            [{"code": "abc", "n": 1}],
+        )
+        assert relation.find("abc").n == 1
+        assert "abc" in relation
+        assert relation.delete_key("abc")
+        assert relation.is_empty()

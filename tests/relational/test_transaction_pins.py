@@ -1,0 +1,458 @@
+"""Pins taken around and inside a transaction read the committed state — and
+only the reader that pins mid-transaction pays for its image.
+
+A transaction writes the live dicts in place and its journal keeps, per
+touched key, what the key held before; ``SnapshotRegistry.pin`` rebuilds the
+committed contents of a touched relation from those before-values the first
+time a pin meets it (kept in ``registry.overlay`` for the transaction's later
+pins).  The property test drives random interleavings of row-level writes,
+raw overwrites, ``assign``/``clear``, transaction boundaries and pins on both
+backends — with an observer that pins *from inside* every maintenance hook,
+so pins also land between the writes of a rollback replay — and checks that
+every pin holds exactly the committed contents and contents version of its
+moment, for as long as it lives.  The unit tests pin down who pays: nobody,
+unless a pin arrives mid-transaction; then once per touched relation.
+"""
+
+from __future__ import annotations
+
+import sys
+import threading
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import connect
+from repro.relational.database import Database
+from repro.relational.record import Record
+from repro.types.scalar import INTEGER, Subrange
+
+_SMALL = Subrange(0, 9, "small")
+
+_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ("insert", "insert", "delete", "delete", "raw", "assign", "clear",
+             "begin", "commit", "rollback", "pin", "pin", "release")
+        ),
+        st.integers(min_value=0, max_value=7),
+        st.integers(min_value=0, max_value=9),
+    ),
+    min_size=8,
+    max_size=35,
+)
+
+
+def _make_database(paged: bool = False, rows: int = 6) -> Database:
+    database = Database("pins", paged=paged)
+    database.create_relation(
+        "r",
+        [("k", INTEGER), ("v", _SMALL)],
+        key=["k"],
+        page_capacity=4,
+        elements=[{"k": k, "v": (k * 3) % 10} for k in range(rows)],
+    )
+    database.create_index("r", "v")
+    return database
+
+
+def _contents(relation) -> dict[int, int]:
+    return {record["k"]: record["v"] for record in relation}
+
+
+class _Committed:
+    """What a pin taken right now must read: the model of the committed state."""
+
+    def __init__(self, relation) -> None:
+        self.relation = relation
+        self.contents = _contents(relation)
+        self.version = relation._version
+
+    def publish(self) -> None:
+        """A commit, a finished rollback, or a write outside any transaction."""
+        self.contents = _contents(self.relation)
+        self.version = self.relation._version
+
+
+class _PinningObserver:
+    """An index-shaped observer that pins a snapshot from inside every hook.
+
+    Maintenance hooks run after the dict write, outside the registry lock:
+    a pin taken there lands between two writes of whatever is running —
+    including the restores of a rollback replay.
+    """
+
+    def __init__(self, database, committed: _Committed, pins: list) -> None:
+        self.database = database
+        self.committed = committed
+        self.pins = pins
+        self.in_transaction = False
+
+    def _pin(self, record=None) -> None:
+        if not self.in_transaction:
+            # A write outside any transaction is committed as it lands (and
+            # this hook runs after it landed).
+            self.committed.publish()
+        _take_pin(self.database, self.committed, self.pins)
+
+    add = remove = clear = _pin
+
+
+def _take_pin(database, committed: _Committed, pins: list) -> None:
+    snapshot = database.pin_snapshot()
+    assert _contents(snapshot.relation("r")) == committed.contents
+    assert snapshot.relation_versions["r"] == committed.version
+    pins.append((snapshot, dict(committed.contents), committed.version))
+
+
+def _assert_pins_hold(pins: list) -> None:
+    for snapshot, contents, version in pins:
+        assert _contents(snapshot.relation("r")) == contents
+        assert snapshot.relation_versions["r"] == version
+        # The view offered to the pin is built over the pin's own image.
+        view = snapshot.index_for("r", "v")
+        for value in range(10):
+            assert sorted(ref.key for ref in view.probe(value)) == sorted(
+                (k,) for k, v in contents.items() if v == value
+            )
+
+
+@pytest.mark.parametrize("paged", (False, True), ids=("memory", "paged"))
+@settings(max_examples=60, deadline=None)
+@given(steps=_STEPS, pin_in_hooks=st.booleans())
+def test_every_pin_reads_the_committed_state_of_its_moment(
+    paged: bool, steps, pin_in_hooks: bool
+) -> None:
+    database = _make_database(paged)
+    relation = database.relation("r")
+    connection = connect(database)
+    session = connection.session()
+    committed = _Committed(relation)
+    pins: list[tuple] = []
+    observer = _PinningObserver(database, committed, pins)
+    if pin_in_hooks:
+        relation.attach_index(observer)
+    try:
+        for op, key, value in steps:
+            live = _contents(relation)
+            if op == "insert":
+                if live.get(key, value) == value:
+                    relation.insert({"k": key, "v": value})
+            elif op == "delete":
+                relation.delete_key(key)
+            elif op == "raw":
+                relation.insert_raw(Record(relation.schema, {"k": key, "v": value}))
+            elif op == "assign":
+                live[key] = value
+                relation.assign([{"k": k, "v": v} for k, v in sorted(live.items())])
+            elif op == "clear":
+                relation.clear()
+            elif op == "begin":
+                if not session.in_transaction:
+                    session.begin()
+                    observer.in_transaction = True
+            elif op == "commit":
+                if session.in_transaction:
+                    session.commit()
+                    observer.in_transaction = False
+            elif op == "rollback":
+                if session.in_transaction:
+                    expected = dict(committed.contents)
+                    session.rollback()  # pins from inside the replay, too
+                    observer.in_transaction = False
+                    assert _contents(relation) == expected
+            elif op == "pin":
+                _take_pin(database, committed, pins)
+            elif pins:  # release
+                pins.pop(key % len(pins))[0].release()
+            if not session.in_transaction:
+                committed.publish()
+                assert not database._snapshots.overlay
+            _assert_pins_hold(pins)
+        # A pin after everything reads what is there.
+        if session.in_transaction:
+            session.commit()
+            observer.in_transaction = False
+        committed.publish()
+        _take_pin(database, committed, pins)
+        _assert_pins_hold(pins)
+    finally:
+        for snapshot, _, _ in pins:
+            snapshot.release()
+        connection.close()
+    assert database._snapshots.active == 0
+
+
+class TestWhoPaysForTheCommittedImage:
+    def test_a_transaction_no_reader_pins_into_copies_nothing(self):
+        database = _make_database(rows=50)
+        relation = database.relation("r")
+        registry = database._snapshots
+        elements = relation._elements
+        with connect(database).session():
+            relation.insert({"k": 100, "v": 1})
+            relation.delete_key(3)
+            relation.insert_raw(Record(relation.schema, {"k": 4, "v": 9}))
+            assert not registry.overlay
+        assert relation._elements is elements  # written in place, never copied
+        assert not registry.overlay
+        # ... and the same holds for one that rolls back.
+        session = connect(database).session()
+        session.begin()
+        relation.insert({"k": 101, "v": 1})
+        relation.delete_key(5)
+        session.rollback()
+        assert relation._elements is elements
+        assert not registry.overlay
+
+    def test_the_first_mid_transaction_pin_builds_the_image_later_pins_share_it(self):
+        database = _make_database()
+        relation = database.relation("r")
+        registry = database._snapshots
+        before = _contents(relation)
+        version = relation._version
+        journal = database.begin_transaction()
+        relation.insert({"k": 50, "v": 5})
+        relation.delete_key(1)
+        live = relation._elements
+        first = database.pin_snapshot()
+        image = first.relation("r")._elements
+        assert image is not live and _contents(first.relation("r")) == before
+        assert registry.overlay["r"] == (image, version)
+        # The pin holds an image, not the live dict: the next write of the
+        # transaction goes in place, and a later pin shares the image even
+        # though more has been written since.
+        relation.insert({"k": 51, "v": 5})
+        assert relation._elements is live
+        second = database.pin_snapshot()
+        assert second.relation("r")._elements is image
+        assert second.relation_versions == first.relation_versions == {"r": version}
+        database.commit_transaction(journal)
+        database.end_transaction(journal)
+        assert not registry.overlay
+        assert _contents(first.relation("r")) == _contents(second.relation("r")) == before
+        after = database.pin_snapshot()
+        assert after.relation("r")._elements is live
+        assert after.relation_versions["r"] == relation._version > version
+        for snapshot in (first, second, after):
+            snapshot.release()
+
+    def test_an_untouched_relation_is_pinned_by_reference_mid_transaction(self):
+        database = _make_database()
+        database.create_relation("other", [("k", INTEGER)], key=["k"], elements=[(1,)])
+        other = database.relation("other")
+        journal = database.begin_transaction()
+        database.relation("r").insert({"k": 50, "v": 5})
+        snapshot = database.pin_snapshot()
+        assert snapshot.relation("other")._elements is other._elements
+        assert "other" not in database._snapshots.overlay
+        # That pin predates the transaction's first write to ``other``: the
+        # write must copy, and the pin keeps the committed contents.
+        held = other._elements
+        other.insert((2,))
+        assert other._elements is not held
+        assert [record.k for record in snapshot.relation("other")] == [1]
+        database.abort_transaction(journal)
+        database.end_transaction(journal)
+        journal.rollback()
+        assert [record.k for record in snapshot.relation("other")] == [1]
+        assert [record.k for record in other] == [1]
+        snapshot.release()
+
+    @pytest.mark.parametrize("paged", (False, True), ids=("memory", "paged"))
+    def test_a_pin_that_predates_the_write_still_forces_the_copy(self, paged):
+        database = _make_database(paged)
+        relation = database.relation("r")
+        before = _contents(relation)
+        snapshot = database.pin_snapshot()
+        held = relation._elements
+        with connect(database).session():
+            relation.insert({"k": 60, "v": 6})
+            assert relation._elements is not held  # copy-on-write, once
+            copied = relation._elements
+            relation.delete_key(0)
+            assert relation._elements is copied
+            assert not database._snapshots.overlay
+        assert snapshot.relation("r")._elements is held
+        assert _contents(snapshot.relation("r")) == before
+        snapshot.release()
+
+    def test_assign_and_clear_keep_the_committed_dict_by_reference(self):
+        database = _make_database()
+        relation = database.relation("r")
+        committed_dict = relation._elements
+        before = _contents(relation)
+        journal = database.begin_transaction()
+        relation.clear()
+        relation.insert({"k": 70, "v": 7})
+        snapshot = database.pin_snapshot()
+        assert snapshot.relation("r")._elements is committed_dict  # no copy at all
+        database.abort_transaction(journal)
+        database.end_transaction(journal)
+        journal.rollback()
+        assert _contents(relation) == before
+        assert list(_contents(relation)) == list(before)  # the image keeps its order
+        assert _contents(snapshot.relation("r")) == before
+        snapshot.release()
+
+    def test_assign_after_row_writes_restores_the_reconstructed_image(self):
+        database = _make_database()
+        relation = database.relation("r")
+        before = _contents(relation)
+        journal = database.begin_transaction()
+        relation.delete_key(2)
+        relation.insert({"k": 80, "v": 8})
+        relation.assign([{"k": 1, "v": 1}])
+        relation.insert({"k": 81, "v": 8})  # recorded nowhere: the image covers it
+        snapshot = database.pin_snapshot()
+        assert _contents(snapshot.relation("r")) == before
+        database.abort_transaction(journal)
+        database.end_transaction(journal)
+        journal.rollback()
+        assert _contents(relation) == before
+        # The deleted key was set back at the end of the image.
+        assert list(_contents(relation)) == [0, 1, 3, 4, 5, 2]
+        snapshot.release()
+
+    def test_release_mid_transaction_judges_views_by_the_committed_version(self):
+        database = _make_database()
+        relation = database.relation("r")
+        catalogued = database.index_for("r", "v")
+        journal = database.begin_transaction()
+        relation.insert({"k": 90, "v": 9})  # the live version moves on
+        first = database.pin_snapshot()
+        view = first.index_for("r", "v")
+        assert catalogued.snapshot_view == (first.relation_versions["r"], view)
+        assert sorted(ref.key for ref in view.probe(9)) == [(3,)]  # not (90,)
+        first.release()
+        # Still the committed version: the view stays for the next pin.
+        assert catalogued.snapshot_view is not None
+        second = database.pin_snapshot()
+        assert second.index_for("r", "v")._entries is view._entries
+        database.commit_transaction(journal)
+        database.end_transaction(journal)
+        second.release()  # the committed contents moved past it now
+        assert catalogued.snapshot_view is None
+
+
+class _StallingObserver:
+    """Parks the first maintenance hook that reaches it until told to continue."""
+
+    def __init__(self) -> None:
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def add(self, record) -> None:
+        self.entered.set()
+        assert self.release.wait(timeout=10.0)
+
+    remove = add
+
+    def clear(self) -> None:
+        pass
+
+
+def test_a_pin_from_another_thread_inside_a_stalled_rollback_replay():
+    database = _make_database()
+    relation = database.relation("r")
+    before = _contents(relation)
+    version = relation._version
+    connection = connect(database)
+    session = connection.session()
+    session.begin()
+    relation.delete_key(0)
+    relation.delete_key(1)
+    relation.insert({"k": 40, "v": 4})
+    stall = _StallingObserver()
+    relation.attach_index(stall)
+    replayer = threading.Thread(target=session.rollback)
+    replayer.start()
+    try:
+        assert stall.entered.wait(timeout=10.0)
+        # The replay has put key 0 back and is parked before the rest.
+        assert 0 in _contents(relation) and 1 not in _contents(relation)
+        with database.pin_snapshot() as snapshot:
+            assert _contents(snapshot.relation("r")) == before
+            assert snapshot.relation_versions["r"] == version
+    finally:
+        stall.release.set()
+    replayer.join(timeout=10.0)
+    assert not replayer.is_alive()
+    relation.detach_index(stall)
+    assert _contents(relation) == before
+    with database.pin_snapshot() as snapshot:
+        assert _contents(snapshot.relation("r")) == before
+        assert snapshot.relation_versions["r"] == relation._version > version
+    connection.close()
+
+
+@pytest.mark.parametrize("paged", (False, True), ids=("memory", "paged"))
+def test_readers_pinning_beside_a_committing_and_aborting_writer(paged):
+    """Threaded stress: every pin, whenever it lands, reads a committed state.
+
+    The writer slides a window of *pairs* (2i, 2i + 1) over the relation,
+    one transaction per step, and rolls every third transaction back after
+    also writing a poison key; a committed state therefore never holds half
+    a pair or the poison, and two pins that agree on the contents version
+    hold the same contents.
+    """
+    database = _make_database(paged, rows=0)
+    relation = database.relation("r")
+    connection = connect(database)
+    failures: list = []
+    done = threading.Event()
+    by_version: dict[int, frozenset] = {}
+    pinned = [0]
+
+    def reader() -> None:
+        while not done.is_set():
+            with database.pin_snapshot() as snapshot:
+                contents = _contents(snapshot.relation("r"))
+                version = snapshot.relation_versions["r"]
+            pinned[0] += 1
+            keys = frozenset(contents)
+            try:
+                assert all((key ^ 1) in keys for key in keys), sorted(keys)
+                assert not keys & {1_000_001, 1_000_000}
+                assert by_version.setdefault(version, keys) == keys
+            except AssertionError as exc:
+                failures.append(exc)
+                return
+
+    readers = [threading.Thread(target=reader) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads mid-write as often as possible
+    for thread in readers:
+        thread.start()
+    try:
+        session = connection.session()
+        for step in range(400):
+            session.begin()
+            relation.insert({"k": 2 * step, "v": step % 10})
+            relation.insert({"k": 2 * step + 1, "v": step % 10})
+            if step >= 8:
+                relation.delete_key(2 * (step - 8))
+                relation.delete_key(2 * (step - 8) + 1)
+            if step % 3 == 2:
+                relation.insert({"k": 1_000_000, "v": 0})
+                session.rollback()
+                # Redo the step for real, so the window keeps sliding.
+                session.begin()
+                relation.insert({"k": 2 * step, "v": step % 10})
+                relation.insert({"k": 2 * step + 1, "v": step % 10})
+                if step >= 8:
+                    relation.delete_key(2 * (step - 8))
+                    relation.delete_key(2 * (step - 8) + 1)
+            session.commit()
+    finally:
+        done.set()
+        for thread in readers:
+            thread.join(timeout=10.0)
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in readers)
+    assert not failures, failures[0]
+    assert pinned[0] > 0
+    assert sorted(_contents(relation)) == list(range(2 * 392, 2 * 400))
+    assert database._snapshots.active == 0 and not database._snapshots.overlay
+    connection.close()

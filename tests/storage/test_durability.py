@@ -121,6 +121,40 @@ class TestDurabilityModes:
         assert reopened.recovery_report.replayed_transactions == [1]
         reopened.close()
 
+    def test_an_unpadded_delete_is_logged_under_the_stored_key(self, tmp_path):
+        """ROADMAP 2d: ``delete_key("abc")`` on a packed-char-array key deletes
+        the blank-padded element, the WAL's ``DELETE`` carries the canonical
+        key, and crash recovery replays it."""
+        database = Database.open(tmp_path, durability=DURABILITY_COMMIT)
+        relation = database.create_relation(
+            "codes",
+            [("code", CharArray(6, "codetype")), ("n", INTEGER)],
+            key=["code"],
+            page_capacity=2,
+        )
+        database.create_index("codes", "n")
+        with committed(database):
+            for n, code in enumerate(("abc", "abcdef", "x")):
+                relation.insert({"code": code, "n": n})
+        with committed(database):
+            assert relation.delete_key("abc")          # unpadded, bare
+            assert relation.delete_key(("x",))         # unpadded, tuple
+            assert not relation.delete_key("nope")     # a miss logs nothing
+        deletes = [
+            record["key"]
+            for record in scan_wal(wal_path(str(tmp_path)))[0]
+            if record["kind"] == "DELETE"
+        ]
+        assert deletes == [["abc   "], ["x     "]]
+        # The process vanishes; the committed suffix of the log is replayed.
+        del database, relation
+        reopened = Database.open(tmp_path)
+        assert reopened.recovery_report.replayed_transactions == [1, 2]
+        assert [record.code for record in reopened.relation("codes")] == ["abcdef"]
+        assert reopened.relation("codes").find("abcdef").n == 1
+        assert len(reopened.index_for("codes", "n").probe(0)) == 0
+        reopened.close()
+
     def test_commit_mode_logs_redo_records(self, tmp_path):
         database = Database.open(tmp_path, durability=DURABILITY_COMMIT)
         relation = make_relation(database)

@@ -46,6 +46,26 @@ class TestPage:
         assert page.allocated() == 2
         assert [r.n for r in page.records()] == [2]
 
+    def test_tombstoning_a_dead_slot_is_a_noop(self):
+        page = Page(0, capacity=2)
+        slot = page.append(record(1))
+        page.append(record(2))
+        page.tombstone(slot)
+        page.tombstone(slot)
+        assert page.live_count() == 1
+
+    def test_overwrite_replaces_a_live_record_in_place(self):
+        page = Page(0, capacity=2)
+        page.append(record(5))
+        slot = page.append(record(9))
+        assert page.zone("n") == (5, 9)
+        page.overwrite(slot, record(7))
+        assert [r.n for r in page.records()] == [5, 7]
+        assert page.zone("n") == (5, 7) and page.live_count() == 2
+        page.tombstone(slot)
+        with pytest.raises(StorageError):
+            page.overwrite(slot, record(8))
+
     def test_tombstone_unallocated_slot_raises(self):
         with pytest.raises(StorageError):
             Page(0).tombstone(0)
@@ -192,6 +212,103 @@ class TestStoredRelation:
         relation.clear()
         assert relation.is_empty()
         assert relation.page_count == 0
+
+
+class TestDeadPagesAreGivenBack:
+    """Insert/delete churn must hold pages in proportion to the live records:
+    a full page without a live record leaves the file — page numbers, record
+    ids and scan order unchanged."""
+
+    def test_a_full_dead_page_leaves_the_file(self):
+        heap = HeapFile("numbers", page_capacity=2)
+        rids = [heap.append(record(i)) for i in range(5)]
+        assert heap.page_count == 3 and heap.allocated_slots() == 5
+        heap.delete(rids[2])
+        assert heap.page_count == 3  # page 1 is full but half alive
+        heap.delete(rids[3])
+        assert heap.page_count == 2 and heap.page_numbers() == [0, 2]
+        assert heap.allocated_slots() == 3
+        # Record ids stay valid, order is unchanged, numbers are not reused.
+        assert [heap.read(rid).n for rid in (rids[0], rids[1], rids[4])] == [0, 1, 4]
+        assert [r.n for r in heap.records()] == [0, 1, 4]
+        assert heap.append(record(5)) == RecordId(2, 1)
+        assert heap.append(record(6)) == RecordId(3, 0)
+
+    def test_a_given_back_page_number_reads_as_an_empty_page(self):
+        heap = HeapFile("numbers", page_capacity=1)
+        rid = heap.append(record(1))
+        heap.append(record(2))
+        heap.delete(rid)
+        page = heap.page(0)
+        assert list(page.records()) == [] and page.live_count() == 0
+        assert page.zone("n") is None and not page.may_contain("n", "=", 1)
+        assert heap.read(rid) is None
+        heap.delete(rid)  # tombstoning a dead slot stays a no-op
+        with pytest.raises(StorageError):
+            page.append(record(3))  # shared and immutable
+        with pytest.raises(StorageError):
+            heap.page(2)
+
+    def test_the_last_page_is_kept_while_it_can_still_take_records(self):
+        heap = HeapFile("numbers", page_capacity=2)
+        rid = heap.append(record(1))
+        heap.delete(rid)
+        assert heap.page_count == 1  # dead, but not full
+        assert heap.append(record(2)) == RecordId(0, 1)
+        heap.delete(RecordId(0, 1))
+        assert heap.page_count == 0  # full and dead now
+        assert heap.append(record(3)) == RecordId(1, 0)
+
+    def test_scans_skip_given_back_pages_without_a_fetch(self):
+        stats = AccessStatistics()
+        relation = StoredRelation("numbers", SCHEMA, tracker=stats, page_capacity=2)
+        for n in range(8):
+            relation.insert({"n": n})
+        for n in (2, 3, 4, 5):
+            relation.delete_key(n)
+        assert relation.page_count == 2
+        stats.reset()
+        assert [r.n for r in relation.scan()] == [0, 1, 6, 7]
+        assert stats.pages_read == 2
+        assert [r.n for r in relation.scan_pruned("n", ">=", 6)] == [6, 7]
+        assert stats.pages_read == 3 and stats.pages_skipped == 1
+        assert relation.fetch(6).n == 6 and relation.fetch(3) is None
+
+    def test_a_scan_parked_on_a_page_that_dies_is_not_disturbed(self):
+        relation = StoredRelation("numbers", SCHEMA, page_capacity=2)
+        for n in range(6):
+            relation.insert({"n": n})
+        scan = relation.scan()
+        assert next(scan).n == 0
+        for n in (0, 1, 2, 3):  # the page under the scan, and the next one
+            relation.delete_key(n)
+        assert relation.page_count == 1
+        # The parked page object is tombstoned in place; the page the scan
+        # has yet to reach reads as empty.
+        assert [r.n for r in scan] == [4, 5]
+        assert relation.buffer_pool.pinned_pages() == 0
+
+    def test_insert_raw_overwrites_in_place_on_heap_and_dict_alike(self):
+        schema = RelationSchema("pairs", [("k", INTEGER), ("v", INTEGER)], key=["k"])
+        relation = StoredRelation("pairs", schema, page_capacity=2)
+        for k in range(3):
+            relation.insert({"k": k, "v": k})
+        relation.insert_raw(Record(schema, {"k": 0, "v": 9}))
+        assert [r.values for r in relation.elements()] == [(0, 9), (1, 1), (2, 2)]
+        assert [r.values for r in relation.heap_file.records()] == [(0, 9), (1, 1), (2, 2)]
+        assert relation.heap_file.allocated_slots() == 3
+        assert relation.fetch(0).v == 9
+
+    def test_window_churn_holds_pages_in_proportion_to_the_window(self):
+        relation = StoredRelation("numbers", SCHEMA, page_capacity=4)
+        for n in range(2_000):
+            relation.insert({"n": n})
+            if n >= 10:
+                relation.delete_key(n - 10)
+        heap = relation.heap_file
+        assert len(relation) == heap.live_count() == 10
+        assert heap.page_count <= 4 and heap.allocated_slots() <= 2 * 10 + 4
+        assert [r.n for r in heap.records()] == [r.n for r in relation.elements()]
 
 
 class TestZoneMaps:

@@ -158,3 +158,24 @@ class TestValues:
         text = employees_schema.describe()
         assert "RELATION <enr>" in text
         assert "estatus" in text
+
+    def test_canonical_key_coerces_each_component_through_its_type(self):
+        labelled = RelationSchema(
+            "labelled",
+            [("code", CharArray(6)), ("level", STATUS), ("n", INTEGER), ("note", CharArray(3))],
+            key=["level", "code"],
+        )
+        canonical = labelled.canonical_key(("professor", "abc"))
+        assert canonical == (STATUS.professor, "abc   ")
+        assert isinstance(canonical[0], type(STATUS.professor))
+        # Already canonical: the same values come back.
+        assert labelled.canonical_key(canonical) == canonical
+        assert labelled.canonical_key([STATUS.student, "abcdef"]) == (STATUS.student, "abcdef")
+
+    def test_canonical_key_rejects_what_is_not_a_key(self, employees_schema):
+        with pytest.raises(ValidationError):
+            employees_schema.canonical_key((1, 2))       # wrong arity
+        with pytest.raises(ValidationError):
+            employees_schema.canonical_key(("one",))     # ill-typed
+        with pytest.raises(ValidationError):
+            employees_schema.canonical_key((100,))       # outside the subrange
