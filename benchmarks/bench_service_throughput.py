@@ -22,19 +22,27 @@ three clients at scales 1 and 4:
 The acceptance assertion pins the service-layer claim: prepared execution
 reaches at least twice the cold throughput on this workload, with results
 identical to cold execution for every query and binding.
+
+A fourth client never repeats a text and prepares nothing: 500 texts of the
+running query, each with constants of its own, through ``connection.cursor()``.
+The plan cache keys a text on its shape, so they are one compilation — one
+miss in ``cache_info()`` — and the median text is served at least 1.3x faster
+than compiling it as written (``QueryEngine.run``), rows equal per text.
 """
 
 from __future__ import annotations
 
 import os
+import random
 import time
+from statistics import median
 
 import pytest
 
 from repro import QueryEngine, build_university_database, connect
 from repro.bench.report import print_report
+from repro.workloads.queries import RUNNING_QUERY_PARAM_TEXT, parameterized_queries
 from repro.workloads.queries import inline_parameters as _inline
-from repro.workloads.queries import parameterized_queries
 
 
 def _workload() -> list[tuple[str, dict]]:
@@ -111,6 +119,57 @@ def test_prepared_at_least_twice_cold_throughput(university_medium):
         if rates["prepared"] >= 2 * rates["cold"]:
             return
     raise AssertionError(f"prepared < 2x cold in all attempts: {attempts}")
+
+
+def _never_repeated_texts(count: int = 500, seed: int = 1982) -> list[str]:
+    """The running query with fresh constants; ``e.enr <= k`` makes every text distinct."""
+    rng = random.Random(seed)
+    template = RUNNING_QUERY_PARAM_TEXT.replace("(e.estatus", "(e.enr <= $k) AND (e.estatus")
+    return [
+        _inline(template, {
+            "k": k,
+            "status": rng.choice(("student", "technician", "assistant", "professor")),
+            "year": rng.randint(1970, 1982),
+            "level": rng.choice(("freshman", "sophomore", "junior", "senior")),
+        })
+        for k in rng.sample(range(1, 10_000), count)
+    ]
+
+
+def _latencies(run_one, texts) -> list[float]:
+    latencies = []
+    for text in texts:
+        started = time.perf_counter()
+        run_one(text)
+        latencies.append(time.perf_counter() - started)
+    return latencies
+
+
+def test_never_repeated_texts_share_one_plan(university_medium):
+    """500 texts, one miss, each text's own rows — and >= 1.3x at the median."""
+    texts = _never_repeated_texts()
+    assert len(set(texts)) == len(texts)
+    engine = QueryEngine(university_medium)
+    with connect(university_medium) as connection:
+        cursor = connection.cursor()
+        for text in texts:
+            rows = cursor.execute(text).fetchall()
+            assert [r.values for r in rows] == [r.values for r in engine.run(text).rows], text
+        info = connection.cache_info()
+        assert (info["misses"], info["hits"], info["size"]) == (1, len(texts) - 1, 1), info
+        if os.environ.get("BENCH_SMOKE"):
+            return  # the wall-clock ratio is a full-run claim, not a smoke check
+        attempts = []
+        for attempt in range(3):
+            fresh = _never_repeated_texts(seed=attempt)  # other constants, same shape
+            shared = median(_latencies(lambda text: cursor.execute(text).fetchall(), fresh))
+            as_written = median(_latencies(lambda text: engine.run(text).rows, fresh))
+            attempts.append((shared, as_written))
+            if as_written >= 1.3 * shared:
+                break
+        else:
+            raise AssertionError(f"shared plan < 1.3x compile-as-written: {attempts}")
+        assert connection.cache_info()["misses"] == 1
 
 
 def test_report_service_throughput(university_small, university_medium):

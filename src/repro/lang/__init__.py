@@ -1,13 +1,12 @@
-"""Textual PASCAL/R-style query language: lexer, parser, unparser."""
+"""Textual PASCAL/R-style query language: scanner, parser, unparser."""
 
 from repro.calculus.printer import format_formula, format_selection
-from repro.lang.lexer import Lexer, tokenize
+from repro.lang.lexer import scan_shape, tokenize
 from repro.lang.parser import Parser, parse_formula, parse_selection
 from repro.lang.tokens import KEYWORDS, Token, TokenType
 
 __all__ = [
     "KEYWORDS",
-    "Lexer",
     "Parser",
     "Token",
     "TokenType",
@@ -15,5 +14,6 @@ __all__ = [
     "format_selection",
     "parse_formula",
     "parse_selection",
+    "scan_shape",
     "tokenize",
 ]

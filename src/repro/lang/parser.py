@@ -29,6 +29,10 @@ Grammar (keywords are case-insensitive)::
 A bare identifier operand (e.g. ``professor``) denotes a constant — typically
 an enumeration label — and is resolved to a typed value by
 :class:`repro.calculus.typecheck.TypeChecker`.
+
+Constants occur nowhere but as operands, so ``_parse_operand`` is where a
+constant is recognised — and where ``Parser(tokens, lift=True)`` replaces
+each by a positional parameter for the plan cache's shared plans.
 """
 
 from __future__ import annotations
@@ -52,19 +56,36 @@ from repro.calculus.ast import (
     Selection,
     VariableBinding,
 )
+from typing import Sequence
+
 from repro.errors import ParseError
 from repro.lang.lexer import tokenize
 from repro.lang.tokens import Token, TokenType
 
 __all__ = ["parse_selection", "parse_formula", "Parser"]
 
+#: Parentheses, NOTs and quantifiers may nest this deep.  The parser, the
+#: type checker and the transformations all recurse over the nesting, so
+#: hostile text must get a ParseError here, not a RecursionError later.
+MAX_NESTING = 100
+
 
 class Parser:
-    """Token-stream parser producing calculus AST nodes."""
+    """Token-stream parser producing calculus AST nodes.
 
-    def __init__(self, text: str) -> None:
-        self._tokens = tokenize(text)
+    ``tokens`` is what :func:`~repro.lang.lexer.tokenize` returns (it ends
+    with EOF).  With ``lift`` the *i*-th constant operand, in source order,
+    parses to ``Param(str(i))`` instead of ``Const(value)`` — a name no text
+    can spell, ``$`` before a digit being no token — and :attr:`lifted`
+    holds the constants' token indexes afterwards.
+    """
+
+    def __init__(self, tokens: Sequence[Token], lift: bool = False) -> None:
+        self._tokens = tokens
         self._position = 0
+        self._lift = lift
+        self.lifted: list[int] = []
+        self._nesting = 0
 
     # -- token stream helpers --------------------------------------------------------
 
@@ -184,19 +205,27 @@ class Parser:
         return And(*operands)
 
     def _parse_unary(self) -> Formula:
-        if self._at_keyword("NOT"):
-            self._advance()
-            return Not(self._parse_unary())
-        if self._at_keyword("SOME") or self._at_keyword("ALL"):
-            kind = SOME if self._advance().value == "SOME" else ALL
-            var = self._expect(TokenType.IDENT).value
-            self._expect_keyword("IN")
-            range_expr = self._parse_range(var)
-            self._expect(TokenType.LPAREN)
-            body = self._parse_formula()
-            self._expect(TokenType.RPAREN)
-            return Quantified(kind, var, range_expr, body)
-        return self._parse_primary()
+        # Every level of nesting — a parenthesis, a NOT, a quantifier, an
+        # extended range — passes through here once.
+        self._nesting += 1
+        if self._nesting > MAX_NESTING:
+            raise self._error(f"formula nested deeper than {MAX_NESTING} levels")
+        try:
+            if self._at_keyword("NOT"):
+                self._advance()
+                return Not(self._parse_unary())
+            if self._at_keyword("SOME") or self._at_keyword("ALL"):
+                kind = SOME if self._advance().value == "SOME" else ALL
+                var = self._expect(TokenType.IDENT).value
+                self._expect_keyword("IN")
+                range_expr = self._parse_range(var)
+                self._expect(TokenType.LPAREN)
+                body = self._parse_formula()
+                self._expect(TokenType.RPAREN)
+                return Quantified(kind, var, range_expr, body)
+            return self._parse_primary()
+        finally:
+            self._nesting -= 1
 
     def _parse_primary(self) -> Formula:
         token = self._current()
@@ -230,17 +259,21 @@ class Parser:
                 self._advance()
                 component = self._expect(TokenType.IDENT).value
                 return FieldRef(token.value, component)
-            return Const(token.value)
-        if token.type == TokenType.NUMBER:
+            return self._constant(token)
+        if token.type in (TokenType.NUMBER, TokenType.STRING):
             self._advance()
-            return Const(token.value)
-        if token.type == TokenType.STRING:
-            self._advance()
-            return Const(token.value)
+            return self._constant(token)
         if token.type == TokenType.PARAM:
             self._advance()
             return Param(token.value)
         raise self._error("expected an operand (component access or constant)")
+
+    def _constant(self, token: Token) -> Const | Param:
+        """The operand for the constant token just consumed."""
+        if not self._lift:
+            return Const(token.value)
+        self.lifted.append(self._position - 1)
+        return Param(str(len(self.lifted) - 1))
 
 
 def _rename_variable(formula: Formula, old: str, new: str) -> Formula:
@@ -280,9 +313,9 @@ def _rename_variable(formula: Formula, old: str, new: str) -> Formula:
 
 def parse_selection(text: str) -> Selection:
     """Parse ``text`` as a complete selection."""
-    return Parser(text).parse_selection()
+    return Parser(tokenize(text)).parse_selection()
 
 
 def parse_formula(text: str) -> Formula:
     """Parse ``text`` as a standalone selection-expression formula."""
-    return Parser(text).parse_formula_only()
+    return Parser(tokenize(text)).parse_formula_only()

@@ -136,6 +136,18 @@ class AccessStatistics:
         # scalars, which over-reports across merged trackers but keeps the
         # reflection rule (every public numeric is summed) uniform.
         self.estimation_qerror_max = 0.0
+        # Every public numeric counter above, resolved once: as_dict, merge
+        # and reset run on every query and must not reflect each time.  Last
+        # in __init__, so a counter added above is never missing from a
+        # snapshot nor survives a reset (the reflection test in
+        # ``tests/relational`` pins this invariant).
+        self._counter_names = tuple(
+            name
+            for name, value in vars(self).items()
+            if not name.startswith("_")
+            and isinstance(value, (int, float))
+            and not isinstance(value, bool)
+        )
 
     # -- phase management -----------------------------------------------------
 
@@ -307,22 +319,6 @@ class AccessStatistics:
     def relation_names(self) -> Iterator[str]:
         return iter(sorted(self._relations))
 
-    def _scalar_counters(self) -> dict[str, int | float]:
-        """Every public numeric counter, by reflection.
-
-        Both :meth:`as_dict` and :meth:`reset` enumerate counters through
-        this helper, so a counter added to ``__init__`` can never be missing
-        from the snapshot or survive a reset (the reflection test in
-        ``tests/relational`` pins this invariant).
-        """
-        return {
-            name: value
-            for name, value in vars(self).items()
-            if not name.startswith("_")
-            and isinstance(value, (int, float))
-            and not isinstance(value, bool)
-        }
-
     def as_dict(self) -> dict:
         """A plain-dictionary snapshot suitable for reporting and assertions."""
         snapshot: dict = {
@@ -331,7 +327,9 @@ class AccessStatistics:
             },
             "phase_elements": dict(self._phase_elements),
         }
-        snapshot.update(self._scalar_counters())
+        values = vars(self)
+        for name in self._counter_names:
+            snapshot[name] = values[name]
         return snapshot
 
     def merge(self, other: "AccessStatistics") -> None:
@@ -357,16 +355,16 @@ class AccessStatistics:
                 mine.deletes += counters.deletes
             for phase, count in other._phase_elements.items():
                 self._phase_elements[phase] += count
-            for name, value in other._scalar_counters().items():
-                setattr(self, name, getattr(self, name) + value)
+            mine, theirs = vars(self), vars(other)
+            for name in self._counter_names:
+                mine[name] += theirs[name]
 
     def reset(self) -> None:
         """Forget all recorded counters (serialized against :meth:`merge`)."""
         with self._lock:
             self._relations.clear()
             self._phase_elements.clear()
-            for name in self._scalar_counters():
-                setattr(self, name, 0)
+            vars(self).update(dict.fromkeys(self._counter_names, 0))
 
     def summary(self) -> str:
         """A compact multi-line human readable summary."""

@@ -8,9 +8,11 @@ package exploits that separation operationally:
 * :class:`PreparedQuery` — compile once (parse, type check, transform),
   execute many times with different parameter bindings (``$year``-style
   placeholders, late-bound into the plan);
-* :class:`PlanCache` — an LRU cache of compiled plans keyed on normalized
-  query text, strategy options, schema version and relation-emptiness
-  signature, with hit/miss counters in the shared access statistics;
+* :class:`PlanCache` — an LRU cache of compiled plans keyed on the query's
+  shape (its lexemes with the constants lifted out: texts that differ only
+  in constants share a plan), strategy options and schema version, hits
+  validated against the relation-emptiness signature, with hit/miss
+  counters in the shared access statistics;
 * :class:`QueryService` — the thread-safe ``prepare`` / ``execute`` /
   ``execute_batch`` facade, where batch execution shares Strategy 1
   collection-phase scans across queries over the same relations.
@@ -20,7 +22,7 @@ from repro.service.batch import execute_plans_batched
 from repro.service.binding import bind_plan, bind_selection, check_bindings, collect_parameters
 from repro.service.cache import PlanCache
 from repro.service.prepared import PreparedQuery
-from repro.service.service import QueryService, normalize_query_text
+from repro.service.service import QueryService
 
 __all__ = [
     "PlanCache",
@@ -31,5 +33,4 @@ __all__ = [
     "check_bindings",
     "collect_parameters",
     "execute_plans_batched",
-    "normalize_query_text",
 ]

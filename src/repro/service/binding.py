@@ -19,11 +19,20 @@ enumeration label bound as ``{"status": "professor"}`` becomes a proper
 ``EnumValue`` exactly as a literal constant would.  Mismatched bindings
 (missing, unknown, or out-of-type values) raise
 :class:`~repro.errors.BindingError`.
+
+The plan cache compiles a text with its literal constants lifted to
+positional parameters (``$0``, ``$1``... — names no text can spell) and
+binds each text's own literals through the same functions.  Two things
+serve that: a name bound to :data:`UNBOUND` stays a parameter, which is how
+a text's plan *as written* — its literals constants, its ``$names`` still
+parameters — is derived from the shared one; and :func:`bind_plan` takes the
+positional names along, to put the literals into the trace's wording too.
 """
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+import re
+from typing import Any, Collection, Mapping
 
 from repro.calculus.analysis import QuantifierSpec
 from repro.calculus.ast import (
@@ -40,17 +49,22 @@ from repro.calculus.ast import (
     Selection,
     VariableBinding,
 )
+from repro.calculus.printer import format_operand
 from repro.errors import BindingError, ValidationError
-from repro.transform.pipeline import QueryPlan
+from repro.transform.pipeline import QueryPlan, TraceStep, TransformationTrace
 from repro.transform.quantifier_pushdown import DerivedPredicate
 
 __all__ = [
+    "UNBOUND",
     "collect_parameters",
     "referenced_relations",
     "bind_selection",
     "bind_plan",
     "check_bindings",
 ]
+
+#: Bound to a parameter's name in place of a value: the parameter stays.
+UNBOUND = object()
 
 
 def referenced_relations(selection: Selection) -> frozenset[str]:
@@ -166,6 +180,8 @@ def _bind_operand(operand: Any, values: Mapping[str, Any]) -> Any:
             value = values[operand.name]
         except KeyError:
             raise BindingError(f"no value bound for parameter ${operand.name}") from None
+        if value is UNBOUND:
+            return operand
         if operand.type is not None:
             # A parameter may occur at several components with different
             # (comparable) types; enforce EVERY occurrence's type, exactly
@@ -241,7 +257,8 @@ def bind_selection(selection: Selection, values: Mapping[str, Any]) -> Selection
     """``selection`` with every parameter replaced by a constant.
 
     ``values`` must already be coerced (see :func:`check_bindings`); unknown
-    parameter occurrences raise :class:`BindingError`.
+    parameter occurrences raise :class:`BindingError`, and a parameter whose
+    value is :data:`UNBOUND` stays in place.
     """
     bindings = tuple(
         VariableBinding(b.var, _bind_range(b.range, values)) for b in selection.bindings
@@ -249,13 +266,41 @@ def bind_selection(selection: Selection, values: Mapping[str, Any]) -> Selection
     return Selection(selection.columns, bindings, _bind_formula(selection.formula, values))
 
 
-def bind_plan(plan: QueryPlan, values: Mapping[str, Any]) -> QueryPlan:
+_POSITIONAL = re.compile(r"\$(\d+)")
+
+
+def _literal_trace(
+    trace: TransformationTrace, values: Mapping[str, Any], positional: Collection[str]
+) -> TransformationTrace:
+    """``trace`` worded with the constants the positional parameters stand for.
+
+    ``$`` before a digit occurs in a step's text only where the printer
+    rendered a positional parameter: no query text can spell it, and a
+    lifted text's own strings are parameters, not part of the wording.
+    """
+
+    def constant(match: re.Match) -> str:
+        name = match.group(1)
+        if name in positional and values.get(name, UNBOUND) is not UNBOUND:
+            return format_operand(Const(values[name]))
+        return match.group(0)
+
+    return TransformationTrace(
+        [TraceStep(step.name, _POSITIONAL.sub(constant, step.detail)) for step in trace.steps]
+    )
+
+
+def bind_plan(
+    plan: QueryPlan, values: Mapping[str, Any], positional: Collection[str] = ()
+) -> QueryPlan:
     """``plan`` with every parameter replaced by a constant — late binding.
 
     The substitution is purely structural: bindings, quantifier prefix,
     matrix literals and derived predicates are rewritten in place of their
     parameters, so the transformations recorded in ``plan.trace`` are reused
-    verbatim and execution starts directly at the collection phase.
+    verbatim and execution starts directly at the collection phase.  Only
+    for ``positional`` — the names standing for literals lifted out of the
+    text — is the trace reworded, so it reads as the text does.
     """
     return QueryPlan(
         selection=bind_selection(plan.selection, values),
@@ -270,6 +315,6 @@ def bind_plan(plan: QueryPlan, values: Mapping[str, Any]) -> QueryPlan:
             for conjunction in plan.conjunctions
         ),
         options=plan.options,
-        trace=plan.trace,
+        trace=_literal_trace(plan.trace, values, positional) if positional else plan.trace,
         constant=plan.constant,
     )

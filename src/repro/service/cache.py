@@ -1,21 +1,27 @@
 """A thread-safe LRU cache for compiled query plans.
 
-The cache amortizes the compile-time pipeline (lexing, parsing, type
-checking, the Section 2-3 transformations) across repeated executions of the
-same query text.  Keys are built by :class:`~repro.service.QueryService`
-from:
+The cache amortizes the compile-time pipeline (tokenizing, parsing, type
+checking, the Section 2-3 transformations) across executions of the same
+query *shape*.  Keys are built by :class:`~repro.service.QueryService` from:
 
-* the *normalized* query text (token stream, so whitespace and comments do
-  not fragment the cache) or the calculus selection itself,
-* the :class:`~repro.config.StrategyOptions` the plan was prepared under,
+* the query's shape — :func:`repro.lang.lexer.scan_shape`: the text's
+  lexemes (so whitespace, comments and keyword case do not fragment the
+  cache) with every constant operand replaced by a placeholder, so texts that
+  differ only in their constants share one entry, whose plan was compiled
+  with the constants lifted to positional parameters (a text the lifted form
+  does not fit is keyed on its token stream, constants and all) — or the
+  calculus selection itself,
+* the :class:`~repro.config.StrategyOptions` the plan was prepared under, and
 * the database's ``schema_version`` (bumped on every catalog mutation — the
   invalidation rule: any ``create_relation`` / ``drop_relation`` /
-  ``create_index`` / ``drop_index`` orphans all older entries), and
-* the *emptiness signature* — the set of currently-empty relations.  The
-  Lemma 1 adaptation is the only part of plan compilation that depends on
-  the data, and it depends only on which range relations are empty, so a
-  plan is safely reusable until a relation transitions between empty and
-  non-empty.
+  ``create_index`` / ``drop_index`` orphans all older entries).
+
+The *emptiness signature* — the set of currently-empty relations — is not
+part of the key: a hit is validated against it (``lookup(validate=...)``).
+The Lemma 1 adaptation is the only part of plan compilation that depends on
+the data, and it depends only on which range relations are empty, so a plan
+is safely reusable until a relation it ranges over transitions between empty
+and non-empty; the recompiled plan then overwrites the entry.
 
 Hit/miss counts are recorded in the shared
 :class:`~repro.relational.statistics.AccessStatistics`
@@ -39,8 +45,9 @@ def emptiness_signature(database) -> frozenset[str]:
 
     Plan compilation consults the data solely through the Lemma 1
     empty-relation adaptation, so a compiled plan stays valid exactly until a
-    relation transitions between empty and non-empty.  Both the plan cache
-    key and :meth:`PreparedQuery.is_stale` compare this signature.
+    relation transitions between empty and non-empty.  Both the validation
+    of a plan-cache hit and :meth:`PreparedQuery.is_stale` compare this
+    signature.
     """
     return frozenset(
         relation.name for relation in database.relations() if len(relation) == 0
@@ -51,7 +58,7 @@ class BoundedLRU:
     """A small thread-safe bounded LRU mapping.
 
     The single LRU implementation behind the plan cache, the per-prepared-
-    query binding/collection memos and the service's normalized-text memo —
+    query binding/collection/handle memos and the service's raw-text memo —
     so eviction and locking behave identically everywhere.  ``capacity`` 0
     stores nothing (every put evicts immediately).
     """

@@ -14,18 +14,27 @@ Each :meth:`execute` call late-binds a set of parameter values into the plan
 re-transformation) and hands the bound plan to
 :meth:`~repro.engine.evaluator.QueryEngine.execute_plan`, which starts
 directly at the collection phase.
+
+Texts that differ only in their constants share one compiled plan: the
+service compiles a text with its literals lifted to positional parameters
+and hands out, per text, a handle made by :meth:`PreparedQuery.for_text` —
+the same object in everything but its text, the literal values it binds by
+itself and the parameters it shows (the ``$names`` the text wrote).
 """
 
 from __future__ import annotations
 
+import copy
 import threading
-from typing import Any, Mapping
+import weakref
+from typing import Any, Mapping, Sequence
 
 from repro.calculus.ast import Selection
 from repro.config import StrategyOptions
 from repro.engine.evaluator import QueryEngine, QueryResult
 from repro.errors import BindingError, PlanError
 from repro.service.binding import (
+    UNBOUND,
     bind_plan,
     check_bindings,
     collect_parameters,
@@ -37,13 +46,28 @@ from repro.transform.pipeline import QueryPlan
 __all__ = ["PreparedQuery"]
 
 
+class _Compiled:
+    """What every handle of one compiled plan shares and may replace.
+
+    Everything else a handle holds is either fixed at compile time or an
+    object changed in place (the memos, the lock), so handles made by
+    :meth:`PreparedQuery.for_text` are shallow copies; the plan (recompiled
+    by a reoptimization) and the join orders pinned for it live here.
+    """
+
+    __slots__ = ("plan", "pinned_orders")
+
+    def __init__(self, plan: QueryPlan) -> None:
+        self.plan = plan
+        self.pinned_orders: dict[int, list[tuple[str, float]]] | None = None
+
+
 class PreparedQuery:
     """A compiled query ready for repeated execution with parameter bindings."""
 
     def __init__(
         self,
         engine: QueryEngine,
-        selection: Selection,
         plan: QueryPlan,
         options: StrategyOptions,
         text: str | None = None,
@@ -51,13 +75,23 @@ class PreparedQuery:
         collection_cache_size: int = 32,
         lock: threading.RLock | None = None,
         reopt_qerror_threshold: float = 0.0,
+        lifted: int = 0,
     ) -> None:
         self._engine = engine
-        self.selection = selection
-        self.plan = plan
+        self._compiled = _Compiled(plan)
         self.options = options
         self.text = text
+        # ``lifted`` literals of the text were compiled as the positional
+        # parameters "0".."lifted-1"; ``parameters`` are the ``$names`` the
+        # text declares.  With literals lifted this object is the shape the
+        # plan cache holds, and the service hands out ``for_text`` handles,
+        # which bind their ``_literals`` by themselves.
         self.parameters = collect_parameters(plan)
+        self._positional = {
+            name: self.parameters.pop(name) for name in map(str, range(lifted))
+        }
+        self._literals: dict[str, Any] = {}
+        self._as_written: QueryPlan | None = None
         database = engine.database
         self.schema_version = (
             schema_version if schema_version is not None else database.schema_version
@@ -67,7 +101,7 @@ class PreparedQuery:
         # record that restricted signature so staleness covers exactly the
         # empty <-> non-empty transitions that can change the plan, and no
         # others (clearing an unrelated relation must not break this handle).
-        self.referenced_relations = referenced_relations(selection)
+        self.referenced_relations = referenced_relations(plan.selection)
         self.prepared_emptiness = (
             emptiness_signature(database) & self.referenced_relations
         )
@@ -88,6 +122,13 @@ class PreparedQuery:
         # execution rebuilds its structure relations), so concurrent
         # snapshot executions may share one entry.
         self._snapshot_collections = BoundedLRU(self._cache_size)
+        # Literal values -> the ``for_text`` handle binding them, so a text
+        # prepared again (in any spelling of its trivia) gets the handle it
+        # got before, as a literal-free text gets the one cached object.
+        # Weak: a handle holds this map too (it is a copy), and a strong one
+        # would tie every handle — and through its engine the database —
+        # into a cycle only the garbage collector could free.
+        self._handles: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
         # Executions serialize on this lock (the database's statistics,
         # buffer pool and the memos above are unsynchronized hot paths).
         # QueryService shares its own execution lock so direct
@@ -102,9 +143,51 @@ class PreparedQuery:
         # statistics are refreshed, and the plan is recompiled in place (the
         # handle — and its plan-cache entry — stays valid; no reconnect).
         self.reopt_qerror_threshold = reopt_qerror_threshold
-        self._pinned_orders: dict[int, list[tuple[str, float]]] | None = None
+
+    def for_text(self, text: str, literals: Sequence[Any]) -> "PreparedQuery":
+        """The handle of one text of this shape: ``literals`` are its constants.
+
+        Shares the compiled plan, the three memos, the pinned join orders and
+        the lock with this object; differs in its text and in binding
+        ``literals`` (in source order, coerced here through the compared
+        components' types) by itself.  Raises
+        :class:`~repro.errors.BindingError` when a literal is no value of its
+        component's type — the caller then compiles the text as written for
+        the error a user should see.
+        """
+        literals = tuple(literals)
+        handle = self._handles.get(literals)
+        if handle is None:
+            handle = copy.copy(self)
+            handle.text = text
+            handle._literals = check_bindings(
+                self._positional, dict(zip(self._positional, literals))
+            )
+            self._handles[literals] = handle
+        return handle
 
     # -- introspection ----------------------------------------------------------------
+
+    @property
+    def plan(self) -> QueryPlan:
+        """The compiled plan as this text wrote it.
+
+        For the handle of a text with lifted literals that is the shared plan
+        with the literals bound — they read as constants, the ``$names`` stay
+        parameters — derived on first use.
+        """
+        if not self._literals:
+            return self._compiled.plan
+        if self._as_written is None:
+            values = dict.fromkeys(self.parameters, UNBOUND)
+            values.update(self._literals)
+            self._as_written = bind_plan(self._compiled.plan, values, self._positional)
+        return self._as_written
+
+    @property
+    def selection(self) -> Selection:
+        """The resolved selection (its lifted literals constants again)."""
+        return self.plan.selection
 
     @property
     def trace(self):
@@ -165,7 +248,11 @@ class PreparedQuery:
     # -- execution --------------------------------------------------------------------
 
     def _coerce_bindings(self, values: Mapping[str, Any] | None) -> dict[str, Any]:
-        """Validate and coerce ``values`` (empty dict for a parameterless query)."""
+        """Validate and coerce ``values``; the text's own literals ride along.
+
+        Checked against the declared ``$names`` only, so no message names a
+        positional parameter and no binding can reach one.
+        """
         values = dict(values or {})
         if not self.parameters:
             if values:
@@ -173,8 +260,10 @@ class PreparedQuery:
                     "query declares no parameters but bindings were supplied: "
                     + ", ".join(f"${name}" for name in sorted(values))
                 )
-            return {}
-        return check_bindings(self.parameters, values)
+            return dict(self._literals)
+        coerced = check_bindings(self.parameters, values)
+        coerced.update(self._literals)
+        return coerced
 
     def bind(self, values: Mapping[str, Any] | None = None) -> QueryPlan:
         """The plan with ``values`` substituted for the declared parameters.
@@ -201,13 +290,14 @@ class PreparedQuery:
 
     def _bound_plan(self, coerced: Mapping[str, Any], key: tuple | None) -> QueryPlan:
         """The bound plan for already-validated, coerced values."""
-        if not self.parameters:
-            return self.plan
+        shared = self._compiled.plan
+        if not coerced:
+            return shared
         if key is None or self._cache_size == 0:
-            return bind_plan(self.plan, coerced)
+            return bind_plan(shared, coerced, self._positional)
         plan = self._bound_plans.get(key)
         if plan is None:
-            plan = bind_plan(self.plan, coerced)
+            plan = bind_plan(shared, coerced, self._positional)
             self._bound_plans.put(key, plan)
         return plan
 
@@ -267,7 +357,7 @@ class PreparedQuery:
         execute_plan = (
             self._engine.execute_plan_streaming if streaming else self._engine.execute_plan
         )
-        pinned = self._pinned_orders
+        pinned = self._compiled.pinned_orders
         if key is None or self._cache_size == 0:
             result = execute_plan(
                 plan, options, reset_statistics=reset_statistics, pinned_orders=pinned
@@ -326,7 +416,7 @@ class PreparedQuery:
         if pinned is None:
             pins = self._build_pins(combination)
             if pins:
-                self._pinned_orders = pins
+                self._compiled.pinned_orders = pins
             return
         if streaming:
             # A lazy execution's actual counts only fill in as the stream
@@ -379,21 +469,22 @@ class PreparedQuery:
         from repro.transform.pipeline import prepare_query  # cycle-free, lazy
 
         database = self._engine.database
-        self._pinned_orders = None
-        self._bound_plans = BoundedLRU(self._cache_size)
-        self._collections = BoundedLRU(self._cache_size)
-        self._snapshot_collections = BoundedLRU(self._cache_size)
+        compiled = self._compiled
+        compiled.pinned_orders = None
+        # Emptied in place: the handles of this shape hold the same memos.
+        self._bound_plans.clear()
+        self._collections.clear()
+        self._snapshot_collections.clear()
         refresh = getattr(database, "refresh_statistics", None)
         if callable(refresh):
             refresh(self.referenced_relations)
-        self.plan = prepare_query(
-            self.selection,
+        compiled.plan = prepare_query(
+            compiled.plan.selection,
             database,
             self.options,
             resolve=False,
             defer_restricted_ranges=True,
         )
-        self.parameters = collect_parameters(self.plan)
         database.statistics.record_reoptimization()
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics

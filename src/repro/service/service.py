@@ -3,10 +3,11 @@
 :class:`QueryService` is the front door a long-running deployment would
 expose.  It wraps a :class:`~repro.engine.evaluator.QueryEngine` with:
 
-* **plan caching** — ``prepare`` keys compiled plans on the normalized query
-  token stream, the strategy options, the database's ``schema_version`` and
-  the emptiness signature (see :mod:`repro.service.cache` for the
-  invalidation rule), so a query seen a thousand times is lexed, type
+* **plan caching** — ``prepare`` keys compiled plans on the query's *shape*
+  (its lexemes with the constants lifted out), the strategy options and the
+  database's ``schema_version``, and validates a hit against the emptiness
+  of the relations the plan ranges over (see :mod:`repro.service.cache`), so
+  a thousand texts that differ only in their constants are parsed, type
   checked and transformed once;
 * **parameterized execution** — ``execute(text, {"year": 1977})`` late-binds
   values into the cached plan instead of recompiling;
@@ -26,25 +27,18 @@ import warnings
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.calculus.ast import Selection
+from repro.calculus.typecheck import TypeChecker
 from repro.config import ServiceOptions, StrategyOptions
 from repro.engine.evaluator import QueryEngine, QueryResult
-from repro.errors import PlanError
-from repro.lang.lexer import tokenize
+from repro.errors import PascalRError, PlanError
+from repro.lang.lexer import PLACEHOLDERS, scan_shape, tokenize
+from repro.lang.parser import Parser
 from repro.service.batch import execute_plans_batched
 from repro.service.cache import BoundedLRU, PlanCache, emptiness_signature
 from repro.service.prepared import PreparedQuery
 from repro.transform.pipeline import prepare_query
 
-__all__ = ["QueryService", "normalize_query_text"]
-
-
-def normalize_query_text(text: str) -> tuple:
-    """A whitespace- and comment-insensitive cache key for query text.
-
-    Two texts that tokenize identically (keywords are case-insensitive, PASCAL
-    comments are trivia) share a plan-cache entry.
-    """
-    return tuple((token.type, token.value) for token in tokenize(text))
+__all__ = ["QueryService"]
 
 
 class QueryService:
@@ -97,9 +91,10 @@ class QueryService:
         self._execution_lock = (
             execution_lock if execution_lock is not None else threading.RLock()
         )
-        # Raw text -> normalized token key.  Tokenizing dominates the cost of
-        # a cache hit, so repeated executions of the *same string* skip it;
-        # texts that differ only in trivia still meet at the normalized key.
+        # Raw text -> (cache key, literal values).  Repeated executions of the
+        # *same string* skip the scan; texts that differ only in trivia or in
+        # constants still meet at the shape.  ``None`` for the literals marks
+        # a text keyed as written (see ``prepare``).
         self._text_keys = BoundedLRU(max(cache_capacity * 4, 16))
         # The schema version the cached plans belong to; a catalog change
         # makes every entry permanently unreachable (keys embed the version),
@@ -134,12 +129,12 @@ class QueryService:
 
     # -- cache keys --------------------------------------------------------------------
 
-    def _normalized_key(self, text: str) -> tuple:
-        key = self._text_keys.get(text)
-        if key is None:
-            key = normalize_query_text(text)
-            self._text_keys.put(text, key)
-        return key
+    def _text_key(self, text: str) -> tuple:
+        entry = self._text_keys.get(text)
+        if entry is None:
+            entry = scan_shape(text)
+            self._text_keys.put(text, entry)
+        return entry
 
     def _schema_epoch(self) -> int:
         """The schema version cached plans are keyed on.
@@ -156,17 +151,12 @@ class QueryService:
             if schema_version != self._cache_schema_version:
                 if self._cache_schema_version is not None:
                     self.cache.invalidate()
+                    # Whether a literal fits its component is the catalog's word.
+                    self._text_keys.clear()
                 self._cache_schema_version = schema_version
         # A concurrent catalog change can still slip a store in under the
         # old version; that entry is merely unreachable until LRU-evicted.
         return schema_version
-
-    def _cache_key(self, query: str | Selection, options: StrategyOptions):
-        if isinstance(query, str):
-            normalized: object = self._normalized_key(query)
-        else:
-            normalized = query
-        return (normalized, options, self._schema_epoch())
 
     # -- prepare / execute -------------------------------------------------------------
 
@@ -193,36 +183,89 @@ class QueryService:
         The returned :class:`PreparedQuery` captures the type-checked AST,
         the transformation trace and the strategy configuration; execute it
         repeatedly with different parameter bindings.
+
+        A text is keyed by its *shape*: texts that differ only in their
+        constants — numbers, strings, enumeration labels — share one plan,
+        compiled with each constant lifted to a positional parameter, and
+        the handle returned for a text binds that text's constants by itself.
+        When compiling or binding the lifted form fails, for whatever reason,
+        the text is compiled as written, under a key that keeps its
+        constants: that compilation raises what the text deserves (the type
+        error of a constant outside its subrange, not a binding error about
+        a parameter nobody wrote) or answers for a text the shape scan
+        misjudged.  Errors are not cached, so a text with a bad constant
+        neither replaces nor evicts the entry its shape shares.
         """
         options = options or self.options
-        key = self._cache_key(query, options)
+        epoch = self._schema_epoch()
+        if not isinstance(query, str):
+            return self._prepare_as_written(query, query, options, epoch)
+        key, literals = self._text_key(query)
+        if literals is not None:
+            try:
+                return self._prepare_shape(query, key, literals, options, epoch)
+            except PascalRError:
+                pass
+            key = tuple((token.type, token.value) for token in tokenize(query))
+            self._text_keys.put(query, (key, None))
+        return self._prepare_as_written(query, key, options, epoch)
+
+    def _lookup(self, cache_key: tuple) -> PreparedQuery | None:
         # A stale hit (a referenced relation flipped empty <-> non-empty
         # since the plan was compiled) counts as a miss: the recompiled plan
         # overwrites the entry under the same key.
-        prepared = self.cache.lookup(key, validate=lambda entry: not entry.is_stale())
-        if prepared is not None:
-            return prepared
-        selection = self.engine._admit(query)
+        return self.cache.lookup(cache_key, validate=lambda entry: not entry.is_stale())
+
+    def _prepare_shape(
+        self, text: str, shape: tuple, literals: tuple, options: StrategyOptions, epoch: int
+    ) -> PreparedQuery:
+        cache_key = (shape, options, epoch)
+        shared = self._lookup(cache_key)
+        if shared is None:
+            tokens = tokenize(text)
+            parser = Parser(tokens, lift=True)
+            parsed = parser.parse_selection()
+            # What a constant is, is the parser's decision; the scan guessed.
+            guessed = [i for i, lexeme in enumerate(shape) if lexeme in PLACEHOLDERS]
+            if parser.lifted != guessed or len(tokens) != len(shape) + 1:
+                raise PlanError("the shape scan and the parser disagree on the constants")
+            selection = TypeChecker.for_database(self.database).resolve(parsed)
+            shared = self._compile(selection, options, text, lifted=len(guessed))
+            self.cache.store(cache_key, shared)
+        return shared.for_text(text, literals) if literals else shared
+
+    def _prepare_as_written(
+        self, query: str | Selection, key: object, options: StrategyOptions, epoch: int
+    ) -> PreparedQuery:
+        cache_key = (key, options, epoch)
+        prepared = self._lookup(cache_key)
+        if prepared is None:
+            text = query if isinstance(query, str) else None
+            prepared = self._compile(self.engine._admit(query), options, text)
+            self.cache.store(cache_key, prepared)
+        return prepared
+
+    def _compile(
+        self, selection: Selection, options: StrategyOptions, text: str | None, lifted: int = 0
+    ) -> PreparedQuery:
         # Deferring restricted-range adaptation is what makes the plan
         # cacheable: compilation then reads the data only through
-        # whole-relation emptiness (the signature in the cache key), and an
+        # whole-relation emptiness (validated on every cache hit), and an
         # empty restricted range at execution takes the runtime fallback.
         plan = prepare_query(
             selection, self.database, options, resolve=False, defer_restricted_ranges=True
         )
-        prepared = PreparedQuery(
+        return PreparedQuery(
             engine=self.engine,
-            selection=selection,
             plan=plan,
             options=options,
-            text=query if isinstance(query, str) else None,
+            text=text,
             schema_version=self.database.schema_version,
             collection_cache_size=self.service_options.collection_cache_size,
             lock=self._execution_lock,
             reopt_qerror_threshold=self.service_options.reopt_qerror_threshold,
+            lifted=lifted,
         )
-        self.cache.store(key, prepared)
-        return prepared
 
     def execute(
         self,
@@ -307,7 +350,6 @@ class QueryService:
             if not fits:
                 transient = PreparedQuery(
                     engine=engine,
-                    selection=prepared.selection,
                     plan=prepare_query(
                         prepared.selection,
                         snapshot,

@@ -16,7 +16,6 @@ from repro.transform.normalform import (
     to_standard_form,
 )
 from repro.transform.pipeline import (
-    PreparedQuery,
     QueryPlan,
     TraceStep,
     TransformationTrace,
@@ -44,7 +43,6 @@ __all__ = [
     "DerivedPredicate",
     "EmptyRangeAdaptation",
     "Lemma1Result",
-    "PreparedQuery",
     "QueryPlan",
     "PushdownResult",
     "PushdownStep",

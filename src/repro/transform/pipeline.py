@@ -49,7 +49,7 @@ from repro.transform.quantifier_pushdown import (
 )
 from repro.transform.range_extension import extend_ranges
 
-__all__ = ["QueryPlan", "PreparedQuery", "TransformationTrace", "TraceStep", "prepare_query"]
+__all__ = ["QueryPlan", "TransformationTrace", "TraceStep", "prepare_query"]
 
 
 @dataclass(frozen=True)
@@ -145,12 +145,6 @@ def _collect_derived(predicate: DerivedPredicate, found: list[DerivedPredicate])
         found.append(predicate)
 
 
-#: Backwards-compatible alias — the plan type was called ``PreparedQuery``
-#: before the service layer introduced a (parameterizable, re-executable)
-#: :class:`repro.service.PreparedQuery` on top of it.
-PreparedQuery = QueryPlan
-
-
 def prepare_query(
     selection: Selection,
     database,
@@ -214,7 +208,7 @@ def prepare_query(
     matrix = standard_form.matrix
     if isinstance(matrix, BoolConst):
         trace.add("constant matrix", "matrix reduced to " + ("TRUE" if matrix.value else "FALSE"))
-        return PreparedQuery(
+        return QueryPlan(
             selection=selection,
             bindings=tuple(standard_form.selection.bindings),
             prefix=standard_form.prefix,

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro import QueryEngine, StrategyOptions, build_university_database
@@ -52,3 +55,21 @@ ALL_STRATEGY_CONFIGS = {
 def strategy_options(request) -> StrategyOptions:
     """Parametrised fixture iterating over representative strategy configurations."""
     return ALL_STRATEGY_CONFIGS[request.param]
+
+
+@pytest.fixture(scope="session")
+def adhoc_paper_templates() -> dict[str, str]:
+    """The five query templates of the end-to-end benchmark's ``adhoc_paper``.
+
+    ``label -> format string`` over ``{k}``, ``{status}``, ``{year}`` and
+    ``{level}``, read from ``benchmarks/e2e/workloads.py`` itself so the
+    tests exercise the texts the benchmark sends.  That directory's modules
+    import each other by bare name, hence the detour through ``sys.path``.
+    """
+    e2e = str(Path(__file__).resolve().parents[1] / "benchmarks" / "e2e")
+    sys.path.insert(0, e2e)
+    try:
+        from workloads import AdhocPaper
+    finally:
+        sys.path.remove(e2e)
+    return {label: text for _, label, text, _, _ in AdhocPaper.TEMPLATES}

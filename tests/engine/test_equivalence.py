@@ -19,7 +19,11 @@ must agree with each other, and the page counters must be coherent: a paged
 database reads pages (with ``page_hits + page_misses == pages_read``), an
 in-memory database never does.  A final block extends the matrix to the
 service layer: prepared parameterized execution must be byte-identical to
-cold execution for every workload query, parameter binding and backend.
+cold execution for every workload query, parameter binding and backend —
+and so must texts with their constants written in, which the plan cache
+compiles once per shape (the S1-S4 cross of that is
+``tests/service/test_literal_lifting.py``; here it meets the storage
+backends, the permanent indexes and both execution modes).
 """
 
 from __future__ import annotations
@@ -410,6 +414,54 @@ class TestPreparedMatchesColdAcrossBackends:
         _assert_page_counters_sane(figure1_backend, backend)
 
 
+class TestLiftedLiteralEquivalence:
+    """Constants written into the text × backends × indexes × execution mode.
+
+    Every binding of a workload query, inlined, is one more text of one
+    shape: one compilation serves them all, and each must give the rows —
+    in the order — of compiling it as written (``QueryEngine.run``).
+    """
+
+    @pytest.mark.parametrize("streaming", (False, True), ids=("streaming=off", "streaming=on"))
+    @pytest.mark.parametrize("workload_name", sorted(parameterized_queries()))
+    def test_inlined_bindings_share_a_plan_and_match_cold(
+        self, indexed_backend, backend, workload_name, streaming
+    ):
+        text, bindings = parameterized_queries()[workload_name]
+        options = StrategyOptions().with_(streaming_execution=streaming)
+        engine = QueryEngine(indexed_backend, options)
+        with connect(indexed_backend, options=options) as connection:
+            cursor = connection.cursor()
+            with connection.session() as session:
+                for values in bindings + bindings:  # the second round meets the memos
+                    inlined = inline_parameters(text, values)
+                    cold = engine.run(inlined)
+                    assert cold.relation == execute_naive(indexed_backend, inlined)
+                    expected = [r.values for r in cold.rows]
+                    for front_door in (cursor, session.cursor()):
+                        rows = front_door.execute(inlined).fetchall()
+                        assert [r.values for r in rows] == expected, (workload_name, values)
+            info = connection.cache_info()
+            assert (info["misses"], info["size"]) == (1, 1), info
+        _assert_page_counters_sane(indexed_backend, backend)
+
+    def test_an_index_probe_takes_the_lifted_constant(self, indexed_backend):
+        """The selector picks the path from the shape; the constant binds into it."""
+        template = "[<e.ename> OF EACH e IN employees: (e.enr = %d)]"
+        with connect(indexed_backend) as connection:
+            cursor = connection.cursor()
+            for enr in (1, 2, 3, 2, 1, 3, 2):
+                rows = cursor.execute(template % enr).fetchall()
+                assert [r.values for r in rows] == [
+                    r.values for r in execute_naive(indexed_backend, template % enr)
+                ]
+            # A pin's index view is built on the second read of a version and
+            # probed from then on (DESIGN.md "Index views"), whatever the constant.
+            assert cursor.statistics["relations"]["employees"]["index_probes"] == 1
+            assert "probe ind_employees_enr" in connection.prepare(template % 4).access_paths()["e"]
+            assert connection.cache_info()["misses"] == 1
+
+
 # ------------------------------------------------ the bibliographic domain
 
 from repro.workloads.bibliography import (  # noqa: E402 - grouped with its matrix
@@ -531,3 +583,22 @@ class TestBibliographyEquivalence:
                     r.values for r in expected
                 ), (workload_name, values, backend)
         _assert_page_counters_sane(bibliography_backend, backend)
+
+    @pytest.mark.parametrize("workload_name", sorted(bibliography_parameterized_queries()))
+    def test_inlined_bindings_share_a_plan_and_match_cold(
+        self, bibliography_backend, workload_name
+    ):
+        """Lifted literals over the second domain: quoted non-ASCII venue
+        names bound to a char array, the same author number lifted twice."""
+        text, bindings = bibliography_parameterized_queries()[workload_name]
+        engine = QueryEngine(bibliography_backend)
+        with connect(bibliography_backend) as connection:
+            cursor = connection.cursor()
+            for values in bindings + bindings:
+                inlined = inline_parameters(text, values)
+                rows = cursor.execute(inlined).fetchall()
+                assert [r.values for r in rows] == [
+                    r.values for r in engine.run(inlined).rows
+                ], (workload_name, values)
+            info = connection.cache_info()
+            assert (info["misses"], info["size"]) == (1, 1), info
