@@ -9,12 +9,10 @@ whose fetches stream rows off the live operator pipeline.
 ``repro.aconnect(database)`` is the same surface for asyncio programs: an
 :class:`AsyncConnection` wrapping the thread-safe connection, whose cursors
 drain pinned-snapshot pipelines through a thread pool without blocking the
-event loop.  The pre-connection entry points (``QueryEngine.execute``,
-direct ``QueryService`` construction) keep working through deprecation
-shims routed through a per-database default connection.
+event loop.
 """
 
-from repro.api.connection import Connection, connect, default_connection
+from repro.api.connection import Connection, connect
 from repro.api.cursor import Column, Cursor
 from repro.api.session import Session
 
@@ -28,7 +26,6 @@ __all__ = [
     "Session",
     "aconnect",
     "connect",
-    "default_connection",
 ]
 
 #: Exported lazily (PEP 562): the asyncio front door — and with it

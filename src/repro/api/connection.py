@@ -18,17 +18,11 @@ Connections are thread-safe: compilation and every pipeline step run under
 one reentrant execution lock, so any number of threads can share a
 connection with their own cursors.  ``close()`` is explicit and idempotent;
 a close with a transaction still active rolls it back.
-
-:func:`default_connection` keeps one lazily created connection per database;
-it backs the deprecation shims (``QueryEngine.execute``, direct
-``QueryService(...)`` construction), which route legacy callers through it
-so old and new code share a serialization domain.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 import weakref
 from typing import Any, Mapping, Sequence
 
@@ -38,7 +32,7 @@ from repro.config import DURABILITY_COMMIT, ServiceOptions, StrategyOptions
 from repro.errors import ConnectionClosedError
 from repro.service.service import QueryService
 
-__all__ = ["Connection", "connect", "default_connection"]
+__all__ = ["Connection", "connect"]
 
 
 def connect(
@@ -110,7 +104,6 @@ class Connection:
             options=options,
             cache_capacity=cache_capacity,
             service_options=service_options,
-            _internal=True,
         )
         self._lock = self._service._execution_lock
         self._closed = False
@@ -227,26 +220,6 @@ class Connection:
             for cursor in list(self._cursors):
                 cursor._invalidate(reason)
 
-    # -- legacy routing ----------------------------------------------------------------
-
-    def run_legacy(
-        self,
-        engine,
-        query,
-        options: StrategyOptions | None = None,
-        reset_statistics: bool = True,
-    ):
-        """Execute for a deprecated caller, inside this connection's lock.
-
-        The ``QueryEngine.execute`` shim lands here with *its own* engine, so
-        the legacy call keeps its engine's options and statistics behaviour —
-        it merely serializes with the connection's cursors and sessions
-        instead of racing them.
-        """
-        self._check_open()
-        with self._lock:
-            return engine.run(query, options=options, reset_statistics=reset_statistics)
-
     # -- lifecycle ---------------------------------------------------------------------
 
     def close(self) -> None:
@@ -283,30 +256,3 @@ class Connection:
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         state = "closed" if self._closed else "open"
         return f"Connection({self._database.name!r}, {state})"
-
-
-# Guards creation of per-database default connections (deprecation shims).
-_default_connection_lock = threading.Lock()
-
-# The default connection is stored ON the database object itself: its
-# lifetime is then exactly the database's (the reference cycle database ->
-# connection -> database is ordinary garbage-collector fare), so routing a
-# short-lived database through a deprecation shim cannot leak it the way a
-# module-level registry whose values strongly reference its keys would.
-_DEFAULT_ATTR = "_repro_default_connection"
-
-
-def default_connection(database) -> Connection:
-    """The per-database default connection (created on first use).
-
-    Legacy surfaces (``QueryEngine.execute``, direct ``QueryService``
-    construction) route through it so that deprecated and modern callers
-    share one execution serialization domain per database.  A closed default
-    connection is transparently replaced.
-    """
-    with _default_connection_lock:
-        connection = getattr(database, _DEFAULT_ATTR, None)
-        if connection is None or connection.closed:
-            connection = Connection(database)
-            setattr(database, _DEFAULT_ATTR, connection)
-        return connection

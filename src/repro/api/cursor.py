@@ -104,26 +104,24 @@ class Cursor:
         copy-on-write snapshot when ``ServiceOptions.snapshot_reads`` is on:
         compilation, execution and every subsequent fetch run *outside* the
         execution lock, concurrently with other readers and with a writer
-        session.  Session cursors (and ``snapshot_reads=False``) keep the
-        serialized live path, so a transaction reads its own writes.
+        session.  Session cursors (and ``snapshot_reads=False``) run on the
+        live database under the lock, so a transaction reads its own writes.
+        That choice is all that differs: both go through
+        :meth:`QueryService.start <repro.service.QueryService.start>`.
         """
         self._check_open()
-        if self._session is None and self._service.service_options.snapshot_reads:
+        pin = self._session is None and self._service.service_options.snapshot_reads
+        with nullcontext() if pin else self._lock:
             with self._lock:
                 self._discard()
-            result = self._service.execute_streaming_snapshot(query, parameters)
+            result = self._service.start(query, parameters, pin=pin)
             # Install under the lock with the snapshot flag set first:
             # Connection._finalize_open_streams (a concurrent rollback on
             # this connection) runs under the same lock and skips snapshot
             # cursors — it must never observe the fresh stream with
             # _snapshot still False and close it as a live-path leftover.
             with self._lock:
-                self._snapshot = True
-                self._install(result)
-        else:
-            with self._lock:
-                self._discard()
-                result = self._service.execute_streaming(query, parameters)
+                self._snapshot = pin
                 self._install(result)
         return self
 
@@ -277,17 +275,7 @@ class Cursor:
 
     def _discard(self) -> None:
         """Shut down the open pipeline (if any) and reset the result state."""
-        rows = self._rows
-        self._rows = None
-        if rows is not None:
-            close = getattr(rows, "close", None)
-            if close is not None:
-                close()
-        # Closing the pipeline finalised the result's statistics; keep that
-        # snapshot so ``statistics`` stays this execution's numbers after
-        # close (a later execute() replaces it via _install).
-        if self._result is not None and self._result.statistics:
-            self._final_statistics = self._result.statistics
+        self._end_result()
         self._result = None
         self._description = None
         self._fetched = 0
@@ -295,6 +283,19 @@ class Cursor:
         self._exhausted = False
         self._snapshot = False
         self._invalidated = None
+
+    def _end_result(self) -> None:
+        """End the current execution, fetched to its end or never fetched at all.
+
+        Closing the result unwinds the pipeline, stamps its final statistics
+        and releases a pinned snapshot; the stamp is kept, so ``statistics``
+        stays this execution's numbers after close (until the next execute).
+        """
+        self._rows = None
+        if self._result is not None:
+            self._result.close()
+            if self._result.statistics:
+                self._final_statistics = self._result.statistics
 
     def _invalidate(self, reason: str) -> None:
         """Finalize an open live-path stream because its state is going away.
@@ -309,13 +310,7 @@ class Cursor:
         """
         if self._closed or self._snapshot or self._exhausted or self._rows is None:
             return
-        rows = self._rows
-        self._rows = None
-        close = getattr(rows, "close", None)
-        if close is not None:
-            close()
-        if self._result is not None and self._result.statistics:
-            self._final_statistics = self._result.statistics
+        self._end_result()
         self._invalidated = reason
 
     def close(self) -> None:

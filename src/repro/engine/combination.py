@@ -314,7 +314,7 @@ class CombinationPhase:
             if ShardedCombination.applicable(self):
                 return ShardedCombination(self).run()
             if self.options.streaming_execution:
-                return self._run_streaming()
+                return self._run_streamed()
             return self._run_materialized()
 
     def _note(self, relation: Relation) -> Relation:
@@ -633,7 +633,7 @@ class CombinationPhase:
             name=operand.name, emitted=self._operator(),
         )
 
-    def _run_streaming(self) -> CombinationResult:
+    def _run_streamed(self) -> CombinationResult:
         """Build the combination pipeline; execution happens when it is drained.
 
         The method decides join orders, applies the semijoin reducer and

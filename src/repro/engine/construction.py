@@ -80,7 +80,7 @@ class ConstructionPhase:
         :meth:`run`'s result in insertion order, produced lazily.  Requires a
         live combination stream (:class:`~repro.errors.StreamError`
         otherwise — a materialised phase is constructed via :meth:`run` and
-        iterated, see ``QueryEngine._finalize_streaming``).  Element reads
+        iterated, see ``QueryEngine.execute_plan``).  Element reads
         are attributed to the construction phase around each pull, so the
         phase accounting matches a monolithic drain.
         """

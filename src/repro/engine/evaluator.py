@@ -26,13 +26,11 @@ from __future__ import annotations
 
 import itertools
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.calculus.analysis import has_universal_quantifier
 from repro.calculus.ast import Selection
-from repro.calculus.typecheck import TypeChecker
+from repro.calculus.typecheck import resolve_selection
 from repro.config import StrategyOptions
 from repro.engine.access import iter_access, select_access_path
 from repro.engine.collection import CollectionPhase, CollectionResult, ExtendedRangeEmptyError
@@ -44,8 +42,6 @@ from repro.lang.parser import parse_selection
 from repro.relational.record import Record
 from repro.relational.relation import Relation
 from repro.transform.pipeline import QueryPlan, prepare_query
-from repro.transform.separation import can_separate
-from repro.transform.normalform import to_standard_form
 
 __all__ = ["QueryResult", "QueryEngine", "execute_naive"]
 
@@ -62,6 +58,19 @@ def _projected_rows(
     """
     for combination in itertools.product(*ranges):
         yield tuple(combination[variable][position] for variable, position in columns)
+
+
+def resolve_query(query: str | Selection, database) -> Selection:
+    """Parse ``query`` when it is a text, and resolve it against ``database``'s catalog."""
+    return resolve_selection(parse_selection(query) if isinstance(query, str) else query, database)
+
+
+def _ending(rows: Iterator, result: "QueryResult") -> Iterator:
+    """``rows``, telling ``result`` when they end: exhausted, failed, or closed once started."""
+    try:
+        yield from rows
+    finally:
+        result._ended()
 
 
 @dataclass
@@ -81,11 +90,42 @@ class QueryResult:
     index probe), for EXPLAIN ANALYZE."""
 
     row_iterator: Iterator | None = field(default=None, repr=False, compare=False)
-    """Lazy record iterator attached by the streaming execution entry points
-    (:meth:`QueryEngine.execute_plan_streaming`); ``None`` for ordinary,
-    fully materialised executions.  Cursors drain it fetch-by-fetch — the
-    :attr:`relation` fills as a side effect, and :attr:`statistics` /
-    :attr:`elapsed_seconds` are finalised when it is exhausted or closed."""
+    """The result records, lazily (:meth:`QueryEngine.execute_plan`): when the
+    combination phase streams, each step dereferences one reference tuple
+    and :attr:`relation` fills as a side effect; an execution that could not
+    stream iterates its finished relation.  Cursors pull it fetch by fetch,
+    :meth:`drain` to the end.  ``None`` on the members of a batch, which are
+    handed out complete."""
+
+    _closers: list = field(default_factory=list, repr=False, compare=False)
+
+    def on_close(self, callback) -> None:
+        """Run ``callback`` once when the rows end: exhausted, failed, or closed
+        at any point before, the first fetch included.  The engine stamps the
+        final statistics here, the service releases a pinned snapshot."""
+        self._closers.append(callback)
+
+    def drain(self) -> "QueryResult":
+        """Pull every remaining row: the eager spelling of any execution."""
+        for _ in self.row_iterator or ():
+            pass
+        return self
+
+    def close(self) -> None:
+        """End the execution wherever it stands; closing twice is a no-op.
+
+        A started pipeline unwinds through its operators' ``finally`` clauses
+        (breaker state, pinned pages), which ends the rows; closing a fresh
+        generator runs none of its code, so that end is declared here.
+        """
+        if self.row_iterator is not None:
+            self.row_iterator.close()
+        self._ended()
+
+    def _ended(self) -> None:
+        # One at a time: a callback that raises leaves the later ones due.
+        while self._closers:
+            self._closers.pop(0)()
 
     @property
     def rows(self) -> list:
@@ -142,16 +182,11 @@ class QueryEngine:
 
     def parse(self, text: str) -> Selection:
         """Parse and resolve a textual selection."""
-        return TypeChecker.for_database(self.database).resolve(parse_selection(text))
-
-    def _admit(self, query: str | Selection) -> Selection:
-        if isinstance(query, str):
-            return self.parse(query)
-        return TypeChecker.for_database(self.database).resolve(query)
+        return resolve_query(text, self.database)
 
     def prepare(self, query: str | Selection, options: StrategyOptions | None = None) -> QueryPlan:
         """Run only the transformation pipeline (used by EXPLAIN and tests)."""
-        selection = self._admit(query)
+        selection = resolve_query(query, self.database)
         return prepare_query(selection, self.database, options or self.options, resolve=False)
 
     # -- execution ---------------------------------------------------------------------
@@ -162,51 +197,17 @@ class QueryEngine:
         options: StrategyOptions | None = None,
         reset_statistics: bool = True,
     ) -> QueryResult:
-        """Evaluate ``query`` and return the result with full accounting.
+        """Compile ``query`` as written, evaluate it and return the finished result.
 
-        This is the engine-internal entry point (the connection, session and
-        service layers all bottom out here).  Application code should prefer
-        :func:`repro.connect` — a :class:`~repro.api.Connection` adds plan
-        caching, transactions and streaming cursors on top.
+        The engine-level spelling: no plan cache, no lifted constants, no
+        lock — which makes it the reference for rows *and order* that the
+        equivalence suites compare the service and the cursors against.
+        Application code should prefer :func:`repro.connect`.
         """
-        options = options or self.options
         if reset_statistics:
             self.database.reset_statistics()
-        selection = self._admit(query)
-        started = time.perf_counter()
-        result = self._execute_resolved(selection, options)
-        result.elapsed_seconds = time.perf_counter() - started
-        result.statistics = self.database.statistics.as_dict()
-        return result
-
-    def execute(
-        self,
-        query: str | Selection,
-        options: StrategyOptions | None = None,
-        reset_statistics: bool = True,
-    ) -> QueryResult:
-        """Deprecated: evaluate ``query`` through the database's default connection.
-
-        .. deprecated:: 1.2
-            Use ``repro.connect(database)`` and its cursors — or
-            :meth:`run` for engine-level experiments.  This shim keeps old
-            call sites working: it emits a :class:`DeprecationWarning` and
-            routes the execution through the per-database default
-            :class:`~repro.api.Connection`, so legacy callers at least share
-            that connection's execution serialization.
-        """
-        warnings.warn(
-            "QueryEngine.execute is deprecated; use repro.connect(database) and "
-            "cursor execute/fetch (or QueryEngine.run for engine-level work)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.api.connection import default_connection
-
-        connection = default_connection(self.database)
-        return connection.run_legacy(
-            self, query, options=options, reset_statistics=reset_statistics
-        )
+        plan = self.prepare(query, options)
+        return self.execute_plan(plan, reset_statistics=False).drain()
 
     def execute_plan(
         self,
@@ -216,16 +217,26 @@ class QueryEngine:
         collection: CollectionResult | None = None,
         collection_sink=None,
         pinned_orders: dict[int, list[tuple[str, float]]] | None = None,
+        source=None,
     ) -> QueryResult:
-        """Evaluate an already-transformed :class:`QueryPlan`.
+        """Evaluate an already-transformed :class:`QueryPlan` — the one executor.
 
-        This is the run-time half of the prepare/execute split used by the
-        service layer: the compile-time pipeline (lexing, type checking, the
-        Section 2-3 transformations) was paid when ``plan`` was built; only
-        the collection/combination/construction phases run here.  ``plan``
-        must be fully bound (no free parameters) and must have been prepared
-        against this engine's database with ``options`` (default: the
-        options recorded on the plan).
+        The run-time half of the prepare/execute split: the compile-time
+        pipeline (lexing, type checking, the Section 2-3 transformations) was
+        paid when ``plan`` was built; only the collection, combination and
+        construction phases run here.  ``plan`` must be fully bound (no free
+        parameters) and prepared with ``options`` (default: the options
+        recorded on the plan) against ``source`` — what the phases read: this
+        engine's database when omitted, or a snapshot pinned from it.
+
+        The construction phase is always deferred: when this returns the
+        collection phase has run and the combination pipeline is wired; the
+        rows flow through :attr:`QueryResult.row_iterator`, filling the
+        relation as they are pulled, and statistics and elapsed time are
+        stamped now and again when the rows end.  ``.drain()`` is the eager
+        spelling.  Plans that cannot stream (constant matrices, separated
+        conjunctions, ``streaming_execution`` off, a sharded combination, the
+        Strategy 3 fallback) materialise here and iterate the finished relation.
 
         ``collection`` supplies a previously collected
         :class:`CollectionResult` for this exact plan (the service layer's
@@ -238,155 +249,62 @@ class QueryEngine:
         the Strategy 3 runtime fallback always re-collects and re-optimizes
         for its re-planned query.
         """
+        if source is None:
+            source = self.database
         options = options or plan.options
         if reset_statistics:
-            self.database.reset_statistics()
+            source.reset_statistics()
         started = time.perf_counter()
-        result = self._execute_resolved(
-            plan.selection,
-            options,
-            plan=plan,
-            collection=collection,
-            collection_sink=collection_sink,
-            pinned_orders=pinned_orders,
-        )
-        result.elapsed_seconds = time.perf_counter() - started
-        result.statistics = self.database.statistics.as_dict()
-        return result
-
-    def execute_plan_streaming(
-        self,
-        plan: QueryPlan,
-        options: StrategyOptions | None = None,
-        reset_statistics: bool = True,
-        collection: CollectionResult | None = None,
-        collection_sink=None,
-        pinned_orders: dict[int, list[tuple[str, float]]] | None = None,
-    ) -> QueryResult:
-        """Evaluate ``plan`` with a *lazy* construction phase.
-
-        Identical to :meth:`execute_plan` up to the combination pipeline, but
-        when the phase streams, the construction dereference is deferred: the
-        returned result carries a live :attr:`QueryResult.row_iterator` and
-        an (initially empty) result relation that fills as the iterator is
-        drained — this is what lets a cursor hand out first rows without the
-        engine materialising the full result.  Statistics and elapsed time
-        are finalised when the iterator is exhausted or closed.  Plans whose
-        execution cannot stream (constant matrices, separated conjunctions,
-        ``streaming_execution`` off, the Strategy 3 fallback) materialise as
-        usual and iterate the finished relation.
-        """
-        options = options or plan.options
-        if reset_statistics:
-            self.database.reset_statistics()
-        started = time.perf_counter()
-        result = self._execute_resolved(
-            plan.selection,
-            options,
-            plan=plan,
-            collection=collection,
-            collection_sink=collection_sink,
-            lazy=True,
-            pinned_orders=pinned_orders,
-        )
-        return self._finalize_streaming(result, started)
-
-    def run_streaming(
-        self,
-        query: str | Selection,
-        options: StrategyOptions | None = None,
-        reset_statistics: bool = True,
-    ) -> QueryResult:
-        """Parse, transform and evaluate ``query`` with a lazy construction phase.
-
-        The ad-hoc-text pendant of :meth:`execute_plan_streaming` (and the
-        engine-level backing of ``Cursor.execute``).
-        """
-        options = options or self.options
-        if reset_statistics:
-            self.database.reset_statistics()
-        selection = self._admit(query)
-        started = time.perf_counter()
-        result = self._execute_resolved(selection, options, lazy=True)
-        return self._finalize_streaming(result, started)
-
-    def _finalize_streaming(self, result: QueryResult, started: float) -> QueryResult:
-        """Attach the statistics-finalising row iterator to a lazy result."""
-        result.statistics = self.database.statistics.as_dict()
-        result.elapsed_seconds = time.perf_counter() - started
-        if result.row_iterator is None:
-            # The execution could not stream and is already materialised;
-            # statistics above are final.  Iterate the finished relation so
-            # cursors see one uniform interface.
-            result.row_iterator = iter(result.relation.elements())
-            return result
-        rows = result.row_iterator
-
-        def finalizing() -> Iterator:
-            try:
-                yield from rows
-            finally:
-                result.statistics = self.database.statistics.as_dict()
-                result.elapsed_seconds = time.perf_counter() - started
-
-        result.row_iterator = finalizing()
-        return result
-
-    def _execute_resolved(
-        self,
-        selection: Selection,
-        options: StrategyOptions,
-        plan: QueryPlan | None = None,
-        collection: CollectionResult | None = None,
-        collection_sink=None,
-        lazy: bool = False,
-        pinned_orders: dict[int, list[tuple[str, float]]] | None = None,
-    ) -> QueryResult:
-        prepared = plan if plan is not None else prepare_query(
-            selection, self.database, options, resolve=False
-        )
         try:
-            if options.separate_existential_conjunctions and self._separable(prepared):
-                return self._execute_separated(selection, prepared, options)
-            return self._execute_prepared(
-                selection,
-                prepared,
-                options,
-                collection=collection,
-                collection_sink=collection_sink,
-                lazy=lazy,
-                pinned_orders=pinned_orders,
-            )
+            if options.separate_existential_conjunctions and self._separable(plan):
+                result = self._execute_separated(source, plan, options)
+            else:
+                result = self._execute_prepared(
+                    source, plan, options, collection, collection_sink, pinned_orders
+                )
         except ExtendedRangeEmptyError:
             fallback_options = options.with_(extended_ranges=False)
-            prepared = prepare_query(selection, self.database, fallback_options, resolve=False)
-            prepared.trace.add(
+            replanned = prepare_query(plan.selection, source, fallback_options, resolve=False)
+            replanned.trace.add(
                 "runtime adaptation",
                 "an extended range was empty; re-planned without Strategy 3",
             )
-            result = self._execute_prepared(selection, prepared, fallback_options)
+            result = self._execute_prepared(source, replanned, fallback_options)
             result.used_strategy3_fallback = True
-            return result
+        statistics = source.statistics
+
+        def stamp() -> None:
+            result.statistics = statistics.as_dict()
+            result.elapsed_seconds = time.perf_counter() - started
+
+        stamp()
+        rows = result.row_iterator
+        if rows is None:
+            # Could not stream: the numbers above are final.  Iterate the
+            # finished relation, so every consumer sees one interface.
+            rows = iter(result.relation.elements())
+        else:
+            result.on_close(stamp)
+        result.row_iterator = _ending(rows, result)
+        return result
 
     def _execute_prepared(
         self,
-        selection: Selection,
+        source,
         prepared: QueryPlan,
         options: StrategyOptions,
         collection: CollectionResult | None = None,
         collection_sink=None,
-        lazy: bool = False,
         pinned_orders: dict[int, list[tuple[str, float]]] | None = None,
     ) -> QueryResult:
+        selection = prepared.selection
         if prepared.constant is not None:
             # The constant-matrix shortcut still relies on the non-empty-range
             # assumption behind Strategy 3: verify it before skipping the
             # phases, and fall back like the collection phase would.
-            self._check_extended_prefix_ranges(prepared, options)
+            self._check_extended_prefix_ranges(source, prepared, options)
             access_paths: dict[str, str] = {}
-            relation = self._evaluate_constant_matrix(
-                selection, prepared, options, access_paths
-            )
+            relation = self._evaluate_constant_matrix(source, prepared, options, access_paths)
             return QueryResult(
                 relation=relation,
                 prepared=prepared,
@@ -394,19 +312,19 @@ class QueryEngine:
                 access_paths=access_paths,
             )
         if collection is None:
-            collection = CollectionPhase(prepared, self.database, options).run()
+            collection = CollectionPhase(prepared, source, options).run()
             if collection_sink is not None:
                 collection_sink(collection)
         combination = CombinationPhase(
-            prepared, self.database, collection, options, pinned_orders=pinned_orders
+            prepared, source, collection, options, pinned_orders=pinned_orders
         ).run()
-        construction = ConstructionPhase(selection, self.database)
-        if lazy and combination.stream is not None:
+        construction = ConstructionPhase(selection, source)
+        if combination.stream is not None:
             # Defer the construction dereference: the caller pulls rows
             # through QueryResult.row_iterator and the relation fills as a
             # side effect — nothing downstream of the combination pipeline
             # materialises before it is fetched.
-            relation = result_relation_for(selection, self.database)
+            relation = result_relation_for(selection, source)
             row_iterator = construction.stream_into(combination, relation)
         else:
             relation = construction.run(combination)
@@ -422,22 +340,22 @@ class QueryEngine:
         )
 
     def _check_extended_prefix_ranges(
-        self, prepared: QueryPlan, options: StrategyOptions
+        self, database, prepared: QueryPlan, options: StrategyOptions
     ) -> None:
         """Raise :class:`ExtendedRangeEmptyError` when an extended quantifier range is empty."""
         for spec in prepared.prefix:
             if spec.range.restriction is None:
                 continue
-            relation = self.database.relation(spec.range.relation)
+            relation = database.relation(spec.range.relation)
             if len(relation) == 0:
                 continue
-            path = select_access_path(self.database, spec.var, spec.range, options)
-            if not any(True for _ in iter_access(self.database, path, spec.var)):
+            path = select_access_path(database, spec.var, spec.range, options)
+            if not any(True for _ in iter_access(database, path, spec.var)):
                 raise ExtendedRangeEmptyError(spec.var, spec.range.relation)
 
     def _evaluate_constant_matrix(
         self,
-        selection: Selection,
+        database,
         prepared: QueryPlan,
         options: StrategyOptions,
         access_paths: dict[str, str],
@@ -449,10 +367,10 @@ class QueryEngine:
         the free ranges are enumerated through the access-path selector: a
         permanent index turns the whole query into a probe plus construction.
         """
-        result = result_relation_for(selection, self.database)
+        selection = prepared.selection
+        result = result_relation_for(selection, database)
         if not prepared.constant:
             return result  # FALSE matrix: nothing is enumerated, no paths
-        database = self.database
         paths = [
             select_access_path(database, binding.var, binding.range, options)
             for binding in prepared.bindings
@@ -487,7 +405,7 @@ class QueryEngine:
         return len(prepared.conjunctions) > 1
 
     def _execute_separated(
-        self, selection: Selection, prepared: QueryPlan, options: StrategyOptions
+        self, source, prepared: QueryPlan, options: StrategyOptions
     ) -> QueryResult:
         """Evaluate each conjunction as an independent sub-query and union the results."""
         total: Relation | None = None
@@ -515,7 +433,7 @@ class QueryEngine:
                 options=options,
                 trace=prepared.trace,
             )
-            partial = self._execute_prepared(selection, sub, options)
+            partial = self._execute_prepared(source, sub, options).drain()
             last = partial
             combined = self._merge_combination(combined, partial.combination, position)
             if total is None:
@@ -625,9 +543,4 @@ def execute_naive(database, query: str | Selection, reset_statistics: bool = Tru
     """Evaluate ``query`` with the direct (ground truth) interpreter."""
     if reset_statistics:
         database.reset_statistics()
-    if isinstance(query, str):
-        selection = parse_selection(query)
-    else:
-        selection = query
-    resolved = TypeChecker.for_database(database).resolve(selection)
-    return evaluate_selection_naive(resolved, database)
+    return evaluate_selection_naive(resolve_query(query, database), database)

@@ -193,7 +193,9 @@ class SnapshotRegistry:
                         # The pin holds an image, not the live dict; the
                         # writer need not copy the live dict for this pin.
                         relation._cow_epoch = self.epoch
-                snapshot._attach(SnapshotRelation(relation, captured, snapshot.statistics))
+                snapshot._attach(
+                    SnapshotRelation(relation, captured, version, snapshot.statistics)
+                )
                 snapshot.relation_versions[name] = version
         return snapshot
 
@@ -232,7 +234,7 @@ class SnapshotRelation(Relation):
     bookkeeping), which is most of the snapshot read path's speed advantage.
     """
 
-    def __init__(self, source: Relation, elements: dict, tracker) -> None:
+    def __init__(self, source: Relation, elements: dict, version: int, tracker) -> None:
         # Deliberately no super().__init__: the captured dict is adopted
         # as-is, never rebuilt through insert_all.
         self.name = source.name
@@ -245,7 +247,8 @@ class SnapshotRelation(Relation):
         self._key_is_all = source._key_is_all
         self._registry = None
         self._cow_epoch = 0
-        self._version = source._version
+        # Of the captured dict — a committed image can be older than the live one.
+        self._version = version
 
     # -- reads -------------------------------------------------------------------------
 

@@ -169,7 +169,9 @@ def execute_plans_batched(
     results: list[QueryResult | None] = [None] * len(items)
     for position, (plan, options) in enumerate(items):
         if not _batchable(plan, options):
-            results[position] = engine.execute_plan(plan, options, reset_statistics=False)
+            results[position] = engine.execute_plan(
+                plan, options, reset_statistics=False
+            ).drain()
             continue
         for group in groups:
             if group.options == options and group.try_add(position, plan):
@@ -190,7 +192,7 @@ def execute_plans_batched(
             for position, plan in group.members:
                 results[position] = engine.execute_plan(
                     plan, group.options, reset_statistics=False
-                )
+                ).drain()
 
     # Every result carries the same end-of-batch snapshot, including members
     # executed individually (whose execute_plan call stamped a mid-batch

@@ -41,7 +41,7 @@ from repro.service.binding import (
     referenced_relations,
 )
 from repro.service.cache import BoundedLRU, emptiness_signature
-from repro.transform.pipeline import QueryPlan
+from repro.transform.pipeline import QueryPlan, prepare_query
 
 __all__ = ["PreparedQuery"]
 
@@ -71,7 +71,7 @@ class PreparedQuery:
         plan: QueryPlan,
         options: StrategyOptions,
         text: str | None = None,
-        schema_version: int | None = None,
+        source=None,
         collection_cache_size: int = 32,
         lock: threading.RLock | None = None,
         reopt_qerror_threshold: float = 0.0,
@@ -92,35 +92,36 @@ class PreparedQuery:
         }
         self._literals: dict[str, Any] = {}
         self._as_written: QueryPlan | None = None
-        database = engine.database
-        self.schema_version = (
-            schema_version if schema_version is not None else database.schema_version
-        )
+        # ``source`` is what the plan was compiled against: the live database
+        # or the pinned snapshot of the request that missed the plan cache.
+        if source is None:
+            source = engine.database
+        self.schema_version = source.schema_version
         # The Lemma 1 adaptation baked into the plan depends on which of the
         # relations *this query ranges over* were empty at prepare time;
         # record that restricted signature so staleness covers exactly the
         # empty <-> non-empty transitions that can change the plan, and no
         # others (clearing an unrelated relation must not break this handle).
         self.referenced_relations = referenced_relations(plan.selection)
+        self._referenced_sorted = tuple(sorted(self.referenced_relations))
         self.prepared_emptiness = (
-            emptiness_signature(database) & self.referenced_relations
+            emptiness_signature(source) & self.referenced_relations
         )
         # Per-binding memos, LRU-bounded.  ``_bound_plans`` skips the
-        # substitution walk for bindings seen before; ``_collections`` reuses
-        # whole collection-phase results while the data is provably unchanged
-        # (guarded by the database's schema and data versions).
+        # substitution walk for bindings seen before; the other two reuse
+        # whole collection-phase results while every relation the query
+        # ranges over provably holds what it held (``_version_token``).
+        # Results computed on the live database and on pins are kept apart:
+        # a collection's references dereference through the relation objects
+        # they were collected from, and a pin must never read through the
+        # live relation, which a writer mutates under the reader.
+        # BoundedLRU is thread-safe, and memoized collection results are
+        # read-only during combination (each execution rebuilds its
+        # structure relations), so concurrent pinned executions may share
+        # one entry.
         self._cache_size = max(collection_cache_size, 0)
         self._bound_plans = BoundedLRU(self._cache_size)
         self._collections = BoundedLRU(self._cache_size)
-        # Collection memo for lock-free snapshot executions, validated by a
-        # *relation-granular* version token (every relation the query ranges
-        # over, at its captured contents version) instead of the global data
-        # version: unrelated writer traffic cannot invalidate it.  Kept
-        # separate from ``_collections`` so the two validity disciplines
-        # never evict each other; BoundedLRU is thread-safe, and memoized
-        # collection results are read-only during combination (each
-        # execution rebuilds its structure relations), so concurrent
-        # snapshot executions may share one entry.
         self._snapshot_collections = BoundedLRU(self._cache_size)
         # Literal values -> the ``for_text`` handle binding them, so a text
         # prepared again (in any spelling of its trivia) gets the handle it
@@ -129,8 +130,8 @@ class PreparedQuery:
         # would tie every handle — and through its engine the database —
         # into a cycle only the garbage collector could free.
         self._handles: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-        # Executions serialize on this lock (the database's statistics,
-        # buffer pool and the memos above are unsynchronized hot paths).
+        # Executions on the live database serialize on this lock (its
+        # statistics and buffer pool are unsynchronized hot paths).
         # QueryService shares its own execution lock so direct
         # ``prepared.execute`` calls and service calls exclude each other.
         self._lock = lock if lock is not None else threading.RLock()
@@ -221,28 +222,33 @@ class PreparedQuery:
     def is_parameterized(self) -> bool:
         return bool(self.parameters)
 
-    def is_stale(self) -> bool:
-        """Whether this plan no longer reflects the database.
+    def is_stale(self, source=None) -> bool:
+        """Whether this plan does not fit ``source`` (default: the live database).
 
         True after a catalog change (``schema_version``) and after one of the
         relations this query ranges over transitioned between empty and
         non-empty (the compiled plan baked in the Lemma 1 adaptation for the
-        emptiness observed at prepare time).
+        emptiness observed at prepare time).  One rule for the live database
+        and for a pinned snapshot: a plan runs only on a state it was, or
+        could have been, compiled against.
         """
-        database = self._engine.database
-        if database.schema_version != self.schema_version:
+        if source is None:
+            source = self._engine.database
+        if source.schema_version != self.schema_version:
             return True
-        current = emptiness_signature(database) & self.referenced_relations
+        current = emptiness_signature(source) & self.referenced_relations
         return current != self.prepared_emptiness
 
-    def ensure_fresh(self) -> None:
+    def ensure_fresh(self, source=None) -> None:
         """Raise :class:`PlanError` when :meth:`is_stale` — re-prepare instead."""
-        if self.is_stale():
+        if source is None:
+            source = self._engine.database
+        if self.is_stale(source):
             raise PlanError(
                 "prepared query is stale: the database catalog or a relation's "
                 "emptiness changed since it was prepared "
                 f"(schema version {self.schema_version} -> "
-                f"{self._engine.database.schema_version}); prepare the query again"
+                f"{source.schema_version}); prepare the query again"
             )
 
     # -- execution --------------------------------------------------------------------
@@ -306,46 +312,39 @@ class PreparedQuery:
         values: Mapping[str, Any] | None = None,
         reset_statistics: bool = True,
     ) -> QueryResult:
-        """Run the prepared plan with ``values`` bound to its parameters.
+        """Run the prepared plan on the live database and return the finished result.
 
-        Late binding: the parameter values are substituted into the cached
-        plan structure, and execution starts at the collection phase.  While
-        the database reports no schema or data changes, the collection-phase
-        structures for a binding set are additionally reused across
-        executions (see :attr:`~repro.relational.database.Database.data_version`
-        for the guard).
-
-        Raises :class:`~repro.errors.PlanError` when the catalog changed
-        since this query was prepared — re-prepare through the service
-        (its cache keys on the schema version, so that is cheap).
+        :meth:`start`, drained, under this handle's lock.  Raises
+        :class:`~repro.errors.PlanError` when the catalog changed since this
+        query was prepared — re-prepare through the service (its cache keys
+        on the schema version, so that is cheap).
         """
         with self._lock:
             self.ensure_fresh()
-            return self._execute_locked(values, reset_statistics)
+            return self.start(values, reset_statistics=reset_statistics, drain=True)
 
-    def execute_streaming(
+    def start(
         self,
         values: Mapping[str, Any] | None = None,
+        source=None,
         reset_statistics: bool = True,
+        drain: bool = False,
     ) -> QueryResult:
-        """Run the prepared plan with a lazy construction phase.
+        """Bind ``values`` and start one execution on ``source`` — the one body.
 
-        Identical to :meth:`execute` through binding, memo lookup and the
-        collection/combination set-up, but the returned result's rows are
-        produced fetch-by-fetch through
-        :attr:`~repro.engine.evaluator.QueryResult.row_iterator` (see
-        :meth:`QueryEngine.execute_plan_streaming`).  The per-binding
-        collection memo still applies — the collection phase runs eagerly,
-        so its result is memoizable before any row has been fetched.
+        Late binding: the parameter values are substituted into the cached
+        plan structure, and execution starts at the collection phase; the
+        rows are pulled through the result's ``row_iterator``
+        (:meth:`QueryEngine.execute_plan`), or all at once with ``drain``.
+        ``source`` is the live database (the default; the caller holds this
+        handle's lock and has checked :meth:`ensure_fresh`) or a pinned
+        snapshot this plan fits (no lock: a pin is private to its reader).
+
+        While the relations the query ranges over hold what they held, the
+        collection-phase structures for a binding set are reused across
+        executions; the collection phase runs before this returns, so the
+        memo fills whether or not a row is ever fetched.
         """
-        with self._lock:
-            self.ensure_fresh()
-            return self._execute_locked(values, reset_statistics, streaming=True)
-
-    def _execute_locked(
-        self, values: Mapping[str, Any] | None, reset_statistics: bool,
-        streaming: bool = False,
-    ) -> QueryResult:
         # Validate/coerce BEFORE consulting the memos, and key on the
         # coerced values: a hash-equal but type-invalid binding (1977.0 for
         # a subrange) must fail identically whether or not the memo is warm.
@@ -353,45 +352,55 @@ class PreparedQuery:
         key = self._bindings_key(coerced)
         plan = self._bound_plan(coerced, key)
         database = self._engine.database
-        options = self.options
-        execute_plan = (
-            self._engine.execute_plan_streaming if streaming else self._engine.execute_plan
-        )
+        if source is None:
+            source = database
         pinned = self._compiled.pinned_orders
-        if key is None or self._cache_size == 0:
-            result = execute_plan(
-                plan, options, reset_statistics=reset_statistics, pinned_orders=pinned
-            )
-            self._observe_estimates(result, pinned, streaming)
-            return result
-
-        # The versions the memoized collection would be valid under; read
-        # before execution (execution builds only untracked result relations,
-        # so it cannot move data_version itself).
-        versions = (database.schema_version, database.data_version)
-        cached = self._collections.get(key)
-        collection = cached[1] if cached is not None and cached[0] == versions else None
+        memo = collection = None
+        if key is not None and self._cache_size > 0:
+            memo = self._collections if source is database else self._snapshot_collections
+            # Read before execution, which builds only untracked result
+            # relations and so cannot move a version itself.
+            token = self._version_token(source)
+            cached = memo.get(key)
+            if cached is not None and cached[0] == token:
+                collection = cached[1]
         computed: list = []
-        result = execute_plan(
+        result = self._engine.execute_plan(
             plan,
-            options,
+            self.options,
             reset_statistics=reset_statistics,
             collection=collection,
             collection_sink=computed.append,
             pinned_orders=pinned,
+            source=source,
         )
-        # The collection phase is eager even under a streaming construction,
-        # so the memo can be filled before any row has been fetched.
-        if collection is None and computed and not result.used_strategy3_fallback:
-            self._collections.put(key, (versions, computed[0]))
-        self._observe_estimates(result, pinned, streaming)
+        # The sink is only called with a collection computed for this very plan.
+        if memo is not None and computed and not result.used_strategy3_fallback:
+            memo.put(key, (token, computed[0]))
+        if drain:
+            result.drain()
+        self._observe_estimates(result, pinned)
         return result
+
+    def _version_token(self, source) -> tuple:
+        """What a memoized collection is valid under: the catalog version and
+        the contents version of every relation the query ranges over.
+
+        A pinned relation carries the version the pin captured, so one
+        reading serves both sources.  Versions only ever grow (through
+        rollback too): two states agreeing on the token hold identical
+        contents for exactly the relations the collection phase read, and
+        the memo survives writes to relations the query never reads.
+        """
+        relation = source.relation
+        return (
+            source.schema_version,
+            tuple(relation(name)._version for name in self._referenced_sorted),
+        )
 
     # -- adaptive reoptimization --------------------------------------------------------
 
-    def _observe_estimates(
-        self, result: QueryResult, pinned, streaming: bool = False
-    ) -> None:
+    def _observe_estimates(self, result: QueryResult, pinned) -> None:
         """Pin the first cost-modeled join sequences; reoptimize on drift.
 
         On the first execution that recorded complete per-step estimates the
@@ -418,10 +427,10 @@ class PreparedQuery:
             if pins:
                 self._compiled.pinned_orders = pins
             return
-        if streaming:
-            # A lazy execution's actual counts only fill in as the stream
-            # drains (after this handle's lock is released); drift detection
-            # stays with materialized executions, whose counts are complete.
+        if combination.stream is not None:
+            # Rows are still pending, and the actual counts only fill in as
+            # the stream drains: drift detection stays with the executions
+            # that ran to their end before this look.
             return
         worst = 1.0
         for estimates in combination.join_estimates:
@@ -466,8 +475,6 @@ class PreparedQuery:
 
     def _reoptimize(self) -> None:
         """Recompile the plan in place with refreshed statistics."""
-        from repro.transform.pipeline import prepare_query  # cycle-free, lazy
-
         database = self._engine.database
         compiled = self._compiled
         compiled.pinned_orders = None
@@ -475,9 +482,7 @@ class PreparedQuery:
         self._bound_plans.clear()
         self._collections.clear()
         self._snapshot_collections.clear()
-        refresh = getattr(database, "refresh_statistics", None)
-        if callable(refresh):
-            refresh(self.referenced_relations)
+        database.refresh_statistics(self.referenced_relations)
         compiled.plan = prepare_query(
             compiled.plan.selection,
             database,

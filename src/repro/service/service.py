@@ -23,22 +23,35 @@ expose.  It wraps a :class:`~repro.engine.evaluator.QueryEngine` with:
 from __future__ import annotations
 
 import threading
-import warnings
-from typing import Any, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
+from typing import Any
 
 from repro.calculus.ast import Selection
-from repro.calculus.typecheck import TypeChecker
 from repro.config import ServiceOptions, StrategyOptions
-from repro.engine.evaluator import QueryEngine, QueryResult
-from repro.errors import PascalRError, PlanError
+from repro.engine.evaluator import QueryEngine, QueryResult, resolve_query
+from repro.errors import BindingError, PascalRError, PlanError
 from repro.lang.lexer import PLACEHOLDERS, scan_shape, tokenize
 from repro.lang.parser import Parser
 from repro.service.batch import execute_plans_batched
-from repro.service.cache import BoundedLRU, PlanCache, emptiness_signature
+from repro.service.cache import BoundedLRU, PlanCache
 from repro.service.prepared import PreparedQuery
 from repro.transform.pipeline import prepare_query
 
 __all__ = ["QueryService"]
+
+
+def _check_request(query, parameters) -> None:
+    """Reject what is no query or no binding set, before anything is pinned or compiled."""
+    if not isinstance(query, (str, Selection, PreparedQuery)):
+        raise PlanError(
+            "a query is a text, a Selection or a PreparedQuery, "
+            f"not {type(query).__name__}"
+        )
+    if parameters is not None and not isinstance(parameters, Mapping):
+        raise BindingError(
+            "parameters are a mapping of names to values (or None), "
+            f"not {type(parameters).__name__}"
+        )
 
 
 class QueryService:
@@ -54,26 +67,7 @@ class QueryService:
         engine: QueryEngine | None = None,
         execution_lock: threading.RLock | None = None,
         cache: PlanCache | None = None,
-        _internal: bool = False,
     ) -> None:
-        if not _internal:
-            # Direct construction is the pre-connection surface.  The shim
-            # keeps it working but routes it through the database's default
-            # connection: the deprecated service shares that connection's
-            # engine and execution lock, so old and new callers serialize in
-            # one domain instead of racing each other.
-            warnings.warn(
-                "constructing QueryService directly is deprecated; use "
-                "repro.connect(database, ...) — the Connection owns the service "
-                "(reach it as connection.service)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            from repro.api.connection import default_connection
-
-            shared = default_connection(database).service
-            engine = engine or shared.engine
-            execution_lock = execution_lock or shared._execution_lock
         self.database = database
         self.options = options or StrategyOptions()
         self.service_options = service_options or ServiceOptions()
@@ -124,7 +118,6 @@ class QueryService:
             engine=self.engine,
             execution_lock=self._execution_lock,
             cache=self.cache,
-            _internal=True,
         )
 
     # -- cache keys --------------------------------------------------------------------
@@ -136,10 +129,11 @@ class QueryService:
             self._text_keys.put(text, entry)
         return entry
 
-    def _schema_epoch(self) -> int:
-        """The schema version cached plans are keyed on.
+    def _follow_catalog(self) -> None:
+        """Purge the cached plans when the live ``schema_version`` has moved.
 
-        A catalog change makes every existing entry permanently dead, so the
+        Keys embed the catalog version of what a plan was compiled against,
+        so a catalog change makes every existing entry permanently dead; the
         cache is purged eagerly instead of letting those plans pin memory
         until LRU eviction.  Emptiness transitions are NOT part of the key:
         a cache hit is instead validated against the plan's own restricted
@@ -154,9 +148,9 @@ class QueryService:
                     # Whether a literal fits its component is the catalog's word.
                     self._text_keys.clear()
                 self._cache_schema_version = schema_version
-        # A concurrent catalog change can still slip a store in under the
-        # old version; that entry is merely unreachable until LRU-evicted.
-        return schema_version
+        # A concurrent catalog change can still slip a store in under the old
+        # version, as a pin older than the change does; that entry is merely
+        # unreachable until LRU-evicted.
 
     # -- prepare / execute -------------------------------------------------------------
 
@@ -164,25 +158,34 @@ class QueryService:
         self,
         query: str | Selection | "PreparedQuery",
         options: StrategyOptions | None,
+        source=None,
     ) -> "PreparedQuery":
-        """Resolve a request into a PreparedQuery, rejecting conflicting options."""
+        """Resolve a request into a PreparedQuery that fits ``source``: prepared
+        against it, or — a handle the caller held — refused when stale for it."""
         if isinstance(query, PreparedQuery):
             if options is not None and options != query.options:
                 raise PlanError(
                     "a PreparedQuery carries its own strategy options; "
                     "prepare the query again to execute under different options"
                 )
+            query.ensure_fresh(source)
             return query
-        return self.prepare(query, options)
+        return self.prepare(query, options, source)
 
     def prepare(
-        self, query: str | Selection, options: StrategyOptions | None = None
+        self, query: str | Selection, options: StrategyOptions | None = None, source=None
     ) -> PreparedQuery:
         """Compile ``query`` once (or fetch it from the plan cache).
 
         The returned :class:`PreparedQuery` captures the type-checked AST,
         the transformation trace and the strategy configuration; execute it
         repeatedly with different parameter bindings.
+
+        ``source`` is the state the plan will run on — the live database
+        when omitted, or a pinned snapshot: its catalog version keys the
+        lookup, a hit is validated against its emptiness, and a miss is
+        compiled against it, so a plan is never prepared against one state
+        and run on another.
 
         A text is keyed by its *shape*: texts that differ only in their
         constants — numbers, strings, enumeration labels — share one plan,
@@ -197,30 +200,34 @@ class QueryService:
         neither replaces nor evicts the entry its shape shares.
         """
         options = options or self.options
-        epoch = self._schema_epoch()
+        if source is None:
+            source = self.database
+        self._follow_catalog()
         if not isinstance(query, str):
-            return self._prepare_as_written(query, query, options, epoch)
+            return self._prepare_as_written(query, query, options, source)
         key, literals = self._text_key(query)
         if literals is not None:
             try:
-                return self._prepare_shape(query, key, literals, options, epoch)
+                return self._prepare_shape(query, key, literals, options, source)
             except PascalRError:
                 pass
             key = tuple((token.type, token.value) for token in tokenize(query))
             self._text_keys.put(query, (key, None))
-        return self._prepare_as_written(query, key, options, epoch)
+        return self._prepare_as_written(query, key, options, source)
 
-    def _lookup(self, cache_key: tuple) -> PreparedQuery | None:
+    def _lookup(self, cache_key: tuple, source) -> PreparedQuery | None:
         # A stale hit (a referenced relation flipped empty <-> non-empty
         # since the plan was compiled) counts as a miss: the recompiled plan
         # overwrites the entry under the same key.
-        return self.cache.lookup(cache_key, validate=lambda entry: not entry.is_stale())
+        return self.cache.lookup(
+            cache_key, validate=lambda entry: not entry.is_stale(source)
+        )
 
     def _prepare_shape(
-        self, text: str, shape: tuple, literals: tuple, options: StrategyOptions, epoch: int
+        self, text: str, shape: tuple, literals: tuple, options: StrategyOptions, source
     ) -> PreparedQuery:
-        cache_key = (shape, options, epoch)
-        shared = self._lookup(cache_key)
+        cache_key = (shape, options, source.schema_version)
+        shared = self._lookup(cache_key, source)
         if shared is None:
             tokens = tokenize(text)
             parser = Parser(tokens, lift=True)
@@ -229,38 +236,39 @@ class QueryService:
             guessed = [i for i, lexeme in enumerate(shape) if lexeme in PLACEHOLDERS]
             if parser.lifted != guessed or len(tokens) != len(shape) + 1:
                 raise PlanError("the shape scan and the parser disagree on the constants")
-            selection = TypeChecker.for_database(self.database).resolve(parsed)
-            shared = self._compile(selection, options, text, lifted=len(guessed))
+            selection = resolve_query(parsed, source)
+            shared = self._compile(selection, options, text, source, lifted=len(guessed))
             self.cache.store(cache_key, shared)
         return shared.for_text(text, literals) if literals else shared
 
     def _prepare_as_written(
-        self, query: str | Selection, key: object, options: StrategyOptions, epoch: int
+        self, query: str | Selection, key: object, options: StrategyOptions, source
     ) -> PreparedQuery:
-        cache_key = (key, options, epoch)
-        prepared = self._lookup(cache_key)
+        cache_key = (key, options, source.schema_version)
+        prepared = self._lookup(cache_key, source)
         if prepared is None:
             text = query if isinstance(query, str) else None
-            prepared = self._compile(self.engine._admit(query), options, text)
+            prepared = self._compile(resolve_query(query, source), options, text, source)
             self.cache.store(cache_key, prepared)
         return prepared
 
     def _compile(
-        self, selection: Selection, options: StrategyOptions, text: str | None, lifted: int = 0
+        self, selection: Selection, options: StrategyOptions, text: str | None, source,
+        lifted: int = 0,
     ) -> PreparedQuery:
         # Deferring restricted-range adaptation is what makes the plan
         # cacheable: compilation then reads the data only through
         # whole-relation emptiness (validated on every cache hit), and an
         # empty restricted range at execution takes the runtime fallback.
         plan = prepare_query(
-            selection, self.database, options, resolve=False, defer_restricted_ranges=True
+            selection, source, options, resolve=False, defer_restricted_ranges=True
         )
         return PreparedQuery(
             engine=self.engine,
             plan=plan,
             options=options,
             text=text,
-            schema_version=self.database.schema_version,
+            source=source,
             collection_cache_size=self.service_options.collection_cache_size,
             lock=self._execution_lock,
             reopt_qerror_threshold=self.service_options.reopt_qerror_threshold,
@@ -273,152 +281,66 @@ class QueryService:
         parameters: Mapping[str, Any] | None = None,
         options: StrategyOptions | None = None,
     ) -> QueryResult:
-        """Prepare (or reuse) and execute ``query`` with ``parameters``.
+        """Prepare (or reuse) and execute ``query`` with ``parameters`` — eagerly.
 
-        Statistics are reset before the plan-cache lookup, so the snapshot on
-        the returned result shows this request's ``plan_cache_hits`` /
-        ``plan_cache_misses`` next to its access counters.
+        Runs on the live database under the execution lock and returns the
+        finished result.  Statistics are reset before the plan-cache lookup,
+        so the snapshot on the returned result shows this request's
+        ``plan_cache_hits`` / ``plan_cache_misses`` next to its access
+        counters.
         """
+        _check_request(query, parameters)
         with self._execution_lock:
             self.database.reset_statistics()
             prepared = self._admit(query, options)
-            return prepared.execute(parameters, reset_statistics=False)
+            return prepared.start(parameters, reset_statistics=False, drain=True)
 
-    def execute_streaming(
+    def start(
         self,
         query: str | Selection | PreparedQuery,
         parameters: Mapping[str, Any] | None = None,
         options: StrategyOptions | None = None,
+        pin: bool = False,
     ) -> QueryResult:
-        """Prepare (or reuse) ``query`` and start a *streaming* execution.
+        """Prepare (or reuse) ``query`` and start one execution of it, lazily.
 
-        Compilation, binding and the collection/combination pipeline set-up
-        run here (under the execution lock); the construction dereference is
-        deferred to the returned result's
-        :attr:`~repro.engine.evaluator.QueryResult.row_iterator`.  Cursors
-        are the intended consumer — they re-acquire the execution lock around
-        every fetch, so open streams interleave safely with other requests.
+        The one way in for cursors.  Compilation, binding, the collection
+        phase and the combination pipeline's set-up run here; the rows flow
+        through ``result.row_iterator``, and ``result.close()`` ends the
+        execution wherever it stands.
+
+        Without ``pin`` the query runs on the live database, as a session's
+        transaction must to read its own writes: the caller holds the
+        execution lock, here and around every fetch.
+
+        With ``pin`` it runs on a :class:`~repro.relational.mvcc.DatabaseSnapshot`
+        of the committed state and needs no lock — the plan cache is
+        thread-safe on its own locks, the pin immutable and private — so any
+        number of readers run beside each other and one writer session.  The
+        pin comes first: the plan is admitted against the very state it runs
+        on.  Its reads go to its private statistics (resetting the shared
+        tracker from outside the lock would clobber the counters of a
+        serialized execution in flight); when the rows end, however they
+        end, the pin is released and those statistics are merged, once.
         """
-        with self._execution_lock:
-            self.database.reset_statistics()
-            prepared = self._admit(query, options)
-            return prepared.execute_streaming(parameters, reset_statistics=False)
-
-    def execute_streaming_snapshot(
-        self,
-        query: str | Selection | PreparedQuery,
-        parameters: Mapping[str, Any] | None = None,
-        options: StrategyOptions | None = None,
-    ) -> QueryResult:
-        """Start a streaming execution over a pinned snapshot — lock-free.
-
-        The unserialized read path: prepare/bind run against the shared plan
-        cache (thread-safe on its own locks), then the bound plan executes on
-        a :class:`~repro.relational.mvcc.DatabaseSnapshot` pinned from the
-        committed state — never inside the execution lock, so any number of
-        readers run concurrently with each other and with one writer
-        session.  Reads are accounted to the snapshot's private statistics
-        and merged into the database's shared tracker when the stream is
-        drained or closed (which also releases the pin).
-
-        A cached plan is only valid for the snapshot when it was compiled
-        against the same catalog and the same restricted emptiness
-        signature; a mismatch (a DDL or emptiness race with a writer)
-        recompiles a transient plan against the snapshot itself.
-
-        Collection structures are memoized under a *relation-granular*
-        version token — every relation the query ranges over, at the
-        contents version the snapshot captured.  Two snapshots agreeing on
-        those versions hold identical contents for exactly the relations
-        the collection phase read, so the memo survives writer traffic to
-        unrelated relations (where the live path's global ``data_version``
-        guard would discard it).
-        """
-        # Unlike the live path there is no reset of the shared tracker: this
-        # path runs outside the execution lock, and a reset here would race
-        # (and clobber) an in-flight serialized execution's counters.  The
-        # snapshot accounts its reads privately and merges them at release.
-        prepared = self._admit(query, options)
-        snapshot = self.database.pin_snapshot()
+        _check_request(query, parameters)
+        source = self.database.pin_snapshot() if pin else self.database
         try:
-            engine = QueryEngine(snapshot, prepared.options)
-            fits = (
-                prepared.schema_version == snapshot.schema_version
-                and emptiness_signature(snapshot) & prepared.referenced_relations
-                == prepared.prepared_emptiness
-            )
-            if not fits:
-                transient = PreparedQuery(
-                    engine=engine,
-                    plan=prepare_query(
-                        prepared.selection,
-                        snapshot,
-                        prepared.options,
-                        resolve=False,
-                        defer_restricted_ranges=True,
-                    ),
-                    options=prepared.options,
-                    text=prepared.text,
-                    schema_version=snapshot.schema_version,
-                    collection_cache_size=0,
-                )
-                plan = transient.bind(parameters)
-                result = engine.execute_plan_streaming(
-                    plan, prepared.options, reset_statistics=False
-                )
-            else:
-                coerced = prepared._coerce_bindings(parameters)
-                key = prepared._bindings_key(coerced)
-                plan = prepared._bound_plan(coerced, key)
-                memoizable = key is not None and prepared._cache_size > 0
-                token = (
-                    snapshot.schema_version,
-                    tuple(
-                        (name, snapshot.relation_versions.get(name, -1))
-                        for name in sorted(prepared.referenced_relations)
-                    ),
-                )
-                collection = None
-                if memoizable:
-                    cached = prepared._snapshot_collections.get(key)
-                    if cached is not None and cached[0] == token:
-                        collection = cached[1]
-                computed: list = []
-                result = engine.execute_plan_streaming(
-                    plan,
-                    prepared.options,
-                    reset_statistics=False,
-                    collection=collection,
-                    collection_sink=computed.append,
-                )
-                if (
-                    memoizable
-                    and collection is None
-                    and computed
-                    and not result.used_strategy3_fallback
-                ):
-                    prepared._snapshot_collections.put(key, (token, computed[0]))
+            if not pin:
+                source.reset_statistics()
+            prepared = self._admit(query, options, source)
+            result = prepared.start(parameters, source, reset_statistics=False)
         except BaseException:
-            snapshot.release()
+            self._release(source)
             raise
-        return self._attach_snapshot_release(result, snapshot)
-
-    def _attach_snapshot_release(
-        self, result: QueryResult, snapshot
-    ) -> QueryResult:
-        """Release the pin (and merge statistics) when the stream finishes."""
-        rows = result.row_iterator
-        database = self.database
-
-        def releasing():
-            try:
-                yield from rows
-            finally:
-                snapshot.release()
-                database.statistics.merge(snapshot.statistics)
-
-        result.row_iterator = releasing()
+        result.on_close(lambda: self._release(source))
         return result
+
+    def _release(self, source) -> None:
+        """Un-pin ``source`` and fold its private statistics into the shared tracker."""
+        if source is not self.database:
+            source.release()
+            self.database.statistics.merge(source.statistics)
 
     # -- batch execution ---------------------------------------------------------------
 
@@ -445,12 +367,12 @@ class QueryService:
                     query, parameters = request
                 else:
                     query, parameters = request, None
+                _check_request(query, parameters)
                 prepared = self._admit(query, options)
-                prepared.ensure_fresh()
                 items.append((prepared.bind(parameters), prepared.options))
             if not self.service_options.batching:
                 results = [
-                    self.engine.execute_plan(plan, options, reset_statistics=False)
+                    self.engine.execute_plan(plan, options, reset_statistics=False).drain()
                     for plan, options in items
                 ]
                 # Same contract as the batched path: every result carries
@@ -468,7 +390,8 @@ class QueryService:
 
         This empties the service's own cache only.  Held
         :class:`PreparedQuery` handles keep their per-binding memos, which
-        are guarded by ``schema_version`` / ``data_version`` — after a data
+        are guarded by the catalog version and the contents versions of the
+        relations they read — after a data
         mutation that bypassed the tracked relation operations, call
         :meth:`Database.bump_schema_version` instead: it invalidates the
         cache keys *and* makes every held handle refuse to execute.

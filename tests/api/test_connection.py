@@ -1,4 +1,4 @@
-"""The connection front door: lifecycle, option plumbing, deprecation shims."""
+"""The connection front door: lifecycle, option plumbing, argument checks."""
 
 from __future__ import annotations
 
@@ -7,14 +7,12 @@ import pytest
 from repro import (
     ConnectionClosedError,
     CursorError,
-    QueryEngine,
-    QueryService,
     ServiceOptions,
     StrategyOptions,
     connect,
     execute_naive,
 )
-from repro.api.connection import default_connection
+from repro.errors import BindingError, PlanError
 from repro.workloads.queries import (
     EXAMPLE_21_TEXT,
     PROFESSORS_TEXT,
@@ -140,33 +138,51 @@ class TestExecutemany:
         assert cursor.rowcount == 0
 
 
-class TestDeprecationShims:
-    def test_query_engine_execute_warns_and_works(self, figure1):
-        engine = QueryEngine(figure1)
-        with pytest.warns(DeprecationWarning, match="QueryEngine.execute is deprecated"):
-            result = engine.execute(PROFESSORS_TEXT)
-        assert result.relation == engine.run(PROFESSORS_TEXT).relation
+class TestArgumentTypes:
+    """What is no query or no binding set is refused with a ``repro.errors``
+    type at the one admit point — before anything is pinned or compiled."""
 
-    def test_query_service_construction_warns_and_works(self, figure1):
-        with pytest.warns(DeprecationWarning, match="constructing QueryService"):
-            service = QueryService(figure1)
-        result = service.execute(PROFESSORS_TEXT)
-        assert result.relation == execute_naive(figure1, PROFESSORS_TEXT)
+    BAD_QUERIES = [123, None, b"[<e.ename> OF EACH e IN employees: true]", ["x"]]
+    BAD_PARAMETERS = [[1], "abc", 5]
 
-    def test_deprecated_service_routes_through_default_connection(self, figure1):
-        shared = default_connection(figure1)
-        with pytest.warns(DeprecationWarning):
-            service = QueryService(figure1)
-        assert service.engine is shared.service.engine
-        assert service._execution_lock is shared.service._execution_lock
+    @staticmethod
+    def _doors(connection, session):
+        """Every way a request reaches the service, as ``call(query, parameters)``."""
+        return {
+            "connection cursor": lambda q, p: connection.cursor().execute(q, p),
+            "session cursor": lambda q, p: session.cursor().execute(q, p),
+            "service.execute": lambda q, p: connection.service.execute(q, p),
+            "executemany": lambda q, p: connection.executemany(q, [p]),
+        }
 
-    def test_default_connection_is_cached_per_database(self, figure1):
-        first = default_connection(figure1)
-        assert default_connection(figure1) is first
-        first.close()
-        replacement = default_connection(figure1)
-        assert replacement is not first
-        assert not replacement.closed
+    @pytest.mark.parametrize("door", ["connection cursor", "session cursor",
+                                      "service.execute", "executemany"])
+    @pytest.mark.parametrize("query", BAD_QUERIES, ids=repr)
+    def test_what_is_no_query_is_a_plan_error(self, figure1, door, query):
+        with connect(figure1) as connection:
+            pins = figure1._snapshots.epoch
+            call = self._doors(connection, connection.session())[door]
+            with pytest.raises(PlanError, match="a query is a text"):
+                call(query, None)
+            assert figure1._snapshots.epoch == pins  # refused before the pin
+            assert figure1._snapshots.active == 0
+
+    @pytest.mark.parametrize("door", ["connection cursor", "session cursor",
+                                      "service.execute", "executemany"])
+    @pytest.mark.parametrize("parameters", BAD_PARAMETERS, ids=repr)
+    def test_parameters_that_are_no_mapping_are_a_binding_error(
+        self, figure1, door, parameters
+    ):
+        with connect(figure1) as connection:
+            pins = figure1._snapshots.epoch
+            call = self._doors(connection, connection.session())[door]
+            with pytest.raises(BindingError, match="parameters are a mapping"):
+                call(STATUS_PARAM_TEXT, parameters)
+            assert figure1._snapshots.epoch == pins
+            assert figure1._snapshots.active == 0
+            # The door still works, and None stays "no parameters".
+            rows = connection.execute(STATUS_PARAM_TEXT, {"status": "professor"}).fetchall()
+            assert rows and connection.execute(PROFESSORS_TEXT, None).fetchall()
 
 
 class TestCursorProtocol:

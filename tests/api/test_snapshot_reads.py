@@ -21,8 +21,12 @@ from __future__ import annotations
 import pytest
 
 from repro import ServiceOptions, SnapshotError, connect, execute_naive
+from repro.errors import BindingError
 from repro.relational.database import Database
 from repro.types.scalar import INTEGER
+from repro.workloads import queries as university_queries
+from repro.workloads.bibliography import BibliographyProfile, build_bibliography_database
+from repro.workloads.bibliography import queries as citation_queries
 from repro.workloads.queries import (
     EXAMPLE_21_TEXT,
     EXAMPLE_45_TEXT,
@@ -31,7 +35,9 @@ from repro.workloads.queries import (
     PROFESSORS_TEXT,
     PUBLISHING_TEACHERS_TEXT,
     SENIORITY_TEXT,
+    STATUS_PARAM_TEXT,
     TEACHES_LOW_LEVEL_TEXT,
+    parameterized_queries,
 )
 from repro.workloads.university import build_university_database, figure1_database
 
@@ -227,6 +233,98 @@ class TestCursorRouting:
         connection.close()
 
 
+class TestEveryEndReleasesThePin:
+    """However a snapshot cursor's result set ends — the first fetch is not
+    required — its pin is released and its private counters are merged into
+    the shared tracker, once; after that, writers copy nothing for it."""
+
+    #: A constant-matrix plan (materialised by ``execute``) and a streaming one
+    #: (``execute`` returns with the pipeline wired and not one frame started).
+    QUERIES = pytest.mark.parametrize(
+        "query", [PROFESSORS_TEXT, EXAMPLE_21_TEXT], ids=["materialised", "streaming"]
+    )
+
+    @staticmethod
+    def _employee_scans(statistics: dict) -> int:
+        return statistics["relations"].get("employees", {}).get("scans", 0)
+
+    def _assert_nothing_is_held(self, database, merged_scans: int) -> None:
+        assert database._snapshots.active == 0
+        assert self._employee_scans(database.statistics.as_dict()) == merged_scans
+        employees = database.relation("employees")
+        held = employees._elements
+        employees.insert({"enr": 9100, "ename": "Latecomer", "estatus": "student"})
+        assert employees._elements is held, "a writer copied the dict for a pin nobody holds"
+
+    @QUERIES
+    def test_close_before_the_first_fetch(self, figure1, query):
+        connection = connect(figure1)
+        figure1.reset_statistics()
+        cursor = connection.cursor().execute(query)
+        assert figure1._snapshots.active == 1
+        scans = self._employee_scans(cursor.statistics)
+        assert scans >= 1  # the collection phase ran inside execute
+        cursor.close()
+        cursor.close()
+        assert self._employee_scans(cursor.statistics) == scans  # still this execution's
+        self._assert_nothing_is_held(figure1, scans)
+        connection.close()
+        self._assert_nothing_is_held(figure1, scans)
+
+    @QUERIES
+    def test_replaced_by_the_next_execute(self, figure1, query):
+        connection = connect(figure1)
+        figure1.reset_statistics()
+        cursor = connection.cursor()
+        scans = 0
+        for _ in range(3):
+            cursor.execute(query)
+            assert figure1._snapshots.active == 1
+            scans += self._employee_scans(cursor.statistics)
+        assert cursor.fetchall()
+        self._assert_nothing_is_held(figure1, scans)
+        connection.close()
+
+    @QUERIES
+    def test_dropped_by_connection_close(self, figure1, query):
+        connection = connect(figure1)
+        figure1.reset_statistics()
+        unfetched = connection.cursor().execute(query)
+        midway = connection.cursor().execute(query)
+        assert midway.fetchone() is not None
+        assert figure1._snapshots.active == 2
+        scans = self._employee_scans(unfetched.statistics) + self._employee_scans(
+            midway.statistics
+        )
+        connection.close()
+        self._assert_nothing_is_held(figure1, scans)
+
+    def test_a_failed_execute_ends_the_result_before_it(self, figure1):
+        connection = connect(figure1)
+        figure1.reset_statistics()
+        cursor = connection.cursor().execute(STATUS_PARAM_TEXT, {"status": "professor"})
+        scans = self._employee_scans(cursor.statistics)
+        with pytest.raises(BindingError):
+            cursor.execute(STATUS_PARAM_TEXT, {"status": "dean"})
+        # Neither the replaced result's pin nor the failed request's survives.
+        self._assert_nothing_is_held(figure1, scans)
+        connection.close()
+
+    def test_an_error_while_fetching_releases_too(self, figure1):
+        connection = connect(figure1)
+        cursor = connection.cursor().execute(EXAMPLE_21_TEXT)
+
+        def failing():
+            raise RuntimeError("the pipeline broke")
+            yield
+
+        cursor.result.combination.stream._rows = failing()
+        with pytest.raises(RuntimeError, match="the pipeline broke"):
+            cursor.fetchall()
+        assert figure1._snapshots.active == 0
+        connection.close()
+
+
 class TestEquivalenceMatrix:
     @pytest.mark.parametrize("paged", [False, True], ids=["memory", "paged"])
     def test_snapshot_rows_byte_identical_to_serialized(self, paged):
@@ -281,6 +379,120 @@ class TestEquivalenceMatrix:
         with connection.session():
             figure1.relation("timetable").clear()
         assert connection.execute(PUBLISHING_TEACHERS_TEXT).fetchall() == []
+        connection.close()
+
+
+    @staticmethod
+    def _both_sources(connection, handle, parameters=None):
+        """``handle``'s rows through a connection cursor (a pin) and a session's (live)."""
+        pinned = connection.cursor().execute(handle, parameters)
+        assert pinned._snapshot
+        with connection.session() as session:
+            live = session.cursor().execute(handle, parameters)
+            assert not live._snapshot
+            return (
+                [record.values for record in pinned.fetchall()],
+                [record.values for record in live.fetchall()],
+            )
+
+    def test_one_handle_gives_the_same_rows_in_the_same_order_on_both_sources(
+        self, adhoc_paper_templates
+    ):
+        """Every library text of both workloads and the five e2e templates."""
+
+        def texts(module):
+            return [
+                getattr(module, name)
+                for name in module.__all__
+                if isinstance(getattr(module, name), str) and "PARAM" not in name
+            ]
+
+        university = build_university_database(scale=1)
+        bibliography = build_bibliography_database(
+            profile=BibliographyProfile(authors=12, venues=3, papers=8, out_degrees=(2, 3))
+        )
+        requests = [(university, text, None) for text in texts(university_queries)]
+        requests += [
+            (university, template.format(k=8, status="professor", year=1977,
+                                         level="sophomore"), None)
+            for template in adhoc_paper_templates.values()
+        ]
+        requests += [
+            (university, text, binding)
+            for text, bindings in parameterized_queries().values()
+            for binding in bindings
+        ]
+        requests += [(bibliography, text, None) for text in texts(citation_queries)]
+        requests += [
+            (bibliography, text, binding)
+            for text, bindings in citation_queries.bibliography_parameterized_queries().values()
+            for binding in bindings
+        ]
+        assert len(requests) > 30
+        for database, text, binding in requests:
+            with connect(database) as connection:
+                handle = connection.prepare(text)
+                pinned, live = self._both_sources(connection, handle, binding)
+                assert pinned == live, (text, binding)
+                assert pinned == [r.values for r in handle.execute(binding).rows]
+
+    def test_both_sources_pin_the_same_join_orders_after_one_execution(self):
+        text = (
+            "[<e.ename> OF EACH e IN employees: SOME p IN papers (SOME t IN timetable"
+            " ((e.enr <> p.penr) AND (e.enr = t.tenr) AND (p.pyear = 1977)))]"
+        )
+        pins = {}
+        for source in ("pin", "live"):
+            database = build_university_database(scale=1)
+            connection = connect(
+                database, service_options=ServiceOptions(reopt_qerror_threshold=4)
+            )
+            handle = connection.prepare(text)
+            assert handle._compiled.pinned_orders is None
+            if source == "pin":
+                connection.cursor().execute(handle).fetchall()
+            else:
+                with connection.session() as session:
+                    session.cursor().execute(handle).fetchall()
+            pins[source] = handle._compiled.pinned_orders
+            connection.close()
+        assert pins["pin"], "the default path never pinned a join order"
+        assert pins["pin"] == pins["live"]
+
+    def test_a_memo_warmed_on_the_live_database_is_not_served_to_a_pin(self, figure1):
+        # A collection's references dereference through the relation objects
+        # they were collected from.  Served to a pin, the live ones would
+        # read through the relation a writer is changing under the reader.
+        connection = connect(figure1)
+        with connection.session() as session:
+            warm = [r.values for r in session.cursor().execute(EXAMPLE_21_TEXT).fetchall()]
+        assert warm
+        pinned = connection.cursor().execute(EXAMPLE_21_TEXT)  # pinned, nothing fetched
+        with connection.session():
+            for key in figure1.relation("employees").keys():
+                figure1.relation("employees").delete_key(key)
+        assert len(figure1.relation("employees")) == 0
+        assert [r.values for r in pinned.fetchall()] == warm  # no DanglingReferenceError
+        connection.close()
+
+    def test_live_collection_memo_survives_unrelated_writes(self, figure1):
+        """The live counterpart of the pinned test above: one token discipline."""
+        scratch = figure1.create_relation("scratch", [("k", INTEGER)], key=["k"])
+        connection = connect(figure1, service_options=ServiceOptions(snapshot_reads=False))
+        first = connection.execute(EXAMPLE_21_TEXT).fetchall()
+        with connection.session():
+            scratch.insert({"k": 1})
+        cursor = connection.cursor().execute(EXAMPLE_21_TEXT)
+        assert not cursor._snapshot
+        assert [r.values for r in cursor.fetchall()] == [r.values for r in first]
+        assert sum(
+            counters["scans"] for counters in cursor.statistics["relations"].values()
+        ) == 0
+        # ... and a write to a relation the query reads still invalidates it.
+        with connection.session():
+            figure1.relation("employees").delete_key(figure1.relation("employees").keys()[0])
+        cursor.execute(EXAMPLE_21_TEXT).fetchall()
+        assert cursor.statistics["relations"]["employees"]["scans"] >= 1
         connection.close()
 
 

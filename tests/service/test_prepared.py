@@ -96,6 +96,52 @@ class TestLifecycle:
             figure1, STATUS_PARAM_TEXT, {"status": "professor"}
         )
 
+    @pytest.mark.parametrize("door", ["connection cursor", "session cursor",
+                                      "handle.execute", "executemany"])
+    @pytest.mark.parametrize("change", ["create_index", "drop_index", "emptiness flip"])
+    def test_one_staleness_rule_through_every_door(self, figure1, door, change):
+        """A held handle the database has moved past is refused on the live
+        database and on a pin alike; the same *text*, re-sent, keeps working."""
+        from repro.errors import PlanError
+
+        text = (
+            "[<e.ename> OF EACH e IN employees: (e.estatus = $status) AND "
+            "ALL p IN papers ((p.pyear <> 1977) OR (e.enr <> p.penr))]"
+        )
+        values = {"status": "professor"}
+        if change == "drop_index":
+            figure1.create_index("employees", "enr")
+        connection = connect(figure1)
+        session = connection.session()
+
+        def through_a_handle(query):
+            handle = connection.prepare(query) if isinstance(query, str) else query
+            return handle.execute(values).rows
+
+        run = {
+            "connection cursor": lambda q: connection.cursor().execute(q, values).fetchall(),
+            "session cursor": lambda q: session.cursor().execute(q, values).fetchall(),
+            "handle.execute": through_a_handle,
+            "executemany": lambda q: connection.executemany(q, [values]).fetchall(),
+        }[door]
+        prepared = connection.prepare(text)
+        before = [r.values for r in run(prepared)]
+        assert before == [r.values for r in naive_reference(figure1, text, values)]
+        if change == "create_index":
+            figure1.create_index("employees", "enr")
+        elif change == "drop_index":
+            figure1.drop_index("employees", "enr")
+        else:
+            figure1.relation("papers").clear()  # the ALL over papers is now vacuous
+        assert prepared.is_stale()
+        with pytest.raises(PlanError, match="stale"):
+            run(prepared)
+        assert figure1._snapshots.active == 0
+        assert [r.values for r in run(text)] == [
+            r.values for r in naive_reference(figure1, text, values)
+        ]
+        connection.close()
+
     def test_emptiness_transition_staleness_on_held_handles(self, figure1):
         """A plan compiled while a relation was empty baked in the Lemma 1
         adaptation; when the relation refills, the held handle must refuse to

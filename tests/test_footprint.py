@@ -1,7 +1,9 @@
-"""Resident memory: what ``import repro`` loads, and what a dropped database leaves.
+"""Footprint: what ``import repro`` loads, what a dropped database leaves —
+and how many ways into the engine there are.
 
-Both checks run in a fresh interpreter — ``sys.modules`` and the garbage
-collector's state in the test process are whatever earlier tests made them.
+The two memory checks run in a fresh interpreter — ``sys.modules`` and the
+garbage collector's state in the test process are whatever earlier tests
+made them.
 """
 
 from __future__ import annotations
@@ -85,3 +87,47 @@ def test_a_dropped_database_is_reclaimed_without_the_cycle_collector(tmp_path):
         tmp_path,
     )
     assert out.strip() == "[True, True, True]"
+
+
+#: The public callables of the five classes a query passes through, spelled
+#: out: a new way in — a second executor, a streaming twin, a legacy shim —
+#: has to be added here, in plain sight (DESIGN.md, "One execute").
+PUBLIC_CALLABLES = {
+    "QueryEngine": {"parse", "prepare", "run", "execute_plan", "explain"},
+    "QueryService": {
+        "derive", "prepare", "execute", "start", "execute_batch",
+        "invalidate_plans", "cache_info",
+    },
+    "PreparedQuery": {
+        "for_text", "access_paths", "is_parameterized", "is_stale", "ensure_fresh",
+        "bind", "execute", "start",
+    },
+    "Connection": {
+        "cache_info", "checkpoint", "cursor", "execute", "executemany", "prepare",
+        "session", "close",
+    },
+    "Cursor": {"execute", "executemany", "fetchone", "fetchmany", "fetchall", "close"},
+}
+
+
+def test_the_execution_surface_is_what_it_is_pinned_to_be():
+    import repro
+    from repro.service import PreparedQuery
+
+    classes = {
+        "QueryEngine": repro.QueryEngine,
+        "QueryService": repro.QueryService,
+        "PreparedQuery": PreparedQuery,
+        "Connection": repro.Connection,
+        "Cursor": repro.Cursor,
+    }
+    surface = {
+        name: {
+            attribute
+            for attribute in dir(cls)
+            if not attribute.startswith("_") and callable(getattr(cls, attribute))
+        }
+        for name, cls in classes.items()
+    }
+    assert surface == PUBLIC_CALLABLES
+    assert not hasattr(repro.api, "default_connection")
