@@ -169,6 +169,11 @@ class CollectionResult:
     """Per variable: a human-readable description of the chosen access path
     (scan, zone-map pruned scan, or permanent-index probe)."""
     _reference_ids: ReferenceIds | None = field(default=None, repr=False, compare=False)
+    combination_plan: Any = field(default=None, repr=False, compare=False)
+    """What the combination phase decided over these structures (its
+    ``CombinationPlan``): reduced operands, join sequences, build sides.  A
+    function of this result alone, so it is kept here, for as long as this
+    result is; published complete by one assignment, like the tables below."""
 
     def reference_ids(self) -> ReferenceIds:
         """The intern tables of this result's references, built on first use.

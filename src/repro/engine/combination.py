@@ -57,9 +57,19 @@ phase.  Ids are a bijective renaming, so every operator keeps its plain
 set semantics.
 
 All default to on; ``StrategyOptions.none()`` (or the individual flags)
-restores the literal Section 3.3 behaviour.  The chosen join order, the
-per-structure reduction sizes and a streamed/materialized annotation per
-operator are recorded on :class:`CombinationResult` so
+restores the literal Section 3.3 behaviour.
+
+Every decision above is a function of the collection result, so it is taken
+once per collection result: the first execution over one **plans** — reduces
+the operands, orders the joins, picks each step's operator — and publishes
+the :class:`CombinationPlan` on it; that execution and every later one
+**wire** the plan into their own generators, counters and report, and a hash
+table is built when a wire first probes it and stays on its operand.  A
+repeated query over unchanged relations pays for its probes, not for its
+plan; pinned join orders steer the planner, they are not what makes a repeat
+cheap.  The chosen join order, the per-structure reduction sizes and a
+streamed/materialized annotation per operator are recorded on
+:class:`CombinationResult` so
 ``explain(..., analyze=True)`` can show them.
 """
 
@@ -95,7 +105,10 @@ from repro.relational.statistics import COMBINATION, estimate_join_cardinality
 from repro.transform.pipeline import QueryPlan
 from repro.types.schema import Field, RelationSchema
 
-__all__ = ["CombinationResult", "CombinationPhase", "OperatorNote", "pick_next"]
+__all__ = [
+    "CombinationResult", "CombinationPhase", "CombinationPlan", "OperatorNote",
+    "pick_next", "qerror", "stream_join_estimate",
+]
 
 
 @dataclass
@@ -184,6 +197,25 @@ class CombinationResult:
     horizontally sharded (per-shard paths, reducer sizes, bytes shipped);
     ``None`` otherwise."""
 
+    plan_reused: bool = False
+    """Whether this execution wired a :class:`CombinationPlan` an earlier one
+    had published on the collection result — it then ran no reducer and no
+    cost model — instead of planning first."""
+
+    def worst_qerror(self) -> float:
+        """The largest :func:`qerror` over the join steps that carry an
+        estimate and an actual count; 0.0 when none does."""
+        return max(
+            (qerror(est, actual) for steps in self.join_estimates
+             for _, est, actual in steps if est is not None and actual is not None),
+            default=0.0,
+        )
+
+
+def qerror(est: float, actual: float) -> float:
+    """``max(est/actual, actual/est)``, +1-smoothed so empty sides stay finite."""
+    return max((est + 1.0) / (actual + 1.0), (actual + 1.0) / (est + 1.0))
+
 
 # ============================================================== the join-order policy
 #
@@ -192,18 +224,41 @@ class CombinationResult:
 # the very same policy over its own (pickled) operands.
 
 
-def _join_summary(operand, shared: list[str], cache: dict[tuple, object], sketch: bool):
+def _join_summary(operand, shared, sketch: bool, memo: dict | None = None):
     """The distinct count, or the join-key sketch, of ``operand``'s ``shared`` columns.
 
-    Cached by operand identity: every cached operand must stay alive (and
-    unchanged) for as long as the cache is consulted.
+    Kept on a :class:`Rows` operand (beside its build sides) for as long as
+    it lives; a relation's goes to ``memo``, the caller's for one pick.
     """
-    key = (id(operand), tuple(shared), sketch)
-    summary = cache.get(key)
+    memo = getattr(operand, "memo", memo)
+    key = ("sketch" if sketch else "distinct", tuple(shared))
+    summary = memo.get(key)
     if summary is None:
         values = map(match_getter(operand.schema, shared), value_rows(operand))
-        summary = cache[key] = ColumnSketch(values) if sketch else len(set(values))
+        summary = memo[key] = ColumnSketch(values) if sketch else len(set(values))
     return summary
+
+
+def stream_join_estimate(left_size: float, joined, operand, shared) -> float:
+    """Estimated rows of joining ``operand`` to a stream of about ``left_size`` rows.
+
+    The stream's rows have not flowed, but what it can hold is known: a
+    covered column carries no more distinct values than any operand
+    ``joined`` so far that has it (every join filters it), several shared
+    columns no more than the product, and never more than the stream has
+    rows.  With that for the stream side, the uniform formula gives
+    ``carried * |R| / max(min(carried, bound), d_R)``.
+    """
+    carried = max(int(left_size), 1) if left_size > 0 else 0
+    bound = 1
+    for column in shared:
+        if bound >= carried:
+            break
+        held = [_join_summary(o, (column,), False) for o in joined if column in o.schema]
+        bound *= min(held, default=carried)
+    return estimate_join_cardinality(
+        carried, len(operand), min(carried, bound), _join_summary(operand, shared, False)
+    )
 
 
 def pick_next(
@@ -214,10 +269,11 @@ def pick_next(
     cache: dict[tuple, object],
     ordering: bool,
     sketches: bool,
+    joined=(),
 ) -> tuple[int, float | None]:
     """Position of the next operand to join, plus that join's estimated size.
 
-    ``pending`` holds materialised operands (relations or ``Rows``);
+    ``pending`` holds the operands still to join (:class:`Rows`);
     ``covered`` the component names joined so far.  Without ``ordering``
     this is the literal Section 3.3 reading — the first connected operand,
     else the first one (a Cartesian product) — and no estimate.  With it,
@@ -229,17 +285,16 @@ def pick_next(
     ``sketches`` (hot keys matched exactly, remainders joined over aligned
     hash buckets, which is what lets skewed key distributions surface in
     the ordering decision), into distinct counts for the classic uniform
-    formula otherwise.  A streaming chain past its first join has no
-    materialised left side (``left`` is ``None``; its rows have not flowed
-    yet): the estimate then carries the running size ``left_size`` forward
-    through the uniform formula over the build side's distinct count.
+    formula otherwise; ``cache`` holds a relation's summaries for this one
+    pick.  A streaming chain past its first join has no materialised left
+    side (``left`` is ``None``; its rows have not flowed yet): the estimate
+    is then :func:`stream_join_estimate` over the operands ``joined`` so far.
     """
     if not ordering:
         for position, operand in enumerate(pending):
             if not covered.isdisjoint(operand.schema.field_names):
                 return position, None
         return 0, None
-    carried = max(int(left_size), 1) if left_size > 0 else 0
     best_connected: int | None = None
     best_connected_cost = 0.0
     best_disconnected: int | None = None
@@ -252,20 +307,18 @@ def pick_next(
                 best_disconnected, best_disconnected_size = position, size
             continue
         if left is None:
-            cost = estimate_join_cardinality(
-                carried, len(operand), carried, _join_summary(operand, shared, cache, False)
-            )
+            cost = stream_join_estimate(left_size, joined, operand, shared)
         elif sketches:
             cost = estimate_join(
-                _join_summary(left, shared, cache, True),
-                _join_summary(operand, shared, cache, True),
+                _join_summary(left, shared, True, cache),
+                _join_summary(operand, shared, True),
             )
         else:
             cost = estimate_join_cardinality(
                 len(left),
                 len(operand),
-                _join_summary(left, shared, cache, False),
-                _join_summary(operand, shared, cache, False),
+                _join_summary(left, shared, False, cache),
+                _join_summary(operand, shared, False),
             )
         if best_connected is None or cost < best_connected_cost:
             best_connected, best_connected_cost = position, cost
@@ -273,6 +326,44 @@ def pick_next(
         return best_connected, best_connected_cost
     assert best_disconnected is not None
     return best_disconnected, left_size * best_disconnected_size
+
+
+@dataclass
+class ConjunctionPlan:
+    """One conjunction's share of a :class:`CombinationPlan`."""
+
+    operands: list[Rows]
+    """The structures as id operands, semijoin-reduced, in structure order."""
+    reductions: list[tuple[str, int, int]]
+    order: list[tuple[str, int]] = field(default_factory=list)
+    steps: list[tuple] = field(default_factory=list)
+    """The streaming chain, ``(op, operand, subject, estimate, reason)`` per
+    step.  ``op`` names the operator as the notes do (``scan``, ``join``,
+    ``semijoin``, ``range extension``, ...); ``operand`` is ``None`` where
+    planning already settled the step (an existence or range gate, a skipped
+    extension) and only its note is left to write."""
+    empty: bool = False
+    """A gate found an empty operand: the conjunction yields nothing."""
+
+
+@dataclass
+class CombinationPlan:
+    """What the phase derives from a collection result alone, kept on it.
+
+    A pure function of the collection result, the query plan and ``key``
+    (the ``join_ordering`` / ``semijoin_reduction`` / ``histogram_statistics``
+    / ``streaming_execution`` values it was planned under).  Built privately
+    and published on :attr:`CollectionResult.combination_plan` by one
+    assignment; executions sharing it — concurrently, on pins — only read
+    it: the operands' ``rows`` are never reassigned, and what a wire adds
+    (a build side, in an operand's ``memo``) is stored finished.
+    """
+
+    key: tuple
+    ranges: dict[str, Rows] = field(default_factory=dict)
+    """Per variable: its range as an id operand (extensions, divisors), each
+    made when first asked for."""
+    conjunctions: list[ConjunctionPlan | None] = field(default_factory=list)
 
 
 class CombinationPhase:
@@ -291,17 +382,17 @@ class CombinationPhase:
         self.collection = collection
         self.options = options if options is not None else prepared.options
         self.statistics = database.statistics
-        #: Per conjunction index: the ``(description, estimated rows)``
-        #: join sequence a prepared query pinned after its first execution.
-        #: When the collection phase produces the same structure set, the
-        #: pinned order is followed verbatim and the cost model is skipped
-        #: entirely — repeat executions pay no estimation work.  A mismatch
-        #: (different structures, e.g. after a range-extension change) falls
-        #: back to fresh optimization for that conjunction.
+        #: Per conjunction index: the ``(description, estimated rows)`` join
+        #: sequence a prepared query pinned after its first execution.  The
+        #: planner follows it verbatim, skipping the cost model, when the
+        #: collection phase produced the same structure set (a mismatch, e.g.
+        #: after a range-extension change, falls back to fresh optimization
+        #: for that conjunction); a plan already published is wired as it is.
         self.pinned_orders = pinned_orders or {}
         self._peak = 0
         #: One id-valued reference component per variable (built on demand).
         self._fields: dict[str, Field] = {}
+        self._ranges: dict[str, Rows] = {}
 
     # -- public API ------------------------------------------------------------------
 
@@ -333,36 +424,6 @@ class CombinationPhase:
             if var not in fields:
                 fields[var] = Field(ref_field_name(var), ReferenceType(self._relation_of(var)))
         return RelationSchema(name, [fields[var] for var in variables], key=None)
-
-    def _structure_rows(
-        self, index: int, structures: list[ConjunctStructure], result: CombinationResult
-    ) -> list[Rows]:
-        """One conjunction's structures as id operands, semijoin-reduced.
-
-        The id rows come from the collection result's cache (encoded on the
-        first execution that sees the structure); the reducer replaces an
-        operand's row list, never edits it, so the cache stays intact.
-        """
-        id_rows = self.collection.id_rows
-        entries = [
-            Rows(
-                self._schema(f"structure_{index}", structure.variables),
-                id_rows(structure),
-                structure.description,
-            )
-            for structure in structures
-        ]
-        if self.options.semijoin_reduction and len(entries) > 1:
-            result.reductions.append(self._reduce_structures(entries))
-        else:
-            result.reductions.append([])
-        return entries
-
-    def _range_rows(self, var: str) -> Rows:
-        return Rows(
-            self._schema(f"range_{var}", (var,)),
-            self.collection.reference_ids().ranges[var],
-        )
 
     def _reduce_structures(self, entries: list[Rows]) -> list[tuple[str, int, int]]:
         """Semijoin-filter each structure against its connected neighbours.
@@ -421,6 +482,173 @@ class CombinationPhase:
         tables = [refs.get(f.type.target, ()) for f in schema.fields]
         return lambda row: tuple(table[i] for table, i in zip(tables, row))
 
+    # ====================================================================== the plan
+
+    def _plan(self, result: CombinationResult, drop_columns=frozenset()) -> CombinationPlan:
+        """The collection result's plan under this phase's options.
+
+        The published one when there is one (planned under other options,
+        it is replaced); else planned here, on private lists, and published
+        complete.  Everything of *this execution* — counters, estimate
+        slots, notes, generators — is the wiring's, never the plan's.
+        """
+        options = self.options
+        key = (options.join_ordering, options.semijoin_reduction,
+               options.histogram_statistics, options.streaming_execution)
+        plan = self.collection.combination_plan
+        result.plan_reused = plan is not None and plan.key == key
+        if not result.plan_reused:
+            variables = list(self.prepared.variables)
+            plan = CombinationPlan(key)
+            self._ranges = plan.ranges
+            for index, structures in enumerate(self.collection.conjunctions):
+                plan.conjunctions.append(
+                    None if structures is None
+                    else self._plan_conjunction(index, structures, variables, drop_columns)
+                )
+            self.collection.combination_plan = plan
+        self._ranges = plan.ranges
+        self.statistics.record_combination_plan(result.plan_reused)
+        return plan
+
+    def _range(self, var: str) -> Rows:
+        """``var``'s range as an id operand, kept with the plan."""
+        rows = self._ranges.get(var)
+        if rows is None:
+            ids = self.collection.reference_ids().ranges[var]
+            rows = self._ranges[var] = Rows(
+                self._schema(f"range_{var}", (var,)), ids, f"range of {var}"
+            )
+        return rows
+
+    def _plan_conjunction(
+        self, index: int, structures: list[ConjunctStructure], variables: list[str], drop_columns
+    ) -> ConjunctionPlan:
+        """Reduce one conjunction's operands and, when streaming, decide its chain.
+
+        The id rows come from the collection result's cache (encoded by the
+        first execution that sees the structure); the reducer replaces an
+        operand's row list, never edits it, so that cache stays intact.
+        """
+        id_rows = self.collection.id_rows
+        operands = [
+            Rows(
+                self._schema(f"structure_{index}", structure.variables),
+                id_rows(structure),
+                structure.description,
+            )
+            for structure in structures
+        ]
+        reduce = self.options.semijoin_reduction and len(operands) > 1
+        plan = ConjunctionPlan(operands, self._reduce_structures(operands) if reduce else [])
+        if not self.options.streaming_execution:
+            return plan  # the materialised execution orders by its own left sides
+        order = plan.order
+        step = plan.steps.append
+        pending = list(operands)
+        if pending:
+            pinned, start, start_est = self._start(index, pending)
+            entry = pending.pop(start)
+            order.append((entry.name, len(entry)))
+            step(("scan", entry, entry.name, start_est, "pipeline source"))
+            covered = set(entry.schema.field_names)
+            est_size = float(len(entry))
+            # The start structure is the only materialised left side the
+            # streaming chain ever has; under ``histogram_statistics`` its
+            # sketch feeds the first ordering decision, later steps price
+            # a join by what the stream can hold (``stream_join_estimate``).
+            base = entry if self.options.histogram_statistics else None
+            joined = [entry]
+            position = 1
+            while pending:
+                pick, est = self._next(pinned, position, base, est_size, covered, pending, joined)
+                position += 1
+                entry = pending.pop(pick)
+                description = entry.name
+                order.append((description, len(entry)))
+                names = entry.schema.field_names
+                shared = [f for f in names if f in covered]
+                new_columns = [f for f in names if f not in covered]
+                later = {f for other in pending for f in other.schema.field_names}
+                short_circuit = (
+                    bool(new_columns)
+                    and all(c in drop_columns for c in new_columns)
+                    and not any(c in later for c in new_columns)
+                )
+                if short_circuit and shared:
+                    # project(A ⋈ B) with B's new columns all dropped is A ⋉ B:
+                    # one membership probe per row, never enumerate the group.
+                    step((
+                        "semijoin", entry, description,
+                        None if est is None else min(est_size, est),
+                        "short-circuit: SOME-bound columns unused downstream — "
+                        "stops probing each group at the first witness",
+                    ))
+                elif short_circuit:
+                    # Disconnected and fully SOME-bound: a non-emptiness gate.
+                    plan.empty = plan.empty or not entry
+                    step((
+                        "existence gate", None, description, None,
+                        "disconnected SOME-bound structure reduces to a non-emptiness test",
+                    ))
+                else:
+                    step((
+                        "join", entry, description, est,
+                        "pipelined hash join (build side: collection structure)",
+                    ))
+                    if est is not None:
+                        est_size = est
+                    elif shared:
+                        est_size = stream_join_estimate(est_size, joined, entry, shared)
+                    else:
+                        est_size = est_size * len(entry)
+                    base = None
+                    covered.update(names)
+                    joined.append(entry)
+        else:
+            # No structures: the conjunction is TRUE — start from the first
+            # variable's range (a free variable, hence never dropped).
+            var = variables[0]
+            entry = self._range(var)
+            order.append((entry.name, len(entry)))
+            est_size = float(len(entry))
+            step((
+                "scan", entry, entry.name, est_size, "TRUE conjunction: enumerate the first range"
+            ))
+            covered = set(entry.schema.field_names)
+
+        # Ranges of the variables the conjunction does not mention.  A
+        # SOME-bound unmentioned variable never reaches the output: joining
+        # its full range and projecting it away is the identity when the
+        # range is non-empty, and annihilates the conjunction when empty.
+        ranges = self.collection.reference_ids().ranges
+        for var in variables:
+            column = ref_field_name(var)
+            if column in covered:
+                continue
+            size = len(ranges[var])
+            order.append((f"range of {var}", size))
+            if column not in drop_columns:
+                est_size = est_size * size
+                extension = self._range(var)
+                step(("range extension", extension, var, est_size, "streaming Cartesian extension"))
+                covered.add(column)
+            elif size:
+                step((
+                    "range extension", None, var, None,
+                    "skipped: SOME-quantified, unmentioned, non-empty range — "
+                    "extend-then-project is the identity",
+                ))
+            else:
+                plan.empty = True
+                step((
+                    "range gate", None, var, None,
+                    "SOME-quantified range is empty — the conjunction yields nothing",
+                ))
+        for operand in operands:
+            operand.memo.clear()  # the summaries priced the order; a wire keeps build sides
+        return plan
+
     # -- join-order choices shared by both executions -----------------------------------------
 
     def _start(self, index: int, pending: list[Rows]):
@@ -449,14 +677,14 @@ class CombinationPhase:
     def _position(pending: list[Rows], description: str) -> int:
         return next(i for i, entry in enumerate(pending) if entry.name == description)
 
-    def _next(self, pinned, step: int, left, left_size, covered, pending, cache):
+    def _next(self, pinned, step: int, left, left_size, covered, pending, joined=()):
         """The next structure of a chain: the pinned one, else the policy's pick."""
         if pinned is not None:
             description, estimate = pinned[step]
             return self._position(pending, description), estimate
         return pick_next(
-            left, left_size, covered, pending, cache,
-            self.options.join_ordering, self.options.histogram_statistics,
+            left, left_size, covered, pending, {},
+            self.options.join_ordering, self.options.histogram_statistics, joined,
         )
 
     # ================================================================= materialised mode
@@ -465,12 +693,13 @@ class CombinationPhase:
         variables = list(self.prepared.variables)
         result = CombinationResult(tuples=self._empty_tuple_relation())
         self._peak = 0
+        plan = self._plan(result)
 
         combined: Relation | None = None
-        for index, structures in enumerate(self.collection.conjunctions):
-            if structures is None:
+        for index, conjunction in enumerate(plan.conjunctions):
+            if conjunction is None:
                 continue
-            conjunction_relation = self._combine_conjunction(index, structures, variables, result)
+            conjunction_relation = self._combine_conjunction(index, conjunction, variables, result)
             result.conjunction_indexes.append(index)
             result.conjunction_sizes.append(len(conjunction_relation))
             self._note(conjunction_relation)
@@ -519,12 +748,13 @@ class CombinationPhase:
     def _combine_conjunction(
         self,
         index: int,
-        structures: list[ConjunctStructure],
+        conjunction: ConjunctionPlan,
         variables: list[str],
         result: CombinationResult,
     ) -> Relation:
         """Build the n-tuple (id) relation for one conjunction."""
-        pending = self._structure_rows(index, structures, result)
+        pending = list(conjunction.operands)
+        result.reductions.append(list(conjunction.reductions))
         stats = self.statistics
         order: list[tuple[str, int]] = []
         estimates: list[list] = []
@@ -535,23 +765,12 @@ class CombinationPhase:
             order.append((entry.name, len(current)))
             estimates.append([entry.name, start_est, len(current)])
             covered = set(current.schema.field_names)
-            # Summaries are keyed by operand identity.  Every cached operand
-            # is alive when its entry is read (it is ``current`` or sits in
-            # ``pending``), and both join operands' entries are evicted below
-            # *before* the operands can be freed, so a recycled id() can
-            # never hit a stale entry.
-            cache: dict[tuple, object] = {}
             step = 1
             while pending:
-                pick, est = self._next(
-                    pinned, step, current, float(len(current)), covered, pending, cache
-                )
+                pick, est = self._next(pinned, step, current, float(len(current)), covered, pending)
                 step += 1
                 entry = pending.pop(pick)
                 order.append((entry.name, len(entry)))
-                for stale_id in (id(current), id(entry)):
-                    for key in [k for k in cache if k[0] == stale_id]:
-                        del cache[key]
                 current = self._note(
                     natural_join(current, entry, name=f"conj{index}", tracker=stats)
                 )
@@ -560,22 +779,22 @@ class CombinationPhase:
         else:
             # No structures: the conjunction is TRUE — every combination of
             # variable bindings qualifies; start from the first variable's range.
-            entry = self._range_rows(variables[0])
+            entry = self._range(variables[0])
             current = RowStream(entry.schema, entry.rows).materialize()
-            order.append((f"range of {variables[0]}", len(current)))
-            estimates.append([f"range of {variables[0]}", float(len(current)), len(current)])
+            order.append((entry.name, len(current)))
+            estimates.append([entry.name, float(len(current)), len(current)])
 
         # Extend with the full ranges of the variables the conjunction does not
         # mention (Section 3.3 builds n-tuples over *all* n variables).
         for var in variables:
             if ref_field_name(var) not in current.schema:
-                extension = self._range_rows(var)
-                order.append((f"range of {var}", len(extension)))
+                extension = self._range(var)
+                order.append((extension.name, len(extension)))
                 expected = float(len(current)) * len(extension)
                 current = self._note(
                     natural_join(current, extension, name=f"conj{index}_x_{var}", tracker=stats)
                 )
-                estimates.append([f"range of {var}", expected, len(current)])
+                estimates.append([extension.name, expected, len(current)])
         result.join_orders.append(order)
         result.join_estimates.append(estimates)
         for step, (description, _) in enumerate(order):
@@ -601,7 +820,7 @@ class CombinationPhase:
             return project(current, remaining, name=f"exists_{spec.var}", tracker=self.statistics)
         if spec.kind == ALL:
             return divide(
-                current, self._range_rows(spec.var), by=[(column, column)],
+                current, self._range(spec.var), by=[(column, column)],
                 name=f"forall_{spec.var}", tracker=self.statistics,
             )
         raise EvaluationError(f"unknown quantifier kind {spec.kind!r}")
@@ -634,10 +853,11 @@ class CombinationPhase:
         )
 
     def _run_streamed(self) -> CombinationResult:
-        """Build the combination pipeline; execution happens when it is drained.
+        """Wire the combination pipeline; execution happens when it is drained.
 
-        The method decides join orders, applies the semijoin reducer and
-        wires the operator graph eagerly (so ``join_orders``/``reductions``
+        Join orders, reduced operands and each step's operator come from the
+        collection result's plan (made here by the first execution over it);
+        the operator graph is wired eagerly (so ``join_orders``/``reductions``
         and the operator annotations are complete on return), but no tuple
         flows until the returned :attr:`CombinationResult.stream` is
         consumed — normally by the construction phase.  ``union_size``,
@@ -665,15 +885,15 @@ class CombinationPhase:
         )
 
         members: list[RowStream] = []
-        for index, structures in enumerate(self.collection.conjunctions):
-            if structures is None:
+        for index, conjunction in enumerate(self._plan(result, drop_columns).conjunctions):
+            if conjunction is None:
                 continue
             position = len(result.conjunction_indexes)
             result.conjunction_indexes.append(index)
             result.conjunction_sizes.append(0)
-            members.append(self._conjunction_stream(
-                index, structures, variables, drop_columns, kept_schema, result, position
-            ))
+            members.append(
+                self._conjunction_stream(index, conjunction, kept_schema, result, position)
+            )
 
         if not members:
             # Every conjunction was dropped: the matrix is unsatisfiable.
@@ -752,7 +972,7 @@ class CombinationPhase:
                 j += 1
                 column = ref_field_name(spec.var)
                 pipeline = stream_divide(
-                    pipeline, self._range_rows(spec.var), by=[(column, column)],
+                    pipeline, self._range(spec.var), by=[(column, column)],
                     name=f"forall_{spec.var}", tracker=self.statistics, live=live,
                     emitted=self._operator(),
                 )
@@ -784,157 +1004,43 @@ class CombinationPhase:
     def _conjunction_stream(
         self,
         index: int,
-        structures: list[ConjunctStructure],
-        variables: list[str],
-        drop_columns: set[str],
+        conjunction: ConjunctionPlan,
         kept_schema: RelationSchema,
         result: CombinationResult,
         position: int,
     ) -> RowStream:
-        """The pipeline producing one conjunction's (kept-column) tuples."""
+        """Wire one conjunction's planned chain: this execution's generators,
+        ``emitted`` hooks, ``[description, est, actual]`` slots and notes."""
         stats = self.statistics
         notes = result.operator_notes
-        pending = self._structure_rows(index, structures, result)
-
-        order: list[tuple[str, int]] = []
         estimates: list[list] = []
-        empty = False
-
-        def step_hook(slot: list):
+        stream = None
+        for op, operand, subject, est, reason in conjunction.steps:
+            notes.append(OperatorNote(index, f"{op} {subject}", "streamed", reason))
+            if operand is None:
+                continue
+            if op == "scan":
+                estimates.append([operand.name, est, len(operand)])
+                stream = self._scan(operand)
+                continue
+            slot = [f"semijoin {subject}" if op == "semijoin" else operand.name, est, 0]
             estimates.append(slot)
-            return self._operator(partial(slot.__setitem__, 2))
-
-        if pending:
-            pinned, start, start_est = self._start(index, pending)
-            entry = pending.pop(start)
-            order.append((entry.name, len(entry)))
-            estimates.append([entry.name, start_est, len(entry)])
-            covered = set(entry.schema.field_names)
-            est_size = float(len(entry))
-            # The start structure is the only materialised left side the
-            # streaming chain ever has; under ``histogram_statistics`` its
-            # sketch feeds the first ordering decision, later steps carry
-            # the estimate forward instead.
-            base = entry if self.options.histogram_statistics else None
-            stream = self._scan(entry)
-            notes.append(OperatorNote(index, f"scan {entry.name}", "streamed", "pipeline source"))
-            cache: dict[tuple, object] = {}
-            step = 1
-            while pending:
-                pick, est = self._next(pinned, step, base, est_size, covered, pending, cache)
-                step += 1
-                entry = pending.pop(pick)
-                description = entry.name
-                order.append((description, len(entry)))
-                names = entry.schema.field_names
-                shared = [f for f in names if f in covered]
-                new_columns = [f for f in names if f not in covered]
-                later = {f for other in pending for f in other.schema.field_names}
-                short_circuit = (
-                    bool(new_columns)
-                    and all(c in drop_columns for c in new_columns)
-                    and not any(c in later for c in new_columns)
+            emitted = self._operator(partial(slot.__setitem__, 2))
+            if op == "semijoin":
+                shared = [f for f in operand.schema.field_names if f in stream.schema]
+                stream = stream_semijoin(
+                    stream, operand, on=[(f, f) for f in shared],
+                    name=f"conj{index}", tracker=stats, emitted=emitted,
                 )
-                if short_circuit and shared:
-                    # project(A ⋈ B) with B's new columns all dropped is A ⋉ B:
-                    # one membership probe per row, never enumerate the group.
-                    slot = [
-                        f"semijoin {description}",
-                        None if est is None else min(est_size, est),
-                        0,
-                    ]
-                    stream = stream_semijoin(
-                        stream, entry, on=[(f, f) for f in shared],
-                        name=f"conj{index}", tracker=stats, emitted=step_hook(slot),
-                    )
-                    notes.append(OperatorNote(
-                        index, f"semijoin {description}", "streamed",
-                        "short-circuit: SOME-bound columns unused downstream — "
-                        "stops probing each group at the first witness",
-                    ))
-                elif short_circuit:
-                    # Disconnected and fully SOME-bound: a non-emptiness gate.
-                    if len(entry) == 0:
-                        empty = True
-                    notes.append(OperatorNote(
-                        index, f"existence gate {description}", "streamed",
-                        "disconnected SOME-bound structure reduces to a non-emptiness test",
-                    ))
-                else:
-                    stream = stream_natural_join(
-                        stream, entry, name=f"conj{index}", tracker=stats,
-                        emitted=step_hook([description, est, 0]),
-                    )
-                    if est is not None:
-                        est_size = est
-                    elif shared:
-                        carried = max(int(est_size), 1)
-                        est_size = estimate_join_cardinality(
-                            carried if est_size > 0 else 0,
-                            len(entry),
-                            carried,
-                            len(set(map(match_getter(entry.schema, shared), entry.rows))),
-                        )
-                    else:
-                        est_size = est_size * len(entry)
-                    base = None
-                    covered.update(names)
-                    notes.append(OperatorNote(
-                        index, f"join {description}", "streamed",
-                        "pipelined hash join (build side: collection structure)",
-                    ))
-        else:
-            # No structures: the conjunction is TRUE — start from the first
-            # variable's range (a free variable, hence never dropped).
-            var = variables[0]
-            entry = self._range_rows(var)
-            order.append((f"range of {var}", len(entry)))
-            estimates.append([f"range of {var}", float(len(entry)), len(entry)])
-            est_size = float(len(entry))
-            covered = set(entry.schema.field_names)
-            stream = self._scan(entry)
-            notes.append(OperatorNote(
-                index, f"scan range of {var}", "streamed",
-                "TRUE conjunction: enumerate the first range",
-            ))
-
-        # Ranges of the variables the conjunction does not mention.  A
-        # SOME-bound unmentioned variable never reaches the output: joining
-        # its full range and projecting it away is the identity when the
-        # range is non-empty, and annihilates the conjunction when empty.
-        for var in variables:
-            column = ref_field_name(var)
-            if column in covered:
-                continue
-            extension = self._range_rows(var)
-            order.append((f"range of {var}", len(extension)))
-            if column in drop_columns:
-                if not extension:
-                    empty = True
-                    notes.append(OperatorNote(
-                        index, f"range gate {var}", "streamed",
-                        "SOME-quantified range is empty — the conjunction yields nothing",
-                    ))
-                else:
-                    notes.append(OperatorNote(
-                        index, f"range extension {var}", "streamed",
-                        "skipped: SOME-quantified, unmentioned, non-empty range — "
-                        "extend-then-project is the identity",
-                    ))
-                continue
-            est_size = est_size * len(extension)
-            stream = stream_natural_join(
-                stream, extension, name=f"conj{index}_x_{var}", tracker=stats,
-                emitted=step_hook([f"range of {var}", est_size, 0]),
-            )
-            covered.add(column)
-            notes.append(OperatorNote(
-                index, f"range extension {var}", "streamed", "streaming Cartesian extension"
-            ))
-        result.join_orders.append(order)
+            else:
+                stream = stream_natural_join(
+                    stream, operand, name=f"conj{index}", tracker=stats, emitted=emitted
+                )
+        result.join_orders.append(list(conjunction.order))
+        result.reductions.append(list(conjunction.reductions))
         result.join_estimates.append(estimates)
 
-        if empty:
+        if conjunction.empty:
             return RowStream.empty(kept_schema, label=f"conjunction_{index}")
 
         # The conjunction's last operator: its output count is the

@@ -531,7 +531,7 @@ class QueryEngine:
                     "reoptimizations="
                     f"{result.statistics.get('reoptimizations', 0)}, "
                     "max q-error="
-                    f"{result.statistics.get('estimation_qerror_max', 0.0):.2f}"
+                    f"{result.combination.worst_qerror() if result.combination else 0.0:.2f}"
                 )
                 report += "\n" + "\n".join(lines)
             return report

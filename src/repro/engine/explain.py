@@ -15,16 +15,11 @@ from repro.calculus.ast import BoolConst, Comparison
 from repro.calculus.printer import format_formula, format_range, format_selection
 from repro.config import StrategyOptions
 from repro.engine.access import select_access_path
-from repro.engine.combination import CombinationResult
+from repro.engine.combination import CombinationResult, qerror
 from repro.transform.pipeline import QueryPlan
 from repro.transform.quantifier_pushdown import DerivedPredicate
 
 __all__ = ["explain_prepared", "explain_combination"]
-
-
-def _qerror(est: float, actual: float) -> float:
-    """``max(est/actual, actual/est)``, +1-smoothed so empty sides stay finite."""
-    return max((est + 1.0) / (actual + 1.0), (actual + 1.0) / (est + 1.0))
 
 
 def explain_prepared(prepared: QueryPlan, database, options: StrategyOptions) -> str:
@@ -109,6 +104,8 @@ def explain_combination(combination: CombinationResult) -> str:
     if combination.shard_report is not None:
         for shard_line in combination.shard_report.describe():
             lines.append("  " + shard_line)
+    else:
+        lines.append(f"  combination plan: {'reused' if combination.plan_reused else 'built'}")
     # conjunction_indexes, join_orders and reductions are appended in
     # lockstep by CombinationPhase — index directly so a broken invariant
     # fails loudly instead of mislabelling conjunctions.
@@ -129,7 +126,7 @@ def explain_combination(combination: CombinationResult) -> str:
             for description, est, actual in rows:
                 lines.append(
                     f"    {description}: est {est:.0f}, actual {actual}, "
-                    f"q-error {_qerror(est, actual):.2f}"
+                    f"q-error {qerror(est, actual):.2f}"
                 )
         reductions = combination.reductions[position]
         reduced = [r for r in reductions if r[1] != r[2]]

@@ -77,14 +77,21 @@ class Rows:
     :class:`~repro.relational.relation.Relation`; ``rows`` must conform to
     ``schema`` and hold no duplicates (it stands in for a relation whose key
     covers all components).
+
+    ``memo`` keeps what was derived from ``rows`` — a kernel's hash table or
+    key set, the join-order policy's summaries — under ``(kind, columns)``,
+    for as long as the operand lives.  Only finished values are stored, and
+    ``rows`` must not change once the first one is: operands shared between
+    executions (a combination plan's) are read-only.
     """
 
-    __slots__ = ("schema", "rows", "name")
+    __slots__ = ("schema", "rows", "name", "memo")
 
     def __init__(self, schema: RelationSchema, rows, name: str = "") -> None:
         self.schema = schema
         self.rows = rows
         self.name = name or schema.name
+        self.memo: dict[tuple, object] = {}
 
     def __len__(self) -> int:
         return len(self.rows)

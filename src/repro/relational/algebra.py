@@ -123,6 +123,29 @@ def value_rows(operand) -> Iterable[tuple]:
     return operand.rows
 
 
+def _build_side(operand, kind: str, columns: Sequence[str], build: Callable[[], object]):
+    """``build()`` — a kernel's hash table or key set over ``operand``'s ``columns``.
+
+    A :class:`~repro.engine.stream.Rows` keeps it in its ``memo``, so the
+    executions sharing the operand build it once; it is stored finished, and
+    racing first uses store equal ones.
+    """
+    memo = getattr(operand, "memo", None)
+    key = (kind, tuple(columns))
+    table = None if memo is None else memo.get(key)
+    if table is None:
+        table = build()
+        if memo is not None:
+            memo[key] = table
+    return table
+
+
+def _key_set(operand, columns: Sequence[str]) -> set:
+    """The distinct ``columns`` values of a materialised operand (see :func:`_build_side`)."""
+    getter = match_getter(operand.schema, columns)
+    return _build_side(operand, "keys", columns, lambda: set(map(getter, value_rows(operand))))
+
+
 # ======================================================================== streaming kernels
 #
 # The pipeline side of every streaming kernel is a RowStream of raw value
@@ -270,9 +293,14 @@ def stream_natural_join(
     right_key = match_getter(right_schema, common)
     left_key = match_getter(left_schema, common)
     right_rest = _values_getter(right_schema, [f.name for f in right_only])
-    buckets: dict[object, list[tuple]] = {}
-    for values in value_rows(right):
-        buckets.setdefault(right_key(values), []).append(right_rest(values))
+
+    def build() -> dict[object, list[tuple]]:
+        buckets: dict[object, list[tuple]] = {}
+        for values in value_rows(right):
+            buckets.setdefault(right_key(values), []).append(right_rest(values))
+        return buckets
+
+    buckets = _build_side(right, "buckets", common, build)
 
     def rows() -> Iterator[tuple]:
         probes = 0
@@ -311,7 +339,7 @@ def stream_semijoin(
     """
     schema = source.schema
     left_getter = match_getter(schema, [pair[0] for pair in on])
-    right_keys = set(map(match_getter(right.schema, [pair[1] for pair in on]), value_rows(right)))
+    right_keys = _key_set(right, [pair[1] for pair in on])
 
     def rows() -> Iterator[tuple]:
         probes = 0
@@ -457,7 +485,7 @@ def stream_divide(
     if not remaining:
         raise AlgebraError("division would eliminate every dividend component")
     schema = source.schema.project(remaining, name or f"{source.label}_div_{divisor.name}")
-    required = set(map(match_getter(divisor.schema, divisor_fields), value_rows(divisor)))
+    required = _key_set(divisor, divisor_fields)
     if not required:
         return stream_project(
             source, remaining, name=schema.name, dedup=True, live=live, emitted=emitted

@@ -118,6 +118,8 @@ class AccessStatistics:
         self.reductions = 0
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
+        self.combination_plans_built = 0
+        self.combination_plans_reused = 0
         self.rows_streamed = 0
         self.operators_pipelined = 0
         self.wal_records = 0
@@ -227,6 +229,14 @@ class AccessStatistics:
             self.plan_cache_hits += 1
         else:
             self.plan_cache_misses += 1
+
+    def record_combination_plan(self, reused: bool) -> None:
+        """A combination phase wired a plan it found on its collection result
+        (``reused``), or had to reduce, order and publish one first."""
+        if reused:
+            self.combination_plans_reused += 1
+        else:
+            self.combination_plans_built += 1
 
     def record_rows_streamed(self, count: int = 1) -> None:
         """``count`` tuples flowed through a streaming pipeline operator.

@@ -115,10 +115,10 @@ class PreparedQuery:
         # a collection's references dereference through the relation objects
         # they were collected from, and a pin must never read through the
         # live relation, which a writer mutates under the reader.
-        # BoundedLRU is thread-safe, and memoized collection results are
-        # read-only during combination (each execution rebuilds its
-        # structure relations), so concurrent pinned executions may share
-        # one entry.
+        # BoundedLRU is thread-safe, and what hangs off a memoized
+        # collection result (reference ids, the combination plan, its
+        # operands' hash tables) is published complete and then only
+        # read, so concurrent pinned executions may share one entry.
         self._cache_size = max(collection_cache_size, 0)
         self._bound_plans = BoundedLRU(self._cache_size)
         self._collections = BoundedLRU(self._cache_size)
@@ -432,14 +432,7 @@ class PreparedQuery:
             # the stream drains: drift detection stays with the executions
             # that ran to their end before this look.
             return
-        worst = 1.0
-        for estimates in combination.join_estimates:
-            for _, est, actual in estimates:
-                if est is None or actual is None:
-                    continue
-                q = max((est + 1.0) / (actual + 1.0), (actual + 1.0) / (est + 1.0))
-                if q > worst:
-                    worst = q
+        worst = combination.worst_qerror()
         self._engine.database.statistics.record_estimation_qerror(worst)
         if worst > threshold:
             self._reoptimize()

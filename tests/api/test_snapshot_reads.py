@@ -24,9 +24,6 @@ from repro import ServiceOptions, SnapshotError, connect, execute_naive
 from repro.errors import BindingError
 from repro.relational.database import Database
 from repro.types.scalar import INTEGER
-from repro.workloads import queries as university_queries
-from repro.workloads.bibliography import BibliographyProfile, build_bibliography_database
-from repro.workloads.bibliography import queries as citation_queries
 from repro.workloads.queries import (
     EXAMPLE_21_TEXT,
     EXAMPLE_45_TEXT,
@@ -37,7 +34,6 @@ from repro.workloads.queries import (
     SENIORITY_TEXT,
     STATUS_PARAM_TEXT,
     TEACHES_LOW_LEVEL_TEXT,
-    parameterized_queries,
 )
 from repro.workloads.university import build_university_database, figure1_database
 
@@ -396,40 +392,10 @@ class TestEquivalenceMatrix:
             )
 
     def test_one_handle_gives_the_same_rows_in_the_same_order_on_both_sources(
-        self, adhoc_paper_templates
+        self, library_requests
     ):
         """Every library text of both workloads and the five e2e templates."""
-
-        def texts(module):
-            return [
-                getattr(module, name)
-                for name in module.__all__
-                if isinstance(getattr(module, name), str) and "PARAM" not in name
-            ]
-
-        university = build_university_database(scale=1)
-        bibliography = build_bibliography_database(
-            profile=BibliographyProfile(authors=12, venues=3, papers=8, out_degrees=(2, 3))
-        )
-        requests = [(university, text, None) for text in texts(university_queries)]
-        requests += [
-            (university, template.format(k=8, status="professor", year=1977,
-                                         level="sophomore"), None)
-            for template in adhoc_paper_templates.values()
-        ]
-        requests += [
-            (university, text, binding)
-            for text, bindings in parameterized_queries().values()
-            for binding in bindings
-        ]
-        requests += [(bibliography, text, None) for text in texts(citation_queries)]
-        requests += [
-            (bibliography, text, binding)
-            for text, bindings in citation_queries.bibliography_parameterized_queries().values()
-            for binding in bindings
-        ]
-        assert len(requests) > 30
-        for database, text, binding in requests:
+        for database, text, binding in library_requests:
             with connect(database) as connection:
                 handle = connection.prepare(text)
                 pinned, live = self._both_sources(connection, handle, binding)

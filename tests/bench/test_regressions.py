@@ -302,3 +302,107 @@ def test_window_churn_keeps_the_heap_within_twice_the_live_records():
         assert [record.values for record in heap.records()] == [
             record.values for record in relation.elements()
         ]
+
+
+# ------------- PR 20: the combination plan is made once, and priced by what the stream can hold
+
+
+#: ``cocitation`` at the parent commit (bibliography scale 4, seed 1982): the
+#: chain joined ``(a.pnr <> b.pnr)`` on ``b`` alone (est 196, actual 28 252,
+#: q-error 143.42) before ``(c1.csrc = a.pnr)``.
+COCITATION_PARENT_COMPARISONS = (69_946, 69_858)  # cold, repeated
+
+
+@pytest.fixture(scope="module")
+def citation_cursor():
+    from repro.workloads.bibliography import build_bibliography_database
+
+    connection = connect(build_bibliography_database(scale=4, seed=1982))
+    yield connection.cursor()
+    connection.close()
+
+
+def _twice(cursor, text):
+    """``(statistics, combination)`` of a cold and of a repeated execution."""
+    runs = []
+    for _ in range(2):
+        rows = cursor.execute(text).fetchall()
+        runs.append((cursor.statistics, cursor.result.combination, rows))
+    assert runs[0][2] == runs[1][2]
+    assert [run[1].plan_reused for run in runs] == [False, True]
+    return [run[:2] for run in runs]
+
+
+def test_cocitation_joins_by_what_the_stream_can_hold(citation_cursor):
+    from repro.engine.combination import qerror
+    from repro.workloads.bibliography.queries import COCITATION_TEXT
+
+    (cold, combination), (warm, repeated) = _twice(citation_cursor, COCITATION_TEXT)
+    order = [description for description, _ in combination.join_orders[0]]
+    assert order.index("indirect join (c1.csrc = a.pnr)") < order.index(
+        "indirect join (a.pnr <> b.pnr)"
+    ), order
+    for run in (combination, repeated):
+        assert run.join_orders[0] == combination.join_orders[0]
+        for description, est, actual in run.join_estimates[0]:
+            assert qerror(est, actual) < 2, (description, est, actual)
+    assert cold["comparisons"] * 3 < COCITATION_PARENT_COMPARISONS[0], cold["comparisons"]
+    assert warm["comparisons"] * 10 < COCITATION_PARENT_COMPARISONS[1], warm["comparisons"]
+    assert (cold["reduced_tuples"], warm["reduced_tuples"]) == (3_934, 0)
+
+
+def test_coauthor_pairs_pays_for_its_plan_once(citation_cursor):
+    from repro.workloads.bibliography.queries import COAUTHOR_PAIRS_TEXT
+
+    (cold, combination), (warm, repeated) = _twice(citation_cursor, COAUTHOR_PAIRS_TEXT)
+    # Cold is the parent's work to the digit: the new estimate does not
+    # reorder this query, and planning then wiring is what one pass did.
+    assert (cold["comparisons"], cold["reduced_tuples"]) == (43_226, 9_070)
+    assert warm["reduced_tuples"] == 0 and warm["comparisons"] * 10 < cold["comparisons"]
+    assert repeated.reductions == combination.reductions != [[]]
+    assert repeated.join_estimates == combination.join_estimates
+    for counter in ("rows_streamed", "operators_pipelined"):
+        assert warm[counter] == cold[counter], counter
+
+
+def test_the_stream_side_estimate_never_undercuts_the_carried_size_formula():
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from repro.engine.combination import stream_join_estimate
+    from repro.engine.stream import Rows
+    from repro.relational.statistics import estimate_join_cardinality
+    from repro.types.scalar import INTEGER
+    from repro.types.schema import RelationSchema
+
+    columns = st.lists(st.sampled_from("abc"), min_size=1, max_size=2, unique=True)
+
+    @st.composite
+    def operands(draw):
+        names = draw(columns)
+        row = st.tuples(*[st.integers(0, 6)] * len(names))
+        rows = sorted(draw(st.sets(row, max_size=12)))
+        return Rows(RelationSchema("r", [(name, INTEGER) for name in names], key=None), rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(operands(), min_size=1, max_size=3), operands(), st.floats(0, 40))
+    def check(joined, operand, left_size):
+        covered = {name for entry in joined for name in entry.schema.field_names}
+        shared = [name for name in operand.schema.field_names if name in covered]
+        if not shared:
+            return
+        carried = max(int(left_size), 1) if left_size > 0 else 0
+        distinct = len({tuple(row[operand.schema.field_position(n)] for n in shared)
+                        for row in operand.rows})
+        old = estimate_join_cardinality(carried, len(operand), carried, distinct)
+        new = stream_join_estimate(left_size, joined, operand, shared)
+        assert new >= old
+        bounds = [
+            min(len({row[entry.schema.field_position(name)] for row in entry.rows})
+                for entry in joined if name in entry.schema)
+            for name in shared
+        ]
+        if all(bound >= carried for bound in bounds):
+            assert new == old
+
+    check()

@@ -9,6 +9,9 @@ import pytest
 
 from repro import QueryEngine, StrategyOptions, build_university_database
 from repro.relational.database import Database
+from repro.workloads import queries as university_queries
+from repro.workloads.bibliography import BibliographyProfile, build_bibliography_database
+from repro.workloads.bibliography import queries as citation_queries
 from repro.workloads.university import figure1_database
 
 
@@ -73,3 +76,41 @@ def adhoc_paper_templates() -> dict[str, str]:
     finally:
         sys.path.remove(e2e)
     return {label: text for _, label, text, _, _ in AdhocPaper.TEMPLATES}
+
+
+@pytest.fixture(scope="session")
+def library_requests(adhoc_paper_templates) -> list[tuple[Database, str, dict | None]]:
+    """``(database, text, binding)`` for every library text of both workloads,
+    every binding of the parameterized libraries and the five e2e templates,
+    over two databases small enough for the naive interpreter.  Shared by the
+    whole session: read only."""
+
+    def texts(module):
+        return [
+            getattr(module, name)
+            for name in module.__all__
+            if isinstance(getattr(module, name), str) and "PARAM" not in name
+        ]
+
+    university = build_university_database(scale=1)
+    bibliography = build_bibliography_database(
+        profile=BibliographyProfile(authors=12, venues=3, papers=8, out_degrees=(2, 3))
+    )
+    requests = [(university, text, None) for text in texts(university_queries)]
+    requests += [
+        (university, template.format(k=8, status="professor", year=1977, level="sophomore"), None)
+        for template in adhoc_paper_templates.values()
+    ]
+    requests += [
+        (university, text, binding)
+        for text, bindings in university_queries.parameterized_queries().values()
+        for binding in bindings
+    ]
+    requests += [(bibliography, text, None) for text in texts(citation_queries)]
+    requests += [
+        (bibliography, text, binding)
+        for text, bindings in citation_queries.bibliography_parameterized_queries().values()
+        for binding in bindings
+    ]
+    assert len(requests) > 30
+    return requests

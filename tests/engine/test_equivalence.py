@@ -602,3 +602,106 @@ class TestBibliographyEquivalence:
                 ], (workload_name, values)
             info = connection.cache_info()
             assert (info["misses"], info["size"]) == (1, 1), info
+
+
+# ------------------------------------------------ warm ≡ cold ≡ naive
+
+from repro.engine.collection import CollectionPhase  # noqa: E402
+from repro.engine.combination import CombinationPhase  # noqa: E402
+from repro.workloads import queries as university_queries  # noqa: E402
+
+PLAN_FLAGS = ("join_ordering", "semijoin_reduction", "histogram_statistics", "streaming_execution")
+PLAN_FLAG_MATRIX = list(itertools.product((False, True), repeat=len(PLAN_FLAGS)))
+
+
+def _plan_flags_id(flags) -> str:
+    return "-".join(f"{name.split('_')[0]}={'on' if on else 'off'}" for name, on in zip(PLAN_FLAGS, flags))
+
+
+def _report(combination) -> tuple:
+    """What one execution says about its combination phase, actuals included."""
+    if combination is None:
+        return ()
+    return (
+        combination.join_orders,
+        combination.reductions,
+        [note.describe() for note in combination.operator_notes],
+        combination.join_estimates,
+        combination.conjunction_sizes,
+        combination.union_size,
+        combination.peak_tuples,
+    )
+
+
+class TestRepeatedExecutionEquivalence:
+    """A repeated execution wires the plan its first one published.
+
+    Every library query of both workloads, the parameterized libraries and
+    the five e2e templates: one handle, three executions on the live
+    database and three on pins.  The first on each source plans (the two
+    sources never share a collection result), the others reuse — and every
+    one of the six must return the naive interpreter's rows, in one order,
+    and tell the same story in its report: join orders, reductions,
+    operator notes, estimates with *that run's* actual counts, sizes, peak.
+    """
+
+    @pytest.fixture(scope="class")
+    def requests(self, library_requests):
+        """Each library request with the naive interpreter's (sorted) rows."""
+        return [
+            (database, text, binding, sorted(
+                record.values
+                for record in execute_naive(database, inline_parameters(text, binding or {}))
+            ))
+            for database, text, binding in library_requests
+        ]
+
+    @pytest.mark.parametrize("flags", PLAN_FLAG_MATRIX, ids=_plan_flags_id)
+    def test_three_live_and_three_pinned_executions_agree(self, requests, flags):
+        options = StrategyOptions().with_(**dict(zip(PLAN_FLAGS, flags)))
+        reused = 0
+        for database, text, binding, expected in requests:
+            with connect(database, options=options) as connection:
+                handle = connection.prepare(text)
+                with connection.session() as session:
+                    cursors = [session.cursor() for _ in range(3)]
+                    cursors += [connection.cursor() for _ in range(3)]
+                    runs = []
+                    for cursor in cursors:
+                        rows = [r.values for r in cursor.execute(handle, binding).fetchall()]
+                        runs.append((rows, _report(cursor.result.combination), cursor.result))
+            rows, report, _ = runs[0]
+            assert sorted(rows) == expected, (text, binding)
+            for position, (again, its_report, result) in enumerate(runs):
+                assert again == rows, (text, binding, position)
+                assert its_report == report, (text, binding, position)
+                if result.combination is not None and not result.used_strategy3_fallback:
+                    # Positions 0 and 3 are the first execution on each source.
+                    assert result.combination.plan_reused == (position % 3 > 0), (text, position)
+                    reused += result.combination.plan_reused
+        assert reused > 2 * len(requests)  # most requests reach the combination phase
+
+    def test_one_collection_result_under_two_option_sets_is_planned_for_each(self, figure1):
+        text = university_queries.PUBLISHING_TEACHERS_TEXT
+        expected = execute_naive(figure1, text)
+        ordered = StrategyOptions.only(
+            parallel_collection=True, join_ordering=True, semijoin_reduction=True,
+            histogram_statistics=True, streaming_execution=True,
+        )
+        literal = ordered.with_(join_ordering=False, semijoin_reduction=False,
+                                streaming_execution=False)
+        engine = QueryEngine(figure1, ordered)
+        plan = engine.prepare(text)
+        collection = CollectionPhase(plan, figure1, ordered).run()
+        reports = {}
+        for options, reused in (
+            (ordered, False), (ordered, True), (literal, False), (literal, True), (ordered, False),
+        ):
+            combination = CombinationPhase(plan, figure1, collection, options).run()
+            for _ in combination.stream or ():
+                pass
+            assert combination.plan_reused is reused
+            relation = engine.execute_plan(plan, options, collection=collection).drain().relation
+            assert relation == expected
+            assert reports.setdefault(options, _report(combination)) == _report(combination)
+        assert reports[ordered][0] != reports[literal][0]  # the two really ordered differently

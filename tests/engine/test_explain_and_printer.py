@@ -1,5 +1,7 @@
 """Unit tests for EXPLAIN output and the calculus pretty printer."""
 
+import re
+
 import pytest
 
 from repro import QueryEngine, StrategyOptions
@@ -8,6 +10,8 @@ from repro.calculus.ast import TRUE
 from repro.calculus.printer import format_formula, format_operand, format_range, format_selection
 from repro.errors import CalculusError
 from repro.types.scalar import Enumeration
+from repro.workloads.bibliography import build_bibliography_database
+from repro.workloads.bibliography.queries import COCITATION_TEXT
 from repro.workloads.queries import EXAMPLE_21_TEXT
 
 
@@ -81,3 +85,13 @@ class TestExplain:
         )
         assert "[EACH e IN employees" in text
         assert "[EACH p IN papers" in text
+
+    def test_analyze_summary_reports_the_worst_q_error_of_its_own_table(self):
+        # The summary line used to read a counter only adaptive reoptimization
+        # moves: ``max q-error=0.00`` under a table whose worst row read 143.42.
+        engine = QueryEngine(build_bibliography_database(scale=2))
+        text = engine.explain(COCITATION_TEXT, analyze=True)
+        table = [float(q) for q in re.findall(r"actual \d+, q-error (\d+\.\d+)", text)]
+        (summary,) = re.findall(r"max q-error=(\d+\.\d+)", text)
+        assert len(table) >= 4 and float(summary) == max(table) >= 1.0
+        assert "  combination plan: built" in text  # ``run`` collects afresh, so it plans

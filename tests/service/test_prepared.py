@@ -331,3 +331,84 @@ class TestStrategyIndependence:
             assert prepared.execute({"status": "professor"}).relation == naive_reference(
                 database, STATUS_PARAM_TEXT, {"status": "professor"}
             )
+
+
+class TestCombinationPlanLifetime:
+    """The combination plan lives and dies with its collection-memo entry."""
+
+    #: Strategy 1 only, so the dyadic structures reach the combination phase.
+    OPTIONS = StrategyOptions.only(
+        parallel_collection=True, join_ordering=True, semijoin_reduction=True,
+        histogram_statistics=True, streaming_execution=True,
+    )
+    TEXT = (
+        "[<e.ename> OF EACH e IN employees: SOME p IN papers "
+        "((e.enr = p.penr) AND (p.pyear = 1977))]"
+    )
+
+    @staticmethod
+    def _plans(cursor) -> tuple[int, int]:
+        statistics = cursor.statistics
+        return statistics["combination_plans_built"], statistics["combination_plans_reused"]
+
+    def test_a_commit_to_a_read_relation_plans_again_an_unrelated_one_does_not(self, figure1):
+        connection = connect(figure1, options=self.OPTIONS)
+        cursor = connection.cursor()
+        before = cursor.execute(self.TEXT).fetchall()
+        assert self._plans(cursor) == (1, 0)
+        assert cursor.statistics["reduced_tuples"] > 0
+        assert cursor.execute(self.TEXT).fetchall() == before
+        assert self._plans(cursor) == (0, 1)
+        assert cursor.statistics["reduced_tuples"] == 0  # counters count work done
+        assert cursor.result.combination.reductions  # ... the report comes from the plan
+
+        with connection.session():
+            figure1.relation("courses").insert({"cnr": 99, "clevel": "senior", "ctitle": "Plans"})
+        assert cursor.execute(self.TEXT).fetchall() == before
+        assert self._plans(cursor) == (0, 1)
+
+        with connection.session():
+            figure1.relation("papers").insert({"penr": 3, "pyear": 1977, "ptitle": "Wires"})
+        after = cursor.execute(self.TEXT).fetchall()
+        assert self._plans(cursor) == (1, 0)
+        assert len(after) == len(before) + 1
+        assert {r.values for r in after} == {r.values for r in execute_naive(figure1, self.TEXT)}
+        connection.close()
+
+    def test_reoptimization_drops_the_plans_with_the_memos(self, figure1):
+        connection = connect(figure1, options=self.OPTIONS)
+        handle = connection.prepare(self.TEXT)
+        cursor = connection.cursor()
+        rows = cursor.execute(handle).fetchall()
+        cursor.execute(handle).fetchall()
+        assert self._plans(cursor) == (0, 1)
+        handle._reoptimize()
+        assert cursor.execute(handle).fetchall() == rows
+        assert self._plans(cursor) == (1, 0)
+        connection.close()
+
+    def test_a_cursor_closed_after_one_fetch_leaves_a_plan_the_next_drains(self, figure1):
+        connection = connect(figure1, options=self.OPTIONS)
+        expected = {r.values for r in execute_naive(figure1, self.TEXT)}
+        assert len(expected) > 1
+        first = connection.cursor().execute(self.TEXT)
+        assert first.fetchone() is not None
+        first.close()  # hash tables it built stay; its generators are gone
+        second = connection.cursor().execute(self.TEXT)
+        assert {r.values for r in second.fetchall()} == expected
+        assert self._plans(second) == (0, 1)
+        connection.close()
+
+    def test_a_strategy_3_fallback_is_never_memoized_so_never_reused(self, figure1):
+        text = (
+            "[<e.ename> OF EACH e IN employees: SOME t IN timetable ((e.enr = t.tenr) AND "
+            "ALL p IN [EACH p IN papers: (p.pyear = 1990)] ((e.enr <> p.penr)))]"
+        )
+        prepared = connect(figure1).service.prepare(text)
+        for _ in range(3):
+            result = prepared.execute()
+            assert result.used_strategy3_fallback
+            assert result.relation == execute_naive(figure1, text)
+            assert not result.combination.plan_reused
+            assert result.statistics["combination_plans_built"] == 1
+            assert result.statistics["combination_plans_reused"] == 0
