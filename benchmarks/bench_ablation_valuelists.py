@@ -13,6 +13,7 @@ from repro import QueryEngine, StrategyOptions, build_university_database, execu
 from repro.bench.harness import compare_strategies, format_table
 from repro.bench.report import print_report
 from repro.calculus import builder as q
+from repro.engine.collection import DerivedEvaluator
 from repro.workloads.queries import SENIORITY_TEXT
 
 WITH_S4 = StrategyOptions.all_strategies()
@@ -69,6 +70,24 @@ def test_shortcuts_are_detected():
     assert [p.shortcut() for p in equality.derived_predicates()] == ["single-value"]
     some_ne = engine.prepare(some_not_equal_query())
     assert [p.shortcut() for p in some_ne.derived_predicates()] == ["single-value"]
+
+
+def test_shortcut_lists_retain_one_value_built_or_reused():
+    """The extremes are worked out once per finished list, not per outer
+    element — rows, the retained size and the counters do not move, whether
+    the list was built by this execution or taken from the database's memo."""
+    database = build_university_database(scale=4)
+    engine = QueryEngine(database, WITH_S4)
+    for query in QUERIES.values():
+        expected = execute_naive(database, query)
+        built, reused = engine.run(query), engine.run(query)
+        assert built.relation == reused.relation == expected
+        assert built.statistics["value_lists_built"] == 1
+        assert reused.statistics["value_lists_reused"] == 1
+        assert built.statistics["intermediate_tuples"] == reused.statistics["intermediate_tuples"]
+        (predicate,) = built.prepared.derived_predicates()
+        evaluator = DerivedEvaluator(predicate, database, {}, WITH_S4)
+        assert evaluator.restricted_count > 1 and evaluator.stored_size() == 1
 
 
 def test_value_list_queries_avoid_combination_blowup():

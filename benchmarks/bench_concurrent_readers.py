@@ -1,37 +1,31 @@
 """CONCURRENCY — aggregate reader throughput: snapshot reads vs the lock.
 
 ISSUE 7 lets connection-level cursors execute against a pinned copy-on-write
-snapshot, entirely outside the execution lock.  This benchmark measures what
-that buys a mixed workload: N reader threads hammer a four-variable join
-query (Example 21) while one writer session commits to a scratch relation
-the query never touches.  Every commit advances the global ``data_version``,
-so the serialized path can never serve its collection memo and pays the full
-collection phase — paged scans, buffer-pool pins, per-element accounting —
-on every execution.  This is the realistic worst case the snapshot path was
-built for.
+snapshot, entirely outside the execution lock.  This benchmark prints what
+that buys a mixed workload: N reader threads run a four-variable join query
+(Example 21) while one writer session commits to a scratch relation the
+query never touches.
 
-Three effects compose:
+What the table shows has changed with the engine, and the assertion with it.
+When this file was written the serialized path discarded its collection memo
+on every commit (a global ``data_version`` guard) and paid paged scans per
+execution, so snapshot reads won ≥ 4x at 8 threads.  Since PR 19 both paths
+validate one relation-granular version token, so both serve the warmed query
+from the whole-result memo; what is left between them is the lock, and
+threads that compute in Python share one interpreter lock whatever the
+engine does.  On a 2-core host the ratio has read 0.97-1.04x at every commit
+since PR 16 — there is no per-core restatement of a 4x claim that is true
+here, so the wall-clock assertion is gone.  What stays pinned: snapshot
+reads change scheduling, never results — every thread in every
+configuration fetches byte-identical rows beside the committing writer —
+and the harness itself (``BENCH_SMOKE=1`` collapses the sweep).  Reader
+throughput beside a writer *on the relation being read* is the end-to-end
+benchmark's ``readers_with_writer`` workload (``benchmarks/e2e``).
 
-* **No serialization** — snapshot executions and fetches take no lock, so
-  readers neither queue behind each other nor behind the writer.
-* **Surviving memos** — snapshot collection structures are validated by a
-  *relation-granular* version token, so writer traffic to the scratch
-  relation leaves them warm; the serialized path's global ``data_version``
-  guard discards its memo on every commit.
-* **Cheaper scans** — when a snapshot does scan, it shares the relation's
-  element map directly: no buffer-pool page pins, no per-element counter
-  calls, one batched accounting update per scan.
-
-The query must have a real collection phase for the memo effect to exist:
+The query must have a real collection phase for a memo to exist:
 monadic restriction queries (e.g. the professors example) compile to the
 constant-matrix shortcut, which bypasses collection entirely and re-scans
 its range on both paths.
-
-The acceptance assertion pins the issue's claim: at 8 reader threads the
-snapshot configuration sustains at least 4x the aggregate throughput of the
-fully serialized baseline (``snapshot_reads=False``), with byte-identical
-rows.  Under ``BENCH_SMOKE=1`` the sweep collapses and the wall-clock ratio
-assertion is skipped (full-scale claims are pinned by manual runs).
 """
 
 from __future__ import annotations
@@ -39,8 +33,6 @@ from __future__ import annotations
 import os
 import threading
 import time
-
-import pytest
 
 from repro import ServiceOptions, connect
 from repro.bench.report import print_report
@@ -61,8 +53,7 @@ _QUERIES_PER_READER = 4 if _SMOKE else 25
 _QUERY = EXAMPLE_21_TEXT
 #: Delay between writer commits.  A spinning writer is a GIL hog that
 #: distorts what the sweep measures (reader throughput); a paced writer
-#: still commits hundreds of times per second — far faster than the
-#: serialized path can requery, so its memo stays cold throughout.
+#: still commits hundreds of times per second.
 _WRITER_PAUSE_SECONDS = 0.001
 
 
@@ -141,7 +132,7 @@ def _sweep(snapshot_reads: bool) -> dict[int, tuple[float, list]]:
     return timings
 
 
-def test_snapshot_readers_outrun_the_serialized_baseline():
+def test_snapshot_readers_fetch_the_serialized_rows_beside_a_writer():
     serialized = _sweep(snapshot_reads=False)
     snapshot = _sweep(snapshot_reads=True)
 
@@ -163,14 +154,6 @@ def test_snapshot_readers_outrun_the_serialized_baseline():
         for readers in _THREAD_COUNTS:
             for rows in timings[readers][1]:
                 assert rows == expected
-
-    if _SMOKE:
-        pytest.skip("wall-clock ratio assertion is a full-run claim, not a smoke check")
-    top = _THREAD_COUNTS[-1]
-    speedup = snapshot[top][0] / serialized[top][0]
-    assert speedup >= 4.0, (
-        f"snapshot reads at {top} threads only {speedup:.2f}x the serialized baseline"
-    )
 
 
 def test_snapshot_matches_serialized_rows_across_queries():

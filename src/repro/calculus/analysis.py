@@ -38,6 +38,7 @@ __all__ = [
     "comparisons_of",
     "field_refs_of",
     "relations_of",
+    "range_relations",
     "is_quantifier_free",
     "is_prenex",
     "quantifier_prefix",
@@ -150,6 +151,17 @@ def relations_of(selection: Selection) -> set[str]:
     for node in selection.formula.walk():
         if isinstance(node, Quantified):
             names.add(node.range.relation)
+    return names
+
+
+def range_relations(range_expr: RangeExpr) -> list[str]:
+    """The relation ``range_expr`` ranges over, then every relation its
+    restriction quantifies over (their restrictions included), in source order."""
+    names = [range_expr.relation]
+    if range_expr.restriction is not None:
+        for node in range_expr.restriction.walk():
+            if isinstance(node, Quantified):
+                names += range_relations(node.range)
     return names
 
 

@@ -29,6 +29,7 @@ collection time:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Iterable
 
 from repro.calculus.analysis import QuantifierSpec
@@ -45,6 +46,7 @@ from repro.engine.access import (
 from repro.engine.naive import evaluate_formula
 from repro.errors import EvaluationError, PascalRError
 from repro.relational.index import HashIndex, SortedIndex, ValueList
+from repro.relational.mvcc import version_token
 from repro.relational.record import Record
 from repro.relational.reference import Ref
 from repro.relational.statistics import COLLECTION
@@ -168,6 +170,11 @@ class CollectionResult:
     access_paths: dict[str, str] = field(default_factory=dict)
     """Per variable: a human-readable description of the chosen access path
     (scan, zone-map pruned scan, or permanent-index probe)."""
+    value_lists: list[tuple] = field(default_factory=list)
+    """Per derived predicate ``(predicate, inner elements, versions)``: its
+    Strategy 4 value list was reused from the database's memo at those relation
+    versions, or (``None``) built by this collection from that many elements
+    (``explain_value_lists`` renders it)."""
     _reference_ids: ReferenceIds | None = field(default=None, repr=False, compare=False)
     combination_plan: Any = field(default=None, repr=False, compare=False)
     """What the combination phase decided over these structures (its
@@ -208,17 +215,23 @@ class _ConnectingSpec:
 
 
 class DerivedEvaluator:
-    """Executes one Strategy 4 pushdown: value list + per-element decision."""
+    """One executed Strategy 4 pushdown: value list + per-element decision.
+
+    Built by reading the inner range of ``predicate`` from ``source`` once;
+    what remains holds component values only — no reference, no source — and
+    never changes again, so every execution that meets the same bound
+    predicate over the same contents can share it (live or pinned: the
+    source's ``value_lists`` memo).
+    """
 
     def __init__(
         self,
         predicate: DerivedPredicate,
-        database,
+        source,
         evaluators: dict[DerivedPredicate, "DerivedEvaluator"],
         options: StrategyOptions,
     ) -> None:
         self.predicate = predicate
-        self._database = database
         self._specs = [self._orient(term) for term in predicate.connecting]
         self._single = len(self._specs) == 1
         self._value_list = ValueList() if self._single else None
@@ -226,22 +239,19 @@ class DerivedEvaluator:
         self._all_constraints_hold = True
         self._restricted_count = 0
 
-        relation = database.relation(predicate.inner_range.relation)
-        base_count = len(relation)
-        restriction = predicate.inner_range.restriction
+        relation = source.relation(predicate.inner_range.relation)
+        inner_tests = [evaluators[inner].matches for inner in predicate.inner_derived]
         # The inner (restricted) range is enumerated through the same
         # access-path selector as the collection phase proper, so a permanent
         # index on the restricted component turns the value-list build into
         # an index probe instead of a relation scan.
-        path = select_access_path(database, predicate.inner_var, predicate.inner_range, options)
-        for _, record in iter_access(database, path, predicate.inner_var):
+        path = select_access_path(source, predicate.inner_var, predicate.inner_range, options)
+        for _, record in iter_access(source, path, predicate.inner_var):
             self._restricted_count += 1
             passes = all(
-                evaluate_formula(term, {predicate.inner_var: record}, database)
+                evaluate_formula(term, {predicate.inner_var: record}, source)
                 for term in predicate.inner_monadic
-            ) and all(
-                evaluators[inner].matches(record) for inner in predicate.inner_derived
-            )
+            ) and all(matches(record) for matches in inner_tests)
             if predicate.quantifier == "SOME":
                 if not passes:
                     continue
@@ -253,13 +263,10 @@ class DerivedEvaluator:
 
         if (
             self._restricted_count == 0
-            and restriction is not None
-            and base_count > 0
+            and predicate.inner_range.restriction is not None
+            and len(relation) > 0
         ):
             raise ExtendedRangeEmptyError(predicate.inner_var, relation.name)
-
-        tracker = database.statistics
-        tracker.record_intermediate(self.stored_size())
 
     def _orient(self, term: Comparison) -> _ConnectingSpec:
         left, right = term.left, term.right
@@ -442,11 +449,12 @@ class CollectionPhase:
         """Execute the collection phase and return its intermediate structures."""
         with self.statistics.phase(COLLECTION):
             scans_before = self.statistics.total_scans()
-            evaluators = self._build_derived_evaluators()
+            evaluators, value_lists = self._build_derived_evaluators()
             needs = self._analyze_conjunctions()
             result = self._execute(needs, evaluators)
             result.scans_performed = self.statistics.total_scans() - scans_before
             result.access_paths = self.access_paths()
+            result.value_lists = value_lists
             return result
 
     def access_paths(self) -> dict[str, str]:
@@ -455,14 +463,38 @@ class CollectionPhase:
 
     # -- derived predicates (Strategy 4 execution) ------------------------------------------
 
-    def _build_derived_evaluators(self) -> dict[DerivedPredicate, DerivedEvaluator]:
+    def _build_derived_evaluators(
+        self,
+    ) -> tuple[dict[DerivedPredicate, DerivedEvaluator], list[tuple]]:
+        """Every derived predicate's evaluator, and a note on where it came from.
+
+        The source's memo answers when it holds one built over the contents
+        this execution reads (the value list rule of ``relational/mvcc.py``).
+        A build that raises publishes nothing, so the Strategy 3 fallback
+        fires on every execution; inside an open transaction a matching
+        entry is read but the uncommitted contents are never published.  A
+        hit charges this execution what the build would have retained, and
+        no scan.
+        """
+        source = self.database
+        memo = source.value_lists
         evaluators: dict[DerivedPredicate, DerivedEvaluator] = {}
+        notes: list[tuple] = []
         for predicate in self.prepared.derived_predicates():
-            if predicate not in evaluators:
-                evaluators[predicate] = DerivedEvaluator(
-                    predicate, self.database, evaluators, self.options
-                )
-        return evaluators
+            names = predicate.relations_read()
+            token = version_token(source, names)
+            evaluator = memo.get(predicate, token)
+            reused = evaluator is not None
+            if not reused:
+                evaluator = DerivedEvaluator(predicate, source, evaluators, self.options)
+                if not source.in_transaction:
+                    memo.publish(predicate, token, evaluator)
+            self.statistics.record_value_list(reused)
+            self.statistics.record_intermediate(evaluator.stored_size())
+            versions = dict(zip(names, token[1:])) if reused else None
+            notes.append((predicate, evaluator.restricted_count, versions))
+            evaluators[predicate] = evaluator
+        return evaluators, notes
 
     # -- conjunction analysis ----------------------------------------------------------------
 
@@ -605,7 +637,6 @@ class CollectionPhase:
         evaluators: dict[DerivedPredicate, DerivedEvaluator],
     ) -> None:
         indexes: dict[tuple, HashIndex | SortedIndex] = {}
-        prebuilt: set[tuple] = set()
         # Work assignment per variable.
         builds_for_var: dict[str, list[tuple]] = {var: [] for var in range_refs}
         probes_for_var: dict[str, list[tuple]] = {var: [] for var in range_refs}
@@ -613,10 +644,55 @@ class CollectionPhase:
             permanent = self._permanent_index(spec)
             if permanent is not None:
                 indexes[key] = permanent
-                prebuilt.add(key)
             else:
                 builds_for_var[spec.build_var].append(key)
             probes_for_var[spec.probe_var].append(key)
+
+        def server(var: str, relation_name: str, deferred_probes: list):
+            """All per-element work for an in-range element of ``var``.
+
+            What is fixed per variable is resolved here, once: the catalogues
+            are keyed on AST nodes, and hashing one walks it.
+            """
+            in_range = range_refs[var].append
+            singles = [
+                (partial(self._term_holds, term, var), rows.add)
+                for term, rows in single_terms.items()
+                if term.variables()[0] == var
+            ] + [
+                (evaluators[predicate].matches, rows.add)
+                for predicate, rows in derived_singles.items()
+                if predicate.outer_var == var
+            ]
+            builds = [
+                (ij_specs[key].build_field, indexes[key].add_ref) for key in builds_for_var[var]
+            ]
+            # Self-join probes wait until the whole relation pass (shared
+            # scan plus probe-path enumerations) has filled the index.
+            probes = [
+                (
+                    self._fold_tests(ij_specs[key], evaluators),
+                    self._prober(ij_specs[key], indexes[key], indirect_joins[key]),
+                    self._var_relation[ij_specs[key].build_var] == relation_name,
+                )
+                for key in probes_for_var[var]
+            ]
+
+            def serve(ref: Ref, record: Record) -> None:
+                in_range(ref)
+                for holds, add in singles:
+                    if holds(record):
+                        add((ref,))
+                for build_field, add_ref in builds:
+                    add_ref(record[build_field], ref)
+                for folds, probe, deferred in probes:
+                    if all(test(record) for test in folds):
+                        if deferred:
+                            deferred_probes.append((probe, ref, record))
+                        else:
+                            probe(ref, record)
+
+            return serve
 
         for relation_name in self._scan_order:
             relation = self.database.relation(relation_name)
@@ -629,7 +705,8 @@ class CollectionPhase:
                 for key in builds_for_var[var]:
                     if key not in indexes:
                         indexes[key] = self._make_index(ij_specs[key])
-            deferred_probes: list[tuple[tuple, Ref, Record]] = []
+            deferred_probes: list[tuple] = []
+            serve = {var: server(var, relation_name, deferred_probes) for var in variables_here}
 
             # Variables answered by a permanent-index probe leave the shared
             # scan: their (exact) in-range elements are enumerated from index
@@ -642,27 +719,13 @@ class CollectionPhase:
                 for record in self._shared_scan(relation, scan_vars):
                     ref = relation.ref_of(record)
                     for var in scan_vars:
-                        if not self._in_range(var, record):
-                            continue
-                        self._serve_variable(
-                            var, ref, record, relation_name, range_refs,
-                            single_terms, derived_singles, builds_for_var,
-                            probes_for_var, ij_specs, indexes, indirect_joins,
-                            evaluators, deferred_probes,
-                        )
+                        if self._in_range(var, record):
+                            serve[var](ref, record)
             for var in probe_vars:
                 for ref, record in iter_access(self.database, self._access[var], var):
-                    self._serve_variable(
-                        var, ref, record, relation_name, range_refs,
-                        single_terms, derived_singles, builds_for_var,
-                        probes_for_var, ij_specs, indexes, indirect_joins,
-                        evaluators, deferred_probes,
-                    )
-
-            # Self-join probes wait until the whole relation pass (shared
-            # scan plus probe-path enumerations) has filled the index.
-            for key, ref, record in deferred_probes:
-                self._probe(key, ij_specs[key], ref, record, indexes, indirect_joins)
+                    serve[var](ref, record)
+            for probe, ref, record in deferred_probes:
+                probe(ref, record)
 
     def _shared_scan(self, relation, scan_vars: list[str]):
         """The Strategy 1 shared scan, zone-map pruned when provably safe.
@@ -679,43 +742,6 @@ class CollectionPhase:
                 if bound:
                     return relation.scan_pruned(path.probe.field, path.probe.op, value)
         return relation.scan()
-
-    def _serve_variable(
-        self,
-        var: str,
-        ref: Ref,
-        record: Record,
-        relation_name: str,
-        range_refs: dict[str, list[Ref]],
-        single_terms: dict[Comparison, set],
-        derived_singles: dict[DerivedPredicate, set],
-        builds_for_var: dict[str, list[tuple]],
-        probes_for_var: dict[str, list[tuple]],
-        ij_specs: dict[tuple, _IndirectJoinSpec],
-        indexes: dict[tuple, HashIndex | SortedIndex],
-        indirect_joins: dict[tuple, set],
-        evaluators: dict[DerivedPredicate, DerivedEvaluator],
-        deferred_probes: list[tuple[tuple, Ref, Record]],
-    ) -> None:
-        """All per-element work for one in-range element of ``var``."""
-        range_refs[var].append(ref)
-        for term, rows in single_terms.items():
-            if term.variables()[0] == var and self._term_holds(term, var, record):
-                rows.add((ref,))
-        for predicate, rows in derived_singles.items():
-            if predicate.outer_var == var and evaluators[predicate].matches(record):
-                rows.add((ref,))
-        for key in builds_for_var[var]:
-            spec = ij_specs[key]
-            indexes[key].add_ref(record[spec.build_field], ref)
-        for key in probes_for_var[var]:
-            spec = ij_specs[key]
-            if not self._passes_folds(spec, record, evaluators):
-                continue
-            if self._var_relation[spec.build_var] == relation_name:
-                deferred_probes.append((key, ref, record))
-            else:
-                self._probe(key, spec, ref, record, indexes, indirect_joins)
 
     # -- no strategy 1: one scan per structure ---------------------------------------------------------
 
@@ -742,9 +768,9 @@ class CollectionPhase:
 
         # Derived single lists: one range enumeration per literal predicate.
         for predicate, rows in derived_singles.items():
-            var = predicate.outer_var
-            for ref, record in self._iter_var(var):
-                if evaluators[predicate].matches(record):
+            matches = evaluators[predicate].matches
+            for ref, record in self._iter_var(predicate.outer_var):
+                if matches(record):
                     rows.add((ref,))
 
         # Indirect joins: one pass to build the index, one pass to probe it.
@@ -756,10 +782,11 @@ class CollectionPhase:
                 index = self._make_index(spec)
                 for ref, record in self._iter_var(spec.build_var):
                     index.add_ref(record[spec.build_field], ref)
+            folds = self._fold_tests(spec, evaluators)
+            probe = self._prober(spec, index, indirect_joins[key])
             for ref, record in self._iter_var(spec.probe_var):
-                if not self._passes_folds(spec, record, evaluators):
-                    continue
-                self._probe(key, spec, ref, record, {key: index}, indirect_joins)
+                if all(test(record) for test in folds):
+                    probe(ref, record)
 
     # -- shared helpers --------------------------------------------------------------------------------
 
@@ -805,35 +832,28 @@ class CollectionPhase:
         self.statistics.record_comparison()
         return evaluate_formula(term, {var: record}, self.database)
 
-    def _passes_folds(
-        self,
-        spec: _IndirectJoinSpec,
-        record: Record,
-        evaluators: dict[DerivedPredicate, DerivedEvaluator],
-    ) -> bool:
-        for fold in spec.folds:
-            if isinstance(fold, Comparison):
-                if not self._term_holds(fold, spec.probe_var, record):
-                    return False
-            else:
-                if not evaluators[fold].matches(record):
-                    return False
-        return True
+    def _fold_tests(
+        self, spec: _IndirectJoinSpec, evaluators: dict[DerivedPredicate, DerivedEvaluator]
+    ) -> list:
+        """Strategy 2's folded tests on the probing variable, each ``record -> bool``."""
+        return [
+            partial(self._term_holds, fold, spec.probe_var)
+            if isinstance(fold, Comparison)
+            else evaluators[fold].matches
+            for fold in spec.folds
+        ]
 
-    def _probe(
-        self,
-        key: tuple,
-        spec: _IndirectJoinSpec,
-        probe_ref: Ref,
-        record: Record,
-        indexes: dict[tuple, HashIndex | SortedIndex],
-        indirect_joins: dict[tuple, set],
-    ) -> None:
-        index = indexes[key]
-        partners = index.probe_operator(spec.probe_operator(), record[spec.probe_field])
-        rows = indirect_joins[key]
-        for partner_ref in partners:
-            rows.add((partner_ref, probe_ref))
+    @staticmethod
+    def _prober(spec: _IndirectJoinSpec, index: HashIndex | SortedIndex, rows: set):
+        """``(probe_ref, record)`` -> ``rows`` gains the record's partners in ``index``."""
+        operator, probe_field = spec.probe_operator(), spec.probe_field
+        partners, add = index.probe_operator, rows.add
+
+        def probe(probe_ref: Ref, record: Record) -> None:
+            for partner_ref in partners(operator, record[probe_field]):
+                add((partner_ref, probe_ref))
+
+        return probe
 
     def _check_extended_ranges(self, range_refs: dict[str, list[Ref]]) -> None:
         for var, refs in range_refs.items():

@@ -497,7 +497,11 @@ class QueryEngine:
         chosen for every conjunction and the per-structure semijoin reduction
         sizes (EXPLAIN ANALYZE, in later systems' terms).
         """
-        from repro.engine.explain import explain_combination, explain_prepared
+        from repro.engine.explain import (
+            explain_combination,
+            explain_prepared,
+            explain_value_lists,
+        )
 
         options = options or self.options
         if analyze:
@@ -512,6 +516,8 @@ class QueryEngine:
                 else options
             )
             report = explain_prepared(result.prepared, self.database, effective)
+            if result.collection is not None and result.collection.value_lists:
+                report += "\n" + explain_value_lists(result.collection)
             if result.combination is not None:
                 report += "\n" + explain_combination(result.combination)
             if result.access_paths:

@@ -19,7 +19,7 @@ from repro.engine.combination import CombinationResult, qerror
 from repro.transform.pipeline import QueryPlan
 from repro.transform.quantifier_pushdown import DerivedPredicate
 
-__all__ = ["explain_prepared", "explain_combination"]
+__all__ = ["explain_prepared", "explain_combination", "explain_value_lists"]
 
 
 def explain_prepared(prepared: QueryPlan, database, options: StrategyOptions) -> str:
@@ -82,6 +82,20 @@ def explain_prepared(prepared: QueryPlan, database, options: StrategyOptions) ->
             for binding in prepared.bindings:
                 path = select_access_path(database, binding.var, binding.range, options)
                 lines.append(f"  {binding.var}: {path.describe()}")
+    return "\n".join(lines)
+
+
+def explain_value_lists(collection) -> str:
+    """One line per derived predicate of a collection result: its value list
+    built (from how many inner elements) or reused (at which versions) — why
+    an inner relation may show ``elements_read = 0``."""
+    lines = ["value lists:"]
+    for predicate, elements, versions in collection.value_lists:
+        if versions is None:
+            note = f"built from {elements} element(s)"
+        else:
+            note = "reused @ versions (" + ", ".join(f"{n}={v}" for n, v in versions.items()) + ")"
+        lines.append(f"  {predicate.describe()}: value list {note}")
     return "\n".join(lines)
 
 

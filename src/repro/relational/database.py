@@ -292,8 +292,10 @@ class Database:
         return self._schema_version
 
     def bump_schema_version(self) -> int:
-        """Invalidate cached plans by advancing the schema version."""
+        """Invalidate cached plans and memoized value lists by advancing the schema version."""
         self._schema_version += 1
+        # Unreachable from here on (the version is in their token): free them now.
+        self._snapshots.value_lists.clear()
         return self._schema_version
 
     @property
@@ -451,6 +453,12 @@ class Database:
         journal.log_abort()
 
     # -- snapshot reads ----------------------------------------------------------------
+
+    @property
+    def value_lists(self):
+        """The memo of Strategy 4 value lists this database's readers share
+        (:class:`~repro.relational.mvcc.ValueListMemo`)."""
+        return self._snapshots.value_lists
 
     def pin_snapshot(self) -> DatabaseSnapshot:
         """Pin a consistent committed snapshot of every base relation.

@@ -369,6 +369,10 @@ class ValueList:
     def __init__(self, values: Iterable[Any] | None = None) -> None:
         self._values: set[Any] = set()
         self._count = 0
+        # (minimum, maximum, single value) of a non-empty list, worked out at
+        # the first question after the last ``add``: a finished list answers
+        # every outer element from here — "only one value needs to be stored".
+        self._extremes: tuple | None = None
         if values is not None:
             for value in values:
                 self.add(value)
@@ -377,6 +381,17 @@ class ValueList:
         """Record one component value of the quantified variable's range."""
         self._values.add(value)
         self._count += 1
+        self._extremes = None
+
+    def _summary(self, what: str) -> tuple:
+        extremes = self._extremes
+        if extremes is None:
+            values = self._values
+            if not values:
+                raise RelationError(f"{what} of an empty value list")
+            single = next(iter(values)) if len(values) == 1 else None
+            extremes = self._extremes = (min(values), max(values), single)
+        return extremes
 
     # -- inspection ----------------------------------------------------------------
 
@@ -393,20 +408,14 @@ class ValueList:
         return len(self._values)
 
     def minimum(self) -> Any:
-        if not self._values:
-            raise RelationError("minimum of an empty value list")
-        return min(self._values)
+        return self._summary("minimum")[0]
 
     def maximum(self) -> Any:
-        if not self._values:
-            raise RelationError("maximum of an empty value list")
-        return max(self._values)
+        return self._summary("maximum")[1]
 
     def single_value(self) -> Any | None:
         """The unique value when exactly one distinct value was collected."""
-        if len(self._values) == 1:
-            return next(iter(self._values))
-        return None
+        return self._summary("single value")[2] if self._values else None
 
     # -- quantified evaluation -------------------------------------------------------
 

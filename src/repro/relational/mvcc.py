@@ -79,19 +79,92 @@ already outlived one read and builds (rent once, then buy: never worse than
 twice the best choice in hindsight, whatever the write rate).  A relation
 written between every two reads is therefore scanned, one read many times is
 probed.
+
+**Value list rule.**  A Strategy 4 value list holds component *values*, no
+references, so it is a pure function of (the derived predicate with its
+constants bound, the contents of the relations the predicate reads) and
+serves live and pinned readers alike.  :class:`ValueListMemo` keeps the
+finished ones per database, each under the ``schema_version`` and contents
+versions it was built from — the same token as above.  An entry is
+published complete and only read afterwards; a newer token replaces an
+older one and never the reverse (a pin older than the entry builds
+privately, as with the views); nothing is published from inside an open
+transaction, whose contents may yet be rolled back.
 """
 
 from __future__ import annotations
 
 import copy
 import threading
+from collections import OrderedDict
 from typing import Iterator
 
 from repro.errors import CatalogError, SnapshotError
 from repro.relational.relation import Relation
 from repro.relational.statistics import AccessStatistics
 
-__all__ = ["DatabaseSnapshot", "SnapshotRegistry", "SnapshotRelation"]
+__all__ = [
+    "DatabaseSnapshot",
+    "SnapshotRegistry",
+    "SnapshotRelation",
+    "ValueListMemo",
+    "version_token",
+]
+
+
+def version_token(source, names) -> tuple:
+    """What a structure computed from relations ``names`` of ``source`` is valid
+    under: the catalog version, then each relation's contents version.
+
+    A pinned relation carries the version its pin captured, so one reading
+    serves the live database and a snapshot.  Every component only grows
+    (through rollback too): two states agreeing on the token hold identical
+    contents for exactly those relations, and tokens taken from committed
+    states order the way the states did.
+    """
+    relation = source.relation
+    return (source.schema_version, *(relation(name)._version for name in names))
+
+
+class ValueListMemo:
+    """Finished Strategy 4 value lists, per bound derived predicate (LRU).
+
+    ``token`` is the :func:`version_token` of the relations the predicate
+    reads (the value list rule).
+    """
+
+    CAPACITY = 128
+
+    def __init__(self) -> None:
+        self._entries: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, predicate, token: tuple):
+        """The value list built for ``predicate`` under exactly ``token``, or ``None``."""
+        with self._lock:
+            entry = self._entries.get(predicate)
+            if entry is None or entry[0] != token:
+                return None
+            self._entries.move_to_end(predicate)
+            return entry[1]
+
+    def publish(self, predicate, token: tuple, value_list) -> None:
+        """Keep ``value_list`` unless a newer state's is already there."""
+        with self._lock:
+            entry = self._entries.get(predicate)
+            if entry is not None and entry[0] > token:
+                return
+            self._entries[predicate] = (token, value_list)
+            self._entries.move_to_end(predicate)
+            if len(self._entries) > self.CAPACITY:
+                self._entries.popitem(last=False)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+    def __len__(self) -> int:
+        return len(self._entries)
 
 
 class SnapshotRegistry:
@@ -129,6 +202,8 @@ class SnapshotRegistry:
         self.overlay: dict[str, tuple[dict, int]] = {}
         #: The data version pins report while a transaction is active.
         self.committed_data_version = 0
+        #: What live and pinned collection phases share (the value list rule).
+        self.value_lists = ValueListMemo()
 
     # -- transaction boundaries (called by Database / UndoJournal) ---------------------
 
@@ -356,6 +431,10 @@ class DatabaseSnapshot:
     @property
     def in_transaction(self) -> bool:
         return False
+
+    @property
+    def value_lists(self) -> ValueListMemo:
+        return self._registry.value_lists
 
     def index_for(self, relation_name: str, field_name: str):
         """The permanent index on ``relation_name.field_name`` as of this pin.

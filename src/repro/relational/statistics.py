@@ -120,6 +120,8 @@ class AccessStatistics:
         self.plan_cache_misses = 0
         self.combination_plans_built = 0
         self.combination_plans_reused = 0
+        self.value_lists_built = 0
+        self.value_lists_reused = 0
         self.rows_streamed = 0
         self.operators_pipelined = 0
         self.wal_records = 0
@@ -237,6 +239,14 @@ class AccessStatistics:
             self.combination_plans_reused += 1
         else:
             self.combination_plans_built += 1
+
+    def record_value_list(self, reused: bool) -> None:
+        """A collection phase took a Strategy 4 value list from the database's
+        memo (``reused``), or read its inner range to build one."""
+        if reused:
+            self.value_lists_reused += 1
+        else:
+            self.value_lists_built += 1
 
     def record_rows_streamed(self, count: int = 1) -> None:
         """``count`` tuples flowed through a streaming pipeline operator.

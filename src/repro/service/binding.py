@@ -34,7 +34,7 @@ from __future__ import annotations
 import re
 from typing import Any, Collection, Mapping
 
-from repro.calculus.analysis import QuantifierSpec
+from repro.calculus.analysis import QuantifierSpec, range_relations
 from repro.calculus.ast import (
     And,
     BoolConst,
@@ -72,23 +72,11 @@ def referenced_relations(selection: Selection) -> frozenset[str]:
     including ranges appearing inside extended-range restrictions)."""
     names: set[str] = set()
     for binding in selection.bindings:
-        _visit_range(binding.range, names)
-    _visit_formula(selection.formula, names)
-    return frozenset(names)
-
-
-# Mutually recursive module-level functions, not closures: closures calling
-# each other form a reference cycle that outlives the call.
-def _visit_range(range_expr: RangeExpr, names: set[str]) -> None:
-    names.add(range_expr.relation)
-    if range_expr.restriction is not None:
-        _visit_formula(range_expr.restriction, names)
-
-
-def _visit_formula(formula: Formula, names: set[str]) -> None:
-    for node in formula.walk():
+        names.update(range_relations(binding.range))
+    for node in selection.formula.walk():
         if isinstance(node, Quantified):
-            _visit_range(node.range, names)
+            names.update(range_relations(node.range))
+    return frozenset(names)
 
 
 # ------------------------------------------------------------------ parameter discovery

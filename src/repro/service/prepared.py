@@ -33,6 +33,7 @@ from repro.calculus.ast import Selection
 from repro.config import StrategyOptions
 from repro.engine.evaluator import QueryEngine, QueryResult
 from repro.errors import BindingError, PlanError
+from repro.relational.mvcc import version_token
 from repro.service.binding import (
     UNBOUND,
     bind_plan,
@@ -384,19 +385,9 @@ class PreparedQuery:
 
     def _version_token(self, source) -> tuple:
         """What a memoized collection is valid under: the catalog version and
-        the contents version of every relation the query ranges over.
-
-        A pinned relation carries the version the pin captured, so one
-        reading serves both sources.  Versions only ever grow (through
-        rollback too): two states agreeing on the token hold identical
-        contents for exactly the relations the collection phase read, and
-        the memo survives writes to relations the query never reads.
-        """
-        relation = source.relation
-        return (
-            source.schema_version,
-            tuple(relation(name)._version for name in self._referenced_sorted),
-        )
+        the contents version of every relation the query ranges over, so
+        the memo survives writes to relations the query never reads."""
+        return version_token(source, self._referenced_sorted)
 
     # -- adaptive reoptimization --------------------------------------------------------
 

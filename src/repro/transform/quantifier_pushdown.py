@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.calculus.analysis import QuantifierSpec
+from repro.calculus.analysis import QuantifierSpec, range_relations
 from repro.calculus.ast import (
     ALL,
     And,
@@ -83,6 +83,15 @@ class DerivedPredicate:
 
     def mentions(self, var: str) -> bool:
         return var == self.outer_var
+
+    def relations_read(self) -> tuple[str, ...]:
+        """Every relation deciding this predicate reads: the inner range's (and
+        any its restriction quantifies over), then the inner pushdowns' —
+        what a memoized value list is versioned by."""
+        names = range_relations(self.inner_range)
+        for inner in self.inner_derived:
+            names += inner.relations_read()
+        return tuple(dict.fromkeys(names))
 
     def shortcut(self) -> str | None:
         """Which Section 4.4 value-list shortcut applies, if any."""

@@ -406,3 +406,50 @@ def test_the_stream_side_estimate_never_undercuts_the_carried_size_formula():
             assert new == old
 
     check()
+
+
+# ------------- PR 21: a Strategy 4 value list is read once per contents, not once per query
+
+
+def test_a_new_status_reads_no_inner_relation_and_a_papers_commit_only_papers():
+    """``running_query`` after warm-up: a binding nobody has sent misses the
+    whole-result memo, yet its three value lists are the database's — only
+    the outer ``employees`` is scanned; one commit to ``papers`` costs the
+    ``papers`` list and nothing else."""
+    from repro.workloads.queries import RUNNING_QUERY_PARAM_TEXT as text
+
+    database = build_university_database(scale=4)
+    connection = connect(database)
+    cursor = connection.cursor()
+    binding = {"status": "professor", "year": 1977, "level": "sophomore"}
+
+    def read(status):
+        cursor.execute(text, {**binding, "status": status}).fetchall()
+        assert cursor.result.relation == execute_naive(
+            database,
+            text.replace("$status", status).replace("$year", "1977").replace("$level", "sophomore"),
+        )
+        relations = cursor.statistics["relations"]
+        read_from = {name: c["elements_read"] for name, c in relations.items() if c["elements_read"]}
+        return read_from, cursor.statistics
+
+    cold, statistics = read("professor")
+    assert set(cold) == {"employees", "papers", "courses", "timetable"}
+    assert (statistics["value_lists_built"], statistics["value_lists_reused"]) == (3, 0)
+    retained = statistics["intermediate_tuples"]
+
+    warm, statistics = read("student")
+    assert set(warm) == {"employees"}, warm
+    assert (statistics["value_lists_built"], statistics["value_lists_reused"]) == (0, 3)
+    assert sum(c["scans"] for c in statistics["relations"].values()) == 1
+
+    with connection.session():
+        database.relation("papers").insert({"penr": 1, "pyear": 1999, "ptitle": "Bench"})
+    after, statistics = read("assistant")
+    assert set(after) == {"employees", "papers"}, after
+    assert (statistics["value_lists_built"], statistics["value_lists_reused"]) == (1, 2)
+    # A hit charges what the build would have retained: the counter models
+    # the paper argues with do not depend on who read the list first.
+    cold_again, statistics = read("professor")
+    assert set(cold_again) == {"employees"} and statistics["intermediate_tuples"] == retained
+    connection.close()

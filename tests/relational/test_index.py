@@ -189,6 +189,16 @@ class TestValueList:
     def test_min_of_empty_raises(self):
         with pytest.raises(RelationError):
             ValueList().minimum()
+        assert ValueList().single_value() is None
+
+    def test_extremes_are_kept_until_the_next_add(self):
+        values = ValueList([5])
+        assert (values.minimum(), values.maximum(), values.single_value()) == (5, 5, 5)
+        assert values._extremes is values._summary("minimum")  # worked out once
+        values.add(9)
+        values.add(3)
+        assert (values.minimum(), values.maximum(), values.single_value()) == (3, 9, None)
+        assert values.satisfies_some("<", 8) and not values.satisfies_all("<", 8)
 
     def test_distinct_count_and_contains(self):
         values = ValueList([1, 1, 2])
