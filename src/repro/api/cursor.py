@@ -6,9 +6,9 @@ shape follows PEP 249 (``execute`` / ``executemany`` / ``fetchone`` /
 are genuinely incremental: ``execute`` compiles (or reuses) the plan and
 wires the collection/combination pipeline, and every fetch then pulls rows
 off the live :class:`~repro.engine.stream.RowStream` — the construction
-phase dereferences one reference tuple per row *as it is fetched*, so the
-client sees first rows without the engine ever materialising the full
-result.
+phase dereferences reference tuples *as they are fetched* (in chunks of 1,
+2, 4, ... rows: a prefix, at most one chunk ahead), so the client sees first
+rows without the engine ever materialising the full result.
 
 Fetches re-acquire the connection's execution lock around each pipeline
 step, so any number of open cursors (plus whole-query executions from other
@@ -166,8 +166,8 @@ class Cursor:
     def fetchone(self):
         """The next result record, or ``None`` when the result set is exhausted.
 
-        One pipeline step: exactly one fresh reference tuple is dereferenced
-        (plus any duplicates the construction dedup swallows on the way).
+        The first fetch pulls a one-row chunk through the pipeline; later
+        ones take from the chunk in hand or pull the next, twice as long.
         """
         rows = self._check_result()
         with self._fetch_guard():

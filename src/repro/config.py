@@ -95,7 +95,7 @@ class StrategyOptions:
         Run the combination and construction phases as one pull-based
         operator pipeline instead of materialising every intermediate
         n-tuple reference relation: per-conjunction join chains stream
-        tuple-by-tuple in cost order, innermost SOME quantifiers are
+        chunk by chunk in cost order, innermost SOME quantifiers are
         eliminated inside each conjunction's pipeline (short-circuiting to
         a semijoin where their columns are no longer needed), and the
         construction phase dereferences directly from the final stream.

@@ -35,7 +35,7 @@ phase:
 * ``streaming_execution`` — the whole phase runs as one pull-based operator
   pipeline of :class:`~repro.engine.stream.RowStream` values instead of
   materialising every intermediate n-tuple relation.  Per-conjunction join
-  chains stream tuple-by-tuple in cost order; the innermost run of SOME
+  chains stream chunk by chunk in cost order; the innermost run of SOME
   quantifiers is eliminated *inside* each conjunction's pipeline (projection
   distributes over union), which lets a join whose new columns are all
   SOME-bound short-circuit into a semijoin — each witness is emitted once
@@ -85,16 +85,17 @@ from repro.engine.collection import CollectionResult, ConjunctStructure
 from repro.engine.stream import LiveTupleTracker, Rows, RowStream
 from repro.errors import EvaluationError
 from repro.relational.algebra import (
+    Kernel,
     divide,
+    divide_kernel,
     match_getter,
     natural_join,
+    natural_join_kernel,
     project,
-    stream_divide,
-    stream_natural_join,
-    stream_project,
-    stream_semijoin,
-    stream_union,
+    project_kernel,
+    semijoin_kernel,
     union,
+    union_kernel,
     value_rows,
 )
 from repro.relational.histogram import ColumnSketch, estimate_join
@@ -111,7 +112,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class OperatorNote:
     """One operator of the combination pipeline, annotated for EXPLAIN.
 
@@ -336,12 +337,15 @@ class ConjunctionPlan:
     """The structures as id operands, semijoin-reduced, in structure order."""
     reductions: list[tuple[str, int, int]]
     order: list[tuple[str, int]] = field(default_factory=list)
+    source: Rows | None = None
+    """The operand the streaming chain scans."""
     steps: list[tuple] = field(default_factory=list)
-    """The streaming chain, ``(op, operand, subject, estimate, reason)`` per
-    step.  ``op`` names the operator as the notes do (``scan``, ``join``,
-    ``semijoin``, ``range extension``, ...); ``operand`` is ``None`` where
-    planning already settled the step (an existence or range gate, a skipped
-    extension) and only its note is left to write."""
+    """The streaming chain, ``(kernel, description, estimate, actual)`` per
+    operator, scan first; ``actual`` is ``None`` where only the execution
+    knows it.  Steps planning already settled (an existence or range gate, a
+    skipped extension) leave a note and no kernel."""
+    last: Kernel | None = None
+    """The projection to the kept columns; its output is the conjunction's size."""
     empty: bool = False
     """A gate found an empty operand: the conjunction yields nothing."""
 
@@ -352,18 +356,32 @@ class CombinationPlan:
 
     A pure function of the collection result, the query plan and ``key``
     (the ``join_ordering`` / ``semijoin_reduction`` / ``histogram_statistics``
-    / ``streaming_execution`` values it was planned under).  Built privately
-    and published on :attr:`CollectionResult.combination_plan` by one
-    assignment; executions sharing it — concurrently, on pins — only read
-    it: the operands' ``rows`` are never reassigned, and what a wire adds
-    (a build side, in an operand's ``memo``) is stored finished.
+    / ``streaming_execution`` values it was planned under).  Under streaming
+    execution that includes the pipeline's whole *shape* — every operator as
+    a prepared :class:`~repro.relational.algebra.Kernel` (schemas, getters,
+    build sides), the decode tables and the operator notes — so an execution
+    wires generators, estimate slots and counters and nothing else.  Built
+    privately and published on :attr:`CollectionResult.combination_plan` by
+    one assignment; executions sharing it — concurrently, on pins — only
+    read it.
     """
 
     key: tuple
+    free_schema: RelationSchema
+    """Of the free-variable reference tuples (``CombinationResult.tuples``)."""
+    tables: list
+    """Per free column: the id -> reference table the last stage decodes with."""
     ranges: dict[str, Rows] = field(default_factory=dict)
     """Per variable: its range as an id operand (extensions, divisors), each
     made when first asked for."""
     conjunctions: list[ConjunctionPlan | None] = field(default_factory=list)
+    kept_schema: RelationSchema | None = None
+    """Of what the conjunction pipelines emit: no innermost-SOME column."""
+    union: Kernel | None = None
+    """``None`` when no conjunction is satisfiable: the pipeline is empty."""
+    tail: list[Kernel] = field(default_factory=list)
+    """The outer quantifiers, then the projection to the free variables."""
+    notes: list[OperatorNote] = field(default_factory=list)
 
 
 class CombinationPhase:
@@ -476,40 +494,38 @@ class CombinationPhase:
     def _relation_of(self, var: str) -> str:
         return self.prepared.range_of(var).relation
 
-    def _decoder(self, schema: RelationSchema):
-        """Maps an id row over ``schema`` back to its reference tuple."""
-        refs = self.collection.reference_ids().refs
-        tables = [refs.get(f.type.target, ()) for f in schema.fields]
-        return lambda row: tuple(table[i] for table, i in zip(tables, row))
-
     # ====================================================================== the plan
 
-    def _plan(self, result: CombinationResult, drop_columns=frozenset()) -> CombinationPlan:
-        """The collection result's plan under this phase's options.
+    def _plan(self) -> tuple[CombinationPlan, bool]:
+        """The collection result's plan under this phase's options, and
+        whether an earlier execution made it.
 
         The published one when there is one (planned under other options,
         it is replaced); else planned here, on private lists, and published
         complete.  Everything of *this execution* — counters, estimate
-        slots, notes, generators — is the wiring's, never the plan's.
+        slots, generators — is the wiring's, never the plan's.
         """
         options = self.options
         key = (options.join_ordering, options.semijoin_reduction,
                options.histogram_statistics, options.streaming_execution)
         plan = self.collection.combination_plan
-        result.plan_reused = plan is not None and plan.key == key
-        if not result.plan_reused:
-            variables = list(self.prepared.variables)
-            plan = CombinationPlan(key)
+        reused = plan is not None and plan.key == key
+        if not reused:
+            free = self._schema("free_tuples", [b.var for b in self.prepared.bindings])
+            refs = self.collection.reference_ids().refs
+            plan = CombinationPlan(key, free, [refs.get(f.type.target, ()) for f in free.fields])
             self._ranges = plan.ranges
-            for index, structures in enumerate(self.collection.conjunctions):
-                plan.conjunctions.append(
-                    None if structures is None
-                    else self._plan_conjunction(index, structures, variables, drop_columns)
-                )
+            if options.streaming_execution:
+                self._plan_pipeline(plan)
+            else:
+                plan.conjunctions = [
+                    None if structures is None else self._plan_conjunction(index, structures)
+                    for index, structures in enumerate(self.collection.conjunctions)
+                ]
             self.collection.combination_plan = plan
         self._ranges = plan.ranges
-        self.statistics.record_combination_plan(result.plan_reused)
-        return plan
+        self.statistics.record_combination_plan(reused)
+        return plan, reused
 
     def _range(self, var: str) -> Rows:
         """``var``'s range as an id operand, kept with the plan."""
@@ -522,9 +538,10 @@ class CombinationPhase:
         return rows
 
     def _plan_conjunction(
-        self, index: int, structures: list[ConjunctStructure], variables: list[str], drop_columns
+        self, index: int, structures: list[ConjunctStructure], variables=(),
+        drop_columns=frozenset(), kept_schema: RelationSchema | None = None, notes=None,
     ) -> ConjunctionPlan:
-        """Reduce one conjunction's operands and, when streaming, decide its chain.
+        """Reduce one conjunction's operands and, when streaming, prepare its chain.
 
         The id rows come from the collection result's cache (encoded by the
         first execution that sees the structure); the reducer replaces an
@@ -544,13 +561,26 @@ class CombinationPhase:
         if not self.options.streaming_execution:
             return plan  # the materialised execution orders by its own left sides
         order = plan.order
-        step = plan.steps.append
+        schema = None  # of the chain so far
+
+        def step(op, subject, reason, kernel=None, description=None, est=None, actual=None):
+            nonlocal schema
+            notes.append(OperatorNote(index, f"{op} {subject}", "streamed", reason))
+            if kernel is not None:
+                plan.steps.append((kernel, description, est, actual))
+                schema = kernel.schema
+
+        def scan(entry: Rows, est, reason):
+            plan.source = entry
+            order.append((entry.name, len(entry)))
+            kernel = project_kernel(entry.schema, entry.schema.field_names, entry.name)
+            step("scan", entry.name, reason, kernel, entry.name, est, len(entry))
+
         pending = list(operands)
         if pending:
             pinned, start, start_est = self._start(index, pending)
             entry = pending.pop(start)
-            order.append((entry.name, len(entry)))
-            step(("scan", entry, entry.name, start_est, "pipeline source"))
+            scan(entry, start_est, "pipeline source")
             covered = set(entry.schema.field_names)
             est_size = float(len(entry))
             # The start structure is the only materialised left side the
@@ -578,24 +608,26 @@ class CombinationPhase:
                 if short_circuit and shared:
                     # project(A ⋈ B) with B's new columns all dropped is A ⋉ B:
                     # one membership probe per row, never enumerate the group.
-                    step((
-                        "semijoin", entry, description,
-                        None if est is None else min(est_size, est),
+                    step(
+                        "semijoin", description,
                         "short-circuit: SOME-bound columns unused downstream — "
                         "stops probing each group at the first witness",
-                    ))
+                        semijoin_kernel(schema, entry, [(f, f) for f in shared], f"conj{index}"),
+                        f"semijoin {description}", None if est is None else min(est_size, est),
+                    )
                 elif short_circuit:
                     # Disconnected and fully SOME-bound: a non-emptiness gate.
                     plan.empty = plan.empty or not entry
-                    step((
-                        "existence gate", None, description, None,
+                    step(
+                        "existence gate", description,
                         "disconnected SOME-bound structure reduces to a non-emptiness test",
-                    ))
+                    )
                 else:
-                    step((
-                        "join", entry, description, est,
+                    step(
+                        "join", description,
                         "pipelined hash join (build side: collection structure)",
-                    ))
+                        natural_join_kernel(schema, entry, f"conj{index}"), description, est,
+                    )
                     if est is not None:
                         est_size = est
                     elif shared:
@@ -608,13 +640,9 @@ class CombinationPhase:
         else:
             # No structures: the conjunction is TRUE — start from the first
             # variable's range (a free variable, hence never dropped).
-            var = variables[0]
-            entry = self._range(var)
-            order.append((entry.name, len(entry)))
+            entry = self._range(variables[0])
             est_size = float(len(entry))
-            step((
-                "scan", entry, entry.name, est_size, "TRUE conjunction: enumerate the first range"
-            ))
+            scan(entry, est_size, "TRUE conjunction: enumerate the first range")
             covered = set(entry.schema.field_names)
 
         # Ranges of the variables the conjunction does not mention.  A
@@ -631,22 +659,35 @@ class CombinationPhase:
             if column not in drop_columns:
                 est_size = est_size * size
                 extension = self._range(var)
-                step(("range extension", extension, var, est_size, "streaming Cartesian extension"))
+                step(
+                    "range extension", var, "streaming Cartesian extension",
+                    natural_join_kernel(schema, extension, f"conj{index}"),
+                    extension.name, est_size,
+                )
                 covered.add(column)
             elif size:
-                step((
-                    "range extension", None, var, None,
+                step(
+                    "range extension", var,
                     "skipped: SOME-quantified, unmentioned, non-empty range — "
                     "extend-then-project is the identity",
-                ))
+                )
             else:
                 plan.empty = True
-                step((
-                    "range gate", None, var, None,
+                step(
+                    "range gate", var,
                     "SOME-quantified range is empty — the conjunction yields nothing",
+                )
+        if not plan.empty:
+            # The conjunction's last operator: its output count is the
+            # conjunction's size, whatever the chain above looked like.
+            if schema.field_names != kept_schema.field_names:
+                notes.append(OperatorNote(
+                    index, "projection to kept columns", "streamed",
+                    "drops innermost SOME columns / reorders; dedup happens in the union stage",
                 ))
+            plan.last = project_kernel(schema, kept_schema.field_names, f"conjunction_{index}")
         for operand in operands:
-            operand.memo.clear()  # the summaries priced the order; a wire keeps build sides
+            operand.memo.clear()  # the summaries priced the order; the kernels hold build sides
         return plan
 
     # -- join-order choices shared by both executions -----------------------------------------
@@ -691,9 +732,10 @@ class CombinationPhase:
 
     def _run_materialized(self) -> CombinationResult:
         variables = list(self.prepared.variables)
-        result = CombinationResult(tuples=self._empty_tuple_relation())
+        plan, reused = self._plan()
+        tuples = Relation("free_tuples", plan.free_schema)
+        result = CombinationResult(tuples=tuples, plan_reused=reused)
         self._peak = 0
-        plan = self._plan(result)
 
         combined: Relation | None = None
         for index, conjunction in enumerate(plan.conjunctions):
@@ -737,11 +779,8 @@ class CombinationPhase:
         if list(current.schema.field_names) != free_columns:
             current = project(current, free_columns, name="free_tuples")
         # The only place this execution touches a reference: decode the ids.
-        schema = result.tuples.schema
-        decode = self._decoder(schema)
-        raw = Record.raw
-        result.tuples.bulk_insert_raw(raw(schema, decode(record.values)) for record in current)
-        result.after_quantifiers_size = len(result.tuples)
+        for _ in self._finalized(RowStream.from_relation(current), result, plan).chunks():
+            pass
         result.peak_tuples = self._peak
         return result
 
@@ -845,30 +884,12 @@ class CombinationPhase:
 
         return flush
 
-    def _scan(self, operand: Rows) -> RowStream:
-        """A pipeline source over a materialised id operand."""
-        return stream_project(
-            RowStream(operand.schema, operand.rows), operand.schema.field_names,
-            name=operand.name, emitted=self._operator(),
-        )
-
-    def _run_streamed(self) -> CombinationResult:
-        """Wire the combination pipeline; execution happens when it is drained.
-
-        Join orders, reduced operands and each step's operator come from the
-        collection result's plan (made here by the first execution over it);
-        the operator graph is wired eagerly (so ``join_orders``/``reductions``
-        and the operator annotations are complete on return), but no tuple
-        flows until the returned :attr:`CombinationResult.stream` is
-        consumed — normally by the construction phase.  ``union_size``,
-        ``after_quantifiers_size``, ``conjunction_sizes`` and
-        ``peak_tuples`` are finalised as the stream drains.
-        """
+    def _plan_pipeline(self, plan: CombinationPlan) -> None:
+        """Prepare the streamed pipeline on ``plan``: conjunction chains, union,
+        outer quantifiers, notes — decided once per collection result; no
+        generator exists until an execution wires it (:meth:`_run_streamed`)."""
         variables = list(self.prepared.variables)
-        result = CombinationResult(tuples=self._empty_tuple_relation())
-        result.streamed = True
-        live = LiveTupleTracker()
-        notes = result.operator_notes
+        notes = plan.notes
 
         # The innermost (trailing) run of SOME quantifiers is eliminated
         # inside each conjunction's pipeline: projection distributes over
@@ -880,30 +901,24 @@ class CombinationPhase:
             split -= 1
         head, trailing = prefix[:split], prefix[split:]
         drop_columns = {ref_field_name(spec.var) for spec in trailing}
-        kept_schema = self._schema(
+        kept_schema = plan.kept_schema = self._schema(
             "matrix_tuples", [v for v in variables if ref_field_name(v) not in drop_columns]
         )
-
-        members: list[RowStream] = []
-        for index, conjunction in enumerate(self._plan(result, drop_columns).conjunctions):
-            if conjunction is None:
-                continue
-            position = len(result.conjunction_indexes)
-            result.conjunction_indexes.append(index)
-            result.conjunction_sizes.append(0)
-            members.append(
-                self._conjunction_stream(index, conjunction, kept_schema, result, position)
+        for index, structures in enumerate(self.collection.conjunctions):
+            plan.conjunctions.append(
+                None if structures is None else self._plan_conjunction(
+                    index, structures, variables, drop_columns, kept_schema, notes
+                )
             )
-
+        members = len(plan.conjunctions) - plan.conjunctions.count(None)
         if not members:
             # Every conjunction was dropped: the matrix is unsatisfiable.
             notes.append(OperatorNote(
                 None, "union", "streamed", "no satisfiable conjunction — empty pipeline"
             ))
-            result.stream = RowStream.empty(result.tuples.schema, label="free_tuples")
-            return result
+            return
 
-        duplicates = len(members) > 1 or bool(trailing)
+        duplicates = members > 1 or bool(trailing)
         # An outer quantifier's operator (dedup projection, division group
         # table) absorbs duplicates itself: deduplicating in the union too
         # would hold every matrix tuple live twice.
@@ -911,7 +926,7 @@ class CombinationPhase:
         if dedup:
             reason = (
                 "breaker state: dedup set over the kept columns"
-                if len(members) > 1
+                if members > 1
                 else "breaker state: dedup set (innermost SOME columns dropped in-pipeline)"
             )
         elif duplicates:
@@ -919,17 +934,9 @@ class CombinationPhase:
         else:
             reason = "single conjunction with distinct rows — pass-through"
         notes.append(OperatorNote(
-            None, f"union of {len(members)} conjunction pipeline(s)", "streamed", reason
+            None, f"union of {members} conjunction pipeline(s)", "streamed", reason
         ))
-        pipeline = stream_union(
-            members,
-            schema=kept_schema,
-            name="matrix_union",
-            tracker=self.statistics,
-            live=live,
-            dedup=dedup,
-            emitted=self._operator(partial(setattr, result, "union_size")),
-        )
+        plan.union = union_kernel(kept_schema, "matrix_union", dedup)
 
         if trailing:
             dropped = ", ".join(spec.var for spec in reversed(trailing))
@@ -943,6 +950,7 @@ class CombinationPhase:
         # Remaining (outer) quantifiers, right to left over the unioned
         # stream: runs of SOME become one dedup projection, ALL becomes the
         # group-wise division breaker.
+        schema = kept_schema
         columns = list(kept_schema.field_names)
         specs = list(reversed(head))
         for spec in specs:
@@ -959,9 +967,8 @@ class CombinationPhase:
                     j += 1
                 run_columns = {ref_field_name(s.var) for s in run}
                 columns = [c for c in columns if c not in run_columns]
-                pipeline = stream_project(
-                    pipeline, columns, name=f"exists_{'_'.join(s.var for s in run)}",
-                    dedup=True, live=live, emitted=self._operator(),
+                kernel = project_kernel(
+                    schema, columns, f"exists_{'_'.join(s.var for s in run)}", dedup=True
                 )
                 notes.append(OperatorNote(
                     None, f"SOME elimination of {', '.join(s.var for s in run)}", "streamed",
@@ -971,10 +978,8 @@ class CombinationPhase:
                 spec = specs[j]
                 j += 1
                 column = ref_field_name(spec.var)
-                pipeline = stream_divide(
-                    pipeline, self._range(spec.var), by=[(column, column)],
-                    name=f"forall_{spec.var}", tracker=self.statistics, live=live,
-                    emitted=self._operator(),
+                kernel = divide_kernel(
+                    schema, self._range(spec.var), [(column, column)], f"forall_{spec.var}"
                 )
                 columns = [c for c in columns if c != column]
                 notes.append(OperatorNote(
@@ -983,12 +988,12 @@ class CombinationPhase:
                 ))
             else:
                 raise EvaluationError(f"unknown quantifier kind {specs[j].kind!r}")
+            plan.tail.append(kernel)
+            schema = kernel.schema
 
         free_columns = self._free_columns()
         if columns != free_columns:
-            pipeline = stream_project(
-                pipeline, free_columns, name="free_tuples", emitted=self._operator()
-            )
+            plan.tail.append(project_kernel(schema, free_columns, "free_tuples"))
             notes.append(OperatorNote(
                 None, "projection to free variables", "streamed", "pure column reorder"
             ))
@@ -996,86 +1001,89 @@ class CombinationPhase:
         notes.append(OperatorNote(
             None, "construction feed", "streamed",
             "decodes ids to references; the construction phase dereferences "
-            "row-by-row from the pipeline",
+            "chunk by chunk from the pipeline",
         ))
-        result.stream = self._finalized(pipeline, result, live)
+
+    def _run_streamed(self) -> CombinationResult:
+        """Wire the collection result's plan (made here by the first
+        execution over it); execution happens when the pipeline is drained.
+
+        ``join_orders``/``reductions`` and the operator annotations are
+        complete on return, but no tuple flows until the returned
+        :attr:`CombinationResult.stream` is consumed — normally by the
+        construction phase — and the sizes and ``peak_tuples`` are
+        finalised as it drains.
+        """
+        plan, reused = self._plan()
+        result = CombinationResult(
+            tuples=Relation("free_tuples", plan.free_schema), streamed=True,
+            plan_reused=reused, operator_notes=list(plan.notes),
+        )
+        stats = self.statistics
+        live = LiveTupleTracker()
+        members: list[RowStream] = []
+        for index, conjunction in enumerate(plan.conjunctions):
+            if conjunction is None:
+                continue
+            result.conjunction_indexes.append(index)
+            result.conjunction_sizes.append(0)
+            members.append(self._conjunction_stream(index, conjunction, plan.kept_schema, result))
+        if plan.union is None:
+            result.stream = RowStream(plan.free_schema, label="free_tuples")
+            return result
+        pipeline = plan.union(
+            members, stats, live, self._operator(partial(setattr, result, "union_size"))
+        )
+        for kernel in plan.tail:
+            pipeline = kernel(pipeline, stats, live, self._operator())
+        result.stream = self._finalized(pipeline, result, plan, live)
         return result
 
     def _conjunction_stream(
-        self,
-        index: int,
-        conjunction: ConjunctionPlan,
-        kept_schema: RelationSchema,
-        result: CombinationResult,
-        position: int,
+        self, index: int, conjunction: ConjunctionPlan, kept_schema, result: CombinationResult
     ) -> RowStream:
-        """Wire one conjunction's planned chain: this execution's generators,
-        ``emitted`` hooks, ``[description, est, actual]`` slots and notes."""
+        """Wire one conjunction's prepared chain: this execution's generators,
+        ``emitted`` hooks and ``[description, est, actual]`` slots."""
         stats = self.statistics
-        notes = result.operator_notes
         estimates: list[list] = []
-        stream = None
-        for op, operand, subject, est, reason in conjunction.steps:
-            notes.append(OperatorNote(index, f"{op} {subject}", "streamed", reason))
-            if operand is None:
-                continue
-            if op == "scan":
-                estimates.append([operand.name, est, len(operand)])
-                stream = self._scan(operand)
-                continue
-            slot = [f"semijoin {subject}" if op == "semijoin" else operand.name, est, 0]
+        source = conjunction.source
+        stream = RowStream(source.schema, source.rows)
+        for kernel, description, est, actual in conjunction.steps:
+            slot = [description, est, 0 if actual is None else actual]
             estimates.append(slot)
-            emitted = self._operator(partial(slot.__setitem__, 2))
-            if op == "semijoin":
-                shared = [f for f in operand.schema.field_names if f in stream.schema]
-                stream = stream_semijoin(
-                    stream, operand, on=[(f, f) for f in shared],
-                    name=f"conj{index}", tracker=stats, emitted=emitted,
-                )
-            else:
-                stream = stream_natural_join(
-                    stream, operand, name=f"conj{index}", tracker=stats, emitted=emitted
-                )
+            sink = partial(slot.__setitem__, 2) if actual is None else None
+            stream = kernel(stream, stats, emitted=self._operator(sink))
         result.join_orders.append(list(conjunction.order))
         result.reductions.append(list(conjunction.reductions))
         result.join_estimates.append(estimates)
-
         if conjunction.empty:
-            return RowStream.empty(kept_schema, label=f"conjunction_{index}")
-
-        # The conjunction's last operator: its output count is the
-        # conjunction's size, whatever the chain above looked like.
-        if stream.schema.field_names != kept_schema.field_names:
-            notes.append(OperatorNote(
-                index, "projection to kept columns", "streamed",
-                "drops innermost SOME columns / reorders; dedup happens in the union stage",
-            ))
-        return stream_project(
-            stream, kept_schema.field_names, name=f"conjunction_{index}",
-            emitted=self._operator(partial(result.conjunction_sizes.__setitem__, position)),
+            return RowStream(kept_schema, label=f"conjunction_{index}")
+        position = len(result.conjunction_sizes) - 1
+        return conjunction.last(
+            stream, emitted=self._operator(partial(result.conjunction_sizes.__setitem__, position))
         )
 
     def _finalized(
-        self, stream: RowStream, result: CombinationResult, live: LiveTupleTracker
+        self, stream: RowStream, result: CombinationResult, plan: CombinationPlan, live=None
     ) -> RowStream:
-        """The outermost stage: decode ids to references, record every row
-        into ``result.tuples`` and finalise the size/peak accounting when the
-        pipeline closes."""
+        """The outermost stage: decode ids to references column by column,
+        record every chunk into ``result.tuples`` and finalise the size (and
+        the pipeline's live peak) when the stream closes."""
         tuples = result.tuples
-        schema = tuples.schema
-        decode = self._decoder(schema)
+        raw = partial(Record.raw, tuples.schema)
+        decoders = [table.__getitem__ for table in plan.tables]
 
-        def rows():
-            raw = Record.raw
-            insert = tuples.insert_raw
+        def chunks():
             try:
-                for row in stream:
-                    row = decode(row)
-                    insert(raw(schema, row))
-                    yield row
+                for chunk in stream.chunks():
+                    # Column-wise: one C-level map per free variable, zipped back.
+                    out = list(zip(*map(map, decoders, zip(*chunk))))
+                    tuples.bulk_insert_raw(map(raw, out))
+                    yield out
             finally:
                 result.after_quantifiers_size = len(tuples)
-                result.peak_tuples = live.peak
+                if live is not None:
+                    result.peak_tuples = live.peak
             # Reached only on complete exhaustion (an early close raises
             # GeneratorExit inside the loop): ``tuples`` now holds the whole
             # result, so consumers may safely fall back to it.  A partially
@@ -1083,7 +1091,7 @@ class CombinationPhase:
             # which the construction phase rejects loudly.
             result.stream = None
 
-        return RowStream(schema, rows(), label="free_tuples")
+        return RowStream(tuples.schema, chunks=chunks(), label="free_tuples")
 
     # -- output shaping ----------------------------------------------------------------------
 

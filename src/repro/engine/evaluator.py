@@ -37,7 +37,7 @@ from repro.engine.collection import CollectionPhase, CollectionResult, ExtendedR
 from repro.engine.combination import CombinationPhase, CombinationResult
 from repro.engine.construction import ConstructionPhase
 from repro.engine.naive import evaluate_selection_naive
-from repro.engine.result import result_relation_for
+from repro.engine.result import result_schema_for
 from repro.lang.parser import parse_selection
 from repro.relational.record import Record
 from repro.relational.relation import Relation
@@ -63,6 +63,16 @@ def _projected_rows(
 def resolve_query(query: str | Selection, database) -> Selection:
     """Parse ``query`` when it is a text, and resolve it against ``database``'s catalog."""
     return resolve_selection(parse_selection(query) if isinstance(query, str) else query, database)
+
+
+def _result_relation(prepared: QueryPlan, source) -> Relation:
+    """An empty result relation for ``prepared``, its schema derived once per
+    compiled plan and catalog version (``QueryPlan.memo``), not per execution."""
+    version, schema = prepared.memo.get("result_schema", (None, None))
+    if version != source.schema_version:
+        schema = result_schema_for(prepared.selection, source)
+        prepared.memo["result_schema"] = (source.schema_version, schema)
+    return Relation(schema.name, schema)
 
 
 def _ending(rows: Iterator, result: "QueryResult") -> Iterator:
@@ -91,8 +101,8 @@ class QueryResult:
 
     row_iterator: Iterator | None = field(default=None, repr=False, compare=False)
     """The result records, lazily (:meth:`QueryEngine.execute_plan`): when the
-    combination phase streams, each step dereferences one reference tuple
-    and :attr:`relation` fills as a side effect; an execution that could not
+    combination phase streams, each step dereferences a chunk of reference
+    tuples and :attr:`relation` fills as a side effect; an execution that could not
     stream iterates its finished relation.  Cursors pull it fetch by fetch,
     :meth:`drain` to the end.  ``None`` on the members of a batch, which are
     handed out complete."""
@@ -324,7 +334,7 @@ class QueryEngine:
             # through QueryResult.row_iterator and the relation fills as a
             # side effect — nothing downstream of the combination pipeline
             # materialises before it is fetched.
-            relation = result_relation_for(selection, source)
+            relation = _result_relation(prepared, source)
             row_iterator = construction.stream_into(combination, relation)
         else:
             relation = construction.run(combination)
@@ -368,7 +378,7 @@ class QueryEngine:
         permanent index turns the whole query into a probe plus construction.
         """
         selection = prepared.selection
-        result = result_relation_for(selection, database)
+        result = _result_relation(prepared, database)
         if not prepared.constant:
             return result  # FALSE matrix: nothing is enumerated, no paths
         paths = [

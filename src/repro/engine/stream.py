@@ -7,14 +7,19 @@ executor replaces the materialise-everything discipline with a pull-based
 operator pipeline: each relational-algebra kernel offers a variant that
 consumes and produces :class:`RowStream` values, so a conjunction's join
 chain, its quantifier eliminations and the construction-phase dereference
-run tuple-at-a-time and only *pipeline breakers* (division, union dedup
-state) ever buffer tuples.
+run pipelined and only *pipeline breakers* (division, union dedup state)
+ever buffer tuples.
 
 A :class:`RowStream` is deliberately tiny: a
 :class:`~repro.types.schema.RelationSchema` plus a single-use iterator of
-raw value tuples (the storage representation of
-:class:`~repro.relational.record.Record`), with :meth:`RowStream.materialize`
+**chunks** — lists of raw value tuples (the storage representation of
+:class:`~repro.relational.record.Record`) — with :meth:`RowStream.materialize`
 as the escape hatch back into a :class:`~repro.relational.relation.Relation`.
+The chunk is the unit that flows (:meth:`RowStream.chunks`): an operator
+pays its frame and its accounting once per chunk and runs one comprehension
+over the rows inside.  Sources cut chunks of 1, 2, 4, ... :data:`CHUNK_ROWS`
+rows (:func:`ramped`), so the first fetch and an early ``close()`` touch a
+prefix of the input, at most one chunk ahead of the rows handed out.
 Keeping rows as bare tuples lets the streaming kernels reuse the
 once-per-call position-resolution pattern (``_values_getter``) of the
 materialised kernels without building record objects between operators.
@@ -25,7 +30,7 @@ pickled ``(relation, key)`` pairs) without wrapping them in records.
 
 :class:`LiveTupleTracker` is the accounting companion: breaker state
 (division group tables, union dedup sets) acquires live tuples as it grows
-and releases them when the operator's generator is closed, so
+(once per chunk) and releases them when the operator's generator is closed, so
 ``CombinationResult.peak_tuples`` reports the true live-tuple high-water
 mark of a pipelined execution instead of the sum of materialised
 intermediate sizes.
@@ -33,21 +38,54 @@ intermediate sizes.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from functools import partial
+from itertools import islice
+from typing import Iterable, Iterator
 
 from repro.errors import StreamError
 from repro.relational.record import Record
 from repro.relational.relation import Relation
 from repro.types.schema import RelationSchema
 
-__all__ = ["RowStream", "Rows", "LiveTupleTracker"]
+__all__ = ["RowStream", "Rows", "LiveTupleTracker", "CHUNK_ROWS", "ramped"]
+
+#: The largest chunk a pipeline source cuts; the ramp doubles from 1 up to it.
+CHUNK_ROWS = 1024
+
+
+def ramped(rows: Iterable[tuple]) -> Iterator[list[tuple]]:
+    """``rows`` cut into chunks of 1, 2, 4, ... :data:`CHUNK_ROWS` rows; closing
+    it closes ``rows`` (a scan holding buffer-pool pins releases them)."""
+    rows = iter(rows)
+    size = 1
+    try:
+        while chunk := list(islice(rows, size)):
+            yield chunk
+            size = min(size * 2, CHUNK_ROWS)
+    finally:
+        _close(rows)
+
+
+def _close(iterator) -> None:
+    close = getattr(iterator, "close", None)
+    if close is not None:
+        close()
+
+
+def _flattened(chunks: Iterator[list[tuple]]) -> Iterator[tuple]:
+    """The rows of ``chunks``, one at a time; closing it closes ``chunks``."""
+    try:
+        for chunk in chunks:
+            yield from chunk
+    finally:
+        _close(chunks)
 
 
 class LiveTupleTracker:
     """High-water accounting for tuples buffered in pipeline-breaker state.
 
     Streaming operators :meth:`acquire` as their internal state grows (one
-    call per tuple newly buffered) and :meth:`release` when the state dies
+    call per chunk, with the tuples newly buffered) and :meth:`release` when the state dies
     (normally from the generator's ``finally`` clause, so early pipeline
     shutdown releases too).  ``peak`` is monotone and survives releases.
     """
@@ -101,7 +139,7 @@ class Rows:
 
 
 class RowStream:
-    """A schema plus a single-use stream of raw value tuples.
+    """A schema plus a single-use stream of chunks of raw value tuples.
 
     Parameters
     ----------
@@ -109,19 +147,26 @@ class RowStream:
         The :class:`RelationSchema` every yielded tuple conforms to
         (values in declaration order, already coerced).
     rows:
-        The underlying iterable.  It is consumed exactly once; iterating a
-        second time raises :class:`~repro.errors.StreamError` rather than
-        silently yielding nothing.
+        A *source*'s rows, cut into ramped chunks (:func:`ramped`); the
+        default is the empty stream.  Operators pass ``chunks`` instead.
     label:
         Diagnostic name used by :meth:`materialize` and ``repr``.
+    chunks:
+        An iterator of non-empty lists of rows, handed on as it is.
+
+    Either way the stream is consumed exactly once — through :meth:`chunks`,
+    the one protocol, or row by row through ``iter()``, which flattens it;
+    a second use raises :class:`~repro.errors.StreamError` rather than
+    silently yielding nothing.
     """
 
-    __slots__ = ("schema", "label", "_rows")
+    __slots__ = ("schema", "label", "_chunks")
 
-    def __init__(self, schema: RelationSchema, rows: Iterable[tuple], label: str = "") -> None:
+    def __init__(self, schema: RelationSchema, rows: Iterable[tuple] = (), label: str = "",
+                 chunks: Iterator[list[tuple]] | None = None) -> None:
         self.schema = schema
         self.label = label or schema.name
-        self._rows: Iterable[tuple] | None = rows
+        self._chunks: Iterator[list[tuple]] | None = ramped(rows) if chunks is None else chunks
 
     # -- construction ----------------------------------------------------------
 
@@ -130,29 +175,26 @@ class RowStream:
         """Stream an existing relation's value tuples (untracked iteration)."""
         return cls(relation.schema, (record.values for record in relation), label=relation.name)
 
-    @classmethod
-    def empty(cls, schema: RelationSchema, label: str = "") -> "RowStream":
-        """A stream over ``schema`` that yields nothing."""
-        return cls(schema, iter(()), label=label)
-
     # -- consumption ----------------------------------------------------------
 
-    def __iter__(self) -> Iterator[tuple]:
-        rows = self._rows
-        if rows is None:
+    def chunks(self) -> Iterator[list[tuple]]:
+        """The stream's chunks; the kernels' generators are handed out as they
+        are, so a stream adds no frame of its own between two operators."""
+        chunks = self._chunks
+        if chunks is None:
             raise StreamError(
                 f"row stream {self.label!r} was already consumed; streams are single-use"
             )
-        self._rows = None
-        # The kernels' generators are handed out as they are: a stream adds
-        # no frame of its own between two operators (they count their own
-        # output, see the ``emitted`` hook in ``relational/algebra.py``).
-        return iter(rows)
+        self._chunks = None
+        return chunks
+
+    def __iter__(self) -> Iterator[tuple]:
+        return _flattened(self.chunks())
 
     @property
     def consumed(self) -> bool:
         """Whether iteration has started (streams are single-use)."""
-        return self._rows is None
+        return self._chunks is None
 
     def close(self) -> None:
         """Shut the pipeline down without draining it.
@@ -162,24 +204,8 @@ class RowStream:
         and marks the stream consumed.  Closing an untouched or exhausted
         stream is a no-op; cursors route their ``close()`` here.
         """
-        rows = self._rows
-        self._rows = None
-        if rows is not None:
-            close = getattr(rows, "close", None)
-            if close is not None:
-                close()
-
-    def map_rows(
-        self, function: Callable[[tuple], tuple], schema: RelationSchema | None = None
-    ) -> "RowStream":
-        """A derived stream applying ``function`` to every row (pure, unbuffered)."""
-        source = self
-
-        def rows() -> Iterator[tuple]:
-            for row in source:
-                yield function(row)
-
-        return RowStream(schema or self.schema, rows(), label=self.label)
+        chunks, self._chunks = self._chunks, None
+        _close(chunks)
 
     def materialize(self, name: str | None = None) -> Relation:
         """The escape hatch: drain the stream into a fresh relation.
@@ -190,9 +216,9 @@ class RowStream:
         kernels' results do.
         """
         result = Relation(name or self.label, self.schema)
-        raw = Record.raw
-        schema = self.schema
-        result.bulk_insert_raw(raw(schema, row) for row in self)
+        raw = partial(Record.raw, self.schema)
+        for chunk in self.chunks():
+            result.bulk_insert_raw(map(raw, chunk))
         return result
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics

@@ -29,8 +29,10 @@ fresh relations (or single-use streams).  Schema compatibility problems raise
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import compress
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.errors import AlgebraError
 from repro.relational.record import Record
@@ -64,6 +66,12 @@ __all__ = [
     "stream_theta_semijoin",
     "stream_union",
     "stream_divide",
+    "Kernel",
+    "project_kernel",
+    "natural_join_kernel",
+    "semijoin_kernel",
+    "union_kernel",
+    "divide_kernel",
 ]
 
 
@@ -89,6 +97,18 @@ def _values_getter(schema: RelationSchema, field_names: Sequence[str]) -> Callab
         position = positions[0]
         return lambda values: (values[position],)
     return itemgetter(*positions)
+
+
+def _chunk_getter(schema: RelationSchema, field_names: Sequence[str]):
+    """:func:`_values_getter` for a whole chunk: maps a list of value tuples to
+    an iterable of their named components, without a Python frame per row."""
+    positions = schema.positions_of(tuple(field_names))
+    if not positions:
+        return lambda chunk: [()] * len(chunk)
+    if len(positions) == 1:
+        column = itemgetter(positions[0])
+        return lambda chunk: zip(map(column, chunk))  # zip wraps each value in a 1-tuple
+    return partial(map, itemgetter(*positions))
 
 
 def match_getter(schema: RelationSchema, field_names: Sequence[str]) -> Callable[[tuple], object]:
@@ -148,40 +168,96 @@ def _key_set(operand, columns: Sequence[str]) -> set:
 
 # ======================================================================== streaming kernels
 #
-# The pipeline side of every streaming kernel is a RowStream of raw value
-# tuples; build sides are materialised operands — relations, or Rows of bare
-# tuples (in the engine: collection-phase structures over dense reference
-# ids, which exist regardless).  The kernels never look inside a value, so
-# the same code joins integers, references or a shard's pickled pairs.
+# The pipeline side of every streaming kernel is a RowStream: *chunks* — lists
+# of raw value tuples — flow through it (``RowStream.chunks()``), and a kernel
+# is ``for chunk in source.chunks(): out = [one comprehension]; yield out``.
+# Build sides are materialised operands — relations, or Rows of bare tuples
+# (in the engine: collection-phase structures over dense reference ids).  The
+# kernels never look inside a value, so the same code joins integers,
+# references or a shard's pickled pairs.
 #
-# Accounting is fused into each operator's one generator: comparisons go to
-# ``tracker`` and, when the caller passes an ``emitted`` hook, the operator
-# calls it once with its output row count as the generator closes — a
-# pipeline needs no counting wrapper (and no extra frame per row) around its
-# operators.  The kernels import RowStream lazily: ``repro.relational`` must
-# stay importable without pulling the whole ``repro.engine`` package in at
-# module-import time.
+# A kernel comes in two steps.  ``*_kernel(schema, ...)`` resolves whatever
+# the rows do not decide — output schema, component getters, the build side —
+# into a :class:`Kernel`, which the combination phase keeps on its plan;
+# calling it with a source wires one execution: a generator and its counters.
+# ``stream_*(source, ...)`` does both at once.  Accounting is fused into each
+# operator's one generator and paid per chunk: comparisons go to ``tracker``,
+# breaker state to ``live``, and an ``emitted`` hook is called once with the
+# output row count as the generator closes.  RowStream is imported lazily:
+# ``repro.relational`` must stay importable without ``repro.engine``.
 
 Emitted = Callable[[int], None]
 
 
-def _row_stream(schema: RelationSchema, rows: Iterable[tuple], label: str):
-    from repro.engine.stream import RowStream
+class Kernel:
+    """A streaming operator prepared against its input schema: ``body`` is a
+    generator function over ``(source, tracker, live, emitted)`` yielding the
+    output chunks (never an empty one), everything else sits in its closure.
+    Calling the kernel wires one execution: its single-use output stream."""
 
-    return RowStream(schema, rows, label=label)
+    __slots__ = ("schema", "label", "body", "_stream")
+
+    def __init__(self, schema: RelationSchema, label: str, body) -> None:
+        from repro.engine.stream import RowStream  # lazily, and not per wiring
+
+        self.schema = schema
+        self.label = label
+        self.body = body
+        self._stream = RowStream
+
+    def __call__(self, source, tracker=None, live=None, emitted: Emitted | None = None):
+        chunks = self.body(source, tracker, live, emitted)
+        return self._stream(self.schema, chunks=chunks, label=self.label)
 
 
 def stream_select(source, predicate: Callable[[Record], bool], name: str | None = None):
     """Streaming restriction: rows whose record satisfies ``predicate``."""
     schema = source.schema
 
-    def rows() -> Iterator[tuple]:
+    def body(source, tracker, live, emitted):
         raw = Record.raw
-        for values in source:
-            if predicate(raw(schema, values)):
-                yield values
+        for chunk in source.chunks():
+            out = [values for values in chunk if predicate(raw(schema, values))]
+            if out:
+                yield out
 
-    return _row_stream(schema, rows(), name or f"select_{source.label}")
+    return Kernel(schema, name or f"select_{source.label}", body)(source)
+
+
+def project_kernel(
+    source_schema: RelationSchema, field_names: Sequence[str], name: str, dedup: bool = False
+) -> Kernel:
+    """:func:`stream_project`, prepared against ``source_schema``."""
+    identity = tuple(field_names) == source_schema.field_names
+    # An identity projection of an all-key schema *is* that schema (a plan
+    # holds its kernels' schemas for as long as it lives).
+    if identity and source_schema.key == source_schema.field_names:
+        schema = source_schema
+    else:
+        schema = source_schema.project(field_names, name)
+    getter = None if identity else _chunk_getter(source_schema, field_names)
+
+    def body(source, tracker, live, emitted):
+        seen: set[tuple] = set()
+        add = seen.add
+        count = 0
+        try:
+            for chunk in source.chunks():
+                out = chunk if identity else list(getter(chunk))
+                if dedup:
+                    out = [row for row in out if row not in seen and not add(row)]
+                    if live is not None:
+                        live.acquire(len(out))
+                if out:
+                    count += len(out)
+                    yield out
+        finally:
+            if live is not None:
+                live.release(len(seen))
+            if emitted is not None:
+                emitted(count)
+
+    return Kernel(schema, name, body)
 
 
 def stream_project(
@@ -201,35 +277,61 @@ def stream_project(
     witness arrives* — the streaming form of existential-quantifier
     elimination.  The seen-set is breaker state, reported to ``live``.
     """
-    schema = source.schema.project(field_names, name or f"{source.label}_projection")
-    identity = tuple(field_names) == source.schema.field_names
-    getter = None if identity else _values_getter(source.schema, field_names)
+    kernel = project_kernel(
+        source.schema, field_names, name or f"{source.label}_projection", dedup
+    )
+    return kernel(source, live=live, emitted=emitted)
 
-    def rows() -> Iterator[tuple]:
-        if identity and not dedup and emitted is None:
-            yield from source
-            return
-        seen: set[tuple] = set()
-        add = seen.add
-        count = 0
+
+def _hash_join(schema: RelationSchema, left_key, right, columns, right_part, kind: str) -> Kernel:
+    """Probe ``{right key: [right_part(row), ...]}`` per stream row, one
+    comparison per probe and per matching pair, flushed when the pipeline closes.
+
+    A chunk is probed in slices short enough that even the widest bucket
+    keeps an output chunk under twice ``CHUNK_ROWS`` (one row's partners
+    more, where a single bucket is wider than that): a product or a hot key
+    multiplies rows, it must not multiply what is held at once.
+    """
+    from repro.engine.stream import CHUNK_ROWS
+
+    right_key = match_getter(right.schema, columns)
+
+    def build():
+        buckets: dict[object, list[tuple]] = {}
+        for values in value_rows(right):
+            buckets.setdefault(right_key(values), []).append(right_part(values))
+        return buckets, max(map(len, buckets.values()), default=1)
+
+    buckets, widest = _build_side(right, kind, columns, build)
+    partners = buckets.get
+    step = max(1, CHUNK_ROWS // widest)
+
+    def body(source, tracker, live, emitted):
+        probes = matches = 0
         try:
-            for values in source:
-                out = values if identity else getter(values)
-                if dedup:
-                    if out in seen:
-                        continue
-                    add(out)
-                    if live is not None:
-                        live.acquire()
-                count += 1
-                yield out
+            for chunk in source.chunks():
+                probes += len(chunk)
+                out: list[tuple] = []
+                for start in range(0, len(chunk), step):
+                    out += [
+                        values + rest
+                        for values in chunk[start : start + step]
+                        for rest in partners(left_key(values), ())
+                    ]
+                    if len(out) >= CHUNK_ROWS:
+                        matches += len(out)
+                        yield out
+                        out = []
+                if out:
+                    matches += len(out)
+                    yield out
         finally:
-            if live is not None:
-                live.release(len(seen))
+            if tracker is not None:
+                tracker.record_comparison(probes + matches)
             if emitted is not None:
-                emitted(count)
+                emitted(matches)
 
-    return _row_stream(schema, rows(), schema.name)
+    return Kernel(schema, schema.name, body)
 
 
 def stream_join(
@@ -240,32 +342,33 @@ def stream_join(
     tracker: AccessStatistics | None = None,
 ):
     """Streaming equi-join keeping both operands in full (hash build on ``right``)."""
-    schema = source.schema.concat(
-        right.schema, name or f"{source.label}_join_{right.name}"
-    )
+    schema = source.schema.concat(right.schema, name or f"{source.label}_join_{right.name}")
     left_key = match_getter(source.schema, [pair[0] for pair in on])
-    right_key = match_getter(right.schema, [pair[1] for pair in on])
-    buckets: dict[object, list[tuple]] = {}
-    for values in value_rows(right):
-        buckets.setdefault(right_key(values), []).append(values)
+    whole = lambda values: values  # noqa: E731 - both operands are kept in full
+    return _hash_join(schema, left_key, right, [p[1] for p in on], whole, "rows")(source, tracker)
 
-    def rows() -> Iterator[tuple]:
-        probes = 0
-        matches = 0
-        get_bucket = buckets.get
-        try:
-            for values in source:
-                probes += 1
-                partners = get_bucket(left_key(values))
-                if partners:
-                    matches += len(partners)
-                    for right_values in partners:
-                        yield values + right_values
-        finally:
-            if tracker is not None:
-                tracker.record_comparison(probes + matches)
 
-    return _row_stream(schema, rows(), schema.name)
+def natural_join_kernel(left_schema: RelationSchema, right, name: str) -> Kernel:
+    """:func:`stream_natural_join`, prepared against ``left_schema``."""
+    right_schema = right.schema
+    common = [f for f in left_schema.field_names if f in right_schema]
+    right_only = tuple(f for f in right_schema.fields if f.name not in left_schema)
+    if not right_only:
+        # A natural join that adds no column is a semijoin.  Exact because
+        # operands are duplicate-free *sets*: every stream row has at most
+        # one partner, so filtering on the key set emits what enumerating
+        # ``{key: [()]}`` would.  Once rows carry annotations (bags,
+        # provenance) the identity holds only where the annotation semiring
+        # makes the partner's factor vanish — Kolaitis, "Semijoins of
+        # Annotated Relations" (PAPERS.md), is the reference before relying
+        # on it there.  Probes and kept rows both count, as the join's
+        # probes and matches did.
+        return semijoin_kernel(left_schema, right, [(f, f) for f in common], name, True)
+    schema = RelationSchema(name, left_schema.fields + right_only, key=None)
+    right_rest = _values_getter(right_schema, [f.name for f in right_only])
+    return _hash_join(
+        schema, match_getter(left_schema, common), right, common, right_rest, "buckets"
+    )
 
 
 def stream_natural_join(
@@ -283,44 +386,39 @@ def stream_natural_join(
     comparison is recorded per probe and per matching pair, flushed when the
     pipeline closes.
     """
-    left_schema = source.schema
-    right_schema = right.schema
-    common = [f for f in left_schema.field_names if f in right_schema]
-    right_only = tuple(f for f in right_schema.fields if f.name not in left_schema)
-    schema = RelationSchema(
-        name or f"{source.label}_nj_{right.name}", left_schema.fields + right_only, key=None
-    )
-    right_key = match_getter(right_schema, common)
-    left_key = match_getter(left_schema, common)
-    right_rest = _values_getter(right_schema, [f.name for f in right_only])
+    kernel = natural_join_kernel(source.schema, right, name or f"{source.label}_nj_{right.name}")
+    return kernel(source, tracker, emitted=emitted)
 
-    def build() -> dict[object, list[tuple]]:
-        buckets: dict[object, list[tuple]] = {}
-        for values in value_rows(right):
-            buckets.setdefault(right_key(values), []).append(right_rest(values))
-        return buckets
 
-    buckets = _build_side(right, "buckets", common, build)
+def semijoin_kernel(
+    left_schema: RelationSchema,
+    right,
+    on: Sequence[tuple[str, str]],
+    label: str,
+    count_kept: bool = False,
+) -> Kernel:
+    """:func:`stream_semijoin`, prepared against ``left_schema``; with
+    ``count_kept`` a kept row costs a second comparison (see
+    :func:`natural_join_kernel`)."""
+    left_getter = match_getter(left_schema, [pair[0] for pair in on])
+    partnered = _key_set(right, [pair[1] for pair in on]).__contains__
 
-    def rows() -> Iterator[tuple]:
-        probes = 0
-        matches = 0
-        get_bucket = buckets.get
+    def body(source, tracker, live, emitted):
+        probes = kept = 0
         try:
-            for values in source:
-                probes += 1
-                partners = get_bucket(left_key(values))
-                if partners:
-                    matches += len(partners)
-                    for rest in partners:
-                        yield values + rest
+            for chunk in source.chunks():
+                probes += len(chunk)
+                out = list(compress(chunk, map(partnered, map(left_getter, chunk))))
+                if out:
+                    kept += len(out)
+                    yield out
         finally:
             if tracker is not None:
-                tracker.record_comparison(probes + matches)
+                tracker.record_comparison(probes + kept if count_kept else probes)
             if emitted is not None:
-                emitted(matches)
+                emitted(kept)
 
-    return _row_stream(schema, rows(), schema.name)
+    return Kernel(left_schema, label, body)
 
 
 def stream_semijoin(
@@ -337,26 +435,10 @@ def stream_semijoin(
     enumerated, which is what makes this the short-circuit form of
     existential-quantifier elimination inside a join chain.
     """
-    schema = source.schema
-    left_getter = match_getter(schema, [pair[0] for pair in on])
-    right_keys = _key_set(right, [pair[1] for pair in on])
-
-    def rows() -> Iterator[tuple]:
-        probes = 0
-        kept = 0
-        try:
-            for values in source:
-                probes += 1
-                if left_getter(values) in right_keys:
-                    kept += 1
-                    yield values
-        finally:
-            if tracker is not None:
-                tracker.record_comparison(probes)
-            if emitted is not None:
-                emitted(kept)
-
-    return _row_stream(schema, rows(), name or f"{source.label}_semijoin_{right.name}")
+    kernel = semijoin_kernel(
+        source.schema, right, on, name or f"{source.label}_semijoin_{right.name}"
+    )
+    return kernel(source, tracker, emitted=emitted)
 
 
 def stream_theta_semijoin(
@@ -377,24 +459,62 @@ def stream_theta_semijoin(
     operators = [op for _, op, _ in on]
     right_tuples = [right_getter(values) for values in value_rows(right)]
 
-    def rows() -> Iterator[tuple]:
+    def body(source, tracker, live, emitted):
         probes = 0
         try:
-            for values in source:
-                probes += 1
-                left_values = left_getter(values)
-                for right_values in right_tuples:
-                    if all(
-                        compare_values(op, lv, rv)
-                        for op, lv, rv in zip(operators, left_values, right_values)
-                    ):
-                        yield values
-                        break
+            for chunk in source.chunks():
+                probes += len(chunk)
+                out = [
+                    values for values, left in zip(chunk, map(left_getter, chunk))
+                    if any(
+                        all(map(compare_values, operators, left, right_values))
+                        for right_values in right_tuples
+                    )
+                ]
+                if out:
+                    yield out
         finally:
             if tracker is not None:
                 tracker.record_comparison(probes)
 
-    return _row_stream(schema, rows(), name or f"{source.label}_tsemijoin_{right.name}")
+    return Kernel(schema, name or f"{source.label}_tsemijoin_{right.name}", body)(source, tracker)
+
+
+def union_kernel(schema: RelationSchema, label: str, dedup: bool = True) -> Kernel:
+    """:func:`stream_union` over ``schema``; its source is a sequence of streams."""
+    key_of = _key_getter(schema)
+
+    def body(sources, tracker, live, emitted):
+        seen: set[tuple] = set()
+        add = seen.add
+        checked = 0
+        count = 0
+        try:
+            for position, source in enumerate(sources):
+                for chunk in source.chunks():
+                    if position:
+                        checked += len(chunk)
+                    out = chunk
+                    if dedup:
+                        keys = chunk if key_of is None else map(key_of, chunk)
+                        out = [
+                            row for row, key in zip(chunk, keys)
+                            if key not in seen and not add(key)
+                        ]
+                        if live is not None:
+                            live.acquire(len(out))
+                    if out:
+                        count += len(out)
+                        yield out
+        finally:
+            if live is not None:
+                live.release(len(seen))
+            if tracker is not None and checked:
+                tracker.record_comparison(checked)
+            if emitted is not None:
+                emitted(count)
+
+    return Kernel(schema, label, body)
 
 
 def stream_union(
@@ -410,7 +530,7 @@ def stream_union(
 
     Rows of earlier sources win on key collisions (matching the historical
     "left wins" behaviour of the materialised operator).  The dedup set is
-    the union's breaker *state* — rows still flow through one at a time, but
+    the union's breaker *state* — chunks still flow through as they come, but
     the set of keys seen so far stays live for the life of the operator and
     is reported to ``live``.  One comparison is recorded per row arriving
     from any source after the first (the rows the materialised operator
@@ -420,36 +540,61 @@ def stream_union(
     if not sources and schema is None:
         raise AlgebraError("stream_union needs at least one source or an explicit schema")
     out_schema = schema if schema is not None else sources[0].schema
-    key_of = _key_getter(out_schema)
+    return union_kernel(out_schema, name or "union", dedup)(sources, tracker, live, emitted)
 
-    def rows() -> Iterator[tuple]:
-        seen: set[tuple] = set()
-        add = seen.add
-        checked = 0
-        count = 0
+
+def divide_kernel(
+    source_schema: RelationSchema, divisor, by: Sequence[tuple[str, str]], name: str
+) -> Kernel:
+    """:func:`stream_divide`, prepared against ``source_schema``."""
+    divisor_fields = [pair[0] for pair in by]
+    dividend_match_fields = [pair[1] for pair in by]
+    for f in divisor_fields:
+        if not divisor.schema.has_field(f):
+            raise AlgebraError(f"divisor has no component {f!r}")
+    for f in dividend_match_fields:
+        if not source_schema.has_field(f):
+            raise AlgebraError(f"dividend has no component {f!r}")
+    remaining = [f for f in source_schema.field_names if f not in dividend_match_fields]
+    if not remaining:
+        raise AlgebraError("division would eliminate every dividend component")
+    required = _key_set(divisor, divisor_fields)
+    if not required:
+        return project_kernel(source_schema, remaining, name, dedup=True)
+    from repro.engine.stream import ramped
+
+    groups_of = _chunk_getter(source_schema, remaining)
+    match_of = match_getter(source_schema, dividend_match_fields)
+
+    def body(source, tracker, live, emitted):
+        groups: dict[tuple, set] = {}
+        consumed = buffered = count = 0
         try:
-            for position, source in enumerate(sources):
-                for values in source:
-                    if position:
-                        checked += 1
-                    if dedup:
-                        key = values if key_of is None else key_of(values)
-                        if key in seen:
-                            continue
-                        add(key)
-                        if live is not None:
-                            live.acquire()
-                    count += 1
-                    yield values
+            for chunk in source.chunks():
+                consumed += len(chunk)
+                held = buffered
+                # The breaker's table: a lookup per row (faster than pair-wise sets).
+                for group, value in zip(groups_of(chunk), map(match_of, chunk)):
+                    matches = groups.get(group)
+                    if matches is None:
+                        matches = groups[group] = set()
+                    if value not in matches:
+                        matches.add(value)
+                        buffered += 1
+                if live is not None:
+                    live.acquire(buffered - held)
+            if tracker is not None:
+                tracker.record_comparison(consumed + len(groups) * len(required))
+            for out in ramped([group for group, matches in groups.items() if required <= matches]):
+                count += len(out)
+                yield out
         finally:
             if live is not None:
-                live.release(len(seen))
-            if tracker is not None and checked:
-                tracker.record_comparison(checked)
+                live.release(buffered)
             if emitted is not None:
                 emitted(count)
 
-    return _row_stream(out_schema, rows(), name or "union")
+    return Kernel(source_schema.project(remaining, name), name, body)
 
 
 def stream_divide(
@@ -467,63 +612,15 @@ def stream_divide(
     match.  Division is a genuine pipeline breaker: the whole input must be
     seen before any group is known to match every divisor element, so the
     operator buffers a ``{group: matched values}`` table (reported to
-    ``live``) and then emits the qualifying groups *group-wise* — each
-    surviving group exactly once, without materialising an output relation.
+    ``live``) and then emits the qualifying groups *group-wise*, in ramped
+    chunks — each surviving group exactly once, without materialising an
+    output relation.
 
     An empty divisor degenerates to the deduplicating projection on the
     remaining components (the vacuous-truth convention).
     """
-    divisor_fields = [pair[0] for pair in by]
-    dividend_match_fields = [pair[1] for pair in by]
-    for f in divisor_fields:
-        if not divisor.schema.has_field(f):
-            raise AlgebraError(f"divisor has no component {f!r}")
-    for f in dividend_match_fields:
-        if not source.schema.has_field(f):
-            raise AlgebraError(f"dividend has no component {f!r}")
-    remaining = [f for f in source.schema.field_names if f not in dividend_match_fields]
-    if not remaining:
-        raise AlgebraError("division would eliminate every dividend component")
-    schema = source.schema.project(remaining, name or f"{source.label}_div_{divisor.name}")
-    required = _key_set(divisor, divisor_fields)
-    if not required:
-        return stream_project(
-            source, remaining, name=schema.name, dedup=True, live=live, emitted=emitted
-        )
-    group_getter = _values_getter(source.schema, remaining)
-    match_of = match_getter(source.schema, dividend_match_fields)
-
-    def rows() -> Iterator[tuple]:
-        groups: dict[tuple, set] = {}
-        consumed = 0
-        buffered = 0
-        count = 0
-        try:
-            for values in source:
-                consumed += 1
-                group = group_getter(values)
-                matches = groups.get(group)
-                if matches is None:
-                    matches = groups[group] = set()
-                value = match_of(values)
-                if value not in matches:
-                    matches.add(value)
-                    buffered += 1
-                    if live is not None:
-                        live.acquire()
-            if tracker is not None:
-                tracker.record_comparison(consumed + len(groups) * len(required))
-            for group, matches in groups.items():
-                if required <= matches:
-                    count += 1
-                    yield group
-        finally:
-            if live is not None:
-                live.release(buffered)
-            if emitted is not None:
-                emitted(count)
-
-    return _row_stream(schema, rows(), schema.name)
+    kernel = divide_kernel(source.schema, divisor, by, name or f"{source.label}_div_{divisor.name}")
+    return kernel(source, tracker, live, emitted)
 
 
 # ================================================================== materialising kernels
@@ -535,6 +632,21 @@ def select(relation: Relation, predicate: Callable[[Record], bool], name: str | 
     for record in relation:
         if predicate(record):
             result.insert(record)
+    return result
+
+
+def _stream_of(relation: Relation):
+    """``relation`` as the pipeline side of a streaming kernel."""
+    from repro.engine.stream import RowStream
+
+    return RowStream.from_relation(relation)
+
+
+def _materialized(stream, tracker: AccessStatistics | None = None) -> Relation:
+    """Drain a kernel's output into a relation, counted as an intermediate one."""
+    result = stream.materialize()
+    if tracker is not None:
+        tracker.record_intermediate(len(result))
     return result
 
 
@@ -552,17 +664,10 @@ def project(
     :func:`stream_project`; duplicates collapse through the result relation's
     key dictionary (its key covers all components).
     """
-    from repro.engine.stream import RowStream
-
     stream = stream_project(
-        RowStream.from_relation(relation),
-        field_names,
-        name=name or f"project_{relation.name}",
+        _stream_of(relation), field_names, name=name or f"project_{relation.name}"
     )
-    result = stream.materialize()
-    if tracker is not None:
-        tracker.record_intermediate(len(result))
-    return result
+    return _materialized(stream, tracker)
 
 
 def rename(relation: Relation, mapping: Mapping[str, str], name: str | None = None) -> Relation:
@@ -625,15 +730,8 @@ def join(
     """
     if not on:
         return product(left, right, name)
-    from repro.engine.stream import RowStream
-
-    stream = stream_join(
-        RowStream.from_relation(left),
-        right,
-        on,
-        name=name or f"{left.name}_join_{right.name}",
-    )
-    return stream.materialize()
+    name = name or f"{left.name}_join_{right.name}"
+    return stream_join(_stream_of(left), right, on, name=name).materialize()
 
 
 def natural_join(
@@ -651,18 +749,10 @@ def natural_join(
     matching pair, and the result size is recorded as an intermediate
     relation when a ``tracker`` is supplied.
     """
-    from repro.engine.stream import RowStream
-
     stream = stream_natural_join(
-        RowStream.from_relation(left),
-        right,
-        name=name or f"{left.name}_nj_{right.name}",
-        tracker=tracker,
+        _stream_of(left), right, name=name or f"{left.name}_nj_{right.name}", tracker=tracker
     )
-    result = stream.materialize()
-    if tracker is not None:
-        tracker.record_intermediate(len(result))
-    return result
+    return _materialized(stream, tracker)
 
 
 def union(
@@ -679,20 +769,11 @@ def union(
     call, not once per record.
     """
     _require_same_schema(left, right, "union")
-    from repro.engine.stream import RowStream
-
     stream = stream_union(
-        (RowStream.from_relation(left), RowStream.from_relation(right)),
-        schema=left.schema,
-        tracker=tracker,
+        (_stream_of(left), _stream_of(right)), schema=left.schema,
+        name=name or f"{left.name}_union_{right.name}", tracker=tracker,
     )
-    result = Relation(name or f"{left.name}_union_{right.name}", left.schema)
-    raw = Record.raw
-    schema = left.schema
-    result.bulk_insert_raw(raw(schema, values) for values in stream)
-    if tracker is not None:
-        tracker.record_intermediate(len(result))
-    return result
+    return _materialized(stream, tracker)
 
 
 def difference(left: Relation, right: Relation, name: str | None = None) -> Relation:
@@ -744,19 +825,11 @@ def divide(
     empty ranges beforehand via the Lemma 1 runtime adaptation, so this case
     only arises in direct algebra use.
     """
-    from repro.engine.stream import RowStream
-
     stream = stream_divide(
-        RowStream.from_relation(dividend),
-        divisor,
-        by,
-        name=name or f"{dividend.name}_div_{divisor.name}",
-        tracker=tracker,
+        _stream_of(dividend), divisor, by,
+        name=name or f"{dividend.name}_div_{divisor.name}", tracker=tracker,
     )
-    result = stream.materialize()
-    if tracker is not None:
-        tracker.record_intermediate(len(result))
-    return result
+    return _materialized(stream, tracker)
 
 
 def semijoin(
@@ -774,16 +847,8 @@ def semijoin(
     structures before any n-tuple join.  A thin wrapper over
     :func:`stream_semijoin`.
     """
-    from repro.engine.stream import RowStream
-
-    stream = stream_semijoin(
-        RowStream.from_relation(left),
-        right,
-        on,
-        name=name or f"{left.name}_semijoin_{right.name}",
-        tracker=tracker,
-    )
-    return stream.materialize()
+    name = name or f"{left.name}_semijoin_{right.name}"
+    return stream_semijoin(_stream_of(left), right, on, name=name, tracker=tracker).materialize()
 
 
 def antijoin(
@@ -825,16 +890,10 @@ def theta_semijoin(
     when the connecting join term is not an equality.  A thin wrapper over
     :func:`stream_theta_semijoin`.
     """
-    from repro.engine.stream import RowStream
-
-    stream = stream_theta_semijoin(
-        RowStream.from_relation(left),
-        right,
-        on,
-        name=name or f"{left.name}_tsemijoin_{right.name}",
-        tracker=tracker,
-    )
-    return stream.materialize()
+    name = name or f"{left.name}_tsemijoin_{right.name}"
+    return stream_theta_semijoin(
+        _stream_of(left), right, on, name=name, tracker=tracker
+    ).materialize()
 
 
 def extend_product(

@@ -140,18 +140,20 @@ class AccessStatistics:
         # scalars, which over-reports across merged trackers but keeps the
         # reflection rule (every public numeric is summed) uniform.
         self.estimation_qerror_max = 0.0
-        # Every public numeric counter above, resolved once: as_dict, merge
-        # and reset run on every query and must not reflect each time.  Last
+        # Every public numeric counter above, resolved once per class (every
+        # pin makes a tracker): as_dict, merge and reset run on every query
+        # and must not reflect each time.  Read off the first instance, last
         # in __init__, so a counter added above is never missing from a
         # snapshot nor survives a reset (the reflection test in
         # ``tests/relational`` pins this invariant).
-        self._counter_names = tuple(
-            name
-            for name, value in vars(self).items()
-            if not name.startswith("_")
-            and isinstance(value, (int, float))
-            and not isinstance(value, bool)
-        )
+        if "_counter_names" not in type(self).__dict__:
+            type(self)._counter_names = tuple(
+                name
+                for name, value in vars(self).items()
+                if not name.startswith("_")
+                and isinstance(value, (int, float))
+                and not isinstance(value, bool)
+            )
 
     # -- phase management -----------------------------------------------------
 

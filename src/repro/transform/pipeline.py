@@ -102,6 +102,10 @@ class QueryPlan:
     constant:
         When the matrix collapsed to a boolean constant this holds it
         (``True``/``False``); ``None`` otherwise.
+    memo:
+        What the engine derives from the plan's shape alone (the result
+        schema, under the catalog version).  Late binding hands the same
+        dict to every bound copy, so it is derived once per compiled plan.
     """
 
     selection: Selection
@@ -111,6 +115,7 @@ class QueryPlan:
     options: StrategyOptions
     trace: TransformationTrace
     constant: bool | None = None
+    memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def variables(self) -> tuple[str, ...]:

@@ -66,6 +66,7 @@ class RelationSchema:
     _field_map: dict = field(default_factory=dict, compare=False, repr=False)
     _position_map: dict = field(default_factory=dict, compare=False, repr=False)
     _key_positions: tuple = field(default=(), compare=False, repr=False)
+    _key_getter: Any = field(default=None, compare=False, repr=False)
 
     def __init__(
         self,
@@ -73,7 +74,9 @@ class RelationSchema:
         fields: Sequence[Field] | Sequence[tuple[str, ScalarType]] | Mapping[str, ScalarType],
         key: Sequence[str] | None = None,
     ) -> None:
-        if isinstance(fields, Mapping):
+        # The engine passes tuples and lists of fields; test for them before
+        # the ABC instance check a mapping needs.
+        if not isinstance(fields, (tuple, list)) and isinstance(fields, Mapping):
             normalized = tuple(Field(fname, ftype) for fname, ftype in fields.items())
         else:
             normalized = tuple(
@@ -105,9 +108,11 @@ class RelationSchema:
         object.__setattr__(
             self, "_position_map", {f.name: i for i, f in enumerate(normalized)}
         )
-        object.__setattr__(
-            self, "_key_positions", tuple(names.index(k) for k in key_tuple)
-        )
+        positions = tuple(names.index(k) for k in key_tuple)
+        object.__setattr__(self, "_key_positions", positions)
+        # One C call per key; a single position would come back bare, so
+        # key_of wraps that case itself.
+        object.__setattr__(self, "_key_getter", itemgetter(*positions))
 
     # -- lookups -------------------------------------------------------------
 
@@ -217,7 +222,8 @@ class RelationSchema:
         # the ABC instance check a mapping needs.
         if not isinstance(values, tuple) and isinstance(values, Mapping):
             return tuple(values[k] for k in self.key)
-        return tuple(values[p] for p in self._key_positions)
+        key = self._key_getter(values)
+        return key if len(self._key_positions) > 1 else (key,)
 
     def canonical_key(self, key: Sequence[Any]) -> tuple[Any, ...]:
         """``key`` with every component coerced through its declared type.

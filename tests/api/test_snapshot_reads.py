@@ -314,7 +314,7 @@ class TestEveryEndReleasesThePin:
             raise RuntimeError("the pipeline broke")
             yield
 
-        cursor.result.combination.stream._rows = failing()
+        cursor.result.combination.stream._chunks = failing()
         with pytest.raises(RuntimeError, match="the pipeline broke"):
             cursor.fetchall()
         assert figure1._snapshots.active == 0

@@ -453,3 +453,53 @@ def test_a_new_status_reads_no_inner_relation_and_a_papers_commit_only_papers():
     cold_again, statistics = read("professor")
     assert set(cold_again) == {"employees"} and statistics["intermediate_tuples"] == retained
     connection.close()
+
+
+# ------------- PR 23: chunks flow, the counters and the rows do not move
+
+
+#: Per citation query (bibliography scale 4, seed 1982, first representative
+#: binding), taken at the parent commit before any kernel passed a chunk:
+#: ``(comparisons, rows_streamed, intermediate_tuples, peak_tuples)`` of the
+#: cold and of the repeated execution, the row count, and the first 16 hex
+#: digits of the SHA-256 of ``repr`` of the fetched rows, in order.
+CITATION_PINS = {
+    "coauthor_pairs": ((43226, 1694, 13702, 144), (2379, 1694, 0, 144), 144, "fca4e5899c436ad4"),
+    "co_coauthors": ((368, 90, 144, 0), (0, 90, 0, 0), 29, "1f66b9baf587b870"),
+    "cites_the_prolific": ((368, 186, 178, 0), (0, 186, 0, 0), 55, "3f3ae25656f423ba"),
+    "well_cited_venues": ((6421, 8016, 1770, 1721), (6421, 8016, 0, 1721), 11, "3f6c8c6d90706a42"),
+    "self_citers": ((6472, 107, 1716, 2), (181, 107, 0, 2), 2, "b4fe497439b654a7"),
+    "cocitation": ((15460, 4003, 5429, 29), (5045, 4003, 0, 29), 29, "b8b5f067870cff17"),
+    "recent_papers": ((88, 0, 0, None), (88, 0, 0, None), 7, "6da6194698c51f9f"),
+    "coauthors_of": ((368, 57, 63, 0), (0, 57, 0, 0), 19, "61b04db64e9e2448"),
+    "venue_papers": ((20, 111, 38, 0), (0, 111, 0, 0), 37, "d3522b35d5711b5d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CITATION_PINS))
+def test_citation_counters_and_rows_are_what_they_were_row_at_a_time(name):
+    import hashlib
+
+    from repro.workloads.bibliography import build_bibliography_database
+    from repro.workloads.bibliography import queries
+
+    parameterized = queries.bibliography_parameterized_queries()
+    if name in parameterized:
+        text, bindings = parameterized[name]
+        binding = bindings[0]
+    else:
+        text, binding = getattr(queries, name.upper() + "_TEXT"), None
+    cold, warm, count, digest = CITATION_PINS[name]
+    connection = connect(build_bibliography_database(scale=4, seed=1982))
+    cursor = connection.cursor()
+    for expected in (cold, warm):
+        rows = [tuple(row) for row in cursor.execute(text, binding).fetchall()]
+        statistics, combination = cursor.statistics, cursor.result.combination
+        assert (
+            statistics["comparisons"], statistics["rows_streamed"],
+            statistics["intermediate_tuples"],
+            None if combination is None else combination.peak_tuples,
+        ) == expected
+        assert len(rows) == count
+        assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == digest
+    connection.close()

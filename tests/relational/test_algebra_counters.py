@@ -130,6 +130,8 @@ class TestKernelCounterCoverage:
         for name in algebra.__all__:
             if name.startswith("stream_") or name == "distinct_values":
                 continue
+            if name == "Kernel" or name.endswith("_kernel"):
+                continue  # the streaming kernels' prepared form: wired with a tracker
             kernel = getattr(algebra, name)
             if not callable(kernel):
                 continue
