@@ -112,7 +112,7 @@ __all__ = [
 ]
 
 
-@dataclass(slots=True)
+@dataclass
 class OperatorNote:
     """One operator of the combination pipeline, annotated for EXPLAIN.
 
@@ -537,11 +537,8 @@ class CombinationPhase:
             )
         return rows
 
-    def _plan_conjunction(
-        self, index: int, structures: list[ConjunctStructure], variables=(),
-        drop_columns=frozenset(), kept_schema: RelationSchema | None = None, notes=None,
-    ) -> ConjunctionPlan:
-        """Reduce one conjunction's operands and, when streaming, prepare its chain.
+    def _plan_conjunction(self, index: int, structures: list[ConjunctStructure]) -> ConjunctionPlan:
+        """One conjunction's operands, reduced.
 
         The id rows come from the collection result's cache (encoded by the
         first execution that sees the structure); the reducer replaces an
@@ -557,9 +554,16 @@ class CombinationPhase:
             for structure in structures
         ]
         reduce = self.options.semijoin_reduction and len(operands) > 1
-        plan = ConjunctionPlan(operands, self._reduce_structures(operands) if reduce else [])
-        if not self.options.streaming_execution:
-            return plan  # the materialised execution orders by its own left sides
+        return ConjunctionPlan(operands, self._reduce_structures(operands) if reduce else [])
+
+    def _plan_chain(
+        self, index: int, plan: ConjunctionPlan, variables, drop_columns,
+        kept_schema: RelationSchema, notes: list[OperatorNote],
+    ) -> ConjunctionPlan:
+        """Prepare the streamed chain over ``plan``'s operands: source, join
+        order, one kernel per step, the closing projection (the materialised
+        execution orders by its own left sides instead)."""
+        operands = plan.operands
         order = plan.order
         schema = None  # of the chain so far
 
@@ -906,8 +910,9 @@ class CombinationPhase:
         )
         for index, structures in enumerate(self.collection.conjunctions):
             plan.conjunctions.append(
-                None if structures is None else self._plan_conjunction(
-                    index, structures, variables, drop_columns, kept_schema, notes
+                None if structures is None else self._plan_chain(
+                    index, self._plan_conjunction(index, structures),
+                    variables, drop_columns, kept_schema, notes,
                 )
             )
         members = len(plan.conjunctions) - plan.conjunctions.count(None)
@@ -1029,7 +1034,7 @@ class CombinationPhase:
             result.conjunction_sizes.append(0)
             members.append(self._conjunction_stream(index, conjunction, plan.kept_schema, result))
         if plan.union is None:
-            result.stream = RowStream(plan.free_schema, label="free_tuples")
+            result.stream = RowStream.empty(plan.free_schema, label="free_tuples")
             return result
         pipeline = plan.union(
             members, stats, live, self._operator(partial(setattr, result, "union_size"))
@@ -1057,7 +1062,7 @@ class CombinationPhase:
         result.reductions.append(list(conjunction.reductions))
         result.join_estimates.append(estimates)
         if conjunction.empty:
-            return RowStream(kept_schema, label=f"conjunction_{index}")
+            return RowStream.empty(kept_schema, label=f"conjunction_{index}")
         position = len(result.conjunction_sizes) - 1
         return conjunction.last(
             stream, emitted=self._operator(partial(result.conjunction_sizes.__setitem__, position))

@@ -59,11 +59,9 @@ class ConstructionPhase:
         relations are sets) and yields exactly those.  Chunks grow 1, 2, 4,
         ... rows, so a fetch has read a prefix of the input — at most one
         chunk ahead of the rows handed out.  Requires a live combination
-        stream (:class:`~repro.errors.StreamError` otherwise — a
-        materialised phase is constructed via :meth:`run` and iterated, see
-        ``QueryEngine.execute_plan``).  Element reads are attributed to the
-        construction phase around each chunk, so the phase accounting
-        matches a monolithic drain.
+        stream (:class:`~repro.errors.StreamError` otherwise: a materialised
+        phase is constructed via :meth:`run` and iterated).  Element reads
+        are attributed to the construction phase around each chunk.
         """
         if combination.stream is None:
             # Raised at the call site, not deferred to the first fetch: a

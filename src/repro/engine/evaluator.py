@@ -67,11 +67,11 @@ def resolve_query(query: str | Selection, database) -> Selection:
 
 def _result_relation(prepared: QueryPlan, source) -> Relation:
     """An empty result relation for ``prepared``, its schema derived once per
-    compiled plan and catalog version (``QueryPlan.memo``), not per execution."""
-    version, schema = prepared.memo.get("result_schema", (None, None))
+    compiled plan and catalog version (``QueryPlan.result_schema``), not per execution."""
+    version, schema = prepared.result_schema
     if version != source.schema_version:
         schema = result_schema_for(prepared.selection, source)
-        prepared.memo["result_schema"] = (source.schema_version, schema)
+        prepared.result_schema[:] = source.schema_version, schema
     return Relation(schema.name, schema)
 
 

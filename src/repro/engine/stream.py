@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import islice
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.errors import StreamError
 from repro.relational.record import Record
@@ -155,9 +155,8 @@ class RowStream:
         An iterator of non-empty lists of rows, handed on as it is.
 
     Either way the stream is consumed exactly once — through :meth:`chunks`,
-    the one protocol, or row by row through ``iter()``, which flattens it;
-    a second use raises :class:`~repro.errors.StreamError` rather than
-    silently yielding nothing.
+    the one protocol, or row by row through ``iter()``, which flattens it; a
+    second use raises :class:`~repro.errors.StreamError`.
     """
 
     __slots__ = ("schema", "label", "_chunks")
@@ -174,6 +173,11 @@ class RowStream:
     def from_relation(cls, relation: Relation) -> "RowStream":
         """Stream an existing relation's value tuples (untracked iteration)."""
         return cls(relation.schema, (record.values for record in relation), label=relation.name)
+
+    @classmethod
+    def empty(cls, schema: RelationSchema, label: str = "") -> "RowStream":
+        """A stream over ``schema`` that yields nothing."""
+        return cls(schema, label=label)
 
     # -- consumption ----------------------------------------------------------
 
@@ -206,6 +210,11 @@ class RowStream:
         """
         chunks, self._chunks = self._chunks, None
         _close(chunks)
+
+    def map_rows(self, function: Callable[[tuple], tuple], schema=None) -> "RowStream":
+        """A derived stream applying ``function`` to every row, chunk for chunk."""
+        mapped = ([function(row) for row in chunk] for chunk in self.chunks())
+        return RowStream(schema or self.schema, label=self.label, chunks=mapped)
 
     def materialize(self, name: str | None = None) -> Relation:
         """The escape hatch: drain the stream into a fresh relation.

@@ -176,15 +176,14 @@ def _key_set(operand, columns: Sequence[str]) -> set:
 # kernels never look inside a value, so the same code joins integers,
 # references or a shard's pickled pairs.
 #
-# A kernel comes in two steps.  ``*_kernel(schema, ...)`` resolves whatever
-# the rows do not decide — output schema, component getters, the build side —
-# into a :class:`Kernel`, which the combination phase keeps on its plan;
-# calling it with a source wires one execution: a generator and its counters.
-# ``stream_*(source, ...)`` does both at once.  Accounting is fused into each
-# operator's one generator and paid per chunk: comparisons go to ``tracker``,
-# breaker state to ``live``, and an ``emitted`` hook is called once with the
-# output row count as the generator closes.  RowStream is imported lazily:
-# ``repro.relational`` must stay importable without ``repro.engine``.
+# ``*_kernel(schema, ...)`` resolves what the rows do not decide — output
+# schema, getters, the build side — into a :class:`Kernel`, which the
+# combination phase keeps on its plan; calling it with a source wires one
+# execution.  ``stream_*(source, ...)`` does both at once.  Accounting is
+# fused into each operator's generator and paid per chunk: comparisons go to
+# ``tracker``, breaker state to ``live``, and ``emitted`` is called once with
+# the output row count as the generator closes.  RowStream is imported
+# lazily: ``repro.relational`` must stay importable without ``repro.engine``.
 
 Emitted = Callable[[int], None]
 
@@ -195,19 +194,18 @@ class Kernel:
     output chunks (never an empty one), everything else sits in its closure.
     Calling the kernel wires one execution: its single-use output stream."""
 
-    __slots__ = ("schema", "label", "body", "_stream")
+    __slots__ = ("schema", "label", "body")
 
     def __init__(self, schema: RelationSchema, label: str, body) -> None:
-        from repro.engine.stream import RowStream  # lazily, and not per wiring
-
         self.schema = schema
         self.label = label
         self.body = body
-        self._stream = RowStream
 
     def __call__(self, source, tracker=None, live=None, emitted: Emitted | None = None):
+        from repro.engine.stream import RowStream
+
         chunks = self.body(source, tracker, live, emitted)
-        return self._stream(self.schema, chunks=chunks, label=self.label)
+        return RowStream(self.schema, chunks=chunks, label=self.label)
 
 
 def stream_select(source, predicate: Callable[[Record], bool], name: str | None = None):
@@ -287,10 +285,9 @@ def _hash_join(schema: RelationSchema, left_key, right, columns, right_part, kin
     """Probe ``{right key: [right_part(row), ...]}`` per stream row, one
     comparison per probe and per matching pair, flushed when the pipeline closes.
 
-    A chunk is probed in slices short enough that even the widest bucket
-    keeps an output chunk under twice ``CHUNK_ROWS`` (one row's partners
-    more, where a single bucket is wider than that): a product or a hot key
-    multiplies rows, it must not multiply what is held at once.
+    A chunk is probed in slices short enough that the widest bucket keeps an
+    output chunk under twice ``CHUNK_ROWS`` (plus one row's partners): a hot
+    key multiplies rows, it must not multiply what is held at once.
     """
     from repro.engine.stream import CHUNK_ROWS
 

@@ -17,10 +17,6 @@ from repro.types.schema import RelationSchema
 __all__ = ["Record"]
 
 
-#: Bound once: ``raw`` runs per result row and per reference tuple.
-_new, _set = object.__new__, object.__setattr__
-
-
 class Record:
     """An immutable element of a relation.
 
@@ -52,10 +48,10 @@ class Record:
     @classmethod
     def raw(cls, schema: RelationSchema, values: tuple) -> "Record":
         """Build a record from already-coerced values (internal fast path)."""
-        record = _new(cls)
-        _set(record, "_schema", schema)
-        _set(record, "_values", values)
-        _set(record, "_hash", None)
+        record = object.__new__(cls)
+        object.__setattr__(record, "_schema", schema)
+        object.__setattr__(record, "_values", values)
+        object.__setattr__(record, "_hash", None)
         return record
 
     # -- accessors -------------------------------------------------------------

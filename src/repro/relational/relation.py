@@ -23,7 +23,6 @@ reference types; nothing in this class distinguishes the two uses.
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import Any, Iterable, Iterator, Mapping
 
 from repro.errors import (
@@ -39,10 +38,6 @@ from repro.relational.statistics import AccessStatistics
 from repro.types.schema import RelationSchema
 
 __all__ = ["Relation"]
-
-
-#: A record's storage tuple, without the property's Python frame (bulk paths).
-_VALUES_OF = attrgetter("_values")
 
 
 class Relation:
@@ -378,21 +373,25 @@ class Relation:
     def insert_new_rows(self, rows: Iterable[tuple]) -> list[Record]:
         """Store the value rows this relation does not hold yet; return their records.
 
-        The construction phase's bulk path into a result relation (key = all
-        components): ``rows`` are already-coerced value tuples, and the ones
-        not met before are stored and returned in arrival order.
+        The construction phase's bulk path into a result relation: ``rows``
+        are already-coerced value tuples and — key = all components — their
+        own keys; the ones not met before are stored, in arrival order.
         """
-        elements = self._elements
-        raw, schema = Record.raw, self.schema
-        fresh = [raw(schema, row) for row in dict.fromkeys(rows) if row not in elements]
+        assert self._key_is_all, f"{self.name}: insert_new_rows needs key = all components"
+        raw, schema, held = Record.raw, self.schema, self._elements
+        fresh = [raw(schema, row) for row in dict.fromkeys(rows) if row not in held]
         self.bulk_insert_raw(fresh)
         return fresh
 
     def _bulk_fill(self, records: Iterable[Record]) -> None:
-        records = list(records)
-        values = list(map(_VALUES_OF, records))
-        keys = values if self._key_is_all else self.schema.keys_of(values)
-        self._elements.update(zip(keys, records))
+        elements = self._elements
+        if self._key_is_all:
+            for record in records:
+                elements[record.values] = record
+        else:
+            key_of = self.schema.key_of
+            for record in records:
+                elements[key_of(record.values)] = record
 
     def delete(self, element: Record | Mapping[str, Any] | tuple) -> bool:
         """The PASCAL/R delete operator ``:-`` for a single element.

@@ -305,5 +305,5 @@ def bind_plan(
         options=plan.options,
         trace=_literal_trace(plan.trace, values, positional) if positional else plan.trace,
         constant=plan.constant,
-        memo=plan.memo,
+        result_schema=plan.result_schema,
     )

@@ -102,10 +102,9 @@ class QueryPlan:
     constant:
         When the matrix collapsed to a boolean constant this holds it
         (``True``/``False``); ``None`` otherwise.
-    memo:
-        What the engine derives from the plan's shape alone (the result
-        schema, under the catalog version).  Late binding hands the same
-        dict to every bound copy, so it is derived once per compiled plan.
+    result_schema:
+        ``[schema_version, schema]`` of the result relation, filled by the
+        engine; bound copies share the cell, so it is derived once per plan.
     """
 
     selection: Selection
@@ -115,7 +114,7 @@ class QueryPlan:
     options: StrategyOptions
     trace: TransformationTrace
     constant: bool | None = None
-    memo: dict = field(default_factory=dict, repr=False, compare=False)
+    result_schema: list = field(default_factory=lambda: [None, None], repr=False, compare=False)
 
     @property
     def variables(self) -> tuple[str, ...]:

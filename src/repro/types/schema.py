@@ -74,8 +74,7 @@ class RelationSchema:
         fields: Sequence[Field] | Sequence[tuple[str, ScalarType]] | Mapping[str, ScalarType],
         key: Sequence[str] | None = None,
     ) -> None:
-        # The engine passes tuples and lists of fields; test for them before
-        # the ABC instance check a mapping needs.
+        # Tuples and lists (the engine's) first: a mapping needs an ABC check.
         if not isinstance(fields, (tuple, list)) and isinstance(fields, Mapping):
             normalized = tuple(Field(fname, ftype) for fname, ftype in fields.items())
         else:
@@ -110,8 +109,7 @@ class RelationSchema:
         )
         positions = tuple(names.index(k) for k in key_tuple)
         object.__setattr__(self, "_key_positions", positions)
-        # One C call per key; a single position would come back bare, so
-        # key_of wraps that case itself.
+        # One C call per key; key_of wraps the bare value of a single position.
         object.__setattr__(self, "_key_getter", itemgetter(*positions))
 
     # -- lookups -------------------------------------------------------------

@@ -79,6 +79,11 @@ class TestRowStream:
         assert len(result) == 1
         assert result.schema.field_names == ("a",)
 
+    def test_map_rows_is_pure_passthrough(self):
+        r = make("r", ["a"], [(1,), (2,)])
+        doubled = RowStream.from_relation(r).map_rows(lambda row: (row[0] * 2,))
+        assert sorted(doubled) == [(2,), (4,)]
+
     def test_live_tuple_tracker_tracks_high_water(self):
         live = LiveTupleTracker()
         live.acquire(3)

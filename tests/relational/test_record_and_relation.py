@@ -196,6 +196,20 @@ class TestRelationSemantics:
         list(relation)
         assert stats.scans("employees") == 0
 
+    def test_insert_new_rows_stores_and_returns_only_the_unmet(self):
+        pairs = Relation("pairs", RelationSchema("pairs", [("a", INTEGER), ("b", INTEGER)]))
+        pairs.insert({"a": 1, "b": 1})
+        fresh = pairs.insert_new_rows([(2, 2), (1, 1), (2, 2), (3, 3)])
+        assert [record.values for record in fresh] == [(2, 2), (3, 3)]
+        assert [record.values for record in pairs] == [(1, 1), (2, 2), (3, 3)]
+        assert pairs.insert_new_rows([(3, 3)]) == []
+
+    def test_insert_new_rows_refuses_a_partial_key(self, employees):
+        # A value row is its own key only when the key covers every component.
+        with pytest.raises(AssertionError, match="key = all components"):
+            employees.insert_new_rows([(4, "Koch", "student")])
+        assert len(employees) == 3
+
     def test_show_renders_table(self, employees):
         text = employees.show()
         assert "ename" in text
