@@ -4,15 +4,18 @@ A :class:`Cursor` is the retrieval half of the connection front door.  Its
 shape follows PEP 249 (``execute`` / ``executemany`` / ``fetchone`` /
 ``fetchmany`` / ``fetchall`` / ``description`` / iteration), but its fetches
 are genuinely incremental: ``execute`` compiles (or reuses) the plan and
-wires the collection/combination pipeline, and every fetch then pulls rows
-off the live :class:`~repro.engine.stream.RowStream` — the construction
-phase dereferences reference tuples *as they are fetched* (in chunks of 1,
-2, 4, ... rows: a prefix, at most one chunk ahead), so the client sees first
-rows without the engine ever materialising the full result.
+wires the pipeline, and the fetches then take their rows from the chunk in
+hand — a list of records off :attr:`QueryResult.row_iterator
+<repro.engine.evaluator.QueryResult.row_iterator>` — and pull the next one
+when it is used up: a selection reads its range, the construction phase
+dereferences reference tuples, *as they are fetched* (in chunks of 1, 2, 4,
+... rows: a prefix, at most one chunk ahead), so the client sees first rows
+without the engine ever materialising the full result.
 
-Fetches re-acquire the connection's execution lock around each pipeline
-step, so any number of open cursors (plus whole-query executions from other
-threads) interleave safely on one connection.
+A pull re-acquires the connection's execution lock around the pipeline step
+(once per chunk, not per row), so any number of open cursors (plus
+whole-query executions from other threads) interleave safely on one
+connection.
 """
 
 from __future__ import annotations
@@ -54,7 +57,10 @@ class Cursor:
         self.arraysize: int = self._service.service_options.cursor_arraysize
         self._closed = False
         self._result = None
-        self._rows: Iterator | None = None
+        self._rows: Iterator[list] | None = None
+        # The chunk in hand and how many of its records were handed out.
+        self._chunk: list = []
+        self._taken = 0
         self._description: list[Column] | None = None
         self._fetched = 0
         self._known_rowcount: int | None = None
@@ -77,18 +83,12 @@ class Cursor:
             raise CursorError("cursor is closed")
         self._connection._check_open()
 
-    def _check_result(self) -> Iterator:
+    def _check_result(self) -> None:
         self._check_open()
         if self._invalidated is not None:
             raise CursorError(self._invalidated)
         if self._rows is None:
             raise CursorError("cursor has no result set; call execute() first")
-        return self._rows
-
-    def _fetch_guard(self):
-        # Snapshot result sets are immutable and private to this cursor:
-        # fetches need no serialization with the rest of the connection.
-        return nullcontext() if self._snapshot else self._lock
 
     # -- execution ---------------------------------------------------------------------
 
@@ -146,7 +146,7 @@ class Cursor:
             rows = [row for result in results for row in result.rows]
             self._result = results[-1]
             self._description = self._describe(results[0].relation.schema)
-            self._rows = iter(rows)
+            self._rows = iter([rows] if rows else ())
             self._known_rowcount = len(rows)
             self._final_statistics = None
         return self
@@ -163,18 +163,32 @@ class Cursor:
 
     # -- fetching ----------------------------------------------------------------------
 
+    def _pull(self) -> bool:
+        """Take the next chunk in hand — one pipeline step, under the execution
+        lock unless the result set is a snapshot's (immutable, and private to
+        this cursor); ``False`` when the result set is exhausted."""
+        if self._snapshot:
+            chunk = next(self._rows, None)
+        else:
+            with self._lock:
+                chunk = next(self._rows, None)
+        if chunk is None:
+            self._exhausted = True
+            return False
+        self._chunk, self._taken = chunk, 0
+        return True
+
     def fetchone(self):
         """The next result record, or ``None`` when the result set is exhausted.
 
         The first fetch pulls a one-row chunk through the pipeline; later
         ones take from the chunk in hand or pull the next, twice as long.
         """
-        rows = self._check_result()
-        with self._fetch_guard():
-            record = next(rows, None)
-        if record is None:
-            self._exhausted = True
+        self._check_result()
+        if self._taken == len(self._chunk) and not self._pull():
             return None
+        record = self._chunk[self._taken]
+        self._taken += 1
         self._fetched += 1
         return record
 
@@ -185,37 +199,32 @@ class Cursor:
         without touching the pipeline); a negative size raises
         :class:`~repro.errors.CursorError`.
         """
-        rows = self._check_result()
+        self._check_result()
         if size is None:
             size = self.arraysize
         elif size < 0:
             raise CursorError(f"fetchmany() size must be non-negative, got {size}")
         batch: list = []
-        with self._fetch_guard():
-            for _ in range(size):
-                record = next(rows, None)
-                if record is None:
-                    self._exhausted = True
-                    break
-                batch.append(record)
+        while len(batch) < size and (self._taken < len(self._chunk) or self._pull()):
+            part = self._chunk[self._taken : self._taken + size - len(batch)]
+            self._taken += len(part)
+            batch += part
         self._fetched += len(batch)
         return batch
 
     def fetchall(self) -> list:
         """Every remaining record as a list (drains the pipeline)."""
-        rows = self._check_result()
-        with self._fetch_guard():
-            batch = list(rows)
-        self._exhausted = True
+        self._check_result()
+        batch = self._chunk[self._taken :]
+        while self._pull():
+            batch.extend(self._chunk)
+        self._chunk, self._taken = [], 0
         self._fetched += len(batch)
         return batch
 
     def __iter__(self) -> Iterator:
-        """Iterate over the remaining records, one pipeline step at a time."""
-        while True:
-            record = self.fetchone()
-            if record is None:
-                return
+        """Iterate over the remaining records, one pipeline step per chunk."""
+        while (record := self.fetchone()) is not None:
             yield record
 
     # -- introspection -----------------------------------------------------------------
@@ -291,7 +300,7 @@ class Cursor:
         and releases a pinned snapshot; the stamp is kept, so ``statistics``
         stays this execution's numbers after close (until the next execute).
         """
-        self._rows = None
+        self._rows, self._chunk, self._taken = None, [], 0
         if self._result is not None:
             self._result.close()
             if self._result.statistics:

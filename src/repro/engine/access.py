@@ -34,13 +34,16 @@ probe reads).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from math import log2
 from typing import Any, Iterator
 
 from repro.calculus.ast import And, Comparison, Const, FieldRef, Formula, Param, RangeExpr
 from repro.config import StrategyOptions
+from repro.engine.naive import evaluate_formula
+from repro.engine.stream import CHUNK_ROWS, ramped
 from repro.relational.index import HashIndex, SortedIndex
-from repro.relational.record import Record
+from repro.relational.record import Record, values_of
 from repro.relational.reference import Ref
 from repro.types.scalar import sort_key, swap_operator
 
@@ -52,6 +55,9 @@ __all__ = [
     "probe_term",
     "restriction_conjuncts",
     "select_access_path",
+    "decide_access",
+    "decided_path",
+    "access_chunks",
     "iter_access",
     "refutes_bounds",
     "prune_shards_for_term",
@@ -235,62 +241,68 @@ def select_access_path(
     gets the same path until a catalog change — which bumps
     ``schema_version`` and invalidates cached plans anyway.
     """
+    return decided_path(database, var, range_expr, decide_access(database, var, range_expr, options))
+
+
+def decide_access(database, var: str, range_expr: RangeExpr, options: StrategyOptions) -> tuple:
+    """:func:`select_access_path`'s rule: ``(kind, probed conjunct's position,
+    estimated cost, scan cost, reads to build the index view, settled)``.
+    ``settled`` says every execution at the same catalog and contents versions
+    decides the same (a selection's plan then keeps the decision): no candidate
+    was priced on a constant's value, no pinned view passed over or built."""
     relation = database.relation(range_expr.relation)
     restriction = range_expr.restriction
     scan_cost = float(len(relation))
-    path = AccessPath(
-        var, relation.name, SCAN, restriction=restriction, scan_cost=scan_cost
-    )
     if not options.use_index_paths or restriction is None:
-        return path
-
+        return SCAN, -1, 0.0, scan_cost, 0, True
     table_stats = (
         database.table_statistics(relation.name) if options.histogram_statistics else None
     )
-
-    conjuncts = restriction_conjuncts(restriction)
-    best: tuple[float, int, _ProbeTerm, HashIndex | SortedIndex] | None = None
-    prunable: tuple[int, _ProbeTerm] | None = None
-    for position, conjunct in enumerate(conjuncts):
+    best: tuple[float, int, int] | None = None
+    prunable = -1
+    settled = True
+    for position, conjunct in enumerate(restriction_conjuncts(restriction)):
         term = probe_term(var, conjunct)
         if term is None:
             continue
         index, build_reads = database.index_candidate(relation.name, term.field)
+        if index is None:
+            # A pin answers "none" for a view not on offer yet: the next sight prices it.
+            settled = settled and (relation.name, term.field) not in database.indexes()
+        elif build_reads or (table_stats is not None and term.bound_value()[0]):
+            settled = False
         cost = None if index is None else _probe_cost(index, term, table_stats)
         if cost is None:
-            if prunable is None:
-                prunable = (position, term)
-            continue
-        if best is None or cost < best[0]:
-            best = (cost, position, term, build_reads)
-
+            if prunable < 0:
+                prunable = position
+        elif best is None or cost < best[0]:
+            best = (cost, position, build_reads)
     if best is not None and best[0] < scan_cost:
-        cost, position, term, build_reads = best
-        return AccessPath(
-            var,
-            relation.name,
-            PROBE,
-            restriction=restriction,
-            probe=term,
-            residual=_residual_of(conjuncts, position),
-            index=database.index_for(relation.name, term.field),
-            estimated_cost=cost + build_reads,
-            scan_cost=scan_cost,
-            note=f"builds the view: {build_reads} reads" if build_reads else "",
-        )
-    if prunable is not None and hasattr(relation, "heap_file"):
-        position, term = prunable
-        return AccessPath(
-            var,
-            relation.name,
-            PRUNED_SCAN,
-            restriction=restriction,
-            probe=term,
-            residual=restriction,  # zone maps are conservative: full re-check
-            estimated_cost=scan_cost,
-            scan_cost=scan_cost,
-        )
-    return path
+        cost, position, build_reads = best
+        return PROBE, position, cost + build_reads, scan_cost, build_reads, settled
+    if prunable >= 0 and hasattr(relation, "heap_file"):
+        return PRUNED_SCAN, prunable, scan_cost, scan_cost, 0, settled
+    return SCAN, -1, 0.0, scan_cost, 0, settled
+
+
+def decided_path(database, var: str, range_expr: RangeExpr, decision: tuple) -> AccessPath:
+    """``decision`` (:func:`decide_access`) as the path of one binding of the
+    range: the probe value and the residual are the binding's, the index —
+    on a pin, the view — ``database``'s own."""
+    kind, position, cost, scan_cost, build_reads, _ = decision
+    relation, restriction = range_expr.relation, range_expr.restriction
+    probe = residual = index = None
+    if position >= 0:
+        conjuncts = restriction_conjuncts(restriction)
+        probe = probe_term(var, conjuncts[position])
+        residual = restriction  # zone maps are conservative: full re-check
+        if kind == PROBE:
+            residual = _residual_of(conjuncts, position)
+            index = database.index_for(relation, probe.field)
+    note = f"builds the view: {build_reads} reads" if build_reads else ""
+    return AccessPath(
+        var, relation, kind, restriction, probe, residual, index, cost, scan_cost, note
+    )
 
 
 def refutes_bounds(op: str, value: Any, low: Any, high: Any) -> bool:
@@ -360,49 +372,57 @@ def prune_shards_for_term(spec, infos, term: _ProbeTerm | None, table_stats=None
     return survivors
 
 
+def access_chunks(
+    database,
+    path: AccessPath,
+    var: str,
+) -> Iterator[tuple[list[tuple], list[Record]]]:
+    """Enumerate the in-range elements of ``var`` as ``(keys, records)`` chunks,
+    ramped like any pipeline source's (1, 2, 4, ... rows).
+
+    The probe path takes the keys from the index the selector put on ``path``
+    in one probe and reads a chunk of them at a time through the relation's
+    tracked ``fetch_many`` (one element read — and on the paged backend one
+    buffered page read — per key; an element deleted since the probe is a
+    :class:`~repro.errors.DanglingReferenceError`, as in the construction
+    phase), applying only the residual restriction; the pruned path walks
+    non-refuted pages and re-checks the full restriction; the scan path is
+    the classic scan-and-filter, reading no further than the rows handed out.
+    """
+    relation = database.relation(path.relation_name)
+    bound, value = path.probe.bound_value() if path.probe is not None else (False, None)
+    if path.index is not None and bound:
+        residual = path.residual
+        probed, start, size = path.index.probe_keys(path.probe.op, value), 0, 1
+        while start < len(probed):  # ``ramped``, by slices of the one list
+            keys = probed[start : start + size]
+            start, size = start + size, min(size * 2, CHUNK_ROWS)
+            records = relation.fetch_many(keys)
+            if residual is not None:
+                kept = [evaluate_formula(residual, {var: record}, database) for record in records]
+                keys, records = list(compress(keys, kept)), list(compress(records, kept))
+            if keys:
+                yield keys, records
+        return
+    # A scan — also for an unbound parameter, which no index can be probed with.
+    restriction = path.restriction
+    if path.kind == PRUNED_SCAN and bound:
+        records = relation.scan_pruned(path.probe.field, path.probe.op, value)
+    else:
+        records = relation.scan()
+    if restriction is not None:
+        records = (r for r in records if evaluate_formula(restriction, {var: r}, database))
+    keys_of = relation.schema.keys_of
+    for chunk in ramped(records):
+        yield keys_of(list(values_of(chunk))), chunk
+
+
 def iter_access(
     database,
     path: AccessPath,
     var: str,
 ) -> Iterator[tuple[Ref, Record]]:
-    """Enumerate ``(reference, record)`` for the in-range elements of ``var``.
-
-    The probe path reads the index the selector put on ``path`` and
-    dereferences its references through the relation's tracked ``fetch``
-    (one element read — and on the paged backend one buffered page read —
-    per qualifying element), applying only the residual restriction; the
-    pruned path walks non-refuted pages and re-checks the full restriction;
-    the scan path reproduces the classic scan-and-filter exactly.
-    """
-    from repro.engine.naive import evaluate_formula  # local import, cycle-free
-
+    """:func:`access_chunks`, flattened to ``(reference, record)`` pairs."""
     relation = database.relation(path.relation_name)
-    if path.index is not None:
-        bound, value = path.probe.bound_value()
-        if bound:
-            residual = path.residual
-            for ref in path.index.probe_operator(path.probe.op, value):
-                record = relation.fetch(ref.key)
-                if record is None:  # pragma: no cover - defensive
-                    continue
-                if residual is not None and not evaluate_formula(
-                    residual, {var: record}, database
-                ):
-                    continue
-                yield ref, record
-            return
-        # An unbound parameter: fall back to the sound scan path below.
-    restriction = path.restriction
-    if path.kind == PRUNED_SCAN and path.probe is not None:
-        bound, value = path.probe.bound_value()
-        if bound:
-            records: Iterator[Record] = relation.scan_pruned(
-                path.probe.field, path.probe.op, value
-            )
-        else:
-            records = relation.scan()
-    else:
-        records = relation.scan()
-    for record in records:
-        if restriction is None or evaluate_formula(restriction, {var: record}, database):
-            yield relation.ref_of(record), record
+    for keys, records in access_chunks(database, path, var):
+        yield from zip([Ref(relation, key) for key in keys], records)

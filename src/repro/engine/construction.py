@@ -23,6 +23,8 @@ from repro.engine.combination import CombinationResult
 from repro.engine.result import result_relation_for
 from repro.engine.stream import RowStream
 from repro.errors import StreamError
+from repro.relational.record import values_of
+from repro.relational.reference import keys_of
 from repro.relational.refrelation import ref_field_name
 from repro.relational.relation import Relation
 from repro.relational.statistics import CONSTRUCTION
@@ -53,10 +55,11 @@ class ConstructionPhase:
         """The per-fetch construction pipeline behind streaming cursors.
 
         A generator over the records of :meth:`run`'s result in insertion
-        order, produced lazily: it pulls one chunk of free-variable
+        order, in chunks, produced lazily: it pulls one chunk of free-variable
         reference tuples off the combination stream, dereferences and
         projects it, stores the rows ``result`` does not hold yet (result
-        relations are sets) and yields exactly those.  Chunks grow 1, 2, 4,
+        relations are sets) and yields exactly those, as a list (never an
+        empty one).  Chunks grow 1, 2, 4,
         ... rows, so a fetch has read a prefix of the input — at most one
         chunk ahead of the rows handed out.  Requires a live combination
         stream (:class:`~repro.errors.StreamError` otherwise: a materialised
@@ -86,15 +89,19 @@ class ConstructionPhase:
         return stream
 
     def _dereferenced(self, stream: RowStream, result: Relation):
-        """Dereference ``stream`` chunk by chunk into ``result``, yielding new records."""
+        """Dereference ``stream`` chunk by chunk into ``result``, yielding the new
+        records of each chunk that brought any."""
         bindings = self.selection.bindings
-        # Resolved once: where each free variable's reference sits in a row,
-        # and per result component which variable and value position it reads.
-        columns = [stream.schema.field_position(ref_field_name(b.var)) for b in bindings]
-        places = {
-            b.var: (position, self.database.relation(b.range.relation).schema)
-            for position, b in enumerate(bindings)
-        }
+        # Resolved once: where each free variable's reference sits in a row
+        # and which relation it reads (the source's own: references collected
+        # on another pin of the same contents dereference alike), and per
+        # result component which variable and value position it reads.
+        columns = [
+            (stream.schema.field_position(ref_field_name(b.var)),
+             self.database.relation(b.range.relation))
+            for b in bindings
+        ]
+        places = {b.var: (position, columns[position][1].schema) for position, b in enumerate(bindings)}
         components = [
             (places[column.var][0], places[column.var][1].field_position(column.field))
             for column in self.selection.columns
@@ -103,9 +110,13 @@ class ConstructionPhase:
         for chunk in stream.chunks():
             with statistics.phase(CONSTRUCTION):
                 references = list(zip(*chunk))
-                values = [[ref.deref().values for ref in references[c]] for c in columns]
+                values = [
+                    list(values_of(relation.find_many(list(keys_of(references[c])))))
+                    for c, relation in columns
+                ]
                 rows = zip(*[map(itemgetter(p), values[v]) for v, p in components])
                 # The result is a set keyed on all components: only the rows
                 # it does not hold yet become records.
                 fresh = result.insert_new_rows(rows)
-            yield from fresh
+            if fresh:
+                yield fresh

@@ -32,32 +32,54 @@ from typing import Iterator
 from repro.calculus.ast import Selection
 from repro.calculus.typecheck import resolve_selection
 from repro.config import StrategyOptions
-from repro.engine.access import iter_access, select_access_path
+from repro.engine.access import (
+    AccessPath, access_chunks, decide_access, decided_path, iter_access, select_access_path,
+)
 from repro.engine.collection import CollectionPhase, CollectionResult, ExtendedRangeEmptyError
 from repro.engine.combination import CombinationPhase, CombinationResult
 from repro.engine.construction import ConstructionPhase
 from repro.engine.naive import evaluate_selection_naive
 from repro.engine.result import result_schema_for
+from repro.engine.stream import CHUNK_ROWS
 from repro.lang.parser import parse_selection
-from repro.relational.record import Record
+from repro.relational.algebra import chunk_getter
+from repro.relational.mvcc import version_token
+from repro.relational.record import values_of
 from repro.relational.relation import Relation
 from repro.transform.pipeline import QueryPlan, prepare_query
 
 __all__ = ["QueryResult", "QueryEngine", "execute_naive"]
 
 
-def _projected_rows(
-    columns: list[tuple[int, int]], ranges: list[list[tuple]]
-) -> Iterator[tuple]:
-    """Result value tuples over the cross product of the free variables' ranges.
+def _selection_chunks(
+    source, paths: list[AccessPath], project, result: Relation
+) -> Iterator[list]:
+    """The result records of a TRUE matrix, chunk by chunk: a pipeline with one
+    kind of source and no joins.
 
-    ``ranges`` holds one list of element value tuples per free variable;
-    ``columns`` names, per result component, the variable and the value
-    position it projects.  Rows come in nested-loop order (the first
-    variable outermost), duplicates included.
+    The first free variable's range streams in ramped chunks against the
+    product of the others', read whole when the first chunk is pulled, in
+    nested-loop order; a chunk is multiplied in slices that keep it under
+    twice ``CHUNK_ROWS`` (plus one row's partners), as a hash join's fan-out.
+    ``project`` maps concatenated elements to result rows; ``result`` — a set
+    keyed on all components — keeps the first witness of each, and exactly
+    the rows it did not hold yet are handed on.
     """
-    for combination in itertools.product(*ranges):
-        yield tuple(combination[variable][position] for variable, position in columns)
+    others = [
+        [row for _, records in access_chunks(source, path, path.var) for row in values_of(records)]
+        for path in paths[1:]
+    ]
+    rests = [sum(rest, ()) for rest in itertools.product(*others)]
+    step = max(1, CHUNK_ROWS // max(len(rests), 1))
+    for _, records in access_chunks(source, paths[0], paths[0].var):
+        outer = list(values_of(records))
+        for start in range(0, len(outer), step):
+            rows = outer[start : start + step]
+            if others:
+                rows = [row + rest for row in rows for rest in rests]
+            fresh = result.insert_new_rows(project(rows))
+            if fresh:
+                yield fresh
 
 
 def resolve_query(query: str | Selection, database) -> Selection:
@@ -75,10 +97,10 @@ def _result_relation(prepared: QueryPlan, source) -> Relation:
     return Relation(schema.name, schema)
 
 
-def _ending(rows: Iterator, result: "QueryResult") -> Iterator:
-    """``rows``, telling ``result`` when they end: exhausted, failed, or closed once started."""
+def _ending(chunks: Iterator[list], result: "QueryResult") -> Iterator[list]:
+    """``chunks``, telling ``result`` when they end: exhausted, failed, or closed once started."""
     try:
-        yield from rows
+        yield from chunks
     finally:
         result._ended()
 
@@ -99,13 +121,18 @@ class QueryResult:
     """Per variable: the access path actually used (scan / pruned scan /
     index probe), for EXPLAIN ANALYZE."""
 
-    row_iterator: Iterator | None = field(default=None, repr=False, compare=False)
-    """The result records, lazily (:meth:`QueryEngine.execute_plan`): when the
-    combination phase streams, each step dereferences a chunk of reference
-    tuples and :attr:`relation` fills as a side effect; an execution that could not
-    stream iterates its finished relation.  Cursors pull it fetch by fetch,
-    :meth:`drain` to the end.  ``None`` on the members of a batch, which are
-    handed out complete."""
+    selection_paths: list[AccessPath] = field(default_factory=list, repr=False)
+    """Of a constant TRUE matrix: the free ranges' access paths as executed,
+    the streamed outer range first (EXPLAIN ANALYZE reports from here)."""
+
+    row_iterator: Iterator[list] | None = field(default=None, repr=False, compare=False)
+    """The result records, lazily and in chunks — non-empty lists of records
+    (:meth:`QueryEngine.execute_plan`): each step reads a chunk of a selection's
+    range, or dereferences a chunk of the combination phase's reference tuples,
+    and :attr:`relation` fills as a side effect; an execution that could not
+    stream hands out its finished relation as one chunk.  Cursors take their
+    fetches from the chunk in hand and pull the next, :meth:`drain` pulls to
+    the end.  ``None`` on the members of a batch, which are handed out complete."""
 
     _closers: list = field(default_factory=list, repr=False, compare=False)
 
@@ -244,9 +271,11 @@ class QueryEngine:
         rows flow through :attr:`QueryResult.row_iterator`, filling the
         relation as they are pulled, and statistics and elapsed time are
         stamped now and again when the rows end.  ``.drain()`` is the eager
-        spelling.  Plans that cannot stream (constant matrices, separated
-        conjunctions, ``streaming_execution`` off, a sharded combination, the
-        Strategy 3 fallback) materialise here and iterate the finished relation.
+        spelling.  A constant TRUE matrix is such a pipeline too — access
+        chunks, projection, distinct — with its extended quantifier ranges
+        checked here, eagerly.  Plans that cannot stream (separated
+        conjunctions, ``streaming_execution`` off, a sharded combination)
+        materialise here and hand out the finished relation as one chunk.
 
         ``collection`` supplies a previously collected
         :class:`CollectionResult` for this exact plan (the service layer's
@@ -288,14 +317,14 @@ class QueryEngine:
             result.elapsed_seconds = time.perf_counter() - started
 
         stamp()
-        rows = result.row_iterator
-        if rows is None:
-            # Could not stream: the numbers above are final.  Iterate the
-            # finished relation, so every consumer sees one interface.
-            rows = iter(result.relation.elements())
+        chunks = result.row_iterator
+        if chunks is None:
+            # Could not stream: the numbers above are final.  Hand out the
+            # finished relation as one chunk, so every consumer sees one interface.
+            chunks = iter([result.relation.elements()] if len(result.relation) else ())
         else:
             result.on_close(stamp)
-        result.row_iterator = _ending(rows, result)
+        result.row_iterator = _ending(chunks, result)
         return result
 
     def _execute_prepared(
@@ -313,13 +342,18 @@ class QueryEngine:
             # assumption behind Strategy 3: verify it before skipping the
             # phases, and fall back like the collection phase would.
             self._check_extended_prefix_ranges(source, prepared, options)
-            access_paths: dict[str, str] = {}
-            relation = self._evaluate_constant_matrix(source, prepared, options, access_paths)
+            relation = _result_relation(prepared, source)
+            if not prepared.constant:
+                # FALSE matrix: nothing is enumerated, no paths.
+                return QueryResult(relation=relation, prepared=prepared, statistics={})
+            paths, project = self._plan_selection(source, prepared, options)
             return QueryResult(
                 relation=relation,
                 prepared=prepared,
                 statistics={},
-                access_paths=access_paths,
+                access_paths={path.var: path.describe() for path in paths},
+                row_iterator=_selection_chunks(source, paths, project, relation),
+                selection_paths=paths,
             )
         if collection is None:
             collection = CollectionPhase(prepared, source, options).run()
@@ -363,47 +397,41 @@ class QueryEngine:
             if not any(True for _ in iter_access(database, path, spec.var)):
                 raise ExtendedRangeEmptyError(spec.var, spec.range.relation)
 
-    def _evaluate_constant_matrix(
-        self,
-        database,
-        prepared: QueryPlan,
-        options: StrategyOptions,
-        access_paths: dict[str, str],
-    ) -> Relation:
-        """Evaluate a query whose matrix collapsed to TRUE or FALSE.
+    def _plan_selection(self, source, prepared: QueryPlan, options: StrategyOptions):
+        """The access paths and the projection of a TRUE matrix's free ranges.
 
         This is the path every Strategy 3 point query takes (the monadic
         restriction moved into the range, the matrix collapsed to TRUE), so
-        the free ranges are enumerated through the access-path selector: a
-        permanent index turns the whole query into a probe plus construction.
+        what does not depend on the binding is decided once per compiled plan
+        and kept on it (``QueryPlan.selection_plan``), per kind of source, under
+        its catalog version and the ranges' contents versions: the projection,
+        and which conjunct probes which index or scans, at what estimate.  An
+        execution applies the decisions to its binding and source; ones that
+        are not settled are taken again each time, as the selector takes them.
         """
-        selection = prepared.selection
-        result = _result_relation(prepared, database)
-        if not prepared.constant:
-            return result  # FALSE matrix: nothing is enumerated, no paths
-        paths = [
-            select_access_path(database, binding.var, binding.range, options)
-            for binding in prepared.bindings
-        ]
-        access_paths.update({path.var: path.describe() for path in paths})
-        # Everything per row is resolved here, once: which free variable and
-        # which value position each projected component reads.
-        variables = [path.var for path in paths]
-        columns = []
-        for column in selection.columns:
-            variable = variables.index(column.var)
-            source = database.relation(paths[variable].relation_name).schema
-            columns.append((variable, source.field_position(column.field)))
-        ranges = [
-            [record.values for _, record in iter_access(database, path, path.var)]
-            for path in paths
-        ]
-        # The result's key is all components, so distinct rows are distinct
-        # elements: dedupe on the value tuple, then insert in bulk.
-        rows = dict.fromkeys(_projected_rows(columns, ranges))
-        schema = result.schema
-        result.bulk_insert_raw(Record.raw(schema, row) for row in rows)
-        return result
+        bindings = prepared.bindings
+        token = version_token(source, [b.range.relation for b in bindings])
+        held = prepared.selection_plan.get(type(source))
+        if held is None or held[0] != token:
+            # Resolved once: where in the concatenated elements of one
+            # combination each projected component sits.
+            places, offset = {}, 0
+            for b in bindings:
+                schema = source.relation(b.range.relation).schema
+                places[b.var] = (offset, schema)
+                offset += len(schema.fields)
+            held = (token, None, chunk_getter([
+                places[column.var][0] + places[column.var][1].field_position(column.field)
+                for column in prepared.selection.columns
+            ]))
+        decisions = held[1]
+        if decisions is None:
+            decisions = [decide_access(source, b.var, b.range, options) for b in bindings]
+            if options is prepared.options and all(settled for *_, settled in decisions):
+                held = (token, decisions, held[2])
+            prepared.selection_plan[type(source)] = held
+        paths = [decided_path(source, b.var, b.range, d) for b, d in zip(bindings, decisions)]
+        return paths, held[2]
 
     # -- separate evaluation of existential conjunctions -----------------------------------------
 
@@ -510,6 +538,7 @@ class QueryEngine:
         from repro.engine.explain import (
             explain_combination,
             explain_prepared,
+            explain_selection,
             explain_value_lists,
         )
 
@@ -525,7 +554,11 @@ class QueryEngine:
                 if result.used_strategy3_fallback
                 else options
             )
-            report = explain_prepared(result.prepared, self.database, effective)
+            report = explain_prepared(
+                result.prepared, self.database, effective, result.access_paths
+            )
+            if result.selection_paths:
+                report += "\n" + explain_selection(result.selection_paths, result.statistics)
             if result.collection is not None and result.collection.value_lists:
                 report += "\n" + explain_value_lists(result.collection)
             if result.combination is not None:

@@ -14,16 +14,28 @@ from __future__ import annotations
 from repro.calculus.ast import BoolConst, Comparison
 from repro.calculus.printer import format_formula, format_range, format_selection
 from repro.config import StrategyOptions
-from repro.engine.access import select_access_path
-from repro.engine.combination import CombinationResult, qerror
+from repro.engine.access import PROBE, AccessPath, select_access_path
+from repro.engine.combination import CombinationResult, OperatorNote, qerror
 from repro.transform.pipeline import QueryPlan
 from repro.transform.quantifier_pushdown import DerivedPredicate
 
-__all__ = ["explain_prepared", "explain_combination", "explain_value_lists"]
+__all__ = ["explain_prepared", "explain_selection", "explain_combination", "explain_value_lists"]
 
 
-def explain_prepared(prepared: QueryPlan, database, options: StrategyOptions) -> str:
-    """Render a multi-line EXPLAIN report for ``prepared``."""
+def explain_prepared(
+    prepared: QueryPlan, database, options: StrategyOptions, taken: dict[str, str] | None = None
+) -> str:
+    """Render a multi-line EXPLAIN report for ``prepared``.
+
+    ``taken`` are the access paths an execution took (EXPLAIN ANALYZE); without
+    it the selector is asked what it would decide on ``database`` now.
+    """
+
+    def path_of(var: str) -> str:
+        if taken and var in taken:
+            return taken[var]
+        return select_access_path(database, var, prepared.range_of(var), options).describe()
+
     lines: list[str] = []
     lines.append("query:")
     lines.append("  " + format_selection(prepared.selection))
@@ -64,8 +76,7 @@ def explain_prepared(prepared: QueryPlan, database, options: StrategyOptions) ->
         lines.append("collection-phase scan order: " + ", ".join(order))
         lines.append("access paths:")
         for var in prepared.variables:
-            path = select_access_path(database, var, prepared.range_of(var), options)
-            lines.append(f"  {var}: {path.describe()}")
+            lines.append(f"  {var}: {path_of(var)}")
         cardinalities = database.cardinalities()
         lines.append(
             "relation cardinalities: "
@@ -80,9 +91,32 @@ def explain_prepared(prepared: QueryPlan, database, options: StrategyOptions) ->
         if prepared.constant:
             lines.append("access paths:")
             for binding in prepared.bindings:
-                path = select_access_path(database, binding.var, binding.range, options)
-                lines.append(f"  {binding.var}: {path.describe()}")
+                lines.append(f"  {binding.var}: {path_of(binding.var)}")
     return "\n".join(lines)
+
+
+def explain_selection(paths: list[AccessPath], statistics: dict) -> str:
+    """What a constant TRUE matrix's execution did: per free range the path it
+    took with estimated against actual elements read (ranges over one relation
+    share its count), then the operators, as :func:`explain_combination` prints."""
+    lines, notes = ["selection pipeline:"], []
+    for position, path in enumerate(paths):
+        estimate = path.estimated_cost if path.kind == PROBE else path.scan_cost
+        actual = statistics["relations"].get(path.relation_name, {}).get("elements_read", 0)
+        lines.append(
+            f"  {path.var}: {path.kind} of {path.relation_name}, elements read est "
+            f"{estimate:.0f}, actual {actual}, q-error {qerror(estimate, actual):.2f}"
+        )
+        notes.append(OperatorNote(
+            None, f"range of {path.var}", "materialized" if position else "streamed",
+            "read whole at the first fetch: an inner side of the product" if position
+            else "(keys, records) chunks of 1, 2, 4, ... rows off the access path",
+        ))
+    notes.append(OperatorNote(
+        None, "projection", "streamed",
+        "distinct on arrival: the result relation keeps a row's first witness",
+    ))
+    return "\n".join(lines + ["  operators:"] + [f"    {note.describe()}" for note in notes])
 
 
 def explain_value_lists(collection) -> str:

@@ -102,7 +102,12 @@ def _values_getter(schema: RelationSchema, field_names: Sequence[str]) -> Callab
 def _chunk_getter(schema: RelationSchema, field_names: Sequence[str]):
     """:func:`_values_getter` for a whole chunk: maps a list of value tuples to
     an iterable of their named components, without a Python frame per row."""
-    positions = schema.positions_of(tuple(field_names))
+    return chunk_getter(schema.positions_of(tuple(field_names)))
+
+
+def chunk_getter(positions: Sequence[int]):
+    """:func:`_chunk_getter` by position (a selection projects concatenated
+    elements, whose component names may repeat)."""
     if not positions:
         return lambda chunk: [()] * len(chunk)
     if len(positions) == 1:

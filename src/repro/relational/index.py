@@ -26,11 +26,12 @@ minimum/maximum value when the connecting operator is an inequality.
 from __future__ import annotations
 
 import bisect
+from operator import itemgetter
 from typing import Any, Iterable, Iterator
 
 from repro.errors import RelationError
 from repro.relational.record import Record
-from repro.relational.reference import Ref
+from repro.relational.reference import Ref, keys_of
 from repro.relational.relation import Relation
 from repro.relational.statistics import AccessStatistics
 from repro.types.scalar import compare_values, sort_key as _sort_key
@@ -126,6 +127,16 @@ class HashIndex:
         if self.tracker is not None:
             self.tracker.record_index_probe(self.relation.name, len(entries))
         return list(entries)
+
+    def probe_keys(self, op: str, value: Any) -> list[tuple]:
+        """The element keys of :meth:`probe_operator`'s references, under the same
+        charge — the bulk read's form of a probe: an ``=`` bucket is read, not copied."""
+        if op != "=":
+            return list(keys_of(self.probe_operator(op, value)))
+        entries = self._entries.get(value, ())
+        if self.tracker is not None:
+            self.tracker.record_index_probe(self.relation.name, len(entries))
+        return list(keys_of(entries))
 
     def probe_not_equal(self, value: Any) -> list[Ref]:
         """References of elements whose indexed component differs from ``value``."""
@@ -303,6 +314,13 @@ class SortedIndex:
 
     def probe_operator(self, op: str, value: Any) -> list[Ref]:
         """References of elements whose indexed component satisfies ``component op value``."""
+        return [ref for _, ref in self._probed(op, value)]
+
+    def probe_keys(self, op: str, value: Any) -> list[tuple]:
+        """The element keys of :meth:`probe_operator`'s references, under the same charge."""
+        return list(keys_of(map(itemgetter(1), self._probed(op, value))))
+
+    def _probed(self, op: str, value: Any) -> list[tuple[Any, Ref]]:
         self._ensure_sorted()
         keys = self._keys
         target = _sort_key(value)
@@ -324,10 +342,9 @@ class SortedIndex:
             selected = self._pairs[:low] + self._pairs[high:]
         else:
             raise RelationError(f"unknown comparison operator {op!r}")
-        refs = [ref for _, ref in selected]
         if self.tracker is not None:
-            self.tracker.record_index_probe(self.relation.name, len(refs))
-        return refs
+            self.tracker.record_index_probe(self.relation.name, len(selected))
+        return selected
 
     def minimum(self) -> Any:
         """Smallest indexed value (``None`` when empty)."""

@@ -9,12 +9,17 @@ matching the paper's ``e.ename`` notation) and by subscription
 
 from __future__ import annotations
 
+from functools import partial
+from operator import attrgetter
 from typing import Any, Iterator, Mapping
 
 from repro.errors import SchemaError
 from repro.types.schema import RelationSchema
 
-__all__ = ["Record"]
+__all__ = ["Record", "values_of"]
+
+#: ``record.values`` of many records (an iterator), without a Python frame each.
+values_of = partial(map, attrgetter("_values"))
 
 
 class Record:
@@ -53,6 +58,19 @@ class Record:
         object.__setattr__(record, "_values", values)
         object.__setattr__(record, "_hash", None)
         return record
+
+    @classmethod
+    def raw_many(cls, schema: RelationSchema, rows) -> list["Record"]:
+        """:meth:`raw` for many value tuples in one frame, the slots set through
+        their descriptors (a result relation's rows become records here)."""
+        new, records = object.__new__, []
+        for values in rows:
+            record = new(cls)
+            _set_schema(record, schema)
+            _set_values(record, values)
+            _set_hash(record, None)
+            records.append(record)
+        return records
 
     # -- accessors -------------------------------------------------------------
 
@@ -134,3 +152,6 @@ class Record:
             f"{name}={value!r}" for name, value in zip(self._schema.field_names, self._values)
         )
         return f"<{pairs}>"
+
+
+_set_schema, _set_values, _set_hash = (Record.__dict__[slot].__set__ for slot in Record.__slots__)

@@ -18,6 +18,8 @@ updates and detects deleted elements (a *dangling* reference).
 
 from __future__ import annotations
 
+from functools import partial
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import DanglingReferenceError
@@ -26,7 +28,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.relational.record import Record
     from repro.relational.relation import Relation
 
-__all__ = ["Ref"]
+__all__ = ["Ref", "keys_of"]
+
+#: ``ref.key`` of many references (an iterator), without a Python frame each.
+keys_of = partial(map, attrgetter("_key"))
 
 
 class Ref:

@@ -378,9 +378,15 @@ class Relation:
         own keys; the ones not met before are stored, in arrival order.
         """
         assert self._key_is_all, f"{self.name}: insert_new_rows needs key = all components"
-        raw, schema, held = Record.raw, self.schema, self._elements
-        fresh = [raw(schema, row) for row in dict.fromkeys(rows) if row not in held]
-        self.bulk_insert_raw(fresh)
+        held = self._elements
+        new = [row for row in dict.fromkeys(rows) if row not in held]
+        fresh = Record.raw_many(self.schema, new)
+        if self._observed or self._journal is not None or self._registry is not None:
+            self.bulk_insert_raw(fresh)
+        elif fresh:
+            # A result relation, nobody watching: the rows are the keys.
+            held.update(zip(new, fresh))
+            self._version += 1
         return fresh
 
     def _bulk_fill(self, records: Iterable[Record]) -> None:
@@ -488,17 +494,23 @@ class Relation:
                 record = self._elements.get(key)
         return record
 
-    def fetch(self, key: tuple | Any) -> Record | None:
-        """Fetch one element by key with access accounting.
+    def find_many(self, keys: list[tuple]) -> list[Record]:
+        """The elements under ``keys``, untracked: :meth:`Ref.deref` in bulk (one
+        comprehension over the element dict), :class:`DanglingReferenceError` included."""
+        elements = self._elements
+        try:
+            return [elements[key] for key in keys]
+        except KeyError:  # a key in another spelling, or a deleted element
+            return [Ref(self, key).deref() for key in keys]
 
-        The in-memory pendant of :meth:`StoredRelation.fetch`: the index-probe
-        access path dereferences qualifying references through this method so
-        element reads are charged identically on both backends.
-        """
-        record = self.find(key)
-        if record is not None and self.tracker is not None:
-            self.tracker.record_element_read(self.name)
-        return record
+    def fetch_many(self, keys: list[tuple]) -> list[Record]:
+        """:meth:`find_many` with access accounting — one element read per key,
+        charged at once: what an index probe's references are read through, so
+        element reads are charged identically on every backend."""
+        records = self.find_many(keys)
+        if self.tracker is not None:
+            self.tracker.record_element_read(self.name, len(records))
+        return records
 
     def __getitem__(self, key: tuple | Any) -> Record:
         """The *selected variable* ``rel[keyval]`` of Section 3.1."""

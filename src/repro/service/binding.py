@@ -306,4 +306,5 @@ def bind_plan(
         trace=_literal_trace(plan.trace, values, positional) if positional else plan.trace,
         constant=plan.constant,
         result_schema=plan.result_schema,
+        selection_plan=plan.selection_plan,
     )

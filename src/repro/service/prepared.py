@@ -357,7 +357,8 @@ class PreparedQuery:
             source = database
         pinned = self._compiled.pinned_orders
         memo = collection = None
-        if key is not None and self._cache_size > 0:
+        if key is not None and self._cache_size > 0 and plan.constant is None:
+            # (A constant matrix collects nothing: its plan keeps what it decides.)
             memo = self._collections if source is database else self._snapshot_collections
             # Read before execution, which builds only untracked result
             # relations and so cannot move a version itself.

@@ -105,6 +105,9 @@ class QueryPlan:
     result_schema:
         ``[schema_version, schema]`` of the result relation, filled by the
         engine; bound copies share the cell, so it is derived once per plan.
+    selection_plan:
+        ``{kind of source: (token, access decisions, projection)}`` of a constant
+        TRUE matrix, filled by the engine and shared like ``result_schema``.
     """
 
     selection: Selection
@@ -115,6 +118,7 @@ class QueryPlan:
     trace: TransformationTrace
     constant: bool | None = None
     result_schema: list = field(default_factory=lambda: [None, None], repr=False, compare=False)
+    selection_plan: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def variables(self) -> tuple[str, ...]:

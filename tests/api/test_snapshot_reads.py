@@ -234,10 +234,11 @@ class TestEveryEndReleasesThePin:
     required — its pin is released and its private counters are merged into
     the shared tracker, once; after that, writers copy nothing for it."""
 
-    #: A constant-matrix plan (materialised by ``execute``) and a streaming one
-    #: (``execute`` returns with the pipeline wired and not one frame started).
+    #: A constant-matrix plan (``execute`` plans it and reads nothing) and a
+    #: join pipeline (``execute`` runs the collection phase and returns with the
+    #: pipeline wired); either way not one frame has started.
     QUERIES = pytest.mark.parametrize(
-        "query", [PROFESSORS_TEXT, EXAMPLE_21_TEXT], ids=["materialised", "streaming"]
+        "query", [PROFESSORS_TEXT, EXAMPLE_21_TEXT], ids=["selection", "streaming"]
     )
 
     @staticmethod
@@ -259,7 +260,8 @@ class TestEveryEndReleasesThePin:
         cursor = connection.cursor().execute(query)
         assert figure1._snapshots.active == 1
         scans = self._employee_scans(cursor.statistics)
-        assert scans >= 1  # the collection phase ran inside execute
+        # The collection phase ran inside execute; a selection reads when fetched.
+        assert scans == (0 if query is PROFESSORS_TEXT else 1)
         cursor.close()
         cursor.close()
         assert self._employee_scans(cursor.statistics) == scans  # still this execution's
@@ -274,10 +276,12 @@ class TestEveryEndReleasesThePin:
         cursor = connection.cursor()
         scans = 0
         for _ in range(3):
+            # What the replaced execution read: nothing since its execute.
+            scans += self._employee_scans(cursor.statistics) if cursor.result is not None else 0
             cursor.execute(query)
             assert figure1._snapshots.active == 1
-            scans += self._employee_scans(cursor.statistics)
         assert cursor.fetchall()
+        scans += self._employee_scans(cursor.statistics)
         self._assert_nothing_is_held(figure1, scans)
         connection.close()
 
@@ -289,10 +293,12 @@ class TestEveryEndReleasesThePin:
         midway = connection.cursor().execute(query)
         assert midway.fetchone() is not None
         assert figure1._snapshots.active == 2
+        connection.close()
+        # Each execution's final stamp: a selection scans when first fetched.
         scans = self._employee_scans(unfetched.statistics) + self._employee_scans(
             midway.statistics
         )
-        connection.close()
+        assert scans == 1  # the second streaming execution reuses the first's collection
         self._assert_nothing_is_held(figure1, scans)
 
     def test_a_failed_execute_ends_the_result_before_it(self, figure1):

@@ -503,3 +503,84 @@ def test_citation_counters_and_rows_are_what_they_were_row_at_a_time(name):
         assert len(rows) == count
         assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == digest
     connection.close()
+
+
+# ------------- PR 24: selections join the chunked pipeline, the counters and the rows do not move
+
+
+SELECTION_QUERIES = {
+    "point_probe": "[<e.enr, e.ename, e.estatus> OF EACH e IN employees: (e.enr = 17)]",
+    "range_probe": "[<p.ptitle, p.penr, p.pyear> OF EACH p IN papers: (p.pyear <= 1975)]",
+    "probe_with_residual":
+        "[<e.ename> OF EACH e IN employees: (e.enr <= 30) AND (e.estatus = professor)]",
+    "restricted_scan": "[<e.ename, e.enr> OF EACH e IN employees: (e.estatus = professor)]",
+    "pruned_scan": "[<c.ctitle> OF EACH c IN courses: (c.cnr <= 40)]",
+}
+_RELATION_COUNTERS = ("elements_read", "scans", "index_probes", "index_entries_read")
+_TOTALS = ("comparisons", "pages_read", "page_hits", "page_misses", "pages_skipped")
+
+#: Per source and query (university scale 40, sorted indexes on ``employees.enr``
+#: and ``papers.pyear``), three executions on one cursor, taken at the parent
+#: commit while a selection still ran row at a time: ``(relation, elements_read,
+#: scans, index_probes, index_entries_read)``, then ``(comparisons, pages_read,
+#: page_hits, page_misses, pages_skipped)``, the row count and the first 16 hex
+#: digits of the SHA-256 of ``repr`` of the fetched rows, in order.  ``memory``
+#: and ``paged`` are session cursors on the live database; ``pinned`` is a
+#: snapshot cursor, which scans, then builds the index view, then probes it.
+SELECTION_PINS = {
+    ("memory", "point_probe"): [(("employees", 1, 0, 1, 1), (0, 0, 0, 0, 0), 1, "7b60311b5d2cda7b")] * 3,
+    ("memory", "range_probe"): [(("papers", 161, 0, 1, 161), (0, 0, 0, 0, 0), 161, "d1b4a4c858533b04")] * 3,
+    ("memory", "probe_with_residual"): [(("employees", 30, 0, 1, 30), (30, 0, 0, 0, 0), 6, "bba4fa65b3448717")] * 3,
+    ("memory", "restricted_scan"): [(("employees", 320, 1, 0, 0), (320, 0, 0, 0, 0), 105, "69ed57f1bc8d19d3")] * 3,
+    ("memory", "pruned_scan"): [(("courses", 240, 1, 0, 0), (240, 0, 0, 0, 0), 40, "32e6ebbe4cfebc28")] * 3,
+    ("paged", "point_probe"): [(("employees", 1, 0, 1, 1), (0, 1, 1, 0, 0), 1, "7b60311b5d2cda7b")] * 3,
+    ("paged", "range_probe"): [(("papers", 161, 0, 1, 161), (0, 161, 161, 0, 0), 161, "d1b4a4c858533b04")] * 3,
+    ("paged", "probe_with_residual"): [(("employees", 30, 0, 1, 30), (30, 30, 30, 0, 0), 6, "bba4fa65b3448717")] * 3,
+    ("paged", "restricted_scan"): [(("employees", 320, 1, 0, 0), (320, 10, 10, 0, 0), 105, "69ed57f1bc8d19d3")] * 3,
+    ("paged", "pruned_scan"): [
+        (("courses", 64, 1, 0, 0), (64, 2, 0, 2, 6), 40, "32e6ebbe4cfebc28"),
+        (("courses", 64, 1, 0, 0), (64, 2, 2, 0, 6), 40, "32e6ebbe4cfebc28"),
+        (("courses", 64, 1, 0, 0), (64, 2, 2, 0, 6), 40, "32e6ebbe4cfebc28"),
+    ],
+    ("pinned", "point_probe"): [
+        (("employees", 320, 1, 0, 0), (320, 0, 0, 0, 0), 1, "7b60311b5d2cda7b"),
+        (("employees", 321, 1, 1, 1), (0, 0, 0, 0, 0), 1, "7b60311b5d2cda7b"),
+        (("employees", 1, 0, 1, 1), (0, 0, 0, 0, 0), 1, "7b60311b5d2cda7b"),
+    ],
+    ("pinned", "range_probe"): [
+        (("papers", 480, 1, 0, 0), (480, 0, 0, 0, 0), 161, "6473ee807356b643"),
+        (("papers", 641, 1, 1, 161), (0, 0, 0, 0, 0), 161, "d1b4a4c858533b04"),
+        (("papers", 161, 0, 1, 161), (0, 0, 0, 0, 0), 161, "d1b4a4c858533b04"),
+    ],
+    ("pinned", "probe_with_residual"): [
+        (("employees", 320, 1, 0, 0), (350, 0, 0, 0, 0), 6, "bba4fa65b3448717"),
+        (("employees", 350, 1, 1, 30), (30, 0, 0, 0, 0), 6, "bba4fa65b3448717"),
+        (("employees", 30, 0, 1, 30), (30, 0, 0, 0, 0), 6, "bba4fa65b3448717"),
+    ],
+    ("pinned", "restricted_scan"): [(("employees", 320, 1, 0, 0), (320, 0, 0, 0, 0), 105, "69ed57f1bc8d19d3")] * 3,
+    ("pinned", "pruned_scan"): [(("courses", 240, 1, 0, 0), (240, 0, 0, 0, 0), 40, "32e6ebbe4cfebc28")] * 3,
+}
+
+
+@pytest.mark.parametrize("source, name", sorted(SELECTION_PINS))
+def test_selection_counters_and_rows_are_what_they_were_row_at_a_time(source, name):
+    import hashlib
+
+    database = build_university_database(scale=40, paged=source != "memory")
+    database.create_index("employees", "enr", operator="<=")
+    database.create_index("papers", "pyear", operator="<=")
+    connection = connect(database)
+    cursor = connection.cursor() if source == "pinned" else connection.session().cursor()
+    for expected in SELECTION_PINS[source, name]:
+        rows = [tuple(row) for row in cursor.execute(SELECTION_QUERIES[name]).fetchall()]
+        statistics = cursor.statistics
+        (read,) = (
+            (relation, *(counters[c] for c in _RELATION_COUNTERS))
+            for relation, counters in statistics["relations"].items()
+            if any(counters[c] for c in _RELATION_COUNTERS)
+        )
+        assert (
+            read, tuple(statistics[total] for total in _TOTALS), len(rows),
+            hashlib.sha256(repr(rows).encode()).hexdigest()[:16],
+        ) == expected
+    connection.close()

@@ -95,3 +95,55 @@ class TestExplain:
         (summary,) = re.findall(r"max q-error=(\d+\.\d+)", text)
         assert len(table) >= 4 and float(summary) == max(table) >= 1.0
         assert "  combination plan: built" in text  # ``run`` collects afresh, so it plans
+
+    POINT = "[<e.ename> OF EACH e IN employees: (e.enr = 5)]"
+
+    @staticmethod
+    def _selection_block(text: str) -> list[str]:
+        lines = text.splitlines()
+        start = lines.index("selection pipeline:")
+        return lines[start + 1 : lines.index("access paths (analyzed):")]
+
+    def test_analyze_reports_the_probe_a_selection_took(self, figure1):
+        figure1.create_index("employees", "enr")
+        text = QueryEngine(figure1).explain(self.POINT, analyze=True)
+        block = self._selection_block(text)
+        assert block[0] == (
+            "  e: probe of employees, elements read est 1, actual 1, q-error 1.00"
+        )
+        assert block[1:] == [
+            "  operators:",
+            "    range of e: streamed — (keys, records) chunks of 1, 2, 4, ... rows off the access path",
+            "    projection: streamed — distinct on arrival: the result relation keeps a row's first witness",
+        ]
+        # One path, reported three times — as decided, as executed, as counted.
+        assert text.count("  e: probe ind_employees_enr (employees.enr = 5, est. 1 vs scan 8)") == 2
+
+    def test_analyze_reports_a_view_built_on_a_pin_from_the_result(self, figure1):
+        """The static section is written from the execution's own paths: asking
+        the selector again after the run would find the view built and say a
+        plain probe over an execution that paid eight reads to build it."""
+        figure1.create_index("employees", "enr")
+        with figure1.pin_snapshot() as pin:
+            engine = QueryEngine(pin)
+            assert engine.run(self.POINT).access_paths["e"] == "scan employees"  # first sight
+            text = engine.explain(self.POINT, analyze=True)
+        taken = "  e: probe ind_employees_enr (employees.enr = 5, est. 9 vs scan 8) [builds the view: 8 reads]"
+        assert text.count(taken) == 2 and "est. 1 vs scan" not in text
+        assert self._selection_block(text)[0] == (
+            "  e: probe of employees, elements read est 9, actual 9, q-error 1.00"
+        )
+
+    def test_analyze_reports_a_scan_and_the_inner_side_of_a_product(self, figure1):
+        text = QueryEngine(figure1).explain(
+            "[<e.ename, c.ctitle> OF EACH e IN employees, EACH c IN courses: "
+            "(e.estatus <> professor)]",
+            analyze=True,
+        )
+        block = self._selection_block(text)
+        assert block[:2] == [
+            "  e: scan of employees, elements read est 8, actual 8, q-error 1.00",
+            "  c: scan of courses, elements read est 6, actual 6, q-error 1.00",
+        ]
+        assert "    range of c: materialized — read whole at the first fetch: " \
+               "an inner side of the product" in block

@@ -248,7 +248,7 @@ class TestKeysAreCanonicalisedAtTheRelationBoundary:
         stored = ("abc   ", STATUS.student)
         for spelling in (("abc", "student"), ("abc", STATUS.student), ("abc   ", "student"), stored):
             assert labelled.find(spelling).n == 1
-            assert labelled.fetch(spelling).n == 1
+            assert labelled.fetch_many([spelling])[0].n == 1
             assert labelled[spelling].n == 1
             assert labelled.contains_key(spelling)
             assert spelling in labelled
@@ -260,7 +260,9 @@ class TestKeysAreCanonicalisedAtTheRelationBoundary:
         for spelling in (("abd", "student"), ("abc", "professor"), ("abc",), ("abc", "ceo"),
                          ("abcdefg", "student"), (7, "student"), "abc"):
             assert labelled.find(spelling) is None
-            assert labelled.fetch(spelling) is None
+            if isinstance(spelling, tuple):
+                with pytest.raises(DanglingReferenceError):
+                    labelled.fetch_many([spelling])
             assert not labelled.contains_key(spelling)
             assert spelling not in labelled
             assert not labelled.delete_key(spelling)
