@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import compress
 from math import log2
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
 from repro.calculus.ast import And, Comparison, Const, FieldRef, Formula, Param, RangeExpr
 from repro.config import StrategyOptions
@@ -55,6 +55,7 @@ __all__ = [
     "probe_term",
     "restriction_conjuncts",
     "select_access_path",
+    "AccessDecision",
     "decide_access",
     "decided_path",
     "access_chunks",
@@ -236,25 +237,37 @@ def select_access_path(
     when that has to build the view, the path's estimate includes the reads
     and says so.  The rule reads catalog state (indexes, cardinalities)
     and — under ``histogram_statistics`` — the per-component statistics for
-    conjuncts whose comparison value is a *constant in the query text*;
-    ``$param`` probes never price on a value, so the same plan text always
-    gets the same path until a catalog change — which bumps
-    ``schema_version`` and invalidates cached plans anyway.
+    conjuncts whose comparison value is a *constant*: an unbound ``$param``
+    never prices on a value, but the plan an execution runs is bound
+    (``bind_plan``), so on the live database its probes are priced on the
+    values bound (pins keep no such statistics).
     """
     return decided_path(database, var, range_expr, decide_access(database, var, range_expr, options))
 
 
-def decide_access(database, var: str, range_expr: RangeExpr, options: StrategyOptions) -> tuple:
-    """:func:`select_access_path`'s rule: ``(kind, probed conjunct's position,
-    estimated cost, scan cost, reads to build the index view, settled)``.
-    ``settled`` says every execution at the same catalog and contents versions
-    decides the same (a selection's plan then keeps the decision): no candidate
-    was priced on a constant's value, no pinned view passed over or built."""
+class AccessDecision(NamedTuple):
+    """:func:`select_access_path`'s rule, decided for one range (:func:`decide_access`)."""
+
+    kind: str  # SCAN | PROBE | PRUNED_SCAN
+    position: int  # of the probed conjunct in the restriction; -1: none
+    cost: float
+    scan_cost: float
+    build_reads: int  # element reads that build a pinned index view first
+    #: Every execution at the same catalog and contents versions decides the
+    #: same (a selection's plan then keeps the decision): no candidate was
+    #: priced on a constant's value, no pinned view passed over or built.
+    settled: bool
+
+
+def decide_access(
+    database, var: str, range_expr: RangeExpr, options: StrategyOptions
+) -> AccessDecision:
+    """Take :func:`select_access_path`'s decision without resolving the index."""
     relation = database.relation(range_expr.relation)
     restriction = range_expr.restriction
     scan_cost = float(len(relation))
     if not options.use_index_paths or restriction is None:
-        return SCAN, -1, 0.0, scan_cost, 0, True
+        return AccessDecision(SCAN, -1, 0.0, scan_cost, 0, True)
     table_stats = (
         database.table_statistics(relation.name) if options.histogram_statistics else None
     )
@@ -279,29 +292,31 @@ def decide_access(database, var: str, range_expr: RangeExpr, options: StrategyOp
             best = (cost, position, build_reads)
     if best is not None and best[0] < scan_cost:
         cost, position, build_reads = best
-        return PROBE, position, cost + build_reads, scan_cost, build_reads, settled
+        return AccessDecision(PROBE, position, cost + build_reads, scan_cost, build_reads, settled)
     if prunable >= 0 and hasattr(relation, "heap_file"):
-        return PRUNED_SCAN, prunable, scan_cost, scan_cost, 0, settled
-    return SCAN, -1, 0.0, scan_cost, 0, settled
+        return AccessDecision(PRUNED_SCAN, prunable, scan_cost, scan_cost, 0, settled)
+    return AccessDecision(SCAN, -1, 0.0, scan_cost, 0, settled)
 
 
-def decided_path(database, var: str, range_expr: RangeExpr, decision: tuple) -> AccessPath:
-    """``decision`` (:func:`decide_access`) as the path of one binding of the
-    range: the probe value and the residual are the binding's, the index —
-    on a pin, the view — ``database``'s own."""
-    kind, position, cost, scan_cost, build_reads, _ = decision
+def decided_path(
+    database, var: str, range_expr: RangeExpr, decision: AccessDecision
+) -> AccessPath:
+    """``decision`` as the path of one binding of the range: the probe value
+    and the residual are the binding's, the index — on a pin, the view —
+    ``database``'s own."""
     relation, restriction = range_expr.relation, range_expr.restriction
     probe = residual = index = None
-    if position >= 0:
+    if decision.position >= 0:
         conjuncts = restriction_conjuncts(restriction)
-        probe = probe_term(var, conjuncts[position])
+        probe = probe_term(var, conjuncts[decision.position])
         residual = restriction  # zone maps are conservative: full re-check
-        if kind == PROBE:
-            residual = _residual_of(conjuncts, position)
+        if decision.kind == PROBE:
+            residual = _residual_of(conjuncts, decision.position)
             index = database.index_for(relation, probe.field)
-    note = f"builds the view: {build_reads} reads" if build_reads else ""
+    reads = decision.build_reads
     return AccessPath(
-        var, relation, kind, restriction, probe, residual, index, cost, scan_cost, note
+        var, relation, decision.kind, restriction, probe, residual, index,
+        decision.cost, decision.scan_cost, f"builds the view: {reads} reads" if reads else "",
     )
 
 

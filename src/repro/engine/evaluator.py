@@ -407,11 +407,14 @@ class QueryEngine:
         its catalog version and the ranges' contents versions: the projection,
         and which conjunct probes which index or scans, at what estimate.  An
         execution applies the decisions to its binding and source; ones that
-        are not settled are taken again each time, as the selector takes them.
+        are not settled are taken again each time, as the selector takes them
+        — on the live database under ``histogram_statistics`` that is every
+        indexed probe (its bound value is priced); pins keep theirs.
         """
         bindings = prepared.bindings
         token = version_token(source, [b.range.relation for b in bindings])
-        held = prepared.selection_plan.get(type(source))
+        plans, kind = prepared.selection_plan, type(source)
+        held = plans.get(kind)
         if held is None or held[0] != token:
             # Resolved once: where in the concatenated elements of one
             # combination each projected component sits.
@@ -420,16 +423,16 @@ class QueryEngine:
                 schema = source.relation(b.range.relation).schema
                 places[b.var] = (offset, schema)
                 offset += len(schema.fields)
-            held = (token, None, chunk_getter([
+            held = plans[kind] = (token, None, chunk_getter([
                 places[column.var][0] + places[column.var][1].field_position(column.field)
                 for column in prepared.selection.columns
             ]))
-        decisions = held[1]
+        # The decisions kept are the plan's own policy's; another decides for itself.
+        decisions = held[1] if options is prepared.options else None
         if decisions is None:
             decisions = [decide_access(source, b.var, b.range, options) for b in bindings]
-            if options is prepared.options and all(settled for *_, settled in decisions):
-                held = (token, decisions, held[2])
-            prepared.selection_plan[type(source)] = held
+            if options is prepared.options and all(d.settled for d in decisions):
+                plans[kind] = (token, decisions, held[2])
         paths = [decided_path(source, b.var, b.range, d) for b, d in zip(bindings, decisions)]
         return paths, held[2]
 

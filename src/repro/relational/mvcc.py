@@ -94,6 +94,7 @@ transaction, whose contents may yet be rolled back.
 
 from __future__ import annotations
 
+import copy
 import threading
 from collections import OrderedDict
 from typing import Iterator
@@ -453,9 +454,8 @@ class DatabaseSnapshot:
         version = self.relation_versions[relation_name]
         slot = catalogued.snapshot_view
         if slot is not None and slot[0] == version and slot[1] is not None:
-            # A shallow copy (copy.copy, minus the reduce protocol: this is per read).
-            view = object.__new__(type(slot[1]))
-            view.__dict__.update(slot[1].__dict__, tracker=self.statistics)
+            view = copy.copy(slot[1])
+            view.tracker = self.statistics
         else:
             view = type(catalogued)(
                 self._relations[relation_name],

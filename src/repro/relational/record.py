@@ -59,19 +59,6 @@ class Record:
         object.__setattr__(record, "_hash", None)
         return record
 
-    @classmethod
-    def raw_many(cls, schema: RelationSchema, rows) -> list["Record"]:
-        """:meth:`raw` for many value tuples in one frame, the slots set through
-        their descriptors (a result relation's rows become records here)."""
-        new, records = object.__new__, []
-        for values in rows:
-            record = new(cls)
-            _set_schema(record, schema)
-            _set_values(record, values)
-            _set_hash(record, None)
-            records.append(record)
-        return records
-
     # -- accessors -------------------------------------------------------------
 
     @property
@@ -152,6 +139,3 @@ class Record:
             f"{name}={value!r}" for name, value in zip(self._schema.field_names, self._values)
         )
         return f"<{pairs}>"
-
-
-_set_schema, _set_values, _set_hash = (Record.__dict__[slot].__set__ for slot in Record.__slots__)

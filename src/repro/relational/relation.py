@@ -378,15 +378,9 @@ class Relation:
         own keys; the ones not met before are stored, in arrival order.
         """
         assert self._key_is_all, f"{self.name}: insert_new_rows needs key = all components"
-        held = self._elements
-        new = [row for row in dict.fromkeys(rows) if row not in held]
-        fresh = Record.raw_many(self.schema, new)
-        if self._observed or self._journal is not None or self._registry is not None:
-            self.bulk_insert_raw(fresh)
-        elif fresh:
-            # A result relation, nobody watching: the rows are the keys.
-            held.update(zip(new, fresh))
-            self._version += 1
+        raw, schema, held = Record.raw, self.schema, self._elements
+        fresh = [raw(schema, row) for row in dict.fromkeys(rows) if row not in held]
+        self.bulk_insert_raw(fresh)
         return fresh
 
     def _bulk_fill(self, records: Iterable[Record]) -> None:
@@ -493,6 +487,12 @@ class Relation:
             if key is not None:
                 record = self._elements.get(key)
         return record
+
+    def fetch(self, key: tuple | Any) -> Record | None:
+        """Fetch one element by key with access accounting, ``None`` on a miss:
+        :meth:`fetch_many` for one key, in any spelling, on every backend."""
+        record = self.find(key)
+        return None if record is None else self.fetch_many([record.key])[0]
 
     def find_many(self, keys: list[tuple]) -> list[Record]:
         """The elements under ``keys``, untracked: :meth:`Ref.deref` in bulk (one

@@ -236,3 +236,30 @@ def test_an_element_deleted_between_two_fetches_is_a_dangling_reference(paged):
         assert cursor.statistics["relations"]["items"]["index_probes"] == 1
         # The next execution probes the maintained index and simply misses it.
         assert 5 not in [record.k for record in cursor.execute(text).fetchall()]
+
+
+def test_kept_decisions_serve_only_the_policy_the_plan_was_compiled_under():
+    """``execute_plan`` takes an ``options`` argument: another policy decides
+    for itself — and reports what it did — instead of inheriting the decisions
+    the plan keeps for its own, and leaves those where they are."""
+    from repro import QueryEngine, StrategyOptions
+
+    database = build_database(64, paged=False)
+    options = StrategyOptions().with_(histogram_statistics=False)  # live decisions settle
+    engine = QueryEngine(database, options)
+    plan = engine.prepare("[<x.k> OF EACH x IN items: (x.a = 3)]")
+    expected = [k for k in range(64) if k % 7 == 3]
+
+    def executed(result):
+        assert sorted(record.k for record in result.drain().rows) == expected
+        return result.access_paths["x"], result.statistics["relations"]["items"]
+
+    path, counters = executed(engine.execute_plan(plan))
+    assert "probe ind_items_a" in path and counters["index_probes"] == 1
+    (token, decisions, _), = plan.selection_plan.values()
+    assert [decision.kind for decision in decisions] == ["probe"] and decisions[0].settled
+    path, counters = executed(engine.execute_plan(plan, options.with_(use_index_paths=False)))
+    assert path == "scan items"
+    assert counters["index_probes"] == 0 and counters["scans"] == 1
+    assert plan.selection_plan[type(database)][1] is decisions
+    assert "probe ind_items_a" in executed(engine.execute_plan(plan))[0]

@@ -248,7 +248,7 @@ class TestKeysAreCanonicalisedAtTheRelationBoundary:
         stored = ("abc   ", STATUS.student)
         for spelling in (("abc", "student"), ("abc", STATUS.student), ("abc   ", "student"), stored):
             assert labelled.find(spelling).n == 1
-            assert labelled.fetch_many([spelling])[0].n == 1
+            assert labelled.fetch(spelling).n == 1
             assert labelled[spelling].n == 1
             assert labelled.contains_key(spelling)
             assert spelling in labelled
@@ -256,13 +256,18 @@ class TestKeysAreCanonicalisedAtTheRelationBoundary:
             assert reference.key == stored and reference.deref().n == 1
         assert labelled.find(("", "assistant")).n == 3
 
+    def test_the_bulk_reads_take_any_spelling_and_raise_on_a_miss(self, labelled):
+        spellings = [("abc", "student"), ("abcdef", STATUS.professor), ("abc   ", "student")]
+        for read in (labelled.find_many, labelled.fetch_many):
+            assert [record.n for record in read(spellings)] == [1, 2, 1]
+            with pytest.raises(DanglingReferenceError):
+                read([("abc", "student"), ("abd", "student")])
+
     def test_misses_stay_misses(self, labelled):
         for spelling in (("abd", "student"), ("abc", "professor"), ("abc",), ("abc", "ceo"),
                          ("abcdefg", "student"), (7, "student"), "abc"):
             assert labelled.find(spelling) is None
-            if isinstance(spelling, tuple):
-                with pytest.raises(DanglingReferenceError):
-                    labelled.fetch_many([spelling])
+            assert labelled.fetch(spelling) is None
             assert not labelled.contains_key(spelling)
             assert spelling not in labelled
             assert not labelled.delete_key(spelling)

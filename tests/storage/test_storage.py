@@ -191,9 +191,18 @@ class TestStoredRelation:
 
     def test_fetch_by_key(self):
         relation = self.make(10)
-        assert [r.n for r in relation.fetch_many([(4,), (9,), (4,)])] == [4, 9, 4]
+        assert relation.fetch(4).n == 4
+        assert relation.fetch(99) is None
+
+    def test_fetch_many_reads_and_charges_like_one_fetch_per_key(self):
+        one_by_one, bulk = self.make(10, page_capacity=4), self.make(10, page_capacity=4)
+        keys = [(4,), (9,), (4,), (0,)]
+        assert [one_by_one.fetch(key).n for key in keys] == [4, 9, 4, 0]
+        assert [record.n for record in bulk.fetch_many(keys)] == [4, 9, 4, 0]
+        assert bulk.tracker.as_dict() == one_by_one.tracker.as_dict()
+        assert bulk.tracker.elements_read("numbers") == 4 and bulk.tracker.pages_read == 4
         with pytest.raises(DanglingReferenceError):
-            relation.fetch_many([(4,), (99,)])
+            bulk.fetch_many([(4,), (99,)])
 
     def test_delete_tombstones_heap(self):
         relation = self.make(5)
@@ -273,7 +282,7 @@ class TestDeadPagesAreGivenBack:
         assert stats.pages_read == 2
         assert [r.n for r in relation.scan_pruned("n", ">=", 6)] == [6, 7]
         assert stats.pages_read == 3 and stats.pages_skipped == 1
-        assert relation.fetch_many([(6,)])[0].n == 6 and relation.find(3) is None
+        assert relation.fetch(6).n == 6 and relation.fetch(3) is None
 
     def test_a_scan_parked_on_a_page_that_dies_is_not_disturbed(self):
         relation = StoredRelation("numbers", SCHEMA, page_capacity=2)
@@ -298,7 +307,7 @@ class TestDeadPagesAreGivenBack:
         assert [r.values for r in relation.elements()] == [(0, 9), (1, 1), (2, 2)]
         assert [r.values for r in relation.heap_file.records()] == [(0, 9), (1, 1), (2, 2)]
         assert relation.heap_file.allocated_slots() == 3
-        assert relation.fetch_many([(0,)])[0].v == 9
+        assert relation.fetch(0).v == 9
 
     def test_window_churn_holds_pages_in_proportion_to_the_window(self):
         relation = StoredRelation("numbers", SCHEMA, page_capacity=4)
