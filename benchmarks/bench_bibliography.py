@@ -1,4 +1,4 @@
-"""BIBLIO — the skewed bibliographic workload: join order and partition layout.
+"""BIBLIO — the skewed bibliographic workload: join order under skew.
 
 The university database is uniform by construction, so its optimizer wins
 come from structure, not statistics.  The bibliographic domain
@@ -7,7 +7,7 @@ come from structure, not statistics.  The bibliographic domain
 sizes — and the correlations between them are exactly what a uniform
 estimator cannot see.
 
-**Scenario 1 — the Zipf citation chain.**  The chain query walks
+**The Zipf citation chain.**  The chain query walks
 ``authors - authorship - authorship - citations``:
 
 * the **explosion** branch re-joins ``authorship`` on the author: each
@@ -26,23 +26,12 @@ first.  Both orders return byte-identical rows — only the peak intermediate
 differs, and the gap widens with scale (the heads grow quadratically, the
 flat modern final result linearly).
 
-**Scenario 2 — hash vs. range partition auto-pick.**  Sharding the venue
-load query partitions the ``[v, p]`` structure on the venue.  Venue sizes
-are power-law, so hash placement piles the head venue's papers onto one
-worker.  With histogram statistics the partitioner predicts the hash loads
-from the key-frequency distribution and switches to frequency-weighted
-range bounds *in the plan*; without them it cannot see the skew and keeps
-hash placement.
-
 Acceptance (full run; the CI smoke job sets ``BENCH_SMOKE=1``, collapses
 the sweep and skips the cross-scale assertions):
 
 * at the full scale the uniform join order materializes at least **3x**
   the peak intermediates of the histogram-driven order, and the ratio is
   monotone (non-decreasing) from scale 1;
-* at the full scale the partitioner picks ``range(...)`` bounds with
-  histogram statistics and ``hash(...)`` without, and the range layout's
-  busiest shard does at most **80%** of the hash layout's busiest shard;
 * every configuration's rows equal the legacy (join_ordering off) order.
 """
 
@@ -63,7 +52,6 @@ SCALES = (2,) if BENCH_SMOKE else (1, 2, 4, 8, 16)
 FULL_SCALE = SCALES[-1]
 
 REQUIRED_PEAK_RATIO = 3.0
-MAX_RANGE_LOAD_FRACTION = 0.80
 #: Counter noise allowance for the monotonicity claim at the small scales.
 MONOTONE_TOLERANCE = 0.95
 
@@ -73,23 +61,11 @@ MONOTONE_TOLERANCE = 0.95
 BASE = StrategyOptions.all_strategies().with_(
     collection_phase_quantifiers=False,
     streaming_execution=False,
-    sharded_execution=False,
     semijoin_reduction=False,
 )
 UNIFORM = BASE.with_(histogram_statistics=False)
 HISTOGRAM = BASE.with_(histogram_statistics=True)
 LEGACY = BASE.with_(join_ordering=False, histogram_statistics=False)
-
-#: Scenario 2 runs the combination sharded (serial backend: deterministic
-#: counters, no pool noise) and lets the partitioner choose the layout.
-SHARDED = StrategyOptions.all_strategies().with_(
-    collection_phase_quantifiers=False,
-    streaming_execution=False,
-    sharded_execution=True,
-    shard_min_rows=0,
-    shard_count=4,
-    shard_backend="serial",
-)
 
 #: Authors whose co-authored output feeds the citation stream.  The two
 #: ``authorship`` terms meet on the author (the explosion branch); the
@@ -98,12 +74,6 @@ CITATION_CHAIN_QUERY = """
 [<a.aname> OF EACH a IN authors:
     SOME w1 IN authorship (SOME w2 IN authorship (SOME c IN citations
         ((a.anr = w1.wanr) AND (w2.wanr = a.anr) AND (w1.wpnr = c.csrc))))]
-"""
-
-#: One row per paper lands on the paper's venue: the shard key's frequency
-#: distribution *is* the power-law venue size.
-VENUE_LOAD_QUERY = """
-[<v.vname> OF EACH v IN venues: SOME p IN papers (p.pvnr = v.vnr)]
 """
 
 
@@ -132,28 +102,6 @@ def _measure_order(scale: int) -> dict:
     return row
 
 
-def _measure_partition(scale: int) -> dict:
-    """Partition layout and busiest-shard work, uniform vs. histogram."""
-    database = build_bibliography_database(scale=scale)
-    row = {"scale": scale}
-    rows_by_label = {}
-    for label, options in (
-        ("uniform", SHARDED.with_(histogram_statistics=False)),
-        ("histogram", SHARDED.with_(histogram_statistics=True)),
-    ):
-        result = QueryEngine(database, options).run(VENUE_LOAD_QUERY)
-        report = result.combination.shard_report
-        rows_by_label[label] = sorted(r.values for r in result.relation)
-        row[f"spec_{label}"] = report.spec
-        row[f"max_work_{label}"] = report.max_shard_work
-        row[f"total_work_{label}"] = report.total_work
-    assert rows_by_label["uniform"] == rows_by_label["histogram"], (
-        f"partition layouts disagreed on the result at scale {scale}"
-    )
-    row["load_fraction"] = row["max_work_histogram"] / max(row["max_work_uniform"], 1)
-    return row
-
-
 class TestBibliographyBenchAcceptance:
     def test_uniform_estimator_walks_into_the_era_heads(self):
         if BENCH_SMOKE:
@@ -177,22 +125,13 @@ class TestBibliographyBenchAcceptance:
         for earlier, later in zip(ratios, ratios[1:]):
             assert later >= earlier * MONOTONE_TOLERANCE, ratios
 
-    def test_partitioner_switches_hash_to_range_on_the_venue_head(self):
-        if BENCH_SMOKE:
-            pytest.skip("the layout claim is made at the full scale")
-        row = _measure_partition(FULL_SCALE)
-        assert row["spec_uniform"].startswith("hash("), row
-        assert row["spec_histogram"].startswith("range("), row
-        assert row["load_fraction"] <= MAX_RANGE_LOAD_FRACTION, row
-
     def test_results_are_byte_identical_at_every_scale(self):
         for scale in SCALES:
-            _measure_order(scale)      # asserts equivalence internally
-            _measure_partition(scale)  # asserts layout-independence internally
+            _measure_order(scale)  # asserts equivalence internally
 
 
 def test_report_bibliography():
-    """Print the scale sweep for both scenarios (deterministic counters)."""
+    """Print the scale sweep (deterministic counters)."""
     lines = [
         f"{'scale':>6} {'peak uniform':>13} {'peak histogram':>15} {'ratio':>7}   first join"
     ]
@@ -203,21 +142,8 @@ def test_report_bibliography():
             f"{row['ratio']:>6.1f}x   uniform={row['join_uniform']}, "
             f"histogram={row['join_histogram']}"
         )
-    lines.append("")
-    lines.append(
-        f"{'scale':>6} {'uniform layout':>15} {'histogram layout':>17} "
-        f"{'max work':>15} {'frac':>6}"
-    )
-    for scale in SCALES:
-        row = _measure_partition(scale)
-        lines.append(
-            f"{row['scale']:>6} {row['spec_uniform'].split(' @')[0]:>15} "
-            f"{row['spec_histogram'].split(' @')[0]:>17} "
-            f"{row['max_work_uniform']:>6} -> {row['max_work_histogram']:<6} "
-            f"{row['load_fraction']:>6.2f}"
-        )
     print_report(
-        "BIBLIO — skewed bibliographic workload: join order and partition layout",
+        "BIBLIO — skewed bibliographic workload: join order under skew",
         "\n".join(lines),
     )
 

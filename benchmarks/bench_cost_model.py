@@ -70,7 +70,6 @@ REOPT_THRESHOLD = 5.0
 BASE = StrategyOptions.all_strategies().with_(
     collection_phase_quantifiers=False,
     streaming_execution=False,
-    sharded_execution=False,
     semijoin_reduction=False,
 )
 UNIFORM = BASE.with_(histogram_statistics=False)

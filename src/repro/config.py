@@ -101,39 +101,6 @@ class StrategyOptions:
         construction phase dereferences directly from the final stream.
         Only pipeline breakers (division, union dedup state) buffer tuples,
         so ``peak_tuples`` reports the true live-tuple high-water mark.
-    sharded_execution:
-        **Opt-in, off by default.**  Horizontally shard the combination
-        phase: hash-partition every conjunct structure mentioning the chosen
-        shard variable on that variable's reference column, semijoin-reduce
-        the remaining structures per shard (the Bernstein & Chiu reducer as
-        a cross-shard reducer, shipping projections instead of relations),
-        and evaluate the shards in parallel through ``concurrent.futures``.
-        Shard outputs are provably disjoint (every output row carries
-        exactly one shard-variable reference), so the merge is a
-        concatenation.  When on, the path engages once the largest conjunct
-        structure reaches ``shard_min_rows``.  It is off by default because
-        it loses on the clock: thread and serial shards share one GIL, every
-        query pays executor start-up, and ``stable_hash`` partitioning plus
-        reference encoding cost more than the whole unsharded combination
-        phase over dense reference ids (measured: ``coauthor_pairs`` 122 ms
-        sharded vs 92 ms unsharded before the id kernel, ~10 ms after; the
-        3.1x speedup of ``bench_sharded_join`` is *modeled* from counters).
-    shard_count:
-        How many shards ``sharded_execution`` partitions into (also the
-        default worker count).
-    shard_min_rows:
-        Auto-gate: the largest conjunct structure must hold at least this
-        many rows before the sharded path engages.  ``0`` shards always
-        (used by the equivalence tests).
-    shard_backend:
-        ``"thread"`` (default), ``"process"`` (a
-        :class:`~concurrent.futures.ProcessPoolExecutor` over the pure-tuple
-        shard kernel, for CPU-bound joins at scale), ``"serial"`` (in-line,
-        deterministic single-thread dispatch), or ``"auto"`` (threads, or
-        the ``REPRO_SHARD_BACKEND`` environment override).
-    shard_workers:
-        Worker count for the shard executor; ``0`` means one worker per
-        shard.
     histogram_statistics:
         Statistics-driven cost model — feed the incrementally maintained
         per-component statistics (equi-depth histograms, hot-key lists,
@@ -141,18 +108,10 @@ class StrategyOptions:
         every selector: the greedy join-ordering loop estimates join sizes
         from per-column sketches (hot keys matched exactly, remainders
         joined over aligned hash buckets) instead of the uniform
-        ``|L|*|R|/max(distinct)`` formula, the access-path selector prices
-        probes with bound constants from histogram frequencies and range
-        selectivities, and the shard partitioner consults the shard
-        column's distribution.  When off, all selectors fall back to the
+        ``|L|*|R|/max(distinct)`` formula, and the access-path selector
+        prices probes with bound constants from histogram frequencies and
+        range selectivities.  When off, all selectors fall back to the
         uniform-distribution estimates.
-    shard_skew_threshold:
-        Load-imbalance ratio (max predicted shard load over mean) above
-        which ``sharded_execution`` abandons hash partitioning for a
-        range layout with frequency-weighted quantile bounds.  Hash
-        placement cannot split a hot key cluster; range bounds chosen on
-        the observed frequency distribution can.  Requires
-        ``histogram_statistics``.
     """
 
     parallel_collection: bool = True
@@ -166,13 +125,7 @@ class StrategyOptions:
     join_ordering: bool = True
     semijoin_reduction: bool = True
     streaming_execution: bool = True
-    sharded_execution: bool = False
-    shard_count: int = 4
-    shard_min_rows: int = 64
-    shard_backend: str = "auto"
-    shard_workers: int = 0
     histogram_statistics: bool = True
-    shard_skew_threshold: float = 2.0
 
     # -- presets -----------------------------------------------------------------
 
@@ -194,7 +147,6 @@ class StrategyOptions:
             join_ordering=False,
             semijoin_reduction=False,
             streaming_execution=False,
-            sharded_execution=False,
             histogram_statistics=False,
         )
 
@@ -221,7 +173,6 @@ class StrategyOptions:
             "join_ordering": "cost-ordered joins",
             "semijoin_reduction": "semijoin reduction",
             "streaming_execution": "streaming pipeline",
-            "sharded_execution": "sharded execution",
             "histogram_statistics": "histogram statistics",
         }
         enabled = [label for attr, label in names.items() if getattr(self, attr)]

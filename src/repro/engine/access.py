@@ -45,7 +45,7 @@ from repro.engine.stream import CHUNK_ROWS, ramped
 from repro.relational.index import HashIndex, SortedIndex
 from repro.relational.record import Record, values_of
 from repro.relational.reference import Ref
-from repro.types.scalar import sort_key, swap_operator
+from repro.types.scalar import swap_operator
 
 __all__ = [
     "SCAN",
@@ -60,8 +60,6 @@ __all__ = [
     "decided_path",
     "access_chunks",
     "iter_access",
-    "refutes_bounds",
-    "prune_shards_for_term",
 ]
 
 SCAN = "scan"
@@ -318,73 +316,6 @@ def decided_path(
         var, relation, decision.kind, restriction, probe, residual, index,
         decision.cost, decision.scan_cost, f"builds the view: {reads} reads" if reads else "",
     )
-
-
-def refutes_bounds(op: str, value: Any, low: Any, high: Any) -> bool:
-    """Whether a value interval ``[low, high]`` provably excludes ``v op value``.
-
-    The zone-map refutation rule of the paged backend, lifted to work over
-    *any* min/max metadata — a page's zone, or a shard's
-    :class:`~repro.relational.partition.ShardInfo`.  ``None`` on either side
-    means unbounded (never refutes from that side); unknown operators never
-    refute.  Conservative in exactly the way zone maps are: a ``False``
-    return still requires the per-row test.
-    """
-    if low is None and high is None:
-        return False
-    target = sort_key(value)
-    lo = sort_key(low) if low is not None else None
-    hi = sort_key(high) if high is not None else None
-    if op == "=":
-        return (lo is not None and target < lo) or (hi is not None and target > hi)
-    if op == "<":
-        return lo is not None and lo >= target
-    if op == "<=":
-        return lo is not None and lo > target
-    if op == ">":
-        return hi is not None and hi <= target
-    if op == ">=":
-        return hi is not None and hi < target
-    if op == "<>":
-        return lo is not None and hi is not None and lo == hi == target
-    return False
-
-
-def prune_shards_for_term(spec, infos, term: _ProbeTerm | None, table_stats=None) -> list[int]:
-    """Shards that may hold rows matching a probe-able restriction term.
-
-    The planner-side shard analogue of zone-map page pruning: ``spec`` is a
-    :class:`~repro.relational.partition.PartitionSpec`, ``infos`` the
-    per-shard metadata from partitioning, and ``term`` a probe term over the
-    partition component (``None``, or an unbound ``$param``, prunes
-    nothing).  A shard survives only when the partition function *and* the
-    observed per-shard min/max both admit it.  With per-component
-    statistics available the *exact* maintained counts can prove absence
-    outright: an equality term whose value has multiplicity zero admits no
-    shard at all — something min/max metadata can never conclude for a
-    value inside the observed range.
-    """
-    restricted = term is not None and term.field == spec.component
-    value = None
-    if restricted:
-        bound, value = term.bound_value()
-        restricted = bound
-    if restricted and term.op == "=" and table_stats is not None:
-        known = table_stats.frequency(term.field, value)
-        if known == 0:
-            return []
-    admitted = set(spec.prune(term.op, value)) if restricted else None
-    survivors: list[int] = []
-    for info in infos:
-        if info.size == 0:
-            continue  # an empty fragment matches nothing, term or no term
-        if admitted is not None:
-            if info.index not in admitted:
-                continue
-            if refutes_bounds(term.op, value, info.min_value, info.max_value):
-                continue
-        survivors.append(info.index)
-    return survivors
 
 
 def access_chunks(

@@ -108,7 +108,7 @@ from repro.types.schema import Field, RelationSchema
 
 __all__ = [
     "CombinationResult", "CombinationPhase", "CombinationPlan", "OperatorNote",
-    "pick_next", "qerror", "stream_join_estimate",
+    "qerror", "stream_join_estimate",
 ]
 
 
@@ -193,11 +193,6 @@ class CombinationResult:
     operator_notes: list[OperatorNote] = field(default_factory=list)
     """Every operator applied, annotated streamed/materialized with reason."""
 
-    shard_report: object | None = None
-    """A :class:`repro.engine.shard.ShardExecutionReport` when the phase ran
-    horizontally sharded (per-shard paths, reducer sizes, bytes shipped);
-    ``None`` otherwise."""
-
     plan_reused: bool = False
     """Whether this execution wired a :class:`CombinationPlan` an earlier one
     had published on the collection result — it then ran no reducer and no
@@ -220,9 +215,9 @@ def qerror(est: float, actual: float) -> float:
 
 # ============================================================== the join-order policy
 #
-# Value-agnostic and free of phase state, so the sharded kernel
-# (``repro.engine.shard.evaluate_shard``) orders its fragment's joins with
-# the very same policy over its own (pickled) operands.
+# Value-agnostic and free of phase state: a pick reads only the operands'
+# schemas, sizes and join-column summaries, so both executions order their
+# chains with the same functions.
 
 
 def _join_summary(operand, shared, sketch: bool, memo: dict | None = None):
@@ -416,12 +411,6 @@ class CombinationPhase:
 
     def run(self) -> CombinationResult:
         with self.statistics.phase(COMBINATION):
-            # Imported here: shard.py builds CombinationResults, so a module
-            # level import would be circular.
-            from repro.engine.shard import ShardedCombination
-
-            if ShardedCombination.applicable(self):
-                return ShardedCombination(self).run()
             if self.options.streaming_execution:
                 return self._run_streamed()
             return self._run_materialized()
@@ -1102,7 +1091,3 @@ class CombinationPhase:
 
     def _free_columns(self) -> list[str]:
         return [ref_field_name(binding.var) for binding in self.prepared.bindings]
-
-    def _empty_tuple_relation(self) -> Relation:
-        schema = self._schema("free_tuples", [binding.var for binding in self.prepared.bindings])
-        return Relation(schema.name, schema)

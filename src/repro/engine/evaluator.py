@@ -274,8 +274,8 @@ class QueryEngine:
         spelling.  A constant TRUE matrix is such a pipeline too — access
         chunks, projection, distinct — with its extended quantifier ranges
         checked here, eagerly.  Plans that cannot stream (separated
-        conjunctions, ``streaming_execution`` off, a sharded combination)
-        materialise here and hand out the finished relation as one chunk.
+        conjunctions, ``streaming_execution`` off) materialise here and hand
+        out the finished relation as one chunk.
 
         ``collection`` supplies a previously collected
         :class:`CollectionResult` for this exact plan (the service layer's

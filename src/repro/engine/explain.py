@@ -142,18 +142,12 @@ def explain_combination(combination: CombinationResult) -> str:
     ``streamed`` or ``materialized`` with the pipeline-breaker reason, so
     ``EXPLAIN ANALYZE`` shows exactly where tuples were buffered.
     """
-    if combination.shard_report is not None:
-        mode = "sharded parallel"
-    elif combination.streamed:
-        mode = "streaming pipeline"
-    else:
-        mode = "materialized"
-    lines: list[str] = ["combination phase:", f"  execution: {mode}"]
-    if combination.shard_report is not None:
-        for shard_line in combination.shard_report.describe():
-            lines.append("  " + shard_line)
-    else:
-        lines.append(f"  combination plan: {'reused' if combination.plan_reused else 'built'}")
+    mode = "streaming pipeline" if combination.streamed else "materialized"
+    lines: list[str] = [
+        "combination phase:",
+        f"  execution: {mode}",
+        f"  combination plan: {'reused' if combination.plan_reused else 'built'}",
+    ]
     # conjunction_indexes, join_orders and reductions are appended in
     # lockstep by CombinationPhase — index directly so a broken invariant
     # fails loudly instead of mislabelling conjunctions.

@@ -25,8 +25,8 @@ once-per-call position-resolution pattern (``_values_getter``) of the
 materialised kernels without building record objects between operators.
 :class:`Rows` is its materialised counterpart — a schema plus a *sequence* of
 value tuples — which the kernels accept as a build side next to relations,
-so the combination phase can hand them dense reference ids (or a shard's
-pickled ``(relation, key)`` pairs) without wrapping them in records.
+so the combination phase can hand them dense reference ids without wrapping
+them in records.
 
 :class:`LiveTupleTracker` is the accounting companion: breaker state
 (division group tables, union dedup sets) acquires live tuples as it grows

@@ -178,8 +178,8 @@ def _key_set(operand, columns: Sequence[str]) -> set:
 # is ``for chunk in source.chunks(): out = [one comprehension]; yield out``.
 # Build sides are materialised operands — relations, or Rows of bare tuples
 # (in the engine: collection-phase structures over dense reference ids).  The
-# kernels never look inside a value, so the same code joins integers,
-# references or a shard's pickled pairs.
+# kernels never look inside a value, so the same code joins integers or
+# references.
 #
 # ``*_kernel(schema, ...)`` resolves what the rows do not decide — output
 # schema, getters, the build side — into a :class:`Kernel`, which the

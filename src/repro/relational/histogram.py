@@ -1,30 +1,28 @@
 """Per-component statistics: exact counts, histograms, sketches, hot keys.
 
-Every optimizer decision in the engine — greedy join ordering, access-path
-selection, shard pruning and partition-layout choice — needs cardinality
-estimates.  This module is the statistics substrate feeding them, organised
-in two layers:
+Every optimizer decision in the engine — greedy join ordering and
+access-path selection — needs cardinality estimates.  This module is the
+statistics substrate feeding them, organised in two layers:
 
 **Exact counts, maintained incrementally.**  A :class:`ColumnStatistics`
 keeps the exact ``value -> multiplicity`` map of one component, updated
 through the same :class:`~repro.relational.relation.Relation` observer hooks
 that keep the permanent indexes coherent (insert / delete / assign / clear /
 raw inserts all funnel through them).  Exact counts make deletions trivial —
-a distinct-value sketch alone cannot process a delete — and give shard
-pruning a way to *prove* absence (frequency zero admits no shard at all).
+a distinct-value sketch alone cannot process a delete.
 
 **Derived summaries, rebuilt lazily.**  From the counts, a
 :class:`ColumnSummary` derives the structures estimators actually read: an
 equi-depth histogram in value order (range selectivities), an equi-depth
-histogram in ``stable_hash`` order (equality joins and hash-shard load
-prediction), an end-biased hot-key list (the heavy hitters matched exactly),
-and a KMV distinct-value sketch (the ``k`` minimum ``stable_hash`` values —
-deterministic across processes, unlike anything built on Python's salted
-``hash``).  Summaries go *stale* as mutations accumulate; they are rebuilt
-only when read past :data:`STALENESS_THRESHOLD` mutations (counted per
-column), so write-heavy workloads never pay a rebuild per write and cached
-plans can genuinely drift — which is what the service layer's adaptive
-reoptimization detects and repairs.
+histogram in :func:`stable_hash` order (equality joins), an end-biased
+hot-key list (the heavy hitters matched exactly), and a KMV distinct-value
+sketch (the ``k`` minimum ``stable_hash`` values — deterministic across
+processes, unlike anything built on Python's salted ``hash``).  Summaries
+go *stale* as mutations accumulate; they are rebuilt only when read past
+:data:`STALENESS_THRESHOLD` mutations (counted per column), so write-heavy
+workloads never pay a rebuild per write and cached plans can genuinely
+drift — which is what the service layer's adaptive reoptimization detects
+and repairs.
 
 The join estimator (:func:`estimate_join`) follows the classic recipe: hot
 keys are matched exactly against the other side (against its hot list, or
@@ -42,10 +40,10 @@ of them to :func:`estimate_join` in the greedy join-ordering loop.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-from repro.relational.partition import stable_hash
 from repro.types.scalar import sort_key
 
 __all__ = [
@@ -59,6 +57,7 @@ __all__ = [
     "ColumnStatistics",
     "TableStatistics",
     "estimate_join",
+    "stable_hash",
 ]
 
 #: Buckets per equi-depth histogram (value-ordered and hash-ordered alike).
@@ -71,6 +70,42 @@ KMV_K = 32
 STALENESS_THRESHOLD = 64
 
 _HASH_SPACE = float(1 << 32)
+
+
+def _canonical_bytes(value: object) -> bytes:
+    """A canonical byte encoding of a scalar value (or tuple of them).
+
+    Deliberately *not* Python's ``hash()``: string hashing is salted per
+    process (``PYTHONHASHSEED``), and a summary must not depend on the
+    process that built it.  Strings are encoded with their trailing blank
+    padding stripped, matching :func:`repro.types.scalar.compare_values`:
+    two :class:`CharArray` values of different declared lengths that compare
+    equal must hash alike, or a join estimate across them would miss its
+    matches.  Unknown scalar types fall back to ``repr``, which the
+    repository's scalar wrappers keep deterministic.
+    """
+    if isinstance(value, bool):
+        return b"b1" if value else b"b0"
+    if isinstance(value, int):
+        return b"i" + str(value).encode("ascii")
+    if isinstance(value, float):
+        return b"f" + repr(value).encode("ascii")
+    if isinstance(value, str):
+        return b"s" + value.rstrip().encode("utf-8")
+    if value is None:
+        return b"n"
+    if isinstance(value, tuple):
+        return b"(" + b"\x1f".join(_canonical_bytes(v) for v in value) + b")"
+    ordinal = getattr(value, "ordinal", None)
+    enum_name = getattr(value, "enum_name", None)
+    if ordinal is not None and enum_name is not None:  # EnumValue
+        return b"e" + str(enum_name).encode("utf-8") + b"#" + str(ordinal).encode("ascii")
+    return b"r" + repr(value).encode("utf-8")
+
+
+def stable_hash(value: object) -> int:
+    """A process-independent 32-bit hash of ``value`` (CRC-32 of the canonical bytes)."""
+    return zlib.crc32(_canonical_bytes(value)) & 0xFFFFFFFF
 
 
 @dataclass(frozen=True)

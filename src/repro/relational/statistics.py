@@ -129,10 +129,6 @@ class AccessStatistics:
         self.wal_flushes = 0
         self.checkpoints = 0
         self.recovered_transactions = 0
-        self.shards_scanned = 0
-        self.shards_pruned = 0
-        self.bytes_shipped = 0
-        self.reducer_rounds = 0
         self.histogram_rebuilds = 0
         self.reoptimizations = 0
         # The worst estimated-vs-actual cardinality ratio observed since the
@@ -280,22 +276,6 @@ class AccessStatistics:
         """``count`` committed transactions were replayed by crash recovery."""
         self.recovered_transactions += count
 
-    def record_shards_scanned(self, count: int = 1) -> None:
-        """``count`` shards were dispatched for per-shard evaluation."""
-        self.shards_scanned += count
-
-    def record_shards_pruned(self, count: int = 1) -> None:
-        """``count`` shards were skipped because partition metadata refuted them."""
-        self.shards_pruned += count
-
-    def record_bytes_shipped(self, nbytes: int) -> None:
-        """``nbytes`` bytes crossed a shard boundary (the semijoin-reducer wire model)."""
-        self.bytes_shipped += nbytes
-
-    def record_reducer_round(self, count: int = 1) -> None:
-        """``count`` cross-shard semijoin-reducer passes completed."""
-        self.reducer_rounds += count
-
     def record_histogram_rebuild(self, count: int = 1) -> None:
         """``count`` stale per-column summaries were rebuilt from exact counts."""
         self.histogram_rebuilds += count
@@ -416,10 +396,6 @@ class AccessStatistics:
         lines.append(
             f"pipeline: operators={self.operators_pipelined} "
             f"rows streamed={self.rows_streamed}"
-        )
-        lines.append(
-            f"shards: scanned={self.shards_scanned} pruned={self.shards_pruned} "
-            f"bytes shipped={self.bytes_shipped} reducer rounds={self.reducer_rounds}"
         )
         return "\n".join(lines)
 

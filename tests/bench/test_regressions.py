@@ -14,7 +14,7 @@ import pytest
 
 from repro import StrategyOptions, build_university_database, connect, execute_naive
 from repro.engine.evaluator import QueryEngine
-from repro.workloads.queries import OTHERS_PUBLISHED_1977_TEXT, PUBLISHING_TEACHERS_TEXT
+from repro.workloads.queries import OTHERS_PUBLISHED_1977_TEXT
 
 #: The benchmark's configuration: Strategy 1 only, so the dyadic structures
 #: actually reach the combination phase (S3/S4 would dissolve them first).
@@ -25,22 +25,6 @@ OPTIMIZED = LEGACY.with_(join_ordering=True, semijoin_reduction=True)
 #: the number PR 1's benchmark reports; the legacy floor documents the gap.
 PEAK_BOUND = 117
 LEGACY_PEAK_FLOOR = 372
-
-#: The sharded-join benchmark's configuration (S4 off keeps the dyadic
-#: structures) and its pinned acceptance numbers (scale 8,
-#: ``publishing_teachers``, 4 hash shards): modeled critical-path speedup
-#: and the reducer's shipped-bytes fraction of the naive full-relation
-#: broadcast baseline.
-SHARDED = StrategyOptions.all_strategies().with_(
-    collection_phase_quantifiers=False,
-    streaming_execution=False,
-    sharded_execution=True,
-    shard_min_rows=0,
-    shard_count=4,
-    shard_backend="serial",
-)
-SHARDED_SPEEDUP_BOUND = 2.5
-SHARDED_SHIPPED_FRACTION_BOUND = 0.25
 
 
 @pytest.fixture(scope="module")
@@ -91,46 +75,6 @@ def test_prepared_execution_keeps_the_peak_bound(scale4):
     assert second.relation == first.relation
 
 
-# ----------------------------------------------------- PR 8: sharded execution
-
-
-@pytest.fixture(scope="module")
-def scale8():
-    return build_university_database(scale=8)
-
-
-def test_sharded_modeled_speedup_stays_won(scale8):
-    """The sharded-join benchmark's 2.5x critical-path speedup is a floor."""
-    result = QueryEngine(scale8, SHARDED).run(PUBLISHING_TEACHERS_TEXT)
-    report = result.combination.shard_report
-    assert report is not None
-    speedup = report.total_work / max(report.max_shard_work, 1)
-    assert speedup >= SHARDED_SPEEDUP_BOUND, speedup
-
-
-def test_sharded_reducer_ships_at_most_a_quarter_of_naive(scale8):
-    """Projections, not relations: the shipped-bytes bound is a ceiling."""
-    result = QueryEngine(scale8, SHARDED).run(PUBLISHING_TEACHERS_TEXT)
-    report = result.combination.shard_report
-    assert report.reducer_rounds > 0
-    assert 0 < report.shipped_bytes <= (
-        SHARDED_SHIPPED_FRACTION_BOUND * report.naive_ship_bytes
-    ), (report.shipped_bytes, report.naive_ship_bytes)
-
-
-def test_sharded_execution_still_matches_single_shard(scale8):
-    # (The naive ground truth is asserted across the whole matrix at smaller
-    # scales in tests/engine/test_equivalence.py; at scale 8 direct
-    # interpretation enumerates ~24M range combinations.)
-    expected = QueryEngine(scale8, SHARDED.with_(sharded_execution=False)).run(
-        PUBLISHING_TEACHERS_TEXT
-    )
-    result = QueryEngine(scale8, SHARDED).run(PUBLISHING_TEACHERS_TEXT)
-    assert sorted(r.values for r in result.relation) == sorted(
-        r.values for r in expected.relation
-    )
-
-
 # ------------------------------------------------ PR 9: statistics-driven cost model
 
 
@@ -165,11 +109,8 @@ def test_adaptive_reoptimization_stays_won():
 #: The bibliography benchmark's pinned acceptance numbers
 #: (``bench_bibliography``, full scale): the uniform estimator walks into the
 #: era-head explosion and materializes at least 3x the histogram order's peak
-#: (monotone from scale 1, asserted in the benchmark itself), and the sharded
-#: partitioner switches hash placement to frequency-weighted range bounds on
-#: the power-law venue head.
+#: (monotone from scale 1, asserted in the benchmark itself).
 BIBLIO_PEAK_RATIO = 3.0
-BIBLIO_RANGE_LOAD_FRACTION = 0.80
 
 
 def test_bibliography_histogram_order_keeps_the_3x_peak_win():
@@ -178,15 +119,6 @@ def test_bibliography_histogram_order_keeps_the_3x_peak_win():
     row = _measure_order(FULL_SCALE)
     assert row["join_uniform"] != row["join_histogram"], row
     assert row["ratio"] >= BIBLIO_PEAK_RATIO, row
-
-
-def test_bibliography_partition_auto_pick_stays_won():
-    from benchmarks.bench_bibliography import FULL_SCALE, _measure_partition
-
-    row = _measure_partition(FULL_SCALE)
-    assert row["spec_uniform"].startswith("hash("), row
-    assert row["spec_histogram"].startswith("range("), row
-    assert row["load_fraction"] <= BIBLIO_RANGE_LOAD_FRACTION, row
 
 
 # ------------------------------------ PR 17: a transaction costs what it changes

@@ -5,7 +5,8 @@ Four axes are crossed here:
 * **optimizer flags** — ``join_ordering`` × ``semijoin_reduction``;
 * **execution mode** — ``streaming_execution`` on (the pull-based operator
   pipeline) vs. off (materialise every intermediate n-tuple relation),
-  asserted byte-identical in :class:`TestStreamingEquivalence`;
+  asserted byte-identical in :class:`TestStreamingEquivalence`, crossed
+  with the optimizer flags at both scales;
 * **strategy configurations** — the representative configurations of
   ``conftest`` (scale 1) and a reduced set (scale 2);
 * **storage backend** — the plain in-memory :class:`Relation` dictionary and
@@ -268,6 +269,30 @@ class TestStreamingEquivalence:
         _assert_page_counters_sane(figure1_backend, backend)
 
     @pytest.mark.parametrize("flags", OPTIMIZER_FLAGS, ids=_flag_id)
+    @pytest.mark.parametrize("query_name", sorted(QUERIES))
+    def test_streaming_on_off_byte_identical_under_optimizer_flags_on_figure1(
+        self, figure1_backend, backend, query_name, flags, strategy_options
+    ):
+        """Both combination paths × every join-order and reducer setting:
+        the order and the reduced ranges each path is handed must not change
+        the rows it returns."""
+        ordering, reduction = flags
+        base = strategy_options.with_(join_ordering=ordering, semijoin_reduction=reduction)
+        expected = execute_naive(figure1_backend, QUERIES[query_name])
+        on = QueryEngine(
+            figure1_backend, base.with_(streaming_execution=True)
+        ).run(QUERIES[query_name])
+        off = QueryEngine(
+            figure1_backend, base.with_(streaming_execution=False)
+        ).run(QUERIES[query_name])
+        assert on.relation == expected
+        assert off.relation == expected
+        assert sorted(r.values for r in on.relation) == sorted(
+            r.values for r in off.relation
+        )
+        _assert_page_counters_sane(figure1_backend, backend)
+
+    @pytest.mark.parametrize("flags", OPTIMIZER_FLAGS, ids=_flag_id)
     @pytest.mark.parametrize("config_name", sorted(SCALE2_CONFIGS))
     def test_streaming_on_off_byte_identical_at_scale2(
         self, scale2_backend, backend, config_name, flags
@@ -315,77 +340,6 @@ class TestStreamingEquivalence:
         service = connect(figure1_backend).service
         prepared_on = service.prepare(text, StrategyOptions().with_(streaming_execution=True))
         prepared_off = service.prepare(text, StrategyOptions().with_(streaming_execution=False))
-        for values in bindings:
-            for _ in range(2):  # the second run exercises the collection memo
-                on = prepared_on.execute(values).relation
-                off = prepared_off.execute(values).relation
-                assert sorted(r.values for r in on) == sorted(
-                    r.values for r in off
-                ), (workload_name, values)
-
-
-def _force_sharding(options: StrategyOptions) -> StrategyOptions:
-    """Sharding forced past the size gate, with the deterministic backend."""
-    return options.with_(
-        sharded_execution=True, shard_min_rows=0, shard_backend="serial"
-    )
-
-
-class TestShardedEquivalence:
-    """``sharded_execution`` on/off × the full existing matrix.
-
-    Sharded execution must be byte-identical to single-shard execution (and
-    to the naive ground truth) across every strategy configuration, optimizer
-    flag combination, storage backend and streaming mode the suite already
-    crosses — the gate is forced open (``shard_min_rows=0``) so every cell
-    genuinely partitions, reduces, dispatches and merges.
-    """
-
-    @pytest.mark.parametrize(
-        "streaming", (False, True), ids=("streaming=off", "streaming=on")
-    )
-    @pytest.mark.parametrize("query_name", sorted(QUERIES))
-    def test_sharded_on_off_byte_identical_on_figure1(
-        self, figure1_backend, backend, query_name, streaming, strategy_options
-    ):
-        base = strategy_options.with_(streaming_execution=streaming)
-        expected = execute_naive(figure1_backend, QUERIES[query_name])
-        on = QueryEngine(figure1_backend, _force_sharding(base)).run(QUERIES[query_name])
-        off = QueryEngine(
-            figure1_backend, base.with_(sharded_execution=False)
-        ).run(QUERIES[query_name])
-        assert on.relation == expected
-        assert off.relation == expected
-        assert sorted(r.values for r in on.relation) == sorted(
-            r.values for r in off.relation
-        )
-        _assert_page_counters_sane(figure1_backend, backend)
-
-    @pytest.mark.parametrize("flags", OPTIMIZER_FLAGS, ids=_flag_id)
-    @pytest.mark.parametrize("config_name", sorted(SCALE2_CONFIGS))
-    def test_sharded_on_off_byte_identical_at_scale2(
-        self, scale2_backend, backend, config_name, flags
-    ):
-        ordering, reduction = flags
-        base = SCALE2_CONFIGS[config_name].with_(
-            join_ordering=ordering, semijoin_reduction=reduction
-        )
-        for query_name in ("others_published_1977", "publishing_teachers", "example_2_1"):
-            on = QueryEngine(scale2_backend, _force_sharding(base)).run(QUERIES[query_name])
-            off = QueryEngine(
-                scale2_backend, base.with_(sharded_execution=False)
-            ).run(QUERIES[query_name])
-            assert sorted(r.values for r in on.relation) == sorted(
-                r.values for r in off.relation
-            ), (config_name, query_name)
-        _assert_page_counters_sane(scale2_backend, backend)
-
-    @pytest.mark.parametrize("workload_name", sorted(parameterized_queries()))
-    def test_prepared_sharded_on_off_byte_identical(self, figure1_backend, workload_name):
-        text, bindings = parameterized_queries()[workload_name]
-        service = connect(figure1_backend).service
-        prepared_on = service.prepare(text, _force_sharding(StrategyOptions()))
-        prepared_off = service.prepare(text, StrategyOptions().with_(sharded_execution=False))
         for values in bindings:
             for _ in range(2):  # the second run exercises the collection memo
                 on = prepared_on.execute(values).relation
@@ -482,14 +436,13 @@ BIBLIO_QUERIES = bibliography_named_queries()
 #: flag combination must reproduce byte-identically.
 BIBLIO_REFERENCE = StrategyOptions.only(parallel_collection=True)
 
-BIBLIO_FLAG_MATRIX = list(itertools.product((False, True), repeat=3))
+BIBLIO_FLAG_MATRIX = list(itertools.product((False, True), repeat=2))
 
 
-def _biblio_id(flags: tuple[bool, bool, bool]) -> str:
-    streaming, sharded, index_paths = flags
+def _biblio_id(flags: tuple[bool, bool]) -> str:
+    streaming, index_paths = flags
     return (
         f"streaming={'on' if streaming else 'off'}"
-        f"-sharded={'on' if sharded else 'off'}"
         f"-indexpaths={'on' if index_paths else 'off'}"
     )
 
@@ -516,10 +469,10 @@ def bibliography_reference(bibliography_backend):
 class TestBibliographyEquivalence:
     """The full flag matrix over the second domain.
 
-    streaming × sharded × index paths × {memory, paged} × every named
-    citation query: Zipf-skewed many-to-many data with non-ASCII CharArray
-    join keys is exactly where a backend- or shard-dependent bug would show
-    as silently dropped rows rather than as a crash.
+    streaming × index paths × {memory, paged} × every named citation
+    query: Zipf-skewed many-to-many data with non-ASCII CharArray join keys
+    is exactly where a backend- or path-dependent bug would show as
+    silently dropped rows rather than as a crash.
     """
 
     @pytest.mark.parametrize("flags", BIBLIO_FLAG_MATRIX, ids=_biblio_id)
@@ -527,15 +480,12 @@ class TestBibliographyEquivalence:
     def test_flag_matrix_matches_reference(
         self, bibliography_backend, bibliography_reference, backend, query_name, flags
     ):
-        streaming, sharded, index_paths = flags
+        streaming, index_paths = flags
         options = StrategyOptions.all_strategies().with_(
             collection_phase_quantifiers=False,
             streaming_execution=streaming,
             use_index_paths=index_paths,
-            sharded_execution=False,
         )
-        if sharded:
-            options = _force_sharding(options)
         result = QueryEngine(bibliography_backend, options).run(BIBLIO_QUERIES[query_name])
         assert sorted(r.values for r in result.relation) == bibliography_reference[
             query_name

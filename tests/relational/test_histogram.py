@@ -24,10 +24,10 @@ from repro.relational.histogram import (
     ColumnSummary,
     TableStatistics,
     estimate_join,
+    stable_hash,
 )
-from repro.relational.partition import stable_hash
 from repro.relational.statistics import estimate_join_cardinality
-from repro.types.scalar import INTEGER, Subrange
+from repro.types.scalar import INTEGER, CharArray, Enumeration, Subrange, compare_values
 
 _SMALL = Subrange(0, 9, "small")
 
@@ -123,6 +123,56 @@ def test_raw_inserts_maintain_statistics_too(paged: bool) -> None:
     assert stats.frequency("v", 5) == 1
     assert stats.frequency("v", 7) == 1
     _assert_statistics_exact(stats, relation)
+
+
+# --------------------------------------------------------------- stable hashing
+
+LEVEL = Enumeration("leveltype", ("freshman", "sophomore", "junior", "senior"))
+
+
+class TestStableHash:
+    def test_deterministic_across_calls(self):
+        for value in (0, -3, 17, "Jarke", "", None, True, False, 2.5, (1, "a")):
+            assert stable_hash(value) == stable_hash(value)
+
+    def test_known_values_are_pinned(self):
+        # The hash-ordered histogram and the KMV sketch are built from these
+        # values: they must not depend on the process's string-hash salt.
+        assert stable_hash((7,)) == stable_hash((7,))
+        assert stable_hash("employees") != stable_hash("papers")
+        assert 0 <= stable_hash("anything") < 2**32
+
+    def test_distinguishes_types_not_just_repr(self):
+        assert stable_hash(1) != stable_hash("1")
+        assert stable_hash(True) != stable_hash(1)
+        assert stable_hash(None) != stable_hash("None")
+
+    def test_enum_values_hash_by_enumeration_and_ordinal(self):
+        assert stable_hash(LEVEL.value("junior")) == stable_hash(LEVEL.value("junior"))
+        assert stable_hash(LEVEL.value("junior")) != stable_hash(LEVEL.value("senior"))
+
+    def test_padded_char_arrays_hash_like_they_compare(self):
+        # compare_values strips CharArray blank padding, so stable_hash must
+        # too: the same name stored in CharArray columns of different
+        # declared lengths falls into the same hash bucket, or a join
+        # estimate across them would miss its matches.
+        for text in ("Hütter", "Jarke", "", "a b"):
+            short = CharArray(10).coerce(text)
+            long = CharArray(36).coerce(text)
+            assert compare_values("=", short, long)
+            assert stable_hash(short) == stable_hash(long)
+            assert stable_hash(short) == stable_hash(text)
+
+    def test_interior_whitespace_still_distinguishes(self):
+        assert stable_hash("a b") != stable_hash("ab")
+        assert stable_hash(" a") != stable_hash("a")
+
+    @given(st.text(max_size=18), st.integers(min_value=0, max_value=16))
+    @settings(max_examples=200, deadline=None)
+    def test_hash_agrees_with_comparison_for_any_padding(self, text, pad):
+        padded = text + " " * pad
+        assert compare_values("=", text, padded)
+        assert stable_hash(text) == stable_hash(padded)
 
 
 # --------------------------------------------------------------- summaries

@@ -35,8 +35,15 @@ def test_import_repro_leaves_asyncio_ssl_executors_and_the_xml_parser_unloaded(t
         heavy = ("asyncio", "ssl", "xml.etree.ElementTree", "concurrent.futures", "logging")
         print([name for name in heavy if name in sys.modules])
         # Serial data generation, the default, needs no executor either.
-        repro.build_university_database(scale=1)
+        database = repro.build_university_database(scale=1)
         print("concurrent.futures" in sys.modules)
+        # Neither does the first join query through the front door: the
+        # combination phase has one path and no executor behind it.
+        from repro.workloads.queries import EXAMPLE_21_TEXT
+        cursor = repro.connect(database).cursor()
+        cursor.execute(EXAMPLE_21_TEXT).fetchall()
+        executors = ("concurrent.futures", "multiprocessing", "logging")
+        print(cursor.result.combination is not None, [n for n in executors if n in sys.modules])
         # The lazy exports still resolve, by attribute and by from-import ...
         from repro import AsyncConnection, AsyncCursor, AsyncSession
         from repro.api import aconnect
@@ -53,7 +60,7 @@ def test_import_repro_leaves_asyncio_ssl_executors_and_the_xml_parser_unloaded(t
         """,
         tmp_path,
     )
-    assert out.splitlines() == ["[]", "False", "True True", "True", "1"]
+    assert out.splitlines() == ["[]", "False", "True []", "True True", "True", "1"]
 
 
 def test_a_dropped_database_is_reclaimed_without_the_cycle_collector(tmp_path):
