@@ -516,3 +516,202 @@ def test_selection_counters_and_rows_are_what_they_were_row_at_a_time(source, na
             hashlib.sha256(repr(rows).encode()).hexdigest()[:16],
         ) == expected
     connection.close()
+
+
+# ------------- the literal Section 3.3 procedure: what streaming_execution off computes
+
+
+#: The configurations under which the combination phase runs the literal
+#: procedure (``streaming_execution`` off): the unoptimized system, Strategy 1
+#: alone, Strategy 1 with each join-order cost model, and the three
+#: configurations of ``bench_cost_model.py`` (resolved by name there).
+LITERAL_CONFIGS = {
+    "none": StrategyOptions.none(),
+    "s1": StrategyOptions.only(parallel_collection=True),
+    "s1_reduced": StrategyOptions.only(
+        parallel_collection=True, join_ordering=True, semijoin_reduction=True
+    ),
+    "s1_histogram": StrategyOptions.only(
+        parallel_collection=True, join_ordering=True, histogram_statistics=True
+    ),
+    "BASE": None,
+    "UNIFORM": None,
+    "HISTOGRAM": None,
+}
+
+#: Per ``(library, query, configuration)`` — every non-parameterized ``*_TEXT``
+#: query of the university library at scale 2 and of the bibliography library
+#: at scale 1, run through ``QueryEngine.run``: ``(peak_tuples,
+#: intermediate_tuples, comparisons, conjunction_sizes, union_size,
+#: after_quantifiers_size, join order, rows digest)``.  The join order names,
+#: per evaluated conjunction, each step's structure by its position in the
+#: collection result (``+x``: the range of ``x``); the digest is the first 16
+#: hex digits of the SHA-256 of ``repr`` of the sorted result rows.  A query
+#: whose matrix is constant has no combination phase: its counters are
+#: ``None``.
+LITERAL_PINS: dict[tuple[str, str, str], tuple] = {
+    ('university', 'example_21', 'none'): (16803, 89922, 46613, (10080, 16560, 120), 16803, 3, '0,1,+c,+t;0,1,+c,+t;0,3,2,1,+p', 'dd5cd7ee6d77bd98'),
+    ('university', 'example_21', 's1'): (16803, 89922, 46613, (10080, 16560, 120), 16803, 3, '0,1,+c,+t;0,1,+c,+t;0,3,2,1,+p', 'dd5cd7ee6d77bd98'),
+    ('university', 'example_21', 's1_reduced'): (16803, 89922, 47210, (10080, 16560, 120), 16803, 3, '0,1,+c,+t;0,1,+c,+t;0,3,2,1,+p', 'dd5cd7ee6d77bd98'),
+    ('university', 'example_21', 's1_histogram'): (16803, 89922, 46613, (10080, 16560, 120), 16803, 3, '0,1,+c,+t;0,1,+c,+t;0,3,2,1,+p', 'dd5cd7ee6d77bd98'),
+    ('university', 'example_21', 'BASE'): (3363, 10604, 3951, (3360, 50), 3363, 3, '0,+c,+t;1,0,+p', 'dd5cd7ee6d77bd98'),
+    ('university', 'example_21', 'UNIFORM'): (3363, 10604, 3951, (3360, 50), 3363, 3, '0,+c,+t;1,0,+p', 'dd5cd7ee6d77bd98'),
+    ('university', 'example_21', 'HISTOGRAM'): (3363, 10604, 3951, (3360, 50), 3363, 3, '0,+c,+t;1,0,+p', 'dd5cd7ee6d77bd98'),
+    ('university', 'example_45', 'none'): (3363, 10604, 4021, (3360, 50), 3363, 3, '0,+c,+t;0,1,+p', 'dd5cd7ee6d77bd98'),
+    ('university', 'example_45', 's1'): (3363, 10604, 3953, (3360, 50), 3363, 3, '0,+c,+t;0,1,+p', 'dd5cd7ee6d77bd98'),
+    ('university', 'example_45', 's1_reduced'): (3363, 10604, 3979, (3360, 50), 3363, 3, '0,+c,+t;0,1,+p', 'dd5cd7ee6d77bd98'),
+    ('university', 'example_45', 's1_histogram'): (3363, 10604, 3953, (3360, 50), 3363, 3, '0,+c,+t;0,1,+p', 'dd5cd7ee6d77bd98'),
+    ('university', 'example_45', 'BASE'): (3363, 10604, 3953, (3360, 50), 3363, 3, '0,+c,+t;0,1,+p', 'dd5cd7ee6d77bd98'),
+    ('university', 'example_45', 'UNIFORM'): (3363, 10604, 3953, (3360, 50), 3363, 3, '0,+c,+t;0,1,+p', 'dd5cd7ee6d77bd98'),
+    ('university', 'example_45', 'HISTOGRAM'): (3363, 10604, 3953, (3360, 50), 3363, 3, '0,+c,+t;0,1,+p', 'dd5cd7ee6d77bd98'),
+    ('university', 'no_1977_papers', 'none'): (374, 1564, 1404, (224, 360), 374, 8, '0,+e;0', '8fb2be7da2798fdb'),
+    ('university', 'no_1977_papers', 's1'): (374, 1564, 1404, (224, 360), 374, 8, '0,+e;0', '8fb2be7da2798fdb'),
+    ('university', 'no_1977_papers', 's1_reduced'): (374, 1564, 1404, (224, 360), 374, 8, '0,+e;0', '8fb2be7da2798fdb'),
+    ('university', 'no_1977_papers', 's1_histogram'): (374, 1564, 1404, (224, 360), 374, 8, '0,+e;0', '8fb2be7da2798fdb'),
+    ('university', 'no_1977_papers', 'BASE'): (150, 308, 334, (150,), 150, 8, '0', '8fb2be7da2798fdb'),
+    ('university', 'no_1977_papers', 'UNIFORM'): (150, 308, 334, (150,), 150, 8, '0', '8fb2be7da2798fdb'),
+    ('university', 'no_1977_papers', 'HISTOGRAM'): (150, 308, 334, (150,), 150, 8, '0', '8fb2be7da2798fdb'),
+    ('university', 'others_published_1977', 'none'): (69, 615, 324, (47,), 47, 3, '0,2,1,3', 'dd5cd7ee6d77bd98'),
+    ('university', 'others_published_1977', 's1'): (69, 615, 324, (47,), 47, 3, '0,2,1,3', 'dd5cd7ee6d77bd98'),
+    ('university', 'others_published_1977', 's1_reduced'): (47, 570, 842, (47,), 47, 3, '0,3,2,1', 'dd5cd7ee6d77bd98'),
+    ('university', 'others_published_1977', 's1_histogram'): (115, 638, 370, (47,), 47, 3, '0,3,2,1', 'dd5cd7ee6d77bd98'),
+    ('university', 'others_published_1977', 'BASE'): (47, 158, 92, (47,), 47, 3, '1,0', 'dd5cd7ee6d77bd98'),
+    ('university', 'others_published_1977', 'UNIFORM'): (47, 158, 92, (47,), 47, 3, '1,0', 'dd5cd7ee6d77bd98'),
+    ('university', 'others_published_1977', 'HISTOGRAM'): (47, 158, 92, (47,), 47, 3, '1,0', 'dd5cd7ee6d77bd98'),
+    ('university', 'professors', 'none'): (3, 6, 32, (3,), 3, 3, '0', '02b8d325c4ef4e2b'),
+    ('university', 'professors', 's1'): (3, 6, 32, (3,), 3, 3, '0', '02b8d325c4ef4e2b'),
+    ('university', 'professors', 's1_reduced'): (3, 6, 32, (3,), 3, 3, '0', '02b8d325c4ef4e2b'),
+    ('university', 'professors', 's1_histogram'): (3, 6, 32, (3,), 3, 3, '0', '02b8d325c4ef4e2b'),
+    ('university', 'professors', 'BASE'): (None, None, None, None, None, None, None, '02b8d325c4ef4e2b'),
+    ('university', 'professors', 'UNIFORM'): (None, None, None, None, None, None, None, '02b8d325c4ef4e2b'),
+    ('university', 'professors', 'HISTOGRAM'): (None, None, None, None, None, None, None, '02b8d325c4ef4e2b'),
+    ('university', 'publishing_teachers', 'none'): (17, 164, 91, (17,), 17, 6, '0,2,3,1', 'df48036ada4acfdf'),
+    ('university', 'publishing_teachers', 's1'): (17, 164, 91, (17,), 17, 6, '0,2,3,1', 'df48036ada4acfdf'),
+    ('university', 'publishing_teachers', 's1_reduced'): (17, 156, 326, (17,), 17, 6, '0,2,3,1', 'df48036ada4acfdf'),
+    ('university', 'publishing_teachers', 's1_histogram'): (17, 164, 91, (17,), 17, 6, '0,2,3,1', 'df48036ada4acfdf'),
+    ('university', 'publishing_teachers', 'BASE'): (17, 138, 62, (17,), 17, 6, '1,2,0', 'df48036ada4acfdf'),
+    ('university', 'publishing_teachers', 'UNIFORM'): (17, 138, 62, (17,), 17, 6, '1,2,0', 'df48036ada4acfdf'),
+    ('university', 'publishing_teachers', 'HISTOGRAM'): (17, 138, 62, (17,), 17, 6, '1,2,0', 'df48036ada4acfdf'),
+    ('university', 'seniority', 'none'): (87, 177, 286, (87,), 87, 3, '0', '8381c8f670e4ecc6'),
+    ('university', 'seniority', 's1'): (87, 177, 262, (87,), 87, 3, '0', '8381c8f670e4ecc6'),
+    ('university', 'seniority', 's1_reduced'): (87, 177, 262, (87,), 87, 3, '0', '8381c8f670e4ecc6'),
+    ('university', 'seniority', 's1_histogram'): (87, 177, 262, (87,), 87, 3, '0', '8381c8f670e4ecc6'),
+    ('university', 'seniority', 'BASE'): (87, 177, 262, (87,), 87, 3, '0', '8381c8f670e4ecc6'),
+    ('university', 'seniority', 'UNIFORM'): (87, 177, 262, (87,), 87, 3, '0', '8381c8f670e4ecc6'),
+    ('university', 'seniority', 'HISTOGRAM'): (87, 177, 262, (87,), 87, 3, '0', '8381c8f670e4ecc6'),
+    ('university', 'teaches_low_level', 'none'): (11, 98, 63, (11,), 11, 9, '0,1,2', 'c14afaaf58dd3041'),
+    ('university', 'teaches_low_level', 's1'): (11, 98, 63, (11,), 11, 9, '0,1,2', 'c14afaaf58dd3041'),
+    ('university', 'teaches_low_level', 's1_reduced'): (11, 98, 159, (11,), 11, 9, '0,1,2', 'c14afaaf58dd3041'),
+    ('university', 'teaches_low_level', 's1_histogram'): (11, 98, 63, (11,), 11, 9, '0,1,2', 'c14afaaf58dd3041'),
+    ('university', 'teaches_low_level', 'BASE'): (11, 72, 34, (11,), 11, 9, '0,1', 'c14afaaf58dd3041'),
+    ('university', 'teaches_low_level', 'UNIFORM'): (11, 72, 34, (11,), 11, 9, '0,1', 'c14afaaf58dd3041'),
+    ('university', 'teaches_low_level', 'HISTOGRAM'): (11, 72, 34, (11,), 11, 9, '0,1', 'c14afaaf58dd3041'),
+    ('bibliography', 'cites_the_prolific', 'none'): (272, 1025, 1185, (70,), 70, 13, '0,2,3,4,1', '22fe2b64c6468519'),
+    ('bibliography', 'cites_the_prolific', 's1'): (272, 1025, 1185, (70,), 70, 13, '0,2,3,4,1', '22fe2b64c6468519'),
+    ('bibliography', 'cites_the_prolific', 's1_reduced'): (70, 742, 1759, (70,), 70, 13, '1,4,3,2,0', '22fe2b64c6468519'),
+    ('bibliography', 'cites_the_prolific', 's1_histogram'): (70, 742, 585, (70,), 70, 13, '1,4,3,2,0', '22fe2b64c6468519'),
+    ('bibliography', 'cites_the_prolific', 'BASE'): (70, 516, 325, (70,), 70, 13, '2,1,0', '22fe2b64c6468519'),
+    ('bibliography', 'cites_the_prolific', 'UNIFORM'): (70, 516, 325, (70,), 70, 13, '2,1,0', '22fe2b64c6468519'),
+    ('bibliography', 'cites_the_prolific', 'HISTOGRAM'): (70, 516, 325, (70,), 70, 13, '2,1,0', '22fe2b64c6468519'),
+    ('bibliography', 'co_coauthors', 'none'): (795, 2022, 2815, (66,), 66, 7, '0,5,4,3,2,1', 'ba2a06c9fc906291'),
+    ('bibliography', 'co_coauthors', 's1'): (795, 2022, 2815, (66,), 66, 7, '0,5,4,3,2,1', 'ba2a06c9fc906291'),
+    ('bibliography', 'co_coauthors', 's1_reduced'): (66, 940, 1934, (66,), 66, 7, '1,2,3,4,5,0', 'ba2a06c9fc906291'),
+    ('bibliography', 'co_coauthors', 's1_histogram'): (103, 1019, 775, (66,), 66, 7, '1,2,3,4,5,0', 'ba2a06c9fc906291'),
+    ('bibliography', 'co_coauthors', 'BASE'): (103, 745, 465, (66,), 66, 7, '0,1,2,3', 'ba2a06c9fc906291'),
+    ('bibliography', 'co_coauthors', 'UNIFORM'): (103, 745, 465, (66,), 66, 7, '0,1,2,3', 'ba2a06c9fc906291'),
+    ('bibliography', 'co_coauthors', 'HISTOGRAM'): (103, 745, 465, (66,), 66, 7, '0,1,2,3', 'ba2a06c9fc906291'),
+    ('bibliography', 'coauthor_pairs', 'none'): (1242, 3457, 5451, (37,), 37, 31, '0,1,2,3', '48c047a506d912a5'),
+    ('bibliography', 'coauthor_pairs', 's1'): (1242, 3457, 5451, (37,), 37, 31, '0,1,2,3', '48c047a506d912a5'),
+    ('bibliography', 'coauthor_pairs', 's1_reduced'): (104, 1348, 4008, (37,), 37, 31, '2,3,1,0', '48c047a506d912a5'),
+    ('bibliography', 'coauthor_pairs', 's1_histogram'): (122, 1384, 573, (37,), 37, 31, '1,3,2,0', '48c047a506d912a5'),
+    ('bibliography', 'coauthor_pairs', 'BASE'): (122, 1384, 573, (37,), 37, 31, '1,3,2,0', '48c047a506d912a5'),
+    ('bibliography', 'coauthor_pairs', 'UNIFORM'): (122, 1384, 573, (37,), 37, 31, '1,3,2,0', '48c047a506d912a5'),
+    ('bibliography', 'coauthor_pairs', 'HISTOGRAM'): (122, 1384, 573, (37,), 37, 31, '1,3,2,0', '48c047a506d912a5'),
+    ('bibliography', 'cocitation', 'none'): (35, 1025, 227, (28,), 28, 6, '0,1,2,3,4', '0e9fefdf4246711d'),
+    ('bibliography', 'cocitation', 's1'): (35, 1025, 227, (28,), 28, 6, '0,1,2,3,4', '0e9fefdf4246711d'),
+    ('bibliography', 'cocitation', 's1_reduced'): (28, 1010, 1804, (28,), 28, 6, '0,1,2,3,4', '0e9fefdf4246711d'),
+    ('bibliography', 'cocitation', 's1_histogram'): (35, 1025, 227, (28,), 28, 6, '0,1,2,3,4', '0e9fefdf4246711d'),
+    ('bibliography', 'cocitation', 'BASE'): (35, 530, 197, (28,), 28, 6, '0,1,2,3', '0e9fefdf4246711d'),
+    ('bibliography', 'cocitation', 'UNIFORM'): (35, 530, 197, (28,), 28, 6, '0,1,2,3', '0e9fefdf4246711d'),
+    ('bibliography', 'cocitation', 'HISTOGRAM'): (35, 530, 197, (28,), 28, 6, '0,1,2,3', '0e9fefdf4246711d'),
+    ('bibliography', 'self_citers', 'none'): (245, 751, 849, (3,), 3, 2, '0,1,2,3', '7a2d03b107acf214'),
+    ('bibliography', 'self_citers', 's1'): (245, 751, 849, (3,), 3, 2, '0,1,2,3', '7a2d03b107acf214'),
+    ('bibliography', 'self_citers', 's1_reduced'): (6, 363, 1161, (3,), 3, 2, '0,1,3,2', '7a2d03b107acf214'),
+    ('bibliography', 'self_citers', 's1_histogram'): (245, 732, 811, (3,), 3, 2, '0,2,1,3', '7a2d03b107acf214'),
+    ('bibliography', 'self_citers', 'BASE'): (245, 732, 811, (3,), 3, 2, '0,2,1,3', '7a2d03b107acf214'),
+    ('bibliography', 'self_citers', 'UNIFORM'): (393, 899, 1145, (3,), 3, 2, '0,1,3,2', '7a2d03b107acf214'),
+    ('bibliography', 'self_citers', 'HISTOGRAM'): (245, 732, 811, (3,), 3, 2, '0,2,1,3', '7a2d03b107acf214'),
+    ('bibliography', 'well_cited_venues', 'none'): (4717, 14822, 5549, (4664, 265), 4717, 2, '0,+c;0,+v', '4ae2943bd929f9d9'),
+    ('bibliography', 'well_cited_venues', 's1'): (4717, 14822, 5549, (4664, 265), 4717, 2, '0,+c;0,+v', '4ae2943bd929f9d9'),
+    ('bibliography', 'well_cited_venues', 's1_reduced'): (4717, 14822, 5549, (4664, 265), 4717, 2, '0,+c;0,+v', '4ae2943bd929f9d9'),
+    ('bibliography', 'well_cited_venues', 's1_histogram'): (4717, 14822, 5549, (4664, 265), 4717, 2, '0,+c;0,+v', '4ae2943bd929f9d9'),
+    ('bibliography', 'well_cited_venues', 'BASE'): (4717, 14822, 5549, (4664, 265), 4717, 2, '0,+c;0,+v', '4ae2943bd929f9d9'),
+    ('bibliography', 'well_cited_venues', 'UNIFORM'): (4717, 14822, 5549, (4664, 265), 4717, 2, '0,+c;0,+v', '4ae2943bd929f9d9'),
+    ('bibliography', 'well_cited_venues', 'HISTOGRAM'): (4717, 14822, 5549, (4664, 265), 4717, 2, '0,+c;0,+v', '4ae2943bd929f9d9'),
+}
+
+
+def _literal_queries(library: str) -> list[str]:
+    from repro.workloads import queries
+    from repro.workloads.bibliography import queries as bibliography
+
+    module = queries if library == "university" else bibliography
+    return sorted(
+        name[: -len("_TEXT")].lower() for name in module.__all__
+        if name.endswith("_TEXT") and not name.endswith("_PARAM_TEXT")
+    )
+
+
+_LITERAL_DATABASES: dict[str, object] = {}
+
+
+def literal_cell(library: str, name: str, config: str) -> tuple:
+    """One :data:`LITERAL_PINS` cell, measured on this tree."""
+    import hashlib
+
+    from repro.workloads import queries
+    from repro.workloads.bibliography import build_bibliography_database
+    from repro.workloads.bibliography import queries as bibliography
+
+    database = _LITERAL_DATABASES.get(library)
+    if database is None:
+        database = _LITERAL_DATABASES[library] = (
+            build_university_database(scale=2) if library == "university"
+            else build_bibliography_database(scale=1)
+        )
+    module = queries if library == "university" else bibliography
+    options = LITERAL_CONFIGS[config]
+    if options is None:
+        from benchmarks import bench_cost_model
+
+        options = getattr(bench_cost_model, config)
+    result = QueryEngine(database, options).run(getattr(module, name.upper() + "_TEXT"))
+    rows = sorted(tuple(record.values) for record in result.relation)
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+    combination = result.combination
+    if combination is None:
+        return (None,) * 7 + (digest,)
+    orders = []
+    for index, order in zip(combination.conjunction_indexes, combination.join_orders):
+        structures = [s.description for s in result.collection.conjunctions[index]]
+        orders.append(",".join(
+            "+" + description[len("range of "):] if description.startswith("range of ")
+            else str(structures.index(description))
+            for description, _ in order
+        ))
+    statistics = result.statistics
+    return (
+        combination.peak_tuples, statistics["intermediate_tuples"],
+        statistics["comparisons"], tuple(combination.conjunction_sizes),
+        combination.union_size, combination.after_quantifiers_size, ";".join(orders), digest,
+    )
+
+
+@pytest.mark.parametrize("library, name, config", [
+    (library, name, config)
+    for library in ("university", "bibliography")
+    for name in _literal_queries(library)
+    for config in LITERAL_CONFIGS
+])
+def test_literal_procedure_counters_and_rows(library, name, config):
+    assert literal_cell(library, name, config) == LITERAL_PINS[library, name, config]
