@@ -56,8 +56,9 @@ REQUIRED_PEAK_RATIO = 3.0
 MONOTONE_TOLERANCE = 0.95
 
 #: Keep the dyadic structures joinable by the combination phase (S4 would
-#: dissolve them into lists) and materialized (peak n-tuples is the metric);
-#: the semijoin reducer is off because it would *hide* the bad order.
+#: dissolve them into lists) and plan the literal Section 3.3 procedure
+#: (its peak n-tuple relation is the metric); the semijoin reducer is off
+#: because it would *hide* the bad order.
 BASE = StrategyOptions.all_strategies().with_(
     collection_phase_quantifiers=False,
     streaming_execution=False,

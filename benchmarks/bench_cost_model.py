@@ -64,9 +64,10 @@ REQUIRED_PEAK_RATIO = 5.0
 REOPT_THRESHOLD = 5.0
 
 #: Keep the dyadic structures joinable by the combination phase (S4 would
-#: dissolve them into lists) and materialized (peak n-tuples is the metric);
-#: the semijoin reducer is off because it would *hide* the bad order — the
-#: whole point is what the join-order cost model does on its own.
+#: dissolve them into lists) and plan the literal Section 3.3 procedure
+#: (its peak n-tuple relation is the metric); the semijoin reducer is off
+#: because it would *hide* the bad order — the whole point is what the
+#: join-order cost model does on its own.
 BASE = StrategyOptions.all_strategies().with_(
     collection_phase_quantifiers=False,
     streaming_execution=False,

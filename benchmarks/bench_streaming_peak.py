@@ -1,29 +1,30 @@
-"""STREAMPEAK — peak live tuples: streaming pipeline vs. materialised phases.
+"""STREAMPEAK — peak live tuples: the streamed plan vs. the literal procedure.
 
 The paper's cost model (Section 3.3) makes the size of the combination
 phase's n-tuple reference relations the dominant cost; PR 1's optimizer cut
-the peak by ordering and reducing the joins, and the streaming executor
-removes the materialisation itself: per-conjunction chains pipeline
-tuple-by-tuple, innermost SOME quantifiers short-circuit inside the chains,
+the peak by ordering and reducing the joins, and the streamed plan avoids
+building them: innermost SOME quantifiers short-circuit inside the chains,
 and only pipeline breakers (division group tables, union dedup state) buffer
-tuples.  ``peak_tuples`` therefore compares like-for-like:
+tuples.  Both run on the one pipeline; ``streaming_execution`` selects the
+plan, and ``peak_tuples`` compares like-for-like:
 
-* **materialised** — the largest intermediate n-tuple relation built
+* **materialised** — the literal plan's largest n-tuple relation
   (``join_ordering`` + ``semijoin_reduction`` on, the PR 1 configuration);
-* **streamed**     — the live-tuple high-water mark of breaker state for the
-  same plan.
+* **streamed**     — the streamed plan's live-tuple high-water mark of
+  breaker state.
 
 Acceptance (full run; the CI smoke job sets ``BENCH_SMOKE=1``, collapses the
 sweep to scale 1 and skips the cross-scale assertions):
 
-* results are byte-identical between the two modes at every scale;
+* results are byte-identical between the two plans at every scale;
 * streamed peak is at least **3x** below the materialised peak at scale 4
   (measured ~19x);
 * the reduction factor *improves monotonically from scale 1*: every larger
   scale beats the scale-1 factor, and scale 4 is the largest-or-equal of
   the sweep's tail — the pipeline's advantage grows with the data;
 * ``explain(analyze=True)`` reports per-operator streamed/materialized
-  status, and the streamed run reports ``rows_streamed > 0``.
+  status and names the plan, and the streamed run reports
+  ``rows_streamed > 0``.
 
 All numbers here are deterministic counters, not wall-clock readings, so the
 assertions are stable on shared runners.
@@ -46,7 +47,7 @@ SCALES = (1,) if BENCH_SMOKE else (1, 2, 3, 4)
 
 #: Strategy 1 plus the PR 1 combination optimizer, so the dyadic structures
 #: actually reach the combination phase and the comparison isolates the
-#: execution mode (S3/S4 would dissolve the structures before any join).
+#: plan policy (S3/S4 would dissolve the structures before any join).
 MATERIALIZED = StrategyOptions.only(
     parallel_collection=True, join_ordering=True, semijoin_reduction=True
 )
@@ -107,7 +108,8 @@ class TestStreamingPeakReduction:
         legacy = QueryEngine(database, MATERIALIZED).explain(
             OTHERS_PUBLISHED_1977_TEXT, analyze=True
         )
-        assert "execution: materialized" in legacy
+        assert "execution: literal Section 3.3 procedure" in legacy
+        assert "peak n-tuples" in legacy
 
 
 def test_report_streaming_peak():
@@ -123,7 +125,7 @@ def test_report_streaming_peak():
             f"{row['factor']:>8.2f} {row['rows_streamed']:>14} {row['operators']:>10}"
         )
     print_report(
-        "STREAMPEAK — live-tuple high-water, streamed vs. materialised combination",
+        "STREAMPEAK — live-tuple high-water, streamed plan vs. literal procedure",
         "\n".join(lines),
     )
 

@@ -92,15 +92,16 @@ class StrategyOptions:
         technique, which Section 4.4 relates to collection-phase
         quantifiers), so dyadic structures shrink before they enter a join.
     streaming_execution:
-        Run the combination and construction phases as one pull-based
-        operator pipeline instead of materialising every intermediate
-        n-tuple reference relation: per-conjunction join chains stream
-        chunk by chunk in cost order, innermost SOME quantifiers are
-        eliminated inside each conjunction's pipeline (short-circuiting to
-        a semijoin where their columns are no longer needed), and the
-        construction phase dereferences directly from the final stream.
-        Only pipeline breakers (division, union dedup state) buffer tuples,
-        so ``peak_tuples`` reports the true live-tuple high-water mark.
+        Select the plan policy of the combination phase's one pull-based
+        operator pipeline.  On: the streamed plan — innermost SOME
+        quantifiers are eliminated inside each conjunction's chain
+        (short-circuiting to a semijoin where their columns are no longer
+        needed), so only pipeline breakers (division, union dedup state)
+        buffer tuples and ``peak_tuples`` reports the live-tuple high-water
+        mark.  Off: the literal Section 3.3 procedure — n-tuples over every
+        variable, a deduplicated union, one operator per quantifier — with
+        ``peak_tuples`` the largest n-tuple relation it builds.  Either way
+        the construction phase dereferences straight from the final stream.
     histogram_statistics:
         Statistics-driven cost model — feed the incrementally maintained
         per-component statistics (equi-depth histograms, hot-key lists,

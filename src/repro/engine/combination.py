@@ -12,15 +12,38 @@ logical operators and quantifiers in three steps:
 * quantifiers are evaluated from right to left, using projection for
   existential quantification and division for universal quantification."
 
-The implementation below follows that description, using the relational
-algebra of :mod:`repro.relational.algebra` over reference relations.  Its
-cost — the size of the n-tuple relations it builds — is the quantity
-Strategies 3 and 4 attack, and it is reported through the shared
+The phase is one pull-based operator pipeline of
+:class:`~repro.engine.stream.RowStream` values: per conjunction a chain of
+the streaming kernels of :mod:`repro.relational.algebra` (scan, joins, range
+extensions, a closing projection), a union over the chains, the quantifier
+operators right to left, and the construction phase dereferencing straight
+from the last stream.  Its cost — the size of the n-tuple relations the
+procedure above builds — is the quantity Strategies 3 and 4 attack, and it
+is reported through the shared
 :class:`~repro.relational.statistics.AccessStatistics`.
 
-Three combination-phase optimizations (switchable through
-:class:`~repro.config.StrategyOptions`) attack the same cost *inside* the
-phase:
+``streaming_execution`` (:class:`~repro.config.StrategyOptions`) selects
+what that one pipeline is planned to compute:
+
+* **on — the streamed plan.**  The innermost run of SOME quantifiers is
+  eliminated *inside* each conjunction's chain (projection distributes over
+  union), which lets a join whose new columns are all SOME-bound
+  short-circuit into a semijoin — each witness is emitted once and the
+  partner group is never enumerated — and turns an unmentioned SOME-bound
+  range into a non-emptiness test; the union deduplicates only when an
+  outer operator does not; runs of SOME become one dedup projection.  Only
+  pipeline breakers (division group tables, union/projection dedup state)
+  buffer tuples, so ``peak_tuples`` reports the live-tuple high-water mark.
+* **off — the literal plan**, the procedure quoted above: every chain builds
+  n-tuples over all n variables (an unmentioned variable is extended by its
+  full range), the conjunctions are unioned two at a time with
+  deduplication, and every quantifier is its own operator — one dedup
+  projection per SOME, one division per ALL.  Each of those operators'
+  outputs is one of the procedure's n-tuple relations: it counts as an
+  intermediate relation, and ``peak_tuples`` is the largest of them.
+
+Two combination-phase optimizations (switchable through the same options)
+attack that cost *inside* the phase, under either plan:
 
 * ``join_ordering`` — instead of joining structures in textual
   first-connected order, start from the smallest structure and greedily join
@@ -32,32 +55,16 @@ phase:
   the conjunction sharing a variable column (Bernstein & Chiu's technique,
   which the paper relates to its collection-phase quantifier evaluation), so
   dyadic structures shrink before they ever enter a join.
-* ``streaming_execution`` — the whole phase runs as one pull-based operator
-  pipeline of :class:`~repro.engine.stream.RowStream` values instead of
-  materialising every intermediate n-tuple relation.  Per-conjunction join
-  chains stream chunk by chunk in cost order; the innermost run of SOME
-  quantifiers is eliminated *inside* each conjunction's pipeline (projection
-  distributes over union), which lets a join whose new columns are all
-  SOME-bound short-circuit into a semijoin — each witness is emitted once
-  and the partner group is never enumerated; ALL quantifiers stream
-  group-wise through a division breaker; and the construction phase
-  dereferences directly from the final stream.  Only pipeline breakers
-  (division group tables, union/projection dedup state) buffer tuples, so
-  ``peak_tuples`` reports the true live-tuple high-water mark.
 
-Both executions compute on **dense reference ids**, not on
+The pipeline computes on **dense reference ids**, not on
 :class:`~repro.relational.reference.Ref` objects: the collection result
 interns its references once (:class:`~repro.engine.collection.ReferenceIds`,
 cached with a memoized result), every conjunct structure is a
 :class:`~repro.engine.stream.Rows` of int tuples, the reducer filters those
-rows against key sets, the join chains are the ``stream_*`` kernels of
-:mod:`repro.relational.algebra` over them, and only the last stage maps ids
-back to references for ``CombinationResult.tuples`` and the construction
-phase.  Ids are a bijective renaming, so every operator keeps its plain
-set semantics.
-
-All default to on; ``StrategyOptions.none()`` (or the individual flags)
-restores the literal Section 3.3 behaviour.
+rows against key sets, the kernels run over them, and only the last stage
+maps ids back to references for ``CombinationResult.tuples`` and the
+construction phase.  Ids are a bijective renaming, so every operator keeps
+its plain set semantics.
 
 Every decision above is a function of the collection result, so it is taken
 once per collection result: the first execution over one **plans** — reduces
@@ -69,8 +76,7 @@ repeated query over unchanged relations pays for its probes, not for its
 plan; pinned join orders steer the planner, they are not what makes a repeat
 cheap.  The chosen join order, the per-structure reduction sizes and a
 streamed/materialized annotation per operator are recorded on
-:class:`CombinationResult` so
-``explain(..., analyze=True)`` can show them.
+:class:`CombinationResult` so ``explain(..., analyze=True)`` can show them.
 """
 
 from __future__ import annotations
@@ -86,15 +92,11 @@ from repro.engine.stream import LiveTupleTracker, Rows, RowStream
 from repro.errors import EvaluationError
 from repro.relational.algebra import (
     Kernel,
-    divide,
     divide_kernel,
     match_getter,
-    natural_join,
     natural_join_kernel,
-    project,
     project_kernel,
     semijoin_kernel,
-    union,
     union_kernel,
     value_rows,
 )
@@ -118,8 +120,8 @@ class OperatorNote:
 
     ``mode`` is ``"streamed"`` for operators that pass tuples through without
     materialising a result relation, ``"materialized"`` for operators that
-    buffer their whole input or output (the legacy kernels, and the division
-    pipeline breaker); ``reason`` says why.
+    buffer their whole input (the division pipeline breaker); ``reason``
+    says why.
     """
 
     conjunction: int | None
@@ -137,34 +139,32 @@ class CombinationResult:
     """The outcome of the combination phase."""
 
     tuples: Relation
-    """Reference tuples over the free variables that satisfy the query.
-
-    Under streaming execution this relation is filled lazily, one row at a
-    time, while :attr:`stream` is consumed (normally by the construction
-    phase); it holds the full result once the stream is exhausted."""
+    """Reference tuples over the free variables that satisfy the query,
+    filled a chunk at a time while :attr:`stream` is consumed (normally by
+    the construction phase); it holds the full result once the stream is
+    exhausted."""
 
     stream: RowStream | None = None
-    """The live pipeline producing the free-variable reference tuples, when
-    the phase ran with ``streaming_execution`` (``None`` otherwise).  The
+    """The live pipeline producing the free-variable reference tuples.  The
     construction phase consumes it; every row it yields is also recorded
-    into :attr:`tuples`, so draining the stream materialises the classic
-    result as a side effect."""
+    into :attr:`tuples`, and a complete drain sets it to ``None``."""
 
-    streamed: bool = False
-    """Whether the phase ran as a streaming pipeline."""
+    plan: CombinationPlan | None = None
+    """The plan this execution wired; its policy (:attr:`CombinationPlan.literal`)
+    says what :attr:`peak_tuples` measures."""
 
     conjunction_sizes: list[int] = field(default_factory=list)
-    """Per evaluated conjunction: the size of its n-tuple relation
-    (materialised mode) or the number of rows its pipeline emitted into the
-    union stage, filled in when that pipeline closes (streaming mode)."""
+    """Per evaluated conjunction: the number of rows its pipeline emitted
+    into the union stage, filled in when that pipeline closes."""
 
     union_size: int = 0
     after_quantifiers_size: int = 0
     peak_tuples: int = 0
-    """Materialised mode: the largest intermediate n-tuple relation built.
-    Streaming mode: the live-tuple high-water mark of pipeline-breaker state
-    (division group tables, union/projection dedup sets) — finalised when
-    the stream is exhausted."""
+    """Under the streamed plan, the live-tuple high-water mark of
+    pipeline-breaker state (division group tables, union/projection dedup
+    sets); under the literal plan, the largest n-tuple relation of Section
+    3.3 — the largest output of any join, extension, conjunction projection,
+    union or quantifier operator.  Finalised as the stream drains."""
 
     conjunction_indexes: list[int] = field(default_factory=list)
     """Positions (0-based, into the prepared matrix) of the conjunctions
@@ -184,8 +184,7 @@ class CombinationResult:
     ``[description, estimated rows, actual rows]`` triple.  The estimate is
     what the active cost model predicted when it chose the step (``None``
     when no cost model ran — ``join_ordering`` off); the actual is the
-    step's true output cardinality, filled immediately in materialised mode
-    and when the step's operator closes in streaming mode.
+    step's true output cardinality, filled when the step's operator closes.
     ``explain(analyze=True)`` renders these as est-vs-actual rows with their
     q-error, and prepared queries compare pinned estimates against fresh
     actuals to detect plan drift."""
@@ -216,8 +215,7 @@ def qerror(est: float, actual: float) -> float:
 # ============================================================== the join-order policy
 #
 # Value-agnostic and free of phase state: a pick reads only the operands'
-# schemas, sizes and join-column summaries, so both executions order their
-# chains with the same functions.
+# schemas, sizes and join-column summaries.
 
 
 def _join_summary(operand, shared, sketch: bool, memo: dict | None = None):
@@ -335,10 +333,10 @@ class ConjunctionPlan:
     source: Rows | None = None
     """The operand the streaming chain scans."""
     steps: list[tuple] = field(default_factory=list)
-    """The streaming chain, ``(kernel, description, estimate, actual)`` per
-    operator, scan first; ``actual`` is ``None`` where only the execution
-    knows it.  Steps planning already settled (an existence or range gate, a
-    skipped extension) leave a note and no kernel."""
+    """The chain, ``(kernel, description, estimate, actual)`` per operator,
+    scan first; ``actual`` is ``None`` where only the execution knows it.
+    Steps planning already settled (an existence or range gate, a skipped
+    extension) leave a note and no kernel."""
     last: Kernel | None = None
     """The projection to the kept columns; its output is the conjunction's size."""
     empty: bool = False
@@ -351,11 +349,11 @@ class CombinationPlan:
 
     A pure function of the collection result, the query plan and ``key``
     (the ``join_ordering`` / ``semijoin_reduction`` / ``histogram_statistics``
-    / ``streaming_execution`` values it was planned under).  Under streaming
-    execution that includes the pipeline's whole *shape* — every operator as
-    a prepared :class:`~repro.relational.algebra.Kernel` (schemas, getters,
-    build sides), the decode tables and the operator notes — so an execution
-    wires generators, estimate slots and counters and nothing else.  Built
+    / ``streaming_execution`` values it was planned under).  That includes
+    the pipeline's whole *shape* — every operator as a prepared
+    :class:`~repro.relational.algebra.Kernel` (schemas, getters, build
+    sides), the decode tables and the operator notes — so an execution wires
+    generators, estimate slots and counters and nothing else.  Built
     privately and published on :attr:`CollectionResult.combination_plan` by
     one assignment; executions sharing it — concurrently, on pins — only
     read it.
@@ -366,16 +364,21 @@ class CombinationPlan:
     """Of the free-variable reference tuples (``CombinationResult.tuples``)."""
     tables: list
     """Per free column: the id -> reference table the last stage decodes with."""
+    literal: bool = False
+    """The policy: planned as the literal Section 3.3 procedure
+    (``streaming_execution`` off) rather than as the streamed plan."""
     ranges: dict[str, Rows] = field(default_factory=dict)
     """Per variable: its range as an id operand (extensions, divisors), each
     made when first asked for."""
     conjunctions: list[ConjunctionPlan | None] = field(default_factory=list)
     kept_schema: RelationSchema | None = None
-    """Of what the conjunction pipelines emit: no innermost-SOME column."""
+    """Of what the conjunction pipelines emit: under the streamed plan no
+    innermost-SOME column, under the literal plan every variable's."""
     union: Kernel | None = None
     """``None`` when no conjunction is satisfiable: the pipeline is empty."""
     tail: list[Kernel] = field(default_factory=list)
-    """The outer quantifiers, then the projection to the free variables."""
+    """The quantifiers the union leaves, right to left; the last one leaves
+    exactly the free variables, in binding order."""
     notes: list[OperatorNote] = field(default_factory=list)
 
 
@@ -402,7 +405,6 @@ class CombinationPhase:
         #: after a range-extension change, falls back to fresh optimization
         #: for that conjunction); a plan already published is wired as it is.
         self.pinned_orders = pinned_orders or {}
-        self._peak = 0
         #: One id-valued reference component per variable (built on demand).
         self._fields: dict[str, Field] = {}
         self._ranges: dict[str, Rows] = {}
@@ -410,17 +412,48 @@ class CombinationPhase:
     # -- public API ------------------------------------------------------------------
 
     def run(self) -> CombinationResult:
-        with self.statistics.phase(COMBINATION):
-            if self.options.streaming_execution:
-                return self._run_streamed()
-            return self._run_materialized()
+        """Wire the collection result's plan (made here by the first
+        execution over it); execution happens when the pipeline is drained.
 
-    def _note(self, relation: Relation) -> Relation:
-        """Track the peak intermediate n-tuple relation size."""
-        size = len(relation)
-        if size > self._peak:
-            self._peak = size
-        return relation
+        ``join_orders``/``reductions`` and the operator annotations are
+        complete on return, but no tuple flows until the returned
+        :attr:`CombinationResult.stream` is consumed — normally by the
+        construction phase — and the sizes and ``peak_tuples`` are
+        finalised as it drains.
+        """
+        with self.statistics.phase(COMBINATION):
+            plan, reused = self._plan()
+            result = CombinationResult(
+                tuples=Relation("free_tuples", plan.free_schema), plan=plan,
+                plan_reused=reused, operator_notes=list(plan.notes),
+            )
+            # The literal plan measures its operators' outputs, the streamed
+            # plan the state its breakers hold.
+            measured = result if plan.literal else None
+            live = None if plan.literal else LiveTupleTracker()
+            stats = self.statistics
+            members: list[RowStream] = []
+            for index, conjunction in enumerate(plan.conjunctions):
+                if conjunction is None:
+                    continue
+                result.conjunction_indexes.append(index)
+                result.conjunction_sizes.append(0)
+                members.append(self._conjunction_stream(
+                    index, conjunction, plan.kept_schema, result, measured
+                ))
+            if plan.union is None:
+                result.stream = RowStream.empty(plan.free_schema, label="free_tuples")
+                return result
+            # Section 3.3 unions the conjunctions' relations two at a time.
+            while measured is not None and len(members) > 2:
+                members[:2] = [plan.union(members[:2], stats, live, self._operator(None, measured))]
+            pipeline = plan.union(members, stats, live, self._operator(
+                partial(setattr, result, "union_size"), measured if len(members) > 1 else None
+            ))
+            for kernel in plan.tail:
+                pipeline = kernel(pipeline, stats, live, self._operator(None, measured))
+            result.stream = self._finalized(pipeline, result, plan, live)
+            return result
 
     # ============================================================ operands over reference ids
 
@@ -502,15 +535,12 @@ class CombinationPhase:
         if not reused:
             free = self._schema("free_tuples", [b.var for b in self.prepared.bindings])
             refs = self.collection.reference_ids().refs
-            plan = CombinationPlan(key, free, [refs.get(f.type.target, ()) for f in free.fields])
+            plan = CombinationPlan(
+                key, free, [refs.get(f.type.target, ()) for f in free.fields],
+                literal=not options.streaming_execution,
+            )
             self._ranges = plan.ranges
-            if options.streaming_execution:
-                self._plan_pipeline(plan)
-            else:
-                plan.conjunctions = [
-                    None if structures is None else self._plan_conjunction(index, structures)
-                    for index, structures in enumerate(self.collection.conjunctions)
-                ]
+            self._plan_pipeline(plan)
             self.collection.combination_plan = plan
         self._ranges = plan.ranges
         self.statistics.record_combination_plan(reused)
@@ -549,9 +579,9 @@ class CombinationPhase:
         self, index: int, plan: ConjunctionPlan, variables, drop_columns,
         kept_schema: RelationSchema, notes: list[OperatorNote],
     ) -> ConjunctionPlan:
-        """Prepare the streamed chain over ``plan``'s operands: source, join
-        order, one kernel per step, the closing projection (the materialised
-        execution orders by its own left sides instead)."""
+        """Prepare the chain over ``plan``'s operands: source, join order, one
+        kernel per step, the closing projection.  Columns in ``drop_columns``
+        (none under the literal plan) are SOME-bound and unused downstream."""
         operands = plan.operands
         order = plan.order
         schema = None  # of the chain so far
@@ -577,7 +607,7 @@ class CombinationPhase:
             covered = set(entry.schema.field_names)
             est_size = float(len(entry))
             # The start structure is the only materialised left side the
-            # streaming chain ever has; under ``histogram_statistics`` its
+            # chain ever has; under ``histogram_statistics`` its
             # sketch feeds the first ordering decision, later steps price
             # a join by what the stream can hold (``stream_join_estimate``).
             base = entry if self.options.histogram_statistics else None
@@ -676,14 +706,15 @@ class CombinationPhase:
             if schema.field_names != kept_schema.field_names:
                 notes.append(OperatorNote(
                     index, "projection to kept columns", "streamed",
-                    "drops innermost SOME columns / reorders; dedup happens in the union stage",
+                    ("drops innermost SOME columns / reorders" if drop_columns else "reorders")
+                    + "; dedup happens in the union stage",
                 ))
             plan.last = project_kernel(schema, kept_schema.field_names, f"conjunction_{index}")
         for operand in operands:
             operand.memo.clear()  # the summaries priced the order; the kernels hold build sides
         return plan
 
-    # -- join-order choices shared by both executions -----------------------------------------
+    # -- join-order choices ------------------------------------------------------------------------
 
     def _start(self, index: int, pending: list[Rows]):
         """``(pinned sequence or None, start position, estimated start size)``."""
@@ -721,176 +752,49 @@ class CombinationPhase:
             self.options.join_ordering, self.options.histogram_statistics, joined,
         )
 
-    # ================================================================= materialised mode
+    # ====================================================================== the pipeline
 
-    def _run_materialized(self) -> CombinationResult:
-        variables = list(self.prepared.variables)
-        plan, reused = self._plan()
-        tuples = Relation("free_tuples", plan.free_schema)
-        result = CombinationResult(tuples=tuples, plan_reused=reused)
-        self._peak = 0
-
-        combined: Relation | None = None
-        for index, conjunction in enumerate(plan.conjunctions):
-            if conjunction is None:
-                continue
-            conjunction_relation = self._combine_conjunction(index, conjunction, variables, result)
-            result.conjunction_indexes.append(index)
-            result.conjunction_sizes.append(len(conjunction_relation))
-            self._note(conjunction_relation)
-            if combined is None:
-                combined = conjunction_relation
-            else:
-                combined = self._note(
-                    union(combined, conjunction_relation, name="matrix_union",
-                          tracker=self.statistics)
-                )
-                result.operator_notes.append(
-                    OperatorNote(None, "union", "materialized", "streaming_execution off")
-                )
-        if combined is None:
-            # Every conjunction was dropped: the matrix is unsatisfiable.
-            result.peak_tuples = self._peak
-            return result
-
-        result.union_size = len(combined)
-
-        # Quantifier elimination, right to left.
-        current = combined
-        for spec in reversed(self.prepared.prefix):
-            current = self._note(self._eliminate_quantifier(current, spec))
-            label = (
-                f"SOME elimination of {spec.var}"
-                if spec.kind == SOME
-                else f"ALL division by {spec.var}"
-            )
-            result.operator_notes.append(
-                OperatorNote(None, label, "materialized", "streaming_execution off")
-            )
-
-        free_columns = self._free_columns()
-        if list(current.schema.field_names) != free_columns:
-            current = project(current, free_columns, name="free_tuples")
-        # The only place this execution touches a reference: decode the ids.
-        for _ in self._finalized(RowStream.from_relation(current), result, plan).chunks():
-            pass
-        result.peak_tuples = self._peak
-        return result
-
-    def _combine_conjunction(
-        self,
-        index: int,
-        conjunction: ConjunctionPlan,
-        variables: list[str],
-        result: CombinationResult,
-    ) -> Relation:
-        """Build the n-tuple (id) relation for one conjunction."""
-        pending = list(conjunction.operands)
-        result.reductions.append(list(conjunction.reductions))
-        stats = self.statistics
-        order: list[tuple[str, int]] = []
-        estimates: list[list] = []
-        if pending:
-            pinned, start, start_est = self._start(index, pending)
-            entry = pending.pop(start)
-            current = RowStream(entry.schema, entry.rows).materialize(f"conj{index}")
-            order.append((entry.name, len(current)))
-            estimates.append([entry.name, start_est, len(current)])
-            covered = set(current.schema.field_names)
-            step = 1
-            while pending:
-                pick, est = self._next(pinned, step, current, float(len(current)), covered, pending)
-                step += 1
-                entry = pending.pop(pick)
-                order.append((entry.name, len(entry)))
-                current = self._note(
-                    natural_join(current, entry, name=f"conj{index}", tracker=stats)
-                )
-                estimates.append([entry.name, est, len(current)])
-                covered.update(entry.schema.field_names)
-        else:
-            # No structures: the conjunction is TRUE — every combination of
-            # variable bindings qualifies; start from the first variable's range.
-            entry = self._range(variables[0])
-            current = RowStream(entry.schema, entry.rows).materialize()
-            order.append((entry.name, len(current)))
-            estimates.append([entry.name, float(len(current)), len(current)])
-
-        # Extend with the full ranges of the variables the conjunction does not
-        # mention (Section 3.3 builds n-tuples over *all* n variables).
-        for var in variables:
-            if ref_field_name(var) not in current.schema:
-                extension = self._range(var)
-                order.append((extension.name, len(extension)))
-                expected = float(len(current)) * len(extension)
-                current = self._note(
-                    natural_join(current, extension, name=f"conj{index}_x_{var}", tracker=stats)
-                )
-                estimates.append([extension.name, expected, len(current)])
-        result.join_orders.append(order)
-        result.join_estimates.append(estimates)
-        for step, (description, _) in enumerate(order):
-            op = "scan" if step == 0 else "join"
-            result.operator_notes.append(
-                OperatorNote(index, f"{op} {description}", "materialized", "streaming_execution off")
-            )
-        return project(
-            current,
-            [ref_field_name(var) for var in variables],
-            name=f"conjunction_{index}",
-            tracker=stats,
-        )
-
-    def _eliminate_quantifier(self, current: Relation, spec: QuantifierSpec) -> Relation:
-        column = ref_field_name(spec.var)
-        if column not in current.schema:
-            raise EvaluationError(
-                f"combination tuples lack a column for quantified variable {spec.var!r}"
-            )
-        if spec.kind == SOME:
-            remaining = [f for f in current.schema.field_names if f != column]
-            return project(current, remaining, name=f"exists_{spec.var}", tracker=self.statistics)
-        if spec.kind == ALL:
-            return divide(
-                current, self._range(spec.var), by=[(column, column)],
-                name=f"forall_{spec.var}", tracker=self.statistics,
-            )
-        raise EvaluationError(f"unknown quantifier kind {spec.kind!r}")
-
-    # ==================================================================== streaming mode
-
-    def _operator(self, sink=None):
+    def _operator(self, sink=None, measured: CombinationResult | None = None):
         """The ``emitted`` hook of one pipeline operator.
 
         Counts the operator now; its row throughput (and ``sink``, the
         caller's interest in that count) is flushed by the operator itself
-        when its generator closes.
+        when its generator closes.  Under the literal plan ``measured`` is
+        the execution's result: the operator's output is one of Section
+        3.3's n-tuple relations, an intermediate relation and a candidate
+        for ``peak_tuples``.
         """
         stats = self.statistics
         stats.record_operator_pipelined()
-        if sink is None:
+        if sink is None and measured is None:
             return stats.record_rows_streamed
 
         def flush(count: int) -> None:
             stats.record_rows_streamed(count)
-            sink(count)
+            if measured is not None:
+                stats.record_intermediate(count)
+                measured.peak_tuples = max(measured.peak_tuples, count)
+            if sink is not None:
+                sink(count)
 
         return flush
 
     def _plan_pipeline(self, plan: CombinationPlan) -> None:
-        """Prepare the streamed pipeline on ``plan``: conjunction chains, union,
-        outer quantifiers, notes — decided once per collection result; no
-        generator exists until an execution wires it (:meth:`_run_streamed`)."""
+        """Prepare the pipeline on ``plan`` under its policy: conjunction
+        chains, union, quantifiers, notes — decided once per collection
+        result; no generator exists until an execution wires it (:meth:`run`)."""
         variables = list(self.prepared.variables)
         notes = plan.notes
+        literal = plan.literal
 
-        # The innermost (trailing) run of SOME quantifiers is eliminated
-        # inside each conjunction's pipeline: projection distributes over
-        # union, so dropping those columns before the union stage is exact —
-        # and it is what enables the semijoin short-circuit in the chains.
+        # The streamed plan eliminates the innermost (trailing) run of SOME
+        # quantifiers inside each conjunction's pipeline: projection
+        # distributes over union, so dropping those columns before the union
+        # stage is exact — and it is what enables the semijoin short-circuit
+        # in the chains.  The literal plan carries every column to the union.
         prefix = list(self.prepared.prefix)
         split = len(prefix)
-        while split > 0 and prefix[split - 1].kind == SOME:
+        while not literal and split > 0 and prefix[split - 1].kind == SOME:
             split -= 1
         head, trailing = prefix[:split], prefix[split:]
         drop_columns = {ref_field_name(spec.var) for spec in trailing}
@@ -915,9 +819,12 @@ class CombinationPhase:
         duplicates = members > 1 or bool(trailing)
         # An outer quantifier's operator (dedup projection, division group
         # table) absorbs duplicates itself: deduplicating in the union too
-        # would hold every matrix tuple live twice.
-        dedup = duplicates and not head
-        if dedup:
+        # would hold every matrix tuple live twice.  The literal union is a
+        # set, as the procedure's relations are.
+        dedup = literal or (duplicates and not head)
+        if literal:
+            reason = "literal plan: a set of n-tuples, unioned two conjunctions at a time"
+        elif dedup:
             reason = (
                 "breaker state: dedup set over the kept columns"
                 if members > 1
@@ -941,9 +848,10 @@ class CombinationPhase:
                 "eliminated inside the conjunction pipelines: each witness emitted once",
             ))
 
-        # Remaining (outer) quantifiers, right to left over the unioned
-        # stream: runs of SOME become one dedup projection, ALL becomes the
-        # group-wise division breaker.
+        # Remaining quantifiers, right to left over the unioned stream: ALL
+        # becomes the group-wise division breaker, SOME a dedup projection —
+        # one per run of SOME under the streamed plan, one per quantifier
+        # under the literal one.  What is left is the free variables.
         schema = kept_schema
         columns = list(kept_schema.field_names)
         specs = list(reversed(head))
@@ -956,7 +864,7 @@ class CombinationPhase:
         while j < len(specs):
             if specs[j].kind == SOME:
                 run: list[QuantifierSpec] = []
-                while j < len(specs) and specs[j].kind == SOME:
+                while j < len(specs) and specs[j].kind == SOME and not (literal and run):
                     run.append(specs[j])
                     j += 1
                 run_columns = {ref_field_name(s.var) for s in run}
@@ -985,56 +893,15 @@ class CombinationPhase:
             plan.tail.append(kernel)
             schema = kernel.schema
 
-        free_columns = self._free_columns()
-        if columns != free_columns:
-            plan.tail.append(project_kernel(schema, free_columns, "free_tuples"))
-            notes.append(OperatorNote(
-                None, "projection to free variables", "streamed", "pure column reorder"
-            ))
-
         notes.append(OperatorNote(
             None, "construction feed", "streamed",
             "decodes ids to references; the construction phase dereferences "
             "chunk by chunk from the pipeline",
         ))
 
-    def _run_streamed(self) -> CombinationResult:
-        """Wire the collection result's plan (made here by the first
-        execution over it); execution happens when the pipeline is drained.
-
-        ``join_orders``/``reductions`` and the operator annotations are
-        complete on return, but no tuple flows until the returned
-        :attr:`CombinationResult.stream` is consumed — normally by the
-        construction phase — and the sizes and ``peak_tuples`` are
-        finalised as it drains.
-        """
-        plan, reused = self._plan()
-        result = CombinationResult(
-            tuples=Relation("free_tuples", plan.free_schema), streamed=True,
-            plan_reused=reused, operator_notes=list(plan.notes),
-        )
-        stats = self.statistics
-        live = LiveTupleTracker()
-        members: list[RowStream] = []
-        for index, conjunction in enumerate(plan.conjunctions):
-            if conjunction is None:
-                continue
-            result.conjunction_indexes.append(index)
-            result.conjunction_sizes.append(0)
-            members.append(self._conjunction_stream(index, conjunction, plan.kept_schema, result))
-        if plan.union is None:
-            result.stream = RowStream.empty(plan.free_schema, label="free_tuples")
-            return result
-        pipeline = plan.union(
-            members, stats, live, self._operator(partial(setattr, result, "union_size"))
-        )
-        for kernel in plan.tail:
-            pipeline = kernel(pipeline, stats, live, self._operator())
-        result.stream = self._finalized(pipeline, result, plan, live)
-        return result
-
     def _conjunction_stream(
-        self, index: int, conjunction: ConjunctionPlan, kept_schema, result: CombinationResult
+        self, index: int, conjunction: ConjunctionPlan, kept_schema,
+        result: CombinationResult, measured: CombinationResult | None,
     ) -> RowStream:
         """Wire one conjunction's prepared chain: this execution's generators,
         ``emitted`` hooks and ``[description, est, actual]`` slots."""
@@ -1042,20 +909,21 @@ class CombinationPhase:
         estimates: list[list] = []
         source = conjunction.source
         stream = RowStream(source.schema, source.rows)
-        for kernel, description, est, actual in conjunction.steps:
+        for step, (kernel, description, est, actual) in enumerate(conjunction.steps):
             slot = [description, est, 0 if actual is None else actual]
             estimates.append(slot)
             sink = partial(slot.__setitem__, 2) if actual is None else None
-            stream = kernel(stream, stats, emitted=self._operator(sink))
+            # The scan hands the structure on: no relation of its own.
+            stream = kernel(stream, stats, emitted=self._operator(sink, measured if step else None))
         result.join_orders.append(list(conjunction.order))
         result.reductions.append(list(conjunction.reductions))
         result.join_estimates.append(estimates)
         if conjunction.empty:
             return RowStream.empty(kept_schema, label=f"conjunction_{index}")
         position = len(result.conjunction_sizes) - 1
-        return conjunction.last(
-            stream, emitted=self._operator(partial(result.conjunction_sizes.__setitem__, position))
-        )
+        return conjunction.last(stream, emitted=self._operator(
+            partial(result.conjunction_sizes.__setitem__, position), measured
+        ))
 
     def _finalized(
         self, stream: RowStream, result: CombinationResult, plan: CombinationPlan, live=None
@@ -1086,8 +954,3 @@ class CombinationPhase:
             result.stream = None
 
         return RowStream(tuples.schema, chunks=chunks(), label="free_tuples")
-
-    # -- output shaping ----------------------------------------------------------------------
-
-    def _free_columns(self) -> list[str]:
-        return [ref_field_name(binding.var) for binding in self.prepared.bindings]

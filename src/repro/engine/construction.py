@@ -9,9 +9,9 @@ tuples straight out of the combination phase's
 stores a chunk at a time, so no intermediate reference relation is ever
 materialised between the two phases.  Draining the stream also fills
 ``combination.tuples`` (the combination phase records every chunk it hands
-over), so running the construction phase a second time on the same result —
-or on a combination that did not stream — feeds those tuples through the
-very same chunk function and returns the identical relation.
+over), so running the construction phase a second time on the same result
+feeds those tuples through the very same chunk function and returns the
+identical relation.
 """
 
 from __future__ import annotations
@@ -62,16 +62,16 @@ class ConstructionPhase:
         empty one).  Chunks grow 1, 2, 4,
         ... rows, so a fetch has read a prefix of the input — at most one
         chunk ahead of the rows handed out.  Requires a live combination
-        stream (:class:`~repro.errors.StreamError` otherwise: a materialised
-        phase is constructed via :meth:`run` and iterated).  Element reads
+        stream (:class:`~repro.errors.StreamError` otherwise: a drained
+        stream's tuples are constructed via :meth:`run`).  Element reads
         are attributed to the construction phase around each chunk.
         """
         if combination.stream is None:
             # Raised at the call site, not deferred to the first fetch: a
-            # materialised combination has no pipeline to defer.
+            # drained combination has no pipeline to defer.
             raise StreamError(
-                "the combination phase did not stream; construct via run() and "
-                "iterate the materialised result instead"
+                "the combination stream was already drained; construct via run() "
+                "and iterate the materialised result instead"
             )
         return self._dereferenced(self._pristine(combination.stream), result)
 

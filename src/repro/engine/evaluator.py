@@ -9,9 +9,10 @@
   :class:`~repro.config.StrategyOptions`,
 * it executes the three-phase evaluation procedure (collection, combination,
   construction) with Strategies 1 and 2 applied inside the collection phase —
-  by default the combination and construction phases run as one streaming
-  operator pipeline (``StrategyOptions.streaming_execution``), so only
-  pipeline breakers buffer reference tuples,
+  the combination and construction phases run as one streaming operator
+  pipeline, planned either as the streamed plan (only pipeline breakers
+  buffer reference tuples) or as the literal Section 3.3 procedure
+  (``StrategyOptions.streaming_execution``),
 * it falls back gracefully when the non-empty-range assumption behind
   Strategy 3 fails at runtime, and
 * it returns a :class:`QueryResult` bundling the result relation with the
@@ -273,9 +274,8 @@ class QueryEngine:
         stamped now and again when the rows end.  ``.drain()`` is the eager
         spelling.  A constant TRUE matrix is such a pipeline too — access
         chunks, projection, distinct — with its extended quantifier ranges
-        checked here, eagerly.  Plans that cannot stream (separated
-        conjunctions, ``streaming_execution`` off) materialise here and hand
-        out the finished relation as one chunk.
+        checked here, eagerly.  Separated conjunctions materialise here and
+        hand out the finished relation as one chunk.
 
         ``collection`` supplies a previously collected
         :class:`CollectionResult` for this exact plan (the service layer's
@@ -362,17 +362,11 @@ class QueryEngine:
         combination = CombinationPhase(
             prepared, source, collection, options, pinned_orders=pinned_orders
         ).run()
-        construction = ConstructionPhase(selection, source)
-        if combination.stream is not None:
-            # Defer the construction dereference: the caller pulls rows
-            # through QueryResult.row_iterator and the relation fills as a
-            # side effect — nothing downstream of the combination pipeline
-            # materialises before it is fetched.
-            relation = _result_relation(prepared, source)
-            row_iterator = construction.stream_into(combination, relation)
-        else:
-            relation = construction.run(combination)
-            row_iterator = None
+        # Defer the construction dereference: the caller pulls rows through
+        # QueryResult.row_iterator and the relation fills as a side effect —
+        # nothing downstream of the combination pipeline materialises before
+        # it is fetched.
+        relation = _result_relation(prepared, source)
         return QueryResult(
             relation=relation,
             prepared=prepared,
@@ -380,7 +374,7 @@ class QueryEngine:
             collection=collection,
             combination=combination,
             access_paths=dict(collection.access_paths),
-            row_iterator=row_iterator,
+            row_iterator=ConstructionPhase(selection, source).stream_into(combination, relation),
         )
 
     def _check_extended_prefix_ranges(
@@ -509,9 +503,8 @@ class QueryEngine:
         if partial is None:
             return combined
         if combined is None:
-            combined = CombinationResult(tuples=partial.tuples)
+            combined = CombinationResult(tuples=partial.tuples, plan=partial.plan)
         combined.tuples = partial.tuples
-        combined.streamed = combined.streamed or partial.streamed
         combined.conjunction_sizes.extend(partial.conjunction_sizes)
         combined.conjunction_indexes.extend(position for _ in partial.conjunction_indexes)
         combined.join_orders.extend(partial.join_orders)

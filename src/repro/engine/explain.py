@@ -138,11 +138,13 @@ def explain_combination(combination: CombinationResult) -> str:
 
     Conjunction numbers match the ``matrix:`` section of
     :func:`explain_prepared` — dropped conjunctions keep their position.
-    Each operator of the (streamed or materialised) execution is annotated
-    ``streamed`` or ``materialized`` with the pipeline-breaker reason, so
-    ``EXPLAIN ANALYZE`` shows exactly where tuples were buffered.
+    Each operator is annotated ``streamed`` or ``materialized`` with the
+    pipeline-breaker reason, so ``EXPLAIN ANALYZE`` shows exactly where
+    tuples were buffered; the plan's policy names the execution and what
+    its peak counts.
     """
-    mode = "streaming pipeline" if combination.streamed else "materialized"
+    literal = combination.plan is not None and combination.plan.literal
+    mode = "literal Section 3.3 procedure, streamed" if literal else "streaming pipeline"
     lines: list[str] = [
         "combination phase:",
         f"  execution: {mode}",
@@ -182,7 +184,7 @@ def explain_combination(combination: CombinationResult) -> str:
         lines.append("  operators:")
         for note in combination.operator_notes:
             lines.append(f"    {note.describe()}")
-    peak_label = "peak live tuples" if combination.streamed else "peak n-tuples"
+    peak_label = "peak n-tuples" if literal else "peak live tuples"
     lines.append(
         f"  conjunction sizes: {combination.conjunction_sizes}, "
         f"union {combination.union_size}, "

@@ -20,9 +20,9 @@ pays its frame and its accounting once per chunk and runs one comprehension
 over the rows inside.  Sources cut chunks of 1, 2, 4, ... :data:`CHUNK_ROWS`
 rows (:func:`ramped`), so the first fetch and an early ``close()`` touch a
 prefix of the input, at most one chunk ahead of the rows handed out.
-Keeping rows as bare tuples lets the streaming kernels reuse the
-once-per-call position-resolution pattern (``_values_getter``) of the
-materialised kernels without building record objects between operators.
+Keeping rows as bare tuples lets the kernels resolve component positions
+once (``_values_getter``) without building record objects between
+operators.
 :class:`Rows` is its materialised counterpart — a schema plus a *sequence* of
 value tuples — which the kernels accept as a build side next to relations,
 so the combination phase can hand them dense reference ids without wrapping
@@ -221,8 +221,7 @@ class RowStream:
 
         The result schema is the stream schema, so for intermediate
         reference relations (key = all components) duplicate rows collapse
-        through the relation's key dictionary exactly as the materialised
-        kernels' results do.
+        through the relation's key dictionary.
         """
         result = Relation(name or self.label, self.schema)
         raw = partial(Record.raw, self.schema)

@@ -1,30 +1,11 @@
 """Relational substrate: records, relations, references, indexes, algebra."""
 
 from repro.relational.algebra import (
-    antijoin,
-    difference,
-    distinct_values,
-    divide,
-    extend_product,
-    intersection,
-    join,
-    natural_join,
-    product,
-    project,
-    rename,
-    select,
-    semijoin,
     stream_divide,
-    stream_join,
     stream_natural_join,
     stream_project,
-    stream_select,
     stream_semijoin,
-    stream_theta_semijoin,
     stream_union,
-    theta_join,
-    theta_semijoin,
-    union,
 )
 from repro.relational.database import Database
 from repro.relational.index import HashIndex, SortedIndex, ValueList, build_index
@@ -62,14 +43,7 @@ __all__ = [
     "Relation",
     "SortedIndex",
     "ValueList",
-    "antijoin",
     "build_index",
-    "difference",
-    "distinct_values",
-    "divide",
-    "extend_product",
-    "intersection",
-    "join",
     "make_index_schema",
     "make_indirect_join",
     "make_indirect_join_schema",
@@ -77,22 +51,10 @@ __all__ = [
     "make_ref_tuple_schema",
     "make_single_list",
     "make_single_list_schema",
-    "natural_join",
-    "product",
-    "project",
     "ref_field_name",
-    "rename",
-    "select",
-    "semijoin",
     "stream_divide",
-    "stream_join",
     "stream_natural_join",
     "stream_project",
-    "stream_select",
     "stream_semijoin",
-    "stream_theta_semijoin",
     "stream_union",
-    "theta_join",
-    "theta_semijoin",
-    "union",
 ]

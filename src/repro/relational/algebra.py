@@ -1,29 +1,26 @@
-"""Relational algebra on :class:`~repro.relational.relation.Relation` values.
+"""The relational algebra of the combination phase, as streaming kernels.
 
 Section 3.3 of the paper evaluates the combination phase with "operations
 like join or Cartesian product of reference relations", a union over the
 conjunctions of the disjunctive normal form, *projection* for existential
 quantifiers and *division* for universal quantifiers (after Codd).  This
-module implements those operators — plus the semijoin/antijoin pair the paper
-relates to Bernstein & Chiu's semi-join technique — for arbitrary relations,
-whether their components are ordinary values or references.
+module implements those operators — plus the semijoin the paper relates to
+Bernstein & Chiu's semi-join technique — over relations whose components are
+ordinary values or references.
 
-Every hot kernel comes in two forms:
+Every operator consumes a :class:`~repro.engine.stream.RowStream` on its
+pipeline side and produces a new ``RowStream``, buffering tuples only where
+it is a genuine pipeline breaker (division's group table, union's dedup
+state); build sides (hash tables, key sets) are taken from
+already-materialised operands — relations, or
+:class:`~repro.engine.stream.Rows` of bare value tuples, which is how the
+combination phase runs these operators over dense reference ids.
+``*_kernel`` prepares an operator against its input schema, ``stream_*``
+prepares and wires it at once; ``RowStream.materialize()`` turns any output
+back into a relation.
 
-* a **streaming variant** (``stream_*``) that consumes a
-  :class:`~repro.engine.stream.RowStream` on its pipeline side and produces a
-  new ``RowStream``, buffering tuples only where the operator is a genuine
-  pipeline breaker (division's group table, union's dedup state); build
-  sides (hash tables, key sets) are taken from already-materialised
-  operands — relations, or :class:`~repro.engine.stream.Rows` of bare value
-  tuples, which is how the combination phase runs these very operators over
-  dense reference ids — and
-* the classic **``Relation``-returning signature**, now a thin materialising
-  wrapper over the streaming variant, so existing callers keep working
-  unchanged while the engine migrates incrementally.
-
-All operators are pure functions: they never modify their operands and return
-fresh relations (or single-use streams).  Schema compatibility problems raise
+All operators are pure: they never modify their operands and return
+single-use streams.  Schema compatibility problems raise
 :class:`~repro.errors.AlgebraError`.
 """
 
@@ -32,38 +29,17 @@ from __future__ import annotations
 from functools import partial
 from itertools import compress
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.errors import AlgebraError
-from repro.relational.record import Record
 from repro.relational.relation import Relation
 from repro.relational.statistics import AccessStatistics
-from repro.types.scalar import compare_values
 from repro.types.schema import RelationSchema
 
 __all__ = [
-    "select",
-    "project",
-    "rename",
-    "product",
-    "join",
-    "natural_join",
-    "theta_join",
-    "union",
-    "difference",
-    "intersection",
-    "divide",
-    "semijoin",
-    "antijoin",
-    "theta_semijoin",
-    "extend_product",
-    "distinct_values",
-    "stream_select",
     "stream_project",
-    "stream_join",
     "stream_natural_join",
     "stream_semijoin",
-    "stream_theta_semijoin",
     "stream_union",
     "stream_divide",
     "Kernel",
@@ -73,14 +49,6 @@ __all__ = [
     "union_kernel",
     "divide_kernel",
 ]
-
-
-def _require_same_schema(left: Relation, right: Relation, operation: str) -> None:
-    if left.schema.field_names != right.schema.field_names:
-        raise AlgebraError(
-            f"{operation} requires identical schemas; got {left.schema.field_names} "
-            f"and {right.schema.field_names}"
-        )
 
 
 def _values_getter(schema: RelationSchema, field_names: Sequence[str]) -> Callable[[tuple], tuple]:
@@ -213,20 +181,6 @@ class Kernel:
         return RowStream(self.schema, chunks=chunks, label=self.label)
 
 
-def stream_select(source, predicate: Callable[[Record], bool], name: str | None = None):
-    """Streaming restriction: rows whose record satisfies ``predicate``."""
-    schema = source.schema
-
-    def body(source, tracker, live, emitted):
-        raw = Record.raw
-        for chunk in source.chunks():
-            out = [values for values in chunk if predicate(raw(schema, values))]
-            if out:
-                yield out
-
-    return Kernel(schema, name or f"select_{source.label}", body)(source)
-
-
 def project_kernel(
     source_schema: RelationSchema, field_names: Sequence[str], name: str, dedup: bool = False
 ) -> Kernel:
@@ -336,20 +290,6 @@ def _hash_join(schema: RelationSchema, left_key, right, columns, right_part, kin
     return Kernel(schema, schema.name, body)
 
 
-def stream_join(
-    source,
-    right,
-    on: Sequence[tuple[str, str]],
-    name: str | None = None,
-    tracker: AccessStatistics | None = None,
-):
-    """Streaming equi-join keeping both operands in full (hash build on ``right``)."""
-    schema = source.schema.concat(right.schema, name or f"{source.label}_join_{right.name}")
-    left_key = match_getter(source.schema, [pair[0] for pair in on])
-    whole = lambda values: values  # noqa: E731 - both operands are kept in full
-    return _hash_join(schema, left_key, right, [p[1] for p in on], whole, "rows")(source, tracker)
-
-
 def natural_join_kernel(left_schema: RelationSchema, right, name: str) -> Kernel:
     """:func:`stream_natural_join`, prepared against ``left_schema``."""
     right_schema = right.schema
@@ -384,7 +324,7 @@ def stream_natural_join(
 
     The common components appear once in the output (the stream's copy).
     With no common component this degenerates to the streaming Cartesian
-    product — the ``extend_product`` of the combination phase.  One
+    product — the combination phase's range extension.  One
     comparison is recorded per probe and per matching pair, flushed when the
     pipeline closes.
     """
@@ -443,45 +383,6 @@ def stream_semijoin(
     return kernel(source, tracker, emitted=emitted)
 
 
-def stream_theta_semijoin(
-    source,
-    right,
-    on: Sequence[tuple[str, str, str]],
-    name: str | None = None,
-    tracker: AccessStatistics | None = None,
-):
-    """Streaming semi-join under arbitrary comparison operators.
-
-    ``on`` holds ``(left_field, operator, right_field)`` triples; probing
-    stops at the first satisfying partner (short-circuit).
-    """
-    schema = source.schema
-    left_getter = _values_getter(schema, [lf for lf, _, _ in on])
-    right_getter = _values_getter(right.schema, [rf for _, _, rf in on])
-    operators = [op for _, op, _ in on]
-    right_tuples = [right_getter(values) for values in value_rows(right)]
-
-    def body(source, tracker, live, emitted):
-        probes = 0
-        try:
-            for chunk in source.chunks():
-                probes += len(chunk)
-                out = [
-                    values for values, left in zip(chunk, map(left_getter, chunk))
-                    if any(
-                        all(map(compare_values, operators, left, right_values))
-                        for right_values in right_tuples
-                    )
-                ]
-                if out:
-                    yield out
-        finally:
-            if tracker is not None:
-                tracker.record_comparison(probes)
-
-    return Kernel(schema, name or f"{source.label}_tsemijoin_{right.name}", body)(source, tracker)
-
-
 def union_kernel(schema: RelationSchema, label: str, dedup: bool = True) -> Kernel:
     """:func:`stream_union` over ``schema``; its source is a sequence of streams."""
     key_of = _key_getter(schema)
@@ -530,18 +431,24 @@ def stream_union(
 ):
     """Streaming union of several row streams over the same components.
 
-    Rows of earlier sources win on key collisions (matching the historical
-    "left wins" behaviour of the materialised operator).  The dedup set is
-    the union's breaker *state* — chunks still flow through as they come, but
-    the set of keys seen so far stays live for the life of the operator and
-    is reported to ``live``.  One comparison is recorded per row arriving
-    from any source after the first (the rows the materialised operator
-    checked against the accumulating result).
+    Rows of earlier sources win on key collisions ("left wins"); sources
+    must share their component names (:class:`~repro.errors.AlgebraError`
+    otherwise).  The dedup set is the union's breaker *state* — chunks still
+    flow through as they come, but the set of keys seen so far stays live
+    for the life of the operator and is reported to ``live``.  One
+    comparison is recorded per row arriving from any source after the first
+    (each is checked against the union so far).
     """
     sources = list(sources)
     if not sources and schema is None:
         raise AlgebraError("stream_union needs at least one source or an explicit schema")
     out_schema = schema if schema is not None else sources[0].schema
+    for source in sources:
+        if source.schema.field_names != out_schema.field_names:
+            raise AlgebraError(
+                f"union requires identical schemas; got {out_schema.field_names} "
+                f"and {source.schema.field_names}"
+            )
     return union_kernel(out_schema, name or "union", dedup)(sources, tracker, live, emitted)
 
 
@@ -623,299 +530,3 @@ def stream_divide(
     """
     kernel = divide_kernel(source.schema, divisor, by, name or f"{source.label}_div_{divisor.name}")
     return kernel(source, tracker, live, emitted)
-
-
-# ================================================================== materialising kernels
-
-
-def select(relation: Relation, predicate: Callable[[Record], bool], name: str | None = None) -> Relation:
-    """Restriction: the elements of ``relation`` satisfying ``predicate``."""
-    result = Relation(name or f"select_{relation.name}", relation.schema)
-    for record in relation:
-        if predicate(record):
-            result.insert(record)
-    return result
-
-
-def _stream_of(relation: Relation):
-    """``relation`` as the pipeline side of a streaming kernel."""
-    from repro.engine.stream import RowStream
-
-    return RowStream.from_relation(relation)
-
-
-def _materialized(stream, tracker: AccessStatistics | None = None) -> Relation:
-    """Drain a kernel's output into a relation, counted as an intermediate one."""
-    result = stream.materialize()
-    if tracker is not None:
-        tracker.record_intermediate(len(result))
-    return result
-
-
-def project(
-    relation: Relation,
-    field_names: Sequence[str],
-    name: str | None = None,
-    tracker: AccessStatistics | None = None,
-) -> Relation:
-    """Projection on ``field_names`` with duplicate elimination.
-
-    This is the operator used for *existential* quantifier elimination in the
-    materialised combination phase: projecting an n-tuple reference relation
-    on the columns of the remaining variables.  A thin wrapper over
-    :func:`stream_project`; duplicates collapse through the result relation's
-    key dictionary (its key covers all components).
-    """
-    stream = stream_project(
-        _stream_of(relation), field_names, name=name or f"project_{relation.name}"
-    )
-    return _materialized(stream, tracker)
-
-
-def rename(relation: Relation, mapping: Mapping[str, str], name: str | None = None) -> Relation:
-    """Rename components according to ``mapping``."""
-    schema = relation.schema.rename(mapping, name or relation.name)
-    result = Relation(schema.name, schema)
-    for record in relation:
-        result.insert(Record.raw(schema, record.values))
-    return result
-
-
-def product(
-    left: Relation,
-    right: Relation,
-    name: str | None = None,
-    tracker: AccessStatistics | None = None,
-) -> Relation:
-    """Cartesian product.  Component names must not clash."""
-    schema = left.schema.concat(right.schema, name or f"{left.name}_x_{right.name}")
-    result = Relation(schema.name, schema)
-    right_records = right.elements()
-    for left_record in left:
-        for right_record in right_records:
-            result.insert(Record.raw(schema, left_record.values + right_record.values))
-    if tracker is not None:
-        tracker.record_intermediate(len(result))
-    return result
-
-
-def theta_join(
-    left: Relation,
-    right: Relation,
-    predicate: Callable[[Record, Record], bool],
-    name: str | None = None,
-) -> Relation:
-    """General theta-join: product restricted by ``predicate``."""
-    schema = left.schema.concat(right.schema, name or f"{left.name}_join_{right.name}")
-    result = Relation(schema.name, schema)
-    right_records = right.elements()
-    for left_record in left:
-        for right_record in right_records:
-            if predicate(left_record, right_record):
-                result.insert(Record.raw(schema, left_record.values + right_record.values))
-    return result
-
-
-def join(
-    left: Relation,
-    right: Relation,
-    on: Sequence[tuple[str, str]],
-    name: str | None = None,
-) -> Relation:
-    """Equi-join on pairs of component names ``(left_field, right_field)``.
-
-    The joined-on right components are *kept* (both operands appear in full),
-    matching the paper's combination step where shared reference columns are
-    compared (``cl.cref = c2.cref`` in Example 3.2).  A thin wrapper over
-    :func:`stream_join`, so the cost is linear in the operand sizes plus the
-    output size (hash join).
-    """
-    if not on:
-        return product(left, right, name)
-    name = name or f"{left.name}_join_{right.name}"
-    return stream_join(_stream_of(left), right, on, name=name).materialize()
-
-
-def natural_join(
-    left: Relation,
-    right: Relation,
-    name: str | None = None,
-    tracker: AccessStatistics | None = None,
-) -> Relation:
-    """Natural join on the components the operands have in common.
-
-    The common components appear once in the result (left operand's copy).
-    This is the join used when combining single lists and indirect joins that
-    share a variable's reference column.  A thin wrapper over
-    :func:`stream_natural_join`: one comparison is recorded per probe and per
-    matching pair, and the result size is recorded as an intermediate
-    relation when a ``tracker`` is supplied.
-    """
-    stream = stream_natural_join(
-        _stream_of(left), right, name=name or f"{left.name}_nj_{right.name}", tracker=tracker
-    )
-    return _materialized(stream, tracker)
-
-
-def union(
-    left: Relation,
-    right: Relation,
-    name: str | None = None,
-    tracker: AccessStatistics | None = None,
-) -> Relation:
-    """Set union of two relations over the same components.
-
-    Elements of ``left`` win on key collisions (matching the historical
-    behaviour of inserting ``left`` first and skipping present keys).  A thin
-    wrapper over :func:`stream_union`; key positions are resolved once per
-    call, not once per record.
-    """
-    _require_same_schema(left, right, "union")
-    stream = stream_union(
-        (_stream_of(left), _stream_of(right)), schema=left.schema,
-        name=name or f"{left.name}_union_{right.name}", tracker=tracker,
-    )
-    return _materialized(stream, tracker)
-
-
-def difference(left: Relation, right: Relation, name: str | None = None) -> Relation:
-    """Set difference ``left - right``.
-
-    The schemas are component-wise identical (checked), so membership is
-    decided on raw value tuples — positions resolve once per call instead of
-    building and hashing a record per element.
-    """
-    _require_same_schema(left, right, "difference")
-    right_values = {record.values for record in right}
-    result = Relation(name or f"{left.name}_minus_{right.name}", left.schema)
-    insert = result.insert_raw
-    for record in left:
-        if record.values not in right_values:
-            insert(record)
-    return result
-
-
-def intersection(left: Relation, right: Relation, name: str | None = None) -> Relation:
-    """Set intersection (value-tuple membership, positions resolved once per call)."""
-    _require_same_schema(left, right, "intersection")
-    right_values = {record.values for record in right}
-    result = Relation(name or f"{left.name}_and_{right.name}", left.schema)
-    insert = result.insert_raw
-    for record in left:
-        if record.values in right_values:
-            insert(record)
-    return result
-
-
-def divide(
-    dividend: Relation,
-    divisor: Relation,
-    by: Sequence[tuple[str, str]],
-    name: str | None = None,
-    tracker: AccessStatistics | None = None,
-) -> Relation:
-    """Relational division — the operator for *universal* quantification.
-
-    ``by`` pairs each divisor component with the dividend component it must
-    match, e.g. ``[("p_ref", "p_ref")]``.  The result keeps the remaining
-    dividend components and contains a combination exactly when it appears in
-    the dividend together with *every* element of the divisor.  A thin
-    wrapper over :func:`stream_divide`.
-
-    An empty divisor yields the projection of the dividend on the remaining
-    components (the vacuous-truth convention); the engine normally removes
-    empty ranges beforehand via the Lemma 1 runtime adaptation, so this case
-    only arises in direct algebra use.
-    """
-    stream = stream_divide(
-        _stream_of(dividend), divisor, by,
-        name=name or f"{dividend.name}_div_{divisor.name}", tracker=tracker,
-    )
-    return _materialized(stream, tracker)
-
-
-def semijoin(
-    left: Relation,
-    right: Relation,
-    on: Sequence[tuple[str, str]],
-    name: str | None = None,
-    tracker: AccessStatistics | None = None,
-) -> Relation:
-    """Semi-join: elements of ``left`` that join with at least one element of ``right``.
-
-    This is the operation Bernstein & Chiu's technique is built on; Section 4.4
-    interprets it as existential-quantifier evaluation in the collection phase,
-    and the combination-phase reducer pass uses it to shrink conjunct
-    structures before any n-tuple join.  A thin wrapper over
-    :func:`stream_semijoin`.
-    """
-    name = name or f"{left.name}_semijoin_{right.name}"
-    return stream_semijoin(_stream_of(left), right, on, name=name, tracker=tracker).materialize()
-
-
-def antijoin(
-    left: Relation,
-    right: Relation,
-    on: Sequence[tuple[str, str]],
-    name: str | None = None,
-    tracker: AccessStatistics | None = None,
-) -> Relation:
-    """Anti-join: elements of ``left`` that join with *no* element of ``right``."""
-    left_fields = [pair[0] for pair in on]
-    right_fields = [pair[1] for pair in on]
-    right_getter = _values_getter(right.schema, right_fields)
-    left_getter = _values_getter(left.schema, left_fields)
-    right_keys = {right_getter(rec.values) for rec in right}
-    result = Relation(name or f"{left.name}_antijoin_{right.name}", left.schema)
-    insert = result.insert_raw
-    for record in left:
-        if left_getter(record.values) not in right_keys:
-            insert(record)
-    if tracker is not None:
-        tracker.record_comparison(len(left))
-        tracker.record_intermediate(len(result))
-    return result
-
-
-def theta_semijoin(
-    left: Relation,
-    right: Relation,
-    on: Sequence[tuple[str, str, str]],
-    name: str | None = None,
-    tracker: AccessStatistics | None = None,
-) -> Relation:
-    """Semi-join under arbitrary comparison operators.
-
-    ``on`` holds ``(left_field, operator, right_field)`` triples; an element of
-    ``left`` qualifies when some element of ``right`` satisfies every triple.
-    Used by the general collection-phase quantifier evaluation of Strategy 4
-    when the connecting join term is not an equality.  A thin wrapper over
-    :func:`stream_theta_semijoin`.
-    """
-    name = name or f"{left.name}_tsemijoin_{right.name}"
-    return stream_theta_semijoin(
-        _stream_of(left), right, on, name=name, tracker=tracker
-    ).materialize()
-
-
-def extend_product(
-    relation: Relation,
-    extra: Relation,
-    name: str | None = None,
-    tracker: AccessStatistics | None = None,
-) -> Relation:
-    """Cartesian-product extension used by the combination phase.
-
-    When a conjunction of the disjunctive normal form does not mention some
-    variable at all, its n-tuple reference relation must still carry a column
-    for that variable ranging over *all* elements of the variable's range
-    (Section 3.3 builds n-tuples for *all* n variables).  This helper is a
-    named, intention-revealing wrapper around :func:`product`; like the other
-    kernels it reports its result size as an intermediate relation.
-    """
-    return product(relation, extra, name, tracker=tracker)
-
-
-def distinct_values(relation: Relation, field_name: str) -> set:
-    """The set of distinct values of one component (used for value lists)."""
-    return {record[field_name] for record in relation}

@@ -457,13 +457,6 @@ class TableStatistics:
             return None
         return column.summary(self.staleness_threshold, self.tracker)
 
-    def frequency(self, field: str, value: Any) -> int | None:
-        """Exact multiplicity of ``value`` in ``field`` (``None``: unknown field)."""
-        column = self.columns.get(field)
-        if column is None:
-            return None
-        return column.frequency(value)
-
     def refresh(self, force: bool = True) -> None:
         """Re-derive every column summary (the reoptimization entry point)."""
         for column in self.columns.values():

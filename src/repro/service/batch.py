@@ -11,13 +11,12 @@ instead of once per query, identical single lists / indirect joins /
 Strategy 4 value lists are built once and shared, and only the (per-query)
 combination and construction phases run separately.
 
-Under ``streaming_execution`` the batch becomes *one collection phase
-feeding per-member pipelines*: the shared scan materialises the Figure 2
-structures once, and each member's combination/construction then runs as a
-pull-based operator pipeline over its slice of those structures — no
-intermediate n-tuple relation is materialised for any member, and each
-member's ``QueryResult.combination`` carries its own streamed/materialized
-operator annotations.
+The batch is *one collection phase feeding per-member pipelines*: the
+shared scan materialises the Figure 2 structures once, and each member's
+combination/construction then runs as a pull-based operator pipeline over
+its slice of those structures — no intermediate n-tuple relation is
+materialised for any member, and each member's ``QueryResult.combination``
+carries its own streamed/materialized operator annotations.
 
 Grouping is conservative: two plans land in the same group only when they
 were prepared under the same :class:`~repro.config.StrategyOptions` and
@@ -121,9 +120,9 @@ def _run_group(engine: QueryEngine, group: _Group) -> list[tuple[int, QueryResul
             access_paths=dict(collection.access_paths),
         )
         offset += count
-        # Per-member pipeline over the shared structures: with streaming
-        # execution the combination phase hands ConstructionPhase a live
-        # RowStream and the member's tuples are dereferenced as they flow.
+        # Per-member pipeline over the shared structures: the combination
+        # phase hands ConstructionPhase a live RowStream and the member's
+        # tuples are dereferenced as they flow.
         combination = CombinationPhase(plan, database, view, options).run()
         relation = ConstructionPhase(plan.selection, database).run(combination)
         results.append(

@@ -55,7 +55,7 @@ class TestStreamingIsReal:
 
     def test_peak_is_breaker_state_only(self, scale4):
         """After a full cursor drain the LiveTupleTracker high-water mark
-        matches the streaming executor's, far below the materialised peak."""
+        matches the streamed plan's, far below the literal plan's peak."""
         materialized = QueryEngine(
             scale4, StrategyOptions().with_(streaming_execution=False)
         ).run(OTHERS_PUBLISHED_1977_TEXT)

@@ -35,7 +35,10 @@ def _combination(database, selection, options):
     prepared = prepare_query(resolved, database, options, resolve=False)
     database.reset_statistics()
     collection = CollectionPhase(prepared, database, options).run()
-    return CombinationPhase(prepared, database, collection, options).run()
+    combination = CombinationPhase(prepared, database, collection, options).run()
+    for _ in combination.stream:  # the sizes and the peak are final once drained
+        pass
+    return combination
 
 
 class TestSelectivityHints:

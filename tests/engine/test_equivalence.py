@@ -3,10 +3,11 @@
 Four axes are crossed here:
 
 * **optimizer flags** — ``join_ordering`` × ``semijoin_reduction``;
-* **execution mode** — ``streaming_execution`` on (the pull-based operator
-  pipeline) vs. off (materialise every intermediate n-tuple relation),
-  asserted byte-identical in :class:`TestStreamingEquivalence`, crossed
-  with the optimizer flags at both scales;
+* **plan policy** — ``streaming_execution`` on (the streamed plan) vs. off
+  (the literal Section 3.3 procedure, n-tuples over every variable), both
+  on the one pull-based pipeline, asserted byte-identical in
+  :class:`TestStreamingEquivalence`, crossed with the optimizer flags at
+  both scales;
 * **strategy configurations** — the representative configurations of
   ``conftest`` (scale 1) and a reduced set (scale 2);
 * **storage backend** — the plain in-memory :class:`Relation` dictionary and
@@ -244,7 +245,7 @@ class TestIndexAccessPathEquivalence:
 class TestStreamingEquivalence:
     """``streaming_execution`` on/off × the full existing matrix.
 
-    Streamed execution must be byte-identical to materialised execution (and
+    The streamed plan must be byte-identical to the literal plan (and
     to the naive ground truth) across every strategy configuration, optimizer
     flag combination, storage backend and access-path choice the suite
     already crosses.
@@ -273,8 +274,8 @@ class TestStreamingEquivalence:
     def test_streaming_on_off_byte_identical_under_optimizer_flags_on_figure1(
         self, figure1_backend, backend, query_name, flags, strategy_options
     ):
-        """Both combination paths × every join-order and reducer setting:
-        the order and the reduced ranges each path is handed must not change
+        """Both plan policies × every join-order and reducer setting:
+        the order and the reduced ranges each plan is handed must not change
         the rows it returns."""
         ordering, reduction = flags
         base = strategy_options.with_(join_ordering=ordering, semijoin_reduction=reduction)
@@ -648,7 +649,7 @@ class TestRepeatedExecutionEquivalence:
             (ordered, False), (ordered, True), (literal, False), (literal, True), (ordered, False),
         ):
             combination = CombinationPhase(plan, figure1, collection, options).run()
-            for _ in combination.stream or ():
+            for _ in combination.stream:
                 pass
             assert combination.plan_reused is reused
             relation = engine.execute_plan(plan, options, collection=collection).drain().relation

@@ -148,12 +148,14 @@ class TestCombinationAndConstruction:
         resolved, prepared = prepare(figure1, example_21(), unopt)
         collection = CollectionPhase(prepared, figure1, unopt).run()
         combination = CombinationPhase(prepared, figure1, collection).run()
+        list(combination.stream)  # the peak is final once drained
         unopt_peak = combination.peak_tuples
 
         opt = StrategyOptions()
         resolved, prepared_opt = prepare(figure1, example_21(), opt)
         collection_opt = CollectionPhase(prepared_opt, figure1, opt).run()
         combination_opt = CombinationPhase(prepared_opt, figure1, collection_opt).run()
+        list(combination_opt.stream)
         assert combination_opt.peak_tuples < unopt_peak
 
     def test_construction_dereferences_and_projects(self, figure1):

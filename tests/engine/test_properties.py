@@ -105,11 +105,12 @@ KERNEL = StrategyOptions.only(
 
 @PROPERTY_SETTINGS
 @given(seed=st.integers(min_value=0, max_value=50_000))
-def test_id_kernel_matches_the_materialized_procedure_and_naive_evaluation(seed):
-    """The streaming pipeline over reference ids, the literal Section 3.3
-    procedure and direct interpretation agree — on the free-variable
-    reference tuples (the combination phase's own output, decoded back from
-    ids) as well as on the constructed result."""
+def test_streamed_and_literal_plans_match_naive_evaluation(seed):
+    """The two plan policies of the one pipeline over reference ids — the
+    streamed plan and the literal Section 3.3 procedure — and direct
+    interpretation agree, on the free-variable reference tuples (the
+    combination phase's own output, decoded back from ids) as well as on the
+    constructed result."""
     pair = workload(seed)
     if pair is None:
         return
@@ -117,13 +118,13 @@ def test_id_kernel_matches_the_materialized_procedure_and_naive_evaluation(seed)
     expected = evaluate_selection_naive(resolved, database)
     engine = QueryEngine(database)
     streamed = engine.run(resolved, options=KERNEL)
-    materialized = engine.run(resolved, options=KERNEL.with_(streaming_execution=False))
+    literal = engine.run(resolved, options=KERNEL.with_(streaming_execution=False))
     assert streamed.relation == expected
-    assert materialized.relation == expected
+    assert literal.relation == expected
     if streamed.combination is not None and not streamed.used_strategy3_fallback:
-        assert streamed.combination.streamed and not materialized.combination.streamed
+        assert not streamed.combination.plan.literal and literal.combination.plan.literal
         assert {r.values for r in streamed.combination.tuples} == {
-            r.values for r in materialized.combination.tuples
+            r.values for r in literal.combination.tuples
         }
 
 

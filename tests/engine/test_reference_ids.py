@@ -117,15 +117,16 @@ def _phases(database, text, options=S1, plan=None):
 
 
 def _both_executions(database, plan, collection):
-    """Free-variable reference rows of the id pipeline and of the literal
-    materialised procedure, plus the pipeline's result object."""
+    """Free-variable reference rows of the streamed plan and of the literal
+    Section 3.3 plan, plus the streamed plan's result object."""
     streamed = CombinationPhase(plan, database, collection, S1).run()
-    for _ in streamed.stream:
-        pass
-    materialized = CombinationPhase(
+    literal = CombinationPhase(
         plan, database, collection, S1.with_(streaming_execution=False)
     ).run()
-    return _ref_rows(streamed.tuples), _ref_rows(materialized.tuples), streamed
+    for result in (streamed, literal):
+        for _ in result.stream:
+            pass
+    return _ref_rows(streamed.tuples), _ref_rows(literal.tuples), streamed
 
 
 class TestKernelEdgePaths:
@@ -140,8 +141,8 @@ class TestKernelEdgePaths:
 
     def _check(self, database, text, expected_op, plan=None):
         plan, collection = _phases(database, text, plan=plan)
-        streamed, materialized, result = _both_executions(database, plan, collection)
-        assert streamed == materialized
+        streamed, literal, result = _both_executions(database, plan, collection)
+        assert streamed == literal
         assert any(expected_op in note.op for note in result.operator_notes), [
             note.describe() for note in result.operator_notes
         ]
@@ -184,8 +185,8 @@ class TestKernelEdgePaths:
         database = figure1_database(paged=False)
         plan, collection = _phases(database, self.GATE)
         true = CollectionResult(range_refs=collection.range_refs, conjunctions=[[]])
-        streamed, materialized, result = _both_executions(database, plan, true)
-        assert streamed == materialized == {(ref,) for ref in collection.range_refs["e"]}
+        streamed, literal, result = _both_executions(database, plan, true)
+        assert streamed == literal == {(ref,) for ref in collection.range_refs["e"]}
         assert any("TRUE conjunction" in note.reason for note in result.operator_notes)
 
     def test_early_cursor_close_releases_breaker_state(self, monkeypatch):

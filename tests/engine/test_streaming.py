@@ -1,8 +1,9 @@
 """Unit and property tests for the streaming operator pipeline.
 
-The tentpole invariant is byte-identical results between
-``streaming_execution`` on and off (the matrix in
-``test_equivalence.py`` covers the full configuration cross); this module
+The tentpole invariant is byte-identical results between the two plan
+policies ``streaming_execution`` selects — the streamed plan and the literal
+Section 3.3 procedure (the matrix in ``test_equivalence.py`` covers the full
+configuration cross); this module
 tests the pipeline machinery itself — the :class:`RowStream` protocol, the
 streaming kernels, the short-circuit quantifier elimination, the live-tuple
 accounting and the EXPLAIN annotations — plus a hypothesis property over
@@ -50,7 +51,7 @@ S1_STREAMED = StrategyOptions.only(
     semijoin_reduction=True,
     streaming_execution=True,
 )
-S1_MATERIALIZED = S1_STREAMED.with_(streaming_execution=False)
+S1_LITERAL = S1_STREAMED.with_(streaming_execution=False)
 
 
 def make(name: str, fields: list[str], rows: list[tuple]) -> Relation:
@@ -169,13 +170,16 @@ class TestStreamingExecution:
         result = QueryEngine(figure1, S1_STREAMED).run(PUBLISHING_TEACHERS_TEXT)
         assert result.statistics["rows_streamed"] > 0
         assert result.statistics["operators_pipelined"] > 0
-        assert result.combination.streamed
+        assert not result.combination.plan.literal
 
-    def test_no_streaming_counters_when_disabled(self, figure1):
-        result = QueryEngine(figure1, S1_MATERIALIZED).run(PUBLISHING_TEACHERS_TEXT)
-        assert result.statistics["rows_streamed"] == 0
-        assert result.statistics["operators_pipelined"] == 0
-        assert not result.combination.streamed
+    def test_literal_plan_streams_and_counts_its_relations(self, figure1):
+        """The literal Section 3.3 plan runs on the same pipeline; each of
+        its relations is an operator output, counted as an intermediate."""
+        result = QueryEngine(figure1, S1_LITERAL).run(PUBLISHING_TEACHERS_TEXT)
+        assert result.combination.plan.literal
+        assert result.statistics["rows_streamed"] > 0
+        assert result.statistics["operators_pipelined"] > 0
+        assert result.statistics["intermediate_tuples"] >= result.combination.peak_tuples > 0
 
     def test_semijoin_short_circuit_applies_on_the_showcase_query(self, figure1):
         result = QueryEngine(figure1, S1_STREAMED).run(OTHERS_PUBLISHED_1977_TEXT)
@@ -225,9 +229,9 @@ class TestStreamingExecution:
 
     def test_streamed_peak_below_materialized_peak(self, figure1):
         streamed = QueryEngine(figure1, S1_STREAMED).run(OTHERS_PUBLISHED_1977_TEXT)
-        materialized = QueryEngine(figure1, S1_MATERIALIZED).run(OTHERS_PUBLISHED_1977_TEXT)
-        assert streamed.relation == materialized.relation
-        assert streamed.combination.peak_tuples <= materialized.combination.peak_tuples
+        literal = QueryEngine(figure1, S1_LITERAL).run(OTHERS_PUBLISHED_1977_TEXT)
+        assert streamed.relation == literal.relation
+        assert streamed.combination.peak_tuples <= literal.combination.peak_tuples
 
     def test_explain_analyze_annotates_streamed_and_materialized(self, figure1):
         options = StrategyOptions.only(
@@ -239,11 +243,13 @@ class TestStreamingExecution:
         assert ": streamed — " in report
         assert ": materialized — " in report  # the division breaker
 
-    def test_explain_analyze_reports_materialized_mode_when_off(self, figure1):
+    def test_explain_analyze_reports_the_literal_plan_when_off(self, figure1):
         options = StrategyOptions.only(parallel_collection=True)
         report = QueryEngine(figure1, options).explain(NO_1977_PAPERS_TEXT, analyze=True)
-        assert "execution: materialized" in report
-        assert "streaming_execution off" in report
+        assert "execution: literal Section 3.3 procedure, streamed" in report
+        assert "peak n-tuples" in report
+        assert ": streamed — " in report and ": materialized — " in report  # the division
+        assert "streaming_execution off" not in report
 
     def test_construction_rerun_falls_back_to_materialized_tuples(self, figure1):
         resolved = TypeChecker.for_database(figure1).resolve(
@@ -286,7 +292,7 @@ class TestStreamingExecution:
         assert combination.stream is None
         assert len(combination.tuples) == len(set(drained))
         result = ConstructionPhase(resolved, figure1).run(combination)
-        expected = QueryEngine(figure1, S1_MATERIALIZED).run(PUBLISHING_TEACHERS_TEXT)
+        expected = QueryEngine(figure1, S1_LITERAL).run(PUBLISHING_TEACHERS_TEXT)
         assert result == expected.relation
 
     def test_separated_conjunctions_stream_per_subquery(self, figure1):
@@ -295,7 +301,7 @@ class TestStreamingExecution:
         expected = execute_naive(figure1, EXAMPLE_21_TEXT)
         assert result.relation == expected
         assert result.subqueries > 1
-        assert result.combination.streamed
+        assert not result.combination.plan.literal
 
 
 # ------------------------------------------------------------------ hypothesis property
@@ -329,8 +335,8 @@ def workload(seed: int):
     config=st.integers(min_value=0, max_value=len(STREAM_CONFIGS) - 1),
 )
 def test_streamed_and_materialized_agree_on_random_workloads(seed, config):
-    """Streamed execution is byte-identical to materialised execution (and to
-    the naive ground truth) on randomly generated databases and queries."""
+    """The streamed plan is byte-identical to the literal plan (and to the
+    naive ground truth) on randomly generated databases and queries."""
     pair = workload(seed)
     if pair is None:
         return
@@ -339,11 +345,11 @@ def test_streamed_and_materialized_agree_on_random_workloads(seed, config):
     engine = QueryEngine(database)
     options = STREAM_CONFIGS[config]
     streamed = engine.run(resolved, options=options.with_(streaming_execution=True))
-    materialized = engine.run(resolved, options=options.with_(streaming_execution=False))
+    literal = engine.run(resolved, options=options.with_(streaming_execution=False))
     assert streamed.relation == expected
-    assert materialized.relation == expected
+    assert literal.relation == expected
     assert sorted(r.values for r in streamed.relation) == sorted(
-        r.values for r in materialized.relation
+        r.values for r in literal.relation
     )
 
 
@@ -363,7 +369,7 @@ def test_rows_streamed_positive_whenever_a_join_pipelines(seed):
     except PascalRError:
         return
     assert result.relation == evaluate_selection_naive(resolved, database)
-    if result.combination is None or not result.combination.streamed:
+    if result.combination is None:
         return
     # Every result row was pulled through the pipeline, so a non-empty
     # result implies positive streaming throughput.  (A conjunction whose

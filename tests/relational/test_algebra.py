@@ -1,24 +1,19 @@
-"""Unit tests for the relational algebra used by the combination phase."""
+"""Unit tests for the relational algebra used by the combination phase.
+
+Each operator is one streaming kernel; ``RowStream.materialize()`` turns its
+output back into a relation, which is how these tests read it.
+"""
 
 import pytest
 
+from repro.engine.stream import RowStream
 from repro.errors import AlgebraError
 from repro.relational.algebra import (
-    antijoin,
-    difference,
-    distinct_values,
-    divide,
-    intersection,
-    join,
-    natural_join,
-    product,
-    project,
-    rename,
-    select,
-    semijoin,
-    theta_join,
-    theta_semijoin,
-    union,
+    stream_divide,
+    stream_natural_join,
+    stream_project,
+    stream_semijoin,
+    stream_union,
 )
 from repro.relational.relation import Relation
 from repro.types.scalar import INTEGER
@@ -31,6 +26,14 @@ def make(name: str, fields: list[str], rows: list[tuple]) -> Relation:
     for row in rows:
         relation.insert(dict(zip(fields, row)))
     return relation
+
+
+def stream(relation: Relation) -> RowStream:
+    return RowStream.from_relation(relation)
+
+
+def divide(dividend: Relation, divisor: Relation, by) -> Relation:
+    return stream_divide(stream(dividend), divisor, by=by).materialize()
 
 
 @pytest.fixture
@@ -46,94 +49,54 @@ def enrolment():
 
 
 class TestBasicOperators:
-    def test_select(self):
-        r = make("r", ["a", "b"], [(1, 2), (3, 4)])
-        assert len(select(r, lambda rec: rec.a > 1)) == 1
-
     def test_project_eliminates_duplicates(self):
         r = make("r", ["a", "b"], [(1, 2), (1, 3)])
-        assert len(project(r, ["a"])) == 1
+        assert list(stream_project(stream(r), ["a"], dedup=True)) == [(1,)]
+        assert len(stream_project(stream(r), ["a"]).materialize()) == 1
 
     def test_project_keeps_requested_order(self):
         r = make("r", ["a", "b"], [(1, 2)])
-        assert project(r, ["b", "a"]).schema.field_names == ("b", "a")
-
-    def test_rename(self):
-        r = make("r", ["a"], [(1,)])
-        renamed = rename(r, {"a": "x"})
-        assert renamed.schema.field_names == ("x",)
-        assert renamed.elements()[0].x == 1
-
-    def test_product_cardinality(self):
-        r = make("r", ["a"], [(1,), (2,)])
-        s = make("s", ["b"], [(3,), (4,), (5,)])
-        assert len(product(r, s)) == 6
-
-    def test_product_name_clash_raises(self):
-        from repro.errors import PascalRError
-
-        r = make("r", ["a"], [(1,)])
-        with pytest.raises(PascalRError):
-            product(r, r)
-
-    def test_theta_join(self):
-        r = make("r", ["a"], [(1,), (2,), (3,)])
-        s = make("s", ["b"], [(2,), (3,)])
-        result = theta_join(r, s, lambda x, y: x.a < y.b)
-        assert len(result) == 3  # (1,2) (1,3) (2,3)
-
-    def test_equi_join(self):
-        r = make("r", ["a", "x"], [(1, 100), (2, 200)])
-        s = make("s", ["b", "y"], [(1, 10), (1, 11), (3, 30)])
-        result = join(r, s, on=[("a", "b")])
-        assert len(result) == 2
-
-    def test_join_with_no_pairs_is_product(self):
-        r = make("r", ["a"], [(1,), (2,)])
-        s = make("s", ["b"], [(1,)])
-        assert len(join(r, s, on=[])) == 2
+        projected = stream_project(stream(r), ["b", "a"]).materialize()
+        assert projected.schema.field_names == ("b", "a")
+        assert [record.values for record in projected] == [(2, 1)]
 
     def test_natural_join_shares_common_columns(self):
         r = make("r", ["a", "b"], [(1, 2), (2, 3)])
         s = make("s", ["b", "c"], [(2, 9), (3, 8), (7, 1)])
-        result = natural_join(r, s)
+        result = stream_natural_join(stream(r), s).materialize()
         assert result.schema.field_names == ("a", "b", "c")
-        assert len(result) == 2
+        assert sorted(record.values for record in result) == [(1, 2, 9), (2, 3, 8)]
 
     def test_natural_join_without_common_columns_is_product(self):
         r = make("r", ["a"], [(1,), (2,)])
         s = make("s", ["b"], [(5,)])
-        assert len(natural_join(r, s)) == 2
+        assert len(stream_natural_join(stream(r), s).materialize()) == 2
 
 
-class TestSetOperators:
+class TestUnion:
     def test_union(self):
         r = make("r", ["a"], [(1,), (2,)])
         s = make("r2", ["a"], [(2,), (3,)])
-        assert len(union(r, s)) == 3
+        assert list(stream_union((stream(r), stream(s)))) == [(1,), (2,), (3,)]
 
-    def test_difference(self):
-        r = make("r", ["a"], [(1,), (2,)])
-        s = make("r2", ["a"], [(2,)])
-        assert [rec.a for rec in difference(r, s)] == [1]
-
-    def test_intersection(self):
-        r = make("r", ["a"], [(1,), (2,)])
-        s = make("r2", ["a"], [(2,), (3,)])
-        assert [rec.a for rec in intersection(r, s)] == [2]
+    def test_union_left_wins_on_key_collisions(self):
+        schema = RelationSchema("r", [("k", INTEGER), ("v", INTEGER)], key=["k"])
+        left, right = Relation("l", schema), Relation("r", schema)
+        left.insert({"k": 1, "v": 10})
+        right.insert({"k": 1, "v": 99})
+        right.insert({"k": 2, "v": 20})
+        assert list(stream_union((stream(left), stream(right)))) == [(1, 10), (2, 20)]
 
     def test_union_schema_mismatch_raises(self):
         r = make("r", ["a"], [(1,)])
         s = make("s", ["b"], [(1,)])
         with pytest.raises(AlgebraError):
-            union(r, s)
+            stream_union((stream(r), stream(s)))
 
-    def test_set_operators_do_not_mutate_operands(self):
+    def test_union_does_not_mutate_operands(self):
         r = make("r", ["a"], [(1,)])
         s = make("r2", ["a"], [(2,)])
-        union(r, s)
-        difference(r, s)
-        intersection(r, s)
+        stream_union((stream(r), stream(s))).materialize()
         assert len(r) == 1 and len(s) == 1
 
 
@@ -181,31 +144,9 @@ class TestDivision:
         assert {rec.student for rec in result} == expected
 
 
-class TestSemiAndAntiJoin:
+class TestSemijoin:
     def test_semijoin(self):
         r = make("r", ["a"], [(1,), (2,), (3,)])
         s = make("s", ["b"], [(2,), (3,), (4,)])
-        assert {rec.a for rec in semijoin(r, s, on=[("a", "b")])} == {2, 3}
-
-    def test_antijoin(self):
-        r = make("r", ["a"], [(1,), (2,), (3,)])
-        s = make("s", ["b"], [(2,), (3,), (4,)])
-        assert {rec.a for rec in antijoin(r, s, on=[("a", "b")])} == {1}
-
-    def test_semijoin_and_antijoin_partition_left(self):
-        r = make("r", ["a"], [(i,) for i in range(10)])
-        s = make("s", ["b"], [(i,) for i in range(0, 10, 3)])
-        semi = semijoin(r, s, on=[("a", "b")])
-        anti = antijoin(r, s, on=[("a", "b")])
-        assert len(semi) + len(anti) == len(r)
-        assert len(intersection(semi, anti)) == 0
-
-    def test_theta_semijoin(self):
-        r = make("r", ["a"], [(1,), (5,), (9,)])
-        s = make("s", ["b"], [(4,), (6,)])
-        result = theta_semijoin(r, s, on=[("a", "<", "b")])
-        assert {rec.a for rec in result} == {1, 5}
-
-    def test_distinct_values(self):
-        r = make("r", ["a", "b"], [(1, 5), (2, 5), (3, 6)])
-        assert distinct_values(r, "b") == {5, 6}
+        result = stream_semijoin(stream(r), s, on=[("a", "b")]).materialize()
+        assert {rec.a for rec in result} == {2, 3}

@@ -118,10 +118,11 @@ def test_raw_inserts_maintain_statistics_too(paged: bool) -> None:
     stats = database.table_statistics("r")
     relation.insert_raw(Record(relation.schema, {"k": 1, "v": 5}))
     relation.bulk_insert_raw([Record(relation.schema, {"k": 2, "v": 5})])
-    assert stats.frequency("v", 5) == 2
+    column = stats.column("v")
+    assert column.frequency(5) == 2
     relation.insert_raw(Record(relation.schema, {"k": 1, "v": 7}))  # overwrite
-    assert stats.frequency("v", 5) == 1
-    assert stats.frequency("v", 7) == 1
+    assert column.frequency(5) == 1
+    assert column.frequency(7) == 1
     _assert_statistics_exact(stats, relation)
 
 

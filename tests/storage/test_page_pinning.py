@@ -16,7 +16,7 @@ import pytest
 
 from repro.engine.stream import RowStream
 from repro.errors import StorageError
-from repro.relational.algebra import natural_join, stream_natural_join
+from repro.relational.algebra import stream_natural_join
 from repro.relational.statistics import AccessStatistics
 from repro.storage.buffer import BufferPool
 from repro.storage.storedrelation import StoredRelation
@@ -144,7 +144,7 @@ class TestStreamedJoinInterleavedWithScans:
         )
         noise = stored("noise", ["x"], [(i,) for i in range(48)], pool, tracker=tracker)
 
-        expected = natural_join(left, right)
+        expected = stream_natural_join(RowStream.from_relation(left), right).materialize()
 
         stream = stream_natural_join(
             RowStream(left.schema, (record.values for record in left.scan()), label="orders"),
