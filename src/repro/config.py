@@ -69,17 +69,19 @@ class StrategyOptions:
         independent sub-query (end of Section 2).  Off by default because the
         paper notes that fully independent evaluation is not always
         desirable (Section 4.3).
-    use_permanent_indexes:
-        Skip the index-construction step of the collection phase when the
-        database holds a matching permanent index (Section 3.2).
     use_index_paths:
         Index-driven access paths — per variable, let a cost-based selector
         replace the collection-phase relation scan with a permanent-index
         probe (range restrictions, monadic terms and derived-predicate
         outer loops answered directly from index references, sub-linearly),
         or with a zone-map pruned page scan on the paged backend when no
-        index applies.  Late-bound ``$param`` values bind into the probe at
-        execution time; the chosen path itself depends only on the catalog.
+        index applies; and skip the index-construction step of the
+        collection phase when the database holds a matching permanent index
+        (Section 3.2).  One flag governs every use of a permanent index.
+        Late-bound ``$param`` values bind into the probe at execution time.
+        The chosen path depends on the catalog and the cardinalities, and
+        under ``histogram_statistics`` also on each bound constant's
+        estimated selectivity, so such a range is re-decided every execution.
     join_ordering:
         Combination-phase optimizer — order the joins of each conjunction by
         estimated cardinality (smallest structure first, then the connected
@@ -121,7 +123,6 @@ class StrategyOptions:
     collection_phase_quantifiers: bool = True
     general_range_extensions: bool = False
     separate_existential_conjunctions: bool = False
-    use_permanent_indexes: bool = True
     use_index_paths: bool = True
     join_ordering: bool = True
     semijoin_reduction: bool = True
@@ -143,7 +144,6 @@ class StrategyOptions:
             one_step_nested=False,
             extended_ranges=False,
             collection_phase_quantifiers=False,
-            use_permanent_indexes=False,
             use_index_paths=False,
             join_ordering=False,
             semijoin_reduction=False,
@@ -169,7 +169,6 @@ class StrategyOptions:
             "collection_phase_quantifiers": "S4 collection-phase quantifiers",
             "general_range_extensions": "S3+ general extensions",
             "separate_existential_conjunctions": "separate conjunctions",
-            "use_permanent_indexes": "permanent indexes",
             "use_index_paths": "index access paths",
             "join_ordering": "cost-ordered joins",
             "semijoin_reduction": "semijoin reduction",
@@ -193,10 +192,6 @@ class ServiceOptions:
     collection_cache_size:
         Per-prepared-query bound-plan and collection-structure memo size;
         ``0`` disables both memos (every execution re-binds and re-collects).
-    batching:
-        Whether :meth:`~repro.service.QueryService.execute_batch` groups
-        compatible plans to share collection-phase scans; when off, batches
-        simply execute their requests one by one.
     cursor_arraysize:
         Default ``Cursor.arraysize`` of cursors opened on a connection with
         these options: the number of rows one argument-less ``fetchmany()``
@@ -218,27 +213,13 @@ class ServiceOptions:
         execute time (see :mod:`repro.relational.mvcc`).  Session cursors
         always use the live locked path — a transaction must read its own
         writes.  Default on; switch off to restore fully serialized reads.
-    reopt_qerror_threshold:
-        Adaptive reoptimization trigger of prepared queries.  After the
-        first execution a prepared query *pins* its chosen join orders
-        together with their estimated cardinalities; later executions
-        reuse the pinned orders without re-running the cost model.  When
-        the observed q-error — ``max(est/actual, actual/est)`` of any
-        pinned join step — exceeds this threshold, the stored data has
-        drifted away from the statistics the plan was costed with: the
-        query drops its pins and memos, forces a statistics refresh, and
-        recompiles its plan in place (the plan-cache entry is revalidated,
-        not evicted).  ``0`` (the default) disables reoptimization; ``3``
-        to ``10`` are reasonable production thresholds.
     """
 
     plan_cache_capacity: int = 128
     collection_cache_size: int = 32
-    batching: bool = True
     cursor_arraysize: int = 1
     busy_timeout: float = 0.0
     snapshot_reads: bool = True
-    reopt_qerror_threshold: float = 0.0
 
     def with_(self, **changes) -> "ServiceOptions":
         """A copy with the named settings changed."""

@@ -810,7 +810,7 @@ class CollectionPhase:
         the view its pins share per contents version, so a cold collection
         pays for at most one build per version, not one per execution.
         """
-        if not self.options.use_permanent_indexes:
+        if not self.options.use_index_paths:
             return None
         if self._var_range[spec.build_var].restriction is not None:
             return None

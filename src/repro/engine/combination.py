@@ -73,8 +73,7 @@ the :class:`CombinationPlan` on it; that execution and every later one
 **wire** the plan into their own generators, counters and report, and a hash
 table is built when a wire first probes it and stays on its operand.  A
 repeated query over unchanged relations pays for its probes, not for its
-plan; pinned join orders steer the planner, they are not what makes a repeat
-cheap.  The chosen join order, the per-structure reduction sizes and a
+plan.  The chosen join order, the per-structure reduction sizes and a
 streamed/materialized annotation per operator are recorded on
 :class:`CombinationResult` so ``explain(..., analyze=True)`` can show them.
 """
@@ -186,8 +185,7 @@ class CombinationResult:
     when no cost model ran — ``join_ordering`` off); the actual is the
     step's true output cardinality, filled when the step's operator closes.
     ``explain(analyze=True)`` renders these as est-vs-actual rows with their
-    q-error, and prepared queries compare pinned estimates against fresh
-    actuals to detect plan drift."""
+    q-error."""
 
     operator_notes: list[OperatorNote] = field(default_factory=list)
     """Every operator applied, annotated streamed/materialized with reason."""
@@ -391,20 +389,12 @@ class CombinationPhase:
         database,
         collection: CollectionResult,
         options: StrategyOptions | None = None,
-        pinned_orders: dict[int, list[tuple[str, float]]] | None = None,
     ) -> None:
         self.prepared = prepared
         self.database = database
         self.collection = collection
         self.options = options if options is not None else prepared.options
         self.statistics = database.statistics
-        #: Per conjunction index: the ``(description, estimated rows)`` join
-        #: sequence a prepared query pinned after its first execution.  The
-        #: planner follows it verbatim, skipping the cost model, when the
-        #: collection phase produced the same structure set (a mismatch, e.g.
-        #: after a range-extension change, falls back to fresh optimization
-        #: for that conjunction); a plan already published is wired as it is.
-        self.pinned_orders = pinned_orders or {}
         #: One id-valued reference component per variable (built on demand).
         self._fields: dict[str, Field] = {}
         self._ranges: dict[str, Rows] = {}
@@ -601,21 +591,24 @@ class CombinationPhase:
 
         pending = list(operands)
         if pending:
-            pinned, start, start_est = self._start(index, pending)
+            start = 0
+            if self.options.join_ordering:
+                start = min(range(len(pending)), key=lambda i: len(pending[i]))
             entry = pending.pop(start)
-            scan(entry, start_est, "pipeline source")
-            covered = set(entry.schema.field_names)
             est_size = float(len(entry))
+            scan(entry, est_size, "pipeline source")
+            covered = set(entry.schema.field_names)
             # The start structure is the only materialised left side the
             # chain ever has; under ``histogram_statistics`` its
             # sketch feeds the first ordering decision, later steps price
             # a join by what the stream can hold (``stream_join_estimate``).
             base = entry if self.options.histogram_statistics else None
             joined = [entry]
-            position = 1
             while pending:
-                pick, est = self._next(pinned, position, base, est_size, covered, pending, joined)
-                position += 1
+                pick, est = pick_next(
+                    base, est_size, covered, pending, {},
+                    self.options.join_ordering, self.options.histogram_statistics, joined,
+                )
                 entry = pending.pop(pick)
                 description = entry.name
                 order.append((description, len(entry)))
@@ -713,44 +706,6 @@ class CombinationPhase:
         for operand in operands:
             operand.memo.clear()  # the summaries priced the order; the kernels hold build sides
         return plan
-
-    # -- join-order choices ------------------------------------------------------------------------
-
-    def _start(self, index: int, pending: list[Rows]):
-        """``(pinned sequence or None, start position, estimated start size)``."""
-        pinned = self._pinned_sequence(index, pending)
-        if pinned is not None:
-            description, estimate = pinned[0]
-            return pinned, self._position(pending, description), estimate
-        start = 0
-        if self.options.join_ordering:
-            start = min(range(len(pending)), key=lambda i: len(pending[i]))
-        return None, start, float(len(pending[start]))
-
-    def _pinned_sequence(self, index: int, pending: list[Rows]):
-        """The pinned ``(description, estimate)`` join sequence for conjunction
-        ``index``, when one exists and covers exactly the pending structures."""
-        pinned = self.pinned_orders.get(index)
-        if pinned is None or len(pinned) < len(pending):
-            return None
-        head = pinned[: len(pending)]
-        if sorted(d for d, _ in head) != sorted(entry.name for entry in pending):
-            return None
-        return head
-
-    @staticmethod
-    def _position(pending: list[Rows], description: str) -> int:
-        return next(i for i, entry in enumerate(pending) if entry.name == description)
-
-    def _next(self, pinned, step: int, left, left_size, covered, pending, joined=()):
-        """The next structure of a chain: the pinned one, else the policy's pick."""
-        if pinned is not None:
-            description, estimate = pinned[step]
-            return self._position(pending, description), estimate
-        return pick_next(
-            left, left_size, covered, pending, {},
-            self.options.join_ordering, self.options.histogram_statistics, joined,
-        )
 
     # ====================================================================== the pipeline
 

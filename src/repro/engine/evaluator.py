@@ -254,7 +254,6 @@ class QueryEngine:
         reset_statistics: bool = True,
         collection: CollectionResult | None = None,
         collection_sink=None,
-        pinned_orders: dict[int, list[tuple[str, float]]] | None = None,
         source=None,
     ) -> QueryResult:
         """Evaluate an already-transformed :class:`QueryPlan` — the one executor.
@@ -281,12 +280,9 @@ class QueryEngine:
         :class:`CollectionResult` for this exact plan (the service layer's
         per-binding memo), skipping the collection phase; ``collection_sink``
         is called with the collection result actually computed for the plan,
-        so the caller can memoize it.  ``pinned_orders`` replays the join
-        orders (with their compile-time estimates) a prepared query pinned
-        on its first execution, skipping the cost model.  None of the three
-        applies to the constant-matrix or separated-conjunction paths, and
-        the Strategy 3 runtime fallback always re-collects and re-optimizes
-        for its re-planned query.
+        so the caller can memoize it.  Neither applies to the constant-matrix
+        or separated-conjunction paths, and the Strategy 3 runtime fallback
+        always re-collects and re-optimizes for its re-planned query.
         """
         if source is None:
             source = self.database
@@ -298,9 +294,7 @@ class QueryEngine:
             if options.separate_existential_conjunctions and self._separable(plan):
                 result = self._execute_separated(source, plan, options)
             else:
-                result = self._execute_prepared(
-                    source, plan, options, collection, collection_sink, pinned_orders
-                )
+                result = self._execute_prepared(source, plan, options, collection, collection_sink)
         except ExtendedRangeEmptyError:
             fallback_options = options.with_(extended_ranges=False)
             replanned = prepare_query(plan.selection, source, fallback_options, resolve=False)
@@ -334,7 +328,6 @@ class QueryEngine:
         options: StrategyOptions,
         collection: CollectionResult | None = None,
         collection_sink=None,
-        pinned_orders: dict[int, list[tuple[str, float]]] | None = None,
     ) -> QueryResult:
         selection = prepared.selection
         if prepared.constant is not None:
@@ -359,9 +352,7 @@ class QueryEngine:
             collection = CollectionPhase(prepared, source, options).run()
             if collection_sink is not None:
                 collection_sink(collection)
-        combination = CombinationPhase(
-            prepared, source, collection, options, pinned_orders=pinned_orders
-        ).run()
+        combination = CombinationPhase(prepared, source, collection, options).run()
         # Defer the construction dereference: the caller pulls rows through
         # QueryResult.row_iterator and the relation fills as a side effect —
         # nothing downstream of the combination pipeline materialises before
@@ -573,8 +564,6 @@ class QueryEngine:
                 lines.append(
                     "  histogram rebuilds="
                     f"{result.statistics.get('histogram_rebuilds', 0)}, "
-                    "reoptimizations="
-                    f"{result.statistics.get('reoptimizations', 0)}, "
                     "max q-error="
                     f"{result.combination.worst_qerror() if result.combination else 0.0:.2f}"
                 )

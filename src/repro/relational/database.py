@@ -692,9 +692,9 @@ class Database:
     def refresh_statistics(self, names: Iterable[str] | None = None, force: bool = True) -> None:
         """Re-derive the column summaries of ``names`` (default: all tracked).
 
-        The adaptive-reoptimization entry point: exact counts are always
-        current, so a refresh only re-derives the lazily rebuilt summaries
-        from them (each rebuild is counted on ``histogram_rebuilds``).
+        Exact counts are always current, so a refresh only re-derives the
+        lazily rebuilt summaries from them (each rebuild is counted on
+        ``histogram_rebuilds``).
         """
         targets = list(self._table_statistics) if names is None else names
         for name in targets:

@@ -20,9 +20,9 @@ sketch (the ``k`` minimum ``stable_hash`` values — deterministic across
 processes, unlike anything built on Python's salted ``hash``).  Summaries
 go *stale* as mutations accumulate; they are rebuilt only when read past
 :data:`STALENESS_THRESHOLD` mutations (counted per column), so write-heavy
-workloads never pay a rebuild per write and cached plans can genuinely
-drift — which is what the service layer's adaptive reoptimization detects
-and repairs.
+workloads never pay a rebuild per write.  Join orders are planned per
+collection result, so the execution after a commit to a relation the query
+reads plans again over the summaries as they stand then.
 
 The join estimator (:func:`estimate_join`) follows the classic recipe: hot
 keys are matched exactly against the other side (against its hot list, or
@@ -458,7 +458,7 @@ class TableStatistics:
         return column.summary(self.staleness_threshold, self.tracker)
 
     def refresh(self, force: bool = True) -> None:
-        """Re-derive every column summary (the reoptimization entry point)."""
+        """Re-derive every column summary (``force``: stale or not)."""
         for column in self.columns.values():
             if force:
                 column.stale = self.staleness_threshold + 1

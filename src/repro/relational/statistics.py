@@ -130,12 +130,6 @@ class AccessStatistics:
         self.checkpoints = 0
         self.recovered_transactions = 0
         self.histogram_rebuilds = 0
-        self.reoptimizations = 0
-        # The worst estimated-vs-actual cardinality ratio observed since the
-        # last reset.  Locally max-updated; merge() sums it with the other
-        # scalars, which over-reports across merged trackers but keeps the
-        # reflection rule (every public numeric is summed) uniform.
-        self.estimation_qerror_max = 0.0
         # Every public numeric counter above, resolved once per class (every
         # pin makes a tracker): as_dict, merge and reset run on every query
         # and must not reflect each time.  Read off the first instance, last
@@ -279,15 +273,6 @@ class AccessStatistics:
     def record_histogram_rebuild(self, count: int = 1) -> None:
         """``count`` stale per-column summaries were rebuilt from exact counts."""
         self.histogram_rebuilds += count
-
-    def record_reoptimization(self) -> None:
-        """A cached plan was recompiled because its estimates drifted."""
-        self.reoptimizations += 1
-
-    def record_estimation_qerror(self, qerror: float) -> None:
-        """Fold one observed estimated-vs-actual q-error into the running max."""
-        if qerror > self.estimation_qerror_max:
-            self.estimation_qerror_max = qerror
 
     def record_reduction(self, removed: int) -> None:
         """One semijoin application of the reducer removed ``removed`` tuples.

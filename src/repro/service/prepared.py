@@ -42,25 +42,9 @@ from repro.service.binding import (
     referenced_relations,
 )
 from repro.service.cache import BoundedLRU, emptiness_signature
-from repro.transform.pipeline import QueryPlan, prepare_query
+from repro.transform.pipeline import QueryPlan
 
 __all__ = ["PreparedQuery"]
-
-
-class _Compiled:
-    """What every handle of one compiled plan shares and may replace.
-
-    Everything else a handle holds is either fixed at compile time or an
-    object changed in place (the memos, the lock), so handles made by
-    :meth:`PreparedQuery.for_text` are shallow copies; the plan (recompiled
-    by a reoptimization) and the join orders pinned for it live here.
-    """
-
-    __slots__ = ("plan", "pinned_orders")
-
-    def __init__(self, plan: QueryPlan) -> None:
-        self.plan = plan
-        self.pinned_orders: dict[int, list[tuple[str, float]]] | None = None
 
 
 class PreparedQuery:
@@ -75,11 +59,10 @@ class PreparedQuery:
         source=None,
         collection_cache_size: int = 32,
         lock: threading.RLock | None = None,
-        reopt_qerror_threshold: float = 0.0,
         lifted: int = 0,
     ) -> None:
         self._engine = engine
-        self._compiled = _Compiled(plan)
+        self._plan = plan
         self.options = options
         self.text = text
         # ``lifted`` literals of the text were compiled as the positional
@@ -136,23 +119,14 @@ class PreparedQuery:
         # QueryService shares its own execution lock so direct
         # ``prepared.execute`` calls and service calls exclude each other.
         self._lock = lock if lock is not None else threading.RLock()
-        # Adaptive reoptimization (``ServiceOptions.reopt_qerror_threshold``).
-        # After the first cost-modeled execution the join sequences are
-        # *pinned* — repeat executions follow them verbatim and skip the
-        # estimator entirely.  Each pinned execution still records actual
-        # per-step cardinalities; when the worst estimate-vs-actual q-error
-        # drifts past the threshold, the pins and memos are dropped, table
-        # statistics are refreshed, and the plan is recompiled in place (the
-        # handle — and its plan-cache entry — stays valid; no reconnect).
-        self.reopt_qerror_threshold = reopt_qerror_threshold
 
     def for_text(self, text: str, literals: Sequence[Any]) -> "PreparedQuery":
         """The handle of one text of this shape: ``literals`` are its constants.
 
-        Shares the compiled plan, the three memos, the pinned join orders and
-        the lock with this object; differs in its text and in binding
-        ``literals`` (in source order, coerced here through the compared
-        components' types) by itself.  Raises
+        Shares the compiled plan, the three memos and the lock with this
+        object; differs in its text and in binding ``literals`` (in source
+        order, coerced here through the compared components' types) by
+        itself.  Raises
         :class:`~repro.errors.BindingError` when a literal is no value of its
         component's type — the caller then compiles the text as written for
         the error a user should see.
@@ -179,11 +153,11 @@ class PreparedQuery:
         parameters — derived on first use.
         """
         if not self._literals:
-            return self._compiled.plan
+            return self._plan
         if self._as_written is None:
             values = dict.fromkeys(self.parameters, UNBOUND)
             values.update(self._literals)
-            self._as_written = bind_plan(self._compiled.plan, values, self._positional)
+            self._as_written = bind_plan(self._plan, values, self._positional)
         return self._as_written
 
     @property
@@ -202,13 +176,14 @@ class PreparedQuery:
         return tuple(sorted(self.parameters))
 
     def access_paths(self) -> dict[str, str]:
-        """The access path each variable's range will use, per the current catalog.
+        """The access path each variable's range would use on the live database now.
 
-        The selector's decision depends only on the catalog and the plan
-        structure — never on parameter values — so this is exactly the path
-        every ``execute`` takes until a catalog change (which stales this
-        handle anyway).  Unbound ``$parameters`` show up in the probe
-        description; the concrete value binds per execution.
+        The selector reads the catalog, the cardinalities and — under
+        ``histogram_statistics`` — the selectivity of each *bound* constant,
+        so a range compared to a literal or a bound ``$param`` is decided
+        again on every execution and may take another path once the data
+        moves.  Here the plan is unbound: a ``$parameter`` is never priced
+        on a value and shows up in the probe description as ``$name``.
         """
         from repro.engine.access import select_access_path  # cycle-free, lazy
 
@@ -297,7 +272,7 @@ class PreparedQuery:
 
     def _bound_plan(self, coerced: Mapping[str, Any], key: tuple | None) -> QueryPlan:
         """The bound plan for already-validated, coerced values."""
-        shared = self._compiled.plan
+        shared = self._plan
         if not coerced:
             return shared
         if key is None or self._cache_size == 0:
@@ -355,7 +330,6 @@ class PreparedQuery:
         database = self._engine.database
         if source is None:
             source = database
-        pinned = self._compiled.pinned_orders
         memo = collection = None
         if key is not None and self._cache_size > 0 and plan.constant is None:
             # (A constant matrix collects nothing: its plan keeps what it decides.)
@@ -373,7 +347,6 @@ class PreparedQuery:
             reset_statistics=reset_statistics,
             collection=collection,
             collection_sink=computed.append,
-            pinned_orders=pinned,
             source=source,
         )
         # The sink is only called with a collection computed for this very plan.
@@ -381,7 +354,6 @@ class PreparedQuery:
             memo.put(key, (token, computed[0]))
         if drain:
             result.drain()
-        self._observe_estimates(result, pinned)
         return result
 
     def _version_token(self, source) -> tuple:
@@ -389,93 +361,6 @@ class PreparedQuery:
         the contents version of every relation the query ranges over, so
         the memo survives writes to relations the query never reads."""
         return version_token(source, self._referenced_sorted)
-
-    # -- adaptive reoptimization --------------------------------------------------------
-
-    def _observe_estimates(self, result: QueryResult, pinned) -> None:
-        """Pin the first cost-modeled join sequences; reoptimize on drift.
-
-        On the first execution that recorded complete per-step estimates the
-        ``(description, estimate)`` sequences are pinned — later executions
-        follow them verbatim (and skip the estimator).  Every pinned
-        execution compares the pinned estimates against that run's actual
-        per-step cardinalities; when the worst q-error
-        (``max(est/actual, actual/est)``, +1-smoothed) exceeds
-        ``reopt_qerror_threshold``, the data has drifted from what the
-        estimates described: drop the pins and memos, refresh the table
-        statistics, and recompile the plan in place — the handle (and its
-        plan-cache entry) is revalidated, not evicted.
-        """
-        threshold = self.reopt_qerror_threshold
-        if threshold <= 0:
-            return
-        combination = result.combination
-        if combination is None or not combination.join_estimates:
-            return
-        if result.used_strategy3_fallback:
-            return  # the runtime fallback re-planned; nothing to pin or compare
-        if pinned is None:
-            pins = self._build_pins(combination)
-            if pins:
-                self._compiled.pinned_orders = pins
-            return
-        if combination.stream is not None:
-            # Rows are still pending, and the actual counts only fill in as
-            # the stream drains: drift detection stays with the executions
-            # that ran to their end before this look.
-            return
-        worst = combination.worst_qerror()
-        self._engine.database.statistics.record_estimation_qerror(worst)
-        if worst > threshold:
-            self._reoptimize()
-
-    @staticmethod
-    def _build_pins(combination) -> dict[int, list[tuple[str, float]]]:
-        """``{conjunction index: [(description, estimate), ...]}`` from one run.
-
-        Only conjunctions whose every recorded step carries an estimate are
-        pinned (``None`` means no cost model ran for that step — legacy
-        order, or an existence gate).  Streaming semijoin short-circuits are
-        recorded as ``semijoin <structure>``; the pin keeps the structure
-        description, which is what the pinned pick matches against.
-        """
-        indexes = combination.conjunction_indexes
-        if len(set(indexes)) != len(indexes):
-            return {}  # merged sub-query reports reuse indexes; don't pin
-        pins: dict[int, list[tuple[str, float]]] = {}
-        for position, estimates in enumerate(combination.join_estimates):
-            if position >= len(indexes):
-                break
-            steps: list[tuple[str, float]] = []
-            for description, est, _ in estimates:
-                if est is None:
-                    steps = []
-                    break
-                if description.startswith("semijoin "):
-                    description = description[len("semijoin "):]
-                steps.append((description, float(est)))
-            if steps:
-                pins[indexes[position]] = steps
-        return pins
-
-    def _reoptimize(self) -> None:
-        """Recompile the plan in place with refreshed statistics."""
-        database = self._engine.database
-        compiled = self._compiled
-        compiled.pinned_orders = None
-        # Emptied in place: the handles of this shape hold the same memos.
-        self._bound_plans.clear()
-        self._collections.clear()
-        self._snapshot_collections.clear()
-        database.refresh_statistics(self.referenced_relations)
-        compiled.plan = prepare_query(
-            compiled.plan.selection,
-            database,
-            self.options,
-            resolve=False,
-            defer_restricted_ranges=True,
-        )
-        database.statistics.record_reoptimization()
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         parameters = ", ".join(f"${name}" for name in self.parameter_names) or "none"

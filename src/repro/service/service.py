@@ -271,7 +271,6 @@ class QueryService:
             source=source,
             collection_cache_size=self.service_options.collection_cache_size,
             lock=self._execution_lock,
-            reopt_qerror_threshold=self.service_options.reopt_qerror_threshold,
             lifted=lifted,
         )
 
@@ -370,17 +369,6 @@ class QueryService:
                 _check_request(query, parameters)
                 prepared = self._admit(query, options)
                 items.append((prepared.bind(parameters), prepared.options))
-            if not self.service_options.batching:
-                results = [
-                    self.engine.execute_plan(plan, options, reset_statistics=False).drain()
-                    for plan, options in items
-                ]
-                # Same contract as the batched path: every result carries
-                # one uniform end-of-batch statistics snapshot.
-                snapshot = self.database.statistics.as_dict()
-                for result in results:
-                    result.statistics = snapshot
-                return results
             return execute_plans_batched(self.engine, items, reset_statistics=False)
 
     # -- maintenance -------------------------------------------------------------------

@@ -81,10 +81,10 @@ def test_prepared_execution_keeps_the_peak_bound(scale4):
 #: The cost-model benchmark's pinned acceptance numbers (``bench_cost_model``,
 #: hot-group size 50): the uniform estimator's join order materializes at
 #: least 5x the peak intermediates of the histogram-driven order, and after
-#: the Zipf head drifts under a pinned plan, one detected q-error past the
-#: threshold recompiles in place and recovers at least 5x again.
+#: the Zipf head drifts, the next execution on a default connection plans
+#: again and peaks at most 2x what it peaked before the drift.
 COST_MODEL_PEAK_RATIO = 5.0
-COST_MODEL_REOPT_RATIO = 5.0
+COST_MODEL_DRIFT_RATIO = 2.0
 
 
 def test_histogram_join_order_keeps_the_5x_peak_win():
@@ -95,12 +95,13 @@ def test_histogram_join_order_keeps_the_5x_peak_win():
     assert row["ratio"] >= COST_MODEL_PEAK_RATIO, row
 
 
-def test_adaptive_reoptimization_stays_won():
-    from benchmarks.bench_cost_model import _measure_reopt
+def test_drift_replans_on_a_default_connection():
+    """Rows equal the legacy order (asserted inside ``_measure_drift``)."""
+    from benchmarks.bench_cost_model import _measure_drift
 
-    row = _measure_reopt()
-    assert row["reoptimizations"] == 1, row
-    assert row["ratio"] >= COST_MODEL_REOPT_RATIO, row
+    row = _measure_drift()
+    assert row["replanned"], row
+    assert row["peak_after"] <= COST_MODEL_DRIFT_RATIO * row["peak_before"], row
 
 
 # ------------------------------------------------ PR 10: bibliographic workload

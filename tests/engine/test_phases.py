@@ -105,7 +105,7 @@ class TestScanCounts:
         assert figure1.statistics.total_scans() < total_without
 
     def test_permanent_index_skips_index_build_scan(self, figure1):
-        options = StrategyOptions.only(parallel_collection=False, use_permanent_indexes=True)
+        options = StrategyOptions.only(parallel_collection=False, use_index_paths=True)
         figure1.create_index("timetable", "tcnr")
         figure1.create_index("timetable", "tenr")
         figure1.create_index("papers", "penr")

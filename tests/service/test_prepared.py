@@ -375,18 +375,6 @@ class TestCombinationPlanLifetime:
         assert {r.values for r in after} == {r.values for r in execute_naive(figure1, self.TEXT)}
         connection.close()
 
-    def test_reoptimization_drops_the_plans_with_the_memos(self, figure1):
-        connection = connect(figure1, options=self.OPTIONS)
-        handle = connection.prepare(self.TEXT)
-        cursor = connection.cursor()
-        rows = cursor.execute(handle).fetchall()
-        cursor.execute(handle).fetchall()
-        assert self._plans(cursor) == (0, 1)
-        handle._reoptimize()
-        assert cursor.execute(handle).fetchall() == rows
-        assert self._plans(cursor) == (1, 0)
-        connection.close()
-
     def test_a_cursor_closed_after_one_fetch_leaves_a_plan_the_next_drains(self, figure1):
         connection = connect(figure1, options=self.OPTIONS)
         expected = {r.values for r in execute_naive(figure1, self.TEXT)}

@@ -5,7 +5,6 @@ import threading
 import pytest
 
 from repro import QueryEngine, StrategyOptions, build_university_database, connect, execute_naive
-from repro.config import ServiceOptions
 from repro.workloads.queries import (
     EXAMPLE_21_TEXT,
     PROFESSORS_TEXT,
@@ -176,16 +175,6 @@ class TestExecuteBatch:
         batch = service.execute_batch(requests)
         for (text, values), result in zip(requests, batch):
             assert result.relation == service.execute(text, values).relation, (text, values)
-
-    def test_batching_can_be_disabled(self, figure1):
-        service = connect(
-            figure1, service_options=ServiceOptions(batching=False)
-        ).service
-        batch = service.execute_batch([PROFESSORS_TEXT, EXAMPLE_21_TEXT])
-        assert [len(r) for r in batch] == [
-            len(service.execute(PROFESSORS_TEXT)),
-            len(service.execute(EXAMPLE_21_TEXT)),
-        ]
 
 
 class TestThreadSafety:

@@ -1,5 +1,7 @@
 """Unit tests for the strategy options and the exception hierarchy."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro import errors
@@ -22,7 +24,8 @@ class TestStrategyOptions:
         assert not options.one_step_nested
         assert not options.extended_ranges
         assert not options.collection_phase_quantifiers
-        assert not options.use_permanent_indexes
+        assert not options.use_index_paths
+        assert not any(getattr(options, f.name) for f in fields(options))
 
     def test_only_enables_selected_strategies(self):
         options = StrategyOptions.only(extended_ranges=True)
