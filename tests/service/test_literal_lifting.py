@@ -466,6 +466,28 @@ class TestHandles:
             assert first._snapshot_collections is second._snapshot_collections
             assert first.plan is not second.plan  # each as its text wrote it
 
+    def test_a_replan_after_drift_reaches_every_handle(self):
+        database = build_university_database(scale=1)
+        text = (
+            "[<e.ename> OF EACH e IN employees: SOME p IN papers (SOME t IN timetable"
+            " ((e.enr <> p.penr) AND (e.enr = t.tenr) AND (p.pyear = %d)))]"
+        )
+        with connect(database) as connection:
+            first = connection.prepare(text % 1977)
+            second = connection.prepare(text % 1975)
+            plan = first._plan
+            for handle in (first, second):
+                assert handle.execute().relation == execute_naive(database, handle.text)
+                assert handle.execute().combination.plan_reused
+            with connection.session():
+                database.relation("papers").insert({"penr": 3, "pyear": 1977, "ptitle": "Drift"})
+                database.relation("papers").insert({"penr": 4, "pyear": 1975, "ptitle": "Drift"})
+            for handle in (first, second):
+                result = handle.execute()
+                assert not result.combination.plan_reused, handle.text
+                assert result.relation == execute_naive(database, handle.text)
+            assert first._plan is plan and second._plan is plan
+
 
 def test_a_database_that_served_literal_texts_dies_by_reference_counting(tmp_path):
     """Handles copy the shape they belong to; nothing may point back at them

@@ -375,6 +375,25 @@ class TestCombinationPlanLifetime:
         assert {r.values for r in after} == {r.values for r in execute_naive(figure1, self.TEXT)}
         connection.close()
 
+    def test_drift_plans_again_under_the_one_compiled_plan(self, figure1):
+        connection = connect(figure1, options=self.OPTIONS)
+        handle = connection.prepare(self.TEXT)
+        compiled = handle._plan
+        cursor = connection.cursor()
+        cursor.execute(handle).fetchall()
+        cursor.execute(handle).fetchall()
+        assert self._plans(cursor) == (0, 1)
+        combination_plan = cursor.result.collection.combination_plan
+
+        with connection.session():
+            figure1.relation("papers").insert({"penr": 3, "pyear": 1977, "ptitle": "Drift"})
+        after = cursor.execute(handle).fetchall()
+        assert self._plans(cursor) == (1, 0)
+        assert cursor.result.collection.combination_plan is not combination_plan
+        assert handle._plan is compiled  # the join order moves, the plan is never replaced
+        assert {r.values for r in after} == {r.values for r in execute_naive(figure1, self.TEXT)}
+        connection.close()
+
     def test_a_cursor_closed_after_one_fetch_leaves_a_plan_the_next_drains(self, figure1):
         connection = connect(figure1, options=self.OPTIONS)
         expected = {r.values for r in execute_naive(figure1, self.TEXT)}

@@ -5,6 +5,7 @@ import threading
 import pytest
 
 from repro import QueryEngine, StrategyOptions, build_university_database, connect, execute_naive
+from repro.config import ServiceOptions
 from repro.workloads.queries import (
     EXAMPLE_21_TEXT,
     PROFESSORS_TEXT,
@@ -175,6 +176,17 @@ class TestExecuteBatch:
         batch = service.execute_batch(requests)
         for (text, values), result in zip(requests, batch):
             assert result.relation == service.execute(text, values).relation, (text, values)
+
+
+    def test_grouping_is_not_an_option(self, figure1):
+        with pytest.raises(TypeError):
+            ServiceOptions(batching=False)
+        service = connect(figure1).service
+        batch = service.execute_batch([PROFESSORS_TEXT, EXAMPLE_21_TEXT])
+        assert [r.relation for r in batch] == [
+            service.execute(PROFESSORS_TEXT).relation,
+            service.execute(EXAMPLE_21_TEXT).relation,
+        ]
 
 
 class TestThreadSafety:
