@@ -3,8 +3,8 @@
 The ROADMAP's north star is a system serving heavy traffic, and the service
 layer exists to amortize per-query overhead: a cold client re-lexes, re-type-
 checks and re-transforms every query text, while a prepared client compiles
-once and late-binds parameter values, and a batching client additionally
-shares Strategy 1 collection scans across the queries of one batch.
+once and late-binds parameter values, and a batching client hands the whole
+workload over in one call.
 
 This benchmark drives the parameterized paper workload
 (:func:`repro.workloads.queries.parameterized_queries` — the running query
@@ -17,7 +17,8 @@ three clients at scales 1 and 4:
                  bindings: the compile pipeline is paid once, and unchanged
                  data lets the prepared query reuse collection structures;
 * ``batched``  — ``QueryService.execute_batch`` over the whole workload:
-                 queries over the same relations share relation scans.
+                 the prepared client's executions one after another under
+                 one hold of the execution lock and one statistics reset.
 
 The acceptance assertion pins the service-layer claim: prepared execution
 reaches at least twice the cold throughput on this workload, with results

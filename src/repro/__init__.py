@@ -61,9 +61,6 @@ from repro.workloads.university import build_university_database, figure1_databa
 __version__ = "1.4.0"
 
 __all__ = [
-    "AsyncConnection",
-    "AsyncCursor",
-    "AsyncSession",
     "Connection",
     "ConnectionClosedError",
     "Cursor",
@@ -87,7 +84,6 @@ __all__ = [
     "StrategyOptions",
     "TransactionError",
     "__version__",
-    "aconnect",
     "bibliography_database",
     "build_bibliography_database",
     "build_university_database",
@@ -98,13 +94,3 @@ __all__ = [
     "parse_formula",
     "parse_selection",
 ]
-
-
-def __getattr__(name: str):
-    # PEP 562: ``AsyncConnection``/``AsyncCursor``/``AsyncSession``/``aconnect``
-    # resolve on first use, so ``import repro`` does not load ``asyncio``.
-    from repro import api
-
-    if name in api.ASYNC_EXPORTS:
-        return getattr(api, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -122,7 +122,7 @@ class Connection:
 
     @property
     def service(self) -> QueryService:
-        """The owned prepared-query service (plan cache, batch executor)."""
+        """The owned prepared-query service (plan cache, execution lock)."""
         return self._service
 
     @property

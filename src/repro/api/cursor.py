@@ -20,10 +20,11 @@ connection.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from contextlib import nullcontext
 from typing import Any, Iterator, Mapping, NamedTuple, Sequence
 
-from repro.errors import CursorError
+from repro.errors import BindingError, CursorError
 
 __all__ = ["Column", "Cursor"]
 
@@ -53,8 +54,8 @@ class Cursor:
         self._service = service if service is not None else connection.service
         self._session = session
         self._lock = connection._lock
-        #: Rows an argument-less :meth:`fetchmany` pulls per call.
-        self.arraysize: int = self._service.service_options.cursor_arraysize
+        #: Rows an argument-less :meth:`fetchmany` returns (the DB-API default).
+        self.arraysize: int = 1
         self._closed = False
         self._result = None
         self._rows: Iterator[list] | None = None
@@ -130,11 +131,20 @@ class Cursor:
     ) -> "Cursor":
         """Execute ``query`` once per binding set, concatenating the results.
 
-        Routed through the service's batch executor, so compatible plans
-        share their collection-phase scans; rows come back in request order
+        One :meth:`QueryService.execute_batch
+        <repro.service.QueryService.execute_batch>`: the bindings run one
+        after another through the handle's per-binding memos, on the live
+        database under the execution lock; rows come back in request order
         (this path materialises — streaming applies to :meth:`execute`).
+        ``seq_of_parameters`` that is no iterable is a
+        :class:`~repro.errors.BindingError`.
         """
         self._check_open()
+        if not isinstance(seq_of_parameters, Iterable):
+            raise BindingError(
+                "seq_of_parameters is an iterable of binding sets, "
+                f"not {type(seq_of_parameters).__name__}"
+            )
         with self._lock:
             self._discard()
             requests = [(query, parameters) for parameters in seq_of_parameters]

@@ -192,11 +192,6 @@ class ServiceOptions:
     collection_cache_size:
         Per-prepared-query bound-plan and collection-structure memo size;
         ``0`` disables both memos (every execution re-binds and re-collects).
-    cursor_arraysize:
-        Default ``Cursor.arraysize`` of cursors opened on a connection with
-        these options: the number of rows one argument-less ``fetchmany()``
-        pulls off the streaming pipeline.  ``1`` is the DB-API default —
-        every fetch is one pipeline step.
     busy_timeout:
         How long (in seconds) ``Session.begin()`` waits on the
         one-active-transaction-per-database gate before raising
@@ -217,7 +212,6 @@ class ServiceOptions:
 
     plan_cache_capacity: int = 128
     collection_cache_size: int = 32
-    cursor_arraysize: int = 1
     busy_timeout: float = 0.0
     snapshot_reads: bool = True
 

@@ -133,7 +133,7 @@ class QueryResult:
     and :attr:`relation` fills as a side effect; an execution that could not
     stream hands out its finished relation as one chunk.  Cursors take their
     fetches from the chunk in hand and pull the next, :meth:`drain` pulls to
-    the end.  ``None`` on the members of a batch, which are handed out complete."""
+    the end."""
 
     _closers: list = field(default_factory=list, repr=False, compare=False)
 

@@ -14,11 +14,10 @@ package exploits that separation operationally:
   validated against the relation-emptiness signature, with hit/miss
   counters in the shared access statistics;
 * :class:`QueryService` — the thread-safe ``prepare`` / ``execute`` /
-  ``execute_batch`` facade, where batch execution shares Strategy 1
-  collection-phase scans across queries over the same relations.
+  ``execute_batch`` facade; a batch is one request after another through
+  the per-binding memos, under one hold of the execution lock.
 """
 
-from repro.service.batch import execute_plans_batched
 from repro.service.binding import bind_plan, bind_selection, check_bindings, collect_parameters
 from repro.service.cache import PlanCache
 from repro.service.prepared import PreparedQuery
@@ -32,5 +31,4 @@ __all__ = [
     "bind_selection",
     "check_bindings",
     "collect_parameters",
-    "execute_plans_batched",
 ]

@@ -253,7 +253,7 @@ class PreparedQuery:
         Validates the bindings (missing, unknown, ill-typed values raise
         :class:`~repro.errors.BindingError`), coerces each value through the
         scalar type recorded at resolution time, and serves repeat binding
-        sets from the per-binding memo (batch execution binds through here).
+        sets from the per-binding memo — the plan :meth:`start` would run.
         """
         coerced = self._coerce_bindings(values)
         return self._bound_plan(coerced, self._bindings_key(coerced))

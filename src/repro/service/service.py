@@ -11,9 +11,9 @@ expose.  It wraps a :class:`~repro.engine.evaluator.QueryEngine` with:
   checked and transformed once;
 * **parameterized execution** — ``execute(text, {"year": 1977})`` late-binds
   values into the cached plan instead of recompiling;
-* **batch execution** — ``execute_batch`` groups queries that range over the
-  same relations and pays each Strategy 1 relation scan once per batch
-  (:mod:`repro.service.batch`);
+* **batch execution** — ``execute_batch`` runs many requests one after
+  another under one hold of the execution lock, each through the same
+  prepared handle and per-binding memos a single ``execute`` uses;
 * **thread safety** — the cache takes its own lock, and executions are
   serialized over the engine's database (whose access statistics, buffer
   pool and intermediate bookkeeping are deliberately unsynchronized hot
@@ -32,7 +32,6 @@ from repro.engine.evaluator import QueryEngine, QueryResult, resolve_query
 from repro.errors import BindingError, PascalRError, PlanError
 from repro.lang.lexer import PLACEHOLDERS, scan_shape, tokenize
 from repro.lang.parser import Parser
-from repro.service.batch import execute_plans_batched
 from repro.service.cache import BoundedLRU, PlanCache
 from repro.service.prepared import PreparedQuery
 from repro.transform.pipeline import prepare_query
@@ -52,6 +51,27 @@ def _check_request(query, parameters) -> None:
             "parameters are a mapping of names to values (or None), "
             f"not {type(parameters).__name__}"
         )
+
+
+def _check_batch(requests) -> list[tuple]:
+    """Each request of a batch as a checked ``(query, parameters)`` pair — all
+    of them before the first is compiled."""
+    if not isinstance(requests, Iterable):
+        raise PlanError(f"a batch is an iterable of requests, not {type(requests).__name__}")
+    pairs = []
+    for request in requests:
+        if isinstance(request, (tuple, list)):
+            if len(request) != 2:
+                raise PlanError(
+                    "a batch request is a query or a (query, parameters) pair, "
+                    f"not a {type(request).__name__} of {len(request)}"
+                )
+            query, parameters = request
+        else:
+            query, parameters = request, None
+        _check_request(query, parameters)
+        pairs.append((query, parameters))
+    return pairs
 
 
 class QueryService:
@@ -350,26 +370,23 @@ class QueryService:
         ],
         options: StrategyOptions | None = None,
     ) -> list[QueryResult]:
-        """Execute many queries, sharing collection-phase scans where possible.
+        """Execute many queries eagerly, one after another, under one hold of
+        the execution lock.
 
         Each request is a query (text, selection or :class:`PreparedQuery`)
-        or a ``(query, parameters)`` pair.  Queries whose plans range over
-        the same relations under the same options are grouped so every
-        Strategy 1 scan is paid once per batch; results come back in request
-        order and each equals what individual execution would return.
+        or a ``(query, parameters)`` pair; every request is checked before
+        the first is compiled.  Each runs as :meth:`execute` would, through
+        its handle's per-binding memos.  Results come back in request order.
+        The statistics are reset once, so each result's snapshot counts the
+        batch up to its end and the last one's the whole batch.
         """
+        pairs = _check_batch(requests)
         with self._execution_lock:
             self.database.reset_statistics()
-            items = []
-            for request in requests:
-                if isinstance(request, (tuple, list)):
-                    query, parameters = request
-                else:
-                    query, parameters = request, None
-                _check_request(query, parameters)
-                prepared = self._admit(query, options)
-                items.append((prepared.bind(parameters), prepared.options))
-            return execute_plans_batched(self.engine, items, reset_statistics=False)
+            return [
+                self._admit(query, options).start(parameters, reset_statistics=False, drain=True)
+                for query, parameters in pairs
+            ]
 
     # -- maintenance -------------------------------------------------------------------
 

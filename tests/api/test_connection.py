@@ -93,11 +93,12 @@ class TestOptionPlumbing:
 
     def test_session_service_option_overrides(self, figure1):
         connection = connect(figure1)
-        session = connection.session(
-            service_options=ServiceOptions(cursor_arraysize=5)
-        )
+        session = connection.session(service_options=ServiceOptions(busy_timeout=0.5))
+        assert session.service_options.busy_timeout == 0.5
+        assert connection.service.service_options.busy_timeout == 0.0
         cursor = session.cursor()
-        assert cursor.arraysize == 5
+        assert cursor.arraysize == 1
+        cursor.arraysize = 5  # DB-API: the fetchmany() default is per cursor
         cursor.execute(PROFESSORS_TEXT)
         batch = cursor.fetchmany()
         assert len(batch) <= 5
@@ -153,10 +154,13 @@ class TestArgumentTypes:
             "session cursor": lambda q, p: session.cursor().execute(q, p),
             "service.execute": lambda q, p: connection.service.execute(q, p),
             "executemany": lambda q, p: connection.executemany(q, [p]),
+            "execute_batch": lambda q, p: connection.service.execute_batch([(q, p)]),
         }
 
-    @pytest.mark.parametrize("door", ["connection cursor", "session cursor",
-                                      "service.execute", "executemany"])
+    DOORS = ["connection cursor", "session cursor", "service.execute", "executemany",
+             "execute_batch"]
+
+    @pytest.mark.parametrize("door", DOORS)
     @pytest.mark.parametrize("query", BAD_QUERIES, ids=repr)
     def test_what_is_no_query_is_a_plan_error(self, figure1, door, query):
         with connect(figure1) as connection:
@@ -167,8 +171,7 @@ class TestArgumentTypes:
             assert figure1._snapshots.epoch == pins  # refused before the pin
             assert figure1._snapshots.active == 0
 
-    @pytest.mark.parametrize("door", ["connection cursor", "session cursor",
-                                      "service.execute", "executemany"])
+    @pytest.mark.parametrize("door", DOORS)
     @pytest.mark.parametrize("parameters", BAD_PARAMETERS, ids=repr)
     def test_parameters_that_are_no_mapping_are_a_binding_error(
         self, figure1, door, parameters
@@ -183,6 +186,35 @@ class TestArgumentTypes:
             # The door still works, and None stays "no parameters".
             rows = connection.execute(STATUS_PARAM_TEXT, {"status": "professor"}).fetchall()
             assert rows and connection.execute(PROFESSORS_TEXT, None).fetchall()
+
+    @pytest.mark.parametrize(
+        "malformed",
+        [(PROFESSORS_TEXT,), (PROFESSORS_TEXT, None, 1), ["x"]],
+        ids=["a 1-tuple", "a 3-tuple", "a 1-list"],
+    )
+    def test_a_batch_request_of_the_wrong_length_is_a_plan_error(self, figure1, malformed):
+        with connect(figure1) as connection:
+            pins = figure1._snapshots.epoch
+            # The good request ahead of it is not compiled either.
+            with pytest.raises(PlanError, match="a batch request is a query or a"):
+                connection.service.execute_batch([EXAMPLE_21_TEXT, malformed])
+            assert figure1._snapshots.epoch == pins
+            assert connection.cache_info()["misses"] == 0
+
+    @pytest.mark.parametrize("requests", [None, 5], ids=repr)
+    def test_a_batch_that_is_no_iterable_is_a_plan_error(self, figure1, requests):
+        with connect(figure1) as connection:
+            with pytest.raises(PlanError, match="a batch is an iterable of requests"):
+                connection.service.execute_batch(requests)
+
+    @pytest.mark.parametrize("seq_of_parameters", [None, 5], ids=repr)
+    def test_bindings_that_are_no_iterable_are_a_binding_error(self, figure1, seq_of_parameters):
+        with connect(figure1) as connection:
+            pins = figure1._snapshots.epoch
+            with pytest.raises(BindingError, match="an iterable of binding sets"):
+                connection.executemany(STATUS_PARAM_TEXT, seq_of_parameters)
+            assert figure1._snapshots.epoch == pins
+            assert connection.cache_info()["misses"] == 0
 
 
 class TestCursorProtocol:

@@ -10,19 +10,13 @@ invariants under test:
   the pin's ``data_version``: never a mix of two generations, never an
   uncommitted or rolled-back row, by direct lookup in the writer's log.
 * **Monotonicity** — consecutive pins on one thread never move backwards.
-
-The asyncio variant drives the same workload through ``repro.aconnect()``
-under ``asyncio.gather``: concurrent async cursors over pinned snapshots
-while an async session commits, with the same torn-read check.
 """
 
 from __future__ import annotations
 
-import asyncio
 import sys
 import threading
 
-import repro
 from repro import QueryEngine, connect, execute_naive
 from repro.relational.database import Database
 from repro.types.scalar import INTEGER
@@ -155,55 +149,6 @@ def test_eight_readers_observe_exactly_their_pinned_version():
     final = {tuple(record.values) for record in gens.scan()}
     last_committed = committed[max(committed)]
     assert final == _generation_rows(last_committed)
-
-
-def test_async_readers_under_gather_never_see_torn_state():
-    async def workload() -> None:
-        database = _make_database()
-        async with await repro.aconnect(database) as connection:
-            gens = database.relation("gens")
-            stop = asyncio.Event()
-
-            async def reader(slot: int) -> list[int]:
-                seen: list[int] = []
-                cursor = connection.cursor()
-                for _ in range(20):
-                    await cursor.execute(_QUERY)
-                    rows = {record.values for record in await cursor.fetchall()}
-                    generations = {generation for _, generation in rows}
-                    assert len(rows) == _ROWS and len(generations) == 1, (
-                        f"async reader {slot} saw a torn state: {sorted(rows)}"
-                    )
-                    seen.extend(generations)
-                return seen
-
-            async def writer() -> int:
-                generation = 0
-                session = connection.session()
-                while not stop.is_set():
-                    generation += 1
-                    async with session:
-                        gens.assign(
-                            [{"k": k, "gen": generation} for k in range(_ROWS)]
-                        )
-                    await asyncio.sleep(0)
-                return generation
-
-            async def stopper(readers) -> list[list[int]]:
-                observed = await asyncio.gather(*readers)
-                stop.set()
-                return observed
-
-            observed, final = await asyncio.gather(
-                stopper([reader(slot) for slot in range(4)]), writer()
-            )
-            # Readers interleaved with live commits (not one frozen view) and
-            # each reader observed monotonically advancing generations.
-            assert final >= 1
-            for seen in observed:
-                assert seen == sorted(seen)
-
-    asyncio.run(workload())
 
 
 # ------------------------------------------------- indexed reads beside the writer

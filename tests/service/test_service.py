@@ -1,4 +1,4 @@
-"""The QueryService facade: caching, invalidation, batching, thread safety."""
+"""The QueryService facade: caching, invalidation, batches, thread safety."""
 
 import threading
 
@@ -128,35 +128,44 @@ class TestExecuteBatch:
         for request, result in zip(requests, batch):
             query, parameters = request if isinstance(request, tuple) else (request, None)
             individual = service.execute(query, parameters)
-            assert result.relation == individual.relation, query
+            assert [r.values for r in result] == [r.values for r in individual], query
 
-    def test_batch_shares_relation_scans(self, figure1):
-        """Queries over the same unrestricted ranges share one scan.
+    def test_a_repeated_batch_is_served_from_the_collection_memos(self, university_scale2):
+        """A batch member runs as ``execute`` does: a binding seen before takes
+        its collection result from the handle's memo and reads no relation.
 
-        Strategy 4 is switched off so the quantifiers reach the collection
-        phase as indirect joins (a Strategy 4 value list always scans its
-        inner relation itself); with plain Strategy 1, the merged collection
-        phase serves all three queries from one scan per relation.
+        A selection (a constant matrix) has no collection phase and reads its
+        range on every execution, as does a binding that takes the Strategy 3
+        fallback; the repeated batch is made of the members that collect.
         """
-        options = StrategyOptions.only(parallel_collection=True)
-        service = connect(figure1, options=options).service
-        queries = [
-            "[<e.ename> OF EACH e IN employees: SOME t IN timetable ((e.enr = t.tenr))]",
-            "[<e.ename> OF EACH e IN employees: SOME t IN timetable ((e.enr = t.tcnr))]",
-            "[<e.enr> OF EACH e IN employees: SOME t IN timetable ((e.enr < t.tenr))]",
+        service = connect(university_scale2).service
+        requests = [
+            (text, values)
+            for _, (text, bindings) in parameterized_queries().items()
+            for values in bindings
         ]
-        batch = service.execute_batch(queries)
-        for query, result in zip(queries, batch):
-            assert result.relation == execute_naive(figure1, query), query
-        scans = {
-            name: counters["scans"]
-            for name, counters in batch[-1].statistics["relations"].items()
+        first = service.execute_batch(requests)
+        collecting = [
+            position
+            for position, result in enumerate(first)
+            if result.collection is not None and not result.used_strategy3_fallback
+        ]
+        assert len(collecting) >= len(requests) // 2
+        again = service.execute_batch([requests[position] for position in collecting])
+        for position, result in zip(collecting, again):
+            assert result.collection is first[position].collection, requests[position]
+        reads = {
+            name: counters
+            for name, counters in again[-1].statistics["relations"].items()
+            if any(counters.values())
         }
-        assert scans["employees"] == 1
-        assert scans["timetable"] == 1
+        assert reads == {}
+        second = service.execute_batch(requests)
+        assert [[r.values for r in result] for result in second] == [
+            [r.values for r in result] for result in first
+        ]
 
-    def test_batch_groups_only_compatible_ranges(self, figure1):
-        """Conflicting variable ranges must not be merged into one group."""
+    def test_queries_over_different_relations_with_one_variable_name(self, figure1):
         service = connect(figure1).service
         queries = [
             "[<e.ename> OF EACH e IN employees: (e.estatus = professor)]",
@@ -175,8 +184,8 @@ class TestExecuteBatch:
         ]
         batch = service.execute_batch(requests)
         for (text, values), result in zip(requests, batch):
-            assert result.relation == service.execute(text, values).relation, (text, values)
-
+            individual = service.execute(text, values)
+            assert [r.values for r in result] == [r.values for r in individual], (text, values)
 
     def test_grouping_is_not_an_option(self, figure1):
         with pytest.raises(TypeError):
