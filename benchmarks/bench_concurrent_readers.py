@@ -22,6 +22,10 @@ and the harness itself (``BENCH_SMOKE=1`` collapses the sweep).  Reader
 throughput beside a writer *on the relation being read* is the end-to-end
 benchmark's ``readers_with_writer`` workload (``benchmarks/e2e``).
 
+The serialized readers are session cursors outside any transaction: they
+read the live database under the execution lock, which is the whole of what
+differs from a connection cursor's pin.
+
 The query must have a real collection phase for a memo to exist:
 monadic restriction queries (e.g. the professors example) compile to the
 constant-matrix shortcut, which bypasses collection entirely and re-scans
@@ -34,7 +38,7 @@ import os
 import threading
 import time
 
-from repro import ServiceOptions, connect
+from repro import connect
 from repro.bench.report import print_report
 from repro.types.scalar import INTEGER
 from repro.workloads.queries import (
@@ -65,7 +69,12 @@ def _make_database():
     return database
 
 
-def _run_mixed_workload(connection, readers: int) -> tuple[float, list]:
+def _reader_cursor(connection, pinned: bool):
+    """A connection cursor (a pin) or a session cursor (the live path, locked)."""
+    return (connection if pinned else connection.session()).cursor()
+
+
+def _run_mixed_workload(connection, readers: int, pinned: bool) -> tuple[float, list]:
     """``readers`` query threads + one committing writer; seconds elapsed."""
     errors: list[BaseException] = []
     results: list[list] = [None] * readers
@@ -75,7 +84,7 @@ def _run_mixed_workload(connection, readers: int) -> tuple[float, list]:
     def reader(slot: int) -> None:
         try:
             start.wait()
-            cursor = connection.cursor()
+            cursor = _reader_cursor(connection, pinned)
             for _ in range(_QUERIES_PER_READER):
                 cursor.execute(_QUERY)
                 results[slot] = [record.values for record in cursor.fetchall()]
@@ -118,14 +127,12 @@ def _run_mixed_workload(connection, readers: int) -> tuple[float, list]:
     return elapsed, results
 
 
-def _sweep(snapshot_reads: bool) -> dict[int, tuple[float, list]]:
+def _sweep(pinned: bool) -> dict[int, tuple[float, list]]:
     timings: dict[int, tuple[float, list]] = {}
     for readers in _THREAD_COUNTS:
         database = _make_database()
-        connection = connect(
-            database, service_options=ServiceOptions(snapshot_reads=snapshot_reads)
-        )
-        elapsed, results = _run_mixed_workload(connection, readers)
+        connection = connect(database)
+        elapsed, results = _run_mixed_workload(connection, readers, pinned)
         queries = readers * _QUERIES_PER_READER
         timings[readers] = (queries / elapsed, results)
         connection.close()
@@ -133,8 +140,8 @@ def _sweep(snapshot_reads: bool) -> dict[int, tuple[float, list]]:
 
 
 def test_snapshot_readers_fetch_the_serialized_rows_beside_a_writer():
-    serialized = _sweep(snapshot_reads=False)
-    snapshot = _sweep(snapshot_reads=True)
+    serialized = _sweep(pinned=False)
+    snapshot = _sweep(pinned=True)
 
     lines = [f"{_QUERIES_PER_READER} queries/reader + 1 committing writer, scale={_SCALE}:"]
     lines.append(f"  {'readers':>8} {'serialized':>12} {'snapshot':>12} {'speedup':>9}")
@@ -160,14 +167,9 @@ def test_snapshot_matches_serialized_rows_across_queries():
     """Equivalence beyond the timed query: snapshot rows == serialized rows."""
     for query in (PROFESSORS_TEXT, TEACHES_LOW_LEVEL_TEXT):
         rows = {}
-        for snapshot_reads in (False, True):
-            database = _make_database()
-            connection = connect(
-                database,
-                service_options=ServiceOptions(snapshot_reads=snapshot_reads),
-            )
-            rows[snapshot_reads] = [
-                record.values for record in connection.execute(query).fetchall()
-            ]
+        for pinned in (False, True):
+            connection = connect(_make_database())
+            cursor = _reader_cursor(connection, pinned).execute(query)
+            rows[pinned] = [record.values for record in cursor.fetchall()]
             connection.close()
         assert rows[True] == rows[False]

@@ -4,7 +4,7 @@ The classic uniform-independence estimate ``|L| * |R| / max(dL, dR)`` is
 exact on uniform data and arbitrarily wrong under skew: a single hot join
 key hides behind a healthy distinct count.  The statistics subsystem
 (``repro.relational.histogram``) tracks per-column hot keys, equi-depth
-buckets and KMV sketches, and its join estimator matches hot keys exactly —
+buckets and exact distinct counts, and its join estimator matches hot keys exactly —
 so the greedy join-order loop sees the blowup *before* paying for it.
 
 The workload is a four-variable chain over a forum-shaped database

@@ -39,7 +39,6 @@ def connect(
     database,
     options: StrategyOptions | None = None,
     service_options: ServiceOptions | None = None,
-    cache_capacity: int | None = None,
     durability: str | None = None,
 ) -> "Connection":
     """Open a connection to ``database`` — an object, or a directory path.
@@ -65,15 +64,14 @@ def connect(
 
     ``options`` become the connection's default
     :class:`~repro.config.StrategyOptions` (the full PASCAL/R optimizer when
-    omitted); ``service_options`` / ``cache_capacity`` tune the owned
-    :class:`~repro.service.QueryService` exactly as they did on the service
+    omitted); ``service_options`` tune the owned
+    :class:`~repro.service.QueryService` exactly as they do on the service
     itself.
     """
     return Connection(
         database,
         options=options,
         service_options=service_options,
-        cache_capacity=cache_capacity,
         durability=durability,
     )
 
@@ -86,7 +84,6 @@ class Connection:
         database,
         options: StrategyOptions | None = None,
         service_options: ServiceOptions | None = None,
-        cache_capacity: int | None = None,
         durability: str | None = None,
     ) -> None:
         if isinstance(database, (str, os.PathLike)):
@@ -102,7 +99,6 @@ class Connection:
         self._service = QueryService(
             database,
             options=options,
-            cache_capacity=cache_capacity,
             service_options=service_options,
         )
         self._lock = self._service._execution_lock

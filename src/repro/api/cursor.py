@@ -102,16 +102,15 @@ class Cursor:
         :attr:`description` available immediately — no row has flowed yet.
 
         A connection-level cursor (no session) executes against a pinned
-        copy-on-write snapshot when ``ServiceOptions.snapshot_reads`` is on:
-        compilation, execution and every subsequent fetch run *outside* the
-        execution lock, concurrently with other readers and with a writer
-        session.  Session cursors (and ``snapshot_reads=False``) run on the
-        live database under the lock, so a transaction reads its own writes.
+        copy-on-write snapshot: compilation, execution and every subsequent
+        fetch run *outside* the execution lock, concurrently with other
+        readers and with a writer session.  Session cursors run on the live
+        database under the lock, so a transaction reads its own writes.
         That choice is all that differs: both go through
         :meth:`QueryService.start <repro.service.QueryService.start>`.
         """
         self._check_open()
-        pin = self._session is None and self._service.service_options.snapshot_reads
+        pin = self._session is None
         with nullcontext() if pin else self._lock:
             with self._lock:
                 self._discard()

@@ -106,8 +106,8 @@ class StrategyOptions:
         the construction phase dereferences straight from the final stream.
     histogram_statistics:
         Statistics-driven cost model — feed the incrementally maintained
-        per-component statistics (equi-depth histograms, hot-key lists,
-        KMV distinct sketches; see :mod:`repro.relational.histogram`) to
+        per-component statistics (equi-depth histograms, hot-key lists and
+        exact distinct counts; see :mod:`repro.relational.histogram`) to
         every selector: the greedy join-ordering loop estimates join sizes
         from per-column sketches (hot keys matched exactly, remainders
         joined over aligned hash buckets) instead of the uniform
@@ -199,21 +199,15 @@ class ServiceOptions:
         immediately when another transaction is active; a positive timeout
         lets a second writer wait for the gate instead of erroring out, but
         never blocks forever.
-    snapshot_reads:
-        Whether connection-level cursors (cursors opened outside a session)
-        execute against a pinned copy-on-write snapshot instead of the live
-        database.  Snapshot cursors run and fetch entirely outside the
-        execution lock, so N reader threads proceed concurrently while a
-        writer session mutates; they observe exactly the committed state at
-        execute time (see :mod:`repro.relational.mvcc`).  Session cursors
-        always use the live locked path — a transaction must read its own
-        writes.  Default on; switch off to restore fully serialized reads.
+
+    Connection-level cursors (cursors opened outside a session) always read
+    a pinned copy-on-write snapshot (:mod:`repro.relational.mvcc`); session
+    cursors always read the live database under the execution lock.
     """
 
     plan_cache_capacity: int = 128
     collection_cache_size: int = 32
     busy_timeout: float = 0.0
-    snapshot_reads: bool = True
 
     def with_(self, **changes) -> "ServiceOptions":
         """A copy with the named settings changed."""

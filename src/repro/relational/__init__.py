@@ -11,17 +11,7 @@ from repro.relational.database import Database
 from repro.relational.index import HashIndex, SortedIndex, ValueList, build_index
 from repro.relational.record import Record
 from repro.relational.reference import Ref
-from repro.relational.refrelation import (
-    ReferenceType,
-    make_index_schema,
-    make_indirect_join,
-    make_indirect_join_schema,
-    make_ref_tuple_relation,
-    make_ref_tuple_schema,
-    make_single_list,
-    make_single_list_schema,
-    ref_field_name,
-)
+from repro.relational.refrelation import ReferenceType, ref_field_name
 from repro.relational.relation import Relation
 from repro.relational.statistics import (
     COLLECTION,
@@ -44,13 +34,6 @@ __all__ = [
     "SortedIndex",
     "ValueList",
     "build_index",
-    "make_index_schema",
-    "make_indirect_join",
-    "make_indirect_join_schema",
-    "make_ref_tuple_relation",
-    "make_ref_tuple_schema",
-    "make_single_list",
-    "make_single_list_schema",
     "ref_field_name",
     "stream_divide",
     "stream_natural_join",

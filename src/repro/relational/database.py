@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.config import DURABILITY_COMMIT, DURABILITY_MODES, DURABILITY_OFF
 from repro.errors import CatalogError, StorageError, TransactionError
@@ -43,7 +43,7 @@ class Database:
         # The index catalog is replaced, never mutated, by index DDL: a
         # pinned snapshot keeps the dict it found (see mvcc.py).
         self._indexes: dict[tuple[str, str], HashIndex | SortedIndex] = {}
-        # Per-relation statistics (histograms, hot keys, distinct sketches),
+        # Per-relation statistics (exact counts, histograms, hot keys),
         # created lazily on first use and maintained incrementally from then
         # on through the relations' mutation hooks.
         self._table_statistics: dict[str, TableStatistics] = {}
@@ -674,8 +674,9 @@ class Database:
         per-column counts from the current contents — and attached to the
         relation's mutation hooks, so from then on every insert, delete,
         assign and clear keeps the counts coherent incrementally (never a
-        rescan).  Derived summaries (histograms, hot keys, KMV sketches) are
-        rebuilt lazily once enough mutations accumulate.
+        rescan).  Derived summaries (histograms, hot keys) are rebuilt lazily
+        once :data:`~repro.relational.histogram.STALENESS_THRESHOLD` mutations
+        accumulate.
 
         Creating statistics is *not* a catalog change: ``schema_version`` is
         deliberately untouched, so cached plans stay valid.  With

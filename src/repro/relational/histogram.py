@@ -1,4 +1,4 @@
-"""Per-component statistics: exact counts, histograms, sketches, hot keys.
+"""Per-component statistics: exact counts, histograms, hot keys.
 
 Every optimizer decision in the engine — greedy join ordering and
 access-path selection — needs cardinality estimates.  This module is the
@@ -14,10 +14,10 @@ a distinct-value sketch alone cannot process a delete.
 **Derived summaries, rebuilt lazily.**  From the counts, a
 :class:`ColumnSummary` derives the structures estimators actually read: an
 equi-depth histogram in value order (range selectivities), an equi-depth
-histogram in :func:`stable_hash` order (equality joins), an end-biased
-hot-key list (the heavy hitters matched exactly), and a KMV distinct-value
-sketch (the ``k`` minimum ``stable_hash`` values — deterministic across
-processes, unlike anything built on Python's salted ``hash``).  Summaries
+histogram in :func:`stable_hash` order (equality joins; the hash is
+deterministic across processes, unlike Python's salted ``hash``), and an
+end-biased hot-key list (the heavy hitters matched exactly).  The distinct
+count is exact: it is the number of counts.  Summaries
 go *stale* as mutations accumulate; they are rebuilt only when read past
 :data:`STALENESS_THRESHOLD` mutations (counted per column), so write-heavy
 workloads never pay a rebuild per write.  Join orders are planned per
@@ -49,7 +49,6 @@ from repro.types.scalar import sort_key
 __all__ = [
     "HISTOGRAM_BUCKETS",
     "HOT_KEYS",
-    "KMV_K",
     "STALENESS_THRESHOLD",
     "Bucket",
     "ColumnSummary",
@@ -64,12 +63,8 @@ __all__ = [
 HISTOGRAM_BUCKETS = 8
 #: Heavy hitters tracked exactly per column (end-biased histogram head).
 HOT_KEYS = 8
-#: Size of the KMV distinct-value sketch (k minimum stable hashes).
-KMV_K = 32
 #: Mutations a column summary may absorb before a read triggers a rebuild.
 STALENESS_THRESHOLD = 64
-
-_HASH_SPACE = float(1 << 32)
 
 
 def _canonical_bytes(value: object) -> bytes:
@@ -180,7 +175,6 @@ class ColumnSummary:
         "hot",
         "hash_buckets",
         "value_buckets",
-        "kmv",
     )
 
     def __init__(
@@ -188,7 +182,6 @@ class ColumnSummary:
         counts: dict[Any, int],
         buckets: int = HISTOGRAM_BUCKETS,
         hot_keys: int = HOT_KEYS,
-        kmv_k: int = KMV_K,
         ordered: bool = True,
     ) -> None:
         self.total = sum(counts.values())
@@ -210,8 +203,6 @@ class ColumnSummary:
             self.value_buckets = _equi_depth(by_value, buckets)
         else:
             self.value_buckets = ()
-        hashes = sorted(stable_hash(value) for value in counts)
-        self.kmv = tuple(hashes[:kmv_k])
 
     # -- point estimates -------------------------------------------------------
 
@@ -228,12 +219,6 @@ class ColumnSummary:
             if bucket.low <= hashed <= bucket.high:
                 return bucket.rows / max(bucket.distinct, 1)
         return 0.0
-
-    def distinct_estimate(self) -> float:
-        """KMV estimate of the distinct count (exact when the sketch is unsaturated)."""
-        if len(self.kmv) < KMV_K:
-            return float(len(self.kmv))
-        return (KMV_K - 1) * _HASH_SPACE / max(float(self.kmv[-1]), 1.0)
 
     # -- range estimates -------------------------------------------------------
 
@@ -279,7 +264,7 @@ class ColumnSketch(ColumnSummary):
     """An ephemeral summary built from a stream of values (one execution).
 
     Reference tuples admit no meaningful value order, so the value-ordered
-    histogram is skipped; the hash-ordered histogram, hot keys and KMV are
+    histogram is skipped; the hash-ordered histogram and hot keys are
     built exactly like a table-level summary, which is what lets
     :func:`estimate_join` treat the two interchangeably.
     """
@@ -390,9 +375,9 @@ class ColumnStatistics:
         """The exact current distinct count."""
         return len(self.counts)
 
-    def summary(self, threshold: int = STALENESS_THRESHOLD, tracker=None) -> ColumnSummary:
-        """The derived summary, rebuilt when stale past ``threshold`` mutations."""
-        if self._summary is None or self.stale > threshold:
+    def summary(self, tracker=None) -> ColumnSummary:
+        """The derived summary, rebuilt when stale past :data:`STALENESS_THRESHOLD` mutations."""
+        if self._summary is None or self.stale > STALENESS_THRESHOLD:
             self._summary = ColumnSummary(self.counts)
             self.stale = 0
             if tracker is not None:
@@ -409,15 +394,9 @@ class TableStatistics:
     indexes coherent keeps these counts coherent too.
     """
 
-    def __init__(
-        self,
-        relation,
-        tracker=None,
-        staleness_threshold: int = STALENESS_THRESHOLD,
-    ) -> None:
+    def __init__(self, relation, tracker=None) -> None:
         self.relation = relation
         self.tracker = tracker
-        self.staleness_threshold = staleness_threshold
         self.columns: dict[str, ColumnStatistics] = {
             name: ColumnStatistics(name) for name in relation.schema.field_names
         }
@@ -455,11 +434,11 @@ class TableStatistics:
         column = self.columns.get(field)
         if column is None:
             return None
-        return column.summary(self.staleness_threshold, self.tracker)
+        return column.summary(self.tracker)
 
     def refresh(self, force: bool = True) -> None:
         """Re-derive every column summary (``force``: stale or not)."""
         for column in self.columns.values():
             if force:
-                column.stale = self.staleness_threshold + 1
-            column.summary(self.staleness_threshold, self.tracker)
+                column.stale = STALENESS_THRESHOLD + 1
+            column.summary(self.tracker)

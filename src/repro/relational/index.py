@@ -181,16 +181,6 @@ class HashIndex:
         """Number of distinct indexed values."""
         return len(self._entries)
 
-    def as_relation(self, tracker: AccessStatistics | None = None) -> Relation:
-        """Materialise the index as the Figure 2 index relation ``<value, ref>``."""
-        from repro.relational.refrelation import make_index_schema  # local import, cycle-free
-
-        schema = make_index_schema(self.name, self.field_name, self.relation)
-        relation = Relation(self.name, schema, tracker=tracker)
-        for value, ref in self.entries():
-            relation.insert({self.field_name: value, f"{self.relation.name}_ref": ref})
-        return relation
-
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return (
             f"HashIndex({self.name!r}, {self._size} entries, "

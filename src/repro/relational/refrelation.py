@@ -1,46 +1,24 @@
-"""Reference-typed relations: the intermediate structures of Figure 2.
+"""Reference-typed components: the ``@rel`` type of Figure 2.
 
 The paper stores every intermediate result as an ordinary PASCAL/R relation
-whose components are *references* (Section 3.2):
-
-* a **single list** — a unary relation of references to the elements of one
-  relation that satisfy a monadic join term (``sl_prof``, ``sl_p77``,
-  ``sl_csoph`` in Figure 2);
-* an **indirect join** — a binary relation of reference pairs satisfying a
-  dyadic join term (``ij_c_t``, ``ij_e_t``, ``ij_e_p``);
-* an **index** — a binary relation pairing a component value with a reference
-  (``ind_t_cnr``, ``ind_t_enr``, ``ind_p_enr``);
-* the n-ary reference relations built by the combination phase, one reference
-  component per variable of the selection expression.
-
-This module provides the :class:`ReferenceType` scalar type (the ``@rel``
-component type of Figure 2) and constructors for those schemas and relations.
+whose components are *references* (Section 3.2): single lists, indirect
+joins, indexes and the combination phase's n-tuples.  The collection phase
+builds the first three as :class:`~repro.engine.collection.ConjunctStructure`
+reference sets; the combination phase's streams carry one reference
+component per variable, typed :class:`ReferenceType` and named by
+:func:`ref_field_name`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any
 
 from repro.errors import ValidationError
-from repro.relational.record import Record
 from repro.relational.reference import Ref
-from repro.relational.relation import Relation
-from repro.relational.statistics import AccessStatistics
 from repro.types.scalar import ScalarType
-from repro.types.schema import Field, RelationSchema
 
-__all__ = [
-    "ReferenceType",
-    "ref_field_name",
-    "make_single_list_schema",
-    "make_indirect_join_schema",
-    "make_index_schema",
-    "make_ref_tuple_schema",
-    "make_single_list",
-    "make_indirect_join",
-    "make_ref_tuple_relation",
-]
+__all__ = ["ReferenceType", "ref_field_name"]
 
 
 @dataclass(frozen=True)
@@ -88,112 +66,3 @@ def ref_field_name(variable: str) -> str:
     to ``<variable>_ref`` so arbitrary variable names work.
     """
     return f"{variable}_ref"
-
-
-# --------------------------------------------------------------------------- schemas
-
-
-def make_single_list_schema(name: str, variable: str, relation: Relation) -> RelationSchema:
-    """Schema of a Figure 2 single list: one reference component."""
-    column = ref_field_name(variable)
-    return RelationSchema(name, [Field(column, ReferenceType(relation.name))], key=[column])
-
-
-def make_indirect_join_schema(
-    name: str,
-    left_variable: str,
-    left_relation: Relation,
-    right_variable: str,
-    right_relation: Relation,
-) -> RelationSchema:
-    """Schema of a Figure 2 indirect join: two reference components."""
-    left_column = ref_field_name(left_variable)
-    right_column = ref_field_name(right_variable)
-    return RelationSchema(
-        name,
-        [
-            Field(left_column, ReferenceType(left_relation.name)),
-            Field(right_column, ReferenceType(right_relation.name)),
-        ],
-        key=[left_column, right_column],
-    )
-
-
-def make_index_schema(name: str, field_name: str, relation: Relation) -> RelationSchema:
-    """Schema of a Figure 2 index relation: ``<component value, reference>``."""
-    return RelationSchema(
-        name,
-        [
-            Field(field_name, relation.schema.field_type(field_name)),
-            Field(f"{relation.name}_ref", ReferenceType(relation.name)),
-        ],
-        key=None,
-    )
-
-
-def make_ref_tuple_schema(
-    name: str, variables: Sequence[str], relations: Sequence[Relation]
-) -> RelationSchema:
-    """Schema of a combination-phase n-tuple reference relation."""
-    if len(variables) != len(relations):
-        raise ValidationError("variables and relations must align")
-    fields = [
-        Field(ref_field_name(variable), ReferenceType(relation.name))
-        for variable, relation in zip(variables, relations)
-    ]
-    return RelationSchema(name, fields, key=None)
-
-
-# ------------------------------------------------------------------------ constructors
-
-
-def make_single_list(
-    name: str,
-    variable: str,
-    relation: Relation,
-    refs: Iterable[Ref] = (),
-    tracker: AccessStatistics | None = None,
-) -> Relation:
-    """Materialise a single list from an iterable of references."""
-    schema = make_single_list_schema(name, variable, relation)
-    single_list = Relation(name, schema, tracker=tracker)
-    column = ref_field_name(variable)
-    for ref in refs:
-        single_list.insert({column: ref})
-    return single_list
-
-
-def make_indirect_join(
-    name: str,
-    left_variable: str,
-    left_relation: Relation,
-    right_variable: str,
-    right_relation: Relation,
-    pairs: Iterable[tuple[Ref, Ref]] = (),
-    tracker: AccessStatistics | None = None,
-) -> Relation:
-    """Materialise an indirect join from an iterable of reference pairs."""
-    schema = make_indirect_join_schema(
-        name, left_variable, left_relation, right_variable, right_relation
-    )
-    indirect_join = Relation(name, schema, tracker=tracker)
-    left_column = ref_field_name(left_variable)
-    right_column = ref_field_name(right_variable)
-    for left_ref, right_ref in pairs:
-        indirect_join.insert({left_column: left_ref, right_column: right_ref})
-    return indirect_join
-
-
-def make_ref_tuple_relation(
-    name: str,
-    variables: Sequence[str],
-    relations: Sequence[Relation],
-    rows: Iterable[Sequence[Ref]] = (),
-    tracker: AccessStatistics | None = None,
-) -> Relation:
-    """Materialise an n-tuple reference relation for the combination phase."""
-    schema = make_ref_tuple_schema(name, variables, relations)
-    relation = Relation(name, schema, tracker=tracker)
-    for row in rows:
-        relation.insert(Record(schema, tuple(row)))
-    return relation

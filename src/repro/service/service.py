@@ -81,7 +81,6 @@ class QueryService:
         self,
         database,
         options: StrategyOptions | None = None,
-        cache_capacity: int | None = None,
         service_options: ServiceOptions | None = None,
         *,
         engine: QueryEngine | None = None,
@@ -91,10 +90,6 @@ class QueryService:
         self.database = database
         self.options = options or StrategyOptions()
         self.service_options = service_options or ServiceOptions()
-        if cache_capacity is not None:
-            self.service_options = self.service_options.with_(
-                plan_cache_capacity=cache_capacity
-            )
         cache_capacity = self.service_options.plan_cache_capacity
         self.engine = engine if engine is not None else QueryEngine(database, self.options)
         self.cache = (

@@ -226,10 +226,6 @@ class BufferPool:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def reset_counters(self) -> None:
-        self.hits = 0
-        self.misses = 0
-
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return (
             f"BufferPool(size={self.size}, resident={len(self._frames)}, "

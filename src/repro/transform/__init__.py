@@ -1,15 +1,8 @@
 """Logic-level query transformations: standard form, Lemma 1, Strategies 1-4."""
 
 from repro.transform.emptyrel import EmptyRangeAdaptation, adapt_formula, adapt_selection
-from repro.transform.lemma1 import (
-    Lemma1Result,
-    distribute_into_quantifier,
-    pull_quantifier_out,
-    rule_name,
-)
 from repro.transform.normalform import (
     StandardForm,
-    standardize_selection,
     to_disjunctive_normal_form,
     to_negation_normal_form,
     to_prenex_normal_form,
@@ -37,38 +30,29 @@ from repro.transform.rewriter import (
     rename_variable,
     simplify,
 )
-from repro.transform.separation import SeparationResult, can_separate, separate_conjunctions
 
 __all__ = [
     "DerivedPredicate",
     "EmptyRangeAdaptation",
-    "Lemma1Result",
     "QueryPlan",
     "PushdownResult",
     "PushdownStep",
     "RangeExtensionResult",
-    "SeparationResult",
     "StandardForm",
     "TraceStep",
     "TransformationTrace",
     "adapt_formula",
     "adapt_selection",
-    "can_separate",
     "conjoin",
     "conjunction_literals",
     "disjoin",
-    "distribute_into_quantifier",
     "extend_ranges",
     "fresh_variable",
     "map_formula",
     "plan_pushdowns",
     "prepare_query",
-    "pull_quantifier_out",
     "rename_variable",
-    "rule_name",
-    "separate_conjunctions",
     "simplify",
-    "standardize_selection",
     "to_disjunctive_normal_form",
     "to_negation_normal_form",
     "to_prenex_normal_form",

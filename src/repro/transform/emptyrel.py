@@ -7,8 +7,18 @@ whole ``ALL p IN papers (...)`` sub-formula is vacuously true and the query
 collapses to ``e.estatus = professor``; evaluating the un-adapted normal form
 would instead return *every* employee's name.
 
-The adaptation implemented here is applied to the *original* (pre-normal-form)
-selection expression, before prenexing:
+Lemma 1 (Section 2) states when a quantifier-free ``A`` (not mentioning
+``rec``) may move into a quantified formula:
+
+1. ``A AND SOME rec IN rel (B)  =  SOME rec IN rel (A AND B)``
+2. ``A OR  SOME rec IN rel (B)  =  A`` if ``rel = []``, else ``SOME rec IN rel (A OR B)``
+3. ``A AND ALL  rec IN rel (B)  =  A`` if ``rel = []``, else ``ALL rec IN rel (A AND B)``
+4. ``A OR  ALL  rec IN rel (B)  =  ALL rec IN rel (A OR B)``
+
+The prenex conversion (``normalform._pull_quantifiers``) applies every rule
+in its non-empty form.  Rules 2 and 3 are exactly where an empty range
+breaks that, so the adaptation implemented here runs first, on the
+*original* (pre-normal-form) selection expression:
 
 * ``SOME v IN r (B)`` with empty ``r`` (after applying its range restriction,
   if any) becomes ``FALSE``;
@@ -125,8 +135,8 @@ def adapt_selection(
 ) -> tuple[Selection, EmptyRangeAdaptation]:
     """Adapt a selection for the current contents of ``database``.
 
-    Returns the (possibly unchanged) selection plus the adaptation record used
-    in EXPLAIN output and the Lemma 1 experiments.
+    Returns the (possibly unchanged) selection plus the adaptation record the
+    pipeline's trace reports.
 
     With ``defer_restricted_ranges=True``, a quantifier range with a
     *restriction* is always assumed satisfiable: deciding it requires

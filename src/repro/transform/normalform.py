@@ -20,8 +20,9 @@ The pipeline implemented here is
 
 The paper also notes (end of Section 2) that queries with only existential
 quantifiers can evaluate each conjunction separately because the existential
-quantifier distributes over disjunction; :mod:`repro.transform.separation`
-implements that observation.
+quantifier distributes over disjunction; the engine does so under
+``StrategyOptions.separate_existential_conjunctions``
+(:meth:`repro.engine.evaluator.QueryEngine.execute_plan`).
 """
 
 from __future__ import annotations
@@ -33,16 +34,13 @@ from repro.calculus.analysis import (
     QuantifierSpec,
     free_variables_of,
     is_dnf_matrix,
-    is_prenex,
     quantifier_prefix,
-    variables_of,
 )
 from repro.calculus.ast import (
     ALL,
     And,
     BoolConst,
     Comparison,
-    FALSE,
     Formula,
     Not,
     Or,
@@ -50,7 +48,6 @@ from repro.calculus.ast import (
     RangeExpr,
     Selection,
     SOME,
-    TRUE,
 )
 from repro.errors import TransformError
 from repro.transform.rewriter import (
@@ -68,7 +65,6 @@ __all__ = [
     "to_prenex_normal_form",
     "to_disjunctive_normal_form",
     "to_standard_form",
-    "standardize_selection",
 ]
 
 
@@ -86,9 +82,6 @@ class StandardForm:
         if isinstance(self.matrix, Or):
             return self.matrix.operands
         return (self.matrix,)
-
-    def quantified_variables(self) -> tuple[str, ...]:
-        return tuple(spec.var for spec in self.prefix)
 
     def to_formula(self) -> Formula:
         """Reassemble prefix and matrix into a single prenex formula."""
@@ -265,8 +258,3 @@ def to_standard_form(selection: Selection) -> StandardForm:
     if not is_dnf_matrix(dnf_matrix) and not isinstance(dnf_matrix, BoolConst):
         raise TransformError("DNF conversion failed to produce a DNF matrix")
     return StandardForm(selection, tuple(prefix), dnf_matrix)
-
-
-def standardize_selection(selection: Selection) -> Selection:
-    """The selection rewritten so its formula is the standard-form formula."""
-    return to_standard_form(selection).to_selection()

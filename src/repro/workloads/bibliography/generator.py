@@ -16,18 +16,16 @@ classic skewed, correlated workload:
 * **venue sizes are power-law** — venue rank ``r`` receives papers with
   weight ``1/r``, so one venue dominates and the tail is sparse.
 
-Determinism and parallelism
----------------------------
+Determinism
+-----------
 
 Generation is split into a *fixed* number of chunks per relation
-(:data:`CHUNKS` — independent of the worker count), each drawing from its
-own ``random.Random(f"{seed}:bibliography:{relation}:{chunk}")``.  Chunks
-are pure functions of their derived seed and the (deterministic) cumulative
-weight tables, and the parent inserts all rows afterwards in ``(relation,
-chunk)`` order — so the produced database depends only on ``(seed,
-profile)``: **any** ``workers`` value, including 0, yields byte-identical
-contents (a hypothesis property pins this).  This is deliberately stronger
-than the university generator, whose chunk layout follows the worker count.
+(:data:`CHUNKS`), each drawing from its own
+``random.Random(f"{seed}:bibliography:{relation}:{chunk}")``.  Chunks are
+pure functions of their derived seed and the (deterministic) cumulative
+weight tables, and all rows are inserted afterwards in ``(relation, chunk)``
+order — so the produced database depends only on ``(seed, profile)``, not
+on the order the chunks are generated in (a hypothesis property pins this).
 """
 
 from __future__ import annotations
@@ -46,9 +44,8 @@ __all__ = [
     "bibliography_database",
 ]
 
-#: Fixed chunk count per relation.  Constant on purpose: the chunk layout —
-#: and with it every chunk's derived RNG stream — must not depend on how
-#: many workers happen to run, or the contents would too.
+#: Fixed chunk count per relation.  Constant on purpose: the chunk layout
+#: fixes every chunk's derived RNG stream, and with it the contents.
 CHUNKS = 8
 
 #: Number of distinct author-pool positions across the corpus (career eras).
@@ -158,7 +155,7 @@ class BibliographyProfile:
 def _zipf_cumulative(count: int, exponent: float) -> list[float]:
     """``cum[i] = sum(1/r**exponent for r in 1..i)`` with ``cum[0] = 0``.
 
-    One shared read-only table per build; chunk workers bisect into it, so a
+    One shared read-only table per build; every chunk bisects into it, so a
     Zipf draw is O(log n) and — crucially — a pure function of the chunk's
     own RNG stream.
     """
@@ -325,15 +322,12 @@ def build_bibliography_database(
     seed: int = 1982,
     name: str = "bibliography",
     paged: bool = True,
-    workers: int = 0,
 ) -> Database:
     """Create and populate a bibliographic database.
 
     ``scale`` multiplies the base cardinalities; ``seed`` makes the content
-    deterministic.  ``workers`` parallelizes generation on a thread pool —
-    the chunk layout is fixed (:data:`CHUNKS` chunks per relation, each with
-    its own derived RNG), so the produced database is **byte-identical for
-    every** ``workers`` **value**; only the wall-clock changes.
+    deterministic (:data:`CHUNKS` chunks per relation, each with its own
+    derived RNG).
     """
     profile = (profile or BibliographyProfile()).scaled(scale)
     database = Database(name, paged=paged)
@@ -356,22 +350,10 @@ def build_bibliography_database(
     for chunk, (lo, hi) in enumerate(paper_bounds):
         jobs[("citations", chunk)] = (_generate_citations, lo, hi, profile, citation_cum)
 
-    if workers > 1:
-        # Imported on use: serial generation, the default, must not load the
-        # executor machinery (and logging with it) into every process.
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                key: pool.submit(args[0], _chunk_rng(seed, key[0], key[1]), *args[1:])
-                for key, args in jobs.items()
-            }
-            results = {key: future.result() for key, future in futures.items()}
-    else:
-        results = {
-            key: args[0](_chunk_rng(seed, key[0], key[1]), *args[1:])
-            for key, args in jobs.items()
-        }
+    results = {
+        key: args[0](_chunk_rng(seed, key[0], key[1]), *args[1:])
+        for key, args in jobs.items()
+    }
 
     for relation_name in ("authors", "venues", "papers", "authorship", "citations"):
         relation = database.relation(relation_name)

@@ -136,35 +136,22 @@ def build_university_database(
     seed: int = 1982,
     name: str = "university",
     paged: bool = True,
-    workers: int = 0,
 ) -> Database:
     """Create and populate a Figure 1 database.
 
     ``scale`` multiplies the base cardinalities; ``seed`` makes the content
-    deterministic so benchmark runs and examples are repeatable.
-
-    ``workers`` selects the generator: ``0`` (the default) is the original
-    sequential generator, whose byte-exact output many tests pin.  A value
-    greater than one generates each relation in ``workers`` horizontal chunks
-    on a thread pool — every chunk draws from its own
-    ``random.Random(f"{seed}:{relation}:{chunk}")``, so the produced database
-    depends only on ``(seed, profile, workers)``, **never** on which worker
-    ran first (the earlier whole-run RNG would have made parallel generation
-    order-dependent).  Chunked content differs from sequential content — the
-    streams differ — but each mode is individually deterministic.
+    deterministic so benchmark runs and examples are repeatable: one
+    ``random.Random(seed)`` draws every row in relation order, and many tests
+    pin its byte-exact output.
     """
     profile = (profile or UniversityProfile()).scaled(scale)
     database = Database(name, paged=paged)
     declare_schema(database)
-    if workers > 1:
-        _populate_parallel(database, profile, seed, workers)
-    else:
-        _populate_sequential(database, profile, seed)
+    _populate(database, profile, seed)
     return database
 
 
-def _populate_sequential(database: Database, profile: UniversityProfile, seed: int) -> None:
-    """The original single-RNG generator (byte-exact output is pinned by tests)."""
+def _populate(database: Database, profile: UniversityProfile, seed: int) -> None:
     rng = random.Random(seed)
     employees = database.relation("employees")
     statuses = list(STATUS_TYPE.labels)
@@ -226,155 +213,6 @@ def _populate_sequential(database: Database, profile: UniversityProfile, seed: i
         key = (entry["tenr"], entry["tcnr"], DAY_TYPE.value(entry["tday"]))
         if timetable.find(key) is None:
             timetable.insert(entry)
-
-
-# ------------------------------------------------------------- parallel generation
-
-
-def _chunk_bounds(total: int, parts: int) -> list[tuple[int, int]]:
-    """``parts`` contiguous, balanced ``[start, end)`` slices of ``range(total)``."""
-    step, extra = divmod(total, parts)
-    bounds = []
-    start = 0
-    for index in range(parts):
-        end = start + step + (1 if index < extra else 0)
-        bounds.append((start, end))
-        start = end
-    return bounds
-
-
-def _chunk_rng(seed: int, relation: str, chunk: int) -> random.Random:
-    """The derived RNG of one generation chunk.
-
-    Seeding from the ``"seed:relation:chunk"`` string keeps every chunk's
-    stream independent of every other chunk's — the fix for the classic
-    shared-RNG bug where the rows a worker produced depended on how many
-    draws *other* workers had already made.  (``random.Random(str)`` seeds
-    by hashing the string with SHA-512, not with ``PYTHONHASHSEED``.)
-    """
-    return random.Random(f"{seed}:{relation}:{chunk}")
-
-
-def _generate_employees(rng: random.Random, lo: int, hi: int, profile: UniversityProfile) -> list[dict]:
-    non_professor = [label for label in STATUS_TYPE.labels if label != "professor"]
-    rows = []
-    for enr in range(lo + 1, hi + 1):
-        if rng.random() < profile.professor_fraction:
-            status = "professor"
-        else:
-            status = rng.choice(non_professor)
-        rows.append(
-            {
-                "enr": enr,
-                "ename": f"{rng.choice(_FIRST_NAMES)[:8]}{enr % 100:02d}",
-                "estatus": status,
-            }
-        )
-    return rows
-
-
-def _generate_papers(rng: random.Random, lo: int, hi: int, profile: UniversityProfile) -> list[dict]:
-    rows = []
-    for pnr in range(lo + 1, hi + 1):
-        author = rng.randint(1, profile.employees)
-        year = 1977 if rng.random() < profile.papers_1977_fraction else rng.randint(1970, 1982)
-        rows.append(
-            {
-                "penr": author,
-                "pyear": year,
-                "ptitle": f"On {rng.choice(_SUBJECTS)} {pnr}",
-            }
-        )
-    return rows
-
-
-def _generate_courses(rng: random.Random, lo: int, hi: int, profile: UniversityProfile) -> list[dict]:
-    levels = list(LEVEL_TYPE.labels)
-    rows = []
-    for cnr in range(lo + 1, hi + 1):
-        if rng.random() < profile.low_level_fraction:
-            level = rng.choice(levels[:2])
-        else:
-            level = rng.choice(levels[2:])
-        rows.append(
-            {
-                "cnr": cnr,
-                "clevel": level,
-                "ctitle": f"Introduction to {rng.choice(_SUBJECTS)} {cnr}",
-            }
-        )
-    return rows
-
-
-def _generate_timetable(
-    rng: random.Random, lo: int, hi: int, quota: int, profile: UniversityProfile
-) -> list[dict]:
-    """One chunk's timetable entries, with ``tenr`` confined to ``(lo, hi]``.
-
-    Confining each chunk to its own employee slice makes chunk key sets
-    disjoint — no cross-chunk duplicate can arise, so the assembled relation
-    does not depend on insertion interleaving.
-    """
-    days = list(DAY_TYPE.labels)
-    rows: list[dict] = []
-    if hi <= lo:  # no employees in this chunk: no timetable keys either
-        return rows
-    seen: set[tuple] = set()
-    attempts = 0
-    while len(rows) < quota and attempts < quota * 20:
-        attempts += 1
-        entry = {
-            "tenr": rng.randint(lo + 1, hi),
-            "tcnr": rng.randint(1, profile.courses),
-            "tday": rng.choice(days),
-            "ttime": rng.choice((9001000, 10001100, 11001200, 14001500, 15001600)),
-            "troom": f"R{rng.randint(1, 99):02d}",
-        }
-        key = (entry["tenr"], entry["tcnr"], entry["tday"])
-        if key not in seen:
-            seen.add(key)
-            rows.append(entry)
-    return rows
-
-
-def _populate_parallel(
-    database: Database, profile: UniversityProfile, seed: int, workers: int
-) -> None:
-    """Generate every relation in per-chunk parallel tasks, then assemble.
-
-    Workers only *generate* (pure functions of their derived RNG); the parent
-    inserts all rows afterwards in ``(relation, chunk)`` order, so worker
-    scheduling cannot influence the stored database.
-    """
-    jobs: dict[tuple[str, int], tuple] = {}
-    for chunk, (lo, hi) in enumerate(_chunk_bounds(profile.employees, workers)):
-        jobs[("employees", chunk)] = (_generate_employees, lo, hi, profile)
-    for chunk, (lo, hi) in enumerate(_chunk_bounds(profile.papers, workers)):
-        jobs[("papers", chunk)] = (_generate_papers, lo, hi, profile)
-    for chunk, (lo, hi) in enumerate(_chunk_bounds(profile.courses, workers)):
-        jobs[("courses", chunk)] = (_generate_courses, lo, hi, profile)
-    employee_chunks = _chunk_bounds(profile.employees, workers)
-    timetable_quotas = _chunk_bounds(profile.timetable, workers)
-    for chunk, (lo, hi) in enumerate(employee_chunks):
-        quota = timetable_quotas[chunk][1] - timetable_quotas[chunk][0]
-        jobs[("timetable", chunk)] = (_generate_timetable, lo, hi, quota, profile)
-
-    # Imported on use: serial generation, the default, must not load the
-    # executor machinery (and logging with it) into every process.
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {
-            key: pool.submit(args[0], _chunk_rng(seed, key[0], key[1]), *args[1:])
-            for key, args in jobs.items()
-        }
-        results = {key: future.result() for key, future in futures.items()}
-
-    for relation_name in ("employees", "papers", "courses", "timetable"):
-        relation = database.relation(relation_name)
-        for chunk in range(workers):
-            for row in results[(relation_name, chunk)]:
-                relation.insert(row)
 
 
 def figure1_database(paged: bool = True) -> Database:

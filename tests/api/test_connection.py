@@ -63,7 +63,7 @@ class TestConnectionLifecycle:
         assert not figure1.in_transaction
 
     def test_connection_owns_service_and_cache(self, figure1):
-        connection = connect(figure1, cache_capacity=3)
+        connection = connect(figure1, service_options=ServiceOptions(plan_cache_capacity=3))
         connection.prepare(PROFESSORS_TEXT)
         connection.prepare(PROFESSORS_TEXT)
         info = connection.cache_info()

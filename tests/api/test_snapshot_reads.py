@@ -9,18 +9,19 @@ The MVCC contract of ``relational/mvcc.py`` and its connection front door:
 * **Committed overlay** — a pin taken while a transaction is journaling sees
   the pre-transaction contents and data version of every relation.
 * **Routing** — connection-level cursors execute on a snapshot (outside the
-  execution lock) when ``ServiceOptions.snapshot_reads`` is on; session
-  cursors keep the serialized live path so a transaction reads its writes.
+  execution lock); session cursors keep the serialized live path so a
+  transaction reads its writes.
 
 Equivalence is the acceptance bar: snapshot rows must be byte-identical to
-serialized execution across the named-query matrix, on both backends.
+serialized execution (a session cursor's) across the named-query matrix, on
+both backends.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro import ServiceOptions, SnapshotError, connect, execute_naive
+from repro import SnapshotError, connect, execute_naive
 from repro.errors import BindingError
 from repro.relational.database import Database
 from repro.types.scalar import INTEGER
@@ -156,12 +157,11 @@ class TestCursorRouting:
         assert cursor.fetchall()
         connection.close()
 
-    def test_snapshot_reads_off_keeps_the_live_path(self, figure1):
-        connection = connect(
-            figure1, service_options=ServiceOptions(snapshot_reads=False)
-        )
-        cursor = connection.cursor().execute(PROFESSORS_TEXT)
+    def test_session_cursor_outside_a_transaction_keeps_the_live_path(self, figure1):
+        connection = connect(figure1)
+        cursor = connection.session().cursor().execute(PROFESSORS_TEXT)
         assert not cursor._snapshot
+        assert figure1._snapshots.active == 0  # no pin taken
         assert cursor.fetchall()
         connection.close()
 
@@ -332,15 +332,14 @@ class TestEquivalenceMatrix:
     def test_snapshot_rows_byte_identical_to_serialized(self, paged):
         for query in _MATRIX:
             fetched = {}
-            for snapshot_reads in (False, True):
+            for pinned in (False, True):
                 database = build_university_database(scale=2, paged=paged)
-                connection = connect(
-                    database,
-                    service_options=ServiceOptions(snapshot_reads=snapshot_reads),
-                )
-                fetched[snapshot_reads] = [
-                    record.values for record in connection.execute(query).fetchall()
+                connection = connect(database)
+                cursor = (connection if pinned else connection.session()).cursor()
+                fetched[pinned] = [
+                    record.values for record in cursor.execute(query).fetchall()
                 ]
+                assert cursor._snapshot is pinned
                 connection.close()
             assert fetched[True] == fetched[False], query
 
@@ -449,11 +448,12 @@ class TestEquivalenceMatrix:
     def test_live_collection_memo_survives_unrelated_writes(self, figure1):
         """The live counterpart of the pinned test above: one token discipline."""
         scratch = figure1.create_relation("scratch", [("k", INTEGER)], key=["k"])
-        connection = connect(figure1, service_options=ServiceOptions(snapshot_reads=False))
-        first = connection.execute(EXAMPLE_21_TEXT).fetchall()
+        connection = connect(figure1)
+        live = connection.session()
+        first = live.execute(EXAMPLE_21_TEXT).fetchall()
         with connection.session():
             scratch.insert({"k": 1})
-        cursor = connection.cursor().execute(EXAMPLE_21_TEXT)
+        cursor = live.cursor().execute(EXAMPLE_21_TEXT)
         assert not cursor._snapshot
         assert [r.values for r in cursor.fetchall()] == [r.values for r in first]
         assert sum(

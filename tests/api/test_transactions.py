@@ -617,16 +617,16 @@ class TestRollbackFinalizesOpenStreams:
 
     @pytest.mark.parametrize("paged", [False, True], ids=["memory", "paged"])
     def test_rollback_invalidates_open_live_streams(self, paged):
-        from repro import CursorError, ServiceOptions, connect
+        from repro import CursorError, connect
         from repro.workloads.queries import OTHERS_PUBLISHED_1977_TEXT
         from repro.workloads.university import build_university_database
 
         database = build_university_database(scale=2, paged=paged)
         database.create_relation("scratch", [("k", INTEGER)], key=["k"])
-        connection = connect(
-            database, service_options=ServiceOptions(snapshot_reads=False)
-        )
-        cursor = connection.cursor().execute(OTHERS_PUBLISHED_1977_TEXT)
+        connection = connect(database)
+        # A session cursor outside any transaction reads the live database.
+        cursor = connection.session().cursor().execute(OTHERS_PUBLISHED_1977_TEXT)
+        assert not cursor._snapshot
         assert cursor.fetchone() is not None  # stream is open mid-drain
 
         session = connection.session()

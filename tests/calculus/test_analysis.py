@@ -1,31 +1,19 @@
-"""Unit tests for formula analysis (occurrence counts, prenex/DNF queries)."""
+"""Unit tests for formula analysis (free variables, ranges, prenex/DNF queries)."""
 
 import pytest
 
 from repro.calculus import builder as q
 from repro.calculus.analysis import (
-    bound_variables_of,
-    comparisons_of,
-    conjunctions_containing,
     conjunctions_of,
-    dyadic_terms_over,
-    formula_depth,
-    formula_size,
     free_variables_of,
-    has_universal_quantifier,
     is_dnf_matrix,
-    is_prenex,
     is_quantifier_free,
     literals_of,
-    matrix_of,
-    monadic_terms_over,
     quantifier_prefix,
-    relations_of,
-    variable_occurrence_counts,
-    variables_of,
+    range_relations,
 )
 from repro.calculus.ast import TRUE
-from repro.errors import CalculusError
+from repro.transform.normalform import to_standard_form
 from repro.workloads.queries import example_21
 
 
@@ -35,60 +23,50 @@ def running_query():
 
 
 class TestVariableQueries:
-    def test_variables_of_running_query(self, running_query):
-        assert variables_of(running_query.formula) == {"e", "p", "c", "t"}
-
     def test_free_variables_of_running_query(self, running_query):
         assert free_variables_of(running_query.formula) == {"e"}
 
-    def test_bound_variables(self, running_query):
-        assert bound_variables_of(running_query.formula) == {"p", "c", "t"}
+    def test_standard_form_binds_the_quantified_variables(self, running_query):
+        prefix = to_standard_form(running_query).prefix
+        assert [spec.var for spec in prefix] == ["p", "c", "t"]
 
     def test_free_variables_respect_quantifier_scope(self):
         formula = q.some("x", "r", q.eq(("x", "a"), ("y", "b")))
         assert free_variables_of(formula) == {"y"}
 
-    def test_relations_of(self, running_query):
-        assert relations_of(running_query) == {"employees", "papers", "courses", "timetable"}
-
-
-class TestAtomQueries:
-    def test_comparisons_of_counts_join_terms(self, running_query):
-        assert len(comparisons_of(running_query.formula)) == 6
-
-    def test_comparisons_include_range_restrictions(self):
+    def test_free_variables_include_range_restrictions(self):
         formula = q.some(
-            "p", q.range_("papers", q.eq(("p", "pyear"), 1977)), q.ne(("p", "penr"), 3)
+            "p", q.range_("papers", q.eq(("p", "penr"), ("e", "enr"))), TRUE
         )
-        assert len(comparisons_of(formula)) == 2
+        assert free_variables_of(formula) == {"e"}
 
-    def test_monadic_and_dyadic_terms_over(self, running_query):
-        assert len(monadic_terms_over(running_query.formula, "e")) == 1
-        assert len(dyadic_terms_over(running_query.formula, "e")) == 2
-        assert len(monadic_terms_over(running_query.formula, "c")) == 1
+
+class TestRangeRelations:
+    def test_plain_range(self):
+        assert range_relations(q.range_("papers")) == ["papers"]
+
+    def test_quantifiers_in_the_restriction_follow_in_source_order(self):
+        restriction = q.some(
+            "t",
+            q.range_("timetable", q.some("p", "papers", q.eq(("p", "penr"), ("t", "tenr")))),
+            q.eq(("t", "tcnr"), ("c", "cnr")),
+        )
+        assert range_relations(q.range_("courses", restriction)) == [
+            "courses", "timetable", "papers"
+        ]
 
 
 class TestPrenexQueries:
     def test_running_query_is_not_prenex(self, running_query):
-        assert not is_prenex(running_query.formula)
-        assert not is_quantifier_free(running_query.formula)
+        prefix, rest = quantifier_prefix(running_query.formula)
+        assert prefix == []
+        assert not is_quantifier_free(rest)
 
     def test_quantifier_prefix_of_prenex_formula(self):
         formula = q.all_("p", "papers", q.some("c", "courses", q.eq(("p", "penr"), ("c", "cnr"))))
         prefix, matrix = quantifier_prefix(formula)
         assert [(s.kind, s.var) for s in prefix] == [("ALL", "p"), ("SOME", "c")]
         assert is_quantifier_free(matrix)
-        assert is_prenex(formula)
-        assert matrix_of(formula) == matrix
-
-    def test_matrix_of_non_prenex_raises(self):
-        formula = q.and_(q.some("p", "papers", TRUE), q.eq(("e", "enr"), 1))
-        with pytest.raises(CalculusError):
-            matrix_of(formula)
-
-    def test_has_universal_quantifier(self, running_query):
-        assert has_universal_quantifier(running_query.formula)
-        assert not has_universal_quantifier(q.some("p", "papers", TRUE))
 
 
 class TestDnfQueries:
@@ -109,27 +87,10 @@ class TestDnfQueries:
         not_dnf = q.and_(q.or_(q.eq(("e", "enr"), 1), q.eq(("e", "enr"), 2)), q.eq(("e", "enr"), 3))
         assert not is_dnf_matrix(not_dnf)
 
+    def test_quantified_matrix_is_not_dnf(self):
+        assert not is_dnf_matrix(q.some("p", "papers", TRUE))
+
     def test_single_conjunction_matrix(self):
         single = q.and_(q.eq(("e", "enr"), 1), q.eq(("e", "enr"), 2))
         assert conjunctions_of(single) == [single]
         assert is_dnf_matrix(single)
-
-    def test_conjunctions_containing(self):
-        matrix, _ = self.make_matrix()
-        assert len(conjunctions_containing(matrix, "p")) == 1
-        assert len(conjunctions_containing(matrix, "e")) == 2
-        assert len(conjunctions_containing(matrix, "z")) == 0
-
-    def test_variable_occurrence_counts(self):
-        matrix, _ = self.make_matrix()
-        counts = variable_occurrence_counts(matrix)
-        assert counts == {"e": 2, "p": 1, "t": 1}
-
-
-class TestMetrics:
-    def test_size_and_depth(self, running_query):
-        assert formula_size(running_query.formula) > 5
-        assert formula_depth(running_query.formula) >= 4
-        atom = q.eq(("e", "enr"), 1)
-        assert formula_size(atom) == 1
-        assert formula_depth(atom) == 1

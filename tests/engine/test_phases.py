@@ -13,6 +13,8 @@ from repro.config import StrategyOptions
 from repro.engine.collection import CollectionPhase, ExtendedRangeEmptyError
 from repro.engine.combination import CombinationPhase
 from repro.engine.construction import ConstructionPhase
+from repro.engine.evaluator import QueryEngine
+from repro.relational.refrelation import ReferenceType
 from repro.transform.pipeline import prepare_query
 from repro.workloads.queries import example_21, teaches_low_level
 from repro.calculus import builder as q
@@ -77,6 +79,76 @@ class TestCollectionPhaseStructures:
         collection = CollectionPhase(prepared, figure1, options).run()
         assert set(collection.range_refs) == {"e", "p", "c", "t"}
         assert len(collection.range_refs["e"]) == len(figure1.relation("employees"))
+
+
+class TestFigure2Structures:
+    """The running query's single lists and indirect joins (Figure 2) as the
+    unoptimised collection phase builds them: sets of reference tuples into
+    the right relations, holding exactly the elements that satisfy the term."""
+
+    @pytest.fixture
+    def structures(self, figure1):
+        options = StrategyOptions.none()
+        _, prepared = prepare(figure1, example_21(), options)
+        collection = CollectionPhase(prepared, figure1, options).run()
+        by_description = {}
+        for conjunction in collection.conjunctions:
+            for structure in conjunction:
+                by_description.setdefault(structure.description, structure)
+        return by_description
+
+    @staticmethod
+    def _find(structures, term):
+        return next(s for d, s in structures.items() if term in d)
+
+    def test_single_lists_hold_the_qualifying_elements(self, figure1, structures):
+        cases = [
+            ("e.estatus = ", "e", "employees", lambda e: e.estatus.label == "professor"),
+            ("p.pyear <> ", "p", "papers", lambda p: p.pyear != 1977),
+            ("c.clevel <= ", "c", "courses", lambda c: c.clevel.ordinal <= 1),
+        ]
+        for term, var, relation, holds in cases:
+            single = self._find(structures, term)
+            assert single.description.startswith("single list")
+            assert single.variables == (var,)
+            assert all(ReferenceType(relation).contains(ref) for (ref,) in single.rows)
+            assert {ref.deref() for (ref,) in single.rows} == {
+                element for element in figure1.relation(relation) if holds(element)
+            }, term
+
+    def test_indirect_joins_hold_exactly_the_satisfying_pairs(self, figure1, structures):
+        cases = [
+            ("e.enr <> p.penr", "employees", "papers", lambda e, p: e.enr != p.penr),
+            ("c.cnr = t.tcnr", "courses", "timetable", lambda c, t: c.cnr == t.tcnr),
+            ("e.enr = t.tenr", "employees", "timetable", lambda e, t: e.enr == t.tenr),
+        ]
+        for term, left, right, holds in cases:
+            indirect = self._find(structures, term)
+            assert indirect.description.startswith("indirect join")
+            assert len(indirect.variables) == 2
+            left_var, right_var = term[0], term.split()[-1][0]
+            pairs = {
+                (by_var[left_var].deref(), by_var[right_var].deref())
+                for by_var in (dict(zip(indirect.variables, row)) for row in indirect.rows)
+            }
+            expected = {
+                (a, b)
+                for a in figure1.relation(left)
+                for b in figure1.relation(right)
+                if holds(a, b)
+            }
+            assert pairs == expected, term
+            # One tuple per satisfying pair: a structure is a set.
+            assert indirect.cardinality == len(expected), term
+
+    def test_combination_tuples_carry_one_reference_column_per_free_variable(self, figure1):
+        result = QueryEngine(figure1).run(example_21(), StrategyOptions.none())
+        tuples = result.combination.tuples
+        assert tuples.schema.field_names == ("e_ref",)
+        assert tuples.schema.field_type("e_ref") == ReferenceType("employees")
+        assert {record.e_ref.deref().ename for record in tuples} == {
+            record.ename for record in result.relation
+        }
 
 
 class TestScanCounts:

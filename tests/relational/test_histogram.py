@@ -5,8 +5,7 @@ of insert / delete / assign / clear against a relation with attached
 :class:`TableStatistics`, asserting after every step that the incrementally
 maintained statistics are **byte-identical** to a fresh rebuild from the
 relation's contents — exact counts and every derived summary structure
-(hot keys, both equi-depth histograms, the KMV sketch), on both storage
-backends.
+(hot keys, both equi-depth histograms), on both storage backends.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from hypothesis import strategies as st
 from repro.relational.database import Database
 from repro.relational.histogram import (
     HOT_KEYS,
-    KMV_K,
     STALENESS_THRESHOLD,
     ColumnSketch,
     ColumnSummary,
@@ -76,7 +74,6 @@ def _canonical(summary: ColumnSummary) -> tuple:
         sorted(summary.hot.items(), key=lambda item: stable_hash(item[0])),
         summary.hash_buckets,
         summary.value_buckets,
-        summary.kmv,
     )
 
 
@@ -137,7 +134,7 @@ class TestStableHash:
             assert stable_hash(value) == stable_hash(value)
 
     def test_known_values_are_pinned(self):
-        # The hash-ordered histogram and the KMV sketch are built from these
+        # The hash-ordered histogram and the hot-key ranking are built from these
         # values: they must not depend on the process's string-hash salt.
         assert stable_hash((7,)) == stable_hash((7,))
         assert stable_hash("employees") != stable_hash("papers")
@@ -210,15 +207,26 @@ class TestColumnSummary:
         assert summary.selectivity("=", "hot") == pytest.approx(0.5)
         assert summary.selectivity("<>", "hot") == pytest.approx(0.5)
 
-    def test_kmv_estimates_large_distinct_counts(self):
+    def test_distinct_is_exact_for_large_domains(self):
         summary = ColumnSummary({value: 1 for value in range(5000)})
-        assert len(summary.kmv) == KMV_K
-        estimate = summary.distinct_estimate()
-        assert 2500 <= estimate <= 10000  # within 2x at k=32
+        assert summary.distinct == 5000
 
-    def test_small_distinct_counts_are_exact(self):
-        summary = ColumnSummary({value: 1 for value in range(10)})
-        assert summary.distinct_estimate() == 10.0
+
+@pytest.mark.parametrize("paged", (False, True), ids=("memory", "paged"))
+def test_distinct_stays_exact_under_insert_and_delete(paged: bool) -> None:
+    database = _make_database(paged)
+    relation = database.relation("r")
+    column = database.table_statistics("r").column("v")
+    for key in range(40):
+        relation.insert({"k": key, "v": key % 10})
+    assert column.distinct == 10
+    for key in range(0, 40, 10):  # every element holding v = 0
+        relation.delete_key(key)
+    assert column.distinct == 9
+    assert column.frequency(0) == 0
+    relation.insert({"k": 100, "v": 0})
+    assert column.distinct == 10
+    assert column.summary().distinct == 10
 
 
 class TestEstimateJoin:
@@ -253,12 +261,12 @@ class TestStaleness:
         stats = database.table_statistics("r")
         relation.insert({"k": 0, "v": 1})
         column = stats.columns["v"]
-        first = column.summary(STALENESS_THRESHOLD)
+        first = column.summary()
         relation.insert({"k": 1, "v": 2})  # stale, but under the threshold
-        assert column.summary(STALENESS_THRESHOLD) is first
+        assert column.summary() is first
         for key in range(2, STALENESS_THRESHOLD + 3):
             relation.insert({"k": key, "v": key % 10})
-        assert column.summary(STALENESS_THRESHOLD) is not first
+        assert column.summary() is not first
 
     def test_rebuilds_are_counted(self):
         database = _make_database(paged=False)

@@ -64,11 +64,12 @@ class TestHashIndex:
         with pytest.raises(RelationError):
             HashIndex(timetable, "troom")
 
-    def test_as_relation_matches_figure2_shape(self, timetable):
+    def test_entries_pair_each_value_with_a_reference(self, timetable):
+        # Figure 2's ind_t_cnr: one <tcnr, @timetable> entry per element.
         index = HashIndex(timetable, "tcnr", name="ind_t_cnr").build()
-        materialized = index.as_relation()
-        assert materialized.schema.field_names == ("tcnr", "timetable_ref")
-        assert len(materialized) == 5
+        entries = list(index.entries())
+        assert len(entries) == len(index) == 5
+        assert all(ref.deref().tcnr == value for value, ref in entries)
 
 
 class TestSortedIndex:

@@ -1,15 +1,12 @@
-"""Unit tests for reference-typed relations (the Figure 2 structures)."""
+"""Unit tests for the ``@rel`` reference type of Figure 2.
+
+The structures themselves are checked as the collection phase builds them
+(``tests/engine/test_phases.py::TestFigure2Structures``)."""
 
 import pytest
 
 from repro.errors import ValidationError
-from repro.relational.refrelation import (
-    ReferenceType,
-    make_indirect_join,
-    make_ref_tuple_relation,
-    make_single_list,
-    ref_field_name,
-)
+from repro.relational.refrelation import ReferenceType, ref_field_name
 from repro.relational.relation import Relation
 from repro.types.scalar import INTEGER
 from repro.types.schema import RelationSchema
@@ -63,33 +60,5 @@ class TestReferenceType:
         assert ReferenceType("courses").name == "@courses"
 
 
-class TestConstructors:
-    def test_ref_field_name(self):
-        assert ref_field_name("c") == "c_ref"
-
-    def test_single_list(self, courses):
-        refs = [courses.ref(1), courses.ref(2)]
-        single = make_single_list("sl_csoph", "c", courses, refs)
-        assert len(single) == 2
-        assert single.schema.field_names == ("c_ref",)
-        stored = {rec.c_ref for rec in single}
-        assert stored == set(refs)
-
-    def test_indirect_join(self, courses, timetable):
-        pairs = [(courses.ref(1), timetable.ref(1)), (courses.ref(2), timetable.ref(2))]
-        ij = make_indirect_join("ij_c_t", "c", courses, "t", timetable, pairs)
-        assert len(ij) == 2
-        assert ij.schema.field_names == ("c_ref", "t_ref")
-
-    def test_ref_tuple_relation(self, courses, timetable):
-        rows = [(courses.ref(1), timetable.ref(2))]
-        rel = make_ref_tuple_relation("combo", ["c", "t"], [courses, timetable], rows)
-        assert len(rel) == 1
-        record = rel.elements()[0]
-        assert record.c_ref.deref().cnr == 1
-        assert record.t_ref.deref().tcnr == 2
-
-    def test_single_list_deduplicates(self, courses):
-        refs = [courses.ref(1), courses.ref(1)]
-        single = make_single_list("sl", "c", courses, refs)
-        assert len(single) == 1
+def test_ref_field_name():
+    assert ref_field_name("c") == "c_ref"

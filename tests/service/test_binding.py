@@ -9,8 +9,10 @@ from repro.engine.naive import evaluate_selection_naive
 from repro.errors import BindingError, TypeCheckError
 from repro.lang.parser import parse_selection
 from repro.service import bind_plan, bind_selection, check_bindings, collect_parameters
+from repro.service.binding import referenced_relations
 from repro.transform.pipeline import prepare_query
 from repro.types.scalar import EnumValue
+from repro.workloads.queries import example_21
 
 PARAM_TEXT = """
 [<e.ename> OF EACH e IN employees:
@@ -44,6 +46,28 @@ class TestCollectParameters:
     def test_plan_collection_without_transform_strategies(self, figure1):
         plan = prepare_query(resolved(figure1), figure1, StrategyOptions.none())
         assert sorted(collect_parameters(plan)) == ["status", "year"]
+
+
+class TestReferencedRelations:
+    def test_running_query_reads_all_four_relations(self):
+        assert referenced_relations(example_21()) == {
+            "employees", "papers", "courses", "timetable"
+        }
+
+    def test_quantifiers_inside_a_restricted_range_count(self):
+        # ``timetable`` is quantified only inside ``c``'s range restriction.
+        selection = parse_selection(
+            "[<e.ename> OF EACH e IN employees: SOME c IN [EACH c2 IN courses: "
+            "SOME t IN timetable ((t.tcnr = c2.cnr))] ((c.cnr = 1))]"
+        )
+        assert referenced_relations(selection) == {"employees", "courses", "timetable"}
+
+    def test_free_range_restrictions_count(self):
+        selection = parse_selection(
+            "[<e.ename> OF EACH e IN [EACH e2 IN employees: "
+            "SOME p IN papers ((p.penr = e2.enr))]: TRUE]"
+        )
+        assert referenced_relations(selection) == {"employees", "papers"}
 
 
 class TestCheckBindings:

@@ -99,7 +99,7 @@ class TestPlanCaching:
         assert len(service.cache) == 1
 
     def test_lru_eviction_respects_capacity(self, figure1):
-        service = connect(figure1, cache_capacity=1).service
+        service = connect(figure1, service_options=ServiceOptions(plan_cache_capacity=1)).service
         service.prepare(PROFESSORS_TEXT)
         service.prepare(EXAMPLE_21_TEXT)
         assert len(service.cache) == 1

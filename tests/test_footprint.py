@@ -1,5 +1,5 @@
 """Footprint: what ``import repro`` loads, what a dropped database leaves —
-and how many ways into the engine there are.
+and how many ways into the engine, exports and knobs there are.
 
 The two memory checks run in a fresh interpreter — ``sys.modules`` and the
 garbage collector's state in the test process are whatever earlier tests
@@ -34,7 +34,7 @@ def test_import_repro_leaves_asyncio_ssl_executors_and_the_xml_parser_unloaded(t
         import repro
         heavy = ("asyncio", "ssl", "xml.etree.ElementTree", "concurrent.futures", "logging")
         print([name for name in heavy if name in sys.modules])
-        # Serial data generation, the default, needs no executor either.
+        # Data generation needs no executor either.
         database = repro.build_university_database(scale=1)
         print("concurrent.futures" in sys.modules)
         # Neither does the first join query through the front door: the
@@ -134,3 +134,73 @@ def test_the_execution_surface_is_what_it_is_pinned_to_be():
     }
     assert surface == PUBLIC_CALLABLES
     assert not hasattr(repro.api, "default_connection")
+
+
+#: What the logic and storage packages export, spelled out: each of Lemma 1,
+#: the conjunction separation and the Figure 2 structures has one
+#: implementation, the one the engine runs, and a second one has to be added
+#: here, in plain sight.
+PINNED_EXPORTS = {
+    "repro.transform": {
+        "DerivedPredicate", "EmptyRangeAdaptation", "PushdownResult", "PushdownStep",
+        "QueryPlan", "RangeExtensionResult", "StandardForm", "TraceStep",
+        "TransformationTrace", "adapt_formula", "adapt_selection", "conjoin",
+        "conjunction_literals", "disjoin", "extend_ranges", "fresh_variable",
+        "map_formula", "plan_pushdowns", "prepare_query", "rename_variable", "simplify",
+        "to_disjunctive_normal_form", "to_negation_normal_form", "to_prenex_normal_form",
+        "to_standard_form",
+    },
+    "repro.relational": {
+        "AccessStatistics", "COLLECTION", "COMBINATION", "CONSTRUCTION", "Database",
+        "HashIndex", "Record", "Ref", "ReferenceType", "Relation", "SortedIndex",
+        "ValueList", "build_index", "ref_field_name", "stream_divide",
+        "stream_natural_join", "stream_project", "stream_semijoin", "stream_union",
+    },
+    "repro.calculus": {
+        "ALL", "And", "BoolConst", "Comparison", "Const", "FALSE", "FieldRef", "Formula",
+        "Not", "Or", "OutputColumn", "Param", "Quantified", "QuantifierSpec", "RangeExpr",
+        "SOME", "Selection", "TRUE", "TypeChecker", "VariableBinding", "check_selection",
+        "conjunctions_of", "format_formula", "format_range", "format_selection",
+        "free_variables_of", "is_dnf_matrix", "is_quantifier_free", "literals_of",
+        "quantifier_prefix", "resolve_selection",
+    },
+}
+
+
+def test_the_package_exports_are_what_they_are_pinned_to_be():
+    import importlib
+
+    for name, pinned in PINNED_EXPORTS.items():
+        module = importlib.import_module(name)
+        assert set(module.__all__) == pinned, name
+        assert len(module.__all__) == len(pinned), f"{name} exports a name twice"
+        assert all(hasattr(module, export) for export in module.__all__), name
+
+
+def test_the_knobs_are_what_they_are_pinned_to_be():
+    """Every option field, and the keyword arguments of the front door and
+    the generators: a second spelling of a setting has to be added here."""
+    import dataclasses
+    import inspect
+
+    import repro
+
+    def fields(cls):
+        return {field.name for field in dataclasses.fields(cls)}
+
+    def parameters(function):
+        return set(inspect.signature(function).parameters) - {"self"}
+
+    assert fields(repro.ServiceOptions) == {
+        "plan_cache_capacity", "collection_cache_size", "busy_timeout",
+    }
+    assert len(fields(repro.StrategyOptions)) == 11
+    front_door = {"database", "options", "service_options", "durability"}
+    assert parameters(repro.connect) == front_door
+    assert parameters(repro.Connection) == front_door
+    assert parameters(repro.QueryService) == {
+        "database", "options", "service_options", "engine", "execution_lock", "cache",
+    }
+    generator = {"scale", "profile", "seed", "name", "paged"}
+    assert parameters(repro.build_university_database) == generator
+    assert parameters(repro.build_bibliography_database) == generator

@@ -1,12 +1,23 @@
-"""Unit tests for Lemma 1 and the runtime empty-relation adaptation (Example 2.2)."""
+"""Lemma 1 and the runtime empty-relation adaptation (Example 2.2), and the
+separate evaluation of existential conjunctions (end of Section 2).
+
+Lemma 1 is applied by the compiler in two places: the adaptation
+(:func:`repro.transform.emptyrel.adapt_selection`) removes quantifiers over
+empty ranges, where rules 2 and 3 collapse, and the prenex conversion pulls
+every remaining quantifier out under the non-empty form of all four rules.
+The property below checks both, through the engine, on Figure 1.
+"""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.calculus import builder as q
-from repro.calculus.ast import ALL, And, BoolConst, Or, Quantified, SOME
-from repro.errors import TransformError
+from repro.calculus.ast import ALL, BoolConst, SOME
+from repro.config import StrategyOptions
+from repro.engine.evaluator import QueryEngine, execute_naive
+from repro.service.binding import referenced_relations
 from repro.transform.emptyrel import adapt_formula, adapt_selection
-from repro.transform.lemma1 import distribute_into_quantifier, pull_quantifier_out, rule_name
 from repro.workloads.queries import example_21
 from repro.workloads.university import figure1_database
 
@@ -23,77 +34,95 @@ def all_p():
     return q.all_("p", "papers", B)
 
 
-class TestRuleTable:
-    def test_rule_numbers_and_preconditions(self):
-        assert rule_name("AND", SOME) == (1, False)
-        assert rule_name("OR", SOME) == (2, True)
-        assert rule_name("AND", ALL) == (3, True)
-        assert rule_name("OR", ALL) == (4, False)
+# -------------------------------------------------- Lemma 1 and separation, by property
+
+#: ``A AND|OR SOME|ALL v IN r (B)``: the connective and quantifier of each rule.
+RULES = {1: ("AND", SOME), 2: ("OR", SOME), 3: ("AND", ALL), 4: ("OR", ALL)}
+
+#: Quantifier-free formulae over the free variable ``e`` only.
+OUTER = (
+    "(e.estatus = professor)",
+    "((e.estatus <> student) AND (e.enr > 2))",
+    "((e.enr <= 3) OR (e.estatus = professor))",
+)
+
+#: ``(relation, variable, B)``: bodies mentioning the quantified variable.
+BODIES = (
+    ("papers", "p", "(p.penr = e.enr)"),
+    ("papers", "p", "(p.pyear = 1977)"),
+    ("papers", "p", "(p.penr = e.enr) OR (p.pyear = 1977)"),
+    ("papers", "p", "(p.penr = e.enr) AND (p.pyear <> 1977)"),
+    ("timetable", "t", "(t.tenr = e.enr)"),
+    ("timetable", "t", "(t.tenr = e.enr) OR (t.tday = monday)"),
+    ("courses", "c", "(c.clevel = sophomore)"),
+    ("courses", "c", "(c.cnr = e.enr) AND (c.clevel <> senior)"),
+)
 
 
-class TestDistributeIntoQuantifier:
-    def test_rule1_and_some(self):
-        result = distribute_into_quantifier(A, some_p(), "AND")
-        assert result.rule == 1
-        assert not result.requires_non_empty
-        assert isinstance(result.formula, Quantified)
-        assert result.formula.body == And(A, B)
-
-    def test_rule2_or_some_non_empty(self):
-        result = distribute_into_quantifier(A, some_p(), "OR", range_is_empty=lambda _: False)
-        assert result.rule == 2
-        assert result.formula.body == Or(A, B)
-
-    def test_rule2_or_some_empty_range_collapses_to_outer(self):
-        result = distribute_into_quantifier(A, some_p(), "OR", range_is_empty=lambda _: True)
-        assert result.formula == A
-
-    def test_rule3_and_all_empty_range_collapses_to_outer(self):
-        result = distribute_into_quantifier(A, all_p(), "AND", range_is_empty=lambda _: True)
-        assert result.rule == 3
-        assert result.formula == A
-
-    def test_rule4_or_all(self):
-        result = distribute_into_quantifier(A, all_p(), "OR")
-        assert result.rule == 4
-        assert not result.requires_non_empty
-        assert result.formula.body == Or(A, B)
-
-    def test_conditional_rules_flagged_without_oracle(self):
-        assert distribute_into_quantifier(A, some_p(), "OR").requires_non_empty
-        assert distribute_into_quantifier(A, all_p(), "AND").requires_non_empty
-
-    def test_outer_mentioning_bound_variable_rejected(self):
-        outer = q.eq(("p", "pyear"), 1980)
-        with pytest.raises(TransformError):
-            distribute_into_quantifier(outer, some_p(), "AND")
+@pytest.fixture(scope="module")
+def figure1_emptied():
+    """Figure 1 as built (key ``None``) and with each quantified relation
+    cleared, built once: the property's queries only read."""
+    databases = {None: figure1_database()}
+    for relation in {relation for relation, _, _ in BODIES}:
+        databases[relation] = figure1_database()
+        databases[relation].relation(relation).clear()
+    return databases
 
 
-class TestPullQuantifierOut:
-    def test_pulls_some_out_of_and(self):
-        result = pull_quantifier_out(And(A, some_p()))
-        assert result is not None
-        assert result.rule == 1
-        assert isinstance(result.formula, Quantified)
+def _query(formula: str) -> str:
+    return f"[<e.ename> OF EACH e IN employees: {formula}]"
 
-    def test_pulls_all_out_of_or(self):
-        result = pull_quantifier_out(Or(A, all_p()))
-        assert result.rule == 4
 
-    def test_empty_range_short_circuits(self):
-        result = pull_quantifier_out(Or(A, some_p()), range_is_empty=lambda _: True)
-        assert result.formula == A
+#: The unoptimised procedure, separation alone, and separation under every
+#: default strategy (extended ranges kept in each sub-query's prefix, value
+#: lists, the Strategy 3 fallback).
+CONFIGURATIONS = {
+    "none": StrategyOptions.none(),
+    "separated": StrategyOptions.only(separate_existential_conjunctions=True),
+    "all-separated": StrategyOptions().with_(separate_existential_conjunctions=True),
+}
 
-    def test_non_matching_shapes_return_none(self):
-        assert pull_quantifier_out(And(A, B)) is None
-        assert pull_quantifier_out(A) is None
-        three = And(A, B, some_p())
-        assert pull_quantifier_out(three) is None
 
-    def test_outer_mentioning_bound_variable_returns_none(self):
-        outer = q.eq(("p", "pyear"), 1980)
-        assert pull_quantifier_out(And(outer, some_p())) is None
+@pytest.mark.parametrize("configuration", sorted(CONFIGURATIONS))
+@pytest.mark.parametrize("emptied", (False, True), ids=("non-empty", "emptied"))
+@pytest.mark.parametrize("rule", sorted(RULES), ids=lambda rule: f"rule{rule}")
+@settings(max_examples=20, deadline=None)
+@given(outer=st.sampled_from(OUTER), body=st.sampled_from(BODIES))
+def test_lemma1_and_separation_on_figure1(
+    figure1_emptied, rule, emptied, configuration, outer, body
+):
+    options = CONFIGURATIONS[configuration]
+    connective, kind = RULES[rule]
+    relation, var, inner = body
+    database = figure1_emptied[relation if emptied else None]
+    text = _query(f"{outer} {connective} {kind} {var} IN {relation} (({inner}))")
+    expected = execute_naive(database, text)
 
+    # The lemma itself, on the ground-truth interpreter.
+    if not emptied:
+        moved_in = _query(f"{kind} {var} IN {relation} ({outer} {connective} ({inner}))")
+        assert execute_naive(database, moved_in) == expected
+    elif rule in (2, 3):
+        assert execute_naive(database, _query(outer)) == expected
+    else:  # AND SOME over [] is FALSE, OR ALL over [] is TRUE
+        assert len(expected) == (0 if rule == 1 else len(database.relation("employees")))
+
+    result = QueryEngine(database).run(text, options)
+    assert result.relation == expected
+    # Separation applies exactly when the prefix has no ALL; the Strategy 3
+    # fallback re-plans and runs the query whole.
+    plan = result.prepared
+    separated = (
+        options.separate_existential_conjunctions
+        and not result.used_strategy3_fallback
+        and plan.constant is None
+        and all(spec.kind != ALL for spec in plan.prefix)
+    )
+    assert result.subqueries == (len(plan.conjunctions) if separated else 1)
+
+
+# ------------------------------------------------------------------ the adaptation
 
 class TestEmptyRangeAdaptation:
     def test_some_over_empty_range_becomes_false(self):
@@ -125,9 +154,7 @@ class TestEmptyRangeAdaptation:
         assert record.changed
         assert (ALL, "p", "papers") in record.removed_quantifiers
         # The remaining formula no longer mentions papers at all.
-        from repro.calculus.analysis import relations_of
-
-        assert "papers" not in relations_of(adapted)
+        assert "papers" not in referenced_relations(adapted)
 
     def test_adaptation_handles_extended_ranges(self):
         database = figure1_database()

@@ -1,11 +1,11 @@
 """Unit tests for Strategy 3 (extended ranges), Strategy 4 (collection-phase
-quantifiers), conjunction separation, and the transformation pipeline —
-reproducing the paper's Examples 4.4-4.7 at the structural level."""
+quantifiers) and the transformation pipeline — reproducing the paper's
+Examples 4.4-4.7 at the structural level.  Conjunction separation is covered
+with Lemma 1 in ``test_lemma1_and_emptyrel.py``."""
 
 import pytest
 
 from repro.calculus import builder as q
-from repro.calculus.analysis import free_variables_of
 from repro.calculus.ast import ALL, BoolConst, Comparison, SOME
 from repro.config import StrategyOptions
 from repro.errors import TransformError
@@ -13,9 +13,8 @@ from repro.transform.normalform import to_standard_form
 from repro.transform.pipeline import prepare_query
 from repro.transform.quantifier_pushdown import DerivedPredicate, plan_pushdowns
 from repro.transform.range_extension import extend_ranges
-from repro.transform.separation import can_separate, separate_conjunctions
 from repro.calculus.typecheck import TypeChecker
-from repro.workloads.queries import example_21, teaches_low_level
+from repro.workloads.queries import example_21
 from repro.workloads.university import figure1_database
 
 
@@ -189,37 +188,6 @@ class TestQuantifierPushdown:
         prefix = (QuantifierSpec(SOME, "t", q.range_("timetable")),)
         result = plan_pushdowns(prefix, (conj,))
         assert not result.changed
-
-
-class TestSeparation:
-    def test_existential_query_is_separable(self, figure1):
-        resolved = TypeChecker.for_database(figure1).resolve(
-            q.selection(
-                [("e", "ename")],
-                [("e", "employees")],
-                q.or_(
-                    q.eq(("e", "estatus"), "professor"),
-                    q.some("t", "timetable", q.eq(("t", "tenr"), ("e", "enr"))),
-                ),
-            )
-        )
-        form = to_standard_form(resolved)
-        assert can_separate(form)
-        result = separate_conjunctions(form)
-        assert len(result) == 2
-        # The sub-query for the purely monadic conjunction drops the quantifier.
-        prefix_lengths = sorted(len(sub.prefix) for sub in result.subqueries)
-        assert prefix_lengths == [0, 1]
-
-    def test_universal_query_is_not_separable(self, resolved_running_query):
-        form = to_standard_form(resolved_running_query)
-        assert not can_separate(form)
-        with pytest.raises(TransformError):
-            separate_conjunctions(form)
-
-    def test_single_conjunction_is_not_worth_separating(self, figure1):
-        resolved = TypeChecker.for_database(figure1).resolve(teaches_low_level())
-        assert not can_separate(to_standard_form(resolved))
 
 
 class TestPipeline:

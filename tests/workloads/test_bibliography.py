@@ -1,12 +1,12 @@
 """The bibliographic domain: schema, skewed generator, and the query library.
 
-The generator's headline guarantee gets a hypothesis property: the produced
-database is **byte-identical for any worker count** — the chunk layout is
-fixed (:data:`repro.workloads.bibliography.generator.CHUNKS`), each chunk
-draws from its own derived RNG, and the parent inserts in a fixed order, so
-parallelism changes wall-clock only, never contents.
+The generator's headline guarantee gets a hypothesis property: the chunk
+layout is fixed (:data:`repro.workloads.bibliography.generator.CHUNKS`) and
+each chunk draws from its own derived RNG, so the order chunks are generated
+in cannot change what they hold; the default contents are pinned by digest.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -25,8 +25,10 @@ from repro.workloads.bibliography import (
 from repro.workloads.bibliography.generator import (
     CHUNKS,
     ERAS,
+    _chunk_bounds,
     _chunk_rng,
     _generate_citations,
+    _generate_papers,
     _paper_year,
     _zipf_cumulative,
 )
@@ -154,12 +156,32 @@ class TestGenerator:
         again = _generate_citations(_chunk_rng(5, "citations", 0), lo, hi, profile, cum)
         assert once == again
 
-    @given(st.integers(min_value=0, max_value=CHUNKS + 3))
+    @given(st.permutations(range(CHUNKS)))
     @settings(max_examples=8, deadline=None)
-    def test_contents_are_byte_identical_for_any_worker_count(self, workers):
-        reference = _snapshot(build_bibliography_database(scale=1, workers=0))
-        parallel = _snapshot(build_bibliography_database(scale=1, workers=workers))
-        assert parallel == reference
+    def test_chunk_generation_order_cannot_change_the_papers(self, order):
+        profile = BibliographyProfile().scaled(2)
+        cum = _zipf_cumulative(profile.venues, profile.venue_zipf)
+        bounds = _chunk_bounds(profile.papers, CHUNKS)
+        chunks = {
+            chunk: _generate_papers(_chunk_rng(5, "papers", chunk), *bounds[chunk], profile, cum)
+            for chunk in order
+        }
+        in_order = [
+            _generate_papers(_chunk_rng(5, "papers", chunk), lo, hi, profile, cum)
+            for chunk, (lo, hi) in enumerate(bounds)
+        ]
+        assert [chunks[chunk] for chunk in range(CHUNKS)] == in_order
+
+    @pytest.mark.parametrize(
+        "scale, digest", [(1, "1cbe12a5ed32fcb4"), (4, "67620f5a2fa283ac")]
+    )
+    def test_default_contents_are_byte_identical(self, scale, digest):
+        database = build_bibliography_database(scale=scale)
+        rows = {
+            name: [tuple(str(v) for v in r.values) for r in database.relation(name)]
+            for name in sorted(database.relation_names())
+        }
+        assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == digest
 
 
 class TestQueryLibrary:

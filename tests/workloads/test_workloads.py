@@ -1,5 +1,7 @@
 """Unit tests for the Figure 1 database generator and the paper queries."""
 
+import hashlib
+
 import pytest
 
 from repro.lang.parser import parse_selection
@@ -86,55 +88,31 @@ def _snapshot(db):
     }
 
 
-class TestParallelGeneration:
-    """Derived per-(relation, chunk) seeds: parallel generation at scale is
-    deterministic no matter how the pool schedules the workers."""
+class TestGenerationIsPinned:
+    """One ``random.Random(seed)`` draws every row: the contents, in insertion
+    order, are a function of ``(scale, seed)`` alone, and pinned."""
 
-    def test_parallel_generation_is_deterministic(self):
-        first = build_university_database(scale=8, paged=False, workers=4)
-        second = build_university_database(scale=8, paged=False, workers=4)
-        assert _snapshot(first) == _snapshot(second)
+    @staticmethod
+    def _digest(db) -> str:
+        rows = {
+            name: [tuple(str(v) for v in r.values) for r in db.relation(name)]
+            for name in sorted(db.relation_names())
+        }
+        return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
 
-    def test_scheduling_cannot_influence_the_data(self, monkeypatch):
-        """A fully serialized pool must produce the same database as a real
-        4-thread pool — the strongest scheduling perturbation available."""
-        import concurrent.futures
-        from concurrent.futures import ThreadPoolExecutor
+    @pytest.mark.parametrize(
+        "scale, digest", [(1, "8b39371b4891ff26"), (4, "c155d94eac792407")]
+    )
+    def test_default_contents_are_byte_identical(self, scale, digest):
+        assert self._digest(build_university_database(scale=scale)) == digest
 
-        parallel = build_university_database(scale=8, paged=False, workers=4)
-
-        class _SerializedPool(ThreadPoolExecutor):
-            def __init__(self, max_workers=None):
-                super().__init__(max_workers=1)
-
-        # The generator imports the executor where it uses it.
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _SerializedPool)
-        serialized = build_university_database(scale=8, paged=False, workers=4)
-        assert _snapshot(parallel) == _snapshot(serialized)
-
-    def test_chunk_streams_are_pure_functions_of_their_derived_seed(self):
-        """Generating the chunks in any order yields identical rows — the
-        property that makes the parallel path scheduling-independent."""
-        from repro.workloads.university import (
-            _chunk_bounds,
-            _chunk_rng,
-            _generate_papers,
+    def test_paged_and_unpaged_contents_agree(self):
+        assert _snapshot(build_university_database(scale=8, paged=True)) == _snapshot(
+            build_university_database(scale=8, paged=False)
         )
 
-        profile = UniversityProfile().scaled(8)
-        bounds = _chunk_bounds(profile.papers, 4)
-        forward = [
-            _generate_papers(_chunk_rng(7, "papers", chunk), lo, hi, profile)
-            for chunk, (lo, hi) in enumerate(bounds)
-        ]
-        backward = [
-            _generate_papers(_chunk_rng(7, "papers", chunk), *bounds[chunk], profile)
-            for chunk in reversed(range(4))
-        ]
-        assert forward == list(reversed(backward))
-
-    def test_parallel_generation_preserves_cardinalities_and_integrity(self):
-        db = build_university_database(scale=8, paged=False, workers=4)
+    def test_scale_8_preserves_cardinalities_and_integrity(self):
+        db = build_university_database(scale=8, paged=False)
         cards = db.cardinalities()
         assert cards == {"employees": 64, "papers": 96, "courses": 48, "timetable": 80}
         employee_numbers = {e.enr for e in db.relation("employees")}
@@ -142,11 +120,6 @@ class TestParallelGeneration:
         for entry in db.relation("timetable"):
             assert entry.tenr in employee_numbers
             assert entry.tcnr in course_numbers
-
-    def test_default_path_is_still_the_sequential_generator(self):
-        assert _snapshot(build_university_database(scale=2, paged=False)) == _snapshot(
-            build_university_database(scale=2, paged=False, workers=0)
-        )
 
     def test_unpaged_database(self):
         db = build_university_database(scale=1, paged=False)
