@@ -2,9 +2,9 @@
 
 The classic uniform-independence estimate ``|L| * |R| / max(dL, dR)`` is
 exact on uniform data and arbitrarily wrong under skew: a single hot join
-key hides behind a healthy distinct count.  The statistics subsystem
-(``repro.relational.histogram``) tracks per-column hot keys, equi-depth
-buckets and exact distinct counts, and its join estimator matches hot keys exactly —
+key hides behind a healthy distinct count.  The join-order sketches
+(``repro.relational.histogram``) keep each join column's hot keys,
+equi-depth buckets and exact distinct counts, and their join estimator matches hot keys exactly —
 so the greedy join-order loop sees the blowup *before* paying for it.
 
 The workload is a four-variable chain over a forum-shaped database

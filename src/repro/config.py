@@ -79,9 +79,9 @@ class StrategyOptions:
         collection phase when the database holds a matching permanent index
         (Section 3.2).  One flag governs every use of a permanent index.
         Late-bound ``$param`` values bind into the probe at execution time.
-        The chosen path depends on the catalog and the cardinalities, and
-        under ``histogram_statistics`` also on each bound constant's
-        estimated selectivity, so such a range is re-decided every execution.
+        The chosen path depends on the catalog and the cardinalities only
+        (an index prices a probe from its own counts, never from the value
+        compared), on the live database and on a pinned snapshot alike.
     join_ordering:
         Combination-phase optimizer — order the joins of each conjunction by
         estimated cardinality (smallest structure first, then the connected
@@ -105,16 +105,13 @@ class StrategyOptions:
         ``peak_tuples`` the largest n-tuple relation it builds.  Either way
         the construction phase dereferences straight from the final stream.
     histogram_statistics:
-        Statistics-driven cost model — feed the incrementally maintained
-        per-component statistics (equi-depth histograms, hot-key lists and
-        exact distinct counts; see :mod:`repro.relational.histogram`) to
-        every selector: the greedy join-ordering loop estimates join sizes
-        from per-column sketches (hot keys matched exactly, remainders
-        joined over aligned hash buckets) instead of the uniform
-        ``|L|*|R|/max(distinct)`` formula, and the access-path selector
-        prices probes with bound constants from histogram frequencies and
-        range selectivities.  When off, all selectors fall back to the
-        uniform-distribution estimates.
+        Skew-aware join ordering — the greedy join-ordering loop estimates
+        join sizes from sketches of the join columns of one execution's
+        collection structures (hot keys matched exactly, remainders joined
+        over aligned hash buckets; see :mod:`repro.relational.histogram`)
+        instead of the uniform ``|L|*|R|/max(distinct)`` formula.  When off,
+        it falls back to the uniform estimate.  Access paths are priced
+        the same either way.
     """
 
     parallel_collection: bool = True

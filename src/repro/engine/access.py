@@ -24,11 +24,11 @@ the constant-matrix shortcut — first asks the selector how to enumerate it:
     unoptimised engine) with the full restriction evaluated per element.
 
 The decision is *cost-based* and depends only on the catalog (which indexes
-exist, relation cardinalities) and the query structure — never on a
-parameter's value — so for a cached service plan the chosen access path is
-part of the plan, while the probe value late-binds at
-``PreparedQuery.execute`` time (the bound plan carries the constant the
-probe reads).
+exist, their sizes and distinct counts, relation cardinalities; on a pin,
+which index views are built) and the query structure — never on a compared
+value, constant or ``$param`` — so one rule prices live and pinned reads,
+and a selection's plan keeps the decision while the probe value late-binds
+at execution time (the bound plan carries the constant the probe reads).
 """
 
 from __future__ import annotations
@@ -177,41 +177,21 @@ def _residual_of(conjuncts: list[Formula], position: int) -> Formula | None:
     return And(*rest)
 
 
-def _probe_cost(
-    index: HashIndex | SortedIndex,
-    term: _ProbeTerm,
-    table_stats=None,
-) -> float | None:
-    """Estimated elements touched by probing ``index`` for ``term``.
+def _probe_cost(index: HashIndex | SortedIndex, op: str) -> float | None:
+    """Estimated elements touched by probing ``index`` with operator ``op``.
 
     ``None`` when the index organisation cannot answer the operator
-    sub-linearly.  Both index organisations maintain their distinct-value
-    count incrementally (never recounted here), so the default equality
-    estimate is the true ``size/distinct`` bucket average.  When
-    per-component statistics exist and the probe value is a bound constant
-    (part of the query text, hence plan-stable), the estimate sharpens to
-    the histogram's answer: the hot-key/bucket frequency for equality, the
-    range selectivity of the value-ordered histogram for inequalities —
-    replacing the distribution-free one-third guess.
+    sub-linearly.  The price reads the index's own counts, never the probe
+    value: both organisations maintain their distinct-value count
+    incrementally, so equality is the true ``size/distinct`` bucket
+    average; a range is the distribution-free one-third guess.  A sorted
+    index adds its bisection.
     """
-    op = term.op
     size = max(len(index), 1)
-    bound, value = term.bound_value()
-    summary = None
-    if table_stats is not None and bound:
-        summary = table_stats.summary(term.field)
     if isinstance(index, HashIndex):
-        if op != "=":
-            return None
-        if summary is not None:
-            return summary.frequency(value)
-        return size / max(index.distinct_values(), 1)
+        return size / max(index.distinct_values(), 1) if op == "=" else None
     if op == "=":
-        if summary is not None:
-            return log2(size) + summary.frequency(value)
         return log2(size) + size / max(index.distinct_values(), 1)
-    if summary is not None:
-        return log2(size) + size * summary.selectivity(op, value)
     return log2(size) + size / 3.0
 
 
@@ -233,12 +213,9 @@ def select_access_path(
     view and keeps one that is not worth building yet off the table — at
     their probe cost, and only the winner is resolved with ``index_for``;
     when that has to build the view, the path's estimate includes the reads
-    and says so.  The rule reads catalog state (indexes, cardinalities)
-    and — under ``histogram_statistics`` — the per-component statistics for
-    conjuncts whose comparison value is a *constant*: an unbound ``$param``
-    never prices on a value, but the plan an execution runs is bound
-    (``bind_plan``), so on the live database its probes are priced on the
-    values bound (pins keep no such statistics).
+    and says so.  The rule reads catalog state only (indexes and their
+    counts, cardinalities), on the live database and on a pin alike; a
+    constant and a ``$param`` are priced the same.
     """
     return decided_path(database, var, range_expr, decide_access(database, var, range_expr, options))
 
@@ -252,8 +229,8 @@ class AccessDecision(NamedTuple):
     scan_cost: float
     build_reads: int  # element reads that build a pinned index view first
     #: Every execution at the same catalog and contents versions decides the
-    #: same (a selection's plan then keeps the decision): no candidate was
-    #: priced on a constant's value, no pinned view passed over or built.
+    #: same (a selection's plan then keeps the decision): no pinned view was
+    #: passed over or built.  Always true on the live database.
     settled: bool
 
 
@@ -266,9 +243,6 @@ def decide_access(
     scan_cost = float(len(relation))
     if not options.use_index_paths or restriction is None:
         return AccessDecision(SCAN, -1, 0.0, scan_cost, 0, True)
-    table_stats = (
-        database.table_statistics(relation.name) if options.histogram_statistics else None
-    )
     best: tuple[float, int, int] | None = None
     prunable = -1
     settled = True
@@ -280,9 +254,9 @@ def decide_access(
         if index is None:
             # A pin answers "none" for a view not on offer yet: the next sight prices it.
             settled = settled and (relation.name, term.field) not in database.indexes()
-        elif build_reads or (table_stats is not None and term.bound_value()[0]):
+        elif build_reads:
             settled = False
-        cost = None if index is None else _probe_cost(index, term, table_stats)
+        cost = None if index is None else _probe_cost(index, term.op)
         if cost is None:
             if prunable < 0:
                 prunable = position

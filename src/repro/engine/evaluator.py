@@ -393,8 +393,9 @@ class QueryEngine:
         and which conjunct probes which index or scans, at what estimate.  An
         execution applies the decisions to its binding and source; ones that
         are not settled are taken again each time, as the selector takes them
-        — on the live database under ``histogram_statistics`` that is every
-        indexed probe (its bound value is priced); pins keep theirs.
+        — only a pin's, while it passes over or builds an index view.  The
+        live database and a pin price a probe by one rule, so live decisions
+        are kept exactly as a pin's are.
         """
         bindings = prepared.bindings
         token = version_token(source, [b.range.relation for b in bindings])
@@ -562,9 +563,7 @@ class QueryEngine:
                     f"{result.statistics.get('index_maintenance_ops', 0)}"
                 )
                 lines.append(
-                    "  histogram rebuilds="
-                    f"{result.statistics.get('histogram_rebuilds', 0)}, "
-                    "max q-error="
+                    "  max q-error="
                     f"{result.combination.worst_qerror() if result.combination else 0.0:.2f}"
                 )
                 report += "\n" + "\n".join(lines)

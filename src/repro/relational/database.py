@@ -15,7 +15,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.config import DURABILITY_COMMIT, DURABILITY_MODES, DURABILITY_OFF
 from repro.errors import CatalogError, StorageError, TransactionError
-from repro.relational.histogram import TableStatistics
 from repro.relational.index import HashIndex, SortedIndex, build_index
 from repro.relational.journal import UndoJournal
 from repro.relational.mvcc import DatabaseSnapshot, SnapshotRegistry
@@ -43,10 +42,6 @@ class Database:
         # The index catalog is replaced, never mutated, by index DDL: a
         # pinned snapshot keeps the dict it found (see mvcc.py).
         self._indexes: dict[tuple[str, str], HashIndex | SortedIndex] = {}
-        # Per-relation statistics (exact counts, histograms, hot keys),
-        # created lazily on first use and maintained incrementally from then
-        # on through the relations' mutation hooks.
-        self._table_statistics: dict[str, TableStatistics] = {}
         self._schema_version = 0
         # The undo journal of the one active session transaction, if any.
         # The lock only protects the slot handover (begin/end); the journaled
@@ -72,21 +67,18 @@ class Database:
         self.crash_point = None
 
     def __del__(self) -> None:
-        # What the catalog hooked onto its relations goes with the catalog.
-        # A relation and a permanent index (or statistics maintainer) over
-        # it reference each other — observer list one way, every ``Ref`` the
-        # other — so without the unhooking a dropped database's indexed
-        # relations would sit in memory until a full cycle collection.
-        # Consequence: a ``Relation`` or index object someone still holds
-        # after dropping its database stops being maintained from it — the
-        # relation is a plain relation from then on.  Reads instance state
-        # only, so it is safe at interpreter shutdown; an instance whose
-        # ``__init__`` failed before the catalog existed has nothing hooked.
-        state = self.__dict__
-        for (relation_name, _), index in state.get("_indexes", {}).items():
+        # The permanent indexes the catalog hooked onto its relations go with
+        # the catalog.  A relation and a permanent index over it reference
+        # each other — observer list one way, every ``Ref`` the other — so
+        # without the unhooking a dropped database's indexed relations would
+        # sit in memory until a full cycle collection.  Consequence: a
+        # ``Relation`` or index object someone still holds after dropping its
+        # database stops being maintained from it — the relation is a plain
+        # relation from then on.  Reads instance state only, so it is safe at
+        # interpreter shutdown; an instance whose ``__init__`` failed before
+        # the catalog existed has nothing hooked.
+        for (relation_name, _), index in self.__dict__.get("_indexes", {}).items():
             self._relations[relation_name].detach_index(index)
-        for relation_name, maintainer in state.get("_table_statistics", {}).items():
-            self._relations[relation_name].detach_statistics(maintainer)
 
     # -- disk residency ----------------------------------------------------------------
 
@@ -569,9 +561,6 @@ class Database:
         relation.end_journal()
         for index in dropped:
             relation.detach_index(index)
-        stats = self._table_statistics.pop(name, None)
-        if stats is not None:
-            relation.detach_statistics(stats)
         self.bump_schema_version()
         self._ddl_changed()
 
@@ -666,42 +655,6 @@ class Database:
                 index.add(record)
 
     # -- statistics ------------------------------------------------------------------------
-
-    def table_statistics(self, name: str, create: bool = True) -> TableStatistics | None:
-        """The per-component statistics of relation ``name``.
-
-        Created lazily on first request — the constructor seeds the exact
-        per-column counts from the current contents — and attached to the
-        relation's mutation hooks, so from then on every insert, delete,
-        assign and clear keeps the counts coherent incrementally (never a
-        rescan).  Derived summaries (histograms, hot keys) are rebuilt lazily
-        once :data:`~repro.relational.histogram.STALENESS_THRESHOLD` mutations
-        accumulate.
-
-        Creating statistics is *not* a catalog change: ``schema_version`` is
-        deliberately untouched, so cached plans stay valid.  With
-        ``create=False`` answers ``None`` when no statistics exist yet.
-        """
-        stats = self._table_statistics.get(name)
-        if stats is None and create:
-            relation = self.relation(name)
-            stats = TableStatistics(relation, tracker=self.statistics)
-            relation.attach_statistics(stats)
-            self._table_statistics[name] = stats
-        return stats
-
-    def refresh_statistics(self, names: Iterable[str] | None = None, force: bool = True) -> None:
-        """Re-derive the column summaries of ``names`` (default: all tracked).
-
-        Exact counts are always current, so a refresh only re-derives the
-        lazily rebuilt summaries from them (each rebuild is counted on
-        ``histogram_rebuilds``).
-        """
-        targets = list(self._table_statistics) if names is None else names
-        for name in targets:
-            stats = self._table_statistics.get(name)
-            if stats is not None:
-                stats.refresh(force=force)
 
     def reset_statistics(self) -> None:
         """Forget all access counters (used between benchmark runs)."""

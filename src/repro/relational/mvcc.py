@@ -317,7 +317,6 @@ class SnapshotRelation(Relation):
         self.tracker = tracker
         self._elements = elements
         self._observers = []
-        self._statistics_observers = []
         self._journal = None
         self._key_is_all = source._key_is_all
         self._registry = None
@@ -504,11 +503,6 @@ class DatabaseSnapshot:
 
     def indexes(self) -> Iterator[tuple[str, str]]:
         return iter(self._indexes)
-
-    def table_statistics(self, name: str) -> None:
-        """Pins keep no per-component statistics (the live ones are maintained
-        in place by writers); selectors price with the indexes' own counts."""
-        return None
 
     def reset_statistics(self) -> None:
         self.statistics.reset()

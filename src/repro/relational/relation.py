@@ -74,11 +74,6 @@ class Relation:
         # database may carry observers; intermediate result relations never
         # do, so the per-mutation check is one truthiness test.
         self._observers: list = []
-        # Statistics maintainers (registered by Database.table_statistics).
-        # They ride the same mutation hooks as the permanent indexes but are
-        # kept on a separate list so their upkeep is never charged to the
-        # ``index_maintenance_ops`` counter.
-        self._statistics_observers: list = []
         # The undo journal of the active session transaction, if any
         # (attached by Database.begin_transaction).  Mutation operators log
         # themselves through its before_mutation hook and tell it what the
@@ -149,42 +144,22 @@ class Relation:
         """The permanent indexes incrementally maintained with this relation."""
         return list(self._observers)
 
-    def attach_statistics(self, maintainer) -> None:
-        """Register a statistics maintainer to be notified on every mutation."""
-        if maintainer not in self._statistics_observers:
-            self._statistics_observers.append(maintainer)
-
-    def detach_statistics(self, maintainer) -> None:
-        """Stop notifying ``maintainer`` (its relation was dropped)."""
-        if maintainer in self._statistics_observers:
-            self._statistics_observers.remove(maintainer)
-
-    @property
-    def _observed(self) -> bool:
-        return bool(self._observers) or bool(self._statistics_observers)
-
     def _index_added(self, record: Record) -> None:
         for index in self._observers:
             index.add(record)
-        for maintainer in self._statistics_observers:
-            maintainer.add(record)
-        if self.tracker is not None and self._observers:
+        if self.tracker is not None:
             self.tracker.record_index_maintenance(len(self._observers))
 
     def _index_removed(self, record: Record) -> None:
         for index in self._observers:
             index.remove(record)
-        for maintainer in self._statistics_observers:
-            maintainer.remove(record)
-        if self.tracker is not None and self._observers:
+        if self.tracker is not None:
             self.tracker.record_index_maintenance(len(self._observers))
 
     def _index_cleared(self) -> None:
         for index in self._observers:
             index.clear()
-        for maintainer in self._statistics_observers:
-            maintainer.clear()
-        if self.tracker is not None and self._observers:
+        if self.tracker is not None:
             self.tracker.record_index_maintenance(len(self._observers))
 
     # -- snapshot copy-on-write -----------------------------------------------------
@@ -270,7 +245,7 @@ class Relation:
             self._journal = None
         try:
             self._rebind_elements({})
-            if self._observed:
+            if self._observers:
                 self._index_cleared()
             if self.tracker is not None:
                 self.tracker.record_mutation()
@@ -309,7 +284,7 @@ class Relation:
                 self._prepare_write_locked(registry)
                 self._elements[key] = record
                 self._version += 1
-        if self._observed:
+        if self._observers:
             self._index_added(record)
         if self.tracker is not None:
             self.tracker.record_insert(self.name)
@@ -334,7 +309,7 @@ class Relation:
         journal = self._journal
         if journal is not None:
             journal.before_mutation(self, "insert", record=record)
-        if self._observed:
+        if self._observers:
             existing = self._elements.get(key)
             if existing is not None and existing != record:
                 self._index_removed(existing)
@@ -355,7 +330,7 @@ class Relation:
 
     def bulk_insert_raw(self, records: Iterable[Record]) -> None:
         """Insert many already-validated records through the raw fast path."""
-        if self._observed or self._journal is not None:
+        if self._observers or self._journal is not None:
             for record in records:
                 self.insert_raw(record)
             return
@@ -435,7 +410,7 @@ class Relation:
                     self._version += 1
         removed = removed_record is not None
         if removed:
-            if self._observed:
+            if self._observers:
                 self._index_removed(removed_record)
             if self.tracker is not None:
                 self.tracker.record_delete(self.name)
@@ -452,7 +427,7 @@ class Relation:
             # Rebind instead of clearing in place: a pinned snapshot may
             # hold the old dict.
             self._rebind_elements({})
-        if self._observed:
+        if self._observers:
             self._index_cleared()
         if self.tracker is not None:
             self.tracker.record_mutation()

@@ -26,7 +26,6 @@ __all__ = [
     "COLLECTION",
     "COMBINATION",
     "CONSTRUCTION",
-    "join_selectivity",
     "estimate_join_cardinality",
 ]
 
@@ -36,28 +35,21 @@ COMBINATION = "combination"
 CONSTRUCTION = "construction"
 
 
-def join_selectivity(left_distinct: int, right_distinct: int) -> float:
-    """The classic equi-join selectivity hint: ``1 / max(distinct values)``.
-
-    Each side contributes ``distinct`` different join-key values; assuming
-    the smaller set of values is contained in the larger one, a fraction
-    ``1/max`` of the Cartesian product survives the join predicate.
-    """
-    return 1.0 / max(left_distinct, right_distinct, 1)
-
-
 def estimate_join_cardinality(
     left_size: int, right_size: int, left_distinct: int, right_distinct: int
 ) -> float:
     """Estimated size of an equi-join from operand sizes and distinct counts.
 
     Used by the combination-phase join-ordering optimizer to pick the next
-    structure to join: ``|L| * |R| * join_selectivity``.  A zero on either
-    side short-circuits to zero (the join is empty).
+    structure to join: ``|L| * |R| / max(distinct values)``.  Each side
+    contributes ``distinct`` different join-key values; assuming the smaller
+    set of values is contained in the larger one, a fraction ``1/max`` of the
+    Cartesian product survives the join predicate.  A zero on either side
+    short-circuits to zero (the join is empty).
     """
     if left_size == 0 or right_size == 0:
         return 0.0
-    return left_size * right_size * join_selectivity(left_distinct, right_distinct)
+    return left_size * right_size * (1.0 / max(left_distinct, right_distinct, 1))
 
 
 @dataclass
@@ -129,6 +121,8 @@ class AccessStatistics:
         self.wal_flushes = 0
         self.checkpoints = 0
         self.recovered_transactions = 0
+        # No summary is maintained, so none is rebuilt: kept at 0 for the
+        # benchmark harness, which reports it.
         self.histogram_rebuilds = 0
         # Every public numeric counter above, resolved once per class (every
         # pin makes a tracker): as_dict, merge and reset run on every query
@@ -269,10 +263,6 @@ class AccessStatistics:
     def record_recovered_transactions(self, count: int = 1) -> None:
         """``count`` committed transactions were replayed by crash recovery."""
         self.recovered_transactions += count
-
-    def record_histogram_rebuild(self, count: int = 1) -> None:
-        """``count`` stale per-column summaries were rebuilt from exact counts."""
-        self.histogram_rebuilds += count
 
     def record_reduction(self, removed: int) -> None:
         """One semijoin application of the reducer removed ``removed`` tuples.

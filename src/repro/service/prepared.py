@@ -178,12 +178,11 @@ class PreparedQuery:
     def access_paths(self) -> dict[str, str]:
         """The access path each variable's range would use on the live database now.
 
-        The selector reads the catalog, the cardinalities and — under
-        ``histogram_statistics`` — the selectivity of each *bound* constant,
-        so a range compared to a literal or a bound ``$param`` is decided
-        again on every execution and may take another path once the data
-        moves.  Here the plan is unbound: a ``$parameter`` is never priced
-        on a value and shows up in the probe description as ``$name``.
+        The selector reads the catalog and the cardinalities, never a
+        compared value, so a literal and a bound ``$param`` take the same
+        path, which may change once the data moves.  Here the plan is
+        unbound: a ``$parameter`` shows up in the probe description as
+        ``$name``.
         """
         from repro.engine.access import select_access_path  # cycle-free, lazy
 

@@ -124,8 +124,17 @@ class QueryService:
         keys embed the strategy options, so entries never cross over), which
         is how per-session :class:`~repro.config.StrategyOptions` /
         :class:`~repro.config.ServiceOptions` overrides work without opening
-        a second serialization domain.
+        a second serialization domain.  The shared cache keeps its capacity,
+        so an override asking for another ``plan_cache_capacity`` is a
+        :class:`~repro.errors.PlanError`, not silently ignored.
         """
+        capacity = self.cache.capacity
+        if service_options is not None and service_options.plan_cache_capacity != capacity:
+            raise PlanError(
+                f"plan_cache_capacity={service_options.plan_cache_capacity} cannot be "
+                f"overridden: this service shares a plan cache of capacity {capacity} "
+                "(set it on the connection)"
+            )
         return QueryService(
             self.database,
             options=options or self.options,

@@ -7,9 +7,8 @@ DOCTYPE, with duplicate record keys sprinkled in (corrected metadata
 re-exported under the same key).  This module turns such a fragment into the
 :mod:`~repro.workloads.bibliography.schema` relations, and it does so
 **through the public connect/session API**: every row goes through an
-ordinary transaction, so the WAL, the permanent indexes, the zone maps and
-the table statistics all observe the load exactly as they would observe any
-client program.
+ordinary transaction, so the WAL, the permanent indexes and the zone maps
+all observe the load exactly as they would observe any client program.
 
 Resolution rules
 ----------------

@@ -103,6 +103,20 @@ class TestOptionPlumbing:
         batch = cursor.fetchmany()
         assert len(batch) <= 5
 
+    def test_session_cannot_resize_the_shared_plan_cache(self, figure1):
+        # A session shares its connection's plan cache, so a capacity it asks
+        # for could only be ignored: running one text twice would still hit.
+        connection = connect(figure1)
+        with pytest.raises(PlanError, match="plan_cache_capacity=0"):
+            connection.session(service_options=ServiceOptions(plan_cache_capacity=0))
+        assert connection.cache_info()["size"] == 0
+        same = connection.session(service_options=ServiceOptions(plan_cache_capacity=128))
+        cursor = same.cursor()
+        cursor.execute(PROFESSORS_TEXT)
+        cursor.execute(PROFESSORS_TEXT)
+        info = connection.cache_info()
+        assert (info["hits"], info["misses"], info["size"]) == (1, 1, 1)
+
     def test_parameterized_execution_through_cursor(self, figure1):
         connection = connect(figure1)
         cursor = connection.execute(STATUS_PARAM_TEXT, {"status": "professor"})

@@ -10,9 +10,8 @@ mid-transaction) and checks, after the rollback:
 
 (a) every relation's ``to_set()`` and cardinality equal pre-``begin``, and
     the elements the transaction never touched keep their relative order;
-(b) every permanent index's probe answers, every statistics maintainer's
-    counts and every heap page's zone map equal a rebuild from the relation
-    as it stands;
+(b) every permanent index's probe answers and every heap page's zone map
+    equal a rebuild from the relation as it stands;
 (c) the heap's live records equal ``elements()``, in the same order;
 (d) the whole database — element order included — equals a twin that
     *committed* the same operations and then set each touched key back
@@ -28,7 +27,6 @@ from hypothesis import strategies as st
 
 from repro import StrategyOptions, TransactionError, connect, execute_naive
 from repro.relational.database import Database
-from repro.relational.histogram import TableStatistics
 from repro.relational.index import HashIndex, build_index
 from repro.relational.record import Record
 from repro.types.scalar import INTEGER, Subrange, sort_key
@@ -71,10 +69,9 @@ def _make_database(paged: bool) -> Database:
 
 
 def _make_databases(paged: bool) -> tuple[Database, dict]:
-    """``r`` (indexed, with statistics) and ``s``; ``relations`` keeps every
-    relation object the run meets, dropped ones included."""
+    """``r`` (indexed) and ``s``; ``relations`` keeps every relation object
+    the run meets, dropped ones included."""
     database = _make_database(paged)
-    database.table_statistics("r")
     database.create_relation(
         "s", _FIELDS, key=["k"], page_capacity=4,
         elements=[{"k": k, "v": k} for k in (1, 3, 5)],
@@ -183,7 +180,7 @@ class _Run:
                         relation.insert({"k": key, "v": held})
 
 
-def _assert_coherent(relation, indexes, statistics) -> None:
+def _assert_coherent(relation, indexes) -> None:
     """(b) and (c): everything derived from ``relation`` matches a rebuild."""
     for maintained in indexes:
         operator = "=" if isinstance(maintained, HashIndex) else "<="
@@ -198,11 +195,6 @@ def _assert_coherent(relation, indexes, statistics) -> None:
                     ref.key for ref in rebuilt.probe_operator(probe_operator, probe_value)
                 )
                 assert got == want, (maintained.name, probe_operator, probe_value)
-    if statistics is not None:
-        rebuilt = TableStatistics(relation)
-        for name, column in statistics.columns.items():
-            assert column.counts == rebuilt.columns[name].counts, name
-            assert column.total == rebuilt.columns[name].total == len(relation), name
     heap = getattr(relation, "heap_file", None)
     if heap is not None:
         assert [record.values for record in heap.records()] == [
@@ -235,7 +227,7 @@ def _assert_identical_to_fresh_rebuild(database: Database, paged: bool) -> None:
     assert [record.values for record in fresh_relation.elements()] == [
         record.values for record in relation.elements()
     ]
-    _assert_coherent(relation, relation.maintained_indexes(), None)
+    _assert_coherent(relation, relation.maintained_indexes())
     if paged:
         assert relation.page_count == fresh_relation.page_count
         for page, fresh_page in zip(relation.heap_file.pages(), fresh_relation.heap_file.pages()):
@@ -303,12 +295,11 @@ def test_rollback_restores_every_value_and_equals_commit_then_inverse(paged: boo
             assert [k for k in _contents(relation) if k not in touched] == [
                 k for k in before[name] if k not in touched
             ], name
-        # (b), (c): indexes, statistics, heap and zone maps follow.
+        # (b), (c): indexes, heap and zone maps follow.
         catalogued = database.has_relation(name)  # ``s`` may be an orphan now
         indexes = relation.maintained_indexes()
         assert len(indexes) == ((2 if name == "r" else 1) if catalogued else 0)
-        statistics = database.table_statistics(name, create=False) if catalogued else None
-        _assert_coherent(relation, indexes, statistics)
+        _assert_coherent(relation, indexes)
         # (d) element for element the twin that committed and undid itself.
         assert list(_contents(relation).items()) == list(
             _contents(twin_relations[name]).items()

@@ -1,25 +1,31 @@
 """Unit tests for the cost-based access-path selector and its execution.
 
-Covers the selector's decision rule (probe / pruned scan / scan), the
-late-binding contract (the chosen path is structural, the probe value comes
-from the bound plan), freshness across mutations (incrementally maintained
-indexes keep prepared queries exact without any rebuild), and the EXPLAIN
-surfaces.
+Covers the selector's decision rule (probe / pruned scan / scan), the one
+cost rule live and pinned reads share, the late-binding contract (the chosen
+path is structural, the probe value comes from the bound plan), freshness
+across mutations (incrementally maintained indexes keep prepared queries
+exact without any rebuild), and the EXPLAIN surfaces.
 """
 
 from __future__ import annotations
 
-import pytest
+from functools import lru_cache
 
-from repro import QueryEngine, StrategyOptions, connect, execute_naive
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import Database, QueryEngine, StrategyOptions, connect, execute_naive
 from repro.calculus import builder as q
 from repro.engine.access import (
     PROBE,
     PRUNED_SCAN,
     SCAN,
+    decide_access,
     iter_access,
     select_access_path,
 )
+from repro.types.scalar import INTEGER
 from repro.workloads.university import build_university_database
 
 
@@ -114,6 +120,46 @@ class TestSelector:
         rows = [record for _, record in iter_access(database, path, "e")]
         assert [record["enr"] for record in rows] == [3]
         assert database.statistics.index_probes > 0
+
+
+@lru_cache(maxsize=None)
+def zipf_database() -> Database:
+    """``skewed``: 40 values of ``h`` (hash index) and ``s`` (sorted index)
+    with multiplicities 120 / rank — value 0 holds a quarter of the rows."""
+    values = [v for v in range(40) for _ in range(max(120 // (v + 1), 1))]
+    database = Database("zipf", paged=False)
+    database.create_relation(
+        "skewed", [("k", INTEGER), ("h", INTEGER), ("s", INTEGER), ("b", INTEGER)], key=["k"],
+        elements=[{"k": k, "h": v, "s": 39 - v, "b": k % 5} for k, v in enumerate(values)],
+    )
+    database.create_index("skewed", "h")
+    database.create_index("skewed", "s", operator="<=")
+    return database
+
+
+#: Hot (0 and 39 are the heads of ``h`` and ``s``), middling, cold and absent.
+CONSTANTS = st.sampled_from([0, 1, 5, 20, 38, 39, 99])
+CONJUNCTS = st.tuples(
+    st.sampled_from(["h", "s", "b"]), st.sampled_from(["=", "<", "<=", ">", ">="]), CONSTANTS
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(conjuncts=st.lists(CONJUNCTS, min_size=1, max_size=3))
+def test_live_and_pinned_reads_share_one_access_path_rule(conjuncts):
+    """On a Zipf-skewed relation, the live database decides a range exactly
+    as a pin that already holds the index views does — kind, probed conjunct
+    and estimate — however hot the compared constant, and the live decision
+    is settled (a selection's plan keeps it)."""
+    database = zipf_database()
+    range_expr = _range("skewed", q.and_(*(q.comp(("x", f), op, c) for f, op, c in conjuncts)))
+    live = decide_access(database, "x", range_expr, ALL)
+    with database.pin_snapshot() as pin:
+        for field in ("h", "s"):
+            pin.index_for("skewed", field)  # the pin's second sight: its views are built
+        pinned = decide_access(pin, "x", range_expr, ALL)
+    assert (live.kind, live.position, live.cost) == (pinned.kind, pinned.position, pinned.cost)
+    assert live.settled and pinned.settled
 
 
 class TestQueriesThroughIndexPaths:

@@ -7,7 +7,7 @@ import pytest
 from repro import QueryEngine, StrategyOptions, build_university_database, execute_naive
 from repro.engine.collection import CollectionPhase
 from repro.engine.combination import CombinationPhase
-from repro.relational.statistics import estimate_join_cardinality, join_selectivity
+from repro.relational.statistics import estimate_join_cardinality
 from repro.transform.pipeline import prepare_query
 from repro.workloads.queries import (
     OTHERS_PUBLISHED_1977_TEXT,
@@ -43,8 +43,8 @@ def _combination(database, selection, options):
 
 class TestSelectivityHints:
     def test_join_selectivity_is_one_over_max_distinct(self):
-        assert join_selectivity(10, 40) == 1.0 / 40
-        assert join_selectivity(0, 0) == 1.0  # guarded against empty inputs
+        assert estimate_join_cardinality(1, 1, 10, 40) == 1.0 / 40
+        assert estimate_join_cardinality(1, 1, 0, 0) == 1.0  # guarded against empty inputs
 
     def test_estimate_join_cardinality(self):
         assert estimate_join_cardinality(10, 40, 10, 40) == pytest.approx(10.0)

@@ -178,8 +178,8 @@ def test_deduplicated_rows_come_in_first_witness_order(source):
 def test_a_settled_decision_is_taken_once_per_contents_version(monkeypatch):
     """Plan once, wire every time: on pins the selector runs while the index
     view is rented and built, then not again — whatever the bound value —
-    until the contents version moves; on the live database a bound constant
-    is priced on the histograms, so there it runs every time, as before."""
+    until the contents version moves; on the live database the index is ready
+    and a probe is priced by the same rule, so a session cursor decides once."""
     from repro.engine import evaluator
 
     decided = []
@@ -212,8 +212,11 @@ def test_a_settled_decision_is_taken_once_per_contents_version(monkeypatch):
         assert len(decided) == 6  # a new contents version: the same three again
         live = connection.session().cursor()
         assert all("probe ind_items_a" in rows(live, a) for a in range(4))
-        assert len(decided) == 10
-        assert "items.a = 6" in rows(pinned, 6) and len(decided) == 10  # the pins' entry stands
+        assert len(decided) == 7  # settled at once, whatever the bound value
+        assert "items.a = 6" in rows(pinned, 6) and len(decided) == 7  # the pins' entry stands
+        with connection.session():
+            database.relation("items").insert({"k": 65, "a": 2, "b": 0, "tag": "abc"})
+        assert "probe ind_items_a" in rows(live, 2) and len(decided) == 8
 
 
 @pytest.mark.parametrize("paged", [False, True], ids=["memory", "paged"])
@@ -245,7 +248,7 @@ def test_kept_decisions_serve_only_the_policy_the_plan_was_compiled_under():
     from repro import QueryEngine, StrategyOptions
 
     database = build_database(64, paged=False)
-    options = StrategyOptions().with_(histogram_statistics=False)  # live decisions settle
+    options = StrategyOptions()
     engine = QueryEngine(database, options)
     plan = engine.prepare("[<x.k> OF EACH x IN items: (x.a = 3)]")
     expected = [k for k in range(64) if k % 7 == 3]

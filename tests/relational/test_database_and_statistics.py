@@ -211,8 +211,11 @@ class TestCounterReflection:
         assert stats.plan_cache_misses == 0
 
     def test_cost_model_counters_participate(self):
+        # No summary is maintained, so nothing counts rebuilds; the counter
+        # stays a field the benchmark reports, and snapshots and resets cover it.
         stats = AccessStatistics()
-        stats.record_histogram_rebuild()
+        assert stats.as_dict()["histogram_rebuilds"] == 0
+        stats.histogram_rebuilds += 1
         snapshot = stats.as_dict()
         assert snapshot["histogram_rebuilds"] == 1
         stats.reset()

@@ -1,11 +1,10 @@
-"""The statistics subsystem: exact counts, summaries, sketches, estimator.
+"""The join-order estimator's substrate: sketches, the estimator, the hash.
 
-The property test mirrors ``test_index_maintenance``: random interleavings
-of insert / delete / assign / clear against a relation with attached
-:class:`TableStatistics`, asserting after every step that the incrementally
-maintained statistics are **byte-identical** to a fresh rebuild from the
-relation's contents — exact counts and every derived summary structure
-(hot keys, both equi-depth histograms), on both storage backends.
+A :class:`ColumnSketch` summarises one join column of one execution's
+collection structures; :func:`estimate_join` prices a join from two of them;
+:func:`stable_hash` keeps both independent of the process's string-hash
+salt.  Nothing here is maintained across mutations: the one incrementally
+maintained distinct count a cost rule reads is the permanent index's.
 """
 
 from __future__ import annotations
@@ -15,15 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.relational.database import Database
-from repro.relational.histogram import (
-    HOT_KEYS,
-    STALENESS_THRESHOLD,
-    ColumnSketch,
-    ColumnSummary,
-    TableStatistics,
-    estimate_join,
-    stable_hash,
-)
+from repro.relational.histogram import HOT_KEYS, ColumnSketch, estimate_join, stable_hash
+from repro.relational.index import build_index
+from repro.relational.record import Record
 from repro.relational.statistics import estimate_join_cardinality
 from repro.types.scalar import INTEGER, CharArray, Enumeration, Subrange, compare_values
 
@@ -66,61 +59,12 @@ def _apply(relation, op: str, key: int, value: int, state: dict[int, int]) -> No
         state.clear()
 
 
-def _canonical(summary: ColumnSummary) -> tuple:
-    """Every derived structure, in a deterministic order — the byte identity."""
-    return (
-        summary.total,
-        summary.distinct,
-        sorted(summary.hot.items(), key=lambda item: stable_hash(item[0])),
-        summary.hash_buckets,
-        summary.value_buckets,
-    )
-
-
-def _assert_statistics_exact(maintained: TableStatistics, relation) -> None:
-    """Maintained counts and summaries equal a from-scratch rebuild."""
-    rebuilt = TableStatistics(relation)
-    for name, column in maintained.columns.items():
-        fresh = rebuilt.columns[name]
-        assert column.counts == fresh.counts, name
-        assert column.total == fresh.total, name
-        assert column.distinct == fresh.distinct, name
-        # The derivation is a pure function of the counts: force both sides
-        # and compare every structure the estimators read.
-        assert _canonical(ColumnSummary(column.counts)) == _canonical(
-            ColumnSummary(fresh.counts)
-        ), name
-
-
-@pytest.mark.parametrize("paged", (False, True), ids=("memory", "paged"))
-@settings(max_examples=60, deadline=None)
-@given(ops=_OPS)
-def test_random_interleavings_keep_statistics_exact(paged: bool, ops) -> None:
-    database = _make_database(paged)
-    relation = database.relation("r")
-    stats = database.table_statistics("r")
-    state: dict[int, int] = {}
-    for op, key, value in ops:
-        _apply(relation, op, key, value, state)
-        assert {record["k"]: record["v"] for record in relation.elements()} == state
-        _assert_statistics_exact(stats, relation)
-
-
-@pytest.mark.parametrize("paged", (False, True), ids=("memory", "paged"))
-def test_raw_inserts_maintain_statistics_too(paged: bool) -> None:
-    from repro.relational.record import Record
-
-    database = _make_database(paged)
-    relation = database.relation("r")
-    stats = database.table_statistics("r")
-    relation.insert_raw(Record(relation.schema, {"k": 1, "v": 5}))
-    relation.bulk_insert_raw([Record(relation.schema, {"k": 2, "v": 5})])
-    column = stats.column("v")
-    assert column.frequency(5) == 2
-    relation.insert_raw(Record(relation.schema, {"k": 1, "v": 7}))  # overwrite
-    assert column.frequency(5) == 1
-    assert column.frequency(7) == 1
-    _assert_statistics_exact(stats, relation)
+def _assert_index_counts_exact(index, relation, operator: str) -> None:
+    """The counts the access-path rule reads equal a from-scratch rebuild's."""
+    fresh = build_index(relation, "v", operator=operator)
+    values = [record["v"] for record in relation.elements()]
+    assert (len(index), index.distinct_values()) == (len(values), len(set(values)))
+    assert (len(index), index.distinct_values()) == (len(fresh), fresh.distinct_values())
 
 
 # --------------------------------------------------------------- stable hashing
@@ -173,60 +117,76 @@ class TestStableHash:
         assert stable_hash(text) == stable_hash(padded)
 
 
-# --------------------------------------------------------------- summaries
+# --------------------------------------------------------------- sketches
 
 
-class TestColumnSummary:
+class TestColumnSketch:
     def test_uniform_data_has_no_hot_keys(self):
-        summary = ColumnSummary({value: 3 for value in range(100)})
-        assert summary.hot == {}
-        assert summary.total == 300
-        assert summary.distinct == 100
-        assert abs(summary.frequency(17) - 3.0) < 1.5
+        sketch = ColumnSketch(value for value in range(100) for _ in range(3))
+        assert sketch.hot == {}
+        assert sketch.total == 300
+        assert sketch.distinct == 100
+        assert abs(sketch.hash_frequency(stable_hash(17)) - 3.0) < 1.5
 
     def test_hot_keys_are_exact(self):
-        counts = {value: 1 for value in range(100)}
-        counts["hot"] = 500
-        summary = ColumnSummary(counts)
-        assert summary.frequency("hot") == 500.0
-        assert summary.hot["hot"] == 500
-        assert len(summary.hot) <= HOT_KEYS
-
-    def test_range_selectivity_walks_the_value_histogram(self):
-        summary = ColumnSummary({value: 1 for value in range(100)})
-        assert summary.selectivity("<", 0) <= 0.1
-        assert summary.selectivity("<=", 99) >= 0.9
-        half = summary.selectivity("<=", 49)
-        assert 0.35 <= half <= 0.65
-        assert abs(summary.selectivity(">", 49) - (1.0 - half)) < 1e-9
-
-    def test_equality_selectivity_uses_frequency(self):
-        counts = {value: 1 for value in range(100)}
-        counts["hot"] = 100
-        summary = ColumnSummary(counts)
-        assert summary.selectivity("=", "hot") == pytest.approx(0.5)
-        assert summary.selectivity("<>", "hot") == pytest.approx(0.5)
+        sketch = ColumnSketch(["hot"] * 500 + list(range(100)))
+        assert sketch.hot["hot"] == 500
+        assert len(sketch.hot) <= HOT_KEYS
+        assert sketch.total == 600 and sketch.distinct == 101
 
     def test_distinct_is_exact_for_large_domains(self):
-        summary = ColumnSummary({value: 1 for value in range(5000)})
-        assert summary.distinct == 5000
+        sketch = ColumnSketch(range(5000))
+        assert sketch.distinct == 5000
 
 
 @pytest.mark.parametrize("paged", (False, True), ids=("memory", "paged"))
-def test_distinct_stays_exact_under_insert_and_delete(paged: bool) -> None:
+@pytest.mark.parametrize("operator", ("=", "<="))
+def test_index_distinct_count_stays_exact_under_insert_and_delete(paged, operator) -> None:
+    """The access-path rule prices an equality probe ``size / distinct``
+    from the permanent index's own counts: they must follow every write."""
     database = _make_database(paged)
     relation = database.relation("r")
-    column = database.table_statistics("r").column("v")
+    index = database.create_index("r", "v", operator=operator)
     for key in range(40):
         relation.insert({"k": key, "v": key % 10})
-    assert column.distinct == 10
+    assert (len(index), index.distinct_values()) == (40, 10)
     for key in range(0, 40, 10):  # every element holding v = 0
         relation.delete_key(key)
-    assert column.distinct == 9
-    assert column.frequency(0) == 0
+    assert (len(index), index.distinct_values()) == (36, 9)
     relation.insert({"k": 100, "v": 0})
-    assert column.distinct == 10
-    assert column.summary().distinct == 10
+    assert (len(index), index.distinct_values()) == (37, 10)
+
+
+@pytest.mark.parametrize("paged", (False, True), ids=("memory", "paged"))
+@pytest.mark.parametrize("operator", ("=", "<="))
+@settings(max_examples=60, deadline=None)
+@given(ops=_OPS)
+def test_random_interleavings_keep_index_counts_exact(paged, operator, ops) -> None:
+    """Insert / delete / assign / clear in any order: after every step the
+    index's size and distinct count are those of its relation's contents."""
+    database = _make_database(paged)
+    relation = database.relation("r")
+    index = database.create_index("r", "v", operator=operator)
+    state: dict[int, int] = {}
+    for op, key, value in ops:
+        _apply(relation, op, key, value, state)
+        assert {record["k"]: record["v"] for record in relation.elements()} == state
+        _assert_index_counts_exact(index, relation, operator)
+
+
+@pytest.mark.parametrize("paged", (False, True), ids=("memory", "paged"))
+@pytest.mark.parametrize("operator", ("=", "<="))
+def test_raw_inserts_keep_index_counts_exact(paged, operator) -> None:
+    """Raw inserts, a key overwrite among them, feed the same counts."""
+    database = _make_database(paged)
+    relation = database.relation("r")
+    index = database.create_index("r", "v", operator=operator)
+    relation.insert_raw(Record(relation.schema, {"k": 1, "v": 5}))
+    relation.bulk_insert_raw([Record(relation.schema, {"k": 2, "v": 5})])
+    assert (len(index), index.distinct_values()) == (2, 1)
+    relation.insert_raw(Record(relation.schema, {"k": 1, "v": 7}))  # overwrite
+    assert (len(index), index.distinct_values()) == (2, 2)
+    _assert_index_counts_exact(index, relation, operator)
 
 
 class TestEstimateJoin:
@@ -249,40 +209,3 @@ class TestEstimateJoin:
 
     def test_empty_side_estimates_zero(self):
         assert estimate_join(ColumnSketch([]), ColumnSketch([1, 2])) == 0.0
-
-
-# --------------------------------------------------------------- staleness
-
-
-class TestStaleness:
-    def test_summary_is_cached_until_threshold(self):
-        database = _make_database(paged=False)
-        relation = database.relation("r")
-        stats = database.table_statistics("r")
-        relation.insert({"k": 0, "v": 1})
-        column = stats.columns["v"]
-        first = column.summary()
-        relation.insert({"k": 1, "v": 2})  # stale, but under the threshold
-        assert column.summary() is first
-        for key in range(2, STALENESS_THRESHOLD + 3):
-            relation.insert({"k": key, "v": key % 10})
-        assert column.summary() is not first
-
-    def test_rebuilds_are_counted(self):
-        database = _make_database(paged=False)
-        relation = database.relation("r")
-        relation.insert({"k": 0, "v": 1})
-        stats = database.table_statistics("r")
-        database.reset_statistics()
-        stats.summary("v")
-        assert database.statistics.histogram_rebuilds == 1
-        stats.summary("v")  # cached — no second rebuild
-        assert database.statistics.histogram_rebuilds == 1
-        database.refresh_statistics(["r"])
-        assert database.statistics.histogram_rebuilds == 1 + len(stats.columns)
-
-    def test_drop_relation_detaches_statistics(self):
-        database = _make_database(paged=False)
-        database.table_statistics("r")
-        database.drop_relation("r")
-        assert database.table_statistics("r", create=False) is None

@@ -70,7 +70,6 @@ def test_a_dropped_database_is_reclaimed_without_the_cycle_collector(tmp_path):
         gc.disable()
         database = repro.build_university_database(scale=2)
         database.create_index("employees", "enr", operator="=")
-        database.table_statistics("papers")
         connection = repro.connect(database)
         cursor = connection.cursor()
         point = "[<e.enr, e.ename> OF EACH e IN employees: (e.enr = $enr)]"
@@ -139,8 +138,14 @@ def test_the_execution_surface_is_what_it_is_pinned_to_be():
 #: What the logic and storage packages export, spelled out: each of Lemma 1,
 #: the conjunction separation and the Figure 2 structures has one
 #: implementation, the one the engine runs, and a second one has to be added
-#: here, in plain sight.
+#: here, in plain sight.  The histogram module holds the join-order
+#: estimator's per-execution sketches only; maintained table statistics
+#: would have to come back through here.
 PINNED_EXPORTS = {
+    "repro.relational.histogram": {
+        "HISTOGRAM_BUCKETS", "HOT_KEYS", "Bucket", "ColumnSketch", "estimate_join",
+        "stable_hash",
+    },
     "repro.transform": {
         "DerivedPredicate", "EmptyRangeAdaptation", "PushdownResult", "PushdownStep",
         "QueryPlan", "RangeExtensionResult", "StandardForm", "TraceStep",
