@@ -20,6 +20,7 @@ connection.
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Iterable
 from contextlib import nullcontext
 from typing import Any, Iterator, Mapping, NamedTuple, Sequence
@@ -39,6 +40,10 @@ class Column(NamedTuple):
     precision: None = None
     scale: None = None
     null_ok: bool = False
+
+
+#: ``id(schema)`` -> the description of its result sets; an entry goes with its schema.
+_DESCRIPTIONS: dict[int, list[Column]] = {}
 
 
 class Cursor:
@@ -168,7 +173,13 @@ class Cursor:
 
     @staticmethod
     def _describe(schema) -> list[Column]:
-        return [Column(name=field.name, type_code=field.type.name) for field in schema]
+        """The description of ``schema``'s result sets, built once per schema."""
+        description = _DESCRIPTIONS.get(id(schema))
+        if description is None:
+            description = [Column(name=field.name, type_code=field.type.name) for field in schema]
+            _DESCRIPTIONS[id(schema)] = description
+            weakref.finalize(schema, _DESCRIPTIONS.pop, id(schema), None)
+        return list(description)
 
     # -- fetching ----------------------------------------------------------------------
 
@@ -270,8 +281,9 @@ class Cursor:
     def statistics(self) -> dict:
         """Access-counter snapshot for this cursor's execution.
 
-        The final snapshot once the result set is exhausted or the cursor is
-        closed; a live snapshot of the counters while rows are pending.
+        The final snapshot (the result's stamp) once the result set is
+        exhausted or the cursor is closed; while rows are pending, the
+        execution's counters as they stand (``QueryResult.tracker``).
 
         A snapshot-read cursor owns *private* counters (exactly this
         execution's reads, merged into the database's shared tracker when
@@ -283,11 +295,10 @@ class Cursor:
         """
         if self._final_statistics is not None:
             return self._final_statistics
-        if self._result is not None and self._result.statistics and (
-            self._snapshot or self._exhausted
-        ):
-            return self._result.statistics
-        return self._connection.database.statistics.as_dict()
+        result = self._result
+        if result is None:
+            return self._connection.database.statistics.as_dict()
+        return result.statistics or result.tracker.as_dict()
 
     # -- lifecycle ---------------------------------------------------------------------
 

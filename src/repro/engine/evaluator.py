@@ -47,6 +47,7 @@ from repro.relational.algebra import chunk_getter
 from repro.relational.mvcc import version_token
 from repro.relational.record import values_of
 from repro.relational.relation import Relation
+from repro.relational.statistics import AccessStatistics
 from repro.transform.pipeline import QueryPlan, prepare_query
 
 __all__ = ["QueryResult", "QueryEngine", "execute_naive"]
@@ -134,6 +135,10 @@ class QueryResult:
     stream hands out its finished relation as one chunk.  Cursors take their
     fetches from the chunk in hand and pull the next, :meth:`drain` pulls to
     the end."""
+
+    tracker: AccessStatistics | None = field(default=None, repr=False, compare=False)
+    """What this execution counts on (a pin's own counters or the database's);
+    :attr:`statistics` is its stamp, taken when the rows end."""
 
     _closers: list = field(default_factory=list, repr=False, compare=False)
 
@@ -270,11 +275,12 @@ class QueryEngine:
         collection phase has run and the combination pipeline is wired; the
         rows flow through :attr:`QueryResult.row_iterator`, filling the
         relation as they are pulled, and statistics and elapsed time are
-        stamped now and again when the rows end.  ``.drain()`` is the eager
-        spelling.  A constant TRUE matrix is such a pipeline too — access
-        chunks, projection, distinct — with its extended quantifier ranges
-        checked here, eagerly.  Separated conjunctions materialise here and
-        hand out the finished relation as one chunk.
+        stamped once, when the rows end (``QueryResult.tracker`` counts until
+        then).  ``.drain()`` is the eager spelling.  A constant TRUE matrix is
+        such a pipeline too — access chunks, projection, distinct — with its
+        extended quantifier ranges checked here, eagerly.  Separated
+        conjunctions materialise here and hand out the finished relation as
+        one chunk.
 
         ``collection`` supplies a previously collected
         :class:`CollectionResult` for this exact plan (the service layer's
@@ -304,17 +310,17 @@ class QueryEngine:
             )
             result = self._execute_prepared(source, replanned, fallback_options)
             result.used_strategy3_fallback = True
-        statistics = source.statistics
+        result.tracker = statistics = source.statistics
 
         def stamp() -> None:
             result.statistics = statistics.as_dict()
             result.elapsed_seconds = time.perf_counter() - started
 
-        stamp()
         chunks = result.row_iterator
         if chunks is None:
-            # Could not stream: the numbers above are final.  Hand out the
+            # Could not stream: the numbers are final now.  Hand out the
             # finished relation as one chunk, so every consumer sees one interface.
+            stamp()
             chunks = iter([result.relation.elements()] if len(result.relation) else ())
         else:
             result.on_close(stamp)
@@ -329,7 +335,6 @@ class QueryEngine:
         collection: CollectionResult | None = None,
         collection_sink=None,
     ) -> QueryResult:
-        selection = prepared.selection
         if prepared.constant is not None:
             # The constant-matrix shortcut still relies on the non-empty-range
             # assumption behind Strategy 3: verify it before skipping the
@@ -348,6 +353,7 @@ class QueryEngine:
                 row_iterator=_selection_chunks(source, paths, project, relation),
                 selection_paths=paths,
             )
+        selection = prepared.selection
         if collection is None:
             collection = CollectionPhase(prepared, source, options).run()
             if collection_sink is not None:

@@ -10,7 +10,8 @@ for every base relation, a reference to the relation's current element dict
 (or, for a relation the active transaction has touched, its *committed*
 image — see the overlay below), together with the committed ``data_version``
 and ``schema_version``.  Outside a transaction pinning copies nothing; it is
-O(relations).
+O(relations), and the read-only view of a relation is built only when the
+query first reads it — from the dict captured here, never the live one.
 
 **Copy-on-write rule.**  Writers never mutate a dict a live snapshot may
 hold.  Every element-dict write on a registered relation runs under the
@@ -57,14 +58,14 @@ A finished view is published in one slot on the catalogued index under the
 relation's captured contents version — the token the collection memo already
 trusts: two pins agreeing on it hold equal contents — and every pin keeps
 the views it used, so it resolves each at most once.  Later pins at that
-version take a shallow copy that shares the entries and charges their own
-tracker.  The slot is written by one assignment of a finished object, so the
-read path takes no lock: racing builders waste work, never corrupt, and a pin
-older than the slot builds privately and leaves it alone.  Releasing a pin
-drops the slots the committed contents have moved past.  Writers pay nothing
-for any of this — forking every live index copy-on-write would multiply the
-dict copy each first write after a pin already costs, whether or not a
-reader ever probes.
+version copy the view's attribute dict — sharing the entries — with their
+own tracker in it.  The slot is written by one assignment of a finished
+object, so the read path takes no lock: racing builders waste work, never
+corrupt, and a pin older than the slot builds privately and leaves it alone.
+Releasing a pin drops the slots the committed contents have moved past.
+Writers pay nothing for any of this — forking every live index copy-on-write
+would multiply the dict copy each first write after a pin already costs,
+whether or not a reader ever probes.
 
 **Who pays the build.**  Building a view reads every element once and
 costs about what the filtered scan it replaces costs, so it only pays when
@@ -94,7 +95,6 @@ transaction, whose contents may yet be rolled back.
 
 from __future__ import annotations
 
-import copy
 import threading
 from collections import OrderedDict
 from typing import Iterator
@@ -235,7 +235,8 @@ class SnapshotRegistry:
     # -- pinning -----------------------------------------------------------------------
 
     def pin(self, database) -> "DatabaseSnapshot":
-        """Capture a consistent committed snapshot of ``database``'s base relations."""
+        """Capture a consistent committed snapshot of ``database``'s base relations: per
+        relation its dict and version (:meth:`DatabaseSnapshot.relation` builds the view)."""
         with self.lock:
             self.epoch += 1
             self.active += 1
@@ -250,6 +251,7 @@ class SnapshotRegistry:
                 data_version=data_version,
                 indexes=database._indexes,
             )
+            captured, versions = snapshot._captured, snapshot.relation_versions
             journal = self.tx_journal
             for name, relation in database._relations.items():
                 stashed = self.overlay.get(name)
@@ -260,18 +262,12 @@ class SnapshotRegistry:
                     if stashed is not None:
                         self.overlay[name] = stashed
                 if stashed is None:
-                    captured = relation._elements
-                    version = relation._version
-                else:
-                    captured, version = stashed
-                    if captured is not relation._elements:
-                        # The pin holds an image, not the live dict; the
-                        # writer need not copy the live dict for this pin.
-                        relation._cow_epoch = self.epoch
-                snapshot._attach(
-                    SnapshotRelation(relation, captured, version, snapshot.statistics)
-                )
-                snapshot.relation_versions[name] = version
+                    stashed = relation._elements, relation._version
+                elif stashed[0] is not relation._elements:
+                    # The pin holds an image, not the live dict; the
+                    # writer need not copy the live dict for this pin.
+                    relation._cow_epoch = self.epoch
+                captured[name], versions[name] = (relation, stashed[0]), stashed[1]
         return snapshot
 
     def release(self, snapshot: "DatabaseSnapshot") -> None:
@@ -370,7 +366,9 @@ class DatabaseSnapshot:
     dicts are trustworthy.  Permanent indexes are served as views derived
     from those dicts (the module's index view rule).  Statistics are a
     private :class:`AccessStatistics`, merged into the database's shared
-    tracker when the snapshot is released.
+    tracker when the snapshot is released.  A relation's
+    :class:`SnapshotRelation` is built on the first :meth:`relation` call for
+    it: a read pays for the relations it reads.
     """
 
     def __init__(self, registry: SnapshotRegistry, name: str,
@@ -384,6 +382,9 @@ class DatabaseSnapshot:
         self.schema_version = schema_version
         self.data_version = data_version
         self.statistics = AccessStatistics()
+        #: Per relation name, as pinned: (live relation, element dict to read).
+        self._captured: dict[str, tuple[Relation, dict]] = {}
+        #: The views over those dicts built so far (``relation``).
         self._relations: dict[str, SnapshotRelation] = {}
         #: Captured per-relation contents versions — the relation-granular
         #: validity token for memoized collection structures: two snapshots
@@ -394,33 +395,33 @@ class DatabaseSnapshot:
         self._views: dict[tuple[str, str], object] = {}
         self._released = False
 
-    def _attach(self, relation: SnapshotRelation) -> None:
-        self._relations[relation.name] = relation
-
     # -- catalog surface ---------------------------------------------------------------
 
     def relation(self, name: str) -> SnapshotRelation:
-        try:
-            return self._relations[name]
-        except KeyError:
-            raise CatalogError(
-                f"no relation {name!r} in snapshot of database {self.name!r}"
-            ) from None
+        """The view of ``name`` over the dict captured at pin time, built on first use."""
+        relation = self._relations.get(name)
+        if relation is None:
+            if name not in self._captured:
+                raise CatalogError(f"no relation {name!r} in snapshot of database {self.name!r}")
+            source, elements = self._captured[name]
+            relation = self._relations.setdefault(name, SnapshotRelation(
+                source, elements, self.relation_versions[name], self.statistics))
+        return relation
 
     def has_relation(self, name: str) -> bool:
-        return name in self._relations
+        return name in self._captured
 
     def relations(self) -> Iterator[SnapshotRelation]:
-        return iter(self._relations.values())
+        return iter([self.relation(name) for name in self._captured])
 
     def relation_names(self) -> list[str]:
-        return list(self._relations)
+        return list(self._captured)
 
     def cardinalities(self) -> dict[str, int]:
-        return {name: len(rel) for name, rel in self._relations.items()}
+        return {name: len(elements) for name, (_, elements) in self._captured.items()}
 
     def __contains__(self, name: object) -> bool:
-        return name in self._relations
+        return name in self._captured
 
     def __getitem__(self, name: str) -> SnapshotRelation:
         return self.relation(name)
@@ -453,11 +454,11 @@ class DatabaseSnapshot:
         version = self.relation_versions[relation_name]
         slot = catalogued.snapshot_view
         if slot is not None and slot[0] == version and slot[1] is not None:
-            view = copy.copy(slot[1])
-            view.tracker = self.statistics
+            view = object.__new__(type(slot[1]))  # its attributes and entries, our tracker
+            view.__dict__.update(slot[1].__dict__, tracker=self.statistics)
         else:
             view = type(catalogued)(
-                self._relations[relation_name],
+                self.relation(relation_name),
                 field_name,
                 tracker=self.statistics,
                 name=catalogued.name,
@@ -495,7 +496,7 @@ class DatabaseSnapshot:
                 return slot[1], 0
             noted = True
         if noted:
-            return catalogued, len(self._relations[relation_name])
+            return catalogued, len(self._captured[relation_name][1])
         self._views[key] = None
         if slot is None or slot[0] < version:
             catalogued.snapshot_view = (version, None)

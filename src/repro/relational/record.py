@@ -52,11 +52,11 @@ class Record:
 
     @classmethod
     def raw(cls, schema: RelationSchema, values: tuple) -> "Record":
-        """Build a record from already-coerced values (internal fast path)."""
-        record = object.__new__(cls)
-        object.__setattr__(record, "_schema", schema)
-        object.__setattr__(record, "_values", values)
-        object.__setattr__(record, "_hash", None)
+        """Build a record from already-coerced values (fast path: slot descriptors)."""
+        record = _new(cls)
+        _set_schema(record, schema)
+        _set_values(record, values)
+        _set_hash(record, None)
         return record
 
     # -- accessors -------------------------------------------------------------
@@ -139,3 +139,9 @@ class Record:
             f"{name}={value!r}" for name, value in zip(self._schema.field_names, self._values)
         )
         return f"<{pairs}>"
+
+
+_new = object.__new__
+_set_schema = Record._schema.__set__
+_set_values = Record._values.__set__
+_set_hash = Record._hash.__set__

@@ -350,13 +350,16 @@ class Relation:
 
         The construction phase's bulk path into a result relation: ``rows``
         are already-coerced value tuples and — key = all components — their
-        own keys; the ones not met before are stored, in arrival order.
+        own keys; the ones not met before are stored, in arrival order, by one
+        ``dict.update``.
         """
         assert self._key_is_all, f"{self.name}: insert_new_rows needs key = all components"
+        assert self._registry is None and not self._observers, f"{self.name}: not a result"
         raw, schema, held = Record.raw, self.schema, self._elements
-        fresh = [raw(schema, row) for row in dict.fromkeys(rows) if row not in held]
-        self.bulk_insert_raw(fresh)
-        return fresh
+        fresh = {row: raw(schema, row) for row in dict.fromkeys(rows) if row not in held}
+        held.update(fresh)
+        self._version += 1
+        return list(fresh.values())
 
     def _bulk_fill(self, records: Iterable[Record]) -> None:
         elements = self._elements

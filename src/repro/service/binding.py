@@ -10,9 +10,9 @@ parameterized form; this module supplies the run-time half:
   parameters with the scalar types the type checker attached to them;
 * :func:`bind_selection` substitutes concrete constants into a selection
   (used for the naive ground-truth evaluation of a bound query);
-* :func:`bind_plan` substitutes concrete constants directly into a compiled
-  plan — bindings, quantifier prefix, matrix conjunctions and Strategy 4
-  derived predicates — so execution never re-runs the transformations.
+* :func:`bind_plan` substitutes concrete constants directly into the parts of
+  a compiled plan that hold a parameter, so execution never re-runs the
+  transformations.
 
 Values are coerced through the parameter's resolved scalar type, so an
 enumeration label bound as ``{"status": "professor"}`` becomes a proper
@@ -32,6 +32,9 @@ positional names along, to put the literals into the trace's wording too.
 from __future__ import annotations
 
 import re
+from dataclasses import replace
+from functools import partial
+from operator import is_
 from typing import Any, Collection, Mapping
 
 from repro.calculus.analysis import QuantifierSpec, range_relations
@@ -225,19 +228,34 @@ def _bind_range(range_expr: RangeExpr, values: Mapping[str, Any]) -> RangeExpr:
     return RangeExpr(range_expr.relation, restriction)
 
 
+def _bind_all(bind, items: tuple, values: Mapping[str, Any]) -> tuple:
+    """``bind`` applied to each of ``items`` — ``items`` itself when none changed."""
+    bound = [bind(item, values) for item in items]
+    return items if all(map(is_, bound, items)) else tuple(bound)
+
+
+def _bind_binding(binding: VariableBinding, values: Mapping[str, Any]) -> VariableBinding:
+    range_expr = _bind_range(binding.range, values)
+    return binding if range_expr is binding.range else VariableBinding(binding.var, range_expr)
+
+
+def _bind_spec(spec: QuantifierSpec, values: Mapping[str, Any]) -> QuantifierSpec:
+    range_expr = _bind_range(spec.range, values)
+    return spec if range_expr is spec.range else QuantifierSpec(spec.kind, spec.var, range_expr)
+
+
 def _bind_literal(literal: object, values: Mapping[str, Any]) -> object:
     if isinstance(literal, Comparison):
         return _bind_formula(literal, values)
     if isinstance(literal, DerivedPredicate):
-        return DerivedPredicate(
-            outer_var=literal.outer_var,
-            quantifier=literal.quantifier,
-            inner_var=literal.inner_var,
-            inner_range=_bind_range(literal.inner_range, values),
-            connecting=tuple(_bind_formula(t, values) for t in literal.connecting),
-            inner_monadic=tuple(_bind_formula(t, values) for t in literal.inner_monadic),
-            inner_derived=tuple(_bind_literal(d, values) for d in literal.inner_derived),
-        )
+        parts = {
+            "inner_range": _bind_range(literal.inner_range, values),
+            "connecting": _bind_all(_bind_formula, literal.connecting, values),
+            "inner_monadic": _bind_all(_bind_formula, literal.inner_monadic, values),
+            "inner_derived": _bind_all(_bind_literal, literal.inner_derived, values),
+        }
+        if any(new is not getattr(literal, name) for name, new in parts.items()):
+            return replace(literal, **parts)
     return literal
 
 
@@ -283,28 +301,25 @@ def bind_plan(
 ) -> QueryPlan:
     """``plan`` with every parameter replaced by a constant — late binding.
 
-    The substitution is purely structural: bindings, quantifier prefix,
-    matrix literals and derived predicates are rewritten in place of their
-    parameters, so the transformations recorded in ``plan.trace`` are reused
-    verbatim and execution starts directly at the collection phase.  Only
-    for ``positional`` — the names standing for literals lifted out of the
-    text — is the trace reworded, so it reads as the text does.
+    The substitution is purely structural and rebuilds only what holds a
+    parameter: a binding, range, literal or derived predicate without one —
+    and a tuple of them — is ``plan``'s own object, and the bound
+    ``selection`` is derived on first read (a constant matrix never reads
+    it).  So the transformations recorded in ``plan.trace`` are reused
+    verbatim and execution starts directly at the collection phase.  Only for
+    ``positional`` — the names standing for literals lifted out of the text —
+    is the trace reworded, so it reads as the text does.
     """
     return QueryPlan(
-        selection=bind_selection(plan.selection, values),
-        bindings=tuple(
-            VariableBinding(b.var, _bind_range(b.range, values)) for b in plan.bindings
-        ),
-        prefix=tuple(
-            QuantifierSpec(s.kind, s.var, _bind_range(s.range, values)) for s in plan.prefix
-        ),
-        conjunctions=tuple(
-            tuple(_bind_literal(literal, values) for literal in conjunction)
-            for conjunction in plan.conjunctions
-        ),
+        selection=None,
+        bindings=_bind_all(_bind_binding, plan.bindings, values),
+        prefix=_bind_all(_bind_spec, plan.prefix, values),
+        conjunctions=plan.conjunctions if plan.constant is not None  # no literal
+        else _bind_all(partial(_bind_all, _bind_literal), plan.conjunctions, values),
         options=plan.options,
         trace=_literal_trace(plan.trace, values, positional) if positional else plan.trace,
         constant=plan.constant,
         result_schema=plan.result_schema,
         selection_plan=plan.selection_plan,
+        derive_selection=partial(bind_selection, plan.selection, dict(values)),
     )

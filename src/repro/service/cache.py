@@ -16,11 +16,11 @@ query *shape*.  Keys are built by :class:`~repro.service.QueryService` from:
   invalidation rule: any ``create_relation`` / ``drop_relation`` /
   ``create_index`` / ``drop_index`` orphans all older entries).
 
-The *emptiness signature* — the set of currently-empty relations — is not
-part of the key: a hit is validated against it (``lookup(validate=...)``).
-The Lemma 1 adaptation is the only part of plan compilation that depends on
-the data, and it depends only on which range relations are empty, so a plan
-is safely reusable until a relation it ranges over transitions between empty
+Emptiness is not part of the key: a hit is validated against it
+(``lookup(validate=...)``, the plan's ``PreparedQuery.is_stale``).  The
+Lemma 1 adaptation is the only part of plan compilation that depends on the
+data, and it depends only on which range relations are empty, so a plan is
+safely reusable until a relation it ranges over transitions between empty
 and non-empty; the recompiled plan then overwrites the entry.
 
 Hit/miss counts are recorded in the shared
@@ -37,21 +37,7 @@ from typing import Hashable
 
 from repro.errors import PlanError
 
-__all__ = ["BoundedLRU", "PlanCache", "emptiness_signature"]
-
-
-def emptiness_signature(database) -> frozenset[str]:
-    """The currently-empty relations — the only data property plans depend on.
-
-    Plan compilation consults the data solely through the Lemma 1
-    empty-relation adaptation, so a compiled plan stays valid exactly until a
-    relation transitions between empty and non-empty.  Both the validation
-    of a plan-cache hit and :meth:`PreparedQuery.is_stale` compare this
-    signature.
-    """
-    return frozenset(
-        relation.name for relation in database.relations() if len(relation) == 0
-    )
+__all__ = ["BoundedLRU", "PlanCache"]
 
 
 class BoundedLRU:

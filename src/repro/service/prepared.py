@@ -41,7 +41,7 @@ from repro.service.binding import (
     collect_parameters,
     referenced_relations,
 )
-from repro.service.cache import BoundedLRU, emptiness_signature
+from repro.service.cache import BoundedLRU
 from repro.transform.pipeline import QueryPlan
 
 __all__ = ["PreparedQuery"]
@@ -83,18 +83,17 @@ class PreparedQuery:
         self.schema_version = source.schema_version
         # The Lemma 1 adaptation baked into the plan depends on which of the
         # relations *this query ranges over* were empty at prepare time;
-        # record that restricted signature so staleness covers exactly the
+        # record just those so staleness covers exactly the
         # empty <-> non-empty transitions that can change the plan, and no
         # others (clearing an unrelated relation must not break this handle).
         self.referenced_relations = referenced_relations(plan.selection)
         self._referenced_sorted = tuple(sorted(self.referenced_relations))
-        self.prepared_emptiness = (
-            emptiness_signature(source) & self.referenced_relations
-        )
+        self.prepared_emptiness = self._empty_relations(source)
         # Per-binding memos, LRU-bounded.  ``_bound_plans`` skips the
         # substitution walk for bindings seen before; the other two reuse
         # whole collection-phase results while every relation the query
-        # ranges over provably holds what it held (``_version_token``).
+        # ranges over provably holds what it held (``version_token`` of them:
+        # the memo survives writes to relations the query never reads).
         # Results computed on the live database and on pins are kept apart:
         # a collection's references dereference through the relation objects
         # they were collected from, and a pin must never read through the
@@ -211,8 +210,13 @@ class PreparedQuery:
             source = self._engine.database
         if source.schema_version != self.schema_version:
             return True
-        current = emptiness_signature(source) & self.referenced_relations
-        return current != self.prepared_emptiness
+        return self._empty_relations(source) != self.prepared_emptiness
+
+    def _empty_relations(self, source) -> frozenset[str]:
+        """Which of the relations this query ranges over are empty in ``source``
+        — the only data property its compiled plan depends on."""
+        relation = source.relation
+        return frozenset(name for name in self._referenced_sorted if not len(relation(name)))
 
     def ensure_fresh(self, source=None) -> None:
         """Raise :class:`PlanError` when :meth:`is_stale` — re-prepare instead."""
@@ -335,7 +339,7 @@ class PreparedQuery:
             memo = self._collections if source is database else self._snapshot_collections
             # Read before execution, which builds only untracked result
             # relations and so cannot move a version itself.
-            token = self._version_token(source)
+            token = version_token(source, self._referenced_sorted)
             cached = memo.get(key)
             if cached is not None and cached[0] == token:
                 collection = cached[1]
@@ -354,12 +358,6 @@ class PreparedQuery:
         if drain:
             result.drain()
         return result
-
-    def _version_token(self, source) -> tuple:
-        """What a memoized collection is valid under: the catalog version and
-        the contents version of every relation the query ranges over, so
-        the memo survives writes to relations the query never reads."""
-        return version_token(source, self._referenced_sorted)
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         parameters = ", ".join(f"${name}" for name in self.parameter_names) or "none"

@@ -23,6 +23,7 @@ a tuple of conjunctions whose literals are join terms or
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.calculus.analysis import QuantifierSpec
 from repro.calculus.ast import (
@@ -87,7 +88,8 @@ class QueryPlan:
     ----------
     selection:
         The resolved original selection (for the construction phase and the
-        naive evaluator).
+        naive evaluator); a late-bound plan derives it on first read from
+        ``derive_selection`` (:func:`~repro.service.binding.bind_plan`).
     bindings:
         Free-variable bindings, with ranges possibly extended by Strategy 3.
     prefix:
@@ -119,6 +121,7 @@ class QueryPlan:
     constant: bool | None = None
     result_schema: list = field(default_factory=lambda: [None, None], repr=False, compare=False)
     selection_plan: dict = field(default_factory=dict, repr=False, compare=False)
+    derive_selection: Callable | None = field(default=None, repr=False, compare=False)
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -143,6 +146,17 @@ class QueryPlan:
                 if isinstance(literal, DerivedPredicate):
                     _collect_derived(literal, found)
         return found
+
+
+def _selection(plan: QueryPlan) -> Selection:
+    """The resolved original selection; a late-bound plan derives it on first read."""
+    if plan._selection is None:
+        plan._selection = plan.derive_selection()
+    return plan._selection
+
+
+# After the decorator: ``selection`` stays an ``__init__`` field, set through this.
+QueryPlan.selection = property(_selection, lambda plan, value: setattr(plan, "_selection", value))
 
 
 def _collect_derived(predicate: DerivedPredicate, found: list[DerivedPredicate]) -> None:

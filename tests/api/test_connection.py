@@ -252,6 +252,20 @@ class TestCursorProtocol:
         assert [column.name for column in cursor.description] == ["enr", "ename"]
         assert cursor.description[1].type_code == "nametype"
 
+    def test_description_is_built_once_per_result_schema(self, figure1):
+        from repro.api.cursor import _DESCRIPTIONS
+
+        connection = connect(figure1)
+        first = connection.execute(PROFESSORS_TEXT)
+        schema = first.result.relation.schema
+        described = _DESCRIPTIONS[id(schema)]
+        first.description.append("scribbled")  # a caller's copy, not the memo
+        second = connection.execute(PROFESSORS_TEXT)
+        assert second.result.relation.schema is schema
+        assert _DESCRIPTIONS[id(schema)] is described
+        assert second.description == described and second.description is not described
+        assert [column.name for column in second.description] == ["enr", "ename"]
+
     def test_re_execute_discards_previous_result(self, figure1):
         connection = connect(figure1)
         cursor = connection.execute(EXAMPLE_21_TEXT)

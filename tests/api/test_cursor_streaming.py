@@ -118,6 +118,28 @@ class TestCursorLifecycle:
         assert final["relations"]["employees"]["scans"] >= 1
         assert final is cursor.result.statistics
 
+    def test_a_pending_snapshot_cursor_counts_live(self):
+        """While rows are pending, a pinned cursor shows its own counters as
+        they stand — what a session cursor at the same point shows — not a
+        stamp taken at ``execute``; once exhausted, the result's stamp."""
+        database = build_university_database(scale=40)
+        database.create_index("papers", "pyear", operator="<=")
+        text = "[<p.ptitle, p.penr, p.pyear> OF EACH p IN papers: (p.pyear <= $year)]"
+        connection = connect(database)
+        for _ in range(3):  # scan, build the view, probe it: warm
+            connection.cursor().execute(text, {"year": 1975}).fetchall()
+        pinned = connection.cursor().execute(text, {"year": 1975})
+        live = connection.session().cursor().execute(text, {"year": 1975})
+        assert len(pinned.fetchmany(100)) == len(live.fetchmany(100)) == 100
+        papers = pinned.statistics["relations"]["papers"]
+        assert papers == live.statistics["relations"]["papers"]
+        assert (papers["index_probes"], papers["elements_read"]) == (1, 1 + 2 + 4 + 8 + 16 + 32 + 64)
+        rows = pinned.fetchall()
+        final = pinned.statistics
+        assert final is pinned.result.statistics
+        assert final["relations"]["papers"]["elements_read"] == 100 + len(rows)
+        connection.close()
+
     def test_statistics_survive_close_and_later_executions(self, figure1):
         """A closed cursor keeps ITS final snapshot, not the live counters
         of whatever ran afterwards on the connection."""

@@ -57,6 +57,15 @@ class TestRecord:
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
 
+    def test_the_fast_path_builds_the_record_the_constructor_builds(self, schema):
+        built = Record(schema, {"enr": 1, "ename": "Jarke", "estatus": "professor"})
+        raw = Record.raw(schema, built.values)
+        assert raw == built and hash(raw) == hash(built)
+        assert raw.schema is schema and raw.values is built.values
+        assert (raw.enr, raw["estatus"], raw.key) == (1, STATUS.professor, (1,))
+        with pytest.raises(AttributeError):
+            raw.enr = 2
+
     def test_tuple_construction_checks_arity(self, schema):
         with pytest.raises(SchemaError):
             Record(schema, (1, "x"))
@@ -203,6 +212,20 @@ class TestRelationSemantics:
         assert [record.values for record in fresh] == [(2, 2), (3, 3)]
         assert [record.values for record in pairs] == [(1, 1), (2, 2), (3, 3)]
         assert pairs.insert_new_rows([(3, 3)]) == []
+
+    def test_insert_new_rows_keeps_first_witnesses_in_order_and_bumps_the_version(self):
+        pairs = Relation("pairs", RelationSchema("pairs", [("a", INTEGER), ("b", INTEGER)]))
+        version = pairs._version
+        fresh = pairs.insert_new_rows([(5, 1), (2, 2), (5, 1), (4, 4), (2, 2)])
+        assert [record.values for record in fresh] == [(5, 1), (2, 2), (4, 4)]
+        assert pairs.elements() == fresh
+        assert all(pairs.find(record.values) is record for record in fresh)
+        assert pairs._version > version
+        version = pairs._version
+        assert [r.values for r in pairs.insert_new_rows([(4, 4), (1, 1)])] == [(1, 1)]
+        assert [r.values for r in pairs] == [(5, 1), (2, 2), (4, 4), (1, 1)]
+        assert pairs._version > version
+        assert pairs == Relation("copy", pairs.schema, [(1, 1), (4, 4), (2, 2), (5, 1)])
 
     def test_insert_new_rows_refuses_a_partial_key(self, employees):
         # A value row is its own key only when the key covers every component.

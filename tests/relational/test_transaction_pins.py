@@ -10,8 +10,11 @@ raw overwrites, ``assign``/``clear``, transaction boundaries and pins on both
 backends — with an observer that pins *from inside* every maintenance hook,
 so pins also land between the writes of a rollback replay — and checks that
 every pin holds exactly the committed contents and contents version of its
-moment, for as long as it lives.  The unit tests pin down who pays: nobody,
-unless a pin arrives mid-transaction; then once per touched relation.
+moment, for as long as it lives.  A second property lets a writer act
+between a pin and its first read of a relation — the pin builds its view of
+a relation only then — and checks the pin still reads the state it was taken
+at.  The unit tests pin down who pays: nobody, unless a pin arrives
+mid-transaction; then once per touched relation.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import connect
+from repro import connect, execute_naive
 from repro.relational.database import Database
 from repro.relational.record import Record
 from repro.types.scalar import INTEGER, Subrange
@@ -180,6 +183,99 @@ def test_every_pin_reads_the_committed_state_of_its_moment(
     finally:
         for snapshot, _, _ in pins:
             snapshot.release()
+        connection.close()
+    assert database._snapshots.active == 0
+
+
+_LAZY_QUERIES = (
+    "[<x.k, x.v> OF EACH x IN r: (x.v = 3)]",
+    "[<x.k> OF EACH x IN r: (x.v <= 4)]",
+    "[<x.k, x.v> OF EACH x IN r: (x.k >= 2) AND (x.v <> 1)]",
+    "[<x.k> OF EACH x IN r: SOME y IN r ((x.k = y.v))]",
+)
+
+_ROW_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(("insert", "insert", "delete", "clear")),
+        st.integers(min_value=0, max_value=9),
+        st.integers(min_value=0, max_value=9),
+    ),
+    max_size=8,
+)
+_WRITER_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(("insert", "insert", "delete", "clear", "create_index", "drop_index")),
+        st.integers(min_value=0, max_value=9),
+        st.integers(min_value=0, max_value=9),
+    ),
+    max_size=8,
+)
+
+
+def _write(database, op: str, key: int, value: int) -> None:
+    relation = database.relation("r")
+    if op == "insert":
+        relation.delete_key(key)
+        relation.insert({"k": key, "v": value})
+    elif op == "delete":
+        relation.delete_key(key)
+    elif op == "clear":
+        relation.clear()
+    elif op == "create_index":
+        if database.index_for("r", "k") is None:
+            database.create_index("r", "k", operator="<=")
+    elif database.index_for("r", "v") is not None:
+        database.drop_index("r", "v")
+
+
+@pytest.mark.parametrize("paged", (False, True), ids=("memory", "paged"))
+@settings(max_examples=60, deadline=None)
+@given(
+    text=st.sampled_from(_LAZY_QUERIES),
+    before=_ROW_STEPS,
+    between=_WRITER_STEPS,
+    begin_before_pin=st.booleans(),
+    outcome=st.sampled_from(("commit", "rollback", "open")),
+)
+def test_a_lazy_pin_reads_the_state_it_was_taken_at(
+    paged, text, before, between, begin_before_pin, outcome
+) -> None:
+    """Between a pin and its first read of ``r``, a writer inserts into,
+    deletes from or clears ``r`` — inside a transaction begun before the pin
+    or after it, committed, rolled back or still open — or runs index DDL.
+    The pin reads what was committed when it was taken, at the contents
+    versions of that moment, and runs a handle held from before it building
+    the view of the one relation it reads and of no other."""
+    database = _make_database(paged)
+    database.create_relation("s", [("k", INTEGER)], key=["k"], elements=[(1,), (2,)])
+    connection = connect(database)
+    session = connection.session()
+    prepared = connection.service.prepare(text)
+    expected = execute_naive(database, text)
+    versions = {name: database.relation(name)._version for name in ("r", "s")}
+    if begin_before_pin:
+        session.begin()
+        for step in before:
+            _write(database, *step)
+    snapshot = database.pin_snapshot()
+    try:
+        if not begin_before_pin:
+            session.begin()
+        for step in between:
+            _write(database, *step)
+        if outcome == "commit":
+            session.commit()
+        elif outcome == "rollback":
+            session.rollback()
+        prepared.ensure_fresh(snapshot)
+        result = prepared.start(None, snapshot, drain=True)
+        assert result.relation == expected
+        assert snapshot.relation_versions == versions
+        assert list(snapshot._relations) == ["r"]
+    finally:
+        snapshot.release()
+        if session.in_transaction:
+            session.rollback()
         connection.close()
     assert database._snapshots.active == 0
 
