@@ -4,20 +4,20 @@ A :class:`Connection` is the stable handle a client program holds onto — the
 role the PASCAL/R database module plays for an embedded host program, shaped
 like the connection objects every system in the Wisconsin lineage grew.  It
 owns the prepared-query :class:`~repro.service.QueryService` (and with it
-the plan cache and the execution lock that serializes work over the shared
-engine), and hands out:
+the plan cache), and hands out:
 
 * :class:`~repro.api.cursor.Cursor` objects — DB-API-flavoured, streaming:
-  fetches pull rows off the live operator pipeline one construction
-  dereference at a time;
+  fetches pull rows off the operator pipeline one chunk of construction
+  dereferences at a time, each result set on its own pinned snapshot;
 * :class:`~repro.api.session.Session` objects — context-managed
   transactional scopes with ``begin``/``commit``/``rollback`` over an undo
   journal, plus per-session strategy/service option overrides.
 
-Connections are thread-safe: compilation and every pipeline step run under
-one reentrant execution lock, so any number of threads can share a
-connection with their own cursors.  ``close()`` is explicit and idempotent;
-a close with a transaction still active rolls it back.
+Connections are thread-safe: every read runs on a pin of its own and the
+plan cache takes its own locks, so any number of threads can share a
+connection with their own cursors, and no read waits for another.
+``close()`` is explicit and idempotent; a close with a transaction still
+active rolls it back.
 """
 
 from __future__ import annotations
@@ -101,12 +101,10 @@ class Connection:
             options=options,
             service_options=service_options,
         )
-        self._lock = self._service._execution_lock
         self._closed = False
         self._active_session: Session | None = None
         # Every cursor opened on this connection (weakly, so an abandoned
-        # cursor is collectable): rollback walks them to finalize live-path
-        # streams whose underlying state it is about to replay away.
+        # cursor is collectable): close() ends their open result sets.
         self._cursors: "weakref.WeakSet[Cursor]" = weakref.WeakSet()
 
     # -- introspection -----------------------------------------------------------------
@@ -118,7 +116,7 @@ class Connection:
 
     @property
     def service(self) -> QueryService:
-        """The owned prepared-query service (plan cache, execution lock)."""
+        """The owned prepared-query service (plan cache, prepared handles)."""
         return self._service
 
     @property
@@ -149,13 +147,10 @@ class Connection:
     def checkpoint(self) -> None:
         """Force the disk-resident database to disk and truncate its WAL.
 
-        Serialized with the connection's cursors and sessions via the
-        execution lock.  Raises on an in-memory database or while a
-        transaction is active.
+        Raises on an in-memory database or while a transaction is active.
         """
         self._check_open()
-        with self._lock:
-            self._database.checkpoint()
+        self._database.checkpoint()
 
     # -- cursors and queries -----------------------------------------------------------
 
@@ -200,22 +195,6 @@ class Connection:
     def _track_cursor(self, cursor: Cursor) -> None:
         self._cursors.add(cursor)
 
-    def _finalize_open_streams(self, reason: str) -> None:
-        """Close every open live-path result set before its state vanishes.
-
-        Called by :meth:`Session.rollback`: a cursor mid-drain over the
-        pre-rollback contents would otherwise keep pulling rows from
-        relations the replay is about to overwrite — silently mixing old
-        and new state.  Runs under the execution lock, so no stream is
-        advanced while it is being finalized; affected cursors raise
-        :class:`~repro.errors.CursorError` with ``reason`` on their next
-        fetch.  Snapshot cursors are exempt (their pinned state is
-        immutable and unaffected by the replay).
-        """
-        with self._lock:
-            for cursor in list(self._cursors):
-                cursor._invalidate(reason)
-
     # -- lifecycle ---------------------------------------------------------------------
 
     def close(self) -> None:
@@ -231,13 +210,12 @@ class Connection:
         session = self._active_session
         if session is not None and session.in_transaction:
             session.rollback()
-        # Shut down open result sets (streams release pipeline-breaker state,
-        # pinned pages and pinned snapshots) without marking the cursors
-        # closed: their fetches keep raising ConnectionClosedError.
-        with self._lock:
-            for cursor in list(self._cursors):
-                if not cursor.closed:
-                    cursor._discard()
+        # Shut down open result sets (streams release pipeline-breaker state
+        # and their pinned snapshots) without marking the cursors closed:
+        # their fetches keep raising ConnectionClosedError.
+        for cursor in list(self._cursors):
+            if not cursor.closed:
+                cursor._discard()
         self._closed = True
         if self._owns_database and not getattr(self._database, "closed", True):
             self._database.close()

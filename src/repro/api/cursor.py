@@ -12,17 +12,15 @@ dereferences reference tuples, *as they are fetched* (in chunks of 1, 2, 4,
 ... rows: a prefix, at most one chunk ahead), so the client sees first rows
 without the engine ever materialising the full result.
 
-A pull re-acquires the connection's execution lock around the pipeline step
-(once per chunk, not per row), so any number of open cursors (plus
-whole-query executions from other threads) interleave safely on one
-connection.
+Every result set reads its own pinned snapshot, so a pull takes no lock and
+any number of open cursors (plus whole-query executions from other threads)
+interleave freely on one connection.
 """
 
 from __future__ import annotations
 
 import weakref
 from collections.abc import Iterable
-from contextlib import nullcontext
 from typing import Any, Iterator, Mapping, NamedTuple, Sequence
 
 from repro.errors import BindingError, CursorError
@@ -52,13 +50,16 @@ class Cursor:
     Cursors are produced by :meth:`Connection.cursor` /
     :meth:`Session.cursor`; a session cursor runs under the session's
     strategy/service option overrides.
+
+    A result set is one statement on one pinned snapshot: it returns exactly
+    the state at its ``execute``, across the writes, commits and rollbacks
+    that follow — a rollback invalidates no cursor.
     """
 
     def __init__(self, connection, service=None, session=None) -> None:
         self._connection = connection
         self._service = service if service is not None else connection.service
         self._session = session
-        self._lock = connection._lock
         #: Rows an argument-less :meth:`fetchmany` returns (the DB-API default).
         self.arraysize: int = 1
         self._closed = False
@@ -72,12 +73,6 @@ class Cursor:
         self._known_rowcount: int | None = None
         self._exhausted = False
         self._final_statistics: dict | None = None
-        # Whether the current result set runs on a pinned snapshot (fetches
-        # then skip the execution lock entirely).
-        self._snapshot = False
-        # Reason string set when a transaction rollback finalized this
-        # cursor's open stream; fetches raise it until the next execute.
-        self._invalidated: str | None = None
         connection._track_cursor(self)
 
     # -- guards ------------------------------------------------------------------------
@@ -91,8 +86,6 @@ class Cursor:
 
     def _check_result(self) -> None:
         self._check_open()
-        if self._invalidated is not None:
-            raise CursorError(self._invalidated)
         if self._rows is None:
             raise CursorError("cursor has no result set; call execute() first")
 
@@ -106,29 +99,19 @@ class Cursor:
         Returns the cursor itself (the DB-API convention), with
         :attr:`description` available immediately — no row has flowed yet.
 
-        A connection-level cursor (no session) executes against a pinned
-        copy-on-write snapshot: compilation, execution and every subsequent
-        fetch run *outside* the execution lock, concurrently with other
-        readers and with a writer session.  Session cursors run on the live
-        database under the lock, so a transaction reads its own writes.
-        That choice is all that differs: both go through
-        :meth:`QueryService.start <repro.service.QueryService.start>`.
+        It runs on a pin (:meth:`QueryService.start
+        <repro.service.QueryService.start>`) and takes no lock, here or in any
+        fetch: a session cursor inside a transaction pins that transaction's
+        writes up to this call, any other cursor the committed state.
         """
         self._check_open()
-        pin = self._session is None
-        with nullcontext() if pin else self._lock:
-            with self._lock:
-                self._discard()
-            result = self._service.start(query, parameters, pin=pin)
-            # Install under the lock with the snapshot flag set first:
-            # Connection._finalize_open_streams (a concurrent rollback on
-            # this connection) runs under the same lock and skips snapshot
-            # cursors — it must never observe the fresh stream with
-            # _snapshot still False and close it as a live-path leftover.
-            with self._lock:
-                self._snapshot = pin
-                self._install(result)
+        self._discard()
+        self._install(self._service.start(query, parameters, journal=self._journal()))
         return self
+
+    def _journal(self):
+        """The open transaction a statement of this cursor reads, if any."""
+        return None if self._session is None else self._session.journal
 
     def executemany(
         self, query, seq_of_parameters: Sequence[Mapping[str, Any] | None]
@@ -137,9 +120,9 @@ class Cursor:
 
         One :meth:`QueryService.execute_batch
         <repro.service.QueryService.execute_batch>`: the bindings run one
-        after another through the handle's per-binding memos, on the live
-        database under the execution lock; rows come back in request order
-        (this path materialises — streaming applies to :meth:`execute`).
+        after another through the handle's per-binding memos, each on a pin
+        as :meth:`execute` takes it; rows come back in request order (this
+        path materialises — streaming applies to :meth:`execute`).
         ``seq_of_parameters`` that is no iterable is a
         :class:`~repro.errors.BindingError`.
         """
@@ -149,20 +132,19 @@ class Cursor:
                 "seq_of_parameters is an iterable of binding sets, "
                 f"not {type(seq_of_parameters).__name__}"
             )
-        with self._lock:
-            self._discard()
-            requests = [(query, parameters) for parameters in seq_of_parameters]
-            if not requests:
-                self._rows = iter(())
-                self._known_rowcount = 0
-                return self
-            results = self._service.execute_batch(requests)
-            rows = [row for result in results for row in result.rows]
-            self._result = results[-1]
-            self._description = self._describe(results[0].relation.schema)
-            self._rows = iter([rows] if rows else ())
-            self._known_rowcount = len(rows)
-            self._final_statistics = None
+        self._discard()
+        requests = [(query, parameters) for parameters in seq_of_parameters]
+        if not requests:
+            self._rows = iter(())
+            self._known_rowcount = 0
+            return self
+        results = self._service.execute_batch(requests, journal=self._journal())
+        rows = [row for result in results for row in result.rows]
+        self._result = results[-1]
+        self._description = self._describe(results[0].relation.schema)
+        self._rows = iter([rows] if rows else ())
+        self._known_rowcount = len(rows)
+        self._final_statistics = None
         return self
 
     def _install(self, result) -> None:
@@ -184,14 +166,9 @@ class Cursor:
     # -- fetching ----------------------------------------------------------------------
 
     def _pull(self) -> bool:
-        """Take the next chunk in hand — one pipeline step, under the execution
-        lock unless the result set is a snapshot's (immutable, and private to
-        this cursor); ``False`` when the result set is exhausted."""
-        if self._snapshot:
-            chunk = next(self._rows, None)
-        else:
-            with self._lock:
-                chunk = next(self._rows, None)
+        """Take the next chunk in hand — one pipeline step over this result
+        set's pin; ``False`` when the result set is exhausted."""
+        chunk = next(self._rows, None)
         if chunk is None:
             self._exhausted = True
             return False
@@ -285,13 +262,9 @@ class Cursor:
         exhausted or the cursor is closed; while rows are pending, the
         execution's counters as they stand (``QueryResult.tracker``).
 
-        A snapshot-read cursor owns *private* counters (exactly this
-        execution's reads, merged into the database's shared tracker when
-        the stream finishes).  A live-path cursor reports the database's
-        shared :class:`~repro.relational.statistics.AccessStatistics`: every
-        execution on the connection resets them, so a cursor whose drain
-        interleaved with other executions reports the interleaved activity
-        too — results are unaffected, only the accounting attribution blurs.
+        A cursor owns its pin's *private* counters: exactly this execution's
+        reads and its plan-cache lookup, merged into the database's shared
+        tracker when the pin is released.
         """
         if self._final_statistics is not None:
             return self._final_statistics
@@ -310,8 +283,6 @@ class Cursor:
         self._fetched = 0
         self._known_rowcount = None
         self._exhausted = False
-        self._snapshot = False
-        self._invalidated = None
 
     def _end_result(self) -> None:
         """End the current execution, fetched to its end or never fetched at all.
@@ -326,33 +297,16 @@ class Cursor:
             if self._result.statistics:
                 self._final_statistics = self._result.statistics
 
-    def _invalidate(self, reason: str) -> None:
-        """Finalize an open live-path stream because its state is going away.
-
-        Called (under the execution lock) when the session's transaction
-        rolls back while this cursor still holds an open ``RowStream`` over
-        the pre-rollback state: the stream is closed — its finalizers
-        release pipeline-breaker state and pinned pages — and subsequent
-        fetches raise :class:`~repro.errors.CursorError` with ``reason``.
-        Snapshot cursors are untouched (their pinned state is immutable and
-        independent of the rollback), as are exhausted or idle cursors.
-        """
-        if self._closed or self._snapshot or self._exhausted or self._rows is None:
-            return
-        self._end_result()
-        self._invalidated = reason
-
     def close(self) -> None:
         """Close the cursor, releasing the pipeline; double close is a no-op.
 
         Closing propagates into the operator generators' ``finally`` clauses,
-        so pipeline-breaker state and pinned buffer-pool pages are released
-        even when the result set was only partially fetched.
+        so pipeline-breaker state and the pinned snapshot are released even
+        when the result set was only partially fetched.
         """
         if self._closed:
             return
-        with self._lock:
-            self._discard()
+        self._discard()
         self._closed = True
 
     @property

@@ -21,8 +21,9 @@ changes (DDL) are deliberately *not* transactional.
 
 A session can also carry per-session :class:`~repro.config.StrategyOptions`
 / :class:`~repro.config.ServiceOptions` overrides: its cursors run under a
-derived service that shares the connection's engine, execution lock and plan
-cache.
+derived service that shares the connection's engine and plan cache.  Inside
+a transaction they read its *statement snapshot*: its writes up to their
+``execute`` and nothing later; outside one, the committed state.
 """
 
 from __future__ import annotations
@@ -166,17 +167,12 @@ class Session:
         afterwards.  On a durable database an ``ABORT`` record is logged
         first so recovery never replays the abandoned operations.
 
-        Any cursor on the connection still draining a live-path result set
-        is finalized first (its stream closed, further fetches raising
-        :class:`~repro.errors.CursorError`): the stream reads the very
-        relation state the replay is about to overwrite, and letting it
-        continue would silently mix pre- and post-rollback rows.  Snapshot
-        cursors are unaffected — their pinned state is immutable.
+        Rollback invalidates nothing: every open result set holds its own
+        pin, so a cursor still draining one — a statement of this very
+        transaction included — keeps returning exactly the state at its
+        ``execute``; the replay copies on write around it.
         """
         journal = self._require_transaction()
-        self._connection._finalize_open_streams(
-            "result set invalidated: the session's transaction was rolled back"
-        )
         self.database.abort_transaction(journal)
         # Detach first: the restoring operators must not journal themselves.
         # The database's transaction slot stays held until the replay below

@@ -197,9 +197,9 @@ class ServiceOptions:
         lets a second writer wait for the gate instead of erroring out, but
         never blocks forever.
 
-    Connection-level cursors (cursors opened outside a session) always read
-    a pinned copy-on-write snapshot (:mod:`repro.relational.mvcc`); session
-    cursors always read the live database under the execution lock.
+    Every cursor reads a pinned copy-on-write snapshot
+    (:mod:`repro.relational.mvcc`): of the committed state, or — a session
+    cursor inside a transaction — of that transaction's writes so far.
     """
 
     plan_cache_capacity: int = 128

@@ -401,11 +401,13 @@ class QueryEngine:
         are not settled are taken again each time, as the selector takes them
         — only a pin's, while it passes over or builds an index view.  The
         live database and a pin price a probe by one rule, so live decisions
-        are kept exactly as a pin's are.
+        are kept exactly as a pin's are.  A source inside an open transaction
+        reads what is kept and keeps nothing (its versions may be rolled back).
         """
         bindings = prepared.bindings
         token = version_token(source, [b.range.relation for b in bindings])
         plans, kind = prepared.selection_plan, type(source)
+        keep = not source.in_transaction
         held = plans.get(kind)
         if held is None or held[0] != token:
             # Resolved once: where in the concatenated elements of one
@@ -415,15 +417,17 @@ class QueryEngine:
                 schema = source.relation(b.range.relation).schema
                 places[b.var] = (offset, schema)
                 offset += len(schema.fields)
-            held = plans[kind] = (token, None, chunk_getter([
+            held = (token, None, chunk_getter([
                 places[column.var][0] + places[column.var][1].field_position(column.field)
                 for column in prepared.selection.columns
             ]))
+            if keep:
+                plans[kind] = held
         # The decisions kept are the plan's own policy's; another decides for itself.
         decisions = held[1] if options is prepared.options else None
         if decisions is None:
             decisions = [decide_access(source, b.var, b.range, options) for b in bindings]
-            if options is prepared.options and all(d.settled for d in decisions):
+            if keep and options is prepared.options and all(d.settled for d in decisions):
                 plans[kind] = (token, decisions, held[2])
         paths = [decided_path(source, b.var, b.range, d) for b, d in zip(bindings, decisions)]
         return paths, held[2]

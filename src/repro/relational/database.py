@@ -452,8 +452,8 @@ class Database:
         (:class:`~repro.relational.mvcc.ValueListMemo`)."""
         return self._snapshots.value_lists
 
-    def pin_snapshot(self) -> DatabaseSnapshot:
-        """Pin a consistent committed snapshot of every base relation.
+    def pin_snapshot(self, journal: UndoJournal | None = None) -> DatabaseSnapshot:
+        """Pin a consistent snapshot of every base relation.
 
         The snapshot shares the relations' element dicts (no copying); the
         copy-on-write rule makes writers swap in fresh dicts before mutating
@@ -461,11 +461,13 @@ class Database:
         lock.  While a transaction is active the snapshot serves the
         *committed* pre-transaction image — for each relation the
         transaction has touched, the first such pin pays one dict copy to
-        rebuild it.  Release it (or drain the cursor that holds it) promptly
-        — every live pin forces one dict copy per subsequently mutated
-        relation.
+        rebuild it — unless ``journal`` is that transaction's own: then it
+        is the transaction's statement snapshot, its writes so far included.
+        Release it (or drain the cursor that holds it) promptly — every live
+        pin forces one dict copy per subsequently mutated relation; the
+        release folds the pin's private statistics into :attr:`statistics`.
         """
-        return self._snapshots.pin(self)
+        return self._snapshots.pin(self, journal)
 
     # -- relation management ---------------------------------------------------------
 
@@ -493,9 +495,9 @@ class Database:
         else:
             relation = Relation(name, schema, elements=elements, tracker=self.statistics)
         # Catalog insert + registry bind happen under the registry lock:
-        # snapshot pins iterate the relation dict under that lock (outside
-        # the execution lock), so a concurrent reader must never observe
-        # the dict mid-resize.
+        # snapshot pins iterate the relation dict under that lock (and
+        # under no other), so a concurrent reader must never observe the
+        # dict mid-resize.
         with self._snapshots.lock:
             self._relations[name] = relation
             relation.bind_registry(self._snapshots)

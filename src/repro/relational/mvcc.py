@@ -1,9 +1,9 @@
 """Multi-version snapshot reads: pinned copy-on-write relation views.
 
-The execution lock of the connection front door serializes *everything* —
-including read-only queries that never touch shared mutable state beyond the
-relation element maps.  This module removes that bottleneck with a small
-MVCC scheme at relation-dict granularity:
+Every read through the front door runs on a pin, so one query reads one
+database state — the construction phase dereferences what the collection
+phase collected from the same state — and readers need no lock.  The scheme
+works at relation-dict granularity:
 
 **Pin rule.**  A reader pins a snapshot: under the registry lock it captures,
 for every base relation, a reference to the relation's current element dict
@@ -44,8 +44,15 @@ so the next pin sees the new (or restored) state.
 Consistency granularity is the transaction: a pin taken at any point during
 a writer's transaction observes exactly the pre-transaction contents and
 version of every relation.  (Non-transactional mutations are applied
-atomically per element — a pin between two such mutations sees a prefix,
-which is the same guarantee serialized execution gave.)
+atomically per element — a pin between two such mutations sees a prefix.)
+
+**Statement pins.**  A pin taken with the open transaction's own journal
+captures the live dicts — the transaction's writes so far — and skips the
+overlay; later writes copy on write as anyone's do.  Such a pin
+(``in_transaction``) reads the shared slots and memos, whose tokens are
+exact, and publishes to none of them; and a committed pin holding an
+overlay image waives the writer's copy only while no statement pin, which
+may hold the live dict, is live (``own_pins``).
 
 **Index view rule.**  The live permanent indexes are maintained in place by
 writers, so a pin never probes them.  Relations are keyed, though: the pinned
@@ -89,8 +96,8 @@ finished ones per database, each under the ``schema_version`` and contents
 versions it was built from — the same token as above.  An entry is
 published complete and only read afterwards; a newer token replaces an
 older one and never the reverse (a pin older than the entry builds
-privately, as with the views); nothing is published from inside an open
-transaction, whose contents may yet be rolled back.
+privately, as with the views); a statement pin publishes nothing, since
+its transaction may yet roll back.
 """
 
 from __future__ import annotations
@@ -189,12 +196,12 @@ class SnapshotRegistry:
         self.epoch = 0
         #: Number of live (unreleased) snapshots.
         self.active = 0
-        #: Whether a session transaction is currently journaling mutations.
-        self.tx_active = False
-        #: The undo journal of that transaction — the identity guard: a
-        #: completion reported by a journal that is no longer the current
-        #: transaction (a stale rollback racing a successor's begin) must
-        #: not clear the successor's overlay state.
+        #: How many of them are statement pins (they hold live dicts).
+        self.own_pins = 0
+        #: The undo journal of the transaction journaling mutations, if any —
+        #: also the identity guard: a completion reported by a journal that
+        #: is no longer the current transaction (a stale rollback racing a
+        #: successor's begin) must not clear the successor's overlay state.
         self.tx_journal = None
         #: relation name -> (committed element dict, committed per-relation
         #: version) of relations the transaction has touched — filled by the
@@ -213,7 +220,6 @@ class SnapshotRegistry:
             self.tx_journal = journal
             self.overlay.clear()
             self.committed_data_version = self._statistics.mutation_epoch
-            self.tx_active = True
 
     def transaction_finished(self, journal) -> None:
         """``journal``'s outcome is applied (commit, or rollback replayed).
@@ -228,30 +234,38 @@ class SnapshotRegistry:
             if self.tx_journal is not journal:
                 return
             self.tx_journal = None
-            self.tx_active = False
             self.overlay.clear()
             self.committed_data_version = self._statistics.mutation_epoch
 
     # -- pinning -----------------------------------------------------------------------
 
-    def pin(self, database) -> "DatabaseSnapshot":
-        """Capture a consistent committed snapshot of ``database``'s base relations: per
-        relation its dict and version (:meth:`DatabaseSnapshot.relation` builds the view)."""
+    def pin(self, database, journal=None) -> "DatabaseSnapshot":
+        """Capture a consistent snapshot of ``database``'s base relations — per
+        relation its dict and version: the committed ones, or the live ones
+        when ``journal`` is the open transaction's (a statement pin)."""
         with self.lock:
             self.epoch += 1
             self.active += 1
-            if self.tx_active:
-                data_version = self.committed_data_version
-            else:
+            own = journal is not None and journal is self.tx_journal
+            if self.tx_journal is None or own:
                 data_version = self._statistics.mutation_epoch
+            else:
+                data_version = self.committed_data_version
             snapshot = DatabaseSnapshot(
                 registry=self,
                 name=database.name,
                 schema_version=database.schema_version,
                 data_version=data_version,
                 indexes=database._indexes,
+                in_transaction=own,
             )
             captured, versions = snapshot._captured, snapshot.relation_versions
+            if own:
+                self.own_pins += 1
+                for name, relation in database._relations.items():
+                    captured[name] = relation, relation._elements
+                    versions[name] = relation._version
+                return snapshot
             journal = self.tx_journal
             for name, relation in database._relations.items():
                 stashed = self.overlay.get(name)
@@ -263,20 +277,23 @@ class SnapshotRegistry:
                         self.overlay[name] = stashed
                 if stashed is None:
                     stashed = relation._elements, relation._version
-                elif stashed[0] is not relation._elements:
-                    # The pin holds an image, not the live dict; the
-                    # writer need not copy the live dict for this pin.
+                elif stashed[0] is not relation._elements and not self.own_pins:
+                    # An image, not the live dict, and no statement pin may
+                    # hold the live one: the writer need not copy it.
                     relation._cow_epoch = self.epoch
                 captured[name], versions[name] = (relation, stashed[0]), stashed[1]
         return snapshot
 
     def release(self, snapshot: "DatabaseSnapshot") -> None:
-        """Un-pin ``snapshot`` (idempotent)."""
+        """Un-pin ``snapshot`` and fold its private statistics into the
+        database's tracker — once (idempotent)."""
         with self.lock:
             if snapshot._released:
                 return
             snapshot._released = True
             self.active -= 1
+            if snapshot.in_transaction:
+                self.own_pins -= 1
             # A published view of contents the committed state has moved
             # past serves no later pin; it only keeps that dict and a
             # reference per element alive on the catalogued index.
@@ -293,6 +310,7 @@ class SnapshotRegistry:
                 )
                 if slot[0] != committed:
                     catalogued.snapshot_view = None
+        self._statistics.merge(snapshot.statistics)
 
 
 class SnapshotRelation(Relation):
@@ -371,9 +389,11 @@ class DatabaseSnapshot:
     it: a read pays for the relations it reads.
     """
 
-    def __init__(self, registry: SnapshotRegistry, name: str,
-                 schema_version: int, data_version: int, indexes: dict) -> None:
+    def __init__(self, registry: SnapshotRegistry, name: str, schema_version: int,
+                 data_version: int, indexes: dict, in_transaction: bool = False) -> None:
         self._registry = registry
+        #: A statement pin: it reads the shared slots and memos, writes none.
+        self.in_transaction = in_transaction
         #: The index catalog as pinned; index DDL replaces the database's
         #: dict, so this one never changes.
         self._indexes = indexes
@@ -429,10 +449,6 @@ class DatabaseSnapshot:
     # -- engine surface ----------------------------------------------------------------
 
     @property
-    def in_transaction(self) -> bool:
-        return False
-
-    @property
     def value_lists(self) -> ValueListMemo:
         return self._registry.value_lists
 
@@ -463,7 +479,7 @@ class DatabaseSnapshot:
                 tracker=self.statistics,
                 name=catalogued.name,
             ).build()
-            if slot is None or slot[0] <= version:
+            if not self.in_transaction and (slot is None or slot[0] <= version):
                 catalogued.snapshot_view = (version, view)
         self._views[key] = view
         return view
@@ -498,7 +514,7 @@ class DatabaseSnapshot:
         if noted:
             return catalogued, len(self._captured[relation_name][1])
         self._views[key] = None
-        if slot is None or slot[0] < version:
+        if not self.in_transaction and (slot is None or slot[0] < version):
             catalogued.snapshot_view = (version, None)
         return None, 0
 

@@ -91,10 +91,9 @@ class AccessStatistics:
         # whether cached collection-phase structures are still valid.
         self._mutation_epoch = 0
         # Serializes the bulk read-modify-write operations (merge, reset)
-        # against each other: a snapshot execution merges its private
-        # counters into the shared tracker outside the execution lock, so
-        # without this a live-path reset could land mid-merge and lose (or
-        # double) counts.  Individual record_* increments stay unlocked —
+        # against each other: pins merge their private counters into the
+        # shared tracker from any reader thread, so without this a reset
+        # could land mid-merge and lose (or double) counts.  Individual record_* increments stay unlocked —
         # they are single counters and accounting-only.
         self._lock = threading.Lock()
         self.intermediate_tuples = 0
@@ -319,7 +318,7 @@ class AccessStatistics:
 
         Serialized against concurrent :meth:`merge` / :meth:`reset` calls:
         snapshot releases merge from arbitrary reader threads while the
-        live path resets between executions.
+        engine door resets between executions.
         """
         with self._lock:
             for name, counters in other._relations.items():

@@ -12,10 +12,10 @@ package exploits that separation operationally:
   shape (its lexemes with the constants lifted out: texts that differ only
   in constants share a plan), strategy options and schema version, hits
   validated against the relation-emptiness signature, with hit/miss
-  counters in the shared access statistics;
+  counters in the statistics of the execution a lookup serves;
 * :class:`QueryService` — the thread-safe ``prepare`` / ``execute`` /
-  ``execute_batch`` facade; a batch is one request after another through
-  the per-binding memos, under one hold of the execution lock.
+  ``execute_batch`` facade; every execution reads a pinned snapshot, and a
+  batch is one request after another through the per-binding memos.
 """
 
 from repro.service.binding import bind_plan, bind_selection, check_bindings, collect_parameters

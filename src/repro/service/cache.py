@@ -23,10 +23,11 @@ data, and it depends only on which range relations are empty, so a plan is
 safely reusable until a relation it ranges over transitions between empty
 and non-empty; the recompiled plan then overwrites the entry.
 
-Hit/miss counts are recorded in the shared
-:class:`~repro.relational.statistics.AccessStatistics`
-(``plan_cache_hits`` / ``plan_cache_misses``), next to the paper's access
-counters.
+Hit/miss counts are recorded in the
+:class:`~repro.relational.statistics.AccessStatistics` of the state the
+request runs on (``plan_cache_hits`` / ``plan_cache_misses``), next to the
+paper's access counters: a pin's private tracker, which its release folds
+into the database's.
 """
 
 from __future__ import annotations
@@ -91,17 +92,16 @@ class PlanCache:
     dropped (mirroring ``ServiceOptions.collection_cache_size`` semantics).
     """
 
-    def __init__(self, capacity: int = 128, statistics=None) -> None:
+    def __init__(self, capacity: int = 128) -> None:
         if capacity < 0:
             raise PlanError(f"plan cache capacity must be non-negative, got {capacity}")
         self.capacity = capacity
-        self.statistics = statistics
         self._entries = BoundedLRU(capacity)
         self._hits = 0
         self._misses = 0
         self._counter_lock = threading.Lock()
 
-    def lookup(self, key: Hashable, validate=None):
+    def lookup(self, key: Hashable, validate=None, statistics=None):
         """The cached entry for ``key``, or ``None`` — recording hit or miss.
 
         ``validate``, when given, is called with the found entry; a falsy
@@ -110,10 +110,9 @@ class PlanCache:
         emptiness signature.
 
         Counts go two places: the cache's own monotonic counters (reported
-        by :meth:`info`) and the shared access statistics, whose
-        ``plan_cache_hits`` / ``plan_cache_misses`` reset with the other
-        per-query counters so snapshots stay windowed like every other
-        counter.
+        by :meth:`info`) and ``statistics``, the tracker of the execution
+        the lookup serves, so its ``plan_cache_hits`` / ``plan_cache_misses``
+        sit next to that execution's other counters.
         """
         entry = self._entries.get(key)
         if entry is not None and validate is not None and not validate(entry):
@@ -123,8 +122,8 @@ class PlanCache:
                 self._hits += 1
             else:
                 self._misses += 1
-            if self.statistics is not None:
-                self.statistics.record_plan_cache(hit=entry is not None)
+            if statistics is not None:
+                statistics.record_plan_cache(hit=entry is not None)
         return entry
 
     def store(self, key: Hashable, entry: object) -> None:

@@ -9,11 +9,11 @@ produced for one (possibly parameterized) query:
 * the :class:`~repro.config.StrategyOptions` the plan was prepared under, and
 * the declared parameters with their resolved scalar types.
 
-Each :meth:`execute` call late-binds a set of parameter values into the plan
+Each :meth:`start` call late-binds a set of parameter values into the plan
 (:func:`~repro.service.binding.bind_plan` — a structural substitution, no
 re-transformation) and hands the bound plan to
 :meth:`~repro.engine.evaluator.QueryEngine.execute_plan`, which starts
-directly at the collection phase.
+directly at the collection phase on the pinned snapshot it is given.
 
 Texts that differ only in their constants share one compiled plan: the
 service compiles a text with its literals lifted to positional parameters
@@ -25,7 +25,6 @@ itself and the parameters it shows (the ``$names`` the text wrote).
 from __future__ import annotations
 
 import copy
-import threading
 import weakref
 from typing import Any, Mapping, Sequence
 
@@ -58,7 +57,6 @@ class PreparedQuery:
         text: str | None = None,
         source=None,
         collection_cache_size: int = 32,
-        lock: threading.RLock | None = None,
         lifted: int = 0,
     ) -> None:
         self._engine = engine
@@ -90,14 +88,10 @@ class PreparedQuery:
         self._referenced_sorted = tuple(sorted(self.referenced_relations))
         self.prepared_emptiness = self._empty_relations(source)
         # Per-binding memos, LRU-bounded.  ``_bound_plans`` skips the
-        # substitution walk for bindings seen before; the other two reuse
+        # substitution walk for bindings seen before; ``_collections`` reuses
         # whole collection-phase results while every relation the query
         # ranges over provably holds what it held (``version_token`` of them:
         # the memo survives writes to relations the query never reads).
-        # Results computed on the live database and on pins are kept apart:
-        # a collection's references dereference through the relation objects
-        # they were collected from, and a pin must never read through the
-        # live relation, which a writer mutates under the reader.
         # BoundedLRU is thread-safe, and what hangs off a memoized
         # collection result (reference ids, the combination plan, its
         # operands' hash tables) is published complete and then only
@@ -105,7 +99,6 @@ class PreparedQuery:
         self._cache_size = max(collection_cache_size, 0)
         self._bound_plans = BoundedLRU(self._cache_size)
         self._collections = BoundedLRU(self._cache_size)
-        self._snapshot_collections = BoundedLRU(self._cache_size)
         # Literal values -> the ``for_text`` handle binding them, so a text
         # prepared again (in any spelling of its trivia) gets the handle it
         # got before, as a literal-free text gets the one cached object.
@@ -113,19 +106,13 @@ class PreparedQuery:
         # would tie every handle — and through its engine the database —
         # into a cycle only the garbage collector could free.
         self._handles: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-        # Executions on the live database serialize on this lock (its
-        # statistics and buffer pool are unsynchronized hot paths).
-        # QueryService shares its own execution lock so direct
-        # ``prepared.execute`` calls and service calls exclude each other.
-        self._lock = lock if lock is not None else threading.RLock()
 
     def for_text(self, text: str, literals: Sequence[Any]) -> "PreparedQuery":
         """The handle of one text of this shape: ``literals`` are its constants.
 
-        Shares the compiled plan, the three memos and the lock with this
-        object; differs in its text and in binding ``literals`` (in source
-        order, coerced here through the compared components' types) by
-        itself.  Raises
+        Shares the compiled plan and the memos with this object; differs in
+        its text and in binding ``literals`` (in source order, coerced here
+        through the compared components' types) by itself.  Raises
         :class:`~repro.errors.BindingError` when a literal is no value of its
         component's type — the caller then compiles the text as written for
         the error a user should see.
@@ -286,27 +273,21 @@ class PreparedQuery:
             self._bound_plans.put(key, plan)
         return plan
 
-    def execute(
-        self,
-        values: Mapping[str, Any] | None = None,
-        reset_statistics: bool = True,
-    ) -> QueryResult:
-        """Run the prepared plan on the live database and return the finished result.
+    def execute(self, values: Mapping[str, Any] | None = None) -> QueryResult:
+        """:meth:`start` on a pin of the committed state, drained, the pin released.
 
-        :meth:`start`, drained, under this handle's lock.  Raises
-        :class:`~repro.errors.PlanError` when the catalog changed since this
-        query was prepared — re-prepare through the service (its cache keys
-        on the schema version, so that is cheap).
+        Raises :class:`~repro.errors.PlanError` when the catalog changed since
+        this query was prepared — re-prepare through the service (its cache
+        keys on the schema version, so that is cheap).
         """
-        with self._lock:
-            self.ensure_fresh()
-            return self.start(values, reset_statistics=reset_statistics, drain=True)
+        with self._engine.database.pin_snapshot() as source:
+            self.ensure_fresh(source)
+            return self.start(values, source, drain=True)
 
     def start(
         self,
-        values: Mapping[str, Any] | None = None,
-        source=None,
-        reset_statistics: bool = True,
+        values: Mapping[str, Any] | None,
+        source,
         drain: bool = False,
     ) -> QueryResult:
         """Bind ``values`` and start one execution on ``source`` — the one body.
@@ -315,14 +296,17 @@ class PreparedQuery:
         plan structure, and execution starts at the collection phase; the
         rows are pulled through the result's ``row_iterator``
         (:meth:`QueryEngine.execute_plan`), or all at once with ``drain``.
-        ``source`` is the live database (the default; the caller holds this
-        handle's lock and has checked :meth:`ensure_fresh`) or a pinned
-        snapshot this plan fits (no lock: a pin is private to its reader).
+        ``source`` is a pinned snapshot this plan fits (the caller has
+        checked :meth:`ensure_fresh`); it is private to its reader, so no
+        lock is taken, and its tracker keeps counting what the caller
+        charged before.
 
         While the relations the query ranges over hold what they held, the
         collection-phase structures for a binding set are reused across
         executions; the collection phase runs before this returns, so the
-        memo fills whether or not a row is ever fetched.
+        memo fills whether or not a row is ever fetched — except from a
+        transaction's statement pin, which reads the memo and publishes
+        nothing to it (its contents may yet be rolled back).
         """
         # Validate/coerce BEFORE consulting the memos, and key on the
         # coerced values: a hash-equal but type-invalid binding (1977.0 for
@@ -330,13 +314,10 @@ class PreparedQuery:
         coerced = self._coerce_bindings(values)
         key = self._bindings_key(coerced)
         plan = self._bound_plan(coerced, key)
-        database = self._engine.database
-        if source is None:
-            source = database
         memo = collection = None
         if key is not None and self._cache_size > 0 and plan.constant is None:
             # (A constant matrix collects nothing: its plan keeps what it decides.)
-            memo = self._collections if source is database else self._snapshot_collections
+            memo = self._collections
             # Read before execution, which builds only untracked result
             # relations and so cannot move a version itself.
             token = version_token(source, self._referenced_sorted)
@@ -347,13 +328,14 @@ class PreparedQuery:
         result = self._engine.execute_plan(
             plan,
             self.options,
-            reset_statistics=reset_statistics,
+            reset_statistics=False,
             collection=collection,
             collection_sink=computed.append,
             source=source,
         )
         # The sink is only called with a collection computed for this very plan.
-        if memo is not None and computed and not result.used_strategy3_fallback:
+        publish = computed and not (result.used_strategy3_fallback or source.in_transaction)
+        if memo is not None and publish:
             memo.put(key, (token, computed[0]))
         if drain:
             result.drain()

@@ -12,12 +12,11 @@ expose.  It wraps a :class:`~repro.engine.evaluator.QueryEngine` with:
 * **parameterized execution** — ``execute(text, {"year": 1977})`` late-binds
   values into the cached plan instead of recompiling;
 * **batch execution** — ``execute_batch`` runs many requests one after
-  another under one hold of the execution lock, each through the same
-  prepared handle and per-binding memos a single ``execute`` uses;
-* **thread safety** — the cache takes its own lock, and executions are
-  serialized over the engine's database (whose access statistics, buffer
-  pool and intermediate bookkeeping are deliberately unsynchronized hot
-  paths), so concurrent callers see consistent results and counters.
+  another, each through the same prepared handle and per-binding memos a
+  single ``execute`` uses;
+* **thread safety** — every execution reads a pinned snapshot with private
+  counters (:mod:`repro.relational.mvcc`), and the cache and memos take
+  their own locks, so concurrent callers need no lock of the service's.
 """
 
 from __future__ import annotations
@@ -84,7 +83,6 @@ class QueryService:
         service_options: ServiceOptions | None = None,
         *,
         engine: QueryEngine | None = None,
-        execution_lock: threading.RLock | None = None,
         cache: PlanCache | None = None,
     ) -> None:
         self.database = database
@@ -92,14 +90,7 @@ class QueryService:
         self.service_options = service_options or ServiceOptions()
         cache_capacity = self.service_options.plan_cache_capacity
         self.engine = engine if engine is not None else QueryEngine(database, self.options)
-        self.cache = (
-            cache
-            if cache is not None
-            else PlanCache(cache_capacity, statistics=database.statistics)
-        )
-        self._execution_lock = (
-            execution_lock if execution_lock is not None else threading.RLock()
-        )
+        self.cache = cache if cache is not None else PlanCache(cache_capacity)
         # Raw text -> (cache key, literal values).  Repeated executions of the
         # *same string* skip the scan; texts that differ only in trivia or in
         # constants still meet at the shape.  ``None`` for the literals marks
@@ -120,11 +111,11 @@ class QueryService:
     ) -> "QueryService":
         """A sibling service with different defaults over the same machinery.
 
-        Shares this service's engine, execution lock and plan cache (cache
-        keys embed the strategy options, so entries never cross over), which
-        is how per-session :class:`~repro.config.StrategyOptions` /
-        :class:`~repro.config.ServiceOptions` overrides work without opening
-        a second serialization domain.  The shared cache keeps its capacity,
+        Shares this service's engine and plan cache (cache keys embed the
+        strategy options, so entries never cross over), which is how
+        per-session :class:`~repro.config.StrategyOptions` /
+        :class:`~repro.config.ServiceOptions` overrides work without a second
+        cache.  The shared cache keeps its capacity,
         so an override asking for another ``plan_cache_capacity`` is a
         :class:`~repro.errors.PlanError`, not silently ignored.
         """
@@ -140,7 +131,6 @@ class QueryService:
             options=options or self.options,
             service_options=service_options or self.service_options,
             engine=self.engine,
-            execution_lock=self._execution_lock,
             cache=self.cache,
         )
 
@@ -207,9 +197,9 @@ class QueryService:
 
         ``source`` is the state the plan will run on — the live database
         when omitted, or a pinned snapshot: its catalog version keys the
-        lookup, a hit is validated against its emptiness, and a miss is
-        compiled against it, so a plan is never prepared against one state
-        and run on another.
+        lookup, a hit is validated against its emptiness, a miss is compiled
+        against it, and its tracker counts the hit or miss, so a plan is
+        never prepared against one state and run on another.
 
         A text is keyed by its *shape*: texts that differ only in their
         constants — numbers, strings, enumeration labels — share one plan,
@@ -244,7 +234,9 @@ class QueryService:
         # since the plan was compiled) counts as a miss: the recompiled plan
         # overwrites the entry under the same key.
         return self.cache.lookup(
-            cache_key, validate=lambda entry: not entry.is_stale(source)
+            cache_key,
+            validate=lambda entry: not entry.is_stale(source),
+            statistics=source.statistics,
         )
 
     def _prepare_shape(
@@ -294,7 +286,6 @@ class QueryService:
             text=text,
             source=source,
             collection_cache_size=self.service_options.collection_cache_size,
-            lock=self._execution_lock,
             lifted=lifted,
         )
 
@@ -306,91 +297,67 @@ class QueryService:
     ) -> QueryResult:
         """Prepare (or reuse) and execute ``query`` with ``parameters`` — eagerly.
 
-        Runs on the live database under the execution lock and returns the
-        finished result.  Statistics are reset before the plan-cache lookup,
-        so the snapshot on the returned result shows this request's
-        ``plan_cache_hits`` / ``plan_cache_misses`` next to its access
-        counters.
+        :meth:`start` on a pin of the committed state, drained: the result
+        is finished and its pin released.  Its statistics are this request's
+        own, the plan-cache hit or miss next to the access counters.
         """
-        _check_request(query, parameters)
-        with self._execution_lock:
-            self.database.reset_statistics()
-            prepared = self._admit(query, options)
-            return prepared.start(parameters, reset_statistics=False, drain=True)
+        return self.start(query, parameters, options).drain()
 
     def start(
         self,
         query: str | Selection | PreparedQuery,
         parameters: Mapping[str, Any] | None = None,
         options: StrategyOptions | None = None,
-        pin: bool = False,
+        journal=None,
     ) -> QueryResult:
         """Prepare (or reuse) ``query`` and start one execution of it, lazily.
 
-        The one way in for cursors.  Compilation, binding, the collection
-        phase and the combination pipeline's set-up run here; the rows flow
-        through ``result.row_iterator``, and ``result.close()`` ends the
-        execution wherever it stands.
+        The one way in.  Compilation, binding, the collection phase and the
+        combination pipeline's set-up run here; the rows flow through
+        ``result.row_iterator``, and ``result.close()`` ends the execution
+        wherever it stands.
 
-        Without ``pin`` the query runs on the live database, as a session's
-        transaction must to read its own writes: the caller holds the
-        execution lock, here and around every fetch.
-
-        With ``pin`` it runs on a :class:`~repro.relational.mvcc.DatabaseSnapshot`
-        of the committed state and needs no lock — the plan cache is
-        thread-safe on its own locks, the pin immutable and private — so any
-        number of readers run beside each other and one writer session.  The
-        pin comes first: the plan is admitted against the very state it runs
-        on.  Its reads go to its private statistics (resetting the shared
-        tracker from outside the lock would clobber the counters of a
-        serialized execution in flight); when the rows end, however they
-        end, the pin is released and those statistics are merged, once.
+        It runs on a :class:`~repro.relational.mvcc.DatabaseSnapshot` and
+        takes no lock: of the committed state, or, when ``journal`` is the
+        open transaction's own, of that transaction's writes up to this
+        call.  The pin comes first, so the plan is admitted against the state
+        it runs on and the pin's tracker counts the plan-cache lookup too;
+        when the rows end, however they end, the pin is released (merging
+        those counters) once.
         """
         _check_request(query, parameters)
-        source = self.database.pin_snapshot() if pin else self.database
+        source = self.database.pin_snapshot(journal)
         try:
-            if not pin:
-                source.reset_statistics()
             prepared = self._admit(query, options, source)
-            result = prepared.start(parameters, source, reset_statistics=False)
+            result = prepared.start(parameters, source)
         except BaseException:
-            self._release(source)
-            raise
-        result.on_close(lambda: self._release(source))
-        return result
-
-    def _release(self, source) -> None:
-        """Un-pin ``source`` and fold its private statistics into the shared tracker."""
-        if source is not self.database:
             source.release()
-            self.database.statistics.merge(source.statistics)
+            raise
+        result.on_close(source.release)
+        return result
 
     # -- batch execution ---------------------------------------------------------------
 
     def execute_batch(
         self,
-        requests: Iterable[
-            str | Selection | PreparedQuery | tuple | Sequence
-        ],
+        requests: Iterable[str | Selection | PreparedQuery | tuple | Sequence],
         options: StrategyOptions | None = None,
+        journal=None,
     ) -> list[QueryResult]:
-        """Execute many queries eagerly, one after another, under one hold of
-        the execution lock.
+        """Execute many queries eagerly, one after another.
 
         Each request is a query (text, selection or :class:`PreparedQuery`)
         or a ``(query, parameters)`` pair; every request is checked before
-        the first is compiled.  Each runs as :meth:`execute` would, through
-        its handle's per-binding memos.  Results come back in request order.
-        The statistics are reset once, so each result's snapshot counts the
-        batch up to its end and the last one's the whole batch.
+        the first is compiled.  Each runs as :meth:`start` would, on a pin
+        of its own (``journal`` as there), drained, through its handle's
+        per-binding memos.  Results come back in request order, each with
+        its own statistics.
         """
         pairs = _check_batch(requests)
-        with self._execution_lock:
-            self.database.reset_statistics()
-            return [
-                self._admit(query, options).start(parameters, reset_statistics=False, drain=True)
-                for query, parameters in pairs
-            ]
+        return [
+            self.start(query, parameters, options, journal).drain()
+            for query, parameters in pairs
+        ]
 
     # -- maintenance -------------------------------------------------------------------
 

@@ -8,20 +8,20 @@ The MVCC contract of ``relational/mvcc.py`` and its connection front door:
   hold: it copies first, so pinned views are immutable by construction.
 * **Committed overlay** — a pin taken while a transaction is journaling sees
   the pre-transaction contents and data version of every relation.
-* **Routing** — connection-level cursors execute on a snapshot (outside the
-  execution lock); session cursors keep the serialized live path so a
-  transaction reads its writes.
+* **Routing** — every front-door read executes on a snapshot: a connection
+  cursor on the committed state, a session cursor inside a transaction on
+  that transaction's statement snapshot, so the transaction reads its writes.
 
 Equivalence is the acceptance bar: snapshot rows must be byte-identical to
-serialized execution (a session cursor's) across the named-query matrix, on
-both backends.
+the engine door's (``QueryEngine.run`` on the database) across the
+named-query matrix, on both backends.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro import SnapshotError, connect, execute_naive
+from repro import QueryEngine, SnapshotError, connect, execute_naive
 from repro.errors import BindingError
 from repro.relational.database import Database
 from repro.types.scalar import INTEGER
@@ -48,6 +48,7 @@ _MATRIX = (
     OTHERS_PUBLISHED_1977_TEXT,
     PUBLISHING_TEACHERS_TEXT,
 )
+_PROFESSOR = {"status": "professor"}
 
 
 def _scratch_database(paged: bool) -> Database:
@@ -153,16 +154,9 @@ class TestCursorRouting:
     def test_connection_cursor_runs_on_a_snapshot(self, figure1):
         connection = connect(figure1)
         cursor = connection.cursor().execute(PROFESSORS_TEXT)
-        assert cursor._snapshot
+        assert figure1._snapshots.active == 1
         assert cursor.fetchall()
-        connection.close()
-
-    def test_session_cursor_outside_a_transaction_keeps_the_live_path(self, figure1):
-        connection = connect(figure1)
-        cursor = connection.session().cursor().execute(PROFESSORS_TEXT)
-        assert not cursor._snapshot
-        assert figure1._snapshots.active == 0  # no pin taken
-        assert cursor.fetchall()
+        assert figure1._snapshots.active == 0
         connection.close()
 
     def test_session_cursor_reads_its_own_writes(self, figure1):
@@ -175,14 +169,14 @@ class TestCursorRouting:
             cursor = session.cursor().execute(
                 "[<s.k> OF EACH s IN scratch: (s.v = 10)]"
             )
-            assert not cursor._snapshot
+            assert figure1._snapshots.own_pins == 1  # the statement pin
             assert [record.values for record in cursor.fetchall()] == [(1,)]
             # A concurrent connection-level cursor must NOT see the
             # uncommitted insert: its pin serves the committed overlay.
             outside = connection.cursor().execute(
                 "[<s.k> OF EACH s IN scratch: (s.v = 10)]"
             )
-            assert outside._snapshot
+            assert figure1._snapshots.active == 1 and figure1._snapshots.own_pins == 0
             assert outside.fetchall() == []
         connection.close()
 
@@ -226,6 +220,54 @@ class TestCursorRouting:
         assert private["elements_read"] >= len(rows)
         shared = figure1.statistics.as_dict()["relations"]["employees"]
         assert shared["elements_read"] >= private["elements_read"]
+        connection.close()
+
+
+class TestEveryDoorReadsAPin:
+    """Every front-door entry point runs its execution on a pin — a
+    statement pin inside a session's transaction, a committed pin anywhere
+    else — and holds it exactly as long as its result is open."""
+
+    DOORS = {
+        "connection cursor": lambda c, s, h: c.cursor().execute(STATUS_PARAM_TEXT, _PROFESSOR),
+        "session cursor": lambda c, s, h: c.session().cursor().execute(
+            STATUS_PARAM_TEXT, _PROFESSOR),
+        "session cursor in a transaction": lambda c, s, h: s.cursor().execute(
+            STATUS_PARAM_TEXT, _PROFESSOR),
+        "service.execute": lambda c, s, h: c.service.execute(STATUS_PARAM_TEXT, _PROFESSOR),
+        "execute_batch": lambda c, s, h: c.service.execute_batch(
+            [(STATUS_PARAM_TEXT, _PROFESSOR)] * 2),
+        "executemany": lambda c, s, h: c.executemany(STATUS_PARAM_TEXT, [_PROFESSOR] * 2),
+        "PreparedQuery.execute": lambda c, s, h: h.execute(_PROFESSOR),
+    }
+
+    @pytest.mark.parametrize("door", list(DOORS))
+    def test_the_door_holds_a_pin_while_its_result_is_open(self, figure1, door, monkeypatch):
+        registry = figure1._snapshots
+        seen = []
+        execute_plan = QueryEngine.execute_plan
+
+        def observed(engine, plan, *args, source=None, **kwargs):
+            seen.append((type(source).__name__, registry.active, source.in_transaction))
+            return execute_plan(engine, plan, *args, source=source, **kwargs)
+
+        monkeypatch.setattr(QueryEngine, "execute_plan", observed)
+        connection = connect(figure1)
+        session = connection.session()
+        session.begin()
+        handle = connection.prepare(STATUS_PARAM_TEXT)
+        opened = self.DOORS[door](connection, session, handle)
+        own = door == "session cursor in a transaction"
+        assert seen and all(entry == ("DatabaseSnapshot", 1, own) for entry in seen), seen
+        if hasattr(opened, "fetchall"):  # a cursor
+            lazy = door != "executemany"
+            assert registry.active == int(lazy) and registry.own_pins == int(lazy and own)
+            rows = opened.fetchall()
+        else:  # eager: drained, its pin released
+            assert registry.active == 0
+            rows = opened.rows if hasattr(opened, "rows") else opened[-1].rows
+        assert rows and registry.active == 0 and registry.own_pins == 0
+        session.rollback()
         connection.close()
 
 
@@ -329,19 +371,14 @@ class TestEveryEndReleasesThePin:
 
 class TestEquivalenceMatrix:
     @pytest.mark.parametrize("paged", [False, True], ids=["memory", "paged"])
-    def test_snapshot_rows_byte_identical_to_serialized(self, paged):
+    def test_snapshot_rows_byte_identical_to_the_engine_door(self, paged):
+        database = build_university_database(scale=2, paged=paged)
+        engine = QueryEngine(database)
+        connection = connect(database)
         for query in _MATRIX:
-            fetched = {}
-            for pinned in (False, True):
-                database = build_university_database(scale=2, paged=paged)
-                connection = connect(database)
-                cursor = (connection if pinned else connection.session()).cursor()
-                fetched[pinned] = [
-                    record.values for record in cursor.execute(query).fetchall()
-                ]
-                assert cursor._snapshot is pinned
-                connection.close()
-            assert fetched[True] == fetched[False], query
+            pinned = [record.values for record in connection.execute(query).fetchall()]
+            assert pinned == [record.values for record in engine.run(query).rows], query
+        connection.close()
 
     def test_repeat_snapshot_executions_are_deterministic(self, figure1):
         connection = connect(figure1)
@@ -359,7 +396,7 @@ class TestEquivalenceMatrix:
         connection = connect(figure1)
         first = connection.execute(EXAMPLE_21_TEXT).fetchall()
         prepared = connection.service._admit(EXAMPLE_21_TEXT, None)
-        assert len(prepared._snapshot_collections) == 1
+        assert len(prepared._collections) == 1
         with connection.session():
             scratch.insert({"k": 1})
         cursor = connection.cursor().execute(EXAMPLE_21_TEXT)
@@ -385,15 +422,15 @@ class TestEquivalenceMatrix:
 
     @staticmethod
     def _both_sources(connection, handle, parameters=None):
-        """``handle``'s rows through a connection cursor (a pin) and a session's (live)."""
+        """``handle``'s rows through a connection cursor (a committed pin) and
+        a session cursor inside a transaction (its statement pin)."""
         pinned = connection.cursor().execute(handle, parameters)
-        assert pinned._snapshot
         with connection.session() as session:
-            live = session.cursor().execute(handle, parameters)
-            assert not live._snapshot
+            statement = session.cursor().execute(handle, parameters)
+            assert connection.database._snapshots.own_pins == 1
             return (
                 [record.values for record in pinned.fetchall()],
-                [record.values for record in live.fetchall()],
+                [record.values for record in statement.fetchall()],
             )
 
     def test_one_handle_gives_the_same_rows_in_the_same_order_on_both_sources(
@@ -403,21 +440,21 @@ class TestEquivalenceMatrix:
         for database, text, binding in library_requests:
             with connect(database) as connection:
                 handle = connection.prepare(text)
-                pinned, live = self._both_sources(connection, handle, binding)
-                assert pinned == live, (text, binding)
+                pinned, statement = self._both_sources(connection, handle, binding)
+                assert pinned == statement, (text, binding)
                 assert pinned == [r.values for r in handle.execute(binding).rows]
 
-    def test_pin_and_live_choose_the_same_join_orders(self):
+    def test_committed_and_statement_pins_choose_the_same_join_orders(self):
         text = (
             "[<e.ename> OF EACH e IN employees: SOME p IN papers (SOME t IN timetable"
             " ((e.enr <> p.penr) AND (e.enr = t.tenr) AND (p.pyear = 1977)))]"
         )
         orders = {}
-        for source in ("pin", "live"):
+        for source in ("committed", "statement"):
             database = build_university_database(scale=1)
             connection = connect(database)
             handle = connection.prepare(text)
-            if source == "pin":
+            if source == "committed":
                 cursor = connection.cursor()
                 cursor.execute(handle).fetchall()
             else:
@@ -426,45 +463,8 @@ class TestEquivalenceMatrix:
                     cursor.execute(handle).fetchall()
             orders[source] = cursor.result.combination.join_orders
             connection.close()
-        assert orders["pin"] and all(orders["pin"]), "no join order was chosen"
-        assert orders["pin"] == orders["live"]
-
-    def test_a_memo_warmed_on_the_live_database_is_not_served_to_a_pin(self, figure1):
-        # A collection's references dereference through the relation objects
-        # they were collected from.  Served to a pin, the live ones would
-        # read through the relation a writer is changing under the reader.
-        connection = connect(figure1)
-        with connection.session() as session:
-            warm = [r.values for r in session.cursor().execute(EXAMPLE_21_TEXT).fetchall()]
-        assert warm
-        pinned = connection.cursor().execute(EXAMPLE_21_TEXT)  # pinned, nothing fetched
-        with connection.session():
-            for key in figure1.relation("employees").keys():
-                figure1.relation("employees").delete_key(key)
-        assert len(figure1.relation("employees")) == 0
-        assert [r.values for r in pinned.fetchall()] == warm  # no DanglingReferenceError
-        connection.close()
-
-    def test_live_collection_memo_survives_unrelated_writes(self, figure1):
-        """The live counterpart of the pinned test above: one token discipline."""
-        scratch = figure1.create_relation("scratch", [("k", INTEGER)], key=["k"])
-        connection = connect(figure1)
-        live = connection.session()
-        first = live.execute(EXAMPLE_21_TEXT).fetchall()
-        with connection.session():
-            scratch.insert({"k": 1})
-        cursor = live.cursor().execute(EXAMPLE_21_TEXT)
-        assert not cursor._snapshot
-        assert [r.values for r in cursor.fetchall()] == [r.values for r in first]
-        assert sum(
-            counters["scans"] for counters in cursor.statistics["relations"].values()
-        ) == 0
-        # ... and a write to a relation the query reads still invalidates it.
-        with connection.session():
-            figure1.relation("employees").delete_key(figure1.relation("employees").keys()[0])
-        cursor.execute(EXAMPLE_21_TEXT).fetchall()
-        assert cursor.statistics["relations"]["employees"]["scans"] >= 1
-        connection.close()
+        assert orders["committed"] and all(orders["committed"]), "no join order was chosen"
+        assert orders["committed"] == orders["statement"]
 
 
 class _ProbeLock:
@@ -614,40 +614,19 @@ class TestRegistryLockDiscipline:
         registry.transaction_started(current)
         registry.overlay["r"] = ({}, 0)
         registry.transaction_finished(stale)  # late duplicate: ignored
-        assert registry.tx_active
+        assert registry.tx_journal is current
         assert "r" in registry.overlay
         registry.transaction_finished(current)
-        assert not registry.tx_active
+        assert registry.tx_journal is None
         assert not registry.overlay
-
-
-class TestSnapshotCursorInstall:
-    def test_snapshot_flag_is_set_before_the_result_installs(self, figure1):
-        # Connection._finalize_open_streams (a concurrent rollback) skips
-        # cursors with _snapshot already True; the flag must therefore be
-        # visible no later than the stream itself.
-        connection = connect(figure1)
-        cursor = connection.cursor()
-        flags_at_install: list[bool] = []
-        original = cursor._install
-
-        def probing_install(result):
-            flags_at_install.append(cursor._snapshot)
-            return original(result)
-
-        cursor._install = probing_install
-        cursor.execute(PROFESSORS_TEXT)
-        assert flags_at_install == [True]
-        assert cursor.fetchall()
-        connection.close()
 
 
 class TestSharedStatisticsDiscipline:
     def test_snapshot_execution_does_not_reset_the_shared_tracker(self, figure1):
-        # The snapshot path runs outside the execution lock; resetting the
-        # shared tracker there would clobber an in-flight serialized
-        # execution's counters.  Plant a counter no query ever touches and
-        # check it survives a full snapshot execute + drain.
+        # Pinned executions run concurrently; resetting the shared tracker
+        # from one would clobber the counters of every other.  Plant a
+        # counter no query ever touches and check it survives a full
+        # snapshot execute + drain.
         connection = connect(figure1)
         figure1.statistics.recovered_transactions = 3
         cursor = connection.cursor().execute(PROFESSORS_TEXT)
@@ -783,7 +762,7 @@ class TestIndexProbesThroughTheFrontDoor:
         assert figure1.index_for("employees", "estatus").snapshot_view[1] is None
         connection.close()
 
-    def test_session_cursors_keep_probing_the_live_index(self, figure1):
+    def test_session_cursors_read_their_own_writes_by_key(self, figure1):
         figure1.create_index("employees", "enr", operator="=")
         connection = connect(figure1)
         with connection.session() as session:
@@ -791,8 +770,8 @@ class TestIndexProbesThroughTheFrontDoor:
                 {"enr": 77, "ename": "Pending", "estatus": "student"}
             )
             cursor = session.cursor()
-            assert len(cursor.execute(_POINT, {"enr": 77}).fetchall()) == 1
-            assert cursor.statistics["index_probes"] == 1
+            rows = cursor.execute(_POINT, {"enr": 77}).fetchall()
+            assert [record["enr"] for record in rows] == [77]
             # ... which a concurrent snapshot cursor, on the committed image, cannot see.
             assert connection.cursor().execute(_POINT, {"enr": 77}).fetchall() == []
             session.rollback()

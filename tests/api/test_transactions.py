@@ -598,63 +598,34 @@ class TestRollbackRobustness:
         assert len(index.probe(5)) == 0
 
 
-class TestRollbackFinalizesOpenStreams:
-    """Satellite bugfix: rollback with an open streaming cursor on the same
-    connection used to leave the stream dereferencing before-image state
-    mid-drain.  The pinned behavior: ``rollback()`` finalizes every open
-    live-path stream (releasing breaker state and pinned pages) and later
-    fetches raise ``CursorError`` naming the rollback; snapshot cursors are
-    untouched (their pinned view never depended on the rolled-back state)."""
+class TestRollbackInvalidatesNothing:
+    """Every open result set holds its own pin, so a rollback — of the
+    cursor's own transaction included — leaves it returning exactly the
+    state at its ``execute``, and no stream holds a buffer-pool page."""
 
     @pytest.mark.parametrize("paged", [False, True], ids=["memory", "paged"])
-    def test_rollback_invalidates_open_live_streams(self, paged):
-        from repro import CursorError, connect
+    def test_the_sessions_own_open_cursor_drains_the_state_at_its_execute(self, paged):
+        from repro import QueryEngine, connect
         from repro.workloads.queries import OTHERS_PUBLISHED_1977_TEXT
         from repro.workloads.university import build_university_database
 
         database = build_university_database(scale=2, paged=paged)
-        database.create_relation("scratch", [("k", INTEGER)], key=["k"])
+        employees = database.relation("employees")
         connection = connect(database)
-        # A session cursor outside any transaction reads the live database.
-        cursor = connection.session().cursor().execute(OTHERS_PUBLISHED_1977_TEXT)
-        assert not cursor._snapshot
-        assert cursor.fetchone() is not None  # stream is open mid-drain
-
         session = connection.session()
         session.begin()
-        database.relation("scratch").insert({"k": 1})
+        employees.delete_key(employees.keys()[0])
+        expected = [r.values for r in QueryEngine(database).run(OTHERS_PUBLISHED_1977_TEXT).rows]
+        cursor = session.cursor().execute(OTHERS_PUBLISHED_1977_TEXT)
+        first = cursor.fetchone()
+        assert first is not None
         session.rollback()
-
-        with pytest.raises(CursorError, match="rolled back"):
-            cursor.fetchone()
-        with pytest.raises(CursorError, match="rolled back"):
-            cursor.fetchall()
-        # The finalized stream released its pinned pages.
+        assert [first.values, *[r.values for r in cursor.fetchall()]] == expected
+        assert database._snapshots.active == 0
         for relation in database.relations():
             pool = getattr(relation, "buffer_pool", None)
             if pool is not None:
                 assert pool.pinned_pages() == 0, relation.name
-        # The cursor itself is reusable: the next execute clears the marker.
-        assert cursor.execute(OTHERS_PUBLISHED_1977_TEXT).fetchall()
-        connection.close()
-
-    @pytest.mark.parametrize("paged", [False, True], ids=["memory", "paged"])
-    def test_rollback_invalidates_the_sessions_own_open_cursor(self, paged):
-        from repro import CursorError, connect
-        from repro.workloads.queries import OTHERS_PUBLISHED_1977_TEXT
-        from repro.workloads.university import build_university_database
-
-        database = build_university_database(scale=2, paged=paged)
-        database.create_relation("scratch", [("k", INTEGER)], key=["k"])
-        connection = connect(database)
-        session = connection.session()
-        session.begin()
-        database.relation("scratch").insert({"k": 1})
-        cursor = session.cursor().execute(OTHERS_PUBLISHED_1977_TEXT)
-        assert cursor.fetchone() is not None
-        session.rollback()
-        with pytest.raises(CursorError, match="rolled back"):
-            cursor.fetchone()
         connection.close()
 
     def test_rollback_leaves_snapshot_and_finished_cursors_alone(self, figure1):

@@ -458,8 +458,8 @@ _TOTALS = ("comparisons", "pages_read", "page_hits", "page_misses", "pages_skipp
 #: scans, index_probes, index_entries_read)``, then ``(comparisons, pages_read,
 #: page_hits, page_misses, pages_skipped)``, the row count and the first 16 hex
 #: digits of the SHA-256 of ``repr`` of the fetched rows, in order.  ``memory``
-#: and ``paged`` are session cursors on the live database; ``pinned`` is a
-#: snapshot cursor, which scans, then builds the index view, then probes it.
+#: and ``paged`` are the engine door (``QueryEngine.run``) on the database;
+#: ``pinned`` is a cursor, which scans, then builds the index view, then probes it.
 SELECTION_PINS = {
     ("memory", "point_probe"): [(("employees", 1, 0, 1, 1), (0, 0, 0, 0, 0), 1, "7b60311b5d2cda7b")] * 3,
     ("memory", "range_probe"): [(("papers", 161, 0, 1, 161), (0, 0, 0, 0, 0), 161, "d1b4a4c858533b04")] * 3,
@@ -503,10 +503,14 @@ def test_selection_counters_and_rows_are_what_they_were_row_at_a_time(source, na
     database.create_index("employees", "enr", operator="<=")
     database.create_index("papers", "pyear", operator="<=")
     connection = connect(database)
-    cursor = connection.cursor() if source == "pinned" else connection.session().cursor()
+    cursor, engine = connection.cursor(), QueryEngine(database)
     for expected in SELECTION_PINS[source, name]:
-        rows = [tuple(row) for row in cursor.execute(SELECTION_QUERIES[name]).fetchall()]
-        statistics = cursor.statistics
+        if source == "pinned":
+            rows = [tuple(row) for row in cursor.execute(SELECTION_QUERIES[name]).fetchall()]
+            statistics = cursor.statistics
+        else:
+            result = engine.run(SELECTION_QUERIES[name])
+            rows, statistics = [tuple(row) for row in result.rows], result.statistics
         (read,) = (
             (relation, *(counters[c] for c in _RELATION_COUNTERS))
             for relation, counters in statistics["relations"].items()

@@ -588,12 +588,13 @@ class TestRepeatedExecutionEquivalence:
     """A repeated execution wires the plan its first one published.
 
     Every library query of both workloads, the parameterized libraries and
-    the five e2e templates: one handle, three executions on the live
-    database and three on pins.  The first on each source plans (the two
-    sources never share a collection result), the others reuse — and every
-    one of the six must return the naive interpreter's rows, in one order,
-    and tell the same story in its report: join orders, reductions,
-    operator notes, estimates with *that run's* actual counts, sizes, peak.
+    the five e2e templates: one handle, three executions on statement pins
+    of a transaction and three on committed pins.  A statement pin publishes
+    no collection result, so each of the first three plans, and so does the
+    fourth; the last two reuse what it published — and every one of the six
+    must return the naive interpreter's rows, in one order, and tell the
+    same story in its report: join orders, reductions, operator notes,
+    estimates with *that run's* actual counts, sizes, peak.
     """
 
     @pytest.fixture(scope="class")
@@ -608,7 +609,7 @@ class TestRepeatedExecutionEquivalence:
         ]
 
     @pytest.mark.parametrize("flags", PLAN_FLAG_MATRIX, ids=_plan_flags_id)
-    def test_three_live_and_three_pinned_executions_agree(self, requests, flags):
+    def test_three_statement_and_three_committed_executions_agree(self, requests, flags):
         options = StrategyOptions().with_(**dict(zip(PLAN_FLAGS, flags)))
         reused = 0
         for database, text, binding, expected in requests:
@@ -627,10 +628,9 @@ class TestRepeatedExecutionEquivalence:
                 assert again == rows, (text, binding, position)
                 assert its_report == report, (text, binding, position)
                 if result.combination is not None and not result.used_strategy3_fallback:
-                    # Positions 0 and 3 are the first execution on each source.
-                    assert result.combination.plan_reused == (position % 3 > 0), (text, position)
+                    assert result.combination.plan_reused == (position > 3), (text, position)
                     reused += result.combination.plan_reused
-        assert reused > 2 * len(requests)  # most requests reach the combination phase
+        assert reused > len(requests)  # most requests reach the combination phase
 
     def test_one_collection_result_under_two_option_sets_is_planned_for_each(self, figure1):
         text = university_queries.PUBLISHING_TEACHERS_TEXT

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import Database, connect, execute_naive
+from repro import Database, QueryEngine, connect, execute_naive
 from repro.errors import DanglingReferenceError
 from repro.types.scalar import INTEGER, CharArray
 
@@ -178,8 +178,9 @@ def test_deduplicated_rows_come_in_first_witness_order(source):
 def test_a_settled_decision_is_taken_once_per_contents_version(monkeypatch):
     """Plan once, wire every time: on pins the selector runs while the index
     view is rented and built, then not again — whatever the bound value —
-    until the contents version moves; on the live database the index is ready
-    and a probe is priced by the same rule, so a session cursor decides once."""
+    until the contents version moves; on the live database (the engine door)
+    the index is ready and a probe is priced by the same rule, so it decides
+    once."""
     from repro.engine import evaluator
 
     decided = []
@@ -210,35 +211,47 @@ def test_a_settled_decision_is_taken_once_per_contents_version(monkeypatch):
             ["scan items"] + ["probe ind_items_a"] * 4
         )
         assert len(decided) == 6  # a new contents version: the same three again
-        live = connection.session().cursor()
-        assert all("probe ind_items_a" in rows(live, a) for a in range(4))
+        handle, engine = connection.prepare(text), QueryEngine(database)
+
+        def live(a):
+            result = engine.execute_plan(handle.bind({"a": a})).drain()
+            return result.access_paths["x"]
+
+        assert all("probe ind_items_a" in live(a) for a in range(4))
         assert len(decided) == 7  # settled at once, whatever the bound value
         assert "items.a = 6" in rows(pinned, 6) and len(decided) == 7  # the pins' entry stands
         with connection.session():
             database.relation("items").insert({"k": 65, "a": 2, "b": 0, "tag": "abc"})
-        assert "probe ind_items_a" in rows(live, 2) and len(decided) == 8
+        assert "probe ind_items_a" in live(2) and len(decided) == 8
 
 
 @pytest.mark.parametrize("paged", [False, True], ids=["memory", "paged"])
 def test_an_element_deleted_between_two_fetches_is_a_dangling_reference(paged):
-    """A live-path selection is lazy: the index is probed at the first fetch
-    and each chunk of keys read when it is pulled.  A session deleting one of
-    those elements in between gets what a streamed join gives a reference
-    deleted under it: :class:`DanglingReferenceError`, not a silently shorter
-    result — and the execution ends there, statistics stamped."""
+    """On the live database (the engine door) a selection is lazy: the index
+    is probed at the first pull and each chunk of keys read when it is
+    pulled.  Deleting one of those elements in between gets what a streamed
+    join gives a reference deleted under it: :class:`DanglingReferenceError`,
+    not a silently shorter result — and the execution ends there, statistics
+    stamped.  A session cursor reads a pin and returns the state of its
+    ``execute``."""
     database = build_database(64, paged)
     text = "[<x.k, x.a> OF EACH x IN items: (x.k <= 40)]"
+    engine = QueryEngine(database)
+    result = engine.execute_plan(engine.prepare(text))
+    assert "probe sorted_items_k" in result.access_paths["x"]
+    chunks = result.row_iterator
+    assert [record.k for record in next(chunks) + next(chunks)] == [0, 1, 2]  # chunks of 1 and 2
+    assert database.relation("items").delete_key(5)
+    with pytest.raises(DanglingReferenceError, match=r"@items\[\(5,\)\]"):
+        list(chunks)
+    assert result.statistics["relations"]["items"]["index_probes"] == 1
+    # The next execution probes the maintained index and simply misses it.
+    assert 5 not in [record.k for record in engine.run(text).rows]
     with connect(database) as connection, connection.session() as session:
         cursor = session.cursor().execute(text)
-        assert "probe sorted_items_k" in cursor.result.access_paths["x"]
-        assert [record.k for record in cursor.fetchmany(3)] == [0, 1, 2]  # chunks of 1 and 2
-        assert database.relation("items").delete_key(5)  # inside the session's transaction
-        with pytest.raises(DanglingReferenceError, match=r"@items\[\(5,\)\]"):
-            cursor.fetchall()
-        assert cursor.fetchone() is None
-        assert cursor.statistics["relations"]["items"]["index_probes"] == 1
-        # The next execution probes the maintained index and simply misses it.
-        assert 5 not in [record.k for record in cursor.execute(text).fetchall()]
+        assert [record.k for record in cursor.fetchmany(3)] == [0, 1, 2]
+        assert database.relation("items").delete_key(6)  # inside the session's transaction
+        assert 6 in [record.k for record in cursor.fetchall()]
 
 
 def test_kept_decisions_serve_only_the_policy_the_plan_was_compiled_under():

@@ -1,11 +1,12 @@
 """Strategy 4 value lists outlive the query (the ``ValueListMemo``).
 
 One entry per (derived predicate with its constants bound, catalog version,
-contents version of every relation the predicate reads), shared by live and
-pinned executions of every shape.  Four angles:
+contents version of every relation the predicate reads), shared by the
+executions of every shape, on every pin.  Four angles:
 
 * a stateful model — writes, transactions, pins held across commits, DDL
-  and the four parameterized paper queries, live and pinned — in which every
+  and the four parameterized paper queries, through the session (a
+  statement pin inside a transaction) and on committed pins — in which every
   read equals the naive interpreter at the reader's own state and every
   reachable memo entry equals a fresh build;
 * eight pinned readers sharing entries beside a committing writer;
@@ -164,7 +165,7 @@ class ValueListMemoMachine(RuleBasedStateMachine):
     # -- readers: every read equals the naive interpreter at the reader's state ----------
 
     @rule(name=queries, values=picks)
-    def read_live(self, name: str, values: dict) -> None:
+    def read_in_the_session(self, name: str, values: dict) -> None:
         text = QUERIES[name][0]
         binding = binding_for(text, values)
         cursor = self.session.cursor().execute(text, binding)

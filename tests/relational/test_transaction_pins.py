@@ -15,6 +15,13 @@ between a pin and its first read of a relation — the pin builds its view of
 a relation only then — and checks the pin still reads the state it was taken
 at.  The unit tests pin down who pays: nobody, unless a pin arrives
 mid-transaction; then once per touched relation.
+
+A session cursor inside a transaction reads a *statement pin* instead: the
+transaction's own writes up to its ``execute``.  A third property opens such
+statements, half-fetches them across chunk boundaries and lets the
+transaction keep writing, commit or roll back beside committed pins and
+readers on a second thread: every stream returns the state of its
+``execute``, and nothing shared ever holds an uncommitted version.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import connect, execute_naive
+from repro import build_university_database, connect, execute_naive
 from repro.relational.database import Database
 from repro.relational.record import Record
 from repro.types.scalar import INTEGER, Subrange
@@ -491,7 +498,10 @@ def test_readers_pinning_beside_a_committing_and_aborting_writer(paged):
     one transaction per step, and rolls every third transaction back after
     also writing a poison key; a committed state therefore never holds half
     a pair or the poison, and two pins that agree on the contents version
-    hold the same contents.
+    hold the same contents.  Mid-transaction the writer also opens a
+    statement of its own and reads it only after its remaining writes,
+    while the readers' pins hold the committed image: it must read the
+    transaction's state at its ``execute``.
     """
     database = _make_database(paged, rows=0)
     relation = database.relation("r")
@@ -527,9 +537,12 @@ def test_readers_pinning_beside_a_committing_and_aborting_writer(paged):
             session.begin()
             relation.insert({"k": 2 * step, "v": step % 10})
             relation.insert({"k": 2 * step + 1, "v": step % 10})
+            statement = session.cursor().execute("[<x.k> OF EACH x IN r: (x.k >= 0)]")
+            at_execute = sorted(_contents(relation))
             if step >= 8:
                 relation.delete_key(2 * (step - 8))
                 relation.delete_key(2 * (step - 8) + 1)
+            assert sorted(record.k for record in statement.fetchall()) == at_execute
             if step % 3 == 2:
                 relation.insert({"k": 1_000_000, "v": 0})
                 session.rollback()
@@ -551,4 +564,206 @@ def test_readers_pinning_beside_a_committing_and_aborting_writer(paged):
     assert pinned[0] > 0
     assert sorted(_contents(relation)) == list(range(2 * 392, 2 * 400))
     assert database._snapshots.active == 0 and not database._snapshots.overlay
+    connection.close()
+
+
+# ---------------------------------------------------------------- statement pins
+
+_STATEMENTS = (
+    "[<x.k, x.v> OF EACH x IN r: (x.v = 3)]",
+    "[<x.k> OF EACH x IN r: (x.k >= 0)]",
+    "[<x.k, x.v> OF EACH x IN r: (x.v <= 4)]",
+    "[<x.k> OF EACH x IN r: SOME y IN r ((x.k = y.v))]",
+    "[<x.k> OF EACH x IN r: SOME y IN [EACH y IN r: (y.v <= 4)] ((x.k = y.v))]",
+)
+
+_STATEMENT_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ("begin", "begin", "write", "write", "write", "open", "open", "fetch", "fetch",
+             "commit", "rollback", "hold", "unhold", "reader")
+        ),
+        st.integers(min_value=0, max_value=9),
+        st.integers(min_value=0, max_value=9),
+    ),
+    min_size=8,
+    max_size=40,
+)
+
+
+def _sorted_values(rows) -> list:
+    return sorted(tuple(row.values) for row in rows)
+
+
+def _shared_versions(database, connection) -> list[tuple[str, int]]:
+    """``(where, version of r)`` for everything shared that carries a token of ``r``."""
+    versions = []
+    slot = database.index_for("r", "v").snapshot_view
+    if slot is not None:
+        versions.append(("index view slot", slot[0]))
+    for token, _ in database.value_lists._entries.values():
+        versions.extend(("value list", version) for version in token[1:])
+    for prepared in connection.service.cache._entries._entries.values():
+        for token, _ in prepared._collections._entries.values():
+            versions.append(("collection memo", token[1]))
+        for token, *_ in prepared._plan.selection_plan.values():
+            versions.append(("selection plan", token[1]))
+    return versions
+
+
+def _read_on_another_thread(connection, text: str) -> list:
+    box: list = []
+
+    def read() -> None:
+        try:
+            box.append(connection.cursor().execute(text).fetchall())
+        except BaseException as exc:  # noqa: BLE001 - re-raised below
+            box.append(exc)
+
+    thread = threading.Thread(target=read)
+    thread.start()
+    thread.join(timeout=10.0)
+    (rows,) = box
+    if isinstance(rows, BaseException):
+        raise rows
+    return rows
+
+
+@pytest.mark.parametrize("paged", (False, True), ids=("memory", "paged"))
+@settings(max_examples=40, deadline=None)
+@given(steps=_STATEMENT_STEPS)
+def test_a_statement_reads_the_state_of_its_execute(paged, steps) -> None:
+    """Session cursors opened inside (and outside) a transaction and
+    half-fetched across chunk boundaries, while the transaction keeps
+    writing, commits or rolls back, committed pins are held across the
+    writes (they hold the overlay's image) and committed readers run on a
+    second thread: every stream returns what the naive interpreter returned
+    at its ``execute``; no index-view slot, value list, collection memo or
+    kept selection plan ever holds a version of ``r`` that was never
+    committed; and every pin is released in the end."""
+    database = _make_database(paged)
+    relation = database.relation("r")
+    connection = connect(database)
+    session = connection.session()
+    committed = {relation._version}
+    streams: list[list] = []  # [cursor, the rows at its execute, the rows fetched]
+    held: list = []
+    try:
+        for op, a, b in steps:
+            if op == "begin" and not session.in_transaction:
+                session.begin()
+            elif op == "write":
+                _write(database, "delete" if b % 3 == 0 else "insert", a, b)
+                if not session.in_transaction:
+                    committed.add(relation._version)
+            elif op == "open":
+                text = _STATEMENTS[a % len(_STATEMENTS)]
+                expected = _sorted_values(execute_naive(database, text))
+                streams.append([session.cursor().execute(text), expected, []])
+            elif op == "fetch" and streams:
+                cursor, _, rows = streams[a % len(streams)]
+                rows += cursor.fetchmany((1, 2, 3, 5)[b % 4])
+            elif op in ("commit", "rollback") and session.in_transaction:
+                getattr(session, op)()
+                committed.add(relation._version)
+            elif op == "hold":
+                held.append(database.pin_snapshot())
+            elif op == "unhold" and held:
+                held.pop(a % len(held)).release()
+            elif op == "reader":
+                text = _STATEMENTS[a % len(_STATEMENTS)]
+                with database.pin_snapshot() as pin:
+                    expected = _sorted_values(execute_naive(pin, text))
+                assert _sorted_values(_read_on_another_thread(connection, text)) == expected
+            for where, version in _shared_versions(database, connection):
+                assert version in committed, (where, version, sorted(committed))
+        for cursor, expected, rows in streams:
+            rows += cursor.fetchall()
+            assert _sorted_values(rows) == expected
+            cursor.close()
+        if session.in_transaction:
+            session.rollback()
+    finally:
+        for pin in held:
+            pin.release()
+        connection.close()
+    assert database._snapshots.active == 0 and database._snapshots.own_pins == 0
+
+
+def test_a_committed_pin_holding_an_image_leaves_the_statement_its_copy():
+    """Rule 2's seam: a statement pin holds the live dict; a committed pin
+    taken after it holds the overlay's image and must not waive the copy the
+    transaction's next write owes the statement."""
+    database = _make_database(rows=8)
+    relation = database.relation("r")
+    connection = connect(database)
+    session = connection.session()
+    session.begin()
+    relation.delete_key(0)  # the transaction has touched r: committed pins get an image
+    statement = session.cursor().execute("[<x.k> OF EACH x IN r: (x.k >= 0)]")  # reads nothing yet
+    image = database.pin_snapshot()
+    assert image.relation("r")._elements is not relation._elements
+    relation.insert({"k": 60, "v": 6})
+    relation.delete_key(1)
+    assert sorted(record.k for record in statement.fetchall()) == list(range(1, 8))
+    assert sorted(record.k for record in image.relation("r")) == list(range(8))
+    image.release()
+    session.rollback()
+    connection.close()
+    assert database._snapshots.active == 0 and database._snapshots.own_pins == 0
+
+
+def test_a_statement_pin_reads_the_shared_memos_and_publishes_nothing():
+    """Rule 1: inside a transaction, statements read the value lists, view
+    slots and collection memos their exact tokens match, and write none; the
+    same statements on committed pins publish all three."""
+    database = _make_database()
+    relation = database.relation("r")
+    connection = connect(database)
+    point, strategy_4 = _STATEMENTS[0], _STATEMENTS[4]
+    handle = connection.prepare(strategy_4)
+    session = connection.session()
+    session.begin()
+    relation.insert({"k": 50, "v": 3})
+    for _ in range(3):  # on a committed pin: scan, build the view, probe
+        assert any(row.k == 50 for row in session.cursor().execute(point).fetchall())
+        session.cursor().execute(strategy_4).fetchall()
+    assert database.index_for("r", "v").snapshot_view is None
+    assert len(database.value_lists) == 0 and len(handle._collections) == 0
+    session.rollback()
+    for _ in range(3):
+        connection.cursor().execute(point).fetchall()
+        connection.cursor().execute(strategy_4).fetchall()
+    assert database.index_for("r", "v").snapshot_view[1] is not None
+    assert len(database.value_lists) > 0 and len(handle._collections) == 1
+    # A statement whose relations the transaction has not written reads them all.
+    with connection.session() as session:
+        cursor = session.cursor().execute(strategy_4)
+        cursor.fetchall()
+        assert cursor.result.combination.plan_reused
+        probe = session.cursor().execute(point)
+        assert probe.fetchall()
+        assert probe.result.access_paths["x"].startswith("probe")
+    connection.close()
+
+
+@pytest.mark.parametrize("paged", (False, True), ids=("memory", "paged"))
+def test_a_session_stream_does_not_see_its_transactions_later_writes(paged):
+    """A session cursor half-fetched, then fifty inserts into the relation it
+    reads: the rest of its rows are those that existed at its ``execute``,
+    on either backend."""
+    database = build_university_database(scale=1, paged=paged)
+    text = "[<e.enr> OF EACH e IN employees: (e.enr >= 1)]"
+    expected = _sorted_values(execute_naive(database, text))
+    connection = connect(database)
+    session = connection.session()
+    session.begin()
+    cursor = session.cursor().execute(text)
+    rows = cursor.fetchmany(3)
+    employees = database.relation("employees")
+    for enr in range(9000, 9050):
+        employees.insert({"enr": enr, "ename": f"n{enr}", "estatus": "student"})
+    rows += cursor.fetchall()
+    assert _sorted_values(rows) == expected and len(rows) == len(expected)
+    session.rollback()
     connection.close()

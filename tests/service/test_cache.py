@@ -72,10 +72,10 @@ class TestPlanCache:
 
     def test_counters_mirror_into_access_statistics(self):
         statistics = AccessStatistics()
-        cache = PlanCache(4, statistics=statistics)
-        cache.lookup("a")
+        cache = PlanCache(4)
+        cache.lookup("a", statistics=statistics)
         cache.store("a", 1)
-        cache.lookup("a")
+        cache.lookup("a", statistics=statistics)
         assert statistics.plan_cache_hits == 1
         assert statistics.plan_cache_misses == 1
         snapshot = statistics.as_dict()
@@ -84,8 +84,8 @@ class TestPlanCache:
 
     def test_statistics_reset_zeroes_the_windowed_counters(self):
         statistics = AccessStatistics()
-        cache = PlanCache(4, statistics=statistics)
-        cache.lookup("a")
+        cache = PlanCache(4)
+        cache.lookup("a", statistics=statistics)
         statistics.reset()
         assert statistics.plan_cache_misses == 0
         assert cache.misses == 1  # the cache's own counters are monotonic

@@ -463,7 +463,6 @@ class TestHandles:
             assert first._plan is second._plan
             assert first._bound_plans is second._bound_plans
             assert first._collections is second._collections
-            assert first._snapshot_collections is second._snapshot_collections
             assert first.plan is not second.plan  # each as its text wrote it
 
     def test_a_replan_after_drift_reaches_every_handle(self):

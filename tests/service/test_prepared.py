@@ -259,6 +259,23 @@ class TestLifecycle:
         assert second.statistics["plan_cache_hits"] == 1
         assert second.statistics["plan_cache_misses"] == 0
 
+    @pytest.mark.parametrize("door", ["connection cursor", "session cursor"])
+    def test_a_cursor_reports_its_own_plan_cache_lookup(self, figure1, door):
+        """A pinned execution's counters carry its own plan-cache hit or miss:
+        the lookup charges the pin's tracker, not the database's."""
+        text = "[<e.ename> OF EACH e IN employees: (e.estatus = $s)]"
+        connection = connect(figure1)
+        cursor = (connection if door == "connection cursor" else connection.session()).cursor()
+        seen = []
+        for status in ("professor", "student"):
+            cursor.execute(text, {"s": status}).fetchall()
+            statistics = cursor.statistics
+            seen.append((statistics["plan_cache_hits"], statistics["plan_cache_misses"]))
+        assert seen == [(0, 1), (1, 0)]
+        # ... and the database's tracker still gets them, when the pins are released.
+        assert (figure1.statistics.plan_cache_hits, figure1.statistics.plan_cache_misses) == (1, 1)
+        connection.close()
+
 
 class TestBindingValidation:
     def test_missing_binding_raises(self, figure1):

@@ -204,7 +204,7 @@ def test_the_knobs_are_what_they_are_pinned_to_be():
     assert parameters(repro.connect) == front_door
     assert parameters(repro.Connection) == front_door
     assert parameters(repro.QueryService) == {
-        "database", "options", "service_options", "engine", "execution_lock", "cache",
+        "database", "options", "service_options", "engine", "cache",
     }
     generator = {"scale", "profile", "seed", "name", "paged"}
     assert parameters(repro.build_university_database) == generator
