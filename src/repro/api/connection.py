@@ -215,7 +215,7 @@ class Connection:
         # their fetches keep raising ConnectionClosedError.
         for cursor in list(self._cursors):
             if not cursor.closed:
-                cursor._discard()
+                cursor._discard(keep_counters=True)
         self._closed = True
         if self._owns_database and not getattr(self._database, "closed", True):
             self._database.close()

@@ -144,14 +144,12 @@ class Cursor:
         self._description = self._describe(results[0].relation.schema)
         self._rows = iter([rows] if rows else ())
         self._known_rowcount = len(rows)
-        self._final_statistics = None
         return self
 
     def _install(self, result) -> None:
         self._result = result
         self._description = self._describe(result.relation.schema)
         self._rows = result.row_iterator
-        self._final_statistics = None
 
     @staticmethod
     def _describe(schema) -> list[Column]:
@@ -275,27 +273,25 @@ class Cursor:
 
     # -- lifecycle ---------------------------------------------------------------------
 
-    def _discard(self) -> None:
-        """Shut down the open pipeline (if any) and reset the result state."""
-        self._end_result()
+    def _discard(self, keep_counters: bool = False) -> None:
+        """Shut down the open pipeline (if any) and reset the result state.
+
+        Closing the result unwinds the pipeline, stamps its final statistics
+        and releases a pinned snapshot.  A closing cursor or connection
+        (``keep_counters``) keeps only the ended execution's stamp, so
+        ``statistics`` stays this execution's numbers while its result is freed.
+        """
+        self._rows, self._chunk, self._taken = None, [], 0
+        result = self._result
+        if result is not None:
+            result.close()
+            if keep_counters:
+                self._final_statistics = result.statistics
         self._result = None
         self._description = None
         self._fetched = 0
         self._known_rowcount = None
         self._exhausted = False
-
-    def _end_result(self) -> None:
-        """End the current execution, fetched to its end or never fetched at all.
-
-        Closing the result unwinds the pipeline, stamps its final statistics
-        and releases a pinned snapshot; the stamp is kept, so ``statistics``
-        stays this execution's numbers after close (until the next execute).
-        """
-        self._rows, self._chunk, self._taken = None, [], 0
-        if self._result is not None:
-            self._result.close()
-            if self._result.statistics:
-                self._final_statistics = self._result.statistics
 
     def close(self) -> None:
         """Close the cursor, releasing the pipeline; double close is a no-op.
@@ -306,7 +302,7 @@ class Cursor:
         """
         if self._closed:
             return
-        self._discard()
+        self._discard(keep_counters=True)
         self._closed = True
 
     @property

@@ -100,7 +100,6 @@ from repro.relational.algebra import (
     value_rows,
 )
 from repro.relational.histogram import ColumnSketch, estimate_join
-from repro.relational.record import Record
 from repro.relational.refrelation import ReferenceType, ref_field_name
 from repro.relational.relation import Relation
 from repro.relational.statistics import COMBINATION, estimate_join_cardinality
@@ -887,7 +886,6 @@ class CombinationPhase:
         record every chunk into ``result.tuples`` and finalise the size (and
         the pipeline's live peak) when the stream closes."""
         tuples = result.tuples
-        raw = partial(Record.raw, tuples.schema)
         decoders = [table.__getitem__ for table in plan.tables]
 
         def chunks():
@@ -895,7 +893,7 @@ class CombinationPhase:
                 for chunk in stream.chunks():
                     # Column-wise: one C-level map per free variable, zipped back.
                     out = list(zip(*map(map, decoders, zip(*chunk))))
-                    tuples.bulk_insert_raw(map(raw, out))
+                    tuples.insert_rows(out)
                     yield out
             finally:
                 result.after_quantifiers_size = len(tuples)

@@ -54,7 +54,7 @@ __all__ = ["QueryResult", "QueryEngine", "execute_naive"]
 
 
 def _selection_chunks(
-    source, paths: list[AccessPath], project, result: Relation
+    source, paths: list[AccessPath], project, key_covered: bool, result: Relation
 ) -> Iterator[list]:
     """The result records of a TRUE matrix, chunk by chunk: a pipeline with one
     kind of source and no joins.
@@ -65,8 +65,10 @@ def _selection_chunks(
     twice ``CHUNK_ROWS`` (plus one row's partners), as a hash join's fan-out.
     ``project`` maps concatenated elements to result rows; ``result`` — a set
     keyed on all components — keeps the first witness of each, and exactly
-    the rows it did not hold yet are handed on.
+    the rows it did not hold yet are handed on (rows that carry every range's
+    key, ``key_covered``, are distinct by construction: no duplicate pass).
     """
+    insert = result.insert_rows if key_covered else result.insert_new_rows
     others = [
         [row for _, records in access_chunks(source, path, path.var) for row in values_of(records)]
         for path in paths[1:]
@@ -79,7 +81,7 @@ def _selection_chunks(
             rows = outer[start : start + step]
             if others:
                 rows = [row + rest for row in rows for rest in rests]
-            fresh = result.insert_new_rows(project(rows))
+            fresh = insert(project(rows))
             if fresh:
                 yield fresh
 
@@ -141,6 +143,9 @@ class QueryResult:
     :attr:`statistics` is its stamp, taken when the rows end."""
 
     _closers: list = field(default_factory=list, repr=False, compare=False)
+
+    #: The tracker is this execution's alone (the service's pin): stamped on first read.
+    _own_tracker = False
 
     def on_close(self, callback) -> None:
         """Run ``callback`` once when the rows end: exhausted, failed, or closed
@@ -212,6 +217,23 @@ class QueryResult:
             f"  intermediate tuples={self.statistics.get('intermediate_tuples', 0)}"
         )
         return "\n".join(lines)
+
+
+def _rendered(slot: str, render) -> property:
+    """A field read through ``slot``, where ``None`` means ``render(result)``, on first read."""
+    def get(result):
+        if getattr(result, slot) is None:
+            setattr(result, slot, render(result))
+        return getattr(result, slot)
+    return property(get, lambda result, value: setattr(result, slot, value))
+
+
+# After the decorator, so both stay ``__init__`` fields.  The stamp is ``{}``
+# while the rows flow; a constant matrix's paths are described when asked.
+QueryResult.statistics = _rendered("_statistics", lambda result: result.tracker.as_dict())
+QueryResult.access_paths = _rendered(
+    "_access_paths", lambda result: {path.var: path.describe() for path in result.selection_paths}
+)
 
 
 class QueryEngine:
@@ -313,7 +335,7 @@ class QueryEngine:
         result.tracker = statistics = source.statistics
 
         def stamp() -> None:
-            result.statistics = statistics.as_dict()
+            result.statistics = None if result._own_tracker else statistics.as_dict()
             result.elapsed_seconds = time.perf_counter() - started
 
         chunks = result.row_iterator
@@ -344,13 +366,13 @@ class QueryEngine:
             if not prepared.constant:
                 # FALSE matrix: nothing is enumerated, no paths.
                 return QueryResult(relation=relation, prepared=prepared, statistics={})
-            paths, project = self._plan_selection(source, prepared, options)
+            paths, (project, key_covered) = self._plan_selection(source, prepared, options)
             return QueryResult(
                 relation=relation,
                 prepared=prepared,
                 statistics={},
-                access_paths={path.var: path.describe() for path in paths},
-                row_iterator=_selection_chunks(source, paths, project, relation),
+                access_paths=None,
+                row_iterator=_selection_chunks(source, paths, project, key_covered, relation),
                 selection_paths=paths,
             )
         selection = prepared.selection
@@ -395,14 +417,15 @@ class QueryEngine:
         restriction moved into the range, the matrix collapsed to TRUE), so
         what does not depend on the binding is decided once per compiled plan
         and kept on it (``QueryPlan.selection_plan``), per kind of source, under
-        its catalog version and the ranges' contents versions: the projection,
-        and which conjunct probes which index or scans, at what estimate.  An
-        execution applies the decisions to its binding and source; ones that
-        are not settled are taken again each time, as the selector takes them
-        — only a pin's, while it passes over or builds an index view.  The
-        live database and a pin price a probe by one rule, so live decisions
-        are kept exactly as a pin's are.  A source inside an open transaction
-        reads what is kept and keeps nothing (its versions may be rolled back).
+        its catalog version and the ranges' contents versions: the projection
+        and whether it holds every range's key, and which conjunct probes which
+        index or scans, at what estimate.  An execution applies the decisions
+        to its binding and source; ones that are not settled are taken again
+        each time, as the selector takes them — only a pin's, while it passes
+        over or builds an index view.  The live database and a pin price a
+        probe by one rule, so live decisions are kept exactly as a pin's are.
+        A source inside an open transaction reads what is kept and keeps
+        nothing (its versions may be rolled back).
         """
         bindings = prepared.bindings
         token = version_token(source, [b.range.relation for b in bindings])
@@ -417,10 +440,14 @@ class QueryEngine:
                 schema = source.relation(b.range.relation).schema
                 places[b.var] = (offset, schema)
                 offset += len(schema.fields)
-            held = (token, None, chunk_getter([
+            columns = prepared.selection.columns
+            # Every range's key projected: the rows are distinct by construction.
+            key_covered = {(c.var, c.field) for c in columns} >= {
+                (var, name) for var, (_, schema) in places.items() for name in schema.key}
+            held = (token, None, (chunk_getter([
                 places[column.var][0] + places[column.var][1].field_position(column.field)
-                for column in prepared.selection.columns
-            ]))
+                for column in columns
+            ]), key_covered))
             if keep:
                 plans[kind] = held
         # The decisions kept are the plan's own policy's; another decides for itself.

@@ -38,12 +38,10 @@ intermediate sizes.
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import islice
 from typing import Callable, Iterable, Iterator
 
 from repro.errors import StreamError
-from repro.relational.record import Record
 from repro.relational.relation import Relation
 from repro.types.schema import RelationSchema
 
@@ -224,9 +222,8 @@ class RowStream:
         through the relation's key dictionary.
         """
         result = Relation(name or self.label, self.schema)
-        raw = partial(Record.raw, self.schema)
         for chunk in self.chunks():
-            result.bulk_insert_raw(map(raw, chunk))
+            result.insert_all(chunk)
         return result
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics

@@ -366,7 +366,6 @@ class SnapshotRelation(Relation):
     insert = _refuse_write
     insert_all = _refuse_write
     insert_raw = _refuse_write
-    bulk_insert_raw = _refuse_write
     delete = _refuse_write
     delete_key = _refuse_write
     clear = _refuse_write

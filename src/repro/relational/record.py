@@ -10,6 +10,7 @@ matching the paper's ``e.ename`` notation) and by subscription
 from __future__ import annotations
 
 from functools import partial
+from itertools import repeat
 from operator import attrgetter
 from typing import Any, Iterator, Mapping
 
@@ -145,3 +146,21 @@ _new = object.__new__
 _set_schema = Record._schema.__set__
 _set_values = Record._values.__set__
 _set_hash = Record._hash.__set__
+
+#: Below this many rows the per-record :meth:`Record.raw` call is cheaper
+#: than setting up the maps of :func:`records_of`.
+BULK_ROWS = 8
+
+
+def records_of(schema: RelationSchema, rows: list[tuple]) -> list[Record]:
+    """One :meth:`Record.raw` per row of already-coerced values, in order: on
+    a chunk of :data:`BULK_ROWS` rows or more, one C-level ``map`` per slot."""
+    count = len(rows)
+    if count < BULK_ROWS:
+        return [Record.raw(schema, row) for row in rows]
+    records = list(map(_new, repeat(Record, count)))
+    # Every setter returns None, so ``any`` runs each map to its end.
+    any(map(_set_schema, records, repeat(schema, count)))
+    any(map(_set_values, records, rows))
+    any(map(_set_hash, records, repeat(None, count)))
+    return records

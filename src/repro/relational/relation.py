@@ -23,6 +23,7 @@ reference types; nothing in this class distinguishes the two uses.
 
 from __future__ import annotations
 
+from itertools import filterfalse
 from typing import Any, Iterable, Iterator, Mapping
 
 from repro.errors import (
@@ -32,7 +33,7 @@ from repro.errors import (
     TransactionError,
     ValidationError,
 )
-from repro.relational.record import Record
+from repro.relational.record import Record, records_of
 from repro.relational.reference import Ref
 from repro.relational.statistics import AccessStatistics
 from repro.types.schema import RelationSchema
@@ -328,48 +329,28 @@ class Relation:
                 self._version += 1
         return record
 
-    def bulk_insert_raw(self, records: Iterable[Record]) -> None:
-        """Insert many already-validated records through the raw fast path."""
-        if self._observers or self._journal is not None:
-            for record in records:
-                self.insert_raw(record)
-            return
-        registry = self._registry
-        if registry is not None:
-            # One lock acquisition (and at most one copy) for the whole bulk.
-            with registry.lock:
-                self._prepare_write_locked(registry)
-                self._bulk_fill(records)
-                self._version += 1
-            return
-        self._bulk_fill(records)
-        self._version += 1
-
     def insert_new_rows(self, rows: Iterable[tuple]) -> list[Record]:
         """Store the value rows this relation does not hold yet; return their records.
 
-        The construction phase's bulk path into a result relation: ``rows``
-        are already-coerced value tuples and — key = all components — their
-        own keys; the ones not met before are stored, in arrival order, by one
-        ``dict.update``.
+        The bulk path into a fresh result relation (key = all components, no
+        index, no registry): ``rows`` are already-coerced value tuples and
+        their own keys; the first witness of each row not met before is
+        stored, in arrival order.
         """
-        assert self._key_is_all, f"{self.name}: insert_new_rows needs key = all components"
-        assert self._registry is None and not self._observers, f"{self.name}: not a result"
-        raw, schema, held = Record.raw, self.schema, self._elements
-        fresh = {row: raw(schema, row) for row in dict.fromkeys(rows) if row not in held}
-        held.update(fresh)
-        self._version += 1
-        return list(fresh.values())
+        unmet = filterfalse(self._elements.__contains__, dict.fromkeys(rows))
+        return self.insert_rows(unmet)
 
-    def _bulk_fill(self, records: Iterable[Record]) -> None:
-        elements = self._elements
-        if self._key_is_all:
-            for record in records:
-                elements[record.values] = record
-        else:
-            key_of = self.schema.key_of
-            for record in records:
-                elements[key_of(record.values)] = record
+    def insert_rows(self, rows: Iterable[tuple]) -> list[Record]:
+        """:meth:`insert_new_rows` with no duplicate pass: every row's record, in order.
+        The caller knows the rows are new or takes no record; a row held already
+        keeps its place, its record replaced by an equal one."""
+        assert self._key_is_all, f"{self.name}: insert_rows needs key = all components"
+        assert self._registry is None and not self._observers, f"{self.name}: not a result"
+        rows = list(rows)
+        records = records_of(self.schema, rows)
+        self._elements.update(zip(rows, records))
+        self._version += 1
+        return records
 
     def delete(self, element: Record | Mapping[str, Any] | tuple) -> bool:
         """The PASCAL/R delete operator ``:-`` for a single element.

@@ -309,7 +309,7 @@ class AccessStatistics:
         return snapshot
 
     def merge(self, other: "AccessStatistics") -> None:
-        """Add every counter of ``other`` into this tracker.
+        """Add every counter of ``other`` into this tracker (those that moved).
 
         Used when a snapshot execution's *private* statistics are folded
         back into the database's shared tracker at snapshot release.  The
@@ -332,7 +332,7 @@ class AccessStatistics:
             for phase, count in other._phase_elements.items():
                 self._phase_elements[phase] += count
             mine, theirs = vars(self), vars(other)
-            for name in self._counter_names:
+            for name in filter(theirs.__getitem__, self._counter_names):
                 mine[name] += theirs[name]
 
     def reset(self) -> None:

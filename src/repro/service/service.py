@@ -323,7 +323,8 @@ class QueryService:
         call.  The pin comes first, so the plan is admitted against the state
         it runs on and the pin's tracker counts the plan-cache lookup too;
         when the rows end, however they end, the pin is released (merging
-        those counters) once.
+        those counters) once.  The pin is this execution's alone, so its
+        tracker is the stamp: ``result.statistics`` renders it on first read.
         """
         _check_request(query, parameters)
         source = self.database.pin_snapshot(journal)
@@ -333,6 +334,7 @@ class QueryService:
         except BaseException:
             source.release()
             raise
+        result._own_tracker = True
         result.on_close(source.release)
         return result
 

@@ -87,10 +87,6 @@ class StoredRelation(Relation):
         self._pool.mark_dirty(self.name, rid.page_number, self._mutation_lsn())
         return record
 
-    def bulk_insert_raw(self, records) -> None:
-        for record in records:
-            self.insert_raw(record)
-
     def _remove(self, key: tuple) -> bool:
         # Every delete entry point (delete, delete_key, a rollback's
         # restores) ends in _remove with the stored spelling of the key, so

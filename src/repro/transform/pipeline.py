@@ -108,8 +108,9 @@ class QueryPlan:
         ``[schema_version, schema]`` of the result relation, filled by the
         engine; bound copies share the cell, so it is derived once per plan.
     selection_plan:
-        ``{kind of source: (token, access decisions, projection)}`` of a constant
-        TRUE matrix, filled by the engine and shared like ``result_schema``.
+        ``{kind of source: (token, access decisions, (projection, key covered))}``
+        of a constant TRUE matrix, filled by the engine and shared like
+        ``result_schema``.
     """
 
     selection: Selection

@@ -515,9 +515,7 @@ class TestRegistryLockDiscipline:
         registry.lock = _ProbeLock(registry.lock, probe)
         relation.insert({"k": 90, "v": 900})
         relation.insert_raw(relation._as_record({"k": 91, "v": 910}))
-        relation.bulk_insert_raw(
-            [relation._as_record({"k": 92, "v": 920})]
-        )
+        relation.insert_raw(relation._as_record({"k": 92, "v": 920}))
         relation.delete_key(90)
         relation.assign([{"k": 1, "v": 10}, {"k": 2, "v": 20}])
         relation.clear()

@@ -175,6 +175,46 @@ def test_deduplicated_rows_come_in_first_witness_order(source):
             assert [tuple(row) for row in cursor.execute(text).fetchall()] == list(witnesses)
 
 
+#: (text, binding, whether the projection holds every free range's key).
+KEY_CASES = [
+    ("[<p.pyear> OF EACH p IN papers: (p.pyear <= $year)]", {"year": 1978}, False),
+    ("[<e.ename, c.clevel> OF EACH e IN employees, EACH c IN courses: "
+     "(e.enr <= 3) AND (c.clevel <= $level)]", {"level": "junior"}, False),
+    ("[<p.ptitle, p.penr, p.pyear> OF EACH p IN papers: (p.pyear <= $year)]", {"year": 1978}, True),
+    ("[<e.enr, c.clevel, c.cnr> OF EACH e IN employees, EACH c IN courses: "
+     "(e.enr <= 3) AND (c.clevel <= $level)]", {"level": "junior"}, True),
+    # Strategy 3 extends the quantifier's range; the matrix is still TRUE.
+    ("[<e.enr, e.ename> OF EACH e IN employees: (e.enr <= 10) AND "
+     "SOME p IN papers ((p.pyear = $year))]", {"year": 1977}, True),
+]
+
+
+@pytest.mark.parametrize("text, binding, covered", KEY_CASES)
+def test_the_dedup_shortcut_is_taken_only_when_the_key_is_covered(text, binding, covered):
+    """Relations are keyed sets, so a selection projecting every free range's
+    key is duplicate-free by construction and its rows skip the duplicate
+    pass.  Either way the rows equal the naive interpreter's, hold no
+    duplicate, and come in the order the duplicate pass gives them."""
+    from repro.workloads.queries import inline_parameters
+    from repro.workloads.university import build_university_database
+
+    database = build_university_database(scale=2)
+    expected = execute_naive(database, inline_parameters(text, binding))
+    engine_rows = QueryEngine(database).run(inline_parameters(text, binding)).rows
+    with connect(database) as connection:
+        cursor = connection.cursor()
+        rows = cursor.execute(text, binding).fetchall()
+        plans = cursor.result.prepared.selection_plan
+        assert cursor.result.prepared.constant
+        assert [held[2][1] for held in plans.values()] == [covered]
+        assert len(set(rows)) == len(rows) and cursor.result.relation == expected
+        assert rows == engine_rows
+        # The parent's order: the same plan, through the duplicate pass.
+        for kind, (token, decisions, (getter, _)) in list(plans.items()):
+            plans[kind] = (token, decisions, (getter, False))
+        assert cursor.execute(text, binding).fetchall() == rows
+
+
 def test_a_settled_decision_is_taken_once_per_contents_version(monkeypatch):
     """Plan once, wire every time: on pins the selector runs while the index
     view is rented and built, then not again — whatever the bound value —

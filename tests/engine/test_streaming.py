@@ -80,6 +80,12 @@ class TestRowStream:
         assert len(result) == 1
         assert result.schema.field_names == ("a",)
 
+    def test_materialize_keeps_a_partial_key(self):
+        r = Relation("r", RelationSchema("r", [("a", INTEGER), ("b", INTEGER)], key=["a"]))
+        r.insert_all([(1, 2), (2, 3)])
+        result = RowStream.from_relation(r).materialize()
+        assert result == r and result.find((2,)).b == 3
+
     def test_map_rows_is_pure_passthrough(self):
         r = make("r", ["a"], [(1,), (2,)])
         doubled = RowStream.from_relation(r).map_rows(lambda row: (row[0] * 2,))

@@ -247,6 +247,7 @@ def test_eight_pinned_readers_share_entries_beside_a_committing_writer():
     statuses = VALUES["status"]
     errors: list[BaseException] = []
     counts = {"built": 0, "reused": 0}
+    tally = threading.Lock()
     stop = threading.Event()
     start = threading.Barrier(9)
 
@@ -261,8 +262,10 @@ def test_eight_pinned_readers_share_entries_beside_a_committing_writer():
                     handle = connection.service.prepare(text, source=pin)
                     result = handle.start(binding, source=pin, drain=True)
                     assert result.relation == execute_naive(pin, written_out(text, binding))
-                    counts["built"] += result.statistics["value_lists_built"]
-                    counts["reused"] += result.statistics["value_lists_reused"]
+                    stamp = result.statistics
+                    with tally:  # += on a shared dict is no atomic step
+                        counts["built"] += stamp["value_lists_built"]
+                        counts["reused"] += stamp["value_lists_reused"]
                     result.close()
                 assert cursor.execute(text, binding).fetchall() is not None
         except BaseException as exc:  # noqa: BLE001 - surfaced below

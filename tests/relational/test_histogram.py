@@ -182,7 +182,7 @@ def test_raw_inserts_keep_index_counts_exact(paged, operator) -> None:
     relation = database.relation("r")
     index = database.create_index("r", "v", operator=operator)
     relation.insert_raw(Record(relation.schema, {"k": 1, "v": 5}))
-    relation.bulk_insert_raw([Record(relation.schema, {"k": 2, "v": 5})])
+    relation.insert_raw(Record(relation.schema, {"k": 2, "v": 5}))
     assert (len(index), index.distinct_values()) == (2, 1)
     relation.insert_raw(Record(relation.schema, {"k": 1, "v": 7}))  # overwrite
     assert (len(index), index.distinct_values()) == (2, 2)

@@ -137,6 +137,6 @@ def test_raw_inserts_maintain_indexes_too(paged: bool) -> None:
     relation.insert_raw(Record(relation.schema, {"k": 1, "v": 7}))  # overwrite
     assert hash_index.probe(5) == []
     assert [ref.key for ref in hash_index.probe(7)] == [(1,)]
-    relation.bulk_insert_raw([Record(relation.schema, {"k": 2, "v": 7})])
+    relation.insert_raw(Record(relation.schema, {"k": 2, "v": 7}))
     assert len(hash_index.probe(7)) == 2
     _assert_index_exact(database, relation)

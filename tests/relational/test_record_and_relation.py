@@ -1,6 +1,8 @@
 """Unit tests for records, relations, selected variables and references."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import (
     DanglingReferenceError,
@@ -8,7 +10,7 @@ from repro.errors import (
     MissingElementError,
     SchemaError,
 )
-from repro.relational.record import Record
+from repro.relational.record import BULK_ROWS, Record
 from repro.relational.relation import Relation
 from repro.relational.statistics import AccessStatistics
 from repro.types.scalar import INTEGER, CharArray, Enumeration
@@ -317,3 +319,40 @@ class TestKeysAreCanonicalisedAtTheRelationBoundary:
         assert "abc" in relation
         assert relation.delete_key("abc")
         assert relation.is_empty()
+
+
+#: Chunk sizes: the smallest, the bulk cutoff's edges and the chunk ramp's end.
+CHUNK_SIZES = st.sampled_from([0, 1, 2, 3, BULK_ROWS - 1, BULK_ROWS, BULK_ROWS + 1, 1023, 1024, 1025])
+#: Few distinct rows, so duplicates fall inside and across chunks.
+VALUE_ROWS = st.tuples(st.integers(0, 30), st.sampled_from(["x  ", "yz ", "abc"]))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(chunks=st.lists(CHUNK_SIZES.flatmap(lambda n: st.lists(VALUE_ROWS, min_size=n, max_size=n)),
+                       max_size=4))
+def test_the_bulk_record_path_equals_the_per_row_reference(chunks):
+    """``insert_new_rows`` (C-level maps from ``BULK_ROWS`` rows up) and
+    ``insert_rows`` store and return what a ``Record.raw`` loop does."""
+    schema = RelationSchema("pairs", [("a", INTEGER), ("b", CharArray(3))])
+    bulk, distinct, whole = (Relation(name, schema) for name in ("bulk", "distinct", "whole"))
+    held: dict = {}
+    version = bulk._version
+    for chunk in chunks:
+        expected, unmet = [], []
+        for row in chunk:
+            if row not in held:
+                held[row] = Record.raw(schema, row)
+                expected.append(held[row])
+                unmet.append(row)
+        version += 1
+        # Whole chunks, duplicates and held rows included: every row's record.
+        assert [r.values for r in whole.insert_rows(chunk)] == chunk
+        assert list(whole._elements.items()) == list(held.items())
+        for relation, fresh in ((bulk, bulk.insert_new_rows(chunk)),
+                                (distinct, distinct.insert_rows(unmet))):
+            assert [r.values for r in fresh] == [r.values for r in expected]
+            assert all(r.schema is schema for r in fresh)
+            assert [hash(r) for r in fresh] == [hash(r) for r in expected]
+            assert list(relation._elements.items()) == list(held.items())
+            assert all(relation._elements[r.values] is r for r in fresh)
+            assert relation._version == version
