@@ -32,7 +32,7 @@ the sweep and skips the cross-scale assertions):
 * at the full scale the uniform join order materializes at least **3x**
   the peak intermediates of the histogram-driven order, and the ratio is
   monotone (non-decreasing) from scale 1;
-* every configuration's rows equal the legacy (join_ordering off) order.
+* every configuration's rows equal the legacy (``join_order="written"``) order.
 """
 
 from __future__ import annotations
@@ -61,12 +61,12 @@ MONOTONE_TOLERANCE = 0.95
 #: because it would *hide* the bad order.
 BASE = StrategyOptions.all_strategies().with_(
     collection_phase_quantifiers=False,
-    streaming_execution=False,
+    plan="literal",
     semijoin_reduction=False,
 )
-UNIFORM = BASE.with_(histogram_statistics=False)
-HISTOGRAM = BASE.with_(histogram_statistics=True)
-LEGACY = BASE.with_(join_ordering=False, histogram_statistics=False)
+UNIFORM = BASE.with_(join_order="uniform")
+HISTOGRAM = BASE.with_(join_order="histogram")
+LEGACY = BASE.with_(join_order="written")
 
 #: Authors whose co-authored output feeds the citation stream.  The two
 #: ``authorship`` terms meet on the author (the explosion branch); the

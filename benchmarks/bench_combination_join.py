@@ -39,8 +39,8 @@ _BASE = StrategyOptions.only(parallel_collection=True)
 
 CONFIGURATIONS = {
     "legacy": _BASE,
-    "ordered": _BASE.with_(join_ordering=True),
-    "ordered+semijoin": _BASE.with_(join_ordering=True, semijoin_reduction=True),
+    "ordered": _BASE.with_(join_order="uniform"),
+    "ordered+semijoin": _BASE.with_(join_order="uniform", semijoin_reduction=True),
 }
 
 QUERIES = {

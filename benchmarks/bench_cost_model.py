@@ -33,7 +33,7 @@ the sweep):
   **5x** the peak intermediates of the histogram-driven order;
 * after drift, the next execution on the same connection re-plans (the
   fan join moves) and peaks at most **2x** the pre-drift peak;
-* every configuration's rows equal the legacy (join_ordering off) order.
+* every configuration's rows equal the legacy (``join_order="written"``) order.
 """
 
 from __future__ import annotations
@@ -67,12 +67,12 @@ DRIFT_PEAK_RATIO = 2.0
 #: join-order cost model does on its own.
 BASE = StrategyOptions.all_strategies().with_(
     collection_phase_quantifiers=False,
-    streaming_execution=False,
+    plan="literal",
     semijoin_reduction=False,
 )
-UNIFORM = BASE.with_(histogram_statistics=False)
-HISTOGRAM = BASE.with_(histogram_statistics=True)
-LEGACY = BASE.with_(join_ordering=False, histogram_statistics=False)
+UNIFORM = BASE.with_(join_order="uniform")
+HISTOGRAM = BASE.with_(join_order="histogram")
+LEGACY = BASE.with_(join_order="written")
 
 ID_TYPE = Subrange(0, 999999, "idtype")
 KEY_TYPE = Subrange(0, 9999, "keytype")

@@ -5,11 +5,11 @@ phase's n-tuple reference relations the dominant cost; PR 1's optimizer cut
 the peak by ordering and reducing the joins, and the streamed plan avoids
 building them: innermost SOME quantifiers short-circuit inside the chains,
 and only pipeline breakers (division group tables, union dedup state) buffer
-tuples.  Both run on the one pipeline; ``streaming_execution`` selects the
-plan, and ``peak_tuples`` compares like-for-like:
+tuples.  Both run on the one pipeline; ``plan`` selects the plan, and
+``peak_tuples`` compares like-for-like:
 
 * **materialised** — the literal plan's largest n-tuple relation
-  (``join_ordering`` + ``semijoin_reduction`` on, the PR 1 configuration);
+  (``join_order="uniform"`` + ``semijoin_reduction`` on);
 * **streamed**     — the streamed plan's live-tuple high-water mark of
   breaker state.
 
@@ -49,9 +49,9 @@ SCALES = (1,) if BENCH_SMOKE else (1, 2, 3, 4)
 #: actually reach the combination phase and the comparison isolates the
 #: plan policy (S3/S4 would dissolve the structures before any join).
 MATERIALIZED = StrategyOptions.only(
-    parallel_collection=True, join_ordering=True, semijoin_reduction=True
+    parallel_collection=True, join_order="uniform", semijoin_reduction=True
 )
-STREAMED = MATERIALIZED.with_(streaming_execution=True)
+STREAMED = MATERIALIZED.with_(plan="streamed")
 
 REQUIRED_FACTOR_AT_SCALE_4 = 3.0
 

@@ -1,15 +1,19 @@
 """Strategy configuration.
 
 The four optimization strategies of Section 4 (plus a few implementation
-choices) can be switched on and off individually, which is what the ablation
-benchmarks and most of the examples do.  :class:`StrategyOptions` is a plain
+choices) can be switched on and off individually, and the combination phase's
+join order and plan are picked by name, which is what the ablation benchmarks
+and most of the examples do.  :class:`StrategyOptions` is a plain
 immutable value object; the defaults correspond to the full PASCAL/R system
 as described in the paper.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from typing import Literal, get_args
+
+from repro.errors import PlanError
 
 __all__ = [
     "StrategyOptions",
@@ -38,6 +42,10 @@ DURABILITY_OFF = "off"
 DURABILITY_COMMIT = "commit"
 DURABILITY_CHECKPOINT = "checkpoint"
 DURABILITY_MODES = (DURABILITY_OFF, DURABILITY_COMMIT, DURABILITY_CHECKPOINT)
+
+#: The values of ``StrategyOptions.join_order`` and ``StrategyOptions.plan``.
+JoinOrder = Literal["written", "uniform", "histogram"]
+Plan = Literal["streamed", "literal"]
 
 
 @dataclass(frozen=True)
@@ -82,36 +90,36 @@ class StrategyOptions:
         The chosen path depends on the catalog and the cardinalities only
         (an index prices a probe from its own counts, never from the value
         compared), on the live database and on a pinned snapshot alike.
-    join_ordering:
-        Combination-phase optimizer — order the joins of each conjunction by
-        estimated cardinality (smallest structure first, then the connected
-        structure with the smallest estimated join result) instead of the
-        textual first-connected order of the literal Section 3.3 procedure.
+    join_order:
+        Combination-phase optimizer — how each conjunction's joins are
+        ordered: ``"written"``, the textual first-connected order of the
+        literal Section 3.3 procedure; ``"uniform"``, smallest structure
+        first, then greedily the connected structure with the smallest
+        estimated join result (the ``|L|*|R|/max(distinct)`` formula over
+        what the stream can hold); ``"histogram"``, the same loop with its
+        first step priced from join-key sketches of the collection
+        structures (see :mod:`repro.relational.histogram`), so skewed keys
+        surface in the ordering decision.
     semijoin_reduction:
         Combination-phase optimizer — before joining, semijoin-filter every
         conjunct structure against the other structures of the same
         conjunction that share a variable column (Bernstein & Chiu's
         technique, which Section 4.4 relates to collection-phase
         quantifiers), so dyadic structures shrink before they enter a join.
-    streaming_execution:
-        Select the plan policy of the combination phase's one pull-based
-        operator pipeline.  On: the streamed plan — innermost SOME
-        quantifiers are eliminated inside each conjunction's chain
-        (short-circuiting to a semijoin where their columns are no longer
-        needed), so only pipeline breakers (division, union dedup state)
-        buffer tuples and ``peak_tuples`` reports the live-tuple high-water
-        mark.  Off: the literal Section 3.3 procedure — n-tuples over every
-        variable, a deduplicated union, one operator per quantifier — with
-        ``peak_tuples`` the largest n-tuple relation it builds.  Either way
-        the construction phase dereferences straight from the final stream.
-    histogram_statistics:
-        Skew-aware join ordering — the greedy join-ordering loop estimates
-        join sizes from sketches of the join columns of one execution's
-        collection structures (hot keys matched exactly, remainders joined
-        over aligned hash buckets; see :mod:`repro.relational.histogram`)
-        instead of the uniform ``|L|*|R|/max(distinct)`` formula.  When off,
-        it falls back to the uniform estimate.  Access paths are priced
-        the same either way.
+    plan:
+        The plan policy of the combination phase's one pull-based operator
+        pipeline.  ``"streamed"``: innermost SOME quantifiers are eliminated
+        inside each conjunction's chain (short-circuiting to a semijoin where
+        their columns are no longer needed), so only pipeline breakers
+        (division, union dedup state) buffer tuples and ``peak_tuples``
+        reports the live-tuple high-water mark.  ``"literal"``: the literal
+        Section 3.3 procedure — n-tuples over every variable, a deduplicated
+        union, one operator per quantifier — with ``peak_tuples`` the
+        largest n-tuple relation it builds.  Either way the construction
+        phase dereferences straight from the final stream.
+
+    ``join_order`` and ``plan`` take one of the strings above; any other
+    value, a bool included, raises :class:`~repro.errors.PlanError`.
     """
 
     parallel_collection: bool = True
@@ -121,10 +129,18 @@ class StrategyOptions:
     general_range_extensions: bool = False
     separate_existential_conjunctions: bool = False
     use_index_paths: bool = True
-    join_ordering: bool = True
+    join_order: JoinOrder = "histogram"
     semijoin_reduction: bool = True
-    streaming_execution: bool = True
-    histogram_statistics: bool = True
+    plan: Plan = "streamed"
+
+    def __post_init__(self) -> None:
+        for name, policy in (("join_order", JoinOrder), ("plan", Plan)):
+            value, allowed = getattr(self, name), get_args(policy)
+            if value not in allowed:
+                raise PlanError(
+                    f"StrategyOptions.{name} must be one of "
+                    f"{', '.join(map(repr, allowed))}; got {value!r}"
+                )
 
     # -- presets -----------------------------------------------------------------
 
@@ -142,37 +158,37 @@ class StrategyOptions:
             extended_ranges=False,
             collection_phase_quantifiers=False,
             use_index_paths=False,
-            join_ordering=False,
+            join_order="written",
             semijoin_reduction=False,
-            streaming_execution=False,
-            histogram_statistics=False,
+            plan="literal",
         )
 
     @classmethod
-    def only(cls, **enabled: bool) -> "StrategyOptions":
-        """Start from :meth:`none` and switch on the named strategies."""
+    def only(cls, **enabled) -> "StrategyOptions":
+        """Start from :meth:`none` and switch on the named strategies
+        (a policy is named with its value: ``only(plan="streamed")``)."""
         return replace(cls.none(), **enabled)
 
-    def with_(self, **changes: bool) -> "StrategyOptions":
-        """A copy with the named flags changed."""
+    def with_(self, **changes) -> "StrategyOptions":
+        """A copy with the named fields changed."""
         return replace(self, **changes)
 
     def describe(self) -> str:
         """Short human readable description for EXPLAIN output."""
-        names = {
-            "parallel_collection": "S1 parallel collection",
-            "one_step_nested": "S2 one-step nested",
-            "extended_ranges": "S3 extended ranges",
-            "collection_phase_quantifiers": "S4 collection-phase quantifiers",
-            "general_range_extensions": "S3+ general extensions",
-            "separate_existential_conjunctions": "separate conjunctions",
-            "use_index_paths": "index access paths",
-            "join_ordering": "cost-ordered joins",
-            "semijoin_reduction": "semijoin reduction",
-            "streaming_execution": "streaming pipeline",
-            "histogram_statistics": "histogram statistics",
+        switched = {
+            "S1 parallel collection": self.parallel_collection,
+            "S2 one-step nested": self.one_step_nested,
+            "S3 extended ranges": self.extended_ranges,
+            "S4 collection-phase quantifiers": self.collection_phase_quantifiers,
+            "S3+ general extensions": self.general_range_extensions,
+            "separate conjunctions": self.separate_existential_conjunctions,
+            "index access paths": self.use_index_paths,
+            "cost-ordered joins": self.join_order != "written",
+            "semijoin reduction": self.semijoin_reduction,
+            "streaming pipeline": self.plan == "streamed",
+            "histogram statistics": self.join_order == "histogram",
         }
-        enabled = [label for attr, label in names.items() if getattr(self, attr)]
+        enabled = [label for label, on in switched.items() if on]
         return ", ".join(enabled) if enabled else "no strategies"
 
 
@@ -197,6 +213,8 @@ class ServiceOptions:
         lets a second writer wait for the gate instead of erroring out, but
         never blocks forever.
 
+    A negative value of any of the three raises :class:`~repro.errors.PlanError`.
+
     Every cursor reads a pinned copy-on-write snapshot
     (:mod:`repro.relational.mvcc`): of the committed state, or — a session
     cursor inside a transaction — of that transaction's writes so far.
@@ -205,6 +223,14 @@ class ServiceOptions:
     plan_cache_capacity: int = 128
     collection_cache_size: int = 32
     busy_timeout: float = 0.0
+
+    def __post_init__(self) -> None:
+        for setting in fields(self):
+            value = getattr(self, setting.name)
+            if value < 0:
+                raise PlanError(
+                    f"ServiceOptions.{setting.name} must be non-negative; got {value!r}"
+                )
 
     def with_(self, **changes) -> "ServiceOptions":
         """A copy with the named settings changed."""

@@ -22,22 +22,22 @@ procedure above builds — is the quantity Strategies 3 and 4 attack, and it
 is reported through the shared
 :class:`~repro.relational.statistics.AccessStatistics`.
 
-``streaming_execution`` (:class:`~repro.config.StrategyOptions`) selects
-what that one pipeline is planned to compute:
+``plan`` (:class:`~repro.config.StrategyOptions`) selects what that one
+pipeline is planned to compute:
 
-* **on — the streamed plan.**  The innermost run of SOME quantifiers is
-  eliminated *inside* each conjunction's chain (projection distributes over
-  union), which lets a join whose new columns are all SOME-bound
-  short-circuit into a semijoin — each witness is emitted once and the
-  partner group is never enumerated — and turns an unmentioned SOME-bound
-  range into a non-emptiness test; the union deduplicates only when an
+* **``"streamed"`` — the streamed plan.**  The innermost run of SOME
+  quantifiers is eliminated *inside* each conjunction's chain (projection
+  distributes over union), which lets a join whose new columns are all
+  SOME-bound short-circuit into a semijoin — each witness is emitted once
+  and the partner group is never enumerated — and turns an unmentioned
+  SOME-bound range into a non-emptiness test; the union deduplicates only when an
   outer operator does not; runs of SOME become one dedup projection.  Only
   pipeline breakers (division group tables, union/projection dedup state)
   buffer tuples, so ``peak_tuples`` reports the live-tuple high-water mark.
-* **off — the literal plan**, the procedure quoted above: every chain builds
-  n-tuples over all n variables (an unmentioned variable is extended by its
-  full range), the conjunctions are unioned two at a time with
-  deduplication, and every quantifier is its own operator — one dedup
+* **``"literal"`` — the literal plan**, the procedure quoted above: every
+  chain builds n-tuples over all n variables (an unmentioned variable is
+  extended by its full range), the conjunctions are unioned two at a time
+  with deduplication, and every quantifier is its own operator — one dedup
   projection per SOME, one division per ALL.  Each of those operators'
   outputs is one of the procedure's n-tuple relations: it counts as an
   intermediate relation, and ``peak_tuples`` is the largest of them.
@@ -45,11 +45,12 @@ what that one pipeline is planned to compute:
 Two combination-phase optimizations (switchable through the same options)
 attack that cost *inside* the phase, under either plan:
 
-* ``join_ordering`` — instead of joining structures in textual
-  first-connected order, start from the smallest structure and greedily join
-  the connected structure with the smallest estimated join cardinality
-  (``|L| * |R| / max(distinct join values)``); Cartesian products are taken
-  only as a last resort, smallest first.
+* ``join_order`` — ``"written"`` joins structures in textual
+  first-connected order; ``"uniform"`` and ``"histogram"`` start from the
+  smallest structure and greedily join the connected structure with the
+  smallest estimated join cardinality (``|L| * |R| / max(distinct join
+  values)``, the first step from join-key sketches under ``"histogram"``);
+  Cartesian products are taken only as a last resort, smallest first.
 * ``semijoin_reduction`` — before any n-tuple join, a reducer pass
   semijoin-filters each conjunct structure against every other structure of
   the conjunction sharing a variable column (Bernstein & Chiu's technique,
@@ -181,7 +182,7 @@ class CombinationResult:
     """Per evaluated conjunction, per join-chain step: a mutable
     ``[description, estimated rows, actual rows]`` triple.  The estimate is
     what the active cost model predicted when it chose the step (``None``
-    when no cost model ran — ``join_ordering`` off); the actual is the
+    when no cost model ran — ``join_order="written"``); the actual is the
     step's true output cardinality, filled when the step's operator closes.
     ``explain(analyze=True)`` renders these as est-vs-actual rows with their
     q-error."""
@@ -215,13 +216,12 @@ def qerror(est: float, actual: float) -> float:
 # schemas, sizes and join-column summaries.
 
 
-def _join_summary(operand, shared, sketch: bool, memo: dict | None = None):
+def _join_summary(operand: Rows, shared, sketch: bool):
     """The distinct count, or the join-key sketch, of ``operand``'s ``shared`` columns.
 
-    Kept on a :class:`Rows` operand (beside its build sides) for as long as
-    it lives; a relation's goes to ``memo``, the caller's for one pick.
+    Kept on the operand (beside its build sides) for as long as it lives.
     """
-    memo = getattr(operand, "memo", memo)
+    memo = operand.memo
     key = ("sketch" if sketch else "distinct", tuple(shared))
     summary = memo.get(key)
     if summary is None:
@@ -253,35 +253,27 @@ def stream_join_estimate(left_size: float, joined, operand, shared) -> float:
 
 
 def pick_next(
-    left,
+    joined: list[Rows],
     left_size: float,
     covered: set[str],
-    pending: list,
-    cache: dict[tuple, object],
-    ordering: bool,
-    sketches: bool,
-    joined=(),
+    pending: list[Rows],
+    join_order: str,
 ) -> tuple[int, float | None]:
     """Position of the next operand to join, plus that join's estimated size.
 
-    ``pending`` holds the operands still to join (:class:`Rows`);
-    ``covered`` the component names joined so far.  Without ``ordering``
-    this is the literal Section 3.3 reading — the first connected operand,
-    else the first one (a Cartesian product) — and no estimate.  With it,
-    the greedy policy: the connected operand with the smallest estimated
-    join result, Cartesian products only as a last resort, smallest first.
-
-    ``left`` is the materialised left side when there is one: its shared
-    columns are then summarised exactly — into join-key sketches under
-    ``sketches`` (hot keys matched exactly, remainders joined over aligned
-    hash buckets, which is what lets skewed key distributions surface in
-    the ordering decision), into distinct counts for the classic uniform
-    formula otherwise; ``cache`` holds a relation's summaries for this one
-    pick.  A streaming chain past its first join has no materialised left
-    side (``left`` is ``None``; its rows have not flowed yet): the estimate
-    is then :func:`stream_join_estimate` over the operands ``joined`` so far.
+    ``joined`` holds the operands joined so far, the chain's start structure
+    first; ``pending`` the operands still to join; ``covered`` the component
+    names joined so far.  ``"written"`` takes the literal Section 3.3
+    reading — the first connected operand, else the first one (a Cartesian
+    product) — and no estimate.  The other policies take the connected
+    operand with the smallest estimated join result, Cartesian products only
+    as a last resort, smallest first.  The estimate is
+    :func:`stream_join_estimate` over ``joined``, except that
+    ``"histogram"`` joins the sketches of both sides' shared columns while
+    the start structure is still the whole left side: the only one whose
+    rows exist before the chain runs.
     """
-    if not ordering:
+    if join_order == "written":
         for position, operand in enumerate(pending):
             if not covered.isdisjoint(operand.schema.field_names):
                 return position, None
@@ -297,20 +289,12 @@ def pick_next(
             if best_disconnected is None or size < best_disconnected_size:
                 best_disconnected, best_disconnected_size = position, size
             continue
-        if left is None:
-            cost = stream_join_estimate(left_size, joined, operand, shared)
-        elif sketches:
+        if join_order == "histogram" and len(joined) == 1:
             cost = estimate_join(
-                _join_summary(left, shared, True, cache),
-                _join_summary(operand, shared, True),
+                _join_summary(joined[0], shared, True), _join_summary(operand, shared, True)
             )
         else:
-            cost = estimate_join_cardinality(
-                len(left),
-                len(operand),
-                _join_summary(left, shared, False, cache),
-                _join_summary(operand, shared, False),
-            )
+            cost = stream_join_estimate(left_size, joined, operand, shared)
         if best_connected is None or cost < best_connected_cost:
             best_connected, best_connected_cost = position, cost
     if best_connected is not None:
@@ -345,15 +329,14 @@ class CombinationPlan:
     """What the phase derives from a collection result alone, kept on it.
 
     A pure function of the collection result, the query plan and ``key``
-    (the ``join_ordering`` / ``semijoin_reduction`` / ``histogram_statistics``
-    / ``streaming_execution`` values it was planned under).  That includes
-    the pipeline's whole *shape* — every operator as a prepared
-    :class:`~repro.relational.algebra.Kernel` (schemas, getters, build
-    sides), the decode tables and the operator notes — so an execution wires
-    generators, estimate slots and counters and nothing else.  Built
-    privately and published on :attr:`CollectionResult.combination_plan` by
-    one assignment; executions sharing it — concurrently, on pins — only
-    read it.
+    (the ``join_order`` / ``semijoin_reduction`` / ``plan`` values it was
+    planned under).  That includes the pipeline's whole *shape* — every
+    operator as a prepared :class:`~repro.relational.algebra.Kernel`
+    (schemas, getters, build sides), the decode tables and the operator
+    notes — so an execution wires generators, estimate slots and counters
+    and nothing else.  Built privately and published on
+    :attr:`CollectionResult.combination_plan` by one assignment; executions
+    sharing it — concurrently, on pins — only read it.
     """
 
     key: tuple
@@ -361,9 +344,6 @@ class CombinationPlan:
     """Of the free-variable reference tuples (``CombinationResult.tuples``)."""
     tables: list
     """Per free column: the id -> reference table the last stage decodes with."""
-    literal: bool = False
-    """The policy: planned as the literal Section 3.3 procedure
-    (``streaming_execution`` off) rather than as the streamed plan."""
     ranges: dict[str, Rows] = field(default_factory=dict)
     """Per variable: its range as an id operand (extensions, divisors), each
     made when first asked for."""
@@ -377,6 +357,12 @@ class CombinationPlan:
     """The quantifiers the union leaves, right to left; the last one leaves
     exactly the free variables, in binding order."""
     notes: list[OperatorNote] = field(default_factory=list)
+
+    @property
+    def literal(self) -> bool:
+        """The policy: planned as the literal Section 3.3 procedure
+        (``plan="literal"``) rather than as the streamed plan."""
+        return self.key[2] == "literal"
 
 
 class CombinationPhase:
@@ -516,18 +502,13 @@ class CombinationPhase:
         complete.  Everything of *this execution* — counters, estimate
         slots, generators — is the wiring's, never the plan's.
         """
-        options = self.options
-        key = (options.join_ordering, options.semijoin_reduction,
-               options.histogram_statistics, options.streaming_execution)
+        key = (self.options.join_order, self.options.semijoin_reduction, self.options.plan)
         plan = self.collection.combination_plan
         reused = plan is not None and plan.key == key
         if not reused:
             free = self._schema("free_tuples", [b.var for b in self.prepared.bindings])
             refs = self.collection.reference_ids().refs
-            plan = CombinationPlan(
-                key, free, [refs.get(f.type.target, ()) for f in free.fields],
-                literal=not options.streaming_execution,
-            )
+            plan = CombinationPlan(key, free, [refs.get(f.type.target, ()) for f in free.fields])
             self._ranges = plan.ranges
             self._plan_pipeline(plan)
             self.collection.combination_plan = plan
@@ -588,26 +569,19 @@ class CombinationPhase:
             kernel = project_kernel(entry.schema, entry.schema.field_names, entry.name)
             step("scan", entry.name, reason, kernel, entry.name, est, len(entry))
 
+        join_order = self.options.join_order
         pending = list(operands)
         if pending:
             start = 0
-            if self.options.join_ordering:
+            if join_order != "written":
                 start = min(range(len(pending)), key=lambda i: len(pending[i]))
             entry = pending.pop(start)
             est_size = float(len(entry))
             scan(entry, est_size, "pipeline source")
             covered = set(entry.schema.field_names)
-            # The start structure is the only materialised left side the
-            # chain ever has; under ``histogram_statistics`` its
-            # sketch feeds the first ordering decision, later steps price
-            # a join by what the stream can hold (``stream_join_estimate``).
-            base = entry if self.options.histogram_statistics else None
             joined = [entry]
             while pending:
-                pick, est = pick_next(
-                    base, est_size, covered, pending, {},
-                    self.options.join_ordering, self.options.histogram_statistics, joined,
-                )
+                pick, est = pick_next(joined, est_size, covered, pending, join_order)
                 entry = pending.pop(pick)
                 description = entry.name
                 order.append((description, len(entry)))
@@ -649,7 +623,6 @@ class CombinationPhase:
                         est_size = stream_join_estimate(est_size, joined, entry, shared)
                     else:
                         est_size = est_size * len(entry)
-                    base = None
                     covered.update(names)
                     joined.append(entry)
         else:

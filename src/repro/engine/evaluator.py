@@ -12,7 +12,7 @@
   the combination and construction phases run as one streaming operator
   pipeline, planned either as the streamed plan (only pipeline breakers
   buffer reference tuples) or as the literal Section 3.3 procedure
-  (``StrategyOptions.streaming_execution``),
+  (``StrategyOptions.plan``),
 * it falls back gracefully when the non-empty-range assumption behind
   Strategy 3 fails at runtime, and
 * it returns a :class:`QueryResult` bundling the result relation with the

@@ -1,7 +1,7 @@
 """Join-key sketches and the join-cardinality estimator.
 
 The greedy join-ordering loop of the combination phase needs the size of
-each join it could take next.  Under ``histogram_statistics`` it sketches
+each join it could take next.  Under ``join_order="histogram"`` it sketches
 the join columns of the two sides — reference tuples of one execution's
 collection structures: exact, tiny, discarded with the plan — into a
 :class:`ColumnSketch` each and asks :func:`estimate_join`.

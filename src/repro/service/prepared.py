@@ -96,7 +96,7 @@ class PreparedQuery:
         # collection result (reference ids, the combination plan, its
         # operands' hash tables) is published complete and then only
         # read, so concurrent pinned executions may share one entry.
-        self._cache_size = max(collection_cache_size, 0)
+        self._cache_size = collection_cache_size
         self._bound_plans = BoundedLRU(self._cache_size)
         self._collections = BoundedLRU(self._cache_size)
         # Literal values -> the ``for_text`` handle binding them, so a text

@@ -57,7 +57,7 @@ class TestStreamingIsReal:
         """After a full cursor drain the LiveTupleTracker high-water mark
         matches the streamed plan's, far below the literal plan's peak."""
         materialized = QueryEngine(
-            scale4, StrategyOptions().with_(streaming_execution=False)
+            scale4, StrategyOptions().with_(plan="literal")
         ).run(OTHERS_PUBLISHED_1977_TEXT)
         cursor = connect(scale4).execute(OTHERS_PUBLISHED_1977_TEXT)
         cursor.fetchall()

@@ -19,7 +19,7 @@ from repro.workloads.queries import OTHERS_PUBLISHED_1977_TEXT
 #: The benchmark's configuration: Strategy 1 only, so the dyadic structures
 #: actually reach the combination phase (S3/S4 would dissolve them first).
 LEGACY = StrategyOptions.only(parallel_collection=True)
-OPTIMIZED = LEGACY.with_(join_ordering=True, semijoin_reduction=True)
+OPTIMIZED = LEGACY.with_(join_order="uniform", semijoin_reduction=True)
 
 #: The pinned values (scale 4, ``others_published_1977``).  The peak bound is
 #: the number PR 1's benchmark reports; the legacy floor documents the gap.
@@ -523,21 +523,21 @@ def test_selection_counters_and_rows_are_what_they_were_row_at_a_time(source, na
     connection.close()
 
 
-# ------------- the literal Section 3.3 procedure: what streaming_execution off computes
+# ------------- the literal Section 3.3 procedure: what plan="literal" computes
 
 
 #: The configurations under which the combination phase runs the literal
-#: procedure (``streaming_execution`` off): the unoptimized system, Strategy 1
+#: procedure (``plan="literal"``): the unoptimized system, Strategy 1
 #: alone, Strategy 1 with each join-order cost model, and the three
 #: configurations of ``bench_cost_model.py`` (resolved by name there).
 LITERAL_CONFIGS = {
     "none": StrategyOptions.none(),
     "s1": StrategyOptions.only(parallel_collection=True),
     "s1_reduced": StrategyOptions.only(
-        parallel_collection=True, join_ordering=True, semijoin_reduction=True
+        parallel_collection=True, join_order="uniform", semijoin_reduction=True
     ),
     "s1_histogram": StrategyOptions.only(
-        parallel_collection=True, join_ordering=True, histogram_statistics=True
+        parallel_collection=True, join_order="histogram"
     ),
     "BASE": None,
     "UNIFORM": None,

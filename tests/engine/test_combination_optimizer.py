@@ -19,8 +19,8 @@ from repro.workloads.queries import (
 #: Only Strategy 1 on, so the dyadic structures reach the combination phase.
 BASE = StrategyOptions.only(parallel_collection=True)
 LEGACY = BASE
-ORDERED = BASE.with_(join_ordering=True)
-OPTIMIZED = BASE.with_(join_ordering=True, semijoin_reduction=True)
+ORDERED = BASE.with_(join_order="uniform")
+OPTIMIZED = BASE.with_(join_order="uniform", semijoin_reduction=True)
 
 
 @pytest.fixture(scope="module")

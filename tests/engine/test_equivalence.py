@@ -2,9 +2,9 @@
 
 Four axes are crossed here:
 
-* **optimizer flags** — ``join_ordering`` × ``semijoin_reduction``;
-* **plan policy** — ``streaming_execution`` on (the streamed plan) vs. off
-  (the literal Section 3.3 procedure, n-tuples over every variable), both
+* **optimizer settings** — ``join_order`` × ``semijoin_reduction``;
+* **plan policy** — ``plan="streamed"`` vs. ``plan="literal"`` (the literal
+  Section 3.3 procedure, n-tuples over every variable), both
   on the one pull-based pipeline, asserted byte-identical in
   :class:`TestStreamingEquivalence`, crossed with the optimizer flags at
   both scales;
@@ -54,14 +54,15 @@ SCALE2_CONFIGS = {
 
 QUERIES = all_named_queries()
 
-OPTIMIZER_FLAGS = list(itertools.product((False, True), repeat=2))
+JOIN_ORDERS = ("written", "uniform", "histogram")
+OPTIMIZER_FLAGS = list(itertools.product(JOIN_ORDERS, (False, True)))
 
 BACKENDS = ("memory", "paged")
 
 
-def _flag_id(flags: tuple[bool, bool]) -> str:
-    ordering, reduction = flags
-    return f"ordering={'on' if ordering else 'off'}-semijoin={'on' if reduction else 'off'}"
+def _flag_id(flags: tuple[str, bool]) -> str:
+    join_order, reduction = flags
+    return f"join_order={join_order}-semijoin={'on' if reduction else 'off'}"
 
 
 @pytest.fixture(params=BACKENDS, scope="module")
@@ -103,8 +104,8 @@ def test_optimizer_flags_match_naive_on_figure1(
     figure1_backend, backend, query_name, flags, strategy_options
 ):
     """All optimizer flags × strategy configs × backends, on the Figure 1 data."""
-    ordering, reduction = flags
-    options = strategy_options.with_(join_ordering=ordering, semijoin_reduction=reduction)
+    join_order, reduction = flags
+    options = strategy_options.with_(join_order=join_order, semijoin_reduction=reduction)
     expected = execute_naive(figure1_backend, QUERIES[query_name])
     result = QueryEngine(figure1_backend, options).run(QUERIES[query_name])
     assert result.relation == expected
@@ -115,9 +116,9 @@ def test_optimizer_flags_match_naive_on_figure1(
 @pytest.mark.parametrize("config_name", sorted(SCALE2_CONFIGS))
 def test_optimizer_flags_match_naive_at_scale2(scale2_backend, backend, config_name, flags):
     """A larger database catches size-dependent ordering bugs; one query per cell."""
-    ordering, reduction = flags
+    join_order, reduction = flags
     options = SCALE2_CONFIGS[config_name].with_(
-        join_ordering=ordering, semijoin_reduction=reduction
+        join_order=join_order, semijoin_reduction=reduction
     )
     for query_name in ("others_published_1977", "publishing_teachers", "example_2_1"):
         expected = execute_naive(scale2_backend, QUERIES[query_name])
@@ -243,7 +244,7 @@ class TestIndexAccessPathEquivalence:
 
 
 class TestStreamingEquivalence:
-    """``streaming_execution`` on/off × the full existing matrix.
+    """``plan="streamed"`` / ``plan="literal"`` × the full existing matrix.
 
     The streamed plan must be byte-identical to the literal plan (and
     to the naive ground truth) across every strategy configuration, optimizer
@@ -257,10 +258,10 @@ class TestStreamingEquivalence:
     ):
         expected = execute_naive(figure1_backend, QUERIES[query_name])
         on = QueryEngine(
-            figure1_backend, strategy_options.with_(streaming_execution=True)
+            figure1_backend, strategy_options.with_(plan="streamed")
         ).run(QUERIES[query_name])
         off = QueryEngine(
-            figure1_backend, strategy_options.with_(streaming_execution=False)
+            figure1_backend, strategy_options.with_(plan="literal")
         ).run(QUERIES[query_name])
         assert on.relation == expected
         assert off.relation == expected
@@ -277,14 +278,14 @@ class TestStreamingEquivalence:
         """Both plan policies × every join-order and reducer setting:
         the order and the reduced ranges each plan is handed must not change
         the rows it returns."""
-        ordering, reduction = flags
-        base = strategy_options.with_(join_ordering=ordering, semijoin_reduction=reduction)
+        join_order, reduction = flags
+        base = strategy_options.with_(join_order=join_order, semijoin_reduction=reduction)
         expected = execute_naive(figure1_backend, QUERIES[query_name])
         on = QueryEngine(
-            figure1_backend, base.with_(streaming_execution=True)
+            figure1_backend, base.with_(plan="streamed")
         ).run(QUERIES[query_name])
         off = QueryEngine(
-            figure1_backend, base.with_(streaming_execution=False)
+            figure1_backend, base.with_(plan="literal")
         ).run(QUERIES[query_name])
         assert on.relation == expected
         assert off.relation == expected
@@ -298,16 +299,16 @@ class TestStreamingEquivalence:
     def test_streaming_on_off_byte_identical_at_scale2(
         self, scale2_backend, backend, config_name, flags
     ):
-        ordering, reduction = flags
+        join_order, reduction = flags
         base = SCALE2_CONFIGS[config_name].with_(
-            join_ordering=ordering, semijoin_reduction=reduction
+            join_order=join_order, semijoin_reduction=reduction
         )
         for query_name in ("others_published_1977", "publishing_teachers", "example_2_1"):
             on = QueryEngine(
-                scale2_backend, base.with_(streaming_execution=True)
+                scale2_backend, base.with_(plan="streamed")
             ).run(QUERIES[query_name])
             off = QueryEngine(
-                scale2_backend, base.with_(streaming_execution=False)
+                scale2_backend, base.with_(plan="literal")
             ).run(QUERIES[query_name])
             assert sorted(r.values for r in on.relation) == sorted(
                 r.values for r in off.relation
@@ -324,10 +325,10 @@ class TestStreamingEquivalence:
         expected = execute_naive(indexed_backend, QUERIES[query_name])
         base = StrategyOptions().with_(use_index_paths=index_paths)
         on = QueryEngine(
-            indexed_backend, base.with_(streaming_execution=True)
+            indexed_backend, base.with_(plan="streamed")
         ).run(QUERIES[query_name])
         off = QueryEngine(
-            indexed_backend, base.with_(streaming_execution=False)
+            indexed_backend, base.with_(plan="literal")
         ).run(QUERIES[query_name])
         assert on.relation == expected
         assert sorted(r.values for r in on.relation) == sorted(
@@ -339,8 +340,8 @@ class TestStreamingEquivalence:
     def test_prepared_streaming_on_off_byte_identical(self, figure1_backend, workload_name):
         text, bindings = parameterized_queries()[workload_name]
         service = connect(figure1_backend).service
-        prepared_on = service.prepare(text, StrategyOptions().with_(streaming_execution=True))
-        prepared_off = service.prepare(text, StrategyOptions().with_(streaming_execution=False))
+        prepared_on = service.prepare(text, StrategyOptions().with_(plan="streamed"))
+        prepared_off = service.prepare(text, StrategyOptions().with_(plan="literal"))
         for values in bindings:
             for _ in range(2):  # the second run exercises the collection memo
                 on = prepared_on.execute(values).relation
@@ -377,13 +378,13 @@ class TestLiftedLiteralEquivalence:
     in the order — of compiling it as written (``QueryEngine.run``).
     """
 
-    @pytest.mark.parametrize("streaming", (False, True), ids=("streaming=off", "streaming=on"))
+    @pytest.mark.parametrize("plan", ("literal", "streamed"), ids=("plan=literal", "plan=streamed"))
     @pytest.mark.parametrize("workload_name", sorted(parameterized_queries()))
     def test_inlined_bindings_share_a_plan_and_match_cold(
-        self, indexed_backend, backend, workload_name, streaming
+        self, indexed_backend, backend, workload_name, plan
     ):
         text, bindings = parameterized_queries()[workload_name]
-        options = StrategyOptions().with_(streaming_execution=streaming)
+        options = StrategyOptions().with_(plan=plan)
         engine = QueryEngine(indexed_backend, options)
         with connect(indexed_backend, options=options) as connection:
             cursor = connection.cursor()
@@ -437,15 +438,12 @@ BIBLIO_QUERIES = bibliography_named_queries()
 #: flag combination must reproduce byte-identically.
 BIBLIO_REFERENCE = StrategyOptions.only(parallel_collection=True)
 
-BIBLIO_FLAG_MATRIX = list(itertools.product((False, True), repeat=2))
+BIBLIO_FLAG_MATRIX = list(itertools.product(("literal", "streamed"), (False, True)))
 
 
-def _biblio_id(flags: tuple[bool, bool]) -> str:
-    streaming, index_paths = flags
-    return (
-        f"streaming={'on' if streaming else 'off'}"
-        f"-indexpaths={'on' if index_paths else 'off'}"
-    )
+def _biblio_id(flags: tuple[str, bool]) -> str:
+    plan, index_paths = flags
+    return f"plan={plan}-indexpaths={'on' if index_paths else 'off'}"
 
 
 @pytest.fixture(scope="module")
@@ -470,7 +468,7 @@ def bibliography_reference(bibliography_backend):
 class TestBibliographyEquivalence:
     """The full flag matrix over the second domain.
 
-    streaming × index paths × {memory, paged} × every named citation
+    plan policy × index paths × {memory, paged} × every named citation
     query: Zipf-skewed many-to-many data with non-ASCII CharArray join keys
     is exactly where a backend- or path-dependent bug would show as
     silently dropped rows rather than as a crash.
@@ -481,10 +479,10 @@ class TestBibliographyEquivalence:
     def test_flag_matrix_matches_reference(
         self, bibliography_backend, bibliography_reference, backend, query_name, flags
     ):
-        streaming, index_paths = flags
+        plan, index_paths = flags
         options = StrategyOptions.all_strategies().with_(
             collection_phase_quantifiers=False,
-            streaming_execution=streaming,
+            plan=plan,
             use_index_paths=index_paths,
         )
         result = QueryEngine(bibliography_backend, options).run(BIBLIO_QUERIES[query_name])
@@ -561,12 +559,12 @@ from repro.engine.collection import CollectionPhase  # noqa: E402
 from repro.engine.combination import CombinationPhase  # noqa: E402
 from repro.workloads import queries as university_queries  # noqa: E402
 
-PLAN_FLAGS = ("join_ordering", "semijoin_reduction", "histogram_statistics", "streaming_execution")
-PLAN_FLAG_MATRIX = list(itertools.product((False, True), repeat=len(PLAN_FLAGS)))
+PLAN_FLAGS = ("join_order", "semijoin_reduction", "plan")
+PLAN_FLAG_MATRIX = list(itertools.product(JOIN_ORDERS, (False, True), ("streamed", "literal")))
 
 
 def _plan_flags_id(flags) -> str:
-    return "-".join(f"{name.split('_')[0]}={'on' if on else 'off'}" for name, on in zip(PLAN_FLAGS, flags))
+    return f"{_flag_id(flags[:2])}-plan={flags[2]}"
 
 
 def _report(combination) -> tuple:
@@ -636,11 +634,10 @@ class TestRepeatedExecutionEquivalence:
         text = university_queries.PUBLISHING_TEACHERS_TEXT
         expected = execute_naive(figure1, text)
         ordered = StrategyOptions.only(
-            parallel_collection=True, join_ordering=True, semijoin_reduction=True,
-            histogram_statistics=True, streaming_execution=True,
+            parallel_collection=True, join_order="histogram", semijoin_reduction=True,
+            plan="streamed",
         )
-        literal = ordered.with_(join_ordering=False, semijoin_reduction=False,
-                                streaming_execution=False)
+        literal = ordered.with_(join_order="written", semijoin_reduction=False, plan="literal")
         engine = QueryEngine(figure1, ordered)
         plan = engine.prepare(text)
         collection = CollectionPhase(plan, figure1, ordered).run()

@@ -96,10 +96,9 @@ def test_every_strategy_configuration_matches_naive_evaluation(seed, config):
 #: dissolve them during collection).
 KERNEL = StrategyOptions.only(
     parallel_collection=True,
-    join_ordering=True,
+    join_order="histogram",
     semijoin_reduction=True,
-    histogram_statistics=True,
-    streaming_execution=True,
+    plan="streamed",
 )
 
 
@@ -118,7 +117,7 @@ def test_streamed_and_literal_plans_match_naive_evaluation(seed):
     expected = evaluate_selection_naive(resolved, database)
     engine = QueryEngine(database)
     streamed = engine.run(resolved, options=KERNEL)
-    literal = engine.run(resolved, options=KERNEL.with_(streaming_execution=False))
+    literal = engine.run(resolved, options=KERNEL.with_(plan="literal"))
     assert streamed.relation == expected
     assert literal.relation == expected
     if streamed.combination is not None and not streamed.used_strategy3_fallback:

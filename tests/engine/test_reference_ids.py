@@ -32,10 +32,9 @@ from repro.workloads.university import figure1_database
 #: phase instead of dissolving into ranges (S3) or value lists (S4).
 S1 = StrategyOptions.only(
     parallel_collection=True,
-    join_ordering=True,
+    join_order="histogram",
     semijoin_reduction=True,
-    histogram_statistics=True,
-    streaming_execution=True,
+    plan="streamed",
 )
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -121,7 +120,7 @@ def _both_executions(database, plan, collection):
     Section 3.3 plan, plus the streamed plan's result object."""
     streamed = CombinationPhase(plan, database, collection, S1).run()
     literal = CombinationPhase(
-        plan, database, collection, S1.with_(streaming_execution=False)
+        plan, database, collection, S1.with_(plan="literal")
     ).run()
     for result in (streamed, literal):
         for _ in result.stream:

@@ -1,7 +1,7 @@
 """Unit and property tests for the streaming operator pipeline.
 
 The tentpole invariant is byte-identical results between the two plan
-policies ``streaming_execution`` selects — the streamed plan and the literal
+policies ``plan`` selects — the streamed plan and the literal
 Section 3.3 procedure (the matrix in ``test_equivalence.py`` covers the full
 configuration cross); this module
 tests the pipeline machinery itself — the :class:`RowStream` protocol, the
@@ -47,11 +47,11 @@ from repro.workloads.queries import (
 #: phase actually sees multi-structure conjunctions.
 S1_STREAMED = StrategyOptions.only(
     parallel_collection=True,
-    join_ordering=True,
+    join_order="uniform",
     semijoin_reduction=True,
-    streaming_execution=True,
+    plan="streamed",
 )
-S1_LITERAL = S1_STREAMED.with_(streaming_execution=False)
+S1_LITERAL = S1_STREAMED.with_(plan="literal")
 
 
 def make(name: str, fields: list[str], rows: list[tuple]) -> Relation:
@@ -197,7 +197,7 @@ class TestStreamingExecution:
 
     def test_division_is_annotated_as_breaker(self, figure1):
         options = StrategyOptions.only(
-            parallel_collection=True, streaming_execution=True
+            parallel_collection=True, plan="streamed"
         )
         result = QueryEngine(figure1, options).run(NO_1977_PAPERS_TEXT)
         expected = execute_naive(figure1, NO_1977_PAPERS_TEXT)
@@ -210,7 +210,7 @@ class TestStreamingExecution:
 
     def test_union_dedup_annotated_over_multiple_conjunctions(self, figure1):
         options = StrategyOptions.only(
-            parallel_collection=True, streaming_execution=True
+            parallel_collection=True, plan="streamed"
         )
         engine = QueryEngine(figure1, options)
         result = engine.run(
@@ -241,7 +241,7 @@ class TestStreamingExecution:
 
     def test_explain_analyze_annotates_streamed_and_materialized(self, figure1):
         options = StrategyOptions.only(
-            parallel_collection=True, streaming_execution=True
+            parallel_collection=True, plan="streamed"
         )
         report = QueryEngine(figure1, options).explain(NO_1977_PAPERS_TEXT, analyze=True)
         assert "execution: streaming pipeline" in report
@@ -252,10 +252,9 @@ class TestStreamingExecution:
     def test_explain_analyze_reports_the_literal_plan_when_off(self, figure1):
         options = StrategyOptions.only(parallel_collection=True)
         report = QueryEngine(figure1, options).explain(NO_1977_PAPERS_TEXT, analyze=True)
-        assert "execution: literal Section 3.3 procedure, streamed" in report
+        assert "\n  execution: literal Section 3.3 procedure, streamed\n" in report
         assert "peak n-tuples" in report
         assert ": streamed — " in report and ": materialized — " in report  # the division
-        assert "streaming_execution off" not in report
 
     def test_construction_rerun_falls_back_to_materialized_tuples(self, figure1):
         resolved = TypeChecker.for_database(figure1).resolve(
@@ -320,8 +319,8 @@ PROPERTY_SETTINGS = settings(
 
 STREAM_CONFIGS = [
     StrategyOptions.all_strategies(),
-    StrategyOptions.none().with_(streaming_execution=True),
-    StrategyOptions.only(parallel_collection=True, streaming_execution=True),
+    StrategyOptions.none().with_(plan="streamed"),
+    StrategyOptions.only(parallel_collection=True, plan="streamed"),
     StrategyOptions(separate_existential_conjunctions=True),
 ]
 
@@ -350,8 +349,8 @@ def test_streamed_and_materialized_agree_on_random_workloads(seed, config):
     expected = evaluate_selection_naive(resolved, database)
     engine = QueryEngine(database)
     options = STREAM_CONFIGS[config]
-    streamed = engine.run(resolved, options=options.with_(streaming_execution=True))
-    literal = engine.run(resolved, options=options.with_(streaming_execution=False))
+    streamed = engine.run(resolved, options=options.with_(plan="streamed"))
+    literal = engine.run(resolved, options=options.with_(plan="literal"))
     assert streamed.relation == expected
     assert literal.relation == expected
     assert sorted(r.values for r in streamed.relation) == sorted(
@@ -368,7 +367,7 @@ def test_rows_streamed_positive_whenever_a_join_pipelines(seed):
     if pair is None:
         return
     database, resolved = pair
-    options = StrategyOptions.only(parallel_collection=True, streaming_execution=True)
+    options = StrategyOptions.only(parallel_collection=True, plan="streamed")
     engine = QueryEngine(database, options)
     try:
         result = engine.run(resolved)

@@ -355,8 +355,8 @@ class TestCombinationPlanLifetime:
 
     #: Strategy 1 only, so the dyadic structures reach the combination phase.
     OPTIONS = StrategyOptions.only(
-        parallel_collection=True, join_ordering=True, semijoin_reduction=True,
-        histogram_statistics=True, streaming_execution=True,
+        parallel_collection=True, join_order="histogram", semijoin_reduction=True,
+        plan="streamed",
     )
     TEXT = (
         "[<e.ename> OF EACH e IN employees: SOME p IN papers "

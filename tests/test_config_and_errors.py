@@ -4,8 +4,8 @@ from dataclasses import fields
 
 import pytest
 
-from repro import errors
-from repro.config import StrategyOptions
+from repro import connect, errors, execute_naive
+from repro.config import ServiceOptions, StrategyOptions
 
 
 class TestStrategyOptions:
@@ -20,12 +20,14 @@ class TestStrategyOptions:
 
     def test_none_disables_everything(self):
         options = StrategyOptions.none()
-        assert not options.parallel_collection
-        assert not options.one_step_nested
-        assert not options.extended_ranges
-        assert not options.collection_phase_quantifiers
-        assert not options.use_index_paths
-        assert not any(getattr(options, f.name) for f in fields(options))
+        switches = [f.name for f in fields(options) if f.name not in ("plan", "join_order")]
+        assert len(switches) == 8
+        assert not any(getattr(options, name) for name in switches)
+        assert (options.plan, options.join_order) == ("literal", "written")
+
+    def test_defaults_are_the_streamed_plan_and_the_histogram_join_order(self):
+        options = StrategyOptions()
+        assert (options.plan, options.join_order) == ("streamed", "histogram")
 
     def test_only_enables_selected_strategies(self):
         options = StrategyOptions.only(extended_ranges=True)
@@ -49,6 +51,43 @@ class TestStrategyOptions:
     def test_equality(self):
         assert StrategyOptions() == StrategyOptions()
         assert StrategyOptions.none() != StrategyOptions()
+
+    @pytest.mark.parametrize("build, allowed", [
+        (lambda: StrategyOptions(join_order="hist"), "'written', 'uniform', 'histogram'"),
+        (lambda: StrategyOptions().with_(plan="stream"), "'streamed', 'literal'"),
+        (lambda: StrategyOptions.only(join_order=True), "'written', 'uniform', 'histogram'"),
+        (lambda: StrategyOptions(plan=False), "'streamed', 'literal'"),
+    ], ids=["constructor", "with_", "only", "bool plan"])
+    def test_a_policy_outside_its_values_is_refused(self, build, allowed):
+        with pytest.raises(errors.PlanError, match=allowed):
+            build()
+
+    def test_a_bad_policy_never_reaches_the_engine(self, figure1):
+        text = "[<e.ename> OF EACH e IN employees: (e.estatus = professor)]"
+        with pytest.raises(errors.PlanError, match="join_order"):
+            connect(figure1, options=StrategyOptions(join_order="cost"))
+        with connect(figure1) as connection:
+            with pytest.raises(errors.PlanError, match="plan"):
+                connection.session(options=StrategyOptions.none().with_(plan="pipeline"))
+            assert len(connection.execute(text).fetchall()) == len(execute_naive(figure1, text))
+
+
+class TestServiceOptions:
+    @pytest.mark.parametrize(
+        "name", ["plan_cache_capacity", "collection_cache_size", "busy_timeout"]
+    )
+    def test_a_negative_setting_is_refused_through_every_spelling(self, name):
+        for build in (
+            lambda: ServiceOptions(**{name: -3}),
+            lambda: ServiceOptions().with_(**{name: -3}),
+        ):
+            with pytest.raises(errors.PlanError, match=f"{name} must be non-negative"):
+                build()
+        assert getattr(ServiceOptions(**{name: 0}), name) == 0
+
+    def test_a_negative_setting_never_reaches_the_service(self, figure1):
+        with pytest.raises(errors.PlanError, match="collection_cache_size"):
+            connect(figure1, service_options=ServiceOptions(collection_cache_size=-3))
 
 
 class TestErrorHierarchy:

@@ -183,10 +183,12 @@ def test_the_package_exports_are_what_they_are_pinned_to_be():
 
 
 def test_the_knobs_are_what_they_are_pinned_to_be():
-    """Every option field, and the keyword arguments of the front door and
-    the generators: a second spelling of a setting has to be added here."""
+    """Every option field, the values a policy field takes, and the keyword
+    arguments of the front door and the generators: a second spelling of a
+    setting has to be added here."""
     import dataclasses
     import inspect
+    import typing
 
     import repro
 
@@ -199,7 +201,15 @@ def test_the_knobs_are_what_they_are_pinned_to_be():
     assert fields(repro.ServiceOptions) == {
         "plan_cache_capacity", "collection_cache_size", "busy_timeout",
     }
-    assert len(fields(repro.StrategyOptions)) == 11
+    assert fields(repro.StrategyOptions) == {
+        "parallel_collection", "one_step_nested", "extended_ranges",
+        "collection_phase_quantifiers", "general_range_extensions",
+        "separate_existential_conjunctions", "use_index_paths",
+        "join_order", "semijoin_reduction", "plan",
+    }
+    policies = typing.get_type_hints(repro.StrategyOptions)
+    assert typing.get_args(policies["join_order"]) == ("written", "uniform", "histogram")
+    assert typing.get_args(policies["plan"]) == ("streamed", "literal")
     front_door = {"database", "options", "service_options", "durability"}
     assert parameters(repro.connect) == front_door
     assert parameters(repro.Connection) == front_door
