@@ -29,7 +29,7 @@ def professor_names(cursor_owner) -> list[str]:
 
 def main() -> None:
     database = build_university_database(scale=1)
-    database.create_index("employees", "enr")  # maintained through rollback too
+    database.create_index("employees", "enr")  # derived from what rollback restores
     connection = connect(database)
     employees = database.relation("employees")
 

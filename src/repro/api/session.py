@@ -13,8 +13,9 @@ relational layer's :class:`~repro.relational.journal.UndoJournal`:
 While a transaction is active, every tracked mutation of every base relation
 (``insert`` / ``delete`` / ``assign`` / ``clear``) is journaled — per key,
 what the key held before — and rollback sets each touched key back through
-the ordinary relation operators, so permanent indexes, heap pages, zone maps
-and the ``data_version`` epoch all follow the restored contents (see the
+the ordinary relation operators, so heap pages, zone maps, the contents
+versions permanent indexes are derived under and the ``data_version`` epoch
+all follow the restored contents (see the
 journal module for the coherence rule and the exact contract).  A
 transaction costs what it changes, not what its relations hold.  Catalog
 changes (DDL) are deliberately *not* transactional.
@@ -132,8 +133,8 @@ class Session:
         ``durability='commit'``), so by the time the in-memory transaction
         ends, crash recovery can replay it.  The undo journal itself is
         simply discarded — the mutations already applied through the
-        ordinary relation operators (and already maintained the indexes,
-        pages and version epochs), so there is nothing to replay.  A
+        ordinary relation operators (and already moved the pages and
+        version epochs), so there is nothing to replay.  A
         checkpoint deferred by mid-transaction DDL runs now.
         """
         journal = self._require_transaction()
@@ -149,10 +150,10 @@ class Session:
         Sets every key the transaction touched back to what it held before
         (most recently touched relation first) through the ordinary
         ``delete_key`` / ``insert`` operators — one ``assign`` for a
-        relation the transaction assigned or cleared — so the observer list
-        maintains the permanent indexes and statistics back, paged relations
-        keep their heap files and zone maps in step, and the data-version
-        epoch advances so no cached collection structure can survive from
+        relation the transaction assigned or cleared — so statistics follow
+        back, paged relations keep their heap files and zone maps in step,
+        and the contents versions and the data-version epoch advance, so no
+        permanent index view or cached collection structure can survive from
         the rolled-back state.  The cost is proportional to what the
         transaction changed.
 

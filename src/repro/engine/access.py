@@ -182,10 +182,10 @@ def _probe_cost(index: HashIndex | SortedIndex, op: str) -> float | None:
 
     ``None`` when the index organisation cannot answer the operator
     sub-linearly.  The price reads the index's own counts, never the probe
-    value: both organisations maintain their distinct-value count
-    incrementally, so equality is the true ``size/distinct`` bucket
-    average; a range is the distribution-free one-third guess.  A sorted
-    index adds its bisection.
+    value: both organisations count their distinct values once per build,
+    so equality is the true ``size/distinct`` bucket average; a range is
+    the distribution-free one-third guess.  A sorted index adds its
+    bisection.
     """
     size = max(len(index), 1)
     if isinstance(index, HashIndex):

@@ -66,20 +66,6 @@ class Database:
         #: (checkpoints, WAL flushes); tests arm it, production leaves it None.
         self.crash_point = None
 
-    def __del__(self) -> None:
-        # The permanent indexes the catalog hooked onto its relations go with
-        # the catalog.  A relation and a permanent index over it reference
-        # each other — observer list one way, every ``Ref`` the other — so
-        # without the unhooking a dropped database's indexed relations would
-        # sit in memory until a full cycle collection.  Consequence: a
-        # ``Relation`` or index object someone still holds after dropping its
-        # database stops being maintained from it — the relation is a plain
-        # relation from then on.  Reads instance state only, so it is safe at
-        # interpreter shutdown; an instance whose ``__init__`` failed before
-        # the catalog existed has nothing hooked.
-        for (relation_name, _), index in self.__dict__.get("_indexes", {}).items():
-            self._relations[relation_name].detach_index(index)
-
     # -- disk residency ----------------------------------------------------------------
 
     @classmethod
@@ -551,7 +537,6 @@ class Database:
             # A committed image kept for mid-transaction pins is filed under
             # the name; a successor relation of that name must not find it.
             self._snapshots.overlay.pop(name, None)
-            dropped = [index for key, index in self._indexes.items() if key[0] == name]
             self._indexes = {
                 key: index for key, index in self._indexes.items() if key[0] != name
             }
@@ -561,8 +546,6 @@ class Database:
         # to the orphan from here on is not the database's business, and
         # must not reach a log that could not replay it.
         relation.end_journal()
-        for index in dropped:
-            relation.detach_index(index)
         self.bump_schema_version()
         self._ddl_changed()
 
@@ -594,38 +577,40 @@ class Database:
         construction step when a permanent index already exists — "The first
         step can be omitted, if permanent indexes exist" (Section 3.2) — and
         the access-path selector probes it in place of whole-relation scans.
-        The index is registered with its relation and from then on maintained
-        *incrementally* on every insert/delete/assign/clear; no rebuild is
-        ever needed while the relation is mutated through its operators.
+        The index is built here by one scan of the relation; from then on no
+        write touches it — :meth:`index_for` re-derives it from the contents
+        the first time it is asked for after a write (DESIGN.md "Indexes are
+        views").  ``=``/``<>`` make a hash index, the ordering operators a
+        sorted one: the organisation is all the catalog keeps of ``operator``.
 
         Exactly one ``schema_version`` bump per call: creating (or replacing)
         an index is one catalog change, so every cached plan — which may have
         baked an access-path choice against the old catalog — is invalidated
         exactly once.
         """
-        relation = self.relation(relation_name)
-        index = build_index(relation, field_name, operator, tracker=self.statistics)
-        previous = self._indexes.get((relation_name, field_name))
-        if previous is not None:
-            relation.detach_index(previous)
+        index = build_index(
+            self.relation(relation_name), field_name, operator, tracker=self.statistics
+        )
         self._indexes = {**self._indexes, (relation_name, field_name): index}
-        relation.attach_index(index)
         self.bump_schema_version()
         self._ddl_changed()
         return index
 
     def index_for(self, relation_name: str, field_name: str) -> HashIndex | SortedIndex | None:
-        """The permanent index on ``relation_name.field_name``, if one exists."""
-        return self._indexes.get((relation_name, field_name))
+        """The permanent index on ``relation_name.field_name``, if one exists,
+        over the relation's current contents (:meth:`~repro.relational.index.HashIndex.current`)."""
+        index = self._indexes.get((relation_name, field_name))
+        return None if index is None else index.current()
 
     def index_candidate(self, relation_name: str, field_name: str):
         """``(index, reads to make it probe-able)`` for the access-path selector.
 
-        A live index is always ready: zero reads.  A pinned snapshot's view
-        may have to be built first, or not be on offer yet — see
-        :meth:`DatabaseSnapshot.index_candidate`.
+        A live index is always ready: :meth:`index_for`, zero reads (a
+        re-derivation is index maintenance, not a read).  A pinned
+        snapshot's view may have to be built first, or not be on offer yet —
+        see :meth:`DatabaseSnapshot.index_candidate`.
         """
-        return self._indexes.get((relation_name, field_name)), 0
+        return self.index_for(relation_name, field_name), 0
 
     def drop_index(self, relation_name: str, field_name: str) -> None:
         index = self._indexes.get((relation_name, field_name))
@@ -633,28 +618,12 @@ class Database:
             self._indexes = {
                 key: kept for key, kept in self._indexes.items() if kept is not index
             }
-            if relation_name in self._relations:
-                self._relations[relation_name].detach_index(index)
             self.bump_schema_version()
             self._ddl_changed()
 
     def indexes(self) -> Iterator[tuple[str, str]]:
         """The ``(relation, component)`` pairs that have a permanent index."""
         return iter(self._indexes.keys())
-
-    def refresh_indexes(self) -> None:
-        """Rebuild every permanent index in place from the relation contents.
-
-        Permanent indexes are maintained incrementally, so this is only
-        needed after *out-of-band* mutations that bypassed the relation
-        operators.  Rebuilding is not a catalog change: the set of indexes is
-        unchanged, so ``schema_version`` is deliberately NOT bumped (cached
-        plans stay valid — the rebuilt index answers probes identically).
-        """
-        for (relation_name, field_name), index in self._indexes.items():
-            index.clear()
-            for record in self._relations[relation_name]:
-                index.add(record)
 
     # -- statistics ------------------------------------------------------------------------
 

@@ -21,6 +21,10 @@ the collection phase:
 and the :class:`ValueList` of Section 4.4 (Strategy 4): the set of component
 values of a quantified variable's range, optionally reduced to a single
 minimum/maximum value when the connecting operator is an inequality.
+
+An index is a pure function of its relation's elements, so a permanent one
+is never maintained by writers: :func:`index_view` derives it for the
+contents version its reader sees, live or pinned.
 """
 
 from __future__ import annotations
@@ -36,18 +40,17 @@ from repro.relational.relation import Relation
 from repro.relational.statistics import AccessStatistics
 from repro.types.scalar import compare_values, sort_key as _sort_key
 
-__all__ = ["HashIndex", "SortedIndex", "ValueList", "build_index"]
+__all__ = ["HashIndex", "SortedIndex", "ValueList", "build_index", "index_view"]
 
 
-class HashIndex:
-    """A hash index associating component values with references.
+class _Index:
+    """What both organisations share: the indexed component, the tracker
+    probes charge, and — on a catalogued (permanent) index — its derivation.
+    A subclass names its ``_PREFIX`` and starts its entries in ``_start_empty``."""
 
-    Equivalent to the paper's index relations (Figure 2) but organised for
-    constant-time equality probes.  The index can be *partial*: when built
-    during the collection phase only for the elements satisfying the monadic
-    terms of a conjunction (Strategy 2), or *permanent*: maintained by the
-    database alongside the base relation (Example 3.1).
-    """
+    #: The attributes holding the entries: what re-deriving a catalogued
+    #: index replaces, and all of it (the rest names and prices the index).
+    _CONTENTS: tuple[str, ...] = ()
 
     def __init__(
         self,
@@ -63,61 +66,78 @@ class HashIndex:
         self.relation = relation
         self.field_name = field_name
         self.tracker = tracker if tracker is not None else relation.tracker
-        self.name = name or f"ind_{relation.name}_{field_name}"
-        self._entries: dict[Any, list[Ref]] = {}
-        self._size = 0
+        self.name = name or f"{self._PREFIX}_{relation.name}_{field_name}"
+        #: The contents version of ``relation`` the entries were built from
+        #: (``None``: built entry by entry, during a collection phase).
+        self.version: int | None = None
         # On a catalogued index: (relation version, finished index over the
         # dict pinned at that version) — the one build the snapshots pinned
         # at that version share — or (version, None): a read has met that
         # version and scanned (DatabaseSnapshot.index_for / index_candidate).
-        self.snapshot_view: tuple[int, "HashIndex | None"] | None = None
+        self.snapshot_view: tuple[int, Any] | None = None
+        self._start_empty()
 
-    # -- maintenance ------------------------------------------------------------
+    def _rows(self, records: Iterable[Record] | None) -> list[tuple]:
+        """The value rows to build from — by default one tracked scan — and
+        the contents version they are of."""
+        relation = self.relation
+        self.version = relation._version
+        return [record.values for record in (relation.scan() if records is None else records)]
 
-    def add(self, record: Record) -> None:
-        """Add one element of the indexed relation to the index."""
-        value = record[self.field_name]
-        self._entries.setdefault(value, []).append(self.relation.ref_of(record))
-        self._size += 1
+    def current(self):
+        """This catalogued index over its relation's current contents.
+
+        Re-derived by :func:`index_view` — in place, so it stays the catalog's
+        object — the first time it is asked for after a write; a write itself
+        never touches it.
+        """
+        if self.version != self.relation._version:
+            view = index_view(self, self.relation, self.tracker, publish=False)
+            # One update: a probe on another thread sees the old entries or the new.
+            self.__dict__.update({name: view.__dict__[name] for name in self._CONTENTS})
+        return self
+
+
+class HashIndex(_Index):
+    """A hash index associating component values with references.
+
+    Equivalent to the paper's index relations (Figure 2) but organised for
+    constant-time equality probes.  The index can be *partial*: when built
+    during the collection phase only for the elements satisfying the monadic
+    terms of a conjunction (Strategy 2), or *permanent*: catalogued by the
+    database and derived from the whole base relation (Example 3.1).
+    """
+
+    _PREFIX = "ind"
+    _CONTENTS = ("_entries", "_size", "version")
+
+    def _start_empty(self) -> None:
+        self._entries: dict[Any, list[Ref]] = {}
+        self._size = 0
+
+    # -- building ---------------------------------------------------------------
 
     def add_ref(self, value: Any, ref: Ref) -> None:
         """Add a pre-built ``(value, reference)`` entry."""
         self._entries.setdefault(value, []).append(ref)
         self._size += 1
 
-    def build(self) -> "HashIndex":
-        """Populate the index by scanning the indexed relation once.
+    def build(self, records: Iterable[Record] | None = None) -> "HashIndex":
+        """Populate the index from ``records`` — by default by scanning the
+        indexed relation once.
 
         One bulk pass with the positions resolved up front, a third of the
-        per-record :meth:`add` path's cost: pinned snapshots build their
+        per-entry :meth:`add_ref` path's cost: pinned snapshots build their
         views with this on the read path.
         """
         relation = self.relation
-        rows = [record.values for record in relation.scan()]
+        rows = self._rows(records)
         position = relation.schema.field_position(self.field_name)
         bucket = self._entries.setdefault
         for row, key in zip(rows, relation.schema.keys_of(rows)):
             bucket(row[position], []).append(Ref(relation, key))
         self._size += len(rows)
         return self
-
-    def remove(self, record: Record) -> None:
-        """Remove one element's entry (used by permanent index maintenance)."""
-        value = record[self.field_name]
-        refs = self._entries.get(value, [])
-        target = self.relation.ref_of(record)
-        for position, ref in enumerate(refs):
-            if ref == target:
-                del refs[position]
-                self._size -= 1
-                break
-        if not refs and value in self._entries:
-            del self._entries[value]
-
-    def clear(self) -> None:
-        """Drop every entry (the indexed relation was cleared or reassigned)."""
-        self._entries.clear()
-        self._size = 0
 
     # -- probing -----------------------------------------------------------------
 
@@ -188,7 +208,7 @@ class HashIndex:
         )
 
 
-class SortedIndex:
+class SortedIndex(_Index):
     """An order-preserving index for range probes.
 
     The collection phase prefers a :class:`SortedIndex` when the dyadic join
@@ -196,99 +216,35 @@ class SortedIndex:
     touches only the qualifying entries.
     """
 
-    def __init__(
-        self,
-        relation: Relation,
-        field_name: str,
-        tracker: AccessStatistics | None = None,
-        name: str | None = None,
-    ) -> None:
-        if not relation.schema.has_field(field_name):
-            raise RelationError(
-                f"cannot index {relation.name!r} on unknown component {field_name!r}"
-            )
-        self.relation = relation
-        self.field_name = field_name
-        self.tracker = tracker if tracker is not None else relation.tracker
-        self.name = name or f"sorted_{relation.name}_{field_name}"
+    _PREFIX = "sorted"
+    _CONTENTS = ("_pairs", "_keys", "_sorted", "_distinct", "version")
+
+    def _start_empty(self) -> None:
         self._pairs: list[tuple[Any, Ref]] = []
         # The sort key of every pair, position by position: a probe bisects
         # this list instead of re-deriving the keys from the pairs.
         self._keys: list[Any] = []
         self._sorted = True
-        self.snapshot_view: tuple[int, "SortedIndex | None"] | None = None  # as HashIndex's
-        # Distinct-value count, maintained incrementally with the entries so
-        # the access-path selector never has to recount (value -> multiplicity).
-        self._value_counts: dict[Any, int] = {}
-
-    def add(self, record: Record) -> None:
-        """Add one element of the indexed relation.
-
-        When the pair list is currently sorted the entry is placed with one
-        bisection (incremental permanent-index maintenance); during bulk
-        loading the list is left unsorted and ordered once on first probe.
-        """
-        self.add_ref(record[self.field_name], self.relation.ref_of(record))
+        # Distinct-value count, taken once per sort.
+        self._distinct = 0
 
     def add_ref(self, value: Any, ref: Ref) -> None:
-        """Add a pre-built ``(value, reference)`` entry."""
-        key = _sort_key(value)
-        if self._pairs and self._sorted:
-            position = bisect.bisect_right(self._keys, key)
-            self._keys.insert(position, key)
-            self._pairs.insert(position, (value, ref))
-        else:
-            # Bulk loading (including the first element): append unsorted and
-            # pay one sort on the first probe, keeping builds O(n log n).
-            self._keys.append(key)
-            self._pairs.append((value, ref))
-            self._sorted = False
-        self._value_counts[value] = self._value_counts.get(value, 0) + 1
+        """Add a pre-built ``(value, reference)`` entry: appended unsorted,
+        the list is ordered once on the first probe (O(n log n) builds)."""
+        self._keys.append(_sort_key(value))
+        self._pairs.append((value, ref))
+        self._sorted = False
 
-    def remove(self, record: Record) -> None:
-        """Remove one element's entry (used by permanent index maintenance)."""
-        value = record[self.field_name]
-        target = (value, self.relation.ref_of(record))
-        if self._sorted:
-            key = _sort_key(value)
-            candidates = range(
-                bisect.bisect_left(self._keys, key), bisect.bisect_right(self._keys, key)
-            )
-        else:
-            candidates = range(len(self._pairs))
-        for position in candidates:
-            if self._pairs[position] == target:
-                del self._pairs[position]
-                del self._keys[position]
-                self._forget_value(value)
-                return
-
-    def _forget_value(self, value: Any) -> None:
-        remaining = self._value_counts.get(value, 0) - 1
-        if remaining > 0:
-            self._value_counts[value] = remaining
-        else:
-            self._value_counts.pop(value, None)
-
-    def clear(self) -> None:
-        """Drop every entry (the indexed relation was cleared or reassigned)."""
-        self._pairs.clear()
-        self._keys.clear()
-        self._sorted = True
-        self._value_counts.clear()
-
-    def build(self) -> "SortedIndex":
-        """Populate by scanning the indexed relation once, then sort (in bulk,
-        as :meth:`HashIndex.build`)."""
+    def build(self, records: Iterable[Record] | None = None) -> "SortedIndex":
+        """Populate from ``records`` (by default one scan), then sort — in
+        bulk, as :meth:`HashIndex.build`."""
         relation = self.relation
-        rows = [record.values for record in relation.scan()]
+        rows = self._rows(records)
         position = relation.schema.field_position(self.field_name)
-        counts = self._value_counts
         for row, key in zip(rows, relation.schema.keys_of(rows)):
             value = row[position]
             self._keys.append(_sort_key(value))
             self._pairs.append((value, Ref(relation, key)))
-            counts[value] = counts.get(value, 0) + 1
         if rows:
             self._sorted = False
         self._ensure_sorted()
@@ -300,6 +256,7 @@ class SortedIndex:
             order = sorted(range(len(keys)), key=keys.__getitem__)  # stable
             self._keys = [keys[i] for i in order]
             self._pairs = [pairs[i] for i in order]
+            self._distinct = len(set(map(itemgetter(0), self._pairs)))
             self._sorted = True
 
     def probe_operator(self, op: str, value: Any) -> list[Ref]:
@@ -350,8 +307,9 @@ class SortedIndex:
         return len(self._pairs)
 
     def distinct_values(self) -> int:
-        """Number of distinct indexed values (maintained, never recounted)."""
-        return len(self._value_counts)
+        """Number of distinct indexed values."""
+        self._ensure_sorted()
+        return self._distinct
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return f"SortedIndex({self.name!r}, {len(self._pairs)} entries)"
@@ -490,3 +448,38 @@ def build_index(
     if operator in ("=", "<>"):
         return HashIndex(relation, field_name, tracker=tracker).build()
     return SortedIndex(relation, field_name, tracker=tracker).build()
+
+
+def index_view(
+    catalogued: HashIndex | SortedIndex,
+    relation: Relation,
+    tracker: AccessStatistics,
+    publish: bool,
+) -> HashIndex | SortedIndex:
+    """The catalogued index over ``relation`` at its contents version: the one
+    rule live and pinned reads derive a permanent index by.
+
+    ``relation`` is the live one — ``catalogued``'s own — or a pin's view of
+    it, which carries the version its pin captured.  When the slot holds the
+    view built at that version it is shared (a copy of its attribute dict
+    with ``tracker`` in it, the entries not copied); otherwise one is built,
+    and with ``publish`` put in the slot unless a newer version's is there.
+    A pin builds by a tracked scan; the live relation is read untracked and
+    charged as one index maintenance op per element, so a query's scan,
+    element and page counters never count the catalog's upkeep.
+    """
+    version = relation._version
+    slot = catalogued.snapshot_view
+    if slot is not None and slot[0] == version and slot[1] is not None:
+        view = object.__new__(type(slot[1]))  # its attributes and entries, our tracker
+        view.__dict__.update(slot[1].__dict__, tracker=tracker)
+        return view
+    view = type(catalogued)(relation, catalogued.field_name, tracker=tracker, name=catalogued.name)
+    if relation is catalogued.relation:
+        view.build(relation.elements())
+        tracker.record_index_maintenance(len(view))
+    else:
+        view.build()
+    if publish and (slot is None or slot[0] <= version):
+        catalogued.snapshot_view = (version, view)
+    return view

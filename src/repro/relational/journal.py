@@ -31,12 +31,13 @@ the dict on every transaction's first write.
 :meth:`~repro.relational.relation.Relation.delete_key` /
 :meth:`~repro.relational.relation.Relation.insert` operators (one
 ``assign`` for a relation-level image), journal detached.  Going through
-the operators is the coherence rule the whole design leans on: the observer
-list maintains permanent indexes and statistics incrementally back to the
-pre-transaction state, a paged relation's heap file and zone maps follow,
-and the relation's contents version and the database's ``data_version``
-advance (versions stay monotonic), so collection-phase memos and cached
-service plans can never serve results computed from the rolled-back data.
+the operators is the coherence rule the whole design leans on: statistics
+follow back to the pre-transaction state, a paged relation's heap file and
+zone maps follow, and the relation's contents version and the database's
+``data_version`` advance (versions stay monotonic), so collection-phase
+memos, permanent indexes (re-derived per contents version, never
+maintained) and cached service plans can never serve results computed from
+the rolled-back data.
 ``schema_version`` is untouched — rollback is a pure data operation, catalog
 changes (DDL) are not transactional — so cached plans remain exactly as
 valid as they were before ``begin``.
@@ -320,13 +321,13 @@ class UndoJournal:
         through ``delete_key`` + ``insert`` (so it moves to the end of the
         iteration order), a key that holds its before-value again is left
         alone.  A relation-level image is restored by one ``assign``.  Every
-        restore runs through the ordinary mutation path, so indexes,
-        statistics, heap pages, zone maps and the version counters all follow.
+        restore runs through the ordinary mutation path, so statistics, heap
+        pages, zone maps and the version counters all follow.
 
-        A failing restore — typically an attached observer (index) raising
-        from its maintenance hook — does **not** stop the rollback: the
-        remaining before-values are still restored (losing them would turn
-        one broken observer into wholesale data loss), and the failures are
+        A failing restore — a relation operator raising mid-replay — does
+        **not** stop the rollback: the remaining before-values are still
+        restored (losing them would turn one failing restore into wholesale
+        data loss), and the failures are
         re-raised afterwards as a :class:`~repro.errors.TransactionError`
         chained to the first underlying exception.
         """

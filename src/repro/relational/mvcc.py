@@ -54,25 +54,30 @@ exact, and publishes to none of them; and a committed pin holding an
 overlay image waives the writer's copy only while no statement pin, which
 may hold the live dict, is live (``own_pins``).
 
-**Index view rule.**  The live permanent indexes are maintained in place by
-writers, so a pin never probes them.  Relations are keyed, though: the pinned
-element dict *is* the primary-key map, and an index over it is a pure
-function of that dict.  A pin therefore keeps the index catalog it found
-(index DDL replaces the catalog dict, never mutates it) and answers
-``index_for`` with an ordinary :class:`~repro.relational.index.HashIndex` /
-:class:`~repro.relational.index.SortedIndex` built over its own pinned dict.
-A finished view is published in one slot on the catalogued index under the
-relation's captured contents version — the token the collection memo already
-trusts: two pins agreeing on it hold equal contents — and every pin keeps
-the views it used, so it resolves each at most once.  Later pins at that
-version copy the view's attribute dict — sharing the entries — with their
-own tracker in it.  The slot is written by one assignment of a finished
-object, so the read path takes no lock: racing builders waste work, never
-corrupt, and a pin older than the slot builds privately and leaves it alone.
-Releasing a pin drops the slots the committed contents have moved past.
-Writers pay nothing for any of this — forking every live index copy-on-write
-would multiply the dict copy each first write after a pin already costs,
-whether or not a reader ever probes.
+**Index view rule.**  An index is a pure function of its relation's
+elements — Figure 2's ``[<t.tcnr, @t> OF EACH t IN timetable: true]`` — and
+relations are keyed: a pinned element dict *is* the primary-key map.  So no
+writer maintains an index, and every reader derives the one it needs for
+the contents version it sees by one rule,
+:func:`~repro.relational.index.index_view`.  A pin keeps the index catalog
+it found (index DDL replaces the catalog dict, never mutates it) and
+answers ``index_for`` with an ordinary
+:class:`~repro.relational.index.HashIndex` /
+:class:`~repro.relational.index.SortedIndex` over its own pinned dict.  A
+finished view is published in one slot on the catalogued index under the
+relation's captured contents version — the token the collection memo
+already trusts: two pins agreeing on it hold equal contents — and every pin
+keeps the views it used, so it resolves each at most once.  Later pins at
+that version copy the view's attribute dict — sharing the entries — with
+their own tracker in it.  The slot is written by one assignment of a
+finished object, so the read path takes no lock: racing builders waste
+work, never corrupt, and a pin older than the slot builds privately and
+leaves it alone.  Releasing a pin drops the slots the committed contents
+have moved past.  The live database derives by the same rule under the
+relation's own version, into the catalogued index itself (a pin never reads
+those entries), and publishes nothing: its view is charged as index
+maintenance, not as a pin's scan, and the first live read after a write
+pays it — the writer pays nothing.
 
 **Who pays the build.**  Building a view reads every element once and
 costs about what the filtered scan it replaces costs, so it only pays when
@@ -107,6 +112,7 @@ from collections import OrderedDict
 from typing import Iterator
 
 from repro.errors import CatalogError, SnapshotError
+from repro.relational.index import index_view
 from repro.relational.relation import Relation
 from repro.relational.statistics import AccessStatistics
 
@@ -330,7 +336,6 @@ class SnapshotRelation(Relation):
         self.schema = source.schema
         self.tracker = tracker
         self._elements = elements
-        self._observers = []
         self._journal = None
         self._key_is_all = source._key_is_all
         self._registry = None
@@ -378,10 +383,10 @@ class DatabaseSnapshot:
     query engine consumes (catalog lookups, statistics, emptiness, index
     lookups), so a :class:`~repro.engine.evaluator.QueryEngine` constructed
     over a snapshot executes any plan unmodified.  Live in-place structures
-    — heap pages, zone maps, the permanent indexes' own entries — are never
-    read: they are mutated in place by writers, so only the pinned element
-    dicts are trustworthy.  Permanent indexes are served as views derived
-    from those dicts (the module's index view rule).  Statistics are a
+    — heap pages, zone maps, the catalogued indexes' own entries — are never
+    read: they follow the live contents, so only the pinned element dicts
+    are trustworthy.  Permanent indexes are served as views derived from
+    those dicts (the module's index view rule).  Statistics are a
     private :class:`AccessStatistics`, merged into the database's shared
     tracker when the snapshot is released.  A relation's
     :class:`SnapshotRelation` is built on the first :meth:`relation` call for
@@ -461,26 +466,14 @@ class DatabaseSnapshot:
         """
         key = (relation_name, field_name)
         view = self._views.get(key)
-        if view is not None:
-            return view
-        catalogued = self._indexes.get(key)
-        if catalogued is None:
-            return None
-        version = self.relation_versions[relation_name]
-        slot = catalogued.snapshot_view
-        if slot is not None and slot[0] == version and slot[1] is not None:
-            view = object.__new__(type(slot[1]))  # its attributes and entries, our tracker
-            view.__dict__.update(slot[1].__dict__, tracker=self.statistics)
-        else:
-            view = type(catalogued)(
-                self.relation(relation_name),
-                field_name,
-                tracker=self.statistics,
-                name=catalogued.name,
-            ).build()
-            if not self.in_transaction and (slot is None or slot[0] <= version):
-                catalogued.snapshot_view = (version, view)
-        self._views[key] = view
+        if view is None:
+            catalogued = self._indexes.get(key)
+            if catalogued is None:
+                return None
+            view = self._views[key] = index_view(
+                catalogued, self.relation(relation_name), self.statistics,
+                publish=not self.in_transaction,
+            )
         return view
 
     def index_candidate(self, relation_name: str, field_name: str):
@@ -490,10 +483,10 @@ class DatabaseSnapshot:
         never builds (the module's "who pays the build").  A view this pin
         holds, or one published at its contents version, costs no reads.
         An unbuilt one is on offer — at one read per element, priced with
-        the catalogued index's counts (the live ones: near enough for an
-        estimate, never probed) — once its version has been passed over
-        before, by this pin or by an earlier one that left its note in the
-        slot.  Otherwise this call is the first sight: it leaves both notes
+        the catalogued index's counts (of its last live derivation: near
+        enough for an estimate, never probed) — once its version has been
+        passed over before, by this pin or by an earlier one that left its
+        note in the slot.  Otherwise this call is the first sight: it leaves both notes
         and answers ``(None, 0)``, as for a component with no index.
         """
         key = (relation_name, field_name)

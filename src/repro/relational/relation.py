@@ -70,11 +70,6 @@ class Relation:
         self.schema = schema
         self.tracker = tracker
         self._elements: dict[tuple, Record] = {}
-        # Permanent indexes maintained incrementally alongside this relation
-        # (registered by Database.create_index).  Base relations of a
-        # database may carry observers; intermediate result relations never
-        # do, so the per-mutation check is one truthiness test.
-        self._observers: list = []
         # The undo journal of the active session transaction, if any
         # (attached by Database.begin_transaction).  Mutation operators log
         # themselves through its before_mutation hook and tell it what the
@@ -128,40 +123,6 @@ class Relation:
         clone = self.empty_copy(name)
         clone._elements = dict(self._elements)
         return clone
-
-    # -- incremental index maintenance ---------------------------------------------
-
-    def attach_index(self, index) -> None:
-        """Register a permanent index to be maintained on every mutation."""
-        if index not in self._observers:
-            self._observers.append(index)
-
-    def detach_index(self, index) -> None:
-        """Stop maintaining ``index`` (it was dropped or replaced)."""
-        if index in self._observers:
-            self._observers.remove(index)
-
-    def maintained_indexes(self) -> list:
-        """The permanent indexes incrementally maintained with this relation."""
-        return list(self._observers)
-
-    def _index_added(self, record: Record) -> None:
-        for index in self._observers:
-            index.add(record)
-        if self.tracker is not None:
-            self.tracker.record_index_maintenance(len(self._observers))
-
-    def _index_removed(self, record: Record) -> None:
-        for index in self._observers:
-            index.remove(record)
-        if self.tracker is not None:
-            self.tracker.record_index_maintenance(len(self._observers))
-
-    def _index_cleared(self) -> None:
-        for index in self._observers:
-            index.clear()
-        if self.tracker is not None:
-            self.tracker.record_index_maintenance(len(self._observers))
 
     # -- snapshot copy-on-write -----------------------------------------------------
 
@@ -246,8 +207,6 @@ class Relation:
             self._journal = None
         try:
             self._rebind_elements({})
-            if self._observers:
-                self._index_cleared()
             if self.tracker is not None:
                 self.tracker.record_mutation()
             self.insert_all(elements)
@@ -285,8 +244,6 @@ class Relation:
                 self._prepare_write_locked(registry)
                 self._elements[key] = record
                 self._version += 1
-        if self._observers:
-            self._index_added(record)
         if self.tracker is not None:
             self.tracker.record_insert(self.name)
         return record
@@ -310,12 +267,6 @@ class Relation:
         journal = self._journal
         if journal is not None:
             journal.before_mutation(self, "insert", record=record)
-        if self._observers:
-            existing = self._elements.get(key)
-            if existing is not None and existing != record:
-                self._index_removed(existing)
-            if existing != record:
-                self._index_added(record)
         registry = self._registry
         if registry is None:
             self._elements[key] = record
@@ -345,7 +296,7 @@ class Relation:
         The caller knows the rows are new or takes no record; a row held already
         keeps its place, its record replaced by an equal one."""
         assert self._key_is_all, f"{self.name}: insert_rows needs key = all components"
-        assert self._registry is None and not self._observers, f"{self.name}: not a result"
+        assert self._registry is None, f"{self.name}: not a result"
         rows = list(rows)
         records = records_of(self.schema, rows)
         self._elements.update(zip(rows, records))
@@ -393,11 +344,8 @@ class Relation:
                 if removed_record is not None:
                     self._version += 1
         removed = removed_record is not None
-        if removed:
-            if self._observers:
-                self._index_removed(removed_record)
-            if self.tracker is not None:
-                self.tracker.record_delete(self.name)
+        if removed and self.tracker is not None:
+            self.tracker.record_delete(self.name)
         return removed
 
     def clear(self) -> None:
@@ -411,8 +359,6 @@ class Relation:
             # Rebind instead of clearing in place: a pinned snapshot may
             # hold the old dict.
             self._rebind_elements({})
-        if self._observers:
-            self._index_cleared()
         if self.tracker is not None:
             self.tracker.record_mutation()
 

@@ -169,7 +169,7 @@ class AccessStatistics:
         self.index_probes += 1
 
     def record_index_maintenance(self, count: int = 1) -> None:
-        """``count`` incremental permanent-index updates were applied."""
+        """A permanent index was re-derived from ``count`` live elements."""
         self.index_maintenance_ops += count
 
     def record_pages_skipped(self, count: int = 1) -> None:

@@ -21,9 +21,9 @@ corrupted frame):
    visible on disk through the log, discarding is free.
 
 Redo runs through the relations' ordinary unjournaled mutation operators
-(``insert_raw`` / ``delete_key`` / ``assign`` / ``clear``), so permanent
-indexes are maintained incrementally during replay exactly as they were
-during the original transaction.  Afterwards every touched stored relation
+(``insert_raw`` / ``delete_key`` / ``assign`` / ``clear``), which touch no
+index: a permanent index is re-derived from the recovered contents the
+first time it is asked for.  Afterwards every touched stored relation
 is repacked so its heap pages and zone maps are byte-identical to a
 database that absorbed the same commits through a checkpoint — the
 crash-recovery test harness pins that equivalence.

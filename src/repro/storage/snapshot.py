@@ -67,19 +67,17 @@ def _encode_database(database: Database, last_lsn: int, next_txid: int) -> dict:
                 "rows": [encode_row(record.values) for record in relation.elements()],
             }
         )
-    indexes = []
-    for relation_name, field_name in database.indexes():
-        index = database.index_for(relation_name, field_name)
-        indexes.append(
-            {
-                "relation": relation_name,
-                "field": field_name,
-                # The catalog does not retain the requested operator, but the
-                # index class determines probe capability: sorted indexes
-                # answer range probes, hash indexes answer (in)equality.
-                "operator": "<=" if isinstance(index, SortedIndex) else "=",
-            }
-        )
+    indexes = [
+        {
+            "relation": relation_name,
+            "field": field_name,
+            # The organisation is what the catalog keeps of the requested
+            # operator: sorted indexes answer range probes, hash indexes
+            # (in)equality.  Read off the catalog entry, never derived.
+            "operator": "<=" if isinstance(index, SortedIndex) else "=",
+        }
+        for (relation_name, field_name), index in database._indexes.items()
+    ]
     return {
         "format": SNAPSHOT_FORMAT,
         "name": database.name,

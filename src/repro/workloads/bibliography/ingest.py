@@ -202,8 +202,9 @@ def load_dblp_xml(path_or_text, target) -> IngestReport:
     on first use; an already-populated database is extended, with numbers
     allocated above whatever is present.  The whole load is **one
     transaction** on the public session API: on a durable database it is one
-    WAL commit, and indexes/zone maps/statistics are maintained by the same
-    observer hooks every client write goes through.
+    WAL commit, and zone maps and statistics follow through the same
+    relation operators every client write goes through (permanent indexes
+    are re-derived from the loaded contents when next asked for).
     """
     if isinstance(target, Connection):
         return _load(path_or_text, target)

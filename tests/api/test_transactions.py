@@ -218,6 +218,15 @@ def _warm_zone_maps(relations: dict) -> None:
                     page.zone(field_name)
 
 
+def _indexes_of(database: Database, name: str) -> list:
+    """The permanent indexes the catalog holds over relation ``name``."""
+    return [
+        database.index_for(name, field_name)
+        for relation_name, field_name in database.indexes()
+        if relation_name == name
+    ]
+
+
 def _assert_identical_to_fresh_rebuild(database: Database, paged: bool) -> None:
     """Relation contents, index answers and zone maps match a fresh build."""
     relation = database.relation("r")
@@ -227,7 +236,7 @@ def _assert_identical_to_fresh_rebuild(database: Database, paged: bool) -> None:
     assert [record.values for record in fresh_relation.elements()] == [
         record.values for record in relation.elements()
     ]
-    _assert_coherent(relation, relation.maintained_indexes())
+    _assert_coherent(relation, _indexes_of(database, "r"))
     if paged:
         assert relation.page_count == fresh_relation.page_count
         for page, fresh_page in zip(relation.heap_file.pages(), fresh_relation.heap_file.pages()):
@@ -297,7 +306,7 @@ def test_rollback_restores_every_value_and_equals_commit_then_inverse(paged: boo
             ], name
         # (b), (c): indexes, heap and zone maps follow.
         catalogued = database.has_relation(name)  # ``s`` may be an orphan now
-        indexes = relation.maintained_indexes()
+        indexes = _indexes_of(database, name)
         assert len(indexes) == ((2 if name == "r" else 1) if catalogued else 0)
         _assert_coherent(relation, indexes)
         # (d) element for element the twin that committed and undid itself.
@@ -540,22 +549,25 @@ class TestBusyTimeout:
         assert not figure1.in_transaction
 
 
-class _ExplodingIndex:
-    """An attached observer whose every maintenance hook fails."""
+def _after_writes(relation, hook, operators=("insert", "delete_key", "assign")) -> None:
+    """Run ``hook`` each time one of ``relation``'s write ``operators`` returns —
+    replaced on the instance, so a rollback replay's restores run it too."""
+    for name in operators:
+        def written(argument, _operator=getattr(relation, name)):
+            result = _operator(argument)
+            hook()
+            return result
 
-    def add(self, record):
-        raise RuntimeError("observer exploded in add")
+        setattr(relation, name, written)
 
-    def remove(self, record):
-        raise RuntimeError("observer exploded in remove")
 
-    def clear(self):
-        raise RuntimeError("observer exploded in clear")
+def _explode() -> None:
+    raise RuntimeError("write hook exploded")
 
 
 class TestRollbackRobustness:
-    """ISSUE 6 satellite: one broken observer must not turn rollback into
-    wholesale data loss — the remaining before-images are still restored."""
+    """One failing restore must not turn rollback into wholesale data loss —
+    the remaining before-images are still restored."""
 
     def _database(self):
         database = Database("fragile")
@@ -573,11 +585,11 @@ class TestRollbackRobustness:
         session.begin()
         a.insert({"k": 2})
         b.insert({"k": 2})  # b touched last -> restored first
-        b.attach_index(_ExplodingIndex())
+        _after_writes(b, _explode)
         with pytest.raises(TransactionError) as excinfo:
             session.rollback()
         # The failure on b was collected, a's before-image was still restored,
-        # and the original observer exception rides along as the cause.
+        # and the original exception rides along as the cause.
         assert "b" in str(excinfo.value)
         assert "remaining before-images were restored" in str(excinfo.value)
         assert isinstance(excinfo.value.__cause__, RuntimeError)
@@ -585,17 +597,17 @@ class TestRollbackRobustness:
         assert not database.in_transaction
         assert not session.in_transaction
 
-    def test_clean_observers_keep_rollback_exact(self):
+    def test_a_rolled_back_insert_leaves_no_index_entry(self):
         database = self._database()
-        index = build_index(database.relation("a"), "k")
-        database.relation("a").attach_index(index)
+        database.create_index("a", "k")
         connection = connect(database)
         session = connection.session()
         session.begin()
         database.relation("a").insert({"k": 5})
+        assert len(database.index_for("a", "k").probe(5)) == 1
         session.rollback()
         assert sorted(r.k for r in database.relation("a")) == [1]
-        assert len(index.probe(5)) == 0
+        assert len(database.index_for("a", "k").probe(5)) == 0
 
 
 class TestRollbackInvalidatesNothing:
@@ -655,8 +667,8 @@ class TestRollbackInvalidatesNothing:
         connection.close()
 
 
-class _StallingIndex:
-    """An observer that parks the rollback replay until told to continue."""
+class _Stall:
+    """Parks the write that reaches it until told to continue."""
 
     def __init__(self):
         import threading
@@ -664,14 +676,9 @@ class _StallingIndex:
         self.entered = threading.Event()
         self.release = threading.Event()
 
-    def add(self, record):
+    def __call__(self):
         self.entered.set()
         assert self.release.wait(timeout=10.0)
-
-    remove = add
-
-    def clear(self):
-        pass
 
 
 class TestRollbackHoldsTheTransactionSlot:
@@ -695,12 +702,12 @@ class TestRollbackHoldsTheTransactionSlot:
         database = self._database()
         relation = database.relation("a")
         connection = connect(database)
-        stall = _StallingIndex()
+        stall = _Stall()
 
         session = connection.session()
         session.begin()
         relation.insert({"k": 2})
-        relation.attach_index(stall)  # only the replay's restores stall
+        _after_writes(relation, stall)  # only the replay's restores stall
 
         rolled = threading.Event()
 
@@ -741,7 +748,6 @@ class TestRollbackHoldsTheTransactionSlot:
         assert not replayer.is_alive() and not contender.is_alive()
         assert admitted.get("after_replay") is True
         # The rollback was exact despite the contention.
-        relation.detach_index(stall)
         assert sorted(record.k for record in relation) == [1]
         assert not database.in_transaction
         connection.close()

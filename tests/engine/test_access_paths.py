@@ -189,8 +189,8 @@ class TestQueriesThroughIndexPaths:
             assert sorted(r.values for r in got) == sorted(r.values for r in expected)
 
     def test_mutations_keep_prepared_results_fresh_without_rebuild(self, database):
-        """Insert/delete after prepare: the incrementally maintained index
-        answers the next execution exactly — no refresh_indexes needed."""
+        """Insert/delete after prepare: the next execution answers exactly —
+        its pin derives the index of the contents it reads; nobody rebuilds."""
         database.create_index("employees", "enr")
         service = connect(database).service
         prepared = service.prepare(self.POINT)

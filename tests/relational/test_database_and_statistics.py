@@ -86,11 +86,14 @@ class TestPermanentIndexes:
         index = database.create_index("employees", "boss")
         assert len(index.probe(1)) == 2  # employees 2 and 3 have boss 1
 
-    def test_refresh_indexes_after_insert(self, database):
-        database.create_index("employees", "boss")
+    def test_a_write_is_seen_by_the_next_index_for_without_a_catalog_change(self, database):
+        index = database.create_index("employees", "boss")
+        version = database.schema_version
         database.relation("employees").insert({"enr": 10, "boss": 1})
-        database.refresh_indexes()
-        assert len(database.index_for("employees", "boss").probe(1)) == 3
+        assert len(index.probe(1)) == 2  # the writer touched no index
+        assert database.index_for("employees", "boss") is index
+        assert len(index.probe(1)) == 3  # ... the next reader re-derived it
+        assert database.schema_version == version
 
     def test_drop_relation_drops_its_indexes(self, database):
         database.create_index("employees", "boss")
@@ -266,14 +269,6 @@ class TestVersioning:
         assert database.schema_version == version + 3
         database.drop_relation("audit")  # relation + two indexes: ONE change
         assert database.schema_version == version + 4
-
-    def test_refresh_indexes_is_not_a_catalog_change(self, database):
-        """Rebuilding index contents must not invalidate cached plans."""
-        database.create_index("employees", "boss")
-        version = database.schema_version
-        database.refresh_indexes()
-        assert database.schema_version == version
-        assert len(database.index_for("employees", "boss").probe(1)) == 2
 
     def test_data_version_tracks_relation_mutations(self, database):
         employees = database.relation("employees")

@@ -3,8 +3,11 @@
 A :class:`ColumnSketch` summarises one join column of one execution's
 collection structures; :func:`estimate_join` prices a join from two of them;
 :func:`stable_hash` keeps both independent of the process's string-hash
-salt.  Nothing here is maintained across mutations: the one incrementally
-maintained distinct count a cost rule reads is the permanent index's.
+salt.  Nothing here is maintained across mutations; the distinct count the
+access-path rule reads is a permanent index's, counted once per build.  The
+``*_index_counts_exact`` tests below check that count after writes, on the
+live database and on a pin (the full probe property is in
+tests/relational/test_index_derivation.py).
 """
 
 from __future__ import annotations
@@ -59,12 +62,22 @@ def _apply(relation, op: str, key: int, value: int, state: dict[int, int]) -> No
         state.clear()
 
 
-def _assert_index_counts_exact(index, relation, operator: str) -> None:
-    """The counts the access-path rule reads equal a from-scratch rebuild's."""
+def _counts(database: Database) -> tuple[int, int]:
+    """``(size, distinct)`` of the index on ``r.v``, live and pinned alike."""
+    live = database.index_for("r", "v")
+    with database.pin_snapshot() as pin:
+        pinned = pin.index_for("r", "v")
+        assert (len(pinned), pinned.distinct_values()) == (len(live), live.distinct_values())
+    return len(live), live.distinct_values()
+
+
+def _assert_index_counts_exact(database: Database, operator: str) -> None:
+    """The counts the access-path rule reads equal a from-scratch build's."""
+    relation = database.relation("r")
     fresh = build_index(relation, "v", operator=operator)
     values = [record["v"] for record in relation.elements()]
-    assert (len(index), index.distinct_values()) == (len(values), len(set(values)))
-    assert (len(index), index.distinct_values()) == (len(fresh), fresh.distinct_values())
+    assert _counts(database) == (len(values), len(set(values)))
+    assert _counts(database) == (len(fresh), fresh.distinct_values())
 
 
 # --------------------------------------------------------------- stable hashing
@@ -143,18 +156,19 @@ class TestColumnSketch:
 @pytest.mark.parametrize("operator", ("=", "<="))
 def test_index_distinct_count_stays_exact_under_insert_and_delete(paged, operator) -> None:
     """The access-path rule prices an equality probe ``size / distinct``
-    from the permanent index's own counts: they must follow every write."""
+    from the permanent index's own counts: the index a reader derives after
+    any write must carry that write's counts."""
     database = _make_database(paged)
     relation = database.relation("r")
-    index = database.create_index("r", "v", operator=operator)
+    database.create_index("r", "v", operator=operator)
     for key in range(40):
         relation.insert({"k": key, "v": key % 10})
-    assert (len(index), index.distinct_values()) == (40, 10)
+    assert _counts(database) == (40, 10)
     for key in range(0, 40, 10):  # every element holding v = 0
         relation.delete_key(key)
-    assert (len(index), index.distinct_values()) == (36, 9)
+    assert _counts(database) == (36, 9)
     relation.insert({"k": 100, "v": 0})
-    assert (len(index), index.distinct_values()) == (37, 10)
+    assert _counts(database) == (37, 10)
 
 
 @pytest.mark.parametrize("paged", (False, True), ids=("memory", "paged"))
@@ -166,12 +180,12 @@ def test_random_interleavings_keep_index_counts_exact(paged, operator, ops) -> N
     index's size and distinct count are those of its relation's contents."""
     database = _make_database(paged)
     relation = database.relation("r")
-    index = database.create_index("r", "v", operator=operator)
+    database.create_index("r", "v", operator=operator)
     state: dict[int, int] = {}
     for op, key, value in ops:
         _apply(relation, op, key, value, state)
         assert {record["k"]: record["v"] for record in relation.elements()} == state
-        _assert_index_counts_exact(index, relation, operator)
+        _assert_index_counts_exact(database, operator)
 
 
 @pytest.mark.parametrize("paged", (False, True), ids=("memory", "paged"))
@@ -180,13 +194,13 @@ def test_raw_inserts_keep_index_counts_exact(paged, operator) -> None:
     """Raw inserts, a key overwrite among them, feed the same counts."""
     database = _make_database(paged)
     relation = database.relation("r")
-    index = database.create_index("r", "v", operator=operator)
+    database.create_index("r", "v", operator=operator)
     relation.insert_raw(Record(relation.schema, {"k": 1, "v": 5}))
     relation.insert_raw(Record(relation.schema, {"k": 2, "v": 5}))
-    assert (len(index), index.distinct_values()) == (2, 1)
+    assert _counts(database) == (2, 1)
     relation.insert_raw(Record(relation.schema, {"k": 1, "v": 7}))  # overwrite
-    assert (len(index), index.distinct_values()) == (2, 2)
-    _assert_index_counts_exact(index, relation, operator)
+    assert _counts(database) == (2, 2)
+    _assert_index_counts_exact(database, operator)
 
 
 class TestEstimateJoin:

@@ -55,11 +55,6 @@ class TestHashIndex:
         assert index.distinct_values() == 3
         assert set(index.values()) == {10, 20, 30}
 
-    def test_remove(self, timetable):
-        index = HashIndex(timetable, "tenr").build()
-        index.remove(timetable[(1, 10)])
-        assert len(index.probe(1)) == 1
-
     def test_unknown_field_raises(self, timetable):
         with pytest.raises(RelationError):
             HashIndex(timetable, "troom")
@@ -107,31 +102,14 @@ class TestSortedIndex:
         with pytest.raises(RelationError):
             index.probe_operator("!=", 10)
 
-    def test_incremental_add_after_build_keeps_sorted(self, timetable):
+    def test_entries_added_after_a_probe_are_sorted_and_counted_on_the_next(self, timetable):
         index = SortedIndex(timetable, "tcnr").build()
+        assert (len(index.probe_operator("<=", 15)), index.distinct_values()) == (2, 3)
         extra = timetable.insert({"tenr": 9, "tcnr": 15})
-        index.add(extra)
-        assert [v for v, _ in index._pairs] == sorted(v for v, _ in index._pairs)
+        index.add_ref(extra.tcnr, timetable.ref_of(extra))
         assert len(index.probe_operator("<=", 15)) == 3
-
-    def test_remove_on_sorted_and_unsorted_lists(self, timetable):
-        records = list(timetable)
-        index = SortedIndex(timetable, "tcnr")
-        for record in records:
-            index.add(record)  # bulk load: unsorted until first probe
-        index.remove(records[0])
-        assert len(index) == len(records) - 1
-        index.probe_operator("<=", 99)  # forces the sort
-        index.remove(records[1])
-        assert len(index) == len(records) - 2
-        index.remove(records[1])  # absent: no-op
-        assert len(index) == len(records) - 2
-
-    def test_clear(self, timetable):
-        index = SortedIndex(timetable, "tcnr").build()
-        index.clear()
-        assert len(index) == 0
-        assert index.probe_operator("<=", 99) == []
+        assert [v for v, _ in index._pairs] == sorted(v for v, _ in index._pairs)
+        assert index.distinct_values() == 4
 
 
 class TestBuildIndex:

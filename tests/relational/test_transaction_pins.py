@@ -7,8 +7,8 @@ committed contents of a touched relation from those before-values the first
 time a pin meets it (kept in ``registry.overlay`` for the transaction's later
 pins).  The property test drives random interleavings of row-level writes,
 raw overwrites, ``assign``/``clear``, transaction boundaries and pins on both
-backends — with an observer that pins *from inside* every maintenance hook,
-so pins also land between the writes of a rollback replay — and checks that
+backends — with a hook that pins *from inside* every write operator, so
+pins also land between the writes of a rollback replay — and checks that
 every pin holds exactly the committed contents and contents version of its
 moment, for as long as it lives.  A second property lets a writer act
 between a pin and its first read of a relation — the pin builds its view of
@@ -85,13 +85,29 @@ class _Committed:
         self.version = self.relation._version
 
 
-class _PinningObserver:
-    """An index-shaped observer that pins a snapshot from inside every hook.
+#: Every write operator of a relation: the write path a test hooks into.
+_WRITE_OPERATORS = ("insert", "insert_raw", "delete_key", "assign", "clear")
 
-    Maintenance hooks run after the dict write, outside the registry lock:
-    a pin taken there lands between two writes of whatever is running —
-    including the restores of a rollback replay.
+
+def _after_writes(relation, hook, operators=_WRITE_OPERATORS) -> None:
+    """Run ``hook`` each time one of ``relation``'s ``operators`` returns.
+
+    The operators are replaced on the instance, so the calls the relation
+    makes itself (``assign``'s per-element inserts) and the restores of a
+    rollback replay run the hook too: it lands between two writes of
+    whatever is running, after the dict write and outside the registry lock.
     """
+    for name in operators:
+        def written(*args, _operator=getattr(relation, name), **kwargs):
+            result = _operator(*args, **kwargs)
+            hook()
+            return result
+
+        setattr(relation, name, written)
+
+
+class _PinningHook:
+    """Pins a snapshot from inside every write (see ``_after_writes``)."""
 
     def __init__(self, database, committed: _Committed, pins: list) -> None:
         self.database = database
@@ -99,14 +115,12 @@ class _PinningObserver:
         self.pins = pins
         self.in_transaction = False
 
-    def _pin(self, record=None) -> None:
+    def __call__(self) -> None:
         if not self.in_transaction:
             # A write outside any transaction is committed as it lands (and
             # this hook runs after it landed).
             self.committed.publish()
         _take_pin(self.database, self.committed, self.pins)
-
-    add = remove = clear = _pin
 
 
 def _take_pin(database, committed: _Committed, pins: list) -> None:
@@ -140,9 +154,9 @@ def test_every_pin_reads_the_committed_state_of_its_moment(
     session = connection.session()
     committed = _Committed(relation)
     pins: list[tuple] = []
-    observer = _PinningObserver(database, committed, pins)
+    observer = _PinningHook(database, committed, pins)
     if pin_in_hooks:
-        relation.attach_index(observer)
+        _after_writes(relation, observer)
     try:
         for op, key, value in steps:
             live = _contents(relation)
@@ -439,21 +453,16 @@ class TestWhoPaysForTheCommittedImage:
         assert catalogued.snapshot_view is None
 
 
-class _StallingObserver:
-    """Parks the first maintenance hook that reaches it until told to continue."""
+class _Stall:
+    """Parks the first write that reaches it until told to continue."""
 
     def __init__(self) -> None:
         self.entered = threading.Event()
         self.release = threading.Event()
 
-    def add(self, record) -> None:
+    def __call__(self) -> None:
         self.entered.set()
         assert self.release.wait(timeout=10.0)
-
-    remove = add
-
-    def clear(self) -> None:
-        pass
 
 
 def test_a_pin_from_another_thread_inside_a_stalled_rollback_replay():
@@ -467,8 +476,8 @@ def test_a_pin_from_another_thread_inside_a_stalled_rollback_replay():
     relation.delete_key(0)
     relation.delete_key(1)
     relation.insert({"k": 40, "v": 4})
-    stall = _StallingObserver()
-    relation.attach_index(stall)
+    stall = _Stall()
+    _after_writes(relation, stall, ("insert", "delete_key"))  # only the replay's restores
     replayer = threading.Thread(target=session.rollback)
     replayer.start()
     try:
@@ -482,7 +491,6 @@ def test_a_pin_from_another_thread_inside_a_stalled_rollback_replay():
         stall.release.set()
     replayer.join(timeout=10.0)
     assert not replayer.is_alive()
-    relation.detach_index(stall)
     assert _contents(relation) == before
     with database.pin_snapshot() as snapshot:
         assert _contents(snapshot.relation("r")) == before

@@ -198,10 +198,10 @@ class TestIngestExtendsGeneratedData:
         assert min(r["anr"] for r in database.relation("authors")
                    if r["aname"].rstrip() == "Thomas Hütter") > top_anr
 
-    def test_observers_see_the_load(self):
-        # Indexes attached *before* the load must stay coherent without any
-        # rebuild: ingest goes through the public session API, hence through
-        # the relations' mutation hooks.
+    def test_indexes_see_the_load(self):
+        # Indexes created *before* the load answer for it without any
+        # rebuild by the caller: the next index_for derives the loaded
+        # contents.
         database = build_bibliography_database(scale=1)
         create_standard_indexes(database)
         with connect(database) as connection:
