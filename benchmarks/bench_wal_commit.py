@@ -8,9 +8,11 @@ crash recovery costs as the log grows:
                    transactions, no logging at all;
 * ``off``        — disk-resident, ``durability='off'``: no WAL records,
                    durability only at checkpoint/close;
-* ``checkpoint`` — redo records flushed (no fsync) on every commit;
-* ``commit``     — redo records flushed *and* fsynced on every commit (the
-                   durability point of a classic force-log-at-commit system).
+* ``checkpoint`` — the commit frame (the transaction's redo ops, one WAL
+                   record) flushed (no fsync) on every commit;
+* ``commit``     — the commit frame flushed *and* fsynced on every commit
+                   (the durability point of a classic force-log-at-commit
+                   system).
 
 The acceptance assertion pins the regression claim of the issue: with
 durability off, the disk-resident commit path stays within 10% of the

@@ -129,7 +129,8 @@ class Session:
         """Make the transaction's mutations permanent and end it.
 
         On a disk-resident database this is the durability point: the WAL's
-        ``COMMIT`` record is appended and flushed first (fsynced under
+        ``COMMIT`` frame, holding the transaction's redo ops, is appended
+        and flushed first (fsynced under
         ``durability='commit'``), so by the time the in-memory transaction
         ends, crash recovery can replay it.  The undo journal itself is
         simply discarded — the mutations already applied through the
@@ -165,8 +166,8 @@ class Session:
         (dict and heap alike); untouched elements keep their relative
         order; nothing is repacked.  The catalog (``schema_version``) is
         untouched: plans valid before ``begin`` are exactly as valid
-        afterwards.  On a durable database an ``ABORT`` record is logged
-        first so recovery never replays the abandoned operations.
+        afterwards.  Nothing is logged: the abandoned operations never
+        reach a commit frame, so recovery never replays them.
 
         Rollback invalidates nothing: every open result set holds its own
         pin, so a cursor still draining one — a statement of this very

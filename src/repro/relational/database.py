@@ -79,7 +79,7 @@ class Database:
         """Open (or create) the disk-resident database stored in ``directory``.
 
         Loads the checkpoint snapshot, runs crash recovery over the
-        write-ahead log (redo of committed transactions, discard of losers),
+        write-ahead log (redo of every intact commit frame),
         and takes a fresh checkpoint so the log never has to be replayed
         twice.  The :class:`~repro.storage.recovery.RecoveryReport` is kept
         on :attr:`recovery_report`.
@@ -104,12 +104,9 @@ class Database:
         snapshot_lsn, next_txid = load_snapshot(database, directory)
         report = recover(database, wal_path(directory), snapshot_lsn)
         database._recovery_report = report
-        seen_txids = (
-            report.replayed_transactions
-            + report.dropped_transactions
-            + report.aborted_transactions
+        database._next_txid = max(
+            [next_txid] + [txid + 1 for txid in report.replayed_transactions]
         )
-        database._next_txid = max([next_txid] + [txid + 1 for txid in seen_txids])
         database._checkpoint_lsn = max(snapshot_lsn, report.last_lsn)
         if durability != DURABILITY_OFF:
             database._wal = WriteAheadLog(
@@ -311,8 +308,8 @@ class Database:
 
         On a disk-resident database the journal is also bound to the
         write-ahead log under a fresh transaction id (unless durability is
-        ``'off'``), so every journaled mutation emits its redo record before
-        it runs.
+        ``'off'``), so every journaled mutation buffers its redo op for the
+        commit frame.
         """
         with self._journal_free:
             if self._active_journal is not None and timeout > 0:
@@ -400,7 +397,8 @@ class Database:
     def commit_transaction(self, journal: UndoJournal) -> None:
         """Make ``journal``'s transaction durable per the durability mode.
 
-        Appends the ``COMMIT`` record and flushes the WAL — with an fsync
+        Appends the ``COMMIT`` frame (every redo op of the transaction) and
+        flushes the WAL — with an fsync
         under ``durability='commit'`` (the record survives power loss before
         this method returns), without one under ``'checkpoint'`` (the record
         survives a process crash; only a checkpoint fsyncs).  In-memory
@@ -416,11 +414,10 @@ class Database:
         journal.log_commit(fsync=self.durability == DURABILITY_COMMIT)
 
     def abort_transaction(self, journal: UndoJournal) -> None:
-        """Log the ``ABORT`` record so recovery never replays this transaction.
+        """Mark ``journal``'s transaction as rolling back; nothing is logged.
 
-        Called before :meth:`end_transaction` + ``journal.rollback()``.  The
-        record is advisory — a transaction with no outcome record in the log
-        is discarded as a loser anyway — so losing it in a crash is safe.
+        Called before :meth:`end_transaction` + ``journal.rollback()``.  Its
+        redo ops never reach a commit frame, so recovery never replays them.
         """
         if self._active_journal is not journal:
             raise TransactionError(
@@ -428,7 +425,6 @@ class Database:
                 f"database {self.name!r}"
             )
         journal.aborted = True
-        journal.log_abort()
 
     # -- snapshot reads ----------------------------------------------------------------
 

@@ -50,15 +50,12 @@ they move to the end of the iteration order (dict and heap alike, which stay
 in step); untouched elements keep their relative order; the heap is not
 repacked.  Keeping the old order would cost O(|R|) per transaction.
 
-On a disk-resident database the journal is additionally the **single WAL
-choke point**: :meth:`before_mutation` runs before any mutation touches the
-in-memory state or its heap pages, so emitting the write-ahead record here
-— ``BEGIN`` lazily on the first mutation, then one redo record per tracked
-operation — guarantees the log describes every page a transaction dirties.
-The emitted record's LSN becomes the dirtied pages' *recovery LSN* (via
-:attr:`last_lsn`), which the buffer pool's write-ahead gate checks before
-any page is forced.  The log stays redo-only: a checkpoint is refused
-mid-transaction, so no uncommitted page reaches disk and undo never needs it.
+On a disk-resident database the journal's operation log doubles as the
+transaction's **redo ops** — ``(relation, operator, row | key | rows)``, in
+order — and :meth:`log_commit` writes them as one ``COMMIT`` frame: one
+``json.dumps``, one CRC, one flush.  Recovery is redo-only and a checkpoint
+is refused mid-transaction, so nothing uncommitted ever has to reach the
+log, and a rollback writes nothing.
 """
 
 from __future__ import annotations
@@ -118,8 +115,8 @@ class UndoJournal:
     A journal is attached to every base relation of a database by
     :meth:`~repro.relational.database.Database.begin_transaction`; the
     relation mutation operators call :meth:`before_mutation` *before*
-    applying themselves — it logs the operation and, when the database is
-    durable, appends its redo record to the write-ahead log — and
+    applying themselves — it logs the operation, in the redo form the
+    commit frame writes on a durable database — and
     :meth:`remember` in the same registry-locked section as the dict write,
     so a pinning reader never meets a before-value map that is growing.
     """
@@ -128,8 +125,9 @@ class UndoJournal:
         # id(relation) -> what to put back.  Insertion order is first-touch
         # order; rollback replays it in reverse.
         self._undo: dict[int, _Undo] = {}
-        #: ``(relation name, operator)`` per journaled mutation, oldest first.
-        self.operations: list[tuple[str, str]] = []
+        #: ``(relation name, operator, redo argument)`` per journaled
+        #: mutation, oldest first: the ops of the commit frame.
+        self.operations: list[tuple[str, str, Any]] = []
         self._rolled_back = False
         #: Set by ``Database.abort_transaction``: tells ``end_transaction``
         #: that the outcome (the rollback replay) is still pending, so the
@@ -144,66 +142,47 @@ class UndoJournal:
         self._wal: "WriteAheadLog | None" = None
         #: Transaction id on the durable database, ``None`` in memory.
         self.txid: int | None = None
-        #: LSN of the most recent redo record this journal emitted (0 when
-        #: none); stored relations stamp it on the pages they dirty.
-        self.last_lsn = 0
-        self._began = False
 
     # -- WAL binding (durable databases only) ----------------------------------------
 
     def bind_wal(self, wal: "WriteAheadLog", txid: int) -> None:
-        """Route this transaction's mutations into ``wal`` as ``txid``."""
+        """Log this transaction's commit frame to ``wal`` as ``txid``."""
         self._wal = wal
         self.txid = txid
 
-    @property
-    def logged(self) -> bool:
-        """Whether this transaction has emitted any WAL records."""
-        return self._began
-
     def log_commit(self, fsync: bool) -> int | None:
-        """Append the ``COMMIT`` record and flush the log (the durability point).
+        """Append the ``COMMIT`` frame and flush the log (the durability point).
 
-        With ``fsync`` the commit survives power loss (``durability='commit'``);
-        without, it survives a process crash only (``durability='checkpoint'``).
-        Read-only transactions emitted no ``BEGIN`` and log nothing here either.
-        Returns the commit record's LSN, or ``None`` for a read-only transaction.
+        The frame carries the transaction's redo ops.  With ``fsync`` the
+        commit survives power loss (``durability='commit'``); without, it
+        survives a process crash only (``durability='checkpoint'``).  Returns the frame's LSN, or ``None``
+        when nothing was logged (in memory, or a read-only transaction).
         """
-        if self._wal is None or not self._began:
+        if self._wal is None or not self.operations:
             return None
-        lsn = self._wal.append("COMMIT", self.txid)
+        lsn = self._wal.append("COMMIT", self.txid, ops=self.operations)
         self._wal.flush(fsync=fsync)
         return lsn
 
-    def log_abort(self) -> None:
-        """Append the ``ABORT`` record so recovery never replays this transaction.
-
-        Losing the record is harmless — a transaction with no outcome record
-        is a loser and is discarded too — so the flush does not fsync.
-        """
-        if self._wal is None or not self._began:
-            return
-        self._wal.append("ABORT", self.txid)
-        self._wal.flush(fsync=False)
-
     # -- recording (called from Relation mutation operators) -----------------------
 
-    def before_mutation(self, relation: "Relation", op: str, **payload: Any) -> None:
+    def before_mutation(self, relation: "Relation", op: str, argument: Any = None) -> None:
         """Log ``op`` on ``relation`` before it is applied.
 
-        ``payload`` carries the redo description for the write-ahead log:
-        ``record=`` for inserts, ``key=`` for deletes, ``elements=`` (the
-        materialised new contents) for assigns; ``clear`` needs none.  The
-        WAL record is appended *before* the caller applies the mutation, so
-        the write-ahead invariant holds by construction.
+        ``argument`` is the redo description: the record for an insert, the
+        stored key for a delete, the materialised new records for an
+        assign; ``clear`` needs none.  The operation log keeps the values
+        (not the records), the form the commit frame writes.
 
         ``assign`` and ``clear`` also take their undo here, the
         relation-level image; the row-level operators report the one key
         they are about to change through :meth:`remember`.
         """
-        self.operations.append((relation.name, op))
-        if self._wal is not None:
-            self._emit(relation, op, payload)
+        if op == "insert":
+            argument = argument.values
+        elif op == "assign":
+            argument = [record.values for record in argument]
+        self.operations.append((relation.name, op, argument))
         if op == "assign" or op == "clear":
             self._remember_all(relation)
 
@@ -244,34 +223,6 @@ class UndoJournal:
         if undo is None:
             undo = self._undo[id(relation)] = _Undo(relation)
         return undo
-
-    def _emit(self, relation: "Relation", op: str, payload: dict[str, Any]) -> None:
-        from repro.storage.serialize import encode_row
-
-        wal = self._wal
-        if not self._began:
-            wal.append("BEGIN", self.txid)
-            self._began = True
-        if op == "insert":
-            self.last_lsn = wal.append(
-                "INSERT",
-                self.txid,
-                rel=relation.name,
-                row=encode_row(payload["record"].values),
-            )
-        elif op == "delete":
-            self.last_lsn = wal.append(
-                "DELETE", self.txid, rel=relation.name, key=encode_row(payload["key"])
-            )
-        elif op == "assign":
-            self.last_lsn = wal.append(
-                "ASSIGN",
-                self.txid,
-                rel=relation.name,
-                rows=[encode_row(record.values) for record in payload["elements"]],
-            )
-        else:  # clear
-            self.last_lsn = wal.append("CLEAR", self.txid, rel=relation.name)
 
     # -- inspection -----------------------------------------------------------------
 

@@ -201,9 +201,9 @@ class Relation:
             # One journal entry for the whole assignment; the per-element
             # inserts below must not journal themselves on top of it.  The
             # new contents are materialised (and coerced) up front so the
-            # WAL's ASSIGN record can carry the complete redo image.
+            # redo op can carry the complete image.
             elements = [self._as_record(element) for element in elements]
-            journal.before_mutation(self, "assign", elements=elements)
+            journal.before_mutation(self, "assign", elements)
             self._journal = None
         try:
             self._rebind_elements({})
@@ -232,7 +232,7 @@ class Relation:
             )
         journal = self._journal
         if journal is not None:
-            journal.before_mutation(self, "insert", record=record)
+            journal.before_mutation(self, "insert", record)
         registry = self._registry
         if registry is None:
             self._elements[key] = record
@@ -266,7 +266,7 @@ class Relation:
         key = values if self._key_is_all else self.schema.key_of(values)
         journal = self._journal
         if journal is not None:
-            journal.before_mutation(self, "insert", record=record)
+            journal.before_mutation(self, "insert", record)
         registry = self._registry
         if registry is None:
             self._elements[key] = record
@@ -329,7 +329,7 @@ class Relation:
         """Remove the element stored under ``key`` (its stored spelling)."""
         journal = self._journal
         if journal is not None:
-            journal.before_mutation(self, "delete", key=key)
+            journal.before_mutation(self, "delete", key)
         registry = self._registry
         if registry is None:
             removed_record = self._elements.pop(key, None)

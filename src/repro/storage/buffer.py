@@ -51,9 +51,10 @@ class BufferPool:
         self._frames: OrderedDict[tuple[str, int], Page] = OrderedDict()
         self._pins: dict[tuple[str, int], int] = {}
         # Dirty-page table: (file name, page number) -> recovery LSN, the
-        # LSN of the newest WAL record describing a mutation of that page.
-        # The write-ahead gate (:meth:`flush_page`) refuses to force a page
-        # whose recovery LSN the log has not yet made durable.
+        # highest LSN a caller marked the page with.  The write-ahead gate
+        # (:meth:`flush_page`) refuses to force a page whose recovery LSN
+        # the log has not yet made durable.  Stored relations mark 0: their
+        # transactions reach the log as one commit frame before any page.
         self._dirty: dict[tuple[str, int], int] = {}
         self.hits = 0
         self.misses = 0
@@ -149,9 +150,8 @@ class BufferPool:
     def mark_dirty(self, heap_file_name: str, page_number: int, lsn: int) -> None:
         """Record that a page was mutated under WAL record ``lsn``.
 
-        ``lsn`` 0 marks a mutation that produced no WAL record (a non-durable
-        database, a load, or recovery redo) — such pages pass the gate
-        unconditionally.  Repeated mutations keep the *newest* LSN: the page
+        ``lsn`` 0 marks a mutation no later WAL record has to precede (what
+        stored relations pass) — such pages pass the gate unconditionally.  Repeated mutations keep the *newest* LSN: the page
         may not be forced until its latest describing record is durable.
         """
         frame_key = (heap_file_name, page_number)

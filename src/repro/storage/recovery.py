@@ -1,24 +1,18 @@
-"""Crash recovery: analysis, redo of committed transactions, loser discard.
+"""Crash recovery: one forward pass that redoes every committed transaction.
 
 ``Database.open`` loads the checkpoint snapshot and then calls
-:func:`recover` with the snapshot's LSN watermark.  Recovery makes two
-passes over the salvageable prefix of the write-ahead log (the forward
-scanner of :mod:`repro.storage.wal` already stopped at the first torn or
-corrupted frame):
-
-1. **Analysis** — classify every transaction seen in the log as committed
-   (a ``COMMIT`` record survived), aborted (an ``ABORT`` record survived —
-   the undo journal already set the touched keys back in memory, so the
-   log's operation records must *not* be reapplied), or a **loser** (a
-   ``BEGIN`` with no outcome record: the process died mid-transaction, or
-   the commit's flush never reached the disk).
-2. **Redo** — reapply, in LSN order, the operation records of committed
-   transactions with LSN above the snapshot watermark.  Records at or below
-   the watermark are already inside the snapshot (this is what makes a
-   crash between the checkpoint's snapshot rename and its WAL truncation
-   harmless — replay is never attempted twice).  Losers and aborted
-   transactions are simply not replayed; because operations only become
-   visible on disk through the log, discarding is free.
+:func:`recover` with the snapshot's LSN watermark.  Recovery reads the
+salvageable prefix of the write-ahead log (the forward scanner of
+:mod:`repro.storage.wal` already stopped at the first torn or corrupted
+frame) once, in LSN order.  A committed transaction is one ``COMMIT`` frame
+carrying its redo ops, so at each intact commit frame above the snapshot
+watermark recovery applies the frame's ops.  A commit frame at or below the
+watermark is already inside the snapshot (this is what makes a crash
+between the checkpoint's snapshot rename and its WAL truncation harmless —
+replay is never attempted twice).  A transaction whose commit frame was
+torn, or that died or rolled back before committing, left nothing in the
+log: only a commit frame ever makes operations visible, so there are no
+losers to discard and a rollback never needs a record of its own.
 
 Redo runs through the relations' ordinary unjournaled mutation operators
 (``insert_raw`` / ``delete_key`` / ``assign`` / ``clear``), which touch no
@@ -28,10 +22,11 @@ is repacked so its heap pages and zone maps are byte-identical to a
 database that absorbed the same commits through a checkpoint — the
 crash-recovery test harness pins that equivalence.
 
-Recovery *degrades gracefully*: an operation record that cannot be applied
-(unknown relation, malformed payload) is skipped and surfaced in the
-:class:`RecoveryReport` notes rather than aborting the open.  Only an
-unusable snapshot — the one artifact with no redundancy — raises
+Recovery *degrades gracefully*: an operation that cannot be applied
+(unknown relation, malformed payload) and a frame of a kind it does not
+replay (the per-operation records of an older log layout) are skipped and
+surfaced in the :class:`RecoveryReport` notes rather than aborting the open.
+Only an unusable snapshot — the one artifact with no redundancy — raises
 :class:`~repro.errors.RecoveryError` (from the snapshot loader).
 """
 
@@ -47,9 +42,6 @@ from repro.storage.wal import WalDamage, scan_wal
 
 __all__ = ["RecoveryReport", "recover"]
 
-#: WAL record kinds that carry a redo payload (the rest are control records).
-_DATA_KINDS = frozenset({"INSERT", "DELETE", "ASSIGN", "CLEAR"})
-
 
 @dataclass
 class RecoveryReport:
@@ -59,22 +51,18 @@ class RecoveryReport:
     had a non-empty log.
     """
 
-    #: Intact records the forward scan produced (control + data).
+    #: Intact frames the forward scan produced.
     records_scanned: int = 0
     #: Highest intact LSN the scan saw (0 when the log was empty); the
     #: reopened log continues numbering strictly above it.
     last_lsn: int = 0
-    #: Data records reapplied to the snapshot state.
+    #: Redo operations reapplied to the snapshot state.
     records_replayed: int = 0
-    #: Data records deliberately not applied (already in the snapshot,
-    #: belonging to a loser or aborted transaction, or unreplayable).
+    #: Redo operations deliberately not applied (already in the snapshot,
+    #: or unreplayable).
     records_skipped: int = 0
-    #: Committed transactions that had at least one record replayed.
+    #: Committed transactions that had at least one operation replayed.
     replayed_transactions: list[int] = field(default_factory=list)
-    #: Transactions with a BEGIN but no COMMIT/ABORT — discarded losers.
-    dropped_transactions: list[int] = field(default_factory=list)
-    #: Transactions the log shows as explicitly aborted.
-    aborted_transactions: list[int] = field(default_factory=list)
     #: Names of the relations redo touched (repacked afterwards).
     relations_replayed: list[str] = field(default_factory=list)
     #: Where the log scan stopped early, if it did.
@@ -93,10 +81,6 @@ class RecoveryReport:
             f"replayed {self.records_replayed}, skipped {self.records_skipped}",
             f"committed transactions replayed: {self.replayed_transactions or 'none'}",
         ]
-        if self.dropped_transactions:
-            lines.append(f"losers discarded: {self.dropped_transactions}")
-        if self.aborted_transactions:
-            lines.append(f"aborted transactions ignored: {self.aborted_transactions}")
         if self.damage is not None:
             lines.append(f"log damage: {self.damage.describe()}")
         lines.extend(self.notes)
@@ -118,62 +102,40 @@ def recover(database: Database, wal_file: str, snapshot_lsn: int) -> RecoveryRep
             f"log scan stopped early: {damage.describe()}; "
             "records past the damage (if any) are unrecoverable"
         )
-
-    # -- analysis: one pass to classify every transaction ------------------------
-    committed: set[int] = set()
-    begun: list[int] = []
-    for record in records:
-        kind = record.get("kind")
-        txid = record.get("txid")
-        if kind == "BEGIN" and txid is not None:
-            begun.append(txid)
-        elif kind == "COMMIT" and txid is not None:
-            committed.add(txid)
-        elif kind == "ABORT" and txid is not None:
-            report.aborted_transactions.append(txid)
-    aborted = set(report.aborted_transactions)
-    report.dropped_transactions = [
-        txid for txid in begun if txid not in committed and txid not in aborted
-    ]
-    for txid in report.dropped_transactions:
-        report.notes.append(
-            f"transaction {txid} has no COMMIT in the salvageable log; discarded"
-        )
-
-    # -- redo: reapply committed operations above the snapshot watermark ---------
     touched: dict[str, object] = {}
-    replayed_txids: list[int] = []
     for record in records:
-        kind = record.get("kind")
-        if kind not in _DATA_KINDS:
+        kind, lsn, txid = record["kind"], record["lsn"], record.get("txid")
+        ops = record.get("ops")
+        if kind == "CHECKPOINT":
             continue
-        txid = record.get("txid")
-        if record["lsn"] <= snapshot_lsn or txid not in committed:
-            report.records_skipped += 1
-            continue
-        relation_name = record.get("rel")
-        try:
-            relation = database.relation(relation_name)
-            schema = relation.schema
-            if kind == "INSERT":
-                relation.insert_raw(Record.raw(schema, decode_row(schema, record["row"])))
-            elif kind == "DELETE":
-                relation.delete_key(decode_key(schema, record["key"]))
-            elif kind == "ASSIGN":
-                relation.assign([decode_row(schema, row) for row in record["rows"]])
-            else:  # CLEAR
-                relation.clear()
-        except (PascalRError, KeyError, TypeError, ValueError) as exc:
-            report.records_skipped += 1
+        if kind != "COMMIT" or ops is None:
             report.notes.append(
-                f"could not replay LSN {record['lsn']} "
-                f"({kind} on {relation_name!r}): {exc}"
+                f"LSN {lsn}: transaction {txid} committed in the older "
+                "per-operation log layout; its operations were NOT replayed"
+                if kind == "COMMIT"
+                else f"LSN {lsn}: {kind} record of the older per-operation "
+                "log layout, not replayed"
             )
             continue
-        report.records_replayed += 1
-        touched[relation_name] = relation
-        if txid not in replayed_txids:
-            replayed_txids.append(txid)
+        if lsn <= snapshot_lsn:
+            report.records_skipped += len(ops)
+            continue
+        replayed = 0
+        for op in ops:
+            try:
+                relation = _replay(database, op)
+            except (PascalRError, KeyError, TypeError, ValueError) as exc:
+                report.records_skipped += 1
+                report.notes.append(
+                    f"could not replay an operation of transaction {txid} "
+                    f"(LSN {lsn}): {exc}"
+                )
+                continue
+            replayed += 1
+            touched[relation.name] = relation
+        report.records_replayed += replayed
+        if replayed:
+            report.replayed_transactions.append(txid)
 
     # -- normalise: repack touched heaps so pages/zone maps match a clean load ---
     for relation in touched.values():
@@ -181,7 +143,26 @@ def recover(database: Database, wal_file: str, snapshot_lsn: int) -> RecoveryRep
         if repack is not None:
             repack()
     report.relations_replayed = list(touched)
-    report.replayed_transactions = replayed_txids
-    if replayed_txids:
-        database.statistics.record_recovered_transactions(len(replayed_txids))
+    if report.replayed_transactions:
+        database.statistics.record_recovered_transactions(
+            len(report.replayed_transactions)
+        )
     return report
+
+
+def _replay(database: Database, op):
+    """Apply one redo op ``[relation, operator, argument]``; return the relation."""
+    name, operator, argument = op
+    relation = database.relation(name)
+    schema = relation.schema
+    if operator == "insert":
+        relation.insert_raw(Record.raw(schema, decode_row(schema, argument)))
+    elif operator == "delete":
+        relation.delete_key(decode_key(schema, argument))
+    elif operator == "assign":
+        relation.assign([decode_row(schema, row) for row in argument])
+    elif operator == "clear":
+        relation.clear()
+    else:
+        raise ValueError(f"unknown operation {operator!r} on {name!r}")
+    return relation

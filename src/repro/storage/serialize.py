@@ -50,7 +50,9 @@ def encode_value(value: Any) -> Any:
     """Flatten one coerced scalar value to a JSON-safe scalar.
 
     Enumeration values carry their label; everything else the type system
-    stores (``int``, ``bool``, padded ``str``) is already JSON-safe.
+    stores (``int``, ``bool``, padded ``str``) is already JSON-safe.  The
+    write-ahead log passes this as ``json.dumps``'s ``default`` hook, so a
+    redo op's value tuple is written without an encoded copy.
     """
     if isinstance(value, EnumValue):
         return value.label

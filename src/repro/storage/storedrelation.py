@@ -39,34 +39,20 @@ class StoredRelation(Relation):
         self._pool = buffer_pool if buffer_pool is not None else BufferPool(
             DEFAULT_POOL_SIZE, tracker
         )
-        # Recovery LSN to stamp on dirtied pages while the journal is
-        # temporarily detached (assign's internal clear+insert phase).
-        self._detached_lsn = 0
         super().__init__(name, schema, elements=elements, tracker=tracker)
 
     # -- updates (keep heap file in step with the in-memory dictionary) ------------
-
-    def _mutation_lsn(self) -> int:
-        """Recovery LSN of the mutation in progress (0 when unlogged).
-
-        Inside a transaction on a durable database the journal has just
-        emitted the operation's WAL record; its LSN is what the dirtied
-        pages must carry so the write-ahead gate can refuse to force them
-        before the log is durable.  Unlogged mutations (no transaction, or
-        an in-memory database) dirty their pages with LSN 0, which every
-        gate check accepts.
-        """
-        journal = self._journal
-        if journal is not None:
-            return getattr(journal, "last_lsn", 0)
-        return self._detached_lsn
+    #
+    # Dirtied pages carry recovery LSN 0: a transaction reaches the log as
+    # one commit frame, and a checkpoint (refused mid-transaction) fsyncs
+    # the log before it forces any page, so no page can get ahead of it.
 
     def insert(self, element: Record | Mapping[str, Any] | tuple) -> Record:
         record = super().insert(element)
         key = self.schema.key_of(record.values)
         if key not in self._rids:
             rid = self._rids[key] = self._heap.append(record)
-            self._pool.mark_dirty(self.name, rid.page_number, self._mutation_lsn())
+            self._pool.mark_dirty(self.name, rid.page_number, 0)
         return record
 
     def insert_raw(self, record: Record) -> Record:
@@ -84,7 +70,7 @@ class StoredRelation(Relation):
             if stored is record or stored == record:
                 return record
             self._heap.overwrite(rid, record)
-        self._pool.mark_dirty(self.name, rid.page_number, self._mutation_lsn())
+        self._pool.mark_dirty(self.name, rid.page_number, 0)
         return record
 
     def _remove(self, key: tuple) -> bool:
@@ -96,7 +82,7 @@ class StoredRelation(Relation):
             rid = self._rids.pop(key, None)
             if rid is not None:
                 self._heap.delete(rid)
-                self._pool.mark_dirty(self.name, rid.page_number, self._mutation_lsn())
+                self._pool.mark_dirty(self.name, rid.page_number, 0)
         return removed
 
     def clear(self) -> None:
@@ -105,27 +91,25 @@ class StoredRelation(Relation):
         self._rids.clear()
         self._pool.invalidate(self.name)
         # The whole file changed shape; per-page dirty state is meaningless
-        # now, but the truncation itself must still be covered by the WAL
-        # before a checkpoint forces it — page 0 stands in for "the file".
+        # now, but the truncation itself must still be forced by the next
+        # checkpoint — page 0 stands in for "the file".
         self._pool.discard_dirty(self.name)
-        self._pool.mark_dirty(self.name, 0, self._mutation_lsn())
+        self._pool.mark_dirty(self.name, 0, 0)
 
     def assign(self, elements: Iterable[Record | Mapping[str, Any] | tuple]) -> "StoredRelation":
         journal = self._journal
         if journal is not None:
             # Mirror Relation.assign: one journal entry for the whole
             # assignment, not one per constituent clear/insert; materialise
-            # the new contents so the WAL record carries the redo image.
+            # the new contents so the redo op carries the whole image.
             elements = [self._as_record(element) for element in elements]
-            journal.before_mutation(self, "assign", elements=elements)
+            journal.before_mutation(self, "assign", elements)
             self._journal = None
-            self._detached_lsn = getattr(journal, "last_lsn", 0)
         try:
             self.clear()
             self.insert_all(elements)
         finally:
             self._journal = journal
-            self._detached_lsn = 0
         return self
 
     # -- paged scanning --------------------------------------------------------------

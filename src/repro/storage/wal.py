@@ -7,17 +7,17 @@ The log is an append-only file of framed records.  Each frame is
     [payload length : u32 LE][crc32(payload) : u32 LE][payload : JSON utf-8]
 
 and each payload carries a monotonically increasing log sequence number
-(LSN), a record kind (``BEGIN`` / ``INSERT`` / ``DELETE`` / ``ASSIGN`` /
-``CLEAR`` / ``COMMIT`` / ``ABORT`` / ``CHECKPOINT``), the transaction id,
-and the operation's redo payload.
+(LSN), a record kind and its fields.  A committed transaction is one
+``COMMIT`` frame, ``{"lsn", "kind", "txid", "ops": [[rel, op, row | key |
+rows | null], ...]}``, holding its redo ops in order.  A checkpoint starts
+the truncated log with a ``CHECKPOINT`` marker.  Nothing else is written: a
+rollback logs nothing.
 
 Appends buffer in memory; :meth:`WriteAheadLog.flush` writes every buffered
-frame with a single file write (group-commit friendly: one commit's ops and
-its ``COMMIT`` record hit the OS together) and optionally fsyncs.  The
-*durability point* of a transaction is the flush that makes its ``COMMIT``
-frame durable — data pages never reach disk before the WAL records that
-describe them (the write-ahead rule, enforced by the buffer pool's
-dirty-page gate).
+frame with a single file write and optionally fsyncs.  The *durability
+point* of a transaction is the flush that makes its ``COMMIT`` frame
+durable — data pages never reach disk before the WAL describes them (the
+write-ahead rule, enforced by the buffer pool's dirty-page gate).
 
 :func:`scan_wal` is the forward scanner used by recovery: it yields decoded
 records in LSN order and stops *cleanly* at the first damaged frame — a torn
@@ -45,6 +45,7 @@ from typing import Any, Iterator
 
 from repro.errors import StorageError
 from repro.relational.statistics import AccessStatistics
+from repro.storage.serialize import encode_value
 
 __all__ = [
     "CrashPoint",
@@ -55,16 +56,19 @@ __all__ = [
     "scan_wal",
 ]
 
-#: The record kinds the log accepts.
+#: The record kinds the log accepts.  The database writes the first two.
+#: The per-operation kinds of the older layout are still accepted: the
+#: ``benchmarks/e2e`` WAL probe appends them, and a log written in that
+#: layout scans to its end, so recovery can note each such frame.
 WAL_KINDS = (
+    "COMMIT",
+    "CHECKPOINT",
     "BEGIN",
     "INSERT",
     "DELETE",
     "ASSIGN",
     "CLEAR",
-    "COMMIT",
     "ABORT",
-    "CHECKPOINT",
 )
 
 #: Frame header: payload length, crc32 of the payload (both u32 little-endian).
@@ -236,7 +240,9 @@ class WriteAheadLog:
         if txid is not None:
             payload_fields["txid"] = txid
         payload_fields.update(fields)
-        payload = json.dumps(payload_fields, separators=(",", ":")).encode("utf-8")
+        payload = json.dumps(
+            payload_fields, separators=(",", ":"), default=encode_value
+        ).encode("utf-8")
         frame = _frame(payload)
         self._pending.append(frame)
         self._pending_bytes += len(frame)
@@ -250,8 +256,7 @@ class WriteAheadLog:
     def flush(self, fsync: bool = False) -> None:
         """Write every buffered frame with one file write; optionally fsync.
 
-        This is the group-commit write: a transaction's buffered operation
-        records and its ``COMMIT`` land in the OS together.  With ``fsync``
+        A commit appends its one frame and flushes it.  With ``fsync``
         the flush is a durability point (``durability='commit'``); without,
         the records survive a process crash but not a power loss
         (``durability='checkpoint'``).

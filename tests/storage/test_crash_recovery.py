@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from repro.config import DURABILITY_COMMIT
 from repro.relational.database import Database
 from repro.storage.serialize import encode_schema
-from repro.storage.wal import CrashPoint, SimulatedCrash
+from repro.storage.snapshot import wal_path
+from repro.storage.wal import WAL_KINDS, CrashPoint, SimulatedCrash, scan_wal
 from repro.types.scalar import INTEGER, CharArray
 
 # ----------------------------------------------------------------------------------
@@ -150,6 +151,18 @@ def control_states(tmp_path_factory):
     return {point: recovered_state(path) for point, path in copies.items()}
 
 
+def _torn_kind(directory) -> str | None:
+    """The kind of the torn frame a crashed directory's log ends on, if any."""
+    path = wal_path(directory)
+    damage = scan_wal(path)[1]
+    if damage is None:
+        return None
+    with open(path, "rb") as log:
+        log.seek(damage.offset)
+        tail = log.read()
+    return next((kind for kind in WAL_KINDS if f'"kind":"{kind}"'.encode() in tail), "")
+
+
 def _total_crash_events(tmp_path_factory) -> tuple[int, list[str]]:
     probe = CrashPoint()  # counting mode: records events, never fires
     run_workload(str(tmp_path_factory.mktemp("probe") / "db"), crash_point=probe)
@@ -162,24 +175,34 @@ class TestCrashSweep:
     def test_every_crash_point_recovers_a_committed_prefix(
         self, tmp_path_factory, control_states
     ):
+        # After a crash between durability points p and p + 1 the recovered
+        # state is the one at p or at p + 1: every acknowledged commit
+        # survives, and nothing a later point did not acknowledge shows.
         total, events = _total_crash_events(tmp_path_factory)
         assert total >= 20, f"workload too small to be interesting: {events}"
-        failures = []
+        failures, torn_kinds = [], set()
         for torn in (False, True):
             for k in range(total):
                 directory = str(
                     tmp_path_factory.mktemp("sweep") / f"k{k}-{'torn' if torn else 'clean'}"
                 )
                 crash_point = CrashPoint(crash_at=k, torn=torn)
+                reached = [0]
                 with pytest.raises(SimulatedCrash):
-                    run_workload(directory, crash_point=crash_point)
+                    run_workload(
+                        directory, crash_point=crash_point, at_point=reached.append
+                    )
+                torn_kinds.add(_torn_kind(directory))
                 state = recovered_state(directory)
-                if state not in control_states.values():
+                point = reached[-1]
+                if state not in (control_states.get(point), control_states.get(point + 1)):
                     failures.append((k, torn, crash_point.events[k]))
         assert not failures, (
-            "recovered state matched no durability point after crashes at: "
-            f"{failures}"
+            "recovered state matched neither neighbouring durability point "
+            f"after crashes at: {failures}"
         )
+        # The torn sweep met a torn commit frame.
+        assert "COMMIT" in torn_kinds, torn_kinds
 
     def test_recovery_is_idempotent_across_reopens(self, tmp_path_factory):
         # Crash mid-run, recover, and reopen twice more: the second and

@@ -15,7 +15,7 @@ from repro.errors import StorageError, TransactionError
 from repro.relational.database import Database
 from repro.storage.buffer import BufferPool
 from repro.storage.snapshot import snapshot_path, wal_path
-from repro.storage.wal import scan_wal
+from repro.storage.wal import WriteAheadLog, scan_wal
 from repro.types.scalar import INTEGER, CharArray
 
 
@@ -123,8 +123,8 @@ class TestDurabilityModes:
 
     def test_an_unpadded_delete_is_logged_under_the_stored_key(self, tmp_path):
         """ROADMAP 2d: ``delete_key("abc")`` on a packed-char-array key deletes
-        the blank-padded element, the WAL's ``DELETE`` carries the canonical
-        key, and crash recovery replays it."""
+        the blank-padded element, the commit frame's delete op carries the
+        canonical key, and crash recovery replays it."""
         database = Database.open(tmp_path, durability=DURABILITY_COMMIT)
         relation = database.create_relation(
             "codes",
@@ -141,9 +141,11 @@ class TestDurabilityModes:
             assert relation.delete_key(("x",))         # unpadded, tuple
             assert not relation.delete_key("nope")     # a miss logs nothing
         deletes = [
-            record["key"]
+            argument
             for record in scan_wal(wal_path(str(tmp_path)))[0]
-            if record["kind"] == "DELETE"
+            if record["kind"] == "COMMIT"
+            for _, op, argument in record["ops"]
+            if op == "delete"
         ]
         assert deletes == [["abc   "], ["x     "]]
         # The process vanishes; the committed suffix of the log is replayed.
@@ -162,9 +164,22 @@ class TestDurabilityModes:
             relation.insert({"k": 1, "label": "x"})
         records, damage = scan_wal(wal_path(str(tmp_path)))
         assert damage is None
-        assert [r["kind"] for r in records] == [
-            "CHECKPOINT", "BEGIN", "INSERT", "COMMIT",
-        ]
+        assert [r["kind"] for r in records] == ["CHECKPOINT", "COMMIT"]
+        assert records[1]["ops"] == [["t", "insert", [1, "x       "]]]
+        database.close()
+
+    def test_a_rollback_writes_nothing(self, tmp_path):
+        database = Database.open(tmp_path, durability=DURABILITY_COMMIT)
+        relation = make_relation(database)
+        size = os.path.getsize(wal_path(str(tmp_path)))
+        records = database.statistics.wal_records
+        journal = database.begin_transaction()
+        relation.insert({"k": 1, "label": "gone"})
+        database.abort_transaction(journal)
+        database.end_transaction(journal)
+        journal.rollback()
+        assert database.statistics.wal_records == records
+        assert os.path.getsize(wal_path(str(tmp_path))) == size
         database.close()
 
     def test_off_mode_keeps_no_log_and_loses_unclosed_work(self, tmp_path):
@@ -284,6 +299,26 @@ class TestWriteAheadGate:
         pool.flush_page("t", 0, durable_lsn=7)
         assert pool.dirty_count() == 0
 
+    def test_a_rolled_back_transaction_leaves_its_pages_checkpointable(self, tmp_path):
+        # A rollback writes no frame, and the pages it dirtied and restored
+        # are forced by the next checkpoint without tripping the gate.
+        database = Database.open(tmp_path, durability=DURABILITY_COMMIT)
+        relation = make_relation(database, page_capacity=2)
+        with committed(database):
+            relation.insert({"k": 1, "label": "kept"})
+        journal = database.begin_transaction()
+        for k in range(2, 7):
+            relation.insert({"k": k, "label": "gone"})
+        relation.delete_key(1)
+        assert relation._pool.dirty_count("t") > 0
+        database.abort_transaction(journal)
+        database.end_transaction(journal)
+        journal.rollback()
+        database.checkpoint()
+        assert relation._pool.dirty_count("t") == 0
+        assert keys(database) == [1]
+        database.close()
+
     def test_mark_dirty_keeps_the_highest_lsn(self):
         pool = BufferPool()
         pool.mark_dirty("t", 0, lsn=5)
@@ -393,10 +428,12 @@ class TestStatisticsCounters:
     def test_wal_and_checkpoint_counters_accumulate(self, tmp_path):
         database = Database.open(tmp_path)
         relation = make_relation(database)
+        stats = database.statistics
+        before = stats.wal_records
         with committed(database):
             relation.insert({"k": 1, "label": "n"})
-        stats = database.statistics
-        assert stats.wal_records >= 3  # BEGIN + INSERT + COMMIT at least
+            relation.insert({"k": 2, "label": "m"})
+        assert stats.wal_records == before + 1  # the one commit frame
         assert stats.wal_bytes > 0
         assert stats.wal_flushes >= 1
         assert stats.checkpoints >= 1
@@ -405,6 +442,30 @@ class TestStatisticsCounters:
                         "checkpoints", "recovered_transactions"):
             assert counter in snapshot
         database.close()
+
+    def test_frames_of_the_older_per_operation_layout_are_noted(self, tmp_path):
+        database = Database.open(tmp_path)
+        make_relation(database)
+        database.close()
+        path = wal_path(str(tmp_path))
+        watermark = scan_wal(path)[0][-1]["lsn"]
+        log = WriteAheadLog(path, next_lsn=watermark + 1)
+        log.append("BEGIN", 7)
+        log.append("INSERT", 7, rel="t", row=[1, "old     "])
+        log.append("COMMIT", 7)
+        log.close()
+        reopened = Database.open(tmp_path)
+        report = reopened.recovery_report
+        assert not report.clean
+        assert [note.split(":")[0] for note in report.notes] == [
+            f"LSN {watermark + 1}", f"LSN {watermark + 2}", f"LSN {watermark + 3}",
+        ]
+        assert "BEGIN record" in report.notes[0]
+        assert "INSERT record" in report.notes[1]
+        assert "transaction 7 committed" in report.notes[2]
+        assert "NOT replayed" in report.notes[2]
+        assert report.records_replayed == 0 and keys(reopened) == []
+        reopened.close()
 
     def test_recovered_transactions_counted_on_reopen(self, tmp_path):
         database = Database.open(tmp_path)
@@ -416,5 +477,5 @@ class TestStatisticsCounters:
         del database  # abandoned: both commits live only in the WAL
         reopened = Database.open(tmp_path)
         assert reopened.statistics.recovered_transactions == 2
-        assert reopened.recovery_report.records_replayed >= 2
+        assert reopened.recovery_report.records_replayed == 2
         reopened.close()
