@@ -50,12 +50,11 @@ def test_scan_all_relations(benchmark, scale):
 
 
 def test_report_figure1_contents(university_small):
-    """Print the Figure 1 database profile (cardinalities, pages, schema keys)."""
+    """Print the Figure 1 database profile (cardinalities, schema keys)."""
     lines = []
     for relation in university_small.relations():
-        pages = getattr(relation, "page_count", "-")
         lines.append(
             f"{relation.name:10s} key=<{', '.join(relation.schema.key)}> "
-            f"elements={len(relation):4d} pages={pages}"
+            f"elements={len(relation):4d}"
         )
     print_report("FIG1 — sample database (scale 1)", "\n".join(lines))

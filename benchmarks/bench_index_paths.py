@@ -1,25 +1,21 @@
 """INDEX PATHS — sub-linear access paths vs. the scan-based collection phase.
 
 The access-path selector (``engine/access.py``) lets a prepared point query
-answer from a permanent hash index, a prepared range query answer from a
-sorted index, and an un-indexed range query skip pages via zone maps —
-instead of paying one full relation scan per execution.  Because a probe
+answer from a permanent hash index and a prepared range query answer from
+a sorted index — instead of paying one full relation scan per execution.  Because a probe
 touches O(matches) elements while a scan touches O(|relation|), the gap to
 the scan path must *widen* as the database grows; this benchmark pins that.
 
-Three workloads over an enlarged Figure 1 profile, at scales 1..4:
+Two workloads over an enlarged Figure 1 profile, at scales 1..4:
 
 * ``point``  — ``e.enr = $enr`` via a permanent :class:`HashIndex`
                (the service-layer hot path: plan cached, value late-bound);
-* ``sorted`` — ``p.pyear <= $year`` via a permanent :class:`SortedIndex`;
-* ``zone``   — ``c.cnr <= $limit`` with *no* index: the paged backend's
-               zone maps prune every page whose min/max refutes the bound.
+* ``sorted`` — ``p.pyear <= $year`` via a permanent :class:`SortedIndex`.
 
 Acceptance (full run; the CI smoke job sets ``BENCH_SMOKE=1`` and only
 checks scale 1 for bit-rot):
 
 * indexed point execution reports ``index_probes > 0``;
-* the zone workload reports ``pages_skipped > 0`` on the paged backend;
 * results are byte-identical with ``use_index_paths`` on and off;
 * the point-query speedup is >= 5x at scale 4 and monotonically increasing
   from scale 1 to scale 4 — through ``service.prepare`` *and* through a
@@ -41,7 +37,7 @@ import time
 
 import pytest
 
-from repro import QueryEngine, StrategyOptions, connect
+from repro import StrategyOptions, connect
 from repro.bench.report import print_report
 from repro.workloads.university import UniversityProfile, build_university_database
 
@@ -52,18 +48,17 @@ BENCH_SMOKE = bool(os.environ.get("BENCH_SMOKE"))
 SCALES = (1,) if BENCH_SMOKE else (1, 2, 3, 4)
 
 #: An enlarged Figure 1 profile so the scan path has something to lose:
-#: scale 4 holds 1000 employees (32 pages), 640 courses (20 pages).
+#: scale 4 holds 1000 employees and 480 papers.
 PROFILE = UniversityProfile(employees=250, papers=120, courses=160, timetable=150)
 
 POINT_TEXT = "[<e.ename> OF EACH e IN employees : (e.enr = $enr)]"
 SORTED_TEXT = "[<p.ptitle> OF EACH p IN papers : (p.pyear <= $year)]"
-ZONE_TEXT = "[<c.ctitle> OF EACH c IN courses : (c.cnr <= $limit)]"
 
 SCAN_OPTIONS = StrategyOptions().with_(use_index_paths=False)
 
 
 def _database(scale: int):
-    database = build_university_database(scale=scale, profile=PROFILE, paged=True)
+    database = build_university_database(scale=scale, profile=PROFILE)
     database.create_index("employees", "enr")            # hash, for "="
     database.create_index("papers", "pyear", operator="<=")  # sorted, for ranges
     return database
@@ -244,22 +239,6 @@ class TestSortedIndexRange:
             if attempts[-1] >= 2.0:
                 return
         raise AssertionError(f"narrow range read not >=2x faster in any attempt: {attempts}")
-
-
-class TestZoneMapPruning:
-    """Zone maps belong to the paged heap, which only the engine door
-    (``QueryEngine.run`` on the database) reads: a pin reads its dicts."""
-
-    def test_pruned_scan_skips_pages_and_matches_scan(self):
-        database = _database(SCALES[0])
-        pruned, scanned = QueryEngine(database), QueryEngine(database, SCAN_OPTIONS)
-        for limit in (9999, 40, 10):
-            text = ZONE_TEXT.replace("$limit", str(limit))
-            on, off = pruned.run(text), scanned.run(text)
-            assert sorted(r.values for r in on) == sorted(r.values for r in off), limit
-        assert on.statistics["pages_skipped"] > 0
-        assert off.statistics["pages_skipped"] == 0
-        assert on.statistics["pages_read"] < off.statistics["pages_read"]
 
 
 def test_report_index_path_latency():

@@ -1,6 +1,6 @@
 """DURABILITY — commit latency per durability mode, and recovery cost.
 
-ISSUE 6 adds write-ahead logging to the paged backend; this benchmark
+The write-ahead log makes a database directory durable; this benchmark
 quantifies what each durability mode charges the commit path and what
 crash recovery costs as the log grows:
 
@@ -68,7 +68,6 @@ def _make_relation(database):
         "ledger",
         [("k", INTEGER), ("note", CharArray(12, "notetype"))],
         key=["k"],
-        page_capacity=8,
     )
 
 

@@ -13,10 +13,10 @@ relational layer's :class:`~repro.relational.journal.UndoJournal`:
 While a transaction is active, every tracked mutation of every base relation
 (``insert`` / ``delete`` / ``assign`` / ``clear``) is journaled — per key,
 what the key held before — and rollback sets each touched key back through
-the ordinary relation operators, so heap pages, zone maps, the contents
-versions permanent indexes are derived under and the ``data_version`` epoch
-all follow the restored contents (see the
-journal module for the coherence rule and the exact contract).  A
+the ordinary relation operators, so the contents versions permanent
+indexes are derived under and the ``data_version`` epoch both follow the
+restored contents (see the journal module for the coherence rule and the
+exact contract).  A
 transaction costs what it changes, not what its relations hold.  Catalog
 changes (DDL) are deliberately *not* transactional.
 
@@ -134,8 +134,8 @@ class Session:
         ``durability='commit'``), so by the time the in-memory transaction
         ends, crash recovery can replay it.  The undo journal itself is
         simply discarded — the mutations already applied through the
-        ordinary relation operators (and already moved the pages and
-        version epochs), so there is nothing to replay.  A
+        ordinary relation operators (and already moved the version
+        epochs), so there is nothing to replay.  A
         checkpoint deferred by mid-transaction DDL runs now.
         """
         journal = self._require_transaction()
@@ -152,8 +152,7 @@ class Session:
         (most recently touched relation first) through the ordinary
         ``delete_key`` / ``insert`` operators — one ``assign`` for a
         relation the transaction assigned or cleared — so statistics follow
-        back, paged relations keep their heap files and zone maps in step,
-        and the contents versions and the data-version epoch advance, so no
+        back, and the contents versions and the data-version epoch advance, so no
         permanent index view or cached collection structure can survive from
         the rolled-back state.  The cost is proportional to what the
         transaction changed.
@@ -162,9 +161,8 @@ class Session:
         elements it held at ``begin``, and the database is in the state that
         committing the transaction and then applying its inverse key by key
         would have produced.  Elements the transaction deleted or overwrote
-        are re-inserted, so they move to the end of the iteration order
-        (dict and heap alike); untouched elements keep their relative
-        order; nothing is repacked.  The catalog (``schema_version``) is
+        are re-inserted, so they move to the end of the iteration order;
+        untouched elements keep their relative order.  The catalog (``schema_version``) is
         untouched: plans valid before ``begin`` are exactly as valid
         afterwards.  Nothing is logged: the abandoned operations never
         reach a commit frame, so recovery never replays them.

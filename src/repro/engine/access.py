@@ -14,11 +14,6 @@ the constant-matrix shortcut — first asks the selector how to enumerate it:
     ``>=``) answers one restriction conjunct directly from index references;
     qualifying elements are fetched by reference and only the *residual*
     restriction is evaluated per element.  Sub-linear in the relation size.
-``pruned-scan``
-    no usable index, but the relation is paged: the sequential scan skips
-    every page whose zone map (per-page min/max per component) refutes the
-    restriction conjunct.  Still linear in pages, but only matching pages
-    are fetched and only their elements touched.
 ``scan``
     the Strategy 1 shared scan (or the per-structure scan of the
     unoptimised engine) with the full restriction evaluated per element.
@@ -50,7 +45,6 @@ from repro.types.scalar import swap_operator
 __all__ = [
     "SCAN",
     "PROBE",
-    "PRUNED_SCAN",
     "AccessPath",
     "probe_term",
     "restriction_conjuncts",
@@ -64,7 +58,6 @@ __all__ = [
 
 SCAN = "scan"
 PROBE = "probe"
-PRUNED_SCAN = "pruned-scan"
 
 #: Operators an index organisation can answer sub-linearly (``<>`` excluded:
 #: neither a hash bucket lookup nor a bisection serves it better than a scan).
@@ -97,7 +90,7 @@ class AccessPath:
 
     var: str
     relation_name: str
-    kind: str  # SCAN | PROBE | PRUNED_SCAN
+    kind: str  # SCAN | PROBE
     restriction: Formula | None = None
     probe: _ProbeTerm | None = None
     residual: Formula | None = None  # restriction minus the probed conjunct
@@ -121,13 +114,6 @@ class AccessPath:
                 f"{self.probe.op} {self.probe.describe_value()}, "
                 f"est. {self.estimated_cost:.0f} vs scan {self.scan_cost:.0f})"
                 + (", residual filter" if self.residual is not None else "")
-                + suffix
-            )
-        if self.kind == PRUNED_SCAN:
-            assert self.probe is not None
-            return (
-                f"zone-map pruned scan of {self.relation_name} "
-                f"({self.probe.field} {self.probe.op} {self.probe.describe_value()})"
                 + suffix
             )
         return f"scan {self.relation_name}{suffix}"
@@ -206,10 +192,8 @@ def select_access_path(
     Decision rule (also documented in DESIGN.md): among the restriction's
     top-level conjuncts of the shape ``var.field op value``, pick the
     permanent index whose estimated probe cost is lowest; take it when that
-    cost undercuts the full scan.  Otherwise, on the paged backend, fall
-    back to a zone-map pruned scan keyed on the first probe-able conjunct.
-    Otherwise scan.  Candidates are priced through
-    ``database.index_candidate`` — on a pinned snapshot that never builds a
+    cost undercuts the full scan; otherwise scan.  Candidates are priced
+    through ``database.index_candidate`` — on a pinned snapshot that never builds a
     view and keeps one that is not worth building yet off the table — at
     their probe cost, and only the winner is resolved with ``index_for``;
     when that has to build the view, the path's estimate includes the reads
@@ -223,7 +207,7 @@ def select_access_path(
 class AccessDecision(NamedTuple):
     """:func:`select_access_path`'s rule, decided for one range (:func:`decide_access`)."""
 
-    kind: str  # SCAN | PROBE | PRUNED_SCAN
+    kind: str  # SCAN | PROBE
     position: int  # of the probed conjunct in the restriction; -1: none
     cost: float
     scan_cost: float
@@ -244,7 +228,6 @@ def decide_access(
     if not options.use_index_paths or restriction is None:
         return AccessDecision(SCAN, -1, 0.0, scan_cost, 0, True)
     best: tuple[float, int, int] | None = None
-    prunable = -1
     settled = True
     for position, conjunct in enumerate(restriction_conjuncts(restriction)):
         term = probe_term(var, conjunct)
@@ -257,16 +240,11 @@ def decide_access(
         elif build_reads:
             settled = False
         cost = None if index is None else _probe_cost(index, term.op)
-        if cost is None:
-            if prunable < 0:
-                prunable = position
-        elif best is None or cost < best[0]:
+        if cost is not None and (best is None or cost < best[0]):
             best = (cost, position, build_reads)
     if best is not None and best[0] < scan_cost:
         cost, position, build_reads = best
         return AccessDecision(PROBE, position, cost + build_reads, scan_cost, build_reads, settled)
-    if prunable >= 0 and hasattr(relation, "heap_file"):
-        return AccessDecision(PRUNED_SCAN, prunable, scan_cost, scan_cost, 0, settled)
     return AccessDecision(SCAN, -1, 0.0, scan_cost, 0, settled)
 
 
@@ -278,13 +256,11 @@ def decided_path(
     ``database``'s own."""
     relation, restriction = range_expr.relation, range_expr.restriction
     probe = residual = index = None
-    if decision.position >= 0:
+    if decision.kind == PROBE:
         conjuncts = restriction_conjuncts(restriction)
         probe = probe_term(var, conjuncts[decision.position])
-        residual = restriction  # zone maps are conservative: full re-check
-        if decision.kind == PROBE:
-            residual = _residual_of(conjuncts, decision.position)
-            index = database.index_for(relation, probe.field)
+        residual = _residual_of(conjuncts, decision.position)
+        index = database.index_for(relation, probe.field)
     reads = decision.build_reads
     return AccessPath(
         var, relation, decision.kind, restriction, probe, residual, index,
@@ -302,12 +278,11 @@ def access_chunks(
 
     The probe path takes the keys from the index the selector put on ``path``
     in one probe and reads a chunk of them at a time through the relation's
-    tracked ``fetch_many`` (one element read — and on the paged backend one
-    buffered page read — per key; an element deleted since the probe is a
-    :class:`~repro.errors.DanglingReferenceError`, as in the construction
-    phase), applying only the residual restriction; the pruned path walks
-    non-refuted pages and re-checks the full restriction; the scan path is
-    the classic scan-and-filter, reading no further than the rows handed out.
+    tracked ``fetch_many`` (one element read per key; an element deleted
+    since the probe is a :class:`~repro.errors.DanglingReferenceError`, as in
+    the construction phase), applying only the residual restriction; the
+    scan path is the classic scan-and-filter, reading no further than the
+    rows handed out.
     """
     relation = database.relation(path.relation_name)
     bound, value = path.probe.bound_value() if path.probe is not None else (False, None)
@@ -326,10 +301,7 @@ def access_chunks(
         return
     # A scan — also for an unbound parameter, which no index can be probed with.
     restriction = path.restriction
-    if path.kind == PRUNED_SCAN and bound:
-        records = relation.scan_pruned(path.probe.field, path.probe.op, value)
-    else:
-        records = relation.scan()
+    records = relation.scan()
     if restriction is not None:
         records = (r for r in records if evaluate_formula(restriction, {var: r}, database))
     keys_of = relation.schema.keys_of

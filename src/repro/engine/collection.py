@@ -37,7 +37,6 @@ from repro.calculus.ast import BoolConst, Comparison, FieldRef, RangeExpr
 from repro.config import StrategyOptions
 from repro.engine.access import (
     PROBE,
-    PRUNED_SCAN,
     SCAN,
     AccessPath,
     iter_access,
@@ -169,7 +168,7 @@ class CollectionResult:
     structures_built: int = 0
     access_paths: dict[str, str] = field(default_factory=dict)
     """Per variable: a human-readable description of the chosen access path
-    (scan, zone-map pruned scan, or permanent-index probe)."""
+    (scan or permanent-index probe)."""
     value_lists: list[tuple] = field(default_factory=list)
     """Per derived predicate ``(predicate, inner elements, versions)``: its
     Strategy 4 value list was reused from the database's memo at those relation
@@ -716,7 +715,7 @@ class CollectionPhase:
             scan_vars = [v for v in variables_here if self._access[v].kind != PROBE]
 
             if scan_vars:
-                for record in self._shared_scan(relation, scan_vars):
+                for record in relation.scan():
                     ref = relation.ref_of(record)
                     for var in scan_vars:
                         if self._in_range(var, record):
@@ -726,22 +725,6 @@ class CollectionPhase:
                     serve[var](ref, record)
             for probe, ref, record in deferred_probes:
                 probe(ref, record)
-
-    def _shared_scan(self, relation, scan_vars: list[str]):
-        """The Strategy 1 shared scan, zone-map pruned when provably safe.
-
-        Pruning keys on one variable's restriction conjunct, so it is only
-        applied when that variable is the *sole* scan consumer of the
-        relation — every skipped page then contains only elements outside
-        that variable's range.
-        """
-        if len(scan_vars) == 1:
-            path = self._access[scan_vars[0]]
-            if path.kind == PRUNED_SCAN and path.probe is not None:
-                bound, value = path.probe.bound_value()
-                if bound:
-                    return relation.scan_pruned(path.probe.field, path.probe.op, value)
-        return relation.scan()
 
     # -- no strategy 1: one scan per structure ---------------------------------------------------------
 
@@ -793,10 +776,10 @@ class CollectionPhase:
     def _iter_var(self, var: str):
         """Enumerate the in-range ``(ref, record)`` pairs of one variable.
 
-        Routed through the variable's selected access path: an index probe,
-        a zone-map pruned scan, or the classic scan-and-filter — each call
-        is one enumeration (one scan for the scan kinds), preserving the
-        per-structure access accounting of the unoptimised engine.
+        Routed through the variable's selected access path: an index probe
+        or the classic scan-and-filter — each call is one enumeration (one
+        scan for the scan path), preserving the per-structure access
+        accounting of the unoptimised engine.
         """
         return iter_access(self.database, self._access[var], var)
 

@@ -122,8 +122,8 @@ class QueryResult:
     used_strategy3_fallback: bool = False
     subqueries: int = 1
     access_paths: dict[str, str] = field(default_factory=dict)
-    """Per variable: the access path actually used (scan / pruned scan /
-    index probe), for EXPLAIN ANALYZE."""
+    """Per variable: the access path actually used (scan or index probe),
+    for EXPLAIN ANALYZE."""
 
     selection_paths: list[AccessPath] = field(default_factory=list, repr=False)
     """Of a constant TRUE matrix: the free ranges' access paths as executed,
@@ -163,7 +163,7 @@ class QueryResult:
         """End the execution wherever it stands; closing twice is a no-op.
 
         A started pipeline unwinds through its operators' ``finally`` clauses
-        (breaker state, pinned pages), which ends the rows; closing a fresh
+        (breaker state), which ends the rows; closing a fresh
         generator runs none of its code, so that end is declared here.
         """
         if self.row_iterator is not None:
@@ -595,7 +595,6 @@ class QueryEngine:
                 lines.append(
                     "  index probes="
                     f"{result.statistics.get('index_probes', 0)}, "
-                    f"pages skipped={result.statistics.get('pages_skipped', 0)}, "
                     "index maintenance ops="
                     f"{result.statistics.get('index_maintenance_ops', 0)}"
                 )

@@ -53,7 +53,7 @@ CHUNK_ROWS = 1024
 
 def ramped(rows: Iterable[tuple]) -> Iterator[list[tuple]]:
     """``rows`` cut into chunks of 1, 2, 4, ... :data:`CHUNK_ROWS` rows; closing
-    it closes ``rows`` (a scan holding buffer-pool pins releases them)."""
+    it closes ``rows`` (a parked scan generator ends there)."""
     rows = iter(rows)
     size = 1
     try:
@@ -201,10 +201,10 @@ class RowStream:
     def close(self) -> None:
         """Shut the pipeline down without draining it.
 
-        Closes the underlying generator (releasing breaker state and any
-        pinned buffer-pool pages through the operators' ``finally`` clauses)
-        and marks the stream consumed.  Closing an untouched or exhausted
-        stream is a no-op; cursors route their ``close()`` here.
+        Closes the underlying generator (releasing breaker state through the
+        operators' ``finally`` clauses) and marks the stream consumed.
+        Closing an untouched or exhausted stream is a no-op; cursors route
+        their ``close()`` here.
         """
         chunks, self._chunks = self._chunks, None
         _close(chunks)

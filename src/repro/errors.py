@@ -93,7 +93,7 @@ class SnapshotError(RelationError):
 
 
 class StorageError(RelationError):
-    """A problem in the simulated paged storage layer."""
+    """A problem in the durable storage layer (write-ahead log, snapshot)."""
 
 
 class RecoveryError(StorageError):

@@ -32,11 +32,12 @@ class Database:
     touches disk) or *disk-resident* (built by :meth:`open`): backed by a
     directory holding a checkpoint snapshot plus a write-ahead log, with the
     durability mode deciding what a committed transaction survives.
+    Every relation is a plain :class:`Relation`.  ``paged`` is accepted and
+    ignored: it once selected simulated heap pages.
     """
 
     def __init__(self, name: str = "database", paged: bool = True) -> None:
         self.name = name
-        self.paged = paged
         self.statistics = AccessStatistics()
         self._relations: dict[str, Relation] = {}
         # The index catalog is replaced, never mutated, by index DDL: a
@@ -95,10 +96,7 @@ class Database:
             )
         directory = os.fspath(directory)
         os.makedirs(directory, exist_ok=True)
-        database = cls(
-            name or os.path.basename(os.path.abspath(directory)) or "database",
-            paged=True,
-        )
+        database = cls(name or os.path.basename(os.path.abspath(directory)) or "database")
         database.durability = durability
         database.crash_point = crash_point
         snapshot_lsn, next_txid = load_snapshot(database, directory)
@@ -136,10 +134,9 @@ class Database:
         return self._closed
 
     def checkpoint(self) -> None:
-        """Force all dirty state to disk and truncate the write-ahead log.
+        """Write the whole database to the snapshot and truncate the write-ahead log.
 
         Protocol: flush+fsync the WAL (making every logged record durable),
-        force the dirty pages through the buffer pools' write-ahead gate,
         atomically replace the snapshot (which records the absorbed LSN
         watermark), truncate the log, and append a ``CHECKPOINT`` marker to
         the fresh log.  A crash at any point is recoverable: before the
@@ -160,10 +157,6 @@ class Database:
             durable_lsn = self._wal.durable_lsn
         else:
             durable_lsn = self._checkpoint_lsn
-        for relation in self._relations.values():
-            flush = getattr(relation, "flush_dirty_pages", None)
-            if flush is not None:
-                flush(durable_lsn, self.crash_point)
         write_snapshot(
             self,
             self._directory,
@@ -459,23 +452,12 @@ class Database:
         fields: Sequence[Field] | Sequence[tuple] | Mapping,
         key: Sequence[str] | None = None,
         elements: Iterable | None = None,
-        page_capacity: int | None = None,
     ) -> Relation:
         """Declare a new base relation (the ``VAR rel : RELATION ... END`` of Figure 1)."""
         if name in self._relations:
             raise CatalogError(f"relation {name!r} already declared")
         schema = RelationSchema(name, fields, key=key)
-        if self.paged:
-            from repro.storage.storedrelation import StoredRelation
-
-            kwargs = {}
-            if page_capacity is not None:
-                kwargs["page_capacity"] = page_capacity
-            relation: Relation = StoredRelation(
-                name, schema, elements=elements, tracker=self.statistics, **kwargs
-            )
-        else:
-            relation = Relation(name, schema, elements=elements, tracker=self.statistics)
+        relation = Relation(name, schema, elements=elements, tracker=self.statistics)
         # Catalog insert + registry bind happen under the registry lock:
         # snapshot pins iterate the relation dict under that lock (and
         # under no other), so a concurrent reader must never observe the

@@ -465,8 +465,8 @@ def index_view(
     with ``tracker`` in it, the entries not copied); otherwise one is built,
     and with ``publish`` put in the slot unless a newer version's is there.
     A pin builds by a tracked scan; the live relation is read untracked and
-    charged as one index maintenance op per element, so a query's scan,
-    element and page counters never count the catalog's upkeep.
+    charged as one index maintenance op per element, so a query's scan and
+    element counters never count the catalog's upkeep.
     """
     version = relation._version
     slot = catalogued.snapshot_view

@@ -32,9 +32,8 @@ the dict on every transaction's first write.
 :meth:`~repro.relational.relation.Relation.insert` operators (one
 ``assign`` for a relation-level image), journal detached.  Going through
 the operators is the coherence rule the whole design leans on: statistics
-follow back to the pre-transaction state, a paged relation's heap file and
-zone maps follow, and the relation's contents version and the database's
-``data_version`` advance (versions stay monotonic), so collection-phase
+follow back to the pre-transaction state, and the relation's contents
+version and the database's ``data_version`` advance (versions stay monotonic), so collection-phase
 memos, permanent indexes (re-derived per contents version, never
 maintained) and cached service plans can never serve results computed from
 the rolled-back data.
@@ -46,9 +45,8 @@ valid as they were before ``begin``.
 relation's *value* and leaves the database in exactly the state that
 committing the transaction and then applying its inverse key by key would
 have — elements the transaction deleted or overwrote are re-inserted, so
-they move to the end of the iteration order (dict and heap alike, which stay
-in step); untouched elements keep their relative order; the heap is not
-repacked.  Keeping the old order would cost O(|R|) per transaction.
+they move to the end of the iteration order; untouched elements keep their
+relative order.  Keeping the old order would cost O(|R|) per transaction.
 
 On a disk-resident database the journal's operation log doubles as the
 transaction's **redo ops** — ``(relation, operator, row | key | rows)``, in
@@ -272,8 +270,8 @@ class UndoJournal:
         through ``delete_key`` + ``insert`` (so it moves to the end of the
         iteration order), a key that holds its before-value again is left
         alone.  A relation-level image is restored by one ``assign``.  Every
-        restore runs through the ordinary mutation path, so statistics, heap
-        pages, zone maps and the version counters all follow.
+        restore runs through the ordinary mutation path, so statistics and
+        the version counters follow.
 
         A failing restore — a relation operator raising mid-replay — does
         **not** stop the rollback: the remaining before-values are still

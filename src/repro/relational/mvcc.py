@@ -325,8 +325,8 @@ class SnapshotRelation(Relation):
     Shares the captured dict with zero copying — the copy-on-write rule
     guarantees no writer ever mutates it again.  Reads are accounted to the
     snapshot's *private* statistics tracker; scans charge their element
-    reads in one batched call (there are no pages to pin and no per-element
-    bookkeeping), which is most of the snapshot read path's speed advantage.
+    reads in one batched call (no per-element bookkeeping), which is most of
+    the snapshot read path's speed advantage.
     """
 
     def __init__(self, source: Relation, elements: dict, version: int, tracker) -> None:
@@ -346,18 +346,13 @@ class SnapshotRelation(Relation):
     # -- reads -------------------------------------------------------------------------
 
     def scan(self) -> Iterator:
-        """Tracked iteration with batched accounting (no paging, no pinning)."""
+        """Tracked iteration with batched accounting."""
         records = list(self._elements.values())
         tracker = self.tracker
         if tracker is not None:
             tracker.record_scan(self.name)
             tracker.record_element_read(self.name, len(records))
         return iter(records)
-
-    def scan_pruned(self, field_name, op, value) -> Iterator:
-        # Pinned dicts have no zone maps; prune nothing (callers re-test
-        # every yielded record anyway).
-        return self.scan()
 
     # -- refused mutations -------------------------------------------------------------
 
@@ -383,9 +378,8 @@ class DatabaseSnapshot:
     query engine consumes (catalog lookups, statistics, emptiness, index
     lookups), so a :class:`~repro.engine.evaluator.QueryEngine` constructed
     over a snapshot executes any plan unmodified.  Live in-place structures
-    — heap pages, zone maps, the catalogued indexes' own entries — are never
-    read: they follow the live contents, so only the pinned element dicts
-    are trustworthy.  Permanent indexes are served as views derived from
+    — the catalogued indexes' own entries — are never read: they follow the
+    live contents, so only the pinned element dicts are trustworthy.  Permanent indexes are served as views derived from
     those dicts (the module's index view rule).  Statistics are a
     private :class:`AccessStatistics`, merged into the database's shared
     tracker when the snapshot is released.  A relation's
@@ -402,7 +396,6 @@ class DatabaseSnapshot:
         #: dict, so this one never changes.
         self._indexes = indexes
         self.name = name
-        self.paged = False
         self.schema_version = schema_version
         self.data_version = data_version
         self.statistics = AccessStatistics()

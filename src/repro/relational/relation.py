@@ -394,10 +394,12 @@ class Relation:
         return record
 
     def fetch(self, key: tuple | Any) -> Record | None:
-        """Fetch one element by key with access accounting, ``None`` on a miss:
-        :meth:`fetch_many` for one key, in any spelling, on every backend."""
+        """Fetch one element by key, in any spelling, with access accounting
+        (one element read); ``None`` on a miss."""
         record = self.find(key)
-        return None if record is None else self.fetch_many([record.key])[0]
+        if record is not None and self.tracker is not None:
+            self.tracker.record_element_read(self.name)
+        return record
 
     def find_many(self, keys: list[tuple]) -> list[Record]:
         """The elements under ``keys``, untracked: :meth:`Ref.deref` in bulk (one
@@ -410,8 +412,7 @@ class Relation:
 
     def fetch_many(self, keys: list[tuple]) -> list[Record]:
         """:meth:`find_many` with access accounting — one element read per key,
-        charged at once: what an index probe's references are read through, so
-        element reads are charged identically on every backend."""
+        charged at once: what an index probe's references are read through."""
         records = self.find_many(keys)
         if self.tracker is not None:
             self.tracker.record_element_read(self.name, len(records))
@@ -467,16 +468,6 @@ class Relation:
                 yield record
         else:
             yield from list(self._elements.values())
-
-    def scan_pruned(self, field_name: str, op: str, value: Any) -> Iterator[Record]:
-        """A scan that *may* skip storage units refuted by ``field_name op value``.
-
-        The in-memory backend has no pages, so this is a plain :meth:`scan`;
-        the paged backend overrides it with a zone-map pruned page walk.
-        Pruning is conservative — callers must still test every yielded
-        record against the full restriction.
-        """
-        return self.scan()
 
     def elements(self) -> list[Record]:
         """All elements as a list (untracked)."""

@@ -98,10 +98,6 @@ class AccessStatistics:
         self._lock = threading.Lock()
         self.intermediate_tuples = 0
         self.intermediate_relations = 0
-        self.pages_read = 0
-        self.page_hits = 0
-        self.page_misses = 0
-        self.pages_skipped = 0
         self.index_probes = 0
         self.index_maintenance_ops = 0
         self.comparisons = 0
@@ -120,9 +116,14 @@ class AccessStatistics:
         self.wal_flushes = 0
         self.checkpoints = 0
         self.recovered_transactions = 0
-        # No summary is maintained, so none is rebuilt: kept at 0 for the
-        # benchmark harness, which reports it.
+        # No summary is maintained, so none is rebuilt; and relations hold
+        # no pages, so none is read or skipped: kept at 0 for the benchmark
+        # harness, which reports them.
         self.histogram_rebuilds = 0
+        self.pages_read = 0
+        self.page_hits = 0
+        self.page_misses = 0
+        self.pages_skipped = 0
         # Every public numeric counter above, resolved once per class (every
         # pin makes a tracker): as_dict, merge and reset run on every query
         # and must not reflect each time.  Read off the first instance, last
@@ -172,10 +173,6 @@ class AccessStatistics:
         """A permanent index was re-derived from ``count`` live elements."""
         self.index_maintenance_ops += count
 
-    def record_pages_skipped(self, count: int = 1) -> None:
-        """``count`` pages were pruned by a zone map during a residual scan."""
-        self.pages_skipped += count
-
     def record_insert(self, relation_name: str, count: int = 1) -> None:
         self._relations[relation_name].inserts += count
         self._mutation_epoch += 1
@@ -197,14 +194,6 @@ class AccessStatistics:
         """An intermediate reference relation of ``tuples`` elements was built."""
         self.intermediate_tuples += tuples
         self.intermediate_relations += relations
-
-    def record_page_read(self, hit: bool) -> None:
-        """A page was requested from the buffer pool."""
-        self.pages_read += 1
-        if hit:
-            self.page_hits += 1
-        else:
-            self.page_misses += 1
 
     def record_comparison(self, count: int = 1) -> None:
         """``count`` join-term comparisons were evaluated."""
@@ -256,7 +245,7 @@ class AccessStatistics:
         self.wal_flushes += 1
 
     def record_checkpoint(self) -> None:
-        """A checkpoint forced dirty pages and truncated the WAL."""
+        """A checkpoint rewrote the snapshot and truncated the WAL."""
         self.checkpoints += 1
 
     def record_recovered_transactions(self, count: int = 1) -> None:
@@ -354,10 +343,6 @@ class AccessStatistics:
         lines.append(
             f"intermediate: relations={self.intermediate_relations} "
             f"tuples={self.intermediate_tuples}"
-        )
-        lines.append(
-            f"pages: read={self.pages_read} hits={self.page_hits} "
-            f"misses={self.page_misses} skipped={self.pages_skipped}"
         )
         lines.append(
             f"indexes: probes={self.index_probes} "

@@ -1,10 +1,7 @@
-"""Simulated paged storage: pages, heap files, buffer pool, stored relations,
-plus the durability subsystem — write-ahead log, checkpoint snapshots and
-crash recovery."""
+"""The durability subsystem: write-ahead log, checkpoint snapshots and crash
+recovery.  Relations live in memory as their element dicts; a snapshot plus
+the log is what reaches disk."""
 
-from repro.storage.buffer import DEFAULT_POOL_SIZE, BufferPool
-from repro.storage.heapfile import HeapFile, RecordId
-from repro.storage.page import DEFAULT_PAGE_CAPACITY, Page
 from repro.storage.recovery import RecoveryReport, recover
 from repro.storage.snapshot import (
     SNAPSHOT_NAME,
@@ -12,7 +9,6 @@ from repro.storage.snapshot import (
     load_snapshot,
     write_snapshot,
 )
-from repro.storage.storedrelation import StoredRelation
 from repro.storage.wal import (
     CrashPoint,
     SimulatedCrash,
@@ -22,17 +18,10 @@ from repro.storage.wal import (
 )
 
 __all__ = [
-    "BufferPool",
     "CrashPoint",
-    "DEFAULT_PAGE_CAPACITY",
-    "DEFAULT_POOL_SIZE",
-    "HeapFile",
-    "Page",
-    "RecordId",
     "RecoveryReport",
     "SNAPSHOT_NAME",
     "SimulatedCrash",
-    "StoredRelation",
     "WAL_NAME",
     "WalDamage",
     "WriteAheadLog",

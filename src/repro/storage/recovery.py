@@ -17,10 +17,10 @@ losers to discard and a rollback never needs a record of its own.
 Redo runs through the relations' ordinary unjournaled mutation operators
 (``insert_raw`` / ``delete_key`` / ``assign`` / ``clear``), which touch no
 index: a permanent index is re-derived from the recovered contents the
-first time it is asked for.  Afterwards every touched stored relation
-is repacked so its heap pages and zone maps are byte-identical to a
-database that absorbed the same commits through a checkpoint — the
-crash-recovery test harness pins that equivalence.
+first time it is asked for.  The recovered relations hold the same
+elements, in the same iteration order, as a database that absorbed the
+same commits through a checkpoint — the crash-recovery test harness pins
+that equivalence.
 
 Recovery *degrades gracefully*: an operation that cannot be applied
 (unknown relation, malformed payload) and a frame of a kind it does not
@@ -63,7 +63,7 @@ class RecoveryReport:
     records_skipped: int = 0
     #: Committed transactions that had at least one operation replayed.
     replayed_transactions: list[int] = field(default_factory=list)
-    #: Names of the relations redo touched (repacked afterwards).
+    #: Names of the relations redo touched.
     relations_replayed: list[str] = field(default_factory=list)
     #: Where the log scan stopped early, if it did.
     damage: WalDamage | None = None
@@ -102,7 +102,7 @@ def recover(database: Database, wal_file: str, snapshot_lsn: int) -> RecoveryRep
             f"log scan stopped early: {damage.describe()}; "
             "records past the damage (if any) are unrecoverable"
         )
-    touched: dict[str, object] = {}
+    touched: dict[str, None] = {}  # relation names, in first-touch order
     for record in records:
         kind, lsn, txid = record["kind"], record["lsn"], record.get("txid")
         ops = record.get("ops")
@@ -132,16 +132,11 @@ def recover(database: Database, wal_file: str, snapshot_lsn: int) -> RecoveryRep
                 )
                 continue
             replayed += 1
-            touched[relation.name] = relation
+            touched[relation.name] = None
         report.records_replayed += replayed
         if replayed:
             report.replayed_transactions.append(txid)
 
-    # -- normalise: repack touched heaps so pages/zone maps match a clean load ---
-    for relation in touched.values():
-        repack = getattr(relation, "repack", None)
-        if repack is not None:
-            repack()
     report.relations_replayed = list(touched)
     if report.replayed_transactions:
         database.statistics.record_recovered_transactions(

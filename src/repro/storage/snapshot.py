@@ -1,11 +1,10 @@
 """Checkpoint snapshots: the disk-resident form of a database.
 
-The paged backend simulates pages and heap files in memory; what actually
-lives on disk is a *snapshot* — one JSON document holding the full catalog
-(schemas, key components, page capacities, permanent index definitions) and
-every relation's elements — plus the write-ahead log of changes since the
-snapshot was taken.  A checkpoint forces the in-memory dirty pages by
-rewriting the snapshot, then truncates the log; recovery loads the snapshot
+Relations live in memory; what lives on disk is a *snapshot* — one JSON
+document holding the full catalog (schemas, key components, permanent
+index definitions) and every relation's elements — plus the write-ahead
+log of changes since the snapshot was taken.  A checkpoint rewrites the
+snapshot, then truncates the log; recovery loads the snapshot
 and replays the log's committed suffix.
 
 The snapshot write is atomic: the new document is written to a temporary
@@ -57,16 +56,13 @@ def wal_path(directory: str) -> str:
 
 
 def _encode_database(database: Database, last_lsn: int, next_txid: int) -> dict:
-    relations = []
-    for relation in database.relations():
-        heap = getattr(relation, "_heap", None)
-        relations.append(
-            {
-                "schema": encode_schema(relation.schema),
-                "page_capacity": heap.page_capacity if heap is not None else None,
-                "rows": [encode_row(record.values) for record in relation.elements()],
-            }
-        )
+    relations = [
+        {
+            "schema": encode_schema(relation.schema),
+            "rows": [encode_row(record.values) for record in relation.elements()],
+        }
+        for relation in database.relations()
+    ]
     indexes = [
         {
             "relation": relation_name,
@@ -161,12 +157,8 @@ def load_snapshot(database: Database, directory: str) -> tuple[int, int]:
         for entry in document["relations"]:
             schema = decode_schema(entry["schema"])
             rows = [decode_row(schema, row) for row in entry["rows"]]
-            kwargs = {}
-            if entry.get("page_capacity") is not None:
-                kwargs["page_capacity"] = entry["page_capacity"]
-            database.create_relation(
-                schema.name, schema.fields, key=schema.key, elements=rows, **kwargs
-            )
+            # An older snapshot's "page_capacity" is ignored: relations hold no pages.
+            database.create_relation(schema.name, schema.fields, key=schema.key, elements=rows)
         for entry in document["indexes"]:
             database.create_index(
                 entry["relation"], entry["field"], entry.get("operator", "=")

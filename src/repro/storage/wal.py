@@ -16,8 +16,9 @@ rollback logs nothing.
 Appends buffer in memory; :meth:`WriteAheadLog.flush` writes every buffered
 frame with a single file write and optionally fsyncs.  The *durability
 point* of a transaction is the flush that makes its ``COMMIT`` frame
-durable — data pages never reach disk before the WAL describes them (the
-write-ahead rule, enforced by the buffer pool's dirty-page gate).
+durable.  Data reaches disk only in a checkpoint's snapshot, and a
+checkpoint flushes and fsyncs the log before it writes one, so no data is
+ever on disk before the log describes it (the write-ahead rule).
 
 :func:`scan_wal` is the forward scanner used by recovery: it yields decoded
 records in LSN order and stops *cleanly* at the first damaged frame — a torn
@@ -27,8 +28,8 @@ instead of refusing to read the log.
 
 :class:`CrashPoint` is the fault-injection hook of the crash-recovery test
 harness: armed with a write index *k*, it raises :class:`SimulatedCrash` at
-the k-th storage write event (WAL flush, page flush, snapshot write/rename,
-WAL truncation) and at every event after it, modelling a process that died
+the k-th storage write event (WAL flush, snapshot write/rename, WAL
+truncation) and at every event after it, modelling a process that died
 mid-write and can no longer reach its disk.  In ``torn`` mode the crashing
 flush first writes a prefix of its frame bytes, manufacturing exactly the
 torn tails the scanner must survive.
@@ -227,9 +228,8 @@ class WriteAheadLog:
         The record reaches the OS at the next :meth:`flush` (or the
         automatic flush once the buffer exceeds its threshold); until then a
         crash loses it entirely — which is correct, because the write-ahead
-        rule only requires the record to be durable before the *data page*
-        it describes is flushed, and the dirty-page gate checks exactly
-        that.
+        rule only requires the record to be durable before the snapshot
+        holding its data is written, and a checkpoint fsyncs the log first.
         """
         if self._closed:
             raise StorageError(f"write-ahead log {self.path!r} is closed")

@@ -378,9 +378,8 @@ def sort_key(value: Any):
 
     Enumeration values order by their ordinal, strings by their
     blank-stripped text (matching :func:`compare_values`), numbers by
-    themselves.  Sorted indexes and page zone maps both order through this
-    key, so an index probe and a zone-map page test agree exactly with the
-    join-term comparison semantics.
+    themselves.  Sorted indexes order through this key, so an index probe
+    agrees exactly with the join-term comparison semantics.
     """
     ordinal = getattr(value, "ordinal", None)
     if ordinal is not None:

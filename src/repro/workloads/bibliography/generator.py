@@ -327,10 +327,10 @@ def build_bibliography_database(
 
     ``scale`` multiplies the base cardinalities; ``seed`` makes the content
     deterministic (:data:`CHUNKS` chunks per relation, each with its own
-    derived RNG).
+    derived RNG).  ``paged`` is accepted and ignored.
     """
     profile = (profile or BibliographyProfile()).scaled(scale)
-    database = Database(name, paged=paged)
+    database = Database(name)
     declare_schema(database)
 
     window_cum = _zipf_cumulative(profile.window_width, profile.author_zipf)
@@ -364,5 +364,6 @@ def build_bibliography_database(
 
 
 def bibliography_database(paged: bool = True) -> Database:
-    """A small, hand-checkable scale-1 instance (40 authors, 22 papers)."""
-    return build_bibliography_database(scale=1, paged=paged)
+    """A small, hand-checkable scale-1 instance (40 authors, 22 papers);
+    ``paged`` is accepted and ignored."""
+    return build_bibliography_database(scale=1)

@@ -7,7 +7,7 @@ DOCTYPE, with duplicate record keys sprinkled in (corrected metadata
 re-exported under the same key).  This module turns such a fragment into the
 :mod:`~repro.workloads.bibliography.schema` relations, and it does so
 **through the public connect/session API**: every row goes through an
-ordinary transaction, so the WAL, the permanent indexes and the zone maps
+ordinary transaction, so the WAL, the permanent indexes and the statistics
 all observe the load exactly as they would observe any client program.
 
 Resolution rules
@@ -202,7 +202,7 @@ def load_dblp_xml(path_or_text, target) -> IngestReport:
     on first use; an already-populated database is extended, with numbers
     allocated above whatever is present.  The whole load is **one
     transaction** on the public session API: on a durable database it is one
-    WAL commit, and zone maps and statistics follow through the same
+    WAL commit, and statistics follow through the same
     relation operators every client write goes through (permanent indexes
     are re-derived from the loaded contents when next asked for).
     """

@@ -50,7 +50,7 @@ _UNIVERSE = {
 def random_database(rng: random.Random, config: GeneratorConfig | None = None) -> Database:
     """A random small database over the three-relation universe."""
     config = config or GeneratorConfig()
-    database = Database("generated", paged=False)
+    database = Database("generated")
     for name, (fields, key) in _UNIVERSE.items():
         relation = database.create_relation(name, fields, key=key)
         if rng.random() < config.empty_probability:

@@ -142,10 +142,10 @@ def build_university_database(
     ``scale`` multiplies the base cardinalities; ``seed`` makes the content
     deterministic so benchmark runs and examples are repeatable: one
     ``random.Random(seed)`` draws every row in relation order, and many tests
-    pin its byte-exact output.
+    pin its byte-exact output.  ``paged`` is accepted and ignored.
     """
     profile = (profile or UniversityProfile()).scaled(scale)
-    database = Database(name, paged=paged)
+    database = Database(name)
     declare_schema(database)
     _populate(database, profile, seed)
     return database
@@ -220,6 +220,6 @@ def figure1_database(paged: bool = True) -> Database:
 
     Eight employees (three of them professors), twelve papers, six courses and
     ten timetable entries, generated with the default seed.  Used by the
-    quickstart example and many unit tests.
+    quickstart example and many unit tests.  ``paged`` is accepted and ignored.
     """
-    return build_university_database(scale=1, paged=paged)
+    return build_university_database(scale=1)

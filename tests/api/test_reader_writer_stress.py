@@ -30,7 +30,7 @@ _QUERY = "[<g.k, g.gen> OF EACH g IN gens: (g.k >= 0)]"
 
 
 def _make_database() -> Database:
-    database = Database("stress", paged=False)
+    database = Database("stress")
     database.create_relation(
         "gens",
         [("k", INTEGER), ("gen", INTEGER)],

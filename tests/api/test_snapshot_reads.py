@@ -14,7 +14,7 @@ The MVCC contract of ``relational/mvcc.py`` and its connection front door:
 
 Equivalence is the acceptance bar: snapshot rows must be byte-identical to
 the engine door's (``QueryEngine.run`` on the database) across the
-named-query matrix, on both backends.
+named-query matrix.
 """
 
 from __future__ import annotations
@@ -51,13 +51,12 @@ _MATRIX = (
 _PROFESSOR = {"status": "professor"}
 
 
-def _scratch_database(paged: bool) -> Database:
+def _scratch_database(paged: bool = True) -> Database:
     database = Database("mvcc", paged=paged)
     database.create_relation(
         "r",
         [("k", INTEGER), ("v", INTEGER)],
         key=["k"],
-        page_capacity=4,
         elements=[{"k": k, "v": k * 10} for k in range(4)],
     )
     return database
@@ -68,9 +67,9 @@ def _rows(relation) -> set[tuple]:
 
 
 class TestPinSemantics:
-    @pytest.mark.parametrize("paged", [False, True], ids=["memory", "paged"])
-    def test_pin_is_isolated_from_later_writes(self, paged):
-        database = _scratch_database(paged)
+    @pytest.mark.parametrize("backend", ["memory", "paged"])
+    def test_pin_is_isolated_from_later_writes(self, backend):
+        database = _scratch_database(paged=(backend == "paged"))
         before = _rows(database.relation("r"))
         snapshot = database.pin_snapshot()
         database.relation("r").insert({"k": 99, "v": 990})
@@ -80,7 +79,7 @@ class TestPinSemantics:
         snapshot.release()
 
     def test_pin_during_transaction_sees_pre_transaction_state(self):
-        database = _scratch_database(paged=False)
+        database = _scratch_database()
         before = _rows(database.relation("r"))
         committed_version = database.statistics.mutation_epoch
         journal = database.begin_transaction()
@@ -101,7 +100,7 @@ class TestPinSemantics:
         after.release()
 
     def test_pin_survives_rollback(self):
-        database = _scratch_database(paged=False)
+        database = _scratch_database()
         before = _rows(database.relation("r"))
         journal = database.begin_transaction()
         database.relation("r").clear()
@@ -114,7 +113,7 @@ class TestPinSemantics:
         snapshot.release()
 
     def test_snapshot_relations_refuse_writes(self):
-        database = _scratch_database(paged=False)
+        database = _scratch_database()
         with database.pin_snapshot() as snapshot:
             view = snapshot.relation("r")
             for mutate in (
@@ -127,7 +126,7 @@ class TestPinSemantics:
                     mutate()
 
     def test_release_is_idempotent_and_tracked(self):
-        database = _scratch_database(paged=False)
+        database = _scratch_database()
         registry = database._snapshots
         snapshot = database.pin_snapshot()
         assert registry.active == 1
@@ -137,7 +136,7 @@ class TestPinSemantics:
         assert snapshot.released
 
     def test_relation_versions_move_only_with_their_relation(self):
-        database = _scratch_database(paged=False)
+        database = _scratch_database()
         database.create_relation("other", [("k", INTEGER)], key=["k"])
         first = database.pin_snapshot()
         first.release()
@@ -370,9 +369,9 @@ class TestEveryEndReleasesThePin:
 
 
 class TestEquivalenceMatrix:
-    @pytest.mark.parametrize("paged", [False, True], ids=["memory", "paged"])
-    def test_snapshot_rows_byte_identical_to_the_engine_door(self, paged):
-        database = build_university_database(scale=2, paged=paged)
+    @pytest.mark.parametrize("backend", ["memory", "paged"])
+    def test_snapshot_rows_byte_identical_to_the_engine_door(self, backend):
+        database = build_university_database(scale=2, paged=(backend == "paged"))
         engine = QueryEngine(database)
         connection = connect(database)
         for query in _MATRIX:
@@ -494,13 +493,13 @@ class TestRegistryLockDiscipline:
     registry lock — element dicts, contents versions, the catalog itself —
     must only ever change inside that lock's critical sections."""
 
-    @pytest.mark.parametrize("paged", [False, True], ids=["memory", "paged"])
-    def test_version_bump_is_atomic_with_the_dict_write(self, paged):
+    @pytest.mark.parametrize("backend", ["memory", "paged"])
+    def test_version_bump_is_atomic_with_the_dict_write(self, backend):
         # A pin landing between a mutator's dict write and its version bump
         # would pair new contents with the old version token, poisoning the
         # snapshot collection memo.  Observe (contents, version) at every
         # lock release: one version must never identify two contents.
-        database = _scratch_database(paged)
+        database = _scratch_database(paged=(backend == "paged"))
         relation = database.relation("r")
         registry = database._snapshots
         observed: list[tuple[frozenset, int]] = []
@@ -535,7 +534,7 @@ class TestRegistryLockDiscipline:
         # outside the execution lock; DDL must take the same lock around
         # the catalog dict mutation or a pinning reader can crash with
         # "dictionary changed size during iteration".
-        database = _scratch_database(paged=False)
+        database = _scratch_database()
         registry = database._snapshots
         held = []
 
@@ -572,7 +571,7 @@ class TestRegistryLockDiscipline:
         # tight loop while a writer grows the catalog.
         import threading
 
-        database = _scratch_database(paged=False)
+        database = _scratch_database()
         failures: list[BaseException] = []
         done = threading.Event()
 
@@ -604,7 +603,7 @@ class TestRegistryLockDiscipline:
         # transaction_finished carries the journal identity: a rollback
         # completion from a previous transaction must not clear a successor
         # transaction's overlay state.
-        database = _scratch_database(paged=False)
+        database = _scratch_database()
         registry = database._snapshots
         stale, current = object(), object()
         registry.transaction_started(stale)
@@ -676,9 +675,9 @@ class TestIndexProbesThroughTheFrontDoor:
             counters.get("index_probes", 0),
         )
 
-    @pytest.mark.parametrize("paged", [False, True], ids=["memory", "paged"])
-    def test_prepared_point_query_is_one_probe_and_one_element(self, paged):
-        database = build_university_database(scale=2, paged=paged)
+    @pytest.mark.parametrize("backend", ["memory", "paged"])
+    def test_prepared_point_query_is_one_probe_and_one_element(self, backend):
+        database = build_university_database(scale=2, paged=(backend == "paged"))
         database.create_index("employees", "enr", operator="=")
         size = len(database.relation("employees"))
         built = database.statistics.as_dict()["relations"]["employees"]["scans"]

@@ -3,17 +3,16 @@
 The headline invariant: after *any* journaled mutation sequence,
 ``rollback()`` restores every relation's **value** and leaves the database
 in exactly the state that committing the transaction and then applying its
-inverse key by key would have — on both storage backends.  The hypothesis
+inverse key by key would have.  The hypothesis
 property drives random insert/delete/raw-overwrite/assign/clear
 interleavings over several relations (one of them created, one dropped
 mid-transaction) and checks, after the rollback:
 
 (a) every relation's ``to_set()`` and cardinality equal pre-``begin``, and
     the elements the transaction never touched keep their relative order;
-(b) every permanent index's probe answers and every heap page's zone map
-    equal a rebuild from the relation as it stands;
-(c) the heap's live records equal ``elements()``, in the same order;
-(d) the whole database — element order included — equals a twin that
+(b) every permanent index's probe answers equal a rebuild from the
+    relation as it stands;
+(c) the whole database — element order included — equals a twin that
     *committed* the same operations and then set each touched key back
     through ``delete_key``/``insert`` (``assign`` for a relation the
     transaction assigned or cleared): the model the contract names.
@@ -29,7 +28,7 @@ from repro import StrategyOptions, TransactionError, connect, execute_naive
 from repro.relational.database import Database
 from repro.relational.index import HashIndex, build_index
 from repro.relational.record import Record
-from repro.types.scalar import INTEGER, Subrange, sort_key
+from repro.types.scalar import INTEGER, Subrange
 from repro.workloads.queries import EXAMPLE_21_TEXT, PROFESSORS_TEXT
 
 _SMALL = Subrange(0, 9, "small")
@@ -54,13 +53,12 @@ _OPS = st.lists(
 )
 
 
-def _make_database(paged: bool) -> Database:
+def _make_database(paged: bool = True) -> Database:
     database = Database("transactional", paged=paged)
     database.create_relation(
         "r",
         _FIELDS,
         key=["k"],
-        page_capacity=4,
         elements=[{"k": k, "v": (k * 3) % 10} for k in range(6)],
     )
     database.create_index("r", "v")                 # HashIndex
@@ -68,12 +66,12 @@ def _make_database(paged: bool) -> Database:
     return database
 
 
-def _make_databases(paged: bool) -> tuple[Database, dict]:
+def _make_databases(paged: bool = True) -> tuple[Database, dict]:
     """``r`` (indexed) and ``s``; ``relations`` keeps every relation object
     the run meets, dropped ones included."""
     database = _make_database(paged)
     database.create_relation(
-        "s", _FIELDS, key=["k"], page_capacity=4,
+        "s", _FIELDS, key=["k"],
         elements=[{"k": k, "v": k} for k in (1, 3, 5)],
     )
     database.create_index("s", "v")
@@ -128,7 +126,7 @@ class _Run:
         if op == "create":
             if "t" not in self.relations:
                 self.relations["t"] = database.create_relation(
-                    "t", _FIELDS, key=["k"], page_capacity=4,
+                    "t", _FIELDS, key=["k"],
                     elements=[{"k": 0, "v": 0}, {"k": 1, "v": 1}],
                 )
                 database.create_index("t", "v")
@@ -181,7 +179,7 @@ class _Run:
 
 
 def _assert_coherent(relation, indexes) -> None:
-    """(b) and (c): everything derived from ``relation`` matches a rebuild."""
+    """(b): everything derived from ``relation`` matches a rebuild."""
     for maintained in indexes:
         operator = "=" if isinstance(maintained, HashIndex) else "<="
         rebuilt = build_index(relation, maintained.field_name, operator)
@@ -195,27 +193,6 @@ def _assert_coherent(relation, indexes) -> None:
                     ref.key for ref in rebuilt.probe_operator(probe_operator, probe_value)
                 )
                 assert got == want, (maintained.name, probe_operator, probe_value)
-    heap = getattr(relation, "heap_file", None)
-    if heap is not None:
-        assert [record.values for record in heap.records()] == [
-            record.values for record in relation.elements()
-        ]
-        assert heap.live_count() == len(relation)
-        for page in heap.pages():
-            for field_name in ("k", "v"):
-                keys = [sort_key(record[field_name]) for record in page.records()]
-                expected = (min(keys), max(keys)) if keys else None
-                assert page.zone(field_name) == expected, (page, field_name)
-
-
-def _warm_zone_maps(relations: dict) -> None:
-    """Compute every page's zone map, so a stale cache would show later."""
-    for relation in relations.values():
-        heap = getattr(relation, "heap_file", None)
-        if heap is not None:
-            for page in heap.pages():
-                for field_name in ("k", "v"):
-                    page.zone(field_name)
 
 
 def _indexes_of(database: Database, name: str) -> list:
@@ -227,27 +204,19 @@ def _indexes_of(database: Database, name: str) -> list:
     ]
 
 
-def _assert_identical_to_fresh_rebuild(database: Database, paged: bool) -> None:
-    """Relation contents, index answers and zone maps match a fresh build."""
+def _assert_identical_to_fresh_rebuild(database: Database) -> None:
+    """Relation contents and index answers match a fresh build."""
     relation = database.relation("r")
-    fresh_relation = Database("fresh", paged=paged).create_relation(
-        "r", _FIELDS, key=["k"], page_capacity=4, elements=relation.elements(),
+    fresh_relation = Database("fresh").create_relation(
+        "r", _FIELDS, key=["k"], elements=relation.elements(),
     )
     assert [record.values for record in fresh_relation.elements()] == [
         record.values for record in relation.elements()
     ]
     _assert_coherent(relation, _indexes_of(database, "r"))
-    if paged:
-        assert relation.page_count == fresh_relation.page_count
-        for page, fresh_page in zip(relation.heap_file.pages(), fresh_relation.heap_file.pages()):
-            for field_name in ("k", "v"):
-                assert page.zone(field_name) == fresh_page.zone(field_name), (
-                    page.page_number,
-                    field_name,
-                )
 
 
-@pytest.mark.parametrize("paged", (False, True), ids=("memory", "paged"))
+@pytest.mark.parametrize("backend", ["memory", "paged"])
 @settings(max_examples=60, deadline=None)
 @given(ops=_OPS)
 # One key inserted, deleted and re-inserted with another value.
@@ -266,10 +235,10 @@ def _assert_identical_to_fresh_rebuild(database: Database, paged: bool) -> None:
 # A relation created, and one dropped, mid-transaction.
 @example(ops=[("create", "t", 0, 0), ("insert", "t", 5, 5), ("delete", "t", 0, 0),
               ("delete", "s", 3, 0), ("drop", "s", 0, 0)])
-def test_rollback_restores_every_value_and_equals_commit_then_inverse(paged: bool, ops) -> None:
-    """Random journaled interleavings, then rollback: (a)-(d) of the module docstring."""
-    database, relations = _make_databases(paged)
-    twin_database, twin_relations = _make_databases(paged)
+def test_rollback_restores_every_value_and_equals_commit_then_inverse(backend: str, ops) -> None:
+    """Random journaled interleavings, then rollback: (a)-(c) of the module docstring."""
+    database, relations = _make_databases(paged=(backend == "paged"))
+    twin_database, twin_relations = _make_databases(paged=(backend == "paged"))
     before = {name: _contents(relation) for name, relation in relations.items()}
     before_data_version = database.data_version
 
@@ -281,7 +250,6 @@ def test_rollback_restores_every_value_and_equals_commit_then_inverse(paged: boo
         for op in ops:
             run.apply(*op)
             twin.apply(*op)
-        _warm_zone_maps(relations)
         ddl_version = database.schema_version
         session.rollback()
         # ... while the twin commits (leaving its ``with`` block) ...
@@ -304,12 +272,12 @@ def test_rollback_restores_every_value_and_equals_commit_then_inverse(paged: boo
             assert [k for k in _contents(relation) if k not in touched] == [
                 k for k in before[name] if k not in touched
             ], name
-        # (b), (c): indexes, heap and zone maps follow.
+        # (b): indexes follow.
         catalogued = database.has_relation(name)  # ``s`` may be an orphan now
         indexes = _indexes_of(database, name)
         assert len(indexes) == ((2 if name == "r" else 1) if catalogued else 0)
         _assert_coherent(relation, indexes)
-        # (d) element for element the twin that committed and undid itself.
+        # (c) element for element the twin that committed and undid itself.
         assert list(_contents(relation).items()) == list(
             _contents(twin_relations[name]).items()
         ), name
@@ -317,16 +285,16 @@ def test_rollback_restores_every_value_and_equals_commit_then_inverse(paged: boo
     connection.close()
 
 
-@pytest.mark.parametrize("paged", (False, True), ids=("memory", "paged"))
-def test_commit_keeps_mutations(paged: bool) -> None:
-    database = _make_database(paged)
+@pytest.mark.parametrize("backend", ["memory", "paged"])
+def test_commit_keeps_mutations(backend: str) -> None:
+    database = _make_database(paged=(backend == "paged"))
     relation = database.relation("r")
     connection = connect(database)
     with connection.session() as session:
         relation.insert({"k": 100, "v": 1})
         assert len(session.journal) == 1
     assert relation.find((100,)) is not None
-    _assert_identical_to_fresh_rebuild(database, paged)
+    _assert_identical_to_fresh_rebuild(database)
 
 
 class TestSessionProtocol:
@@ -613,15 +581,15 @@ class TestRollbackRobustness:
 class TestRollbackInvalidatesNothing:
     """Every open result set holds its own pin, so a rollback — of the
     cursor's own transaction included — leaves it returning exactly the
-    state at its ``execute``, and no stream holds a buffer-pool page."""
+    state at its ``execute``, and its pin is released when it ends."""
 
-    @pytest.mark.parametrize("paged", [False, True], ids=["memory", "paged"])
-    def test_the_sessions_own_open_cursor_drains_the_state_at_its_execute(self, paged):
+    @pytest.mark.parametrize("backend", ["memory", "paged"])
+    def test_the_sessions_own_open_cursor_drains_the_state_at_its_execute(self, backend):
         from repro import QueryEngine, connect
         from repro.workloads.queries import OTHERS_PUBLISHED_1977_TEXT
         from repro.workloads.university import build_university_database
 
-        database = build_university_database(scale=2, paged=paged)
+        database = build_university_database(scale=2, paged=(backend == "paged"))
         employees = database.relation("employees")
         connection = connect(database)
         session = connection.session()
@@ -634,10 +602,6 @@ class TestRollbackInvalidatesNothing:
         session.rollback()
         assert [first.values, *[r.values for r in cursor.fetchall()]] == expected
         assert database._snapshots.active == 0
-        for relation in database.relations():
-            pool = getattr(relation, "buffer_pool", None)
-            if pool is not None:
-                assert pool.pinned_pages() == 0, relation.name
         connection.close()
 
     def test_rollback_leaves_snapshot_and_finished_cursors_alone(self, figure1):

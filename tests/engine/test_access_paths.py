@@ -1,6 +1,6 @@
 """Unit tests for the cost-based access-path selector and its execution.
 
-Covers the selector's decision rule (probe / pruned scan / scan), the one
+Covers the selector's decision rule (probe / scan), the one
 cost rule live and pinned reads share, the late-binding contract (the chosen
 path is structural, the probe value comes from the bound plan), freshness
 across mutations (incrementally maintained indexes keep prepared queries
@@ -19,7 +19,6 @@ from repro import Database, QueryEngine, StrategyOptions, connect, execute_naive
 from repro.calculus import builder as q
 from repro.engine.access import (
     PROBE,
-    PRUNED_SCAN,
     SCAN,
     decide_access,
     iter_access,
@@ -30,13 +29,9 @@ from repro.workloads.university import build_university_database
 
 
 @pytest.fixture(params=("memory", "paged"))
-def backend(request) -> str:
-    return request.param
-
-
-@pytest.fixture
-def database(backend):
-    return build_university_database(scale=2, paged=(backend == "paged"))
+def database(request):
+    # ``paged`` is accepted and ignored: both cells hold plain relations.
+    return build_university_database(scale=2, paged=(request.param == "paged"))
 
 
 def _range(relation: str, restriction):
@@ -72,14 +67,13 @@ class TestSelector:
         assert path.index_name == "ind_employees_enr"
         assert path.residual is None
 
-    def test_hash_index_refuses_range_operator(self, database, backend):
+    def test_hash_index_refuses_range_operator(self, database):
         database.create_index("employees", "enr")
         path = select_access_path(
             database, "e", _range("employees", q.comp(("e", "enr"), "<", 3)), ALL
         )
-        # No sub-linear hash probe for "<": paged databases fall back to the
-        # zone-map pruned scan, in-memory ones to the plain scan.
-        assert path.kind == (PRUNED_SCAN if backend == "paged" else SCAN)
+        # No sub-linear hash probe for "<": the plain scan.
+        assert path.kind == SCAN
 
     def test_sorted_index_probes_range_operator(self, database):
         database.create_index("papers", "pyear", operator="<=")
@@ -127,7 +121,7 @@ def zipf_database() -> Database:
     """``skewed``: 40 values of ``h`` (hash index) and ``s`` (sorted index)
     with multiplicities 120 / rank — value 0 holds a quarter of the rows."""
     values = [v for v in range(40) for _ in range(max(120 // (v + 1), 1))]
-    database = Database("zipf", paged=False)
+    database = Database("zipf")
     database.create_relation(
         "skewed", [("k", INTEGER), ("h", INTEGER), ("s", INTEGER), ("b", INTEGER)], key=["k"],
         elements=[{"k": k, "h": v, "s": 39 - v, "b": k % 5} for k, v in enumerate(values)],
@@ -222,19 +216,6 @@ class TestQueriesThroughIndexPaths:
         expected = execute_naive(database, text)
         assert result.relation == expected
 
-    def test_zone_map_pruning_skips_pages_on_paged_backend(self, backend, database):
-        result = QueryEngine(database).run(
-            "[<c.ctitle> OF EACH c IN courses : (c.cnr <= 2)]"
-        )
-        expected = execute_naive(
-            database, "[<c.ctitle> OF EACH c IN courses : (c.cnr <= 2)]"
-        )
-        assert result.relation == expected
-        if backend == "paged":
-            assert "zone-map pruned scan" in result.access_paths["c"]
-        else:
-            assert result.statistics["pages_skipped"] == 0
-
     def test_probe_demoted_when_relation_is_shared_scanned_anyway(self, database):
         """Two variables over one relation, only one probe-able: under
         Strategy 1 the relation is scanned in full for the other variable,
@@ -293,7 +274,7 @@ class TestExplainSurfaces:
         )
         assert "access paths (analyzed):" in report
         assert "index probes=" in report
-        assert "pages skipped=" in report
+        assert "pages skipped=" not in report
 
     def test_unbound_parameter_shown_in_static_explain(self, database):
         database.create_index("employees", "enr")
@@ -322,11 +303,9 @@ class TestStatisticsCounters:
     def test_new_counters_snapshot_and_reset(self, database):
         stats = database.statistics
         stats.record_index_maintenance(3)
-        stats.record_pages_skipped(2)
         snapshot = stats.as_dict()
         assert snapshot["index_maintenance_ops"] == 3
-        assert snapshot["pages_skipped"] == 2
+        assert snapshot["pages_skipped"] == 0
         stats.reset()
         assert stats.index_maintenance_ops == 0
-        assert stats.pages_skipped == 0
         assert stats.index_probes == 0

@@ -1,4 +1,4 @@
-"""Cross-engine, cross-backend equivalence: every optimized path vs. ground truth.
+"""Cross-engine equivalence: every optimized path vs. ground truth.
 
 Four axes are crossed here:
 
@@ -10,22 +10,22 @@ Four axes are crossed here:
   both scales;
 * **strategy configurations** — the representative configurations of
   ``conftest`` (scale 1) and a reduced set (scale 2);
-* **storage backend** — the plain in-memory :class:`Relation` dictionary and
-  the paged :class:`StoredRelation` (heap file + buffer pool), which before
-  this matrix was only exercised by the isolated unit tests in
-  ``tests/storage/``.
+* **the ``paged`` keyword** — every database builder still accepts
+  ``paged=`` and ignores it: a relation is its element dict either way.
+  The ``memory`` cells build with ``paged=False``, the ``paged`` cells with
+  ``paged=True`` (the builders' default).
 
 For every cell, the phase-structured engine must return exactly the relation
-computed by :func:`repro.engine.evaluator.execute_naive`, the two backends
-must agree with each other, and the page counters must be coherent: a paged
-database reads pages (with ``page_hits + page_misses == pages_read``), an
-in-memory database never does.  A final block extends the matrix to the
+computed by :func:`repro.engine.evaluator.execute_naive`, the two keyword
+values must give databases that agree with each other, and the page
+counters, kept on :class:`AccessStatistics` for callers that read them,
+must read 0: nothing counts pages.  A final block extends the matrix to the
 service layer: prepared parameterized execution must be byte-identical to
-cold execution for every workload query, parameter binding and backend —
+cold execution for every workload query, parameter binding and keyword value —
 and so must texts with their constants written in, which the plan cache
 compiles once per shape (the S1-S4 cross of that is
-``tests/service/test_literal_lifting.py``; here it meets the storage
-backends, the permanent indexes and both execution modes).
+``tests/service/test_literal_lifting.py``; here it meets the permanent
+indexes and both execution modes).
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ def backend(request) -> str:
 
 @pytest.fixture(scope="module")
 def figure1_backend(backend):
-    """The Figure 1 database on the requested storage backend.
+    """The Figure 1 database, built with the requested ``paged`` keyword.
 
     Module-scoped: the tests below only read (every execution resets the
     shared statistics itself).
@@ -86,16 +86,14 @@ def scale2_backend(backend):
 
 
 def _assert_page_counters_sane(database, backend: str) -> None:
+    """The page counters are kept for their readers and read 0 whatever
+    ``paged`` the database was built with."""
     snapshot = database.statistics.as_dict()
-    if backend == "paged":
-        total_scans = sum(c["scans"] for c in snapshot["relations"].values())
-        if total_scans > 0:
-            assert snapshot["pages_read"] > 0, snapshot
-        assert snapshot["page_hits"] + snapshot["page_misses"] == snapshot["pages_read"]
-        assert snapshot["page_hits"] >= 0 and snapshot["page_misses"] >= 0
-    else:
-        assert snapshot["pages_read"] == 0, snapshot
-        assert snapshot["page_hits"] == 0 and snapshot["page_misses"] == 0
+    pages = {
+        name: snapshot[name]
+        for name in ("pages_read", "page_hits", "page_misses", "pages_skipped")
+    }
+    assert pages == dict.fromkeys(pages, 0), (backend, pages)
 
 
 @pytest.mark.parametrize("flags", OPTIMIZER_FLAGS, ids=_flag_id)
@@ -129,14 +127,16 @@ def test_optimizer_flags_match_naive_at_scale2(scale2_backend, backend, config_n
 
 @pytest.mark.parametrize("query_name", sorted(QUERIES))
 def test_backends_agree_elementwise(query_name):
-    """The two backends return identical element sets for every named query."""
+    """``paged=False`` and ``paged=True`` give databases that return the same
+    elements in the same order for every named query: the keyword is
+    ignored."""
     memory = figure1_database(paged=False)
     paged = figure1_database(paged=True)
     memory_result = QueryEngine(memory).run(QUERIES[query_name])
     paged_result = QueryEngine(paged).run(QUERIES[query_name])
-    assert sorted(r.values for r in memory_result.relation) == sorted(
+    assert [r.values for r in memory_result.relation] == [
         r.values for r in paged_result.relation
-    )
+    ]
 
 
 INDEX_SPECS = (
@@ -248,7 +248,7 @@ class TestStreamingEquivalence:
 
     The streamed plan must be byte-identical to the literal plan (and
     to the naive ground truth) across every strategy configuration, optimizer
-    flag combination, storage backend and access-path choice the suite
+    flag combination, ``paged`` keyword and access-path choice the suite
     already crosses.
     """
 
@@ -448,8 +448,8 @@ def _biblio_id(flags: tuple[str, bool]) -> str:
 
 @pytest.fixture(scope="module")
 def bibliography_backend(backend):
-    """The scale-2 bibliographic database, with its standard indexes, on the
-    requested storage backend."""
+    """The scale-2 bibliographic database, with its standard indexes, built
+    with the requested ``paged`` keyword."""
     database = build_bibliography_database(scale=2, paged=(backend == "paged"))
     create_standard_indexes(database)
     return database
@@ -468,9 +468,9 @@ def bibliography_reference(bibliography_backend):
 class TestBibliographyEquivalence:
     """The full flag matrix over the second domain.
 
-    plan policy × index paths × {memory, paged} × every named citation
+    plan policy × index paths × ``paged`` keyword × every named citation
     query: Zipf-skewed many-to-many data with non-ASCII CharArray join keys
-    is exactly where a backend- or path-dependent bug would show as
+    is exactly where a path-dependent bug would show as
     silently dropped rows rather than as a crash.
     """
 
@@ -512,9 +512,9 @@ class TestBibliographyEquivalence:
         for query_name, query in BIBLIO_QUERIES.items():
             memory_result = QueryEngine(memory).run(query)
             paged_result = QueryEngine(paged).run(query)
-            assert sorted(r.values for r in memory_result.relation) == sorted(
+            assert [r.values for r in memory_result.relation] == [
                 r.values for r in paged_result.relation
-            ), query_name
+            ], query_name
 
     @pytest.mark.parametrize("workload_name", sorted(bibliography_parameterized_queries()))
     def test_prepared_byte_identical_to_cold(

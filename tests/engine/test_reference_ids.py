@@ -154,11 +154,11 @@ class TestKernelEdgePaths:
         return streamed
 
     def test_all_division(self):
-        rows = self._check(figure1_database(paged=False), self.DIVISION, "ALL division")
+        rows = self._check(figure1_database(), self.DIVISION, "ALL division")
         assert rows and all(isinstance(ref, Ref) for row in rows for ref in row)
 
     def test_disconnected_some_bound_structure_is_an_existence_gate(self):
-        assert self._check(figure1_database(paged=False), self.GATE, "existence gate")
+        assert self._check(figure1_database(), self.GATE, "existence gate")
 
     def test_empty_range(self):
         # Plans compiled while ``papers`` had elements, run after it emptied,
@@ -166,7 +166,7 @@ class TestKernelEdgePaths:
         # (The standard form presumes non-empty ranges: a fresh compile adapts
         # it instead — next test — and the service layer recompiles stale
         # plans, so the kernel only has to agree with the literal procedure.)
-        database = figure1_database(paged=False)
+        database = figure1_database()
         engine = QueryEngine(database, S1)
         division, gate = engine.prepare(self.DIVISION, S1), engine.prepare(self.GATE, S1)
         database.relation("papers").clear()
@@ -176,12 +176,12 @@ class TestKernelEdgePaths:
 
     def test_true_conjunction_enumerates_the_first_range(self):
         # Lemma 1: ALL over an empty relation compiles to a TRUE conjunction.
-        database = figure1_database(paged=False)
+        database = figure1_database()
         database.relation("papers").clear()
         rows = self._check(database, self.DIVISION, "scan range of e")
         assert len(rows) == len(database.relation("employees"))
         # ... and a hand-made one, with a SOME-bound unmentioned variable.
-        database = figure1_database(paged=False)
+        database = figure1_database()
         plan, collection = _phases(database, self.GATE)
         true = CollectionResult(range_refs=collection.range_refs, conjunctions=[[]])
         streamed, literal, result = _both_executions(database, plan, true)
@@ -197,7 +197,7 @@ class TestKernelEdgePaths:
                 trackers.append(self)
 
         monkeypatch.setattr(combination_module, "LiveTupleTracker", Spy)
-        database = figure1_database(paged=False)
+        database = figure1_database()
         cursor = connect(database, options=S1).execute(
             "[<e.ename> OF EACH e IN employees: (e.estatus = professor) OR (e.enr < 7)]"
         )

@@ -6,7 +6,7 @@ from repro.errors import CatalogError
 from repro.relational.database import Database
 from repro.relational.index import HashIndex, SortedIndex
 from repro.relational.statistics import COLLECTION, COMBINATION, AccessStatistics
-from repro.storage.storedrelation import StoredRelation
+from repro.relational.relation import Relation
 from repro.types.scalar import INTEGER
 
 
@@ -26,13 +26,12 @@ class TestCatalog:
         assert database["projects"].is_empty()
         assert "employees" in database
 
-    def test_paged_database_uses_stored_relations(self, database):
-        assert isinstance(database.relation("employees"), StoredRelation)
-
     def test_unpaged_database_uses_plain_relations(self):
-        db = Database("plain", paged=False)
-        relation = db.create_relation("r", [("a", INTEGER)])
-        assert not isinstance(relation, StoredRelation)
+        # ``paged`` is accepted and ignored: every relation is a plain Relation.
+        for db in (Database("plain"), Database("plain", paged=True)):
+            relation = db.create_relation("r", [("a", INTEGER)])
+            assert type(relation) is Relation
+            assert not hasattr(db, "paged")
 
     def test_duplicate_relation_raises(self, database):
         with pytest.raises(CatalogError):
@@ -144,13 +143,13 @@ class TestStatistics:
         stats = AccessStatistics()
         stats.record_intermediate(10)
         stats.record_intermediate(5, relations=2)
-        stats.record_page_read(hit=True)
-        stats.record_page_read(hit=False)
         snapshot = stats.as_dict()
         assert snapshot["intermediate_tuples"] == 15
         assert snapshot["intermediate_relations"] == 3
-        assert snapshot["page_hits"] == 1
-        assert snapshot["page_misses"] == 1
+        # Relations hold no pages: the page counters stay, and read 0.
+        for name in ("pages_read", "page_hits", "page_misses", "pages_skipped"):
+            assert snapshot[name] == 0
+        assert "pages:" not in stats.summary()
 
     def test_summary_mentions_relations(self):
         stats = AccessStatistics()

@@ -36,11 +36,9 @@ _OPS = st.lists(
 )
 
 
-def _make_database(paged: bool) -> Database:
+def _make_database(paged: bool = True) -> Database:
     database = Database("stats", paged=paged)
-    database.create_relation(
-        "r", [("k", INTEGER), ("v", _SMALL)], key=["k"], page_capacity=4
-    )
+    database.create_relation("r", [("k", INTEGER), ("v", _SMALL)], key=["k"])
     return database
 
 
@@ -152,13 +150,13 @@ class TestColumnSketch:
         assert sketch.distinct == 5000
 
 
-@pytest.mark.parametrize("paged", (False, True), ids=("memory", "paged"))
+@pytest.mark.parametrize("backend", ["memory", "paged"])
 @pytest.mark.parametrize("operator", ("=", "<="))
-def test_index_distinct_count_stays_exact_under_insert_and_delete(paged, operator) -> None:
+def test_index_distinct_count_stays_exact_under_insert_and_delete(backend, operator) -> None:
     """The access-path rule prices an equality probe ``size / distinct``
     from the permanent index's own counts: the index a reader derives after
     any write must carry that write's counts."""
-    database = _make_database(paged)
+    database = _make_database(paged=(backend == "paged"))
     relation = database.relation("r")
     database.create_index("r", "v", operator=operator)
     for key in range(40):
@@ -171,14 +169,14 @@ def test_index_distinct_count_stays_exact_under_insert_and_delete(paged, operato
     assert _counts(database) == (37, 10)
 
 
-@pytest.mark.parametrize("paged", (False, True), ids=("memory", "paged"))
+@pytest.mark.parametrize("backend", ["memory", "paged"])
 @pytest.mark.parametrize("operator", ("=", "<="))
 @settings(max_examples=60, deadline=None)
 @given(ops=_OPS)
-def test_random_interleavings_keep_index_counts_exact(paged, operator, ops) -> None:
+def test_random_interleavings_keep_index_counts_exact(backend, operator, ops) -> None:
     """Insert / delete / assign / clear in any order: after every step the
     index's size and distinct count are those of its relation's contents."""
-    database = _make_database(paged)
+    database = _make_database(paged=(backend == "paged"))
     relation = database.relation("r")
     database.create_index("r", "v", operator=operator)
     state: dict[int, int] = {}
@@ -188,11 +186,11 @@ def test_random_interleavings_keep_index_counts_exact(paged, operator, ops) -> N
         _assert_index_counts_exact(database, operator)
 
 
-@pytest.mark.parametrize("paged", (False, True), ids=("memory", "paged"))
+@pytest.mark.parametrize("backend", ["memory", "paged"])
 @pytest.mark.parametrize("operator", ("=", "<="))
-def test_raw_inserts_keep_index_counts_exact(paged, operator) -> None:
+def test_raw_inserts_keep_index_counts_exact(backend, operator) -> None:
     """Raw inserts, a key overwrite among them, feed the same counts."""
-    database = _make_database(paged)
+    database = _make_database(paged=(backend == "paged"))
     relation = database.relation("r")
     database.create_index("r", "v", operator=operator)
     relation.insert_raw(Record(relation.schema, {"k": 1, "v": 5}))

@@ -5,7 +5,7 @@ An index is a pure function of its relation's elements (Figure 2's
 database and a pin derive a catalogued index by one rule for the contents
 version they see.  The property drives random inserts, deletes, raw
 overwrites, assigns and clears, transaction boundaries (commit and
-rollback) and index DDL — inside a transaction too — on both backends, and
+rollback) and index DDL — inside a transaction too — and
 checks after every step, for the live ``Database.index_for``, a fresh pin, a
 statement pin of the open transaction and a pin held from an earlier step:
 
@@ -50,11 +50,9 @@ _STEPS = st.lists(
 )
 
 
-def _make_database(paged: bool) -> Database:
+def _make_database(paged: bool = True) -> Database:
     database = Database("derivation", paged=paged)
-    database.create_relation(
-        "r", [("k", INTEGER), ("v", _SMALL)], key=["k"], page_capacity=4
-    )
+    database.create_relation("r", [("k", INTEGER), ("v", _SMALL)], key=["k"])
     database.create_index("r", "v")                 # hash
     database.create_index("r", "k", operator="<=")  # sorted
     return database
@@ -80,11 +78,11 @@ def _assert_indexes_exact(source, contents: dict[int, int]) -> None:
                 assert sorted(index.probe_keys(op, probe)) == want, (field_name, op, probe)
 
 
-@pytest.mark.parametrize("paged", (False, True), ids=("memory", "paged"))
+@pytest.mark.parametrize("backend", ["memory", "paged"])
 @settings(max_examples=60, deadline=None)
 @given(steps=_STEPS)
-def test_live_and_pinned_indexes_equal_a_filter_of_their_own_contents(paged, steps):
-    database = _make_database(paged)
+def test_live_and_pinned_indexes_equal_a_filter_of_their_own_contents(backend, steps):
+    database = _make_database(paged=(backend == "paged"))
     relation = database.relation("r")
     statistics = database.statistics
     connection = connect(database)
@@ -149,9 +147,9 @@ def test_live_and_pinned_indexes_equal_a_filter_of_their_own_contents(paged, ste
         connection.close()
 
 
-@pytest.mark.parametrize("paged", (False, True), ids=("memory", "paged"))
-def test_the_first_live_reader_after_writes_pays_one_op_per_element(paged):
-    database = _make_database(paged)
+@pytest.mark.parametrize("backend", ["memory", "paged"])
+def test_the_first_live_reader_after_writes_pays_one_op_per_element(backend):
+    database = _make_database(paged=(backend == "paged"))
     relation = database.relation("r")
     for key in range(6):
         relation.insert({"k": key, "v": key % 3})
@@ -167,7 +165,7 @@ def test_the_first_live_reader_after_writes_pays_one_op_per_element(paged):
 
 
 def test_a_live_reader_adopts_the_view_a_pin_built_at_its_version():
-    database = _make_database(paged=False)
+    database = _make_database()
     relation = database.relation("r")
     for key in range(6):
         relation.insert({"k": key, "v": key % 3})
@@ -196,7 +194,7 @@ def test_a_checkpoint_reads_the_catalog_and_derives_no_index():
         database.checkpoint()
         after = database.statistics.as_dict()
         assert after["index_maintenance_ops"] == before["index_maintenance_ops"] == 0
-        assert after["relations"]["r"] == before["relations"]["r"]  # no scan, no page read
+        assert after["relations"]["r"] == before["relations"]["r"]  # no scan, no element read
         connection.close()
 
 
@@ -222,6 +220,6 @@ def test_reopening_restores_each_index_organisation(operator, organisation):
 
 def _make_database_on_disk(directory: str) -> Database:
     database = Database.open(directory)
-    database.create_relation("r", [("k", INTEGER), ("v", _SMALL)], key=["k"], page_capacity=4)
+    database.create_relation("r", [("k", INTEGER), ("v", _SMALL)], key=["k"])
     database.create_index("r", "v")
     return database

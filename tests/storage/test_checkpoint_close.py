@@ -3,14 +3,13 @@
 In ``durability='checkpoint'`` mode, commits flush the WAL to the OS without
 fsync, so at ``Database.close()`` time the log's durable watermark lags its
 flushed tail.  ``close()`` runs a full checkpoint, whose contract is the
-ordering under test here: **flush+fsync the WAL first**, then write pages and
-the snapshot, and only then truncate the log.  Were the truncation (or the
+ordering under test here: **flush+fsync the WAL first**, then write the
+snapshot, and only then truncate the log.  Were the truncation (or the
 snapshot rename) to run against an unflushed buffer, the committed tail
 would be gone.
 
 The harness crashes the close at *every* storage write event it performs
-(WAL flushes — torn and clean — page flushes, snapshot write/rename,
-truncation) and reopens: recovery must see every committed transaction every
+(WAL flushes — torn and clean — and the snapshot write/rename) and reopens: recovery must see every committed transaction every
 time.  A rolled-back transaction must never resurface either.
 """
 
@@ -46,7 +45,6 @@ def _run_until_close(directory, crash_point=None) -> Database:
         "items",
         [("k", INTEGER), ("batch", INTEGER)],
         key=["k"],
-        page_capacity=3,
     )
     for batch in range(_BATCHES):
         journal = database.begin_transaction()
@@ -77,11 +75,11 @@ def _recovered_rows(directory) -> set[tuple]:
         database.close()
 
 
-def _close_event_count(tmp_path) -> int:
+def _close_events(tmp_path) -> list[str]:
     probe = CrashPoint()
     database = _run_until_close(str(tmp_path / "probe"), crash_point=probe)
     database.close()
-    return probe.count
+    return probe.events
 
 
 def test_clean_close_preserves_every_committed_transaction(tmp_path):
@@ -91,8 +89,14 @@ def test_clean_close_preserves_every_committed_transaction(tmp_path):
 
 
 def test_every_close_crash_point_recovers_every_commit(tmp_path):
-    total = _close_event_count(tmp_path)
-    assert total > 0, "close() must perform storage write events to crash at"
+    events = _close_events(tmp_path)
+    # The order under test: the log is made durable before the snapshot is
+    # written and renamed; the truncated log then takes its CHECKPOINT
+    # marker, and the closing log its final flush.
+    assert [event.split()[0] for event in events] == [
+        "wal-flush", "snapshot-write", "snapshot-rename", "wal-flush", "wal-flush",
+    ], events
+    total = len(events)
     failures = []
     for k in range(total):
         for torn in (False, True):

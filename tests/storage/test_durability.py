@@ -1,11 +1,14 @@
 """The disk-resident database lifecycle: open/checkpoint/close, durability
-modes, the buffer pool's write-ahead gate, DDL checkpoints, and the
+modes, directories written by older versions, DDL checkpoints, and the
 ``connect(path)`` front door."""
 
 from __future__ import annotations
 
 import contextlib
+import json
 import os
+import struct
+import zlib
 
 import pytest
 
@@ -13,7 +16,6 @@ import repro
 from repro import DURABILITY_CHECKPOINT, DURABILITY_COMMIT, DURABILITY_OFF, connect
 from repro.errors import StorageError, TransactionError
 from repro.relational.database import Database
-from repro.storage.buffer import BufferPool
 from repro.storage.snapshot import snapshot_path, wal_path
 from repro.storage.wal import WriteAheadLog, scan_wal
 from repro.types.scalar import INTEGER, CharArray
@@ -28,12 +30,11 @@ def committed(database):
     database.end_transaction(journal)
 
 
-def make_relation(database, name="t", page_capacity=4):
+def make_relation(database, name="t"):
     return database.create_relation(
         name,
         [("k", INTEGER), ("label", CharArray(8, "labeltype"))],
         key=["k"],
-        page_capacity=page_capacity,
     )
 
 
@@ -97,14 +98,45 @@ class TestOpenAndReopen:
         assert keys(reopened) == [1]
         reopened.close()
 
-    def test_page_capacity_survives_reopen(self, tmp_path):
+    def test_a_directory_in_the_page_capacity_format_opens_clean(self, tmp_path):
+        """Snapshots once recorded each relation's heap page capacity.  Such
+        a directory — here written by hand: that snapshot plus a log holding
+        one commit frame past it — opens clean, the key ignored and the
+        commit replayed, and the next checkpoint no longer writes it."""
+        snapshot = {
+            "format": 1, "name": "older", "last_lsn": 4, "next_txid": 2,
+            "relations": [{
+                "schema": {
+                    "name": "t",
+                    "fields": [["k", {"kind": "integer"}],
+                               ["label", {"kind": "chararray", "length": 8, "name": "labeltype"}]],
+                    "key": ["k"],
+                },
+                "page_capacity": 3,
+                "rows": [[0, "row0    "], [1, "row1    "], [2, "row2    "], [3, "row3    "]],
+            }],
+            "indexes": [{"relation": "t", "field": "label", "operator": "="}],
+        }
+        commit = json.dumps({
+            "lsn": 5, "kind": "COMMIT", "txid": 2,
+            "ops": [["t", "insert", [9, "late    "]], ["t", "delete", [1]]],
+        }, separators=(",", ":")).encode()
+        with open(snapshot_path(str(tmp_path)), "w") as handle:
+            json.dump(snapshot, handle)
+        with open(wal_path(str(tmp_path)), "wb") as handle:  # length, CRC-32, payload
+            handle.write(struct.pack("<II", len(commit), zlib.crc32(commit)) + commit)
+
         database = Database.open(tmp_path)
-        make_relation(database, page_capacity=2)
+        report = database.recovery_report
+        assert report.clean and report.replayed_transactions == [2], report.describe()
+        assert [(r.k, r.label.rstrip()) for r in database.relation("t")] == [
+            (0, "row0"), (2, "row2"), (3, "row3"), (9, "late"),
+        ]
+        padded = database.relation("t").schema.field_type("label").coerce("late")
+        assert [ref.key for ref in database.index_for("t", "label").probe(padded)] == [(9,)]
         database.close()
-        reopened = Database.open(tmp_path)
-        heap = getattr(reopened.relation("t"), "_heap", None)
-        assert heap is not None and heap.page_capacity == 2
-        reopened.close()
+        with open(snapshot_path(str(tmp_path))) as handle:
+            assert "page_capacity" not in json.load(handle)["relations"][0]
 
 
 class TestDurabilityModes:
@@ -130,7 +162,6 @@ class TestDurabilityModes:
             "codes",
             [("code", CharArray(6, "codetype")), ("n", INTEGER)],
             key=["code"],
-            page_capacity=2,
         )
         database.create_index("codes", "n")
         with committed(database):
@@ -287,63 +318,29 @@ class TestClose:
         assert database.closed
 
 
-class TestWriteAheadGate:
-    """A dirty page must never be forced before its log record is durable."""
-
-    def test_flush_behind_durable_lsn_is_a_violation(self):
-        pool = BufferPool()
-        pool.mark_dirty("t", 0, lsn=7)
-        with pytest.raises(StorageError, match="write-ahead"):
-            pool.flush_page("t", 0, durable_lsn=6)
-        # The record becomes durable; now the force is legal.
-        pool.flush_page("t", 0, durable_lsn=7)
-        assert pool.dirty_count() == 0
-
-    def test_a_rolled_back_transaction_leaves_its_pages_checkpointable(self, tmp_path):
-        # A rollback writes no frame, and the pages it dirtied and restored
-        # are forced by the next checkpoint without tripping the gate.
+class TestCheckpointAfterRollback:
+    def test_a_rolled_back_transaction_leaves_the_database_checkpointable(self, tmp_path):
+        # A rollback writes no frame; the next checkpoint writes the
+        # restored contents, and a reopen finds exactly them.
         database = Database.open(tmp_path, durability=DURABILITY_COMMIT)
-        relation = make_relation(database, page_capacity=2)
+        relation = make_relation(database)
         with committed(database):
             relation.insert({"k": 1, "label": "kept"})
         journal = database.begin_transaction()
         for k in range(2, 7):
             relation.insert({"k": k, "label": "gone"})
         relation.delete_key(1)
-        assert relation._pool.dirty_count("t") > 0
         database.abort_transaction(journal)
         database.end_transaction(journal)
         journal.rollback()
+        wal_records = database.statistics.wal_records
         database.checkpoint()
-        assert relation._pool.dirty_count("t") == 0
+        assert database.statistics.wal_records == wal_records + 1  # the CHECKPOINT marker only
         assert keys(database) == [1]
         database.close()
-
-    def test_mark_dirty_keeps_the_highest_lsn(self):
-        pool = BufferPool()
-        pool.mark_dirty("t", 0, lsn=5)
-        pool.mark_dirty("t", 0, lsn=3)  # an older record cannot lower the bar
-        assert pool.dirty_pages() == [("t", 0, 5)]
-
-    def test_unlogged_mutations_always_pass_the_gate(self):
-        pool = BufferPool()
-        pool.mark_dirty("t", 1, lsn=0)
-        pool.flush_page("t", 1, durable_lsn=0)
-        assert pool.dirty_count() == 0
-
-    def test_discard_and_filtering_by_file(self):
-        pool = BufferPool()
-        pool.mark_dirty("a", 0, lsn=1)
-        pool.mark_dirty("b", 0, lsn=2)
-        assert pool.dirty_count("a") == 1
-        pool.discard_dirty("a")
-        assert pool.dirty_pages() == [("b", 0, 2)]
-        pool.discard_dirty()
-        assert pool.dirty_count() == 0
-
-    def test_flush_of_a_clean_page_is_a_noop(self):
-        pool = BufferPool()
-        pool.flush_page("t", 3, durable_lsn=0)
+        reopened = Database.open(tmp_path)
+        assert keys(reopened) == [1] and reopened.recovery_report.clean
+        reopened.close()
 
 
 class TestDDLCheckpoints:

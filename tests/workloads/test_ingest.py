@@ -109,7 +109,7 @@ class TestEntityDecoding:
 class TestIngestRoundTrip:
     @pytest.fixture(scope="class")
     def loaded(self):
-        database = Database("dblp", paged=False)
+        database = Database("dblp")
         report = load_dblp_xml(FRAGMENT, database)
         return database, report
 
@@ -166,7 +166,7 @@ class TestIngestRoundTrip:
         database, _ = loaded
         path = tmp_path / "fragment.xml"
         path.write_text(FRAGMENT, encoding="utf-8")
-        from_file = Database("dblp-file", paged=False)
+        from_file = Database("dblp-file")
         load_dblp_xml(path, from_file)
         assert _snapshot(from_file) == _snapshot(database)
 
@@ -256,7 +256,7 @@ class TestDoubleIngestProperty:
     @settings(max_examples=40, deadline=None)
     def test_double_ingest_is_idempotent(self, records):
         text = _render(records)
-        database = Database("dblp-prop", paged=False)
+        database = Database("dblp-prop")
         load_dblp_xml(text, database)
         once = _snapshot(database)
         second = load_dblp_xml(text, database)
@@ -269,9 +269,9 @@ class TestDoubleIngestProperty:
     @settings(max_examples=40, deadline=None)
     def test_one_load_equals_two_half_loads(self, records):
         text = _render(records)
-        whole = Database("dblp-whole", paged=False)
+        whole = Database("dblp-whole")
         load_dblp_xml(text, whole)
-        halves = Database("dblp-halves", paged=False)
+        halves = Database("dblp-halves")
         split = max(len(records) // 2, 1)
         load_dblp_xml(_render(records[:split]), halves)
         load_dblp_xml(_render(records[split:]), halves)
