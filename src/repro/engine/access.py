@@ -21,7 +21,7 @@ the constant-matrix shortcut — first asks the selector how to enumerate it:
 The decision is *cost-based* and depends only on the catalog (which indexes
 exist, their sizes and distinct counts, relation cardinalities; on a pin,
 which index views are built) and the query structure — never on a compared
-value, constant or ``$param`` — so one rule prices live and pinned reads,
+value, constant or ``$param`` — so one rule prices every read,
 and a selection's plan keeps the decision while the probe value late-binds
 at execution time (the bound plan carries the constant the probe reads).
 """
@@ -163,8 +163,9 @@ def _residual_of(conjuncts: list[Formula], position: int) -> Formula | None:
     return And(*rest)
 
 
-def _probe_cost(index: HashIndex | SortedIndex, op: str) -> float | None:
-    """Estimated elements touched by probing ``index`` with operator ``op``.
+def _probe_cost(index, op: str) -> float | None:
+    """Estimated elements touched by probing ``index`` — a view, or the
+    catalog entry of one not built yet — with operator ``op``.
 
     ``None`` when the index organisation cannot answer the operator
     sub-linearly.  The price reads the index's own counts, never the probe
@@ -173,11 +174,12 @@ def _probe_cost(index: HashIndex | SortedIndex, op: str) -> float | None:
     the distribution-free one-third guess.  A sorted index adds its
     bisection.
     """
-    size = max(len(index), 1)
-    if isinstance(index, HashIndex):
-        return size / max(index.distinct_values(), 1) if op == "=" else None
+    size, distinct = index.counts
+    size, distinct = max(size, 1), max(distinct, 1)
+    if index.organisation is HashIndex:
+        return size / distinct if op == "=" else None
     if op == "=":
-        return log2(size) + size / max(index.distinct_values(), 1)
+        return log2(size) + size / distinct
     return log2(size) + size / 3.0
 
 
@@ -193,13 +195,12 @@ def select_access_path(
     top-level conjuncts of the shape ``var.field op value``, pick the
     permanent index whose estimated probe cost is lowest; take it when that
     cost undercuts the full scan; otherwise scan.  Candidates are priced
-    through ``database.index_candidate`` — on a pinned snapshot that never builds a
-    view and keeps one that is not worth building yet off the table — at
-    their probe cost, and only the winner is resolved with ``index_for``;
-    when that has to build the view, the path's estimate includes the reads
-    and says so.  The rule reads catalog state only (indexes and their
-    counts, cardinalities), on the live database and on a pin alike; a
-    constant and a ``$param`` are priced the same.
+    through ``database.index_candidate`` — which never builds a view, and
+    keeps one that is not worth building yet off the table — at their probe
+    cost, and only the winner is resolved with ``index_for``; when that has
+    to build the view, the path's estimate includes the reads and says so.
+    The rule reads catalog state only (indexes and their counts,
+    cardinalities); a constant and a ``$param`` are priced the same.
     """
     return decided_path(database, var, range_expr, decide_access(database, var, range_expr, options))
 
@@ -214,7 +215,7 @@ class AccessDecision(NamedTuple):
     build_reads: int  # element reads that build a pinned index view first
     #: Every execution at the same catalog and contents versions decides the
     #: same (a selection's plan then keeps the decision): no pinned view was
-    #: passed over or built.  Always true on the live database.
+    #: passed over or built.  Always true on the engine door's pin.
     settled: bool
 
 

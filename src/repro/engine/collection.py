@@ -470,10 +470,9 @@ class CollectionPhase:
         The source's memo answers when it holds one built over the contents
         this execution reads (the value list rule of ``relational/mvcc.py``).
         A build that raises publishes nothing, so the Strategy 3 fallback
-        fires on every execution; inside an open transaction a matching
-        entry is read but the uncommitted contents are never published.  A
-        hit charges this execution what the build would have retained, and
-        no scan.
+        fires on every execution; a statement pin reads a matching entry
+        but never publishes its uncommitted contents.  A hit charges this
+        execution what the build would have retained, and no scan.
         """
         source = self.database
         memo = source.value_lists

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -39,11 +40,12 @@ from repro.engine.access import (
 from repro.engine.collection import CollectionPhase, CollectionResult, ExtendedRangeEmptyError
 from repro.engine.combination import CombinationPhase, CombinationResult
 from repro.engine.construction import ConstructionPhase
-from repro.engine.naive import evaluate_selection_naive
+from repro.engine.naive import evaluate_selection_naive, range_elements
 from repro.engine.result import result_schema_for
 from repro.engine.stream import CHUNK_ROWS
 from repro.lang.parser import parse_selection
 from repro.relational.algebra import chunk_getter
+from repro.relational.database import Database
 from repro.relational.mvcc import version_token
 from repro.relational.record import values_of
 from repro.relational.relation import Relation
@@ -99,6 +101,18 @@ def _result_relation(prepared: QueryPlan, source) -> Relation:
         schema = result_schema_for(prepared.selection, source)
         prepared.result_schema[:] = source.schema_version, schema
     return Relation(schema.name, schema)
+
+
+def on_pin(pin, execute) -> "QueryResult":
+    """``execute()``, an execution reading ``pin``: the pin is released when
+    the result's rows end, or at once when the execution fails to start."""
+    try:
+        result = execute()
+    except BaseException:
+        pin.release()
+        raise
+    result.on_close(pin.release)
+    return result
 
 
 def _ending(chunks: Iterator[list], result: "QueryResult") -> Iterator[list]:
@@ -251,8 +265,18 @@ class QueryEngine:
 
     def prepare(self, query: str | Selection, options: StrategyOptions | None = None) -> QueryPlan:
         """Run only the transformation pipeline (used by EXPLAIN and tests)."""
-        selection = resolve_query(query, self.database)
-        return prepare_query(selection, self.database, options or self.options, resolve=False)
+        with self._reading() as source:
+            return self._compile(query, options, source)
+
+    def _reading(self):
+        """The engine door's pin of this engine's database for one statement
+        (:meth:`Database._door_pin`), or the snapshot the engine was built over."""
+        database = self.database
+        return database._door_pin() if isinstance(database, Database) else nullcontext(database)
+
+    def _compile(self, query, options: StrategyOptions | None, source) -> QueryPlan:
+        selection = resolve_query(query, source)
+        return prepare_query(selection, source, options or self.options, resolve=False)
 
     # -- execution ---------------------------------------------------------------------
 
@@ -267,12 +291,14 @@ class QueryEngine:
         The engine-level spelling: no plan cache, no lifted constants, no
         lock — which makes it the reference for rows *and order* that the
         equivalence suites compare the service and the cursors against.
+        It compiles against the engine door's pin and runs on it.
         Application code should prefer :func:`repro.connect`.
         """
         if reset_statistics:
             self.database.reset_statistics()
-        plan = self.prepare(query, options)
-        return self.execute_plan(plan, reset_statistics=False).drain()
+        with self._reading() as source:
+            plan = self._compile(query, options, source)
+            return self.execute_plan(plan, reset_statistics=False, source=source).drain()
 
     def execute_plan(
         self,
@@ -291,7 +317,10 @@ class QueryEngine:
         construction phases run here.  ``plan`` must be fully bound (no free
         parameters) and prepared with ``options`` (default: the options
         recorded on the plan) against ``source`` — what the phases read: this
-        engine's database when omitted, or a snapshot pinned from it.
+        engine's database when omitted, or a snapshot pinned from it.  A
+        :class:`Database` is never read live: the engine door pins it
+        (:meth:`Database._door_pin`) and releases the pin when the rows end —
+        close a result that is not drained.
 
         The construction phase is always deferred: when this returns the
         collection phase has run and the combination pipeline is wired; the
@@ -317,6 +346,10 @@ class QueryEngine:
         options = options or plan.options
         if reset_statistics:
             source.reset_statistics()
+        if isinstance(source, Database):
+            pin = source._door_pin()
+            return on_pin(pin, lambda: self.execute_plan(
+                plan, options, False, collection, collection_sink, pin))
         started = time.perf_counter()
         try:
             if options.separate_existential_conjunctions and self._separable(plan):
@@ -399,7 +432,11 @@ class QueryEngine:
     def _check_extended_prefix_ranges(
         self, database, prepared: QueryPlan, options: StrategyOptions
     ) -> None:
-        """Raise :class:`ExtendedRangeEmptyError` when an extended quantifier range is empty."""
+        """Raise :class:`ExtendedRangeEmptyError` when an extended quantifier range is empty.
+
+        Each range is read up to its first element: a probe by its access
+        path, a scan by :func:`range_elements`, charged what it read.
+        """
         for spec in prepared.prefix:
             if spec.range.restriction is None:
                 continue
@@ -407,7 +444,11 @@ class QueryEngine:
             if len(relation) == 0:
                 continue
             path = select_access_path(database, spec.var, spec.range, options)
-            if not any(True for _ in iter_access(database, path, spec.var)):
+            if path.index is None:
+                elements = range_elements(database, spec.range, spec.var)
+            else:
+                elements = iter_access(database, path, spec.var)
+            if next(elements, None) is None:
                 raise ExtendedRangeEmptyError(spec.var, spec.range.relation)
 
     def _plan_selection(self, source, prepared: QueryPlan, options: StrategyOptions):
@@ -416,22 +457,20 @@ class QueryEngine:
         This is the path every Strategy 3 point query takes (the monadic
         restriction moved into the range, the matrix collapsed to TRUE), so
         what does not depend on the binding is decided once per compiled plan
-        and kept on it (``QueryPlan.selection_plan``), per kind of source, under
-        its catalog version and the ranges' contents versions: the projection
-        and whether it holds every range's key, and which conjunct probes which
-        index or scans, at what estimate.  An execution applies the decisions
-        to its binding and source; ones that are not settled are taken again
-        each time, as the selector takes them — only a pin's, while it passes
-        over or builds an index view.  The live database and a pin price a
-        probe by one rule, so live decisions are kept exactly as a pin's are.
-        A source inside an open transaction reads what is kept and keeps
-        nothing (its versions may be rolled back).
+        and kept on it (``QueryPlan.selection_plan``), under its catalog
+        version and the ranges' contents versions: the projection and whether
+        it holds every range's key, and which conjunct probes which index or
+        scans, at what estimate.  An execution applies the decisions to its
+        binding and pin; ones that are not settled are taken again each
+        time, as the selector takes them — while a pin passes over or builds
+        an index view.  The engine door's pin and a cursor's price a probe by
+        one rule, so a settled decision serves both.  A statement pin reads
+        what is kept and keeps nothing (its versions may be rolled back).
         """
         bindings = prepared.bindings
         token = version_token(source, [b.range.relation for b in bindings])
-        plans, kind = prepared.selection_plan, type(source)
-        keep = not source.in_transaction
-        held = plans.get(kind)
+        cell, keep = prepared.selection_plan, not source.in_transaction
+        held = cell[0]
         if held is None or held[0] != token:
             # Resolved once: where in the concatenated elements of one
             # combination each projected component sits.
@@ -449,13 +488,13 @@ class QueryEngine:
                 for column in columns
             ]), key_covered))
             if keep:
-                plans[kind] = held
+                cell[0] = held
         # The decisions kept are the plan's own policy's; another decides for itself.
         decisions = held[1] if options is prepared.options else None
         if decisions is None:
             decisions = [decide_access(source, b.var, b.range, options) for b in bindings]
             if keep and options is prepared.options and all(d.settled for d in decisions):
-                plans[kind] = (token, decisions, held[2])
+                cell[0] = (token, decisions, held[2])
         paths = [decided_path(source, b.var, b.range, d) for b, d in zip(bindings, decisions)]
         return paths, held[2]
 
@@ -569,19 +608,22 @@ class QueryEngine:
 
         options = options or self.options
         if analyze:
-            # Explain the plan that actually ran: run() may re-plan via
-            # the Strategy 3 runtime fallback, and result.prepared (with its
-            # trace) reflects that, keeping the static and dynamic sections
-            # of the report consistent.
-            result = self.run(query, options)
+            self.database.reset_statistics()
+        with self._reading() as source:
+            prepared = self._compile(query, options, source)
+            if not analyze:
+                return explain_prepared(prepared, source, options)
+            # Explain the plan that actually ran: an execution may re-plan
+            # via the Strategy 3 runtime fallback, and result.prepared (with
+            # its trace) reflects that, keeping the static and dynamic
+            # sections of the report consistent.
+            result = self.execute_plan(prepared, reset_statistics=False, source=source).drain()
             effective = (
                 options.with_(extended_ranges=False)
                 if result.used_strategy3_fallback
                 else options
             )
-            report = explain_prepared(
-                result.prepared, self.database, effective, result.access_paths
-            )
+            report = explain_prepared(result.prepared, source, effective, result.access_paths)
             if result.selection_paths:
                 report += "\n" + explain_selection(result.selection_paths, result.statistics)
             if result.collection is not None and result.collection.value_lists:
@@ -592,20 +634,13 @@ class QueryEngine:
                 lines = ["access paths (analyzed):"]
                 for var, description in result.access_paths.items():
                     lines.append(f"  {var}: {description}")
-                lines.append(
-                    "  index probes="
-                    f"{result.statistics.get('index_probes', 0)}, "
-                    "index maintenance ops="
-                    f"{result.statistics.get('index_maintenance_ops', 0)}"
-                )
+                lines.append(f"  index probes={result.statistics.get('index_probes', 0)}")
                 lines.append(
                     "  max q-error="
                     f"{result.combination.worst_qerror() if result.combination else 0.0:.2f}"
                 )
                 report += "\n" + "\n".join(lines)
             return report
-        prepared = self.prepare(query, options)
-        return explain_prepared(prepared, self.database, options)
 
 
 def execute_naive(database, query: str | Selection, reset_statistics: bool = True) -> Relation:

@@ -63,11 +63,14 @@ def operand_value(operand: Any, environment: Mapping[str, Record]) -> Any:
 def range_elements(database, range_expr: RangeExpr, var: str) -> Iterator[Record]:
     """Iterate the elements of a (possibly extended) range expression.
 
-    The underlying relation is read through its access-counted ``scan`` so the
-    naive evaluator's repeated reads show up in the statistics.
+    The underlying relation is read through the access-counted
+    :meth:`Relation.scan`, which charges each element as it is read, so the
+    naive evaluator's repeated reads show up in the statistics — and a test
+    that stops at the first element in range pays for what it read, also on
+    a pin, whose own ``scan`` charges the whole relation at once.
     """
     relation = database.relation(range_expr.relation)
-    for record in relation.scan():
+    for record in Relation.scan(relation):
         if range_expr.restriction is None or evaluate_formula(
             range_expr.restriction, {var: record}, database
         ):

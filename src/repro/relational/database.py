@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.config import DURABILITY_COMMIT, DURABILITY_MODES, DURABILITY_OFF
 from repro.errors import CatalogError, StorageError, TransactionError
-from repro.relational.index import HashIndex, SortedIndex, build_index
+from repro.relational.index import HashIndex, PermanentIndex, SortedIndex, build_index
 from repro.relational.journal import UndoJournal
 from repro.relational.mvcc import DatabaseSnapshot, SnapshotRegistry
 from repro.relational.relation import Relation
@@ -42,7 +42,7 @@ class Database:
         self._relations: dict[str, Relation] = {}
         # The index catalog is replaced, never mutated, by index DDL: a
         # pinned snapshot keeps the dict it found (see mvcc.py).
-        self._indexes: dict[tuple[str, str], HashIndex | SortedIndex] = {}
+        self._indexes: dict[tuple[str, str], PermanentIndex] = {}
         self._schema_version = 0
         # The undo journal of the one active session transaction, if any.
         # The lock only protects the slot handover (begin/end); the journaled
@@ -427,7 +427,9 @@ class Database:
         (:class:`~repro.relational.mvcc.ValueListMemo`)."""
         return self._snapshots.value_lists
 
-    def pin_snapshot(self, journal: UndoJournal | None = None) -> DatabaseSnapshot:
+    def pin_snapshot(
+        self, journal: UndoJournal | None = None, ready: bool = False
+    ) -> DatabaseSnapshot:
         """Pin a consistent snapshot of every base relation.
 
         The snapshot shares the relations' element dicts (no copying); the
@@ -441,8 +443,20 @@ class Database:
         Release it (or drain the cursor that holds it) promptly — every live
         pin forces one dict copy per subsequently mutated relation; the
         release folds the pin's private statistics into :attr:`statistics`.
+        ``ready`` is for the engine door alone (:meth:`_door_pin`).
         """
-        return self._snapshots.pin(self, journal)
+        snapshot = self._snapshots.pin(self, journal)
+        snapshot.ready = ready
+        return snapshot
+
+    def _door_pin(self) -> DatabaseSnapshot:
+        """What the engine door reads: a pin whose index candidates are ready —
+        the statement pin of the open transaction on the thread that opened
+        it, the committed state anywhere else."""
+        journal = self._active_journal
+        if journal is not None and journal.thread != threading.get_ident():
+            journal = None
+        return self.pin_snapshot(journal, ready=True)
 
     # -- relation management ---------------------------------------------------------
 
@@ -551,43 +565,42 @@ class Database:
     ) -> HashIndex | SortedIndex:
         """Build a permanent index like ``enrindex`` of Example 3.1.
 
-        The collection phase consults :meth:`index_for` and skips the index
+        The collection phase consults ``index_for`` and skips the index
         construction step when a permanent index already exists — "The first
         step can be omitted, if permanent indexes exist" (Section 3.2) — and
         the access-path selector probes it in place of whole-relation scans.
-        The index is built here by one scan of the relation; from then on no
-        write touches it — :meth:`index_for` re-derives it from the contents
-        the first time it is asked for after a write (DESIGN.md "Indexes are
-        views").  ``=``/``<>`` make a hash index, the ordering operators a
-        sorted one: the organisation is all the catalog keeps of ``operator``.
+        The index is built here by one scan of the relation and published as
+        the view of the current contents version; the catalog keeps no entries
+        and no write touches it — every pin derives the view of the version it
+        reads (DESIGN.md "Indexes are views").  ``=``/``<>`` make a hash
+        index, the ordering operators a sorted one: the organisation is all
+        the catalog keeps of ``operator``.  Returns the build.
 
         Exactly one ``schema_version`` bump per call: creating (or replacing)
         an index is one catalog change, so every cached plan — which may have
         baked an access-path choice against the old catalog — is invalidated
         exactly once.
         """
-        index = build_index(
-            self.relation(relation_name), field_name, operator, tracker=self.statistics
-        )
-        self._indexes = {**self._indexes, (relation_name, field_name): index}
+        relation = self.relation(relation_name)
+        index = build_index(relation, field_name, operator, tracker=self.statistics)
+        entry = PermanentIndex(index, relation._version)
+        self._indexes = {**self._indexes, (relation_name, field_name): entry}
         self.bump_schema_version()
         self._ddl_changed()
         return index
 
     def index_for(self, relation_name: str, field_name: str) -> HashIndex | SortedIndex | None:
-        """The permanent index on ``relation_name.field_name``, if one exists,
-        over the relation's current contents (:meth:`~repro.relational.index.HashIndex.current`)."""
-        index = self._indexes.get((relation_name, field_name))
-        return None if index is None else index.current()
+        """The permanent index on ``relation_name.field_name``, if one exists:
+        the engine door's pin's view, its probes charged to :attr:`statistics`
+        (for a collection phase run on the database itself)."""
+        if (relation_name, field_name) not in self._indexes:
+            return None
+        with self._door_pin() as pin:
+            return pin.index_for(relation_name, field_name).with_tracker(self.statistics)
 
     def index_candidate(self, relation_name: str, field_name: str):
-        """``(index, reads to make it probe-able)`` for the access-path selector.
-
-        A live index is always ready: :meth:`index_for`, zero reads (a
-        re-derivation is index maintenance, not a read).  A pinned
-        snapshot's view may have to be built first, or not be on offer yet —
-        see :meth:`DatabaseSnapshot.index_candidate`.
-        """
+        """``(index, reads to make it probe-able)`` — the engine door's pin's
+        answer: :meth:`index_for`, zero reads."""
         return self.index_for(relation_name, field_name), 0
 
     def drop_index(self, relation_name: str, field_name: str) -> None:

@@ -23,8 +23,9 @@ values of a quantified variable's range, optionally reduced to a single
 minimum/maximum value when the connecting operator is an inequality.
 
 An index is a pure function of its relation's elements, so a permanent one
-is never maintained by writers: :func:`index_view` derives it for the
-contents version its reader sees, live or pinned.
+is never maintained by writers: the catalog keeps a :class:`PermanentIndex`,
+which holds no entries, and :func:`index_view` derives the index for the
+contents version a pin sees.
 """
 
 from __future__ import annotations
@@ -40,17 +41,13 @@ from repro.relational.relation import Relation
 from repro.relational.statistics import AccessStatistics
 from repro.types.scalar import compare_values, sort_key as _sort_key
 
-__all__ = ["HashIndex", "SortedIndex", "ValueList", "build_index", "index_view"]
+__all__ = ["HashIndex", "PermanentIndex", "SortedIndex", "ValueList", "build_index", "index_view"]
 
 
 class _Index:
-    """What both organisations share: the indexed component, the tracker
-    probes charge, and — on a catalogued (permanent) index — its derivation.
-    A subclass names its ``_PREFIX`` and starts its entries in ``_start_empty``."""
-
-    #: The attributes holding the entries: what re-deriving a catalogued
-    #: index replaces, and all of it (the rest names and prices the index).
-    _CONTENTS: tuple[str, ...] = ()
+    """What both organisations share: the indexed component and the tracker
+    probes charge.  A subclass names its ``_PREFIX`` and starts its entries in
+    ``_start_empty``."""
 
     def __init__(
         self,
@@ -67,35 +64,25 @@ class _Index:
         self.field_name = field_name
         self.tracker = tracker if tracker is not None else relation.tracker
         self.name = name or f"{self._PREFIX}_{relation.name}_{field_name}"
-        #: The contents version of ``relation`` the entries were built from
-        #: (``None``: built entry by entry, during a collection phase).
-        self.version: int | None = None
-        # On a catalogued index: (relation version, finished index over the
-        # dict pinned at that version) — the one build the snapshots pinned
-        # at that version share — or (version, None): a read has met that
-        # version and scanned (DatabaseSnapshot.index_for / index_candidate).
-        self.snapshot_view: tuple[int, Any] | None = None
         self._start_empty()
 
+    #: The index class: all the catalog keeps of a permanent index's operator.
+    organisation = property(type)
+
+    @property
+    def counts(self) -> tuple[int, int]:
+        """Size and distinct values: what the access-path selector prices."""
+        return len(self), self.distinct_values()
+
     def _rows(self, records: Iterable[Record] | None) -> list[tuple]:
-        """The value rows to build from — by default one tracked scan — and
-        the contents version they are of."""
-        relation = self.relation
-        self.version = relation._version
-        return [record.values for record in (relation.scan() if records is None else records)]
+        """The value rows to build from — by default one tracked scan."""
+        return [record.values for record in (self.relation.scan() if records is None else records)]
 
-    def current(self):
-        """This catalogued index over its relation's current contents.
-
-        Re-derived by :func:`index_view` — in place, so it stays the catalog's
-        object — the first time it is asked for after a write; a write itself
-        never touches it.
-        """
-        if self.version != self.relation._version:
-            view = index_view(self, self.relation, self.tracker, publish=False)
-            # One update: a probe on another thread sees the old entries or the new.
-            self.__dict__.update({name: view.__dict__[name] for name in self._CONTENTS})
-        return self
+    def with_tracker(self, tracker: AccessStatistics) -> "_Index":
+        """This index — its attributes, its entries not copied — charging ``tracker``."""
+        view = object.__new__(type(self))
+        view.__dict__.update(self.__dict__, tracker=tracker)
+        return view
 
 
 class HashIndex(_Index):
@@ -109,7 +96,6 @@ class HashIndex(_Index):
     """
 
     _PREFIX = "ind"
-    _CONTENTS = ("_entries", "_size", "version")
 
     def _start_empty(self) -> None:
         self._entries: dict[Any, list[Ref]] = {}
@@ -217,7 +203,6 @@ class SortedIndex(_Index):
     """
 
     _PREFIX = "sorted"
-    _CONTENTS = ("_pairs", "_keys", "_sorted", "_distinct", "version")
 
     def _start_empty(self) -> None:
         self._pairs: list[tuple[Any, Ref]] = []
@@ -450,36 +435,46 @@ def build_index(
     return SortedIndex(relation, field_name, tracker=tracker).build()
 
 
+class PermanentIndex:
+    """A permanent index as the catalog keeps it — no entries: the organisation,
+    the name, the slot pins share one view per contents version through
+    (``(version, view)``, or ``(version, None)``: a read met that version and
+    scanned) and the counts of the last build, which price an unbuilt view."""
+
+    def __init__(self, build: HashIndex | SortedIndex, version: int) -> None:
+        self.organisation = build.organisation
+        self.relation = build.relation
+        self.field_name = build.field_name
+        self.name = build.name
+        self.counts = build.counts
+        self.snapshot_view: tuple[int, Any] | None = (version, build)
+
+
 def index_view(
-    catalogued: HashIndex | SortedIndex,
+    catalogued: PermanentIndex,
     relation: Relation,
     tracker: AccessStatistics,
     publish: bool,
+    tracked: bool = True,
 ) -> HashIndex | SortedIndex:
-    """The catalogued index over ``relation`` at its contents version: the one
-    rule live and pinned reads derive a permanent index by.
+    """The catalogued index over a pin's view of its relation, at the version
+    the pin captured: the one rule every reader derives a permanent index by.
 
-    ``relation`` is the live one — ``catalogued``'s own — or a pin's view of
-    it, which carries the version its pin captured.  When the slot holds the
-    view built at that version it is shared (a copy of its attribute dict
-    with ``tracker`` in it, the entries not copied); otherwise one is built,
-    and with ``publish`` put in the slot unless a newer version's is there.
-    A pin builds by a tracked scan; the live relation is read untracked and
-    charged as one index maintenance op per element, so a query's scan and
-    element counters never count the catalog's upkeep.
+    The view the slot holds at that version is shared (:meth:`with_tracker`);
+    otherwise one is built — by a tracked scan, or untracked when not
+    ``tracked`` (the engine door's ready pin) — its counts become the
+    catalog's, and with ``publish`` it goes into the slot unless a newer
+    version's is there.
     """
     version = relation._version
     slot = catalogued.snapshot_view
     if slot is not None and slot[0] == version and slot[1] is not None:
-        view = object.__new__(type(slot[1]))  # its attributes and entries, our tracker
-        view.__dict__.update(slot[1].__dict__, tracker=tracker)
-        return view
-    view = type(catalogued)(relation, catalogued.field_name, tracker=tracker, name=catalogued.name)
-    if relation is catalogued.relation:
-        view.build(relation.elements())
-        tracker.record_index_maintenance(len(view))
-    else:
-        view.build()
+        return slot[1].with_tracker(tracker)
+    view = catalogued.organisation(
+        relation, catalogued.field_name, tracker=tracker, name=catalogued.name
+    )
+    view.build(None if tracked else relation.elements())
+    catalogued.counts = view.counts
     if publish and (slot is None or slot[0] <= version):
         catalogued.snapshot_view = (version, view)
     return view

@@ -58,6 +58,7 @@ log, and a rollback writes nothing.
 
 from __future__ import annotations
 
+import threading
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import TransactionError
@@ -140,6 +141,9 @@ class UndoJournal:
         self._wal: "WriteAheadLog | None" = None
         #: Transaction id on the durable database, ``None`` in memory.
         self.txid: int | None = None
+        #: The thread that opened the transaction: the engine door reads its
+        #: writes there, and the committed state on any other thread.
+        self.thread = threading.get_ident()
 
     # -- WAL binding (durable databases only) ----------------------------------------
 

@@ -57,27 +57,25 @@ may hold the live dict, is live (``own_pins``).
 **Index view rule.**  An index is a pure function of its relation's
 elements — Figure 2's ``[<t.tcnr, @t> OF EACH t IN timetable: true]`` — and
 relations are keyed: a pinned element dict *is* the primary-key map.  So no
-writer maintains an index, and every reader derives the one it needs for
-the contents version it sees by one rule,
-:func:`~repro.relational.index.index_view`.  A pin keeps the index catalog
-it found (index DDL replaces the catalog dict, never mutates it) and
-answers ``index_for`` with an ordinary
+writer maintains an index, the catalog keeps none of its entries
+(:class:`~repro.relational.index.PermanentIndex`), and every reader — the
+engine door reads a pin too — derives the one it needs for the contents
+version it sees by one rule, :func:`~repro.relational.index.index_view`.  A
+pin keeps the index catalog it found (index DDL replaces the catalog dict,
+never mutates it) and answers ``index_for`` with an ordinary
 :class:`~repro.relational.index.HashIndex` /
 :class:`~repro.relational.index.SortedIndex` over its own pinned dict.  A
-finished view is published in one slot on the catalogued index under the
+finished view is published in one slot on the catalog entry under the
 relation's captured contents version — the token the collection memo
 already trusts: two pins agreeing on it hold equal contents — and every pin
-keeps the views it used, so it resolves each at most once.  Later pins at
-that version copy the view's attribute dict — sharing the entries — with
-their own tracker in it.  The slot is written by one assignment of a
-finished object, so the read path takes no lock: racing builders waste
-work, never corrupt, and a pin older than the slot builds privately and
-leaves it alone.  Releasing a pin drops the slots the committed contents
-have moved past.  The live database derives by the same rule under the
-relation's own version, into the catalogued index itself (a pin never reads
-those entries), and publishes nothing: its view is charged as index
-maintenance, not as a pin's scan, and the first live read after a write
-pays it — the writer pays nothing.
+keeps the views it used, so it resolves each at most once.
+``create_index`` publishes its own build there, at the creation version.
+Later pins at that version copy the view's attribute dict — sharing the
+entries — with their own tracker in it.  The slot is written by one
+assignment of a finished object, so the read path takes no lock: racing
+builders waste work, never corrupt, and a pin older than the slot builds
+privately and leaves it alone.  Releasing a pin drops the slots the
+committed contents have moved past.
 
 **Who pays the build.**  Building a view reads every element once and
 costs about what the filtered scan it replaces costs, so it only pays when
@@ -91,12 +89,14 @@ in the slot.  An execution that finds that note knows the version has
 already outlived one read and builds (rent once, then buy: never worse than
 twice the best choice in hindsight, whatever the write rate).  A relation
 written between every two reads is therefore scanned, one read many times is
-probed.
+probed.  The engine door's pin is *ready*: every candidate is on offer at
+zero reads and a missing view is built untracked, so Section 3.2's "omitted,
+if permanent indexes exist" decides there.
 
 **Value list rule.**  A Strategy 4 value list holds component *values*, no
 references, so it is a pure function of (the derived predicate with its
 constants bound, the contents of the relations the predicate reads) and
-serves live and pinned readers alike.  :class:`ValueListMemo` keeps the
+serves every pin at those contents.  :class:`ValueListMemo` keeps the
 finished ones per database, each under the ``schema_version`` and contents
 versions it was built from — the same token as above.  An entry is
 published complete and only read afterwards; a newer token replaces an
@@ -215,7 +215,7 @@ class SnapshotRegistry:
         self.overlay: dict[str, tuple[dict, int]] = {}
         #: The data version pins report while a transaction is active.
         self.committed_data_version = 0
-        #: What live and pinned collection phases share (the value list rule).
+        #: What the collection phases of pins share (the value list rule).
         self.value_lists = ValueListMemo()
 
     # -- transaction boundaries (called by Database / UndoJournal) ---------------------
@@ -302,7 +302,7 @@ class SnapshotRegistry:
                 self.own_pins -= 1
             # A published view of contents the committed state has moved
             # past serves no later pin; it only keeps that dict and a
-            # reference per element alive on the catalogued index.
+            # reference per element alive on the catalog entry.
             journal = self.tx_journal
             for catalogued in snapshot._indexes.values():
                 slot = catalogued.snapshot_view
@@ -377,15 +377,18 @@ class DatabaseSnapshot:
     Duck-types the :class:`~repro.relational.database.Database` surface the
     query engine consumes (catalog lookups, statistics, emptiness, index
     lookups), so a :class:`~repro.engine.evaluator.QueryEngine` constructed
-    over a snapshot executes any plan unmodified.  Live in-place structures
-    — the catalogued indexes' own entries — are never read: they follow the
-    live contents, so only the pinned element dicts are trustworthy.  Permanent indexes are served as views derived from
-    those dicts (the module's index view rule).  Statistics are a
+    over a snapshot executes any plan unmodified.  Permanent indexes are
+    served as views derived from the pinned dicts (the module's index view
+    rule).  Statistics are a
     private :class:`AccessStatistics`, merged into the database's shared
     tracker when the snapshot is released.  A relation's
     :class:`SnapshotRelation` is built on the first :meth:`relation` call for
     it: a read pays for the relations it reads.
     """
+
+    #: The engine door's pin (``Database.pin_snapshot(ready=True)``): every
+    #: index candidate is ready, a missing view built untracked.
+    ready = False
 
     def __init__(self, registry: SnapshotRegistry, name: str, schema_version: int,
                  data_version: int, indexes: dict, in_transaction: bool = False) -> None:
@@ -465,7 +468,7 @@ class DatabaseSnapshot:
                 return None
             view = self._views[key] = index_view(
                 catalogued, self.relation(relation_name), self.statistics,
-                publish=not self.in_transaction,
+                publish=not self.in_transaction, tracked=not self.ready,
             )
         return view
 
@@ -476,12 +479,15 @@ class DatabaseSnapshot:
         never builds (the module's "who pays the build").  A view this pin
         holds, or one published at its contents version, costs no reads.
         An unbuilt one is on offer — at one read per element, priced with
-        the catalogued index's counts (of its last live derivation: near
-        enough for an estimate, never probed) — once its version has been
-        passed over before, by this pin or by an earlier one that left its
-        note in the slot.  Otherwise this call is the first sight: it leaves both notes
-        and answers ``(None, 0)``, as for a component with no index.
+        the catalogued index's counts (of its last build: near enough for an
+        estimate, never probed) — once its version has been passed over
+        before, by this pin or by an earlier one that left its note in the
+        slot.  Otherwise this call is the first sight: it leaves both notes
+        and answers ``(None, 0)``, as for a component with no index.  The
+        engine door's pin (``ready``) answers :meth:`index_for` at zero reads.
         """
+        if self.ready:
+            return self.index_for(relation_name, field_name), 0
         key = (relation_name, field_name)
         catalogued = self._indexes.get(key)
         if catalogued is None:

@@ -162,7 +162,7 @@ class PreparedQuery:
         return tuple(sorted(self.parameters))
 
     def access_paths(self) -> dict[str, str]:
-        """The access path each variable's range would use on the live database now.
+        """The access path each variable's range would use on the engine door now.
 
         The selector reads the catalog and the cardinalities, never a
         compared value, so a literal and a bound ``$param`` take the same
@@ -172,13 +172,13 @@ class PreparedQuery:
         """
         from repro.engine.access import select_access_path  # cycle-free, lazy
 
-        database = self._engine.database
-        return {
-            var: select_access_path(
-                database, var, self.plan.range_of(var), self.options
-            ).describe()
-            for var in self.plan.variables
-        }
+        with self._engine._reading() as source:
+            return {
+                var: select_access_path(
+                    source, var, self.plan.range_of(var), self.options
+                ).describe()
+                for var in self.plan.variables
+            }
 
     def is_parameterized(self) -> bool:
         return bool(self.parameters)

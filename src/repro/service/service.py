@@ -27,7 +27,7 @@ from typing import Any
 
 from repro.calculus.ast import Selection
 from repro.config import ServiceOptions, StrategyOptions
-from repro.engine.evaluator import QueryEngine, QueryResult, resolve_query
+from repro.engine.evaluator import QueryEngine, QueryResult, on_pin, resolve_query
 from repro.errors import BindingError, PascalRError, PlanError
 from repro.lang.lexer import PLACEHOLDERS, scan_shape, tokenize
 from repro.lang.parser import Parser
@@ -328,14 +328,8 @@ class QueryService:
         """
         _check_request(query, parameters)
         source = self.database.pin_snapshot(journal)
-        try:
-            prepared = self._admit(query, options, source)
-            result = prepared.start(parameters, source)
-        except BaseException:
-            source.release()
-            raise
+        result = on_pin(source, lambda: self._admit(query, options, source).start(parameters, source))
         result._own_tracker = True
-        result.on_close(source.release)
         return result
 
     # -- batch execution ---------------------------------------------------------------

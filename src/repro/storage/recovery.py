@@ -16,8 +16,8 @@ losers to discard and a rollback never needs a record of its own.
 
 Redo runs through the relations' ordinary unjournaled mutation operators
 (``insert_raw`` / ``delete_key`` / ``assign`` / ``clear``), which touch no
-index: a permanent index is re-derived from the recovered contents the
-first time it is asked for.  The recovered relations hold the same
+index: a permanent index is derived from the recovered contents by the
+first read that asks for it.  The recovered relations hold the same
 elements, in the same iteration order, as a database that absorbed the
 same commits through a checkpoint — the crash-recovery test harness pins
 that equivalence.

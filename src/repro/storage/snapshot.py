@@ -70,7 +70,7 @@ def _encode_database(database: Database, last_lsn: int, next_txid: int) -> dict:
             # The organisation is what the catalog keeps of the requested
             # operator: sorted indexes answer range probes, hash indexes
             # (in)equality.  Read off the catalog entry, never derived.
-            "operator": "<=" if isinstance(index, SortedIndex) else "=",
+            "operator": "<=" if index.organisation is SortedIndex else "=",
         }
         for (relation_name, field_name), index in database._indexes.items()
     ]

@@ -296,6 +296,8 @@ class WriteAheadLog:
         """
         if self._pending:
             raise StorageError("cannot truncate the WAL with unflushed records")
+        if self.crash_point is not None:
+            self.crash_point.arm("wal-truncate")
         self._file.close()
         self._file = open(self.path, "wb")
         self.flushed_lsn = self._next_lsn - 1

@@ -108,9 +108,9 @@ class QueryPlan:
         ``[schema_version, schema]`` of the result relation, filled by the
         engine; bound copies share the cell, so it is derived once per plan.
     selection_plan:
-        ``{kind of source: (token, access decisions, (projection, key covered))}``
-        of a constant TRUE matrix, filled by the engine and shared like
-        ``result_schema``.
+        ``[(token, access decisions, (projection, key covered))]`` — or
+        ``[None]`` — of a constant TRUE matrix: one cell, filled by the engine
+        from the pins every execution reads, and shared like ``result_schema``.
     """
 
     selection: Selection
@@ -121,7 +121,7 @@ class QueryPlan:
     trace: TransformationTrace
     constant: bool | None = None
     result_schema: list = field(default_factory=lambda: [None, None], repr=False, compare=False)
-    selection_plan: dict = field(default_factory=dict, repr=False, compare=False)
+    selection_plan: list = field(default_factory=lambda: [None], repr=False, compare=False)
     derive_selection: Callable | None = field(default=None, repr=False, compare=False)
 
     @property

@@ -679,12 +679,17 @@ class TestIndexProbesThroughTheFrontDoor:
     def test_prepared_point_query_is_one_probe_and_one_element(self, backend):
         database = build_university_database(scale=2, paged=(backend == "paged"))
         database.create_index("employees", "enr", operator="=")
-        size = len(database.relation("employees"))
+        employees = database.relation("employees")
+        size = len(employees)
         built = database.statistics.as_dict()["relations"]["employees"]["scans"]
         connection = connect(database)
         cursor = connection.cursor()
-        # The first execution at this contents version scans, as if there were
-        # no index: nothing yet says the contents outlive one read.
+        # At the creation version the view create_index published is shared.
+        assert len(cursor.execute(_POINT, {"enr": 3}).fetchall()) == 1
+        assert self._counters(cursor, "employees") == (0, 1, 1)
+        employees.assign(employees.elements())  # the same contents, a new version
+        # The first execution at a new contents version scans, as if there
+        # were no index: nothing yet says the contents outlive one read.
         assert len(cursor.execute(_POINT, {"enr": 3}).fetchall()) == 1
         assert self._counters(cursor, "employees") == (1, size, 0)
         assert cursor.result.access_paths["e"] == "scan employees"
@@ -704,7 +709,7 @@ class TestIndexProbesThroughTheFrontDoor:
         assert "e: probe ind_employees_enr" in connection.service.engine.explain(_POINT)
         # Private counters still merge into the database's tracker at release.
         shared = database.statistics.as_dict()
-        assert shared["index_probes"] == 4
+        assert shared["index_probes"] == 5
         assert shared["relations"]["employees"]["scans"] == built + 2
         connection.close()
 
@@ -736,7 +741,7 @@ class TestIndexProbesThroughTheFrontDoor:
             rows = cursor.execute(_POINT, {"enr": enr}).fetchall()
             assert [record["enr"] for record in rows] == [enr]
             assert self._counters(cursor, "employees") == (1, len(employees), 0)
-        assert figure1.index_for("employees", "enr").snapshot_view[1] is None
+        assert figure1._indexes["employees", "enr"].snapshot_view[1] is None
         cursor.execute(_POINT, {"enr": 99}).fetchall()
         assert self._counters(cursor, "employees") == (1, len(employees) + 1, 1)  # builds
         cursor.execute(_POINT, {"enr": 99}).fetchall()
@@ -746,6 +751,10 @@ class TestIndexProbesThroughTheFrontDoor:
     def test_only_the_winning_candidate_is_built(self, figure1):
         figure1.create_index("employees", "enr", operator="=")
         figure1.create_index("employees", "estatus", operator="=")
+        employees = figure1.relation("employees")
+        # Both builds are published at the creation version; a write moves
+        # the contents past it, so the reads below must derive their own.
+        employees.assign(employees.elements())
         query = (
             "[<e.ename> OF EACH e IN employees: "
             "(e.enr = $enr) AND (e.estatus = professor)]"
@@ -755,8 +764,8 @@ class TestIndexProbesThroughTheFrontDoor:
         for _ in range(3):
             cursor.execute(query, {"enr": 1}).fetchall()
         assert cursor.result.access_paths["e"].startswith("probe ind_employees_enr")
-        assert figure1.index_for("employees", "enr").snapshot_view[1] is not None
-        assert figure1.index_for("employees", "estatus").snapshot_view[1] is None
+        assert figure1._indexes["employees", "enr"].snapshot_view[1] is not None
+        assert figure1._indexes["employees", "estatus"].snapshot_view[1] is None
         connection.close()
 
     def test_session_cursors_read_their_own_writes_by_key(self, figure1):

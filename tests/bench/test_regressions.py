@@ -404,7 +404,9 @@ _TOTALS = ("comparisons", "pages_read", "page_hits", "page_misses", "pages_skipp
 #: digits of the SHA-256 of ``repr`` of the fetched rows, in order.  ``memory``
 #: and ``paged`` are the engine door (``QueryEngine.run``) on the database built
 #: with ``paged=False`` and ``paged=True``; ``pinned`` is a cursor, which scans,
-#: then builds the index view, then probes it.  The page counters read 0 since
+#: then builds the index view, then probes it — at a contents version past the
+#: one ``create_index`` published its build at (each indexed relation assigned
+#: its own elements, which keeps their order).  The page counters read 0 since
 #: relations hold no pages, and ``paged=True`` is ignored, so its cells read what
 #: ``memory``'s do (``pruned_scan`` names the shape that took a zone-map pruned
 #: scan on paged relations: a full scan of all 240 courses now).
@@ -446,6 +448,9 @@ def test_selection_counters_and_rows_are_what_they_were_row_at_a_time(source, na
     database = build_university_database(scale=40, paged=source == "paged")
     database.create_index("employees", "enr", operator="<=")
     database.create_index("papers", "pyear", operator="<=")
+    if source == "pinned":
+        for relation in map(database.relation, ("employees", "papers")):
+            relation.assign(relation.elements())
     connection = connect(database)
     cursor, engine = connection.cursor(), QueryEngine(database)
     for expected in SELECTION_PINS[source, name]:

@@ -124,6 +124,8 @@ class TestExplain:
         the selector again after the run would find the view built and say a
         plain probe over an execution that paid eight reads to build it."""
         figure1.create_index("employees", "enr")
+        employees = figure1.relation("employees")
+        employees.assign(employees.elements())  # past the build create_index published
         with figure1.pin_snapshot() as pin:
             engine = QueryEngine(pin)
             assert engine.run(self.POINT).access_paths["e"] == "scan employees"  # first sight

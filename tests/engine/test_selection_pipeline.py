@@ -4,9 +4,9 @@ Strategy 3 moves a monadic restriction into the range, so point and range
 queries collapse their matrix to TRUE and run as access chunks → projection →
 distinct, planned once per compiled plan and read lazily, a chunk at a time.
 What a caller can observe must not depend on any of that: the rows equal
-``execute_naive``'s on the live source (a database built with ``paged=False``
-and one built with ``paged=True``, which is accepted and ignored) and the
-pinned source, over range sizes around the chunk ramp's edges (0-3, 1 023-1 025,
+``execute_naive``'s (the one reader of live state) through the engine door,
+which pins a database built with ``paged=False`` or with ``paged=True``
+(accepted and ignored), and through a pin of the caller's own, over range sizes around the chunk ramp's edges (0-3, 1 023-1 025,
 2 047-2 049); a cursor closed after k rows holds nothing; and however the
 fetch calls are interleaved they hand out the rows of one ``fetchall``.
 """
@@ -19,7 +19,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import Database, QueryEngine, connect, execute_naive
+from repro import Database, QueryEngine, StrategyOptions, connect, execute_naive
+from repro.engine.access import access_chunks, select_access_path
 from repro.errors import DanglingReferenceError
 from repro.types.scalar import INTEGER, CharArray
 
@@ -205,21 +206,22 @@ def test_the_dedup_shortcut_is_taken_only_when_the_key_is_covered(text, binding,
         rows = cursor.execute(text, binding).fetchall()
         plans = cursor.result.prepared.selection_plan
         assert cursor.result.prepared.constant
-        assert [held[2][1] for held in plans.values()] == [covered]
+        (token, decisions, (getter, key_covered)), = plans
+        assert key_covered == covered
         assert len(set(rows)) == len(rows) and cursor.result.relation == expected
         assert rows == engine_rows
         # The parent's order: the same plan, through the duplicate pass.
-        for kind, (token, decisions, (getter, _)) in list(plans.items()):
-            plans[kind] = (token, decisions, (getter, False))
+        plans[0] = (token, decisions, (getter, False))
         assert cursor.execute(text, binding).fetchall() == rows
 
 
 def test_a_settled_decision_is_taken_once_per_contents_version(monkeypatch):
-    """Plan once, wire every time: on pins the selector runs while the index
-    view is rented and built, then not again — whatever the bound value —
-    until the contents version moves; on the live database (the engine door)
-    the index is ready and a probe is priced by the same rule, so it decides
-    once."""
+    """Plan once, wire every time: on a cursor's pin the selector runs while
+    the index view is rented and built, then not again — whatever the bound
+    value — until the contents version moves.  At the creation version the
+    build ``create_index`` published is there, and on the engine door's pin
+    every index is ready, so either decides once; the one entry a plan keeps
+    serves the door and the cursors alike."""
     from repro.engine import evaluator
 
     decided = []
@@ -231,48 +233,52 @@ def test_a_settled_decision_is_taken_once_per_contents_version(monkeypatch):
     decide_access = evaluator.decide_access
     monkeypatch.setattr(evaluator, "decide_access", counting)
     database = build_database(64)
+    items = database.relation("items")
     text = "[<x.k> OF EACH x IN items: (x.a = $a) AND (x.b <= 3)]"
 
     def rows(cursor, a):
-        expected = [k for k in range(len(database.relation("items"))) if k % 7 == a and k % 5 <= 3]
+        expected = [k for k in range(len(items)) if k % 7 == a and k % 5 <= 3]
         assert sorted(r.k for r in cursor.execute(text, {"a": a}).fetchall()) == expected
         return cursor.result.access_paths["x"]
 
     with connect(database) as connection:
         pinned = connection.cursor()
-        assert [rows(pinned, a).split(" (")[0] for a in range(5)] == (
-            ["scan items"] + ["probe ind_items_a"] * 4
-        )
-        assert len(decided) == 3  # rented, built, settled
+        assert [rows(pinned, a).split(" (")[0] for a in range(3)] == ["probe ind_items_a"] * 3
+        assert len(decided) == 1  # create_index's build: settled at once
         with connection.session():
-            database.relation("items").insert({"k": 64, "a": 1, "b": 4, "tag": "abc"})
+            items.insert({"k": 64, "a": 1, "b": 4, "tag": "abc"})
         assert [rows(pinned, a).split(" (")[0] for a in range(5)] == (
             ["scan items"] + ["probe ind_items_a"] * 4
         )
-        assert len(decided) == 6  # a new contents version: the same three again
+        assert len(decided) == 4  # a new contents version: rented, built, settled
+        with connection.session():
+            items.insert({"k": 65, "a": 2, "b": 0, "tag": "abc"})
         handle, engine = connection.prepare(text), QueryEngine(database)
 
-        def live(a):
+        def door(a):
             result = engine.execute_plan(handle.bind({"a": a})).drain()
             return result.access_paths["x"]
 
-        assert all("probe ind_items_a" in live(a) for a in range(4))
-        assert len(decided) == 7  # settled at once, whatever the bound value
-        assert "items.a = 6" in rows(pinned, 6) and len(decided) == 7  # the pins' entry stands
+        assert all("probe ind_items_a" in door(a) for a in range(4))
+        assert len(decided) == 5  # ready: settled at once, whatever the bound value
+        # The door's entry serves a cursor, which shares the view the door built.
+        assert rows(pinned, 6).startswith("probe ind_items_a (items.a = 6") and len(decided) == 5
+        assert pinned.statistics["relations"]["items"]["scans"] == 0
         with connection.session():
-            database.relation("items").insert({"k": 65, "a": 2, "b": 0, "tag": "abc"})
-        assert "probe ind_items_a" in live(2) and len(decided) == 8
+            items.insert({"k": 66, "a": 3, "b": 1, "tag": "abc"})
+        assert "probe ind_items_a" in door(2) and len(decided) == 6
 
 
 @pytest.mark.parametrize("backend", ["memory", "paged"])
 def test_an_element_deleted_between_two_fetches_is_a_dangling_reference(backend):
-    """On the live database (the engine door) a selection is lazy: the index
-    is probed at the first pull and each chunk of keys read when it is
-    pulled.  Deleting one of those elements in between gets what a streamed
-    join gives a reference deleted under it: :class:`DanglingReferenceError`,
-    not a silently shorter result — and the execution ends there, statistics
-    stamped.  A session cursor reads a pin and returns the state of its
-    ``execute``."""
+    """A selection is lazy: the index is probed at the first pull and each
+    chunk of keys read when it is pulled.  The engine door reads a pin, so —
+    as a session cursor does — it returns the state of its ``execute``: an
+    element deleted between two fetches is still fetched, and the pin goes
+    when the rows end.  Read on live state — what only a collection phase
+    run on the database itself still does — the same deletion gets what a
+    streamed join gives a reference deleted under it:
+    :class:`DanglingReferenceError`, not a silently shorter result."""
     database = build_database(64, paged=(backend == "paged"))
     text = "[<x.k, x.a> OF EACH x IN items: (x.k <= 40)]"
     engine = QueryEngine(database)
@@ -281,16 +287,23 @@ def test_an_element_deleted_between_two_fetches_is_a_dangling_reference(backend)
     chunks = result.row_iterator
     assert [record.k for record in next(chunks) + next(chunks)] == [0, 1, 2]  # chunks of 1 and 2
     assert database.relation("items").delete_key(5)
-    with pytest.raises(DanglingReferenceError, match=r"@items\[\(5,\)\]"):
-        list(chunks)
+    assert 5 in [record.k for chunk in chunks for record in chunk]
     assert result.statistics["relations"]["items"]["index_probes"] == 1
-    # The next execution probes the maintained index and simply misses it.
+    assert database._snapshots.active == 0
+    # The next execution probes the view of the new contents and simply misses it.
     assert 5 not in [record.k for record in engine.run(text).rows]
+    binding = engine.prepare(text).bindings[0]
+    path = select_access_path(database, "x", binding.range, StrategyOptions())
+    live = access_chunks(database, path, "x")
+    assert [keys for keys, _ in (next(live), next(live))] == [[(0,)], [(1,), (2,)]]
+    assert database.relation("items").delete_key(6)
+    with pytest.raises(DanglingReferenceError, match=r"@items\[\(6,\)\]"):
+        list(live)
     with connect(database) as connection, connection.session() as session:
         cursor = session.cursor().execute(text)
         assert [record.k for record in cursor.fetchmany(3)] == [0, 1, 2]
-        assert database.relation("items").delete_key(6)  # inside the session's transaction
-        assert 6 in [record.k for record in cursor.fetchall()]
+        assert database.relation("items").delete_key(7)  # inside the session's transaction
+        assert 7 in [record.k for record in cursor.fetchall()]
 
 
 def test_kept_decisions_serve_only_the_policy_the_plan_was_compiled_under():
@@ -311,10 +324,10 @@ def test_kept_decisions_serve_only_the_policy_the_plan_was_compiled_under():
 
     path, counters = executed(engine.execute_plan(plan))
     assert "probe ind_items_a" in path and counters["index_probes"] == 1
-    (token, decisions, _), = plan.selection_plan.values()
+    (token, decisions, _), = plan.selection_plan
     assert [decision.kind for decision in decisions] == ["probe"] and decisions[0].settled
     path, counters = executed(engine.execute_plan(plan, options.with_(use_index_paths=False)))
     assert path == "scan items"
     assert counters["index_probes"] == 0 and counters["scans"] == 1
-    assert plan.selection_plan[type(database)][1] is decisions
+    assert plan.selection_plan[0][1] is decisions
     assert "probe ind_items_a" in executed(engine.execute_plan(plan))[0]

@@ -74,7 +74,8 @@ class TestPermanentIndexes:
     def test_create_and_lookup_index(self, database):
         index = database.create_index("employees", "boss")
         assert isinstance(index, HashIndex)
-        assert database.index_for("employees", "boss") is index
+        found = database.index_for("employees", "boss")
+        assert found._entries is index._entries and found.tracker is database.statistics
         assert database.index_for("employees", "enr") is None
 
     def test_sorted_index_for_range_operator(self, database):
@@ -90,8 +91,9 @@ class TestPermanentIndexes:
         version = database.schema_version
         database.relation("employees").insert({"enr": 10, "boss": 1})
         assert len(index.probe(1)) == 2  # the writer touched no index
-        assert database.index_for("employees", "boss") is index
-        assert len(index.probe(1)) == 3  # ... the next reader re-derived it
+        derived = database.index_for("employees", "boss")
+        assert len(derived.probe(1)) == 3  # ... the next reader derives the new version's
+        assert database.index_for("employees", "boss")._entries is derived._entries  # once
         assert database.schema_version == version
 
     def test_drop_relation_drops_its_indexes(self, database):

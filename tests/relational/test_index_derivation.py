@@ -1,19 +1,19 @@
 """Permanent indexes are views: every reader derives one, no writer maintains one.
 
 An index is a pure function of its relation's elements (Figure 2's
-``ind_t_cnr := [<t.tcnr, @t> OF EACH t IN timetable: true]``), so the live
-database and a pin derive a catalogued index by one rule for the contents
-version they see.  The property drives random inserts, deletes, raw
-overwrites, assigns and clears, transaction boundaries (commit and
-rollback) and index DDL — inside a transaction too — and
-checks after every step, for the live ``Database.index_for``, a fresh pin, a
-statement pin of the open transaction and a pin held from an earlier step:
+``ind_t_cnr := [<t.tcnr, @t> OF EACH t IN timetable: true]``), so every pin
+derives a catalogued index by one rule for the contents version it sees.
+The property drives random inserts, deletes, raw overwrites, assigns and
+clears, transaction boundaries (commit and rollback) and index DDL — inside
+a transaction too — and checks after every step, for the engine door's pin
+(the statement pin inside a transaction), a fresh pin, a statement pin of
+the open transaction and a pin held from an earlier step:
 
 * every probe, with every operator and value, equals a brute-force filter
   of that source's own contents, and so does ``probe_keys``;
 * size and ``distinct_values()`` are the brute-force counts;
-* a write charges no ``index_maintenance_ops``: only a live re-derivation
-  does, one per element it reads.
+* nothing charges ``index_maintenance_ops``: no writer maintains an index,
+  and the catalog keeps no entries to re-derive.
 """
 
 from __future__ import annotations
@@ -133,7 +133,8 @@ def test_live_and_pinned_indexes_equal_a_filter_of_their_own_contents(backend, s
                 held = database.pin_snapshot(), dict(committed if committed is not None else live)
             assert statistics.index_maintenance_ops == maintenance, op
 
-            _assert_indexes_exact(database, live)
+            with database._door_pin() as door:
+                _assert_indexes_exact(door, live)
             with database.pin_snapshot() as pin:
                 _assert_indexes_exact(pin, committed if committed is not None else live)
             if session.in_transaction:
@@ -149,19 +150,23 @@ def test_live_and_pinned_indexes_equal_a_filter_of_their_own_contents(backend, s
 
 @pytest.mark.parametrize("backend", ["memory", "paged"])
 def test_the_first_live_reader_after_writes_pays_one_op_per_element(backend):
+    """The engine door's pin is ready: the first one after writes builds the
+    view from its pinned elements untracked — no scan, no element read and no
+    maintenance charged — and publishes it, so the next pays nothing at all."""
     database = _make_database(paged=(backend == "paged"))
     relation = database.relation("r")
     for key in range(6):
         relation.insert({"k": key, "v": key % 3})
     statistics = database.statistics
-    assert statistics.index_maintenance_ops == 0  # the writes maintained nothing
-    scans = statistics.as_dict()["relations"].get("r", {}).get("scans", 0)
-    index = database.index_for("r", "v")
-    assert statistics.index_maintenance_ops == 6
-    assert database.index_for("r", "v") is index  # current: nothing more to pay
-    assert statistics.index_maintenance_ops == 6
-    # ... charged as maintenance, never as one of the paper's reads.
-    assert statistics.as_dict()["relations"].get("r", {}).get("scans", 0) == scans
+    statistics.reset()
+    with database._door_pin() as door:
+        index = door.index_for("r", "v")
+        assert door.index_candidate("r", "v") == (index, 0)
+        assert (len(index), index.distinct_values()) == (6, 3)
+    with database._door_pin() as door:
+        assert door.index_for("r", "v")._entries is index._entries  # nothing more to pay
+    assert statistics.index_maintenance_ops == 0
+    assert statistics.as_dict()["relations"] == {}  # no scan, no element read
 
 
 def test_a_live_reader_adopts_the_view_a_pin_built_at_its_version():

@@ -2,7 +2,7 @@
 
 ``DatabaseSnapshot.index_for`` answers with an ordinary ``HashIndex`` /
 ``SortedIndex`` built over the pin's own element dict and shared, per
-contents version, through one slot on the catalogued index.  The property
+contents version, through one slot on the catalog entry.  The property
 test drives random interleavings of mutations, transaction boundaries and
 pins and checks, after every step and for every live pin, that every probe of
 every view equals a brute-force filter of *that pin's own dict*; the unit
@@ -244,7 +244,7 @@ def test_an_older_pin_builds_privately_and_leaves_the_slot_alone() -> None:
     relation.insert(_row(1, 4))
     newer = database.pin_snapshot()
     assert _rows(newer, "=", 4) == [(0,), (1,)]
-    catalogued = database.index_for("r", "v")
+    catalogued = database._indexes["r", "v"]
     slot = catalogued.snapshot_view
     assert slot[0] == newer.relation_versions["r"] > older.relation_versions["r"]
 
@@ -280,9 +280,7 @@ def test_the_selector_is_offered_a_view_only_once_its_version_outlived_a_read() 
     relation = database.relation("r")
     for key in range(5):
         relation.insert(_row(key, key))
-    catalogued = database.index_for("r", "v")
-    assert database.index_candidate("r", "v") == (catalogued, 0)  # live: always ready
-    assert database.index_candidate("r", "nope") == (None, 0)
+    catalogued = database._indexes["r", "v"]
 
     first = database.pin_snapshot()
     assert first.index_candidate("r", "nope") == (None, 0)
@@ -316,13 +314,21 @@ def test_the_selector_is_offered_a_view_only_once_its_version_outlived_a_read() 
     assert older.index_candidate("r", "v") == (catalogued, 6)
     assert catalogued.snapshot_view is slot
     older.release()
+    # The engine door's pin is ready: on offer at first sight, at zero reads,
+    # built from its pinned elements untracked.
+    relation.insert(_row(9, 9))
+    with database._door_pin() as door:
+        view, reads = door.index_candidate("r", "v")
+        assert reads == 0 and [ref.key for ref in view.probe(9)] == [(9,)]
+        assert door.index_candidate("r", "nope") == (None, 0)
+        assert door.statistics.as_dict()["relations"]["r"]["scans"] == 0
 
 
 def test_release_drops_a_published_view_the_committed_contents_moved_past() -> None:
     database = _make_database()
     relation = database.relation("r")
     relation.insert(_row(0, 1))
-    catalogued = database.index_for("r", "v")
+    catalogued = database._indexes["r", "v"]
     connection = connect(database)
     session = connection.session()
     with database.pin_snapshot() as pin:

@@ -434,7 +434,8 @@ class TestWhoPaysForTheCommittedImage:
     def test_release_mid_transaction_judges_views_by_the_committed_version(self):
         database = _make_database()
         relation = database.relation("r")
-        catalogued = database.index_for("r", "v")
+        catalogued = database._indexes["r", "v"]
+        relation.insert({"k": 91, "v": 1})  # past the build create_index published
         journal = database.begin_transaction()
         relation.insert({"k": 90, "v": 9})  # the live version moves on
         first = database.pin_snapshot()
@@ -605,7 +606,7 @@ def _sorted_values(rows) -> list:
 def _shared_versions(database, connection) -> list[tuple[str, int]]:
     """``(where, version of r)`` for everything shared that carries a token of ``r``."""
     versions = []
-    slot = database.index_for("r", "v").snapshot_view
+    slot = database._indexes["r", "v"].snapshot_view
     if slot is not None:
         versions.append(("index view slot", slot[0]))
     for token, _ in database.value_lists._entries.values():
@@ -613,8 +614,8 @@ def _shared_versions(database, connection) -> list[tuple[str, int]]:
     for prepared in connection.service.cache._entries._entries.values():
         for token, _ in prepared._collections._entries.values():
             versions.append(("collection memo", token[1]))
-        for token, *_ in prepared._plan.selection_plan.values():
-            versions.append(("selection plan", token[1]))
+        for held in filter(None, prepared._plan.selection_plan):
+            versions.append(("selection plan", held[0][1]))
     return versions
 
 
@@ -729,19 +730,21 @@ def test_a_statement_pin_reads_the_shared_memos_and_publishes_nothing():
     connection = connect(database)
     point, strategy_4 = _STATEMENTS[0], _STATEMENTS[4]
     handle = connection.prepare(strategy_4)
+    catalogued = database._indexes["r", "v"]
+    slot = catalogued.snapshot_view  # create_index's build
     session = connection.session()
     session.begin()
     relation.insert({"k": 50, "v": 3})
     for _ in range(3):  # on a committed pin: scan, build the view, probe
         assert any(row.k == 50 for row in session.cursor().execute(point).fetchall())
         session.cursor().execute(strategy_4).fetchall()
-    assert database.index_for("r", "v").snapshot_view is None
+    assert catalogued.snapshot_view is slot
     assert len(database.value_lists) == 0 and len(handle._collections) == 0
     session.rollback()
     for _ in range(3):
         connection.cursor().execute(point).fetchall()
         connection.cursor().execute(strategy_4).fetchall()
-    assert database.index_for("r", "v").snapshot_view[1] is not None
+    assert catalogued.snapshot_view[1] is not None and catalogued.snapshot_view is not slot
     assert len(database.value_lists) > 0 and len(handle._collections) == 1
     # A statement whose relations the transaction has not written reads them all.
     with connection.session() as session:

@@ -9,7 +9,8 @@ snapshot rename) to run against an unflushed buffer, the committed tail
 would be gone.
 
 The harness crashes the close at *every* storage write event it performs
-(WAL flushes — torn and clean — and the snapshot write/rename) and reopens: recovery must see every committed transaction every
+(WAL flushes — torn and clean — the snapshot write/rename and the log's
+truncation) and reopens: recovery must see every committed transaction every
 time.  A rolled-back transaction must never resurface either.
 """
 
@@ -91,10 +92,11 @@ def test_clean_close_preserves_every_committed_transaction(tmp_path):
 def test_every_close_crash_point_recovers_every_commit(tmp_path):
     events = _close_events(tmp_path)
     # The order under test: the log is made durable before the snapshot is
-    # written and renamed; the truncated log then takes its CHECKPOINT
-    # marker, and the closing log its final flush.
+    # written and renamed, and truncated only then; the truncated log takes
+    # its CHECKPOINT marker, and the closing log its final flush.
     assert [event.split()[0] for event in events] == [
-        "wal-flush", "snapshot-write", "snapshot-rename", "wal-flush", "wal-flush",
+        "wal-flush", "snapshot-write", "snapshot-rename", "wal-truncate", "wal-flush",
+        "wal-flush",
     ], events
     total = len(events)
     failures = []
@@ -111,6 +113,29 @@ def test_every_close_crash_point_recovers_every_commit(tmp_path):
         "a crash during close() lost committed transactions at: "
         + "; ".join(f"event {k} ({desc})" for k, torn, desc in failures)
     )
+
+
+def test_a_crash_between_rename_and_truncate_recovers_the_renamed_snapshot(tmp_path):
+    """The window DESIGN's checkpoint protocol calls benign: the new snapshot
+    is in place while the log still holds every commit frame it absorbed.
+    Recovery starts from that snapshot and skips each of those frames by the
+    watermark it records — nothing is replayed twice."""
+    crash_at = _close_events(tmp_path).index("wal-truncate")
+    directory = str(tmp_path / "window")
+    crash_point = CrashPoint(crash_at=crash_at)
+    database = _run_until_close(directory, crash_point=crash_point)
+    with pytest.raises(SimulatedCrash, match="wal-truncate"):
+        database.close()
+    reopened = Database.open(directory)
+    try:
+        report = reopened.recovery_report
+        assert report.records_replayed == 0 and not report.replayed_transactions
+        assert report.records_skipped == _BATCHES * _ROWS_PER_BATCH
+        assert {tuple(record.values) for record in reopened.relation("items")} == (
+            _expected_rows()
+        )
+    finally:
+        reopened.close()
 
 
 def test_recovery_after_close_crash_is_idempotent(tmp_path):

@@ -171,9 +171,10 @@ class TestCrashSweep:
         total, events = _total_crash_events(tmp_path_factory)
         assert total >= 20, f"workload too small to be interesting: {events}"
         # Every kind of disk write the workload makes is swept: the log
-        # flushes (each torn, too) and the snapshot's write and rename.
+        # flushes (each torn, too), the snapshot's write and rename, and the
+        # log's truncation after the rename.
         assert {event.split()[0] for event in events} == {
-            "wal-flush", "snapshot-write", "snapshot-rename",
+            "wal-flush", "snapshot-write", "snapshot-rename", "wal-truncate",
         }, events
         failures, torn_kinds = [], set()
         for torn in (False, True):
