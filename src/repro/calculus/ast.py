@@ -16,9 +16,9 @@ be free (``EACH``), existentially quantified (``SOME``) or universally
 quantified (``ALL``).
 
 The classes here model exactly those constructs, as immutable, hashable
-dataclasses.  The optimization strategies of Section 4 are implemented as
-pure functions from formulae to formulae over this AST
-(:mod:`repro.transform`).
+dataclasses (the ones the engine keys catalogues on hash once: :func:`hash_once`).
+The optimization strategies of Section 4 are pure functions from formulae to
+formulae over this AST (:mod:`repro.transform`).
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ __all__ = [
     "VariableBinding",
     "OutputColumn",
     "Selection",
+    "hash_once",
 ]
 
 #: Quantifier kinds.
@@ -55,9 +56,30 @@ SOME = "SOME"
 ALL = "ALL"
 
 
+def hash_once(cls):
+    """``cls``, a frozen dataclass, hashing each object's fields once: the value
+    sits in the object's dict outside the fields, so ``==`` and ``repr`` never
+    see it, and pickles and copies leave it out (a ``str`` hash is salted per
+    process)."""
+    field_hash = cls.__hash__
+
+    def __hash__(self) -> int:
+        value = self.__dict__.get("_hash")
+        if value is None:
+            value = self.__dict__["_hash"] = field_hash(self)
+        return value
+
+    def __getstate__(self) -> dict:
+        return {name: value for name, value in self.__dict__.items() if name != "_hash"}
+
+    cls.__hash__, cls.__getstate__ = __hash__, __getstate__
+    return cls
+
+
 # ------------------------------------------------------------------------ operands
 
 
+@hash_once
 @dataclass(frozen=True)
 class Const:
     """A literal constant operand of a join term (e.g. ``professor``, ``1977``)."""
@@ -95,6 +117,7 @@ class Param:
         return f"${self.name}"
 
 
+@hash_once
 @dataclass(frozen=True)
 class FieldRef:
     """A component access ``variable.component`` (e.g. ``e.ename``)."""
@@ -147,6 +170,7 @@ TRUE = BoolConst(True)
 FALSE = BoolConst(False)
 
 
+@hash_once
 @dataclass(frozen=True)
 class Comparison(Formula):
     """A join term: ``left op right`` with ``op`` one of ``=, <>, <, <=, >, >=``.
@@ -218,6 +242,7 @@ def _flatten(kind: type, operands: tuple[Formula, ...]) -> tuple[Formula, ...]:
     return tuple(flat)
 
 
+@hash_once
 @dataclass(frozen=True)
 class And(Formula):
     """N-ary conjunction.  Nested conjunctions are flattened on construction."""
@@ -258,6 +283,7 @@ class Or(Formula):
         return "(" + " OR ".join(repr(o) for o in self.operands) + ")"
 
 
+@hash_once
 @dataclass(frozen=True)
 class RangeExpr:
     """A range expression: the relation an element variable ranges over.

@@ -39,7 +39,6 @@ from repro.engine.naive import evaluate_formula
 from repro.engine.stream import CHUNK_ROWS, ramped
 from repro.relational.index import HashIndex, SortedIndex
 from repro.relational.record import Record, values_of
-from repro.relational.reference import Ref
 from repro.types.scalar import swap_operator
 
 __all__ = [
@@ -282,8 +281,9 @@ def access_chunks(
     tracked ``fetch_many`` (one element read per key; an element deleted
     since the probe is a :class:`~repro.errors.DanglingReferenceError`, as in
     the construction phase), applying only the residual restriction; the
-    scan path is the classic scan-and-filter, reading no further than the
-    rows handed out.
+    scan path is the classic scan-and-filter over ramped chunks of the
+    relation's elements, each charged as it is pulled, rejected elements
+    included: a reader that stops early pays for what it read.
     """
     relation = database.relation(path.relation_name)
     bound, value = path.probe.bound_value() if path.probe is not None else (False, None)
@@ -301,21 +301,23 @@ def access_chunks(
                 yield keys, records
         return
     # A scan — also for an unbound parameter, which no index can be probed with.
-    restriction = path.restriction
-    records = relation.scan()
-    if restriction is not None:
-        records = (r for r in records if evaluate_formula(restriction, {var: r}, database))
-    keys_of = relation.schema.keys_of
-    for chunk in ramped(records):
-        yield keys_of(list(values_of(chunk))), chunk
+    restriction, keys_of, tracker = path.restriction, relation.schema.keys_of, relation.tracker
+    if tracker is not None:
+        tracker.record_scan(relation.name)
+    for chunk in ramped(relation.elements()):
+        if tracker is not None:
+            tracker.record_element_read(relation.name, len(chunk))
+        if restriction is not None:
+            chunk = [r for r in chunk if evaluate_formula(restriction, {var: r}, database)]
+        if chunk:
+            yield keys_of(list(values_of(chunk))), chunk
 
 
 def iter_access(
     database,
     path: AccessPath,
     var: str,
-) -> Iterator[tuple[Ref, Record]]:
-    """:func:`access_chunks`, flattened to ``(reference, record)`` pairs."""
-    relation = database.relation(path.relation_name)
+) -> Iterator[tuple[tuple, Record]]:
+    """:func:`access_chunks`, flattened to ``(key, record)`` pairs."""
     for keys, records in access_chunks(database, path, var):
-        yield from zip([Ref(relation, key) for key in keys], records)
+        yield from zip(keys, records)

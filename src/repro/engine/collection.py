@@ -5,6 +5,14 @@ results are single lists and indirect joins for all monadic and dyadic join
 terms in the selection expression.  This phase performs data compression
 (records to references) and data reduction (testing join terms)."
 
+The compression goes one step further than references: each relation's
+element keys are interned to dense int ids as the phase reads them — in scan
+order, one table per relation shared by every variable over it — so the
+ranges, single lists and indirect joins hold int tuples from the start, the
+form the combination phase computes on, and the construction phase decodes
+ids back to keys through the same tables.  Ids depend on the order elements
+are read, never on ``PYTHONHASHSEED``.
+
 This implementation additionally hosts the three strategies that operate at
 collection time:
 
@@ -30,7 +38,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Iterable
+from itertools import compress
+from typing import Any
 
 from repro.calculus.analysis import QuantifierSpec
 from repro.calculus.ast import BoolConst, Comparison, FieldRef, RangeExpr
@@ -39,6 +48,7 @@ from repro.engine.access import (
     PROBE,
     SCAN,
     AccessPath,
+    access_chunks,
     iter_access,
     select_access_path,
 )
@@ -46,8 +56,7 @@ from repro.engine.naive import evaluate_formula
 from repro.errors import EvaluationError, PascalRError
 from repro.relational.index import HashIndex, SortedIndex, ValueList
 from repro.relational.mvcc import version_token
-from repro.relational.record import Record
-from repro.relational.reference import Ref
+from repro.relational.record import Record, values_of
 from repro.relational.statistics import COLLECTION
 from repro.transform.pipeline import QueryPlan
 from repro.transform.quantifier_pushdown import DerivedPredicate
@@ -85,85 +94,30 @@ class ConjunctStructure:
     """One intermediate structure contributing to a conjunction.
 
     ``variables`` holds one name for a single list (or derived single list)
-    and two names for an indirect join; ``rows`` holds reference tuples of the
-    corresponding arity.
+    and two names for an indirect join; ``rows`` holds the reference-id
+    tuples of the corresponding arity, distinct and sorted.
     """
 
     variables: tuple[str, ...]
-    rows: set[tuple[Ref, ...]]
+    rows: list[tuple[int, ...]]
     description: str
-    ids: list[tuple[int, ...]] | None = field(default=None, repr=False, compare=False)
-    """``rows`` over dense reference ids, sorted — what the combination phase
-    computes on.  Filled lazily by :meth:`CollectionResult.id_rows` and
-    assigned in one step once complete, so concurrent executions sharing a
-    memoized collection result see either nothing or the whole list."""
 
     @property
     def cardinality(self) -> int:
         return len(self.rows)
 
 
-@dataclass(frozen=True)
-class ReferenceIds:
-    """A bijective renaming of one collection result's references to ints.
-
-    Ids are dense per referenced relation and assigned in ``range_refs``
-    order (scan order), so they — and everything the combination phase
-    derives from them, row order included — are independent of
-    ``PYTHONHASHSEED``, which the name-based :class:`Ref` hash is not.
-    """
-
-    ids: dict[str, dict[tuple, int]]
-    """Per relation name: key value → id."""
-    refs: dict[str, list[Ref]]
-    """Per relation name: id → reference (the inverse, for the final decode)."""
-    ranges: dict[str, list[tuple[int]]]
-    """Per variable: its range as 1-tuples of ids, in ``range_refs`` order."""
-
-    @classmethod
-    def of(cls, range_refs: dict[str, list[Ref]]) -> "ReferenceIds":
-        ids: dict[str, dict[tuple, int]] = {}
-        inverse: dict[str, list[Ref]] = {}
-        ranges: dict[str, list[tuple[int]]] = {}
-        for var, refs in range_refs.items():
-            if not refs:
-                ranges[var] = []
-                continue
-            name = refs[0].relation.name
-            table = ids.setdefault(name, {})
-            known = inverse.setdefault(name, [])
-            rows = ranges[var] = []
-            for ref in refs:
-                key = ref.key
-                number = table.get(key)
-                if number is None:
-                    number = table[key] = len(known)
-                    known.append(ref)
-                rows.append((number,))
-        return cls(ids, inverse, ranges)
-
-    def encode(self, rows: Iterable[tuple[Ref, ...]]) -> list[tuple[int, ...]]:
-        """Reference tuples as sorted id tuples (every reference is in range)."""
-        rows = list(rows)
-        if not rows:
-            return []
-        tables = [self.ids[ref.relation.name] for ref in rows[0]]
-        if len(tables) == 2:  # indirect joins: the structures with many rows
-            first, second = tables
-            return sorted((first[a.key], second[b.key]) for a, b in rows)
-        return sorted(
-            tuple(table[ref.key] for table, ref in zip(tables, row)) for row in rows
-        )
-
-
 @dataclass
 class CollectionResult:
     """Everything the combination phase needs."""
 
-    range_refs: dict[str, list[Ref]]
+    range_refs: dict[str, list[tuple[int]]]
+    """Per variable: its range as 1-tuples of reference ids, in the order read."""
     conjunctions: list[list[ConjunctStructure] | None]
     """Per conjunction: the structures to combine, or ``None`` when the
     conjunction contained a FALSE literal and was dropped."""
+    keys: dict[str, list[tuple]] = field(default_factory=dict)
+    """Per relation name: the intern table, id -> element key."""
     scans_performed: int = 0
     structures_built: int = 0
     access_paths: dict[str, str] = field(default_factory=dict)
@@ -174,31 +128,11 @@ class CollectionResult:
     Strategy 4 value list was reused from the database's memo at those relation
     versions, or (``None``) built by this collection from that many elements
     (``explain_value_lists`` renders it)."""
-    _reference_ids: ReferenceIds | None = field(default=None, repr=False, compare=False)
     combination_plan: Any = field(default=None, repr=False, compare=False)
     """What the combination phase decided over these structures (its
     ``CombinationPlan``): reduced operands, join sequences, build sides.  A
     function of this result alone, so it is kept here, for as long as this
-    result is; published complete by one assignment, like the tables below."""
-
-    def reference_ids(self) -> ReferenceIds:
-        """The intern tables of this result's references, built on first use.
-
-        A memoized collection result keeps them (and the structures' ``ids``)
-        across executions; racing first uses build equal tables — the
-        construction is deterministic — and each publishes a complete one.
-        """
-        tables = self._reference_ids
-        if tables is None:
-            tables = self._reference_ids = ReferenceIds.of(self.range_refs)
-        return tables
-
-    def id_rows(self, structure: ConjunctStructure) -> list[tuple[int, ...]]:
-        """``structure.rows`` over reference ids (encoded once, then cached)."""
-        rows = structure.ids
-        if rows is None:
-            rows = structure.ids = self.reference_ids().encode(structure.rows)
-        return rows
+    result is; published complete by one assignment."""
 
 
 # --------------------------------------------------------------------- derived predicates
@@ -556,10 +490,10 @@ class CollectionPhase:
         needs: list[_ConjunctionNeeds],
         evaluators: dict[DerivedPredicate, DerivedEvaluator],
     ) -> CollectionResult:
-        # Deduplicated work catalogues.
-        single_terms: dict[Comparison, set[tuple[Ref, ...]]] = {}
-        derived_singles: dict[DerivedPredicate, set[tuple[Ref, ...]]] = {}
-        indirect_joins: dict[tuple, set[tuple[Ref, ...]]] = {}
+        # Deduplicated work catalogues, of reference-id tuples.
+        single_terms: dict[Comparison, set[tuple[int]]] = {}
+        derived_singles: dict[DerivedPredicate, set[tuple[int]]] = {}
+        indirect_joins: dict[tuple, set[tuple[int, int]]] = {}
         ij_specs: dict[tuple, _IndirectJoinSpec] = {}
         for conjunction_needs in needs:
             if conjunction_needs.dropped:
@@ -573,7 +507,9 @@ class CollectionPhase:
                 indirect_joins.setdefault(key, set())
                 ij_specs[key] = spec
 
-        range_refs: dict[str, list[Ref]] = {var: [] for var in self.prepared.variables}
+        range_refs: dict[str, list[tuple[int]]] = {var: [] for var in self.prepared.variables}
+        # Per relation: element key -> id, dense, in the order elements are read.
+        self._tables: dict[str, dict[tuple, int]] = {name: {} for name in self._scan_order}
 
         if self.options.parallel_collection:
             self._execute_parallel(
@@ -585,7 +521,14 @@ class CollectionPhase:
             )
 
         self._check_extended_ranges(range_refs)
-        structures_built = self._record_structures(single_terms, derived_singles, indirect_joins)
+        # Each structure is counted, then sorted once: the operand order the
+        # combination phase computes in, shared by every conjunction using it.
+        structures_built = 0
+        for catalogue in (single_terms, derived_singles, indirect_joins):
+            for key, rows in catalogue.items():
+                self.statistics.record_intermediate(len(rows))
+                catalogue[key] = sorted(rows)
+            structures_built += len(catalogue)
 
         conjunction_structures: list[list[ConjunctStructure] | None] = []
         for conjunction_needs in needs:
@@ -620,6 +563,7 @@ class CollectionPhase:
         return CollectionResult(
             range_refs=range_refs,
             conjunctions=conjunction_structures,
+            keys={name: list(table) for name, table in self._tables.items()},
             structures_built=structures_built,
         )
 
@@ -627,7 +571,7 @@ class CollectionPhase:
 
     def _execute_parallel(
         self,
-        range_refs: dict[str, list[Ref]],
+        range_refs: dict[str, list[tuple[int]]],
         single_terms: dict[Comparison, set],
         derived_singles: dict[DerivedPredicate, set],
         indirect_joins: dict[tuple, set],
@@ -635,24 +579,29 @@ class CollectionPhase:
         evaluators: dict[DerivedPredicate, DerivedEvaluator],
     ) -> None:
         indexes: dict[tuple, HashIndex | SortedIndex] = {}
+        permanent: set[tuple] = set()
         # Work assignment per variable.
         builds_for_var: dict[str, list[tuple]] = {var: [] for var in range_refs}
         probes_for_var: dict[str, list[tuple]] = {var: [] for var in range_refs}
         for key, spec in ij_specs.items():
-            permanent = self._permanent_index(spec)
-            if permanent is not None:
-                indexes[key] = permanent
+            index = self._permanent_index(spec)
+            if index is not None:
+                indexes[key] = index
+                permanent.add(key)
             else:
                 builds_for_var[spec.build_var].append(key)
             probes_for_var[spec.probe_var].append(key)
 
         def server(var: str, relation_name: str, deferred_probes: list):
-            """All per-element work for an in-range element of ``var``.
+            """All per-element work for a chunk of in-range elements of ``var``.
 
             What is fixed per variable is resolved here, once: the catalogues
-            are keyed on AST nodes, and hashing one walks it.
+            are keyed on AST nodes.  A chunk's keys are interned first; every
+            structure then takes ids.
             """
-            in_range = range_refs[var].append
+            table = self._tables[relation_name]
+            intern = table.setdefault
+            in_range = range_refs[var].extend
             singles = [
                 (partial(self._term_holds, term, var), rows.add)
                 for term, rows in single_terms.items()
@@ -670,25 +619,29 @@ class CollectionPhase:
             probes = [
                 (
                     self._fold_tests(ij_specs[key], evaluators),
-                    self._prober(ij_specs[key], indexes[key], indirect_joins[key]),
+                    self._prober(ij_specs[key], indexes[key], indirect_joins[key], key in permanent),
                     self._var_relation[ij_specs[key].build_var] == relation_name,
                 )
                 for key in probes_for_var[var]
             ]
 
-            def serve(ref: Ref, record: Record) -> None:
-                in_range(ref)
+            def serve(keys: list[tuple], records: list[Record]) -> None:
+                rows = [(intern(key, len(table)),) for key in keys]
+                in_range(rows)
                 for holds, add in singles:
-                    if holds(record):
-                        add((ref,))
+                    for row, record in zip(rows, records):
+                        if holds(record):
+                            add(row)
                 for build_field, add_ref in builds:
-                    add_ref(record[build_field], ref)
+                    for (number,), record in zip(rows, records):
+                        add_ref(record[build_field], number)
                 for folds, probe, deferred in probes:
-                    if all(test(record) for test in folds):
-                        if deferred:
-                            deferred_probes.append((probe, ref, record))
-                        else:
-                            probe(ref, record)
+                    for (number,), record in zip(rows, records):
+                        if all(test(record) for test in folds):
+                            if deferred:
+                                deferred_probes.append((probe, number, record))
+                            else:
+                                probe(number, record)
 
             return serve
 
@@ -714,22 +667,29 @@ class CollectionPhase:
             scan_vars = [v for v in variables_here if self._access[v].kind != PROBE]
 
             if scan_vars:
-                for record in relation.scan():
-                    ref = relation.ref_of(record)
-                    for var in scan_vars:
-                        if self._in_range(var, record):
-                            serve[var](ref, record)
+                # One shared scan; the variables then take their in-range
+                # elements one after another, so ids go out variable by
+                # variable, each in scan order.
+                records = list(relation.scan())
+                keys = relation.schema.keys_of(list(values_of(records)))
+                for var in scan_vars:
+                    restriction = self._var_range[var].restriction
+                    if restriction is None:
+                        serve[var](keys, records)
+                        continue
+                    kept = [evaluate_formula(restriction, {var: r}, self.database) for r in records]
+                    serve[var](list(compress(keys, kept)), list(compress(records, kept)))
             for var in probe_vars:
-                for ref, record in iter_access(self.database, self._access[var], var):
-                    serve[var](ref, record)
-            for probe, ref, record in deferred_probes:
-                probe(ref, record)
+                for keys, records in access_chunks(self.database, self._access[var], var):
+                    serve[var](keys, records)
+            for probe, number, record in deferred_probes:
+                probe(number, record)
 
     # -- no strategy 1: one scan per structure ---------------------------------------------------------
 
     def _execute_sequential(
         self,
-        range_refs: dict[str, list[Ref]],
+        range_refs: dict[str, list[tuple[int]]],
         single_terms: dict[Comparison, set],
         derived_singles: dict[DerivedPredicate, set],
         indirect_joins: dict[tuple, set],
@@ -737,50 +697,54 @@ class CollectionPhase:
         evaluators: dict[DerivedPredicate, DerivedEvaluator],
     ) -> None:
         # Range expressions: one range enumeration (scan or probe) per variable.
-        for var in range_refs:
-            for ref, _ in self._iter_var(var):
-                range_refs[var].append(ref)
+        for var, rows in range_refs.items():
+            rows.extend((number,) for number, _ in self._iter_var(var))
 
         # Single lists: one range enumeration per monadic term.
         for term, rows in single_terms.items():
             var = term.variables()[0]
-            for ref, record in self._iter_var(var):
+            for number, record in self._iter_var(var):
                 if self._term_holds(term, var, record):
-                    rows.add((ref,))
+                    rows.add((number,))
 
         # Derived single lists: one range enumeration per literal predicate.
         for predicate, rows in derived_singles.items():
             matches = evaluators[predicate].matches
-            for ref, record in self._iter_var(predicate.outer_var):
+            for number, record in self._iter_var(predicate.outer_var):
                 if matches(record):
-                    rows.add((ref,))
+                    rows.add((number,))
 
         # Indirect joins: one pass to build the index, one pass to probe it.
         # The index-building scan is skipped when a permanent index applies
         # ("The first step can be omitted, if permanent indexes exist").
         for key, spec in ij_specs.items():
             index = self._permanent_index(spec)
-            if index is None:
+            permanent = index is not None
+            if not permanent:
                 index = self._make_index(spec)
-                for ref, record in self._iter_var(spec.build_var):
-                    index.add_ref(record[spec.build_field], ref)
+                for number, record in self._iter_var(spec.build_var):
+                    index.add_ref(record[spec.build_field], number)
             folds = self._fold_tests(spec, evaluators)
-            probe = self._prober(spec, index, indirect_joins[key])
-            for ref, record in self._iter_var(spec.probe_var):
+            probe = self._prober(spec, index, indirect_joins[key], permanent)
+            for number, record in self._iter_var(spec.probe_var):
                 if all(test(record) for test in folds):
-                    probe(ref, record)
+                    probe(number, record)
 
     # -- shared helpers --------------------------------------------------------------------------------
 
     def _iter_var(self, var: str):
-        """Enumerate the in-range ``(ref, record)`` pairs of one variable.
+        """Enumerate the in-range ``(id, record)`` pairs of one variable,
+        interning each element's key as it is read.
 
         Routed through the variable's selected access path: an index probe
         or the classic scan-and-filter — each call is one enumeration (one
         scan for the scan path), preserving the per-structure access
         accounting of the unoptimised engine.
         """
-        return iter_access(self.database, self._access[var], var)
+        table = self._tables[self._var_relation[var]]
+        intern = table.setdefault
+        for keys, records in access_chunks(self.database, self._access[var], var):
+            yield from zip([intern(key, len(table)) for key in keys], records)
 
     def _permanent_index(self, spec: _IndirectJoinSpec) -> HashIndex | SortedIndex | None:
         """A usable permanent index for the build side of ``spec``, if any.
@@ -799,16 +763,11 @@ class CollectionPhase:
         return self.database.index_for(self._var_relation[spec.build_var], spec.build_field)
 
     def _make_index(self, spec: _IndirectJoinSpec) -> HashIndex | SortedIndex:
+        """A collection-phase index over ``spec``'s build side; it files reference ids."""
         relation = self.database.relation(self._var_relation[spec.build_var])
         if spec.probe_operator() in ("=", "<>"):
             return HashIndex(relation, spec.build_field, tracker=self.statistics)
         return SortedIndex(relation, spec.build_field, tracker=self.statistics)
-
-    def _in_range(self, var: str, record: Record) -> bool:
-        restriction = self._var_range[var].restriction
-        if restriction is None:
-            return True
-        return evaluate_formula(restriction, {var: record}, self.database)
 
     def _term_holds(self, term: Comparison, var: str, record: Record) -> bool:
         self.statistics.record_comparison()
@@ -825,37 +784,33 @@ class CollectionPhase:
             for fold in spec.folds
         ]
 
-    @staticmethod
-    def _prober(spec: _IndirectJoinSpec, index: HashIndex | SortedIndex, rows: set):
-        """``(probe_ref, record)`` -> ``rows`` gains the record's partners in ``index``."""
-        operator, probe_field = spec.probe_operator(), spec.probe_field
-        partners, add = index.probe_operator, rows.add
+    def _prober(
+        self, spec: _IndirectJoinSpec, index: HashIndex | SortedIndex, rows: set, permanent: bool
+    ):
+        """``(probe id, record)`` -> ``rows`` gains ``(partner id, probe id)`` for
+        each of the record's partners in ``index``: a collection-phase index
+        files ids; a permanent one answers keys, interned into the build
+        relation's table."""
+        operator, probe_field, add = spec.probe_operator(), spec.probe_field, rows.add
+        partners = index.probe_operator
+        if permanent:
+            table = self._tables[self._var_relation[spec.build_var]]
+            keys, intern = index.probe_keys, table.setdefault
 
-        def probe(probe_ref: Ref, record: Record) -> None:
-            for partner_ref in partners(operator, record[probe_field]):
-                add((partner_ref, probe_ref))
+            def partners(op: str, value: Any) -> list[int]:
+                return [intern(key, len(table)) for key in keys(op, value)]
+
+        def probe(number: int, record: Record) -> None:
+            for partner in partners(operator, record[probe_field]):
+                add((partner, number))
 
         return probe
 
-    def _check_extended_ranges(self, range_refs: dict[str, list[Ref]]) -> None:
-        for var, refs in range_refs.items():
+    def _check_extended_ranges(self, range_refs: dict[str, list[tuple[int]]]) -> None:
+        for var, rows in range_refs.items():
             range_expr = self._var_range[var]
-            if refs or range_expr.restriction is None:
+            if rows or range_expr.restriction is None:
                 continue
             relation = self.database.relation(range_expr.relation)
             if len(relation) > 0:
                 raise ExtendedRangeEmptyError(var, relation.name)
-
-    def _record_structures(
-        self,
-        single_terms: dict[Comparison, set],
-        derived_singles: dict[DerivedPredicate, set],
-        indirect_joins: dict[tuple, set],
-    ) -> int:
-        built = 0
-        for rows in list(single_terms.values()) + list(derived_singles.values()) + list(
-            indirect_joins.values()
-        ):
-            self.statistics.record_intermediate(len(rows))
-            built += 1
-        return built

@@ -58,17 +58,19 @@ attack that cost *inside* the phase, under either plan:
   dyadic structures shrink before they ever enter a join.
 
 The pipeline computes on **dense reference ids**, not on
-:class:`~repro.relational.reference.Ref` objects: the collection result
-interns its references once (:class:`~repro.engine.collection.ReferenceIds`,
-cached with a memoized result), every conjunct structure is a
-:class:`~repro.engine.stream.Rows` of int tuples, the reducer filters those
-rows against key sets, the kernels run over them, and only the last stage
-maps ids back to references for ``CombinationResult.tuples`` and the
-construction phase.  Ids are a bijective renaming, so every operator keeps
-its plain set semantics.
+:class:`~repro.relational.reference.Ref` objects: the collection phase
+interns each relation's element keys as it reads them, so every conjunct
+structure and every range arrives as int tuples and becomes a
+:class:`~repro.engine.stream.Rows` as it is; the reducer filters those rows
+against key sets, the kernels run over them, ``CombinationResult.tuples``
+records them, and the construction phase decodes ids to keys through the
+collection result's intern tables.  Ids are a bijective renaming, so every
+operator keeps its plain set semantics.
 
 Every decision above is a function of the collection result, so it is taken
-once per collection result: the first execution over one **plans** — reduces
+once per collection result (what depends on the query's shape alone — the
+id relations' schemas — once per prepared shape, on the plan every binding
+of it shares): the first execution over one **plans** — reduces
 the operands, orders the joins, picks each step's operator — and publishes
 the :class:`CombinationPlan` on it; that execution and every later one
 **wire** the plan into their own generators, counters and report, and a hash
@@ -138,13 +140,13 @@ class CombinationResult:
     """The outcome of the combination phase."""
 
     tuples: Relation
-    """Reference tuples over the free variables that satisfy the query,
+    """Reference-id tuples over the free variables that satisfy the query,
     filled a chunk at a time while :attr:`stream` is consumed (normally by
     the construction phase); it holds the full result once the stream is
     exhausted."""
 
     stream: RowStream | None = None
-    """The live pipeline producing the free-variable reference tuples.  The
+    """The live pipeline producing the free-variable reference-id tuples.  The
     construction phase consumes it; every row it yields is also recorded
     into :attr:`tuples`, and a complete drain sets it to ``None``."""
 
@@ -332,18 +334,19 @@ class CombinationPlan:
     (the ``join_order`` / ``semijoin_reduction`` / ``plan`` values it was
     planned under).  That includes the pipeline's whole *shape* — every
     operator as a prepared :class:`~repro.relational.algebra.Kernel`
-    (schemas, getters, build sides), the decode tables and the operator
-    notes — so an execution wires generators, estimate slots and counters
-    and nothing else.  Built privately and published on
+    (getters, build sides; the id relations' schemas are the shape's), the
+    decode tables and the operator notes — so an execution wires
+    generators, estimate slots and counters and nothing else.  Built
+    privately and published on
     :attr:`CollectionResult.combination_plan` by one assignment; executions
     sharing it — concurrently, on pins — only read it.
     """
 
     key: tuple
     free_schema: RelationSchema
-    """Of the free-variable reference tuples (``CombinationResult.tuples``)."""
+    """Of the free-variable reference-id tuples (``CombinationResult.tuples``)."""
     tables: list
-    """Per free column: the id -> reference table the last stage decodes with."""
+    """Per free column: the intern table (id -> key) construction decodes with."""
     ranges: dict[str, Rows] = field(default_factory=dict)
     """Per variable: its range as an id operand (extensions, divisors), each
     made when first asked for."""
@@ -366,7 +369,7 @@ class CombinationPlan:
 
 
 class CombinationPhase:
-    """Combines collection-phase structures into free-variable reference tuples."""
+    """Combines collection-phase structures into free-variable reference-id tuples."""
 
     def __init__(
         self,
@@ -380,8 +383,6 @@ class CombinationPhase:
         self.collection = collection
         self.options = options if options is not None else prepared.options
         self.statistics = database.statistics
-        #: One id-valued reference component per variable (built on demand).
-        self._fields: dict[str, Field] = {}
         self._ranges: dict[str, Rows] = {}
 
     # -- public API ------------------------------------------------------------------
@@ -427,18 +428,23 @@ class CombinationPhase:
             ))
             for kernel in plan.tail:
                 pipeline = kernel(pipeline, stats, live, self._operator(None, measured))
-            result.stream = self._finalized(pipeline, result, plan, live)
+            result.stream = self._finalized(pipeline, result, live)
             return result
 
     # ============================================================ operands over reference ids
 
     def _schema(self, name: str, variables) -> RelationSchema:
-        """The schema of an id relation with one reference column per variable."""
-        fields = self._fields
-        for var in variables:
-            if var not in fields:
-                fields[var] = Field(ref_field_name(var), ReferenceType(self._relation_of(var)))
-        return RelationSchema(name, [fields[var] for var in variables], key=None)
+        """The schema of an id relation with one reference column per variable:
+        built once per prepared shape, in the cache its bound plans share."""
+        schemas = self.prepared.combination_schemas
+        key = (name, *variables)
+        schema = schemas.get(key)
+        if schema is None:
+            schema = schemas[key] = RelationSchema(name, [
+                Field(ref_field_name(var), ReferenceType(self._relation_of(var)))
+                for var in variables
+            ], key=None)
+        return schema
 
     def _reduce_structures(self, entries: list[Rows]) -> list[tuple[str, int, int]]:
         """Semijoin-filter each structure against its connected neighbours.
@@ -506,13 +512,12 @@ class CombinationPhase:
         plan = self.collection.combination_plan
         reused = plan is not None and plan.key == key
         if not reused:
-            free = self._schema("free_tuples", [b.var for b in self.prepared.bindings])
-            refs = self.collection.reference_ids().refs
-            plan = CombinationPlan(key, free, [refs.get(f.type.target, ()) for f in free.fields])
+            free = [b.var for b in self.prepared.bindings]
+            tables = [self.collection.keys.get(self._relation_of(var), ()) for var in free]
+            plan = CombinationPlan(key, self._schema("free_tuples", free), tables)
             self._ranges = plan.ranges
             self._plan_pipeline(plan)
             self.collection.combination_plan = plan
-        self._ranges = plan.ranges
         self.statistics.record_combination_plan(reused)
         return plan, reused
 
@@ -520,24 +525,21 @@ class CombinationPhase:
         """``var``'s range as an id operand, kept with the plan."""
         rows = self._ranges.get(var)
         if rows is None:
-            ids = self.collection.reference_ids().ranges[var]
-            rows = self._ranges[var] = Rows(
-                self._schema(f"range_{var}", (var,)), ids, f"range of {var}"
-            )
+            schema = self._schema(f"range_{var}", (var,))
+            rows = self._ranges[var] = Rows(schema, self.collection.range_refs[var], f"range of {var}")
         return rows
 
     def _plan_conjunction(self, index: int, structures: list[ConjunctStructure]) -> ConjunctionPlan:
         """One conjunction's operands, reduced.
 
-        The id rows come from the collection result's cache (encoded by the
-        first execution that sees the structure); the reducer replaces an
-        operand's row list, never edits it, so that cache stays intact.
+        The id rows are the collection result's structures as they are; the
+        reducer replaces an operand's row list, never edits it, so those
+        stay intact.
         """
-        id_rows = self.collection.id_rows
         operands = [
             Rows(
                 self._schema(f"structure_{index}", structure.variables),
-                id_rows(structure),
+                structure.rows,
                 structure.description,
             )
             for structure in structures
@@ -637,7 +639,7 @@ class CombinationPhase:
         # SOME-bound unmentioned variable never reaches the output: joining
         # its full range and projecting it away is the identity when the
         # range is non-empty, and annihilates the conjunction when empty.
-        ranges = self.collection.reference_ids().ranges
+        ranges = self.collection.range_refs
         for var in variables:
             column = ref_field_name(var)
             if column in covered:
@@ -822,7 +824,7 @@ class CombinationPhase:
 
         notes.append(OperatorNote(
             None, "construction feed", "streamed",
-            "decodes ids to references; the construction phase dereferences "
+            "the construction phase decodes ids to keys and dereferences "
             "chunk by chunk from the pipeline",
         ))
 
@@ -852,22 +854,16 @@ class CombinationPhase:
             partial(result.conjunction_sizes.__setitem__, position), measured
         ))
 
-    def _finalized(
-        self, stream: RowStream, result: CombinationResult, plan: CombinationPlan, live=None
-    ) -> RowStream:
-        """The outermost stage: decode ids to references column by column,
-        record every chunk into ``result.tuples`` and finalise the size (and
-        the pipeline's live peak) when the stream closes."""
+    def _finalized(self, stream: RowStream, result: CombinationResult, live=None) -> RowStream:
+        """The outermost stage: record every chunk into ``result.tuples`` and
+        finalise the size (and the pipeline's live peak) when the stream closes."""
         tuples = result.tuples
-        decoders = [table.__getitem__ for table in plan.tables]
 
         def chunks():
             try:
                 for chunk in stream.chunks():
-                    # Column-wise: one C-level map per free variable, zipped back.
-                    out = list(zip(*map(map, decoders, zip(*chunk))))
-                    tuples.insert_rows(out)
-                    yield out
+                    tuples.insert_rows(chunk)
+                    yield chunk
             finally:
                 result.after_quantifiers_size = len(tuples)
                 if live is not None:

@@ -3,10 +3,11 @@
 "The CONSTRUCTION PHASE dereferences the results obtained by the combination
 phase and projects on the components specified in the component selection."
 
-The phase is the pipeline sink: it pulls chunks of free-variable reference
-tuples straight out of the combination phase's
-:class:`~repro.engine.stream.RowStream` and dereferences, projects and
-stores a chunk at a time, so no intermediate reference relation is ever
+The phase is the pipeline sink: it pulls chunks of free-variable
+reference-id tuples straight out of the combination phase's
+:class:`~repro.engine.stream.RowStream`, decodes the ids to keys through the
+collection result's intern tables, and dereferences, projects and stores a
+chunk at a time, so no intermediate reference relation is ever
 materialised between the two phases.  Draining the stream also fills
 ``combination.tuples`` (the combination phase records every chunk it hands
 over), so running the construction phase a second time on the same result
@@ -24,7 +25,6 @@ from repro.engine.result import result_relation_for
 from repro.engine.stream import RowStream
 from repro.errors import StreamError
 from repro.relational.record import values_of
-from repro.relational.reference import keys_of
 from repro.relational.refrelation import ref_field_name
 from repro.relational.relation import Relation
 from repro.relational.statistics import CONSTRUCTION
@@ -33,7 +33,7 @@ __all__ = ["ConstructionPhase"]
 
 
 class ConstructionPhase:
-    """Turns free-variable reference tuples into the final result relation."""
+    """Turns free-variable reference-id tuples into the final result relation."""
 
     def __init__(self, selection: Selection, database) -> None:
         self.selection = selection
@@ -47,7 +47,7 @@ class ConstructionPhase:
             stream = RowStream.from_relation(combination.tuples)
         else:
             stream = self._pristine(combination.stream)
-        for _ in self._dereferenced(stream, result):
+        for _ in self._dereferenced(stream, combination.plan.tables, result):
             pass
         return result
 
@@ -56,7 +56,7 @@ class ConstructionPhase:
 
         A generator over the records of :meth:`run`'s result in insertion
         order, in chunks, produced lazily: it pulls one chunk of free-variable
-        reference tuples off the combination stream, dereferences and
+        reference-id tuples off the combination stream, decodes, dereferences and
         projects it, stores the rows ``result`` does not hold yet (result
         relations are sets) and yields exactly those, as a list (never an
         empty one).  Chunks grow 1, 2, 4,
@@ -73,7 +73,7 @@ class ConstructionPhase:
                 "the combination stream was already drained; construct via run() "
                 "and iterate the materialised result instead"
             )
-        return self._dereferenced(self._pristine(combination.stream), result)
+        return self._dereferenced(self._pristine(combination.stream), combination.plan.tables, result)
 
     @staticmethod
     def _pristine(stream: RowStream) -> RowStream:
@@ -88,20 +88,21 @@ class ConstructionPhase:
             )
         return stream
 
-    def _dereferenced(self, stream: RowStream, result: Relation):
+    def _dereferenced(self, stream: RowStream, tables: list, result: Relation):
         """Dereference ``stream`` chunk by chunk into ``result``, yielding the new
-        records of each chunk that brought any."""
+        records of each chunk that brought any; ``tables`` holds, per free
+        variable, the intern table (id -> key) its ids decode through."""
         bindings = self.selection.bindings
-        # Resolved once: where each free variable's reference sits in a row
-        # and which relation it reads (the source's own: references collected
-        # on another pin of the same contents dereference alike), and per
-        # result component which variable and value position it reads.
+        # Resolved once: where each free variable's id sits in a row, its
+        # table, the relation it reads (the source's own: keys collected on
+        # another pin of the same contents dereference alike), and per result
+        # component which variable and value position it reads.
         columns = [
-            (stream.schema.field_position(ref_field_name(b.var)),
+            (stream.schema.field_position(ref_field_name(b.var)), table.__getitem__,
              self.database.relation(b.range.relation))
-            for b in bindings
+            for b, table in zip(bindings, tables)
         ]
-        places = {b.var: (position, columns[position][1].schema) for position, b in enumerate(bindings)}
+        places = {b.var: (position, columns[position][2].schema) for position, b in enumerate(bindings)}
         components = [
             (places[column.var][0], places[column.var][1].field_position(column.field))
             for column in self.selection.columns
@@ -109,10 +110,10 @@ class ConstructionPhase:
         statistics = self.statistics
         for chunk in stream.chunks():
             with statistics.phase(CONSTRUCTION):
-                references = list(zip(*chunk))
+                ids = list(zip(*chunk))
                 values = [
-                    list(values_of(relation.find_many(list(keys_of(references[c])))))
-                    for c, relation in columns
+                    list(values_of(relation.find_many(list(map(key_of, ids[c])))))
+                    for c, key_of, relation in columns
                 ]
                 rows = zip(*[map(itemgetter(p), values[v]) for v, p in components])
                 # The result is a set keyed on all components: only the rows

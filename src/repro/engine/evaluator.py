@@ -535,6 +535,7 @@ class QueryEngine:
                 conjunctions=(conjunction,),
                 options=options,
                 trace=prepared.trace,
+                combination_schemas=prepared.combination_schemas,
             )
             partial = self._execute_prepared(source, sub, options).drain()
             last = partial

@@ -103,8 +103,9 @@ class HashIndex(_Index):
 
     # -- building ---------------------------------------------------------------
 
-    def add_ref(self, value: Any, ref: Ref) -> None:
-        """Add a pre-built ``(value, reference)`` entry."""
+    def add_ref(self, value: Any, ref: Ref | int) -> None:
+        """Add a pre-built ``(value, reference)`` entry; the collection phase's
+        own indexes file reference ids, which probes hand back as they are."""
         self._entries.setdefault(value, []).append(ref)
         self._size += 1
 
@@ -213,9 +214,10 @@ class SortedIndex(_Index):
         # Distinct-value count, taken once per sort.
         self._distinct = 0
 
-    def add_ref(self, value: Any, ref: Ref) -> None:
-        """Add a pre-built ``(value, reference)`` entry: appended unsorted,
-        the list is ordered once on the first probe (O(n log n) builds)."""
+    def add_ref(self, value: Any, ref: Ref | int) -> None:
+        """Add a pre-built ``(value, reference)`` entry (or reference id, as
+        :meth:`HashIndex.add_ref`): appended unsorted, the list is ordered
+        once on the first probe (O(n log n) builds)."""
         self._keys.append(_sort_key(value))
         self._pairs.append((value, ref))
         self._sorted = False

@@ -9,11 +9,15 @@ Section 3.1 of the paper introduces two language tools:
   (postfix ``@`` in PASCAL/R, :meth:`Ref.deref` here).
 
 References generalise the tuple identifiers (TIDs) of other systems; the
-whole collection/combination machinery of the paper manipulates relations
-whose components are references.  A :class:`Ref` is therefore small,
-immutable and hashable — it is just ``(relation, keyval)`` — and
-dereferencing goes back through the relation so that a reference observes
-updates and detects deleted elements (a *dangling* reference).
+paper's collection/combination machinery manipulates relations whose
+components are references.  The engine goes one step further and computes
+on dense int ids standing for them: the collection phase interns element
+keys as it reads them, and the construction phase decodes ids to keys.  A
+:class:`Ref` is the language's value — ``@rel[keyval]``, a stored
+reference, an index entry: small, immutable and hashable, just
+``(relation, keyval)`` — and dereferencing goes back through the relation
+so that a reference observes updates and detects deleted elements (a
+*dangling* reference).
 """
 
 from __future__ import annotations
@@ -90,10 +94,10 @@ class Ref:
         # By relation *name*, matching ``ReferenceType``'s name-based checking:
         # refs built against different objects over the same relation (a
         # rebuilt benchmark relation, a pinned snapshot view) compare and hash
-        # as the same value.  Computed once, on first use: a reference is
-        # hashed on every set/dict operation of the collection phase (tuples
-        # do not cache the hashes of their components), while the references
-        # that index maintenance creates per write are never hashed at all.
+        # as the same value.  Computed once, on first use: a stored reference
+        # is hashed on every set/dict operation over it (tuples do not cache
+        # the hashes of their components), while the ones an index view
+        # builds per element are never hashed at all.
         value = self._hash
         if value is None:
             value = self._hash = hash((self._relation.name, self._key))

@@ -3,10 +3,10 @@
 The paper stores every intermediate result as an ordinary PASCAL/R relation
 whose components are *references* (Section 3.2): single lists, indirect
 joins, indexes and the combination phase's n-tuples.  The collection phase
-builds the first three as :class:`~repro.engine.collection.ConjunctStructure`
-reference sets; the combination phase's streams carry one reference
-component per variable, typed :class:`ReferenceType` and named by
-:func:`ref_field_name`.
+builds the first two as :class:`~repro.engine.collection.ConjunctStructure`
+rows of reference ids; the combination phase's streams carry one reference
+component per variable — an id there too — typed :class:`ReferenceType`
+and named by :func:`ref_field_name`.
 """
 
 from __future__ import annotations

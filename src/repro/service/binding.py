@@ -321,5 +321,6 @@ def bind_plan(
         constant=plan.constant,
         result_schema=plan.result_schema,
         selection_plan=plan.selection_plan,
+        combination_schemas=plan.combination_schemas,
         derive_selection=partial(bind_selection, plan.selection, dict(values)),
     )

@@ -74,8 +74,8 @@ class PreparedQuery:
         }
         self._literals: dict[str, Any] = {}
         self._as_written: QueryPlan | None = None
-        # ``source`` is what the plan was compiled against: the live database
-        # or the pinned snapshot of the request that missed the plan cache.
+        # ``source`` is what the plan was compiled against: the pin of the
+        # request that missed the plan cache, or the door's pin of a prepare.
         if source is None:
             source = engine.database
         self.schema_version = source.schema_version
@@ -184,7 +184,7 @@ class PreparedQuery:
         return bool(self.parameters)
 
     def is_stale(self, source=None) -> bool:
-        """Whether this plan does not fit ``source`` (default: the live database).
+        """Whether this plan does not fit ``source`` (default: the engine door's pin).
 
         True after a catalog change (``schema_version``) and after one of the
         relations this query ranges over transitioned between empty and
@@ -194,7 +194,8 @@ class PreparedQuery:
         could have been, compiled against.
         """
         if source is None:
-            source = self._engine.database
+            with self._engine._reading() as pin:
+                return self.is_stale(pin)
         if source.schema_version != self.schema_version:
             return True
         return self._empty_relations(source) != self.prepared_emptiness
@@ -206,9 +207,11 @@ class PreparedQuery:
         return frozenset(name for name in self._referenced_sorted if not len(relation(name)))
 
     def ensure_fresh(self, source=None) -> None:
-        """Raise :class:`PlanError` when :meth:`is_stale` — re-prepare instead."""
+        """Raise :class:`PlanError` when :meth:`is_stale` — re-prepare instead
+        (``source`` as there)."""
         if source is None:
-            source = self._engine.database
+            with self._engine._reading() as pin:
+                return self.ensure_fresh(pin)
         if self.is_stale(source):
             raise PlanError(
                 "prepared query is stale: the database catalog or a relation's "

@@ -195,11 +195,12 @@ class QueryService:
         the transformation trace and the strategy configuration; execute it
         repeatedly with different parameter bindings.
 
-        ``source`` is the state the plan will run on — the live database
-        when omitted, or a pinned snapshot: its catalog version keys the
-        lookup, a hit is validated against its emptiness, a miss is compiled
-        against it, and its tracker counts the hit or miss, so a plan is
-        never prepared against one state and run on another.
+        ``source`` is the state the plan will run on — a pinned snapshot; when
+        omitted, the engine door's pin (:meth:`Database._door_pin`), released
+        after the compile: its catalog version keys the lookup, a hit is
+        validated against its emptiness, a miss is compiled against it, and
+        its tracker counts the hit or miss, so a plan is never prepared
+        against one state and run on another.
 
         A text is keyed by its *shape*: texts that differ only in their
         constants — numbers, strings, enumeration labels — share one plan,
@@ -215,7 +216,8 @@ class QueryService:
         """
         options = options or self.options
         if source is None:
-            source = self.database
+            with self.engine._reading() as pin:
+                return self.prepare(query, options, pin)
         self._follow_catalog()
         if not isinstance(query, str):
             return self._prepare_as_written(query, query, options, source)

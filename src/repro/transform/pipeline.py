@@ -111,6 +111,9 @@ class QueryPlan:
         ``[(token, access decisions, (projection, key covered))]`` — or
         ``[None]`` — of a constant TRUE matrix: one cell, filled by the engine
         from the pins every execution reads, and shared like ``result_schema``.
+    combination_schemas:
+        The combination phase's id-relation schemas, by name and variables:
+        built once for the shape and shared, like ``result_schema``.
     """
 
     selection: Selection
@@ -122,6 +125,7 @@ class QueryPlan:
     constant: bool | None = None
     result_schema: list = field(default_factory=lambda: [None, None], repr=False, compare=False)
     selection_plan: list = field(default_factory=lambda: [None], repr=False, compare=False)
+    combination_schemas: dict = field(default_factory=dict, repr=False, compare=False)
     derive_selection: Callable | None = field(default=None, repr=False, compare=False)
 
     @property

@@ -41,6 +41,7 @@ from repro.calculus.ast import (
     Formula,
     RangeExpr,
     SOME,
+    hash_once,
 )
 from repro.errors import TransformError
 
@@ -54,6 +55,7 @@ __all__ = [
 ]
 
 
+@hash_once
 @dataclass(frozen=True)
 class DerivedPredicate:
     """A quantified sub-formula turned into a collection-phase test on ``outer_var``.

@@ -138,6 +138,29 @@ class TestCursorLifecycle:
         assert final["relations"]["papers"]["elements_read"] == 100 + len(rows)
         connection.close()
 
+    @pytest.mark.parametrize("status", ["student", "technician"])
+    def test_a_pinned_scan_charges_what_its_pulled_chunks_read(self, scale4, status):
+        """A scan on a pin is charged a chunk of source elements at a time, as
+        each is pulled — the ones the restriction rejects included — so a
+        cursor that stops early pays for what it read, not for the relation.
+        (At scale 4 the first student is the first element, the first
+        technician the fourth: the third chunk.)"""
+        text = f"[<e.ename> OF EACH e IN employees: (e.estatus = {status})]"
+        employees = scale4.relation("employees")
+        first = [r.estatus.label for r in employees.elements()].index(status)
+        consumed, size = 0, 1  # the ramp: chunks of 1, 2, 4, ... elements
+        while consumed <= first:
+            consumed, size = consumed + size, size * 2
+        assert consumed < len(employees)
+        connection = connect(scale4)
+        cursor = connection.cursor().execute(text)
+        assert cursor.fetchone() is not None
+        read = cursor.statistics["relations"]["employees"]
+        assert (read["scans"], read["elements_read"]) == (1, consumed)
+        cursor.fetchall()
+        assert cursor.statistics["relations"]["employees"]["elements_read"] == len(employees)
+        connection.close()
+
     def test_statistics_survive_close_and_later_executions(self, figure1):
         """A closed cursor keeps ITS final snapshot, not the live counters
         of whatever ran afterwards on the connection."""

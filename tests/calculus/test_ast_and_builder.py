@@ -1,5 +1,11 @@
 """Unit tests for the calculus AST and the builder API."""
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.calculus import builder as q
@@ -20,6 +26,9 @@ from repro.calculus.ast import (
     Selection,
 )
 from repro.errors import CalculusError
+from repro.lang.parser import parse_selection
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 class TestComparisons:
@@ -81,6 +90,49 @@ class TestConnectives:
         build = lambda: q.and_(q.eq(("x", "f"), 1), q.ne(("x", "f"), 2))
         assert build() == build()
         assert hash(build()) == hash(build())
+
+
+class TestHashOnce:
+    """Join terms, operands, conjunctions and ranges hash their fields once;
+    the value stays out of ``==``, ``repr`` and pickles."""
+
+    TEXT = (
+        "[<e.ename> OF EACH e IN employees: (e.estatus = professor) AND "
+        "SOME p IN papers ((e.enr = p.penr) AND (p.pyear <> 1977))]"
+    )
+
+    def test_equal_nodes_from_two_parses_hash_alike(self):
+        first, second = parse_selection(self.TEXT), parse_selection(self.TEXT)
+        term, other = first.formula.operands[0], second.formula.operands[0]
+        assert term is not other and term == other and hash(term) == hash(other)
+        assert term.__dict__["_hash"] == hash(term)  # kept after the first hash
+        assert repr(term) == repr(other) and "_hash" not in repr(term)
+        assert first.formula == second.formula and hash(first.formula) == hash(second.formula)
+        assert RangeExpr("papers", term) == RangeExpr("papers", other)
+        assert hash(RangeExpr("papers", term)) == hash(RangeExpr("papers", other))
+
+    def test_a_pickle_round_trip_hashes_again(self):
+        term = parse_selection(self.TEXT).formula
+        hash(term)
+        copy = pickle.loads(pickle.dumps(term))
+        assert "_hash" not in copy.__dict__ and copy == term and hash(copy) == hash(term)
+        # A str hash is salted per process: a node pickled by another
+        # interpreter, after it hashed the node there, must hash as ours does.
+        script = (
+            "import pickle, sys\n"
+            "from repro.lang.parser import parse_selection\n"
+            f"term = parse_selection({self.TEXT!r}).formula\n"
+            "hash(term)\n"
+            "sys.stdout.buffer.write(pickle.dumps(term))\n"
+        )
+        env = dict(os.environ, PYTHONHASHSEED="1982", PYTHONPATH=SRC)
+        completed = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, timeout=120
+        )
+        assert completed.returncode == 0, completed.stderr
+        foreign = pickle.loads(completed.stdout)
+        assert foreign == term and hash(foreign) == hash(term)
+        assert {foreign: 1}[term] == 1
 
 
 class TestQuantifiersAndRanges:

@@ -185,6 +185,43 @@ def test_a_transaction_on_another_thread_is_not_read():
     assert database._snapshots.active == 0
 
 
+def test_a_prepare_beside_another_threads_transaction_compiles_the_committed_state():
+    """``Connection.prepare`` compiles on the door's pin, not on live state:
+    a transaction on another thread that emptied a range relation does not
+    reach the plan's Lemma 1 adaptation, and the staleness checks read the
+    same pin."""
+    database = _make_database()
+    text = "[<x.k> OF EACH x IN r: ALL y IN s ((x.v < y.v))]"
+    opened, done = threading.Event(), threading.Event()
+
+    def writer() -> None:
+        journal = database.begin_transaction()
+        database.relation("s").clear()
+        opened.set()
+        done.wait(10.0)
+        database.abort_transaction(journal)
+        database.end_transaction(journal)
+        journal.rollback()
+
+    thread = threading.Thread(target=writer)
+    thread.start()
+    try:
+        assert opened.wait(10.0)
+        assert not len(database.relation("s"))  # live state: ``s`` is empty
+        prepared = connect(database).prepare(text)
+        assert database._snapshots.active == 0  # the compile's pin went
+        assert prepared.prepared_emptiness == frozenset()
+        assert prepared.plan.constant is None  # no Lemma 1 TRUE for ALL over an empty s
+        assert not prepared.is_stale()
+        prepared.ensure_fresh()
+    finally:
+        done.set()
+        thread.join(10.0)
+    assert not thread.is_alive()
+    assert _values(prepared.execute().rows) == _values(execute_naive(database, text))
+    assert database._snapshots.active == 0
+
+
 # ------------------------------------------------------ one copy of every index
 
 

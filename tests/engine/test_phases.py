@@ -14,6 +14,7 @@ from repro.engine.collection import CollectionPhase, ExtendedRangeEmptyError
 from repro.engine.combination import CombinationPhase
 from repro.engine.construction import ConstructionPhase
 from repro.engine.evaluator import QueryEngine
+from repro.relational.reference import Ref
 from repro.relational.refrelation import ReferenceType
 from repro.transform.pipeline import prepare_query
 from repro.workloads.queries import example_21, teaches_low_level
@@ -23,6 +24,19 @@ from repro.calculus import builder as q
 def prepare(database, selection, options):
     resolved = TypeChecker.for_database(database).resolve(selection)
     return resolved, prepare_query(resolved, database, options, resolve=False)
+
+
+def decoded(database, prepared, collection, variables, rows) -> list[tuple[Ref, ...]]:
+    """Reference-id ``rows`` over ``variables`` as ``Ref`` tuples, decoded
+    through the collection result's intern tables."""
+    tables = []
+    for var in variables:
+        name = prepared.range_of(var).relation
+        tables.append((database.relation(name), collection.keys[name]))
+    return [
+        tuple(Ref(relation, keys[number]) for (relation, keys), number in zip(tables, row))
+        for row in rows
+    ]
 
 
 class TestCollectionPhaseStructures:
@@ -46,9 +60,10 @@ class TestCollectionPhaseStructures:
         indirect = next(s for s in structures if len(s.variables) == 2)
         courses = figure1.relation("courses")
         low_level = {c.cnr for c in courses if c.clevel.ordinal <= 1}
-        assert {ref.deref().cnr for (ref,) in single.rows} == low_level
+        refs = decoded(figure1, prepared, collection, single.variables, single.rows)
+        assert {ref.deref().cnr for (ref,) in refs} == low_level
         # Every indirect-join pair satisfies the dyadic term c.cnr = t.tcnr.
-        for row in indirect.rows:
+        for row in decoded(figure1, prepared, collection, indirect.variables, indirect.rows):
             by_var = dict(zip(indirect.variables, row))
             assert by_var["c"].deref().cnr == by_var["t"].deref().tcnr
 
@@ -70,8 +85,9 @@ class TestCollectionPhaseStructures:
         assert len(structures[0].variables) == 2
         # And the indirect join only holds low-level courses.
         low_level = {c.cnr for c in figure1.relation("courses") if c.clevel.ordinal <= 1}
+        pairs = decoded(figure1, prepared, collection, structures[0].variables, structures[0].rows)
         assert all(pair[1].deref().cnr in low_level or pair[0].deref().cnr in low_level
-                   for pair in structures[0].rows)
+                   for pair in pairs)
 
     def test_range_refs_cover_every_variable(self, figure1):
         options = StrategyOptions.none()
@@ -83,8 +99,9 @@ class TestCollectionPhaseStructures:
 
 class TestFigure2Structures:
     """The running query's single lists and indirect joins (Figure 2) as the
-    unoptimised collection phase builds them: sets of reference tuples into
-    the right relations, holding exactly the elements that satisfy the term."""
+    unoptimised collection phase builds them: distinct reference-id tuples
+    that decode to references into the right relations, holding exactly the
+    elements that satisfy the term."""
 
     @pytest.fixture
     def structures(self, figure1):
@@ -94,7 +111,8 @@ class TestFigure2Structures:
         by_description = {}
         for conjunction in collection.conjunctions:
             for structure in conjunction:
-                by_description.setdefault(structure.description, structure)
+                refs = decoded(figure1, prepared, collection, structure.variables, structure.rows)
+                by_description.setdefault(structure.description, (structure, refs))
         return by_description
 
     @staticmethod
@@ -108,11 +126,11 @@ class TestFigure2Structures:
             ("c.clevel <= ", "c", "courses", lambda c: c.clevel.ordinal <= 1),
         ]
         for term, var, relation, holds in cases:
-            single = self._find(structures, term)
+            single, refs = self._find(structures, term)
             assert single.description.startswith("single list")
             assert single.variables == (var,)
-            assert all(ReferenceType(relation).contains(ref) for (ref,) in single.rows)
-            assert {ref.deref() for (ref,) in single.rows} == {
+            assert all(ReferenceType(relation).contains(ref) for (ref,) in refs)
+            assert {ref.deref() for (ref,) in refs} == {
                 element for element in figure1.relation(relation) if holds(element)
             }, term
 
@@ -123,13 +141,13 @@ class TestFigure2Structures:
             ("e.enr = t.tenr", "employees", "timetable", lambda e, t: e.enr == t.tenr),
         ]
         for term, left, right, holds in cases:
-            indirect = self._find(structures, term)
+            indirect, refs = self._find(structures, term)
             assert indirect.description.startswith("indirect join")
             assert len(indirect.variables) == 2
             left_var, right_var = term[0], term.split()[-1][0]
             pairs = {
                 (by_var[left_var].deref(), by_var[right_var].deref())
-                for by_var in (dict(zip(indirect.variables, row)) for row in indirect.rows)
+                for by_var in (dict(zip(indirect.variables, row)) for row in refs)
             }
             expected = {
                 (a, b)
@@ -138,15 +156,17 @@ class TestFigure2Structures:
                 if holds(a, b)
             }
             assert pairs == expected, term
-            # One tuple per satisfying pair: a structure is a set.
+            # One tuple per satisfying pair, sorted: a structure is a set.
             assert indirect.cardinality == len(expected), term
+            assert indirect.rows == sorted(set(indirect.rows)), term
 
     def test_combination_tuples_carry_one_reference_column_per_free_variable(self, figure1):
         result = QueryEngine(figure1).run(example_21(), StrategyOptions.none())
         tuples = result.combination.tuples
         assert tuples.schema.field_names == ("e_ref",)
         assert tuples.schema.field_type("e_ref") == ReferenceType("employees")
-        assert {record.e_ref.deref().ename for record in tuples} == {
+        refs = decoded(figure1, result.prepared, result.collection, ("e",), (r.values for r in tuples))
+        assert {ref.deref().ename for (ref,) in refs} == {
             record.ename for record in result.relation
         }
 

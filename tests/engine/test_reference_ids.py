@@ -1,10 +1,12 @@
-"""The combination phase on dense reference ids.
+"""Reference ids: interned at the scan, computed on, decoded at construction.
 
 The equivalence matrix (``test_equivalence.py``) and the random-workload
 properties (``test_properties.py``) pin the results; this module tests the
-representation itself — the intern tables of a collection result, the
-``ids`` cache of a structure under concurrent readers, the kernel's edge
-paths, early pipeline shutdown, and row order across ``PYTHONHASHSEED``.
+representation itself — the collection phase's intern tables (dense per
+relation, in the order elements are read, one per relation whatever path
+reads it, round-tripping every kind of key), the kernel's edge paths, early
+pipeline shutdown, concurrent executions over one memoized collection
+result, and row order across ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
@@ -17,16 +19,16 @@ from pathlib import Path
 
 import repro.engine.combination as combination_module
 from repro import QueryEngine, StrategyOptions, connect, execute_naive
-from repro.engine.collection import CollectionPhase, CollectionResult, ReferenceIds
+from repro.engine.collection import CollectionPhase, CollectionResult
 from repro.engine.combination import CombinationPhase
+from repro.engine.construction import ConstructionPhase
 from repro.engine.stream import LiveTupleTracker
+from repro.relational.database import Database
 from repro.relational.reference import Ref
-from repro.relational.relation import Relation
 from repro.types.scalar import INTEGER, CharArray, Enumeration
-from repro.types.schema import RelationSchema
 from repro.workloads.bibliography import build_bibliography_database
 from repro.workloads.bibliography.queries import COAUTHOR_PAIRS_TEXT, COCITATION_TEXT
-from repro.workloads.university import figure1_database
+from repro.workloads.university import build_university_database, figure1_database
 
 #: Strategy 1 only, so monadic and dyadic structures reach the combination
 #: phase instead of dissolving into ranges (S3) or value lists (S4).
@@ -40,69 +42,123 @@ S1 = StrategyOptions.only(
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
-def _ref_rows(relation) -> set:
+def _id_rows(relation) -> set:
     return {record.values for record in relation}
+
+
+def _decoded(database, plan, collection, var) -> list[tuple]:
+    """``var``'s range, decoded through its relation's intern table to keys."""
+    keys = collection.keys[plan.range_of(var).relation]
+    return [keys[number] for (number,) in collection.range_refs[var]]
 
 
 # ------------------------------------------------------------------- intern tables
 
 
-class TestReferenceIds:
-    def _relation(self, name, fields, key, rows) -> Relation:
-        relation = Relation(name, RelationSchema(name, fields, key=key))
-        for row in rows:
-            relation.insert(dict(zip([f[0] for f in fields], row)))
-        return relation
-
+class TestInterning:
     def test_round_trip_over_composite_padded_and_enumeration_keys(self):
         level = Enumeration("level", ("low", "mid", "high"))
-        links = self._relation(
-            "links", [("src", INTEGER), ("dst", INTEGER)], ["src", "dst"],
-            [(1, 2), (2, 1), (1, 1)],
+        database = Database("keys")
+        database.create_relation(
+            "links", [("src", INTEGER), ("dst", INTEGER)], key=["src", "dst"],
+            elements=[{"src": s, "dst": d} for s, d in [(1, 2), (2, 1), (1, 1)]],
         )
-        names = self._relation(
-            "names", [("name", CharArray(8)), ("n", INTEGER)], ["name"],
-            [("ab", 1), ("ab c", 2), ("abcdefgh", 3)],
+        database.create_relation(
+            "names", [("name", CharArray(8)), ("n", INTEGER)], key=["name"],
+            elements=[{"name": m, "n": n} for m, n in [("ab", 1), ("ab c", 2), ("abcdefgh", 3)]],
         )
-        grades = self._relation(
-            "grades", [("level", level), ("n", INTEGER)], ["level"],
-            [("high", 1), ("low", 2)],
+        database.create_relation(
+            "grades", [("level", level), ("n", INTEGER)], key=["level"],
+            elements=[{"level": g, "n": n} for g, n in [("high", 1), ("low", 2)]],
         )
-        range_refs = {
-            "l": list(links.refs()),
-            "n": list(names.refs()),
-            "g": list(grades.refs()),
-            "m": list(names.refs())[:2],  # a second variable over ``names``
-        }
-        ids = ReferenceIds.of(range_refs)
-        assert sorted(ids.ids) == ["grades", "links", "names"]
-        for name, table in ids.ids.items():
-            assert sorted(table.values()) == list(range(len(table)))  # dense
-            assert [ids.refs[name][i].key for i in table.values()] == list(table)
-        assert ("ab".ljust(8),) in ids.ids["names"]  # keys are stored blank-padded
-        assert ids.ranges["m"] == ids.ranges["n"][:2]  # one table per relation
+        text = (
+            "[<l.src, l.dst, n.name, g.level> OF EACH l IN links, EACH n IN names, "
+            "EACH g IN grades: (l.src >= 1) AND (n.n >= 1) AND (g.n >= 1) AND "
+            "SOME m IN names (m.name = n.name)]"
+        )
+        plan = QueryEngine(database, S1).prepare(text, S1)
+        collection = CollectionPhase(plan, database, S1).run()
+        assert sorted(collection.keys) == ["grades", "links", "names"]
+        for name in collection.keys:
+            relation = database.relation(name)
+            assert collection.keys[name] == relation.keys()  # every element, in scan order
+        assert ("ab".ljust(8),) in collection.keys["names"]  # keys are stored blank-padded
+        # ``m`` and ``n`` range over ``names``: one table, one id per element.
+        assert collection.range_refs["m"] == collection.range_refs["n"]
+        for var in ("l", "n", "g", "m"):
+            relation = database.relation(plan.range_of(var).relation)
+            keys = _decoded(database, plan, collection, var)
+            assert relation.find_many(keys) == relation.elements()
+            assert [Ref(relation, key).deref() for key in keys] == relation.elements()
+        # Construction decodes the same tables: the rows are the naive interpreter's.
+        assert QueryEngine(database, S1).run(text).relation == execute_naive(database, text)
 
-        rows = {(l, n, g) for l in range_refs["l"] for n in range_refs["n"] for g in range_refs["g"]}
-        encoded = ids.encode(rows)
-        assert encoded == sorted(encoded) and len(set(encoded)) == len(rows)
-        tables = [ids.refs["links"], ids.refs["names"], ids.refs["grades"]]
-        assert {tuple(t[i] for t, i in zip(tables, row)) for row in encoded} == rows
-        assert ids.encode({(n,) for n in range_refs["m"]}) == ids.ranges["m"]
-        assert ids.encode(set()) == []
+    def test_ids_are_dense_per_relation_in_scan_order(self):
+        database = figure1_database()
+        options = StrategyOptions.only(parallel_collection=True, extended_ranges=True)
+        text = (
+            "[<e.ename> OF EACH e IN employees: (e.estatus = professor) AND "
+            "SOME p IN papers (e.enr = p.penr)]"
+        )
+        plan = QueryEngine(database, options).prepare(text, options)
+        assert plan.range_of("e").restriction is not None  # Strategy 3 restricted the range
+        collection = CollectionPhase(plan, database, options).run()
+        employees, papers = database.relation("employees"), database.relation("papers")
+        professors = [
+            key for key, record in zip(employees.keys(), employees.elements())
+            if record.estatus.label == "professor"
+        ]
+        # Only what a range holds is interned: ids 0..n-1, in the order read.
+        assert collection.keys["employees"] == professors
+        assert collection.range_refs["e"] == [(i,) for i in range(len(professors))]
+        assert collection.keys["papers"] == papers.keys()
+        assert collection.range_refs["p"] == [(i,) for i in range(len(papers))]
+        # A second collection reads the same order and hands out the same ids.
+        again = CollectionPhase(plan, database, options).run()
+        assert again.keys == collection.keys and again.conjunctions == collection.conjunctions
 
-    def test_equal_references_share_an_id_whatever_object_they_reference_through(self):
-        first = self._relation("r", [("k", INTEGER)], ["k"], [(1,), (2,)])
-        second = self._relation("r", [("k", INTEGER)], ["k"], [(1,), (2,)])
-        ids = ReferenceIds.of({"x": list(first.refs())})
-        assert ids.encode({(ref,) for ref in second.refs()}) == [(0,), (1,)]
+    def test_a_probe_variable_and_a_scan_variable_share_one_table(self):
+        database = build_university_database(scale=4)
+        database.create_index("employees", "enr")
+        options = StrategyOptions.only(extended_ranges=True, use_index_paths=True)
+        text = (
+            "[<a.ename, b.ename> OF EACH a IN employees, EACH b IN employees: "
+            "(a.enr = 5) AND (a.estatus = b.estatus)]"
+        )
+        with database.pin_snapshot() as pin:
+            plan = QueryEngine(pin, options).prepare(text, options)
+            phase = CollectionPhase(plan, pin, options)
+            assert phase.access_paths()["a"].startswith("probe")
+            assert phase.access_paths()["b"].startswith("scan")
+            collection = phase.run()
+        employees = database.relation("employees")
+        (probed,) = _decoded(database, plan, collection, "a")
+        scanned = _decoded(database, plan, collection, "b")
+        assert employees[probed].enr == 5
+        # The probe read first and took id 0; the scan met that element again
+        # and kept its id, so the one table holds each element once.
+        assert collection.range_refs["a"] == [(0,)]
+        assert (0,) in collection.range_refs["b"] and len(scanned) == len(employees)
+        assert sorted(collection.keys["employees"]) == sorted(employees.keys())
+        assert QueryEngine(database, options).run(text).relation == execute_naive(database, text)
+
+    def test_equal_contents_read_through_different_objects_intern_alike(self):
+        first, second = figure1_database(), figure1_database()
+        plan = QueryEngine(first, S1).prepare(TestKernelEdgePaths.GATE, S1)
+        with second.pin_snapshot() as pin:
+            results = [CollectionPhase(plan, source, S1).run() for source in (first, pin)]
+        assert results[0].keys == results[1].keys
+        assert results[0].range_refs == results[1].range_refs
+        assert results[0].conjunctions == results[1].conjunctions
 
     def test_hash_is_computed_once_and_equality_has_an_identity_fast_path(self):
-        relation = self._relation("r", [("k", INTEGER)], ["k"], [(1,)])
-        ref = Ref(relation, (1,))
+        relation = figure1_database().relation("employees")
+        key = relation.keys()[0]
+        ref = Ref(relation, key)
         assert ref._hash is None  # writes create references they never hash
-        assert hash(ref) == hash(Ref(relation, 1)) == ref._hash == hash(("r", (1,)))
-        assert ref == ref and ref == Ref(relation, 1) and ref != Ref(relation, 2)
-        assert ref != (1,)
+        assert hash(ref) == hash(Ref(relation, key)) == ref._hash == hash(("employees", key))
+        assert ref == ref and ref == Ref(relation, key) and ref != Ref(relation, relation.keys()[1])
+        assert ref != key
 
 
 # ------------------------------------------------------------------- kernel edge paths
@@ -116,7 +172,7 @@ def _phases(database, text, options=S1, plan=None):
 
 
 def _both_executions(database, plan, collection):
-    """Free-variable reference rows of the streamed plan and of the literal
+    """Free-variable reference-id rows of the streamed plan and of the literal
     Section 3.3 plan, plus the streamed plan's result object."""
     streamed = CombinationPhase(plan, database, collection, S1).run()
     literal = CombinationPhase(
@@ -125,7 +181,7 @@ def _both_executions(database, plan, collection):
     for result in (streamed, literal):
         for _ in result.stream:
             pass
-    return _ref_rows(streamed.tuples), _ref_rows(literal.tuples), streamed
+    return _id_rows(streamed.tuples), _id_rows(literal.tuples), streamed
 
 
 class TestKernelEdgePaths:
@@ -146,23 +202,18 @@ class TestKernelEdgePaths:
             note.describe() for note in result.operator_notes
         ]
         assert QueryEngine(database, S1).run(text).relation == execute_naive(database, text)
-        assert all(
-            structure.ids is not None
-            for structures in collection.conjunctions if structures
-            for structure in structures
-        )
         return streamed
 
     def test_all_division(self):
         rows = self._check(figure1_database(), self.DIVISION, "ALL division")
-        assert rows and all(isinstance(ref, Ref) for row in rows for ref in row)
+        assert rows and all(type(number) is int for row in rows for number in row)
 
     def test_disconnected_some_bound_structure_is_an_existence_gate(self):
         assert self._check(figure1_database(), self.GATE, "existence gate")
 
     def test_empty_range(self):
         # Plans compiled while ``papers`` had elements, run after it emptied,
-        # so the kernel itself meets a range with no ids and no intern table.
+        # so the kernel itself meets a range with no ids and an empty intern table.
         # (The standard form presumes non-empty ranges: a fresh compile adapts
         # it instead — next test — and the service layer recompiles stale
         # plans, so the kernel only has to agree with the literal procedure.)
@@ -185,7 +236,7 @@ class TestKernelEdgePaths:
         plan, collection = _phases(database, self.GATE)
         true = CollectionResult(range_refs=collection.range_refs, conjunctions=[[]])
         streamed, literal, result = _both_executions(database, plan, true)
-        assert streamed == literal == {(ref,) for ref in collection.range_refs["e"]}
+        assert streamed == literal == set(collection.range_refs["e"])
         assert any("TRUE conjunction" in note.reason for note in result.operator_notes)
 
     def test_early_cursor_close_releases_breaker_state(self, monkeypatch):
@@ -218,51 +269,42 @@ class TestKernelEdgePaths:
 class TestSharedCollectionResult:
     THREADS = 8
 
-    def test_concurrent_executions_share_one_complete_ids_cache(self):
+    def test_threads_on_one_memoized_collection_fetch_identical_rows(self):
+        """Executions sharing one collection result only read it: its id
+        structures and intern tables never change, and every execution wires
+        the one published plan into the same rows, in the same order."""
         database = build_bibliography_database(scale=1)
         options = StrategyOptions()
         plan, collection = _phases(database, COAUTHOR_PAIRS_TEXT, options)
         structures = [s for conjunction in collection.conjunctions for s in conjunction]
-        sizes = {id(s): len(s.rows) for s in structures}
-        assert all(s.ids is None for s in structures)
+        before = [list(s.rows) for s in structures], dict(collection.keys)
 
-        start = threading.Barrier(self.THREADS + 1)
-        done = threading.Event()
-        rows: list[list] = []
-        torn: list[tuple] = []
+        start = threading.Barrier(self.THREADS)
+        fetched: list[list] = []
 
         def execute() -> None:
             start.wait(timeout=30)
-            result = CombinationPhase(plan, database, collection, options).run()
-            rows.append(list(result.stream))
-
-        def observe() -> None:
-            start.wait(timeout=30)
-            while not done.is_set():
-                for structure in structures:
-                    ids = structure.ids
-                    if ids is not None and len(ids) != sizes[id(structure)]:
-                        torn.append((structure.description, len(ids)))
+            combination = CombinationPhase(plan, database, collection, options).run()
+            rows = ConstructionPhase(plan.selection, database).run(combination)
+            fetched.append([record.values for record in rows])
 
         workers = [threading.Thread(target=execute) for _ in range(self.THREADS)]
-        observer = threading.Thread(target=observe)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for thread in [observer, *workers]:
+            for thread in workers:
                 thread.start()
             for thread in workers:
                 thread.join(timeout=60)
-            done.set()
-            observer.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
-            done.set()
-        assert not any(thread.is_alive() for thread in [observer, *workers])
-        assert not torn
-        assert len(rows) == self.THREADS and rows[0]
-        assert all(other == rows[0] for other in rows[1:])  # same rows, same order
-        assert all(s.ids is not None for s in structures)
+        assert not any(thread.is_alive() for thread in workers)
+        assert len(fetched) == self.THREADS and fetched[0]
+        assert all(other == fetched[0] for other in fetched[1:])  # same rows, same order
+        assert ([list(s.rows) for s in structures], collection.keys) == before
+        assert collection.combination_plan is not None
+        expected = execute_naive(database, COAUTHOR_PAIRS_TEXT)
+        assert sorted(fetched[0]) == sorted(record.values for record in expected)
 
     def test_two_threads_on_one_prepared_query_fetch_identical_rows(self):
         database = build_bibliography_database(scale=1)
