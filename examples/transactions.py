@@ -49,7 +49,7 @@ def main() -> None:
     print("after rollback (exactly the pre-begin state, index included):")
     print(f"  {professor_names(connection)}")
     index = database.index_for("employees", "enr")
-    print(f"  index probe for enr=990: {index.probe(990)}")
+    print(f"  index probe for enr=990: {index.probe_operator('=', 990)}")
     print()
 
     # -- an exception rolls back automatically ----------------------------------

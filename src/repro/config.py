@@ -81,7 +81,7 @@ class StrategyOptions:
         Index-driven access paths — per variable, let a cost-based selector
         replace the collection-phase relation scan with a permanent-index
         probe (range restrictions, monadic terms and derived-predicate
-        outer loops answered directly from index references, sub-linearly);
+        outer loops answered directly with the keys an index files, sub-linearly);
         and skip the index-construction step of the collection phase when
         the database holds a matching permanent index (Section 3.2).  One flag governs every use of a permanent index.
         Late-bound ``$param`` values bind into the probe at execution time.

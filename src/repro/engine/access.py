@@ -11,8 +11,8 @@ the constant-matrix shortcut — first asks the selector how to enumerate it:
 ``probe``
     a permanent :class:`~repro.relational.index.HashIndex` (``=``) or
     :class:`~repro.relational.index.SortedIndex` (``=``/``<``/``<=``/``>``/
-    ``>=``) answers one restriction conjunct directly from index references;
-    qualifying elements are fetched by reference and only the *residual*
+    ``>=``) answers one restriction conjunct directly with element keys;
+    qualifying elements are fetched by key and only the *residual*
     restriction is evaluated per element.  Sub-linear in the relation size.
 ``scan``
     the Strategy 1 shared scan (or the per-structure scan of the
@@ -289,7 +289,7 @@ def access_chunks(
     bound, value = path.probe.bound_value() if path.probe is not None else (False, None)
     if path.index is not None and bound:
         residual = path.residual
-        probed, start, size = path.index.probe_keys(path.probe.op, value), 0, 1
+        probed, start, size = path.index.probe_operator(path.probe.op, value), 0, 1
         while start < len(probed):  # ``ramped``, by slices of the one list
             keys = probed[start : start + size]
             start, size = start + size, min(size * 2, CHUNK_ROWS)

@@ -612,7 +612,7 @@ class CollectionPhase:
                 if predicate.outer_var == var
             ]
             builds = [
-                (ij_specs[key].build_field, indexes[key].add_ref) for key in builds_for_var[var]
+                (ij_specs[key].build_field, indexes[key].add) for key in builds_for_var[var]
             ]
             # Self-join probes wait until the whole relation pass (shared
             # scan plus probe-path enumerations) has filled the index.
@@ -632,9 +632,9 @@ class CollectionPhase:
                     for row, record in zip(rows, records):
                         if holds(record):
                             add(row)
-                for build_field, add_ref in builds:
+                for build_field, add in builds:
                     for (number,), record in zip(rows, records):
-                        add_ref(record[build_field], number)
+                        add(record[build_field], number)
                 for folds, probe, deferred in probes:
                     for (number,), record in zip(rows, records):
                         if all(test(record) for test in folds):
@@ -660,9 +660,9 @@ class CollectionPhase:
             serve = {var: server(var, relation_name, deferred_probes) for var in variables_here}
 
             # Variables answered by a permanent-index probe leave the shared
-            # scan: their (exact) in-range elements are enumerated from index
-            # references instead, so a relation all of whose variables probe
-            # is not scanned at all.
+            # scan: their (exact) in-range elements are enumerated from the
+            # keys the index files instead, so a relation all of whose
+            # variables probe is not scanned at all.
             probe_vars = [v for v in variables_here if self._access[v].kind == PROBE]
             scan_vars = [v for v in variables_here if self._access[v].kind != PROBE]
 
@@ -723,7 +723,7 @@ class CollectionPhase:
             if not permanent:
                 index = self._make_index(spec)
                 for number, record in self._iter_var(spec.build_var):
-                    index.add_ref(record[spec.build_field], number)
+                    index.add(record[spec.build_field], number)
             folds = self._fold_tests(spec, evaluators)
             probe = self._prober(spec, index, indirect_joins[key], permanent)
             for number, record in self._iter_var(spec.probe_var):
@@ -763,7 +763,7 @@ class CollectionPhase:
         return self.database.index_for(self._var_relation[spec.build_var], spec.build_field)
 
     def _make_index(self, spec: _IndirectJoinSpec) -> HashIndex | SortedIndex:
-        """A collection-phase index over ``spec``'s build side; it files reference ids."""
+        """A collection-phase index over ``spec``'s build side; it files element ids."""
         relation = self.database.relation(self._var_relation[spec.build_var])
         if spec.probe_operator() in ("=", "<>"):
             return HashIndex(relation, spec.build_field, tracker=self.statistics)
@@ -789,13 +789,13 @@ class CollectionPhase:
     ):
         """``(probe id, record)`` -> ``rows`` gains ``(partner id, probe id)`` for
         each of the record's partners in ``index``: a collection-phase index
-        files ids; a permanent one answers keys, interned into the build
+        files ids; a permanent one files keys, interned into the build
         relation's table."""
         operator, probe_field, add = spec.probe_operator(), spec.probe_field, rows.add
         partners = index.probe_operator
         if permanent:
             table = self._tables[self._var_relation[spec.build_var]]
-            keys, intern = index.probe_keys, table.setdefault
+            keys, intern = partners, table.setdefault
 
             def partners(op: str, value: Any) -> list[int]:
                 return [intern(key, len(table)) for key in keys(op, value)]

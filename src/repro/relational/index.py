@@ -8,6 +8,12 @@ pair a component value with a reference, e.g.::
 
 built by ``ind_t_cnr := [<t.tcnr, @t> OF EACH t IN timetable: true]``.
 
+An index covers one relation, so ``@t`` says nothing beyond ``t``'s key:
+a permanent index files the element's key in its place, and the collection
+phase's own indexes file the dense id it interned that key as.  Either way an
+index maps a value to what its builder filed and never looks inside it; a
+probe answers the filed entries themselves.
+
 This module provides two indexed representations of that association used by
 the collection phase:
 
@@ -32,11 +38,10 @@ from __future__ import annotations
 
 import bisect
 from operator import itemgetter
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
 
 from repro.errors import RelationError
 from repro.relational.record import Record
-from repro.relational.reference import Ref, keys_of
 from repro.relational.relation import Relation
 from repro.relational.statistics import AccessStatistics
 from repro.types.scalar import compare_values, sort_key as _sort_key
@@ -46,8 +51,8 @@ __all__ = ["HashIndex", "PermanentIndex", "SortedIndex", "ValueList", "build_ind
 
 class _Index:
     """What both organisations share: the indexed component and the tracker
-    probes charge.  A subclass names its ``_PREFIX`` and starts its entries in
-    ``_start_empty``."""
+    probes charge.  A subclass names its ``_PREFIX``, starts its entries in
+    ``_start_empty`` and files them by :meth:`add` or, in bulk, :meth:`build`."""
 
     def __init__(
         self,
@@ -74,9 +79,19 @@ class _Index:
         """Size and distinct values: what the access-path selector prices."""
         return len(self), self.distinct_values()
 
-    def _rows(self, records: Iterable[Record] | None) -> list[tuple]:
-        """The value rows to build from — by default one tracked scan."""
-        return [record.values for record in (self.relation.scan() if records is None else records)]
+    def _column(self, records: Iterable[Record] | None) -> tuple[list, list[tuple]]:
+        """The indexed values and element keys of ``records``, position by
+        position — by default of one tracked scan: what :meth:`build` files."""
+        schema = self.relation.schema
+        rows = [record.values for record in (self.relation.scan() if records is None else records)]
+        position = schema.field_position(self.field_name)
+        return list(map(itemgetter(position), rows)), schema.keys_of(rows)
+
+    def _charged(self, selected: list) -> list:
+        """``selected``, charged as one probe reading its entries."""
+        if self.tracker is not None:
+            self.tracker.record_index_probe(self.relation.name, len(selected))
+        return selected
 
     def with_tracker(self, tracker: AccessStatistics) -> "_Index":
         """This index — its attributes, its entries not copied — charging ``tracker``."""
@@ -86,7 +101,7 @@ class _Index:
 
 
 class HashIndex(_Index):
-    """A hash index associating component values with references.
+    """A hash index associating component values with element keys or ids.
 
     Equivalent to the paper's index relations (Figure 2) but organised for
     constant-time equality probes.  The index can be *partial*: when built
@@ -98,88 +113,44 @@ class HashIndex(_Index):
     _PREFIX = "ind"
 
     def _start_empty(self) -> None:
-        self._entries: dict[Any, list[Ref]] = {}
+        self._entries: dict[Any, list] = {}
         self._size = 0
 
     # -- building ---------------------------------------------------------------
 
-    def add_ref(self, value: Any, ref: Ref | int) -> None:
-        """Add a pre-built ``(value, reference)`` entry; the collection phase's
-        own indexes file reference ids, which probes hand back as they are."""
-        self._entries.setdefault(value, []).append(ref)
+    def add(self, value: Any, entry: Any) -> None:
+        """File ``entry`` — an element key or an element id — under ``value``."""
+        self._entries.setdefault(value, []).append(entry)
         self._size += 1
 
     def build(self, records: Iterable[Record] | None = None) -> "HashIndex":
-        """Populate the index from ``records`` — by default by scanning the
-        indexed relation once.
+        """File the key of each of ``records`` — by default of one scan of
+        the indexed relation — under its indexed value.
 
-        One bulk pass with the positions resolved up front, a third of the
-        per-entry :meth:`add_ref` path's cost: pinned snapshots build their
-        views with this on the read path.
+        One bulk pass instead of an :meth:`add` call per entry: pinned
+        snapshots build their views with this on the read path.
         """
-        relation = self.relation
-        rows = self._rows(records)
-        position = relation.schema.field_position(self.field_name)
+        values, keys = self._column(records)
         bucket = self._entries.setdefault
-        for row, key in zip(rows, relation.schema.keys_of(rows)):
-            bucket(row[position], []).append(Ref(relation, key))
-        self._size += len(rows)
+        for value, key in zip(values, keys):
+            bucket(value, []).append(key)
+        self._size += len(keys)
         return self
 
     # -- probing -----------------------------------------------------------------
 
-    def probe(self, value: Any) -> list[Ref]:
-        """References of elements whose indexed component equals ``value``."""
-        entries = self._entries.get(value, [])
-        if self.tracker is not None:
-            self.tracker.record_index_probe(self.relation.name, len(entries))
-        return list(entries)
-
-    def probe_keys(self, op: str, value: Any) -> list[tuple]:
-        """The element keys of :meth:`probe_operator`'s references, under the same
-        charge — the bulk read's form of a probe: an ``=`` bucket is read, not copied."""
-        if op != "=":
-            return list(keys_of(self.probe_operator(op, value)))
-        entries = self._entries.get(value, ())
-        if self.tracker is not None:
-            self.tracker.record_index_probe(self.relation.name, len(entries))
-        return list(keys_of(entries))
-
-    def probe_not_equal(self, value: Any) -> list[Ref]:
-        """References of elements whose indexed component differs from ``value``."""
-        result: list[Ref] = []
-        for entry_value, refs in self._entries.items():
-            if entry_value != value:
-                result.extend(refs)
-        if self.tracker is not None:
-            self.tracker.record_index_probe(self.relation.name, len(result))
-        return result
-
-    def probe_operator(self, op: str, value: Any) -> list[Ref]:
-        """References of elements whose indexed component satisfies ``component op value``."""
+    def probe_operator(self, op: str, value: Any) -> list:
+        """What was filed for the elements whose indexed component satisfies
+        ``component op value``; an ``=`` bucket comes in filing order."""
         if op == "=":
-            return self.probe(value)
-        if op == "<>":
-            return self.probe_not_equal(value)
-        result: list[Ref] = []
-        for entry_value, refs in self._entries.items():
-            if compare_values(op, entry_value, value):
-                result.extend(refs)
-        if self.tracker is not None:
-            self.tracker.record_index_probe(self.relation.name, len(result))
-        return result
+            return self._charged(list(self._entries.get(value, ())))
+        selected: list = []
+        for entry_value, filed in self._entries.items():
+            if entry_value != value if op == "<>" else compare_values(op, entry_value, value):
+                selected.extend(filed)
+        return self._charged(selected)
 
     # -- inspection ----------------------------------------------------------------
-
-    def values(self) -> Iterator[Any]:
-        """Distinct indexed component values."""
-        return iter(self._entries.keys())
-
-    def entries(self) -> Iterator[tuple[Any, Ref]]:
-        """All ``(value, reference)`` pairs."""
-        for value, refs in self._entries.items():
-            for ref in refs:
-                yield value, ref
 
     def __len__(self) -> int:
         return self._size
@@ -206,92 +177,70 @@ class SortedIndex(_Index):
     _PREFIX = "sorted"
 
     def _start_empty(self) -> None:
-        self._pairs: list[tuple[Any, Ref]] = []
-        # The sort key of every pair, position by position: a probe bisects
-        # this list instead of re-deriving the keys from the pairs.
+        # Three lists, position by position: the indexed values (kept in
+        # filing order: only the distinct count reads them), their sort keys
+        # and the filed entries.  A probe bisects the keys and slices the
+        # entries.
+        self._values: list[Any] = []
         self._keys: list[Any] = []
+        self._filed: list[Any] = []
         self._sorted = True
         # Distinct-value count, taken once per sort.
         self._distinct = 0
 
-    def add_ref(self, value: Any, ref: Ref | int) -> None:
-        """Add a pre-built ``(value, reference)`` entry (or reference id, as
-        :meth:`HashIndex.add_ref`): appended unsorted, the list is ordered
-        once on the first probe (O(n log n) builds)."""
+    def add(self, value: Any, entry: Any) -> None:
+        """File ``entry`` under ``value``, as :meth:`HashIndex.add`: appended
+        unsorted, the lists are ordered once on the first probe (O(n log n)
+        builds)."""
+        self._values.append(value)
         self._keys.append(_sort_key(value))
-        self._pairs.append((value, ref))
+        self._filed.append(entry)
         self._sorted = False
 
     def build(self, records: Iterable[Record] | None = None) -> "SortedIndex":
-        """Populate from ``records`` (by default one scan), then sort — in
-        bulk, as :meth:`HashIndex.build`."""
-        relation = self.relation
-        rows = self._rows(records)
-        position = relation.schema.field_position(self.field_name)
-        for row, key in zip(rows, relation.schema.keys_of(rows)):
-            value = row[position]
-            self._keys.append(_sort_key(value))
-            self._pairs.append((value, Ref(relation, key)))
-        if rows:
-            self._sorted = False
+        """File the keys of ``records`` (by default of one scan), then sort —
+        in bulk, as :meth:`HashIndex.build`."""
+        values, keys = self._column(records)
+        self._values += values
+        self._keys += map(_sort_key, values)
+        self._filed += keys
+        self._sorted = False
         self._ensure_sorted()
         return self
 
     def _ensure_sorted(self) -> None:
         if not self._sorted:
-            keys, pairs = self._keys, self._pairs
+            keys, filed = self._keys, self._filed
             order = sorted(range(len(keys)), key=keys.__getitem__)  # stable
             self._keys = [keys[i] for i in order]
-            self._pairs = [pairs[i] for i in order]
-            self._distinct = len(set(map(itemgetter(0), self._pairs)))
+            self._filed = [filed[i] for i in order]
+            self._distinct = len(set(self._values))
             self._sorted = True
 
-    def probe_operator(self, op: str, value: Any) -> list[Ref]:
-        """References of elements whose indexed component satisfies ``component op value``."""
-        return [ref for _, ref in self._probed(op, value)]
-
-    def probe_keys(self, op: str, value: Any) -> list[tuple]:
-        """The element keys of :meth:`probe_operator`'s references, under the same charge."""
-        return list(keys_of(map(itemgetter(1), self._probed(op, value))))
-
-    def _probed(self, op: str, value: Any) -> list[tuple[Any, Ref]]:
+    def probe_operator(self, op: str, value: Any) -> list:
+        """What was filed for the elements whose indexed component satisfies
+        ``component op value``, in value order; equal values in filing order."""
         self._ensure_sorted()
-        keys = self._keys
+        keys, filed = self._keys, self._filed
         target = _sort_key(value)
         if op == "<":
-            selected = self._pairs[: bisect.bisect_left(keys, target)]
+            selected = filed[: bisect.bisect_left(keys, target)]
         elif op == "<=":
-            selected = self._pairs[: bisect.bisect_right(keys, target)]
+            selected = filed[: bisect.bisect_right(keys, target)]
         elif op == ">":
-            selected = self._pairs[bisect.bisect_right(keys, target):]
+            selected = filed[bisect.bisect_right(keys, target):]
         elif op == ">=":
-            selected = self._pairs[bisect.bisect_left(keys, target):]
-        elif op == "=":
+            selected = filed[bisect.bisect_left(keys, target):]
+        elif op in ("=", "<>"):
             low = bisect.bisect_left(keys, target)
             high = bisect.bisect_right(keys, target)
-            selected = self._pairs[low:high]
-        elif op == "<>":
-            low = bisect.bisect_left(keys, target)
-            high = bisect.bisect_right(keys, target)
-            selected = self._pairs[:low] + self._pairs[high:]
+            selected = filed[low:high] if op == "=" else filed[:low] + filed[high:]
         else:
             raise RelationError(f"unknown comparison operator {op!r}")
-        if self.tracker is not None:
-            self.tracker.record_index_probe(self.relation.name, len(selected))
-        return selected
-
-    def minimum(self) -> Any:
-        """Smallest indexed value (``None`` when empty)."""
-        self._ensure_sorted()
-        return self._pairs[0][0] if self._pairs else None
-
-    def maximum(self) -> Any:
-        """Largest indexed value (``None`` when empty)."""
-        self._ensure_sorted()
-        return self._pairs[-1][0] if self._pairs else None
+        return self._charged(selected)
 
     def __len__(self) -> int:
-        return len(self._pairs)
+        return len(self._filed)
 
     def distinct_values(self) -> int:
         """Number of distinct indexed values."""
@@ -299,7 +248,7 @@ class SortedIndex(_Index):
         return self._distinct
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
-        return f"SortedIndex({self.name!r}, {len(self._pairs)} entries)"
+        return f"SortedIndex({self.name!r}, {len(self._filed)} entries)"
 
 
 class ValueList:

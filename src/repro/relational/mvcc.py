@@ -301,8 +301,8 @@ class SnapshotRegistry:
             if snapshot.in_transaction:
                 self.own_pins -= 1
             # A published view of contents the committed state has moved
-            # past serves no later pin; it only keeps that dict and a
-            # reference per element alive on the catalog entry.
+            # past serves no later pin; it only keeps that dict and an
+            # element key per entry alive on the catalog entry.
             journal = self.tx_journal
             for catalogued in snapshot._indexes.values():
                 slot = catalogued.snapshot_view

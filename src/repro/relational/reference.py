@@ -14,7 +14,7 @@ components are references.  The engine goes one step further and computes
 on dense int ids standing for them: the collection phase interns element
 keys as it reads them, and the construction phase decodes ids to keys.  A
 :class:`Ref` is the language's value — ``@rel[keyval]``, a stored
-reference, an index entry: small, immutable and hashable, just
+reference: small, immutable and hashable, just
 ``(relation, keyval)`` — and dereferencing goes back through the relation
 so that a reference observes updates and detects deleted elements (a
 *dangling* reference).
@@ -22,8 +22,6 @@ so that a reference observes updates and detects deleted elements (a
 
 from __future__ import annotations
 
-from functools import partial
-from operator import attrgetter
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import DanglingReferenceError
@@ -32,10 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.relational.record import Record
     from repro.relational.relation import Relation
 
-__all__ = ["Ref", "keys_of"]
-
-#: ``ref.key`` of many references (an iterator), without a Python frame each.
-keys_of = partial(map, attrgetter("_key"))
+__all__ = ["Ref"]
 
 
 class Ref:
@@ -96,8 +91,8 @@ class Ref:
         # rebuilt benchmark relation, a pinned snapshot view) compare and hash
         # as the same value.  Computed once, on first use: a stored reference
         # is hashed on every set/dict operation over it (tuples do not cache
-        # the hashes of their components), while the ones an index view
-        # builds per element are never hashed at all.
+        # the hashes of their components), while one made only to be
+        # dereferenced is never hashed at all.
         value = self._hash
         if value is None:
             value = self._hash = hash((self._relation.name, self._key))

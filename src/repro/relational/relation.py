@@ -412,7 +412,7 @@ class Relation:
 
     def fetch_many(self, keys: list[tuple]) -> list[Record]:
         """:meth:`find_many` with access accounting — one element read per key,
-        charged at once: what an index probe's references are read through."""
+        charged at once: what an index probe's keys are read through."""
         records = self.find_many(keys)
         if self.tracker is not None:
             self.tracker.record_element_read(self.name, len(records))

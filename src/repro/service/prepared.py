@@ -54,8 +54,8 @@ class PreparedQuery:
         engine: QueryEngine,
         plan: QueryPlan,
         options: StrategyOptions,
+        source,
         text: str | None = None,
-        source=None,
         collection_cache_size: int = 32,
         lifted: int = 0,
     ) -> None:
@@ -76,8 +76,6 @@ class PreparedQuery:
         self._as_written: QueryPlan | None = None
         # ``source`` is what the plan was compiled against: the pin of the
         # request that missed the plan cache, or the door's pin of a prepare.
-        if source is None:
-            source = engine.database
         self.schema_version = source.schema_version
         # The Lemma 1 adaptation baked into the plan depends on which of the
         # relations *this query ranges over* were empty at prepare time;

@@ -24,6 +24,7 @@ from repro.engine.access import (
     iter_access,
     select_access_path,
 )
+from repro.relational.reference import Ref
 from repro.types.scalar import INTEGER
 from repro.workloads.university import build_university_database
 
@@ -321,3 +322,39 @@ class TestStatisticsCounters:
         stats.reset()
         assert stats.index_maintenance_ops == 0
         assert stats.index_probes == 0
+
+
+def test_a_view_built_on_the_read_path_makes_no_reference(monkeypatch):
+    """An index covers one relation, so a permanent view files element keys:
+    after a commit the cursor read that builds the view (rent, then buy)
+    makes no :class:`Ref`, and its probe answers the keys a filter selects."""
+    database = build_university_database(scale=4)
+    database.create_index("papers", "pyear", operator="<=")
+    papers = database.relation("papers")
+    text = "[<p.ptitle, p.penr, p.pyear> OF EACH p IN papers: (p.pyear <= $y)]"
+    made = []
+    construct = Ref.__init__
+
+    def counting(self, relation, key):
+        made.append(key)
+        construct(self, relation, key)
+
+    with connect(database) as connection:
+        cursor = connection.cursor()
+        with connection.session():
+            papers.assign(list(papers))
+        monkeypatch.setattr(Ref, "__init__", counting)
+        paths = []
+        while not paths or "builds the view" not in paths[-1]:
+            assert len(paths) < 3, paths
+            rows = cursor.execute(text, {"y": 1975}).fetchall()
+            paths.append(cursor.result.access_paths["p"])
+            assert {row.values for row in rows} == {
+                (paper.ptitle, paper.penr, paper.pyear) for paper in papers if paper.pyear <= 1975
+            }
+        assert paths[0] == "scan papers" and paths[-1].startswith("probe sorted_papers_pyear")
+        probed = database.index_for("papers", "pyear").probe_operator("<=", 1975)
+        assert made == []
+    key_of = papers.schema.key_of
+    assert sorted(probed) == sorted(key_of(paper.values) for paper in papers if paper.pyear <= 1975)
+    assert probed

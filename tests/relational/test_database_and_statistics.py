@@ -84,15 +84,15 @@ class TestPermanentIndexes:
 
     def test_index_probe(self, database):
         index = database.create_index("employees", "boss")
-        assert len(index.probe(1)) == 2  # employees 2 and 3 have boss 1
+        assert len(index.probe_operator("=", 1)) == 2  # employees 2 and 3 have boss 1
 
     def test_a_write_is_seen_by_the_next_index_for_without_a_catalog_change(self, database):
         index = database.create_index("employees", "boss")
         version = database.schema_version
         database.relation("employees").insert({"enr": 10, "boss": 1})
-        assert len(index.probe(1)) == 2  # the writer touched no index
+        assert len(index.probe_operator("=", 1)) == 2  # the writer touched no index
         derived = database.index_for("employees", "boss")
-        assert len(derived.probe(1)) == 3  # ... the next reader derives the new version's
+        assert len(derived.probe_operator("=", 1)) == 3  # ... the next reader derives the new version's
         assert database.index_for("employees", "boss")._entries is derived._entries  # once
         assert database.schema_version == version
 

@@ -82,7 +82,7 @@ def _assert_views_exact(snapshot) -> None:
         assert len(view) == len(records)
         for op in _OPERATORS:
             for value in _PROBE_VALUES[field_name]:
-                got = sorted(ref.key for ref in view.probe_operator(op, value))
+                got = sorted(view.probe_operator(op, value))
                 want = sorted(
                     (record["k"],)
                     for record in records
@@ -161,7 +161,7 @@ def test_views_equal_a_filter_of_the_pins_own_dict(backend: str, steps) -> None:
 
 
 def _rows(snapshot, op: str, value: int) -> list[tuple]:
-    return sorted(ref.key for ref in snapshot.index_for("r", "v").probe_operator(op, value))
+    return sorted(snapshot.index_for("r", "v").probe_operator(op, value))
 
 
 def test_a_pin_taken_mid_transaction_probes_the_committed_image() -> None:
@@ -215,14 +215,14 @@ def test_pins_at_one_version_share_one_build_and_only_the_builder_scans() -> Non
 
     built = first.index_for("r", "v")
     assert isinstance(built, HashIndex)
-    built.probe(3)
+    built.probe_operator("=", 3)
     counters = first.statistics.as_dict()["relations"]["r"]
     assert (counters["scans"], counters["elements_read"], counters["index_probes"]) == (1, 6, 1)
 
     shared = second.index_for("r", "v")
     assert shared is not built and shared._entries is built._entries
     assert shared.tracker is second.statistics
-    assert [ref.key for ref in shared.probe(3)] == [(3,)]
+    assert shared.probe_operator("=", 3) == [(3,)]
     counters = second.statistics.as_dict()["relations"]["r"]
     assert (counters["scans"], counters["elements_read"], counters["index_probes"]) == (0, 0, 1)
     # ... and the reuse charged nothing more to the builder.
@@ -231,7 +231,7 @@ def test_pins_at_one_version_share_one_build_and_only_the_builder_scans() -> Non
     ordered = first.index_for("r", "k")
     again = second.index_for("r", "k")
     assert isinstance(ordered, SortedIndex)
-    assert again._pairs is ordered._pairs and again._keys is ordered._keys
+    assert again._filed is ordered._filed and again._keys is ordered._keys
     first.release()
     second.release()
 
@@ -319,7 +319,7 @@ def test_the_selector_is_offered_a_view_only_once_its_version_outlived_a_read() 
     relation.insert(_row(9, 9))
     with database._door_pin() as door:
         view, reads = door.index_candidate("r", "v")
-        assert reads == 0 and [ref.key for ref in view.probe(9)] == [(9,)]
+        assert reads == 0 and view.probe_operator("=", 9) == [(9,)]
         assert door.index_candidate("r", "nope") == (None, 0)
         assert door.statistics.as_dict()["relations"]["r"]["scans"] == 0
 

@@ -136,7 +136,7 @@ def _assert_pins_hold(pins: list) -> None:
         # The view offered to the pin is built over the pin's own image.
         view = snapshot.index_for("r", "v")
         for value in range(10):
-            assert sorted(ref.key for ref in view.probe(value)) == sorted(
+            assert sorted(view.probe_operator("=", value)) == sorted(
                 (k,) for k, v in contents.items() if v == value
             )
 
@@ -441,7 +441,7 @@ class TestWhoPaysForTheCommittedImage:
         first = database.pin_snapshot()
         view = first.index_for("r", "v")
         assert catalogued.snapshot_view == (first.relation_versions["r"], view)
-        assert sorted(ref.key for ref in view.probe(9)) == [(3,)]  # not (90,)
+        assert view.probe_operator("=", 9) == [(3,)]  # not (90,)
         first.release()
         # Still the committed version: the view stays for the next pin.
         assert catalogued.snapshot_view is not None

@@ -80,7 +80,7 @@ class TestOpenAndReopen:
         # The reopened index actually probes (CharArray values are padded).
         index = reopened.index_for("t", "label")
         padded = reopened.relation("t").schema.field_type("label").coerce("row2")
-        assert len(index.probe(padded)) == 1
+        assert len(index.probe_operator("=", padded)) == 1
         reopened.close()
 
     def test_uncommitted_transaction_is_invisible_after_reopen(self, tmp_path):
@@ -133,7 +133,7 @@ class TestOpenAndReopen:
             (0, "row0"), (2, "row2"), (3, "row3"), (9, "late"),
         ]
         padded = database.relation("t").schema.field_type("label").coerce("late")
-        assert [ref.key for ref in database.index_for("t", "label").probe(padded)] == [(9,)]
+        assert database.index_for("t", "label").probe_operator("=", padded) == [(9,)]
         database.close()
         with open(snapshot_path(str(tmp_path))) as handle:
             assert "page_capacity" not in json.load(handle)["relations"][0]
@@ -185,7 +185,7 @@ class TestDurabilityModes:
         assert reopened.recovery_report.replayed_transactions == [1, 2]
         assert [record.code for record in reopened.relation("codes")] == ["abcdef"]
         assert reopened.relation("codes").find("abcdef").n == 1
-        assert len(reopened.index_for("codes", "n").probe(0)) == 0
+        assert len(reopened.index_for("codes", "n").probe_operator("=", 0)) == 0
         reopened.close()
 
     def test_commit_mode_logs_redo_records(self, tmp_path):

@@ -210,8 +210,7 @@ class TestIngestExtendsGeneratedData:
         index = database.index_for("authorship", "wanr")
         assert len(index) == len(authorship)
         for link in authorship:
-            refs = index.probe(link["wanr"])
-            assert any(ref.key == (link["wanr"], link["wpnr"]) for ref in refs)
+            assert (link["wanr"], link["wpnr"]) in index.probe_operator("=", link["wanr"])
 
 
 # A tiny record-level XML writer for the idempotence property: hypothesis
