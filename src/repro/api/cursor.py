@@ -10,7 +10,7 @@ hand — a list of records off :attr:`QueryResult.row_iterator
 when it is used up: a selection reads its range, the construction phase
 dereferences reference tuples, *as they are fetched* (in chunks of 1, 2, 4,
 ... rows: a prefix, at most one chunk ahead), so the client sees first rows
-without the engine ever materialising the full result.
+without the engine ever materialising the full result (``fetchall`` pulls full chunks).
 
 Every result set reads its own pinned snapshot, so a pull takes no lock and
 any number of open cursors (plus whole-query executions from other threads)
@@ -208,8 +208,10 @@ class Cursor:
         return batch
 
     def fetchall(self) -> list:
-        """Every remaining record as a list (drains the pipeline)."""
+        """Every remaining record as a list (drains the pipeline, in full chunks)."""
         self._check_result()
+        if self._result is not None:
+            self._result.demand.full = True
         batch = self._chunk[self._taken :]
         while self._pull():
             batch.extend(self._chunk)

@@ -35,8 +35,8 @@ from typing import Any, Iterator, NamedTuple
 
 from repro.calculus.ast import And, Comparison, Const, FieldRef, Formula, Param, RangeExpr
 from repro.config import StrategyOptions
-from repro.engine.naive import evaluate_formula
-from repro.engine.stream import CHUNK_ROWS, ramped
+from repro.engine.naive import restriction_flags
+from repro.engine.stream import Demand, next_chunk, ramped
 from repro.relational.index import HashIndex, SortedIndex
 from repro.relational.record import Record, values_of
 from repro.types.scalar import swap_operator
@@ -272,9 +272,10 @@ def access_chunks(
     database,
     path: AccessPath,
     var: str,
+    demand: Demand | None = None,
 ) -> Iterator[tuple[list[tuple], list[Record]]]:
     """Enumerate the in-range elements of ``var`` as ``(keys, records)`` chunks,
-    ramped like any pipeline source's (1, 2, 4, ... rows).
+    cut like any pipeline source's as ``demand`` asks (:func:`~repro.engine.stream.ramped`).
 
     The probe path takes the keys from the index the selector put on ``path``
     in one probe and reads a chunk of them at a time through the relation's
@@ -288,27 +289,29 @@ def access_chunks(
     relation = database.relation(path.relation_name)
     bound, value = path.probe.bound_value() if path.probe is not None else (False, None)
     if path.index is not None and bound:
-        residual = path.residual
-        probed, start, size = path.index.probe_operator(path.probe.op, value), 0, 1
+        residual = path.residual and restriction_flags(path.residual, var, relation.schema, database)
+        probed, start, size = path.index.probe_operator(path.probe.op, value), 0, 0
         while start < len(probed):  # ``ramped``, by slices of the one list
+            size = next_chunk(size, demand)
             keys = probed[start : start + size]
-            start, size = start + size, min(size * 2, CHUNK_ROWS)
+            start += size
             records = relation.fetch_many(keys)
             if residual is not None:
-                kept = [evaluate_formula(residual, {var: record}, database) for record in records]
+                kept = residual(records)
                 keys, records = list(compress(keys, kept)), list(compress(records, kept))
             if keys:
                 yield keys, records
         return
     # A scan — also for an unbound parameter, which no index can be probed with.
-    restriction, keys_of, tracker = path.restriction, relation.schema.keys_of, relation.tracker
+    restriction = path.restriction and restriction_flags(path.restriction, var, relation.schema, database)
+    keys_of, tracker = relation.schema.keys_of, relation.tracker
     if tracker is not None:
         tracker.record_scan(relation.name)
-    for chunk in ramped(relation.elements()):
+    for chunk in ramped(relation.elements(), demand):
         if tracker is not None:
             tracker.record_element_read(relation.name, len(chunk))
         if restriction is not None:
-            chunk = [r for r in chunk if evaluate_formula(restriction, {var: r}, database)]
+            chunk = list(compress(chunk, restriction(chunk)))
         if chunk:
             yield keys_of(list(values_of(chunk))), chunk
 

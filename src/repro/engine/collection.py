@@ -39,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import compress
+from operator import itemgetter
 from typing import Any
 
 from repro.calculus.analysis import QuantifierSpec
@@ -49,10 +50,10 @@ from repro.engine.access import (
     SCAN,
     AccessPath,
     access_chunks,
-    iter_access,
     select_access_path,
 )
-from repro.engine.naive import evaluate_formula
+from repro.engine.naive import evaluate_formula, restriction_flags
+from repro.engine.stream import FULL
 from repro.errors import EvaluationError, PascalRError
 from repro.relational.index import HashIndex, SortedIndex, ValueList
 from repro.relational.mvcc import version_token
@@ -179,19 +180,21 @@ class DerivedEvaluator:
         # index on the restricted component turns the value-list build into
         # an index probe instead of a relation scan.
         path = select_access_path(source, predicate.inner_var, predicate.inner_range, options)
-        for _, record in iter_access(source, path, predicate.inner_var):
-            self._restricted_count += 1
-            passes = all(
-                evaluate_formula(term, {predicate.inner_var: record}, source)
-                for term in predicate.inner_monadic
-            ) and all(matches(record) for matches in inner_tests)
+        term_tests = [
+            restriction_flags(term, predicate.inner_var, relation.schema, source)
+            for term in predicate.inner_monadic
+        ]
+        for _, records in access_chunks(source, path, predicate.inner_var, FULL):
+            self._restricted_count += len(records)
+            passing = records
+            for test in term_tests:  # each term tests what the ones before it passed
+                passing = list(compress(passing, test(passing)))
+            passing = [r for r in passing if all(matches(r) for matches in inner_tests)]
             if predicate.quantifier == "SOME":
-                if not passes:
-                    continue
-                self._collect(record)
-            else:
-                if not passes:
-                    self._all_constraints_hold = False
+                records = passing
+            elif len(passing) < len(records):
+                self._all_constraints_hold = False
+            for record in records:
                 self._collect(record)
 
         if (
@@ -244,6 +247,18 @@ class DerivedEvaluator:
         if self.predicate.quantifier == "SOME":
             return self._matches_some(outer_record)
         return self._matches_all(outer_record)
+
+    def flags(self, outer_records: list[Record]) -> list[bool]:
+        """:meth:`matches` of each of a list of records of one schema."""
+        some = self.predicate.quantifier == "SOME"
+        # An ALL over an empty range, or one whose constraints failed, needs no value list.
+        by_value = some or (self._restricted_count and self._all_constraints_hold)
+        if not (self._single and by_value and outer_records):
+            return list(map(self.matches, outer_records))
+        spec, values = self._specs[0], self._value_list
+        test = partial(values.satisfies_some if some else values.satisfies_all, spec.operator)
+        column = itemgetter(outer_records[0].schema.field_position(spec.outer_field))
+        return list(map(test, map(column, values_of(outer_records))))
 
     def _matches_some(self, outer_record: Record) -> bool:
         if self._single:
@@ -603,11 +618,11 @@ class CollectionPhase:
             intern = table.setdefault
             in_range = range_refs[var].extend
             singles = [
-                (partial(self._term_holds, term, var), rows.add)
+                (partial(map, partial(self._term_holds, term, var)), rows.update)
                 for term, rows in single_terms.items()
                 if term.variables()[0] == var
             ] + [
-                (evaluators[predicate].matches, rows.add)
+                (evaluators[predicate].flags, rows.update)
                 for predicate, rows in derived_singles.items()
                 if predicate.outer_var == var
             ]
@@ -628,10 +643,8 @@ class CollectionPhase:
             def serve(keys: list[tuple], records: list[Record]) -> None:
                 rows = [(intern(key, len(table)),) for key in keys]
                 in_range(rows)
-                for holds, add in singles:
-                    for row, record in zip(rows, records):
-                        if holds(record):
-                            add(row)
+                for flags, update in singles:
+                    update(compress(rows, flags(records)))
                 for build_field, add in builds:
                     for (number,), record in zip(rows, records):
                         add(record[build_field], number)
@@ -677,10 +690,10 @@ class CollectionPhase:
                     if restriction is None:
                         serve[var](keys, records)
                         continue
-                    kept = [evaluate_formula(restriction, {var: r}, self.database) for r in records]
+                    kept = restriction_flags(restriction, var, relation.schema, self.database)(records)
                     serve[var](list(compress(keys, kept)), list(compress(records, kept)))
             for var in probe_vars:
-                for keys, records in access_chunks(self.database, self._access[var], var):
+                for keys, records in access_chunks(self.database, self._access[var], var, FULL):
                     serve[var](keys, records)
             for probe, number, record in deferred_probes:
                 probe(number, record)
@@ -737,13 +750,13 @@ class CollectionPhase:
         interning each element's key as it is read.
 
         Routed through the variable's selected access path: an index probe
-        or the classic scan-and-filter — each call is one enumeration (one
-        scan for the scan path), preserving the per-structure access
-        accounting of the unoptimised engine.
+        or the classic scan-and-filter, read whole in full chunks — each call
+        is one enumeration (one scan for the scan path), preserving the
+        per-structure access accounting of the unoptimised engine.
         """
         table = self._tables[self._var_relation[var]]
         intern = table.setdefault
-        for keys, records in access_chunks(self.database, self._access[var], var):
+        for keys, records in access_chunks(self.database, self._access[var], var, FULL):
             yield from zip([intern(key, len(table)) for key in keys], records)
 
     def _permanent_index(self, spec: _IndirectJoinSpec) -> HashIndex | SortedIndex | None:

@@ -63,9 +63,9 @@ interns each relation's element keys as it reads them, so every conjunct
 structure and every range arrives as int tuples and becomes a
 :class:`~repro.engine.stream.Rows` as it is; the reducer filters those rows
 against key sets, the kernels run over them, ``CombinationResult.tuples``
-records them, and the construction phase decodes ids to keys through the
-collection result's intern tables.  Ids are a bijective renaming, so every
-operator keeps its plain set semantics.
+records them as they are, and the construction phase decodes ids to keys
+through the collection result's intern tables.  Ids are a bijective
+renaming, so every operator keeps its plain set semantics.
 
 Every decision above is a function of the collection result, so it is taken
 once per collection result (what depends on the query's shape alone — the
@@ -90,7 +90,7 @@ from repro.calculus.analysis import QuantifierSpec
 from repro.calculus.ast import ALL, SOME
 from repro.config import StrategyOptions
 from repro.engine.collection import CollectionResult, ConjunctStructure
-from repro.engine.stream import LiveTupleTracker, Rows, RowStream
+from repro.engine.stream import Demand, LiveTupleTracker, Rows, RowStream
 from repro.errors import EvaluationError
 from repro.relational.algebra import (
     Kernel,
@@ -104,7 +104,6 @@ from repro.relational.algebra import (
 )
 from repro.relational.histogram import ColumnSketch, estimate_join
 from repro.relational.refrelation import ReferenceType, ref_field_name
-from repro.relational.relation import Relation
 from repro.relational.statistics import COMBINATION, estimate_join_cardinality
 from repro.transform.pipeline import QueryPlan
 from repro.types.schema import Field, RelationSchema
@@ -139,11 +138,12 @@ class OperatorNote:
 class CombinationResult:
     """The outcome of the combination phase."""
 
-    tuples: Relation
-    """Reference-id tuples over the free variables that satisfy the query,
-    filled a chunk at a time while :attr:`stream` is consumed (normally by
-    the construction phase); it holds the full result once the stream is
-    exhausted."""
+    tuples: Rows | None
+    """The distinct reference-id rows over the free variables that satisfy
+    the query, appended a chunk at a time while :attr:`stream` is consumed
+    (normally by the construction phase); all of them once it is exhausted.
+    ``None`` in a separated execution's merged report: each sub-query's ids
+    index its own intern tables, so no one list of id rows is the query's."""
 
     stream: RowStream | None = None
     """The live pipeline producing the free-variable reference-id tuples.  The
@@ -387,7 +387,7 @@ class CombinationPhase:
 
     # -- public API ------------------------------------------------------------------
 
-    def run(self) -> CombinationResult:
+    def run(self, demand: Demand | None = None) -> CombinationResult:
         """Wire the collection result's plan (made here by the first
         execution over it); execution happens when the pipeline is drained.
 
@@ -395,12 +395,12 @@ class CombinationPhase:
         complete on return, but no tuple flows until the returned
         :attr:`CombinationResult.stream` is consumed — normally by the
         construction phase — and the sizes and ``peak_tuples`` are
-        finalised as it drains.
+        finalised as it drains.  Its sources cut chunks as ``demand`` asks.
         """
         with self.statistics.phase(COMBINATION):
             plan, reused = self._plan()
             result = CombinationResult(
-                tuples=Relation("free_tuples", plan.free_schema), plan=plan,
+                tuples=Rows(plan.free_schema, [], "free_tuples"), plan=plan,
                 plan_reused=reused, operator_notes=list(plan.notes),
             )
             # The literal plan measures its operators' outputs, the streamed
@@ -415,7 +415,7 @@ class CombinationPhase:
                 result.conjunction_indexes.append(index)
                 result.conjunction_sizes.append(0)
                 members.append(self._conjunction_stream(
-                    index, conjunction, plan.kept_schema, result, measured
+                    index, conjunction, plan.kept_schema, result, measured, demand
                 ))
             if plan.union is None:
                 result.stream = RowStream.empty(plan.free_schema, label="free_tuples")
@@ -427,7 +427,7 @@ class CombinationPhase:
                 partial(setattr, result, "union_size"), measured if len(members) > 1 else None
             ))
             for kernel in plan.tail:
-                pipeline = kernel(pipeline, stats, live, self._operator(None, measured))
+                pipeline = kernel(pipeline, stats, live, self._operator(None, measured), demand)
             result.stream = self._finalized(pipeline, result, live)
             return result
 
@@ -830,14 +830,14 @@ class CombinationPhase:
 
     def _conjunction_stream(
         self, index: int, conjunction: ConjunctionPlan, kept_schema,
-        result: CombinationResult, measured: CombinationResult | None,
+        result: CombinationResult, measured: CombinationResult | None, demand: Demand | None,
     ) -> RowStream:
-        """Wire one conjunction's prepared chain: this execution's generators,
-        ``emitted`` hooks and ``[description, est, actual]`` slots."""
+        """Wire one conjunction's prepared chain, its source cut as ``demand`` asks:
+        this execution's generators, ``emitted`` hooks and ``[description, est, actual]`` slots."""
         stats = self.statistics
         estimates: list[list] = []
         source = conjunction.source
-        stream = RowStream(source.schema, source.rows)
+        stream = RowStream(source.schema, source.rows, demand=demand)
         for step, (kernel, description, est, actual) in enumerate(conjunction.steps):
             slot = [description, est, 0 if actual is None else actual]
             estimates.append(slot)
@@ -855,14 +855,14 @@ class CombinationPhase:
         ))
 
     def _finalized(self, stream: RowStream, result: CombinationResult, live=None) -> RowStream:
-        """The outermost stage: record every chunk into ``result.tuples`` and
+        """The outermost stage: append every chunk to ``result.tuples`` and
         finalise the size (and the pipeline's live peak) when the stream closes."""
-        tuples = result.tuples
+        tuples = result.tuples.rows
 
         def chunks():
             try:
                 for chunk in stream.chunks():
-                    tuples.insert_rows(chunk)
+                    tuples.extend(chunk)
                     yield chunk
             finally:
                 result.after_quantifiers_size = len(tuples)
@@ -875,4 +875,4 @@ class CombinationPhase:
             # which the construction phase rejects loudly.
             result.stream = None
 
-        return RowStream(tuples.schema, chunks=chunks(), label="free_tuples")
+        return RowStream(result.tuples.schema, chunks=chunks(), label="free_tuples")

@@ -9,10 +9,10 @@ reference-id tuples straight out of the combination phase's
 collection result's intern tables, and dereferences, projects and stores a
 chunk at a time, so no intermediate reference relation is ever
 materialised between the two phases.  Draining the stream also fills
-``combination.tuples`` (the combination phase records every chunk it hands
-over), so running the construction phase a second time on the same result
-feeds those tuples through the very same chunk function and returns the
-identical relation.
+``combination.tuples`` (the combination phase appends every chunk of id rows
+it hands over), so running the construction phase a second time on the same
+result feeds those rows, in full chunks, through the very same chunk function
+and returns the identical relation.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from operator import itemgetter
 from repro.calculus.ast import Selection
 from repro.engine.combination import CombinationResult
 from repro.engine.result import result_relation_for
-from repro.engine.stream import RowStream
+from repro.engine.stream import FULL, RowStream
 from repro.errors import StreamError
 from repro.relational.record import values_of
 from repro.relational.refrelation import ref_field_name
@@ -44,7 +44,7 @@ class ConstructionPhase:
         """Dereference and project the combination-phase tuples."""
         result = result_relation_for(self.selection, self.database)
         if combination.stream is None:
-            stream = RowStream.from_relation(combination.tuples)
+            stream = RowStream(combination.tuples.schema, combination.tuples.rows, demand=FULL)
         else:
             stream = self._pristine(combination.stream)
         for _ in self._dereferenced(stream, combination.plan.tables, result):
@@ -59,8 +59,8 @@ class ConstructionPhase:
         reference-id tuples off the combination stream, decodes, dereferences and
         projects it, stores the rows ``result`` does not hold yet (result
         relations are sets) and yields exactly those, as a list (never an
-        empty one).  Chunks grow 1, 2, 4,
-        ... rows, so a fetch has read a prefix of the input — at most one
+        empty one).  Chunks grow 1, 2, 4, ... rows until a drain asks for
+        full ones, so a fetch has read a prefix of the input — at most one
         chunk ahead of the rows handed out.  Requires a live combination
         stream (:class:`~repro.errors.StreamError` otherwise: a drained
         stream's tuples are constructed via :meth:`run`).  Element reads

@@ -42,7 +42,7 @@ from repro.engine.combination import CombinationPhase, CombinationResult
 from repro.engine.construction import ConstructionPhase
 from repro.engine.naive import evaluate_selection_naive, range_elements
 from repro.engine.result import result_schema_for
-from repro.engine.stream import CHUNK_ROWS
+from repro.engine.stream import CHUNK_ROWS, FULL, Demand
 from repro.lang.parser import parse_selection
 from repro.relational.algebra import chunk_getter
 from repro.relational.database import Database
@@ -56,15 +56,15 @@ __all__ = ["QueryResult", "QueryEngine", "execute_naive"]
 
 
 def _selection_chunks(
-    source, paths: list[AccessPath], project, key_covered: bool, result: Relation
+    source, paths: list[AccessPath], project, key_covered: bool, result: Relation, demand: Demand
 ) -> Iterator[list]:
     """The result records of a TRUE matrix, chunk by chunk: a pipeline with one
     kind of source and no joins.
 
-    The first free variable's range streams in ramped chunks against the
-    product of the others', read whole when the first chunk is pulled, in
-    nested-loop order; a chunk is multiplied in slices that keep it under
-    twice ``CHUNK_ROWS`` (plus one row's partners), as a hash join's fan-out.
+    The first free variable's range streams in chunks cut as ``demand``
+    asks against the product of the others', read whole when the first
+    chunk is pulled, in nested-loop order; a chunk is multiplied in slices
+    that keep it under twice ``CHUNK_ROWS`` (plus one row's partners), as a hash join's fan-out.
     ``project`` maps concatenated elements to result rows; ``result`` — a set
     keyed on all components — keeps the first witness of each, and exactly
     the rows it did not hold yet are handed on (rows that carry every range's
@@ -72,12 +72,12 @@ def _selection_chunks(
     """
     insert = result.insert_rows if key_covered else result.insert_new_rows
     others = [
-        [row for _, records in access_chunks(source, path, path.var) for row in values_of(records)]
+        [row for _, records in access_chunks(source, path, path.var, FULL) for row in values_of(records)]
         for path in paths[1:]
     ]
     rests = [sum(rest, ()) for rest in itertools.product(*others)]
     step = max(1, CHUNK_ROWS // max(len(rests), 1))
-    for _, records in access_chunks(source, paths[0], paths[0].var):
+    for _, records in access_chunks(source, paths[0], paths[0].var, demand):
         outer = list(values_of(records))
         for start in range(0, len(outer), step):
             rows = outer[start : start + step]
@@ -156,6 +156,9 @@ class QueryResult:
     """What this execution counts on (a pin's own counters or the database's);
     :attr:`statistics` is its stamp, taken when the rows end."""
 
+    demand: Demand = field(default_factory=Demand, repr=False, compare=False)
+    """This execution's own: its sources read it, :meth:`drain` and ``fetchall`` set it."""
+
     _closers: list = field(default_factory=list, repr=False, compare=False)
 
     #: The tracker is this execution's alone (the service's pin): stamped on first read.
@@ -168,7 +171,8 @@ class QueryResult:
         self._closers.append(callback)
 
     def drain(self) -> "QueryResult":
-        """Pull every remaining row: the eager spelling of any execution."""
+        """Pull every remaining row, in full chunks: the eager spelling of any execution."""
+        self.demand.full = True
         for _ in self.row_iterator or ():
             pass
         return self
@@ -390,6 +394,7 @@ class QueryEngine:
         collection: CollectionResult | None = None,
         collection_sink=None,
     ) -> QueryResult:
+        demand = Demand()
         if prepared.constant is not None:
             # The constant-matrix shortcut still relies on the non-empty-range
             # assumption behind Strategy 3: verify it before skipping the
@@ -405,15 +410,16 @@ class QueryEngine:
                 prepared=prepared,
                 statistics={},
                 access_paths=None,
-                row_iterator=_selection_chunks(source, paths, project, key_covered, relation),
+                row_iterator=_selection_chunks(source, paths, project, key_covered, relation, demand),
                 selection_paths=paths,
+                demand=demand,
             )
         selection = prepared.selection
         if collection is None:
             collection = CollectionPhase(prepared, source, options).run()
             if collection_sink is not None:
                 collection_sink(collection)
-        combination = CombinationPhase(prepared, source, collection, options).run()
+        combination = CombinationPhase(prepared, source, collection, options).run(demand)
         # Defer the construction dereference: the caller pulls rows through
         # QueryResult.row_iterator and the relation fills as a side effect —
         # nothing downstream of the combination pipeline materialises before
@@ -427,6 +433,7 @@ class QueryEngine:
             combination=combination,
             access_paths=dict(collection.access_paths),
             row_iterator=ConstructionPhase(selection, source).stream_into(combination, relation),
+            demand=demand,
         )
 
     def _check_extended_prefix_ranges(
@@ -567,13 +574,12 @@ class QueryEngine:
         matrix, so its recorded ``conjunction_indexes`` (always ``[0]``) are
         re-based to ``position`` — keeping EXPLAIN's conjunction numbering
         aligned with the prepared matrix.  The scalar sizes are per-sub-query
-        sums (the sub-queries never form one combined union relation).
+        sums (the sub-queries never form one combined union relation); no ``tuples``.
         """
         if partial is None:
             return combined
         if combined is None:
-            combined = CombinationResult(tuples=partial.tuples, plan=partial.plan)
-        combined.tuples = partial.tuples
+            combined = CombinationResult(tuples=None, plan=partial.plan)
         combined.conjunction_sizes.extend(partial.conjunction_sizes)
         combined.conjunction_indexes.extend(position for _ in partial.conjunction_indexes)
         combined.join_orders.extend(partial.join_orders)

@@ -14,7 +14,10 @@ quantifiers — with no intermediate structures at all.  It plays two roles:
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Mapping
+from functools import partial
+from itertools import repeat
+from operator import eq, ge, gt, itemgetter, le, lt, ne
+from typing import Any, Callable, Iterator, Mapping
 
 from repro.calculus.ast import (
     ALL,
@@ -33,11 +36,13 @@ from repro.calculus.ast import (
 )
 from repro.engine.result import project_environment, result_relation_for
 from repro.errors import EvaluationError
-from repro.relational.record import Record
+from repro.relational.record import Record, values_of
 from repro.relational.relation import Relation
-from repro.types.scalar import compare_values
+from repro.types.scalar import compare_values, swap_operator
 
 __all__ = ["evaluate_formula", "evaluate_selection_naive", "range_elements", "operand_value"]
+
+_OPERATORS = {"=": eq, "<>": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
 
 
 def operand_value(operand: Any, environment: Mapping[str, Record]) -> Any:
@@ -110,6 +115,34 @@ def evaluate_formula(
                 return True
         return False
     raise EvaluationError(f"cannot evaluate unknown formula node {formula!r}")
+
+
+def restriction_flags(
+    formula: Formula, var: str, schema, database
+) -> Callable[[list[Record]], list[bool]]:
+    """``evaluate_formula(formula, {var: record}, database)`` for each of a
+    list of ``schema`` records, counting the comparisons it would count.
+
+    A comparison of one of ``var``'s components with a constant (a range
+    restriction's usual shape) is resolved once and mapped over the list's
+    values; any other formula is interpreted record by record.
+    """
+    left, right, op = (getattr(formula, name, None) for name in ("left", "right", "op"))
+    if isinstance(left, Const):
+        left, right, op = right, left, swap_operator(op)
+    if not (isinstance(left, FieldRef) and left.var == var and isinstance(right, Const)):
+        return lambda records: [evaluate_formula(formula, {var: r}, database) for r in records]
+    column = itemgetter(schema.field_position(left.field))
+    # ``compare_values`` differs from the plain operator only on two strings (blank padding).
+    compare = partial(compare_values, op) if isinstance(right.value, str) else _OPERATORS[op]
+    tracker = getattr(database, "statistics", None)
+
+    def flags(records: list[Record]) -> list[bool]:
+        if tracker is not None:
+            tracker.record_comparison(len(records))
+        return list(map(compare, map(column, values_of(records)), repeat(right.value)))
+
+    return flags
 
 
 def evaluate_selection_naive(selection: Selection, database) -> Relation:

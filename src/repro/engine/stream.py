@@ -19,7 +19,11 @@ The chunk is the unit that flows (:meth:`RowStream.chunks`): an operator
 pays its frame and its accounting once per chunk and runs one comprehension
 over the rows inside.  Sources cut chunks of 1, 2, 4, ... :data:`CHUNK_ROWS`
 rows (:func:`ramped`), so the first fetch and an early ``close()`` touch a
-prefix of the input, at most one chunk ahead of the rows handed out.
+prefix of the input, at most one chunk ahead of the rows handed out; once the
+execution's :class:`Demand` is full (a drain, ``fetchall``), :data:`CHUNK_ROWS`
+rows each.  A division's sources read that cell too: full chunks beneath it on a
+``fetchone`` kept more fresh tuples alive than CPython's free lists hold and woke
+the cyclic collector on almost every execution.
 Keeping rows as bare tuples lets the kernels resolve component positions
 once (``_values_getter``) without building record objects between
 operators.
@@ -45,21 +49,40 @@ from repro.errors import StreamError
 from repro.relational.relation import Relation
 from repro.types.schema import RelationSchema
 
-__all__ = ["RowStream", "Rows", "LiveTupleTracker", "CHUNK_ROWS", "ramped"]
+__all__ = ["RowStream", "Rows", "LiveTupleTracker", "Demand", "FULL", "CHUNK_ROWS", "ramped", "next_chunk"]
 
 #: The largest chunk a pipeline source cuts; the ramp doubles from 1 up to it.
 CHUNK_ROWS = 1024
 
 
-def ramped(rows: Iterable[tuple]) -> Iterator[list[tuple]]:
-    """``rows`` cut into chunks of 1, 2, 4, ... :data:`CHUNK_ROWS` rows; closing
-    it closes ``rows`` (a parked scan generator ends there)."""
+class Demand:
+    """What one execution's consumer asks of its sources: the ramp, until it
+    wants every row (``full``, set once and never cleared).  Each execution
+    owns one (``QueryResult.demand``), so two cursors never share it."""
+
+    __slots__ = ("full",)
+
+    def __init__(self, full: bool = False) -> None:
+        self.full = full
+
+
+#: The demand of a reader that takes every row before it hands one on (the collection phase).
+FULL = Demand(True)
+
+
+def next_chunk(size: int, demand: Demand | None) -> int:
+    """A source's next chunk size after one of ``size`` (0 before the first)."""
+    return CHUNK_ROWS if demand is not None and demand.full else min(size * 2, CHUNK_ROWS) or 1
+
+
+def ramped(rows: Iterable[tuple], demand: Demand | None = None) -> Iterator[list[tuple]]:
+    """``rows`` cut into chunks of :func:`next_chunk` rows, ``demand`` read
+    before each; closing it closes ``rows`` (a parked scan generator ends there)."""
     rows = iter(rows)
-    size = 1
+    size = 0
     try:
-        while chunk := list(islice(rows, size)):
+        while chunk := list(islice(rows, size := next_chunk(size, demand))):
             yield chunk
-            size = min(size * 2, CHUNK_ROWS)
     finally:
         _close(rows)
 
@@ -145,8 +168,8 @@ class RowStream:
         The :class:`RelationSchema` every yielded tuple conforms to
         (values in declaration order, already coerced).
     rows:
-        A *source*'s rows, cut into ramped chunks (:func:`ramped`); the
-        default is the empty stream.  Operators pass ``chunks`` instead.
+        A *source*'s rows, cut into chunks as ``demand`` asks (:func:`ramped`);
+        the default is the empty stream.  Operators pass ``chunks`` instead.
     label:
         Diagnostic name used by :meth:`materialize` and ``repr``.
     chunks:
@@ -160,10 +183,10 @@ class RowStream:
     __slots__ = ("schema", "label", "_chunks")
 
     def __init__(self, schema: RelationSchema, rows: Iterable[tuple] = (), label: str = "",
-                 chunks: Iterator[list[tuple]] | None = None) -> None:
+                 chunks: Iterator[list[tuple]] | None = None, demand: Demand | None = None) -> None:
         self.schema = schema
         self.label = label or schema.name
-        self._chunks: Iterator[list[tuple]] | None = ramped(rows) if chunks is None else chunks
+        self._chunks: Iterator[list[tuple]] | None = ramped(rows, demand) if chunks is None else chunks
 
     # -- construction ----------------------------------------------------------
 

@@ -163,8 +163,9 @@ Emitted = Callable[[int], None]
 
 class Kernel:
     """A streaming operator prepared against its input schema: ``body`` is a
-    generator function over ``(source, tracker, live, emitted)`` yielding the
-    output chunks (never an empty one), everything else sits in its closure.
+    generator function over ``(source, tracker, live, emitted, demand)``
+    yielding the output chunks (never an empty one; ``demand`` sizes a breaker's),
+    everything else sits in its closure.
     Calling the kernel wires one execution: its single-use output stream."""
 
     __slots__ = ("schema", "label", "body")
@@ -174,10 +175,10 @@ class Kernel:
         self.label = label
         self.body = body
 
-    def __call__(self, source, tracker=None, live=None, emitted: Emitted | None = None):
+    def __call__(self, source, tracker=None, live=None, emitted: Emitted | None = None, demand=None):
         from repro.engine.stream import RowStream
 
-        chunks = self.body(source, tracker, live, emitted)
+        chunks = self.body(source, tracker, live, emitted, demand)
         return RowStream(self.schema, chunks=chunks, label=self.label)
 
 
@@ -194,7 +195,7 @@ def project_kernel(
         schema = source_schema.project(field_names, name)
     getter = None if identity else _chunk_getter(source_schema, field_names)
 
-    def body(source, tracker, live, emitted):
+    def body(source, tracker, live, emitted, demand):
         seen: set[tuple] = set()
         add = seen.add
         count = 0
@@ -262,7 +263,7 @@ def _hash_join(schema: RelationSchema, left_key, right, columns, right_part, kin
     partners = buckets.get
     step = max(1, CHUNK_ROWS // widest)
 
-    def body(source, tracker, live, emitted):
+    def body(source, tracker, live, emitted, demand):
         probes = matches = 0
         try:
             for chunk in source.chunks():
@@ -345,7 +346,7 @@ def semijoin_kernel(
     left_getter = match_getter(left_schema, [pair[0] for pair in on])
     partnered = _key_set(right, [pair[1] for pair in on]).__contains__
 
-    def body(source, tracker, live, emitted):
+    def body(source, tracker, live, emitted, demand):
         probes = kept = 0
         try:
             for chunk in source.chunks():
@@ -387,7 +388,7 @@ def union_kernel(schema: RelationSchema, label: str, dedup: bool = True) -> Kern
     """:func:`stream_union` over ``schema``; its source is a sequence of streams."""
     key_of = _key_getter(schema)
 
-    def body(sources, tracker, live, emitted):
+    def body(sources, tracker, live, emitted, demand):
         seen: set[tuple] = set()
         add = seen.add
         checked = 0
@@ -475,7 +476,7 @@ def divide_kernel(
     groups_of = _chunk_getter(source_schema, remaining)
     match_of = match_getter(source_schema, dividend_match_fields)
 
-    def body(source, tracker, live, emitted):
+    def body(source, tracker, live, emitted, demand):
         groups: dict[tuple, set] = {}
         consumed = buffered = count = 0
         try:
@@ -494,7 +495,7 @@ def divide_kernel(
                     live.acquire(buffered - held)
             if tracker is not None:
                 tracker.record_comparison(consumed + len(groups) * len(required))
-            for out in ramped([group for group, matches in groups.items() if required <= matches]):
+            for out in ramped([group for group, matches in groups.items() if required <= matches], demand):
                 count += len(out)
                 yield out
         finally:
@@ -521,9 +522,9 @@ def stream_divide(
     match.  Division is a genuine pipeline breaker: the whole input must be
     seen before any group is known to match every divisor element, so the
     operator buffers a ``{group: matched values}`` table (reported to
-    ``live``) and then emits the qualifying groups *group-wise*, in ramped
-    chunks — each surviving group exactly once, without materialising an
-    output relation.
+    ``live``) and then emits the qualifying groups *group-wise*, in chunks
+    cut as ``demand`` asks — each surviving group exactly once, without
+    materialising an output relation.
 
     An empty divisor degenerates to the deduplicating projection on the
     remaining components (the vacuous-truth convention).

@@ -96,6 +96,16 @@ def _assert_page_counters_sane(database, backend: str) -> None:
     assert pages == dict.fromkeys(pages, 0), (backend, pages)
 
 
+def _assert_free_rows_distinct(*results) -> None:
+    """Each result's free reference-id rows are a set, every one of them counted."""
+    for result in results:
+        combination = result.combination
+        if combination is None or combination.tuples is None:
+            continue  # a constant matrix; a separated execution merges no rows
+        rows = combination.tuples.rows
+        assert len(set(rows)) == len(rows) == combination.after_quantifiers_size
+
+
 @pytest.mark.parametrize("flags", OPTIMIZER_FLAGS, ids=_flag_id)
 @pytest.mark.parametrize("query_name", sorted(QUERIES))
 def test_optimizer_flags_match_naive_on_figure1(
@@ -107,6 +117,7 @@ def test_optimizer_flags_match_naive_on_figure1(
     expected = execute_naive(figure1_backend, QUERIES[query_name])
     result = QueryEngine(figure1_backend, options).run(QUERIES[query_name])
     assert result.relation == expected
+    _assert_free_rows_distinct(result)
     _assert_page_counters_sane(figure1_backend, backend)
 
 
@@ -122,6 +133,7 @@ def test_optimizer_flags_match_naive_at_scale2(scale2_backend, backend, config_n
         expected = execute_naive(scale2_backend, QUERIES[query_name])
         result = QueryEngine(scale2_backend, options).run(QUERIES[query_name])
         assert result.relation == expected, (config_name, query_name)
+        _assert_free_rows_distinct(result)
     _assert_page_counters_sane(scale2_backend, backend)
 
 
@@ -289,6 +301,7 @@ class TestStreamingEquivalence:
         ).run(QUERIES[query_name])
         assert on.relation == expected
         assert off.relation == expected
+        _assert_free_rows_distinct(on, off)
         assert sorted(r.values for r in on.relation) == sorted(
             r.values for r in off.relation
         )

@@ -165,7 +165,8 @@ class TestFigure2Structures:
         tuples = result.combination.tuples
         assert tuples.schema.field_names == ("e_ref",)
         assert tuples.schema.field_type("e_ref") == ReferenceType("employees")
-        refs = decoded(figure1, result.prepared, result.collection, ("e",), (r.values for r in tuples))
+        assert all(type(row) is tuple for row in tuples.rows)  # id rows, no record built
+        refs = decoded(figure1, result.prepared, result.collection, ("e",), tuples.rows)
         assert {ref.deref().ename for (ref,) in refs} == {
             record.ename for record in result.relation
         }

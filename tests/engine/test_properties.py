@@ -122,9 +122,7 @@ def test_streamed_and_literal_plans_match_naive_evaluation(seed):
     assert literal.relation == expected
     if streamed.combination is not None and not streamed.used_strategy3_fallback:
         assert not streamed.combination.plan.literal and literal.combination.plan.literal
-        assert {r.values for r in streamed.combination.tuples} == {
-            r.values for r in literal.combination.tuples
-        }
+        assert set(streamed.combination.tuples.rows) == set(literal.combination.tuples.rows)
 
 
 @PROPERTY_SETTINGS

@@ -42,8 +42,11 @@ S1 = StrategyOptions.only(
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
-def _id_rows(relation) -> set:
-    return {record.values for record in relation}
+def _id_rows(tuples) -> set:
+    """A combination result's free reference-id rows (bare tuples, distinct) as a set."""
+    rows = set(tuples.rows)
+    assert len(rows) == len(tuples.rows) and all(type(row) is tuple for row in rows)
+    return rows
 
 
 def _decoded(database, plan, collection, var) -> list[tuple]:

@@ -42,6 +42,7 @@ from repro.workloads.queries import (
     OTHERS_PUBLISHED_1977_TEXT,
     PUBLISHING_TEACHERS_TEXT,
 )
+from repro.workloads.university import build_university_database
 
 #: Strategy 1 only, streamed — the configuration under which the combination
 #: phase actually sees multi-structure conjunctions.
@@ -229,7 +230,8 @@ class TestStreamingExecution:
     def test_sizes_finalized_after_execution(self, figure1):
         result = QueryEngine(figure1, S1_STREAMED).run(OTHERS_PUBLISHED_1977_TEXT)
         combination = result.combination
-        assert combination.after_quantifiers_size == len(combination.tuples)
+        rows = combination.tuples.rows  # bare id tuples, one per answer, no duplicate
+        assert combination.after_quantifiers_size == len(rows) == len(set(rows))
         assert combination.union_size >= combination.after_quantifiers_size
         assert len(combination.conjunction_sizes) == len(combination.conjunction_indexes)
 
@@ -266,8 +268,10 @@ class TestStreamingExecution:
         assert combination.stream is not None
         first = ConstructionPhase(resolved, figure1).run(combination)
         assert combination.stream is None  # consumed
+        # The re-run reads the id rows the drain appended, in the drained order.
+        assert len(combination.tuples.rows) == combination.after_quantifiers_size > 0
         second = ConstructionPhase(resolved, figure1).run(combination)
-        assert first == second
+        assert first == second and list(first) == list(second)
 
     def test_partially_consumed_stream_is_rejected_loudly(self, figure1):
         """A stream someone peeked at holds only a prefix in ``tuples`` —
@@ -295,7 +299,7 @@ class TestStreamingExecution:
         combination = CombinationPhase(prepared, figure1, collection, S1_STREAMED).run()
         drained = list(combination.stream)
         assert combination.stream is None
-        assert len(combination.tuples) == len(set(drained))
+        assert combination.tuples.rows == drained  # every id row, in order, once
         result = ConstructionPhase(resolved, figure1).run(combination)
         expected = QueryEngine(figure1, S1_LITERAL).run(PUBLISHING_TEACHERS_TEXT)
         assert result == expected.relation
@@ -307,6 +311,26 @@ class TestStreamingExecution:
         assert result.relation == expected
         assert result.subqueries > 1
         assert not result.combination.plan.literal
+
+    def test_separated_report_merges_sizes_and_no_id_rows(self):
+        """The sub-queries' ids index their own intern tables, so the merged
+        report keeps no ``tuples`` (it kept only the last sub-query's), and
+        ``after_quantifiers_size`` is the sum of the sub-queries' sizes."""
+        database = build_university_database(scale=1)
+        head = "[<e.ename, c.cnr> OF EACH e IN employees, EACH c IN courses: SOME t IN timetable "
+        joined = "(e.enr = t.tenr) AND (c.cnr = t.tcnr)"
+        first, second = f"({joined})", f"({joined} AND (e.enr <= 5))"
+        text = f"{head}({first} OR {second})]"
+        separated = StrategyOptions(separate_existential_conjunctions=True)
+        result = QueryEngine(database, separated).run(text)
+        assert result.relation == execute_naive(database, text)
+        assert result.subqueries == 2 and result.combination.tuples is None
+        alone = [
+            QueryEngine(database, StrategyOptions.none()).run(f"{head}{conjunction}]").combination
+            for conjunction in (first, second)
+        ]
+        assert [len(c.tuples) for c in alone] == [9, 6]
+        assert result.combination.after_quantifiers_size == 15
 
 
 # ------------------------------------------------------------------ hypothesis property
