@@ -201,8 +201,9 @@ class ServiceOptions:
         :class:`~repro.service.cache.PlanCache` retains (LRU-evicted);
         ``0`` disables plan caching (every prepare recompiles).
     collection_cache_size:
-        Per-prepared-query bound-plan and collection-structure memo size;
-        ``0`` disables both memos (every execution re-binds and re-collects).
+        Per-prepared-query bound-plan and collection-structure memo size
+        (each stores a binding on its second sighting); ``0`` disables both
+        memos (every execution re-binds and re-collects).
     busy_timeout:
         How long (in seconds) ``Session.begin()`` waits on the
         one-active-transaction-per-database gate before raising

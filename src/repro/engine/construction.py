@@ -33,7 +33,10 @@ __all__ = ["ConstructionPhase"]
 
 
 class ConstructionPhase:
-    """Turns free-variable reference-id tuples into the final result relation."""
+    """Turns free-variable reference-id tuples into the final result relation.
+
+    Of ``selection`` it reads only the columns and the free ranges' relations:
+    the engine hands it the plan's ``shape``, parameters and all."""
 
     def __init__(self, selection: Selection, database) -> None:
         self.selection = selection

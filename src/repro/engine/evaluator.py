@@ -98,7 +98,7 @@ def _result_relation(prepared: QueryPlan, source) -> Relation:
     compiled plan and catalog version (``QueryPlan.result_schema``), not per execution."""
     version, schema = prepared.result_schema
     if version != source.schema_version:
-        schema = result_schema_for(prepared.selection, source)
+        schema = result_schema_for(prepared.shape, source)
         prepared.result_schema[:] = source.schema_version, schema
     return Relation(schema.name, schema)
 
@@ -414,7 +414,6 @@ class QueryEngine:
                 selection_paths=paths,
                 demand=demand,
             )
-        selection = prepared.selection
         if collection is None:
             collection = CollectionPhase(prepared, source, options).run()
             if collection_sink is not None:
@@ -432,7 +431,7 @@ class QueryEngine:
             collection=collection,
             combination=combination,
             access_paths=dict(collection.access_paths),
-            row_iterator=ConstructionPhase(selection, source).stream_into(combination, relation),
+            row_iterator=ConstructionPhase(prepared.shape, source).stream_into(combination, relation),
             demand=demand,
         )
 
@@ -486,7 +485,7 @@ class QueryEngine:
                 schema = source.relation(b.range.relation).schema
                 places[b.var] = (offset, schema)
                 offset += len(schema.fields)
-            columns = prepared.selection.columns
+            columns = prepared.shape.columns
             # Every range's key projected: the rows are distinct by construction.
             key_covered = {(c.var, c.field) for c in columns} >= {
                 (var, name) for var, (_, schema) in places.items() for name in schema.key}
@@ -536,7 +535,9 @@ class QueryEngine:
                 if s.var in used_vars or s.range.restriction is not None
             )
             sub = QueryPlan(
-                selection=prepared.selection,
+                selection=None,
+                derive_selection=lambda: prepared.selection,
+                shape=prepared.shape,
                 bindings=prepared.bindings,
                 prefix=sub_prefix,
                 conjunctions=(conjunction,),

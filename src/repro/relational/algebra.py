@@ -143,7 +143,9 @@ def _key_set(operand, columns: Sequence[str]) -> set:
 #
 # The pipeline side of every streaming kernel is a RowStream: *chunks* — lists
 # of raw value tuples — flow through it (``RowStream.chunks()``), and a kernel
-# is ``for chunk in source.chunks(): out = [one comprehension]; yield out``.
+# is ``for chunk in source.chunks(): out = [one comprehension]; yield out``,
+# with ``del chunk`` before the yield and ``del out`` after it (DESIGN "A
+# suspended kernel holds no chunk": held, they woke the cyclic collector).
 # Build sides are materialised operands — relations, or Rows of bare tuples
 # (in the engine: collection-phase structures over dense reference ids).  The
 # kernels never look inside a value, so the same code joins integers or
@@ -202,6 +204,7 @@ def project_kernel(
         try:
             for chunk in source.chunks():
                 out = chunk if identity else list(getter(chunk))
+                del chunk
                 if dedup:
                     out = [row for row in out if row not in seen and not add(row)]
                     if live is not None:
@@ -209,6 +212,7 @@ def project_kernel(
                 if out:
                     count += len(out)
                     yield out
+                del out
         finally:
             if live is not None:
                 live.release(len(seen))
@@ -279,9 +283,11 @@ def _hash_join(schema: RelationSchema, left_key, right, columns, right_part, kin
                         matches += len(out)
                         yield out
                         out = []
+                del chunk
                 if out:
                     matches += len(out)
                     yield out
+                del out
         finally:
             if tracker is not None:
                 tracker.record_comparison(probes + matches)
@@ -352,9 +358,11 @@ def semijoin_kernel(
             for chunk in source.chunks():
                 probes += len(chunk)
                 out = list(compress(chunk, map(partnered, map(left_getter, chunk))))
+                del chunk
                 if out:
                     kept += len(out)
                     yield out
+                del out
         finally:
             if tracker is not None:
                 tracker.record_comparison(probes + kept if count_kept else probes)
@@ -400,16 +408,18 @@ def union_kernel(schema: RelationSchema, label: str, dedup: bool = True) -> Kern
                         checked += len(chunk)
                     out = chunk
                     if dedup:
-                        keys = chunk if key_of is None else map(key_of, chunk)
                         out = [
-                            row for row, key in zip(chunk, keys)
+                            row for row, key in
+                            zip(chunk, chunk if key_of is None else map(key_of, chunk))
                             if key not in seen and not add(key)
                         ]
                         if live is not None:
                             live.acquire(len(out))
+                    del chunk
                     if out:
                         count += len(out)
                         yield out
+                    del out
         finally:
             if live is not None:
                 live.release(len(seen))
@@ -491,6 +501,7 @@ def divide_kernel(
                     if value not in matches:
                         matches.add(value)
                         buffered += 1
+                del chunk
                 if live is not None:
                     live.acquire(buffered - held)
             if tracker is not None:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import replace
-from functools import partial
+from functools import cached_property, partial
 from operator import is_
 from typing import Any, Collection, Mapping
 
@@ -275,25 +275,29 @@ def bind_selection(selection: Selection, values: Mapping[str, Any]) -> Selection
 _POSITIONAL = re.compile(r"\$(\d+)")
 
 
-def _literal_trace(
-    trace: TransformationTrace, values: Mapping[str, Any], positional: Collection[str]
-) -> TransformationTrace:
-    """``trace`` worded with the constants the positional parameters stand for.
+class _LiteralTrace(TransformationTrace):
+    """``trace`` worded with the constants the positional parameters stand
+    for, when its steps are first read (no execution reads them).
 
     ``$`` before a digit occurs in a step's text only where the printer
     rendered a positional parameter: no query text can spell it, and a
     lifted text's own strings are parameters, not part of the wording.
     """
 
-    def constant(match: re.Match) -> str:
-        name = match.group(1)
-        if name in positional and values.get(name, UNBOUND) is not UNBOUND:
-            return format_operand(Const(values[name]))
-        return match.group(0)
+    def __init__(self, trace: TransformationTrace, values: Mapping, positional: Collection) -> None:
+        self._wording = trace, values, positional
 
-    return TransformationTrace(
-        [TraceStep(step.name, _POSITIONAL.sub(constant, step.detail)) for step in trace.steps]
-    )
+    @cached_property
+    def steps(self) -> list[TraceStep]:
+        trace, values, positional = self._wording
+
+        def constant(match: re.Match) -> str:
+            name = match.group(1)
+            if name in positional and values.get(name, UNBOUND) is not UNBOUND:
+                return format_operand(Const(values[name]))
+            return match.group(0)
+
+        return [TraceStep(step.name, _POSITIONAL.sub(constant, step.detail)) for step in trace.steps]
 
 
 def bind_plan(
@@ -303,13 +307,12 @@ def bind_plan(
 
     The substitution is purely structural and rebuilds only what holds a
     parameter: a binding, range, literal or derived predicate without one —
-    and a tuple of them — is ``plan``'s own object, and the bound
-    ``selection`` is derived on first read (a constant matrix never reads
-    it).  So the transformations recorded in ``plan.trace`` are reused
-    verbatim and execution starts directly at the collection phase.  Only for
-    ``positional`` — the names standing for literals lifted out of the text —
-    is the trace reworded, so it reads as the text does.
+    and a tuple of them — is ``plan``'s own object, as are its ``shape`` and
+    the cells the engine fills.  What no execution reads is derived on first
+    read: the bound ``selection``, and for ``positional`` (the names standing
+    for literals lifted out of the text) the trace's wording.
     """
+    values = dict(values)
     return QueryPlan(
         selection=None,
         bindings=_bind_all(_bind_binding, plan.bindings, values),
@@ -317,10 +320,11 @@ def bind_plan(
         conjunctions=plan.conjunctions if plan.constant is not None  # no literal
         else _bind_all(partial(_bind_all, _bind_literal), plan.conjunctions, values),
         options=plan.options,
-        trace=_literal_trace(plan.trace, values, positional) if positional else plan.trace,
+        trace=_LiteralTrace(plan.trace, values, positional) if positional else plan.trace,
         constant=plan.constant,
         result_schema=plan.result_schema,
         selection_plan=plan.selection_plan,
         combination_schemas=plan.combination_schemas,
-        derive_selection=partial(bind_selection, plan.selection, dict(values)),
+        derive_selection=partial(bind_selection, plan.shape, values),
+        shape=plan.shape,
     )

@@ -45,16 +45,24 @@ class BoundedLRU:
     """A small thread-safe bounded LRU mapping.
 
     The single LRU implementation behind the plan cache, the per-prepared-
-    query binding/collection/handle memos and the service's raw-text memo —
+    query bound-plan and collection memos and the service's text-key memo —
     so eviction and locking behave identically everywhere.  ``capacity`` 0
     stores nothing (every put evicts immediately).
+
+    With ``second_sighting`` a key not held is stored on its second put (a
+    held key is replaced at once); the first leaves its hash in a doorkeeper:
+    two generations of at most ``capacity`` hashes, in dicts of integers the
+    garbage collector does not track.
     """
 
-    def __init__(self, capacity: int) -> None:
+    def __init__(self, capacity: int, second_sighting: bool = False) -> None:
         self.capacity = max(capacity, 0)
         self._entries: OrderedDict[Hashable, object] = OrderedDict()
         self._lock = threading.Lock()
         self.evictions = 0
+        self._rents = second_sighting
+        self._young: dict[int, None] = {}
+        self._old: dict[int, None] = {}
 
     def get(self, key: Hashable):
         """The entry for ``key`` (refreshed as most recent), or ``None``."""
@@ -66,11 +74,23 @@ class BoundedLRU:
 
     def put(self, key: Hashable, entry: object) -> None:
         with self._lock:
+            if self._rents and key not in self._entries and self._first_sighting(key):
+                return
             self._entries[key] = entry
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.evictions += 1
+
+    def _first_sighting(self, key: Hashable) -> bool:
+        """Whether ``key`` was not put before — remembering that it now was."""
+        digest = hash(key)
+        if digest in self._young or digest in self._old:
+            return False
+        if len(self._young) >= self.capacity:
+            self._young, self._old = {}, self._young
+        self._young[digest] = None
+        return True
 
     def clear(self) -> None:
         with self._lock:
@@ -90,6 +110,7 @@ class PlanCache:
 
     ``capacity`` 0 disables caching: every lookup misses and every store is
     dropped (mirroring ``ServiceOptions.collection_cache_size`` semantics).
+    A plan is stored on its first sighting: a compile costs milliseconds.
     """
 
     def __init__(self, capacity: int = 128) -> None:

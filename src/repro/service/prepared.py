@@ -90,13 +90,14 @@ class PreparedQuery:
         # whole collection-phase results while every relation the query
         # ranges over provably holds what it held (``version_token`` of them:
         # the memo survives writes to relations the query never reads).
+        # Both store a binding on its second sighting: one sent once evicts nothing.
         # BoundedLRU is thread-safe, and what hangs off a memoized
         # collection result (reference ids, the combination plan, its
         # operands' hash tables) is published complete and then only
         # read, so concurrent pinned executions may share one entry.
         self._cache_size = collection_cache_size
-        self._bound_plans = BoundedLRU(self._cache_size)
-        self._collections = BoundedLRU(self._cache_size)
+        self._bound_plans = BoundedLRU(self._cache_size, second_sighting=True)
+        self._collections = BoundedLRU(self._cache_size, second_sighting=True)
         # Literal values -> the ``for_text`` handle binding them, so a text
         # prepared again (in any spelling of its trivia) gets the handle it
         # got before, as a literal-free text gets the one cached object.
@@ -303,9 +304,9 @@ class PreparedQuery:
         charged before.
 
         While the relations the query ranges over hold what they held, the
-        collection-phase structures for a binding set are reused across
-        executions; the collection phase runs before this returns, so the
-        memo fills whether or not a row is ever fetched — except from a
+        collection-phase structures for a binding set are reused from its
+        third execution on; the collection phase runs before this returns,
+        so the memo fills whether or not a row is ever fetched — except from a
         transaction's statement pin, which reads the memo and publishes
         nothing to it (its contents may yet be rolled back).
         """

@@ -94,8 +94,8 @@ class QueryService:
         # Raw text -> (cache key, literal values).  Repeated executions of the
         # *same string* skip the scan; texts that differ only in trivia or in
         # constants still meet at the shape.  ``None`` for the literals marks
-        # a text keyed as written (see ``prepare``).
-        self._text_keys = BoundedLRU(max(cache_capacity * 4, 16))
+        # a text keyed as written (see ``prepare``); stored on its second sighting.
+        self._text_keys = BoundedLRU(max(cache_capacity * 4, 16), second_sighting=True)
         # The schema version the cached plans belong to; a catalog change
         # makes every entry permanently unreachable (keys embed the version),
         # so they are dropped eagerly instead of lingering until evicted.

@@ -87,9 +87,9 @@ class QueryPlan:
     Attributes
     ----------
     selection:
-        The resolved original selection (for the construction phase and the
-        naive evaluator); a late-bound plan derives it on first read from
-        ``derive_selection`` (:func:`~repro.service.binding.bind_plan`).
+        The resolved original selection (for the naive evaluator, explain and
+        the Strategy 3 fallback); a late-bound plan derives it on first read
+        from ``derive_selection`` (:func:`~repro.service.binding.bind_plan`).
     bindings:
         Free-variable bindings, with ranges possibly extended by Strategy 3.
     prefix:
@@ -114,6 +114,9 @@ class QueryPlan:
     combination_schemas:
         The combination phase's id-relation schemas, by name and variables:
         built once for the shape and shared, like ``result_schema``.
+    shape:
+        The selection as compiled, parameters and all, shared by every binding:
+        the result schema and the construction phase read it (default ``selection``).
     """
 
     selection: Selection
@@ -127,6 +130,11 @@ class QueryPlan:
     selection_plan: list = field(default_factory=lambda: [None], repr=False, compare=False)
     combination_schemas: dict = field(default_factory=dict, repr=False, compare=False)
     derive_selection: Callable | None = field(default=None, repr=False, compare=False)
+    shape: Selection | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.shape is None:
+            self.shape = self.selection
 
     @property
     def variables(self) -> tuple[str, ...]:

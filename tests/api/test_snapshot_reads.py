@@ -329,6 +329,8 @@ class TestEveryEndReleasesThePin:
     @QUERIES
     def test_dropped_by_connection_close(self, figure1, query):
         connection = connect(figure1)
+        # The first sighting: the collection memo stores on the second.
+        connection.execute(query).fetchall()
         figure1.reset_statistics()
         unfetched = connection.cursor().execute(query)
         midway = connection.cursor().execute(query)
@@ -393,6 +395,7 @@ class TestEquivalenceMatrix:
             "scratch", [("k", INTEGER)], key=["k"]
         )
         connection = connect(figure1)
+        connection.execute(EXAMPLE_21_TEXT).fetchall()  # stored on its second sighting
         first = connection.execute(EXAMPLE_21_TEXT).fetchall()
         prepared = connection.service._admit(EXAMPLE_21_TEXT, None)
         assert len(prepared._collections) == 1

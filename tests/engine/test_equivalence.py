@@ -601,8 +601,9 @@ class TestRepeatedExecutionEquivalence:
     Every library query of both workloads, the parameterized libraries and
     the five e2e templates: one handle, three executions on statement pins
     of a transaction and three on committed pins.  A statement pin publishes
-    no collection result, so each of the first three plans, and so does the
-    fourth; the last two reuse what it published — and every one of the six
+    no collection result, so each of the first three plans, and so do the
+    fourth and the fifth (the memo admits a binding on its second sighting);
+    the last reuses what the fifth published — and every one of the six
     must return the naive interpreter's rows, in one order, and tell the
     same story in its report: join orders, reductions, operator notes,
     estimates with *that run's* actual counts, sizes, peak.
@@ -639,9 +640,9 @@ class TestRepeatedExecutionEquivalence:
                 assert again == rows, (text, binding, position)
                 assert its_report == report, (text, binding, position)
                 if result.combination is not None and not result.used_strategy3_fallback:
-                    assert result.combination.plan_reused == (position > 3), (text, position)
+                    assert result.combination.plan_reused == (position > 4), (text, position)
                     reused += result.combination.plan_reused
-        assert reused > len(requests)  # most requests reach the combination phase
+        assert 2 * reused > len(requests)  # most requests reach the combination phase
 
     def test_one_collection_result_under_two_option_sets_is_planned_for_each(self, figure1):
         text = university_queries.PUBLISHING_TEACHERS_TEXT

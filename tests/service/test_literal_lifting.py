@@ -480,6 +480,7 @@ class TestHandles:
             plan = first._plan
             for handle in (first, second):
                 assert handle.execute().relation == execute_naive(database, handle.text)
+                handle.execute()  # the memo stores a binding on its second sighting
                 assert handle.execute().combination.plan_reused
             with connection.session():
                 database.relation("papers").insert({"penr": 3, "pyear": 1977, "ptitle": "Drift"})

@@ -13,7 +13,7 @@ and a text with both, under several strategy configurations:
 * every parameter-free part is the shared plan's own object, and every part
   that held a parameter holds none;
 * the bound plan's rows equal the naive interpreter's on the reference
-  selection, and a constant matrix never derives its selection.
+  selection, and no execution derives its selection.
 
 CI also runs this module under two fixed ``PYTHONHASHSEED`` values.
 """
@@ -30,7 +30,7 @@ from repro.calculus.analysis import QuantifierSpec
 from repro.calculus.ast import Comparison, Param, VariableBinding
 from repro.engine.naive import evaluate_selection_naive
 from repro.service import QueryService, bind_plan, bind_selection
-from repro.service.binding import _bind_formula, _bind_range, _literal_trace
+from repro.service.binding import _LiteralTrace, _bind_formula, _bind_range
 from repro.transform.pipeline import QueryPlan
 from repro.transform.quantifier_pushdown import DerivedPredicate
 from repro.workloads.bibliography import BibliographyProfile, build_bibliography_database
@@ -121,7 +121,7 @@ def _whole_plan_substitution(plan: QueryPlan, values, positional) -> QueryPlan:
             for conjunction in plan.conjunctions
         ),
         options=plan.options,
-        trace=_literal_trace(plan.trace, values, positional) if positional else plan.trace,
+        trace=_LiteralTrace(plan.trace, values, positional) if positional else plan.trace,
         constant=plan.constant,
     )
 
@@ -169,15 +169,16 @@ def test_parameter_only_binding_equals_the_whole_plan_substitution(case, options
             _assert_shared_or_bound(old, new)
     assert bound.result_schema is shared.result_schema
     assert bound.selection_plan is shared.selection_plan
+    assert bound.shape is shared.shape is shared.selection
 
     expected = evaluate_selection_naive(reference.selection, database)
     result = QueryEngine(database).execute_plan(bound).drain()
     assert result.relation == expected
-    # A constant matrix plans and reads without its selection (once the
-    # shared result schema is known); the Strategy 3 fallback re-plans from it.
+    # An execution plans and reads without the bound selection (the phases
+    # read the plan's shape); the Strategy 3 fallback re-plans from it.
     again = bind_plan(shared, values, positional)
     rerun = QueryEngine(database).execute_plan(again).drain()
     assert rerun.relation == expected
-    if shared.constant is not None and not rerun.used_strategy3_fallback:
+    if not rerun.used_strategy3_fallback:
         assert again._selection is None
     assert again.selection == bound.selection == reference.selection

@@ -374,6 +374,9 @@ class TestCombinationPlanLifetime:
         before = cursor.execute(self.TEXT).fetchall()
         assert self._plans(cursor) == (1, 0)
         assert cursor.statistics["reduced_tuples"] > 0
+        # The memo stores a binding on its second sighting, and serves the third.
+        assert cursor.execute(self.TEXT).fetchall() == before
+        assert self._plans(cursor) == (1, 0)
         assert cursor.execute(self.TEXT).fetchall() == before
         assert self._plans(cursor) == (0, 1)
         assert cursor.statistics["reduced_tuples"] == 0  # counters count work done
@@ -397,8 +400,8 @@ class TestCombinationPlanLifetime:
         handle = connection.prepare(self.TEXT)
         compiled = handle._plan
         cursor = connection.cursor()
-        cursor.execute(handle).fetchall()
-        cursor.execute(handle).fetchall()
+        for _ in range(3):  # stored on the second sighting, served on the third
+            cursor.execute(handle).fetchall()
         assert self._plans(cursor) == (0, 1)
         combination_plan = cursor.result.collection.combination_plan
 
@@ -415,6 +418,7 @@ class TestCombinationPlanLifetime:
         connection = connect(figure1, options=self.OPTIONS)
         expected = {r.values for r in execute_naive(figure1, self.TEXT)}
         assert len(expected) > 1
+        connection.execute(self.TEXT).fetchall()  # the first sighting: ``first`` stores
         first = connection.cursor().execute(self.TEXT)
         assert first.fetchone() is not None
         first.close()  # hash tables it built stay; its generators are gone

@@ -131,8 +131,9 @@ class TestExecuteBatch:
             assert [r.values for r in result] == [r.values for r in individual], query
 
     def test_a_repeated_batch_is_served_from_the_collection_memos(self, university_scale2):
-        """A batch member runs as ``execute`` does: a binding seen before takes
-        its collection result from the handle's memo and reads no relation.
+        """A batch member runs as ``execute`` does: a binding the memo stored
+        (on its second sighting) takes its collection result from the
+        handle's memo and reads no relation.
 
         A selection (a constant matrix) has no collection phase and reads its
         range on every execution, as does a binding that takes the Strategy 3
@@ -144,6 +145,7 @@ class TestExecuteBatch:
             for _, (text, bindings) in parameterized_queries().items()
             for values in bindings
         ]
+        service.execute_batch(requests)  # the first sighting of each binding
         first = service.execute_batch(requests)
         collecting = [
             position
